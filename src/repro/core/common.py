@@ -49,6 +49,17 @@ class LowerBound:
             description=description,
         )
 
+    @staticmethod
+    def from_shared_keys(tree, keys_by_node, description: str) -> "LowerBound":
+        """Per-link shared-key counting: every key that compute nodes hold
+        (``keys_by_node``) on both sides of a full-duplex link forces an
+        element across, so ``cost(e) >= |shared keys| / (2 w_e)``."""
+        per_edge = {
+            edge: shared / (2.0 * tree.undirected_bandwidth(edge))
+            for edge, shared in tree.shared_key_counts(keys_by_node).items()
+        }
+        return LowerBound.from_per_edge(per_edge, description)
+
     def ratio_of(self, cost: float) -> float:
         """``cost / value``; infinity when the bound is zero but cost is not."""
         if self.value > 0:

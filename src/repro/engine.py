@@ -332,14 +332,6 @@ def run_with_result(
                     "repro_runs_total", status="error", **run_labels
                 ).inc()
             raise
-        wall_time_s = perf_counter() - started
-        if run_labels is not None:
-            registry.histogram(
-                "repro_run_seconds",
-                buckets=LATENCY_BUCKETS,
-                task=task_spec.name,
-                backend=resolved_backend,
-            ).observe(wall_time_s)
         if verify and task_spec.verifier is not None:
             with tracer.span("engine.verify", category="verify"):
                 try:
@@ -374,7 +366,15 @@ def run_with_result(
                 bound = task_spec.lower_bound(
                     tree, distribution, **bound_opts
                 )
+        # what the caller waited for: protocol, verify and bound
+        wall_time_s = perf_counter() - started
         if run_labels is not None:
+            registry.histogram(
+                "repro_run_seconds",
+                buckets=LATENCY_BUCKETS,
+                task=task_spec.name,
+                backend=resolved_backend,
+            ).observe(wall_time_s)
             registry.counter(
                 "repro_runs_total", status="ok", **run_labels
             ).inc()

@@ -85,39 +85,19 @@ def components_lower_bound(
     full-duplex factor included.
     """
     tree.require_symmetric("the connectivity lower bound")
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    fragments = {v: distribution.fragment(v, tag) for v in computes}
-    all_edges = [f for f in fragments.values() if len(f)]
-    if not all_edges:
-        return LowerBound.from_per_edge(
-            {edge: 0.0 for edge in tree.undirected_edges()},
-            "per-link spanning-component counting (connectivity)",
-        )
-    src, dst = decode_edges(np.concatenate(all_edges))
+    nodes = list(tree.compute_nodes)
+    fragments = [distribution.fragment(v, tag) for v in nodes]
+    src, dst = decode_edges(np.concatenate(fragments))
     component_of = reference_components(np.stack([src, dst], axis=1))
-    node_components: dict = {}
-    for v, fragment in fragments.items():
-        if not len(fragment):
-            node_components[v] = frozenset()
-            continue
-        s, d = decode_edges(fragment)
-        node_components[v] = frozenset(
-            component_of[int(u)] for u in np.unique(np.concatenate([s, d]))
-        )
-    per_edge: dict = {}
-    for edge in tree.undirected_edges():
-        a_side, b_side = tree.compute_sides(edge)
-        a_comps = frozenset().union(
-            *(node_components.get(v, frozenset()) for v in a_side)
-        )
-        b_comps = frozenset().union(
-            *(node_components.get(v, frozenset()) for v in b_side)
-        )
-        per_edge[edge] = len(a_comps & b_comps) / (
-            2.0 * tree.undirected_bandwidth(edge)
-        )
-    return LowerBound.from_per_edge(
-        per_edge, "per-link spanning-component counting (connectivity)"
+    # an edge lies in the component of its source endpoint
+    labels = np.fromiter(
+        (component_of[u] for u in src.tolist()), np.int64, len(src)
+    )
+    bounds = np.cumsum([len(f) for f in fragments])[:-1]
+    return LowerBound.from_shared_keys(
+        tree,
+        dict(zip(nodes, np.split(labels, bounds))),
+        "per-link spanning-component counting (connectivity)",
     )
 
 

@@ -73,31 +73,12 @@ def triangles_lower_bound(
     factor 2 because one edge element covers two vertices.
     """
     tree.require_symmetric("the triangle-count lower bound")
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    node_vertices: dict = {}
-    for v in computes:
-        fragment = distribution.fragment(v, tag)
-        if not len(fragment):
-            node_vertices[v] = np.empty(0, np.int64)
-            continue
-        src, dst = decode_edges(fragment)
-        node_vertices[v] = np.unique(np.concatenate([src, dst]))
-    per_edge: dict = {}
-    for edge in tree.undirected_edges():
-        a_side, b_side = tree.compute_sides(edge)
-        a_parts = [node_vertices[v] for v in a_side if len(node_vertices.get(v, ()))]
-        b_parts = [node_vertices[v] for v in b_side if len(node_vertices.get(v, ()))]
-        if not a_parts or not b_parts:
-            per_edge[edge] = 0.0
-            continue
-        shared = np.intersect1d(
-            np.concatenate(a_parts), np.concatenate(b_parts)
-        )
-        per_edge[edge] = len(shared) / (
-            2.0 * tree.undirected_bandwidth(edge)
-        )
-    return LowerBound.from_per_edge(
-        per_edge, "per-link shared-vertex counting (triangles)"
+    node_vertices = {
+        v: np.concatenate(decode_edges(distribution.fragment(v, tag)))
+        for v in tree.compute_nodes
+    }
+    return LowerBound.from_shared_keys(
+        tree, node_vertices, "per-link shared-vertex counting (triangles)"
     )
 
 

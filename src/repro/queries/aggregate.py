@@ -93,29 +93,14 @@ def groupby_lower_bound(
     placements, which is what forces the factor 2.)
     """
     tree.require_symmetric("the group-by lower bound")
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    node_keys = {}
-    for v in computes:
-        keys, _ = decode_tuples(
+    node_keys = {
+        v: decode_tuples(
             distribution.fragment(v, tag), payload_bits=payload_bits
-        )
-        node_keys[v] = np.unique(keys)
-    per_edge: dict = {}
-    for edge in tree.undirected_edges():
-        a_side, b_side = tree.compute_sides(edge)
-        a_keys = [node_keys[v] for v in a_side if len(node_keys.get(v, ()))]
-        b_keys = [node_keys[v] for v in b_side if len(node_keys.get(v, ()))]
-        if not a_keys or not b_keys:
-            per_edge[edge] = 0.0
-            continue
-        shared = np.intersect1d(
-            np.concatenate(a_keys), np.concatenate(b_keys)
-        )
-        per_edge[edge] = len(shared) / (
-            2.0 * tree.undirected_bandwidth(edge)
-        )
-    return LowerBound.from_per_edge(
-        per_edge, "per-link shared-key counting (group-by)"
+        )[0]
+        for v in tree.compute_nodes
+    }
+    return LowerBound.from_shared_keys(
+        tree, node_keys, "per-link shared-key counting (group-by)"
     )
 
 

@@ -61,8 +61,8 @@ class RunReport:
     cost: float
     lower_bound: float
     meta: dict = field(default_factory=dict)
-    #: Measured protocol execution seconds (``None`` when the producer
-    #: did not time the run — e.g. reports rebuilt from pre-obs JSON).
+    #: Seconds the caller waited: protocol, verify and bound (``None``
+    #: when the producer did not time the run — e.g. pre-obs JSON).
     wall_time_s: float | None = None
 
     @property

@@ -627,6 +627,7 @@ class RoundContext:
         # (node counts are small; 1024 nodes is an 8 MB matrix)
         pair_matrix = np.zeros((size, size), dtype=np.int64)
         lookup_dtype = np.int16 if size < 2**15 else np.int64
+        compute_lookup = routing.compute_idx.astype(lookup_dtype)
         by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         for src, node_list, target_indices, payload, tag in (
             self._unicast_stream
@@ -637,7 +638,7 @@ class RoundContext:
                 pair_matrix[index_of[src], dst_id] += len(payload)
             else:
                 if node_list is None:
-                    lookup = cluster._compute_lookup(routing, lookup_dtype)
+                    lookup = compute_lookup
                 else:
                     lookup = np.fromiter(
                         (index_of[n] for n in node_list),
@@ -990,10 +991,6 @@ class Cluster:
         universe.
         """
         return self._artifacts.compute_order
-
-    def _compute_lookup(self, routing, dtype) -> np.ndarray:
-        """Routing-index ids of the canonical compute order (artifact-shared)."""
-        return self._artifacts.compute_lookup(routing, dtype)
 
     # ------------------------------------------------------------------ #
     # storage

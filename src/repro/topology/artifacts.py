@@ -1,9 +1,9 @@
 """Session-scoped topology artifacts: build once, serve many runs.
 
 Every expensive structure a cluster derives from its topology —
-:class:`~repro.topology.steiner.RoutingIndex` LCA tables, memoised
-Steiner decompositions, the canonical compute order, rank-ownership
-lookups — is a pure function of the immutable
+memoised path and Steiner decompositions, the canonical compute order,
+rank-ownership lookups, beside the tree's own routing index — is a
+pure function of the immutable
 :class:`~repro.topology.tree.TreeTopology` (Hu, Koutris & Blanas
 parameterize the whole cost model by the topology alone).  A one-shot
 ``run()`` rebuilding them per cluster is fine; a serving engine
@@ -76,10 +76,9 @@ class TopologyArtifacts:
     construction is cheap (the heavy pieces — the routing index, the
     Steiner memos — still build lazily on first use, but now build
     *once per topology* instead of once per cluster).  Instances are
-    safe to share across ``run_many`` threads: the routing index is
-    assigned atomically (a racing rebuild yields an equivalent,
-    deterministic structure), dict/set memo insertion is atomic under
-    the GIL, and the rank-lookup table is guarded by a lock.
+    safe to share across ``run_many`` threads: the routing index is the
+    tree's own (built once, under a lock), dict/set memo insertion is
+    atomic under the GIL, and the rank-lookup table is guarded by a lock.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
@@ -94,18 +93,7 @@ class TopologyArtifacts:
         #: memo, never consulted for routing or accounting.
         self.checked_destination_sets: set = set()
         self._lock = threading.Lock()
-        self._compute_lookup_array: np.ndarray | None = None
         self._rank_lookups: dict[int, np.ndarray] = {}
-
-    def compute_lookup(self, routing, dtype) -> np.ndarray:
-        """Routing-index ids of the canonical compute order (cached)."""
-        if self._compute_lookup_array is None:
-            self._compute_lookup_array = np.fromiter(
-                (routing.index_of[v] for v in self.compute_order),
-                dtype,
-                len(self.compute_order),
-            )
-        return self._compute_lookup_array
 
     def rank_lookup(self, routing, num_workers: int) -> np.ndarray:
         """Routing-index -> owning rank (``-1`` for routers), per rank count.
@@ -120,12 +108,11 @@ class TopologyArtifacts:
             with self._lock:
                 table = self._rank_lookups.get(num_workers)
                 if table is None:
-                    computes = self.compute_order
+                    count = len(routing.compute_idx)
                     table = np.full(routing.num_nodes, -1, dtype=np.int32)
-                    for index, node in enumerate(computes):
-                        table[routing.index_of[node]] = (
-                            index * num_workers
-                        ) // len(computes)
+                    table[routing.compute_idx] = (
+                        np.arange(count) * num_workers // count
+                    )
                     self._rank_lookups[num_workers] = table
         return table
 

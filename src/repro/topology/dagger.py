@@ -113,11 +113,8 @@ def build_dagger(
     pivot = max(tree.nodes, key=node_sort_key)
     parent: dict = {}
     out_bandwidth: dict = {}
-    for edge in tree.undirected_edges():
+    for edge, (weight_a, weight_b) in tree.side_weights(node_weights).items():
         a, b = edge
-        a_side, b_side = tree.compute_sides(edge)
-        weight_a = sum(node_weights.get(v, 0) for v in a_side)
-        weight_b = sum(node_weights.get(v, 0) for v in b_side)
         if weight_a < weight_b:
             tail, head = a, b
         elif weight_b < weight_a:

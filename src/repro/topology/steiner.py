@@ -14,7 +14,6 @@ destination-set) pair for many elements.
 
 from __future__ import annotations
 
-import threading
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -41,10 +40,14 @@ class RoutingIndex:
 
     The resulting per-edge totals are sums of the same integers the
     per-pair walk adds up, so they are exactly equal.
+
+    The same push-up yields the per-link aggregates behind every lower
+    bound and estimate — :meth:`subtree_sums`, :meth:`steiner_counts` —
+    reported per node ``x`` for the link ``x -- parent[x]``;
+    :attr:`link_child` maps that onto ``tree.undirected_edges()`` order.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
-        self._tree = tree
         self.nodes: list = sorted(tree.nodes, key=node_sort_key)
         self.index_of: dict = {n: i for i, n in enumerate(self.nodes)}
         size = len(self.nodes)
@@ -53,14 +56,22 @@ class RoutingIndex:
             p = tree.parent(node)
             if p is not None:
                 parent[i] = self.index_of[p]
+        # DFS preorder: terminals of a multicast sorted by entry time
+        # ``tin`` admit the edge-disjoint Steiner decomposition that
+        # :meth:`multicast_loads` charges (the virtual-tree ordering).
+        children: list[list[int]] = [[] for _ in range(size)]
+        for i in range(size):
+            if parent[i] >= 0:
+                children[parent[i]].append(i)
+        preorder: list[int] = []
         depth = np.zeros(size, dtype=np.int64)
-        pending = parent.copy()
-        while True:
-            alive = pending >= 0
-            if not alive.any():
-                break
-            depth[alive] += 1
-            pending[alive] = parent[pending[alive]]
+        stack = [i for i in range(size) if parent[i] < 0][::-1]
+        while stack:
+            x = stack.pop()
+            preorder.append(x)
+            if parent[x] >= 0:
+                depth[x] = depth[parent[x]] + 1
+            stack.extend(reversed(children[x]))
         self.parent = parent
         self.depth = depth
         self.max_depth = int(depth.max()) if size else 0
@@ -69,22 +80,23 @@ class RoutingIndex:
             np.flatnonzero(depth == d)
             for d in range(self.max_depth, 0, -1)
         ]
-        # DFS preorder entry times: terminals of a multicast sorted by
-        # ``tin`` admit the edge-disjoint Steiner decomposition that
-        # :meth:`multicast_loads` charges (the virtual-tree ordering).
-        children: list[list[int]] = [[] for _ in range(size)]
-        for i in range(size):
-            if parent[i] >= 0:
-                children[parent[i]].append(i)
-        tin = np.zeros(size, dtype=np.int64)
-        stack = [i for i in range(size) if parent[i] < 0][::-1]
-        timer = 0
-        while stack:
-            x = stack.pop()
-            tin[x] = timer
-            timer += 1
-            stack.extend(reversed(children[x]))
-        self.tin = tin
+        # ``preorder[tin[x]:tout[x]]`` is exactly the subtree of ``x``
+        self.preorder = np.array(preorder, dtype=np.intp)
+        self.tin = np.empty(size, dtype=np.int64)
+        self.tin[self.preorder] = np.arange(size)
+        self.tout = self.tin + self._push_up(np.ones(size, dtype=np.int64))
+        self.compute_nodes = tuple(n for n in self.nodes if n in tree.compute_nodes)
+        self.compute_idx = np.array(
+            [self.index_of[n] for n in self.compute_nodes], dtype=np.intp
+        )
+        # per link of ``tree.undirected_edges()``: whether ``edge[0]`` is
+        # the endpoint farther from the root, and that endpoint's index
+        ends = np.array(
+            [(self.index_of[a], self.index_of[b]) for a, b in tree.undirected_edges()],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        self.link_child_first = parent[ends[:, 0]] == ends[:, 1]
+        self.link_child = np.where(self.link_child_first, ends[:, 0], ends[:, 1])
 
     @property
     def num_nodes(self) -> int:
@@ -109,6 +121,60 @@ class RoutingIndex:
             b[differ] = parent[b[differ]]
             differ = a != b
         return a
+
+    def _push_up(self, values: np.ndarray) -> np.ndarray:
+        """Add every node's value into all its ancestors, in place."""
+        for level in self.levels_desc:
+            np.add.at(values, self.parent[level], values[level])
+        return values
+
+    def _steiner_paths(
+        self, terminals: np.ndarray, groups: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The virtual-tree decomposition of one Steiner tree per group.
+
+        Returns the terminals sorted by ``(group, preorder)`` and each
+        one's LCA with its cyclic predecessor inside the group.  The
+        upward paths terminal -> that LCA are edge-disjoint and cover
+        every Steiner edge of the group exactly once; a repeated
+        terminal adds an empty path.
+        """
+        order = np.lexsort((self.tin[terminals], groups))
+        terminals, groups = terminals[order], groups[order]
+        starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+        prev = np.empty_like(terminals)
+        prev[1:] = terminals[:-1]
+        prev[starts] = terminals[np.r_[starts[1:], len(terminals)] - 1]
+        return terminals, self.lca(terminals, prev)
+
+    def subtree_sums(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per node ``x``: the weight inside ``x``'s subtree, and outside it.
+
+        Additions only, in a fixed order (push-up inside; preorder prefix
+        plus suffix outside), never ``total - subtree``: with float
+        weights a side that holds nothing is exactly zero.
+        """
+        in_preorder = weights[self.preorder]
+        zero = np.zeros(1, dtype=weights.dtype)
+        before = np.concatenate([zero, np.cumsum(in_preorder)])
+        after = np.concatenate([np.cumsum(in_preorder[::-1])[::-1], zero])
+        return self._push_up(weights.copy()), before[self.tin] + after[self.tout]
+
+    def steiner_counts(self, node_idx: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Per node ``x``: the distinct keys held on both sides of the
+        link ``x -- parent[x]``, ``node_idx[i]`` holding ``keys[i]``.
+
+        A key sits on both sides of a link exactly when the Steiner tree
+        of its holders contains the link: ``+1`` at every holder, ``-1``
+        at the top of its :meth:`_steiner_paths` path, pushed up.
+        """
+        if len(keys) == 0:
+            return np.zeros(self.num_nodes, dtype=np.int64)
+        holders, meet = self._steiner_paths(node_idx, keys)
+        size = self.num_nodes
+        return self._push_up(
+            np.bincount(holders, minlength=size) - np.bincount(meet, minlength=size)
+        )
 
     def unicast_loads(
         self, src: np.ndarray, dst: np.ndarray, counts: np.ndarray
@@ -141,9 +207,8 @@ class RoutingIndex:
         (``x -> parent``) for ``up``, downward for ``down``.
         """
         parent = self.parent
-        for level in self.levels_desc:
-            np.add.at(up, parent[level], up[level])
-            np.add.at(down, parent[level], down[level])
+        self._push_up(up)
+        self._push_up(down)
         loads: dict = {}
         nodes = self.nodes
         for x in np.flatnonzero(up).tolist():
@@ -172,12 +237,9 @@ class RoutingIndex:
         the source) is charged ``counts[g]`` once, exactly like
         :meth:`PathOracle.steiner_edges` accounting.
 
-        The vectorization rests on the virtual-tree decomposition: with
-        a group's terminals ``t_1 <= ... <= t_k`` sorted by DFS
-        preorder (:attr:`tin`), the upward paths
-        ``t_i -> lca(t_i, t_{i-1 cyclic})`` are edge-disjoint and cover
-        every Steiner edge exactly once (the cyclic first pair yields
-        the Steiner root ``lca(t_1, t_k)``).  Those paths feed the same
+        The vectorization rests on the edge-disjoint upward paths of
+        :meth:`_steiner_paths` (the cyclic first pair yields the
+        Steiner root ``lca(t_1, t_k)``).  Those paths feed the same
         tree-difference accumulators as :meth:`unicast_loads`; edges on
         the source's path to the Steiner root carry the payload upward,
         every other Steiner edge carries it downward.  Duplicate
@@ -206,12 +268,7 @@ class RoutingIndex:
         dst_slots = pos != out_start[group_of]
         gather = pos - out_start[group_of] - 1 + starts[group_of]
         flat[dst_slots] = terminals[gather[dst_slots]]
-        order = np.lexsort((self.tin[flat], group_of))
-        t_sorted = flat[order]
-        prev = np.empty_like(t_sorted)
-        prev[1:] = t_sorted[:-1]
-        prev[out_start] = t_sorted[out_end - 1]
-        meet = self.lca(t_sorted, prev)
+        t_sorted, meet = self._steiner_paths(flat, group_of)
         roots = meet[out_start]  # lca(t_1, t_k) = the group's Steiner root
         per_terminal = counts[group_of]
         up = np.zeros(self.num_nodes, dtype=np.int64)
@@ -234,25 +291,18 @@ class PathOracle:
     threads — through the artifact layer
     (:mod:`repro.topology.artifacts`), so the memo dicts rely on the
     GIL's atomic inserts (a racing duplicate computation yields an
-    equal tuple) and the routing index builds under a lock: one build
-    per topology, ever.
+    equal tuple); the routing index is the tree's own.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
         self._tree = tree
         self._path_cache: dict[tuple, tuple[DirectedEdge, ...]] = {}
         self._steiner_cache: dict[tuple, tuple[DirectedEdge, ...]] = {}
-        self._routing: RoutingIndex | None = None
-        self._routing_lock = threading.Lock()
 
     @property
     def routing_index(self) -> RoutingIndex:
-        """The integer-indexed routing structure (built lazily, once)."""
-        if self._routing is None:
-            with self._routing_lock:
-                if self._routing is None:
-                    self._routing = RoutingIndex(self._tree)
-        return self._routing
+        """The tree's integer-indexed routing structure."""
+        return self._tree.routing_index
 
     @property
     def tree(self) -> TreeTopology:

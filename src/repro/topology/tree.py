@@ -21,10 +21,16 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:
+    from repro.topology.steiner import RoutingIndex
 
 NodeId = Hashable
 DirectedEdge = tuple  # (u, v)
@@ -39,6 +45,11 @@ def node_sort_key(node: NodeId) -> tuple:
     themselves to be mutually comparable.
     """
     return (type(node).__name__, str(node), repr(node))
+
+
+#: Guards the lazy :attr:`TreeTopology.routing_index` build (module-level,
+#: so trees stay picklable): one build per tree, ever.
+_ROUTING_INDEX_LOCK = threading.Lock()
 
 
 class TreeTopology:
@@ -114,10 +125,19 @@ class TreeTopology:
         self._parent: dict[NodeId, NodeId | None] = {}
         self._depth: dict[NodeId, int] = {}
         self._build_rooting()
-        self._subtree_nodes: dict[NodeId, frozenset] = {}
-        self._build_subtrees()
         self._sides_cache: dict[UndirectedEdge, tuple[frozenset, frozenset]] = {}
         self._compute_sides_cache: dict[UndirectedEdge, tuple[frozenset, frozenset]] = {}
+        keys = {n: node_sort_key(n) for n in self._nodes}
+        self._links = sorted(
+            ((u, v) for (u, v) in self._bandwidth if keys[u] <= keys[v]),
+            key=lambda e: (keys[e[0]], keys[e[1]]),
+        )
+        self._routing_index: RoutingIndex | None = None
+
+    def __reduce__(self):
+        # A pickled tree is its definition: rooting, links and the lazy
+        # index are rebuilt on the far side, so none of them crosses.
+        return type(self), (self._bandwidth, self._compute_nodes), {"name": self.name}
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -194,15 +214,6 @@ class TreeTopology:
                     self._depth[neighbor] = self._depth[node] + 1
                     frontier.append(neighbor)
 
-    def _build_subtrees(self) -> None:
-        order = sorted(self._nodes, key=lambda n: -self._depth[n])
-        collected: dict[NodeId, set] = {n: {n} for n in self._nodes}
-        for node in order:
-            parent = self._parent[node]
-            if parent is not None:
-                collected[parent] |= collected[node]
-        self._subtree_nodes = {n: frozenset(s) for n, s in collected.items()}
-
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #
@@ -267,15 +278,7 @@ class TreeTopology:
 
     def undirected_edges(self) -> list:
         """All links as canonical undirected edges, deterministic order."""
-        seen = set()
-        result = []
-        for (u, v) in self._bandwidth:
-            edge = (u, v) if node_sort_key(u) <= node_sort_key(v) else (v, u)
-            if edge not in seen:
-                seen.add(edge)
-                result.append(edge)
-        result.sort(key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1])))
-        return result
+        return list(self._links)
 
     def undirected_bandwidth(self, edge: UndirectedEdge) -> float:
         """Bandwidth of a link in a symmetric tree (both directions equal)."""
@@ -382,21 +385,17 @@ class TreeTopology:
         """All nodes on each side of a link, ``(side of edge[0], side of edge[1])``."""
         edge = self.canonical_edge(*edge)
         cached = self._sides_cache.get(edge)
-        if cached is not None:
-            return cached
-        a, b = edge
-        if self._parent[b] == a:
-            b_side = self._subtree_nodes[b]
-        elif self._parent[a] == b:
-            a_side = self._subtree_nodes[a]
-            result = (a_side, self._nodes - a_side)
-            self._sides_cache[edge] = result
-            return result
-        else:  # pragma: no cover - impossible in a tree
-            raise TopologyError(f"edge {edge!r} not parent-child under rooting")
-        result = (self._nodes - b_side, b_side)
-        self._sides_cache[edge] = result
-        return result
+        if cached is None:
+            a, b = edge
+            a_is_child = self._parent[a] == b
+            index = self.routing_index
+            child = index.index_of[a if a_is_child else b]
+            subtree = index.preorder[index.tin[child] : index.tout[child]]
+            below = frozenset(index.nodes[i] for i in subtree.tolist())
+            above = self._nodes - below
+            cached = (below, above) if a_is_child else (above, below)
+            self._sides_cache[edge] = cached
+        return cached
 
     def compute_sides(self, edge: UndirectedEdge) -> tuple[frozenset, frozenset]:
         """Compute nodes on each side of a link."""
@@ -416,15 +415,48 @@ class TreeTopology:
 
         This is the quantity ``(sum_{v in V-e} N_v, sum_{v in V+e} N_v)``
         that every lower bound in the paper is expressed through.
+        Integer weights sum exactly, float weights in the fixed order of
+        :meth:`RoutingIndex.subtree_sums`.
         """
-        result = {}
-        for edge in self.undirected_edges():
-            a_side, b_side = self.compute_sides(edge)
-            result[edge] = (
-                sum(weights.get(v, 0) for v in a_side),
-                sum(weights.get(v, 0) for v in b_side),
-            )
-        return result
+        index = self.routing_index
+        values = np.array([weights.get(v, 0) for v in index.compute_nodes])
+        node_weights = np.zeros(index.num_nodes, dtype=values.dtype)
+        node_weights[index.compute_idx] = values
+        below, above = index.subtree_sums(node_weights)
+        child = index.link_child
+        first = np.where(index.link_child_first, below[child], above[child])
+        second = np.where(index.link_child_first, above[child], below[child])
+        return dict(zip(self._links, zip(first.tolist(), second.tolist())))
+
+    def shared_key_counts(
+        self, keys_by_node: Mapping[NodeId, np.ndarray]
+    ) -> dict[UndirectedEdge, int]:
+        """Per link, how many distinct keys compute nodes hold on both
+        sides; ``keys_by_node[v]`` are node ``v``'s keys, repeats allowed."""
+        index = self.routing_index
+        held = {
+            index.index_of[v]: keys
+            for v, keys in keys_by_node.items()
+            if v in self._compute_nodes
+        }
+        counts = index.steiner_counts(
+            np.repeat(list(held), [len(keys) for keys in held.values()]),
+            # the leading empty array keeps "nobody holds a key" concatenable
+            np.concatenate([np.empty(0, np.int64), *held.values()]),
+        )
+        return dict(zip(self._links, counts[index.link_child].tolist()))
+
+    @property
+    def routing_index(self) -> RoutingIndex:
+        """The integer-indexed tree structure, built lazily and once; on
+        the tree because bounds and estimates run outside any artifact scope."""
+        if self._routing_index is None:
+            from repro.topology.steiner import RoutingIndex
+
+            with _ROUTING_INDEX_LOCK:
+                if self._routing_index is None:
+                    self._routing_index = RoutingIndex(self)
+        return self._routing_index
 
     # ------------------------------------------------------------------ #
     # traversal orders (Section 5)

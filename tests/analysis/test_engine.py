@@ -69,6 +69,20 @@ class TestRun:
         )
         assert report.cost >= 0
 
+    def test_wall_time_covers_verify_and_bound(self):
+        """``wall_time_s`` is what the caller waited for: the clock stops
+        after the bound, not after the protocol."""
+        tree = two_level([4, 4, 4, 4])
+        dist = repro.random_distribution(tree, r_size=4000, s_size=4000, seed=2)
+        with repro.tracing() as tracer:
+            report = run("set-intersection", tree, dist)
+        spans = {event.name.split()[0]: event for event in tracer.events}
+        root, bound = spans["engine.run"], spans["engine.bound"]
+        assert spans["engine.verify"].end <= bound.start
+        # the two clocks are read microseconds apart; verify + bound on
+        # this instance take far longer than that
+        assert bound.end - root.start - 1e-4 <= report.wall_time_s <= root.duration
+
     def test_unknown_task_rejected(self, instance):
         tree, dist = instance
         with pytest.raises(AnalysisError, match="unknown task"):

@@ -1,0 +1,163 @@
+"""Every registered bound, recomputed on the per-edge reference loops.
+
+The bounds are thin functions of ``TreeTopology.side_weights`` /
+``shared_key_counts``; this module recomputes each of them with the
+set-based loops of ``tests/reference_bounds.py`` and requires the same
+``value``, ``bottleneck_edge`` and ``per_edge`` (values *and* key order).
+Inputs are integer sizes, so equality is exact.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.cartesian.lower_bounds import (
+    cartesian_lower_bound,
+    cartesian_lower_bound_cover,
+    cartesian_lower_bound_flow,
+)
+from repro.core.cartesian.unequal import unequal_lower_bound_flow
+from repro.core.intersection.lower_bound import intersection_lower_bound
+from repro.core.sorting.lower_bound import sorting_lower_bound
+from repro.graphs import components_lower_bound, triangles_lower_bound
+from repro.queries import equijoin_lower_bound, groupby_lower_bound
+from repro.topology.dagger import build_dagger
+from tests.reference_bounds import (
+    components_lower_bound_reference,
+    groupby_lower_bound_reference,
+    reference_model,
+    triangles_lower_bound_reference,
+)
+from tests.strategies import (
+    graph_instances,
+    keyed_instances,
+    node_sizes,
+    set_pair_instances,
+    sort_instances,
+    tree_topologies,
+)
+
+
+def assert_same_bound(found, expected) -> None:
+    assert found == expected
+    assert list(found.per_edge) == list(expected.per_edge)
+    assert type(found.value) is float
+    assert all(type(v) in (int, float) for v in found.per_edge.values())
+
+
+SIDE_WEIGHT_BOUNDS = [
+    intersection_lower_bound,
+    equijoin_lower_bound,
+    cartesian_lower_bound_flow,
+    cartesian_lower_bound_cover,
+    cartesian_lower_bound,
+    unequal_lower_bound_flow,
+]
+
+
+@pytest.mark.parametrize("bound", SIDE_WEIGHT_BOUNDS, ids=lambda b: b.__name__)
+@given(instance=set_pair_instances())
+@settings(max_examples=40, deadline=None)
+def test_two_relation_bounds(bound, instance):
+    tree, distribution = instance
+    found = bound(tree, distribution)
+    with reference_model():
+        expected = bound(tree, distribution)
+    assert_same_bound(found, expected)
+
+
+@given(instance=sort_instances())
+@settings(max_examples=40, deadline=None)
+def test_sorting_bound(instance):
+    tree, distribution = instance
+    found = sorting_lower_bound(tree, distribution)
+    with reference_model():
+        expected = sorting_lower_bound(tree, distribution)
+    assert_same_bound(found, expected)
+
+
+@given(data=st.data(), tree=tree_topologies())
+@settings(max_examples=60, deadline=None)
+def test_dagger_orientation(data, tree):
+    """Theorem 4's cover is read off G-dagger: same orientation, same ties."""
+    sizes = data.draw(node_sizes(tree, max_size=3))  # small sizes tie often
+    found = build_dagger(tree, sizes)
+    with reference_model():
+        expected = build_dagger(tree, sizes)
+    assert (found.root, found.parent, found.out_bandwidth) == (
+        expected.root, expected.parent, expected.out_bandwidth
+    )
+
+
+@given(instance=keyed_instances())
+@settings(max_examples=60, deadline=None)
+def test_groupby_bound(instance):
+    tree, distribution = instance
+    assert_same_bound(
+        groupby_lower_bound(tree, distribution),
+        groupby_lower_bound_reference(tree, distribution),
+    )
+    # a narrower payload merges neighbouring keys: another key multiset
+    assert_same_bound(
+        groupby_lower_bound(tree, distribution, payload_bits=22),
+        groupby_lower_bound_reference(tree, distribution, payload_bits=22),
+    )
+
+
+@given(instance=graph_instances())
+@settings(max_examples=60, deadline=None)
+def test_graph_bounds(instance):
+    tree, distribution = instance
+    assert_same_bound(
+        components_lower_bound(tree, distribution),
+        components_lower_bound_reference(tree, distribution),
+    )
+    assert_same_bound(
+        triangles_lower_bound(tree, distribution),
+        triangles_lower_bound_reference(tree, distribution),
+    )
+
+
+_HASHSEED_SCRIPT = """
+import numpy as np
+import repro
+from repro.data.distribution import Distribution
+from repro.plan.cost import estimate_tree_cost
+from repro.queries import groupby_lower_bound
+from repro.queries.tuples import encode_tuples
+
+tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
+nodes = sorted(tree.compute_nodes, key=str)
+rng = np.random.default_rng(5)
+placements = {
+    v: {"R": encode_tuples(rng.integers(0, 40, 30), rng.integers(0, 9, 30))}
+    for v in nodes
+}
+print(repr(groupby_lower_bound(tree, Distribution(placements))))
+# 2**53 + 1.0 rounds back to 2**53, so these sums show the order they ran in
+profile = {v: 2.0**53 if i == 4 else 1.0 for i, v in enumerate(nodes)}
+print(repr(tree.side_weights(profile)))
+print(repr(estimate_tree_cost(tree, [profile])))
+"""
+
+
+def test_bound_and_estimate_do_not_depend_on_the_hash_seed():
+    """String node ids hash differently per ``PYTHONHASHSEED``; a bound or
+    an estimate that iterated a set of them would show it in ``repr``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for hash_seed in ("1", "3"):  # the set-based sums differed between these
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert "LowerBound(value=" in outputs[0]

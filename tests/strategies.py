@@ -13,6 +13,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.data.distribution import Distribution
+from repro.data.generators import gnm_random_graph
+from repro.graphs.model import PlacedGraph
+from repro.queries.tuples import encode_tuples
 from repro.topology.tree import TreeTopology
 
 BANDWIDTH_CHOICES = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -117,3 +120,33 @@ def sort_instances(
         placements[node] = {"R": values[offset : offset + count]}
         offset += count
     return tree, Distribution(placements)
+
+
+@st.composite
+def keyed_instances(draw, *, max_nodes: int = 10, max_fragment: int = 25):
+    """A random tree plus ``R`` tuples whose keys repeat within and across nodes."""
+    tree = draw(tree_topologies(max_nodes=max_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    num_keys = draw(st.integers(1, 30))
+    placements: dict = {}
+    for node in sorted(tree.compute_nodes, key=str):
+        count = draw(st.integers(0, max_fragment))
+        placements[node] = {
+            "R": encode_tuples(
+                rng.integers(0, num_keys, count), rng.integers(0, 100, count)
+            )
+        }
+    return tree, Distribution(placements)
+
+
+@st.composite
+def graph_instances(draw, *, max_nodes: int = 10, max_vertices: int = 40):
+    """A random tree plus a simple graph's edges placed on its compute nodes."""
+    tree = draw(tree_topologies(max_nodes=max_nodes))
+    num_vertices = draw(st.integers(2, max_vertices))
+    num_edges = draw(st.integers(0, min(60, num_vertices * (num_vertices - 1) // 2)))
+    seed = draw(st.integers(0, 2**16))
+    policy = draw(st.sampled_from(["uniform", "zipf", "single-heavy"]))
+    edges = gnm_random_graph(num_vertices, num_edges, seed=seed)
+    graph = PlacedGraph.from_edges(tree, edges, policy=policy, seed=seed)
+    return tree, graph.distribution

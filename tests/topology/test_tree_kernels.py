@@ -1,0 +1,208 @@
+"""The two per-link kernels against their set-based definitions.
+
+``RoutingIndex.subtree_sums`` must equal "``compute_sides`` then ``sum``"
+and ``RoutingIndex.steiner_counts`` must equal "``intersect1d`` of the two
+sides' keys", link by link; the loops that used to compute them in
+production live on in ``tests/reference_bounds.py`` as the model.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.topology.builders import star, two_level
+from repro.topology.tree import TreeTopology
+from tests.reference_bounds import (
+    shared_key_counts_reference,
+    side_weights_reference,
+    undirected_edges_reference,
+)
+from tests.strategies import node_sizes, tree_topologies
+
+
+@st.composite
+def trees_with_any_compute_set(draw):
+    """Random trees whose compute nodes are any non-empty node subset:
+    leaves may be routers (router-only subtrees), hubs may compute."""
+    tree = draw(tree_topologies(max_nodes=14))
+    nodes = sorted(tree.nodes, key=str)
+    chosen = draw(st.sets(st.sampled_from(nodes), min_size=1))
+    return tree.with_compute_nodes(chosen)
+
+
+def path_tree(length: int) -> TreeTopology:
+    edges = {(f"p{i:03d}", f"p{i + 1:03d}"): 1.0 for i in range(length)}
+    return TreeTopology.from_undirected(edges, ["p000", f"p{length:03d}"])
+
+
+def single_node_tree() -> TreeTopology:
+    return TreeTopology({}, ["only"])
+
+
+def assert_same_dict(found: dict, expected: dict) -> None:
+    """Equal values, equal key order, and plain Python numbers throughout."""
+    assert list(found) == list(expected)
+    assert found == expected
+    for value in found.values():
+        for number in value if isinstance(value, tuple) else (value,):
+            assert type(number) in (int, float)
+
+
+class TestSubtreeSums:
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_weights_equal_the_set_based_sums(self, data, tree):
+        sizes = data.draw(node_sizes(tree))
+        found = tree.side_weights(sizes)
+        assert_same_dict(found, side_weights_reference(tree, sizes))
+        assert all(type(x) is int for pair in found.values() for x in pair)
+
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=150, deadline=None)
+    def test_float_weights_sum_by_additions_only(self, data, tree):
+        weights = {
+            v: data.draw(st.sampled_from([0.0, 0.1, 1e-9, 3.7, 1e12]))
+            for v in sorted(tree.compute_nodes, key=str)
+        }
+        found = tree.side_weights(weights)
+        expected = side_weights_reference(tree, weights)
+        assert list(found) == list(expected)
+        for edge, sides in found.items():
+            for got, want in zip(sides, expected[edge]):
+                assert type(got) is float
+                # float64 sums of n non-negative terms in two orders
+                # differ by at most n ulps of the result
+                assert math.isclose(got, want, rel_tol=len(weights) * 2**-52, abs_tol=0.0)
+                if want == 0:  # total - subtree would leave 1e12's rounding here
+                    assert got == 0.0
+
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_on_all_nodes_matches_edge_sides(self, data, tree):
+        index = tree.routing_index
+        weights = np.array(
+            [data.draw(st.integers(0, 9)) for _ in index.nodes], dtype=np.int64
+        )
+        below, above = index.subtree_sums(weights)
+        by_node = dict(zip(index.nodes, weights.tolist()))
+        for (a, b), child, first in zip(
+            tree.undirected_edges(), index.link_child, index.link_child_first
+        ):
+            a_side, b_side = tree.edge_sides((a, b))
+            a_sum = sum(by_node[v] for v in a_side)
+            b_sum = sum(by_node[v] for v in b_side)
+            assert index.nodes[child] == (a if first else b)
+            assert (below[child], above[child]) == (
+                (a_sum, b_sum) if first else (b_sum, a_sum)
+            )
+
+    def test_weights_for_routers_and_strangers_are_ignored(self):
+        tree = two_level([2, 2])
+        sizes = dict.fromkeys(tree.compute_nodes, 3)
+        noisy = {**sizes, **dict.fromkeys(tree.routers, 100), "nowhere": 7}
+        assert tree.side_weights(noisy) == tree.side_weights(sizes)
+        assert tree.side_weights(sizes) == side_weights_reference(tree, sizes)
+
+    def test_missing_weights_count_as_zero(self):
+        tree = two_level([2, 3])
+        assert_same_dict(tree.side_weights({}), side_weights_reference(tree, {}))
+
+    @pytest.mark.parametrize(
+        "tree",
+        [star(1), star(7), path_tree(1), path_tree(200), two_level([3, 1, 4])],
+        ids=["star-1", "star-7", "path-1", "path-200", "two-level"],
+    )
+    def test_shapes(self, tree):
+        sizes = {v: i + 1 for i, v in enumerate(sorted(tree.compute_nodes, key=str))}
+        assert_same_dict(tree.side_weights(sizes), side_weights_reference(tree, sizes))
+
+    def test_single_node_tree_has_no_links(self):
+        tree = single_node_tree()
+        assert tree.side_weights({"only": 5}) == {}
+        assert tree.shared_key_counts({"only": np.array([1, 2])}) == {}
+        assert tree.undirected_edges() == []
+
+
+class TestSteinerCounts:
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_link_intersection(self, data, tree):
+        # few keys, so fragments repeat keys, share keys across nodes,
+        # hold keys nobody else has, and are sometimes empty
+        fragment = st.lists(st.integers(0, 8), max_size=6)
+        keys_by_node = {
+            v: np.array(data.draw(fragment), dtype=np.int64)
+            for v in sorted(tree.compute_nodes, key=str)
+        }
+        assert_same_dict(
+            tree.shared_key_counts(keys_by_node),
+            shared_key_counts_reference(tree, keys_by_node),
+        )
+
+    def test_key_on_one_node_crosses_no_link(self):
+        tree = two_level([2, 2])
+        first = min(tree.compute_nodes, key=str)
+        counts = tree.shared_key_counts({first: np.array([4, 4, 9])})
+        assert set(counts.values()) == {0}
+
+    def test_duplicates_on_a_node_count_once(self):
+        tree = star(3)
+        a, b, c = sorted(tree.compute_nodes, key=str)
+        keys = {a: np.array([5, 5, 5]), b: np.array([5, 5]), c: np.array([6])}
+        assert_same_dict(
+            tree.shared_key_counts(keys), shared_key_counts_reference(tree, keys)
+        )
+        assert sorted(tree.shared_key_counts(keys).values()) == [0, 1, 1]
+
+    def test_empty_and_missing_fragments(self):
+        tree = two_level([2, 3])
+        empty = {v: np.empty(0, np.int64) for v in tree.compute_nodes}
+        zeros = dict.fromkeys(tree.undirected_edges(), 0)
+        assert tree.shared_key_counts(empty) == zeros
+        assert tree.shared_key_counts({}) == zeros
+
+    def test_keys_on_routers_are_ignored(self):
+        tree = two_level([2, 2])
+        keys = {v: np.array([1]) for v in tree.nodes}
+        only_compute = {v: np.array([1]) for v in tree.compute_nodes}
+        assert tree.shared_key_counts(keys) == tree.shared_key_counts(only_compute)
+
+    def test_deep_path(self):
+        tree = path_tree(200)
+        keys = {"p000": np.array([1, 2, 3]), "p200": np.array([2, 3, 4])}
+        assert set(tree.shared_key_counts(keys).values()) == {2}
+
+
+class TestLinksAndIndexOwnership:
+    @given(tree=trees_with_any_compute_set())
+    @settings(max_examples=60, deadline=None)
+    def test_undirected_edges_order_is_unchanged(self, tree):
+        assert tree.undirected_edges() == undirected_edges_reference(tree)
+
+    def test_undirected_edges_returns_a_fresh_list(self):
+        tree = two_level([2, 2])
+        edges = tree.undirected_edges()
+        edges.clear()
+        assert len(tree.undirected_edges()) == tree.num_nodes - 1
+
+    def test_oracle_serves_the_trees_index(self):
+        from repro.topology.steiner import PathOracle
+
+        tree = two_level([2, 2])
+        assert PathOracle(tree).routing_index is tree.routing_index
+
+    def test_pickle_drops_the_derived_structures(self):
+        tree = two_level([4, 4])
+        fresh = len(pickle.dumps(tree))
+        tree.side_weights(dict.fromkeys(tree.compute_nodes, 1))
+        assert tree._routing_index is not None
+        blob = pickle.dumps(tree)
+        assert len(blob) == fresh
+        clone = pickle.loads(blob)
+        assert clone.undirected_edges() == tree.undirected_edges()
+        sizes = {v: i for i, v in enumerate(sorted(tree.compute_nodes, key=str))}
+        assert clone.side_weights(sizes) == tree.side_weights(sizes)
