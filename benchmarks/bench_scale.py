@@ -1,10 +1,10 @@
 """Experiment S2 — scaling of the process execution substrate.
 
 Not a paper figure: this guards the real-parallel substrate added on
-top of the simulator.  The two hot-path shuffles from Experiment S1
-(the uniform-hash relational shuffle and the connected-components
-superstep shuffle, ~10^6 elements on 64- and 256-node fat trees) run
-through :class:`repro.parallel.backend.ParallelCluster` at 1, 2, 4 and
+top of the simulator.  The two prepared hot-path shuffles of
+:mod:`repro.analysis.speed` (the uniform-hash relational shuffle and
+the connected-components superstep shuffle, ~10^6 elements on 64- and
+256-node fat trees) run through :class:`repro.parallel.backend.ParallelCluster` at 1, 2, 4 and
 8 worker ranks.
 
 Claims checked:
@@ -21,7 +21,7 @@ Claims checked:
   host, and the trajectory row records ``cpu_count`` so historical
   entries stay interpretable;
 * each run appends to the ``BENCH_SCALE.json`` perf trajectory at the
-  repo root, next to ``BENCH_SPEED.json``.
+  repo root.
 
 ``BENCH_SMALL=1`` shrinks the grid for CI smoke runs (64 nodes,
 200k elements, 1 and 2 workers).

@@ -8,7 +8,6 @@ Usage::
     python -m repro protocols           # the registered protocol catalog
     python -m repro plan --explain      # planner vs gather/worst-order
     python -m repro graphs              # graph workloads vs baselines
-    python -m repro bench speed         # bulk-exchange A/B wall-clock
     python -m repro bench scale         # process-substrate scaling grid
     python -m repro bench serve         # cold vs warm session A/B
     python -m repro serve --queries 500 # warm-session serving (one session)
@@ -403,49 +402,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Substrate benchmarks: ``speed`` A/B, ``scale`` grid, ``serve``,
-    ``check``."""
+    """Substrate benchmarks: ``scale`` grid, ``serve`` A/B, ``check``."""
     if args.subcommand == "scale":
         return _cmd_bench_scale(args)
     if args.subcommand == "serve":
         return _cmd_bench_serve(args)
     if args.subcommand == "check":
         return _cmd_bench_check(args)
-    from repro.analysis.speed import (
-        check_cases,
-        run_speed_suite,
-        speed_table,
-        write_trajectory,
+    problem = (
+        "bench needs a subcommand"
+        if args.subcommand is None
+        else f"unknown bench subcommand {args.subcommand!r}"
     )
-
-    if args.subcommand != "speed":
-        print(
-            f"error: unknown bench subcommand {args.subcommand!r}; "
-            "available: speed, scale, serve, check",
-            file=sys.stderr,
-        )
-        return 2
-    cases = run_speed_suite(small=args.small, seed=args.seed)
-    check_cases(cases)
-    trajectory = write_trajectory(
-        cases, grid="small" if args.small else "full"
-    )
-    if args.json:
-        print(json.dumps([case.to_dict() for case in cases], indent=2))
-        return 0
-    headers, rows = speed_table(cases)
-    print(
-        render_table(
-            headers,
-            rows,
-            title=(
-                "Bulk exchange vs legacy per-send path "
-                f"(grid={'small' if args.small else 'full'}, "
-                f"seed={args.seed}; trajectory appended to {trajectory})"
-            ),
-        )
-    )
-    return 0
+    print(f"error: {problem}; available: scale, serve, check", file=sys.stderr)
+    return 2
 
 
 def _cmd_bench_scale(args: argparse.Namespace) -> int:
@@ -541,18 +511,13 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     if not paths:
         paths = [
             name
-            for name in (
-                "BENCH_SPEED.json",
-                "BENCH_SCALE.json",
-                "BENCH_SERVE.json",
-            )
+            for name in ("BENCH_SCALE.json", "BENCH_SERVE.json")
             if os.path.exists(name)
         ]
         if not paths:
             print(
                 "error: no trajectory files found (looked for "
-                "BENCH_SPEED.json / BENCH_SCALE.json / "
-                "BENCH_SERVE.json); pass paths "
+                "BENCH_SCALE.json / BENCH_SERVE.json); pass paths "
                 "explicitly: repro bench check FILE ...",
                 file=sys.stderr,
             )
@@ -926,8 +891,8 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         default=None,
         help=(
-            "bench: which benchmark to run ('speed', 'scale', 'serve' "
-            "or 'check'); trace/metrics: which task to run (default "
+            "bench: which benchmark to run ('scale', 'serve' or "
+            "'check'); trace/metrics: which task to run (default "
             "connected-components)"
         ),
     )
@@ -949,8 +914,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"unrecognized arguments: {' '.join(args.extra)}"
         )
-    if args.command == "bench" and args.subcommand is None:
-        args.subcommand = "speed"
     if args.executor == "process" and args.backend == "process":
         parser.error(
             "--executor process and --backend process are mutually "

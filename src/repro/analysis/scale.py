@@ -1,10 +1,9 @@
 """Scaling benchmark of the process substrate (workers × workload grid).
 
-``bench speed`` answers "is the bulk exchange fast?"; this harness
-answers the next question: *does adding worker processes make a round
-faster, without changing a single byte of its outcome?*  Every grid
-cell drives one prepared hot-path round — the uniform-hash relational
-shuffle and the connected-components superstep shuffle from
+This harness asks: *does adding worker processes make a round faster,
+without changing a single byte of its outcome?*  Every grid cell drives
+one prepared hot-path round — the uniform-hash relational shuffle and
+the connected-components superstep shuffle from
 :mod:`repro.analysis.speed` — through
 :class:`~repro.parallel.backend.ParallelCluster` at 1, 2, 4 and 8
 worker ranks, and for each cell:
@@ -23,7 +22,7 @@ monotone-speedup contract on cells whose rank count the CPU can
 actually host (``os.cpu_count()``), and the trajectory entry records
 the core count so historical rows are interpretable.
 
-Results accumulate in ``BENCH_SCALE.json`` next to ``BENCH_SPEED.json``.
+Results accumulate in ``BENCH_SCALE.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from repro.analysis.speed import (
     prepare_components,
     prepare_uniform_hash,
     round_phases,
+    trajectory_path,
     write_trajectory,
 )
 from repro.errors import AnalysisError
@@ -77,7 +77,7 @@ class ScaleCase:
     mismatch: str = ""
     cost_elements: float = 0.0
     #: Tracer-derived group/deliver/charge split of one traced round at
-    #: this worker count (master-side attribution; see bench speed).
+    #: this worker count (master-side attribution).
     phases: dict = field(default_factory=dict)
 
     @property
@@ -271,28 +271,19 @@ def check_scale_cases(
             previous = case
 
 
-def default_trajectory_path() -> Path:
-    """``BENCH_SCALE.json`` at the repo root (env ``BENCH_SCALE_JSON``)."""
-    override = os.environ.get("BENCH_SCALE_JSON")
-    if override:
-        return Path(override)
-    root = Path(__file__).resolve().parents[3]
-    if (root / "pyproject.toml").exists():
-        return root / TRAJECTORY_FILE
-    return Path(TRAJECTORY_FILE)  # pragma: no cover - installed usage
-
-
 def write_scale_trajectory(
     cases: list[ScaleCase],
     *,
     grid: str,
     path: str | os.PathLike | None = None,
 ) -> Path:
-    """Append one scaling-run entry to ``BENCH_SCALE.json``."""
+    """Append one run to ``BENCH_SCALE.json`` (env: ``BENCH_SCALE_JSON``)."""
+    if path is None:
+        path = trajectory_path(TRAJECTORY_FILE, "BENCH_SCALE_JSON")
     return write_trajectory(
         cases,
         grid=grid,
-        path=path if path is not None else default_trajectory_path(),
+        path=path,
         benchmark="bench_scale",
         extra={"cpu_count": os.cpu_count()},
     )

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.analysis.speed import fat_tree, write_trajectory
+from repro.analysis.speed import fat_tree, trajectory_path, write_trajectory
 from repro.data.generators import random_distribution
 from repro.engine import run as engine_run
 from repro.engine import run_plan as engine_run_plan
@@ -403,15 +403,8 @@ def check_serve_cases(
 
 def write_serve_trajectory(cases: list[ServeCase], *, grid: str, path=None):
     """Append one run to ``BENCH_SERVE.json`` (env: ``BENCH_SERVE_JSON``)."""
-    import os
-
-    override = os.environ.get("BENCH_SERVE_JSON")
-    if path is None and override:
-        path = override
     if path is None:
-        from repro.analysis.speed import default_trajectory_path
-
-        path = default_trajectory_path().with_name(TRAJECTORY_FILE)
+        path = trajectory_path(TRAJECTORY_FILE, "BENCH_SERVE_JSON")
     return write_trajectory(
         cases, grid=grid, path=path, benchmark="bench_serve"
     )

@@ -1,27 +1,15 @@
-"""Wall-clock benchmark of the bulk-exchange substrate (A/B harness).
+"""Shared pieces of the wall-clock benchmarks (scale, serve, obs tests).
 
-The simulator's hot paths are the hashed shuffle — every element of a
+The simulator's hot path is the hashed shuffle — every element of a
 relation (or every hash-to-min message of a graph superstep) routed to
-a hashed destination through one communication round — and the
-replicated shuffle, where every element is multicast to a Steiner
-destination set (the intersection protocols' R-replication).  This
-module times exactly those rounds — target assignment and local data
-are precomputed, because they are identical work in both
-implementations — under the two exchange modes the cluster supports:
-
-* ``bulk`` — the production path: one :meth:`RoundContext.exchange` /
-  :meth:`RoundContext.exchange_multicast` call per node, grouped with
-  one stable argsort per round and charged through the vectorized
-  tree-flow / Steiner-flow accountants;
-* ``per-send`` — the legacy path: one ``send`` scan per destination
-  (one ``multicast`` per destination-set group), with per-transfer
-  accounting.
-
-Both modes must produce *identical* per-edge ledger loads, per-node
-received counts, and per-node storage contents; the harness verifies
-this on every case before reporting the speedup.  Results accumulate in
-a ``BENCH_*.json`` perf-trajectory file (one run entry per invocation)
-so future PRs can see whether the hot path regressed.
+a hashed destination through one communication round.  This module
+prepares exactly those rounds (target assignment and local data are
+precomputed, so a caller times only the round), builds the fat trees
+they run on, extracts the group/deliver/charge split from a traced
+round, and appends run entries to the ``BENCH_*.json`` perf-trajectory
+files.  It deliberately imports nothing from :mod:`repro.parallel`:
+:mod:`repro.analysis.serve` imports it, and import time is part of what
+a benchmark's setup pays.
 """
 
 from __future__ import annotations
@@ -29,83 +17,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.data.generators import random_distribution, random_graph_distribution
-from repro.errors import AnalysisError
 from repro.graphs.model import VERTEX_BITS, decode_edges
-from repro.obs.tracer import tracing
 from repro.queries.tuples import encode_tuples
-from repro.sim.cluster import Cluster, use_exchange_mode
+from repro.sim.cluster import Cluster
 from repro.topology.builders import two_level
 from repro.topology.tree import TreeTopology
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
-
-#: Default trajectory file name; lives at the repo root by convention.
-TRAJECTORY_FILE = "BENCH_SPEED.json"
-
-#: Minimum speedups the harness asserts.  Full grid: the headline >=3x
-#: claim for unicast shuffles and >=4x for the replication-heavy
-#: multicast workload (one vectorized gather per round since the
-#: columnar data plane replaced the per-(group, member) append loop).
-#: The end-to-end superstep case runs a whole protocol — planning,
-#: hashing and convergence logic are mode-independent work that dilutes
-#: the round-level speedup, hence the lower budget (measured ~1.7x in
-#: isolation, budgeted with headroom for suite-order cache effects).  Small grid (CI
-#: smoke): a conservative timing budget — a regression to per-element
-#: Python loops lands far below 1x, so this still fails CI without
-#: being flaky on noisy runners.
-FULL_MIN_SPEEDUP = 3.0
-REPLICATION_FULL_MIN_SPEEDUP = 4.0
-END_TO_END_FULL_MIN_SPEEDUP = 1.3
-SMALL_MIN_SPEEDUP = 1.3
-END_TO_END_SMALL_MIN_SPEEDUP = 1.2
-
-
-@dataclass
-class SpeedCase:
-    """One timed shuffle: a topology, a prepared round, and its results."""
-
-    name: str
-    topology: str
-    num_compute_nodes: int
-    num_elements: int
-    per_send_seconds: float = 0.0
-    bulk_seconds: float = 0.0
-    ledger_identical: bool = False
-    cost_elements: float = 0.0
-    #: Per-case speedup budget; filled in by :func:`run_speed_suite`
-    #: (grid-dependent), fallback for hand-built cases.
-    min_speedup: float = SMALL_MIN_SPEEDUP
-    #: Tracer-derived attribution of one bulk round: where the time
-    #: went (``t_group_s`` / ``t_deliver_s`` / ``t_charge_s``), measured
-    #: on a separate traced run so the timed repeats stay untouched.
-    phases: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        if self.bulk_seconds <= 0:
-            return float("inf")
-        return self.per_send_seconds / self.bulk_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "topology": self.topology,
-            "nodes": self.num_compute_nodes,
-            "elements": self.num_elements,
-            "per_send_s": round(self.per_send_seconds, 6),
-            "bulk_s": round(self.bulk_seconds, 6),
-            "speedup": round(self.speedup, 2),
-            "min_speedup": self.min_speedup,
-            "cost_elements": self.cost_elements,
-            "ledger_identical": self.ledger_identical,
-            "phases": dict(self.phases),
-        }
 
 
 def fat_tree(num_racks: int, *, rack_size: int | None = None) -> TreeTopology:
@@ -119,7 +42,7 @@ def fat_tree(num_racks: int, *, rack_size: int | None = None) -> TreeTopology:
     )
 
 
-def _prepare_uniform_hash(
+def prepare_uniform_hash(
     tree: TreeTopology, num_elements: int, seed: int
 ) -> tuple[list, str]:
     """The uniform-hash relational shuffle: elements hashed to nodes."""
@@ -143,7 +66,7 @@ def _prepare_uniform_hash(
     return prepared, "uniform-hash shuffle"
 
 
-def _prepare_components(
+def prepare_components(
     tree: TreeTopology, num_elements: int, seed: int
 ) -> tuple[list, str]:
     """The connected-components superstep shuffle (uniform-hash flavour).
@@ -182,69 +105,6 @@ def _prepare_components(
     return prepared, "connected-components superstep shuffle"
 
 
-def _prepare_replication(
-    tree: TreeTopology, num_elements: int, seed: int
-) -> tuple[list, str]:
-    """The replication-heavy intersection round (StarIntersect's R-leg).
-
-    Every node's R fragment is hashed to an owner and each element is
-    *replicated* to the Steiner destination set ``{owner} | Vβ`` — the
-    routing Algorithm 1 uses for the small relation, with a synthetic
-    data-rich ``Vβ`` of ~12 evenly spaced nodes standing in for the
-    placement-derived one so the destination sets stay comparably
-    heavy on every grid size.  This is the round shape whose per-group
-    multicast loop used to dominate the replicated-tuple protocols.
-    """
-    distribution = random_distribution(
-        tree,
-        r_size=num_elements,
-        s_size=0,
-        policy="proportional",
-        seed=seed,
-    )
-    cluster = Cluster(tree, distribution)
-    computes = cluster.compute_order
-    stride = max(1, len(computes) // 12)
-    beta = frozenset(computes[::stride][:12])
-    hasher = WeightedNodeHasher(
-        computes, [1.0] * len(computes), derive_seed(seed, "bench-speed-mc")
-    )
-    destination_sets = [beta | {v} for v in computes]
-    prepared = []
-    for node in computes:
-        local = cluster.local(node, "R")
-        if len(local):
-            prepared.append(
-                (node, hasher.assign_indices(local), destination_sets, local)
-            )
-    return prepared, "intersection R-replication multicast"
-
-
-# Public aliases: the scale benchmark (analysis/scale.py) drives the
-# same prepared workloads through the process substrate.
-prepare_uniform_hash = _prepare_uniform_hash
-prepare_components = _prepare_components
-prepare_replication = _prepare_replication
-
-
-def _run_round(
-    tree: TreeTopology, prepared: list, mode: str, tag: str = "recv"
-) -> tuple[float, Cluster]:
-    cluster = Cluster(tree, exchange_mode=mode)
-    start = time.perf_counter()
-    with cluster.round() as ctx:
-        for entry in prepared:
-            if len(entry) == 3:
-                node, targets, payload = entry
-                ctx.exchange(node, targets, payload, tag=tag)
-            else:
-                node, group_ids, destination_sets, payload = entry
-                ctx.exchange_multicast(
-                    node, group_ids, destination_sets, payload, tag=tag
-                )
-    return time.perf_counter() - start, cluster
-
-
 def round_phases(tracer) -> dict:
     """Extract the group/deliver/charge split from a traced round.
 
@@ -263,194 +123,30 @@ def round_phases(tracer) -> dict:
     return {}
 
 
-def _equivalent(a: Cluster, b: Cluster, tag: str = "recv") -> bool:
-    if a.ledger.round_loads(0) != b.ledger.round_loads(0):
-        return False
-    for node in a.compute_order:
-        if a.received_elements(node) != b.received_elements(node):
-            return False
-        if not np.array_equal(a.local(node, tag), b.local(node, tag)):
-            return False
-    return True
-
-
-def time_case(
-    name: str,
-    tree: TreeTopology,
-    prepared: list,
-    *,
-    repeats: int = 3,
-) -> SpeedCase:
-    """Best-of-``repeats`` round times in both modes, plus equivalence."""
-    num_elements = int(sum(len(entry[-1]) for entry in prepared))
-    case = SpeedCase(
-        name=name,
-        topology=tree.name,
-        num_compute_nodes=tree.num_compute_nodes,
-        num_elements=num_elements,
-    )
-    bulk_cluster: Cluster | None = None
-    per_send_cluster: Cluster | None = None
-    bulk_best = per_send_best = float("inf")
-    for _ in range(repeats):
-        elapsed, bulk_cluster = _run_round(tree, prepared, "bulk")
-        bulk_best = min(bulk_best, elapsed)
-        elapsed, per_send_cluster = _run_round(tree, prepared, "per-send")
-        per_send_best = min(per_send_best, elapsed)
-    case.bulk_seconds = bulk_best
-    case.per_send_seconds = per_send_best
-    case.ledger_identical = _equivalent(bulk_cluster, per_send_cluster)
-    case.cost_elements = bulk_cluster.ledger.total_cost()
-    # One extra *traced* bulk round attributes the time to the round's
-    # group/deliver/charge phases; kept out of the timed repeats so the
-    # reported seconds stay tracing-free.
-    with tracing() as tracer:
-        _run_round(tree, prepared, "bulk")
-    case.phases = round_phases(tracer)
-    return case
-
-
-def time_components_end_to_end(
-    tree: TreeTopology,
-    num_edges: int,
-    seed: int,
-    *,
-    repeats: int = 3,
-) -> SpeedCase:
-    """Whole-protocol A/B: hash-to-min end to end, bulk vs per-send.
-
-    Unlike the single-round cases, this times the complete
-    ``uniform-hash`` connected-components protocol — every superstep
-    shuffle, every label-return multicast, plus all the mode-independent
-    protocol logic in between — under both exchange modes, exercising
-    the full columnar data plane (array-valued group-by outputs, the
-    zero-copy label columns each superstep reads back, and the compacted
-    storage every round lands in).  The two runs must agree on the
-    ledger cost, the round count, and every per-node output labelling.
-    """
-    from repro.graphs.components import uniform_hash_connected_components
-
-    distribution = random_graph_distribution(
-        tree, num_edges=num_edges, policy="proportional", seed=seed
-    )
-    results: dict = {}
-    best: dict = {}
-    for mode in ("bulk", "per-send"):
-        best[mode] = float("inf")
-        with use_exchange_mode(mode):
-            for _ in range(repeats):
-                start = time.perf_counter()
-                results[mode] = uniform_hash_connected_components(
-                    tree, distribution, seed=seed
-                )
-                best[mode] = min(best[mode], time.perf_counter() - start)
-    bulk, per_send = results["bulk"], results["per-send"]
-    case = SpeedCase(
-        name="end-to-end components supersteps",
-        topology=tree.name,
-        num_compute_nodes=tree.num_compute_nodes,
-        num_elements=int(distribution.total()),
-    )
-    case.bulk_seconds = best["bulk"]
-    case.per_send_seconds = best["per-send"]
-    case.cost_elements = bulk.cost
-    case.ledger_identical = (
-        bulk.cost == per_send.cost
-        and bulk.rounds == per_send.rounds
-        and bulk.outputs == per_send.outputs
-    )
-    return case
-
-
-def run_speed_suite(
-    *, small: bool = False, seed: int = 7, repeats: int = 5
-) -> list[SpeedCase]:
-    """Time the hot-path shuffles and the end-to-end superstep loop."""
-    if small:
-        grids = [(8,)]  # 64 nodes
-        num_elements = 200_000
-    else:
-        grids = [(8,), (16,)]  # 64 and 256 nodes
-        num_elements = 1_000_000
-    # The end-to-end case is sized by supersteps, not shuffle volume:
-    # 10k edges converge in ~10 hash-to-min rounds on either grid, and
-    # the grid key already separates the 64- and 256-node baselines.
-    num_edges = 10_000
-    workloads = [
-        (_prepare_uniform_hash, FULL_MIN_SPEEDUP),
-        (_prepare_components, FULL_MIN_SPEEDUP),
-        (_prepare_replication, REPLICATION_FULL_MIN_SPEEDUP),
-    ]
-    cases = []
-    for (num_racks,) in grids:
-        tree = fat_tree(num_racks)
-        for prepare, full_budget in workloads:
-            prepared, label = prepare(tree, num_elements, seed)
-            case = time_case(label, tree, prepared, repeats=repeats)
-            case.min_speedup = SMALL_MIN_SPEEDUP if small else full_budget
-            cases.append(case)
-        case = time_components_end_to_end(
-            tree, num_edges, seed, repeats=max(2, repeats - 2)
-        )
-        case.min_speedup = (
-            END_TO_END_SMALL_MIN_SPEEDUP
-            if small
-            else END_TO_END_FULL_MIN_SPEEDUP
-        )
-        cases.append(case)
-    return cases
-
-
-def check_cases(
-    cases: list[SpeedCase], *, min_speedup: float | None = None
-) -> None:
-    """The harness's two guarantees: exact accounting, bounded slowdown.
-
-    Each case carries its own grid-dependent budget
-    (:attr:`SpeedCase.min_speedup`); an explicit ``min_speedup``
-    overrides all of them (used by tests).
-    """
-    for case in cases:
-        if not case.ledger_identical:
-            raise AnalysisError(
-                f"{case.name} on {case.topology}: bulk exchange diverged "
-                "from the per-send path (ledger/storage mismatch)"
-            )
-        budget = case.min_speedup if min_speedup is None else min_speedup
-        if case.speedup < budget:
-            raise AnalysisError(
-                f"{case.name} on {case.topology}: speedup "
-                f"{case.speedup:.2f}x under the {budget:.1f}x budget "
-                f"(bulk {case.bulk_seconds:.3f}s vs per-send "
-                f"{case.per_send_seconds:.3f}s) — did a per-element "
-                "Python loop sneak back into the hot path?"
-            )
-
-
-def default_trajectory_path() -> Path:
-    """Resolve the trajectory file: env override, repo root, else cwd.
+def trajectory_path(file_name: str, env_var: str) -> Path:
+    """Resolve a trajectory file: env override, repo root, else cwd.
 
     The convention keeps ``BENCH_*.json`` at the repo root; when the
     package runs from a checkout (``src/repro/analysis/speed.py``) that
     root is three levels up, recognisable by its ``pyproject.toml``.
     An installed package falls back to the working directory.
     """
-    override = os.environ.get("BENCH_SPEED_JSON")
+    override = os.environ.get(env_var)
     if override:
         return Path(override)
     root = Path(__file__).resolve().parents[3]
     if (root / "pyproject.toml").exists():
-        return root / TRAJECTORY_FILE
-    return Path(TRAJECTORY_FILE)  # pragma: no cover - installed usage
+        return root / file_name
+    return Path(file_name)  # pragma: no cover - installed usage
 
 
 def write_trajectory(
     cases: list,
     *,
     grid: str,
-    path: str | os.PathLike | None = None,
+    path: str | os.PathLike,
+    benchmark: str,
     max_runs: int = 50,
-    benchmark: str = "bench_speed",
     extra: dict | None = None,
 ) -> Path:
     """Append one run entry to a ``BENCH_*.json`` trajectory file.
@@ -460,7 +156,7 @@ def write_trajectory(
     ``extra`` merges additional run-level facts (e.g. the machine's
     core count for the scaling grid).
     """
-    path = Path(path) if path is not None else default_trajectory_path()
+    path = Path(path)
     payload: dict = {"benchmark": benchmark, "unit": "seconds", "runs": []}
     if path.exists():
         try:
@@ -480,29 +176,3 @@ def write_trajectory(
     payload["runs"] = payload["runs"][-max_runs:]
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return path
-
-
-def speed_table(cases: list[SpeedCase]) -> tuple[list[str], list[list]]:
-    """Headers and rows for the text-table renderers."""
-    headers = [
-        "shuffle",
-        "topology",
-        "nodes",
-        "elements",
-        "per-send",
-        "bulk",
-        "speedup",
-    ]
-    rows = [
-        [
-            case.name,
-            case.topology,
-            case.num_compute_nodes,
-            case.num_elements,
-            f"{case.per_send_seconds * 1000:.1f}ms",
-            f"{case.bulk_seconds * 1000:.1f}ms",
-            f"{case.speedup:.2f}x",
-        ]
-        for case in cases
-    ]
-    return headers, rows

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -577,23 +577,29 @@ def run_plan(
     cache through here.
 
     Returns a :class:`~repro.report.PlanReport`; with
-    ``keep_output=True``, returns ``(report, output_relation)``.
+    ``keep_output=True``, returns ``(report, output_relation)``.  The
+    report's ``wall_time_s`` is what the caller waited for — it runs
+    from entry here, optimization included (``execute_plan`` called on
+    its own reports its own span).
     """
     # Imported lazily: the plan package builds on this module.
     from repro.plan.executor import execute_plan
     from repro.plan.optimizer import optimize
 
+    started = perf_counter()
     # One-shot artifact scope, mirroring run(): the per-stage clusters
     # the executor builds all share one set of topology artifacts.
     with ensure_artifact_cache():
         physical = optimize(
             query, tree, catalog, strategy=strategy, cache=plan_cache
         )
-        return execute_plan(
+        report, output = execute_plan(
             physical,
             tree,
             catalog,
             seed=seed,
             verify=verify,
-            keep_output=keep_output,
+            keep_output=True,
         )
+    report = replace(report, wall_time_s=perf_counter() - started)
+    return (report, output) if keep_output else report

@@ -220,11 +220,10 @@ class CostAuditor:
 def _expected_deliveries(cluster, context) -> dict:
     """Reference expansion of a round's streams into per-(dst, tag) counts.
 
-    Walks the raw unicast/multicast records one at a time — the shape
-    the legacy per-send path would have processed — independently of
-    the grouped finalizers whose deliveries it audits.  Alias handling
-    matches delivery semantics: two target indices naming the same node
-    accumulate on that node.
+    Walks the raw unicast/multicast records one at a time,
+    independently of the grouped finalizers whose deliveries it
+    audits.  Alias handling matches delivery semantics: two target
+    indices naming the same node accumulate on that node.
     """
     expected: dict[tuple, int] = {}
 

@@ -1,8 +1,8 @@
 """Bench-trajectory regression sentinel: is the latest run still fast?
 
-The bench harnesses (:mod:`repro.analysis.speed`,
-:mod:`repro.analysis.scale`) append one run per invocation to the
-committed trajectory files ``BENCH_SPEED.json`` / ``BENCH_SCALE.json``.
+The bench harnesses (:mod:`repro.analysis.scale`,
+:mod:`repro.analysis.serve`) append one run per invocation to the
+committed trajectory files ``BENCH_SCALE.json`` / ``BENCH_SERVE.json``.
 This module turns those trajectories into a pass/warn/fail verdict:
 
 * the **latest** run is compared case-by-case against a **baseline**
@@ -15,14 +15,15 @@ This module turns those trajectories into a pass/warn/fail verdict:
   (``speedup``) or lower-is-better (raw seconds);
 * cost determinism is gated separately: ``cost_elements`` must equal
   every prior observation bit-for-bit, and the per-case
-  ``identical`` / ``ledger_identical`` oracle flags must be true —
-  either breaking is a **fail** regardless of timing noise.
+  ``identical`` oracle flag must be true — either breaking is a
+  **fail** regardless of timing noise.
 
-Wall-clock metrics are deliberately warn-only (CI machines vary);
-the merge gate is the ``bench_speed`` speedup band, whose 0.85 floor
-catches a 20% regression while tolerating observed run-to-run noise.
-A trajectory with no prior runs on the latest grid passes with a
-``no baseline`` note — the sentinel needs history before it can bite.
+Wall-clock metrics are deliberately warn-only (CI machines vary), so
+the merge gate for the committed trajectories is cost determinism and
+byte-identity; the 0.85 speedup floor of :data:`DEFAULT_BANDS` applies
+to benchmarks without an entry in :data:`BANDS`.  A trajectory with no
+prior runs on the latest grid passes with a ``no baseline`` note — the
+sentinel needs history before it can bite.
 
 Used by ``python -m repro bench check [FILE ...]`` and the CI
 bench-smoke job.  The file schema is documented in ``DESIGN.md``.
@@ -74,24 +75,18 @@ class Band:
         return "pass"
 
 
-#: Per-benchmark tolerance bands.  ``bench_speed`` speedups gate merges
-#: (deterministic element counts, same-process A/B timing); the
-#: ``bench_scale`` speedup is real parallel wall-clock and observed to
-#: swing ~25% run-to-run, so it only warns.
+#: Per-benchmark tolerance bands.  The ``bench_scale`` speedup is real
+#: parallel wall-clock and observed to swing ~25% run-to-run, so it
+#: only warns.
 BANDS: dict[str, tuple[Band, ...]] = {
-    "bench_speed": (
-        Band("speedup", fail_below=0.85, warn_below=0.95),
-        Band("per_send_s", higher_is_better=False, warn_below=_TIMING_WARN),
-        Band("bulk_s", higher_is_better=False, warn_below=_TIMING_WARN),
-    ),
     "bench_scale": (
         Band("speedup", warn_below=0.75),
         Band("seconds", higher_is_better=False, warn_below=_TIMING_WARN),
     ),
     # Serve throughput is end-to-end wall clock (cold and warm replays
-    # in one process), noisier than the A/B rounds — the cold/warm
-    # ratio warns; the byte-identity flag failing is handled by the
-    # identity gate below, never by timing bands.
+    # in one process), noisy — the cold/warm ratio warns; the
+    # byte-identity flag failing is handled by the identity gate
+    # below, never by timing bands.
     "bench_serve": (
         Band("speedup", warn_below=0.75),
         Band("warm_s", higher_is_better=False, warn_below=_TIMING_WARN),
@@ -105,8 +100,8 @@ DEFAULT_BANDS: tuple[Band, ...] = (
     Band("seconds", higher_is_better=False, warn_below=_TIMING_WARN),
 )
 
-#: Oracle byte-identity flags: false in the latest run is always a fail.
-_IDENTITY_FLAGS = ("identical", "ledger_identical")
+#: Oracle byte-identity flag: false in the latest run is always a fail.
+_IDENTITY_FLAG = "identical"
 
 
 @dataclass
@@ -233,18 +228,17 @@ def check_trajectory(data: dict, *, bands=None) -> list[Check]:
 
 
 def _check_identity(case, seen, label) -> list[Check]:
-    """Determinism gates: oracle flags true, cost bit-stable."""
+    """Determinism gates: oracle flag true, cost bit-stable."""
     checks = []
-    for flag in _IDENTITY_FLAGS:
-        if flag in case and not case[flag]:
-            checks.append(
-                Check(
-                    label,
-                    flag,
-                    "fail",
-                    note="oracle byte-identity flag is false",
-                )
+    if not case.get(_IDENTITY_FLAG, True):
+        checks.append(
+            Check(
+                label,
+                _IDENTITY_FLAG,
+                "fail",
+                note="oracle byte-identity flag is false",
             )
+        )
     cost = case.get("cost_elements")
     if cost is not None:
         previous = {

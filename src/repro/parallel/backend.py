@@ -329,7 +329,6 @@ class ParallelCluster(Cluster):
         distribution: Distribution | None = None,
         *,
         bits_per_element: int = 64,
-        exchange_mode: str | None = None,
         num_workers: int = 2,
         start_method: str | None = None,
         pool: WorkerPool | None = None,
@@ -338,11 +337,6 @@ class ParallelCluster(Cluster):
         seed: int = 0,
         artifacts=None,
     ) -> None:
-        if exchange_mode not in (None, "bulk"):
-            raise ProtocolError(
-                "the process backend implements the bulk exchange path "
-                f"only, not {exchange_mode!r}"
-            )
         if pool is None:
             pool = get_pool(num_workers, start_method=start_method, seed=seed)
         self.pool = pool
@@ -365,7 +359,6 @@ class ParallelCluster(Cluster):
             tree,
             distribution,
             bits_per_element=bits_per_element,
-            exchange_mode="bulk",
             artifacts=artifacts,
         )
 

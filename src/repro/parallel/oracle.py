@@ -1,12 +1,12 @@
 """The simulated ledger as byte-identical oracle for the process backend.
 
-The simulator (:class:`~repro.sim.cluster.Cluster` under the ``bulk``
-exchange mode) is the repo's ground truth for the Section 2 cost model:
-its accounting has its own A/B oracle (the legacy per-send path) and
-property-test coverage.  The process substrate must therefore not be
-*approximately* right — every run must produce exactly the storage
-bytes, received counts, and per-edge ledger loads the simulator
-produces.  This module enforces that contract two ways:
+The simulator (:class:`~repro.sim.cluster.Cluster`) is the repo's
+ground truth for the Section 2 cost model: its accounting is pinned by
+differential property tests against the transfer-by-transfer reference
+model in ``tests/reference_delivery.py``.  The process substrate must
+therefore not be *approximately* right — every run must produce
+exactly the storage bytes, received counts, and per-edge ledger loads
+the simulator produces.  This module enforces that contract two ways:
 
 * :class:`LedgerOracle` — attached to a
   :class:`~repro.parallel.backend.ParallelCluster` built with
@@ -46,9 +46,7 @@ class LedgerOracle:
     def __init__(
         self, tree: TreeTopology, *, bits_per_element: int = 64
     ) -> None:
-        self.shadow = Cluster(
-            tree, bits_per_element=bits_per_element, exchange_mode="bulk"
-        )
+        self.shadow = Cluster(tree, bits_per_element=bits_per_element)
 
     def replay_round(
         self, cluster: Cluster, unicast_stream: list, multicasts: list

@@ -65,9 +65,8 @@ class ProtocolSpec:
         build their cluster through
         :func:`repro.sim.cluster.make_cluster`, so by default they run
         on every registered substrate; a protocol that hard-requires
-        the simulator (e.g. it forces the legacy per-send exchange
-        path) declares ``backends=("sim",)`` and the engine refuses to
-        dispatch it elsewhere.
+        the simulator declares ``backends=("sim",)`` and the engine
+        refuses to dispatch it elsewhere.
     description:
         One-line summary shown by ``python -m repro protocols``.
     """

@@ -172,8 +172,10 @@ class PlanReport:
     estimated_cost: float
     output_rows: int
     meta: dict = field(default_factory=dict)
-    #: End-to-end plan execution seconds (per-stage times live on the
-    #: stage reports); ``None`` for payloads predating the field.
+    #: End-to-end plan seconds — from ``run_plan`` entry, optimization
+    #: included; ``execute_plan`` alone reports its own span (per-stage
+    #: times live on the stage reports).  ``None`` for payloads
+    #: predating the field.
     wall_time_s: float | None = None
 
     @property

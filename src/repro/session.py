@@ -13,7 +13,7 @@ distribution, catalog, and execution backend — and keeps three kinds of
 state warm across queries:
 
 * **topology artifacts** (:mod:`repro.topology.artifacts`): routing
-  index, Steiner memos, compute orders, rank tables — built once at
+  index, compute orders, rank tables — built once at
   session construction, shared by every cluster any query builds;
 * **compiled plans** (:class:`repro.plan.optimizer.PlanCache`): repeated
   query shapes skip the join-order and protocol search entirely;

@@ -54,52 +54,7 @@ from repro.util.grouping import (
     cached_group_slices,
     concat_group_slices,
     group_slices,
-    iter_groups,
 )
-
-#: Exchange implementation used by clusters that don't choose explicitly.
-#: ``"bulk"`` is the vectorized argsort path; ``"per-send"`` degrades
-#: :meth:`RoundContext.exchange` to the legacy per-destination
-#: boolean-mask loop and per-transfer accounting.  The legacy mode exists
-#: so benchmarks and property tests can check, end to end, that the bulk
-#: path produces byte-identical storage and ledgers — and measure the
-#: speedup against it.
-DEFAULT_EXCHANGE_MODE = "bulk"
-
-_EXCHANGE_MODES = ("bulk", "per-send")
-
-
-class _ExchangeState(threading.local):
-    def __init__(self) -> None:
-        self.mode = DEFAULT_EXCHANGE_MODE
-
-
-_EXCHANGE_STATE = _ExchangeState()
-
-
-def default_exchange_mode() -> str:
-    """The exchange mode clusters built in this thread default to."""
-    return _EXCHANGE_STATE.mode
-
-
-@contextmanager
-def use_exchange_mode(mode: str) -> Iterator[None]:
-    """Temporarily change the default exchange mode (for benchmarks).
-
-    Thread-local, like every installer in this codebase: an A/B
-    benchmark flipping modes on one thread cannot change what a
-    concurrent session's runs build on another, and the ``finally``
-    restores the previous mode even when the block raises.
-    """
-    if mode not in _EXCHANGE_MODES:
-        raise ProtocolError(f"unknown exchange mode {mode!r}")
-    previous = _EXCHANGE_STATE.mode
-    _EXCHANGE_STATE.mode = mode
-    try:
-        yield
-    finally:
-        _EXCHANGE_STATE.mode = previous
-
 
 # ---------------------------------------------------------------------- #
 # execution backends
@@ -228,8 +183,9 @@ class RoundContext:
         # tag).  send() appends constant-target records, exchange()
         # scatter records; grouping is deferred to finalization so the
         # whole round is grouped with one pass, and registration order
-        # is what makes bulk and per-send storage byte-identical even
-        # when sends and exchanges mix on one (dst, tag).
+        # is what keeps storage byte-identical to one send per
+        # destination even when sends and exchanges mix on one
+        # (dst, tag).
         self._unicast_stream: list[
             tuple[
                 NodeId,
@@ -381,8 +337,8 @@ class RoundContext:
         hash-based protocol already uses).  Grouping happens with one
         stable argsort over the whole round instead of one boolean-mask
         scan per destination, and delivery/accounting are byte-identical
-        to the per-send path — within each destination group the
-        original element order is preserved.
+        to that send loop — within each destination group the original
+        element order is preserved.
         """
         self._check_open()
         payload = self._as_payload(values)
@@ -401,32 +357,6 @@ class RoundContext:
             target_indices, len(node_list), "target indices", "candidate nodes"
         )
         if len(payload) == 0:
-            return
-        if cluster.exchange_mode == "per-send":
-            # Legacy path: one send per destination *node* — kept for
-            # A/B benchmarking and equivalence tests, not for
-            # production use.  Target indices that alias one node under
-            # two positions must collapse into a single delivery in
-            # original element order, exactly like the bulk path's
-            # (dst, tag) grouping (duplicate-alias regression), so an
-            # explicit node list is canonicalized before grouping.
-            if nodes is None:
-                # the canonical compute order is alias-free; keep the
-                # historical boolean-mask scan as the timing baseline
-                for index in np.unique(target_indices):
-                    self.send(
-                        src,
-                        node_list[index],
-                        payload[target_indices == index],
-                        tag=tag,
-                    )
-                return
-            canonical: dict[NodeId, int] = {}
-            lookup = np.arange(len(node_list))
-            for index in np.unique(target_indices).tolist():
-                lookup[index] = canonical.setdefault(node_list[index], index)
-            for index, chunk in iter_groups(lookup[target_indices], payload):
-                self.send(src, node_list[index], chunk, tag=tag)
             return
         if nodes is not None:
             # The canonical compute order needs no checking; an explicit
@@ -486,13 +416,6 @@ class RoundContext:
         self._check_index_span(ids, len(sets), "group ids", "destination sets")
         if len(payload) == 0:
             return
-        if self._cluster.exchange_mode == "per-send":
-            # Legacy path: one multicast per group with per-transfer
-            # accounting — the A/B oracle the property tests compare
-            # against.
-            for index, chunk in iter_groups(ids, payload):
-                self.multicast(src, sets[index], chunk, tag=tag)
-            return
         used = np.flatnonzero(np.bincount(ids, minlength=len(sets)))
         checked = self._cluster._checked_destination_sets
         for index in used.tolist():
@@ -513,10 +436,7 @@ class RoundContext:
     def _finalize(self) -> None:
         self._check_open()
         self._closed = True
-        if self._cluster.exchange_mode == "per-send":
-            self._finalize_per_transfer()
-        else:
-            self._finalize_bulk()
+        self._finalize_bulk()
 
     def _finalize_bulk(self) -> None:
         """Deliver and charge the whole round with grouped bookkeeping.
@@ -529,7 +449,8 @@ class RoundContext:
         multicasts their Steiner sets; the ledger is charged once via
         :meth:`CostLedger.add_loads` rather than once per transfer.
         Addition over element counts is commutative, so the per-edge
-        loads equal the per-transfer path's exactly.
+        loads equal a transfer-by-transfer path walk's exactly (the
+        reference model in ``tests/reference_delivery.py``).
 
         When a recording tracer is installed, the finalizer splits its
         wall time into *group* (collection + argsort), *deliver*
@@ -556,8 +477,8 @@ class RoundContext:
             node_names = routing.nodes
             # group: one pass per tag over the whole round; the argsort
             # is stable and parts are concatenated in registration
-            # order, so per-(dst, tag) contents match the per-transfer
-            # path exactly
+            # order, so per-(dst, tag) contents match a transfer-by-
+            # transfer delivery exactly
             grouped = []
             for tag, parts in by_tag.items():
                 if len(parts) == 1:
@@ -817,8 +738,8 @@ class RoundContext:
     def _annotate_round(self, tracer, phases: dict | None = None) -> None:
         """Attach ledger-derived attrs to the enclosing round span.
 
-        Called after ``close_round`` by every finalizer (bulk, legacy
-        per-send, and the process substrate's), so the round span
+        Called after ``close_round`` by every finalizer (this one and
+        the process substrate's), so the round span
         carries the same model-cost facts regardless of the execution
         path: the round's cost, its most-loaded edge, and the
         registered payload volume per tag.  ``phases`` adds the
@@ -879,49 +800,6 @@ class RoundContext:
                 count * bits // 8
             )
 
-    def _finalize_per_transfer(self) -> None:
-        """The legacy finalizer: walk transfers one at a time.
-
-        Only reachable in ``per-send`` mode, where ``exchange`` degrades
-        to ``send`` calls and ``exchange_multicast`` to per-group
-        ``multicast`` calls — so the unicast stream holds
-        constant-target records and the multicast stream single-set
-        records exclusively.
-        """
-        cluster = self._cluster
-        cluster.ledger.open_round()
-        arrivals: dict[NodeId, dict[str, list[np.ndarray]]] = {}
-        transfers = [
-            (src, frozenset((node_list[0],)), tag, payload)
-            for src, node_list, _targets, payload, tag in self._unicast_stream
-        ] + [
-            (src, sets[0], tag, payload)
-            for src, sets, _group_ids, payload, tag in self._multicasts
-        ]
-        registry = get_registry()
-        delivered: dict[str, int] = {}
-        for src, dsts, tag, payload in transfers:
-            for edge in cluster.oracle.steiner_edges(src, dsts):
-                cluster.ledger.add_load(edge, len(payload))
-            delivered[tag] = delivered.get(tag, 0) + len(payload) * len(dsts)
-            for dst in dsts:
-                arrivals.setdefault(dst, {}).setdefault(tag, []).append(payload)
-                if dst != src:
-                    cluster._add_received(dst, len(payload))
-        for dst, tagged in arrivals.items():
-            for tag, payloads in tagged.items():
-                cluster._storage.extend(dst, tag, payloads)
-        cluster.ledger.close_round()
-        if registry.enabled:
-            for tag, count in delivered.items():
-                registry.counter(
-                    "repro_delivered_elements_total", tag=tag
-                ).inc(count)
-            self._record_round_metrics(registry)
-        tracer = get_tracer()
-        if tracer.enabled:
-            self._annotate_round(tracer)
-
 
 class Cluster:
     """Tree topology + per-node storage + cost accounting."""
@@ -932,12 +810,11 @@ class Cluster:
         distribution: Distribution | None = None,
         *,
         bits_per_element: int = 64,
-        exchange_mode: str | None = None,
         artifacts: TopologyArtifacts | None = None,
     ) -> None:
         self._tree = tree
-        # The expensive per-topology structures (routing index, Steiner
-        # memos, compute order, destination-set validation memo) come
+        # The expensive per-topology structures (routing index,
+        # compute order, destination-set validation memo) come
         # from the artifact layer: prebuilt and shared when a session or
         # one-shot run scope installed an ArtifactCache, private and
         # fresh otherwise — the historical per-cluster behavior.
@@ -956,11 +833,6 @@ class Cluster:
         self._artifacts = artifacts
         self.oracle = artifacts.oracle
         self.ledger = CostLedger(tree, bits_per_element=bits_per_element)
-        if exchange_mode is None:
-            exchange_mode = default_exchange_mode()
-        if exchange_mode not in _EXCHANGE_MODES:
-            raise ProtocolError(f"unknown exchange mode {exchange_mode!r}")
-        self._exchange_mode = exchange_mode
         self._storage = ColumnarStore()
         self._received_elements: dict[NodeId, int] = {}
         self._checked_destination_sets = artifacts.checked_destination_sets
@@ -971,11 +843,6 @@ class Cluster:
     @property
     def tree(self) -> TreeTopology:
         return self._tree
-
-    @property
-    def exchange_mode(self) -> str:
-        """``"bulk"`` (vectorized) or ``"per-send"`` (legacy A/B path)."""
-        return self._exchange_mode
 
     @property
     def artifacts(self) -> TopologyArtifacts:
@@ -1049,10 +916,10 @@ class Cluster:
     def _add_received(self, node: NodeId, count: int) -> None:
         """Record ``count`` remote arrivals at ``node``.
 
-        The single bookkeeping point shared by the bulk unicast,
-        bulk multicast, and legacy per-send delivery paths — the audit
-        conservation check and the process-backend oracle both compare
-        against this one counter.
+        The single bookkeeping point shared by the unicast and
+        multicast delivery paths — the audit conservation check and
+        the process-backend oracle both compare against this one
+        counter.
         """
         if count:
             received = self._received_elements

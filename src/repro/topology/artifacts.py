@@ -1,8 +1,8 @@
 """Session-scoped topology artifacts: build once, serve many runs.
 
-Every expensive structure a cluster derives from its topology —
-memoised path and Steiner decompositions, the canonical compute order,
-rank-ownership lookups, beside the tree's own routing index — is a
+Every expensive structure a cluster derives from its topology — the
+canonical compute order, rank-ownership lookups, the validated
+destination sets, beside the tree's own routing index — is a
 pure function of the immutable
 :class:`~repro.topology.tree.TreeTopology` (Hu, Koutris & Blanas
 parameterize the whole cost model by the topology alone).  A one-shot
@@ -23,8 +23,8 @@ tracer/registry/auditor:
   independent ``run()`` calls.
 
 Sharing is byte-identity-safe by construction: artifacts hold no
-data-dependent state (the destination-set memo is a validation cache;
-path/Steiner memos are pure topology queries), so a warm cluster
+data-dependent state (the destination-set memo is a validation cache,
+never consulted for routing or accounting), so a warm cluster
 produces ledgers, storage, and reports identical to a cold one — the
 property the serve benchmark and the session property tests pin down.
 """
@@ -73,11 +73,11 @@ class TopologyArtifacts:
     """The shared per-topology structures one or many clusters run on.
 
     Everything here is a deterministic pure function of ``tree``;
-    construction is cheap (the heavy pieces — the routing index, the
-    Steiner memos — still build lazily on first use, but now build
-    *once per topology* instead of once per cluster).  Instances are
-    safe to share across ``run_many`` threads: the routing index is the
-    tree's own (built once, under a lock), dict/set memo insertion is
+    construction is cheap (the heavy piece — the routing index —
+    still builds lazily on first use, but *once per topology* instead
+    of once per cluster).  Instances are safe to share across
+    ``run_many`` threads: the routing index is the tree's own (built
+    once, under a lock), insertion into the destination-set memo is
     atomic under the GIL, and the rank-lookup table is guarded by a lock.
     """
 

@@ -7,9 +7,9 @@ grid squares sharing a row range in Theorem 5), a sensible router forwards
 *one* copy along the shared prefix and fans out later — which is exactly
 what the paper's upper-bound analyses assume.  The set of links such a
 multicast touches is the Steiner tree of {source} ∪ destinations, directed
-away from the source; this oracle computes those edge sets and memoises
-them, because hashing-based protocols query the same (source,
-destination-set) pair for many elements.
+away from the source; :class:`PathOracle` computes those edge sets one
+query at a time (the definition), :class:`RoutingIndex` charges whole
+rounds of them with vectorized tree-flow kernels.
 """
 
 from __future__ import annotations
@@ -285,19 +285,16 @@ class RoutingIndex:
 
 
 class PathOracle:
-    """Memoised path / Steiner-edge queries against one topology.
+    """Path / Steiner-edge queries against one topology.
 
-    Instances are shared across clusters — and across ``run_many``
-    threads — through the artifact layer
-    (:mod:`repro.topology.artifacts`), so the memo dicts rely on the
-    GIL's atomic inserts (a racing duplicate computation yields an
-    equal tuple); the routing index is the tree's own.
+    The plain, uncached definitions the vectorized kernels are tested
+    against; production rounds charge through :attr:`routing_index`.
+    Instances are shared across clusters through the artifact layer
+    (:mod:`repro.topology.artifacts`) and hold no state of their own.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
         self._tree = tree
-        self._path_cache: dict[tuple, tuple[DirectedEdge, ...]] = {}
-        self._steiner_cache: dict[tuple, tuple[DirectedEdge, ...]] = {}
 
     @property
     def routing_index(self) -> RoutingIndex:
@@ -310,12 +307,7 @@ class PathOracle:
 
     def path_edges(self, src: Hashable, dst: Hashable) -> tuple[DirectedEdge, ...]:
         """Directed edges on the unique path ``src -> dst`` (may be empty)."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = self._tree.path_edges(src, dst)
-            self._path_cache[key] = cached
-        return cached
+        return self._tree.path_edges(src, dst)
 
     def steiner_edges(
         self, src: Hashable, dsts: Iterable[Hashable]
@@ -327,21 +319,8 @@ class PathOracle:
         Steiner tree of the terminal set directed away from ``src``, and
         each link appears at most once.
         """
-        dst_key = frozenset(dsts)
-        key = (src, dst_key)
-        cached = self._steiner_cache.get(key)
-        if cached is None:
-            edges: dict[DirectedEdge, None] = {}
-            for dst in sorted(dst_key, key=lambda n: str(n)):
-                for edge in self.path_edges(src, dst):
-                    edges.setdefault(edge, None)
-            cached = tuple(edges)
-            self._steiner_cache[key] = cached
-        return cached
-
-    def cache_info(self) -> dict[str, int]:
-        """Cache sizes, for diagnostics."""
-        return {
-            "paths": len(self._path_cache),
-            "steiner": len(self._steiner_cache),
-        }
+        edges: dict[DirectedEdge, None] = {}
+        for dst in sorted(frozenset(dsts), key=lambda n: str(n)):
+            for edge in self._tree.path_edges(src, dst):
+                edges.setdefault(edge, None)
+        return tuple(edges)

@@ -27,7 +27,7 @@ import struct
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -252,24 +252,3 @@ def concat_group_slices(
     )
     GROUP_CACHE.put(key, result, sum(part.nbytes for part in result))
     return result
-
-
-def iter_groups(
-    indices: np.ndarray, values: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(index_value, chunk)`` per distinct value of ``indices``.
-
-    ``chunk`` is the subsequence of ``values`` whose parallel index
-    equals ``index_value``, in original order — exactly what the
-    per-group boolean mask ``values[indices == index_value]`` returns,
-    but computed with one argsort for all groups together.
-    """
-    values = np.asarray(values)
-    order, uniques, starts, ends = group_slices(indices)
-    if not len(uniques):
-        return
-    sorted_values = values[order]
-    for value, start, end in zip(
-        uniques.tolist(), starts.tolist(), ends.tolist()
-    ):
-        yield value, sorted_values[start:end]

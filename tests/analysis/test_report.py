@@ -5,9 +5,15 @@ import math
 
 import pytest
 
-from repro.analysis.report import RunReport, aggregate, summarize_reports
 from repro.errors import AnalysisError
-from repro.report import GraphRunReport, PlanReport, _jsonify
+from repro.report import (
+    GraphRunReport,
+    PlanReport,
+    RunReport,
+    _jsonify,
+    aggregate,
+    summarize_reports,
+)
 
 
 def report(**overrides) -> RunReport:
@@ -36,7 +42,7 @@ class TestRunReport:
         assert report(lower_bound=0.0).ratio == float("inf")
 
     def test_as_row_lengths_match_headers(self):
-        from repro.analysis.report import REPORT_HEADERS
+        from repro.report import REPORT_HEADERS
 
         assert len(report().as_row()) == len(REPORT_HEADERS)
 

@@ -4,16 +4,27 @@ The contract from the design: with no recording tracer, metrics
 registry, or auditor installed, the instrumentation costs a few
 thread-local attribute lookups plus a no-op span per *round* (never
 per element).  This test prices the full disabled hook sequence a
-round touches and asserts it stays far under 5% of the small-grid
-bench_speed round time — the budget the CI smoke enforces end-to-end.
+round touches and asserts it stays far under 5% of a small prepared
+uniform-hash round.
 """
 
 from time import perf_counter
 
-from repro.analysis.speed import _run_round, fat_tree, prepare_uniform_hash
+from repro.analysis.speed import fat_tree, prepare_uniform_hash
 from repro.obs.audit import NullAuditor, get_auditor
 from repro.obs.metrics import NullRegistry, get_registry
 from repro.obs.tracer import NullTracer, get_tracer
+from repro.sim.cluster import Cluster
+
+
+def _round_seconds(tree, prepared) -> float:
+    """Wall time of one prepared round on a fresh cluster."""
+    cluster = Cluster(tree)
+    start = perf_counter()
+    with cluster.round() as ctx:
+        for node, targets, payload in prepared:
+            ctx.exchange(node, targets, payload, tag="recv")
+    return perf_counter() - start
 
 
 def _disabled_hook_seconds(repeats: int = 20_000) -> float:
@@ -43,9 +54,7 @@ class TestDisabledOverhead:
     def test_null_hooks_are_under_five_percent_of_a_small_round(self):
         tree = fat_tree(4)
         prepared, _ = prepare_uniform_hash(tree, 50_000, 7)
-        round_seconds = min(
-            _run_round(tree, prepared, "bulk")[0] for _ in range(3)
-        )
+        round_seconds = min(_round_seconds(tree, prepared) for _ in range(3))
         hook_seconds = _disabled_hook_seconds()
         # A bulk round opens one round span; allow 20 hook executions
         # of headroom and the margin is still enormous (~microseconds
@@ -60,6 +69,6 @@ class TestDisabledOverhead:
         tree = fat_tree(2)
         prepared, _ = prepare_uniform_hash(tree, 2_000, 7)
         tracer = get_tracer()
-        _run_round(tree, prepared, "bulk")
+        _round_seconds(tree, prepared)
         assert tracer.events == ()
         assert tracer.current_path() == ()

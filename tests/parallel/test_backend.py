@@ -143,9 +143,9 @@ class TestByteIdentity:
             cluster.verify_oracle()
         cluster.close()
 
-    def test_per_send_mode_rejected(self, tree):
-        with pytest.raises(ProtocolError, match="bulk exchange path"):
-            ParallelCluster(tree, num_workers=2, exchange_mode="per-send")
+    def test_exchange_mode_kwarg_is_gone(self, tree):
+        with pytest.raises(TypeError, match="exchange_mode"):
+            ParallelCluster(tree, num_workers=2, exchange_mode="bulk")
 
 
 class TestEngineIntegration:

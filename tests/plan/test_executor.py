@@ -1,5 +1,7 @@
 """Unit tests for the plan executor and its reports."""
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,31 @@ class TestReports:
         )
         assert report2.cost == pytest.approx(report.cost)
         assert output.multiset() == evaluate_reference(query, catalog)
+
+    @pytest.mark.parametrize("keep_output", [False, True])
+    def test_run_plan_wall_time_covers_optimize(self, tree, keep_output):
+        """``wall_time_s`` is what ``run_plan``'s caller waited for: the
+        clock starts at entry, before ``optimize``, not in the executor."""
+        catalog = chain_catalog(
+            tree, num_relations=4, rows=100, key_space=16, seed=4
+        )
+        with repro.tracing() as tracer:
+            entered = perf_counter()
+            out = repro.run_plan(
+                chain_query(4), tree, catalog, keep_output=keep_output
+            )
+            returned = perf_counter()
+        report = out[0] if keep_output else out
+        (execute,) = [
+            e for e in tracer.events if e.name.startswith("plan.execute")
+        ]
+        # the clocks are read microseconds apart; optimizing a
+        # four-relation chain takes far longer than that
+        assert (
+            execute.end - entered - 1e-4
+            <= report.wall_time_s
+            <= returned - entered
+        )
 
     def test_stage_reports_carry_bounds(self, tree):
         catalog = chain_catalog(

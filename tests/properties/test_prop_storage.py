@@ -6,9 +6,9 @@ interleaved tags, repeated rounds onto the same columns) must leave
 received counts, per-(node, tag) storage bytes — whichever substrate
 runs them:
 
-* sim ``bulk`` (columnar store, vectorized grouping/gather) vs sim
-  ``per-send`` (the legacy per-transfer path);
-* the process backend at 1/2/3 workers vs sim ``bulk``.
+* the simulator (columnar store, vectorized grouping/gather) vs the
+  per-send reference model of ``tests/reference_delivery.py``;
+* the process backend at 1/2/3 workers vs the simulator.
 
 ``assert_clusters_identical`` raises on the first divergence, naming it.
 """
@@ -21,6 +21,7 @@ from repro.parallel import ParallelCluster
 from repro.parallel.oracle import assert_clusters_identical
 from repro.parallel.pool import get_pool, shutdown_pools
 from repro.sim.cluster import Cluster
+from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
 
 
@@ -117,10 +118,10 @@ class TestColumnarByteIdentity:
     @settings(max_examples=60, deadline=None)
     def test_bulk_matches_per_send(self, script):
         tree, rounds = script
-        bulk = _replay(Cluster(tree, exchange_mode="bulk"), rounds)
-        per_send = _replay(Cluster(tree, exchange_mode="per-send"), rounds)
+        bulk = _replay(Cluster(tree), rounds)
+        per_send = _replay(ReferenceCluster(tree), rounds)
         assert_clusters_identical(
-            bulk, per_send, a_name="bulk", b_name="per-send"
+            bulk, per_send, a_name="bulk", b_name="reference"
         )
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -128,7 +129,7 @@ class TestColumnarByteIdentity:
     @settings(max_examples=10, deadline=None)
     def test_process_backend_matches_sim(self, workers, script):
         tree, rounds = script
-        sim = _replay(Cluster(tree, exchange_mode="bulk"), rounds)
+        sim = _replay(Cluster(tree), rounds)
         pool = get_pool(workers, seed=7)
         proc = _replay(ParallelCluster(tree, pool=pool), rounds)
         try:

@@ -1,0 +1,89 @@
+"""Section 2's round, one transfer at a time: the reference delivery model.
+
+Production (:class:`repro.sim.cluster.RoundContext`) groups a whole
+round with one stable argsort per tag and charges it through the
+vectorized ``RoutingIndex`` tree-flow kernels.  This is the definition
+those kernels must reproduce, written the slow and obviously right way:
+a transfer follows the unique tree path between its endpoints, a
+multicast the union of the source→destination paths (its Steiner tree),
+every link on it is charged once per element, and the round costs the
+most loaded link.  Paths come straight from ``tree.path_edges`` — not
+from ``RoutingIndex``, not from ``PathOracle``.
+
+The byte-identity contract every differential test asserts against this
+model (ledger loads per round and edge, received counts, tag sets and
+per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
+
+* ``exchange`` is one ``send`` per destination *node*; target indices
+  that alias one node under two positions of an explicit node list
+  collapse into a single delivery, in original element order;
+* ``exchange_multicast`` is one ``multicast`` per group id, ascending;
+* within a round all unicasts are delivered before all multicasts, and
+  each ``(dst, tag)`` column receives its chunks in registration order,
+  then group id, then element order.
+
+``ReferenceCluster`` takes the same constructor arguments as ``Cluster``,
+so registering it under a backend name (``register_backend`` /
+``use_backend``) replays whole protocols through the definition.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.sim.cluster import Cluster, RoundContext
+
+
+class ReferenceRoundContext(RoundContext):
+    """Expands the batched calls to single transfers; delivers one by one."""
+
+    def exchange(self, src, targets, values, *, tag, nodes=None):
+        node_list = self._cluster.compute_order if nodes is None else list(nodes)
+        payload = self._as_payload(values)
+        # first position of each node: aliases collapse to one destination
+        first: dict = {}
+        canonical = np.array(
+            [first.setdefault(node, i) for i, node in enumerate(node_list)]
+        )
+        indices = canonical[np.asarray(targets, dtype=np.int64)]
+        for index in np.unique(indices).tolist():
+            self.send(src, node_list[index], payload[indices == index], tag=tag)
+
+    def exchange_multicast(self, src, group_ids, destination_sets, values, *, tag):
+        payload = self._as_payload(values)
+        ids = np.asarray(group_ids, dtype=np.int64)
+        sets = list(destination_sets)
+        for gid in np.unique(ids).tolist():
+            self.multicast(src, sets[gid], payload[ids == gid], tag=tag)
+
+    def _finalize_bulk(self) -> None:
+        cluster = self._cluster
+        tree, ledger = cluster.tree, cluster.ledger
+        # send() and multicast() registered single-destination(-set)
+        # records; unicasts first, then multicasts, each in call order
+        transfers = [
+            (src, (node_list[0],), payload, tag)
+            for src, node_list, _targets, payload, tag in self._unicast_stream
+        ] + [
+            (src, sets[0], payload, tag)
+            for src, sets, _group_ids, payload, tag in self._multicasts
+        ]
+        ledger.open_round()
+        for src, dsts, payload, tag in transfers:
+            steiner_tree = {
+                edge for dst in dsts for edge in tree.path_edges(src, dst)
+            }
+            for edge in steiner_tree:
+                ledger.add_load(edge, len(payload))
+            for dst in dsts:
+                cluster._storage.append(dst, tag, payload)
+                if dst != src:
+                    cluster._add_received(dst, len(payload))
+        ledger.close_round()
+
+
+class ReferenceCluster(Cluster):
+    """A ``Cluster`` whose rounds run through the reference model."""
+
+    def _make_round_context(self) -> RoundContext:
+        return ReferenceRoundContext(self)

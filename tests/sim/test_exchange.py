@@ -4,8 +4,9 @@ The contract under test: one :meth:`RoundContext.exchange` call is
 observably identical to the equivalent sequence of per-destination
 :meth:`RoundContext.send` calls — same per-node storage (content *and*
 element order), same ``received_elements``, same per-edge ledger loads —
-on any topology, placement, and target assignment.  The vectorized
-``bulk`` mode and the legacy ``per-send`` mode are compared end to end.
+on any topology, placement, and target assignment.  The production
+cluster is compared end to end with the transfer-by-transfer reference
+model in ``tests/reference_delivery.py``.
 """
 
 import numpy as np
@@ -14,11 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
-from repro.sim.cluster import Cluster, use_exchange_mode
+from repro.parallel.oracle import assert_clusters_identical
+from repro.sim.cluster import Cluster
 from repro.topology.builders import star, two_level
 from repro.topology.steiner import RoutingIndex
 
+from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
+
+BOTH_MODELS = {"production": Cluster, "reference": ReferenceCluster}
 
 
 @pytest.fixture
@@ -70,14 +75,13 @@ class TestExchangeBasics:
 
     def test_aliased_nodes_collapse_to_one_delivery(self):
         """An explicit node list aliasing one node under two indices
-        delivers once, in original element order, in BOTH modes (the
-        duplicate-alias regression: per-send used to reorder to
-        [10, 12, 11, 13])."""
+        delivers once, in original element order, in production and in
+        the reference model (the duplicate-alias regression: a send per
+        target *index* reorders to [10, 12, 11, 13])."""
         results = {}
-        for mode in ("bulk", "per-send"):
-            cluster = Cluster(
-                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0),
-                exchange_mode=mode,
+        for model, build in BOTH_MODELS.items():
+            cluster = build(
+                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
             )
             with cluster.round() as ctx:
                 ctx.exchange(
@@ -87,31 +91,31 @@ class TestExchangeBasics:
                     tag="x",
                     nodes=["v3", "v3"],
                 )
-            results[mode] = (
+            results[model] = (
                 cluster.local("v3", "x").tolist(),
                 cluster.ledger.round_loads(0),
                 cluster.received_elements("v3"),
             )
-        assert results["bulk"][0] == [10, 11, 12, 13]
-        assert results["bulk"] == results["per-send"]
+        assert results["production"][0] == [10, 11, 12, 13]
+        assert results["production"] == results["reference"]
 
     def test_send_and_exchange_interleave_in_call_order(self):
         """Mixed send/exchange traffic to one (dst, tag) lands in
-        registration order in both modes (code-review regression)."""
+        registration order in production and in the reference model
+        (code-review regression)."""
         results = {}
-        for mode in ("bulk", "per-send"):
-            cluster = Cluster(
-                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0),
-                exchange_mode=mode,
+        for model, build in BOTH_MODELS.items():
+            cluster = build(
+                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
             )
             dst = cluster.compute_order[1]
             with cluster.round() as ctx:
                 ctx.send("v1", dst, [100, 101], tag="x")
                 ctx.exchange("v3", [1, 1], [200, 201], tag="x")
                 ctx.send("v4", dst, [300], tag="x")
-            results[mode] = cluster.local(dst, "x").tolist()
-        assert results["bulk"] == [100, 101, 200, 201, 300]
-        assert results["bulk"] == results["per-send"]
+            results[model] = cluster.local(dst, "x").tolist()
+        assert results["production"] == [100, 101, 200, 201, 300]
+        assert results["production"] == results["reference"]
 
     def test_multiple_tags_one_round(self, cluster):
         with cluster.round() as ctx:
@@ -278,9 +282,9 @@ class TestExchangeEquivalenceProperty:
     @given(exchange_instances())
     @settings(max_examples=60, deadline=None)
     def test_exchange_matches_per_destination_sends(self, instance):
-        """The issue's contract: identical storage, received counts, and
-        per-edge loads between one exchange call and the equivalent
-        send sequence, on random topologies."""
+        """The contract: identical storage, received counts, and
+        per-edge loads between one exchange call, the equivalent send
+        sequence, and the reference model, on random topologies."""
         tree, computes, plan = instance
 
         def replay(cluster, expand_exchange):
@@ -306,18 +310,19 @@ class TestExchangeEquivalenceProperty:
                             node, targets, values, tag=tag, nodes=node_list
                         )
 
-        bulk = Cluster(tree, exchange_mode="bulk")
+        bulk = Cluster(tree)
         replay(bulk, expand_exchange=False)
 
-        sends = Cluster(tree, exchange_mode="bulk")
+        sends = Cluster(tree)
         replay(sends, expand_exchange=True)
 
-        legacy = Cluster(tree, exchange_mode="per-send")
-        replay(legacy, expand_exchange=False)
+        reference = ReferenceCluster(tree)
+        replay(reference, expand_exchange=False)
 
-        reference = _snapshot(sends, computes)
-        assert _snapshot(bulk, computes) == reference
-        assert _snapshot(legacy, computes) == reference
+        assert _snapshot(bulk, computes) == _snapshot(sends, computes)
+        assert_clusters_identical(
+            bulk, reference, a_name="production", b_name="reference"
+        )
 
     @given(exchange_instances())
     @settings(max_examples=40, deadline=None)
@@ -342,16 +347,7 @@ class TestExchangeEquivalenceProperty:
         assert routing.unicast_loads(src_ids, dst_ids, counts) == expected
 
 
-class TestExchangeModeSwitch:
-    def test_use_exchange_mode_scopes_default(self):
-        tree = star(3)
-        with use_exchange_mode("per-send"):
-            assert Cluster(tree).exchange_mode == "per-send"
-        assert Cluster(tree).exchange_mode == "bulk"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ProtocolError, match="exchange mode"):
-            Cluster(star(3), exchange_mode="psychic")
-        with pytest.raises(ProtocolError, match="exchange mode"):
-            with use_exchange_mode("psychic"):
-                pass  # pragma: no cover
+class TestOneDeliveryPath:
+    def test_exchange_mode_kwarg_is_gone_not_ignored(self):
+        with pytest.raises(TypeError, match="exchange_mode"):
+            Cluster(star(3), exchange_mode="bulk")

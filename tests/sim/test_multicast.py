@@ -5,10 +5,10 @@ call is observably identical to the equivalent per-group
 :meth:`RoundContext.multicast` loop — same per-node storage (content
 *and* element order), same ``received_elements``, same per-edge ledger
 loads — on any topology and any family of Steiner destination sets.
-The vectorized ``bulk`` mode, the looped expansion, and the legacy
-``per-send`` mode are compared end to end, and the vectorized
-:meth:`RoutingIndex.multicast_loads` charger is checked against the
-memoised per-group Steiner-edge walks.
+The production cluster, the looped expansion, and the transfer-by-
+transfer reference model (``tests/reference_delivery.py``) are compared
+end to end, and the vectorized :meth:`RoutingIndex.multicast_loads`
+charger is checked against per-group Steiner-edge walks.
 """
 
 import numpy as np
@@ -17,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.suites import standard_topologies
 from repro.errors import ProtocolError
+from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
 from repro.topology.builders import two_level
 from repro.topology.steiner import PathOracle, RoutingIndex
 from repro.topology.tree import node_sort_key
 
+from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
 
 
@@ -111,12 +113,15 @@ class TestExchangeMulticastBasics:
 
     def test_interleaves_with_sends_and_multicasts_across_modes(self):
         """Mixed traffic on one (dst, tag) lands in registration order
-        (unicasts first, then the multicast stream) in both modes."""
+        (unicasts first, then the multicast stream) in production and
+        in the reference model."""
         results = {}
-        for mode in ("bulk", "per-send"):
-            cluster = Cluster(
-                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0),
-                exchange_mode=mode,
+        for model, build in (
+            ("production", Cluster),
+            ("reference", ReferenceCluster),
+        ):
+            cluster = build(
+                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
             )
             with cluster.round() as ctx:
                 ctx.multicast("v2", {"v4", "v5"}, [100], tag="x")
@@ -124,9 +129,9 @@ class TestExchangeMulticastBasics:
                     "v1", [1, 0, 1], [{"v4"}, {"v4", "v5"}], [1, 2, 3], tag="x"
                 )
                 ctx.send("v3", "v4", [200], tag="x")
-            results[mode] = _snapshot(cluster, tags=("x",))
-        assert results["bulk"] == results["per-send"]
-        storage = results["bulk"][0]
+            results[model] = _snapshot(cluster, tags=("x",))
+        assert results["production"] == results["reference"]
+        storage = results["production"][0]
         assert storage[("v4", "x")] == [200, 100, 2, 1, 3]
 
     def test_empty_payload_is_free(self, cluster):
@@ -246,16 +251,19 @@ class TestStandardTopologyEquivalence:
                             node, group_ids, sets, values, tag="recv"
                         )
 
-        bulk = Cluster(tree, exchange_mode="bulk")
+        bulk = Cluster(tree)
         replay(bulk, expand=False)
-        looped = Cluster(tree, exchange_mode="bulk")
+        looped = Cluster(tree)
         replay(looped, expand=True)
-        legacy = Cluster(tree, exchange_mode="per-send")
-        replay(legacy, expand=False)
+        reference = ReferenceCluster(tree)
+        replay(reference, expand=False)
 
-        reference = _snapshot(looped, tags=("recv",))
-        assert _snapshot(bulk, tags=("recv",)) == reference
-        assert _snapshot(legacy, tags=("recv",)) == reference
+        assert _snapshot(bulk, tags=("recv",)) == _snapshot(
+            looped, tags=("recv",)
+        )
+        assert_clusters_identical(
+            bulk, reference, a_name="production", b_name="reference"
+        )
 
 
 def _random_multicast_plan(draw, tree):
@@ -319,10 +327,10 @@ class TestExchangeMulticastEquivalenceProperty:
     @given(multicast_instances())
     @settings(max_examples=60, deadline=None)
     def test_batched_matches_looped_and_per_send(self, instance):
-        """The issue's contract: byte-identical storage, received
-        counts, and per-edge ledgers between one exchange_multicast
-        call, the equivalent multicast loop, and the legacy per-send
-        mode, on random topologies with interleaved traffic."""
+        """The contract: byte-identical storage, received counts, and
+        per-edge ledgers between one exchange_multicast call, the
+        equivalent multicast loop, and the reference model, on random
+        topologies with interleaved traffic."""
         tree, computes, plan = instance
 
         def replay(cluster, expand_batched):
@@ -345,16 +353,17 @@ class TestExchangeMulticastEquivalenceProperty:
                             node, group_ids, sets, values, tag=tag
                         )
 
-        bulk = Cluster(tree, exchange_mode="bulk")
+        bulk = Cluster(tree)
         replay(bulk, expand_batched=False)
-        looped = Cluster(tree, exchange_mode="bulk")
+        looped = Cluster(tree)
         replay(looped, expand_batched=True)
-        legacy = Cluster(tree, exchange_mode="per-send")
-        replay(legacy, expand_batched=False)
+        reference = ReferenceCluster(tree)
+        replay(reference, expand_batched=False)
 
-        reference = _snapshot(looped)
-        assert _snapshot(bulk) == reference
-        assert _snapshot(legacy) == reference
+        assert _snapshot(bulk) == _snapshot(looped)
+        assert_clusters_identical(
+            bulk, reference, a_name="production", b_name="reference"
+        )
 
     @given(multicast_instances())
     @settings(max_examples=40, deadline=None)

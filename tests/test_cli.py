@@ -38,33 +38,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
-    def test_bench_speed_small(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        trajectory = tmp_path / "BENCH_SPEED.json"
-        monkeypatch.setenv("BENCH_SPEED_JSON", str(trajectory))
-        assert main(["--small", "bench", "speed"]) == 0
-        out = capsys.readouterr().out
-        assert "Bulk exchange vs legacy per-send path" in out
-        assert "speedup" in out
-        payload = json.loads(trajectory.read_text())
-        assert payload["benchmark"] == "bench_speed"
-        assert payload["runs"][0]["grid"] == "small"
-        for case in payload["runs"][0]["cases"]:
-            assert case["ledger_identical"] is True
-
-    def test_bench_speed_json_output(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("BENCH_SPEED_JSON", str(tmp_path / "t.json"))
-        assert main(["--small", "--json", "bench", "speed"]) == 0
-        cases = json.loads(capsys.readouterr().out)
-        assert {c["name"] for c in cases} == {
-            "uniform-hash shuffle",
-            "connected-components superstep shuffle",
-            "intersection R-replication multicast",
-            "end-to-end components supersteps",
-        }
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "speed"]])
+    def test_bench_without_valid_subcommand_exits_2(self, argv, capsys):
+        """Bare ``bench`` used to fall back to the (now deleted) speed
+        A/B; both spellings are plain usage errors — no alias."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "available: scale, serve, check" in captured.err
+        assert captured.out == ""
 
     def test_bench_unknown_subcommand_rejected(self, capsys):
         assert main(["bench", "psychic"]) == 2

@@ -1,15 +1,12 @@
 """Tests for the session-scoped engine (repro.session)."""
 
-import threading
-
 import pytest
 
 import repro
 from repro.engine import RunPlan
-from repro.errors import AnalysisError, ProtocolError
+from repro.errors import AnalysisError
 from repro.plan import PlanCache, chain_catalog, chain_query
 from repro.session import SCHEDULES, EngineSession
-from repro.sim.cluster import default_exchange_mode, use_exchange_mode
 from repro.topology.artifacts import ArtifactCache, get_artifact_cache
 from repro.topology.builders import two_level
 
@@ -222,41 +219,6 @@ class TestProcessBackend:
             )
         cold = repro.run("set-intersection", tree, dist)
         assert report.cost == cold.cost
-
-
-class TestThreadLocals:
-    def test_exchange_mode_stays_thread_local(self, tree, dist):
-        seen = {}
-
-        def worker():
-            seen["mode"] = default_exchange_mode()
-
-        with use_exchange_mode("per-send"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-            assert default_exchange_mode() == "per-send"
-        assert seen["mode"] == "bulk"
-        assert default_exchange_mode() == "bulk"
-
-    def test_exchange_mode_restored_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_exchange_mode("per-send"):
-                raise RuntimeError("boom")
-        assert default_exchange_mode() == "bulk"
-
-    def test_unknown_exchange_mode_rejected(self):
-        with pytest.raises(ProtocolError):
-            with use_exchange_mode("streaming"):
-                pass  # pragma: no cover
-
-    def test_session_runs_respect_ambient_exchange_mode(self, tree, dist):
-        with EngineSession(tree) as session:
-            bulk = session.run("set-intersection", dist)
-            with use_exchange_mode("per-send"):
-                legacy = session.run("set-intersection", dist)
-        assert bulk.cost == legacy.cost
-        assert bulk.rounds == legacy.rounds
 
 
 class TestSummary:
