@@ -10,17 +10,15 @@ losing by the bandwidth/skew spread.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.data.columns import KeyValueArrays
+from repro.core.intersection.tree import intersect_columns
 from repro.data.distribution import Distribution
-from repro.queries.aggregate import combine_per_key
-from repro.queries.join import local_join
-from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples, encode_tuples
+from repro.queries.aggregate import hashed_groupby_round
+from repro.queries.join import join_columns
+from repro.queries.tuples import DEFAULT_PAYLOAD_BITS
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -29,6 +27,31 @@ _S_RECV = "intersect.S.recv"
 _JOIN_R_RECV = "join.R.recv"
 _JOIN_S_RECV = "join.S.recv"
 _AGG_RECV = "aggregate.recv"
+
+
+def _uniform_hasher(cluster: Cluster, seed: int, scope: str) -> WeightedNodeHasher:
+    computes = cluster.compute_order
+    return WeightedNodeHasher(
+        computes, [1.0] * len(computes), derive_seed(seed, scope)
+    )
+
+
+def _hash_relations(
+    cluster: Cluster,
+    hasher: WeightedNodeHasher,
+    routes: tuple[tuple[str, str], ...],
+    key_shift: int = 0,
+) -> None:
+    """One round: every ``(tag, recv)`` relation hashed over all nodes."""
+    with cluster.round() as ctx:
+        for tag, recv in routes:
+            owners, values = cluster.column(tag)
+            ctx.exchange_column(
+                owners,
+                hasher.assign_indices(values >> key_shift),
+                values,
+                tag=recv,
+            )
 
 
 @register_protocol(
@@ -49,24 +72,15 @@ def uniform_hash_intersect(
 ) -> ProtocolResult:
     """Hash-join both relations uniformly over all compute nodes."""
     distribution.validate_for(tree)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    hasher = WeightedNodeHasher(
-        computes, [1.0] * len(computes), derive_seed(seed, "uniform-hash")
-    )
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
-    with cluster.round() as ctx:
-        for node in computes:
-            for tag, recv in ((r_tag, _R_RECV), (s_tag, _S_RECV)):
-                local = cluster.local(node, tag)
-                if not len(local):
-                    continue
-                ctx.exchange(
-                    node, hasher.assign_indices(local), local, tag=recv
-                )
-    outputs = {
-        v: np.intersect1d(cluster.local(v, _R_RECV), cluster.local(v, _S_RECV))
-        for v in computes
-    }
+    _hash_relations(
+        cluster,
+        _uniform_hasher(cluster, seed, "uniform-hash"),
+        ((r_tag, _R_RECV), (s_tag, _S_RECV)),
+    )
+    outputs = intersect_columns(
+        cluster.column(_R_RECV), cluster.column(_S_RECV), cluster.compute_order
+    )
     return ProtocolResult.from_ledger(
         "uniform-hash-intersect", cluster.ledger, outputs=outputs
     )
@@ -98,30 +112,20 @@ def uniform_hash_equijoin(
     distribution-aware tree protocol by the bandwidth spread.
     """
     distribution.validate_for(tree)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    hasher = WeightedNodeHasher(
-        computes, [1.0] * len(computes), derive_seed(seed, "uniform-join")
-    )
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
-    with cluster.round() as ctx:
-        for node in computes:
-            for tag, recv in ((r_tag, _JOIN_R_RECV), (s_tag, _JOIN_S_RECV)):
-                local = cluster.local(node, tag)
-                if not len(local):
-                    continue
-                keys = np.asarray(local, dtype=np.int64) >> payload_bits
-                ctx.exchange(
-                    node, hasher.assign_indices(keys), local, tag=recv
-                )
-    outputs = {
-        v: local_join(
-            cluster.local(v, _JOIN_R_RECV),
-            cluster.local(v, _JOIN_S_RECV),
-            payload_bits=payload_bits,
-            materialize=materialize,
-        )
-        for v in computes
-    }
+    _hash_relations(
+        cluster,
+        _uniform_hasher(cluster, seed, "uniform-join"),
+        ((r_tag, _JOIN_R_RECV), (s_tag, _JOIN_S_RECV)),
+        key_shift=payload_bits,
+    )
+    outputs = join_columns(
+        cluster.column(_JOIN_R_RECV),
+        cluster.column(_JOIN_S_RECV),
+        cluster.compute_order,
+        payload_bits=payload_bits,
+        materialize=materialize,
+    )
     return ProtocolResult.from_ledger(
         "uniform-hash-equijoin",
         cluster.ledger,
@@ -155,38 +159,16 @@ def uniform_hash_groupby(
     data-light nodes behind slow links own as many groups as anyone.
     """
     distribution.validate_for(tree)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    hasher = WeightedNodeHasher(
-        computes, [1.0] * len(computes), derive_seed(seed, "uniform-groupby")
-    )
-    combine_op = op
-    final_op = "sum" if op == "count" else op
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
-    with cluster.round() as ctx:
-        for v in computes:
-            local = cluster.local(v, tag)
-            if not len(local):
-                continue
-            keys, values = decode_tuples(local, payload_bits=payload_bits)
-            if pre_aggregate:
-                keys, values = combine_per_key(keys, values, combine_op)
-                payload = encode_tuples(keys, values, payload_bits=payload_bits)
-            else:
-                payload = local
-            ctx.exchange(
-                v, hasher.assign_indices(keys), payload, tag=_AGG_RECV
-            )
-    outputs: dict = {}
-    for v in computes:
-        keys, values = decode_tuples(
-            cluster.local(v, _AGG_RECV), payload_bits=payload_bits
-        )
-        # Pre-aggregated `count` partials are counts, combined by `sum`;
-        # raw tuples finalize under the original op.
-        final_keys, final_values = combine_per_key(
-            keys, values, final_op if pre_aggregate else op
-        )
-        outputs[v] = KeyValueArrays(final_keys, final_values)
+    outputs = hashed_groupby_round(
+        cluster,
+        _uniform_hasher(cluster, seed, "uniform-groupby"),
+        tag=tag,
+        recv_tag=_AGG_RECV,
+        op=op,
+        payload_bits=payload_bits,
+        pre_aggregate=pre_aggregate,
+    )
     return ProtocolResult.from_ledger(
         "uniform-hash-groupby",
         cluster.ledger,

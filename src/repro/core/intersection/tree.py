@@ -20,14 +20,121 @@ import numpy as np
 from repro.core.intersection.partition import balanced_partition, classify_edges
 from repro.data.distribution import Distribution
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology, node_sort_key
+from repro.util.grouping import owner_bounds, sorted_runs, unique_rows
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
 _R_RECV = "intersect.R.recv"
 _S_RECV = "intersect.S.recv"
+
+
+def hashed_partition_round(
+    tree: TreeTopology,
+    distribution: Distribution,
+    *,
+    small_tag: str,
+    large_tag: str,
+    small_recv: str,
+    large_recv: str,
+    blocks: Sequence[frozenset] | None,
+    seed: int,
+    seed_scope: str,
+    key_shift: int = 0,
+    bits_per_element: int = 64,
+) -> tuple[Cluster, list[frozenset], dict, int]:
+    """The one round of Algorithm 2, a relation at a time.
+
+    Shared by TreeIntersect and the tree equi-join: block ``i`` of the
+    balanced partition gets a weighted hash ``h_i`` over its members
+    (keyed by ``derive_seed(seed, seed_scope, i)``, evaluated on
+    ``element >> key_shift``); the small relation is replicated to one
+    hashed owner per block — rows ``[source, owner_1 ... owner_k]``,
+    one multicast group per distinct row — and the large relation is
+    hashed within the block of the node holding it.  Returns the
+    cluster after the round with the blocks, per-node sizes and the
+    small relation's size the partition was computed from.
+    """
+    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    node_index = {v: i for i, v in enumerate(computes)}
+    sizes = {
+        v: distribution.size(v, small_tag) + distribution.size(v, large_tag)
+        for v in computes
+    }
+    r_size = distribution.total(small_tag)
+    if blocks is None:
+        blocks = balanced_partition(tree, sizes, r_size)
+    blocks = [frozenset(b) for b in blocks]
+
+    # per block holding data: its members' compute-order indices and h_i
+    routes: list[tuple[np.ndarray, WeightedNodeHasher]] = []
+    for i, block in enumerate(blocks):
+        members = sorted(block, key=node_sort_key)
+        weights = [sizes[v] for v in members]
+        if sum(weights) > 0:
+            routes.append(
+                (
+                    np.asarray([node_index[m] for m in members]),
+                    WeightedNodeHasher(
+                        members, weights, derive_seed(seed, seed_scope, i)
+                    ),
+                )
+            )
+
+    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    with cluster.round() as ctx:
+        owners, small = cluster.column(small_tag)
+        keys = small >> key_shift
+        rows = np.empty((len(small), 1 + len(routes)), dtype=owners.dtype)
+        rows[:, 0] = owners
+        for slot, (members, hasher) in enumerate(routes, start=1):
+            rows[:, slot] = members[hasher.assign_indices(keys)]
+        groups, group_ids = unique_rows(rows)
+        ctx.exchange_multicast_column(
+            groups[:, 0],
+            group_ids,
+            [frozenset(computes[j] for j in row[1:]) for row in groups.tolist()],
+            small,
+            tag=small_recv,
+        )
+        owners, large = cluster.column(large_tag)
+        keys = large >> key_shift
+        # a node outside every block keeps target -1, which the
+        # registration rejects
+        targets = np.full(len(large), -1, dtype=owners.dtype)
+        for members, hasher in routes:
+            held = np.isin(owners, members)
+            targets[held] = members[hasher.assign_indices(keys[held])]
+        ctx.exchange_column(owners, targets, large, tag=large_recv)
+    return cluster, blocks, sizes, r_size
+
+
+def intersect_columns(
+    r_column: tuple[np.ndarray, np.ndarray],
+    s_column: tuple[np.ndarray, np.ndarray],
+    nodes: Sequence,
+) -> dict:
+    """``np.intersect1d`` per node, over two whole columns at once.
+
+    Each side is a :meth:`Cluster.column <repro.sim.cluster.Cluster.column>`
+    pair over ``nodes``; the result maps every node to the sorted array
+    of distinct values it holds on both sides.  Both columns are sorted
+    together within the node order, and a run of equal ``(node, value)``
+    pairs is common exactly when it draws from both sides.
+    """
+    owners = np.concatenate((r_column[0], s_column[0]))
+    values = np.concatenate((r_column[1], s_column[1]))
+    order, starts, lengths = sorted_runs(owners, values)
+    from_s = np.add.reduceat(order >= len(r_column[0]), starts, dtype=np.intp)
+    common = (from_s > 0) & (from_s < lengths)
+    first = order[starts[common]]
+    bounds = owner_bounds(owners[first], len(nodes))
+    found = values[first]
+    return {
+        node: found[lo:hi] for node, lo, hi in zip(nodes, bounds, bounds[1:])
+    }
 
 
 @register_protocol(
@@ -58,90 +165,21 @@ def tree_intersect(
 
     swapped = distribution.total(r_tag) > distribution.total(s_tag)
     small_tag, large_tag = (s_tag, r_tag) if swapped else (r_tag, s_tag)
-
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    node_index = {v: i for i, v in enumerate(computes)}
-    sizes = {
-        v: distribution.size(v, small_tag) + distribution.size(v, large_tag)
-        for v in computes
-    }
-    r_size = distribution.total(small_tag)
-
-    if blocks is None:
-        blocks = balanced_partition(tree, sizes, r_size)
-    blocks = [frozenset(b) for b in blocks]
-    block_of = {v: i for i, block in enumerate(blocks) for v in block}
-
-    hashers: list[WeightedNodeHasher | None] = []
-    block_members: list[list] = []
-    for i, block in enumerate(blocks):
-        members = sorted(block, key=node_sort_key)
-        block_members.append(members)
-        weights = [sizes[v] for v in members]
-        if sum(weights) > 0:
-            hashers.append(
-                WeightedNodeHasher(
-                    members, weights, derive_seed(seed, "tree-intersect", i)
-                )
-            )
-        else:
-            hashers.append(None)
-
-    active = [i for i, h in enumerate(hashers) if h is not None]
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
-
-    with cluster.round() as ctx:
-        for v in computes:
-            r_local = cluster.local(v, small_tag)
-            if len(r_local) and active:
-                # One destination per block; elements sharing the same
-                # destination tuple form one multicast group, batched
-                # through the round's multicast stream.
-                member_ids = {
-                    i: np.asarray(
-                        [node_index[m] for m in block_members[i]], dtype=np.int64
-                    )
-                    for i in active
-                }
-                target_matrix = np.stack(
-                    [
-                        member_ids[i][hashers[i].assign_indices(r_local)]
-                        for i in active
-                    ],
-                    axis=1,
-                )
-                unique_rows, inverse = np.unique(
-                    target_matrix, axis=0, return_inverse=True
-                )
-                destination_sets = [
-                    frozenset(computes[j] for j in row)
-                    for row in unique_rows.tolist()
-                ]
-                ctx.exchange_multicast(
-                    v,
-                    np.ravel(inverse),
-                    destination_sets,
-                    r_local,
-                    tag=_R_RECV,
-                )
-            s_local = cluster.local(v, large_tag)
-            if len(s_local):
-                hasher = hashers[block_of[v]]
-                if hasher is None:  # pragma: no cover - weight>0 since S_v>0
-                    continue
-                ctx.exchange(
-                    v,
-                    hasher.assign_indices(s_local),
-                    s_local,
-                    tag=_S_RECV,
-                    nodes=block_members[block_of[v]],
-                )
-
-    outputs: dict = {}
-    for v in computes:
-        outputs[v] = np.intersect1d(
-            cluster.local(v, _R_RECV), cluster.local(v, _S_RECV)
-        )
+    cluster, blocks, sizes, r_size = hashed_partition_round(
+        tree,
+        distribution,
+        small_tag=small_tag,
+        large_tag=large_tag,
+        small_recv=_R_RECV,
+        large_recv=_S_RECV,
+        blocks=blocks,
+        seed=seed,
+        seed_scope="tree-intersect",
+        bits_per_element=bits_per_element,
+    )
+    outputs = intersect_columns(
+        cluster.column(_R_RECV), cluster.column(_S_RECV), cluster.compute_order
+    )
 
     classification = classify_edges(tree, sizes, r_size)
     return ProtocolResult.from_ledger(

@@ -35,6 +35,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.util.grouping import index_dtype
 from repro.util.intmath import ceil_div
 from repro.util.seeding import derive_seed
 
@@ -173,14 +174,19 @@ def weighted_terasort(
             )
 
     # Round 4: scatter by splitter interval; heavy node j keeps
-    # [b_{j-1}, b_j).
+    # [b_{j-1}, b_j).  One column for all heavy nodes, in heavy order.
+    position = {v: i for i, v in enumerate(cluster.compute_order)}
+    heavy_ids = np.asarray(
+        [position[v] for v in heavy], dtype=index_dtype(len(position))
+    )
+    everything = np.concatenate([current[v] for v in heavy])
     with cluster.round() as ctx:
-        for node in heavy:
-            local = current[node]
-            if not len(local):
-                continue
-            intervals = np.searchsorted(splitters, local, side="right")
-            ctx.exchange(node, intervals, local, tag=_FINAL, nodes=heavy)
+        ctx.exchange_column(
+            np.repeat(heavy_ids, [m_sizes[v] for v in heavy]),
+            heavy_ids[np.searchsorted(splitters, everything, side="right")],
+            everything,
+            tag=_FINAL,
+        )
 
     outputs = {v: np.empty(0, np.int64) for v in order}
     for node in heavy:

@@ -64,6 +64,19 @@ class Distribution:
                 tags.add(str(tag))
             self._fragments[node] = node_fragments
         self._tags = frozenset(tags)
+        # The container is immutable, so every size statistic is fixed
+        # here: per tag (``None`` = all relations) the per-node sizes,
+        # zero-size nodes included, and their total.
+        self._sizes: dict[str | None, dict[NodeId, int]] = {
+            tag: dict.fromkeys(self._fragments, 0) for tag in (None, *tags)
+        }
+        for node, node_fragments in self._fragments.items():
+            for tag, fragment in node_fragments.items():
+                self._sizes[tag][node] = len(fragment)
+                self._sizes[None][node] += len(fragment)
+        self._totals = {
+            tag: sum(sizes.values()) for tag, sizes in self._sizes.items()
+        }
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -92,20 +105,21 @@ class Distribution:
         """
         return self._fragments.get(node, {}).get(str(tag), _EMPTY)
 
+    def _sizes_of(self, tag: str | None) -> dict:
+        known = self._sizes.get(tag if tag is None else str(tag))
+        return dict.fromkeys(self._fragments, 0) if known is None else known
+
     def size(self, node: NodeId, tag: str | None = None) -> int:
         """``|R_v|`` for one relation, or ``N_v`` summed over relations."""
-        relations = self._fragments.get(node, {})
-        if tag is not None:
-            return int(len(relations.get(str(tag), ())))
-        return int(sum(len(f) for f in relations.values()))
+        return self._sizes_of(tag).get(node, 0)
 
     def sizes(self, tag: str | None = None) -> dict:
         """Per-node sizes as a plain dict (zero-size nodes included)."""
-        return {node: self.size(node, tag) for node in self._fragments}
+        return dict(self._sizes_of(tag))
 
     def total(self, tag: str | None = None) -> int:
         """Total number of elements, for one relation or overall (``N``)."""
-        return sum(self.size(node, tag) for node in self._fragments)
+        return self._totals.get(tag if tag is None else str(tag), 0)
 
     def relation(self, tag: str) -> np.ndarray:
         """All elements of relation ``tag``, concatenated in node order."""

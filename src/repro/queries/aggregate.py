@@ -29,9 +29,10 @@ from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples, encode_tuples
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology, node_sort_key
+from repro.util.grouping import owner_bounds, sorted_runs
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -45,22 +46,80 @@ _REDUCERS: dict[str, Callable] = {
 }
 
 
+def combine_per_node_key(
+    owners: np.ndarray, keys: np.ndarray, values: np.ndarray, op: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregate ``values`` per distinct ``(node, key)`` pair.
+
+    ``owners`` holds each tuple's node index (a :meth:`Cluster.column
+    <repro.sim.cluster.Cluster.column>`); returns parallel
+    ``(owners, keys, values)`` columns with one row per pair, sorted by
+    node, then key — every node's combiner in one segmented pass.
+    """
+    order, starts, lengths = sorted_runs(owners, keys)
+    first = order[starts]
+    if op == "count":
+        combined = lengths.astype(np.int64)
+    else:
+        combined = _REDUCERS[op](values[order], starts)
+    return owners[first], keys[first], combined
+
+
 def combine_per_key(
     keys: np.ndarray, values: np.ndarray, op: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate ``values`` per distinct key; returns sorted unique keys."""
-    if len(keys) == 0:
-        return keys, values
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate([[0], boundaries])
-    unique_keys = keys[starts]
-    if op == "count":
-        counts = np.diff(np.concatenate([starts, [len(keys)]]))
-        return unique_keys, counts.astype(np.int64)
-    reducer = _REDUCERS[op]
-    return unique_keys, reducer(values, starts)
+    """Aggregate ``values`` per distinct key; returns sorted unique keys.
+
+    The one-node case of :func:`combine_per_node_key`.
+    """
+    return combine_per_node_key(
+        np.zeros(len(keys), np.int16), keys, values, op
+    )[1:]
+
+
+def hashed_groupby_round(
+    cluster: Cluster,
+    hasher: WeightedNodeHasher,
+    *,
+    tag: str,
+    recv_tag: str,
+    op: str,
+    payload_bits: int,
+    pre_aggregate: bool,
+) -> dict:
+    """Combine, shuffle by ``hasher`` and finalize: one group-by round.
+
+    Shared by the tree protocol and the uniform-hash baseline, which
+    differ only in the hash weights.  With ``pre_aggregate`` every node
+    ships one partial per key (``count`` partials are counts, so the
+    owners finalize them by ``sum``); without it raw tuples travel and
+    finalize under ``op``.  Returns the per-node
+    :class:`~repro.data.columns.KeyValueArrays` outputs.
+    """
+    with cluster.round() as ctx:
+        owners, payload = cluster.column(tag)
+        keys, values = decode_tuples(payload, payload_bits=payload_bits)
+        if pre_aggregate:
+            owners, keys, values = combine_per_node_key(
+                owners, keys, values, op
+            )
+            payload = encode_tuples(keys, values, payload_bits=payload_bits)
+        ctx.exchange_column(
+            owners, hasher.assign_indices(keys), payload, tag=recv_tag
+        )
+    owners, received = cluster.column(recv_tag)
+    keys, values = decode_tuples(received, payload_bits=payload_bits)
+    owners, keys, values = combine_per_node_key(
+        owners, keys, values, "sum" if pre_aggregate and op == "count" else op
+    )
+    computes = cluster.compute_order
+    bounds = owner_bounds(owners, len(computes))
+    # columnar output contract: the aggregation arrays go out as-is
+    # (a Mapping-compatible view, no per-key boxing)
+    return {
+        node: KeyValueArrays(keys[lo:hi], values[lo:hi])
+        for node, lo, hi in zip(computes, bounds, bounds[1:])
+    }
 
 
 def groupby_lower_bound(
@@ -151,39 +210,15 @@ def tree_groupby_aggregate(
         [max(sizes[v], 0) for v in computes],
         derive_seed(seed, "groupby"),
     )
-
-    # `count` partials are counts, not payload values: pre-combine emits
-    # (key, count) pairs which downstream must combine with `sum`.
-    combine_op = op
-    final_op = "sum" if op == "count" else op
-
-    with cluster.round() as ctx:
-        for v in computes:
-            local = cluster.local(v, tag)
-            if not len(local):
-                continue
-            keys, values = decode_tuples(local, payload_bits=payload_bits)
-            if pre_aggregate:
-                keys, values = combine_per_key(keys, values, combine_op)
-                payload = encode_tuples(
-                    keys, values, payload_bits=payload_bits
-                )
-            else:
-                payload = local
-            ctx.exchange(v, hasher.assign_indices(keys), payload, tag=_RECV)
-
-    outputs: dict = {}
-    for v in computes:
-        received = cluster.local(v, _RECV)
-        keys, values = decode_tuples(received, payload_bits=payload_bits)
-        # Pre-aggregated `count` partials are counts, combined by `sum`;
-        # raw tuples finalize under the original op.
-        final_keys, final_values = combine_per_key(
-            keys, values, final_op if pre_aggregate else op
-        )
-        # columnar output contract: the aggregation arrays go out as-is
-        # (a Mapping-compatible view, no per-key boxing)
-        outputs[v] = KeyValueArrays(final_keys, final_values)
+    outputs = hashed_groupby_round(
+        cluster,
+        hasher,
+        tag=tag,
+        recv_tag=_RECV,
+        op=op,
+        payload_bits=payload_bits,
+        pre_aggregate=pre_aggregate,
+    )
     return ProtocolResult.from_ledger(
         "tree-groupby",
         cluster.ledger,

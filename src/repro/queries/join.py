@@ -25,16 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.intersection.lower_bound import intersection_lower_bound
-from repro.core.intersection.partition import balanced_partition
+from repro.core.intersection.tree import hashed_partition_round
 from repro.core.common import LowerBound
 from repro.data.distribution import Distribution
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
-from repro.util.hashing import WeightedNodeHasher
-from repro.util.seeding import derive_seed
+from repro.topology.tree import TreeTopology
+from repro.util.grouping import owner_bounds, sorted_runs
 
 _R_RECV = "join.R.recv"
 _S_RECV = "join.S.recv"
@@ -66,6 +64,64 @@ def equijoin_lower_bound(
     )
 
 
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[j], starts[j] + counts[j])`` ranges."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def join_columns(
+    r_column: tuple[np.ndarray, np.ndarray],
+    s_column: tuple[np.ndarray, np.ndarray],
+    nodes: Sequence,
+    *,
+    payload_bits: int,
+    materialize: bool,
+) -> dict:
+    """Join two encoded columns on the key component, node by node.
+
+    Each side is a :meth:`Cluster.column <repro.sim.cluster.Cluster.column>`
+    pair over ``nodes``; the result maps every node to its
+    ``{"num_pairs", "num_keys"}`` and, with ``materialize=True``, its
+    joined ``(key, r_payload, s_payload)`` rows under ``"pairs"`` — key
+    ascending, then r-major with both sides in arrival order.  One
+    stable sort of both columns together by ``(node, key)`` puts each
+    run's ``R`` tuples ahead of its ``S`` tuples; a run joins when it
+    has both.
+    """
+    keys, payloads = decode_tuples(
+        np.concatenate((r_column[1], s_column[1])), payload_bits=payload_bits
+    )
+    owners = np.concatenate((r_column[0], s_column[0]))
+    order, starts, lengths = sorted_runs(owners, keys, stable=True)
+    s_counts = np.add.reduceat(order >= len(r_column[0]), starts, dtype=np.intp)
+    r_counts = lengths - s_counts
+    joined = np.flatnonzero((r_counts > 0) & (s_counts > 0))
+    starts, r_counts, s_counts = starts[joined], r_counts[joined], s_counts[joined]
+    run_bounds = owner_bounds(owners[order[starts]], len(nodes))
+    pairs_before = np.concatenate(([0], np.cumsum(r_counts * s_counts)))
+    pair_bounds = pairs_before[run_bounds].tolist()
+    results = {
+        node: {"num_pairs": hi - lo, "num_keys": run_hi - run_lo}
+        for node, lo, hi, run_lo, run_hi in zip(
+            nodes, pair_bounds, pair_bounds[1:], run_bounds, run_bounds[1:]
+        )
+    }
+    if materialize:
+        # one block of rows per R tuple of a joined run: the tuple
+        # against every S tuple of the run
+        left = _expand(starts, r_counts)
+        width = np.repeat(s_counts, r_counts)
+        right = _expand(np.repeat(starts + r_counts, r_counts), width)
+        left = order[np.repeat(left, width)]
+        pairs = np.stack(
+            [keys[left], payloads[left], payloads[order[right]]], axis=1
+        )
+        for node, lo, hi in zip(nodes, pair_bounds, pair_bounds[1:]):
+            results[node]["pairs"] = pairs[lo:hi]
+    return results
+
+
 def local_join(
     r_tuples: np.ndarray,
     s_tuples: np.ndarray,
@@ -75,35 +131,16 @@ def local_join(
 ) -> dict:
     """Join two encoded fragments on the key component.
 
-    Returns ``{"num_pairs", "num_keys"}`` and, with ``materialize=True``,
-    the joined ``(key, r_payload, s_payload)`` rows under ``"pairs"``.
-    Shared by the tree protocol and the gather/uniform-hash baselines.
+    The one-node case of :func:`join_columns`, for protocols that join
+    at a single target (the gather baseline).
     """
-    r_keys, r_payloads = decode_tuples(r_tuples, payload_bits=payload_bits)
-    s_keys, s_payloads = decode_tuples(s_tuples, payload_bits=payload_bits)
-    r_order = np.argsort(r_keys, kind="stable")
-    s_order = np.argsort(s_keys, kind="stable")
-    r_keys, r_payloads = r_keys[r_order], r_payloads[r_order]
-    s_keys, s_payloads = s_keys[s_order], s_payloads[s_order]
-    common = np.intersect1d(r_keys, s_keys)
-    num_pairs = 0
-    pairs: list = []
-    for key in common:
-        r_lo, r_hi = np.searchsorted(r_keys, [key, key + 1])
-        s_lo, s_hi = np.searchsorted(s_keys, [key, key + 1])
-        count = int(r_hi - r_lo) * int(s_hi - s_lo)
-        num_pairs += count
-        if materialize and count:
-            left = np.repeat(r_payloads[r_lo:r_hi], s_hi - s_lo)
-            right = np.tile(s_payloads[s_lo:s_hi], r_hi - r_lo)
-            keys = np.full(count, key, dtype=np.int64)
-            pairs.append(np.stack([keys, left, right], axis=1))
-    result: dict = {"num_pairs": num_pairs, "num_keys": int(len(common))}
-    if materialize:
-        result["pairs"] = (
-            np.concatenate(pairs) if pairs else np.empty((0, 3), np.int64)
-        )
-    return result
+    return join_columns(
+        (np.zeros(len(r_tuples), np.int16), r_tuples),
+        (np.zeros(len(s_tuples), np.int16), s_tuples),
+        (None,),
+        payload_bits=payload_bits,
+        materialize=materialize,
+    )[None]
 
 
 @register_protocol(
@@ -138,91 +175,26 @@ def tree_equijoin(
     small_recv, large_recv = (
         (_S_RECV, _R_RECV) if swapped else (_R_RECV, _S_RECV)
     )
-
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    node_index = {v: i for i, v in enumerate(computes)}
-    sizes = {
-        v: distribution.size(v, small_tag) + distribution.size(v, large_tag)
-        for v in computes
-    }
-    r_size = distribution.total(small_tag)
-    if blocks is None:
-        blocks = balanced_partition(tree, sizes, r_size)
-    blocks = [frozenset(b) for b in blocks]
-    block_of = {v: i for i, block in enumerate(blocks) for v in block}
-
-    hashers: list[WeightedNodeHasher | None] = []
-    members_per_block: list[list] = []
-    for i, block in enumerate(blocks):
-        members = sorted(block, key=node_sort_key)
-        members_per_block.append(members)
-        weights = [sizes[v] for v in members]
-        hashers.append(
-            WeightedNodeHasher(
-                members, weights, derive_seed(seed, "equijoin", i)
-            )
-            if sum(weights) > 0
-            else None
-        )
-    active = [i for i, h in enumerate(hashers) if h is not None]
-
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
-    with cluster.round() as ctx:
-        for v in computes:
-            r_local = cluster.local(v, small_tag)
-            if len(r_local) and active:
-                keys = np.asarray(r_local, dtype=np.int64) >> payload_bits
-                member_ids = {
-                    i: np.asarray(
-                        [node_index[m] for m in members_per_block[i]],
-                        dtype=np.int64,
-                    )
-                    for i in active
-                }
-                target_matrix = np.stack(
-                    [
-                        member_ids[i][hashers[i].assign_indices(keys)]
-                        for i in active
-                    ],
-                    axis=1,
-                )
-                unique_rows, inverse = np.unique(
-                    target_matrix, axis=0, return_inverse=True
-                )
-                destination_sets = [
-                    frozenset(computes[j] for j in row)
-                    for row in unique_rows.tolist()
-                ]
-                ctx.exchange_multicast(
-                    v,
-                    np.ravel(inverse),
-                    destination_sets,
-                    r_local,
-                    tag=small_recv,
-                )
-            s_local = cluster.local(v, large_tag)
-            if len(s_local):
-                hasher = hashers[block_of[v]]
-                if hasher is None:  # pragma: no cover
-                    continue
-                keys = np.asarray(s_local, dtype=np.int64) >> payload_bits
-                ctx.exchange(
-                    v,
-                    hasher.assign_indices(keys),
-                    s_local,
-                    tag=large_recv,
-                    nodes=members_per_block[block_of[v]],
-                )
-
-    outputs: dict = {}
-    for v in computes:
-        outputs[v] = local_join(
-            cluster.local(v, _R_RECV),
-            cluster.local(v, _S_RECV),
-            payload_bits=payload_bits,
-            materialize=materialize,
-        )
-
+    cluster, blocks, _, _ = hashed_partition_round(
+        tree,
+        distribution,
+        small_tag=small_tag,
+        large_tag=large_tag,
+        small_recv=small_recv,
+        large_recv=large_recv,
+        blocks=blocks,
+        seed=seed,
+        seed_scope="equijoin",
+        key_shift=payload_bits,
+        bits_per_element=bits_per_element,
+    )
+    outputs = join_columns(
+        cluster.column(_R_RECV),
+        cluster.column(_S_RECV),
+        cluster.compute_order,
+        payload_bits=payload_bits,
+        materialize=materialize,
+    )
     return ProtocolResult.from_ledger(
         "tree-equijoin",
         cluster.ledger,

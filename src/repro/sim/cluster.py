@@ -25,7 +25,11 @@ per-group Python loops), and round finalization delivers and charges
 all grouped transfers in bulk.  ``send``/``multicast``/``scatter``
 remain as thin wrappers over the same machinery, so protocols written
 against the per-transfer API keep working and keep producing identical
-ledgers.
+ledgers.  Hash-routed protocols go one step further and register a whole
+relation at once (:meth:`Cluster.column`,
+:meth:`RoundContext.exchange_column`,
+:meth:`RoundContext.exchange_multicast_column`): the same two streams,
+with an index array where the per-node calls carry one source node.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from repro.util.grouping import (
     cached_group_slices,
     concat_group_slices,
     group_slices,
+    index_dtype,
 )
 
 # ---------------------------------------------------------------------- #
@@ -164,13 +169,15 @@ class RoundContext:
         # destination frozensets, per-element group indices into that
         # tuple or None for "one group, everything to sets[0]",
         # payload, tag).  multicast() appends single-set records,
-        # exchange_multicast() batched ones; like the unicast stream,
+        # exchange_multicast() batched ones, exchange_multicast_column()
+        # records whose src is an array: the compute-order index of
+        # each *set's* source; like the unicast stream,
         # grouping is deferred to finalization so the whole round's
         # replicated traffic is grouped with one pass per tag and
         # charged with one vectorized Steiner-flow call.
         self._multicasts: list[
             tuple[
-                NodeId,
+                NodeId | np.ndarray,
                 tuple[frozenset, ...],
                 np.ndarray | None,
                 np.ndarray,
@@ -181,14 +188,16 @@ class RoundContext:
         # None for the canonical compute order, per-element target
         # indices or None for "everything to node_list[0]", payload,
         # tag).  send() appends constant-target records, exchange()
-        # scatter records; grouping is deferred to finalization so the
+        # scatter records, exchange_column() records whose src is an
+        # array: the compute-order index of each *element's* source;
+        # grouping is deferred to finalization so the
         # whole round is grouped with one pass, and registration order
         # is what keeps storage byte-identical to one send per
         # destination even when sends and exchanges mix on one
         # (dst, tag).
         self._unicast_stream: list[
             tuple[
-                NodeId,
+                NodeId | np.ndarray,
                 Sequence[NodeId] | None,
                 np.ndarray | None,
                 np.ndarray,
@@ -348,17 +357,19 @@ class RoundContext:
                 f"{len(payload)} values but {len(target_indices)} targets; "
                 "exchange needs one target index per element"
             )
-        cluster = self._cluster
-        node_list: Sequence[NodeId] = (
-            cluster.compute_order if nodes is None else list(nodes)
+        # an explicit list is copied once, as a tuple: finalization
+        # resolves each distinct list once per round, keyed by content
+        node_list = None if nodes is None else tuple(nodes)
+        candidates = (
+            self._cluster.compute_order if node_list is None else node_list
         )
         self._check_source(src)
         self._check_index_span(
-            target_indices, len(node_list), "target indices", "candidate nodes"
+            target_indices, len(candidates), "target indices", "candidate nodes"
         )
         if len(payload) == 0:
             return
-        if nodes is not None:
+        if node_list is not None:
             # The canonical compute order needs no checking; an explicit
             # node list is validated on the destinations actually used.
             used = np.flatnonzero(
@@ -366,11 +377,43 @@ class RoundContext:
             )
             for index in used.tolist():
                 self._check_destination(node_list[index])
-            node_list = list(node_list)
-        else:
-            node_list = None
         self._unicast_stream.append(
             (src, node_list, target_indices, payload, str(tag))
+        )
+
+    def exchange_column(self, sources, targets, values, *, tag: str) -> None:
+        """Scatter a whole relation: element ``i`` travels from compute
+        node ``compute_order[sources[i]]`` to ``compute_order[targets[i]]``.
+
+        The relation-at-a-time form of one :meth:`exchange` per run of
+        equal ``sources`` (``sources`` is what :meth:`Cluster.column`
+        returns as ``owners``): one registration and one stream record
+        for the relation instead of one per node, delivered and charged
+        byte-identically — per ``(dst, tag)`` the column's element order
+        is preserved.  Both index arrays address the canonical compute
+        order, so neither end of a transfer can be a router.
+        """
+        self._check_open()
+        payload = self._as_payload(values)
+        source_indices = self._as_indices(sources, "sources")
+        target_indices = self._as_indices(targets, "targets")
+        if not len(source_indices) == len(target_indices) == len(payload):
+            raise ProtocolError(
+                f"{len(payload)} values but {len(source_indices)} sources "
+                f"and {len(target_indices)} targets; exchange_column needs "
+                "one source and one target index per element"
+            )
+        count = len(self._cluster.compute_order)
+        self._check_index_span(
+            source_indices, count, "source indices", "compute nodes"
+        )
+        self._check_index_span(
+            target_indices, count, "target indices", "compute nodes"
+        )
+        if len(payload) == 0:
+            return
+        self._unicast_stream.append(
+            (source_indices, None, target_indices, payload, str(tag))
         )
 
     def exchange_multicast(
@@ -389,8 +432,7 @@ class RoundContext:
         group id: ``group_ids`` is a parallel integer array indexing
         into ``destination_sets``, the per-round Steiner destination
         sets a replicating protocol computed (one per hashed owner in
-        StarIntersect, one per distinct block-target row in
-        TreeIntersect, one per subscriber subset in the components
+        StarIntersect, one per subscriber subset in the components
         return leg).  Grouping is deferred to round finalization — one
         stable argsort per tag over the round's whole multicast stream
         — and the Steiner-tree edges of all groups are charged with a
@@ -401,18 +443,62 @@ class RoundContext:
         referenced by a group id are validated.
         """
         self._check_open()
+        self._check_source(src)
+        self._register_multicasts(src, group_ids, destination_sets, values, tag)
+
+    def exchange_multicast_column(
+        self,
+        group_sources,
+        group_ids,
+        destination_sets: Sequence[Iterable[NodeId]],
+        values,
+        *,
+        tag: str,
+    ) -> None:
+        """Replicate a whole relation: element ``i`` goes from compute
+        node ``compute_order[group_sources[group_ids[i]]]`` to every
+        node in ``destination_sets[group_ids[i]]``.
+
+        The relation-at-a-time form of :meth:`exchange_multicast`: a
+        group is a (source, destination set) pair, so one registration
+        carries every node's replicated elements (one group per distinct
+        block-target row in TreeIntersect).  Equivalent to one
+        :meth:`multicast` per group id, ascending, and delivered and
+        charged byte-identically to that loop.
+        """
+        self._check_open()
+        origins = self._as_indices(group_sources, "group sources")
+        if len(origins) != len(destination_sets):
+            raise ProtocolError(
+                f"{len(destination_sets)} destination sets but "
+                f"{len(origins)} group sources; exchange_multicast_column "
+                "needs one source index per set"
+            )
+        self._check_index_span(
+            origins,
+            len(self._cluster.compute_order),
+            "group sources",
+            "compute nodes",
+        )
+        self._register_multicasts(
+            origins, group_ids, destination_sets, values, tag
+        )
+
+    def _register_multicasts(
+        self, src, group_ids, destination_sets, values, tag: str
+    ) -> None:
+        """Validate and append one batched multicast record."""
         payload = self._as_payload(values)
         ids = self._as_indices(group_ids, "group ids")
         if len(ids) != len(payload):
             raise ProtocolError(
                 f"{len(payload)} values but {len(ids)} group ids; "
-                "exchange_multicast needs one group id per element"
+                "a batched multicast needs one group id per element"
             )
         sets = tuple(
             dsts if isinstance(dsts, frozenset) else frozenset(dsts)
             for dsts in destination_sets
         )
-        self._check_source(src)
         self._check_index_span(ids, len(sets), "group ids", "destination sets")
         if len(payload) == 0:
             return
@@ -547,8 +633,11 @@ class RoundContext:
         # (src, dst) -> element count, accumulated as a dense matrix
         # (node counts are small; 1024 nodes is an 8 MB matrix)
         pair_matrix = np.zeros((size, size), dtype=np.int64)
-        lookup_dtype = np.int16 if size < 2**15 else np.int64
+        lookup_dtype = index_dtype(size)
         compute_lookup = routing.compute_idx.astype(lookup_dtype)
+        # explicit node list -> routing-index lookup, resolved once per
+        # distinct list (a protocol passes the same list from every node)
+        lookups: dict[tuple | None, np.ndarray] = {None: compute_lookup}
         by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         for src, node_list, target_indices, payload, tag in (
             self._unicast_stream
@@ -558,18 +647,24 @@ class RoundContext:
                 dst_ids = np.full(len(payload), dst_id, lookup_dtype)
                 pair_matrix[index_of[src], dst_id] += len(payload)
             else:
-                if node_list is None:
-                    lookup = compute_lookup
-                else:
-                    lookup = np.fromiter(
-                        (index_of[n] for n in node_list),
+                lookup = lookups.get(node_list)
+                if lookup is None:
+                    lookup = lookups[node_list] = np.fromiter(
+                        map(index_of.__getitem__, node_list),
                         lookup_dtype,
                         len(node_list),
                     )
                 dst_ids = lookup[target_indices]
-                pair_matrix[index_of[src]] += np.bincount(
-                    dst_ids, minlength=size
-                )
+                if isinstance(src, np.ndarray):  # exchange_column()
+                    flat = compute_lookup[src].astype(np.intp) * size
+                    flat += dst_ids
+                    pair_matrix += np.bincount(
+                        flat, minlength=size * size
+                    ).reshape(size, size)
+                else:
+                    pair_matrix[index_of[src]] += np.bincount(
+                        dst_ids, minlength=size
+                    )
             by_tag.setdefault(tag, []).append((dst_ids, payload))
         return routing, by_tag, pair_matrix
 
@@ -625,14 +720,21 @@ class RoundContext:
         parts_by_tag: dict[
             str, list[tuple[np.ndarray | None, np.ndarray, int]]
         ] = {}
-        records_by_tag: dict[str, list[tuple[int, NodeId, tuple]]] = {}
+        records_by_tag: dict[str, list[tuple[int, list[int], tuple]]] = {}
         next_base: dict[str, int] = {}
         for src, sets, group_ids, payload, tag in self._multicasts:
             base = next_base.get(tag, 0)
             parts_by_tag.setdefault(tag, []).append(
                 (group_ids, payload, base)
             )
-            records_by_tag.setdefault(tag, []).append((base, src, sets))
+            # each set's source as a routing index: the record's one
+            # source, or one per set (exchange_multicast_column())
+            src_ids = (
+                routing.compute_idx[src].tolist()
+                if isinstance(src, np.ndarray)
+                else [index_of[src]] * len(sets)
+            )
+            records_by_tag.setdefault(tag, []).append((base, src_ids, sets))
             next_base[tag] = base + len(sets)
         if phases is not None:
             phases["group"] += perf_counter() - t0
@@ -665,7 +767,7 @@ class RoundContext:
                     and records[position + 1][0] <= gid
                 ):
                     position += 1
-                base, src, sets = records[position]
+                base, src_ids, sets = records[position]
                 dsts = sets[gid - base]
                 ids = set_ids.get(dsts)
                 if ids is None:
@@ -674,8 +776,9 @@ class RoundContext:
                     )
                     set_ids[dsts] = ids
                 member_ids.append(ids)
-                group_src[slot] = index_of[src]
-                batch_src.append(index_of[src])
+                src_id = src_ids[gid - base]
+                group_src[slot] = src_id
+                batch_src.append(src_id)
                 batch_sets.append(ids)
                 batch_counts.append(int(group_counts[slot]))
             # one row per (group, member); group rows by destination —
@@ -897,6 +1000,23 @@ class Cluster:
         silently rewrite storage — attempting it raises instead.
         """
         return self._storage.view(node, str(tag))
+
+    def column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """Relation ``tag`` across all compute nodes: ``(owners, values)``.
+
+        ``values`` concatenates every node's :meth:`local` view in
+        canonical compute order and ``owners[i]`` is the compute-order
+        index of the node holding ``values[i]`` — ascending, in the
+        routing index's narrow lookup dtype.  This is what the
+        relation-at-a-time calls (:meth:`RoundContext.exchange_column`)
+        and the segmented local kernels consume.
+        """
+        tag = str(tag)
+        view = self._storage.view
+        parts = [view(node, tag) for node in self.compute_order]
+        lengths = np.fromiter(map(len, parts), np.intp, len(parts))
+        positions = np.arange(len(parts), dtype=index_dtype(len(parts)))
+        return np.repeat(positions, lengths), np.concatenate(parts)
 
     def take(self, node: NodeId, tag: str) -> np.ndarray:
         """Remove and return ``node``'s data under ``tag`` (read-only)."""

@@ -24,7 +24,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.util.grouping import ContentCache, group_slices
+from repro.util.grouping import ContentCache, group_slices, index_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -34,7 +34,11 @@ _U64_SPAN = float(2**64)
 #: Memo behind :meth:`WeightedNodeHasher.assign_indices` /
 #: :meth:`~WeightedNodeHasher.assign_slices` (per thread/worker); keys
 #: combine the hasher's identity token with the values' content digest.
-ASSIGN_CACHE = ContentCache()
+#: Protocols hash whole relations, so an entry is relation-sized; the
+#: budget covers what one run re-reads (an iterative driver re-hashes
+#: one static key column per superstep: 4M narrow targets), not a
+#: history of past runs' relations.
+ASSIGN_CACHE = ContentCache(max_bytes=8 << 20)
 
 
 def splitmix64(values: np.ndarray, seed: int) -> np.ndarray:
@@ -99,6 +103,7 @@ class WeightedNodeHasher:
         if total <= 0:
             raise ValueError("at least one weight must be positive")
         self._nodes = list(nodes)
+        self._index_dtype = index_dtype(len(nodes))
         self._seed = int(seed)
         self._cumulative = np.cumsum(weight_array / total)
         # Guard against floating error: the last boundary must be exactly 1
@@ -118,7 +123,9 @@ class WeightedNodeHasher:
 
     def _compute_indices(self, values: np.ndarray) -> np.ndarray:
         points = hash_to_unit(values, self._seed)
-        return np.searchsorted(self._cumulative, points, side="right")
+        return np.searchsorted(self._cumulative, points, side="right").astype(
+            self._index_dtype
+        )
 
     def assign_indices(self, values: np.ndarray) -> np.ndarray:
         """Return the index (into ``nodes``) chosen for each value.

@@ -72,6 +72,33 @@ class TestAccessors:
         assert dist.total("R") == 4
         assert dist.total() == 6
 
+    def test_size_statistics_agree_with_the_fragments(self):
+        """Sizes and totals are computed once at construction; they must
+        say what walking the fragments says, for every tag spelling."""
+        dist = Distribution(
+            {"v1": {"R": [1, 2, 3], 7: [5]}, "v2": {"R": []}, "v3": {}}
+        )
+        for tag in ("R", "7", 7, "absent", None):
+            walked = {
+                node: sum(
+                    len(dist.fragment(node, t))
+                    for t in (dist.tags if tag is None else [tag])
+                )
+                for node in dist.nodes
+            }
+            assert dist.sizes(tag) == walked
+            assert dist.total(tag) == sum(walked.values())
+            for node in (*dist.nodes, "ghost"):
+                assert dist.size(node, tag) == walked.get(node, 0)
+                assert type(dist.size(node, tag)) is int
+
+    def test_sizes_dict_is_a_copy(self):
+        dist = sample_distribution()
+        dist.sizes("R")["v1"] = 99
+        assert dist.size("v1", "R") == 3
+        assert dist.with_fragment("v3", "R", [8, 9]).sizes("R")["v3"] == 2
+        assert dist.sizes("R")["v3"] == 0
+
     def test_relation_concatenates_in_node_order(self):
         values = sample_distribution().relation("R")
         assert sorted(values.tolist()) == [1, 2, 3, 4]

@@ -1,0 +1,270 @@
+"""The segmented local kernels equal a per-node loop over the old bodies.
+
+``intersect_columns``, ``join_columns`` and ``combine_per_node_key``
+evaluate every node's local computation in one pass over whole columns;
+the reference (``tests/reference_kernels.py``) splits the columns back
+into per-node fragments and runs ``np.intersect1d`` / the per-key join /
+the sort-and-``reduceat`` combiner on each.  Outputs must agree value for
+value and row for row.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.intersection.tree import intersect_columns
+from repro.queries.aggregate import combine_per_key, combine_per_node_key
+from repro.queries.join import join_columns, local_join
+from repro.queries.tuples import encode_tuples
+from repro.util.grouping import owner_bounds
+
+from tests.reference_kernels import (
+    reference_combine_per_key,
+    reference_combine_per_node_key,
+    reference_intersect_columns,
+    reference_join_columns,
+    reference_local_join,
+)
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+#: Set elements that break any scheme packing ``(node, value)`` by shifts.
+EXTREME_ELEMENTS = st.sampled_from(
+    [INT64_MIN, INT64_MIN + 1, -(2**40), -1, 0, 1, 2**40, INT64_MAX - 1, INT64_MAX]
+)
+
+
+@st.composite
+def columns(draw, num_nodes: int, elements, *, max_per_node: int = 6):
+    """An ``(owners, values)`` column: ascending owners, some nodes empty."""
+    sizes = [draw(st.integers(0, max_per_node)) for _ in range(num_nodes)]
+    owners = np.repeat(np.arange(num_nodes, dtype=np.int16), sizes)
+    values = draw(
+        st.lists(elements, min_size=int(sum(sizes)), max_size=int(sum(sizes)))
+    )
+    return owners, np.asarray(values, dtype=np.int64)
+
+
+@st.composite
+def set_columns(draw):
+    num_nodes = draw(st.integers(1, 5))
+    elements = EXTREME_ELEMENTS | st.integers(-6, 6)
+    return (
+        num_nodes,
+        draw(columns(num_nodes, elements)),
+        draw(columns(num_nodes, elements)),
+    )
+
+
+@st.composite
+def tuple_columns(draw):
+    """Two encoded columns whose keys repeat within and across both sides."""
+    num_nodes = draw(st.integers(1, 5))
+    payload_bits = draw(st.sampled_from([1, 20, 40]))
+    keys = st.integers(0, 4) | st.just(2 ** (62 - payload_bits) - 1)
+    payloads = st.integers(0, min(2**payload_bits - 1, 9)) | st.just(
+        2**payload_bits - 1
+    )
+    sides = []
+    for _ in range(2):
+        owners, key_column = draw(columns(num_nodes, keys))
+        payload_column = draw(
+            st.lists(payloads, min_size=len(owners), max_size=len(owners))
+        )
+        sides.append(
+            (
+                owners,
+                encode_tuples(
+                    key_column,
+                    np.asarray(payload_column, dtype=np.int64),
+                    payload_bits=payload_bits,
+                ),
+            )
+        )
+    return num_nodes, payload_bits, sides[0], sides[1]
+
+
+def _assert_join_results_equal(actual: list, expected: list) -> None:
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got.keys() == want.keys()
+        assert got["num_pairs"] == want["num_pairs"]
+        assert got["num_keys"] == want["num_keys"]
+        assert type(got["num_pairs"]) is int and type(got["num_keys"]) is int
+        if "pairs" in want:
+            assert got["pairs"].dtype == np.int64
+            assert got["pairs"].shape == want["pairs"].shape
+            assert np.array_equal(got["pairs"], want["pairs"])
+
+
+class TestIntersectColumns:
+    @given(set_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_node_intersect1d(self, instance):
+        num_nodes, (r_owners, r_values), (s_owners, s_values) = instance
+        actual = intersect_columns(
+            (r_owners, r_values), (s_owners, s_values), range(num_nodes)
+        )
+        expected = reference_intersect_columns(
+            r_owners, r_values, s_owners, s_values, num_nodes
+        )
+        assert list(actual) == list(range(num_nodes))
+        for node, want in enumerate(expected):
+            assert actual[node].dtype == np.int64
+            assert np.array_equal(actual[node], want)
+
+    def test_nodes_holding_nothing_or_one_side_only(self):
+        empty = np.empty(0, np.int64)
+        owners = np.asarray([1, 1, 2], dtype=np.int16)
+        values = np.asarray([5, 5, 9], dtype=np.int64)
+        # node 0 holds nothing, node 1 only R, node 2 both
+        outputs = intersect_columns(
+            (owners, values),
+            (np.asarray([2], np.int16), np.asarray([9])),
+            "abc",
+        )
+        assert {v: out.tolist() for v, out in outputs.items()} == {
+            "a": [],
+            "b": [],
+            "c": [9],
+        }
+        nothing = (empty.astype(np.int16), empty)
+        outputs = intersect_columns(nothing, nothing, range(4))
+        assert len(outputs) == 4
+        assert all(len(out) == 0 for out in outputs.values())
+
+    def test_same_value_on_two_nodes_is_not_common(self):
+        """``(node, value)`` identity: a value on node 0's R side and on
+        node 1's S side meets nowhere, even at the int64 extremes."""
+        for value in (INT64_MIN, INT64_MAX, -1):
+            outputs = intersect_columns(
+                (np.asarray([0], np.int16), np.asarray([value])),
+                (np.asarray([1], np.int16), np.asarray([value])),
+                range(2),
+            )
+            assert [out.tolist() for out in outputs.values()] == [[], []]
+
+
+class TestJoinColumns:
+    @given(tuple_columns(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_node_local_join(self, instance, materialize):
+        num_nodes, payload_bits, (r_owners, r_tuples), (s_owners, s_tuples) = (
+            instance
+        )
+        actual = join_columns(
+            (r_owners, r_tuples),
+            (s_owners, s_tuples),
+            range(num_nodes),
+            payload_bits=payload_bits,
+            materialize=materialize,
+        )
+        assert list(actual) == list(range(num_nodes))
+        expected = reference_join_columns(
+            r_owners,
+            r_tuples,
+            s_owners,
+            s_tuples,
+            num_nodes,
+            payload_bits=payload_bits,
+            materialize=materialize,
+        )
+        _assert_join_results_equal(list(actual.values()), expected)
+
+    @given(tuple_columns(), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_local_join_is_the_one_node_case(self, instance, materialize):
+        _, payload_bits, (_, r_tuples), (_, s_tuples) = instance
+        _assert_join_results_equal(
+            [
+                local_join(
+                    r_tuples,
+                    s_tuples,
+                    payload_bits=payload_bits,
+                    materialize=materialize,
+                )
+            ],
+            [
+                reference_local_join(
+                    r_tuples,
+                    s_tuples,
+                    payload_bits=payload_bits,
+                    materialize=materialize,
+                )
+            ],
+        )
+
+    def test_row_order_is_key_ascending_then_r_major(self):
+        r = encode_tuples([7, 3, 7], [1, 2, 3])
+        s = encode_tuples([7, 7, 3], [4, 5, 6])
+        zeros = np.zeros(3, np.int16)
+        result = join_columns(
+            (zeros, r), (zeros, s), ["v"], payload_bits=20, materialize=True
+        )["v"]
+        assert result["pairs"].tolist() == [
+            [3, 2, 6],
+            [7, 1, 4],
+            [7, 1, 5],
+            [7, 3, 4],
+            [7, 3, 5],
+        ]
+
+    def test_a_node_joining_nothing_gets_an_empty_table(self):
+        r = encode_tuples([1], [0])
+        results = join_columns(
+            (np.asarray([0], np.int16), r),
+            (np.asarray([1], np.int16), r),
+            range(2),
+            payload_bits=20,
+            materialize=True,
+        )
+        for result in results.values():
+            assert result["num_pairs"] == result["num_keys"] == 0
+            assert result["pairs"].shape == (0, 3)
+            assert result["pairs"].dtype == np.int64
+
+
+class TestCombinePerNodeKey:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                columns(n, st.integers(0, 5)),
+                st.integers(0, 2**16),
+            )
+        ),
+        st.sampled_from(["sum", "count", "min", "max"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_node_combine_per_key(self, instance, op):
+        num_nodes, (owners, keys), seed = instance
+        values = np.random.default_rng(seed).integers(-50, 50, len(keys))
+        out_owners, out_keys, out_values = combine_per_node_key(
+            owners, keys, values, op
+        )
+        assert np.all(np.diff(out_owners) >= 0)
+        bounds = owner_bounds(out_owners, num_nodes)
+        expected = reference_combine_per_node_key(
+            owners, keys, values, op, num_nodes
+        )
+        for (want_keys, want_values), lo, hi in zip(
+            expected, bounds, bounds[1:]
+        ):
+            assert np.array_equal(out_keys[lo:hi], want_keys)
+            assert np.array_equal(out_values[lo:hi], want_values)
+            assert out_values.dtype == np.int64
+
+    @pytest.mark.parametrize("op", ["sum", "count", "min", "max"])
+    def test_combine_per_key_is_the_one_node_case(self, op):
+        keys = np.asarray([4, 1, 4, 9, 1, 4], dtype=np.int64)
+        values = np.asarray([3, -2, 8, 0, 5, 1], dtype=np.int64)
+        got = combine_per_key(keys, values, op)
+        want = reference_combine_per_key(keys, values, op)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("op", ["sum", "count", "min", "max"])
+    def test_empty_input(self, op):
+        empty = np.empty(0, np.int64)
+        keys, values = combine_per_key(empty, empty, op)
+        assert len(keys) == len(values) == 0

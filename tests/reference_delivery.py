@@ -18,6 +18,10 @@ per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
   that alias one node under two positions of an explicit node list
   collapse into a single delivery, in original element order;
 * ``exchange_multicast`` is one ``multicast`` per group id, ascending;
+* ``exchange_column`` is one ``exchange`` per run of equal ``sources`` in
+  column order, from ``compute_order[sources[run]]``;
+* ``exchange_multicast_column`` is one ``multicast`` per group id,
+  ascending, from ``compute_order[group_sources[gid]]``;
 * within a round all unicasts are delivered before all multicasts, and
   each ``(dst, tag)`` column receives its chunks in registration order,
   then group id, then element order.
@@ -55,6 +59,30 @@ class ReferenceRoundContext(RoundContext):
         sets = list(destination_sets)
         for gid in np.unique(ids).tolist():
             self.multicast(src, sets[gid], payload[ids == gid], tag=tag)
+
+    def exchange_column(self, sources, targets, values, *, tag):
+        order = self._cluster.compute_order
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        payload = self._as_payload(values)
+        cuts = [0, *(np.flatnonzero(np.diff(sources)) + 1).tolist(), len(sources)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi > lo:
+                self.exchange(
+                    order[sources[lo]], targets[lo:hi], payload[lo:hi], tag=tag
+                )
+
+    def exchange_multicast_column(
+        self, group_sources, group_ids, destination_sets, values, *, tag
+    ):
+        order = self._cluster.compute_order
+        payload = self._as_payload(values)
+        ids = np.asarray(group_ids, dtype=np.int64)
+        sets = list(destination_sets)
+        for gid in np.unique(ids).tolist():
+            self.multicast(
+                order[group_sources[gid]], sets[gid], payload[ids == gid], tag=tag
+            )
 
     def _finalize_bulk(self) -> None:
         cluster = self._cluster

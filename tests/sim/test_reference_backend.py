@@ -5,7 +5,8 @@ the ``"sim"`` entry of the backend factory table for
 ``tests/reference_delivery.ReferenceCluster`` runs the protocol's own
 code — hashing, planning, supersteps — on the transfer-by-transfer
 definition of a round.  The two runs must agree on the cost, the round
-count, every round's per-edge loads and every node's output.
+count, every round's per-edge loads, every cluster's received counts and
+per-``(node, tag)`` storage bytes, every node's output and the meta.
 """
 
 import numpy as np
@@ -13,49 +14,105 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.baselines.uniform_hash import (
+    uniform_hash_equijoin,
+    uniform_hash_groupby,
+    uniform_hash_intersect,
+)
 from repro.core.intersection.star import star_intersect
 from repro.core.intersection.tree import tree_intersect
 from repro.core.sorting.wts import weighted_terasort
 from repro.data.distribution import Distribution
 from repro.graphs.components import uniform_hash_connected_components
+from repro.parallel.oracle import assert_clusters_identical
+from repro.queries.aggregate import tree_groupby_aggregate
 from repro.queries.join import tree_equijoin
 from repro.queries.tuples import encode_tuples
 from repro.sim import cluster as cluster_module
 
 from tests.reference_delivery import ReferenceCluster
-from tests.strategies import graph_instances, set_pair_instances, sort_instances
+from tests.strategies import (
+    graph_instances,
+    keyed_instances,
+    set_pair_instances,
+    sort_instances,
+)
 
 
-def _on_reference(protocol, tree, distribution, **opts):
-    """Run ``protocol`` with ``"sim"`` clusters built by the reference."""
+def _run_on(cluster_class, protocol, tree, distribution, **opts):
+    """Run ``protocol`` with ``"sim"`` clusters built by ``cluster_class``;
+    returns the result and every cluster the protocol built."""
     built = []
 
     def factory(*args, **kwargs):
-        built.append(ReferenceCluster(*args, **kwargs))
+        built.append(cluster_class(*args, **kwargs))
         return built[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(cluster_module._BACKEND_FACTORIES, "sim", factory)
         result = protocol(tree, distribution, **opts)
     assert built, "the protocol never asked the factory table for a cluster"
-    return result
+    return result, built
+
+
+def _assert_same_output(actual, expected, where) -> None:
+    if isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray), where
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert np.array_equal(actual, expected), where
+    elif isinstance(expected, dict):  # a join's counts and pairs table
+        assert actual.keys() == expected.keys(), where
+        for key, value in expected.items():
+            _assert_same_output(actual[key], value, (where, key))
+    else:
+        assert type(actual) is type(expected), where
+        assert actual == expected, where
 
 
 def _assert_same_run(protocol, tree, distribution, **opts):
-    production = protocol(tree, distribution, **opts)
-    reference = _on_reference(protocol, tree, distribution, **opts)
+    """Cost, every round's loads, every cluster's received counts and
+    storage bytes, every node's output and the meta agree."""
+    production, clusters = _run_on(
+        cluster_module.Cluster, protocol, tree, distribution, **opts
+    )
+    reference, references = _run_on(
+        ReferenceCluster, protocol, tree, distribution, **opts
+    )
     assert production.rounds == reference.rounds
     assert production.cost == reference.cost
     for index in range(production.rounds):
         assert production.ledger.round_loads(
             index
         ) == reference.ledger.round_loads(index), f"round {index}"
+    assert len(clusters) == len(references)
+    for ours, theirs in zip(clusters, references):
+        assert_clusters_identical(
+            ours, theirs, a_name="production", b_name="reference"
+        )
     assert production.outputs.keys() == reference.outputs.keys()
     for node, output in production.outputs.items():
-        if isinstance(output, np.ndarray):
-            assert np.array_equal(output, reference.outputs[node]), node
-        else:
-            assert output == reference.outputs[node], node
+        _assert_same_output(output, reference.outputs[node], node)
+    # (a driver's per-superstep reports carry wall times)
+    timeless = [
+        {key: value for key, value in meta.items() if key != "supersteps"}
+        for meta in (production.meta, reference.meta)
+    ]
+    assert repr(timeless[0]) == repr(timeless[1])
+
+
+def _as_tuples(sets: Distribution, num_keys: int = 5) -> Distribution:
+    """Set elements become payloads under a handful of join keys."""
+    return Distribution(
+        {
+            node: {
+                tag: encode_tuples(
+                    sets.fragment(node, tag) % num_keys, sets.fragment(node, tag)
+                )
+                for tag in ("R", "S")
+            }
+            for node in sets.nodes
+        }
+    )
 
 
 @st.composite
@@ -91,20 +148,53 @@ class TestWholeProtocolDifferential:
     def test_weighted_terasort(self, instance):
         _assert_same_run(weighted_terasort, *instance, seed=3)
 
+    @given(instance=set_pair_instances(max_nodes=8), materialize=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_tree_equijoin(self, instance, materialize):
+        tree, sets = instance
+        _assert_same_run(
+            tree_equijoin, tree, _as_tuples(sets), seed=3, materialize=materialize
+        )
+
+    @given(
+        instance=keyed_instances(max_nodes=8),
+        op=st.sampled_from(["sum", "count", "min", "max"]),
+        pre_aggregate=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tree_groupby_aggregate(self, instance, op, pre_aggregate):
+        _assert_same_run(
+            tree_groupby_aggregate,
+            *instance,
+            seed=3,
+            op=op,
+            pre_aggregate=pre_aggregate,
+        )
+
     @given(instance=set_pair_instances(max_nodes=8))
     @settings(max_examples=25, deadline=None)
-    def test_tree_equijoin(self, instance):
+    def test_uniform_hash_intersect(self, instance):
+        _assert_same_run(uniform_hash_intersect, *instance, seed=3)
+
+    @given(instance=set_pair_instances(max_nodes=8))
+    @settings(max_examples=25, deadline=None)
+    def test_uniform_hash_equijoin(self, instance):
         tree, sets = instance
-        # the set elements become payloads under a handful of join keys
-        tuples = Distribution(
-            {
-                node: {
-                    tag: encode_tuples(
-                        sets.fragment(node, tag) % 5, sets.fragment(node, tag)
-                    )
-                    for tag in ("R", "S")
-                }
-                for node in sets.nodes
-            }
+        _assert_same_run(
+            uniform_hash_equijoin, tree, _as_tuples(sets), seed=3, materialize=True
         )
-        _assert_same_run(tree_equijoin, tree, tuples, seed=3)
+
+    @given(
+        instance=keyed_instances(max_nodes=8),
+        op=st.sampled_from(["sum", "count", "min", "max"]),
+        pre_aggregate=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_uniform_hash_groupby(self, instance, op, pre_aggregate):
+        _assert_same_run(
+            uniform_hash_groupby,
+            *instance,
+            seed=3,
+            op=op,
+            pre_aggregate=pre_aggregate,
+        )

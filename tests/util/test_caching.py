@@ -216,3 +216,32 @@ class TestCachedAssignment:
         first = hasher.assign_slices(values)
         second = hasher.assign_slices(values.copy())
         assert second is first
+
+    def test_targets_are_stored_in_the_narrow_lookup_dtype(self):
+        values = np.arange(5000, dtype=np.int64)
+        assert self._hasher().assign_indices(values).dtype == np.int16
+        assert self._hasher().assign_indices(values[:10]).dtype == np.int16
+        wide = WeightedNodeHasher(range(2**15), [1.0] * 2**15, 5)
+        assert wide.assign_indices(values).dtype == np.int64
+
+    def test_budget_bounds_resident_bytes_over_many_relations(self):
+        """Protocols hash whole relations, so the memo sees one
+        relation-sized input per query; a hundred distinct ones must
+        leave no more resident than the budget, and the most recent
+        stay memoized."""
+        hasher = self._hasher()
+        rng = np.random.default_rng(0)
+        relations = [
+            rng.integers(0, 2**40, 300_000, dtype=np.int64) for _ in range(100)
+        ]
+        for relation in relations:
+            hasher.assign_indices(relation)
+        resident = sum(
+            targets.nbytes for targets in ASSIGN_CACHE._entries.values()
+        )
+        assert ASSIGN_CACHE.max_bytes == 8 << 20
+        assert 0 < resident == ASSIGN_CACHE._total_bytes <= ASSIGN_CACHE.max_bytes
+        assert 100 * relations[0].nbytes // 4 > ASSIGN_CACHE.max_bytes
+        hits = ASSIGN_CACHE.hits
+        hasher.assign_indices(relations[-1])
+        assert ASSIGN_CACHE.hits == hits + 1
