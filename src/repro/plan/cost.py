@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import PlanError
 from repro.plan.relation import PlacedRelation
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 
 # The tree protocols replicate the smaller relation across the
 # balanced-partition blocks, which a plain shuffle expectation misses;
@@ -44,7 +44,7 @@ from repro.topology.tree import NodeId, TreeTopology, node_sort_key
 TREE_COST_CALIBRATION = 1.8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationStats:
     """Cardinality statistics for one (possibly estimated) relation.
 
@@ -56,12 +56,15 @@ class RelationStats:
         Estimated distinct values per column name.
     profile:
         Estimated rows per compute node — where the relation lives, the
-        input the per-link cost estimators work from.
+        input the per-link cost estimators work from: a ``float64``
+        vector in ``tree.routing_index.compute_nodes`` order (see
+        :func:`placement_profile`), ``None`` for a join output whose
+        protocol is not chosen yet.
     """
 
     rows: float
     distinct: dict = field(default_factory=dict)
-    profile: dict = field(default_factory=dict)
+    profile: np.ndarray | None = None
 
     def distinct_of(self, column: str) -> float:
         value = self.distinct.get(column)
@@ -70,17 +73,44 @@ class RelationStats:
         return max(1.0, min(float(value), max(self.rows, 1.0)))
 
 
-def stats_of(relation: PlacedRelation) -> RelationStats:
-    """Exact statistics of a base relation (the model's prior knowledge)."""
+def placement_profile(
+    tree: TreeTopology, sizes: Mapping[NodeId, float]
+) -> np.ndarray:
+    """``sizes`` as a vector in ``tree.routing_index.compute_nodes`` order.
+
+    The one way a node-keyed mapping enters the cost model: nodes it
+    leaves out hold nothing, a key that is not a compute node of
+    ``tree`` is an error, not a weight to drop or to count.
+    """
+    for node in sizes:
+        if node not in tree.compute_nodes:
+            raise PlanError(
+                f"profile places rows on {node!r}, which is not a compute "
+                f"node of {tree.name}"
+            )
+    return np.array(
+        [sizes.get(v, 0.0) for v in tree.routing_index.compute_nodes],
+        dtype=np.float64,
+    )
+
+
+def cardinalities_of(relation: PlacedRelation) -> tuple[float, dict]:
+    """Exact ``(rows, distinct count per column)`` of a base relation."""
     rows = relation.rows()
     distinct = {
         name: int(len(np.unique(rows[:, i]))) if len(rows) else 0
         for i, name in enumerate(relation.schema.columns)
     }
+    return float(len(rows)), distinct
+
+
+def stats_of(relation: PlacedRelation, tree: TreeTopology) -> RelationStats:
+    """Exact statistics of a base relation (the model's prior knowledge)."""
+    rows, distinct = cardinalities_of(relation)
     return RelationStats(
-        rows=float(len(rows)),
+        rows=rows,
         distinct=distinct,
-        profile={n: float(s) for n, s in relation.sizes().items()},
+        profile=placement_profile(tree, relation.sizes()),
     )
 
 
@@ -108,7 +138,7 @@ def join_stats(
         else:
             raise PlanError(f"output column {name!r} came from neither side")
         distinct[name] = min(float(base), max(joined, 1.0))
-    return RelationStats(rows=joined, distinct=distinct, profile={})
+    return RelationStats(rows=joined, distinct=distinct)
 
 
 def filter_stats(stats: RelationStats, column: str, op: str) -> RelationStats:
@@ -127,202 +157,168 @@ def filter_stats(stats: RelationStats, column: str, op: str) -> RelationStats:
     }
     if op == "==":
         distinct[column] = 1.0
-    profile = {
-        node: size * selectivity for node, size in stats.profile.items()
-    }
-    return RelationStats(rows=rows, distinct=distinct, profile=profile)
+    return RelationStats(
+        rows=rows, distinct=distinct, profile=stats.profile * selectivity
+    )
 
 
 def groupby_stats(stats: RelationStats, key: str) -> RelationStats:
     """Estimated statistics after grouping on ``key``."""
     groups = stats.distinct_of(key) if stats.rows else 0.0
-    return RelationStats(
-        rows=groups, distinct={key: groups}, profile={}
-    )
+    return RelationStats(rows=groups, distinct={key: groups})
 
 
 # --------------------------------------------------------------------- #
-# per-link shuffle estimates
+# the per-link cost model
 # --------------------------------------------------------------------- #
 
 
-def _shuffle_cost(
-    tree: TreeTopology,
-    profiles: Sequence[Mapping[NodeId, float]],
-    destination_weights: Mapping[NodeId, float],
-) -> float:
-    """Expected ``max_e load(e) / w_e`` of hashing ``profiles`` by weight.
-
-    Each element at node ``v`` is routed independently to node ``u``
-    with probability proportional to ``destination_weights[u]``; the
-    expected load of the directed link ``a -> b`` is then
-    ``size(side of a) * P(destination on side of b)``.
-    """
-    total_weight = sum(destination_weights.values())
-    if total_weight <= 0:
-        return 0.0
-    combined = {}
-    for profile in profiles:
-        for node, size in profile.items():
-            combined[node] = combined.get(node, 0.0) + float(size)
-    side_sizes = tree.side_weights(combined)
-    side_weights = tree.side_weights(destination_weights)
-    worst = 0.0
-    for edge in tree.undirected_edges():
-        a_size, b_size = side_sizes[edge]
-        a_weight, b_weight = side_weights[edge]
-        a, b = edge
-        forward = a_size * (b_weight / total_weight) / tree.bandwidth(a, b)
-        backward = b_size * (a_weight / total_weight) / tree.bandwidth(b, a)
-        worst = max(worst, forward, backward)
-    return worst
-
-
-def _uniform_weights(tree: TreeTopology) -> dict:
-    return {v: 1.0 for v in tree.compute_nodes}
-
-
-def estimate_uniform_hash_cost(
-    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
-) -> float:
-    """Expected stage cost of the uniform-hash baseline."""
-    return _shuffle_cost(tree, profiles, _uniform_weights(tree))
-
-
-def estimate_tree_cost(
-    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
-) -> float:
-    """Estimated stage cost of the distribution-aware tree protocols.
-
-    Expected load of a placement-weighted shuffle, floored by the
-    Theorem-1-style per-link bound (for every link, any correct keyed
-    protocol pays at least ``min(totals..., side sums) / w_e``), then
-    scaled by :data:`TREE_COST_CALIBRATION`.
-    """
-    combined = {}
-    for profile in profiles:
-        for node, size in profile.items():
-            combined[node] = combined.get(node, 0.0) + float(size)
-    weights = {v: combined.get(v, 0.0) for v in tree.compute_nodes}
-    if all(w <= 0 for w in weights.values()):
-        return 0.0
-    expectation = _shuffle_cost(tree, profiles, weights)
-    totals = [sum(p.values()) for p in profiles]
-    side_sizes = tree.side_weights(combined)
-    bound = 0.0
-    for edge in tree.undirected_edges():
-        a_size, b_size = side_sizes[edge]
-        cap = min(totals + [a_size, b_size])
-        bound = max(bound, cap / tree.undirected_bandwidth(edge))
-    return TREE_COST_CALIBRATION * max(expectation, bound)
-
-
-def estimate_gather_cost(
-    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
-) -> tuple[float, NodeId]:
-    """Exact stage cost of gathering everything at the best target."""
-    combined = {v: 0.0 for v in tree.compute_nodes}
-    for profile in profiles:
-        for node, size in profile.items():
-            combined[node] = combined.get(node, 0.0) + float(size)
-    target = max(
-        sorted(combined, key=node_sort_key), key=lambda v: combined[v]
-    )
-    side_sizes = tree.side_weights(combined)
-    cost = 0.0
-    for edge in tree.undirected_edges():
-        a_side, b_side = tree.compute_sides(edge)
-        a_size, b_size = side_sizes[edge]
-        a, b = edge
-        if target in b_side:
-            cost = max(cost, a_size / tree.bandwidth(a, b))
-        else:
-            cost = max(cost, b_size / tree.bandwidth(b, a))
-    return cost, target
-
-
-# --------------------------------------------------------------------- #
-# the stage-level cost model
-# --------------------------------------------------------------------- #
+def _total(profile: np.ndarray) -> float:
+    """The rows of ``profile``, added up in compute order."""
+    return sum(profile.tolist())
 
 
 class CostModel:
     """Scores candidate ``(operator, protocol)`` stages on one topology.
 
-    Estimates both the stage cost and the output *placement profile*
-    (where the result rows land), which feeds the next stage's
-    estimate — a gather stage leaves everything on one node, a uniform
-    shuffle spreads it evenly, a weighted shuffle follows the data.
+    Every estimate is a few array expressions over the per-link side
+    sums (:meth:`TreeTopology.link_side_sums`) of a placement profile,
+    a vector in ``tree.routing_index.compute_nodes`` order.  Beside the
+    stage cost the model estimates the output profile (where the result
+    rows land), which feeds the next stage's estimate — a gather stage
+    leaves everything on one node, a uniform shuffle spreads it evenly,
+    a weighted shuffle follows the data.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
         self.tree = tree
-        self._computes = sorted(tree.compute_nodes, key=node_sort_key)
+        index = tree.routing_index
+        self._computes = index.compute_nodes
+        self._forward = index.link_forward
+        self._backward = index.link_backward
+        self._uniform = np.ones(len(self._computes))
+        self._uniform_sides = tree.link_side_sums(self._uniform)
 
-    def _spread(self, rows: float, weights: Mapping[NodeId, float]) -> dict:
-        total = sum(weights.values())
+    def shuffle_cost(
+        self, sizes: tuple, weights: tuple, total_weight: float
+    ) -> float:
+        """Expected ``max_e load(e) / w_e`` of hashing rows by weight.
+
+        ``sizes`` and ``weights`` are the per-link side sums of the rows
+        shipped and of the destination weights: an element is routed to
+        node ``u`` with probability proportional to ``u``'s weight, so
+        the directed link ``a -> b`` expects ``size(side of a) *
+        P(destination on side of b)``.
+        """
+        if total_weight <= 0:
+            return 0.0
+        forward = sizes[0] * (weights[1] / total_weight) / self._forward
+        backward = sizes[1] * (weights[0] / total_weight) / self._backward
+        return float(max(forward.max(initial=0.0), backward.max(initial=0.0)))
+
+    def uniform_hash_cost(self, sizes: tuple) -> float:
+        """Expected stage cost of the uniform-hash baseline."""
+        return self.shuffle_cost(
+            sizes, self._uniform_sides, float(len(self._computes))
+        )
+
+    def tree_cost(
+        self, combined: np.ndarray, sizes: tuple, totals: Sequence[float]
+    ) -> float:
+        """Estimated stage cost of the distribution-aware tree protocols.
+
+        Expected load of a placement-weighted shuffle, floored by the
+        Theorem-1-style per-link bound (for every link, any correct keyed
+        protocol pays at least ``min(totals..., side sums) / w_e``), then
+        scaled by :data:`TREE_COST_CALIBRATION`.
+        """
+        if not (combined > 0).any():
+            return 0.0
+        expectation = self.shuffle_cost(sizes, sizes, _total(combined))
+        cap = np.minimum(np.minimum(*sizes), min(totals))
+        bound = (cap / self.tree.undirected_bandwidths()).max(initial=0.0)
+        return TREE_COST_CALIBRATION * max(expectation, float(bound))
+
+    def gather_cost(
+        self, combined: np.ndarray, sizes: tuple
+    ) -> tuple[float, int]:
+        """Exact cost of gathering everything at the best target, and
+        that target's position: the fullest node, the first of equals."""
+        target = int(np.argmax(combined))
+        inbound = np.where(
+            self.tree.links_facing(self._computes[target]),
+            sizes[0] / self._forward,
+            sizes[1] / self._backward,
+        )
+        return float(inbound.max(initial=0.0)), target
+
+    def _spread(self, rows: float, weights: np.ndarray) -> np.ndarray:
+        total = _total(weights)
         if total <= 0:
-            return {v: rows / len(self._computes) for v in self._computes}
-        return {
-            v: rows * weights.get(v, 0.0) / total for v in self._computes
-        }
+            return np.full(len(weights), rows / len(weights))
+        return rows * weights / total
 
-    def join_stage(
-        self,
-        left: RelationStats,
-        right: RelationStats,
-        protocol: str,
-        out_rows: float,
-    ) -> tuple[float, dict]:
-        """``(estimated cost, output profile)`` of one join shuffle."""
-        profiles = [left.profile, right.profile]
-        if protocol == "gather":
-            cost, target = estimate_gather_cost(self.tree, profiles)
-            return cost, {target: out_rows}
-        if protocol == "uniform-hash":
-            cost = estimate_uniform_hash_cost(self.tree, profiles)
-            return cost, self._spread(out_rows, _uniform_weights(self.tree))
-        if protocol == "tree":
-            cost = estimate_tree_cost(self.tree, profiles)
-            combined = {
-                v: left.profile.get(v, 0.0) + right.profile.get(v, 0.0)
-                for v in self._computes
-            }
-            return cost, self._spread(out_rows, combined)
-        raise PlanError(f"no cost estimator for join protocol {protocol!r}")
+    def _at(self, target: int, rows: float) -> np.ndarray:
+        profile = np.zeros(len(self._computes))
+        profile[target] = rows
+        return profile
 
-    def groupby_stage(
-        self,
-        child: RelationStats,
-        groups: float,
-        protocol: str,
-    ) -> tuple[float, dict]:
-        """``(estimated cost, output profile)`` of one aggregation stage.
+    def join_stages(
+        self, left: np.ndarray, right: np.ndarray, out_rows: float, protocols
+    ) -> list:
+        """``(estimated cost, output profile)`` of one join shuffle under
+        each of ``protocols``, all read off one combined side-sum."""
+        combined = left + right
+        sizes = self.tree.link_side_sums(combined)
+        stages = []
+        for protocol in protocols:
+            if protocol == "gather":
+                cost, target = self.gather_cost(combined, sizes)
+                stages.append((cost, self._at(target, out_rows)))
+            elif protocol == "uniform-hash":
+                cost = self.uniform_hash_cost(sizes)
+                stages.append((cost, self._spread(out_rows, self._uniform)))
+            elif protocol == "tree":
+                totals = [_total(left), _total(right)]
+                cost = self.tree_cost(combined, sizes, totals)
+                stages.append((cost, self._spread(out_rows, combined)))
+            else:
+                raise PlanError(
+                    f"no cost estimator for join protocol {protocol!r}"
+                )
+        return stages
+
+    def groupby_stages(
+        self, child: np.ndarray, groups: float, protocols
+    ) -> list:
+        """``(estimated cost, output profile)`` of one aggregation stage
+        under each of ``protocols``.
 
         The tree and uniform-hash protocols pre-aggregate locally, so
         each node ships at most ``min(rows_v, groups)`` partials; the
         gather baseline ships raw tuples.
         """
-        partials = {
-            v: min(size, groups) for v, size in child.profile.items()
-        }
-        if protocol == "gather":
-            cost, target = estimate_gather_cost(self.tree, [child.profile])
-            return cost, {target: groups}
-        if protocol == "uniform-hash":
-            cost = estimate_uniform_hash_cost(self.tree, [partials])
-            return cost, self._spread(groups, _uniform_weights(self.tree))
-        if protocol == "tree":
-            weights = {
-                v: child.profile.get(v, 0.0) for v in self._computes
-            }
-            if all(w <= 0 for w in weights.values()):
-                return 0.0, {v: 0.0 for v in self._computes}
-            cost = _shuffle_cost(self.tree, [partials], weights)
-            return cost, self._spread(groups, weights)
-        raise PlanError(
-            f"no cost estimator for group-by protocol {protocol!r}"
-        )
+        raw = self.tree.link_side_sums(child)
+        partials = self.tree.link_side_sums(np.minimum(child, groups))
+        stages = []
+        for protocol in protocols:
+            if protocol == "gather":
+                cost, target = self.gather_cost(child, raw)
+                stages.append((cost, self._at(target, groups)))
+            elif protocol == "uniform-hash":
+                cost = self.uniform_hash_cost(partials)
+                stages.append((cost, self._spread(groups, self._uniform)))
+            elif protocol == "tree":
+                if not (child > 0).any():
+                    stages.append((0.0, np.zeros(len(child))))
+                    continue
+                cost = self.shuffle_cost(partials, raw, _total(child))
+                stages.append((cost, self._spread(groups, child)))
+            else:
+                raise PlanError(
+                    f"no cost estimator for group-by protocol {protocol!r}"
+                )
+        return stages
 
     def supported_protocols(self, operator: str) -> tuple:
         """Protocol names this model can score for ``operator``.
@@ -335,3 +331,43 @@ class CostModel:
         if operator in ("join", "groupby"):
             return ("gather", "uniform-hash", "tree")
         raise PlanError(f"unknown operator kind {operator!r}")
+
+
+# --------------------------------------------------------------------- #
+# the estimators on node-keyed profiles
+# --------------------------------------------------------------------- #
+
+
+def _stage_input(
+    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
+) -> tuple:
+    """``(model, per-profile totals, combined profile, its side sums)``."""
+    vectors = [placement_profile(tree, profile) for profile in profiles]
+    combined = sum(vectors, np.zeros(tree.num_compute_nodes))
+    totals = [_total(vector) for vector in vectors]
+    return CostModel(tree), totals, combined, tree.link_side_sums(combined)
+
+
+def estimate_uniform_hash_cost(
+    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
+) -> float:
+    """Expected stage cost of the uniform-hash baseline."""
+    model, _, _, sizes = _stage_input(tree, profiles)
+    return model.uniform_hash_cost(sizes)
+
+
+def estimate_tree_cost(
+    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
+) -> float:
+    """Estimated stage cost of the distribution-aware tree protocols."""
+    model, totals, combined, sizes = _stage_input(tree, profiles)
+    return model.tree_cost(combined, sizes, totals)
+
+
+def estimate_gather_cost(
+    tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
+) -> tuple[float, NodeId]:
+    """Exact stage cost of gathering everything at the best target."""
+    model, _, combined, sizes = _stage_input(tree, profiles)
+    cost, target = model.gather_cost(combined, sizes)
+    return cost, tree.routing_index.compute_nodes[target]

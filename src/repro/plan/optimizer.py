@@ -33,6 +33,7 @@ from repro.obs.metrics import get_registry
 from repro.plan.cost import (
     CostModel,
     RelationStats,
+    cardinalities_of,
     filter_stats,
     groupby_stats,
     join_stats,
@@ -41,7 +42,7 @@ from repro.plan.cost import (
 from repro.plan.logical import Filter, GroupBy, Join, LogicalPlan, Scan
 from repro.plan.relation import MAX_PAYLOAD_BITS, MAX_ROW_BITS, Schema
 from repro.registry import protocols_for
-from repro.topology.artifacts import topology_fingerprint
+from repro.topology.artifacts import resolve_artifacts
 from repro.topology.tree import TreeTopology, node_sort_key
 from repro.util.text import render_table
 
@@ -257,7 +258,7 @@ class _Compiler:
                 f"catalog has no relation {plan.relation!r}; "
                 f"it holds {sorted(map(str, self.catalog))}"
             )
-        stats = stats_of(relation)
+        stats = stats_of(relation, self.tree)
         schema = relation.schema
         index = self._emit(
             PhysicalStage(
@@ -330,20 +331,17 @@ class _Compiler:
 
     def _pick_groupby_protocol(
         self, child_stats: RelationStats, groups: float
-    ) -> tuple[str, float, dict]:
-        if self.strategy == "gather":
-            cost, profile = self.model.groupby_stage(
-                child_stats, groups, "gather"
-            )
-            return "gather", cost, profile
-        best = None
-        for name in self.groupby_protocols:
-            cost, profile = self.model.groupby_stage(
-                child_stats, groups, name
-            )
-            if best is None or cost < best[1]:
-                best = (name, cost, profile)
-        return best
+    ) -> tuple:
+        """``(protocol, cost, output profile)``: the cheapest candidate,
+        the first of equals."""
+        protocols = (
+            ("gather",) if self.strategy == "gather" else self.groupby_protocols
+        )
+        stages = self.model.groupby_stages(child_stats.profile, groups, protocols)
+        return min(
+            ((name, *stage) for name, stage in zip(protocols, stages)),
+            key=lambda candidate: candidate[1],
+        )
 
     # -------------------------------------------------------------- #
     # joins
@@ -479,9 +477,7 @@ class _Compiler:
                         float(source if source is not None else out.rows),
                         max(out.rows, 1.0),
                     )
-            stats = RelationStats(
-                rows=out.rows, distinct=distinct, profile={}
-            )
+            stats = RelationStats(rows=out.rows, distinct=distinct)
             steps.append(
                 {
                     "new": new,
@@ -506,64 +502,38 @@ class _Compiler:
         sequence length the benchmark queries reach (``3^m`` states fit
         the beam for ``m <= 4`` stages) and near-optimal beyond.
         """
-        first_stats = compiled[order[0]][1]
         protocols = (
             ("gather",) if self.strategy == "gather" else self.join_protocols
         )
-        states = [(0.0, first_stats, [])]
+        # (cost so far, current profile, [(protocol, cost, profile) per step])
+        states = [(0.0, compiled[order[0]][1].profile, [])]
         for step in steps:
-            right_stats = compiled[step["new"]][1]
-            out_stats = step["stats"]
+            right = compiled[step["new"]][1].profile
             expanded = []
-            for total, left_stats, chosen in states:
-                for name in protocols:
-                    cost, profile = self.model.join_stage(
-                        left_stats, right_stats, name, out_stats.rows
-                    )
+            for total, left, chosen in states:
+                stages = self.model.join_stages(
+                    left, right, step["stats"].rows, protocols
+                )
+                for name, (cost, profile) in zip(protocols, stages):
                     expanded.append(
-                        (
-                            total + cost,
-                            RelationStats(
-                                rows=out_stats.rows,
-                                distinct=out_stats.distinct,
-                                profile=profile,
-                            ),
-                            chosen + [(name, cost)],
-                        )
+                        (total + cost, profile, chosen + [(name, cost, profile)])
                     )
             expanded.sort(key=lambda state: state[0])
             states = expanded[:PROTOCOL_BEAM]
-        total, final_stats, chosen = states[0]
-        annotated = []
-        for step, (name, cost) in zip(steps, chosen):
-            annotated.append(
-                {
-                    **step,
-                    "protocol": name,
-                    "cost": cost,
-                    "stats": RelationStats(
-                        rows=step["stats"].rows,
-                        distinct=step["stats"].distinct,
-                        profile={},
-                    ),
-                }
-            )
-        # The emitted stages need the profile the chosen sequence
-        # produces, so replay it for the annotation.
-        left_stats = first_stats
-        for entry in annotated:
-            _, profile = self.model.join_stage(
-                left_stats,
-                compiled[entry["new"]][1],
-                entry["protocol"],
-                entry["stats"].rows,
-            )
-            left_stats = RelationStats(
-                rows=entry["stats"].rows,
-                distinct=entry["stats"].distinct,
-                profile=profile,
-            )
-            entry["stats"] = left_stats
+        total, _, chosen = states[0]
+        annotated = [
+            {
+                **step,
+                "protocol": name,
+                "cost": cost,
+                "stats": RelationStats(
+                    rows=step["stats"].rows,
+                    distinct=step["stats"].distinct,
+                    profile=profile,
+                ),
+            }
+            for step, (name, cost, profile) in zip(steps, chosen)
+        ]
         return _Candidate(order=tuple(order), steps=annotated, cost=total)
 
     def _emit_join_steps(
@@ -648,16 +618,16 @@ class PlanCache:
     def _relation_digest(self, name: str, relation) -> str:
         digest = self._relation_digests.get(relation)
         if digest is None:
-            stats = stats_of(relation)
+            rows, distinct = cardinalities_of(relation)
             hasher = hashlib.blake2b(digest_size=16)
             hasher.update(repr(relation.schema.columns).encode())
             hasher.update(repr(relation.schema.bits).encode())
-            hasher.update(repr(stats.rows).encode())
-            hasher.update(repr(sorted(stats.distinct.items())).encode())
+            hasher.update(repr(rows).encode())
+            hasher.update(repr(sorted(distinct.items())).encode())
             hasher.update(
                 repr(
                     sorted(
-                        stats.profile.items(),
+                        relation.sizes().items(),
                         key=lambda item: node_sort_key(item[0]),
                     )
                 ).encode()
@@ -681,7 +651,7 @@ class PlanCache:
             )
         return (
             query.describe(),
-            topology_fingerprint(tree),
+            resolve_artifacts(tree).fingerprint,
             catalog_part,
             strategy,
         )

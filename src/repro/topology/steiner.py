@@ -97,6 +97,10 @@ class RoutingIndex:
         ).reshape(-1, 2)
         self.link_child_first = parent[ends[:, 0]] == ends[:, 1]
         self.link_child = np.where(self.link_child_first, ends[:, 0], ends[:, 1])
+        # per link, the bandwidth ``edge[0] -> edge[1]`` and the one back
+        links = list(tree.iter_links())
+        self.link_forward = np.array([w for _, w, _ in links], dtype=np.float64)
+        self.link_backward = np.array([w for _, _, w in links], dtype=np.float64)
 
     @property
     def num_nodes(self) -> int:

@@ -408,25 +408,51 @@ class TreeTopology:
         self._compute_sides_cache[edge] = result
         return result
 
-    def side_weights(
-        self, weights: Mapping[NodeId, float]
-    ) -> dict[UndirectedEdge, tuple[float, float]]:
-        """Per-link sums of ``weights`` over compute nodes on each side.
+    def link_side_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per link, the sums of ``values`` over the compute nodes on each side.
 
+        ``values`` holds one entry per compute node in
+        ``routing_index.compute_nodes`` order; the two results align with
+        :meth:`undirected_edges` (side of ``edge[0]``, side of ``edge[1]``).
         This is the quantity ``(sum_{v in V-e} N_v, sum_{v in V+e} N_v)``
-        that every lower bound in the paper is expressed through.
-        Integer weights sum exactly, float weights in the fixed order of
+        that every lower bound and planner estimate is expressed through.
+        Integer values sum exactly, float values in the fixed order of
         :meth:`RoutingIndex.subtree_sums`.
         """
         index = self.routing_index
-        values = np.array([weights.get(v, 0) for v in index.compute_nodes])
         node_weights = np.zeros(index.num_nodes, dtype=values.dtype)
         node_weights[index.compute_idx] = values
         below, above = index.subtree_sums(node_weights)
         child = index.link_child
         first = np.where(index.link_child_first, below[child], above[child])
         second = np.where(index.link_child_first, above[child], below[child])
+        return first, second
+
+    def side_weights(
+        self, weights: Mapping[NodeId, float]
+    ) -> dict[UndirectedEdge, tuple[float, float]]:
+        """:meth:`link_side_sums` of a node-keyed mapping, keyed by link."""
+        values = np.array([weights.get(v, 0) for v in self.routing_index.compute_nodes])
+        first, second = self.link_side_sums(values)
         return dict(zip(self._links, zip(first.tolist(), second.tolist())))
+
+    def links_facing(self, node: NodeId) -> np.ndarray:
+        """Per link, whether ``node`` lies on the side of ``edge[1]``."""
+        if node not in self._nodes:
+            raise TopologyError(f"unknown node {node!r}")
+        index = self.routing_index
+        entered = index.tin[index.index_of[node]]
+        child = index.link_child
+        below = (index.tin[child] <= entered) & (entered < index.tout[child])
+        return below != index.link_child_first
+
+    def undirected_bandwidths(self) -> np.ndarray:
+        """:meth:`undirected_bandwidth` of every link, as one array."""
+        index = self.routing_index
+        asymmetric = np.flatnonzero(index.link_forward != index.link_backward)
+        if len(asymmetric):
+            self.undirected_bandwidth(self._links[asymmetric[0]])  # raises
+        return index.link_forward
 
     def shared_key_counts(
         self, keys_by_node: Mapping[NodeId, np.ndarray]

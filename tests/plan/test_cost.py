@@ -13,13 +13,15 @@ from repro.plan.cost import (
     filter_stats,
     groupby_stats,
     join_stats,
+    placement_profile,
     stats_of,
 )
 from repro.plan.relation import PlacedRelation, Schema
 from repro.topology.builders import star, two_level
+from repro.topology.tree import TreeTopology
 
 
-def _stats(rows, distinct, profile):
+def _stats(rows, distinct, profile=None):
     return RelationStats(rows=rows, distinct=distinct, profile=profile)
 
 
@@ -30,36 +32,38 @@ class TestCardinality:
             schema,
             {"a": np.array([[1, 1], [1, 2]]), "b": np.array([[2, 1]])},
         )
-        stats = stats_of(rel)
+        tree = TreeTopology.from_undirected({("a", "b"): 1.0}, ["a", "b"])
+        stats = stats_of(rel, tree)
         assert stats.rows == 3
         assert stats.distinct == {"k": 2, "v": 2}
-        assert stats.profile == {"a": 2.0, "b": 1.0}
+        assert stats.profile.dtype == np.float64
+        assert stats.profile.tolist() == [2.0, 1.0]
 
     def test_join_independence_estimate(self):
-        left = _stats(100, {"k": 10}, {})
-        right = _stats(200, {"k": 20}, {})
+        left = _stats(100, {"k": 10})
+        right = _stats(200, {"k": 20})
         out = join_stats(left, right, [("k", "k")], ["k"])
         assert out.rows == pytest.approx(100 * 200 / 20)
         assert out.distinct["k"] <= 10
 
     def test_join_empty_side(self):
-        left = _stats(0, {"k": 1}, {})
-        right = _stats(50, {"k": 5}, {})
+        left = _stats(0, {"k": 1})
+        right = _stats(50, {"k": 5})
         assert join_stats(left, right, [("k", "k")], []).rows == 0.0
 
     def test_filter_selectivities(self):
-        stats = _stats(90, {"k": 9, "v": 30}, {"a": 90.0})
+        stats = _stats(90, {"k": 9, "v": 30}, np.array([90.0, 0.0]))
         eq = filter_stats(stats, "k", "==")
         assert eq.rows == pytest.approx(10)
         assert eq.distinct["k"] == 1.0
-        assert eq.profile["a"] == pytest.approx(10)
+        assert eq.profile.tolist() == [pytest.approx(10), 0.0]
         ne = filter_stats(stats, "k", "!=")
         assert ne.rows == pytest.approx(80)
         rng = filter_stats(stats, "k", "<=")
         assert rng.rows == pytest.approx(30)
 
     def test_groupby_stats(self):
-        stats = _stats(1000, {"k": 40}, {})
+        stats = _stats(1000, {"k": 40})
         assert groupby_stats(stats, "k").rows == 40
 
 
@@ -113,21 +117,22 @@ class TestCostModel:
         tree = star(4)
         model = CostModel(tree)
         nodes = tree.left_to_right_compute_order()
-        left = _stats(100, {}, {nodes[0]: 100.0})
-        right = _stats(100, {}, {n: 25.0 for n in nodes})
-        cost, profile = model.join_stage(left, right, "gather", 500.0)
-        assert sum(profile.values()) == pytest.approx(500.0)
+        left = placement_profile(tree, {nodes[0]: 100.0})
+        right = placement_profile(tree, {n: 25.0 for n in nodes})
+        (_, gathered), (_, uniform) = model.join_stages(
+            left, right, 500.0, ("gather", "uniform-hash")
+        )
+        assert gathered.sum() == pytest.approx(500.0)
         # gather leaves everything on one node
-        assert len([v for v in profile.values() if v > 0]) == 1
-        _, uniform = model.join_stage(left, right, "uniform-hash", 500.0)
-        assert all(v == pytest.approx(125.0) for v in uniform.values())
+        assert np.count_nonzero(gathered) == 1
+        assert uniform.tolist() == [pytest.approx(125.0)] * 4
 
     def test_unknown_protocol_rejected(self):
         model = CostModel(star(3))
         with pytest.raises(PlanError):
-            model.join_stage(_stats(1, {}, {}), _stats(1, {}, {}), "bogus", 1)
+            model.join_stages(np.ones(3), np.ones(3), 1, ("bogus",))
         with pytest.raises(PlanError):
-            model.groupby_stage(_stats(1, {}, {}), 1, "bogus")
+            model.groupby_stages(np.ones(3), 1, ("bogus",))
 
     def test_supported_protocols_exact_first(self):
         model = CostModel(star(3))

@@ -12,6 +12,7 @@ from repro.plan import (
     star_catalog,
     star_query,
 )
+from repro.topology import artifacts
 from repro.topology.builders import two_level
 
 
@@ -83,6 +84,31 @@ class TestKeys:
         digests = dict(cache._relation_digests)
         cache.key(query, tree, catalog, "optimized")
         assert dict(cache._relation_digests) == digests
+
+    def test_a_hit_reads_the_fingerprint_the_artifact_cache_holds(
+        self, tree, catalog, monkeypatch
+    ):
+        fingerprinted = []
+        fingerprint = artifacts.topology_fingerprint
+        monkeypatch.setattr(
+            artifacts,
+            "topology_fingerprint",
+            lambda t: fingerprinted.append(t) or fingerprint(t),
+        )
+        cache = PlanCache()
+        with artifacts.use_artifacts(artifacts.ArtifactCache()) as shared:
+            first = optimize(chain_query(3), tree, catalog, cache=cache)
+            assert fingerprinted
+            del fingerprinted[:]
+            hits = shared.hits
+            assert optimize(chain_query(3), tree, catalog, cache=cache) is first
+            # one counted identity lookup, no second walk over the tree
+            assert fingerprinted == []
+            assert shared.hits == hits + 1
+        # cold callers fingerprint per lookup, as they always did
+        assert cache.key(chain_query(3), tree, catalog, "optimized")[1] == (
+            fingerprint(tree)
+        )
 
 
 class TestAdmission:

@@ -127,6 +127,7 @@ _HASHSEED_SCRIPT = """
 import numpy as np
 import repro
 from repro.data.distribution import Distribution
+from repro.plan import Filter, GroupBy, Join, Scan, chain_catalog, chain_query, optimize
 from repro.plan.cost import estimate_tree_cost
 from repro.queries import groupby_lower_bound
 from repro.queries.tuples import encode_tuples
@@ -143,6 +144,16 @@ print(repr(groupby_lower_bound(tree, Distribution(placements))))
 profile = {v: 2.0**53 if i == 4 else 1.0 for i, v in enumerate(nodes)}
 print(repr(tree.side_weights(profile)))
 print(repr(estimate_tree_cost(tree, [profile])))
+# whole plans: a filter makes every later profile and total fractional
+catalog = chain_catalog(
+    tree, num_relations=3, rows=150, key_space=64, seed=2, policy="zipf"
+)
+chain = chain_query(3)
+kept = Filter(Scan("R0"), "x0", "<=", 40)
+filtered = Join((kept, Scan("R1"), Scan("R2")), chain.conditions)
+for query in (chain, filtered, GroupBy(kept, key="x1", value="x0")):
+    for strategy in ("optimized", "worst-order"):
+        print(repr(optimize(query, tree, catalog, strategy=strategy).stages))
 """
 
 
@@ -161,3 +172,4 @@ def test_bound_and_estimate_do_not_depend_on_the_hash_seed():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert "LowerBound(value=" in outputs[0]
+    assert "protocol='tree'" in outputs[0]

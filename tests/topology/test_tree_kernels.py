@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
 from repro.topology.tree import TreeTopology
 from tests.reference_bounds import (
@@ -175,6 +176,53 @@ class TestSteinerCounts:
         tree = path_tree(200)
         keys = {"p000": np.array([1, 2, 3]), "p200": np.array([2, 3, 4])}
         assert set(tree.shared_key_counts(keys).values()) == {2}
+
+
+class TestLinkArrays:
+    """The array presentation the planner's cost model reads."""
+
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=80, deadline=None)
+    def test_side_weights_is_link_side_sums_keyed_by_link(self, data, tree):
+        sizes = data.draw(node_sizes(tree))
+        values = np.array([sizes[v] for v in tree.routing_index.compute_nodes])
+        first, second = tree.link_side_sums(values)
+        assert tree.side_weights(sizes) == dict(
+            zip(tree.undirected_edges(), zip(first.tolist(), second.tolist()))
+        )
+
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=80, deadline=None)
+    def test_links_facing_is_membership_in_the_second_side(self, data, tree):
+        node = data.draw(st.sampled_from(sorted(tree.nodes, key=str)))
+        expected = [node in tree.edge_sides(e)[1] for e in tree.undirected_edges()]
+        assert tree.links_facing(node).tolist() == expected
+
+    def test_bandwidth_arrays_follow_the_link_order(self):
+        tree = two_level([2, 3], uplink_bandwidth=[1, 4])
+        slow = tree.undirected_edges()[0]
+        lopsided = tree.with_bandwidths({slow: 0.25})
+        index = lopsided.routing_index
+        links = lopsided.undirected_edges()
+        assert index.link_forward.tolist() == [lopsided.bandwidth(a, b) for a, b in links]
+        assert index.link_backward.tolist() == [lopsided.bandwidth(b, a) for a, b in links]
+        assert tree.undirected_bandwidths().tolist() == [
+            tree.undirected_bandwidth(edge) for edge in links
+        ]
+        with pytest.raises(TopologyError) as one_link:
+            lopsided.undirected_bandwidth(slow)
+        with pytest.raises(TopologyError) as all_links:
+            lopsided.undirected_bandwidths()
+        assert str(all_links.value) == str(one_link.value)
+
+    def test_a_single_node_tree_has_empty_arrays(self):
+        tree = single_node_tree()
+        first, second = tree.link_side_sums(np.array([3.0]))
+        assert len(first) == len(second) == 0
+        assert len(tree.links_facing("only")) == 0
+        assert len(tree.undirected_bandwidths()) == 0
+        with pytest.raises(TopologyError):
+            tree.links_facing("nowhere")
 
 
 class TestLinksAndIndexOwnership:
