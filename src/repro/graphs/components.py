@@ -50,6 +50,8 @@ from repro.registry import register_protocol, register_task
 from repro.report import GraphRunReport, RunReport
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.util.components import component_roots
+from repro.util.grouping import group_slices, unique_rows
 
 _LABEL_RECV = "cc.labels.recv"
 _GATHER_RECV = "cc.gather.recv"
@@ -87,12 +89,11 @@ def components_lower_bound(
     tree.require_symmetric("the connectivity lower bound")
     nodes = list(tree.compute_nodes)
     fragments = [distribution.fragment(v, tag) for v in nodes]
-    src, dst = decode_edges(np.concatenate(fragments))
-    component_of = reference_components(np.stack([src, dst], axis=1))
-    # an edge lies in the component of its source endpoint
-    labels = np.fromiter(
-        (component_of[u] for u in src.tolist()), np.int64, len(src)
+    vertices, src_row, dst_row = _endpoint_rows(
+        *decode_edges(np.concatenate(fragments))
     )
+    # an edge lies in the component of its source endpoint
+    labels = component_roots(src_row, dst_row, len(vertices))[src_row]
     bounds = np.cumsum([len(f) for f in fragments])[:-1]
     return LowerBound.from_shared_keys(
         tree,
@@ -136,54 +137,50 @@ def _verify_components(
 # --------------------------------------------------------------------- #
 
 
-class _LocalView:
-    """One node's static edge fragment expanded for propagation.
+def _endpoint_rows(src: np.ndarray, dst: np.ndarray):
+    """Sorted distinct endpoints and each edge's two positions among them."""
+    keys, rows = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    return keys, rows[: len(src)], rows[len(src) :]
 
-    With ``closure=True`` the view pre-computes its fragment's *local*
-    connected components (free computation in the model) and each
-    superstep proposes, for every vertex, the minimum label over the
-    vertex's local component — the local-contraction optimization of
-    the MPC connectivity literature.  Without it, proposals are the
-    textbook single-hop hash-to-min messages, one per directed edge.
+
+def _row_keys(owner: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Vertex-table key of ``(owner index, vertex)``: packed like an edge."""
+    return (owner << np.int64(VERTEX_BITS)) | vertex
+
+
+def _subscriber_subsets(
+    row_owner: np.ndarray, vertex_of_row: np.ndarray, computes: tuple
+) -> tuple[np.ndarray, list[frozenset]]:
+    """Deduplicated subscriber sets: the vertex table read by vertex.
+
+    Returns each vertex's subset id and, per id, the nodes whose
+    fragments touch the vertex.  Owner segments of equal length are
+    compared as the rows of one matrix, so memory stays O(table rows)
+    however many nodes there are.
     """
-
-    def __init__(self, fragment: np.ndarray, *, closure: bool) -> None:
-        lo, hi = decode_edges(fragment)
-        self.src = np.concatenate([lo, hi])
-        self.dst = np.concatenate([hi, lo])
-        self.verts = np.unique(self.src)  # sorted endpoints
-        self.labels = self.verts.copy()  # hash-to-min starts at identity
-        self.src_pos = np.searchsorted(self.verts, self.src)
-        self.closure = closure
-        if closure:
-            roots = reference_components(np.stack([lo, hi], axis=1))
-            root_array = np.asarray(
-                [roots[int(v)] for v in self.verts], dtype=np.int64
-            )
-            _, self._comp_of = np.unique(root_array, return_inverse=True)
-            self._comp_order = np.argsort(self._comp_of, kind="stable")
-            grouped = self._comp_of[self._comp_order]
-            self._comp_starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(grouped)) + 1]
-            )
-
-    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """This superstep's ``(vertex, proposed label)`` messages."""
-        if self.closure:
-            component_min = np.minimum.reduceat(
-                self.labels[self._comp_order], self._comp_starts
-            )
-            return self.verts, component_min[self._comp_of]
-        keys = np.concatenate([self.dst, self.verts])
-        values = np.concatenate([self.labels[self.src_pos], self.labels])
-        return keys, values
-
-    def update(self, vertices: np.ndarray, labels: np.ndarray) -> None:
-        positions = np.searchsorted(self.verts, vertices)
-        inside = (positions < len(self.verts)) & (
-            self.verts[np.minimum(positions, len(self.verts) - 1)] == vertices
+    by_vertex = np.argsort(vertex_of_row, kind="stable")
+    owners = row_owner[by_vertex]  # grouped by vertex, ascending within
+    lengths = np.bincount(vertex_of_row)
+    starts = np.cumsum(lengths) - lengths
+    subset_of = np.empty(len(lengths), dtype=np.intp)
+    subsets: list[frozenset] = []
+    for length in np.unique(lengths).tolist():
+        which = np.flatnonzero(lengths == length)
+        distinct, inverse = unique_rows(
+            owners[starts[which][:, None] + np.arange(length)]
         )
-        self.labels[positions[inside]] = labels[inside]
+        subset_of[which] = len(subsets) + inverse
+        subsets.extend(
+            frozenset(map(computes.__getitem__, m)) for m in distinct.tolist()
+        )
+    return subset_of, subsets
+
+
+def _as_columns(groups) -> KeyValueArrays:
+    """An owner's output as columns (third-party shuffles emit dicts)."""
+    if isinstance(groups, KeyValueArrays):
+        return groups
+    return KeyValueArrays.from_dict(groups or {})
 
 
 def _hash_to_min(
@@ -199,62 +196,92 @@ def _hash_to_min(
     max_supersteps: int | None,
     bits_per_element: int,
 ) -> tuple[SuperstepDriver, dict, dict]:
-    """Shared superstep loop; flavours differ only in the knobs above."""
+    """Shared superstep loop; flavours differ only in the knobs above.
+
+    All per-node state is one *vertex table*: a row per ``(owner,
+    vertex)`` some fragment touches, sorted by owner then vertex, with
+    the row's current label beside it.  With ``local_closure`` a row
+    proposes the minimum label over its fragment's *local* connected
+    component (free computation in the model — the local-contraction
+    optimization of the MPC connectivity literature), all nodes'
+    closures coming from one :func:`component_roots` call; without it,
+    proposals are the textbook single-hop messages, one per directed
+    edge plus one identity message per row.
+    """
     tree.require_symmetric("connected components")
     distribution.validate_for(tree)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    views = {
-        v: _LocalView(distribution.fragment(v, tag), closure=local_closure)
-        for v in computes
-        if distribution.size(v, tag)
-    }
     driver = SuperstepDriver(tree, bits_per_element=bits_per_element)
+    computes = driver.cluster.compute_order
     base_meta = {
         "tag": tag,
         "payload_bits": VERTEX_BITS,
         "num_edges": distribution.total(tag),
     }
-    if not views:
+    fragments = [distribution.fragment(v, tag) for v in computes]
+    sizes = np.fromiter(map(len, fragments), np.int64, len(computes))
+    holders = np.flatnonzero(sizes)
+    if not len(holders):
         outputs: dict = {v: KeyValueArrays.empty() for v in computes}
         return driver, outputs, dict(
             base_meta, num_vertices=0, num_supersteps=0, converged=True
         )
 
-    subscribers: dict[int, set] = {}
-    for node, view in views.items():
-        for vertex in view.verts.tolist():
-            subscribers.setdefault(vertex, set()).add(node)
-    all_vertices = sorted(subscribers)
-    vert_arr = np.asarray(all_vertices, dtype=np.int64)
-    # Return legs group label updates by *subscriber set*: deduplicate
-    # the sets once (many vertices share one), so each superstep only
-    # touches arrays — a subset id per vertex, per-node membership flags
-    # per subset — instead of per-vertex Python set algebra.
-    subset_ids: dict[frozenset, int] = {}
-    vertex_subset = np.empty(len(vert_arr), dtype=np.intp)
-    for i, vertex in enumerate(all_vertices):
-        key = frozenset(subscribers[vertex])
-        vertex_subset[i] = subset_ids.setdefault(key, len(subset_ids))
-    subset_members = list(subset_ids)  # subset id -> frozenset of nodes
-    is_member = {
-        node: np.asarray(
-            [node in members for members in subset_members], dtype=bool
+    lo, hi = decode_edges(np.concatenate(fragments))
+    edge_owner = np.repeat(np.arange(len(computes)), sizes)
+    table, lo_row, hi_row = _endpoint_rows(
+        _row_keys(edge_owner, lo), _row_keys(edge_owner, hi)
+    )
+    row_owner, row_vertex = decode_edges(table)
+    offsets = np.searchsorted(row_owner, np.arange(len(computes) + 1))
+    labels = row_vertex.copy()  # hash-to-min starts at identity
+    if local_closure:
+        by_component, _, component_starts, component_ends = group_slices(
+            component_roots(lo_row, hi_row, len(table))
         )
-        for node in views
-    }
-    prev_labels = vert_arr.copy()  # identity is globally known
+        component_sizes = component_ends - component_starts
+        message_keys, message_offsets = row_vertex, offsets
+    else:
+        # per node: (hi, label(lo)) and (lo, label(hi)) for every edge,
+        # then the identity message of every row
+        by_owner = np.argsort(
+            np.concatenate([edge_owner, edge_owner, row_owner]), kind="stable"
+        )
+        message_keys = np.concatenate([hi, lo, row_vertex])[by_owner]
+        message_rows = np.concatenate(
+            [lo_row, hi_row, np.arange(len(table))]
+        )[by_owner]
+        message_offsets = offsets + 2 * np.concatenate([[0], np.cumsum(sizes)])
+
+    all_vertices, vertex_of_row = np.unique(row_vertex, return_inverse=True)
+    # Return legs group label updates by *subscriber set* (the owners
+    # whose fragments touch the vertex); many vertices share one.
+    subset_of, subscribers = _subscriber_subsets(
+        row_owner, vertex_of_row, computes
+    )
+    prev_labels = all_vertices.copy()  # identity is globally known
     if max_supersteps is None:
         max_supersteps = len(all_vertices) + 2
 
     converged = False
-    owner_outputs: dict = {}
+    owned: list[KeyValueArrays] = []
     for step in range(1, max_supersteps + 1):
-        placements = {}
-        for node, view in views.items():
-            keys, values = view.candidates()
-            placements[node] = {
-                "R": encode_tuples(keys, values, payload_bits=VERTEX_BITS)
+        if local_closure:
+            proposals = np.empty_like(labels)
+            proposals[by_component] = np.repeat(
+                np.minimum.reduceat(labels[by_component], component_starts),
+                component_sizes,
+            )
+        else:
+            proposals = labels[message_rows]
+        messages = encode_tuples(
+            message_keys, proposals, payload_bits=VERTEX_BITS
+        )
+        placements = {
+            computes[i]: {
+                "R": messages[message_offsets[i] : message_offsets[i + 1]]
             }
+            for i in holders.tolist()
+        }
         result = driver.protocol_step(
             "groupby-aggregate",
             Distribution(placements),
@@ -266,113 +293,88 @@ def _hash_to_min(
             pre_aggregate=pre_aggregate,
             bits_per_element=bits_per_element,
         )
-        owner_outputs = result.outputs
-        # Read each owner's output columns directly: vertex and label
-        # arrays, their positions in the global vertex order, and which
-        # labels actually changed this superstep.  Group-by protocols
-        # emit :class:`KeyValueArrays`, so the columns are zero-copy;
-        # plain dicts (third-party shuffles) fall back to fromiter.
-        per_owner = []
-        num_changed = 0
-        for node in sorted(owner_outputs, key=node_sort_key):
-            groups = owner_outputs[node]
-            if not groups:
-                continue
-            keys_column = getattr(groups, "keys_array", None)
-            if keys_column is not None:
-                verts = keys_column
-                labels = groups.values_array
-            else:
-                verts = np.fromiter(groups.keys(), np.int64, len(groups))
-                labels = np.fromiter(groups.values(), np.int64, len(groups))
-            positions = np.searchsorted(vert_arr, verts)
-            changed_mask = labels != prev_labels[positions]
-            num_changed += int(changed_mask.sum())
-            per_owner.append((node, verts, labels, positions, changed_mask))
-        if num_changed == 0:
+        # Every owner's output as one (owner, vertex, label) relation.
+        owned = [_as_columns(result.outputs.get(v)) for v in computes]
+        out_owner = np.repeat(
+            np.arange(len(computes)), np.fromiter(map(len, owned), np.intp)
+        )
+        out_vertices = np.concatenate([g.keys_array for g in owned])
+        out_labels = np.concatenate([g.values_array for g in owned])
+        positions = np.searchsorted(all_vertices, out_vertices)
+        changed = out_labels != prev_labels[positions]
+        if not changed.any():
             converged = True
             break
-        sent_pairs = 0
+        prev_labels[positions] = out_labels
+        if delta_return:
+            out_owner, out_vertices, out_labels, positions = (
+                column[changed]
+                for column in (out_owner, out_vertices, out_labels, positions)
+            )
+        # One registration per leg: a group is an (owner, subscriber
+        # subset) pair, its Steiner destinations the subset minus the
+        # owner; a vertex whose only subscriber is its owner ships
+        # nothing.
+        groups, group_ids = np.unique(
+            out_owner * len(subscribers) + subset_of[positions],
+            return_inverse=True,
+        )
+        group_owner, group_subset = np.divmod(groups, len(subscribers))
+        destination_sets = [
+            nodes - {owner} if owner in nodes else nodes
+            for owner, nodes in zip(
+                map(computes.__getitem__, group_owner.tolist()),
+                map(subscribers.__getitem__, group_subset.tolist()),
+            )
+        ]
+        ships = np.fromiter(map(bool, destination_sets), bool, len(groups))[
+            group_ids
+        ]
         with driver.cluster_round(
             task="connected-components",
             protocol="label-return",
             label=f"superstep {step} return",
         ) as ctx:
-            for node, verts, labels, positions, changed_mask in per_owner:
-                if delta_return:
-                    verts_out = verts[changed_mask]
-                    labels_out = labels[changed_mask]
-                    pos_out = positions[changed_mask]
-                else:
-                    verts_out, labels_out, pos_out = verts, labels, positions
-                if not len(verts_out):
-                    continue
-                subset_of = vertex_subset[pos_out]
-                member_mask = is_member.get(node)
-                if member_mask is not None:
-                    # The owner also holds edges of some of these
-                    # vertices: its local view updates for free.
-                    own = member_mask[subset_of]
-                    if own.any():
-                        views[node].update(verts_out[own], labels_out[own])
-                # Batched subscriber-subset return: one Steiner
-                # destination set per subset present (its subscribers
-                # minus the sender; vertices whose only subscriber is
-                # the sender ship nothing), one exchange_multicast for
-                # all subsets together.
-                used, group_ids = np.unique(subset_of, return_inverse=True)
-                destination_sets = [
-                    subset_members[sid] - {node} for sid in used.tolist()
-                ]
-                nonempty = np.asarray(
-                    [bool(dsts) for dsts in destination_sets], dtype=bool
-                )
-                mask = nonempty[group_ids]
-                if not mask.any():
-                    continue
-                ctx.exchange_multicast(
-                    node,
-                    group_ids[mask],
-                    destination_sets,
-                    encode_tuples(
-                        verts_out[mask],
-                        labels_out[mask],
-                        payload_bits=VERTEX_BITS,
-                    ),
-                    tag=_LABEL_RECV,
-                )
-                sent_pairs += int(mask.sum())
-        driver.set_last_input_size(sent_pairs)
-        for node, view in views.items():
-            received = driver.cluster.take(node, _LABEL_RECV)
-            if len(received):
-                vertices, labels = decode_tuples(
-                    received, payload_bits=VERTEX_BITS
-                )
-                view.update(vertices, labels)
-        for _, verts, labels, positions, _ in per_owner:
-            prev_labels[positions] = labels
+            ctx.exchange_multicast_column(
+                group_owner,
+                group_ids[ships],
+                destination_sets,
+                encode_tuples(
+                    out_vertices[ships],
+                    out_labels[ships],
+                    payload_bits=VERTEX_BITS,
+                ),
+                tag=_LABEL_RECV,
+            )
+        driver.set_last_input_size(int(ships.sum()))
+        received = [
+            driver.cluster.take(computes[i], _LABEL_RECV)
+            for i in holders.tolist()
+        ]
+        got_vertices, got_labels = decode_tuples(
+            np.concatenate(received), payload_bits=VERTEX_BITS
+        )
+        got_owner = np.repeat(holders, np.fromiter(map(len, received), np.intp))
+        # An owner that also holds edges of a vertex updates its own row
+        # for free; subscribers update from what the leg delivered.
+        keys = _row_keys(
+            np.concatenate([out_owner, got_owner]),
+            np.concatenate([out_vertices, got_vertices]),
+        )
+        rows = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        held = table[rows] == keys
+        labels[rows[held]] = np.concatenate([out_labels, got_labels])[held]
     if not converged:
         raise ProtocolError(
             f"hash-to-min did not converge within {max_supersteps} supersteps"
         )
-    outputs = {
-        node: (
-            groups
-            if isinstance(groups, KeyValueArrays)
-            else KeyValueArrays.from_dict(groups)
-        )
-        for node, groups in owner_outputs.items()
-    }
-    for node in computes:
-        outputs.setdefault(node, KeyValueArrays.empty())
     meta = dict(
         base_meta,
         num_vertices=len(all_vertices),
         num_supersteps=step,
         converged=True,
     )
-    return driver, outputs, meta
+    return driver, dict(zip(computes, owned)), meta
 
 
 def _finalize(
@@ -502,16 +504,14 @@ def gather_connected_components(
     gathered = np.concatenate(
         [distribution.fragment(target, tag), driver.cluster.take(target, _GATHER_RECV)]
     )
-    src, dst = decode_edges(gathered)
-    labelling = (
-        reference_components(np.stack([src, dst], axis=1)) if len(src) else {}
-    )
+    vertices, src_row, dst_row = _endpoint_rows(*decode_edges(gathered))
+    roots = component_roots(src_row, dst_row, len(vertices))
     outputs: dict = {v: KeyValueArrays.empty() for v in computes}
-    outputs[target] = KeyValueArrays.from_dict(labelling)
+    outputs[target] = KeyValueArrays(vertices, vertices[roots])
     meta = {
         "tag": tag,
         "target": target,
-        "num_vertices": len(labelling),
+        "num_vertices": len(vertices),
         "num_edges": int(total_edges),
         "num_supersteps": 1 if total_edges else 0,
         "converged": True,

@@ -205,9 +205,9 @@ class SuperstepDriver:
         hence the total) match the inner run's exactly.
         """
         for index in range(ledger.num_rounds):
+            loads = ledger.round_loads(index)
             self.ledger.open_round()
-            for edge, load in ledger.round_loads(index).items():
-                self.ledger.add_load(edge, load)
+            self.ledger.add_loads(loads.keys(), loads.values())
             self.ledger.close_round()
 
     # ------------------------------------------------------------------ #

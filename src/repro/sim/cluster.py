@@ -234,6 +234,12 @@ class RoundContext:
                 "can store data"
             )
 
+    def _check_destinations(self, dsts: frozenset) -> None:
+        """One subset test; the per-node walk only names the offender."""
+        if not dsts <= self._cluster.tree.compute_nodes:
+            for node in dsts:
+                self._check_destination(node)
+
     @staticmethod
     def _as_payload(values) -> np.ndarray:
         payload = np.asarray(values, dtype=np.int64)
@@ -308,8 +314,7 @@ class RoundContext:
         if not destination_set:
             raise ProtocolError("multicast needs at least one destination")
         self._check_source(src)
-        for node in destination_set:
-            self._check_destination(node)
+        self._check_destinations(destination_set)
         if len(payload) == 0:
             return
         self._multicasts.append(
@@ -503,16 +508,10 @@ class RoundContext:
         if len(payload) == 0:
             return
         used = np.flatnonzero(np.bincount(ids, minlength=len(sets)))
-        checked = self._cluster._checked_destination_sets
         for index in used.tolist():
-            dsts = sets[index]
-            if dsts in checked:
-                continue
-            if not dsts:
+            if not sets[index]:
                 raise ProtocolError("multicast needs at least one destination")
-            for node in dsts:
-                self._check_destination(node)
-            checked.add(dsts)
+            self._check_destinations(sets[index])
         self._multicasts.append((src, sets, ids, payload, str(tag)))
 
     # ------------------------------------------------------------------ #
@@ -917,10 +916,10 @@ class Cluster:
     ) -> None:
         self._tree = tree
         # The expensive per-topology structures (routing index,
-        # compute order, destination-set validation memo) come
-        # from the artifact layer: prebuilt and shared when a session or
-        # one-shot run scope installed an ArtifactCache, private and
-        # fresh otherwise — the historical per-cluster behavior.
+        # compute order) come from the artifact layer: prebuilt and
+        # shared when a session or one-shot run scope installed an
+        # ArtifactCache, private and fresh otherwise — the historical
+        # per-cluster behavior.
         if artifacts is None:
             artifacts = resolve_artifacts(tree)
         elif artifacts.tree is not tree and artifacts.fingerprint != (
@@ -938,7 +937,6 @@ class Cluster:
         self.ledger = CostLedger(tree, bits_per_element=bits_per_element)
         self._storage = ColumnarStore()
         self._received_elements: dict[NodeId, int] = {}
-        self._checked_destination_sets = artifacts.checked_destination_sets
         self._round_open = False
         if distribution is not None:
             self.load(distribution)

@@ -1,9 +1,8 @@
 """Session-scoped topology artifacts: build once, serve many runs.
 
 Every expensive structure a cluster derives from its topology — the
-canonical compute order, rank-ownership lookups, the validated
-destination sets, beside the tree's own routing index — is a
-pure function of the immutable
+canonical compute order, rank-ownership lookups, beside the tree's
+own routing index — is a pure function of the immutable
 :class:`~repro.topology.tree.TreeTopology` (Hu, Koutris & Blanas
 parameterize the whole cost model by the topology alone).  A one-shot
 ``run()`` rebuilding them per cluster is fine; a serving engine
@@ -23,10 +22,9 @@ tracer/registry/auditor:
   independent ``run()`` calls.
 
 Sharing is byte-identity-safe by construction: artifacts hold no
-data-dependent state (the destination-set memo is a validation cache,
-never consulted for routing or accounting), so a warm cluster
-produces ledgers, storage, and reports identical to a cold one — the
-property the serve benchmark and the session property tests pin down.
+data-dependent state, so a warm cluster produces ledgers, storage, and
+reports identical to a cold one — the property the serve benchmark and
+the session property tests pin down.
 """
 
 from __future__ import annotations
@@ -77,8 +75,7 @@ class TopologyArtifacts:
     still builds lazily on first use, but *once per topology* instead
     of once per cluster).  Instances are safe to share across
     ``run_many`` threads: the routing index is the tree's own (built
-    once, under a lock), insertion into the destination-set memo is
-    atomic under the GIL, and the rank-lookup table is guarded by a lock.
+    once, under a lock) and the rank-lookup table is guarded by a lock.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
@@ -88,10 +85,6 @@ class TopologyArtifacts:
         self.compute_order: tuple = tuple(
             sorted(tree.compute_nodes, key=node_sort_key)
         )
-        #: Destination frozensets already validated against this tree
-        #: (see :meth:`RoundContext.exchange_multicast`); a validation
-        #: memo, never consulted for routing or accounting.
-        self.checked_destination_sets: set = set()
         self._lock = threading.Lock()
         self._rank_lookups: dict[int, np.ndarray] = {}
 

@@ -1,0 +1,191 @@
+"""The vertex-table superstep loop against the per-node reference driver.
+
+``tests/reference_supersteps.py`` keeps the hash-to-min body as it was
+when every node had its own ``_LocalView``; this module runs whole
+``connected-components`` protocols both ways, under the strict auditor,
+and requires the same outputs per node and the same superstep rows —
+cost, rounds, input size and bound compared with ``==``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.data.distribution import Distribution
+from repro.engine import run_with_result
+from repro.graphs import PlacedGraph
+from repro.graphs.model import encode_edges
+from repro.obs.audit import auditing
+from repro.topology.builders import star, two_level
+from repro.topology.tree import TreeTopology
+from tests.reference_supersteps import reference_model
+from tests.strategies import tree_topologies
+
+FLAVOURS = ("tree", "uniform-hash")
+ROW_FIELDS = ("protocol", "placement", "input_size", "rounds", "cost", "lower_bound")
+
+
+def run_audited(tree, distribution, protocol, seed):
+    with auditing(strict=True):
+        return run_with_result(
+            "connected-components", tree, distribution, protocol=protocol, seed=seed
+        )
+
+
+def assert_same_run(tree, distribution, protocol, seed=0):
+    report, result = run_audited(tree, distribution, protocol, seed)
+    with reference_model():
+        expected_report, expected = run_audited(tree, distribution, protocol, seed)
+    assert result.outputs.keys() == expected.outputs.keys()
+    for node, labels in expected.outputs.items():
+        assert result.outputs[node] == labels, node
+    meta, expected_meta = dict(result.meta), dict(expected.meta)
+    rows, expected_rows = meta.pop("supersteps"), expected_meta.pop("supersteps")
+    assert meta == expected_meta  # num_supersteps, num_vertices, converged, ...
+    assert [[row[f] for f in ROW_FIELDS] for row in rows] == [
+        [row[f] for f in ROW_FIELDS] for row in expected_rows
+    ]
+    assert (report.cost, report.rounds, report.lower_bound) == (
+        expected_report.cost, expected_report.rounds, expected_report.lower_bound
+    )
+
+
+def path_edges(n: int) -> np.ndarray:
+    return np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+
+
+GRAPHS = {
+    "gnm": repro.gnm_random_graph(40, 70, seed=3),
+    "path": path_edges(30),
+    "planted": repro.planted_components_graph(4, 8, seed=2),
+    "empty": np.empty((0, 2), dtype=np.int64),
+    "single-edge": np.array([[9, 4]], dtype=np.int64),
+}
+
+TREES = {
+    "star": star(4),
+    "two-level": two_level([3, 2, 4], uplink_bandwidth=[0.5, 2.0, 1.0]),
+    "single-compute": TreeTopology.from_undirected(
+        {("v1", "r"): 1.0}, ["v1"], name="single-compute"
+    ),
+    "deep-path": TreeTopology.from_undirected(
+        {(f"p{i}", f"p{i + 1}"): (1.0, 0.5, 4.0)[i % 3] for i in range(7)},
+        ["p0", "p3", "p7"],
+        name="deep-path",
+    ),
+    "router-only-subtree": TreeTopology.from_undirected(
+        {
+            ("v1", "core"): 1.0,
+            ("v2", "core"): 2.0,
+            ("v3", "core"): 1.0,
+            ("core", "r2"): 1.0,
+            ("r2", "r3"): 4.0,
+            ("r2", "r4"): 0.5,
+        },
+        ["v1", "v2", "v3"],
+        name="router-only-subtree",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", FLAVOURS)
+@pytest.mark.parametrize("policy", ["zipf", "uniform"])
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("tree", TREES)
+def test_named_shapes(tree, graph, policy, protocol):
+    placed = PlacedGraph.from_edges(TREES[tree], GRAPHS[graph], policy=policy, seed=5)
+    assert_same_run(TREES[tree], placed.distribution, protocol, seed=1)
+
+
+@given(data=st.data(), tree=tree_topologies())
+@settings(max_examples=40, deadline=None)
+def test_random_trees(data, tree):
+    seed = data.draw(st.integers(0, 2**16))
+    kind = data.draw(st.sampled_from(["gnm", "path", "planted"]))
+    if kind == "gnm":
+        vertices = data.draw(st.integers(2, 40))
+        edges = repro.gnm_random_graph(
+            vertices,
+            data.draw(st.integers(0, min(60, vertices * (vertices - 1) // 2))),
+            seed=seed,
+        )
+    elif kind == "path":
+        # shuffled ids: labels crawl instead of collapsing in one step
+        ids = np.random.default_rng(seed).permutation(data.draw(st.integers(2, 25)))
+        edges = np.stack([ids[:-1], ids[1:]], axis=1)
+    else:
+        edges = repro.planted_components_graph(
+            data.draw(st.integers(1, 4)), data.draw(st.integers(2, 8)), seed=seed
+        )
+    placed = PlacedGraph.from_edges(
+        tree, edges, policy=data.draw(st.sampled_from(["zipf", "uniform"])), seed=seed
+    )
+    for protocol in FLAVOURS:
+        assert_same_run(tree, placed.distribution, protocol, seed=seed % 5)
+
+
+@pytest.mark.parametrize("protocol", FLAVOURS)
+def test_raw_fragments(protocol):
+    """Fragments a caller packed by hand: both orientations, an edge held
+    twice on one node and again on another, a self-loop, sparse ids."""
+    tree = two_level([2, 2], uplink_bandwidth=[1.0, 0.5])
+    nodes = sorted(tree.compute_nodes)
+    top = (1 << 20) - 1
+    distribution = Distribution(
+        {
+            nodes[0]: {"E": encode_edges([7, 2, 7, top], [2, 7, 2, 5])},
+            nodes[1]: {"E": encode_edges([2, 9], [7, 9])},
+            nodes[3]: {"E": encode_edges([5, top - 1], [4, top])},
+        }
+    )
+    assert_same_run(tree, distribution, protocol)
+
+
+_HASHSEED_SCRIPT = """
+import json
+import repro
+
+def strip(value):
+    if isinstance(value, dict):
+        return {k: strip(v) for k, v in value.items() if k != "wall_time_s"}
+    if isinstance(value, (list, tuple)):
+        return [strip(v) for v in value]
+    return value
+
+tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
+assert all(isinstance(v, str) for v in tree.compute_nodes)
+graph = repro.random_graph_distribution(
+    tree, num_edges=400, num_vertices=90, policy="zipf", seed=11
+)
+for protocol in ("tree", "uniform-hash", "gather"):
+    report = repro.run_components(tree, graph, protocol=protocol, seed=2)
+    print(json.dumps(strip(report.to_dict()), sort_keys=True, default=str))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """String node ids hash differently per ``PYTHONHASHSEED``; the
+    per-node driver iterated ``set``s of them, the vertex table must not."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for hash_seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    rows = [json.loads(line) for line in outputs[0].splitlines()]
+    assert [row["protocol"] for row in rows] == [
+        "tree-components", "uniform-hash-components", "gather-components"
+    ]

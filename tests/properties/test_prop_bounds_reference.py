@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,11 @@ from repro.core.cartesian.lower_bounds import (
 from repro.core.cartesian.unequal import unequal_lower_bound_flow
 from repro.core.intersection.lower_bound import intersection_lower_bound
 from repro.core.sorting.lower_bound import sorting_lower_bound
+from repro.data.distribution import Distribution
 from repro.graphs import components_lower_bound, triangles_lower_bound
+from repro.graphs.model import encode_edges
 from repro.queries import equijoin_lower_bound, groupby_lower_bound
+from repro.topology.builders import two_level
 from repro.topology.dagger import build_dagger
 from tests.reference_bounds import (
     components_lower_bound_reference,
@@ -121,6 +125,26 @@ def test_graph_bounds(instance):
         triangles_lower_bound(tree, distribution),
         triangles_lower_bound_reference(tree, distribution),
     )
+
+
+def test_components_bound_with_sparse_ids_and_empty_nodes():
+    """Vertex ids at the top of the 20-bit space (the kernel indexes the
+    distinct endpoints, not the id range) and nodes holding no edges."""
+    tree = two_level([3, 2, 3], uplink_bandwidth=[1, 0.5, 2])
+    nodes = sorted(tree.compute_nodes, key=str)
+    top = (1 << 20) - 1
+    ids = np.array([top, top - 1, top - 7, 3, 0, top // 2, top // 2 + 1, 12])
+    rng = np.random.default_rng(9)
+    placements = {}
+    for node in nodes[::2]:  # every other node is empty, one rack entirely
+        ends = ids[rng.integers(0, len(ids), (6, 2))]
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        placements[node] = {"E": encode_edges(ends.min(axis=1), ends.max(axis=1))}
+    placements[nodes[1]] = {"E": []}
+    distribution = Distribution(placements)
+    found = components_lower_bound(tree, distribution)
+    assert_same_bound(found, components_lower_bound_reference(tree, distribution))
+    assert found.value > 0
 
 
 _HASHSEED_SCRIPT = """

@@ -153,6 +153,31 @@ class TestExchangeMulticastValidation:
                     "v1", [0], [{"v2", "core"}], [1], tag="x"
                 )
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("core", "destination 'core' is a router; only compute nodes "
+                     "can store data"),
+            ("v9", "unknown node 'v9'"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["single", "batched", "column"])
+    def test_bad_node_inside_a_set_is_named(self, cluster, entry, bad, message):
+        """The set is validated with one subset test; on failure the
+        per-node walk still names the router / unknown node."""
+        dsts = {"v2", "v3", bad}
+        with pytest.raises(ProtocolError) as raised:
+            with cluster.round() as ctx:
+                if entry == "single":
+                    ctx.multicast("v1", dsts, [1], tag="x")
+                elif entry == "batched":
+                    ctx.exchange_multicast("v1", [0], [dsts], [1], tag="x")
+                else:
+                    ctx.exchange_multicast_column(
+                        [0], [0], [dsts], [1], tag="x"
+                    )
+        assert str(raised.value) == message
+
     def test_router_in_unused_destination_set_tolerated(self, cluster):
         # validation covers the destination sets actually referenced,
         # like the equivalent multicast loop would

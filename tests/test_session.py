@@ -91,6 +91,41 @@ class TestSessionRuns:
         assert shared.hits >= 1
 
 
+def _collection_sizes(root) -> dict:
+    """``len`` of every builtin container reachable through attributes."""
+    sizes, seen = {}, set()
+
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, (dict, set, list)):
+            sizes[path] = len(obj)
+        for name, value in getattr(obj, "__dict__", {}).items():
+            walk(value, f"{path}.{name}")
+
+    walk(root, "artifacts")
+    return sizes
+
+
+class TestSessionMemory:
+    def test_components_queries_leave_no_growing_per_tree_state(self, tree):
+        """Every query has its own subscriber sets; whatever the pinned
+        tree's artifacts keep must not grow with the queries served."""
+        with EngineSession(tree) as session:
+            sizes = []
+            for seed in range(3):
+                graph = repro.random_graph_distribution(
+                    tree, num_edges=300, num_vertices=60, policy="zipf", seed=seed
+                )
+                session.run("connected-components", graph, seed=seed)
+                sizes.append(_collection_sizes(session.artifact_cache.get(tree)))
+        assert sizes[0]  # the walk does see the artifacts' containers
+        for later in sizes[1:]:
+            assert later.keys() == sizes[0].keys()
+            assert all(later[path] <= sizes[0][path] for path in later)
+
+
 class TestSessionPlans:
     def test_run_plan_uses_session_cache(self, tree):
         catalog = chain_catalog(tree, num_relations=3, rows=200, seed=0)

@@ -1,0 +1,142 @@
+"""``component_roots`` against the union-find oracle, and its round count."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graphs.reference import reference_components
+from repro.util import components
+from repro.util.components import component_roots
+
+
+def expected_roots(u, v, n: int) -> np.ndarray:
+    """Union-find's answer in the kernel's shape: isolated vertices are roots."""
+    roots = np.arange(n, dtype=np.int64)
+    for vertex, root in reference_components(np.stack([u, v], axis=1)).items():
+        roots[vertex] = root
+    return roots
+
+
+@st.composite
+def edge_lists(draw, *, max_vertices: int = 60, max_edges: int = 120):
+    n = draw(st.integers(1, max_vertices))
+    m = draw(st.integers(0, max_edges))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # self-loops, duplicates and both orientations all occur at this density
+    return rng.integers(0, n, m), rng.integers(0, n, m), n
+
+
+@given(instance=edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_matches_union_find(instance):
+    u, v, n = instance
+    roots = component_roots(u, v, n)
+    assert np.array_equal(roots, expected_roots(u, v, n))
+    # orientation and repetition are not information
+    both = component_roots(
+        np.concatenate([u, v, u]), np.concatenate([v, u, v]), n
+    )
+    assert np.array_equal(both, roots)
+
+
+@pytest.mark.parametrize(
+    "shape", ["tiny-components", "one-giant", "giant-plus-dust"]
+)
+def test_component_shapes(shape):
+    rng = np.random.default_rng(11)
+    n = 4_000
+    if shape == "tiny-components":  # 2 000 disjoint edges
+        pairs = rng.permutation(n).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+    elif shape == "one-giant":  # a random spanning tree plus chords
+        order = rng.permutation(n)
+        parents = order[(rng.random(n - 1) * np.arange(1, n)).astype(np.int64)]
+        u = np.concatenate([order[1:], rng.integers(0, n, 500)])
+        v = np.concatenate([parents, rng.integers(0, n, 500)])
+    else:  # half the vertices in one component, the rest isolated or paired
+        half = n // 2
+        u = np.concatenate([np.arange(1, half), np.arange(half, n - 1, 4)])
+        v = np.concatenate(
+            [rng.integers(0, np.arange(1, half)), np.arange(half + 1, n, 4)]
+        )
+    assert np.array_equal(component_roots(u, v, n), expected_roots(u, v, n))
+
+
+@given(
+    instances=st.lists(edge_lists(max_vertices=25, max_edges=40), min_size=1, max_size=6)
+)
+@settings(max_examples=60, deadline=None)
+def test_one_call_for_several_fragments(instances):
+    """Fragments keyed into disjoint index ranges: one call, same closures."""
+    offsets = np.cumsum([0] + [n for _, _, n in instances])
+    batched = component_roots(
+        np.concatenate([u + base for (u, _, _), base in zip(instances, offsets)]),
+        np.concatenate([v + base for (_, v, _), base in zip(instances, offsets)]),
+        int(offsets[-1]),
+    )
+    for (u, v, n), base in zip(instances, offsets):
+        assert np.array_equal(
+            batched[base : base + n], component_roots(u, v, n) + base
+        )
+
+
+def test_contract():
+    roots = component_roots([], [], 0)
+    assert roots.dtype == np.int64 and roots.shape == (0,)
+    roots = component_roots([], [], 5)
+    assert roots.dtype == np.int64 and roots.tolist() == [0, 1, 2, 3, 4]
+    # any integer dtype in, int64 minimum index of the component out
+    roots = component_roots(
+        np.array([4, 2], dtype=np.int16), np.array([3, 2], dtype=np.uint8), 6
+    )
+    assert roots.dtype == np.int64 and roots.tolist() == [0, 1, 2, 3, 3, 5]
+    assert roots.flags.writeable
+
+
+def hooking_rounds(monkeypatch, u, v, n: int) -> int:
+    calls = []
+    hook_round = components._hook_round
+
+    def counting(parent, a, b):
+        calls.append(len(a))
+        return hook_round(parent, a, b)
+
+    monkeypatch.setattr(components, "_hook_round", counting)
+    roots = component_roots(u, v, n)
+    monkeypatch.undo()
+    assert not roots.any()  # a path is one component, rooted at vertex 0
+    return len(calls)
+
+
+PATH = 5_000
+
+
+@pytest.mark.parametrize("edge_order", ["sorted", "reversed", "random"])
+@pytest.mark.parametrize("labelling", ["along", "zigzag", "random"])
+def test_long_paths_take_logarithmically_many_rounds(
+    monkeypatch, edge_order, labelling
+):
+    """Pointer jumping, not label crawling: a 5 000-path must not need
+    thousands of hooking rounds whatever order its edges or ids come in."""
+    rng = np.random.default_rng(3)
+    if labelling == "along":
+        ids = np.arange(PATH)
+    elif labelling == "zigzag":  # 0, n-1, 1, n-2, ...: every other id is a local minimum
+        ids = np.empty(PATH, dtype=np.int64)
+        ids[0::2] = np.arange(PATH // 2)
+        ids[1::2] = np.arange(PATH - 1, PATH // 2 - 1, -1)
+    else:
+        ids = rng.permutation(PATH)
+    u, v = ids[:-1], ids[1:]
+    if edge_order == "reversed":
+        u, v = u[::-1], v[::-1]
+    elif edge_order == "random":
+        shuffle = rng.permutation(PATH - 1)
+        u, v = v[shuffle], u[shuffle]
+    rounds = hooking_rounds(monkeypatch, u, v, PATH)
+    assert rounds <= {"along": 1, "zigzag": 2}.get(
+        labelling, math.ceil(math.log2(PATH))
+    )
