@@ -21,6 +21,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.util.grouping import sorted_unique
 
 _RECV = "gather.recv"
 
@@ -71,7 +72,9 @@ def gather_intersect(
     outputs = {
         v: np.empty(0, np.int64) for v in tree.compute_nodes
     }
-    outputs[target] = np.intersect1d(r_all, s_all)
+    outputs[target] = np.intersect1d(
+        sorted_unique(r_all), sorted_unique(s_all), assume_unique=True
+    )
     return ProtocolResult.from_ledger(
         "gather-intersect", cluster.ledger, outputs=outputs,
         meta={"target": target},

@@ -20,6 +20,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology, node_sort_key
+from repro.util.grouping import sorted_unique
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -113,11 +114,13 @@ def star_intersect(
 
     outputs: dict = {}
     for v in computes:
-        r_received = cluster.local(v, _R_RECV)
+        r_received = sorted_unique(cluster.local(v, _R_RECV))
         s_final = cluster.local(v, _S_RECV)
         if v in beta_set:
             s_final = np.concatenate([s_final, cluster.local(v, large_tag)])
-        outputs[v] = np.intersect1d(r_received, s_final)
+        outputs[v] = np.intersect1d(
+            r_received, sorted_unique(s_final), assume_unique=True
+        )
 
     return ProtocolResult.from_ledger(
         "star-intersect",

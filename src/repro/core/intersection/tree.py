@@ -93,11 +93,7 @@ def hashed_partition_round(
             rows[:, slot] = members[hasher.assign_indices(keys)]
         groups, group_ids = unique_rows(rows)
         ctx.exchange_multicast_column(
-            groups[:, 0],
-            group_ids,
-            [frozenset(computes[j] for j in row[1:]) for row in groups.tolist()],
-            small,
-            tag=small_recv,
+            groups[:, 0], group_ids, groups[:, 1:], small, tag=small_recv
         )
         owners, large = cluster.column(large_tag)
         keys = large >> key_shift

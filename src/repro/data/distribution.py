@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.util.grouping import sorted_unique
 
 
 _EMPTY = np.empty(0, np.int64)
@@ -154,7 +155,7 @@ class Distribution:
         uniqueness, which this enforces.
         """
         full = self.relation(tag)
-        if len(np.unique(full)) != len(full):
+        if len(sorted_unique(full)) != len(full):
             raise DistributionError(
                 f"relation {tag!r} contains duplicated elements; initial "
                 "fragments must partition a set"

@@ -51,6 +51,7 @@ from repro.sim.cluster import current_backend, use_backend
 from repro.sim.protocol import ProtocolResult
 from repro.topology.artifacts import ensure_artifact_cache, get_artifact_cache, use_artifacts
 from repro.topology.tree import TreeTopology
+from repro.util.grouping import sorted_unique
 
 # Importing these modules is what populates the registry: every protocol
 # self-registers at import time.  The engine pulls them in explicitly so
@@ -77,10 +78,12 @@ def _verify_intersection(
 ) -> None:
     """The emitted union must equal ``R ∩ S`` exactly."""
     expected = np.intersect1d(
-        distribution.relation("R"), distribution.relation("S")
+        sorted_unique(distribution.relation("R")),
+        sorted_unique(distribution.relation("S")),
+        assume_unique=True,
     )
     found = (
-        np.unique(np.concatenate(list(result.outputs.values())))
+        sorted_unique(np.concatenate(list(result.outputs.values())))
         if result.outputs
         else np.empty(0, np.int64)
     )
@@ -146,7 +149,7 @@ def _verify_aggregate(
     keys, _ = decode_tuples(
         distribution.relation("R"), payload_bits=payload_bits
     )
-    expected = len(np.unique(keys))
+    expected = len(sorted_unique(keys))
     produced = sum(len(groups) for groups in result.outputs.values())
     if produced != expected:
         raise ProtocolError(

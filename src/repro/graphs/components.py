@@ -51,7 +51,12 @@ from repro.report import GraphRunReport, RunReport
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
 from repro.util.components import component_roots
-from repro.util.grouping import group_slices, unique_rows
+from repro.util.grouping import (
+    concat_ranges,
+    group_slices,
+    sorted_unique,
+    unique_rows,
+)
 
 _LABEL_RECV = "cc.labels.recv"
 _GATHER_RECV = "cc.gather.recv"
@@ -149,31 +154,36 @@ def _row_keys(owner: np.ndarray, vertex: np.ndarray) -> np.ndarray:
 
 
 def _subscriber_subsets(
-    row_owner: np.ndarray, vertex_of_row: np.ndarray, computes: tuple
-) -> tuple[np.ndarray, list[frozenset]]:
+    row_owner: np.ndarray, vertex_of_row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deduplicated subscriber sets: the vertex table read by vertex.
 
-    Returns each vertex's subset id and, per id, the nodes whose
-    fragments touch the vertex.  Owner segments of equal length are
-    compared as the rows of one matrix, so memory stays O(table rows)
-    however many nodes there are.
+    Returns each vertex's subset id and the subsets as one CSR pair:
+    subset ``s`` is ``members[offsets[s]:offsets[s + 1]]``, the
+    ascending compute-order indices of the nodes whose fragments touch
+    the vertex.  Owner segments of equal length are compared as the
+    rows of one matrix, so memory stays O(table rows) however many
+    nodes there are.
     """
     by_vertex = np.argsort(vertex_of_row, kind="stable")
     owners = row_owner[by_vertex]  # grouped by vertex, ascending within
     lengths = np.bincount(vertex_of_row)
     starts = np.cumsum(lengths) - lengths
     subset_of = np.empty(len(lengths), dtype=np.intp)
-    subsets: list[frozenset] = []
-    for length in np.unique(lengths).tolist():
+    members: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []
+    count = 0
+    for length in sorted_unique(lengths).tolist():
         which = np.flatnonzero(lengths == length)
         distinct, inverse = unique_rows(
             owners[starts[which][:, None] + np.arange(length)]
         )
-        subset_of[which] = len(subsets) + inverse
-        subsets.extend(
-            frozenset(map(computes.__getitem__, m)) for m in distinct.tolist()
-        )
-    return subset_of, subsets
+        subset_of[which] = count + inverse
+        count += len(distinct)
+        members.append(distinct.ravel())
+        sizes.append(np.full(len(distinct), length))
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
+    return subset_of, np.concatenate(members), offsets
 
 
 def _as_columns(groups) -> KeyValueArrays:
@@ -255,9 +265,10 @@ def _hash_to_min(
     all_vertices, vertex_of_row = np.unique(row_vertex, return_inverse=True)
     # Return legs group label updates by *subscriber set* (the owners
     # whose fragments touch the vertex); many vertices share one.
-    subset_of, subscribers = _subscriber_subsets(
-        row_owner, vertex_of_row, computes
+    subset_of, subscribers, subscriber_offsets = _subscriber_subsets(
+        row_owner, vertex_of_row
     )
+    num_subsets = len(subscriber_offsets) - 1
     prev_labels = all_vertices.copy()  # identity is globally known
     if max_supersteps is None:
         max_supersteps = len(all_vertices) + 2
@@ -312,24 +323,22 @@ def _hash_to_min(
                 for column in (out_owner, out_vertices, out_labels, positions)
             )
         # One registration per leg: a group is an (owner, subscriber
-        # subset) pair, its Steiner destinations the subset minus the
-        # owner; a vertex whose only subscriber is its owner ships
-        # nothing.
+        # subset) pair, its Steiner destinations the subset with the
+        # owner masked out; a vertex whose only subscriber is its owner
+        # ships nothing.
         groups, group_ids = np.unique(
-            out_owner * len(subscribers) + subset_of[positions],
+            out_owner * num_subsets + subset_of[positions],
             return_inverse=True,
         )
-        group_owner, group_subset = np.divmod(groups, len(subscribers))
-        destination_sets = [
-            nodes - {owner} if owner in nodes else nodes
-            for owner, nodes in zip(
-                map(computes.__getitem__, group_owner.tolist()),
-                map(subscribers.__getitem__, group_subset.tolist()),
-            )
+        group_owner, group_subset = np.divmod(groups, num_subsets)
+        sizes = np.diff(subscriber_offsets)[group_subset]
+        members = subscribers[
+            concat_ranges(subscriber_offsets[group_subset], sizes)
         ]
-        ships = np.fromiter(map(bool, destination_sets), bool, len(groups))[
-            group_ids
-        ]
+        group_of = np.repeat(np.arange(len(groups)), sizes)
+        away = members != group_owner[group_of]
+        fanout = np.bincount(group_of[away], minlength=len(groups))
+        ships = (fanout > 0)[group_ids]
         with driver.cluster_round(
             task="connected-components",
             protocol="label-return",
@@ -338,7 +347,7 @@ def _hash_to_min(
             ctx.exchange_multicast_column(
                 group_owner,
                 group_ids[ships],
-                destination_sets,
+                (members[away], np.concatenate([[0], np.cumsum(fanout)])),
                 encode_tuples(
                     out_vertices[ships],
                     out_labels[ships],

@@ -26,6 +26,7 @@ import numpy as np
 from repro.data.distribution import Distribution
 from repro.errors import DistributionError
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.util.grouping import sorted_unique
 
 VERTEX_BITS = 20
 MAX_VERTICES = 1 << VERTEX_BITS
@@ -210,7 +211,7 @@ class PlacedGraph:
         edges = self.edges()
         if not len(edges):
             return np.empty(0, np.int64)
-        return np.unique(edges)
+        return sorted_unique(edges)
 
     def degrees(self) -> np.ndarray:
         """Undirected degree per vertex id (length ``num_vertices``)."""

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.errors import AuditError
 from repro.obs.metrics import get_registry
+from repro.util.grouping import sorted_unique
 
 #: Tolerance for float comparisons (round costs are ratios of integer
 #: loads over float widths; re-deriving them must match to rounding).
@@ -240,18 +241,27 @@ def _expected_deliveries(cluster, context) -> dict:
         counts = np.bincount(targets, minlength=len(nodes))
         for position in np.flatnonzero(counts).tolist():
             _add(nodes[position], tag, int(counts[position]))
-    for _src, sets, group_ids, payload, tag in context._multicasts:
-        if group_ids is None:
-            group_counts = {0: len(payload)}
-        else:
-            counts = np.bincount(group_ids, minlength=len(sets))
-            group_counts = {
-                position: int(counts[position])
-                for position in np.flatnonzero(counts).tolist()
-            }
-        for position, count in group_counts.items():
-            for dst in sets[position]:
-                _add(dst, tag, count)
+    order = cluster.compute_order
+    for _src, members, offsets, group_ids, payload, tag in context._multicasts:
+        if offsets is None:  # node-named sets
+            counts = [len(payload)] if group_ids is None else np.bincount(
+                group_ids, minlength=len(members)
+            ).tolist()
+            for dsts, count in zip(members, counts):
+                for dst in dsts:
+                    _add(dst, tag, count)
+            continue
+        # index arrays: one delivery per distinct (group, member) pair
+        groups = len(offsets) - 1
+        pairs = sorted_unique(
+            np.repeat(np.arange(groups), np.diff(offsets)) * len(order)
+            + members
+        )
+        counts = np.bincount(group_ids, minlength=groups)
+        arrivals = np.zeros(len(order), dtype=np.int64)
+        np.add.at(arrivals, pairs % len(order), counts[pairs // len(order)])
+        for position in np.flatnonzero(arrivals).tolist():
+            _add(order[position], tag, int(arrivals[position]))
     return expected
 
 

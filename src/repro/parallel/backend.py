@@ -39,11 +39,11 @@ storage bytes, received counts, and per-edge ledger loads are
 ``oracle=True``.
 
 The multicast stream (Steiner replication) is finalized master-side
-through the inherited :meth:`_deliver_multicasts`: delivery there is
-zero-copy slice sharing into the columnar store (no per-element work
-to parallelize), and running it master-side keeps the chunk structure
-— and therefore the compaction counts — identical to the simulator's
-by construction.
+through the inherited :meth:`_deliver_multicasts`, which reads the
+stream's index-array records as registered: delivery there is slice
+views plus one gather per tag (nothing per group to parallelize), and
+running it master-side keeps the chunk structure — and therefore the
+compaction counts — identical to the simulator's by construction.
 
 Failure surface: a worker crash or a round-deadline overrun raises
 :class:`~repro.errors.ProtocolError` annotated with the guilty rank

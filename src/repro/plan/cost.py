@@ -32,6 +32,7 @@ import numpy as np
 from repro.errors import PlanError
 from repro.plan.relation import PlacedRelation
 from repro.topology.tree import NodeId, TreeTopology
+from repro.util.grouping import sorted_unique
 
 # The tree protocols replicate the smaller relation across the
 # balanced-partition blocks, which a plain shuffle expectation misses;
@@ -98,7 +99,7 @@ def cardinalities_of(relation: PlacedRelation) -> tuple[float, dict]:
     """Exact ``(rows, distinct count per column)`` of a base relation."""
     rows = relation.rows()
     distinct = {
-        name: int(len(np.unique(rows[:, i]))) if len(rows) else 0
+        name: int(len(sorted_unique(rows[:, i]))) if len(rows) else 0
         for i, name in enumerate(relation.schema.columns)
     }
     return float(len(rows)), distinct

@@ -32,7 +32,7 @@ from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
-from repro.util.grouping import owner_bounds, sorted_runs
+from repro.util.grouping import concat_ranges, owner_bounds, sorted_runs
 
 _R_RECV = "join.R.recv"
 _S_RECV = "join.S.recv"
@@ -62,12 +62,6 @@ def equijoin_lower_bound(
         per_edge=bound.per_edge,
         description="Theorem 1 applied to the equi-join",
     )
-
-
-def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(starts[j], starts[j] + counts[j])`` ranges."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
 
 
 def join_columns(
@@ -110,9 +104,9 @@ def join_columns(
     if materialize:
         # one block of rows per R tuple of a joined run: the tuple
         # against every S tuple of the run
-        left = _expand(starts, r_counts)
+        left = concat_ranges(starts, r_counts)
         width = np.repeat(s_counts, r_counts)
-        right = _expand(np.repeat(starts + r_counts, r_counts), width)
+        right = concat_ranges(np.repeat(starts + r_counts, r_counts), width)
         left = order[np.repeat(left, width)]
         pairs = np.stack(
             [keys[left], payloads[left], payloads[order[right]]], axis=1

@@ -29,13 +29,15 @@ ledgers.  Hash-routed protocols go one step further and register a whole
 relation at once (:meth:`Cluster.column`,
 :meth:`RoundContext.exchange_column`,
 :meth:`RoundContext.exchange_multicast_column`): the same two streams,
-with an index array where the per-node calls carry one source node.
+with index arrays where the per-node calls carry one source node and
+named destination sets.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from itertools import accumulate
 from time import perf_counter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -57,6 +59,7 @@ from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import (
     cached_group_slices,
     concat_group_slices,
+    concat_ranges,
     group_slices,
     index_dtype,
 )
@@ -160,30 +163,30 @@ def make_cluster(
     return factory(tree, distribution, **merged)
 
 
+def _concatenated(parts: Sequence) -> np.ndarray:
+    """``np.concatenate(parts)``, minus the copy when there is one part."""
+    return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+
+
 class RoundContext:
     """Collects the transfers of one round; created by :meth:`Cluster.round`."""
 
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
-        # the multicast stream, in registration order: (src, tuple of
-        # destination frozensets, per-element group indices into that
-        # tuple or None for "one group, everything to sets[0]",
-        # payload, tag).  multicast() appends single-set records,
-        # exchange_multicast() batched ones, exchange_multicast_column()
-        # records whose src is an array: the compute-order index of
-        # each *set's* source; like the unicast stream,
-        # grouping is deferred to finalization so the whole round's
+        # the multicast stream, in registration order: (source, members,
+        # offsets, per-element group ids, payload, tag).  A group is a
+        # (source, destination set) pair, and index arrays are the form
+        # it takes: exchange_multicast_column() records hold each
+        # group's compute-order source index and the sets as one CSR
+        # (members, offsets) pair of compute-order indices.  The
+        # node-named front-ends record (source node, tuple of
+        # frozensets, None, ...) — multicast() with ids None for "one
+        # group, everything to sets[0]" — and finalization converts
+        # each distinct tuple once per round.  Grouping is deferred to
+        # finalization like the unicast stream's, so the round's
         # replicated traffic is grouped with one pass per tag and
         # charged with one vectorized Steiner-flow call.
-        self._multicasts: list[
-            tuple[
-                NodeId | np.ndarray,
-                tuple[frozenset, ...],
-                np.ndarray | None,
-                np.ndarray,
-                str,
-            ]
-        ] = []
+        self._multicasts: list[tuple] = []
         # the unicast stream, in registration order: (src, node list or
         # None for the canonical compute order, per-element target
         # indices or None for "everything to node_list[0]", payload,
@@ -318,7 +321,7 @@ class RoundContext:
         if len(payload) == 0:
             return
         self._multicasts.append(
-            (src, (destination_set,), None, payload, str(tag))
+            (src, (destination_set,), None, None, payload, str(tag))
         )
 
     def scatter(
@@ -449,57 +452,7 @@ class RoundContext:
         """
         self._check_open()
         self._check_source(src)
-        self._register_multicasts(src, group_ids, destination_sets, values, tag)
-
-    def exchange_multicast_column(
-        self,
-        group_sources,
-        group_ids,
-        destination_sets: Sequence[Iterable[NodeId]],
-        values,
-        *,
-        tag: str,
-    ) -> None:
-        """Replicate a whole relation: element ``i`` goes from compute
-        node ``compute_order[group_sources[group_ids[i]]]`` to every
-        node in ``destination_sets[group_ids[i]]``.
-
-        The relation-at-a-time form of :meth:`exchange_multicast`: a
-        group is a (source, destination set) pair, so one registration
-        carries every node's replicated elements (one group per distinct
-        block-target row in TreeIntersect).  Equivalent to one
-        :meth:`multicast` per group id, ascending, and delivered and
-        charged byte-identically to that loop.
-        """
-        self._check_open()
-        origins = self._as_indices(group_sources, "group sources")
-        if len(origins) != len(destination_sets):
-            raise ProtocolError(
-                f"{len(destination_sets)} destination sets but "
-                f"{len(origins)} group sources; exchange_multicast_column "
-                "needs one source index per set"
-            )
-        self._check_index_span(
-            origins,
-            len(self._cluster.compute_order),
-            "group sources",
-            "compute nodes",
-        )
-        self._register_multicasts(
-            origins, group_ids, destination_sets, values, tag
-        )
-
-    def _register_multicasts(
-        self, src, group_ids, destination_sets, values, tag: str
-    ) -> None:
-        """Validate and append one batched multicast record."""
-        payload = self._as_payload(values)
-        ids = self._as_indices(group_ids, "group ids")
-        if len(ids) != len(payload):
-            raise ProtocolError(
-                f"{len(payload)} values but {len(ids)} group ids; "
-                "a batched multicast needs one group id per element"
-            )
+        payload, ids = self._as_grouped_payload(values, group_ids)
         sets = tuple(
             dsts if isinstance(dsts, frozenset) else frozenset(dsts)
             for dsts in destination_sets
@@ -512,7 +465,85 @@ class RoundContext:
             if not sets[index]:
                 raise ProtocolError("multicast needs at least one destination")
             self._check_destinations(sets[index])
-        self._multicasts.append((src, sets, ids, payload, str(tag)))
+        self._multicasts.append((src, sets, None, ids, payload, str(tag)))
+
+    def exchange_multicast_column(
+        self, group_sources, group_ids, destinations, values, *, tag: str
+    ) -> None:
+        """Replicate a whole relation: element ``i`` goes from compute
+        node ``compute_order[group_sources[group_ids[i]]]`` to every
+        node of destination set ``group_ids[i]``.
+
+        The relation-at-a-time form of :meth:`exchange_multicast`: a
+        group is a (source, destination set) pair, so one registration
+        carries every node's replicated elements (one group per distinct
+        block-target row in TreeIntersect).  ``destinations`` holds the
+        sets as compute-order indices, which cannot name a router: an
+        integer ``(groups, k)`` matrix, one set per row, or a CSR
+        ``(members, offsets)`` tuple, set ``g`` being
+        ``members[offsets[g]:offsets[g + 1]]``.  They are *sets*: a
+        member listed twice is delivered once.  Equivalent to one
+        :meth:`multicast` per group id, ascending, and delivered and
+        charged byte-identically to that loop; like there, a set a
+        group id names needs at least one destination.
+        """
+        self._check_open()
+        payload, ids = self._as_grouped_payload(values, group_ids)
+        origins = self._as_indices(group_sources, "group sources")
+        if isinstance(destinations, tuple) and len(destinations) == 2:
+            members = self._as_indices(destinations[0], "destination members")
+            offsets = self._as_indices(destinations[1], "destination offsets")
+            if not len(offsets) or (
+                offsets[0] != 0
+                or offsets[-1] != len(members)
+                or (offsets[1:] < offsets[:-1]).any()
+            ):
+                raise ProtocolError(
+                    "destination offsets must rise from 0 to the "
+                    f"{len(members)} members given"
+                )
+        else:
+            matrix = np.asarray(destinations)
+            if matrix.ndim != 2 or matrix.dtype.kind not in "iu":
+                raise ProtocolError(
+                    "destinations must be an integer (groups, k) matrix "
+                    "or a (members, offsets) tuple"
+                )
+            members = matrix.ravel()
+            offsets = np.arange(len(matrix) + 1) * matrix.shape[1]
+        groups = len(offsets) - 1
+        if len(origins) != groups:
+            raise ProtocolError(
+                f"{groups} destination sets but {len(origins)} group "
+                "sources; exchange_multicast_column needs one source index "
+                "per set"
+            )
+        count = len(self._cluster.compute_order)
+        for indices, bound, what, candidates in (
+            (origins, count, "group sources", "compute nodes"),
+            (members, count, "destination members", "compute nodes"),
+            (ids, groups, "group ids", "destination sets"),
+        ):
+            self._check_index_span(indices, bound, what, candidates)
+        if len(payload) == 0:
+            return
+        empty = offsets[1:] == offsets[:-1]
+        if empty.any() and empty[ids].any():
+            raise ProtocolError("multicast needs at least one destination")
+        self._multicasts.append(
+            (origins, members, offsets, ids, payload, str(tag))
+        )
+
+    def _as_grouped_payload(self, values, group_ids):
+        """A batched multicast's payload and its parallel group ids."""
+        payload = self._as_payload(values)
+        ids = self._as_indices(group_ids, "group ids")
+        if len(ids) != len(payload):
+            raise ProtocolError(
+                f"{len(payload)} values but {len(ids)} group ids; "
+                "a batched multicast needs one group id per element"
+            )
+        return payload, ids
 
     # ------------------------------------------------------------------ #
     # finalization
@@ -566,11 +597,7 @@ class RoundContext:
             # transfer delivery exactly
             grouped = []
             for tag, parts in by_tag.items():
-                if len(parts) == 1:
-                    all_dst, all_payload = parts[0]
-                else:
-                    all_dst = np.concatenate([p[0] for p in parts])
-                    all_payload = np.concatenate([p[1] for p in parts])
+                all_dst, all_payload = map(_concatenated, zip(*parts))
                 order, uniques, starts, ends = cached_group_slices(all_dst)
                 grouped.append((tag, all_payload[order], uniques, starts, ends))
             if phases is not None:
@@ -681,137 +708,126 @@ class RoundContext:
             cluster._add_received(node_names[index], int(arrivals[index]))
         return loads
 
+    def _collect_multicasts(self, routing) -> dict[str, list[tuple]]:
+        """Resolve the multicast stream into per-tag records of arrays.
+
+        Per tag and in registration order: ``(group ids, payload,
+        sources, members, fanouts)``, the last three naming routing
+        indices — every group's source, the groups' destination members
+        laid end to end, and how many each group has.  A named record's
+        sets are converted once per distinct tuple.
+        """
+        index_of = routing.index_of
+        lookup = routing.compute_idx
+        named: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        by_tag: dict[str, list[tuple]] = {}
+        for src, members, offsets, ids, payload, tag in self._multicasts:
+            if offsets is None:
+                sets = named.get(members)
+                if sets is None:
+                    # -1 for an unknown node: validation covered every
+                    # set a group id names, and no other is gathered
+                    sets = named[members] = (
+                        np.fromiter(
+                            (index_of.get(n, -1) for s in members for n in s),
+                            np.intp,
+                        ),
+                        np.fromiter(map(len, members), np.intp, len(members)),
+                    )
+                table = ((index_of[src],) * len(members), *sets)
+            else:
+                table = (lookup[src], lookup[members], np.diff(offsets))
+            by_tag.setdefault(tag, []).append((ids, payload, *table))
+        return by_tag
+
     def _deliver_multicasts(self, loads: dict, phases: dict | None = None) -> None:
         """Deliver and charge the round's multicast stream in bulk.
 
         Group ids are lifted into a per-tag global id space (each
-        record's local ids shifted by a running base), so one
-        :func:`group_slices` pass per tag groups every replicated
-        element of the round; global ids ascend in registration x
-        local-id order, which keeps per-``(dst, tag)`` append order —
-        and therefore storage bytes — identical to the per-group
-        multicast loop.  Delivery is *zero-copy slice sharing*: the
-        grouped payload is sliced once per group, each ``(group,
-        member)`` pair becomes a row, rows are grouped by destination
-        with the same stable primitive as the unicast path, and every
-        destination's column references its groups' slice views in
-        ascending-gid order — replication moves no bytes at delivery
-        time (the columnar store references chunks), so a replication
-        factor of *f* costs one compaction at first read instead of an
-        *f*-fold gather here.  Every present group's Steiner tree is
-        then charged through one vectorized
+        record's local ids shifted by a running base, the shift deferred
+        to :func:`concat_group_slices`), so one grouping pass per tag
+        covers every replicated element of the round; global ids ascend
+        in registration x local-id order, which keeps per-``(dst, tag)``
+        byte order identical to the per-group multicast loop.  Each
+        ``(present group, member)`` pair is a row (a CSR gather, no loop
+        over groups); rows are grouped by destination with the same
+        stable primitive and a repeated pair — sets, not lists — is
+        dropped.  A destination one group serves receives that group's
+        slice of the grouped payload as a zero-copy view (a
+        whole-relation broadcast moves no bytes); one served by several
+        receives one gathered chunk, its groups in ascending-gid order.
+        The same rows charge every group's Steiner tree through one
         :meth:`~repro.topology.steiner.RoutingIndex.multicast_loads`
         call, merged into ``loads`` alongside the unicast charges.
         """
         cluster = self._cluster
         routing = cluster.oracle.routing_index
-        index_of = routing.index_of
         node_names = routing.nodes
         storage = cluster._storage
         registry = get_registry()
-        # tag -> (local group ids, payload, base) parts and the
-        # (base, src, sets) record table that resolves a global id back
-        # to its source and destination set; the base shift into the
-        # global id space is deferred to concat_group_slices, whose
-        # parts-keyed memo skips materializing the shifted stream on a
-        # repeated round
         t0 = perf_counter() if phases is not None else 0.0
-        parts_by_tag: dict[
-            str, list[tuple[np.ndarray | None, np.ndarray, int]]
-        ] = {}
-        records_by_tag: dict[str, list[tuple[int, list[int], tuple]]] = {}
-        next_base: dict[str, int] = {}
-        for src, sets, group_ids, payload, tag in self._multicasts:
-            base = next_base.get(tag, 0)
-            parts_by_tag.setdefault(tag, []).append(
-                (group_ids, payload, base)
-            )
-            # each set's source as a routing index: the record's one
-            # source, or one per set (exchange_multicast_column())
-            src_ids = (
-                routing.compute_idx[src].tolist()
-                if isinstance(src, np.ndarray)
-                else [index_of[src]] * len(sets)
-            )
-            records_by_tag.setdefault(tag, []).append((base, src_ids, sets))
-            next_base[tag] = base + len(sets)
+        by_tag = self._collect_multicasts(routing)
         if phases is not None:
             phases["group"] += perf_counter() - t0
-        set_ids: dict[frozenset, np.ndarray] = {}
-        batch_src: list[int] = []
-        batch_sets: list[np.ndarray] = []
-        batch_counts: list[int] = []
-        for tag, parts in parts_by_tag.items():
+        charges: list[tuple] = []
+        for tag, records in by_tag.items():
             t1 = perf_counter() if phases is not None else 0.0
-            all_payload = (
-                parts[0][1]
-                if len(parts) == 1
-                else np.concatenate([p[1] for p in parts])
-            )
+            ids, payloads, *table = zip(*records)
+            bases = accumulate(map(len, table[2]), initial=0)
             order, uniques, starts, ends = concat_group_slices(
-                [(ids, len(payload), base) for ids, payload, base in parts]
+                [(i, len(p), base) for i, p, base in zip(ids, payloads, bases)]
+            )
+            all_payload, sources, members, fanouts = map(
+                _concatenated, (payloads, *table)
             )
             sorted_payload = all_payload[order]
             if phases is not None:
                 t2 = perf_counter()
                 phases["group"] += t2 - t1
-            records = records_by_tag[tag]
-            position = 0
-            group_counts = ends - starts
-            group_src = np.empty(len(uniques), dtype=np.intp)
-            member_ids: list[np.ndarray] = []
-            for slot, gid in enumerate(uniques.tolist()):
-                while (
-                    position + 1 < len(records)
-                    and records[position + 1][0] <= gid
-                ):
-                    position += 1
-                base, src_ids, sets = records[position]
-                dsts = sets[gid - base]
-                ids = set_ids.get(dsts)
-                if ids is None:
-                    ids = np.fromiter(
-                        (index_of[n] for n in dsts), np.intp, len(dsts)
-                    )
-                    set_ids[dsts] = ids
-                member_ids.append(ids)
-                src_id = src_ids[gid - base]
-                group_src[slot] = src_id
-                batch_src.append(src_id)
-                batch_sets.append(ids)
-                batch_counts.append(int(group_counts[slot]))
-            # one row per (group, member); group rows by destination —
-            # stable, so rows stay in ascending-gid order within a dst,
-            # exactly the per-group loop's append order
-            fanout = np.fromiter(
-                (len(ids) for ids in member_ids), np.intp, len(member_ids)
-            )
-            row_dst = np.concatenate(member_ids)
-            row_group = np.repeat(np.arange(len(member_ids)), fanout)
-            r_order, r_uniques, r_starts, r_ends = group_slices(row_dst)
-            sorted_dst = row_dst[r_order]
-            sorted_group = row_group[r_order]
-            lengths = group_counts[sorted_group]
-            # one slice view of the grouped payload per group; every
-            # member's column references the same view, so delivery
-            # moves no bytes regardless of the replication factor
-            group_views = [
-                sorted_payload[lo:hi]
-                for lo, hi in zip(starts.tolist(), ends.tolist())
+            # one row per (present group, member)
+            present = uniques.astype(np.intp)
+            counts = ends - starts
+            sources = sources[present]
+            fanout = fanouts[present]
+            row_dst = members[
+                concat_ranges((np.cumsum(fanouts) - fanouts)[present], fanout)
             ]
-            rows = sorted_group.tolist()
-            for slot, dst_id in enumerate(r_uniques.tolist()):
-                storage.extend(
-                    node_names[dst_id],
-                    tag,
-                    [
-                        group_views[g]
-                        for g in rows[r_starts[slot] : r_ends[slot]]
-                    ],
-                )
-            remote = group_src[sorted_group] != sorted_dst
+            row_group = np.repeat(np.arange(len(present)), fanout)
+            charges.append((sources, row_dst, fanout, counts))
+            # group rows by destination — stable, so rows stay in
+            # ascending-gid order within a dst, exactly the per-group
+            # loop's append order, and a repeated pair is adjacent
+            r_order, r_uniques, r_starts, r_ends = group_slices(row_dst)
+            row_dst, row_group = row_dst[r_order], row_group[r_order]
+            repeated = (row_dst[1:] == row_dst[:-1]) & (
+                row_group[1:] == row_group[:-1]
+            )
+            if repeated.any():
+                keep = np.concatenate(([True], ~repeated))
+                row_dst, row_group = row_dst[keep], row_group[keep]
+                r_starts = np.searchsorted(row_dst, r_uniques, side="left")
+                r_ends = np.searchsorted(row_dst, r_uniques, side="right")
+            lengths = counts[row_group]
+            # the destinations several groups serve share one gather,
+            # each taking its slice of it
+            single = r_ends - r_starts == 1
+            shared = ~np.repeat(single, r_ends - r_starts)
+            gathered = sorted_payload[
+                concat_ranges(starts[row_group[shared]], lengths[shared])
+            ]
+            sizes = np.add.reduceat(lengths, r_starts)
+            gathered_his = np.cumsum(np.where(single, 0, sizes))
+            first = row_group[r_starts]
+            los = np.where(single, starts[first], gathered_his - sizes)
+            his = np.where(single, ends[first], gathered_his)
+            for dst_id, one, lo, hi in zip(
+                r_uniques.tolist(), single.tolist(), los.tolist(), his.tolist()
+            ):
+                chunk = (sorted_payload if one else gathered)[lo:hi]
+                storage.append(node_names[dst_id], tag, chunk)
+            remote = sources[row_group] != row_dst
             arrivals = np.zeros(routing.num_nodes, dtype=np.int64)
-            np.add.at(arrivals, sorted_dst[remote], lengths[remote])
+            np.add.at(arrivals, row_dst[remote], lengths[remote])
             for index in np.flatnonzero(arrivals).tolist():
                 cluster._add_received(node_names[index], int(arrivals[index]))
             if registry.enabled:
@@ -821,16 +837,12 @@ class RoundContext:
             if phases is not None:
                 phases["deliver"] += perf_counter() - t2
         t3 = perf_counter() if phases is not None else 0.0
-        lens = np.fromiter(
-            (len(ids) for ids in batch_sets), np.intp, len(batch_sets)
+        sources, terminals, fanout, counts = (
+            np.concatenate(column) for column in zip(*charges)
         )
-        ends = np.cumsum(lens)
+        stops = np.cumsum(fanout)
         multicast_loads = routing.multicast_loads(
-            np.asarray(batch_src, dtype=np.intp),
-            np.concatenate(batch_sets) if batch_sets else np.empty(0, np.intp),
-            ends - lens,
-            ends,
-            np.asarray(batch_counts, dtype=np.int64),
+            sources, terminals, stops - fanout, stops, counts
         )
         for edge, count in multicast_loads.items():
             loads[edge] = loads.get(edge, 0) + count
@@ -872,7 +884,7 @@ class RoundContext:
         elements: dict[str, int] = {}
         for _src, _nodes, _targets, payload, tag in self._unicast_stream:
             elements[tag] = elements.get(tag, 0) + len(payload)
-        for _src, _sets, _gids, payload, tag in self._multicasts:
+        for *_, payload, tag in self._multicasts:
             elements[tag] = elements.get(tag, 0) + len(payload)
         return elements
 

@@ -25,8 +25,9 @@ Each multi-chunk concatenation is counted on the installed metrics
 registry as ``repro_storage_compactions_total{tag=...}``.  The count is
 backend-agnostic by the same argument as the other round families:
 unicast delivery lands exactly one chunk per ``(dst, tag)`` per round,
-multicast delivery one shared slice view per ``(group, member)`` — and
-both shapes are identical across substrates, because the process
+multicast delivery at most one more (a slice view of the grouped payload
+where one group serves the destination, one gathered chunk where several
+do) — and both shapes are identical across substrates, because the process
 backend finalizes its streams through the same master-side delivery
 code — while protocols issue the same reads on either substrate, so sim
 and process snapshots of the same protocol agree (the cross-process
@@ -35,7 +36,7 @@ metrics tests pin this down).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class _Column:
 class ColumnarStore:
     """``(node, tag) -> column`` storage behind the cluster surface.
 
-    All arrays handed to :meth:`append` / :meth:`extend` must already be
+    All arrays handed to :meth:`append` must already be
     one-dimensional ``int64`` — the cluster validates payloads before
     they reach storage.  Chunks are referenced, not copied; everything
     handed back out is read-only.
@@ -117,15 +118,6 @@ class ColumnarStore:
     def append(self, node, tag: str, chunk: np.ndarray) -> None:
         """Reference one delivered chunk at the end of a column."""
         self._column(node, tag).append(chunk)
-
-    def extend(self, node, tag: str, chunks: Iterable[np.ndarray]) -> None:
-        """Reference several chunks, preserving their order."""
-        if not isinstance(chunks, list):
-            chunks = list(chunks)
-        column = self._column(node, tag)
-        column.chunks.extend(chunks)
-        column.length += sum(map(len, chunks))
-        column.compacted = None
 
     def discard(self, node, tag: str) -> None:
         """Drop a column (no-op when absent)."""

@@ -78,9 +78,12 @@ class TopologyArtifacts:
     once, under a lock) and the rank-lookup table is guarded by a lock.
     """
 
-    def __init__(self, tree: TreeTopology) -> None:
+    def __init__(
+        self, tree: TreeTopology, *, fingerprint: str | None = None
+    ) -> None:
         self.tree = tree
-        self.fingerprint = topology_fingerprint(tree)
+        # a cache that digested the tree to look it up passes the digest in
+        self.fingerprint = fingerprint or topology_fingerprint(tree)
         self.oracle = PathOracle(tree)
         self.compute_order: tuple = tuple(
             sorted(tree.compute_nodes, key=node_sort_key)
@@ -140,7 +143,8 @@ class ArtifactCache:
                 if registry.enabled:
                     registry.counter("repro_artifact_cache_hits_total").inc()
                 return artifacts
-            artifacts = self._entries.get(topology_fingerprint(tree))
+            fingerprint = topology_fingerprint(tree)
+            artifacts = self._entries.get(fingerprint)
             if artifacts is not None:
                 # LRU touch: re-insert at the back of the dict order.
                 self._entries.pop(artifacts.fingerprint)
@@ -150,8 +154,8 @@ class ArtifactCache:
                 if registry.enabled:
                     registry.counter("repro_artifact_cache_hits_total").inc()
                 return artifacts
-            artifacts = TopologyArtifacts(tree)
-            self._entries[artifacts.fingerprint] = artifacts
+            artifacts = TopologyArtifacts(tree, fingerprint=fingerprint)
+            self._entries[fingerprint] = artifacts
             self._by_identity[id(tree)] = artifacts
             while len(self._entries) > self._max_entries:
                 evicted = next(iter(self._entries))

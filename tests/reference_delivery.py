@@ -21,7 +21,9 @@ per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
 * ``exchange_column`` is one ``exchange`` per run of equal ``sources`` in
   column order, from ``compute_order[sources[run]]``;
 * ``exchange_multicast_column`` is one ``multicast`` per group id,
-  ascending, from ``compute_order[group_sources[gid]]``;
+  ascending, from ``compute_order[group_sources[gid]]`` to the *set* of
+  nodes ``compute_order[m]`` for ``m`` in row ``gid`` of the matrix, or
+  in ``members[offsets[gid]:offsets[gid + 1]]`` of the CSR pair;
 * within a round all unicasts are delivered before all multicasts, and
   each ``(dst, tag)`` column receives its chunks in registration order,
   then group id, then element order.
@@ -73,15 +75,22 @@ class ReferenceRoundContext(RoundContext):
                 )
 
     def exchange_multicast_column(
-        self, group_sources, group_ids, destination_sets, values, *, tag
+        self, group_sources, group_ids, destinations, values, *, tag
     ):
         order = self._cluster.compute_order
         payload = self._as_payload(values)
         ids = np.asarray(group_ids, dtype=np.int64)
-        sets = list(destination_sets)
+        if isinstance(destinations, tuple):  # CSR (members, offsets)
+            members, offsets = (np.asarray(part).tolist() for part in destinations)
+            rows = [members[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        else:  # one set per matrix row
+            rows = np.asarray(destinations).tolist()
         for gid in np.unique(ids).tolist():
             self.multicast(
-                order[group_sources[gid]], sets[gid], payload[ids == gid], tag=tag
+                order[group_sources[gid]],
+                {order[member] for member in rows[gid]},
+                payload[ids == gid],
+                tag=tag,
             )
 
     def _finalize_bulk(self) -> None:
@@ -94,7 +103,7 @@ class ReferenceRoundContext(RoundContext):
             for src, node_list, _targets, payload, tag in self._unicast_stream
         ] + [
             (src, sets[0], payload, tag)
-            for src, sets, _group_ids, payload, tag in self._multicasts
+            for src, sets, _offsets, _group_ids, payload, tag in self._multicasts
         ]
         ledger.open_round()
         for src, dsts, payload, tag in transfers:

@@ -6,7 +6,9 @@ to one ``exchange`` per run of equal sources, one
 ``exchange_multicast_column`` to one ``multicast`` per group id — same
 storage bytes, received counts and per-edge loads — which the
 transfer-by-transfer reference model in ``tests/reference_delivery.py``
-spells out.  Validation rejects what the per-node calls reject.
+spells out.  Destination sets are compute-order index arrays, a
+``(groups, k)`` matrix or a CSR ``(members, offsets)`` tuple; validation
+is span checks, run before anything is registered.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
+from repro.obs.audit import auditing
 from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
 from repro.topology.builders import two_level
@@ -73,10 +76,12 @@ class TestExchangeColumnDelivery:
         with cluster.round() as ctx:
             ctx.exchange_column(empty, empty, empty, tag="x")
             ctx.exchange_column([], [], [], tag="x")
-            ctx.exchange_multicast_column([], [], [], [], tag="x")
             ctx.exchange_multicast_column(
-                [0], empty, [{cluster.compute_order[1]}], empty, tag="x"
+                [], [], np.empty((0, 2), np.int64), [], tag="x"
             )
+            ctx.exchange_multicast_column([], [], ([], [0]), [], tag="x")
+            ctx.exchange_multicast_column([0], empty, [[1]], empty, tag="x")
+            ctx.exchange_multicast_column([0], empty, ([1], [0, 1]), empty, tag="x")
         assert cluster.ledger.round_loads(0) == {}
 
 
@@ -128,68 +133,183 @@ class TestExchangeColumnValidation:
         with pytest.raises(ProtocolError, match="already finalized"):
             ctx.exchange_column([0], [1], [1], tag="x")
         with pytest.raises(ProtocolError, match="already finalized"):
+            ctx.exchange_multicast_column([0], [0], [[1]], [1], tag="x")
+
+
+def _registers_nothing(cluster, message, *args):
+    """The call raises ``message`` and leaves the round's streams empty."""
+    with pytest.raises(ProtocolError, match=message):
+        with cluster.round() as ctx:
+            try:
+                ctx.exchange_multicast_column(*args, tag="x")
+            finally:
+                assert not ctx._multicasts and not ctx._unicast_stream
+
+
+class TestExchangeMulticastColumnDelivery:
+    def test_matrix_and_csr_deliver_to_every_member(self, cluster):
+        order = cluster.compute_order
+        for destinations in ([[2, 3], [4, 4]], ([2, 3, 4], [0, 2, 3])):
+            fresh = Cluster(cluster.tree)
+            with fresh.round() as ctx:
+                ctx.exchange_multicast_column(
+                    [0, 1], [0, 1, 0], destinations, [1, 2, 3], tag="x"
+                )
+            assert fresh.local(order[2], "x").tolist() == [1, 3]
+            assert fresh.local(order[3], "x").tolist() == [1, 3]
+            # a member listed twice in a row is one destination
+            assert fresh.local(order[4], "x").tolist() == [2]
+            assert fresh.received_elements(order[4]) == 1
+
+    def test_one_group_is_a_view_several_are_one_gathered_chunk(self, cluster):
+        """The view / gather split: a destination one group serves
+        aliases the grouped payload; one served by several gets a
+        single chunk, groups in ascending-gid order."""
+        order = cluster.compute_order
+        with cluster.round() as ctx:
             ctx.exchange_multicast_column(
-                [0], [0], [{cluster.compute_order[1]}], [1], tag="x"
+                [0, 0], [1, 0, 1, 0], ([1, 2, 2], [0, 2, 3]), [5, 6, 7, 8], tag="x"
             )
+        assert cluster.local(order[1], "x").tolist() == [6, 8]
+        assert cluster.local(order[2], "x").tolist() == [6, 8, 5, 7]
+        assert cluster._storage.chunk_count(order[1], "x") == 1
+        assert cluster._storage.chunk_count(order[2], "x") == 1
+        assert np.shares_memory(
+            cluster.local(order[1], "x"), cluster.local(order[2], "x")
+        ) is False
+
+    def test_whole_relation_broadcast_copies_nothing(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.exchange_multicast_column(
+                [0], [0, 0, 0], [[1, 2, 3]], [5, 6, 7], tag="x"
+            )
+        views = [cluster.local(order[i], "x") for i in (1, 2, 3)]
+        assert all(np.shares_memory(views[0], view) for view in views)
 
 
 class TestExchangeMulticastColumnValidation:
     def test_float_group_sources_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="group sources must be an integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column([0.0], [0], [{"v2"}], [1], tag="x")
+        _registers_nothing(
+            cluster, "group sources must be an integer", [0.0], [0], [[1]], [1]
+        )
 
     def test_float_group_ids_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="group ids must be an integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column([0], [0.0], [{"v2"}], [1], tag="x")
+        _registers_nothing(
+            cluster, "group ids must be an integer", [0], [0.0], [[1]], [1]
+        )
 
-    def test_one_source_per_set_required(self, cluster):
-        with pytest.raises(ProtocolError, match="one source index per set"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column(
-                    [0, 1], [0], [{"v2"}], [1], tag="x"
-                )
+    @pytest.mark.parametrize(
+        "destinations",
+        [
+            [[1.0]],
+            np.empty((0, 1)),
+            [[[1]]],
+            [1],
+            [],
+            ([1.0], [0, 1]),
+            ([1], [0.0, 1.0]),
+            ([[1]], [0, 1]),
+        ],
+    )
+    @pytest.mark.parametrize("values", [[1], []])
+    def test_float_or_misshapen_destinations_rejected(
+        self, cluster, destinations, values
+    ):
+        _registers_nothing(
+            cluster,
+            "integer|one-dimensional",
+            [0] * len(destinations),
+            [0] * len(values),
+            destinations,
+            values,
+        )
+
+    @pytest.mark.parametrize(
+        "offsets", [[], [1, 2], [0, 2, 1, 2], [0, 1], [0, 3]]
+    )
+    @pytest.mark.parametrize("values", [[1], []])
+    def test_malformed_offsets_rejected(self, cluster, offsets, values):
+        _registers_nothing(
+            cluster,
+            "destination offsets must rise from 0 to the 2 members given",
+            [0] * max(len(offsets) - 1, 0),
+            [0] * len(values),
+            ([1, 2], offsets),
+            values,
+        )
+
+    @pytest.mark.parametrize("destinations", [[[1]], ([1], [0, 1])])
+    def test_one_source_per_set_required(self, cluster, destinations):
+        _registers_nothing(
+            cluster, "one source index per set", [0, 1], [0], destinations, [1]
+        )
+        _registers_nothing(
+            cluster, "one source index per set", [0, 1], [], destinations, []
+        )
 
     def test_one_group_id_per_element_required(self, cluster):
-        with pytest.raises(ProtocolError, match="one group id per element"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column(
-                    [0], [0, 0], [{"v2"}], [1], tag="x"
-                )
+        _registers_nothing(
+            cluster, "one group id per element", [0], [0, 0], [[1]], [1]
+        )
 
     @pytest.mark.parametrize("index", [-1, 5])
-    def test_source_outside_compute_order_rejected(self, cluster, index):
-        with pytest.raises(ProtocolError, match="group sources"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column(
-                    [index], [0], [{"v2"}], [1], tag="x"
-                )
+    @pytest.mark.parametrize("values", [[1], []])
+    def test_source_outside_compute_order_rejected(self, cluster, index, values):
+        _registers_nothing(
+            cluster,
+            rf"group sources span \[{index}, {index}\] but only 5 compute "
+            "nodes were given",
+            [index],
+            [0] * len(values),
+            [[1]],
+            values,
+        )
 
-    def test_group_id_outside_the_sets_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="group ids"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column([0], [1], [{"v2"}], [1], tag="x")
+    @pytest.mark.parametrize("destinations", [[[1, 7]], ([-2, 1], [0, 2])])
+    @pytest.mark.parametrize("values", [[1], []])
+    def test_member_outside_compute_order_rejected(
+        self, cluster, destinations, values
+    ):
+        """An index into ``compute_order`` cannot name a router or an
+        unknown node: out of range is the only way to be wrong."""
+        _registers_nothing(
+            cluster,
+            r"destination members span \[-?\d, \d\] but only 5 compute "
+            "nodes were given",
+            [0],
+            [0] * len(values),
+            destinations,
+            values,
+        )
 
-    def test_empty_destination_set_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="at least one destination"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column([0], [0], [set()], [1], tag="x")
+    @pytest.mark.parametrize("gid", [-1, 1])
+    def test_group_id_outside_the_sets_rejected(self, cluster, gid):
+        _registers_nothing(
+            cluster,
+            rf"group ids span \[{gid}, {gid}\] but only 1 destination sets "
+            "were given",
+            [0],
+            [gid],
+            [[1]],
+            [1],
+        )
 
-    def test_router_inside_a_destination_set_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="router"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast_column(
-                    [0], [0], [{"v2", "core"}], [1], tag="x"
-                )
+    @pytest.mark.parametrize(
+        "destinations", [np.empty((1, 0), np.int64), ([], [0, 0])]
+    )
+    def test_referenced_empty_row_rejected(self, cluster, destinations):
+        _registers_nothing(
+            cluster, "at least one destination", [0], [0], destinations, [1]
+        )
 
-    def test_unreferenced_bad_set_tolerated(self, cluster):
+    def test_unreferenced_empty_row_tolerated(self, cluster):
         # like exchange_multicast: only sets a group id names are checked
         with cluster.round() as ctx:
             ctx.exchange_multicast_column(
-                [0, 0], [0], [{"v2"}, {"core"}], [1], tag="x"
+                [0, 0], [0], ([1], [0, 1, 1]), [1], tag="x"
             )
-        assert cluster.local("v2", "x").tolist() == [1]
+        assert cluster.local(cluster.compute_order[1], "x").tolist() == [1]
 
 
 class TestExplicitNodeLists:
@@ -211,16 +331,44 @@ class TestExplicitNodeLists:
         assert cluster.local("v3", "x").tolist() == [5]
 
 
+def _rows(destinations) -> list[list[int]]:
+    """The member lists of a matrix or a CSR ``(members, offsets)`` tuple."""
+    if isinstance(destinations, tuple):
+        members, offsets = destinations
+        return [members[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    return [list(row) for row in destinations]
+
+
+def _as_csr(destinations) -> tuple:
+    rows = _rows(destinations)
+    return sum(rows, []), [0, *np.cumsum([len(row) for row in rows]).tolist()]
+
+
+def _as_matrix(destinations) -> list[list[int]]:
+    """Rows padded to one width by repeating a member — rows are sets;
+    an (unreferenced) empty row is filled with index 0."""
+    rows = _rows(destinations)
+    width = max(1, *(len(row) for row in rows))
+    return [row + (row[:1] or [0]) * (width - len(row)) for row in rows]
+
+
 @st.composite
 def column_rounds(draw):
-    """A random round mixing column registrations with per-node calls."""
+    """A random round mixing column registrations with per-node calls.
+
+    Multicast columns come as matrices and as CSR tuples, with repeated
+    members, the source inside its own row, empty rows no group id
+    names, several records per tag, and named ``multicast`` records on
+    the same ``(dst, tag)``.
+    """
     tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
-    computes = sorted(tree.compute_nodes, key=str)
-    count = len(computes)
+    count = len(tree.compute_nodes)
     index = st.integers(0, count - 1)
     plan = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["column", "multicast-column", "send"]))
+        kind = draw(
+            st.sampled_from(["column", "multicast-column", "multicast", "send"])
+        )
         tag = draw(st.sampled_from(["recv", "other"]))
         size = draw(st.integers(0, 8))
         values = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
@@ -232,38 +380,62 @@ def column_rounds(draw):
             plan.append((kind, tag, sources, targets, values))
         elif kind == "multicast-column":
             num_sets = draw(st.integers(1, 4))
-            sets = [
-                frozenset(
-                    computes[i]
-                    for i in draw(st.sets(index, min_size=1, max_size=count))
-                )
+            rows = [
+                draw(st.lists(index, min_size=0, max_size=count + 1))
                 for _ in range(num_sets)
             ]
+            referenced = [gid for gid, row in enumerate(rows) if row]
+            group_ids = (
+                draw(
+                    st.lists(
+                        st.sampled_from(referenced), min_size=size, max_size=size
+                    )
+                )
+                if referenced
+                else []
+            )
             group_sources = draw(
                 st.lists(index, min_size=num_sets, max_size=num_sets)
             )
-            group_ids = draw(
-                st.lists(
-                    st.integers(0, num_sets - 1), min_size=size, max_size=size
+            form = draw(st.sampled_from([_as_csr, _as_matrix]))
+            plan.append(
+                (
+                    kind,
+                    tag,
+                    group_sources,
+                    group_ids,
+                    form(rows),
+                    values[: len(group_ids)],
                 )
             )
-            plan.append((kind, tag, group_sources, group_ids, sets, values))
+        elif kind == "multicast":
+            dsts = draw(st.sets(index, min_size=1, max_size=count))
+            plan.append((kind, tag, draw(index), sorted(dsts), values))
         else:
-            plan.append(
-                (kind, tag, computes[draw(index)], computes[draw(index)], values)
-            )
+            plan.append((kind, tag, draw(index), draw(index), values))
     return tree, plan
 
 
-def _replay(cluster, plan):
+def _replay(cluster, plan, form=None):
+    order = cluster.compute_order
     with cluster.round() as ctx:
         for kind, tag, *args in plan:
             if kind == "column":
                 ctx.exchange_column(*args, tag=tag)
             elif kind == "multicast-column":
+                if form is not None:
+                    args[2] = form(args[2])
                 ctx.exchange_multicast_column(*args, tag=tag)
-            else:
-                ctx.send(*args, tag=tag)
+            elif kind == "multicast":
+                src, dsts, values = args
+                ctx.multicast(
+                    order[src], [order[dst] for dst in dsts], values, tag=tag
+                )
+            elif kind == "send":
+                src, dst, values = args
+                ctx.send(order[src], order[dst], values, tag=tag)
+            else:  # the per-node expansions, already node-named
+                getattr(ctx, kind)(*args, tag=tag)
     return cluster
 
 
@@ -272,8 +444,10 @@ class TestColumnEquivalenceProperty:
     @settings(max_examples=80, deadline=None)
     def test_column_calls_match_the_reference_model(self, instance):
         tree, plan = instance
+        with auditing(strict=True):
+            production = _replay(Cluster(tree), plan)
         assert_clusters_identical(
-            _replay(Cluster(tree), plan),
+            production,
             _replay(ReferenceCluster(tree), plan),
             a_name="production",
             b_name="reference",
@@ -281,42 +455,63 @@ class TestColumnEquivalenceProperty:
 
     @given(column_rounds())
     @settings(max_examples=40, deadline=None)
+    def test_matrix_and_csr_forms_are_identical(self, instance):
+        tree, plan = instance
+        with auditing(strict=True):
+            as_csr = _replay(Cluster(tree), plan, _as_csr)
+            as_matrix = _replay(Cluster(tree), plan, _as_matrix)
+        assert_clusters_identical(as_csr, as_matrix, a_name="csr", b_name="matrix")
+        assert_clusters_identical(
+            as_csr,
+            _replay(ReferenceCluster(tree), plan),
+            a_name="csr",
+            b_name="reference",
+        )
+
+    @given(column_rounds())
+    @settings(max_examples=40, deadline=None)
     def test_column_calls_match_the_per_node_calls(self, instance):
         """The definition, in production code on both sides: one
-        ``exchange`` per run of equal sources, one ``exchange_multicast``
-        per group."""
+        ``exchange`` per run of equal sources, one named
+        ``exchange_multicast`` per group."""
         tree, plan = instance
         order = Cluster(tree).compute_order
-        expanded = Cluster(tree)
-        with expanded.round() as ctx:
-            for kind, tag, *args in plan:
-                if kind == "column":
-                    sources, targets, values = args
-                    start = 0
-                    for stop in range(1, len(sources) + 1):
-                        if stop == len(sources) or sources[stop] != sources[start]:
-                            ctx.exchange(
+        expanded_plan = []
+        for kind, tag, *args in plan:
+            if kind == "column":
+                sources, targets, values = args
+                start = 0
+                for stop in range(1, len(sources) + 1):
+                    if stop == len(sources) or sources[stop] != sources[start]:
+                        expanded_plan.append(
+                            (
+                                "exchange",
+                                tag,
                                 order[sources[start]],
                                 targets[start:stop],
                                 values[start:stop],
-                                tag=tag,
                             )
-                            start = stop
-                elif kind == "multicast-column":
-                    group_sources, group_ids, sets, values = args
-                    for gid in sorted(set(group_ids)):
-                        ctx.exchange_multicast(
+                        )
+                        start = stop
+            elif kind == "multicast-column":
+                group_sources, group_ids, destinations, values = args
+                rows = _rows(destinations)
+                for gid in sorted(set(group_ids)):
+                    expanded_plan.append(
+                        (
+                            "exchange_multicast",
+                            tag,
                             order[group_sources[gid]],
                             [0] * group_ids.count(gid),
-                            [sets[gid]],
+                            [{order[member] for member in rows[gid]}],
                             [v for v, g in zip(values, group_ids) if g == gid],
-                            tag=tag,
                         )
-                else:
-                    ctx.send(*args, tag=tag)
+                    )
+            else:
+                expanded_plan.append((kind, tag, *args))
         assert_clusters_identical(
             _replay(Cluster(tree), plan),
-            expanded,
+            _replay(Cluster(tree), expanded_plan),
             a_name="column",
             b_name="per-node",
         )

@@ -72,6 +72,44 @@ class TestTopologyArtifacts:
             assert artifacts.rank_lookup(routing, num_workers) is table
 
 
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """Every ``topology_fingerprint`` call the artifact layer makes."""
+    import repro.topology.artifacts as artifacts_module
+
+    calls = []
+
+    def counted(tree):
+        calls.append(tree)
+        return topology_fingerprint(tree)
+
+    monkeypatch.setattr(artifacts_module, "topology_fingerprint", counted)
+    return calls
+
+
+class TestFingerprintOncePerTree:
+    def test_one_shot_run_fingerprints_its_tree_once(self, fingerprint_calls):
+        import repro
+
+        tree = _tree()
+        distribution = random_distribution(tree, r_size=40, s_size=40, seed=1)
+        repro.run("set-intersection", tree, distribution)
+        assert fingerprint_calls == [tree]
+
+    def test_cache_miss_hands_its_digest_to_the_artifacts(self, fingerprint_calls):
+        tree = _tree()
+        artifacts = ArtifactCache().get(tree)
+        assert fingerprint_calls == [tree]
+        assert artifacts.fingerprint == topology_fingerprint(tree)
+
+    def test_artifacts_outside_a_cache_fingerprint_themselves(
+        self, fingerprint_calls
+    ):
+        tree = _tree()
+        assert TopologyArtifacts(tree).fingerprint == topology_fingerprint(tree)
+        assert fingerprint_calls == [tree]
+
+
 class TestArtifactCache:
     def test_identity_hit_skips_fingerprinting(self):
         cache = ArtifactCache()
