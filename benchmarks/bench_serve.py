@@ -18,8 +18,8 @@ Claims checked:
   the guarantee holds on real parallel execution too;
 * the warm session serves the full-grid 1000-query mix at **>= 2x**
   the cold throughput (measured ~2.9x on the 144-node tree); the small
-  grid asserts a conservative floor that still fails if the session
-  stops sharing artifacts or cached plans;
+  grid checks identity only (one warm/cold sample on a 16-node tree is
+  too noisy to gate);
 * each run appends to the ``BENCH_SERVE.json`` trajectory at the repo
   root, where ``repro bench check`` warns on throughput-ratio
   regressions and fails on identity flips.
@@ -53,8 +53,8 @@ def test_warm_session_throughput_and_identity(benchmark):
         iterations=1,
     )
     # identity is a hard gate on every case; the throughput budget is
-    # grid-dependent (2x full, conservative floor small, identity-only
-    # for the process oracle mix)
+    # grid-dependent (2x full; identity-only for the small grid and
+    # the process oracle mix)
     check_serve_cases(cases)
     trajectory = write_serve_trajectory(
         cases, grid="small" if SMALL else "full"

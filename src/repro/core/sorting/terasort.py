@@ -7,6 +7,12 @@ samples and broadcasts them; every node then scatters each element to the
 node owning its splitter interval.  Data lands evenly across *all*
 compute nodes regardless of bandwidth or initial placement — the design
 point the weighted variant (:mod:`repro.core.sorting.wts`) improves on.
+
+The scatter is sort-then-cut: a node sorts its fragment (it ends up
+sorted anyway, and local work is free in the model) and looks the
+splitters up in it, so its traffic is one contiguous run per interval
+and the round registers as a single run record
+(:meth:`~repro.sim.cluster.RoundContext.exchange_runs`).
 """
 
 from __future__ import annotations
@@ -63,6 +69,73 @@ def select_splitters(
     return np.asarray(splitters, dtype=np.int64)
 
 
+def compute_ids(cluster, nodes) -> np.ndarray:
+    """The compute-order indices of ``nodes``, as ``exchange_runs`` takes them."""
+    position = cluster.artifacts.compute_position
+    return np.asarray([position[v] for v in nodes], dtype=np.intp)
+
+
+def draw_samples(
+    stream: str, seed: int, nodes, fragments, rho: float
+) -> list[np.ndarray]:
+    """Each node's sample of its fragment: every element independently
+    with probability ``rho``, from the node's own ``(seed, stream)`` RNG."""
+    samples = []
+    for node, local in zip(nodes, fragments):
+        if len(local):
+            rng = np.random.default_rng(derive_seed(seed, stream, node))
+            local = local[rng.random(len(local)) < rho]
+        samples.append(local)
+    return samples
+
+
+def laid_end_to_end(fragments: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, values)``: the fragments' sizes and their concatenation
+    (a fresh array, also for one fragment)."""
+    lengths = np.fromiter(map(len, fragments), np.intp, len(fragments))
+    values = np.concatenate(fragments) if fragments else np.empty(0, np.int64)
+    return lengths, values
+
+
+def cut_at_splitters(
+    values: np.ndarray, lengths: np.ndarray, splitters: np.ndarray
+) -> np.ndarray:
+    """Sort each fragment in place; count its elements per splitter interval.
+
+    ``values`` holds the fragments end to end, ``lengths[i]`` elements
+    each.  Row ``i`` of the result says how many elements of fragment
+    ``i`` fall in each of the ``len(splitters) + 1`` intervals — element
+    ``x`` belongs to interval ``#{splitters <= x}`` — and, the fragment
+    now being sorted, interval ``j``'s elements are the next
+    ``counts[i, j]`` of it.  The splitters are searched in the data
+    (``O(p log n)`` per fragment), not the data in the splitters.
+    """
+    bounds = np.zeros((len(lengths), len(splitters) + 2), dtype=np.intp)
+    bounds[:, -1] = lengths
+    stop = 0
+    for row, length in zip(bounds, lengths.tolist()):
+        fragment = values[stop : stop + length]
+        stop += length
+        fragment.sort()
+        row[1:-1] = np.searchsorted(fragment, splitters, side="left")
+    return np.diff(bounds, axis=1)
+
+
+def run_triples(
+    source_ids: np.ndarray, target_ids: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``exchange_runs`` triples of a ``(sources, targets)`` count matrix:
+    source ``i`` sends ``counts[i, j]`` elements to target ``j``, its runs
+    in target order.  A matrix narrower than ``target_ids`` (no samples,
+    so no splitters and one interval) addresses the first targets."""
+    num_sources, num_targets = counts.shape
+    return (
+        np.repeat(source_ids, num_targets),
+        np.tile(target_ids[:num_targets], num_sources),
+        counts.ravel(),
+    )
+
+
 @register_protocol(
     task="sorting",
     name="terasort",
@@ -98,16 +171,18 @@ def terasort(
 
     coordinator = order[0]
     rho = sample_probability(len(order), total)
+    order_ids = compute_ids(cluster, order)
 
     with cluster.round() as ctx:  # round 1: sampling
-        for node in order:
-            local = cluster.local(node, tag)
-            if not len(local):
-                continue
-            rng = np.random.default_rng(derive_seed(seed, "terasort", node))
-            mask = rng.random(len(local)) < rho
-            if mask.any():
-                ctx.send(node, coordinator, local[mask], tag=_SAMPLES)
+        samples = draw_samples(
+            "terasort", seed, order, [cluster.local(v, tag) for v in order], rho
+        )
+        ctx.exchange_runs(
+            order_ids,
+            np.full(len(order), order_ids[0]),
+            *laid_end_to_end(samples),
+            tag=_SAMPLES,
+        )
 
     samples = np.sort(cluster.take(coordinator, _SAMPLES))
     splitters = select_splitters(samples, [1] * len(order))
@@ -122,12 +197,13 @@ def terasort(
             )
 
     with cluster.round() as ctx:  # round 3: scatter by interval
-        for node in order:
-            local = cluster.take(node, tag)
-            if not len(local):
-                continue
-            intervals = np.searchsorted(splitters, local, side="right")
-            ctx.exchange(node, intervals, local, tag=_FINAL, nodes=order)
+        lengths, values = laid_end_to_end(
+            [cluster.take(node, tag) for node in order]
+        )
+        counts = cut_at_splitters(values, lengths, splitters)
+        ctx.exchange_runs(
+            *run_triples(order_ids, order_ids, counts), values, tag=_FINAL
+        )
 
     outputs = {v: np.sort(cluster.local(v, _FINAL)) for v in order}
     return ProtocolResult.from_ledger(

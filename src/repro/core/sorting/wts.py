@@ -28,16 +28,22 @@ import math
 import numpy as np
 
 from repro.core.sorting.proportional import proportional_quotas
-from repro.core.sorting.terasort import sample_probability, select_splitters
+from repro.core.sorting.terasort import (
+    compute_ids,
+    cut_at_splitters,
+    draw_samples,
+    laid_end_to_end,
+    run_triples,
+    sample_probability,
+    select_splitters,
+)
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
-from repro.util.grouping import index_dtype
 from repro.util.intmath import ceil_div
-from repro.util.seeding import derive_seed
 
 _MOVED = "sort.moved"
 _SAMPLES = "sort.samples"
@@ -88,13 +94,14 @@ def weighted_terasort(
 
     heaviest = max(order, key=lambda v: (sizes[v], node_sort_key(v)))
     if gather_shortcut and sizes[heaviest] > total / 2:
+        others = [v for v in order if v != heaviest]
         with cluster.round() as ctx:
-            for node in order:
-                if node == heaviest:
-                    continue
-                local = cluster.take(node, tag)
-                if len(local):
-                    ctx.send(node, heaviest, local, tag=_FINAL)
+            ctx.exchange_runs(
+                compute_ids(cluster, others),
+                compute_ids(cluster, [heaviest] * len(others)),
+                *laid_end_to_end([cluster.take(v, tag) for v in others]),
+                tag=_FINAL,
+            )
         merged = np.sort(
             np.concatenate(
                 [cluster.local(heaviest, tag), cluster.local(heaviest, _FINAL)]
@@ -115,53 +122,64 @@ def weighted_terasort(
     if not heavy:  # pragma: no cover - max size always reaches N/|V_C|
         raise ProtocolError("no heavy nodes; threshold bug")
     heavy_sizes = [sizes[v] for v in heavy]
+    heavy_ids = compute_ids(cluster, heavy)
 
-    # Round 1: light nodes scatter to heavy nodes proportionally (Alg. 6).
+    # Round 1: light nodes scatter to heavy nodes proportionally (Alg. 6);
+    # each ships min(quota, elements remaining) to the heavy nodes in turn.
     with cluster.round() as ctx:
-        for node in light:
-            local = cluster.take(node, tag)
-            if not len(local):
-                continue
-            quotas = proportional_quotas(heavy_sizes, len(local))
-            offset = 0
-            for target, quota in zip(heavy, quotas):
-                if offset >= len(local):
-                    break
-                chunk = local[offset : offset + quota]
-                offset += len(chunk)
-                if len(chunk):
-                    ctx.send(node, target, chunk, tag=_MOVED)
-            if offset < len(local):  # pragma: no cover - Lemma 9(3)
-                raise ProtocolError("proportional quotas fell short")
+        senders = [v for v in light if sizes[v]]
+        lengths, values = laid_end_to_end(
+            [cluster.take(v, tag) for v in senders]
+        )
+        quotas = np.asarray(
+            [proportional_quotas(heavy_sizes, sizes[v]) for v in senders],
+            dtype=np.intp,
+        ).reshape(len(senders), len(heavy))
+        stops = np.minimum(np.cumsum(quotas, axis=1), lengths[:, None])
+        if (stops[:, -1] < lengths).any():  # pragma: no cover - Lemma 9(3)
+            raise ProtocolError("proportional quotas fell short")
+        ctx.exchange_runs(
+            *run_triples(
+                compute_ids(cluster, senders), heavy_ids, np.diff(stops, axis=1, prepend=0)
+            ),
+            values,
+            tag=_MOVED,
+        )
 
-    current = {
-        v: np.concatenate([cluster.local(v, tag), cluster.local(v, _MOVED)])
-        for v in heavy
-    }
-    m_sizes = {v: len(current[v]) for v in heavy}
+    # what the heavy nodes now hold, end to end in heavy order
+    lengths, everything = laid_end_to_end(
+        [cluster.local(v, t) for v in heavy for t in (tag, _MOVED)]
+    )
+    m_lengths = lengths.reshape(-1, 2).sum(axis=1)
+    m_sizes = dict(zip(heavy, m_lengths.tolist()))
 
     # Round 2: heavy nodes sample and ship samples to the first heavy node.
     coordinator = heavy[0]
     rho = sample_probability(len(order), total)
     with cluster.round() as ctx:
-        for node in heavy:
-            local = current[node]
-            if not len(local):
-                continue
-            rng = np.random.default_rng(derive_seed(seed, "wts", node))
-            mask = rng.random(len(local)) < rho
-            if mask.any():
-                ctx.send(node, coordinator, local[mask], tag=_SAMPLES)
+        samples = draw_samples(
+            "wts",
+            seed,
+            heavy,
+            np.split(everything, np.cumsum(m_lengths)[:-1]),
+            rho,
+        )
+        ctx.exchange_runs(
+            heavy_ids,
+            np.full(len(heavy), heavy_ids[0]),
+            *laid_end_to_end(samples),
+            tag=_SAMPLES,
+        )
 
     samples = np.sort(cluster.take(coordinator, _SAMPLES))
     if proportional_split:
-        counts = [
+        interval_counts = [
             ceil_div(len(order) * m_sizes[v], total) if m_sizes[v] else 1
             for v in heavy
         ]
     else:
-        counts = [1] * len(heavy)
-    splitters = select_splitters(samples, counts)
+        interval_counts = [1] * len(heavy)
+    splitters = select_splitters(samples, interval_counts)
 
     # Round 3: broadcast the splitters to the other heavy nodes.
     with cluster.round() as ctx:
@@ -174,18 +192,13 @@ def weighted_terasort(
             )
 
     # Round 4: scatter by splitter interval; heavy node j keeps
-    # [b_{j-1}, b_j).  One column for all heavy nodes, in heavy order.
-    position = {v: i for i, v in enumerate(cluster.compute_order)}
-    heavy_ids = np.asarray(
-        [position[v] for v in heavy], dtype=index_dtype(len(position))
-    )
-    everything = np.concatenate([current[v] for v in heavy])
+    # [b_{j-1}, b_j).  Each fragment is sorted first (after sampling, so
+    # the samples are those of the unsorted fragment) and cut at the
+    # splitters: one run per (heavy, heavy) pair.
     with cluster.round() as ctx:
-        ctx.exchange_column(
-            np.repeat(heavy_ids, [m_sizes[v] for v in heavy]),
-            heavy_ids[np.searchsorted(splitters, everything, side="right")],
-            everything,
-            tag=_FINAL,
+        counts = cut_at_splitters(everything, m_lengths, splitters)
+        ctx.exchange_runs(
+            *run_triples(heavy_ids, heavy_ids, counts), everything, tag=_FINAL
         )
 
     outputs = {v: np.empty(0, np.int64) for v in order}
@@ -204,6 +217,6 @@ def weighted_terasort(
             "num_samples": int(len(samples)),
             "splitters": splitters,
             "m_sizes": m_sizes,
-            "interval_counts": counts,
+            "interval_counts": interval_counts,
         },
     )

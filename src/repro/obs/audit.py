@@ -233,15 +233,17 @@ def _expected_deliveries(cluster, context) -> dict:
             key = (node, tag)
             expected[key] = expected.get(key, 0) + count
 
-    for _src, node_list, targets, payload, tag in context._unicast_stream:
-        if targets is None:
-            _add(node_list[0], tag, len(payload))
-            continue
-        nodes = cluster.compute_order if node_list is None else node_list
-        counts = np.bincount(targets, minlength=len(nodes))
-        for position in np.flatnonzero(counts).tolist():
-            _add(nodes[position], tag, int(counts[position]))
     order = cluster.compute_order
+    for _src, node_list, targets, counts, _payload, tag in (
+        context._unicast_stream
+    ):
+        nodes = order if node_list is None else node_list
+        # a per-element record names one target per element, a run
+        # record one per run of ``counts`` elements
+        arrivals = np.zeros(len(nodes), dtype=np.int64)
+        np.add.at(arrivals, targets, 1 if counts is None else counts)
+        for position in np.flatnonzero(arrivals).tolist():
+            _add(nodes[position], tag, int(arrivals[position]))
     for _src, members, offsets, group_ids, payload, tag in context._multicasts:
         if offsets is None:  # node-named sets
             counts = [len(payload)] if group_ids is None else np.bincount(

@@ -30,7 +30,11 @@ relation at once (:meth:`Cluster.column`,
 :meth:`RoundContext.exchange_column`,
 :meth:`RoundContext.exchange_multicast_column`): the same two streams,
 with index arrays where the per-node calls carry one source node and
-named destination sets.
+named destination sets.  Traffic that is already grouped by
+``(source, destination)`` — a sorted fragment cut at the splitters, a
+light node's proportional scatter — registers as *runs*
+(:meth:`RoundContext.exchange_runs`): one ``(source, target, count)``
+triple per stretch of the payload instead of one target per element.
 """
 
 from __future__ import annotations
@@ -188,21 +192,25 @@ class RoundContext:
         # charged with one vectorized Steiner-flow call.
         self._multicasts: list[tuple] = []
         # the unicast stream, in registration order: (src, node list or
-        # None for the canonical compute order, per-element target
-        # indices or None for "everything to node_list[0]", payload,
-        # tag).  send() appends constant-target records, exchange()
-        # scatter records, exchange_column() records whose src is an
-        # array: the compute-order index of each *element's* source;
-        # grouping is deferred to finalization so the
-        # whole round is grouped with one pass, and registration order
-        # is what keeps storage byte-identical to one send per
-        # destination even when sends and exchanges mix on one
-        # (dst, tag).
+        # None for the canonical compute order, targets, counts or None,
+        # payload, tag).  Two record shapes.  Per element (counts None):
+        # targets index the node list once per element; exchange()
+        # records carry their source node, exchange_column() records an
+        # array, the compute-order index of each *element's* source.
+        # Runs (counts given): the payload is laid end to end, run i
+        # being counts[i] elements from compute node src[i] to compute
+        # node targets[i]; exchange_runs() records hold three arrays,
+        # send() records three ints.  Grouping is deferred to
+        # finalization so the whole round is grouped with one pass, and
+        # registration order is what keeps storage byte-identical to
+        # one send per destination even when sends and exchanges mix on
+        # one (dst, tag).
         self._unicast_stream: list[
             tuple[
-                NodeId | np.ndarray,
+                NodeId | np.ndarray | int,
                 Sequence[NodeId] | None,
-                np.ndarray | None,
+                np.ndarray | int,
+                np.ndarray | int | None,
                 np.ndarray,
                 str,
             ]
@@ -293,14 +301,24 @@ class RoundContext:
     # ------------------------------------------------------------------ #
 
     def send(self, src: NodeId, dst: NodeId, values, *, tag: str) -> None:
-        """Unicast ``values`` from ``src`` to ``dst`` under ``tag``."""
+        """Unicast ``values`` from ``src`` to ``dst`` under ``tag``.
+
+        The one-run form of :meth:`exchange_runs`, with node names.
+        """
         self._check_open()
         payload = self._as_payload(values)
-        self._check_source(src)
-        self._check_destination(dst)
+        position = self._cluster.artifacts.compute_position
+        source = position.get(src)
+        if source is None:
+            self._check_source(src)
+        target = position.get(dst)
+        if target is None:
+            self._check_destination(dst)
         if len(payload) == 0:
             return
-        self._unicast_stream.append((src, (dst,), None, payload, str(tag)))
+        self._unicast_stream.append(
+            (source, None, target, len(payload), payload, str(tag))
+        )
 
     def multicast(
         self, src: NodeId, dsts: Iterable[NodeId], values, *, tag: str
@@ -386,7 +404,7 @@ class RoundContext:
             for index in used.tolist():
                 self._check_destination(node_list[index])
         self._unicast_stream.append(
-            (src, node_list, target_indices, payload, str(tag))
+            (src, node_list, target_indices, None, payload, str(tag))
         )
 
     def exchange_column(self, sources, targets, values, *, tag: str) -> None:
@@ -421,7 +439,64 @@ class RoundContext:
         if len(payload) == 0:
             return
         self._unicast_stream.append(
-            (source_indices, None, target_indices, payload, str(tag))
+            (source_indices, None, target_indices, None, payload, str(tag))
+        )
+
+    def exchange_runs(
+        self, sources, targets, counts, values, *, tag: str
+    ) -> None:
+        """Scatter a payload that is already grouped: run ``i`` is the
+        next ``counts[i]`` elements of ``values``, travelling from
+        compute node ``compute_order[sources[i]]`` to
+        ``compute_order[targets[i]]``.
+
+        The form for traffic a protocol produces in stretches — a
+        sorted fragment cut at the splitters, a light node's
+        proportional scatter, a gather: one registration and one stream
+        record for the round, one index triple per run instead of one
+        target per element.  Equivalent to one :meth:`send` per run in
+        order (an empty run sends nothing) and delivered and charged
+        byte-identically to that loop.  The three index arrays address
+        the canonical compute order, so neither end of a run can be a
+        router.
+        """
+        self._check_open()
+        payload = self._as_payload(values)
+        source_indices = self._as_indices(sources, "sources")
+        target_indices = self._as_indices(targets, "targets")
+        run_lengths = self._as_indices(counts, "counts")
+        if not len(source_indices) == len(target_indices) == len(run_lengths):
+            raise ProtocolError(
+                f"{len(run_lengths)} counts but {len(source_indices)} sources "
+                f"and {len(target_indices)} targets; exchange_runs needs "
+                "one source, one target and one count per run"
+            )
+        count = len(self._cluster.compute_order)
+        self._check_index_span(
+            source_indices, count, "source indices", "compute nodes"
+        )
+        self._check_index_span(
+            target_indices, count, "target indices", "compute nodes"
+        )
+        if run_lengths.size and int(run_lengths.min()) < 0:
+            raise ProtocolError("run counts must be non-negative")
+        if int(run_lengths.sum()) != len(payload):
+            raise ProtocolError(
+                f"{len(payload)} values but the run counts sum to "
+                f"{int(run_lengths.sum())}; exchange_runs lays the runs "
+                "end to end"
+            )
+        if len(payload) == 0:
+            return
+        self._unicast_stream.append(
+            (
+                source_indices,
+                None,
+                target_indices,
+                run_lengths.astype(np.intp, copy=False),
+                payload,
+                str(tag),
+            )
         )
 
     def exchange_multicast(
@@ -665,13 +740,13 @@ class RoundContext:
         # distinct list (a protocol passes the same list from every node)
         lookups: dict[tuple | None, np.ndarray] = {None: compute_lookup}
         by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for src, node_list, target_indices, payload, tag in (
+        for src, node_list, targets, counts, payload, tag in (
             self._unicast_stream
         ):
-            if target_indices is None:  # send(): one constant target
-                dst_id = index_of[node_list[0]]
-                dst_ids = np.full(len(payload), dst_id, lookup_dtype)
-                pair_matrix[index_of[src], dst_id] += len(payload)
+            if counts is not None:  # runs: the triples are the pair counts
+                run_dst = compute_lookup[targets]
+                np.add.at(pair_matrix, (compute_lookup[src], run_dst), counts)
+                dst_ids = np.repeat(run_dst, counts)
             else:
                 lookup = lookups.get(node_list)
                 if lookup is None:
@@ -680,7 +755,7 @@ class RoundContext:
                         lookup_dtype,
                         len(node_list),
                     )
-                dst_ids = lookup[target_indices]
+                dst_ids = lookup[targets]
                 if isinstance(src, np.ndarray):  # exchange_column()
                     flat = compute_lookup[src].astype(np.intp) * size
                     flat += dst_ids
@@ -882,7 +957,7 @@ class RoundContext:
     def _elements_by_tag(self) -> dict[str, int]:
         """Registered (pre-replication) element counts per tag."""
         elements: dict[str, int] = {}
-        for _src, _nodes, _targets, payload, tag in self._unicast_stream:
+        for *_, payload, tag in self._unicast_stream:
             elements[tag] = elements.get(tag, 0) + len(payload)
         for *_, payload, tag in self._multicasts:
             elements[tag] = elements.get(tag, 0) + len(payload)

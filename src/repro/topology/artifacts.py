@@ -88,6 +88,9 @@ class TopologyArtifacts:
         self.compute_order: tuple = tuple(
             sorted(tree.compute_nodes, key=node_sort_key)
         )
+        self.compute_position: dict = {
+            node: index for index, node in enumerate(self.compute_order)
+        }
         self._lock = threading.Lock()
         self._rank_lookups: dict[int, np.ndarray] = {}
 

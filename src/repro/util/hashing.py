@@ -13,8 +13,12 @@ node holds).  Two properties matter:
 
 We use the splitmix64 finalizer (Steele, Lea & Flood 2014), a well-mixed
 64-bit permutation, to map ``seed XOR element`` to a uniform 64-bit value,
-then interpret it as a point in [0, 1) and invert the cumulative node
-distribution with ``searchsorted``.
+then interpret it as a point of the unit interval and invert the
+cumulative node distribution: the node is the number of cumulative
+weights at or below the point.  The inversion is a table lookup on the
+hash's top bits — each bucket of the unit interval that lies inside one
+weight interval knows its node — and a binary search only for the few
+elements whose bucket contains a boundary.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_SPAN = float(2**64)
+#: Table buckets per candidate node (rounded up to a power of two): at
+#: most one bucket per node holds a boundary, so under 1 element in 64
+#: takes the binary search.
+_BUCKETS_PER_NODE = 64
+_BOUNDARY = -1
+#: The largest float64 below 1.0, the exclusive end of the unit interval.
+_LARGEST_POINT = float(np.nextafter(1.0, 0.0))
 
 #: Memo behind :meth:`WeightedNodeHasher.assign_indices` /
 #: :meth:`~WeightedNodeHasher.assign_slices` (per thread/worker); keys
@@ -60,7 +71,12 @@ def splitmix64(values: np.ndarray, seed: int) -> np.ndarray:
 
 
 def hash_to_unit(values: np.ndarray, seed: int) -> np.ndarray:
-    """Hash integer ``values`` to floats uniform in [0, 1)."""
+    """Hash integer ``values`` to floats uniform in the unit interval.
+
+    ``uint64 -> float64`` rounds to nearest, so the top ``2**10`` hashes
+    map to exactly ``1.0``; :class:`WeightedNodeHasher` clamps them
+    below it.
+    """
     return splitmix64(values, seed).astype(np.float64) / _U64_SPAN
 
 
@@ -106,9 +122,25 @@ class WeightedNodeHasher:
         self._index_dtype = index_dtype(len(nodes))
         self._seed = int(seed)
         self._cumulative = np.cumsum(weight_array / total)
-        # Guard against floating error: the last boundary must be exactly 1
-        # so searchsorted never returns an out-of-range index.
+        # the last boundary is 1 by definition, whatever the sum rounded to
         self._cumulative[-1] = 1.0
+        # The node of a point is the number of boundaries at or below
+        # it.  Bucket j of the table covers the points
+        # [j / size, (j + 1) / size] — both edges exact in float64, the
+        # upper one included because the conversion of a hash rounds up
+        # — and holds that number when no boundary lies in
+        # (j / size, (j + 1) / size], a sentinel when one does.  The
+        # last boundary puts the sentinel in the last bucket, so every
+        # hash that rounds to 1.0 takes the search and its clamp.
+        size = 1 << (_BUCKETS_PER_NODE * len(nodes) - 1).bit_length()
+        self._shift = np.uint64(64 - size.bit_length() + 1)
+        edges = np.ceil(self._cumulative * size).astype(np.intp)
+        bounds = np.zeros(len(nodes) + 1, dtype=np.intp)
+        np.minimum(edges, size, out=bounds[1:])
+        self._table = np.repeat(
+            np.arange(len(nodes), dtype=self._index_dtype), np.diff(bounds)
+        )
+        self._table[edges[(edges > 0) & (edges <= size)] - 1] = _BOUNDARY
         # Identity of this hash *function* for the assignment cache: two
         # hashers agree on every input iff seed and boundaries agree.
         self._token = hashlib.blake2b(
@@ -121,11 +153,21 @@ class WeightedNodeHasher:
         """The candidate nodes, in the order used for probabilities."""
         return list(self._nodes)
 
+    def indices_of_hashes(self, hashes: np.ndarray) -> np.ndarray:
+        """The index (into ``nodes``) for each 64-bit hash of an array."""
+        indices = self._table[(hashes >> self._shift).view(np.intp)]
+        boundary = np.nonzero(indices == _BOUNDARY)
+        if boundary[0].size:
+            points = hashes[boundary].astype(np.float64) / _U64_SPAN
+            # the top 2**10 hashes round to 1.0, which is past every node
+            np.minimum(points, _LARGEST_POINT, out=points)
+            indices[boundary] = np.searchsorted(
+                self._cumulative, points, side="right"
+            )
+        return indices
+
     def _compute_indices(self, values: np.ndarray) -> np.ndarray:
-        points = hash_to_unit(values, self._seed)
-        return np.searchsorted(self._cumulative, points, side="right").astype(
-            self._index_dtype
-        )
+        return self.indices_of_hashes(splitmix64(values, self._seed))
 
     def assign_indices(self, values: np.ndarray) -> np.ndarray:
         """Return the index (into ``nodes``) chosen for each value.
@@ -133,7 +175,7 @@ class WeightedNodeHasher:
         Memoized on the values array's content: iterative protocols
         (hash-to-min supersteps, A/B benchmark repeats) route the same
         key set round after round, and a repeated assignment costs one
-        digest pass instead of splitmix + ``searchsorted``.  Cached
+        digest pass instead of splitmix + table lookup.  Cached
         results are read-only; a hit returns bit-identical indices by
         construction.
         """
@@ -162,7 +204,7 @@ class WeightedNodeHasher:
         index ``owners[k]`` the contiguous slice ``[starts[k],
         ends[k])``.  Protocols that both scatter by the assignment and
         iterate its per-owner groups (the hash-to-min return leg) get
-        hash, searchsorted, and argsort from one memo lookup on
+        hash, node lookup, and argsort from one memo lookup on
         repeated inputs.
         """
         values = np.asarray(values)

@@ -8,7 +8,6 @@ import repro
 from repro.analysis.serve import (
     FULL_MIN_SPEEDUP,
     IDENTITY_ONLY_MIN_SPEEDUP,
-    SMALL_MIN_SPEEDUP,
     ServeCase,
     build_workload,
     check_serve_cases,
@@ -94,7 +93,7 @@ class TestServeCase:
         assert case.speedup == 2.0
         payload = case.to_dict()
         assert payload["speedup"] == 2.0
-        assert payload["min_speedup"] == SMALL_MIN_SPEEDUP
+        assert payload["min_speedup"] == IDENTITY_ONLY_MIN_SPEEDUP
 
 
 class TestCheck:

@@ -20,6 +20,9 @@ per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
 * ``exchange_multicast`` is one ``multicast`` per group id, ascending;
 * ``exchange_column`` is one ``exchange`` per run of equal ``sources`` in
   column order, from ``compute_order[sources[run]]``;
+* ``exchange_runs`` is one ``send`` per ``(source, target, count)``
+  triple in order, from ``compute_order[source]`` to
+  ``compute_order[target]``, each taking the next ``count`` elements;
 * ``exchange_multicast_column`` is one ``multicast`` per group id,
   ascending, from ``compute_order[group_sources[gid]]`` to the *set* of
   nodes ``compute_order[m]`` for ``m`` in row ``gid`` of the matrix, or
@@ -36,7 +39,9 @@ so registering it under a backend name (``register_backend`` /
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.sim import cluster as cluster_module
 from repro.sim.cluster import Cluster, RoundContext
 
 
@@ -74,6 +79,19 @@ class ReferenceRoundContext(RoundContext):
                     order[sources[lo]], targets[lo:hi], payload[lo:hi], tag=tag
                 )
 
+    def exchange_runs(self, sources, targets, counts, values, *, tag):
+        order = self._cluster.compute_order
+        payload = self._as_payload(values)
+        offset = 0
+        for source, target, count in zip(
+            *(np.asarray(part).tolist() for part in (sources, targets, counts))
+        ):
+            self.send(
+                order[source], order[target], payload[offset : offset + count],
+                tag=tag,
+            )
+            offset += count
+
     def exchange_multicast_column(
         self, group_sources, group_ids, destinations, values, *, tag
     ):
@@ -98,9 +116,10 @@ class ReferenceRoundContext(RoundContext):
         tree, ledger = cluster.tree, cluster.ledger
         # send() and multicast() registered single-destination(-set)
         # records; unicasts first, then multicasts, each in call order
+        order = cluster.compute_order
         transfers = [
-            (src, (node_list[0],), payload, tag)
-            for src, node_list, _targets, payload, tag in self._unicast_stream
+            (order[source], (order[target],), payload, tag)
+            for source, _, target, _count, payload, tag in self._unicast_stream
         ] + [
             (src, sets[0], payload, tag)
             for src, sets, _offsets, _group_ids, payload, tag in self._multicasts
@@ -124,3 +143,19 @@ class ReferenceCluster(Cluster):
 
     def _make_round_context(self) -> RoundContext:
         return ReferenceRoundContext(self)
+
+
+def run_on(cluster_class, protocol, tree, distribution, **opts):
+    """Run ``protocol`` with ``"sim"`` clusters built by ``cluster_class``;
+    returns the result and every cluster the protocol built."""
+    built = []
+
+    def factory(*args, **kwargs):
+        built.append(cluster_class(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cluster_module._BACKEND_FACTORIES, "sim", factory)
+        result = protocol(tree, distribution, **opts)
+    assert built, "the protocol never asked the factory table for a cluster"
+    return result, built

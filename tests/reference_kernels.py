@@ -6,7 +6,10 @@ pass over whole columns (``intersect_columns``, ``join_columns``,
 reproduce, written the slow and obviously right way — a Python loop over
 the nodes around the single-fragment bodies the protocols used to call:
 ``np.intersect1d``, the per-key ``searchsorted`` join, and the
-sort-then-``reduceat`` combiner.
+sort-then-``reduceat`` combiner.  ``reference_weighted_indices`` is the
+same thing for :class:`~repro.util.hashing.WeightedNodeHasher`'s bucket
+table: the inverse of the cumulative node weights, by binary search for
+every element.
 """
 
 from __future__ import annotations
@@ -14,12 +17,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.queries.tuples import decode_tuples
+from repro.util.grouping import index_dtype
 
 _REDUCERS = {
     "sum": np.add.reduceat,
     "min": np.minimum.reduceat,
     "max": np.maximum.reduceat,
 }
+
+
+def reference_weighted_indices(weights, hashes) -> np.ndarray:
+    """The node index of each 64-bit hash: the number of cumulative
+    weights at or below the hash's point of the unit interval, the top
+    hashes (which round to 1.0) clamped to the largest point below it."""
+    weights = np.asarray(weights, dtype=np.float64)
+    cumulative = np.cumsum(weights / float(weights.sum()))
+    cumulative[-1] = 1.0
+    points = np.asarray(hashes, dtype=np.uint64).astype(np.float64) / 2.0**64
+    points = np.minimum(points, np.nextafter(1.0, 0.0))
+    return np.searchsorted(cumulative, points, side="right").astype(
+        index_dtype(len(weights))
+    )
 
 
 def fragments(owners, values, num_nodes: int) -> list[np.ndarray]:

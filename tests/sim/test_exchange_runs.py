@@ -1,0 +1,317 @@
+"""``RoundContext.exchange_runs``: a payload laid end to end, one
+``(source, target, count)`` triple per run.
+
+The contract under test: one ``exchange_runs`` is observably identical
+to one ``send`` per triple in order — same per-edge loads, received
+counts and per-``(node, tag)`` storage bytes — also when several run
+records share a tag with a per-element record in one round; ``send`` is
+the one-run front-end of the same stream record; validation runs before
+anything is registered, for zero-length payloads too.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ProtocolError
+from repro.obs.audit import auditing
+from repro.parallel.oracle import assert_clusters_identical
+from repro.sim.cluster import Cluster
+from repro.topology.builders import two_level
+
+from tests.reference_delivery import ReferenceCluster
+from tests.strategies import tree_topologies
+
+
+@pytest.fixture
+def cluster():
+    return Cluster(two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0))
+
+
+class TestDelivery:
+    def test_runs_take_the_payload_in_turn(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.exchange_runs(
+                [0, 0, 2], [1, 3, 1], [2, 1, 3], [10, 11, 12, 13, 14, 15], tag="x"
+            )
+        assert cluster.local(order[1], "x").tolist() == [10, 11, 13, 14, 15]
+        assert cluster.local(order[3], "x").tolist() == [12]
+        assert cluster.received_elements(order[1]) == 5
+        assert cluster.received_elements(order[3]) == 1
+
+    def test_a_self_run_is_stored_and_neither_charged_nor_received(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.exchange_runs([2], [2], [3], [7, 8, 9], tag="x")
+        assert cluster.local(order[2], "x").tolist() == [7, 8, 9]
+        assert cluster.received_elements(order[2]) == 0
+        assert cluster.ledger.round_loads(0) == {}
+
+    def test_empty_runs_send_nothing(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.exchange_runs([0, 1, 0], [4, 4, 3], [0, 2, 0], [5, 6], tag="x")
+        assert cluster.local(order[4], "x").tolist() == [5, 6]
+        assert cluster.local_size(order[3], "x") == 0
+        assert cluster.received_elements(order[4]) == 2
+
+    def test_one_stream_record_per_call(self, cluster):
+        with cluster.round() as ctx:
+            ctx.exchange_runs([0, 1], [2, 3], [1, 1], [5, 6], tag="x")
+            assert len(ctx._unicast_stream) == 1
+
+    def test_send_is_the_one_run_record(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.send(order[1], order[4], [5, 6], tag="x")
+            ((source, nodes, target, count, payload, tag),) = ctx._unicast_stream
+        assert (source, nodes, target, count, tag) == (1, None, 4, 2, "x")
+        assert payload.tolist() == [5, 6]
+
+    def test_empty_payloads_pass_the_checks(self, cluster):
+        empty = np.empty(0, np.int64)
+        with cluster.round() as ctx:
+            ctx.exchange_runs(empty, empty, empty, empty, tag="x")
+            ctx.exchange_runs([], [], [], [], tag="x")
+            ctx.exchange_runs([0, 1], [1, 2], [0, 0], [], tag="x")
+            assert not ctx._unicast_stream
+        assert cluster.ledger.round_loads(0) == {}
+
+    def test_narrow_and_unsigned_index_dtypes_accepted(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.exchange_runs(
+                np.asarray([0], np.int16),
+                np.asarray([1], np.uint8),
+                np.asarray([2], np.uint64),
+                [5, 6],
+                tag="x",
+            )
+        assert cluster.local(order[1], "x").tolist() == [5, 6]
+
+
+def _registers_nothing(cluster, message, *args):
+    """The call raises ``message`` and leaves the round's streams empty."""
+    with pytest.raises(ProtocolError, match=message):
+        with cluster.round() as ctx:
+            try:
+                ctx.exchange_runs(*args, tag="x")
+            finally:
+                assert not ctx._multicasts and not ctx._unicast_stream
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "what, args",
+        [
+            ("sources", ([0.0], [1], [1], [5])),
+            ("targets", ([0], [1.0], [1], [5])),
+            ("counts", ([0], [1], [1.0], [5])),
+        ],
+    )
+    def test_float_indices_rejected(self, cluster, what, args):
+        _registers_nothing(cluster, f"{what} must be an integer", *args)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_zero_length_float_index_array_rejected(self, cluster, position):
+        args = [[], [], [], []]
+        args[position] = np.empty(0, np.float64)
+        _registers_nothing(cluster, "must be an integer", *args)
+
+    @pytest.mark.parametrize(
+        "sources, targets, counts",
+        [([0, 1], [1], [1]), ([0], [1, 2], [1]), ([0], [1], [1, 0])],
+    )
+    @pytest.mark.parametrize("values", [[5], []])
+    def test_one_triple_per_run_required(
+        self, cluster, sources, targets, counts, values
+    ):
+        _registers_nothing(
+            cluster,
+            "one source, one target and one count per run",
+            sources,
+            targets,
+            counts,
+            values,
+        )
+
+    @pytest.mark.parametrize("index", [-1, 5, 99])
+    @pytest.mark.parametrize("count, values", [(1, [5]), (0, [])])
+    def test_source_outside_compute_order_rejected(
+        self, cluster, index, count, values
+    ):
+        _registers_nothing(
+            cluster,
+            rf"source indices span \[{index}, {index}\] but only 5 compute "
+            "nodes were given",
+            [index],
+            [0],
+            [count],
+            values,
+        )
+
+    @pytest.mark.parametrize("index", [-1, 5, 99])
+    @pytest.mark.parametrize("count, values", [(1, [5]), (0, [])])
+    def test_target_outside_compute_order_rejected(
+        self, cluster, index, count, values
+    ):
+        _registers_nothing(
+            cluster,
+            rf"target indices span \[{index}, {index}\] but only 5 compute "
+            "nodes were given",
+            [0],
+            [index],
+            [count],
+            values,
+        )
+
+    def test_negative_count_rejected(self, cluster):
+        # the counts still sum to the payload's length
+        _registers_nothing(
+            cluster, "non-negative", [0, 0], [1, 2], [-1, 3], [5, 6]
+        )
+        _registers_nothing(cluster, "non-negative", [0, 0], [1, 2], [-1, 1], [])
+
+    @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [0, 0]])
+    def test_counts_must_cover_the_payload(self, cluster, counts):
+        _registers_nothing(
+            cluster,
+            rf"3 values but the run counts sum to {sum(counts)}",
+            [0, 0],
+            [1, 2],
+            counts,
+            [5, 6, 7],
+        )
+
+    def test_counts_without_a_payload_rejected(self, cluster):
+        _registers_nothing(
+            cluster, "0 values but the run counts sum to 2", [0], [1], [2], []
+        )
+
+    def test_two_dimensional_arguments_rejected(self, cluster):
+        _registers_nothing(cluster, "one-dimensional", [0], [1], [1], [[5]])
+        _registers_nothing(cluster, "one-dimensional", [[0]], [1], [1], [5])
+
+    def test_registration_after_the_round_closed_rejected(self, cluster):
+        with cluster.round() as ctx:
+            pass
+        with pytest.raises(ProtocolError, match="already finalized"):
+            ctx.exchange_runs([0], [1], [1], [5], tag="x")
+
+    def test_send_still_names_the_offending_node(self, cluster):
+        router = next(iter(cluster.tree.nodes - cluster.tree.compute_nodes))
+        leaf = cluster.compute_order[0]
+        for args, message in (
+            ((router, leaf), "source .* is a router"),
+            ((leaf, router), "destination .* is a router"),
+            (("nowhere", leaf), "unknown node 'nowhere'"),
+            ((leaf, "nowhere"), "unknown node 'nowhere'"),
+        ):
+            for values in ([5], []):
+                with pytest.raises(ProtocolError, match=message):
+                    with cluster.round() as ctx:
+                        try:
+                            ctx.send(*args, values, tag="x")
+                        finally:
+                            assert not ctx._unicast_stream
+
+
+@st.composite
+def run_rounds(draw):
+    """A random round of run records, mixed with ``send`` and
+    ``exchange_column`` records under two tags: zero-count runs,
+    self-runs, several records per ``(dst, tag)``."""
+    tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
+    index = st.integers(0, len(tree.compute_nodes) - 1)
+    plan = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["runs", "runs", "column", "send"]))
+        tag = draw(st.sampled_from(["recv", "other"]))
+        if kind == "runs":
+            num_runs = draw(st.integers(0, 6))
+            triples = [
+                (draw(index), draw(index), draw(st.integers(0, 4)))
+                for _ in range(num_runs)
+            ]
+            if triples and draw(st.booleans()):  # a self-run
+                triples[0] = (triples[0][0], triples[0][0], triples[0][2])
+            size = sum(count for *_, count in triples)
+            values = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+            columns = [list(column) for column in zip(*triples)] or [[], [], []]
+            plan.append((kind, tag, *columns, values))
+        elif kind == "column":
+            size = draw(st.integers(0, 6))
+            plan.append(
+                (
+                    kind,
+                    tag,
+                    draw(st.lists(index, min_size=size, max_size=size)),
+                    draw(st.lists(index, min_size=size, max_size=size)),
+                    draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)),
+                )
+            )
+        else:
+            size = draw(st.integers(0, 4))
+            plan.append(
+                (
+                    kind,
+                    tag,
+                    draw(index),
+                    draw(index),
+                    draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)),
+                )
+            )
+    return tree, plan
+
+
+def _replay(cluster, plan, *, runs_as_sends=False):
+    order = cluster.compute_order
+    with cluster.round() as ctx:
+        for kind, tag, *args in plan:
+            if kind == "column":
+                ctx.exchange_column(*args, tag=tag)
+            elif kind == "send":
+                source, target, values = args
+                ctx.send(order[source], order[target], values, tag=tag)
+            elif not runs_as_sends:
+                ctx.exchange_runs(*args, tag=tag)
+            else:  # the definition: one send per triple, in order
+                sources, targets, counts, values = args
+                offset = 0
+                for source, target, count in zip(sources, targets, counts):
+                    ctx.send(
+                        order[source],
+                        order[target],
+                        values[offset : offset + count],
+                        tag=tag,
+                    )
+                    offset += count
+    return cluster
+
+
+class TestRunsEquivalenceProperty:
+    @given(run_rounds())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_match_the_send_loop(self, instance):
+        """Ledger, received counts and storage bytes, in production code
+        on both sides and under the strict auditor."""
+        tree, plan = instance
+        with auditing(strict=True):
+            as_runs = _replay(Cluster(tree), plan)
+            as_sends = _replay(Cluster(tree), plan, runs_as_sends=True)
+        assert as_runs.ledger.round_loads(0) == as_sends.ledger.round_loads(0)
+        assert_clusters_identical(
+            as_runs, as_sends, a_name="runs", b_name="send loop"
+        )
+
+    @given(run_rounds())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_the_reference_model(self, instance):
+        tree, plan = instance
+        production = _replay(Cluster(tree), plan)
+        reference = _replay(ReferenceCluster(tree), plan)
+        assert production.ledger.round_loads(0) == reference.ledger.round_loads(0)
+        assert_clusters_identical(
+            production, reference, a_name="production", b_name="reference"
+        )

@@ -10,7 +10,6 @@ per-``(node, tag)`` storage bytes, every node's output and the meta.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
@@ -30,29 +29,13 @@ from repro.queries.join import tree_equijoin
 from repro.queries.tuples import encode_tuples
 from repro.sim import cluster as cluster_module
 
-from tests.reference_delivery import ReferenceCluster
+from tests.reference_delivery import ReferenceCluster, run_on
 from tests.strategies import (
     graph_instances,
     keyed_instances,
     set_pair_instances,
     sort_instances,
 )
-
-
-def _run_on(cluster_class, protocol, tree, distribution, **opts):
-    """Run ``protocol`` with ``"sim"`` clusters built by ``cluster_class``;
-    returns the result and every cluster the protocol built."""
-    built = []
-
-    def factory(*args, **kwargs):
-        built.append(cluster_class(*args, **kwargs))
-        return built[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(cluster_module._BACKEND_FACTORIES, "sim", factory)
-        result = protocol(tree, distribution, **opts)
-    assert built, "the protocol never asked the factory table for a cluster"
-    return result, built
 
 
 def _assert_same_output(actual, expected, where) -> None:
@@ -72,10 +55,10 @@ def _assert_same_output(actual, expected, where) -> None:
 def _assert_same_run(protocol, tree, distribution, **opts):
     """Cost, every round's loads, every cluster's received counts and
     storage bytes, every node's output and the meta agree."""
-    production, clusters = _run_on(
+    production, clusters = run_on(
         cluster_module.Cluster, protocol, tree, distribution, **opts
     )
-    reference, references = _run_on(
+    reference, references = run_on(
         ReferenceCluster, protocol, tree, distribution, **opts
     )
     assert production.rounds == reference.rounds
