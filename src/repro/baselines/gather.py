@@ -12,16 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cartesian.routing import gather_all_pairs
-from repro.data.columns import KeyValueArrays
 from repro.data.distribution import Distribution
-from repro.queries.aggregate import combine_per_key
-from repro.queries.join import local_join
+from repro.queries.aggregate import GroupOutputs, combine_per_key
+from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
-from repro.util.grouping import sorted_unique
+from repro.topology.tree import NodeId, TreeTopology
+from repro.util.grouping import index_dtype, sorted_unique
 
 _RECV = "gather.recv"
 
@@ -29,9 +28,9 @@ _RECV = "gather.recv"
 def _pick_target(
     tree: TreeTopology, distribution: Distribution, tags: tuple[str, ...]
 ) -> NodeId:
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
     return max(
-        computes, key=lambda v: sum(distribution.size(v, t) for t in tags)
+        tree.routing_index.compute_nodes,  # canonical order: ties go to the first
+        key=lambda v: sum(distribution.size(v, t) for t in tags),
     )
 
 
@@ -190,12 +189,15 @@ def gather_equijoin(
     s_all = np.concatenate(
         [cluster.local(target, s_tag), cluster.local(target, f"{_RECV}.{s_tag}")]
     )
-    empty = {"num_pairs": 0, "num_keys": 0}
-    if materialize:
-        empty["pairs"] = np.empty((0, 3), np.int64)
-    outputs = {v: dict(empty) for v in tree.compute_nodes}
-    outputs[target] = local_join(
-        r_all, s_all, payload_bits=payload_bits, materialize=materialize
+    # every tuple sits at the target: the relation-wide join, one owner
+    owner = cluster.artifacts.compute_position[target]
+    dtype = index_dtype(len(cluster.compute_order))
+    outputs = join_columns(
+        (np.full(len(r_all), owner, dtype), r_all),
+        (np.full(len(s_all), owner, dtype), s_all),
+        cluster.compute_order,
+        payload_bits=payload_bits,
+        materialize=materialize,
     )
     return ProtocolResult.from_ledger(
         "gather-equijoin",
@@ -242,8 +244,10 @@ def gather_groupby(
     )
     keys, values = decode_tuples(gathered, payload_bits=payload_bits)
     final_keys, final_values = combine_per_key(keys, values, op)
-    outputs = {v: KeyValueArrays.empty() for v in tree.compute_nodes}
-    outputs[target] = KeyValueArrays(final_keys, final_values)
+    computes = cluster.compute_order
+    owner = cluster.artifacts.compute_position[target]
+    bounds = [0] * (owner + 1) + [len(final_keys)] * (len(computes) - owner)
+    outputs = GroupOutputs(computes, bounds, final_keys, final_values)
     return ProtocolResult.from_ledger(
         "gather-groupby",
         cluster.ledger,

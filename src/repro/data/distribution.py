@@ -11,12 +11,13 @@ exactly the same code paths while keeping hashing and sorting vectorised.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.data.columns import NodeSegments, sorted_nodes
 from repro.errors import DistributionError
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import sorted_unique
 
 
@@ -45,39 +46,68 @@ class Distribution:
         arrays (anything ``np.asarray`` accepts).  Nodes with no data may
         be omitted or mapped to empty dicts.
 
-    The container is immutable: fragments are stored and served as
-    read-only views (never copied — the zero-copy handoff between plan
-    stages and cluster seeding rides on this), and derivation methods
-    (:meth:`remap`, :meth:`restrict`) return new instances sharing the
-    same underlying arrays.
+    The stored form is columnar: :attr:`node_order`, the nodes as a
+    tuple in canonical order, and per tag one
+    :class:`~repro.data.columns.NodeSegments` — a ``values`` array laid
+    end to end in that order plus the ``offsets`` each node's fragment
+    lies between (:meth:`from_columns` takes that form directly).  The
+    container is immutable: fragments are served as read-only views of
+    the column, and derivation methods (:meth:`remap`,
+    :meth:`restrict`) return new instances.
     """
 
     def __init__(
         self, placements: Mapping[NodeId, Mapping[str, Iterable[int]]]
     ) -> None:
-        self._fragments: dict[NodeId, dict[str, np.ndarray]] = {}
-        tags: set[str] = set()
+        by_tag: dict[str, dict] = {}
         for node, relations in placements.items():
-            node_fragments: dict[str, np.ndarray] = {}
             for tag, values in relations.items():
-                fragment = _as_fragment(values)
-                node_fragments[str(tag)] = fragment
-                tags.add(str(tag))
-            self._fragments[node] = node_fragments
-        self._tags = frozenset(tags)
-        # The container is immutable, so every size statistic is fixed
-        # here: per tag (``None`` = all relations) the per-node sizes,
-        # zero-size nodes included, and their total.
-        self._sizes: dict[str | None, dict[NodeId, int]] = {
-            tag: dict.fromkeys(self._fragments, 0) for tag in (None, *tags)
-        }
-        for node, node_fragments in self._fragments.items():
-            for tag, fragment in node_fragments.items():
-                self._sizes[tag][node] = len(fragment)
-                self._sizes[None][node] += len(fragment)
-        self._totals = {
-            tag: sum(sizes.values()) for tag, sizes in self._sizes.items()
-        }
+                by_tag.setdefault(str(tag), {})[node] = values
+        nodes = sorted_nodes(tuple(placements))
+        self._set(
+            nodes,
+            {
+                tag: NodeSegments.pack(
+                    fragments, lambda _, values: _as_fragment(values), _EMPTY, nodes
+                )
+                for tag, fragments in by_tag.items()
+            },
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        nodes: Sequence[NodeId],
+        columns: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    ) -> "Distribution":
+        """A distribution from its stored form, nothing walked per node.
+
+        ``columns[tag]`` is ``(values, offsets)``: node ``nodes[i]``
+        holds ``values[offsets[i]:offsets[i + 1]]`` of relation ``tag``.
+        The arrays are referenced, not copied, when ``nodes`` are in
+        canonical order (a cluster's ``compute_order`` is).
+        """
+        self = cls.__new__(cls)
+        nodes = tuple(nodes)
+        self._set(
+            sorted_nodes(nodes),
+            {
+                str(tag): NodeSegments.over(
+                    nodes, _as_fragment(values), offsets, DistributionError
+                )
+                # (a tag is a key of some node's mapping: no nodes, no tags)
+                for tag, (values, offsets) in (columns.items() if nodes else ())
+            },
+        )
+        return self
+
+    def _set(self, nodes: tuple, columns: dict[str, NodeSegments]) -> None:
+        self.node_order = nodes
+        self._columns = columns
+        for segments in columns.values():
+            segments.array.setflags(write=False)
+        self._tags = frozenset(columns)
+        self._sizes: dict[str | None, dict[NodeId, int]] = {}  # on first use
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -91,7 +121,15 @@ class Distribution:
     @property
     def nodes(self) -> frozenset:
         """Nodes that appear in the placement (possibly with empty data)."""
-        return frozenset(self._fragments)
+        return frozenset(self.node_order)
+
+    def column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """Relation ``tag`` as stored: ``(values, offsets)`` over
+        :attr:`node_order` (read-only; an absent tag is all-empty)."""
+        segments = self._columns.get(str(tag))
+        if segments is None:
+            return _EMPTY, np.zeros(len(self.node_order) + 1, dtype=np.intp)
+        return segments.array, segments.offsets
 
     def fragment(self, node: NodeId, tag: str) -> np.ndarray:
         """The fragment of relation ``tag`` initially on ``node``.
@@ -104,15 +142,26 @@ class Distribution:
         a non-string tag must find the data it was stored under, not
         silently read as empty.
         """
-        return self._fragments.get(node, {}).get(str(tag), _EMPTY)
+        return self._columns.get(str(tag), {}).get(node, _EMPTY)
 
     def _sizes_of(self, tag: str | None) -> dict:
-        known = self._sizes.get(tag if tag is None else str(tag))
-        return dict.fromkeys(self._fragments, 0) if known is None else known
+        tag = tag if tag is None else str(tag)
+        known = self._sizes.get(tag)
+        if known is None:
+            tags = self._columns if tag is None else (tag,)
+            lengths = sum(
+                (np.diff(self.column(t)[1]) for t in tags),
+                np.zeros(len(self.node_order), dtype=np.intp),
+            )
+            known = self._sizes[tag] = dict(zip(self.node_order, lengths.tolist()))
+        return known
 
     def size(self, node: NodeId, tag: str | None = None) -> int:
         """``|R_v|`` for one relation, or ``N_v`` summed over relations."""
-        return self._sizes_of(tag).get(node, 0)
+        sizes = self._sizes.get(tag)  # hit: a string tag (or None) seen before
+        if sizes is None:
+            sizes = self._sizes_of(tag)
+        return sizes.get(node, 0)
 
     def sizes(self, tag: str | None = None) -> dict:
         """Per-node sizes as a plain dict (zero-size nodes included)."""
@@ -120,18 +169,13 @@ class Distribution:
 
     def total(self, tag: str | None = None) -> int:
         """Total number of elements, for one relation or overall (``N``)."""
-        return self._totals.get(tag if tag is None else str(tag), 0)
+        tags = self._columns if tag is None else (tag,)
+        return sum(len(self.column(t)[0]) for t in tags)
 
     def relation(self, tag: str) -> np.ndarray:
-        """All elements of relation ``tag``, concatenated in node order."""
-        tag = str(tag)
-        parts = [
-            self._fragments[node].get(tag, np.empty(0, np.int64))
-            for node in sorted(self._fragments, key=node_sort_key)
-        ]
-        if not parts:
-            return np.empty(0, np.int64)
-        return np.concatenate(parts)
+        """All elements of relation ``tag``, concatenated in node order
+        (the stored column itself, read-only)."""
+        return self.column(tag)[0]
 
     # ------------------------------------------------------------------ #
     # validation
@@ -171,42 +215,29 @@ class Distribution:
         Nodes not mentioned in ``node_map`` keep their placement.  Two old
         nodes must not map to the same new node.
         """
-        targets = [node_map.get(n, n) for n in self._fragments]
+        targets = [node_map.get(n, n) for n in self.node_order]
         if len(set(targets)) != len(targets):
             raise DistributionError("node_map merges two placements")
-        return Distribution(
-            {
-                node_map.get(node, node): dict(relations)
-                for node, relations in self._fragments.items()
-            }
+        return Distribution.from_columns(
+            targets, {tag: self.column(tag) for tag in self._tags}
         )
 
     def restrict(self, tags: Iterable[str]) -> "Distribution":
         """Keep only the given relations."""
         keep = {str(t) for t in tags}
-        return Distribution(
-            {
-                node: {
-                    tag: fragment
-                    for tag, fragment in relations.items()
-                    if tag in keep
-                }
-                for node, relations in self._fragments.items()
-            }
+        return Distribution.from_columns(
+            self.node_order, {tag: self.column(tag) for tag in self._tags & keep}
         )
 
     def with_fragment(
         self, node: NodeId, tag: str, values: Iterable[int]
     ) -> "Distribution":
-        """Return a new instance with one fragment replaced.
-
-        Unchanged fragments are shared (read-only), not copied.
-        """
-        updated: dict = {
-            n: dict(relations) for n, relations in self._fragments.items()
+        """Return a new instance with one fragment replaced."""
+        placements = {
+            n: {t: self.fragment(n, t) for t in self._tags} for n in self.node_order
         }
-        updated.setdefault(node, {})[str(tag)] = _as_fragment(values)
-        return Distribution(updated)
+        placements.setdefault(node, {})[str(tag)] = values
+        return Distribution(placements)
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -215,16 +246,17 @@ class Distribution:
     def describe(self) -> str:
         """A one-line-per-node summary of the placement."""
         lines = []
-        for node in sorted(self._fragments, key=node_sort_key):
+        for node in self.node_order:
             counts = ", ".join(
-                f"|{tag}_v|={len(fragment)}"
-                for tag, fragment in sorted(self._fragments[node].items())
+                f"|{tag}_v|={self.size(node, tag)}"
+                for tag in sorted(self._tags)
+                if self.size(node, tag)
             )
             lines.append(f"{node}: {counts or 'empty'}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (
-            f"Distribution(nodes={len(self._fragments)}, "
+            f"Distribution(nodes={len(self.node_order)}, "
             f"tags={sorted(self._tags)}, total={self.total()})"
         )

@@ -22,6 +22,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from repro.data.columns import offsets_of
 from repro.data.distribution import Distribution
 from repro.errors import DistributionError
 from repro.topology.tree import NodeId, TreeTopology
@@ -222,29 +223,29 @@ def distribute(
     if shuffle_seed is not None:
         data = data.copy()
         np.random.default_rng(derive_seed(shuffle_seed, "distribute", tag)).shuffle(data)
-    placements: dict = {}
-    offset = 0
-    for node, size in sizes.items():
-        placements[node] = {tag: data[offset : offset + size]}
-        offset += size
-    return Distribution(placements)
+    offsets = offsets_of(np.fromiter(sizes.values(), np.intp, len(sizes)))
+    return Distribution.from_columns(tuple(sizes), {tag: (data, offsets)})
 
 
 def merge_distributions(*parts: Distribution) -> Distribution:
     """Combine distributions over disjoint relation tags."""
-    placements: dict = {}
     seen_tags: set[str] = set()
     for part in parts:
         overlap = seen_tags & set(part.tags)
         if overlap:
             raise DistributionError(f"duplicate relation tags {sorted(overlap)}")
         seen_tags |= set(part.tags)
-        for node in part.nodes:
+    nodes = parts[0].node_order if parts else ()
+    if all(part.node_order == nodes for part in parts):  # one layout: share it
+        return Distribution.from_columns(
+            nodes, {tag: part.column(tag) for part in parts for tag in part.tags}
+        )
+    placements: dict = {}
+    for part in parts:
+        for node in part.node_order:
             target = placements.setdefault(node, {})
             for tag in part.tags:
-                fragment = part.fragment(node, tag)
-                if len(fragment):
-                    target[tag] = fragment
+                target[tag] = part.fragment(node, tag)
     return Distribution(placements)
 
 

@@ -97,22 +97,22 @@ def placement_profile(
 
 def cardinalities_of(relation: PlacedRelation) -> tuple[float, dict]:
     """Exact ``(rows, distinct count per column)`` of a base relation."""
-    rows = relation.rows()
     distinct = {
-        name: int(len(sorted_unique(rows[:, i]))) if len(rows) else 0
-        for i, name in enumerate(relation.schema.columns)
+        name: len(sorted_unique(relation.column(name)))
+        for name in relation.schema.columns
     }
-    return float(len(rows)), distinct
+    return float(relation.total_rows), distinct
 
 
 def stats_of(relation: PlacedRelation, tree: TreeTopology) -> RelationStats:
     """Exact statistics of a base relation (the model's prior knowledge)."""
     rows, distinct = cardinalities_of(relation)
-    return RelationStats(
-        rows=rows,
-        distinct=distinct,
-        profile=placement_profile(tree, relation.sizes()),
-    )
+    compute_nodes = tree.routing_index.compute_nodes
+    if relation.node_order == compute_nodes:  # laid out like the profile
+        profile = np.diff(relation.offsets).astype(np.float64)
+    else:
+        profile = placement_profile(tree, relation.sizes())
+    return RelationStats(rows=rows, distinct=distinct, profile=profile)
 
 
 def join_stats(

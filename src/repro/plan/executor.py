@@ -26,6 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.data.distribution import Distribution
+from repro.data.generators import merge_distributions
 from repro.engine import run_with_result
 from repro.errors import PlanError
 from repro.obs.metrics import RATIO_BUCKETS, get_registry
@@ -34,7 +35,7 @@ from repro.plan.optimizer import AGGREGATE_BITS, PhysicalPlan, PhysicalStage
 from repro.plan.relation import PlacedRelation, Schema
 from repro.queries.tuples import encode_tuples
 from repro.report import PlanReport, RunReport
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.seeding import derive_seed
 
 
@@ -74,25 +75,17 @@ def _execute_join(
     shared_bits = max(
         left_payload_schema.total_bits, right_payload_schema.total_bits
     )
-    left_encoded, _, _ = left.key_payload(
-        stage.left_column, payload_bits=shared_bits
-    )
-    right_encoded, _, _ = right.key_payload(
-        stage.right_column, payload_bits=shared_bits
-    )
-    placements: dict = {}
-    for node in tree.compute_nodes:
-        fragments = {}
-        if node in left_encoded and len(left_encoded[node]):
-            fragments["R"] = left_encoded[node]
-        if node in right_encoded and len(right_encoded[node]):
-            fragments["S"] = right_encoded[node]
-        if fragments:
-            placements[node] = fragments
     report, result = run_with_result(
         "equijoin",
         tree,
-        Distribution(placements),
+        merge_distributions(
+            left.to_distribution(
+                stage.left_column, tag="R", payload_bits=shared_bits
+            ),
+            right.to_distribution(
+                stage.right_column, tag="S", payload_bits=shared_bits
+            ),
+        ),
         protocol=stage.protocol,
         seed=derive_seed(seed, "plan-stage", index),
         placement=f"stage {index}",
@@ -101,50 +94,38 @@ def _execute_join(
         materialize=True,
     )
 
-    fragments = {}
-    for node, output in result.outputs.items():
-        pairs = output.get("pairs")
-        if pairs is None or not len(pairs):
-            continue
-        left_columns = dict(
-            zip(
-                left_payload_schema.columns,
-                left_payload_schema.unpack(pairs[:, 1]).T,
-            )
+    # the whole join's (key, left payload, right payload) rows, unpacked
+    # once; each node's share stays where the protocol left it
+    outputs = result.outputs
+    pairs = outputs.pairs
+    keys = pairs[:, 0]
+    named = {stage.left_column: keys}
+    named.update(
+        zip(left_payload_schema.columns, left_payload_schema.unpack(pairs[:, 1]).T)
+    )
+    right_columns = dict(
+        zip(right_payload_schema.columns, right_payload_schema.unpack(pairs[:, 2]).T)
+    )
+    keep = np.ones(len(pairs), dtype=bool)
+    for left_name, right_name in stage.residual:
+        # A residual condition may reuse the stage's join-key column
+        # (e.g. A.a = B.b and A.a = B.c): that column was dropped
+        # from the payload, but its values are exactly `keys`.
+        right_values = (
+            keys if right_name == stage.right_column else right_columns[right_name]
         )
-        right_columns = dict(
-            zip(
-                right_payload_schema.columns,
-                right_payload_schema.unpack(pairs[:, 2]).T,
-            )
-        )
-        keys = pairs[:, 0]
-        keep = np.ones(len(pairs), dtype=bool)
-        for left_name, right_name in stage.residual:
-            # A residual condition may reuse the stage's join-key column
-            # (e.g. A.a = B.b and A.a = B.c): that column was dropped
-            # from the payload, but its values are exactly `keys`.
-            left_values = (
-                keys
-                if left_name == stage.left_column
-                else left_columns[left_name]
-            )
-            right_values = (
-                keys
-                if right_name == stage.right_column
-                else right_columns[right_name]
-            )
-            keep &= left_values == right_values
-        named = {stage.left_column: keys, **left_columns}
-        for name, values in right_columns.items():
-            if name not in {b for _, b in stage.residual}:
-                named[name] = values
-        rows = np.stack(
-            [named[c][keep] for c in out_schema.columns], axis=1
-        )
-        if len(rows):
-            fragments[node] = rows
-    return report, PlacedRelation(out_schema, fragments)
+        keep &= named[left_name] == right_values
+    residual_right = {right_name for _, right_name in stage.residual}
+    for name, values in right_columns.items():
+        if name not in residual_right:
+            named[name] = values
+    produced = PlacedRelation.from_columns(
+        out_schema,
+        outputs.nodes,
+        np.stack([named[c] for c in out_schema.columns], axis=1),
+        outputs.pair_bounds,
+    )
+    return report, produced.select(keep) if stage.residual else produced
 
 
 def _execute_groupby(
@@ -159,24 +140,17 @@ def _execute_groupby(
     out_schema = stage.schema
     if child.total_rows == 0:
         return None, PlacedRelation(out_schema, {})
-    key_index = child.schema.index(stage.key)
-    value_index = child.schema.index(stage.agg_value)
-    placements: dict = {}
-    for node in sorted(child.nodes, key=node_sort_key):
-        rows = child.fragment(node)
-        if not len(rows):
-            continue
-        placements[node] = {
-            "R": encode_tuples(
-                rows[:, key_index],
-                rows[:, value_index],
-                payload_bits=AGGREGATE_BITS,
-            )
-        }
+    encoded = encode_tuples(
+        child.column(stage.key),
+        child.column(stage.agg_value),
+        payload_bits=AGGREGATE_BITS,
+    )
     report, result = run_with_result(
         "groupby-aggregate",
         tree,
-        Distribution(placements),
+        Distribution.from_columns(
+            child.node_order, {"R": (encoded, child.offsets)}
+        ),
         protocol=stage.protocol,
         seed=derive_seed(seed, "plan-stage", index),
         placement=f"stage {index}",
@@ -184,21 +158,15 @@ def _execute_groupby(
         op=stage.op,
         payload_bits=AGGREGATE_BITS,
     )
-    fragments = {}
-    for node, groups in result.outputs.items():
-        if not groups:
-            continue
-        keys = getattr(groups, "keys_array", None)
-        if keys is not None:
-            # Array output contract: columns arrive sorted by key, so
-            # the stage output is a single stack — no boxing, no sort.
-            fragments[node] = np.stack([keys, groups.values_array], axis=1)
-            continue
-        keys = np.fromiter(groups.keys(), np.int64, len(groups))
-        values = np.fromiter(groups.values(), np.int64, len(groups))
-        order = np.argsort(keys, kind="stable")
-        fragments[node] = np.stack([keys[order], values[order]], axis=1)
-    return report, PlacedRelation(out_schema, fragments)
+    # Array output contract: every node's groups arrive sorted by key,
+    # so the stage output is a single stack — no boxing, no sort.
+    groups = result.outputs
+    return report, PlacedRelation.from_columns(
+        out_schema,
+        groups.nodes,
+        np.stack([groups.keys_array, groups.values_array], axis=1),
+        groups.bounds,
+    )
 
 
 def _record_stage_metrics(stage: PhysicalStage, report: RunReport) -> None:

@@ -43,7 +43,7 @@ from repro.plan.logical import Filter, GroupBy, Join, LogicalPlan, Scan
 from repro.plan.relation import MAX_PAYLOAD_BITS, MAX_ROW_BITS, Schema
 from repro.registry import protocols_for
 from repro.topology.artifacts import resolve_artifacts
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.text import render_table
 
 STRATEGIES = ("optimized", "gather", "worst-order")
@@ -620,18 +620,15 @@ class PlanCache:
         if digest is None:
             rows, distinct = cardinalities_of(relation)
             hasher = hashlib.blake2b(digest_size=16)
-            hasher.update(repr(relation.schema.columns).encode())
-            hasher.update(repr(relation.schema.bits).encode())
-            hasher.update(repr(rows).encode())
-            hasher.update(repr(sorted(distinct.items())).encode())
-            hasher.update(
-                repr(
-                    sorted(
-                        relation.sizes().items(),
-                        key=lambda item: node_sort_key(item[0]),
-                    )
-                ).encode()
-            )
+            for part in (
+                relation.schema.columns,
+                relation.schema.bits,
+                rows,
+                sorted(distinct.items()),
+                relation.node_order,
+            ):
+                hasher.update(repr(part).encode())
+            hasher.update(relation.offsets.tobytes())
             digest = hasher.hexdigest()
             self._relation_digests[relation] = digest
         return f"{name}={digest}"

@@ -21,10 +21,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.data.columns import NodeSegments, offsets_of
 from repro.data.distribution import Distribution
 from repro.data.generators import placement_sizes
 from repro.errors import PlanError
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 from repro.util.seeding import derive_seed
 
 # encode_tuples in repro.queries.tuples caps the payload at 40 bits and
@@ -145,6 +146,12 @@ class PlacedRelation:
         ``{node: rows}`` with ``rows`` a ``(n, arity)`` integer array;
         nodes may be omitted or hold empty arrays.
 
+    The stored form is columnar (:class:`~repro.data.columns.NodeSegments`):
+    the nodes as a tuple in canonical order, one ``(n, arity)`` row
+    array laid end to end in that order, and the offsets each node's
+    fragment lies between — :attr:`node_order`, :attr:`offsets`, and
+    :meth:`from_columns` takes that form directly — so every stage step
+    (pack, filter, statistics) is one array operation per relation.
     The container is immutable in the same sense as
     :class:`~repro.data.distribution.Distribution`: accessors copy, and
     transformations return new instances.
@@ -153,9 +160,7 @@ class PlacedRelation:
     def __init__(
         self, schema: Schema, fragments: Mapping[NodeId, np.ndarray]
     ) -> None:
-        self.schema = schema
-        self._fragments: dict[NodeId, np.ndarray] = {}
-        for node, rows in fragments.items():
+        def as_rows(node, rows) -> np.ndarray:
             array = np.asarray(rows, dtype=np.int64)
             if array.size == 0:
                 array = array.reshape(0, schema.arity)
@@ -164,7 +169,34 @@ class PlacedRelation:
                     f"fragment at {node!r} has shape {array.shape}; "
                     f"expected (n, {schema.arity})"
                 )
-            self._fragments[node] = array.copy()
+            return array
+
+        if not isinstance(fragments, NodeSegments):  # else: the stored form
+            empty = np.empty((0, schema.arity), dtype=np.int64)
+            fragments = NodeSegments.pack(fragments, as_rows, empty)
+        self.schema = schema
+        self._segments = fragments
+        self._rows = fragments.array
+        self.node_order = fragments.nodes
+        self.offsets = fragments.offsets.view()
+        self.offsets.setflags(write=False)
+
+    @classmethod
+    def from_columns(
+        cls, schema: Schema, nodes: Sequence[NodeId], rows: np.ndarray, offsets
+    ) -> "PlacedRelation":
+        """A relation from its stored form, nothing walked per node.
+
+        Node ``nodes[i]`` holds ``rows[offsets[i]:offsets[i + 1]]``.
+        ``rows`` is referenced, not copied, when ``nodes`` are in
+        canonical order — the caller hands it over.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != schema.arity:
+            raise PlanError(
+                f"expected rows of shape (n, {schema.arity}), got {rows.shape}"
+            )
+        return cls(schema, NodeSegments.over(nodes, rows, offsets, PlanError))
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -172,38 +204,28 @@ class PlacedRelation:
 
     @property
     def nodes(self) -> frozenset:
-        return frozenset(self._fragments)
+        return frozenset(self.node_order)
 
     def fragment(self, node: NodeId) -> np.ndarray:
         """Rows held at ``node`` (copy; empty when the node is absent)."""
-        rows = self._fragments.get(node)
-        if rows is None:
-            return np.empty((0, self.schema.arity), dtype=np.int64)
-        return rows.copy()
+        return self._segments.get(node, self._rows[:0]).copy()
 
     def size(self, node: NodeId) -> int:
-        return int(len(self._fragments.get(node, ())))
+        return len(self._segments.get(node, ()))
 
     def sizes(self) -> dict:
-        return {node: len(rows) for node, rows in self._fragments.items()}
+        return self._segments.sizes()
 
     @property
     def total_rows(self) -> int:
-        return sum(len(rows) for rows in self._fragments.values())
+        return len(self._rows)
 
     def rows(self) -> np.ndarray:
         """All rows concatenated in deterministic node order."""
-        parts = [
-            self._fragments[node]
-            for node in sorted(self._fragments, key=node_sort_key)
-            if len(self._fragments[node])
-        ]
-        if not parts:
-            return np.empty((0, self.schema.arity), dtype=np.int64)
-        return np.concatenate(parts)
+        return self._rows.copy()
 
     def column(self, name: str) -> np.ndarray:
-        return self.rows()[:, self.schema.index(name)]
+        return self._rows[:, self.schema.index(name)].copy()
 
     def multiset(self, *, columns: Sequence[str] | None = None) -> Counter:
         """Row multiset as a :class:`Counter` of tuples.
@@ -217,24 +239,17 @@ class PlacedRelation:
             sorted(self.schema.columns) if columns is None else list(columns)
         )
         indices = [self.schema.index(n) for n in names]
-        rows = self.rows()[:, indices]
-        return Counter(map(tuple, rows.tolist()))
+        return Counter(map(tuple, self._rows[:, indices].tolist()))
 
     # ------------------------------------------------------------------ #
     # stage encodings
     # ------------------------------------------------------------------ #
 
-    def key_payload(
-        self, column: str, *, payload_bits: int | None = None
-    ) -> tuple[dict, Schema, int]:
-        """Encode fragments as ``key << payload_bits | payload`` elements.
-
-        ``column`` becomes the key; the remaining columns pack into the
-        payload.  Returns ``(encoded_fragments, payload_schema,
-        payload_bits)`` ready to feed a registered keyed protocol
-        (equi-join, group-by).  ``payload_bits`` may be forced upward so
-        the two sides of a join share one width.
-        """
+    def _encode(
+        self, column: str, payload_bits: int | None
+    ) -> tuple[np.ndarray, Schema, int]:
+        """The whole relation as ``key << payload_bits | payload``
+        elements, in row order: one pack per relation."""
         payload_schema = self.schema.drop(column)
         needed = payload_schema.total_bits
         width = needed if payload_bits is None else int(payload_bits)
@@ -258,17 +273,34 @@ class PlacedRelation:
         payload_indices = [
             i for i in range(self.schema.arity) if i != key_index
         ]
-        encoded: dict = {}
-        for node, rows in self._fragments.items():
-            keys = rows[:, key_index]
-            payload = payload_schema.pack(rows[:, payload_indices])
-            encoded[node] = (keys << np.int64(width)) | payload
+        payload = payload_schema.pack(self._rows[:, payload_indices])
+        encoded = (self._rows[:, key_index] << np.int64(width)) | payload
         return encoded, payload_schema, width
 
-    def to_distribution(self, column: str, *, tag: str = "R") -> Distribution:
+    def key_payload(
+        self, column: str, *, payload_bits: int | None = None
+    ) -> tuple[Mapping, Schema, int]:
+        """Encode fragments as ``key << payload_bits | payload`` elements.
+
+        ``column`` becomes the key; the remaining columns pack into the
+        payload.  Returns ``(encoded_fragments, payload_schema,
+        payload_bits)`` ready to feed a registered keyed protocol
+        (equi-join, group-by), the first a ``{node: elements}`` mapping
+        over the one encoded array.  ``payload_bits`` may be forced
+        upward so the two sides of a join share one width.
+        """
+        encoded, payload_schema, width = self._encode(column, payload_bits)
+        segments = NodeSegments(self.node_order, encoded, self.offsets)
+        return segments, payload_schema, width
+
+    def to_distribution(
+        self, column: str, *, tag: str = "R", payload_bits: int | None = None
+    ) -> Distribution:
         """One-relation :class:`Distribution` keyed on ``column``."""
-        encoded, _, _ = self.key_payload(column)
-        return Distribution({node: {tag: values} for node, values in encoded.items()})
+        encoded, _, _ = self._encode(column, payload_bits)
+        return Distribution.from_columns(
+            self.node_order, {tag: (encoded, self.offsets)}
+        )
 
     # ------------------------------------------------------------------ #
     # transformations
@@ -282,19 +314,19 @@ class PlacedRelation:
                 f"unknown filter operator {op!r}; "
                 f"choose from {sorted(_COMPARATORS)}"
             )
-        index = self.schema.index(column)
-        return PlacedRelation(
-            self.schema,
-            {
-                node: rows[comparator(rows[:, index], np.int64(value))]
-                for node, rows in self._fragments.items()
-            },
+        keep = comparator(
+            self._rows[:, self.schema.index(column)], np.int64(value)
         )
+        return self.select(keep)
+
+    def select(self, keep: np.ndarray) -> "PlacedRelation":
+        """The rows under a boolean mask, each staying on its node."""
+        return PlacedRelation(self.schema, self._segments.select(keep))
 
     def __repr__(self) -> str:
         return (
             f"PlacedRelation(columns={list(self.schema.columns)}, "
-            f"rows={self.total_rows}, nodes={len(self._fragments)})"
+            f"rows={self.total_rows}, nodes={len(self.node_order)})"
         )
 
 
@@ -334,12 +366,8 @@ def random_placed_relation(
         0, key_space, size=(rows, schema.arity), dtype=np.int64
     )
     sizes = placement_sizes(tree, rows, policy, nodes)
-    fragments: dict = {}
-    offset = 0
-    for node in nodes:
-        fragments[node] = data[offset : offset + sizes[node]]
-        offset += sizes[node]
-    return PlacedRelation(schema, fragments)
+    offsets = offsets_of(np.fromiter(map(sizes.__getitem__, nodes), np.intp))
+    return PlacedRelation.from_columns(schema, nodes, data, offsets)
 
 
 def chain_catalog(

@@ -24,14 +24,14 @@ from typing import Callable
 import numpy as np
 
 from repro.core.common import LowerBound
-from repro.data.columns import KeyValueArrays
+from repro.data.columns import KeyValueArrays, NodeOutputs
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples, encode_tuples
 from repro.registry import register_protocol
 from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.grouping import owner_bounds, sorted_runs
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
@@ -44,6 +44,27 @@ _REDUCERS: dict[str, Callable] = {
     "min": np.minimum.reduceat,
     "max": np.maximum.reduceat,
 }
+
+
+class GroupOutputs(NodeOutputs):
+    """Per-node group-by results over the whole relation's arrays.
+
+    Node ``nodes[i]`` owns the groups ``[bounds[i], bounds[i + 1])`` of
+    ``keys_array`` / ``values_array`` (keys ascending within a node);
+    ``outputs[node]`` is its :class:`KeyValueArrays`, built on demand.
+    """
+
+    def __init__(
+        self, nodes, bounds: list, keys: np.ndarray, values: np.ndarray
+    ) -> None:
+        super().__init__(nodes)
+        self.bounds = bounds
+        self.keys_array = keys
+        self.values_array = values
+
+    def _item(self, index: int) -> KeyValueArrays:
+        lo, hi = self.bounds[index : index + 2]
+        return KeyValueArrays(self.keys_array[lo:hi], self.values_array[lo:hi])
 
 
 def combine_per_node_key(
@@ -86,7 +107,7 @@ def hashed_groupby_round(
     op: str,
     payload_bits: int,
     pre_aggregate: bool,
-) -> dict:
+) -> GroupOutputs:
     """Combine, shuffle by ``hasher`` and finalize: one group-by round.
 
     Shared by the tree protocol and the uniform-hash baseline, which
@@ -94,7 +115,8 @@ def hashed_groupby_round(
     ships one partial per key (``count`` partials are counts, so the
     owners finalize them by ``sum``); without it raw tuples travel and
     finalize under ``op``.  Returns the per-node
-    :class:`~repro.data.columns.KeyValueArrays` outputs.
+    :class:`~repro.data.columns.KeyValueArrays` outputs as one
+    :class:`GroupOutputs`.
     """
     with cluster.round() as ctx:
         owners, payload = cluster.column(tag)
@@ -113,13 +135,11 @@ def hashed_groupby_round(
         owners, keys, values, "sum" if pre_aggregate and op == "count" else op
     )
     computes = cluster.compute_order
-    bounds = owner_bounds(owners, len(computes))
     # columnar output contract: the aggregation arrays go out as-is
     # (a Mapping-compatible view, no per-key boxing)
-    return {
-        node: KeyValueArrays(keys[lo:hi], values[lo:hi])
-        for node, lo, hi in zip(computes, bounds, bounds[1:])
-    }
+    return GroupOutputs(
+        computes, owner_bounds(owners, len(computes)), keys, values
+    )
 
 
 def groupby_lower_bound(
@@ -194,10 +214,10 @@ def tree_groupby_aggregate(
     tree.require_symmetric("tree_groupby_aggregate")
     distribution.validate_for(tree)
 
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    computes = cluster.compute_order
     sizes = {v: distribution.size(v, tag) for v in computes}
     total = sum(sizes.values())
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
     if total == 0:
         return ProtocolResult.from_ledger(
             "tree-groupby", cluster.ledger,

@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.intersection.lower_bound import intersection_lower_bound
 from repro.core.intersection.tree import hashed_partition_round
 from repro.core.common import LowerBound
+from repro.data.columns import NodeOutputs
 from repro.data.distribution import Distribution
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
@@ -64,6 +65,38 @@ def equijoin_lower_bound(
     )
 
 
+class JoinOutputs(NodeOutputs):
+    """Per-node join results over the whole join's arrays.
+
+    ``pair_bounds`` / ``run_bounds`` (``len(nodes) + 1`` ints) say which
+    stretch of the joined rows, and of the joined key runs, each node
+    produced; ``pairs`` is every node's ``(key, r_payload, s_payload)``
+    rows end to end, ``None`` when the join only counted.
+    ``outputs[node]`` is the classic ``{"num_pairs", "num_keys"[,
+    "pairs"]}`` dict, built on demand.
+    """
+
+    def __init__(
+        self,
+        nodes: Sequence,
+        pair_bounds: list,
+        run_bounds: list,
+        pairs: np.ndarray | None,
+    ) -> None:
+        super().__init__(nodes)
+        self.pair_bounds = pair_bounds
+        self.run_bounds = run_bounds
+        self.pairs = pairs
+
+    def _item(self, index: int) -> dict:
+        lo, hi = self.pair_bounds[index : index + 2]
+        run_lo, run_hi = self.run_bounds[index : index + 2]
+        result = {"num_pairs": hi - lo, "num_keys": run_hi - run_lo}
+        if self.pairs is not None:
+            result["pairs"] = self.pairs[lo:hi]
+        return result
+
+
 def join_columns(
     r_column: tuple[np.ndarray, np.ndarray],
     s_column: tuple[np.ndarray, np.ndarray],
@@ -71,14 +104,15 @@ def join_columns(
     *,
     payload_bits: int,
     materialize: bool,
-) -> dict:
+) -> JoinOutputs:
     """Join two encoded columns on the key component, node by node.
 
     Each side is a :meth:`Cluster.column <repro.sim.cluster.Cluster.column>`
     pair over ``nodes``; the result maps every node to its
     ``{"num_pairs", "num_keys"}`` and, with ``materialize=True``, its
     joined ``(key, r_payload, s_payload)`` rows under ``"pairs"`` — key
-    ascending, then r-major with both sides in arrival order.  One
+    ascending, then r-major with both sides in arrival order — and
+    carries the arrays behind them (:class:`JoinOutputs`).  One
     stable sort of both columns together by ``(node, key)`` puts each
     run's ``R`` tuples ahead of its ``S`` tuples; a run joins when it
     has both.
@@ -95,12 +129,7 @@ def join_columns(
     run_bounds = owner_bounds(owners[order[starts]], len(nodes))
     pairs_before = np.concatenate(([0], np.cumsum(r_counts * s_counts)))
     pair_bounds = pairs_before[run_bounds].tolist()
-    results = {
-        node: {"num_pairs": hi - lo, "num_keys": run_hi - run_lo}
-        for node, lo, hi, run_lo, run_hi in zip(
-            nodes, pair_bounds, pair_bounds[1:], run_bounds, run_bounds[1:]
-        )
-    }
+    pairs = None
     if materialize:
         # one block of rows per R tuple of a joined run: the tuple
         # against every S tuple of the run
@@ -111,9 +140,7 @@ def join_columns(
         pairs = np.stack(
             [keys[left], payloads[left], payloads[order[right]]], axis=1
         )
-        for node, lo, hi in zip(nodes, pair_bounds, pair_bounds[1:]):
-            results[node]["pairs"] = pairs[lo:hi]
-    return results
+    return JoinOutputs(nodes, pair_bounds, run_bounds, pairs)
 
 
 def local_join(

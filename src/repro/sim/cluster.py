@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from itertools import accumulate
+from itertools import accumulate, repeat
 from time import perf_counter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -665,7 +665,6 @@ class RoundContext:
         if self._unicast_stream:
             t0 = perf_counter() if phases is not None else 0.0
             routing, by_tag, pair_matrix = self._collect_unicasts()
-            node_names = routing.nodes
             # group: one pass per tag over the whole round; the argsort
             # is stable and parts are concatenated in registration
             # order, so per-(dst, tag) contents match a transfer-by-
@@ -687,12 +686,15 @@ class RoundContext:
                     registry.counter(
                         "repro_delivered_elements_total", tag=tag
                     ).inc(len(sorted_payload))
-                for dst_id, start, end in zip(
-                    uniques.tolist(), starts.tolist(), ends.tolist()
-                ):
-                    storage.append(
-                        node_names[dst_id], tag, sorted_payload[start:end]
-                    )
+                # group_slices left the payload cut by destination: it
+                # is the table, installed whole
+                storage.install(
+                    tag,
+                    np.searchsorted(routing.compute_idx, uniques),
+                    starts,
+                    ends,
+                    sorted_payload,
+                )
             if phases is not None:
                 t2 = perf_counter()
                 phases["deliver"] += t2 - t1
@@ -895,11 +897,11 @@ class RoundContext:
             first = row_group[r_starts]
             los = np.where(single, starts[first], gathered_his - sizes)
             his = np.where(single, ends[first], gathered_his)
-            for dst_id, one, lo, hi in zip(
-                r_uniques.tolist(), single.tolist(), los.tolist(), his.tolist()
-            ):
-                chunk = (sorted_payload if one else gathered)[lo:hi]
-                storage.append(node_names[dst_id], tag, chunk)
+            positions = np.searchsorted(routing.compute_idx, r_uniques)
+            for where, source in ((single, sorted_payload), (~single, gathered)):
+                storage.install(
+                    tag, positions[where], los[where], his[where], source
+                )
             remote = sources[row_group] != row_dst
             arrivals = np.zeros(routing.num_nodes, dtype=np.int64)
             np.add.at(arrivals, row_dst[remote], lengths[remote])
@@ -1022,7 +1024,7 @@ class Cluster:
         self._artifacts = artifacts
         self.oracle = artifacts.oracle
         self.ledger = CostLedger(tree, bits_per_element=bits_per_element)
-        self._storage = ColumnarStore()
+        self._storage = ColumnarStore(artifacts.compute_order)
         self._received_elements: dict[NodeId, int] = {}
         self._round_open = False
         if distribution is not None:
@@ -1052,13 +1054,20 @@ class Cluster:
     # ------------------------------------------------------------------ #
 
     def load(self, distribution: Distribution) -> None:
-        """Install an initial placement (``X_0``) into node storage."""
+        """Install an initial placement (``X_0``) into node storage.
+
+        One table per tag, tags in sorted order: the store's contents
+        and insertion order are a function of the placement alone.
+        """
         distribution.validate_for(self._tree)
-        for node in distribution.nodes:
-            for tag in distribution.tags:
-                fragment = distribution.fragment(node, tag)
-                if len(fragment):
-                    self.put(node, tag, fragment)
+        # a node outside the tree holds nothing (validated): -1, dropped
+        owners = np.fromiter(
+            map(self._artifacts.compute_position.get, distribution.node_order, repeat(-1)),
+            np.intp,
+        )
+        for tag in sorted(distribution.tags):
+            values, offsets = distribution.column(tag)
+            self._storage.install(tag, owners, offsets[:-1], offsets[1:], values)
 
     def put(self, node: NodeId, tag: str, values) -> None:
         """Append ``values`` to ``node``'s storage under ``tag``.
@@ -1089,19 +1098,17 @@ class Cluster:
     def column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
         """Relation ``tag`` across all compute nodes: ``(owners, values)``.
 
-        ``values`` concatenates every node's :meth:`local` view in
+        ``values`` is every node's :meth:`local` view end to end in
         canonical compute order and ``owners[i]`` is the compute-order
         index of the node holding ``values[i]`` — ascending, in the
-        routing index's narrow lookup dtype.  This is what the
-        relation-at-a-time calls (:meth:`RoundContext.exchange_column`)
-        and the segmented local kernels consume.
+        routing index's narrow lookup dtype; both are read-only.  A tag
+        held as one table (a loaded relation, a unicast delivery) is
+        served as stored, no copy; see :mod:`repro.sim.storage` for the
+        other case.  This is what the relation-at-a-time calls
+        (:meth:`RoundContext.exchange_column`) and the segmented local
+        kernels consume.
         """
-        tag = str(tag)
-        view = self._storage.view
-        parts = [view(node, tag) for node in self.compute_order]
-        lengths = np.fromiter(map(len, parts), np.intp, len(parts))
-        positions = np.arange(len(parts), dtype=index_dtype(len(parts)))
-        return np.repeat(positions, lengths), np.concatenate(parts)
+        return self._storage.column(str(tag))
 
     def take(self, node: NodeId, tag: str) -> np.ndarray:
         """Remove and return ``node``'s data under ``tag`` (read-only)."""

@@ -1,46 +1,46 @@
-"""Columnar per-node storage with lazy compaction and read-only views.
+"""Columnar per-tag storage: segment tables first, per-node pieces on demand.
 
-Before this module, :class:`~repro.sim.cluster.Cluster` held storage as
-``dict[node][tag] -> list[ndarray]`` chunk lists and every
-``local()`` call paid a fresh ``np.concatenate`` — O(total) per *read*,
-on a path protocols read far more often than they write (uniform-hash
-reads each tag once per round; hash-to-min reads its candidates every
-superstep).  :class:`ColumnarStore` inverts that cost:
+A relation lives in the store the way a protocol produced it: one
+*table* per install — a values array plus ``(owner, start, end)`` arrays
+saying which stretch each node holds.  The per-node column is the
+presentation: the first per-node access to a tag cuts its tables into
+each node's *pieces* (zero-copy slices, in arrival order).  The
+contract (``tests/sim/test_storage.py``):
 
-* **appends are O(1)** — a delivered chunk is referenced, never copied;
-* **compaction is lazy and cached** — the first read of a multi-chunk
-  column concatenates once, replaces the chunk list with the compacted
-  array, and every subsequent read returns the same cached array until
-  the next append invalidates it;
-* **reads are zero-copy and read-only** — ``view()`` returns a
-  ``writeable=False`` view, so a single-chunk column can be served as a
-  direct alias of the delivered chunk without the historical
-  silent-corruption hazard (a protocol mutating the return value now
-  raises instead of rewriting storage);
-* **sizes are O(1)** — column lengths are maintained incrementally, so
-  the auditor's per-round conservation snapshot costs a dict walk, not
-  a chunk walk.
+* **installing a table is O(1) in nodes** — :meth:`ColumnarStore.install`
+  references the four arrays it is given; no per-node Python runs;
+* **``view(node, tag)`` is O(1) and zero-copy for a node with one
+  piece** and concatenates once otherwise — the merged array replaces
+  the pieces, so repeated reads return the same object until the next
+  write to that column;
+* **``column(tag)`` is zero-copy for a tag held as one table** whose
+  stretches lie end to end in ascending owner order (a loaded relation,
+  a unicast delivery): ``values`` is the table's array itself and
+  ``owners`` is built once per table.  Otherwise it costs one
+  concatenate of the tag's arrays plus one stable reorder of the
+  stretches by owner, and the merged column replaces them, so the
+  second call is zero-copy;
+* **everything handed out is ``writeable=False``**; arrays handed in are
+  referenced, never copied;
+* ``sizes()`` / ``size()`` / ``tags()`` / ``pop()`` / ``discard()``
+  answer per ``(node, tag)`` exactly as a dict of chunk lists would.
 
-Each multi-chunk concatenation is counted on the installed metrics
-registry as ``repro_storage_compactions_total{tag=...}``.  The count is
-backend-agnostic by the same argument as the other round families:
-unicast delivery lands exactly one chunk per ``(dst, tag)`` per round,
-multicast delivery at most one more (a slice view of the grouped payload
-where one group serves the destination, one gathered chunk where several
-do) — and both shapes are identical across substrates, because the process
-backend finalizes its streams through the same master-side delivery
-code — while protocols issue the same reads on either substrate, so sim
-and process snapshots of the same protocol agree (the cross-process
-metrics tests pin this down).
+``repro_storage_compactions_total{tag=...}`` counts the ``(node, tag)``
+columns that had more than one piece when a read merged them — the same
+number whether 144 per-node reads or one whole-column merge did the
+merging, and the same on either substrate (the process backend appends
+per node what the simulator installs as one table; the pieces per node
+are equal).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
+from repro.util.grouping import index_dtype, regroup_stretches
 
 #: Shared zero-length read-only column served for absent (node, tag)s.
 _EMPTY = np.empty(0, np.int64)
@@ -54,76 +54,93 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return view
 
 
-class _Column:
-    """One (node, tag) column: pending chunks + cached compacted array."""
+class _Tag:
+    """One tag: per-node ``pieces`` (``{index: [arrays]}``), then
+    ``tables`` of ``(values, owners, starts, ends)`` — every table is
+    newer than every piece.  ``owners`` caches :meth:`column`'s first
+    result while the tag is one column-shaped table."""
 
-    __slots__ = ("chunks", "length", "compacted")
+    __slots__ = ("pieces", "tables", "owners")
 
     def __init__(self) -> None:
-        self.chunks: list[np.ndarray] = []
-        self.length = 0
-        self.compacted: np.ndarray | None = None
+        self.pieces: dict[int, list[np.ndarray]] = {}
+        self.tables: list[tuple] = []
+        self.owners: np.ndarray | None = None
 
-    def append(self, chunk: np.ndarray) -> None:
-        self.chunks.append(chunk)
-        self.length += len(chunk)
-        self.compacted = None
-
-    def view(self, tag: str) -> np.ndarray:
-        if self.compacted is None:
-            if not self.chunks:
-                return _EMPTY
-            if len(self.chunks) == 1:
-                self.compacted = _readonly(self.chunks[0])
-            else:
-                compacted = np.concatenate(self.chunks)
-                compacted.setflags(write=False)
-                self.compacted = compacted
-                self.chunks = [compacted]
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter(
-                        "repro_storage_compactions_total", tag=tag
-                    ).inc()
-        return self.compacted
+    def per_node(self) -> dict[int, list[np.ndarray]]:
+        """``pieces``, after cutting every table into them."""
+        for values, owners, starts, ends in self.tables:
+            for owner, start, end in zip(
+                owners.tolist(), starts.tolist(), ends.tolist()
+            ):
+                self.pieces.setdefault(owner, []).append(values[start:end])
+        if self.tables:
+            self.tables, self.owners = [], None
+        return self.pieces
 
 
 class ColumnarStore:
     """``(node, tag) -> column`` storage behind the cluster surface.
 
-    All arrays handed to :meth:`append` must already be
+    ``nodes`` fixes the index space tables are installed in (a cluster
+    passes its canonical compute order); a node first seen by
+    :meth:`append` is given the next index.  Arrays must already be
     one-dimensional ``int64`` — the cluster validates payloads before
-    they reach storage.  Chunks are referenced, not copied; everything
-    handed back out is read-only.
+    they reach storage.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_nodes", "_position", "_tags")
 
-    def __init__(self) -> None:
-        self._data: dict[object, dict[str, _Column]] = {}
+    def __init__(self, nodes: Sequence = ()) -> None:
+        self._nodes = list(nodes)
+        self._position = dict(zip(self._nodes, range(len(self._nodes))))
+        self._tags: dict[str, _Tag] = {}
 
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
 
-    def _column(self, node, tag: str) -> _Column:
-        tagged = self._data.get(node)
-        if tagged is None:
-            tagged = self._data[node] = {}
-        column = tagged.get(tag)
-        if column is None:
-            column = tagged[tag] = _Column()
-        return column
+    def _tag(self, tag: str) -> _Tag:
+        state = self._tags.get(tag)
+        if state is None:
+            state = self._tags[tag] = _Tag()
+        return state
+
+    def install(
+        self,
+        tag: str,
+        owners: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Give node ``owners[i]`` the stretch ``values[starts[i]:ends[i]]``.
+
+        ``owners`` are indices into the store's node order; an empty
+        stretch installs nothing for its node.
+        """
+        held = ends > starts
+        if not held.all():
+            owners, starts, ends = owners[held], starts[held], ends[held]
+        if len(owners):
+            state = self._tag(tag)
+            state.tables.append((_readonly(values), owners, starts, ends))
+            state.owners = None
 
     def append(self, node, tag: str, chunk: np.ndarray) -> None:
-        """Reference one delivered chunk at the end of a column."""
-        self._column(node, tag).append(chunk)
+        """Reference one delivered chunk at the end of a node's column."""
+        index = self._position.get(node)
+        if index is None:
+            index = self._position[node] = len(self._nodes)
+            self._nodes.append(node)
+        pieces = self._tag(tag).per_node()
+        pieces.setdefault(index, []).append(_readonly(chunk))
 
     def discard(self, node, tag: str) -> None:
         """Drop a column (no-op when absent)."""
-        tagged = self._data.get(node)
-        if tagged is not None:
-            tagged.pop(tag, None)
+        state = self._tags.get(tag)
+        if state is not None:
+            state.per_node().pop(self._position.get(node), None)
 
     def pop(self, node, tag: str) -> np.ndarray:
         """Remove a column and return its (read-only) contents."""
@@ -133,53 +150,93 @@ class ColumnarStore:
 
     def clear(self) -> None:
         """Drop every column (the process backend's ``close``)."""
-        self._data.clear()
+        self._tags.clear()
 
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
 
+    def _pieces(self, node, tag: str) -> Sequence[np.ndarray]:
+        state = self._tags.get(tag)
+        if state is None:
+            return ()
+        return state.per_node().get(self._position.get(node), ())
+
     def view(self, node, tag: str) -> np.ndarray:
         """The column's elements as a read-only array (cached).
 
-        Compacts the chunk list on first read after an append; repeated
-        reads return the same array object until the next write.
+        A column in several pieces is concatenated on first read;
+        repeated reads return the same array object until the next
+        write to it.
         """
-        tagged = self._data.get(node)
-        if tagged is None:
-            return _EMPTY
-        column = tagged.get(tag)
-        if column is None:
-            return _EMPTY
-        return column.view(tag)
+        pieces = self._pieces(node, tag)
+        if len(pieces) > 1:
+            merged = np.concatenate(pieces)
+            merged.setflags(write=False)
+            pieces[:] = [merged]
+            _count_compactions(tag, 1)
+        return pieces[0] if pieces else _EMPTY
+
+    def chunk_count(self, node, tag: str) -> int:
+        """Pieces in a column (1 after a read merged them)."""
+        return len(self._pieces(node, tag))
+
+    def column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """The whole tag as ``(owners, values)``, ascending by owner.
+
+        ``owners[i]`` is the store index of the node holding
+        ``values[i]``, in the narrow index dtype; each node's elements
+        keep their arrival order.
+        """
+        dtype = index_dtype(len(self._nodes))
+        state = self._tags.get(tag)
+        if state is None or not (state.pieces or state.tables):
+            return np.empty(0, dtype), _EMPTY
+        if state.owners is None:
+            tables = state.tables
+            if state.pieces:  # as one more table, older than the others
+                arrays = [a for pieces in state.pieces.values() for a in pieces]
+                ends = np.cumsum(np.fromiter(map(len, arrays), np.intp, len(arrays)))
+                held = np.repeat(
+                    np.fromiter(state.pieces, np.intp, len(state.pieces)),
+                    [len(pieces) for pieces in state.pieces.values()],
+                )
+                starts = ends - np.diff(ends, prepend=0)
+                tables = [(np.concatenate(arrays), held, starts, ends), *tables]
+            values, owners, starts, ends, stretches = regroup_stretches(tables)
+            _count_compactions(tag, int(np.count_nonzero(stretches > 1)))
+            state.pieces, state.tables = {}, [(_readonly(values), owners, starts, ends)]
+            state.owners = np.repeat(owners.astype(dtype), ends - starts)
+            state.owners.setflags(write=False)
+        return state.owners, state.tables[0][0]
 
     def size(self, node, tag: str | None = None) -> int:
         """Element count for one column, or across a node's columns."""
-        tagged = self._data.get(node, {})
-        if tag is not None:
-            column = tagged.get(tag)
-            return column.length if column is not None else 0
-        return sum(column.length for column in tagged.values())
+        tags = self._tags if tag is None else (tag,)
+        return sum(len(piece) for t in tags for piece in self._pieces(node, t))
 
     def tags(self, node) -> frozenset:
         """The tags a node currently holds (possibly with empty columns)."""
-        return frozenset(self._data.get(node, ()))
+        return frozenset(tag for tag in self._tags if self._pieces(node, tag))
 
     def nodes(self) -> Iterator:
         """Nodes with at least one column."""
-        return iter(self._data)
+        return iter(self.sizes())
 
     def sizes(self) -> dict:
         """``{node: {tag: length}}`` snapshot (the auditor's baseline)."""
-        return {
-            node: {tag: column.length for tag, column in tagged.items()}
-            for node, tagged in self._data.items()
-        }
+        held: dict = {}
+        for tag, state in self._tags.items():
+            lengths = {i: sum(map(len, a)) for i, a in state.pieces.items()}
+            for _, owners, starts, ends in state.tables:
+                for owner, length in zip(owners.tolist(), (ends - starts).tolist()):
+                    lengths[owner] = lengths.get(owner, 0) + length
+            for index, length in lengths.items():
+                held.setdefault(self._nodes[index], {})[tag] = length
+        return held
 
-    def chunk_count(self, node, tag: str) -> int:
-        """Pending chunks in a column (1 after a read compacted it)."""
-        tagged = self._data.get(node)
-        if tagged is None:
-            return 0
-        column = tagged.get(tag)
-        return len(column.chunks) if column is not None else 0
+
+def _count_compactions(tag: str, columns: int) -> None:
+    registry = get_registry()
+    if columns and registry.enabled:
+        registry.counter("repro_storage_compactions_total", tag=tag).inc(columns)

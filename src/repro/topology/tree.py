@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
+from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -45,6 +46,25 @@ def node_sort_key(node: NodeId) -> tuple:
     themselves to be mutually comparable.
     """
     return (type(node).__name__, str(node), repr(node))
+
+
+@lru_cache(maxsize=256)
+def _sorting_positions(nodes: tuple, types: tuple) -> tuple | None:
+    order = sorted(range(len(nodes)), key=lambda i: node_sort_key(nodes[i]))
+    return None if order == list(range(len(nodes))) else tuple(order)
+
+
+def canonical_order(nodes: tuple) -> tuple | None:
+    """The positions that put ``nodes`` in :func:`node_sort_key` order.
+
+    ``None`` when they already are.  Canonical order is a property of
+    the node tuple, so it is worked out once per distinct tuple: the
+    columnar containers keep their nodes in it, and a session placing
+    relation after relation on one tree sorts that tree's nodes once.
+    (The element types are part of the memo key because ``1 == True``
+    while their sort keys differ.)
+    """
+    return _sorting_positions(nodes, tuple(map(type, nodes)))
 
 
 #: Guards the lazy :attr:`TreeTopology.routing_index` build (module-level,

@@ -233,6 +233,45 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
 
 
+def regroup_stretches(
+    tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge ``(values, owners, starts, ends)`` tables into one column.
+
+    Each table says owner ``owners[i]`` holds ``values[starts[i]:ends[i]]``
+    (an owner may appear in several tables, or several times in one).
+    Returns one such table plus a count, ``(values, owners, starts,
+    ends, stretches)``: the distinct owners ascending, their stretches
+    tiling ``values`` — each owner's in table order, then listing order
+    — and how many each had.  A single table that already has that
+    shape comes back as it is, no copy; otherwise one concatenate of
+    the value arrays, one stable sort of the stretches by owner, one
+    gather, and no loop over owners.
+    """
+    if len(tables) == 1:
+        values, owners, starts, ends = tables[0]
+        if (
+            starts[0] == 0
+            and ends[-1] == len(values)
+            and (starts[1:] == ends[:-1]).all()
+            and (owners[1:] > owners[:-1]).all()
+        ):
+            return values, owners, starts, ends, np.ones(len(owners), np.intp)
+    bases = np.cumsum([0] + [len(values) for values, *_ in tables[:-1]])
+    owners = np.concatenate([t[1] for t in tables]).astype(np.intp)
+    order = np.argsort(owners, kind="stable")
+    owners = owners[order]
+    lengths = np.concatenate([t[3] - t[2] for t in tables])[order]
+    sources = np.concatenate([t[2] + base for t, base in zip(tables, bases)])
+    values = np.concatenate([t[0] for t in tables])[
+        concat_ranges(sources[order], lengths)
+    ]
+    firsts = np.flatnonzero(np.diff(owners, prepend=-1))
+    stretches = np.diff(firsts, append=len(owners))
+    ends = np.cumsum(lengths)[firsts + stretches - 1]
+    return values, owners[firsts], ends - np.add.reduceat(lengths, firsts), ends, stretches
+
+
 def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(matrix, axis=0, return_inverse=True)`` for integer
     matrices, by one ``lexsort`` over the columns — an order of

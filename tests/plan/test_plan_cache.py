@@ -1,11 +1,15 @@
 """Tests for the compiled-plan cache (repro.plan.optimizer.PlanCache)."""
 
+import numpy as np
 import pytest
 
 import repro
 from repro.obs.metrics import collecting
 from repro.plan import (
+    PlacedRelation,
     PlanCache,
+    Scan,
+    Schema,
     chain_catalog,
     chain_query,
     optimize,
@@ -84,6 +88,56 @@ class TestKeys:
         digests = dict(cache._relation_digests)
         cache.key(query, tree, catalog, "optimized")
         assert dict(cache._relation_digests) == digests
+
+    def test_digest_is_paid_once_per_relation_object(
+        self, tree, catalog, monkeypatch
+    ):
+        from repro.plan import optimizer
+
+        scanned = []
+        cardinalities_of = optimizer.cardinalities_of
+        monkeypatch.setattr(
+            optimizer,
+            "cardinalities_of",
+            lambda relation: scanned.append(relation) or cardinalities_of(relation),
+        )
+        cache = PlanCache()
+        for _ in range(3):
+            cache.key(chain_query(3), tree, catalog, "optimized")
+        assert len(scanned) == len(catalog)
+
+    def test_moving_one_row_between_two_nodes_changes_the_key(self, tree):
+        schema = Schema(("x0", "x1"), (8, 8))
+        rows = np.arange(12, dtype=np.int64).reshape(6, 2)
+        nodes = tree.routing_index.compute_nodes[:2]
+        cache = PlanCache()
+        keys = [
+            cache.key(
+                Scan("R0"),
+                tree,
+                {"R0": PlacedRelation(schema, {nodes[0]: rows[:cut], nodes[1]: rows[cut:]})},
+                "optimized",
+            )
+            for cut in (3, 4, 3)
+        ]
+        assert keys[0] != keys[1]  # same rows, same statistics, one row moved
+        assert keys[0] == keys[2]
+
+    def test_mapping_built_and_column_built_relations_share_a_key(self, tree):
+        schema = Schema(("x0", "x1"), (8, 8))
+        rows = np.arange(20, dtype=np.int64).reshape(10, 2)
+        # the layout order of from_columns is free: here, reversed
+        nodes = tuple(reversed(tree.routing_index.compute_nodes))
+        offsets = np.array([0, 2, 2, 5, 6, 9, 10])
+        from_columns = PlacedRelation.from_columns(schema, nodes, rows, offsets)
+        from_mapping = PlacedRelation(
+            schema,
+            {node: rows[lo:hi] for node, lo, hi in zip(nodes, offsets, offsets[1:])},
+        )
+        cache = PlanCache()
+        assert cache.key(
+            Scan("R0"), tree, {"R0": from_columns}, "optimized"
+        ) == cache.key(Scan("R0"), tree, {"R0": from_mapping}, "optimized")
 
     def test_a_hit_reads_the_fingerprint_the_artifact_cache_holds(
         self, tree, catalog, monkeypatch

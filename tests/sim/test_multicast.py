@@ -509,3 +509,67 @@ def test_multicast_reports_do_not_depend_on_the_hash_seed():
         "star-intersect",
         "tree-components",
     ]
+
+
+_UNICAST_HASHSEED_SCRIPT = """
+import hashlib
+import json
+import repro
+from repro.analysis.serve import strip_report
+from repro.plan import chain_catalog, chain_query
+from repro.sim import cluster as sim
+
+built = []
+
+class Recording(sim.Cluster):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        built.append(self)
+
+sim.register_backend("sim", Recording)
+
+tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
+assert all(isinstance(v, str) for v in tree.compute_nodes)
+tuples = repro.random_tuple_distribution(tree, r_size=300, s_size=300, seed=5)
+catalog = chain_catalog(tree, num_relations=3, rows=120, key_space=32, seed=3)
+with repro.auditing(strict=True):
+    reports = [
+        repro.run("equijoin", tree, tuples, protocol="uniform-hash", seed=2),
+        repro.run_plan(chain_query(3), tree, catalog, seed=4),
+    ]
+for report in reports:
+    print(json.dumps(strip_report(report), sort_keys=True, default=str))
+for cluster in built:
+    ledger = cluster.ledger
+    for index in range(ledger.num_rounds):
+        print(sorted((str(e), n) for e, n in ledger.round_loads(index).items()))
+    # in the store's own order: what load and delivery put where, and when
+    sizes = cluster._storage.sizes()
+    print(json.dumps(sizes))
+    for node, tags in sizes.items():
+        for tag in tags:
+            held = cluster.local(node, tag).tobytes()
+            print(node, tag, hashlib.blake2b(held, digest_size=8).hexdigest())
+"""
+
+
+def test_unicast_runs_and_plans_do_not_depend_on_the_hash_seed():
+    """``Cluster.load`` installs sorted tag by the placement's node
+    tuple, and unicast delivery installs in destination-index order:
+    ledger rounds, the store's contents *and its order*, and the
+    stripped reports of a hashed equi-join and a chain-3 plan are the
+    same under two ``PYTHONHASHSEED``s."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for hash_seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _UNICAST_HASHSEED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    reports = [json.loads(line) for line in outputs[0].splitlines()[:2]]
+    assert reports[0]["protocol"] == "uniform-hash-equijoin"
+    assert len(reports[1]["stages"]) == 2
