@@ -41,12 +41,9 @@ def cartesian_lower_bound_flow(
 ) -> LowerBound:
     """Instantiate Theorem 3 for one topology and placement."""
     tree.require_symmetric("the Theorem 3 lower bound")
-    sizes = _sizes(tree, distribution, r_tag, s_tag)
-    per_edge: dict = {}
-    for edge, (minus, plus) in tree.side_weights(sizes).items():
-        bandwidth = tree.undirected_bandwidth(edge)
-        per_edge[edge] = min(minus, plus) / bandwidth
-    return LowerBound.from_per_edge(per_edge, "Theorem 3 (cartesian, flow)")
+    return LowerBound.from_lighter_sides(
+        tree, distribution, (r_tag, s_tag), "Theorem 3 (cartesian, flow)"
+    )
 
 
 def cartesian_lower_bound_cover(

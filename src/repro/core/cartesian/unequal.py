@@ -123,16 +123,13 @@ def unequal_lower_bound_flow(
 ) -> LowerBound:
     """Theorem 8: per-link flow bound ``min(N_v, N - N_v, |R|) / w_v``."""
     tree.require_symmetric("the Theorem 8 lower bound")
-    r_size = min(distribution.total(r_tag), distribution.total(s_tag))
-    sizes = {
-        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
-        for v in tree.compute_nodes
-    }
-    per_edge: dict = {}
-    for edge, (minus, plus) in tree.side_weights(sizes).items():
-        bandwidth = tree.undirected_bandwidth(edge)
-        per_edge[edge] = min(minus, plus, r_size) / bandwidth
-    return LowerBound.from_per_edge(per_edge, "Theorem 8 (unequal, flow)")
+    return LowerBound.from_lighter_sides(
+        tree,
+        distribution,
+        (r_tag, s_tag),
+        "Theorem 8 (unequal, flow)",
+        cap=min(distribution.total(r_tag), distribution.total(s_tag)),
+    )
 
 
 def unequal_lower_bound_counting(

@@ -9,7 +9,8 @@ alongside the maximum so reports can show *which* link is the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,31 +38,57 @@ class LowerBound:
     description: str = ""
 
     @staticmethod
-    def from_per_edge(per_edge: dict, description: str) -> "LowerBound":
-        """Build the max-over-links bound from per-link values."""
-        if not per_edge:
+    def from_links(tree, per_link: np.ndarray, description: str) -> "LowerBound":
+        """The max-over-links bound from one value per link of
+        ``tree.undirected_edges()``; of equal maxima, the first link."""
+        if not len(per_link):
             return LowerBound(0.0, None, {}, description)
-        bottleneck = max(per_edge, key=lambda e: per_edge[e])
+        edges, values = tree.undirected_edges(), per_link.tolist()
+        bottleneck = int(per_link.argmax())
         return LowerBound(
-            value=float(per_edge[bottleneck]),
-            bottleneck_edge=bottleneck,
-            per_edge=dict(per_edge),
+            value=float(values[bottleneck]),
+            bottleneck_edge=edges[bottleneck],
+            per_edge=dict(zip(edges, values)),
             description=description,
         )
 
     @staticmethod
-    def from_shared_keys(tree, keys_by_node, description: str) -> "LowerBound":
+    def from_lighter_sides(tree, distribution, tags, description, *, cap=None):
+        """Per-link flow counting: what the lighter side of a link holds of
+        relations ``tags`` (at most ``cap`` elements of it) must cross, so
+        ``cost(e) >= min(sum_{V-e} N_v, sum_{V+e} N_v[, cap]) / w_e``."""
+        sizes = distribution.sizes_over(tree.routing_index.compute_nodes, *tags)
+        lighter = np.minimum(*tree.link_side_sums(sizes))
+        if cap is not None:
+            lighter = np.minimum(lighter, cap)
+        return LowerBound.from_links(
+            tree, lighter / tree.undirected_bandwidths(), description
+        )
+
+    @staticmethod
+    def from_shared_keys(tree, holders, keys, description: str) -> "LowerBound":
         """Per-link shared-key counting: every key that compute nodes hold
-        (``keys_by_node``) on both sides of a full-duplex link forces an
-        element across, so ``cost(e) >= |shared keys| / (2 w_e)``."""
-        per_edge = {
-            edge: shared / (2.0 * tree.undirected_bandwidth(edge))
-            for edge, shared in tree.shared_key_counts(keys_by_node).items()
-        }
-        return LowerBound.from_per_edge(per_edge, description)
+        (routing index ``holders[i]`` holding ``keys[i]``) on both sides
+        of a full-duplex link forces an element across, so
+        ``cost(e) >= |shared keys| / (2 w_e)``."""
+        index = tree.routing_index
+        shared = index.steiner_counts(holders, keys)[index.link_child]
+        return LowerBound.from_links(
+            tree, shared / (2.0 * tree.undirected_bandwidths()), description
+        )
 
     def ratio_of(self, cost: float) -> float:
         """``cost / value``; infinity when the bound is zero but cost is not."""
         if self.value > 0:
             return cost / self.value
         return 0.0 if cost == 0 else float("inf")
+
+
+def column_holders(tree, distribution, tag: str) -> np.ndarray:
+    """The routing index of the node holding each element of
+    ``distribution.column(tag)`` (canonical node order on both sides)."""
+    distribution.validate_for(tree)
+    index = tree.routing_index
+    return np.repeat(
+        index.compute_idx, distribution.sizes_over(index.compute_nodes, tag)
+    )

@@ -14,8 +14,6 @@ we report scale by the same bits-per-element factor).
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.common import LowerBound
 from repro.data.distribution import Distribution
 from repro.topology.tree import TreeTopology
@@ -30,14 +28,10 @@ def intersection_lower_bound(
 ) -> LowerBound:
     """Instantiate Theorem 1 for one topology and placement."""
     tree.require_symmetric("the Theorem 1 lower bound")
-    r_total = distribution.total(r_tag)
-    s_total = distribution.total(s_tag)
-    sizes = {
-        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
-        for v in tree.compute_nodes
-    }
-    per_edge: dict = {}
-    for edge, (minus, plus) in tree.side_weights(sizes).items():
-        bandwidth = tree.undirected_bandwidth(edge)
-        per_edge[edge] = min(r_total, s_total, minus, plus) / bandwidth
-    return LowerBound.from_per_edge(per_edge, "Theorem 1 (set intersection)")
+    return LowerBound.from_lighter_sides(
+        tree,
+        distribution,
+        (r_tag, s_tag),
+        "Theorem 1 (set intersection)",
+        cap=min(distribution.total(r_tag), distribution.total(s_tag)),
+    )

@@ -13,11 +13,9 @@ cheaper.  Units are elements (tuples), as in the paper.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.common import LowerBound
 from repro.data.distribution import Distribution
-from repro.topology.tree import NodeId, TreeTopology
+from repro.topology.tree import TreeTopology
 
 
 def sorting_lower_bound(
@@ -28,9 +26,6 @@ def sorting_lower_bound(
 ) -> LowerBound:
     """Instantiate Theorem 6 for one topology and per-node sizes."""
     tree.require_symmetric("the Theorem 6 lower bound")
-    sizes = {v: distribution.size(v, tag) for v in tree.compute_nodes}
-    per_edge: dict = {}
-    for edge, (minus, plus) in tree.side_weights(sizes).items():
-        bandwidth = tree.undirected_bandwidth(edge)
-        per_edge[edge] = min(minus, plus) / bandwidth
-    return LowerBound.from_per_edge(per_edge, "Theorem 6 (sorting)")
+    return LowerBound.from_lighter_sides(
+        tree, distribution, (tag,), "Theorem 6 (sorting)"
+    )

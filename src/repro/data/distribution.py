@@ -11,6 +11,7 @@ exactly the same code paths while keeping hashing and sorting vectorised.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -144,15 +145,28 @@ class Distribution:
         """
         return self._columns.get(str(tag), {}).get(node, _EMPTY)
 
+    def sizes_over(self, nodes: tuple, *tags: str) -> np.ndarray:
+        """``|R_v|`` summed over ``tags``, one entry per node of ``nodes``:
+        the stored offsets' differences as they are when ``nodes`` is
+        :attr:`node_order`, placed by name otherwise (a node the
+        placement does not mention holds nothing)."""
+        lengths = sum(
+            (np.diff(self.column(tag)[1]) for tag in tags),
+            np.zeros(len(self.node_order), dtype=np.intp),
+        )
+        if nodes == self.node_order:
+            return lengths
+        position = dict(zip(self.node_order, range(len(lengths))))
+        return np.append(lengths, 0)[
+            np.fromiter(map(position.get, nodes, repeat(-1)), np.intp, len(nodes))
+        ]
+
     def _sizes_of(self, tag: str | None) -> dict:
         tag = tag if tag is None else str(tag)
         known = self._sizes.get(tag)
         if known is None:
             tags = self._columns if tag is None else (tag,)
-            lengths = sum(
-                (np.diff(self.column(t)[1]) for t in tags),
-                np.zeros(len(self.node_order), dtype=np.intp),
-            )
+            lengths = self.sizes_over(self.node_order, *tags)
             known = self._sizes[tag] = dict(zip(self.node_order, lengths.tolist()))
         return known
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.common import LowerBound
+from repro.core.common import LowerBound, column_holders
 from repro.data.columns import KeyValueArrays
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
@@ -45,6 +45,7 @@ from repro.graphs.model import (
     decode_edges,
 )
 from repro.graphs.reference import reference_components
+from repro.queries.aggregate import GroupOutputs
 from repro.queries.tuples import decode_tuples, encode_tuples
 from repro.registry import register_protocol, register_task
 from repro.report import GraphRunReport, RunReport
@@ -92,17 +93,14 @@ def components_lower_bound(
     full-duplex factor included.
     """
     tree.require_symmetric("the connectivity lower bound")
-    nodes = list(tree.compute_nodes)
-    fragments = [distribution.fragment(v, tag) for v in nodes]
     vertices, src_row, dst_row = _endpoint_rows(
-        *decode_edges(np.concatenate(fragments))
+        *decode_edges(distribution.column(tag)[0])
     )
-    # an edge lies in the component of its source endpoint
-    labels = component_roots(src_row, dst_row, len(vertices))[src_row]
-    bounds = np.cumsum([len(f) for f in fragments])[:-1]
     return LowerBound.from_shared_keys(
         tree,
-        dict(zip(nodes, np.split(labels, bounds))),
+        column_holders(tree, distribution, tag),
+        # an edge lies in the component of its source endpoint
+        component_roots(src_row, dst_row, len(vertices))[src_row],
         "per-link spanning-component counting (connectivity)",
     )
 
@@ -186,11 +184,23 @@ def _subscriber_subsets(
     return subset_of, np.concatenate(members), offsets
 
 
-def _as_columns(groups) -> KeyValueArrays:
-    """An owner's output as columns (third-party shuffles emit dicts)."""
-    if isinstance(groups, KeyValueArrays):
-        return groups
-    return KeyValueArrays.from_dict(groups or {})
+def _as_group_outputs(outputs, computes: tuple) -> GroupOutputs:
+    """A shuffle's result as whole-relation arrays over ``computes``: what
+    the registered group-by protocols return; a third-party shuffle's
+    plain ``{node: groups}`` is converted here, once."""
+    if isinstance(outputs, GroupOutputs) and outputs.nodes == computes:
+        return outputs
+    owned = [outputs.get(v) or {} for v in computes]
+    owned = [
+        g if isinstance(g, KeyValueArrays) else KeyValueArrays.from_dict(g)
+        for g in owned
+    ]
+    return GroupOutputs(
+        computes,
+        np.cumsum([0, *map(len, owned)]).tolist(),
+        np.concatenate([g.keys_array for g in owned]),
+        np.concatenate([g.values_array for g in owned]),
+    )
 
 
 def _hash_to_min(
@@ -274,7 +284,7 @@ def _hash_to_min(
         max_supersteps = len(all_vertices) + 2
 
     converged = False
-    owned: list[KeyValueArrays] = []
+    owned: dict = {}
     for step in range(1, max_supersteps + 1):
         if local_closure:
             proposals = np.empty_like(labels)
@@ -305,12 +315,9 @@ def _hash_to_min(
             bits_per_element=bits_per_element,
         )
         # Every owner's output as one (owner, vertex, label) relation.
-        owned = [_as_columns(result.outputs.get(v)) for v in computes]
-        out_owner = np.repeat(
-            np.arange(len(computes)), np.fromiter(map(len, owned), np.intp)
-        )
-        out_vertices = np.concatenate([g.keys_array for g in owned])
-        out_labels = np.concatenate([g.values_array for g in owned])
+        owned = _as_group_outputs(result.outputs, computes)
+        out_owner = np.repeat(np.arange(len(computes)), np.diff(owned.bounds))
+        out_vertices, out_labels = owned.keys_array, owned.values_array
         positions = np.searchsorted(all_vertices, out_vertices)
         changed = out_labels != prev_labels[positions]
         if not changed.any():
@@ -383,7 +390,7 @@ def _hash_to_min(
         num_supersteps=step,
         converged=True,
     )
-    return driver, dict(zip(computes, owned)), meta
+    return driver, owned, meta
 
 
 def _finalize(

@@ -205,9 +205,8 @@ class SuperstepDriver:
         hence the total) match the inner run's exactly.
         """
         for index in range(ledger.num_rounds):
-            loads = ledger.round_loads(index)
             self.ledger.open_round()
-            self.ledger.add_loads(loads.keys(), loads.values())
+            self.ledger.add_link_loads(ledger.link_loads(index))
             self.ledger.close_round()
 
     # ------------------------------------------------------------------ #

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.common import LowerBound
+from repro.core.common import LowerBound, column_holders
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.graphs.model import (
@@ -73,12 +73,11 @@ def triangles_lower_bound(
     factor 2 because one edge element covers two vertices.
     """
     tree.require_symmetric("the triangle-count lower bound")
-    node_vertices = {
-        v: np.concatenate(decode_edges(distribution.fragment(v, tag)))
-        for v in tree.compute_nodes
-    }
     return LowerBound.from_shared_keys(
-        tree, node_vertices, "per-link shared-vertex counting (triangles)"
+        tree,
+        np.tile(column_holders(tree, distribution, tag), 2),
+        np.concatenate(decode_edges(distribution.column(tag)[0])),
+        "per-link shared-vertex counting (triangles)",
     )
 
 

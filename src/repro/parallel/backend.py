@@ -155,13 +155,12 @@ class ParallelRoundContext(RoundContext):
         )
         cluster.ledger.open_round()
         round_index = cluster.ledger.num_rounds - 1
-        loads: dict = {}
         try:
             if self._unicast_stream:
-                loads = self._deliver_unicasts_parallel(round_index, phases)
+                self._deliver_unicasts_parallel(round_index, phases)
             if self._multicasts:
                 # Master-side Steiner replication (see module docstring).
-                self._deliver_multicasts(loads, phases)
+                self._deliver_multicasts(phases)
         except ProtocolError as error:
             annotate_error(
                 error,
@@ -169,11 +168,6 @@ class ParallelRoundContext(RoundContext):
                 f"on {cluster.tree.name!r} failed",
             )
             raise
-        if loads:
-            t0 = perf_counter() if phases is not None else 0.0
-            cluster.ledger.add_loads(loads.keys(), loads.values())
-            if phases is not None:
-                phases["charge"] += perf_counter() - t0
         cluster.ledger.close_round()
         registry = get_registry()
         if registry.enabled:
@@ -187,18 +181,18 @@ class ParallelRoundContext(RoundContext):
 
     def _deliver_unicasts_parallel(
         self, round_index: int, phases: dict | None = None
-    ) -> dict:
+    ) -> None:
         """Ship the round's columns to the ranks; map replies to storage."""
         cluster: ParallelCluster = self._cluster  # type: ignore[assignment]
         # The pool lock spans the lease + broadcast + install sequence:
         # clusters on other threads sharing this pool must not interleave
         # their rounds with ours (reentrant, so broadcast re-acquires).
         with cluster.pool.lock:
-            return self._deliver_unicasts_locked(round_index, phases)
+            self._deliver_unicasts_locked(round_index, phases)
 
     def _deliver_unicasts_locked(
         self, round_index: int, phases: dict | None = None
-    ) -> dict:
+    ) -> None:
         cluster: ParallelCluster = self._cluster  # type: ignore[assignment]
         storage = cluster._storage
         shm = cluster.pool.shm
@@ -296,10 +290,9 @@ class ParallelRoundContext(RoundContext):
         if phases is not None:
             t2 = perf_counter()
             phases["deliver"] += t2 - t1
-        loads = self._apply_pair_loads(routing, pair_matrix)
+        self._apply_pair_loads(routing, pair_matrix)
         if phases is not None:
             phases["charge"] += perf_counter() - t2
-        return loads
 
 
 class ParallelCluster(Cluster):

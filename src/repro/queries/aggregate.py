@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.common import LowerBound
+from repro.core.common import LowerBound, column_holders
 from repro.data.columns import KeyValueArrays, NodeOutputs
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
@@ -172,14 +172,12 @@ def groupby_lower_bound(
     placements, which is what forces the factor 2.)
     """
     tree.require_symmetric("the group-by lower bound")
-    node_keys = {
-        v: decode_tuples(
-            distribution.fragment(v, tag), payload_bits=payload_bits
-        )[0]
-        for v in tree.compute_nodes
-    }
+    keys, _ = decode_tuples(distribution.column(tag)[0], payload_bits=payload_bits)
     return LowerBound.from_shared_keys(
-        tree, node_keys, "per-link shared-key counting (group-by)"
+        tree,
+        column_holders(tree, distribution, tag),
+        keys,
+        "per-link shared-key counting (group-by)",
     )
 
 

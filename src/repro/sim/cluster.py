@@ -637,8 +637,8 @@ class RoundContext:
         by routing unit for accounting: unicast ``(src, dst)`` pair
         counts feed the vectorized tree-flow charger
         (:meth:`~repro.topology.steiner.RoutingIndex.unicast_loads`),
-        multicasts their Steiner sets; the ledger is charged once via
-        :meth:`CostLedger.add_loads` rather than once per transfer.
+        multicasts their Steiner sets; each kernel's ``(2, links)`` load
+        array goes to the ledger whole (:meth:`CostLedger.add_link_loads`).
         Addition over element counts is commutative, so the per-edge
         loads equal a transfer-by-transfer path walk's exactly (the
         reference model in ``tests/reference_delivery.py``).
@@ -660,7 +660,6 @@ class RoundContext:
             else None
         )
         cluster.ledger.open_round()
-        loads: dict = {}
 
         if self._unicast_stream:
             t0 = perf_counter() if phases is not None else 0.0
@@ -698,17 +697,12 @@ class RoundContext:
             if phases is not None:
                 t2 = perf_counter()
                 phases["deliver"] += t2 - t1
-            loads = self._apply_pair_loads(routing, pair_matrix)
+            self._apply_pair_loads(routing, pair_matrix)
             if phases is not None:
                 phases["charge"] += perf_counter() - t2
 
         if self._multicasts:
-            self._deliver_multicasts(loads, phases)
-        if loads:
-            t3 = perf_counter() if phases is not None else 0.0
-            cluster.ledger.add_loads(loads.keys(), loads.values())
-            if phases is not None:
-                phases["charge"] += perf_counter() - t3
+            self._deliver_multicasts(phases)
         cluster.ledger.close_round()
         if registry.enabled:
             self._record_round_metrics(registry)
@@ -771,19 +765,16 @@ class RoundContext:
             by_tag.setdefault(tag, []).append((dst_ids, payload))
         return routing, by_tag, pair_matrix
 
-    def _apply_pair_loads(self, routing, pair_matrix: np.ndarray) -> dict:
-        """Charge the pair matrix and record arrivals; returns edge loads."""
+    def _apply_pair_loads(self, routing, pair_matrix: np.ndarray) -> None:
+        """Charge the pair matrix to the ledger and record arrivals."""
         cluster = self._cluster
-        node_names = routing.nodes
         src_ids, dst_ids = np.nonzero(pair_matrix)
         counts = pair_matrix[src_ids, dst_ids]
-        loads = routing.unicast_loads(src_ids, dst_ids, counts)
+        cluster.ledger.add_link_loads(
+            routing.unicast_loads(src_ids, dst_ids, counts)
+        )
         remote = src_ids != dst_ids
-        arrivals = np.zeros(routing.num_nodes, dtype=np.int64)
-        np.add.at(arrivals, dst_ids[remote], counts[remote])
-        for index in np.flatnonzero(arrivals).tolist():
-            cluster._add_received(node_names[index], int(arrivals[index]))
-        return loads
+        np.add.at(cluster._received_elements, dst_ids[remote], counts[remote])
 
     def _collect_multicasts(self, routing) -> dict[str, list[tuple]]:
         """Resolve the multicast stream into per-tag records of arrays.
@@ -817,7 +808,7 @@ class RoundContext:
             by_tag.setdefault(tag, []).append((ids, payload, *table))
         return by_tag
 
-    def _deliver_multicasts(self, loads: dict, phases: dict | None = None) -> None:
+    def _deliver_multicasts(self, phases: dict | None = None) -> None:
         """Deliver and charge the round's multicast stream in bulk.
 
         Group ids are lifted into a per-tag global id space (each
@@ -835,11 +826,10 @@ class RoundContext:
         receives one gathered chunk, its groups in ascending-gid order.
         The same rows charge every group's Steiner tree through one
         :meth:`~repro.topology.steiner.RoutingIndex.multicast_loads`
-        call, merged into ``loads`` alongside the unicast charges.
+        call, added to the ledger's open round beside the unicasts'.
         """
         cluster = self._cluster
         routing = cluster.oracle.routing_index
-        node_names = routing.nodes
         storage = cluster._storage
         registry = get_registry()
         t0 = perf_counter() if phases is not None else 0.0
@@ -903,10 +893,9 @@ class RoundContext:
                     tag, positions[where], los[where], his[where], source
                 )
             remote = sources[row_group] != row_dst
-            arrivals = np.zeros(routing.num_nodes, dtype=np.int64)
-            np.add.at(arrivals, row_dst[remote], lengths[remote])
-            for index in np.flatnonzero(arrivals).tolist():
-                cluster._add_received(node_names[index], int(arrivals[index]))
+            np.add.at(
+                cluster._received_elements, row_dst[remote], lengths[remote]
+            )
             if registry.enabled:
                 registry.counter(
                     "repro_delivered_elements_total", tag=tag
@@ -918,11 +907,11 @@ class RoundContext:
             np.concatenate(column) for column in zip(*charges)
         )
         stops = np.cumsum(fanout)
-        multicast_loads = routing.multicast_loads(
-            sources, terminals, stops - fanout, stops, counts
+        cluster.ledger.add_link_loads(
+            routing.multicast_loads(
+                sources, terminals, stops - fanout, stops, counts
+            )
         )
-        for edge, count in multicast_loads.items():
-            loads[edge] = loads.get(edge, 0) + count
         if phases is not None:
             phases["charge"] += perf_counter() - t3
 
@@ -932,19 +921,20 @@ class RoundContext:
         Called after ``close_round`` by every finalizer (this one and
         the process substrate's), so the round span
         carries the same model-cost facts regardless of the execution
-        path: the round's cost, its most-loaded edge, and the
-        registered payload volume per tag.  ``phases`` adds the
-        finalize-time split when the finalizer measured one.
+        path: the round's cost and the edge that sets it, its most-loaded
+        edge, and the registered payload volume per tag.  ``phases`` adds
+        the finalize-time split when the finalizer measured one.
         """
         ledger = self._cluster.ledger
         index = ledger.num_rounds - 1
-        round_loads = ledger.round_loads(index)
+        bottleneck = ledger.bottleneck(index)
         elements = self._elements_by_tag()
         bits = ledger.bits_per_element
         attrs = {
             "round": index,
             "round_cost": ledger.round_cost(index),
-            "max_edge_load": max(round_loads.values(), default=0),
+            "bottleneck_edge": bottleneck and "{}->{}".format(*bottleneck[0]),
+            "max_edge_load": int(ledger.link_loads(index).max(initial=0)),
             "elements_by_tag": elements,
             "bytes_by_tag": {
                 tag: count * bits // 8 for tag, count in elements.items()
@@ -977,12 +967,11 @@ class RoundContext:
         ledger = self._cluster.ledger
         index = ledger.num_rounds - 1
         registry.counter("repro_rounds_total").inc()
-        round_loads = ledger.round_loads(index)
         registry.histogram("repro_round_cost").observe(
             ledger.round_cost(index)
         )
         registry.histogram("repro_max_edge_load").observe(
-            max(round_loads.values(), default=0)
+            int(ledger.link_loads(index).max(initial=0))
         )
         bits = ledger.bits_per_element
         for tag, count in self._elements_by_tag().items():
@@ -1025,7 +1014,8 @@ class Cluster:
         self.oracle = artifacts.oracle
         self.ledger = CostLedger(tree, bits_per_element=bits_per_element)
         self._storage = ColumnarStore(artifacts.compute_order)
-        self._received_elements: dict[NodeId, int] = {}
+        # remote arrivals per node of the routing index
+        self._received_elements = np.zeros(len(tree.nodes), dtype=np.int64)
         self._round_open = False
         if distribution is not None:
             self.load(distribution)
@@ -1123,19 +1113,17 @@ class Cluster:
 
     def received_elements(self, node: NodeId) -> int:
         """Elements delivered to ``node`` from other nodes (MPC measure)."""
-        return self._received_elements.get(node, 0)
+        index = self.oracle.routing_index.index_of.get(node)
+        return 0 if index is None else int(self._received_elements[index])
 
     def _add_received(self, node: NodeId, count: int) -> None:
         """Record ``count`` remote arrivals at ``node``.
 
-        The single bookkeeping point shared by the unicast and
-        multicast delivery paths — the audit conservation check and
-        the process-backend oracle both compare against this one
-        counter.
+        The named front-end of the one vector the bulk deliveries add
+        their arrivals to; the audit conservation check and the
+        process-backend oracle both compare against it.
         """
-        if count:
-            received = self._received_elements
-            received[node] = received.get(node, 0) + count
+        self._received_elements[self.oracle.routing_index.index_of[node]] += count
 
     # ------------------------------------------------------------------ #
     # rounds

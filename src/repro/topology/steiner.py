@@ -97,10 +97,17 @@ class RoutingIndex:
         ).reshape(-1, 2)
         self.link_child_first = parent[ends[:, 0]] == ends[:, 1]
         self.link_child = np.where(self.link_child_first, ends[:, 0], ends[:, 1])
-        # per link, the bandwidth ``edge[0] -> edge[1]`` and the one back
+        # Directed edges as the slots of a ``(2, links)`` array — row 0:
+        # ``edge[0] -> edge[1]`` of every link, row 1: the way back — the
+        # layout of a round's loads from the push-up to the ledger's
+        # report: the slots' names row after row, flat slot by name, widths.
         links = list(tree.iter_links())
-        self.link_forward = np.array([w for _, w, _ in links], dtype=np.float64)
-        self.link_backward = np.array([w for _, _, w in links], dtype=np.float64)
+        self.slot_edges: list = [e for e, _, _ in links] + [e[::-1] for e, _, _ in links]
+        self.edge_slot: dict = {edge: i for i, edge in enumerate(self.slot_edges)}
+        self.link_bandwidths = np.array(
+            [[w for _, w, _ in links], [w for _, _, w in links]], dtype=np.float64
+        ).reshape(2, len(links))
+        self.link_forward, self.link_backward = self.link_bandwidths
 
     @property
     def num_nodes(self) -> int:
@@ -182,13 +189,13 @@ class RoutingIndex:
 
     def unicast_loads(
         self, src: np.ndarray, dst: np.ndarray, counts: np.ndarray
-    ) -> dict:
+    ) -> np.ndarray:
         """Per-directed-edge element loads of a batch of unicasts.
 
         ``src``/``dst`` are node indices (per :attr:`index_of`) and
         ``counts`` the element count per pair; self-pairs contribute
-        nothing, exactly like an empty path.  Returns a dict mapping
-        :data:`DirectedEdge` to its total load.
+        nothing, exactly like an empty path.  Returns the ``int64 (2,
+        links)`` load of every slot (see :attr:`slot_edges`).
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
@@ -202,27 +209,22 @@ class RoutingIndex:
         np.subtract.at(down, meet, counts)
         return self._push_loads(up, down)
 
-    def _push_loads(self, up: np.ndarray, down: np.ndarray) -> dict:
-        """Prefix-sum tree-difference arrays into a per-edge load dict.
+    def _push_loads(self, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+        """Prefix-sum tree-difference arrays into per-slot loads.
 
         ``up[x]`` / ``down[x]`` hold path-difference charges; after
         pushing partial sums up the levels, the value at ``x`` is the
         load on the edge between ``x`` and its parent — upward
-        (``x -> parent``) for ``up``, downward for ``down``.
+        (``x -> parent``) for ``up``, downward for ``down``.  A link's
+        ``edge[0] -> edge[1]`` slot is the upward one exactly when
+        ``edge[0]`` is the child.
         """
-        parent = self.parent
-        self._push_up(up)
-        self._push_up(down)
-        loads: dict = {}
-        nodes = self.nodes
-        for x in np.flatnonzero(up).tolist():
-            if parent[x] >= 0:
-                loads[(nodes[x], nodes[parent[x]])] = int(up[x])
-        for x in np.flatnonzero(down).tolist():
-            if parent[x] >= 0:
-                edge = (nodes[parent[x]], nodes[x])
-                loads[edge] = loads.get(edge, 0) + int(down[x])
-        return loads
+        up = self._push_up(up)[self.link_child]
+        down = self._push_up(down)[self.link_child]
+        child_first = self.link_child_first
+        return np.stack(
+            [np.where(child_first, up, down), np.where(child_first, down, up)]
+        )
 
     def multicast_loads(
         self,
@@ -231,7 +233,7 @@ class RoutingIndex:
         starts: np.ndarray,
         ends: np.ndarray,
         counts: np.ndarray,
-    ) -> dict:
+    ) -> np.ndarray:
         """Per-directed-edge loads of a batch of Steiner multicasts.
 
         Group ``g`` multicasts ``counts[g]`` elements from node index
@@ -239,7 +241,8 @@ class RoutingIndex:
         ``terminals[starts[g]:ends[g]]``; each directed edge of the
         Steiner tree of ``{src} | destinations`` (directed away from
         the source) is charged ``counts[g]`` once, exactly like
-        :meth:`PathOracle.steiner_edges` accounting.
+        :meth:`PathOracle.steiner_edges` accounting; returned in the
+        slot layout of :meth:`unicast_loads`.
 
         The vectorization rests on the edge-disjoint upward paths of
         :meth:`_steiner_paths` (the cyclic first pair yields the
@@ -257,7 +260,7 @@ class RoutingIndex:
         counts = np.asarray(counts, dtype=np.int64)
         num_groups = len(src)
         if num_groups == 0:
-            return {}
+            return np.zeros(self.link_bandwidths.shape, dtype=np.int64)
         lens = ends - starts
         k = lens + 1  # terminals per group, the source included
         out_end = np.cumsum(k)

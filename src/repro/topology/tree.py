@@ -121,6 +121,9 @@ class TreeTopology:
                     f"missing reverse direction for edge ({u!r}, {v!r}); "
                     "links are full-duplex channels"
                 )
+        self._symmetric = all(
+            w == self._bandwidth[(v, u)] for (u, v), w in self._bandwidth.items()
+        )
 
         self._compute_nodes = frozenset(compute_nodes)
         if not self._compute_nodes:
@@ -318,11 +321,9 @@ class TreeTopology:
 
     @property
     def is_symmetric(self) -> bool:
-        """True iff every link has equal bandwidth in both directions."""
-        return all(
-            self._bandwidth[(u, v)] == self._bandwidth[(v, u)]
-            for (u, v) in self._bandwidth
-        )
+        """True iff every link has equal bandwidth in both directions
+        (decided at construction: the tree is immutable)."""
+        return self._symmetric
 
     def require_symmetric(self, context: str = "this operation") -> None:
         """Raise :class:`TopologyError` unless the tree is symmetric."""
@@ -469,8 +470,8 @@ class TreeTopology:
     def undirected_bandwidths(self) -> np.ndarray:
         """:meth:`undirected_bandwidth` of every link, as one array."""
         index = self.routing_index
-        asymmetric = np.flatnonzero(index.link_forward != index.link_backward)
-        if len(asymmetric):
+        if not self._symmetric:
+            asymmetric = np.flatnonzero(index.link_forward != index.link_backward)
             self.undirected_bandwidth(self._links[asymmetric[0]])  # raises
         return index.link_forward
 

@@ -11,7 +11,13 @@ from repro.sim.cluster import Cluster
 
 SLEEP = "repro.parallel.pool:_sleep_kernel"
 
-ROUND_ATTRS = ("round_cost", "max_edge_load", "elements_by_tag", "bytes_by_tag")
+ROUND_ATTRS = (
+    "round_cost",
+    "bottleneck_edge",
+    "max_edge_load",
+    "elements_by_tag",
+    "bytes_by_tag",
+)
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -159,7 +159,7 @@ class TestOracleDivergence:
             # received element than it was ever sent.  The *next*
             # round's replay must refuse it.
             node = cluster.compute_order[0]
-            cluster._received_elements[node] += 1
+            cluster._add_received(node, 1)
             with pytest.raises(OracleMismatch, match="received"):
                 self._seed_and_shuffle(cluster)
             cluster.close()

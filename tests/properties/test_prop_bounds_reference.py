@@ -1,10 +1,11 @@
 """Every registered bound, recomputed on the per-edge reference loops.
 
-The bounds are thin functions of ``TreeTopology.side_weights`` /
-``shared_key_counts``; this module recomputes each of them with the
-set-based loops of ``tests/reference_bounds.py`` and requires the same
-``value``, ``bottleneck_edge`` and ``per_edge`` (values *and* key order).
-Inputs are integer sizes, so equality is exact.
+Production computes a per-link bound as one vector over the links (the
+relation's offsets -> ``link_side_sums`` / ``steiner_counts`` -> one
+division by the bandwidths); this module recomputes each of them with
+the node-keyed, edge-by-edge bodies of ``tests/reference_bounds.py`` and
+requires the same ``value``, ``bottleneck_edge`` and ``per_edge`` (values
+*and* key order).  Inputs are integer sizes, so equality is exact.
 """
 
 import os
@@ -32,10 +33,15 @@ from repro.queries import equijoin_lower_bound, groupby_lower_bound
 from repro.topology.builders import two_level
 from repro.topology.dagger import build_dagger
 from tests.reference_bounds import (
+    cartesian_lower_bound_flow_reference,
     components_lower_bound_reference,
+    equijoin_lower_bound_reference,
     groupby_lower_bound_reference,
+    intersection_lower_bound_reference,
     reference_model,
+    sorting_lower_bound_reference,
     triangles_lower_bound_reference,
+    unequal_lower_bound_flow_reference,
 )
 from tests.strategies import (
     graph_instances,
@@ -54,35 +60,65 @@ def assert_same_bound(found, expected) -> None:
     assert all(type(v) in (int, float) for v in found.per_edge.values())
 
 
-SIDE_WEIGHT_BOUNDS = [
-    intersection_lower_bound,
-    equijoin_lower_bound,
-    cartesian_lower_bound_flow,
-    cartesian_lower_bound_cover,
-    cartesian_lower_bound,
-    unequal_lower_bound_flow,
+@st.composite
+def partial_placements(draw, instances):
+    """An instance as drawn (every compute node placed), or with some
+    nodes left out of the placement, or with a relation absent."""
+    tree, distribution = draw(instances)
+    shape = draw(st.sampled_from(["all", "subset", "absent-tag"]))
+    if shape == "subset":
+        kept = [n for n in distribution.node_order if draw(st.booleans())]
+        distribution = Distribution(
+            {n: {t: distribution.fragment(n, t) for t in distribution.tags} for n in kept}
+        )
+    elif shape == "absent-tag":
+        distribution = distribution.restrict(["R"])
+    return tree, distribution
+
+
+LIGHTER_SIDE_BOUNDS = [
+    (intersection_lower_bound, intersection_lower_bound_reference),
+    (equijoin_lower_bound, equijoin_lower_bound_reference),
+    (cartesian_lower_bound_flow, cartesian_lower_bound_flow_reference),
+    (unequal_lower_bound_flow, unequal_lower_bound_flow_reference),
 ]
 
 
-@pytest.mark.parametrize("bound", SIDE_WEIGHT_BOUNDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize(
+    "bound, reference", LIGHTER_SIDE_BOUNDS, ids=lambda b: b.__name__
+)
+@given(instance=partial_placements(set_pair_instances()))
+@settings(max_examples=40, deadline=None)
+def test_two_relation_bounds(bound, reference, instance):
+    tree, distribution = instance
+    assert_same_bound(bound(tree, distribution), reference(tree, distribution))
+
+
+@pytest.mark.parametrize(
+    "bound", [cartesian_lower_bound_cover, cartesian_lower_bound],
+    ids=lambda b: b.__name__,
+)
 @given(instance=set_pair_instances())
 @settings(max_examples=40, deadline=None)
-def test_two_relation_bounds(bound, instance):
+def test_cover_bounds(bound, instance):
+    """Theorem 4 reads G-dagger, which reads ``tree.side_weights``."""
     tree, distribution = instance
     found = bound(tree, distribution)
     with reference_model():
         expected = bound(tree, distribution)
+    if expected.per_edge:  # the flow bound won: its own reference applies
+        expected = cartesian_lower_bound_flow_reference(tree, distribution)
     assert_same_bound(found, expected)
 
 
-@given(instance=sort_instances())
+@given(instance=partial_placements(sort_instances()))
 @settings(max_examples=40, deadline=None)
 def test_sorting_bound(instance):
     tree, distribution = instance
-    found = sorting_lower_bound(tree, distribution)
-    with reference_model():
-        expected = sorting_lower_bound(tree, distribution)
-    assert_same_bound(found, expected)
+    assert_same_bound(
+        sorting_lower_bound(tree, distribution),
+        sorting_lower_bound_reference(tree, distribution),
+    )
 
 
 @given(data=st.data(), tree=tree_topologies())
@@ -98,7 +134,7 @@ def test_dagger_orientation(data, tree):
     )
 
 
-@given(instance=keyed_instances())
+@given(instance=partial_placements(keyed_instances()))
 @settings(max_examples=60, deadline=None)
 def test_groupby_bound(instance):
     tree, distribution = instance
@@ -113,7 +149,7 @@ def test_groupby_bound(instance):
     )
 
 
-@given(instance=graph_instances())
+@given(instance=partial_placements(graph_instances()))
 @settings(max_examples=60, deadline=None)
 def test_graph_bounds(instance):
     tree, distribution = instance

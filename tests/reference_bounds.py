@@ -4,9 +4,13 @@ These are the per-edge Python loops that production code ran before the
 ``RoutingIndex`` kernels (``subtree_sums``, ``steiner_counts``) replaced
 them: walk ``compute_sides`` per link and ``sum`` / ``np.intersect1d``
 the two sides.  They are slow and obviously right, which is what a
-reference is for.  :func:`reference_model` swaps them in under the
-registered bounds, so every bound can be recomputed the old way and
-compared field by field with what the kernels produce.
+reference is for.  :func:`reference_model` swaps them in under the code
+that still reads ``tree.side_weights`` (G-dagger, hence Theorem 4's
+cover), and the per-link bounds that production now computes as one
+vector over the links are kept below start to finish as they were —
+node-keyed size dicts, one ``min`` and one division per edge, the
+maximum by a ``max`` over the dict — so every bound can be recomputed
+the old way and compared field by field with what the kernels produce.
 """
 
 from __future__ import annotations
@@ -75,6 +79,96 @@ def reference_model():
         TreeTopology.side_weights, TreeTopology.shared_key_counts = kernels
 
 
+def from_per_edge_reference(per_edge: dict, description: str) -> LowerBound:
+    """The max-over-links bound from a per-link dict (first maximum wins)."""
+    if not per_edge:
+        return LowerBound(0.0, None, {}, description)
+    bottleneck = max(per_edge, key=lambda e: per_edge[e])
+    return LowerBound(
+        value=float(per_edge[bottleneck]),
+        bottleneck_edge=bottleneck,
+        per_edge=dict(per_edge),
+        description=description,
+    )
+
+
+# --------------------------------------------------------------------- #
+# the four lighter-side (flow) bounds, start to finish, as they were
+# --------------------------------------------------------------------- #
+
+
+def intersection_lower_bound_reference(
+    tree, distribution, *, r_tag="R", s_tag="S"
+) -> LowerBound:
+    tree.require_symmetric("the Theorem 1 lower bound")
+    r_total = distribution.total(r_tag)
+    s_total = distribution.total(s_tag)
+    sizes = {
+        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
+        for v in tree.compute_nodes
+    }
+    per_edge: dict = {}
+    for edge, (minus, plus) in side_weights_reference(tree, sizes).items():
+        bandwidth = tree.undirected_bandwidth(edge)
+        per_edge[edge] = min(r_total, s_total, minus, plus) / bandwidth
+    return from_per_edge_reference(per_edge, "Theorem 1 (set intersection)")
+
+
+def equijoin_lower_bound_reference(
+    tree, distribution, *, r_tag="R", s_tag="S"
+) -> LowerBound:
+    bound = intersection_lower_bound_reference(
+        tree, distribution, r_tag=r_tag, s_tag=s_tag
+    )
+    return LowerBound(
+        value=bound.value,
+        bottleneck_edge=bound.bottleneck_edge,
+        per_edge=bound.per_edge,
+        description="Theorem 1 applied to the equi-join",
+    )
+
+
+def sorting_lower_bound_reference(tree, distribution, *, tag="R") -> LowerBound:
+    tree.require_symmetric("the Theorem 6 lower bound")
+    sizes = {v: distribution.size(v, tag) for v in tree.compute_nodes}
+    per_edge: dict = {}
+    for edge, (minus, plus) in side_weights_reference(tree, sizes).items():
+        bandwidth = tree.undirected_bandwidth(edge)
+        per_edge[edge] = min(minus, plus) / bandwidth
+    return from_per_edge_reference(per_edge, "Theorem 6 (sorting)")
+
+
+def cartesian_lower_bound_flow_reference(
+    tree, distribution, *, r_tag="R", s_tag="S"
+) -> LowerBound:
+    tree.require_symmetric("the Theorem 3 lower bound")
+    sizes = {
+        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
+        for v in tree.compute_nodes
+    }
+    per_edge: dict = {}
+    for edge, (minus, plus) in side_weights_reference(tree, sizes).items():
+        bandwidth = tree.undirected_bandwidth(edge)
+        per_edge[edge] = min(minus, plus) / bandwidth
+    return from_per_edge_reference(per_edge, "Theorem 3 (cartesian, flow)")
+
+
+def unequal_lower_bound_flow_reference(
+    tree, distribution, *, r_tag="R", s_tag="S"
+) -> LowerBound:
+    tree.require_symmetric("the Theorem 8 lower bound")
+    r_size = min(distribution.total(r_tag), distribution.total(s_tag))
+    sizes = {
+        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
+        for v in tree.compute_nodes
+    }
+    per_edge: dict = {}
+    for edge, (minus, plus) in side_weights_reference(tree, sizes).items():
+        bandwidth = tree.undirected_bandwidth(edge)
+        per_edge[edge] = min(minus, plus, r_size) / bandwidth
+    return from_per_edge_reference(per_edge, "Theorem 8 (unequal, flow)")
+
+
 # --------------------------------------------------------------------- #
 # the three shared-key bounds, start to finish, as they were
 # --------------------------------------------------------------------- #
@@ -85,7 +179,7 @@ def _shared_key_bound(tree, node_keys, description) -> LowerBound:
         edge: shared / (2.0 * tree.undirected_bandwidth(edge))
         for edge, shared in shared_key_counts_reference(tree, node_keys).items()
     }
-    return LowerBound.from_per_edge(per_edge, description)
+    return from_per_edge_reference(per_edge, description)
 
 
 def groupby_lower_bound_reference(
@@ -126,7 +220,7 @@ def components_lower_bound_reference(
     fragments = {v: distribution.fragment(v, tag) for v in computes}
     all_edges = [f for f in fragments.values() if len(f)]
     if not all_edges:
-        return LowerBound.from_per_edge(
+        return from_per_edge_reference(
             {edge: 0.0 for edge in undirected_edges_reference(tree)}, description
         )
     src, dst = decode_edges(np.concatenate(all_edges))
@@ -148,4 +242,4 @@ def components_lower_bound_reference(
         per_edge[edge] = len(a_comps & b_comps) / (
             2.0 * tree.undirected_bandwidth(edge)
         )
-    return LowerBound.from_per_edge(per_edge, description)
+    return from_per_edge_reference(per_edge, description)

@@ -156,3 +156,49 @@ class TestRounds:
         with cluster.round():
             pass
         assert cluster.rounds_executed == 2
+
+    def test_received_elements_is_one_vector_with_a_named_view(self, cluster):
+        with cluster.round() as ctx:
+            ctx.send("v1", "v2", [1, 2, 3], tag="a")
+            ctx.multicast("v3", ["v2", "v3", "v4"], [4, 5], tag="b")
+        assert cluster._received_elements.dtype == np.int64
+        assert cluster._received_elements.sum() == 3 + 2 + 2
+        assert cluster.received_elements("v2") == 5
+        assert cluster.received_elements("v4") == 2
+        assert type(cluster.received_elements("v2")) is int
+        # routers receive nothing; a node the tree never had reads as 0
+        assert cluster.received_elements("core") == 0
+        assert cluster.received_elements("nowhere") == 0
+        cluster._add_received("v1", 4)
+        assert cluster.received_elements("v1") == 4
+
+
+class TestRoundSpan:
+    """The round span names the cost and the edge that sets it."""
+
+    def _round_attrs(self, tracer):
+        return [
+            event.attrs
+            for event in tracer.events
+            if event.attrs.get("category") == "round"
+        ]
+
+    def test_bottleneck_edge_is_the_argmax_of_the_round_cost(self, cluster):
+        from repro.obs.tracer import tracing
+
+        with tracing() as tracer:
+            with cluster.round() as ctx:
+                # 6 elements over the rack uplink (w=1) and leaf links (w=2)
+                ctx.send("v1", "v3", [1] * 6, tag="a")
+                ctx.send("v2", "v1", [2] * 8, tag="a")
+            with cluster.round():
+                pass
+        busy, empty = self._round_attrs(tracer)
+        edge, cost = cluster.ledger.bottleneck(0)
+        assert busy["round_cost"] == cost == 6.0
+        assert busy["bottleneck_edge"] == f"{edge[0]}->{edge[1]}"
+        assert cluster.ledger.round_loads(0)[edge] == 6
+        assert busy["max_edge_load"] == 8
+        assert empty["round_cost"] == 0.0
+        assert empty["bottleneck_edge"] is None
+        assert empty["max_edge_load"] == 0
