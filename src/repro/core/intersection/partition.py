@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from repro.errors import ProtocolError, TopologyError
-from repro.topology.tree import NodeId, TreeTopology, UndirectedEdge, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology, UndirectedEdge
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,9 @@ def _alpha_components(
         if root_a != root_b:
             parent[root_a] = root_b
 
-    roots = sorted({find(n) for n in tree.nodes}, key=node_sort_key)
+    roots = sorted(
+        {find(n) for n in tree.nodes}, key=tree.routing_index.index_of.__getitem__
+    )
     index = {root: i for i, root in enumerate(roots)}
     return {n: index[find(n)] for n in tree.nodes}
 
@@ -126,6 +128,7 @@ def balanced_partition(
 
     blocks: list[frozenset] = []
     remaining = set(adjacency)
+    rank = tree.routing_index.index_of  # the node_sort_key order, as ints
     while remaining:
         if len(remaining) == 1:
             x = next(iter(remaining))
@@ -136,7 +139,7 @@ def balanced_partition(
             remaining.clear()
             break
         leaves = [v for v in remaining if len(adjacency[v]) == 1]
-        x = min(leaves, key=lambda v: (weight[v], node_sort_key(v)))
+        x = min(leaves, key=lambda v: (weight[v], rank[v]))
         if weight[x] >= r_size:
             if gamma[x]:
                 blocks.append(frozenset(gamma[x]))

@@ -22,7 +22,7 @@ from repro.data.distribution import Distribution
 from repro.registry import register_protocol
 from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.grouping import owner_bounds, sorted_runs, unique_rows
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
@@ -57,12 +57,10 @@ def hashed_partition_round(
     cluster after the round with the blocks, per-node sizes and the
     small relation's size the partition was computed from.
     """
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    node_index = {v: i for i, v in enumerate(computes)}
-    sizes = {
-        v: distribution.size(v, small_tag) + distribution.size(v, large_tag)
-        for v in computes
-    }
+    computes = tree.routing_index.compute_nodes
+    node_index = dict(zip(computes, range(len(computes))))
+    size_vector = distribution.sizes_over(computes, small_tag, large_tag)
+    sizes = dict(zip(computes, size_vector.tolist()))
     r_size = distribution.total(small_tag)
     if blocks is None:
         blocks = balanced_partition(tree, sizes, r_size)
@@ -71,17 +69,12 @@ def hashed_partition_round(
     # per block holding data: its members' compute-order indices and h_i
     routes: list[tuple[np.ndarray, WeightedNodeHasher]] = []
     for i, block in enumerate(blocks):
-        members = sorted(block, key=node_sort_key)
-        weights = [sizes[v] for v in members]
-        if sum(weights) > 0:
-            routes.append(
-                (
-                    np.asarray([node_index[m] for m in members]),
-                    WeightedNodeHasher(
-                        members, weights, derive_seed(seed, seed_scope, i)
-                    ),
-                )
-            )
+        members = np.sort(np.fromiter(map(node_index.__getitem__, block), np.intp))
+        weights = size_vector[members]
+        if weights.sum() > 0:
+            names = [computes[m] for m in members.tolist()]
+            hasher = WeightedNodeHasher(names, weights, derive_seed(seed, seed_scope, i))
+            routes.append((members, hasher))
 
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
     with cluster.round() as ctx:

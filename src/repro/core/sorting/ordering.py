@@ -9,18 +9,27 @@ re-rooting rotates the traversal).
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.topology.steiner import RoutingIndex
 from repro.topology.tree import NodeId, TreeTopology
 
 
-def _is_contiguous(positions: list[int]) -> bool:
-    if not positions:
-        return True
-    return max(positions) - min(positions) + 1 == len(positions)
+def _link_sides(index: RoutingIndex, at, placed, ufunc, identity) -> np.ndarray:
+    """Per link, ``ufunc`` over ``placed`` (put at nodes ``at``) on the
+    side below the link's child — pushed up level by level — and on the
+    other side — the preorder before and after that subtree: ``(2, links)``."""
+    values = np.full(index.num_nodes, identity)
+    values[at] = placed
+    inside = index._push_up(values.copy(), ufunc)
+    in_preorder = values[index.preorder]
+    before = ufunc.accumulate(np.r_[identity, in_preorder])
+    after = ufunc.accumulate(np.r_[in_preorder, identity][::-1])[::-1]
+    child = index.link_child
+    return np.stack([inside[child], ufunc(before[index.tin[child]], after[index.tout[child]])])
 
 
 def is_valid_compute_order(tree: TreeTopology, order: Sequence[NodeId]) -> bool:
@@ -29,19 +38,20 @@ def is_valid_compute_order(tree: TreeTopology, order: Sequence[NodeId]) -> bool:
     For every link, one side's compute nodes must form a contiguous
     interval of the order (the other side is then a prefix plus a suffix,
     which a rotation — i.e. a different root — makes contiguous too).
+    All links at once: per side, the count, min and max of the positions
+    it holds — contiguous when empty or spanning exactly its count.
     """
-    if set(order) != set(tree.compute_nodes) or len(order) != len(
-        set(order)
-    ):
+    if set(order) != tree.compute_nodes or len(order) != len(tree.compute_nodes):
         return False
-    position = {node: i for i, node in enumerate(order)}
-    for edge in tree.undirected_edges():
-        minus, plus = tree.compute_sides(edge)
-        side_a = [position[v] for v in minus]
-        side_b = [position[v] for v in plus]
-        if not (_is_contiguous(side_a) or _is_contiguous(side_b)):
-            return False
-    return True
+    index = tree.routing_index
+    count = len(order)
+    at = np.fromiter(map(index.index_of.__getitem__, order), np.intp, count)
+    positions = np.arange(count)
+    held = _link_sides(index, at, 1, np.add, 0)
+    lows = _link_sides(index, at, positions, np.minimum, count)
+    highs = _link_sides(index, at, positions, np.maximum, -1)
+    contiguous = (held == 0) | (highs - lows + 1 == held)
+    return bool(contiguous.any(axis=0).all())
 
 
 def verify_sorted_output(
@@ -52,31 +62,29 @@ def verify_sorted_output(
 ) -> None:
     """Assert the outputs are a correct sort of ``expected`` along ``order``.
 
-    Checks: the order is a valid traversal; each node's run is sorted;
-    runs are non-decreasing across consecutive nodes; and the
-    concatenation is a permutation of ``expected``.  Raises
+    Checks: the order is a valid traversal; no node outside it holds
+    output; the runs, end to end, never fall (only a fall looks for the
+    node to name); and they are a permutation of ``expected``.  Raises
     :class:`ProtocolError` with a specific message otherwise.
     """
     if not is_valid_compute_order(tree, order):
         raise ProtocolError(f"{list(order)!r} is not a valid traversal order")
-    previous_max: int | None = None
-    collected: list[np.ndarray] = []
-    for node in order:
-        run = np.asarray(outputs.get(node, np.empty(0, np.int64)))
-        if len(run) == 0:
-            continue
-        if np.any(np.diff(run) < 0):
-            raise ProtocolError(f"node {node!r} holds an unsorted run")
-        if previous_max is not None and run[0] < previous_max:
-            raise ProtocolError(
-                f"node {node!r} holds {run[0]} but an earlier node "
-                f"holds {previous_max}"
-            )
-        previous_max = int(run[-1])
-        collected.append(run)
-    merged = (
-        np.concatenate(collected) if collected else np.empty(0, np.int64)
-    )
+    if not outputs.keys() <= tree.compute_nodes:
+        stray = next(node for node in outputs if node not in tree.compute_nodes)
+        raise ProtocolError(f"node {stray!r} holds output but is not in the order")
+    runs = [np.asarray(outputs.get(node, np.empty(0, np.int64))) for node in order]
+    merged = np.concatenate(runs)
+    falls = np.flatnonzero(merged[1:] < merged[:-1])
+    if len(falls):
+        # the node holding the first fall's lower end, and the one before it
+        bounds = np.cumsum([0, *map(len, runs)])
+        node, previous = np.searchsorted(bounds, falls[0] + [1, 0], side="right") - 1
+        if np.any(np.diff(runs[node]) < 0):
+            raise ProtocolError(f"node {order[node]!r} holds an unsorted run")
+        raise ProtocolError(
+            f"node {order[node]!r} holds {runs[node][0]} but an earlier node "
+            f"holds {int(runs[previous][-1])}"
+        )
     expected_sorted = np.sort(np.asarray(expected, dtype=np.int64))
     if len(merged) != len(expected_sorted) or np.any(
         merged != expected_sorted

@@ -42,7 +42,7 @@ from repro.errors import ProtocolError
 from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 from repro.util.intmath import ceil_div
 
 _MOVED = "sort.moved"
@@ -82,7 +82,7 @@ def weighted_terasort(
     tree.require_symmetric("weighted TeraSort")
     distribution.validate_for(tree)
     order = tree.left_to_right_compute_order()
-    sizes = {v: distribution.size(v, tag) for v in order}
+    sizes = dict(zip(order, distribution.sizes_over(tuple(order), tag).tolist()))
     total = sum(sizes.values())
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
     if total == 0:
@@ -92,7 +92,8 @@ def weighted_terasort(
             meta={"order": order, "strategy": "empty"},
         )
 
-    heaviest = max(order, key=lambda v: (sizes[v], node_sort_key(v)))
+    rank = tree.routing_index.index_of  # the node_sort_key order, as ints
+    heaviest = max(order, key=lambda v: (sizes[v], rank[v]))
     if gather_shortcut and sizes[heaviest] > total / 2:
         others = [v for v in order if v != heaviest]
         with cluster.round() as ctx:

@@ -39,8 +39,8 @@ from repro.core.sorting.lower_bound import sorting_lower_bound
 from repro.core.sorting.ordering import verify_sorted_output
 from repro.data.distribution import Distribution
 from repro.errors import AnalysisError, ProtocolError
-from repro.queries.aggregate import groupby_lower_bound
-from repro.queries.join import equijoin_lower_bound
+from repro.queries.aggregate import GroupOutputs, groupby_lower_bound
+from repro.queries.join import JoinOutputs, equijoin_lower_bound
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import (
     get_protocol,
@@ -134,7 +134,7 @@ def _verify_equijoin(
         r_unique, s_unique, return_indices=True
     )
     expected = int(np.sum(r_counts[r_index] * s_counts[s_index]))
-    produced = sum(o["num_pairs"] for o in result.outputs.values())
+    produced = JoinOutputs.of(result.outputs).pair_bounds[-1]
     if produced != expected:
         raise ProtocolError(
             f"{result.protocol} joined {produced} of {expected} pairs"
@@ -150,7 +150,7 @@ def _verify_aggregate(
         distribution.relation("R"), payload_bits=payload_bits
     )
     expected = len(sorted_unique(keys))
-    produced = sum(len(groups) for groups in result.outputs.values())
+    produced = GroupOutputs.of(result.outputs).bounds[-1]
     if produced != expected:
         raise ProtocolError(
             f"{result.protocol} emitted {produced} of {expected} groups"

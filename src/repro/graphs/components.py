@@ -108,30 +108,28 @@ def components_lower_bound(
 def _verify_components(
     tree: TreeTopology, distribution: Distribution, result: ProtocolResult
 ) -> None:
-    """Each non-isolated vertex must appear once, with its component min."""
+    """Each non-isolated vertex must appear once, with its component min
+    (the union-find oracle's, which shares no code with the kernels)."""
     tag = result.meta.get("tag", DEFAULT_EDGE_TAG)
-    fragment_list = [
-        distribution.fragment(v, tag)
-        for v in sorted(distribution.nodes, key=node_sort_key)
-    ]
-    fragment_list = [f for f in fragment_list if len(f)]
-    if fragment_list:
-        src, dst = decode_edges(np.concatenate(fragment_list))
-        expected = reference_components(np.stack([src, dst], axis=1))
-    else:
-        expected = {}
-    found: dict = {}
-    for node, labels in result.outputs.items():
-        for vertex, label in labels.items():
-            if vertex in found:
-                raise ProtocolError(
-                    f"{result.protocol} emitted vertex {vertex} at two nodes"
-                )
-            found[int(vertex)] = int(label)
-    if found != expected:
+    src, dst = decode_edges(distribution.relation(tag))
+    expected = reference_components(np.stack([src, dst], axis=1))
+    owned = GroupOutputs.of(result.outputs)
+    order = np.argsort(owned.keys_array, kind="stable")
+    vertices = owned.keys_array[order]
+    again = order[1:][vertices[1:] == vertices[:-1]]  # repeats, in output order
+    if len(again):
+        raise ProtocolError(
+            f"{result.protocol} emitted vertex {owned.keys_array[again.min()]} "
+            "at two nodes"
+        )
+    expected = KeyValueArrays.from_dict(expected)
+    if not (
+        np.array_equal(vertices, expected.keys_array)
+        and np.array_equal(owned.values_array[order], expected.values_array)
+    ):
         raise ProtocolError(
             f"{result.protocol} produced a wrong labelling "
-            f"({len(found)} vertices vs {len(expected)} expected)"
+            f"({len(vertices)} vertices vs {len(expected)} expected)"
         )
 
 
@@ -182,25 +180,6 @@ def _subscriber_subsets(
         sizes.append(np.full(len(distinct), length))
     offsets = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
     return subset_of, np.concatenate(members), offsets
-
-
-def _as_group_outputs(outputs, computes: tuple) -> GroupOutputs:
-    """A shuffle's result as whole-relation arrays over ``computes``: what
-    the registered group-by protocols return; a third-party shuffle's
-    plain ``{node: groups}`` is converted here, once."""
-    if isinstance(outputs, GroupOutputs) and outputs.nodes == computes:
-        return outputs
-    owned = [outputs.get(v) or {} for v in computes]
-    owned = [
-        g if isinstance(g, KeyValueArrays) else KeyValueArrays.from_dict(g)
-        for g in owned
-    ]
-    return GroupOutputs(
-        computes,
-        np.cumsum([0, *map(len, owned)]).tolist(),
-        np.concatenate([g.keys_array for g in owned]),
-        np.concatenate([g.values_array for g in owned]),
-    )
 
 
 def _hash_to_min(
@@ -315,7 +294,7 @@ def _hash_to_min(
             bits_per_element=bits_per_element,
         )
         # Every owner's output as one (owner, vertex, label) relation.
-        owned = _as_group_outputs(result.outputs, computes)
+        owned = GroupOutputs.of(result.outputs, computes)
         out_owner = np.repeat(np.arange(len(computes)), np.diff(owned.bounds))
         out_vertices, out_labels = owned.keys_array, owned.values_array
         positions = np.searchsorted(all_vertices, out_vertices)

@@ -200,7 +200,7 @@ class ParallelRoundContext(RoundContext):
         tracer = get_tracer()
         registry = get_registry()
         t0 = perf_counter() if phases is not None else 0.0
-        routing, by_tag, pair_matrix = self._collect_unicasts()
+        routing, by_tag, pairs = self._collect_unicasts()
         node_names = routing.nodes
         rank_of = cluster._rank_lookup(routing)
         round_segments = []  # input columns, recycled after the barrier
@@ -290,7 +290,7 @@ class ParallelRoundContext(RoundContext):
         if phases is not None:
             t2 = perf_counter()
             phases["deliver"] += t2 - t1
-        self._apply_pair_loads(routing, pair_matrix)
+        self._apply_pair_loads(routing, pairs)
         if phases is not None:
             phases["charge"] += perf_counter() - t2
 

@@ -66,6 +66,22 @@ class GroupOutputs(NodeOutputs):
         lo, hi = self.bounds[index : index + 2]
         return KeyValueArrays(self.keys_array[lo:hi], self.values_array[lo:hi])
 
+    @classmethod
+    def of(cls, outputs, nodes: tuple | None = None) -> "GroupOutputs":
+        """``outputs`` over ``nodes`` (default: its own): what the
+        registered group-by protocols return; a plain ``{node: groups}``
+        is converted here, once."""
+        if isinstance(outputs, GroupOutputs) and nodes in (None, outputs.nodes):
+            return outputs
+        nodes = tuple(outputs) if nodes is None else nodes
+        owned = [KeyValueArrays.from_dict(outputs.get(v) or {}) for v in nodes]
+        return cls(
+            nodes,
+            np.cumsum([0, *map(len, owned)]).tolist(),
+            np.concatenate([np.empty(0, np.int64), *(g.keys_array for g in owned)]),
+            np.concatenate([np.empty(0, np.int64), *(g.values_array for g in owned)]),
+        )
+
 
 def combine_per_node_key(
     owners: np.ndarray, keys: np.ndarray, values: np.ndarray, op: str
@@ -214,20 +230,15 @@ def tree_groupby_aggregate(
 
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
     computes = cluster.compute_order
-    sizes = {v: distribution.size(v, tag) for v in computes}
-    total = sum(sizes.values())
-    if total == 0:
+    sizes = distribution.sizes_over(computes, tag)
+    if not sizes.any():
         return ProtocolResult.from_ledger(
             "tree-groupby", cluster.ledger,
             outputs={v: KeyValueArrays.empty() for v in computes},
             meta={"op": op, "payload_bits": payload_bits},
         )
 
-    hasher = WeightedNodeHasher(
-        computes,
-        [max(sizes[v], 0) for v in computes],
-        derive_seed(seed, "groupby"),
-    )
+    hasher = WeightedNodeHasher(computes, sizes, derive_seed(seed, "groupby"))
     outputs = hashed_groupby_round(
         cluster,
         hasher,

@@ -96,6 +96,17 @@ class JoinOutputs(NodeOutputs):
             result["pairs"] = self.pairs[lo:hi]
         return result
 
+    @classmethod
+    def of(cls, outputs) -> "JoinOutputs":
+        """``outputs`` in this form: what the registered join protocols
+        return; a plain ``{node: {"num_pairs", ...}}`` is converted here,
+        once (its rows are not carried over)."""
+        if isinstance(outputs, JoinOutputs):
+            return outputs
+        counts = [(o["num_pairs"], o.get("num_keys", 0)) for o in outputs.values()]
+        pair_bounds, run_bounds = np.cumsum([(0, 0), *counts], axis=0).T.tolist()
+        return cls(tuple(outputs), pair_bounds, run_bounds, None)
+
 
 def join_columns(
     r_column: tuple[np.ndarray, np.ndarray],

@@ -172,6 +172,33 @@ def _concatenated(parts: Sequence) -> np.ndarray:
     return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
+def _pair_counts(keys: list, run_keys: list, run_counts: list, size: int) -> tuple:
+    """``(src, dst, count)`` arrays ascending by pair, no zero count, from
+    flat ``src * size + dst`` keys of one element each and of one
+    non-empty run each.  One integer ``bincount`` when the ``size²`` bins
+    are at most four per key, else one sort: memory follows the round's
+    traffic, never the square of the node count."""
+    keys = np.concatenate(keys) if keys else np.empty(0, np.intp)
+    runs = counts = keys[:0]
+    if run_keys:
+        runs, counts = np.hstack(run_keys), np.hstack(run_counts)
+    if size * size <= 4 * (len(keys) + len(runs)):
+        dense = np.bincount(keys, minlength=size * size)
+        np.add.at(dense, runs, counts)
+        flat = np.flatnonzero(dense)
+        return (*np.divmod(flat, size), dense[flat])
+    flat = np.concatenate([keys, runs])
+    order = np.argsort(flat)
+    flat = flat[order]
+    fresh = np.ones(len(flat), dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    weights = np.ones(len(flat), dtype=np.intp)
+    weights[len(keys) :] = counts
+    counts = np.add.reduceat(weights[order] if len(runs) else weights, starts)
+    return (*np.divmod(flat[starts], size), counts)
+
+
 class RoundContext:
     """Collects the transfers of one round; created by :meth:`Cluster.round`."""
 
@@ -663,7 +690,7 @@ class RoundContext:
 
         if self._unicast_stream:
             t0 = perf_counter() if phases is not None else 0.0
-            routing, by_tag, pair_matrix = self._collect_unicasts()
+            routing, by_tag, pairs = self._collect_unicasts()
             # group: one pass per tag over the whole round; the argsort
             # is stable and parts are concatenated in registration
             # order, so per-(dst, tag) contents match a transfer-by-
@@ -697,7 +724,7 @@ class RoundContext:
             if phases is not None:
                 t2 = perf_counter()
                 phases["deliver"] += t2 - t1
-            self._apply_pair_loads(routing, pair_matrix)
+            self._apply_pair_loads(routing, pairs)
             if phases is not None:
                 phases["charge"] += perf_counter() - t2
 
@@ -711,38 +738,43 @@ class RoundContext:
 
     def _collect_unicasts(
         self,
-    ) -> tuple[object, dict[str, list[tuple[np.ndarray, np.ndarray]]], np.ndarray]:
+    ) -> tuple[object, dict[str, list[tuple[np.ndarray, np.ndarray]]], tuple]:
         """Resolve the unicast stream into columnar per-tag parts.
 
-        Returns ``(routing_index, by_tag, pair_matrix)``: per tag, the
+        Returns ``(routing_index, by_tag, pairs)``: per tag, the
         registration-ordered ``(dst_ids, payload)`` parts whose
         concatenation is the round's full scatter for that tag, plus
-        the dense ``(src, dst) -> element count`` matrix that feeds the
-        vectorized tree-flow charger.  Shared by the in-process bulk
-        finalizer and the process-backend finalizer, which ships the
-        same columns to its workers — byte-identity between the two
-        substrates starts with collecting identical columns.
+        the round's ``(src, dst, count)`` pair counts that feed the
+        vectorized tree-flow charger (:func:`_pair_counts`).  Shared by
+        the in-process bulk finalizer and the process-backend finalizer,
+        which ships the same columns to its workers — byte-identity
+        between the two substrates starts with collecting identical
+        columns.
         """
         cluster = self._cluster
         routing = cluster.oracle.routing_index
         index_of = routing.index_of
         size = routing.num_nodes
-        # (src, dst) -> element count, accumulated as a dense matrix
-        # (node counts are small; 1024 nodes is an 8 MB matrix)
-        pair_matrix = np.zeros((size, size), dtype=np.int64)
         lookup_dtype = index_dtype(size)
         compute_lookup = routing.compute_idx.astype(lookup_dtype)
         # explicit node list -> routing-index lookup, resolved once per
         # distinct list (a protocol passes the same list from every node)
         lookups: dict[tuple | None, np.ndarray] = {None: compute_lookup}
         by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        # flat ``src * size + dst`` keys: one per element, or one per run
+        # beside its count
+        keys, run_keys, run_counts = [], [], []
         for src, node_list, targets, counts, payload, tag in (
             self._unicast_stream
         ):
-            if counts is not None:  # runs: the triples are the pair counts
+            if counts is not None:  # runs: the non-empty ones are pair counts
                 run_dst = compute_lookup[targets]
-                np.add.at(pair_matrix, (compute_lookup[src], run_dst), counts)
                 dst_ids = np.repeat(run_dst, counts)
+                if isinstance(counts, np.ndarray):  # exchange_runs()
+                    live = counts > 0
+                    src, run_dst, counts = src[live], run_dst[live], counts[live]
+                run_keys.append(routing.compute_idx[src] * size + run_dst)
+                run_counts.append(counts)
             else:
                 lookup = lookups.get(node_list)
                 if lookup is None:
@@ -753,23 +785,17 @@ class RoundContext:
                     )
                 dst_ids = lookup[targets]
                 if isinstance(src, np.ndarray):  # exchange_column()
-                    flat = compute_lookup[src].astype(np.intp) * size
-                    flat += dst_ids
-                    pair_matrix += np.bincount(
-                        flat, minlength=size * size
-                    ).reshape(size, size)
+                    keys.append(routing.compute_idx[src] * size + dst_ids)
                 else:
-                    pair_matrix[index_of[src]] += np.bincount(
-                        dst_ids, minlength=size
-                    )
+                    keys.append(np.intp(index_of[src] * size) + dst_ids)
             by_tag.setdefault(tag, []).append((dst_ids, payload))
-        return routing, by_tag, pair_matrix
+        return routing, by_tag, _pair_counts(keys, run_keys, run_counts, size)
 
-    def _apply_pair_loads(self, routing, pair_matrix: np.ndarray) -> None:
-        """Charge the pair matrix to the ledger and record arrivals."""
+    def _apply_pair_loads(self, routing, pairs: tuple) -> None:
+        """Charge the ``(src, dst, count)`` pair counts to the ledger and
+        record arrivals."""
         cluster = self._cluster
-        src_ids, dst_ids = np.nonzero(pair_matrix)
-        counts = pair_matrix[src_ids, dst_ids]
+        src_ids, dst_ids, counts = pairs
         cluster.ledger.add_link_loads(
             routing.unicast_loads(src_ids, dst_ids, counts)
         )

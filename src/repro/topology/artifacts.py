@@ -29,7 +29,6 @@ the session property tests pin down.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from contextlib import contextmanager
 from typing import Iterator
@@ -52,19 +51,11 @@ def topology_fingerprint(tree: TreeTopology) -> str:
     artifacts.  Node identity uses :func:`node_sort_key` (type name,
     str, repr): distinct ids that stringify identically but differ in
     type or repr stay distinct, matching the canonical orders every
-    artifact is built from.
+    artifact is built from.  The digest is memoized on the tree
+    (:attr:`TreeTopology.fingerprint`), so a fresh one-shot cache looks
+    a tree up without walking it again.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for node in sorted(tree.nodes, key=node_sort_key):
-        digest.update(repr(node_sort_key(node)).encode())
-        digest.update(b"\x01" if node in tree.compute_nodes else b"\x00")
-    for (u, v) in sorted(
-        tree.directed_edges, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))
-    ):
-        digest.update(
-            repr((node_sort_key(u), node_sort_key(v), tree.bandwidth(u, v))).encode()
-        )
-    return digest.hexdigest()
+    return tree.fingerprint
 
 
 class TopologyArtifacts:

@@ -133,10 +133,11 @@ class RoutingIndex:
             differ = a != b
         return a
 
-    def _push_up(self, values: np.ndarray) -> np.ndarray:
-        """Add every node's value into all its ancestors, in place."""
+    def _push_up(self, values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
+        """Add (or ``ufunc``: min, max) every node's value into all its
+        ancestors, in place."""
         for level in self.levels_desc:
-            np.add.at(values, self.parent[level], values[level])
+            ufunc.at(values, self.parent[level], values[level])
         return values
 
     def _steiner_paths(

@@ -20,10 +20,11 @@ Terminology used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from collections import deque
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -156,6 +157,7 @@ class TreeTopology:
             key=lambda e: (keys[e[0]], keys[e[1]]),
         )
         self._routing_index: RoutingIndex | None = None
+        self._canonical_walk: tuple | None = None  # worked out on first use
 
     def __reduce__(self):
         # A pickled tree is its definition: rooting, links and the lazy
@@ -493,6 +495,23 @@ class TreeTopology:
         )
         return dict(zip(self._links, counts[index.link_child].tolist()))
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """The structural digest behind
+        :func:`~repro.topology.artifacts.topology_fingerprint`, computed
+        once per tree (the tree is immutable)."""
+        digest = hashlib.blake2b(digest_size=16)
+        for node in sorted(self._nodes, key=node_sort_key):
+            digest.update(repr(node_sort_key(node)).encode())
+            digest.update(b"\x01" if node in self._compute_nodes else b"\x00")
+        for (u, v) in sorted(
+            self._bandwidth, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))
+        ):
+            digest.update(
+                repr((node_sort_key(u), node_sort_key(v), self._bandwidth[(u, v)])).encode()
+            )
+        return digest.hexdigest()
+
     @property
     def routing_index(self) -> RoutingIndex:
         """The integer-indexed tree structure, built lazily and once; on
@@ -517,10 +536,13 @@ class TreeTopology:
         ``root`` (default: the canonical internal root) and visits children
         in deterministic id order; the compute nodes are reported in the
         order first encountered, which makes every subtree's compute nodes
-        a contiguous block of the result.
+        a contiguous block of the result.  The default rooting's walk runs
+        once per tree; every call returns a fresh list.
         """
         if root is None:
-            root = self._root
+            if self._canonical_walk is None:
+                self._canonical_walk = tuple(self.left_to_right_compute_order(self._root))
+            return list(self._canonical_walk)
         if root not in self._nodes:
             raise TopologyError(f"unknown root {root!r}")
         order: list = []

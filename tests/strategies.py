@@ -54,6 +54,41 @@ def tree_topologies(
 
 
 @st.composite
+def shaped_trees(draw, *, max_nodes: int = 12) -> TreeTopology:
+    """A random tree, a star, a path or a single node, under an arbitrary
+    compute set (inner nodes may compute, leaves may route) and, half the
+    time, with the two directions of every link drawn apart."""
+    shape = draw(st.sampled_from(("random", "star", "path", "single")))
+    count = draw(st.integers(2, max(max_nodes, 2)))
+    if shape == "random":
+        tree = draw(tree_topologies(min_nodes=2, max_nodes=max(max_nodes, 2)))
+    elif shape == "single":
+        tree = TreeTopology({}, ["solo"], name="single-node")
+    else:
+        ends = (
+            [("hub", f"s{i}") for i in range(1, count)]
+            if shape == "star"
+            else [(f"p{i}", f"p{i + 1}") for i in range(count - 1)]
+        )
+        tree = TreeTopology.from_undirected(
+            {end: draw(st.sampled_from(BANDWIDTH_CHOICES)) for end in ends},
+            [node for end in ends for node in end],
+            name=shape,
+        )
+    tree = tree.with_compute_nodes(
+        draw(st.sets(st.sampled_from(sorted(tree.nodes, key=str)), min_size=1))
+    )
+    if draw(st.booleans()):
+        tree = tree.with_bandwidths(
+            {
+                edge: draw(st.sampled_from(BANDWIDTH_CHOICES))
+                for edge in sorted(tree.directed_edges)
+            }
+        )
+    return tree
+
+
+@st.composite
 def node_sizes(draw, tree: TreeTopology, *, max_size: int = 40) -> dict:
     """Random per-compute-node sizes (some may be zero)."""
     return {
