@@ -12,10 +12,7 @@ oracle.  This example shows every layer of that stack:
 2. drive a raw ``ParallelCluster`` round by hand with ``oracle=True``
    and let ``verify_oracle()`` prove the shared-memory workers
    produced byte-identical storage and ledger totals,
-3. time a 10^5-element shuffle at 1 and 2 workers with the
-   ``bench scale`` harness (`time_scale_case`) and print the scaling
-   table — speedup is hardware-dependent, identity is not,
-4. fan a batch of plans out with ``run_many(..., executor="process")``
+3. fan a batch of plans out with ``run_many(..., executor="process")``
    and confirm thread- and process-executed batches agree.
 
 Run:  python examples/parallel_scaling.py
@@ -23,15 +20,10 @@ Run:  python examples/parallel_scaling.py
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 import repro
-from repro.analysis.scale import scale_table, time_scale_case
-from repro.analysis.speed import fat_tree, prepare_uniform_hash
 from repro.engine import RunPlan, run_many
-from repro.util.text import render_table
 from repro.parallel import ParallelCluster
 from repro.parallel.pool import shutdown_pools
 
@@ -73,22 +65,6 @@ def raw_round_with_oracle() -> None:
     cluster.close()
 
 
-def scaling_table() -> None:
-    """The bench-scale harness on a small grid, printed as a table."""
-    tree = fat_tree(4)
-    prepared, label = prepare_uniform_hash(tree, 100_000, seed=7)
-    cases = [
-        time_scale_case(label, tree, prepared, workers, seed=7, repeats=2)
-        for workers in (1, 2)
-    ]
-    for case in cases:
-        case.baseline_seconds = cases[0].seconds
-    print(f"scaling (cpu_count={os.cpu_count()}):")
-    headers, rows = scale_table(cases)
-    print(render_table(headers, rows))
-    assert all(case.identical for case in cases)
-
-
 def batch_executors() -> None:
     """run_many on threads vs the worker-process pool."""
     tree = repro.fat_tree(2, 2, leaf_bandwidth=2.0)
@@ -115,8 +91,6 @@ def main() -> None:
         engine_parity()
         print()
         raw_round_with_oracle()
-        print()
-        scaling_table()
         print()
         batch_executors()
     finally:

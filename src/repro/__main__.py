@@ -8,16 +8,14 @@ Usage::
     python -m repro protocols           # the registered protocol catalog
     python -m repro plan --explain      # planner vs gather/worst-order
     python -m repro graphs              # graph workloads vs baselines
-    python -m repro bench scale         # process-substrate scaling grid
-    python -m repro bench serve         # cold vs warm session A/B
     python -m repro serve --queries 500 # warm-session serving (one session)
     python -m repro table1 --r-size 2000 --s-size 2000 --seed 7
     python -m repro compare --backend process --num-workers 4
 
 Each command prints the same plain-text tables the benchmark harness
 records, so the headline claims can be checked without pytest;
-``protocols``, ``compare`` and ``graphs`` take ``--json`` for
-machine-consumable output.
+``protocols``, ``compare``, ``graphs``, ``serve`` and ``metrics`` take
+``--json`` for machine-consumable output.
 
 Tracing: ``python -m repro trace cc --backend process`` runs one task
 under the :mod:`repro.obs` tracer and writes a Chrome-trace JSON
@@ -29,10 +27,7 @@ metrics registry and prints the Prometheus exposition text (``--json``
 for the raw snapshot, ``--output FILE`` to write it); every other
 command accepts ``--metrics FILE`` for the same snapshot and
 ``--audit {record,strict}`` to check each simulated round against the
-Section-2 cost model.  ``python -m repro bench check`` replays the
-committed ``BENCH_*.json`` trajectories through the regression
-sentinel (:mod:`repro.obs.regress`) and exits non-zero on a
-regression.
+Section-2 cost model.
 """
 
 from __future__ import annotations
@@ -316,15 +311,24 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rack_tree(racks: int):
+    """The ``--racks`` topology: ``racks`` racks of ``racks`` leaves."""
+    return two_level(
+        [racks] * racks,
+        leaf_bandwidth=2.0,
+        uplink_bandwidth=4.0,
+        name=f"fat-tree({racks}x{racks})",
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a mixed query workload through one warm session."""
     import time
 
     from repro.analysis.serve import build_workload
-    from repro.analysis.speed import fat_tree
     from repro.session import EngineSession
 
-    tree = fat_tree(args.racks)
+    tree = _rack_tree(args.racks)
     workload, distributions, (catalog, plan_queries) = build_workload(
         tree, args.queries, seed=args.seed
     )
@@ -401,159 +405,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Substrate benchmarks: ``scale`` grid, ``serve`` A/B, ``check``."""
-    if args.subcommand == "scale":
-        return _cmd_bench_scale(args)
-    if args.subcommand == "serve":
-        return _cmd_bench_serve(args)
-    if args.subcommand == "check":
-        return _cmd_bench_check(args)
-    problem = (
-        "bench needs a subcommand"
-        if args.subcommand is None
-        else f"unknown bench subcommand {args.subcommand!r}"
-    )
-    print(f"error: {problem}; available: scale, serve, check", file=sys.stderr)
-    return 2
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    """The process-substrate scaling grid (``bench scale``)."""
-    from repro.analysis.scale import (
-        check_scale_cases,
-        run_scale_suite,
-        scale_table,
-        write_scale_trajectory,
-    )
-    from repro.parallel.pool import shutdown_pools
-
-    # --workers N caps the grid at N (always alongside the 1-worker
-    # baseline); the suite default is (1, 2) small / (1, 2, 4, 8) full.
-    grid = None
-    if args.workers is not None:
-        grid = tuple(dict.fromkeys((1, max(args.workers, 1))))
-    try:
-        cases = run_scale_suite(
-            small=args.small, seed=args.seed, workers_grid=grid
-        )
-    finally:
-        shutdown_pools()
-    check_scale_cases(cases)
-    trajectory = write_scale_trajectory(
-        cases, grid="small" if args.small else "full"
-    )
-    if args.json:
-        print(json.dumps([case.to_dict() for case in cases], indent=2))
-        return 0
-    headers, rows = scale_table(cases)
-    print(
-        render_table(
-            headers,
-            rows,
-            title=(
-                "Process-substrate scaling, oracle-verified "
-                f"(grid={'small' if args.small else 'full'}, "
-                f"seed={args.seed}; trajectory appended to {trajectory})"
-            ),
-        )
-    )
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """The cold-vs-warm session throughput A/B (``bench serve``)."""
-    from repro.analysis.serve import (
-        check_serve_cases,
-        run_serve_suite,
-        serve_table,
-        write_serve_trajectory,
-    )
-    from repro.parallel.pool import shutdown_pools
-
-    try:
-        cases = run_serve_suite(small=args.small, seed=args.seed)
-    finally:
-        shutdown_pools()
-    check_serve_cases(cases)
-    trajectory = write_serve_trajectory(
-        cases, grid="small" if args.small else "full"
-    )
-    if args.json:
-        print(json.dumps([case.to_dict() for case in cases], indent=2))
-        return 0
-    headers, rows = serve_table(cases)
-    print(
-        render_table(
-            headers,
-            rows,
-            title=(
-                "Warm session vs cold one-shot engine "
-                f"(grid={'small' if args.small else 'full'}, "
-                f"seed={args.seed}; trajectory appended to {trajectory})"
-            ),
-        )
-    )
-    return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """Regression sentinel over the committed bench trajectories."""
-    import os
-
-    from repro.obs.regress import (
-        SEVERITY,
-        check_trajectory_file,
-        regression_table,
-    )
-
-    paths = list(args.extra)
-    if not paths:
-        paths = [
-            name
-            for name in ("BENCH_SCALE.json", "BENCH_SERVE.json")
-            if os.path.exists(name)
-        ]
-        if not paths:
-            print(
-                "error: no trajectory files found (looked for "
-                "BENCH_SCALE.json / BENCH_SERVE.json); pass paths "
-                "explicitly: repro bench check FILE ...",
-                file=sys.stderr,
-            )
-            return 2
-    worst = "pass"
-    payload = {}
-    for path in paths:
-        verdict, checks = check_trajectory_file(path)
-        if SEVERITY[verdict] > SEVERITY[worst]:
-            worst = verdict
-        if args.json:
-            payload[path] = {
-                "verdict": verdict,
-                "checks": [check.to_dict() for check in checks],
-            }
-            continue
-        headers, rows = regression_table(checks)
-        print(
-            render_table(
-                headers,
-                rows,
-                title=f"bench check {path}: {verdict.upper()}",
-            )
-        )
-        print()
-    if args.json:
-        payload["verdict"] = worst
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"bench check: {worst.upper()} across {len(paths)} file(s)")
-    return 1 if worst == "fail" else 0
-
-
 def _one_task_instance(args: argparse.Namespace):
     """Build the (task spec, tree, distribution) triple for trace/metrics."""
-    from repro.analysis.speed import fat_tree
     from repro.data.generators import (
         random_graph_distribution,
         random_tuple_distribution,
@@ -561,7 +414,7 @@ def _one_task_instance(args: argparse.Namespace):
     from repro.registry import get_task
 
     task_spec = get_task(args.subcommand or "connected-components")
-    tree = fat_tree(args.racks)
+    tree = _rack_tree(args.racks)
     if task_spec.name in ("connected-components", "triangle-count"):
         dist = random_graph_distribution(
             tree,
@@ -742,7 +595,7 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Topology-aware MPC reproduction (PODS 2021)",
@@ -780,23 +633,24 @@ def main(argv: list[str] | None = None) -> int:
         "--placement",
         default="proportional",
         choices=["uniform", "zipf", "single-heavy", "proportional"],
-        help="plan/graphs: placement policy for the input data",
+        help="plan/graphs/trace/metrics: placement policy for the input data",
     )
     parser.add_argument(
         "--edges",
         type=int,
         default=2_000,
-        help="graphs: number of edges in the generated graph (default 2000)",
+        help=(
+            "graphs/trace/metrics: number of edges in the generated "
+            "graph (default 2000)"
+        ),
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help="protocols/compare/graphs: emit JSON instead of a text table",
-    )
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="bench: shrink the grid to CI-smoke sizes",
+        help=(
+            "protocols/compare/graphs/serve/metrics: emit JSON instead "
+            "of a text table"
+        ),
     )
     parser.add_argument(
         "--queries",
@@ -809,7 +663,8 @@ def main(argv: list[str] | None = None) -> int:
         default="sim",
         choices=["sim", "process"],
         help=(
-            "table1/compare: execution substrate — the cost-model "
+            "table1/compare/serve/trace/metrics: execution substrate — "
+            "the cost-model "
             "simulator or shared-memory worker processes (default sim)"
         ),
     )
@@ -857,18 +712,27 @@ def main(argv: list[str] | None = None) -> int:
         "--racks",
         type=int,
         default=8,
-        help="trace: fat-tree rack count (topology fat-tree(NxN))",
+        help=(
+            "serve/trace/metrics: fat-tree rack count (topology "
+            "fat-tree(NxN))"
+        ),
     )
     parser.add_argument(
         "--protocol",
         default=None,
-        help="trace: protocol name (default: the task's registered default)",
+        help=(
+            "trace/metrics: protocol name (default: the task's "
+            "registered default)"
+        ),
     )
     parser.add_argument(
         "--output",
         metavar="FILE",
         default=None,
-        help="trace: trace file path (default <task>.trace.json)",
+        help=(
+            "trace/metrics: output file path (trace default "
+            "<task>.trace.json; metrics writes no file by default)"
+        ),
     )
     parser.add_argument(
         "command",
@@ -879,7 +743,6 @@ def main(argv: list[str] | None = None) -> int:
             "protocols",
             "plan",
             "graphs",
-            "bench",
             "serve",
             "trace",
             "metrics",
@@ -891,29 +754,21 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         default=None,
         help=(
-            "bench: which benchmark to run ('scale', 'serve' or "
-            "'check'); trace/metrics: which task to run (default "
+            "trace/metrics: which task to run (default "
             "connected-components)"
         ),
     )
-    parser.add_argument(
-        "extra",
-        nargs="*",
-        default=[],
-        help="bench check: trajectory files (default BENCH_*.json)",
-    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     # intermixed: flags may appear between positionals, e.g.
-    # ``repro bench check --json FILE``
+    # ``repro metrics --racks 4 sorting``
     args = parser.parse_intermixed_args(argv)
-    if args.command not in ("bench", "trace", "metrics"):
+    if args.command not in ("trace", "metrics"):
         if args.subcommand is not None:
             parser.error(f"unrecognized arguments: {args.subcommand}")
-    if args.extra and not (
-        args.command == "bench" and args.subcommand == "check"
-    ):
-        parser.error(
-            f"unrecognized arguments: {' '.join(args.extra)}"
-        )
     if args.executor == "process" and args.backend == "process":
         parser.error(
             "--executor process and --backend process are mutually "
@@ -926,7 +781,6 @@ def main(argv: list[str] | None = None) -> int:
         "protocols": _cmd_protocols,
         "plan": _cmd_plan,
         "graphs": _cmd_graphs,
-        "bench": _cmd_bench,
         "serve": _cmd_serve,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,

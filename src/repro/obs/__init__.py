@@ -1,11 +1,10 @@
-"""repro.obs — tracing, metrics, auditing, and regression sentinels.
+"""repro.obs — tracing, metrics, and cost-model auditing.
 
 The cost model says what a protocol *should* cost per round; this
 package records where wall-clock time and bytes *actually* go as a run
 flows engine → plan stages → supersteps → round finalization → worker
-ranks, keeps standing counters a long-lived engine can expose, audits
-the Section-2 invariants on every finalized round, and gates the
-committed benchmark trajectories against regressions.  Zero
+ranks, keeps standing counters a long-lived engine can expose, and
+audits the Section-2 invariants on every finalized round.  Zero
 dependencies, zero configuration: no-op instances are installed per
 thread by default, so instrumented code pays one attribute lookup when
 observability is off.
@@ -17,8 +16,6 @@ observability is off.
   ``--metrics``), mergeable across worker ranks.
 * :mod:`repro.obs.audit` — per-round cost-model invariant checks
   (``auditing()`` / ``--audit``), strict or recording.
-* :mod:`repro.obs.regress` — trajectory-file regression verdicts
-  (``repro bench check``).
 
 Usage::
 

@@ -24,14 +24,15 @@ state warm across queries:
 Warm serving is *byte-identical* to cold one-shot runs: artifacts and
 cached plans are pure functions of (topology, placement statistics),
 so ``session.run(...)`` produces the same ledgers, the same storage
-samples, and the same reports as ``repro.run(...)`` — the property the
-serve benchmark (:mod:`repro.analysis.serve`) asserts on every entry.
+samples, and the same reports as ``repro.run(...)`` — the property
+``tests/properties/test_session_identity.py`` checks on random trees
+and the ``serve_mix`` benchmark workload checks on every query.
 
 Quick start::
 
     import repro
 
-    tree = repro.fat_tree(4)
+    tree = repro.fat_tree(2, 4)
     with repro.EngineSession(tree) as session:
         for dist in workload:
             report = session.run("set-intersection", dist)

@@ -1,29 +1,19 @@
-"""Tests for the serve benchmark harness (repro.analysis.serve)."""
+"""Tests for the serve mix (repro.analysis.serve)."""
 
-import json
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
 import repro
-from repro.analysis.serve import (
-    FULL_MIN_SPEEDUP,
-    IDENTITY_ONLY_MIN_SPEEDUP,
-    ServeCase,
-    build_workload,
-    check_serve_cases,
-    serve_case,
-    serve_table,
-    strip_report,
-    write_serve_trajectory,
-)
-from repro.analysis.speed import fat_tree
-from repro.errors import AnalysisError
-from repro.obs.regress import BANDS, check_trajectory_file
+from repro.analysis.serve import build_workload, strip_report
+from repro.session import EngineSession
+from tests.obs.shuffle import rack_tree
 
 
 @pytest.fixture(scope="module")
 def tree():
-    return fat_tree(3)
+    return rack_tree(3)
 
 
 class TestWorkload:
@@ -61,151 +51,186 @@ class TestWorkload:
         plan_indices = [q.query_index for q in workload if q.kind == "plan"]
         assert plan_indices == [0, 1, 2, 0, 1, 2, 0, 1]
 
+    @pytest.mark.parametrize("num_queries", [0, 3, 4, 7, 24])
+    def test_every_fourth_query_is_a_plan(self, tree, num_queries):
+        workload, _, _ = build_workload(tree, num_queries, rows=30, seed=7)
+        assert len(workload) == num_queries
+        assert [q.kind == "plan" for q in workload] == [
+            index % 4 == 3 for index in range(num_queries)
+        ]
+        assert sum(q.kind == "plan" for q in workload) == num_queries // 4
 
-class TestServeCase:
-    def test_sim_case_is_identical_and_counted(self, tree):
-        case = serve_case("tiny", tree, 16, rows=60, seed=7)
-        assert case.identical
-        assert case.num_queries == 16
-        assert case.cost_elements > 0
-        assert case.cold_seconds > 0 and case.warm_seconds > 0
-        assert case.artifact_cache["misses"] == 1
-        assert case.artifact_cache["hits"] >= 15
+    def test_every_task_meets_every_placement(self, tree):
+        # 21 queries hold 16 task slots: four laps of the four tasks,
+        # the placement rotating by one per lap
+        workload, _, _ = build_workload(tree, 21, rows=30, seed=7)
+        pairings = [
+            (q.task, q.distribution_index)
+            for q in workload
+            if q.kind == "task"
+        ]
+        assert len(pairings) == 16
+        assert len(set(pairings)) == 16
+
+    def test_query_seeds(self, tree):
+        workload, _, _ = build_workload(tree, 40, rows=30, seed=7)
+        for index, query in enumerate(workload):
+            if query.kind == "task":
+                assert query.seed == index % 7
+        plan_seeds = [q.seed for q in workload if q.kind == "plan"]
+        assert plan_seeds == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
+
+    def test_three_plan_shapes(self, tree):
+        _, _, (catalog, plan_queries) = build_workload(
+            tree, 4, rows=30, seed=7
+        )
+        shapes = [
+            [scan.relation for scan in query.inputs]
+            for query in plan_queries
+        ]
+        assert shapes == [
+            ["R0", "R1", "R2"],
+            ["F", "D1", "D2"],
+            ["R0", "R1", "R2", "R3"],
+        ]
+        assert set(catalog) == {"R0", "R1", "R2", "R3", "F", "D1", "D2"}
+
+    @pytest.mark.parametrize("rows", [30, 75])
+    def test_placements_sized_by_rows(self, tree, rows):
+        _, distributions, _ = build_workload(tree, 4, rows=rows, seed=7)
+        for distribution in distributions:
+            assert distribution.total("R") == rows
+            assert distribution.total("S") == 2 * rows
+
+    def test_seed_changes_inputs(self, tree):
+        _, first, _ = build_workload(tree, 4, rows=30, seed=7)
+        _, second, _ = build_workload(tree, 4, rows=30, seed=8)
+        assert any(
+            a.sizes("R") != b.sizes("R")
+            or not np.array_equal(a.relation("R"), b.relation("R"))
+            for a, b in zip(first, second)
+        )
+
+
+class TestWarmColdIdentity:
+    def test_warm_session_replays_cold_runs(self, tree):
+        workload, distributions, (catalog, plan_queries) = build_workload(
+            tree, 16, rows=60, seed=7
+        )
+
+        cold = [
+            repro.run(
+                query.task,
+                tree,
+                distributions[query.distribution_index],
+                seed=query.seed,
+            )
+            if query.kind == "task"
+            else repro.run_plan(
+                plan_queries[query.query_index], tree, catalog, seed=query.seed
+            )
+            for query in workload
+        ]
+        with EngineSession(tree, catalog=catalog) as session:
+            warm = [
+                session.run(
+                    query.task,
+                    distributions[query.distribution_index],
+                    seed=query.seed,
+                )
+                if query.kind == "task"
+                else session.run_plan(
+                    plan_queries[query.query_index], seed=query.seed
+                )
+                for query in workload
+            ]
+        for query, cold_run, warm_run in zip(workload, cold, warm):
+            assert strip_report(warm_run) == strip_report(cold_run), query
+        assert session.artifact_cache.stats()["misses"] == 1
         # three plan shapes, each compiled once then served from cache
-        assert case.plan_cache["misses"] == 3
-        assert case.plan_cache["hits"] == 1
+        assert session.plan_cache.stats()["misses"] == 3
 
-    def test_cost_elements_deterministic(self, tree):
-        first = serve_case("tiny", tree, 12, rows=60, seed=7)
-        second = serve_case("tiny", tree, 12, rows=60, seed=7)
-        assert first.cost_elements == second.cost_elements
-
-    def test_derived_rates(self):
-        case = ServeCase(
-            name="x",
-            topology="t",
-            num_queries=100,
-            cold_seconds=4.0,
-            warm_seconds=2.0,
-        )
-        assert case.cold_qps == 25.0
-        assert case.warm_qps == 50.0
-        assert case.speedup == 2.0
-        payload = case.to_dict()
-        assert payload["speedup"] == 2.0
-        assert payload["min_speedup"] == IDENTITY_ONLY_MIN_SPEEDUP
-
-
-class TestCheck:
-    def _case(self, **overrides):
-        fields = dict(
-            name="x",
-            topology="t",
-            num_queries=10,
-            cold_seconds=4.0,
-            warm_seconds=1.0,
-            identical=True,
-        )
-        fields.update(overrides)
-        return ServeCase(**fields)
-
-    def test_passes_on_good_case(self):
-        check_serve_cases([self._case()])
-
-    def test_identity_flip_fails(self):
-        with pytest.raises(AnalysisError, match="diverged"):
-            check_serve_cases([self._case(identical=False)])
-
-    def test_slow_warm_path_fails(self):
-        slow = self._case(warm_seconds=3.9, min_speedup=FULL_MIN_SPEEDUP)
-        with pytest.raises(AnalysisError, match="throughput"):
-            check_serve_cases([slow])
-
-    def test_identity_only_case_skips_timing(self):
-        crawl = self._case(
-            warm_seconds=40.0, min_speedup=IDENTITY_ONLY_MIN_SPEEDUP
-        )
-        check_serve_cases([crawl])
-
-    def test_explicit_budget_overrides_case(self):
-        case = self._case(warm_seconds=3.0)
-        check_serve_cases([case], min_speedup=1.0)
-        with pytest.raises(AnalysisError):
-            check_serve_cases([case], min_speedup=2.0)
-
-
-class TestTrajectory:
-    def test_write_and_sentinel(self, tree, tmp_path, monkeypatch):
-        monkeypatch.setenv("BENCH_SERVE_JSON", str(tmp_path / "serve.json"))
-        cases = [serve_case("tiny", tree, 12, rows=60, seed=7)]
-        path = write_serve_trajectory(cases, grid="small")
-        payload = json.loads(path.read_text())
-        assert payload["benchmark"] == "bench_serve"
-        assert payload["runs"][0]["grid"] == "small"
-        entry = payload["runs"][0]["cases"][0]
-        assert entry["identical"] is True
-        assert entry["speedup"] > 0
-        # the sentinel has bands for this file and sees no regression
-        # in a single-run trajectory
-        assert "bench_serve" in BANDS
-        verdict, _ = check_trajectory_file(path)
-        assert verdict == "pass"
-
-    def test_sentinel_fails_identity_flip(self, tree, tmp_path, monkeypatch):
-        monkeypatch.setenv("BENCH_SERVE_JSON", str(tmp_path / "serve.json"))
-        case = serve_case("tiny", tree, 12, rows=60, seed=7)
-        write_serve_trajectory([case], grid="small")
-        case.identical = False
-        path = write_serve_trajectory([case], grid="small")
-        verdict, checks = check_trajectory_file(path)
-        assert verdict == "fail"
-        assert any(
-            c.metric == "identical" and c.verdict == "fail" for c in checks
+    def test_cold_replay_is_deterministic(self, tree):
+        workload, distributions, (catalog, plan_queries) = build_workload(
+            tree, 8, rows=40, seed=3
         )
 
-    def test_sentinel_warns_on_speedup_regression(
-        self, tree, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("BENCH_SERVE_JSON", str(tmp_path / "serve.json"))
-        case = serve_case("tiny", tree, 12, rows=60, seed=7)
-        baseline = ServeCase(
-            name=case.name,
-            topology=case.topology,
-            num_queries=case.num_queries,
-            cold_seconds=10.0,
-            warm_seconds=1.0,
-            identical=True,
-            cost_elements=case.cost_elements,
-        )
-        write_serve_trajectory([baseline], grid="small")
-        regressed = ServeCase(
-            name=case.name,
-            topology=case.topology,
-            num_queries=case.num_queries,
-            cold_seconds=10.0,
-            warm_seconds=5.0,
-            identical=True,
-            cost_elements=case.cost_elements,
-        )
-        path = write_serve_trajectory([regressed], grid="small")
-        verdict, checks = check_trajectory_file(path)
-        assert verdict in ("warn", "fail")
-        assert any(
-            c.metric == "speedup" and c.verdict in ("warn", "fail")
-            for c in checks
-        )
+        def cold(query):
+            if query.kind == "task":
+                return repro.run(
+                    query.task,
+                    tree,
+                    distributions[query.distribution_index],
+                    seed=query.seed,
+                )
+            return repro.run_plan(
+                plan_queries[query.query_index],
+                tree,
+                catalog,
+                seed=query.seed,
+            )
+
+        for query in workload:
+            assert strip_report(cold(query)) == strip_report(cold(query))
 
 
-class TestTable:
-    def test_serve_table_rows(self, tree):
-        case = serve_case("tiny", tree, 8, rows=60, seed=7)
-        headers, rows = serve_table([case])
-        assert headers[0] == "workload"
-        assert rows[0][0] == "tiny"
-        assert rows[0][-1] == "yes"
+@dataclass(frozen=True)
+class _Nested:
+    values: np.ndarray
+    pair: tuple
+    meta: dict
+    wall_time_s: float
 
 
 class TestStripReport:
+    def test_plan_report_stages_are_stripped(self, tree):
+        _, _, (catalog, plan_queries) = build_workload(
+            tree, 4, rows=40, seed=7
+        )
+        report = repro.run_plan(plan_queries[0], tree, catalog, seed=0)
+        payload = strip_report(report)
+        assert "wall_time_s" not in payload
+        assert len(payload["stages"]) == len(report.stages)
+        for stage in payload["stages"]:
+            assert "wall_time_s" not in stage
+            assert "metrics" not in stage
+
+    def test_arrays_and_tuples_become_lists(self):
+        payload = strip_report(
+            _Nested(
+                values=np.arange(3),
+                pair=(1, (2, 3)),
+                meta={"offsets": np.array([0, 2]), "metrics": {"n": 1}},
+                wall_time_s=0.5,
+            )
+        )
+        assert payload == {
+            "values": [0, 1, 2],
+            "pair": [1, [2, 3]],
+            "meta": {"offsets": [0, 2]},
+        }
+
+    def test_report_is_not_mutated(self, tree):
+        dist = repro.random_distribution(
+            tree, r_size=40, s_size=40, policy="uniform", seed=2
+        )
+        report = repro.run("sorting", tree, dist)
+        before = report.wall_time_s
+        assert before is not None
+        strip_report(report)
+        assert report.wall_time_s == before
+
+    def test_wall_clock_is_the_only_difference(self, tree):
+        dist = repro.random_distribution(
+            tree, r_size=40, s_size=40, policy="uniform", seed=2
+        )
+        first = repro.run("equijoin", tree, dist, seed=1)
+        second = repro.run("equijoin", tree, dist, seed=1)
+        assert strip_report(first) == strip_report(second)
+        assert strip_report(replace(first, wall_time_s=-1.0)) == (
+            strip_report(first)
+        )
+
     def test_strips_wall_clock_everywhere(self, tree):
         dist = repro.random_distribution(
             tree, r_size=80, s_size=80, policy="zipf", seed=1

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.speed import fat_tree, prepare_uniform_hash
 from repro.analysis.suites import ALL_SUITE_TASKS, standard_plans
 from repro.data.generators import random_distribution
 from repro.engine import run, run_many
@@ -19,6 +18,7 @@ from repro.obs.metrics import collecting
 from repro.parallel.pool import shutdown_pools
 from repro.registry import get_task
 from repro.sim.cluster import Cluster
+from tests.obs.shuffle import prepare_uniform_hash, rack_tree
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -29,8 +29,8 @@ def _shared_pools():
 
 def _audited_round(tree_size=2, elements=2_000):
     """One real bulk round, audited; returns (auditor, cluster, ctx)."""
-    tree = fat_tree(tree_size)
-    prepared, _ = prepare_uniform_hash(tree, elements, 7)
+    tree = rack_tree(tree_size)
+    prepared = prepare_uniform_hash(tree, elements, 7)
     cluster = Cluster(tree)
     with auditing() as auditor:
         with cluster.round() as ctx:
@@ -58,7 +58,7 @@ class TestCleanRounds:
         assert summary["bounds_checked"] > 0
 
     def test_process_backend_rounds_audited_clean(self):
-        tree = fat_tree(4)
+        tree = rack_tree(4)
         dist = random_distribution(
             tree, r_size=400, s_size=400, policy="uniform", seed=3
         )
@@ -219,7 +219,7 @@ class TestInstallation:
 
 class TestExpectedDeliveries:
     def test_reference_expansion_counts_multicast_fanout(self):
-        tree = fat_tree(2)
+        tree = rack_tree(2)
         cluster = Cluster(tree)
         leaves = [n for n in cluster.compute_order]
         with auditing() as auditor:

@@ -10,11 +10,11 @@ uniform-hash round.
 
 from time import perf_counter
 
-from repro.analysis.speed import fat_tree, prepare_uniform_hash
 from repro.obs.audit import NullAuditor, get_auditor
 from repro.obs.metrics import NullRegistry, get_registry
 from repro.obs.tracer import NullTracer, get_tracer
 from repro.sim.cluster import Cluster
+from tests.obs.shuffle import prepare_uniform_hash, rack_tree
 
 
 def _round_seconds(tree, prepared) -> float:
@@ -52,8 +52,8 @@ def _disabled_hook_seconds(repeats: int = 20_000) -> float:
 
 class TestDisabledOverhead:
     def test_null_hooks_are_under_five_percent_of_a_small_round(self):
-        tree = fat_tree(4)
-        prepared, _ = prepare_uniform_hash(tree, 50_000, 7)
+        tree = rack_tree(4)
+        prepared = prepare_uniform_hash(tree, 50_000, 7)
         round_seconds = min(_round_seconds(tree, prepared) for _ in range(3))
         hook_seconds = _disabled_hook_seconds()
         # A bulk round opens one round span; allow 20 hook executions
@@ -66,8 +66,8 @@ class TestDisabledOverhead:
         )
 
     def test_null_tracer_records_nothing_during_a_round(self):
-        tree = fat_tree(2)
-        prepared, _ = prepare_uniform_hash(tree, 2_000, 7)
+        tree = rack_tree(2)
+        prepared = prepare_uniform_hash(tree, 2_000, 7)
         tracer = get_tracer()
         _round_seconds(tree, prepared)
         assert tracer.events == ()

@@ -16,13 +16,13 @@ import multiprocessing
 
 import pytest
 
-from repro.analysis.speed import fat_tree, prepare_uniform_hash
 from repro.data.generators import random_distribution
 from repro.engine import run
 from repro.obs.metrics import collecting, get_registry
 from repro.parallel import ParallelCluster
 from repro.parallel.pool import get_pool, shutdown_pools
 from repro.sim.cluster import Cluster
+from tests.obs.shuffle import prepare_uniform_hash, rack_tree
 
 #: Counter families recorded identically by both backends (no backend
 #: label by design — see Cluster._record_round_metrics; compactions are
@@ -88,8 +88,8 @@ class TestMergeIdentity:
     def test_round_families_byte_identical_to_sim(
         self, workers, start_method
     ):
-        tree = fat_tree(4)
-        prepared, _ = prepare_uniform_hash(tree, 20_000, 7)
+        tree = rack_tree(4)
+        prepared = prepare_uniform_hash(tree, 20_000, 7)
         sim = _exchange_snapshot(tree, prepared, lambda: Cluster(tree))
         pool = get_pool(workers, start_method=start_method, seed=7)
         proc = _exchange_snapshot(
@@ -106,8 +106,8 @@ class TestMergeIdentity:
     def test_storage_compactions_byte_identical_to_sim(self, workers):
         # Two rounds land two chunks per (node, "recv") column; reading
         # each column compacts it exactly once on either backend.
-        tree = fat_tree(4)
-        prepared, _ = prepare_uniform_hash(tree, 20_000, 7)
+        tree = rack_tree(4)
+        prepared = prepare_uniform_hash(tree, 20_000, 7)
         sim = _exchange_snapshot(
             tree, prepared, lambda: Cluster(tree), rounds=2
         )
@@ -123,8 +123,8 @@ class TestMergeIdentity:
         assert compactions == {"tag=recv": tree.num_compute_nodes}
 
     def test_pool_metrics_exist_only_on_the_process_backend(self):
-        tree = fat_tree(2)
-        prepared, _ = prepare_uniform_hash(tree, 2_000, 7)
+        tree = rack_tree(2)
+        prepared = prepare_uniform_hash(tree, 2_000, 7)
         sim = _exchange_snapshot(tree, prepared, lambda: Cluster(tree))
         pool = get_pool(2, seed=7)
         proc = _exchange_snapshot(
@@ -137,7 +137,7 @@ class TestMergeIdentity:
         assert "repro_pool_barrier_seconds" in proc["histograms"]
 
     def test_engine_run_round_families_match_across_backends(self):
-        tree = fat_tree(4)
+        tree = rack_tree(4)
         dist = random_distribution(
             tree, r_size=500, s_size=500, policy="uniform", seed=3
         )
@@ -166,8 +166,8 @@ class TestMergeIdentity:
         # the process path replays each round through a shadow sim
         # cluster for verification; with metrics muted during replay the
         # round counter must still read exactly 1
-        tree = fat_tree(2)
-        prepared, _ = prepare_uniform_hash(tree, 2_000, 7)
+        tree = rack_tree(2)
+        prepared = prepare_uniform_hash(tree, 2_000, 7)
         pool = get_pool(2, seed=7)
         proc = _exchange_snapshot(
             tree,
@@ -177,8 +177,8 @@ class TestMergeIdentity:
         assert proc["counters"]["repro_rounds_total"] == {"": 1}
 
     def test_disabled_registry_ships_no_worker_payloads(self):
-        tree = fat_tree(2)
-        prepared, _ = prepare_uniform_hash(tree, 2_000, 7)
+        tree = rack_tree(2)
+        prepared = prepare_uniform_hash(tree, 2_000, 7)
         pool = get_pool(2, seed=7)
         cluster = ParallelCluster(tree, pool=pool, oracle=True)
         with cluster.round() as ctx:

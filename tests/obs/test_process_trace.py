@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.analysis.speed import fat_tree, prepare_uniform_hash
 from repro.errors import ProtocolError
 from repro.obs.tracer import get_tracer, tracing
 from repro.parallel import ParallelCluster
 from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
 from repro.sim.cluster import Cluster
+from tests.obs.shuffle import prepare_uniform_hash, rack_tree
 
 SLEEP = "repro.parallel.pool:_sleep_kernel"
 
@@ -47,8 +47,8 @@ def _run_traced(tree, prepared, cluster_factory):
 
 class TestProcessTraceIdentity:
     def test_round_attrs_identical_to_sim_and_ranks_merged(self):
-        tree = fat_tree(4)
-        prepared, _ = prepare_uniform_hash(tree, 20_000, 7)
+        tree = rack_tree(4)
+        prepared = prepare_uniform_hash(tree, 20_000, 7)
 
         sim_tracer = _run_traced(tree, prepared, lambda: Cluster(tree))
         pool = get_pool(2, seed=7)
@@ -92,8 +92,8 @@ class TestProcessTraceIdentity:
         assert barriers, "expected a pool.barrier span"
 
     def test_untraced_process_round_ships_no_span_payloads(self):
-        tree = fat_tree(2)
-        prepared, _ = prepare_uniform_hash(tree, 2_000, 7)
+        tree = rack_tree(2)
+        prepared = prepare_uniform_hash(tree, 2_000, 7)
         pool = get_pool(2, seed=7)
         cluster = ParallelCluster(tree, pool=pool, oracle=True)
         with cluster.round() as ctx:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, _rack_tree, main
+
+
+def _actions_by_dest() -> dict:
+    return {action.dest: action for action in _build_parser()._actions}
 
 
 class TestCli:
@@ -38,18 +42,40 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
-    @pytest.mark.parametrize("argv", [["bench"], ["bench", "speed"]])
-    def test_bench_without_valid_subcommand_exits_2(self, argv, capsys):
-        """Bare ``bench`` used to fall back to the (now deleted) speed
-        A/B; both spellings are plain usage errors — no alias."""
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "available: scale, serve, check" in captured.err
-        assert captured.out == ""
+    def test_bench_command_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
 
-    def test_bench_unknown_subcommand_rejected(self, capsys):
-        assert main(["bench", "psychic"]) == 2
-        assert "unknown bench subcommand" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "scale"],
+            ["bench", "serve", "--small"],
+            ["bench", "check", "trajectory.json"],
+            ["--small", "table1"],
+            ["metrics", "sorting", "trajectory.json"],
+        ],
+    )
+    def test_removed_bench_surface_is_a_usage_error(self, argv, capsys):
+        """The ``bench`` command, ``--small`` and the trailing file
+        positional are gone: every old spelling is an argparse error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_docstring_names_only_live_commands(self):
+        import repro.__main__ as cli
+
+        choices = set(_actions_by_dest()["command"].choices)
+        named = [
+            line.split()[3]
+            for line in cli.__doc__.splitlines()
+            if line.strip().startswith("python -m repro ")
+        ]
+        assert named
+        assert set(named) <= choices
 
     def test_table1_covers_relational_tasks(self, capsys):
         assert main(["--r-size", "150", "--s-size", "150", "table1"]) == 0
@@ -98,6 +124,58 @@ class TestCli:
         assert all("cost" in row and "ratio" in row for row in payload)
 
 
+class TestHelp:
+    """A flag's help opens with ``cmd1/cmd2/...:`` — exactly the
+    commands whose handlers read it."""
+
+    @pytest.mark.parametrize(
+        "dest, readers",
+        [
+            ("explain", {"plan"}),
+            ("relations", {"plan"}),
+            ("rows", {"plan"}),
+            ("placement", {"plan", "graphs", "trace", "metrics"}),
+            ("edges", {"graphs", "trace", "metrics"}),
+            (
+                "json",
+                {"protocols", "compare", "graphs", "serve", "metrics"},
+            ),
+            ("queries", {"serve"}),
+            (
+                "backend",
+                {"table1", "compare", "serve", "trace", "metrics"},
+            ),
+            ("executor", {"table1"}),
+            ("racks", {"serve", "trace", "metrics"}),
+            ("protocol", {"trace", "metrics"}),
+            ("output", {"trace", "metrics"}),
+            ("subcommand", {"trace", "metrics"}),
+        ],
+    )
+    def test_help_names_every_reader(self, dest, readers):
+        actions = _actions_by_dest()
+        prefix, _, _ = actions[dest].help.partition(":")
+        named = set(prefix.split("/"))
+        assert named == readers
+        assert named <= set(actions["command"].choices)
+
+
+class TestRackTree:
+    """``--racks N`` builds N racks of N leaves (``serve``, ``trace``,
+    ``metrics``); the test helper builds the same tree."""
+
+    @pytest.mark.parametrize("racks", [2, 3, 4, 8])
+    def test_shape_and_bandwidths(self, racks):
+        from tests.obs.shuffle import rack_tree
+
+        tree = _rack_tree(racks)
+        assert tree.name == f"fat-tree({racks}x{racks})"
+        assert tree.num_compute_nodes == racks * racks
+        bandwidths = sorted(up for _, up, _ in tree.iter_links())
+        assert bandwidths == [2.0] * racks * racks + [4.0] * racks
+        assert tree.fingerprint == rack_tree(racks).fingerprint
+
+
 class TestServeCommand:
     def test_serve_table(self, capsys):
         assert main(["--racks", "3", "--queries", "24", "serve"]) == 0
@@ -142,22 +220,6 @@ class TestServeCommand:
 
         payload = json.loads(capsys.readouterr().out)
         assert payload["session"]["backend"] == "process"
-
-    def test_bench_serve_small(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        trajectory = tmp_path / "BENCH_SERVE.json"
-        monkeypatch.setenv("BENCH_SERVE_JSON", str(trajectory))
-        assert main(["--small", "bench", "serve"]) == 0
-        out = capsys.readouterr().out
-        assert "Warm session vs cold one-shot engine" in out
-        assert "speedup" in out
-        payload = json.loads(trajectory.read_text())
-        assert payload["benchmark"] == "bench_serve"
-        assert payload["runs"][0]["grid"] == "small"
-        for case in payload["runs"][0]["cases"]:
-            assert case["identical"] is True
-            assert case["speedup"] >= case["min_speedup"]
 
 
 class TestGraphsCommand:

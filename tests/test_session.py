@@ -30,6 +30,31 @@ def _strip(report):
     return payload
 
 
+def test_module_quick_start_runs(capsys):
+    """The ``Quick start::`` block of the module docstring executes
+    as written, given a ``workload`` of distributions on its tree."""
+    import textwrap
+
+    import repro.session
+
+    _, _, block = repro.session.__doc__.partition("Quick start::\n")
+    lines = []
+    for line in block.splitlines():
+        if line and not line.startswith("    "):
+            break
+        lines.append(line)
+    code = textwrap.dedent("\n".join(lines))
+    quick_tree = repro.fat_tree(2, 4)
+    workload = [
+        repro.random_distribution(
+            quick_tree, r_size=60, s_size=60, policy="uniform", seed=seed
+        )
+        for seed in (1, 2)
+    ]
+    exec(code, {"workload": workload})
+    assert "'runs': 2" in capsys.readouterr().out
+
+
 class TestSessionRuns:
     def test_warm_run_matches_cold_run(self, tree, dist):
         cold = repro.run("set-intersection", tree, dist, seed=2)
