@@ -13,8 +13,34 @@ range of the traversal order.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
+
+
+def _quota_columns(
+    heavy_sizes: Sequence[int], light_sizes: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Algorithm 6 for every light node at once: per heavy node in turn,
+    the quotas of all ``light_sizes``.  Each light node's credit goes
+    through the one-node walk's IEEE operations in its order, so the
+    quotas are bit-identical to walking the nodes one by one."""
+    if (light_sizes < 0).any():
+        raise ValueError("light sizes must be non-negative")
+    if any(size < 0 for size in heavy_sizes):
+        raise ValueError("heavy sizes must be non-negative")
+    total = sum(heavy_sizes)
+    if total <= 0:
+        raise ValueError("at least one heavy node must hold data")
+    light = light_sizes.astype(np.float64)
+    credit = np.zeros(len(light))
+    for size in heavy_sizes:
+        ideal = size / total * light
+        floor = np.floor(ideal)
+        fractional = ideal - floor
+        down = credit >= fractional
+        credit = np.where(down, credit - fractional, credit + (1.0 - fractional))
+        yield floor.astype(np.int64) + ~down
 
 
 def proportional_quotas(
@@ -26,24 +52,36 @@ def proportional_quotas(
     result has the Lemma 9 prefix/range guarantees.  Quotas are upper
     bounds: callers send ``min(quota, elements remaining)`` so the total
     shipped is exactly ``light_size`` (property (3) guarantees the quotas
-    suffice).
+    suffice) — :func:`proportional_runs` does that for many light nodes.
     """
-    if light_size < 0:
-        raise ValueError(f"light_size must be non-negative, got {light_size}")
-    if any(size < 0 for size in heavy_sizes):
-        raise ValueError("heavy sizes must be non-negative")
-    total = sum(heavy_sizes)
-    if total <= 0:
-        raise ValueError("at least one heavy node must hold data")
-    quotas: list[int] = []
-    credit = 0.0
-    for size in heavy_sizes:
-        ideal = size / total * light_size
-        fractional = ideal - math.floor(ideal)
-        if credit >= fractional:
-            quotas.append(math.floor(ideal))
-            credit -= fractional
-        else:
-            quotas.append(math.floor(ideal) + 1)
-            credit += 1.0 - fractional
-    return quotas
+    light = np.asarray([light_size], dtype=np.int64)
+    return [int(quotas[0]) for quotas in _quota_columns(heavy_sizes, light)]
+
+
+def proportional_runs(
+    heavy_sizes: Sequence[int], light_sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every light node's scatter: ``(light, heavy, count)`` index triples.
+
+    Light node ``i`` ships ``min(quota, elements left)`` of its
+    ``light_sizes[i]`` to each heavy node in turn; only the non-empty
+    runs are returned, light node by light node and each one's in heavy
+    order — the order its elements leave in.  One pass over the heavy
+    nodes; none when no light node holds data.
+    """
+    light_sizes = np.asarray(light_sizes, dtype=np.int64)
+    if not light_sizes.any():
+        return (np.empty(0, np.intp),) * 3
+    shipped = np.zeros_like(light_sizes)
+    rows, widths, counts = [], [], []
+    for quotas in _quota_columns(heavy_sizes, light_sizes):
+        sent = np.minimum(quotas, light_sizes - shipped)
+        shipped += sent
+        live = np.flatnonzero(sent)
+        rows.append(live)
+        widths.append(len(live))
+        counts.append(sent[live])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    columns = np.repeat(np.arange(len(widths)), widths)
+    return rows[order], columns[order], np.concatenate(counts)[order]

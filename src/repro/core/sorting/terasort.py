@@ -9,8 +9,8 @@ compute nodes regardless of bandwidth or initial placement — the design
 point the weighted variant (:mod:`repro.core.sorting.wts`) improves on.
 
 The scatter is sort-then-cut: a node sorts its fragment (it ends up
-sorted anyway, and local work is free in the model) and looks the
-splitters up in it, so its traffic is one contiguous run per interval
+sorted anyway, and local work is free in the model) and cuts it at the
+splitters, so its traffic is one contiguous run per non-empty interval
 and the round registers as a single run record
 (:meth:`~repro.sim.cluster.RoundContext.exchange_runs`).
 """
@@ -60,13 +60,8 @@ def select_splitters(
     if s == 0:
         return np.empty(0, np.int64)
     step = math.ceil(s / max(1, num_targets))
-    splitters = []
-    cumulative = 0
-    for count in counts[:-1]:
-        cumulative += count
-        index = min(cumulative * step, s) - 1
-        splitters.append(sorted_samples[max(0, index)])
-    return np.asarray(splitters, dtype=np.int64)
+    indices = np.minimum(np.cumsum(counts[:-1], dtype=np.int64) * step, s) - 1
+    return np.asarray(sorted_samples[np.maximum(indices, 0)], dtype=np.int64)
 
 
 def compute_ids(cluster, nodes) -> np.ndarray:
@@ -79,7 +74,13 @@ def draw_samples(
     stream: str, seed: int, nodes, fragments, rho: float
 ) -> list[np.ndarray]:
     """Each node's sample of its fragment: every element independently
-    with probability ``rho``, from the node's own ``(seed, stream)`` RNG."""
+    with probability ``rho``, from the node's own ``(seed, stream)`` RNG.
+
+    At ``rho >= 1`` the fragments are the samples and no RNG is built:
+    the draw ``random() < rho`` keeps every element, as ``random()`` is
+    in ``[0, 1)``."""
+    if rho >= 1.0:
+        return list(fragments)
     samples = []
     for node, local in zip(nodes, fragments):
         if len(local):
@@ -97,43 +98,42 @@ def laid_end_to_end(fragments: list) -> tuple[np.ndarray, np.ndarray]:
     return lengths, values
 
 
-def cut_at_splitters(
+def interval_runs(
     values: np.ndarray, lengths: np.ndarray, splitters: np.ndarray
-) -> np.ndarray:
-    """Sort each fragment in place; count its elements per splitter interval.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort each fragment in place; its non-empty runs per splitter interval.
 
     ``values`` holds the fragments end to end, ``lengths[i]`` elements
-    each.  Row ``i`` of the result says how many elements of fragment
-    ``i`` fall in each of the ``len(splitters) + 1`` intervals — element
-    ``x`` belongs to interval ``#{splitters <= x}`` — and, the fragment
-    now being sorted, interval ``j``'s elements are the next
-    ``counts[i, j]`` of it.  The splitters are searched in the data
-    (``O(p log n)`` per fragment), not the data in the splitters.
+    each; element ``x`` belongs to interval ``#{splitters <= x}``.
+    Returns ``(fragments, intervals, counts)``: fragment ``i`` holds
+    ``counts`` elements of interval ``j``, which — the fragment now
+    being sorted — are its next ones, so the runs come fragment by
+    fragment and in interval order within each.  The search goes the
+    cheaper way round: the splitters in each fragment (``O(s log n)``
+    per fragment) when the fragments × intervals cut table is no larger
+    than the data, else every element in the splitters (``O(n log s)``).
     """
-    bounds = np.zeros((len(lengths), len(splitters) + 2), dtype=np.intp)
-    bounds[:, -1] = lengths
-    stop = 0
-    for row, length in zip(bounds, lengths.tolist()):
-        fragment = values[stop : stop + length]
-        stop += length
-        fragment.sort()
-        row[1:-1] = np.searchsorted(fragment, splitters, side="left")
-    return np.diff(bounds, axis=1)
-
-
-def run_triples(
-    source_ids: np.ndarray, target_ids: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``exchange_runs`` triples of a ``(sources, targets)`` count matrix:
-    source ``i`` sends ``counts[i, j]`` elements to target ``j``, its runs
-    in target order.  A matrix narrower than ``target_ids`` (no samples,
-    so no splitters and one interval) addresses the first targets."""
-    num_sources, num_targets = counts.shape
-    return (
-        np.repeat(source_ids, num_targets),
-        np.tile(target_ids[:num_targets], num_sources),
-        counts.ravel(),
-    )
+    width = len(splitters) + 1
+    starts = (np.cumsum(lengths) - lengths).tolist()
+    if len(values) >= len(lengths) * width:
+        cuts = np.empty((len(lengths), width), np.intp)
+        cuts[:, 0] = starts
+        for row, start, length in zip(cuts, starts, lengths.tolist()):
+            fragment = values[start : start + length]
+            fragment.sort()
+            row[1:] = start + np.searchsorted(fragment, splitters, side="left")
+        counts = np.diff(cuts.ravel(), append=len(values))
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        for start, length in zip(starts, lengths.tolist()):
+            values[start : start + length].sort()
+        keys = np.repeat(np.arange(len(lengths)) * width, lengths)
+        keys += np.searchsorted(splitters, values, side="right")
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(heads, append=len(values))
+        keys = keys[heads]
+    return keys // width, keys % width, counts
 
 
 @register_protocol(
@@ -200,9 +200,9 @@ def terasort(
         lengths, values = laid_end_to_end(
             [cluster.take(node, tag) for node in order]
         )
-        counts = cut_at_splitters(values, lengths, splitters)
+        fragments, intervals, counts = interval_runs(values, lengths, splitters)
         ctx.exchange_runs(
-            *run_triples(order_ids, order_ids, counts), values, tag=_FINAL
+            order_ids[fragments], order_ids[intervals], counts, values, tag=_FINAL
         )
 
     outputs = {v: np.sort(cluster.local(v, _FINAL)) for v in order}

@@ -27,13 +27,12 @@ import math
 
 import numpy as np
 
-from repro.core.sorting.proportional import proportional_quotas
+from repro.core.sorting.proportional import proportional_runs
 from repro.core.sorting.terasort import (
     compute_ids,
-    cut_at_splitters,
     draw_samples,
+    interval_runs,
     laid_end_to_end,
-    run_triples,
     sample_probability,
     select_splitters,
 )
@@ -132,17 +131,13 @@ def weighted_terasort(
         lengths, values = laid_end_to_end(
             [cluster.take(v, tag) for v in senders]
         )
-        quotas = np.asarray(
-            [proportional_quotas(heavy_sizes, sizes[v]) for v in senders],
-            dtype=np.intp,
-        ).reshape(len(senders), len(heavy))
-        stops = np.minimum(np.cumsum(quotas, axis=1), lengths[:, None])
-        if (stops[:, -1] < lengths).any():  # pragma: no cover - Lemma 9(3)
+        rows, columns, counts = proportional_runs(heavy_sizes, lengths)
+        if counts.sum() < len(values):  # pragma: no cover - Lemma 9(3)
             raise ProtocolError("proportional quotas fell short")
         ctx.exchange_runs(
-            *run_triples(
-                compute_ids(cluster, senders), heavy_ids, np.diff(stops, axis=1, prepend=0)
-            ),
+            compute_ids(cluster, senders)[rows],
+            heavy_ids[columns],
+            counts,
             values,
             tag=_MOVED,
         )
@@ -195,11 +190,11 @@ def weighted_terasort(
     # Round 4: scatter by splitter interval; heavy node j keeps
     # [b_{j-1}, b_j).  Each fragment is sorted first (after sampling, so
     # the samples are those of the unsorted fragment) and cut at the
-    # splitters: one run per (heavy, heavy) pair.
+    # splitters: one run per non-empty (heavy, heavy) pair.
     with cluster.round() as ctx:
-        counts = cut_at_splitters(everything, m_lengths, splitters)
+        fragments, intervals, counts = interval_runs(everything, m_lengths, splitters)
         ctx.exchange_runs(
-            *run_triples(heavy_ids, heavy_ids, counts), everything, tag=_FINAL
+            heavy_ids[fragments], heavy_ids[intervals], counts, everything, tag=_FINAL
         )
 
     outputs = {v: np.empty(0, np.int64) for v in order}

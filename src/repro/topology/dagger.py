@@ -25,7 +25,7 @@ sides — all impossible, so Lemma 4's properties hold unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Mapping
 
 from repro.errors import TopologyError
@@ -54,13 +54,17 @@ class Dagger:
     root: NodeId
     parent: dict
     out_bandwidth: dict
+    _children: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        children: dict = {}
+        for node in sorted(self.parent, key=node_sort_key):
+            children.setdefault(self.parent[node], []).append(node)
+        object.__setattr__(self, "_children", children)
 
     def children(self, node: NodeId) -> list:
         """Nodes whose out-edge points at ``node``, in deterministic order."""
-        return sorted(
-            (v for v, p in self.parent.items() if p == node),
-            key=node_sort_key,
-        )
+        return list(self._children.get(node, ()))
 
     def dagger_leaves(self) -> list:
         """Nodes with in-degree zero in the orientation."""

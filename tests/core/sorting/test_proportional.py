@@ -1,9 +1,12 @@
 """Unit tests for Algorithm 6 and the Lemma 9 guarantees."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.sorting.proportional import proportional_quotas
+from repro.core.sorting.proportional import proportional_quotas, proportional_runs
+
+from tests.reference_sorting import reference_proportional_quotas
 
 
 class TestBasics:
@@ -38,6 +41,59 @@ class TestBasics:
 HEAVY = st.lists(st.integers(0, 1000), min_size=1, max_size=12).filter(
     lambda sizes: sum(sizes) > 0
 )
+
+#: about 1 000 heavy nodes, a quarter of them empty
+MANY_HEAVY = st.integers(0, 2**16).map(
+    lambda seed: (
+        np.random.default_rng(seed).integers(0, 4, 1000)
+        * np.random.default_rng(seed + 1).integers(1, 10**6, 1000)
+    ).tolist()
+).filter(lambda sizes: sum(sizes) > 0)
+
+
+def reference_runs(heavy, light_sizes):
+    """Light node by light node, ``min(quota, elements left)`` per heavy
+    node from the one-node walk: the non-empty ``(light, heavy, count)``."""
+    runs = ([], [], [])
+    for row, size in enumerate(light_sizes):
+        if not size:
+            continue
+        offset = 0
+        for column, quota in enumerate(reference_proportional_quotas(heavy, size)):
+            sent = min(quota, size - offset)
+            offset += sent
+            if sent:
+                for part, value in zip(runs, (row, column, sent)):
+                    part.append(value)
+    return runs
+
+
+class TestOnePassAgainstTheWalk:
+    """All light nodes in one pass over the heavy nodes equal the scalar
+    walk per light node with ``==``: quotas and clipped runs."""
+
+    @given(
+        heavy=st.one_of(HEAVY, MANY_HEAVY),
+        light=st.lists(st.integers(0, 5000), max_size=8),
+    )
+    @example(heavy=[42], light=[17, 0, 1])
+    @example(heavy=[0, 10, 0, 3], light=[0, 13, 5])
+    @example(heavy=[5, 5], light=[0, 0])
+    @settings(max_examples=150, deadline=None)
+    def test_quotas_and_runs(self, heavy, light):
+        for size in light:
+            assert proportional_quotas(heavy, size) == reference_proportional_quotas(
+                heavy, size
+            )
+        runs = proportional_runs(heavy, np.asarray(light, dtype=np.int64))
+        assert tuple(part.tolist() for part in runs) == reference_runs(heavy, light)
+        assert runs[2].sum() == sum(light)
+
+    def test_no_light_data_needs_no_heavy_data(self):
+        runs = proportional_runs([0, 0], np.zeros(3, np.int64))
+        assert [part.tolist() for part in runs] == [[], [], []]
+        with pytest.raises(ValueError):
+            proportional_runs([0, 0], np.asarray([0, 4]))
 
 
 class TestLemma9:

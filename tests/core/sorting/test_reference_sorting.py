@@ -12,10 +12,10 @@ be ordered differently and are not compared.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
-from repro.core.sorting.terasort import cut_at_splitters, terasort
+from repro.core.sorting.terasort import interval_runs, select_splitters, terasort
 from repro.core.sorting.wts import weighted_terasort
 from repro.data.distribution import Distribution
 from repro.sim import cluster as cluster_module
@@ -23,6 +23,7 @@ from repro.topology.builders import two_level
 
 from tests.reference_delivery import run_on
 from tests.reference_sorting import (
+    reference_select_splitters,
     reference_terasort,
     reference_weighted_terasort,
 )
@@ -131,41 +132,115 @@ class TestAgainstTheSendLoopBodies:
         assert 0 < result.meta["num_samples"] < 40_000
 
 
-class TestCutAtSplitters:
+def _lookup_runs(fragments, splitters):
+    """``(fragment, interval, count)`` of every non-zero entry of the
+    per-element lookup's count matrix, row by row."""
+    counts = np.asarray(
+        [
+            np.bincount(
+                np.searchsorted(splitters, np.asarray(f, np.int64), side="right"),
+                minlength=len(splitters) + 1,
+            )
+            for f in fragments
+        ]
+    ).reshape(len(fragments), len(splitters) + 1)
+    rows, columns = np.nonzero(counts)
+    return rows.tolist(), columns.tolist(), counts[rows, columns].tolist()
+
+
+@st.composite
+def cut_instances(draw, cut_table):
+    """Fragments and sorted splitters sized so ``interval_runs`` takes
+    one search: the cut table (every fragment at least as long as the
+    intervals are many) or the per-element lookup (every fragment
+    shorter than that)."""
+    splitters = sorted(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5)))
+    width = len(splitters) + 1
+    lengths = (
+        st.integers(width, width + 10) if cut_table else st.integers(0, width - 1)
+    )
+    fragments = [
+        draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+        for size in draw(st.lists(lengths, min_size=1, max_size=6))
+    ]
+    return fragments, np.asarray(splitters, dtype=np.int64)
+
+
+class TestIntervalRuns:
     def test_an_element_equal_to_a_splitter_goes_right(self):
         values = np.asarray([5, 1, 3, 3, 9, 3, 0, 7])
-        counts = cut_at_splitters(
-            values, np.asarray([5, 0, 3]), np.asarray([3, 3, 7])
-        )
+        runs = interval_runs(values, np.asarray([5, 0, 3]), np.asarray([3, 3, 7]))
         # sorted in place, fragment by fragment
         assert values.tolist() == [1, 3, 3, 5, 9, 0, 3, 7]
-        # interval of x = #{splitters <= x}: 1 -> 0, the 3s and 5 -> 2, 9 -> 3
-        assert counts.tolist() == [[1, 0, 3, 1], [0, 0, 0, 0], [1, 0, 1, 1]]
+        # interval of x = #{splitters <= x}: 1 -> 0, the 3s and 5 -> 2, 9 -> 3;
+        # the empty fragment and the empty interval 1 have no run
+        assert [a.tolist() for a in runs] == [
+            [0, 0, 0, 2, 2, 2],
+            [0, 2, 3, 0, 2, 3],
+            [1, 3, 1, 1, 1, 1],
+        ]
 
     def test_no_splitters_is_one_interval(self):
-        counts = cut_at_splitters(
+        runs = interval_runs(
             np.asarray([2, 1, 4]), np.asarray([1, 2]), np.empty(0, np.int64)
         )
-        assert counts.tolist() == [[1], [2]]
+        assert [a.tolist() for a in runs] == [[0, 1], [0, 0], [1, 2]]
 
-    @given(
-        st.lists(st.lists(st.integers(-5, 5), max_size=12), min_size=1, max_size=5),
-        st.lists(st.integers(-6, 6), max_size=6),
-    )
+    @pytest.mark.parametrize("cut_table", [True, False])
+    @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_counts_are_the_per_element_lookup(self, fragments, splitters):
-        splitters = np.sort(np.asarray(splitters, dtype=np.int64))
+    def test_runs_are_the_nonzero_per_element_lookup(self, cut_table, data):
+        fragments, splitters = data.draw(cut_instances(cut_table))
+        lengths = np.asarray([len(f) for f in fragments])
         values = np.asarray(sum(fragments, []), dtype=np.int64)
-        counts = cut_at_splitters(
-            values, np.asarray([len(f) for f in fragments]), splitters
+        assert (len(values) >= len(lengths) * (len(splitters) + 1)) == cut_table
+        runs = interval_runs(values, lengths, splitters)
+        assert [a.tolist() for a in runs] == list(
+            _lookup_runs(fragments, splitters)
         )
-        for fragment, row in zip(fragments, counts):
-            intervals = np.searchsorted(
-                splitters, np.asarray(fragment, dtype=np.int64), side="right"
-            )
-            assert row.tolist() == np.bincount(
-                intervals, minlength=len(splitters) + 1
-            ).tolist()
+        assert values.tolist() == sum(map(sorted, fragments), [])
+
+
+class TestSelectSplitters:
+    @given(
+        samples=st.lists(st.integers(-50, 50), max_size=60),
+        counts=st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any),
+    )
+    @example(samples=list(range(10)), counts=[5, 5, 5])
+    @example(samples=[3], counts=[0, 2, 0])
+    @settings(max_examples=150, deadline=None)
+    def test_one_gather_is_the_loop(self, samples, counts):
+        samples = np.sort(np.asarray(samples, dtype=np.int64))
+        ours = select_splitters(samples, counts)
+        theirs = reference_select_splitters(samples, counts)
+        assert ours.dtype == theirs.dtype == np.int64
+        assert ours.tolist() == theirs.tolist()
+
+
+class TestEveryElementSampled:
+    """At a sample rate clamped to one, the sample is every element and
+    no node builds an RNG: 200 rows on 144 leaves, a serve-sized sort."""
+
+    @pytest.mark.parametrize("protocol", [weighted_terasort, terasort])
+    def test_no_rng_at_rate_one(self, monkeypatch, protocol):
+        tree = two_level([12] * 12, leaf_bandwidth=2, uplink_bandwidth=4)
+        distribution = repro.random_distribution(
+            tree, r_size=200, s_size=0, policy="zipf", seed=3
+        )
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("an RNG was built at sample rate 1")
+
+        # after the data is drawn: the sort itself builds no generator
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        if protocol is weighted_terasort:
+            result = protocol(tree, distribution, seed=1, gather_shortcut=False)
+            heavy_total = sum(result.meta["m_sizes"].values())
+        else:
+            result = protocol(tree, distribution, seed=1)
+            heavy_total = 200  # every node samples
+        assert result.meta["rho"] == 1.0
+        assert result.meta["num_samples"] == heavy_total == 200
 
 
 class TestOneRecordPerRound:

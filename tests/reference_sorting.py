@@ -6,18 +6,29 @@ round as one run record (``RoundContext.exchange_runs``).  These are the
 bodies the two protocols had before that, moved here verbatim: every
 unsorted element is looked up in the splitters, a light node issues one
 ``send`` per heavy node it feeds, a sampler one ``send`` to the
-coordinator.  ``tests/core/test_sorting_reference.py`` requires equal
-outputs, per-round edge loads, received counts, splitters and sample
-counts; the bytes at the intermediate tags ``sort.final`` / ``sort.moved``
-may differ in order (fragments now travel sorted) and are not compared.
+coordinator.  ``tests/core/sorting/test_reference_sorting.py`` requires
+equal outputs, per-round edge loads, received counts, splitters and
+sample counts; the bytes at the intermediate tags ``sort.final`` /
+``sort.moved`` may differ in order (fragments now travel sorted) and are
+not compared.
+
+``reference_proportional_quotas`` (Algorithm 6 one light node at a time)
+and ``reference_select_splitters`` (one splitter at a time) are the
+scalar loops production ran before its quotas took one pass over the
+heavy nodes for all light nodes
+(:func:`repro.core.sorting.proportional.proportional_runs`) and its
+splitters one gather; ``tests/core/sorting/test_proportional.py`` and
+``test_reference_sorting.py`` require their results with ``==``.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
-from repro.core.sorting.proportional import proportional_quotas
-from repro.core.sorting.terasort import sample_probability, select_splitters
+from repro.core.sorting.terasort import sample_probability
 from repro.core.sorting.wts import heavy_threshold
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
@@ -32,6 +43,65 @@ _MOVED = "sort.moved"
 _SAMPLES = "sort.samples"
 _SPLITTERS = "sort.splitters"
 _FINAL = "sort.final"
+
+
+def reference_proportional_quotas(
+    heavy_sizes: Sequence[int], light_size: int
+) -> list[int]:
+    """Quotas ``N_u^i``: how many of ``light_size`` elements go to each heavy node.
+
+    ``heavy_sizes`` are the ``N_{v_1}..N_{v_k}`` in traversal order; the
+    result has the Lemma 9 prefix/range guarantees.  Quotas are upper
+    bounds: callers send ``min(quota, elements remaining)`` so the total
+    shipped is exactly ``light_size`` (property (3) guarantees the quotas
+    suffice).
+    """
+    if light_size < 0:
+        raise ValueError(f"light_size must be non-negative, got {light_size}")
+    if any(size < 0 for size in heavy_sizes):
+        raise ValueError("heavy sizes must be non-negative")
+    total = sum(heavy_sizes)
+    if total <= 0:
+        raise ValueError("at least one heavy node must hold data")
+    quotas: list[int] = []
+    credit = 0.0
+    for size in heavy_sizes:
+        ideal = size / total * light_size
+        fractional = ideal - math.floor(ideal)
+        if credit >= fractional:
+            quotas.append(math.floor(ideal))
+            credit -= fractional
+        else:
+            quotas.append(math.floor(ideal) + 1)
+            credit += 1.0 - fractional
+    return quotas
+
+
+def reference_select_splitters(
+    sorted_samples: np.ndarray, counts: list[int]
+) -> np.ndarray:
+    """Splitters from sorted samples: one every ``ceil(s / |V_C|)`` samples.
+
+    ``counts[j]`` is how many sample-intervals node ``j`` is responsible
+    for (all ones for classic TeraSort; ``c_j = ceil(|V_C| M_j / N)`` for
+    the weighted variant).  Returns the ``len(counts) - 1`` internal
+    splitters; out-of-range sample indices clamp to the largest sample,
+    making the trailing intervals empty rather than failing.
+    """
+    num_targets = sum(counts)
+    if num_targets <= 0:
+        raise ProtocolError("splitter selection needs at least one interval")
+    s = len(sorted_samples)
+    if s == 0:
+        return np.empty(0, np.int64)
+    step = math.ceil(s / max(1, num_targets))
+    splitters = []
+    cumulative = 0
+    for count in counts[:-1]:
+        cumulative += count
+        index = min(cumulative * step, s) - 1
+        splitters.append(sorted_samples[max(0, index)])
+    return np.asarray(splitters, dtype=np.int64)
 
 
 def reference_weighted_terasort(
@@ -100,7 +170,7 @@ def reference_weighted_terasort(
             local = cluster.take(node, tag)
             if not len(local):
                 continue
-            quotas = proportional_quotas(heavy_sizes, len(local))
+            quotas = reference_proportional_quotas(heavy_sizes, len(local))
             offset = 0
             for target, quota in zip(heavy, quotas):
                 if offset >= len(local):
@@ -139,7 +209,7 @@ def reference_weighted_terasort(
         ]
     else:
         counts = [1] * len(heavy)
-    splitters = select_splitters(samples, counts)
+    splitters = reference_select_splitters(samples, counts)
 
     # Round 3: broadcast the splitters to the other heavy nodes.
     with cluster.round() as ctx:
@@ -227,7 +297,7 @@ def reference_terasort(
                 ctx.send(node, coordinator, local[mask], tag=_SAMPLES)
 
     samples = np.sort(cluster.take(coordinator, _SAMPLES))
-    splitters = select_splitters(samples, [1] * len(order))
+    splitters = reference_select_splitters(samples, [1] * len(order))
 
     with cluster.round() as ctx:  # round 2: broadcast splitters
         if len(splitters) and len(order) > 1:

@@ -1,6 +1,7 @@
 """Unit tests for the G-dagger orientation (Lemma 4) and its covers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
@@ -10,7 +11,9 @@ from repro.topology.dagger import (
     minimal_covers,
     optimal_cover,
 )
-from repro.topology.tree import TreeTopology
+from repro.topology.tree import TreeTopology, node_sort_key
+
+from tests.strategies import node_sizes, tree_topologies
 
 
 class TestOrientation:
@@ -78,6 +81,22 @@ class TestOrientation:
         )
         for leaf in dagger.dagger_leaves():
             assert not dagger.children(leaf)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_children_are_the_parent_scan(self, data):
+        """The child lists built once equal a scan of every parent
+        pointer, in ``node_sort_key`` order, and come back as copies."""
+        tree = data.draw(tree_topologies(min_nodes=2, max_nodes=12))
+        dagger = build_dagger(tree, data.draw(node_sizes(tree)))
+        for node in tree.nodes:
+            scan = sorted(
+                (v for v, p in dagger.parent.items() if p == node),
+                key=node_sort_key,
+            )
+            assert dagger.children(node) == scan
+        dagger.children(dagger.root).append("stray")
+        assert "stray" not in dagger.children(dagger.root)
 
     def test_subtree_nodes(self):
         tree = two_level([2, 2])
