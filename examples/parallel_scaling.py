@@ -20,8 +20,6 @@ Run:  python examples/parallel_scaling.py
 
 from __future__ import annotations
 
-import numpy as np
-
 import repro
 from repro.engine import RunPlan, run_many
 from repro.parallel import ParallelCluster
@@ -48,15 +46,15 @@ def engine_parity() -> None:
 def raw_round_with_oracle() -> None:
     """One hand-rolled shuffle round, A/B-checked against the sim."""
     tree = repro.two_level([4, 4], leaf_bandwidth=2.0)
-    cluster = ParallelCluster(tree, num_workers=2, oracle=True)
-    computes = cluster.compute_order
+    dist = repro.random_distribution(tree, r_size=4000, s_size=0, seed=3)
+    cluster = ParallelCluster(tree, dist, num_workers=2, oracle=True)
+    # the loaded relation as one column: every element goes to the node
+    # its value names, all indices in compute order
+    owners, values = cluster.column("R")
     with cluster.round() as ctx:
-        for index, node in enumerate(computes):
-            values = np.arange(index * 500, (index + 1) * 500, dtype=np.int64)
-            ctx.exchange(
-                node, values % len(computes), values,
-                tag="shuffle", nodes=computes,
-            )
+        ctx.exchange_column(
+            owners, values % len(cluster.compute_order), values, tag="shuffle"
+        )
     cluster.verify_oracle()  # raises OracleMismatch on any divergence
     print(
         f"raw round on {tree.name}: cost={cluster.ledger.total_cost():.1f}, "

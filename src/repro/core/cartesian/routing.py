@@ -3,10 +3,10 @@
 Given the tile assignment, node ``v`` must receive the ``R`` elements
 whose labels fall in its tile's column range and the ``S`` elements in
 its row range.  Tiles stacked above each other share column ranges, so an
-``R`` element usually has several destinations; the sender issues one
-multicast per maximal label segment with a constant destination set, and
-the simulator's Steiner routing carries each element across each link
-once — the deduplication the Theorem 5 analysis counts.
+``R`` element usually has several destinations; each sender's slice of a
+maximal label segment with a constant destination set is one multicast
+group, and the simulator's Steiner routing carries each element across
+each link once — the deduplication the Theorem 5 analysis counts.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core.cartesian.packing import Tile
 from repro.errors import PackingError
 from repro.sim.cluster import Cluster, RoundContext
 from repro.topology.tree import NodeId
+from repro.util.grouping import concat_ranges, owner_bounds
 
 R_RECV = "cartesian.R.recv"
 S_RECV = "cartesian.S.recv"
@@ -69,21 +70,37 @@ def route_axis(
     source_tag: str,
     recv_tag: str,
 ) -> None:
-    """Multicast every element of one relation to the tiles needing it."""
+    """Multicast every element of one relation to the tiles needing it.
+
+    One registration: a group per ``(segment, owner)`` pair, in segment
+    then label order, carrying the owner's slice of the segment to the
+    segment's tiles.
+    """
     total = labeling.total(axis)
     if total == 0:
         return
+    position = cluster.artifacts.compute_position
+    owners, values = cluster.column(source_tag)
+    bounds = owner_bounds(owners, len(position))
+    sources, starts, lengths, members, fanouts = [], [], [], [], []
     for lo, hi, destinations in axis_segments(tiles, axis, total):
+        targets = sorted(map(position.__getitem__, destinations))
         for owner, local_lo, local_hi in labeling.owners_overlapping(
             axis, lo, hi
         ):
-            local = cluster.local(owner, source_tag)
-            ctx.multicast(
-                owner,
-                destinations,
-                local[local_lo:local_hi],
-                tag=recv_tag,
-            )
+            sources.append(position[owner])
+            starts.append(bounds[sources[-1]] + local_lo)
+            lengths.append(local_hi - local_lo)
+            members += targets
+            fanouts.append(len(targets))
+    lengths = np.array(lengths)
+    ctx.exchange_multicast_column(
+        sources,
+        np.repeat(np.arange(len(lengths)), lengths),
+        (np.array(members), np.cumsum([0, *fanouts])),
+        values[concat_ranges(np.array(starts), lengths)],
+        tag=recv_tag,
+    )
 
 
 def collect_outputs(

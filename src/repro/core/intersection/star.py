@@ -20,7 +20,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology, node_sort_key
-from repro.util.grouping import sorted_unique
+from repro.util.grouping import sorted_unique, unique_rows
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -86,31 +86,35 @@ def star_intersect(
     )
 
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
-    # One Steiner destination set per candidate owner: the hashed node
-    # plus every data-rich Vβ node (which all receive a full R copy).
-    destination_sets = [beta_set | {v} for v in computes]
+    # ``computes`` is the cluster's compute order, so the hasher's node
+    # indices are the round API's
+    in_beta = np.fromiter((v in beta_set for v in computes), bool, len(computes))
     with cluster.round() as ctx:
-        for v in computes:
-            r_local = cluster.local(v, small_tag)
-            if len(r_local) and hasher is not None:
-                ctx.exchange_multicast(
-                    v,
-                    hasher.assign_indices(r_local),
-                    destination_sets,
-                    r_local,
-                    tag=_R_RECV,
-                )
-            elif len(r_local) and beta_set:
-                ctx.multicast(v, beta_set, r_local, tag=_R_RECV)
-            if v not in beta_set and hasher is not None:
-                s_local = cluster.local(v, large_tag)
-                if len(s_local):
-                    ctx.exchange(
-                        v,
-                        hasher.assign_indices(s_local),
-                        s_local,
-                        tag=_S_RECV,
-                    )
+        # No hasher means every weight is zero: R is empty and every
+        # node is in Vβ, so nothing moves.
+        if hasher is not None:
+            # One group per (owner, hashed node) row; its Steiner
+            # destination set is the hashed node plus every data-rich Vβ
+            # node (which all receive a full R copy).
+            owners, small = cluster.column(small_tag)
+            groups, group_ids = unique_rows(
+                np.column_stack((owners, hasher.assign_indices(small)))
+            )
+            beta = np.flatnonzero(in_beta)
+            destinations = np.column_stack(
+                (np.broadcast_to(beta, (len(groups), len(beta))), groups[:, 1])
+            )
+            ctx.exchange_multicast_column(
+                groups[:, 0], group_ids, destinations, small, tag=_R_RECV
+            )
+            owners, large = cluster.column(large_tag)
+            alpha = ~in_beta[owners]
+            ctx.exchange_column(
+                owners[alpha],
+                hasher.assign_indices(large[alpha]),
+                large[alpha],
+                tag=_S_RECV,
+            )
 
     outputs: dict = {}
     for v in computes:

@@ -223,8 +223,7 @@ def _expected_deliveries(cluster, context) -> dict:
 
     Walks the raw unicast/multicast records one at a time,
     independently of the grouped finalizers whose deliveries it
-    audits.  Alias handling matches delivery semantics: two target
-    indices naming the same node accumulate on that node.
+    audits.
     """
     expected: dict[tuple, int] = {}
 
@@ -234,32 +233,27 @@ def _expected_deliveries(cluster, context) -> dict:
             expected[key] = expected.get(key, 0) + count
 
     order = cluster.compute_order
-    for _src, node_list, targets, counts, _payload, tag in (
-        context._unicast_stream
-    ):
-        nodes = order if node_list is None else node_list
+    for _sources, targets, counts, _payload, tag in context._unicast_stream:
         # a per-element record names one target per element, a run
         # record one per run of ``counts`` elements
-        arrivals = np.zeros(len(nodes), dtype=np.int64)
+        arrivals = np.zeros(len(order), dtype=np.int64)
         np.add.at(arrivals, targets, 1 if counts is None else counts)
         for position in np.flatnonzero(arrivals).tolist():
-            _add(nodes[position], tag, int(arrivals[position]))
-    for _src, members, offsets, group_ids, payload, tag in context._multicasts:
-        if offsets is None:  # node-named sets
-            counts = [len(payload)] if group_ids is None else np.bincount(
-                group_ids, minlength=len(members)
-            ).tolist()
-            for dsts, count in zip(members, counts):
-                for dst in dsts:
-                    _add(dst, tag, count)
-            continue
-        # index arrays: one delivery per distinct (group, member) pair
+            _add(order[position], tag, int(arrivals[position]))
+    for _origins, members, offsets, group_ids, payload, tag in (
+        context._multicasts
+    ):
+        # one delivery per distinct (group, member) pair
         groups = len(offsets) - 1
         pairs = sorted_unique(
             np.repeat(np.arange(groups), np.diff(offsets)) * len(order)
             + members
         )
-        counts = np.bincount(group_ids, minlength=groups)
+        counts = (
+            np.array([len(payload)])
+            if group_ids is None
+            else np.bincount(group_ids, minlength=groups)
+        )
         arrivals = np.zeros(len(order), dtype=np.int64)
         np.add.at(arrivals, pairs % len(order), counts[pairs // len(order)])
         for position in np.flatnonzero(arrivals).tolist():

@@ -14,8 +14,12 @@ How a round runs
 ----------------
 
 1.  The protocol registers transfers on the master exactly as on the
-    simulator (:meth:`RoundContext.exchange` and friends); nothing in
-    protocol code knows which substrate it is on.
+    simulator, through the round API's three calls
+    (:meth:`RoundContext.exchange_column`,
+    :meth:`~RoundContext.exchange_runs`,
+    :meth:`~RoundContext.exchange_multicast_column`) and their
+    ``send`` / ``multicast`` front-ends; nothing in protocol code knows
+    which substrate it is on.
 2.  At finalization the master resolves the unicast stream into the
     same per-tag ``(dst_ids, payload)`` columns the simulator builds
     (literally the same code,
@@ -340,7 +344,7 @@ class ParallelCluster(Cluster):
             self, _release_segments, pool.shm, self._retained_segments
         )
         # The oracle must exist before super().__init__ loads the
-        # distribution: ``load`` goes through ``put``, which mirrors.
+        # distribution: ``load`` mirrors it into the shadow.
         from repro.parallel.oracle import LedgerOracle
 
         self._oracle = (
@@ -386,6 +390,12 @@ class ParallelCluster(Cluster):
     # ------------------------------------------------------------------ #
     # storage mirroring (oracle)
     # ------------------------------------------------------------------ #
+
+    def load(self, distribution: Distribution) -> None:
+        super().load(distribution)
+        if self._oracle is not None:
+            with use_registry(NullRegistry()):
+                self._oracle.shadow.load(distribution)
 
     def put(self, node, tag: str, values) -> None:
         super().put(node, tag, values)

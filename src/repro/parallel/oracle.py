@@ -10,11 +10,11 @@ the simulator produces.  This module enforces that contract two ways:
 
 * :class:`LedgerOracle` — attached to a
   :class:`~repro.parallel.backend.ParallelCluster` built with
-  ``oracle=True``.  It maintains a *shadow* simulator cluster: ``put``
-  and ``take`` are mirrored as they happen, and after every parallel
-  round the recorded transfer streams are replayed through the
-  simulator's own finalizer on the shadow, then the round's per-edge
-  loads and cumulative received counts are compared exactly.
+  ``oracle=True``.  It maintains a *shadow* simulator cluster:
+  ``load``, ``put`` and ``take`` are mirrored as they happen, and after
+  every parallel round the recorded transfer streams are replayed
+  through the simulator's own finalizer on the shadow, then the round's
+  per-edge loads and cumulative received counts are compared exactly.
   :meth:`LedgerOracle.verify` additionally compares the full per-node,
   per-tag storage bytes and the ledger totals.
 * :func:`assert_clusters_identical` — compares two independently run

@@ -15,26 +15,25 @@ Protocols interact with storage under string *tags* (relation names, or
 scratch tags like ``"R.recv"``), which is how a receiver distinguishes
 arrivals from pre-existing local data.
 
-The hot paths are :meth:`RoundContext.exchange` and
-:meth:`RoundContext.exchange_multicast`: a hashed shuffle (or a
-replicating protocol) hands over its full values array plus a parallel
-per-element index array — target node indices for unicasts, destination
--set indices for multicasts — the context groups the whole round with
-one stable argsort per tag (no per-destination boolean masks, no
-per-group Python loops), and round finalization delivers and charges
-all grouped transfers in bulk.  ``send``/``multicast``/``scatter``
-remain as thin wrappers over the same machinery, so protocols written
-against the per-transfer API keep working and keep producing identical
-ledgers.  Hash-routed protocols go one step further and register a whole
-relation at once (:meth:`Cluster.column`,
-:meth:`RoundContext.exchange_column`,
-:meth:`RoundContext.exchange_multicast_column`): the same two streams,
-with index arrays where the per-node calls carry one source node and
-named destination sets.  Traffic that is already grouped by
-``(source, destination)`` — a sorted fragment cut at the splitters, a
-light node's proportional scatter — registers as *runs*
-(:meth:`RoundContext.exchange_runs`): one ``(source, target, count)``
-triple per stretch of the payload instead of one target per element.
+A round is registered through three calls, every node named by its
+index in :attr:`Cluster.compute_order`, so no end of a transfer can be
+a router:
+
+* :meth:`RoundContext.exchange_column` — a whole relation
+  (:meth:`Cluster.column`), one source and one target per element;
+* :meth:`RoundContext.exchange_runs` — traffic already grouped by
+  ``(source, destination)``, such as a sorted fragment cut at the
+  splitters: one ``(source, target, count)`` triple per stretch of the
+  payload;
+* :meth:`RoundContext.exchange_multicast_column` — replication: groups
+  of ``(source, destination set)``, one group id per element.
+
+:meth:`RoundContext.send` and :meth:`RoundContext.multicast` are their
+node-named front-ends for one run and one group.  Each call appends one
+record to one of two streams, unicast and multicast, and each stream
+has one record shape.  Finalization groups the whole round with one
+stable argsort per tag (no per-destination masks, no per-group Python
+loops) and delivers and charges every grouped transfer in bulk.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import threading
 from contextlib import contextmanager
 from itertools import accumulate, repeat
 from time import perf_counter
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,14 +173,16 @@ def _concatenated(parts: Sequence) -> np.ndarray:
 
 def _pair_counts(keys: list, run_keys: list, run_counts: list, size: int) -> tuple:
     """``(src, dst, count)`` arrays ascending by pair, no zero count, from
-    flat ``src * size + dst`` keys of one element each and of one
-    non-empty run each.  One integer ``bincount`` when the ``size²`` bins
+    flat ``src * size + dst`` keys of one element each and of one run
+    each.  One integer ``bincount`` when the ``size²`` bins
     are at most four per key, else one sort: memory follows the round's
     traffic, never the square of the node count."""
     keys = np.concatenate(keys) if keys else np.empty(0, np.intp)
     runs = counts = keys[:0]
     if run_keys:
         runs, counts = np.hstack(run_keys), np.hstack(run_counts)
+        live = counts > 0  # an empty run is no pair
+        runs, counts = runs[live], counts[live]
     if size * size <= 4 * (len(keys) + len(runs)):
         dense = np.bincount(keys, minlength=size * size)
         np.add.at(dense, runs, counts)
@@ -204,44 +205,26 @@ class RoundContext:
 
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
-        # the multicast stream, in registration order: (source, members,
-        # offsets, per-element group ids, payload, tag).  A group is a
-        # (source, destination set) pair, and index arrays are the form
-        # it takes: exchange_multicast_column() records hold each
-        # group's compute-order source index and the sets as one CSR
-        # (members, offsets) pair of compute-order indices.  The
-        # node-named front-ends record (source node, tuple of
-        # frozensets, None, ...) — multicast() with ids None for "one
-        # group, everything to sets[0]" — and finalization converts
-        # each distinct tuple once per round.  Grouping is deferred to
-        # finalization like the unicast stream's, so the round's
-        # replicated traffic is grouped with one pass per tag and
-        # charged with one vectorized Steiner-flow call.
+        # the multicast stream, in registration order: (origins, members,
+        # offsets, group ids or None, payload, tag), nodes as compute-
+        # order indices.  Group g goes from origins[g] to the set
+        # members[offsets[g]:offsets[g + 1]] and element i belongs to
+        # group ids[i]; ids None is multicast()'s one group, every
+        # element to group 0.  Grouping is deferred to finalization like
+        # the unicast stream's, so the round's replicated traffic is
+        # grouped with one pass per tag and charged with one vectorized
+        # Steiner-flow call.
         self._multicasts: list[tuple] = []
-        # the unicast stream, in registration order: (src, node list or
-        # None for the canonical compute order, targets, counts or None,
-        # payload, tag).  Two record shapes.  Per element (counts None):
-        # targets index the node list once per element; exchange()
-        # records carry their source node, exchange_column() records an
-        # array, the compute-order index of each *element's* source.
-        # Runs (counts given): the payload is laid end to end, run i
-        # being counts[i] elements from compute node src[i] to compute
-        # node targets[i]; exchange_runs() records hold three arrays,
-        # send() records three ints.  Grouping is deferred to
-        # finalization so the whole round is grouped with one pass, and
-        # registration order is what keeps storage byte-identical to
-        # one send per destination even when sends and exchanges mix on
-        # one (dst, tag).
-        self._unicast_stream: list[
-            tuple[
-                NodeId | np.ndarray | int,
-                Sequence[NodeId] | None,
-                np.ndarray | int,
-                np.ndarray | int | None,
-                np.ndarray,
-                str,
-            ]
-        ] = []
+        # the unicast stream, in registration order: (sources, targets,
+        # counts or None, payload, tag), nodes as compute-order indices.
+        # counts None: element i goes from sources[i] to targets[i].
+        # Runs: the payload laid end to end, run i being counts[i]
+        # elements from sources[i] to targets[i] (send() records its one
+        # run as three ints).  Grouping is deferred to finalization so
+        # the whole round is grouped with one pass, and registration
+        # order is what keeps storage byte-identical to one send per run
+        # even when calls mix on one (dst, tag).
+        self._unicast_stream: list[tuple] = []
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -271,12 +254,6 @@ class RoundContext:
                 f"destination {dst!r} is a router; only compute nodes "
                 "can store data"
             )
-
-    def _check_destinations(self, dsts: frozenset) -> None:
-        """One subset test; the per-node walk only names the offender."""
-        if not dsts <= self._cluster.tree.compute_nodes:
-            for node in dsts:
-                self._check_destination(node)
 
     @staticmethod
     def _as_payload(values) -> np.ndarray:
@@ -344,7 +321,7 @@ class RoundContext:
         if len(payload) == 0:
             return
         self._unicast_stream.append(
-            (source, None, target, len(payload), payload, str(tag))
+            (source, target, len(payload), payload, str(tag))
         )
 
     def multicast(
@@ -355,96 +332,49 @@ class RoundContext:
         Routing is deduplicated: each link on the Steiner tree of
         ``{src} | dsts`` carries the payload once, which is the routing
         the paper's upper-bound analyses assume for replicated tuples.
+        The one-group form of :meth:`exchange_multicast_column`, with
+        node names.
         """
         self._check_open()
         payload = self._as_payload(values)
-        destination_set = frozenset(dsts)
+        destination_set = set(dsts)
         if not destination_set:
             raise ProtocolError("multicast needs at least one destination")
-        self._check_source(src)
-        self._check_destinations(destination_set)
+        position = self._cluster.artifacts.compute_position
+        source = position.get(src)
+        if source is None:
+            self._check_source(src)
+        if not destination_set <= position.keys():
+            # one subset test; the per-node walk only names the offender
+            for node in destination_set:
+                self._check_destination(node)
         if len(payload) == 0:
             return
+        # sorted: nothing downstream may depend on set iteration order
+        members = sorted(map(position.__getitem__, destination_set))
         self._multicasts.append(
-            (src, (destination_set,), None, None, payload, str(tag))
-        )
-
-    def scatter(
-        self,
-        src: NodeId,
-        assignments: Iterable[tuple[NodeId, Sequence[int] | np.ndarray]],
-        *,
-        tag: str,
-    ) -> None:
-        """Unicast a different payload to each destination (convenience)."""
-        for dst, values in assignments:
-            self.send(src, dst, values, tag=tag)
-
-    def exchange(
-        self,
-        src: NodeId,
-        targets,
-        values,
-        *,
-        tag: str,
-        nodes: Sequence[NodeId] | None = None,
-    ) -> None:
-        """Scatter ``values`` from ``src``, element ``i`` to node
-        ``nodes[targets[i]]``.
-
-        The batched equivalent of one :meth:`send` per distinct target:
-        ``targets`` is a parallel integer array indexing into ``nodes``
-        (default: the cluster's canonical compute order, the
-        ``sorted(tree.compute_nodes, key=node_sort_key)`` list every
-        hash-based protocol already uses).  Grouping happens with one
-        stable argsort over the whole round instead of one boolean-mask
-        scan per destination, and delivery/accounting are byte-identical
-        to that send loop — within each destination group the original
-        element order is preserved.
-        """
-        self._check_open()
-        payload = self._as_payload(values)
-        target_indices = self._as_indices(targets, "targets")
-        if len(target_indices) != len(payload):
-            raise ProtocolError(
-                f"{len(payload)} values but {len(target_indices)} targets; "
-                "exchange needs one target index per element"
+            (
+                np.array([source]),
+                np.array(members),
+                np.array([0, len(members)]),
+                None,
+                payload,
+                str(tag),
             )
-        # an explicit list is copied once, as a tuple: finalization
-        # resolves each distinct list once per round, keyed by content
-        node_list = None if nodes is None else tuple(nodes)
-        candidates = (
-            self._cluster.compute_order if node_list is None else node_list
-        )
-        self._check_source(src)
-        self._check_index_span(
-            target_indices, len(candidates), "target indices", "candidate nodes"
-        )
-        if len(payload) == 0:
-            return
-        if node_list is not None:
-            # The canonical compute order needs no checking; an explicit
-            # node list is validated on the destinations actually used.
-            used = np.flatnonzero(
-                np.bincount(target_indices, minlength=len(node_list))
-            )
-            for index in used.tolist():
-                self._check_destination(node_list[index])
-        self._unicast_stream.append(
-            (src, node_list, target_indices, None, payload, str(tag))
         )
 
     def exchange_column(self, sources, targets, values, *, tag: str) -> None:
         """Scatter a whole relation: element ``i`` travels from compute
         node ``compute_order[sources[i]]`` to ``compute_order[targets[i]]``.
 
-        The relation-at-a-time form of one :meth:`exchange` per run of
-        equal ``sources`` (``sources`` is what :meth:`Cluster.column`
-        returns as ``owners``): one registration and one stream record
-        for the relation instead of one per node, delivered and charged
-        byte-identically — per ``(dst, tag)`` the column's element order
-        is preserved.  Both index arrays address the canonical compute
-        order, so neither end of a transfer can be a router.
+        ``sources`` is what :meth:`Cluster.column` returns as
+        ``owners``: one registration and one stream record for the
+        relation instead of one per node.  Equivalent to one
+        :meth:`send` per run of equal ``sources`` and distinct target,
+        and delivered and charged byte-identically — per ``(dst, tag)``
+        the column's element order is preserved.  Both index arrays
+        address the canonical compute order, so neither end of a
+        transfer can be a router.
         """
         self._check_open()
         payload = self._as_payload(values)
@@ -466,7 +396,7 @@ class RoundContext:
         if len(payload) == 0:
             return
         self._unicast_stream.append(
-            (source_indices, None, target_indices, None, payload, str(tag))
+            (source_indices, target_indices, None, payload, str(tag))
         )
 
     def exchange_runs(
@@ -518,56 +448,12 @@ class RoundContext:
         self._unicast_stream.append(
             (
                 source_indices,
-                None,
                 target_indices,
                 run_lengths.astype(np.intp, copy=False),
                 payload,
                 str(tag),
             )
         )
-
-    def exchange_multicast(
-        self,
-        src: NodeId,
-        group_ids,
-        destination_sets: Sequence[Iterable[NodeId]],
-        values,
-        *,
-        tag: str,
-    ) -> None:
-        """Replicate ``values`` from ``src``, element ``i`` to every
-        node in ``destination_sets[group_ids[i]]``.
-
-        The batched equivalent of one :meth:`multicast` per distinct
-        group id: ``group_ids`` is a parallel integer array indexing
-        into ``destination_sets``, the per-round Steiner destination
-        sets a replicating protocol computed (one per hashed owner in
-        StarIntersect, one per subscriber subset in the components
-        return leg).  Grouping is deferred to round finalization — one
-        stable argsort per tag over the round's whole multicast stream
-        — and the Steiner-tree edges of all groups are charged with a
-        single vectorized :meth:`RoutingIndex.multicast_loads
-        <repro.topology.steiner.RoutingIndex.multicast_loads>` call.
-        Delivery and accounting are byte-identical to the equivalent
-        per-group multicast loop; only destination sets actually
-        referenced by a group id are validated.
-        """
-        self._check_open()
-        self._check_source(src)
-        payload, ids = self._as_grouped_payload(values, group_ids)
-        sets = tuple(
-            dsts if isinstance(dsts, frozenset) else frozenset(dsts)
-            for dsts in destination_sets
-        )
-        self._check_index_span(ids, len(sets), "group ids", "destination sets")
-        if len(payload) == 0:
-            return
-        used = np.flatnonzero(np.bincount(ids, minlength=len(sets)))
-        for index in used.tolist():
-            if not sets[index]:
-                raise ProtocolError("multicast needs at least one destination")
-            self._check_destinations(sets[index])
-        self._multicasts.append((src, sets, None, ids, payload, str(tag)))
 
     def exchange_multicast_column(
         self, group_sources, group_ids, destinations, values, *, tag: str
@@ -576,10 +462,10 @@ class RoundContext:
         node ``compute_order[group_sources[group_ids[i]]]`` to every
         node of destination set ``group_ids[i]``.
 
-        The relation-at-a-time form of :meth:`exchange_multicast`: a
-        group is a (source, destination set) pair, so one registration
+        A group is a (source, destination set) pair, so one registration
         carries every node's replicated elements (one group per distinct
-        block-target row in TreeIntersect).  ``destinations`` holds the
+        block-target row in TreeIntersect, one per segment and owner in
+        the cartesian tile routing).  ``destinations`` holds the
         sets as compute-order indices, which cannot name a router: an
         integer ``(groups, k)`` matrix, one set per row, or a CSR
         ``(members, offsets)`` tuple, set ``g`` being
@@ -590,7 +476,13 @@ class RoundContext:
         group id names needs at least one destination.
         """
         self._check_open()
-        payload, ids = self._as_grouped_payload(values, group_ids)
+        payload = self._as_payload(values)
+        ids = self._as_indices(group_ids, "group ids")
+        if len(ids) != len(payload):
+            raise ProtocolError(
+                f"{len(payload)} values but {len(ids)} group ids; "
+                "exchange_multicast_column needs one group id per element"
+            )
         origins = self._as_indices(group_sources, "group sources")
         if isinstance(destinations, tuple) and len(destinations) == 2:
             members = self._as_indices(destinations[0], "destination members")
@@ -635,17 +527,6 @@ class RoundContext:
         self._multicasts.append(
             (origins, members, offsets, ids, payload, str(tag))
         )
-
-    def _as_grouped_payload(self, values, group_ids):
-        """A batched multicast's payload and its parallel group ids."""
-        payload = self._as_payload(values)
-        ids = self._as_indices(group_ids, "group ids")
-        if len(ids) != len(payload):
-            raise ProtocolError(
-                f"{len(payload)} values but {len(ids)} group ids; "
-                "a batched multicast needs one group id per element"
-            )
-        return payload, ids
 
     # ------------------------------------------------------------------ #
     # finalization
@@ -751,43 +632,22 @@ class RoundContext:
         between the two substrates starts with collecting identical
         columns.
         """
-        cluster = self._cluster
-        routing = cluster.oracle.routing_index
-        index_of = routing.index_of
+        routing = self._cluster.oracle.routing_index
         size = routing.num_nodes
-        lookup_dtype = index_dtype(size)
-        compute_lookup = routing.compute_idx.astype(lookup_dtype)
-        # explicit node list -> routing-index lookup, resolved once per
-        # distinct list (a protocol passes the same list from every node)
-        lookups: dict[tuple | None, np.ndarray] = {None: compute_lookup}
+        compute_lookup = routing.compute_idx.astype(index_dtype(size))
         by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         # flat ``src * size + dst`` keys: one per element, or one per run
         # beside its count
         keys, run_keys, run_counts = [], [], []
-        for src, node_list, targets, counts, payload, tag in (
-            self._unicast_stream
-        ):
-            if counts is not None:  # runs: the non-empty ones are pair counts
-                run_dst = compute_lookup[targets]
-                dst_ids = np.repeat(run_dst, counts)
-                if isinstance(counts, np.ndarray):  # exchange_runs()
-                    live = counts > 0
-                    src, run_dst, counts = src[live], run_dst[live], counts[live]
-                run_keys.append(routing.compute_idx[src] * size + run_dst)
-                run_counts.append(counts)
+        for sources, targets, counts, payload, tag in self._unicast_stream:
+            dst_ids = compute_lookup[targets]
+            flat = routing.compute_idx[sources] * size + dst_ids
+            if counts is None:
+                keys.append(flat)
             else:
-                lookup = lookups.get(node_list)
-                if lookup is None:
-                    lookup = lookups[node_list] = np.fromiter(
-                        map(index_of.__getitem__, node_list),
-                        lookup_dtype,
-                        len(node_list),
-                    )
-                dst_ids = lookup[targets]
-                if isinstance(src, np.ndarray):  # exchange_column()
-                    keys.append(routing.compute_idx[src] * size + dst_ids)
-                else:
-                    keys.append(np.intp(index_of[src] * size) + dst_ids)
+                run_keys.append(flat)
+                run_counts.append(counts)
+                dst_ids = np.repeat(dst_ids, counts)
             by_tag.setdefault(tag, []).append((dst_ids, payload))
         return routing, by_tag, _pair_counts(keys, run_keys, run_counts, size)
 
@@ -808,30 +668,14 @@ class RoundContext:
         Per tag and in registration order: ``(group ids, payload,
         sources, members, fanouts)``, the last three naming routing
         indices — every group's source, the groups' destination members
-        laid end to end, and how many each group has.  A named record's
-        sets are converted once per distinct tuple.
+        laid end to end, and how many each group has.
         """
-        index_of = routing.index_of
         lookup = routing.compute_idx
-        named: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         by_tag: dict[str, list[tuple]] = {}
-        for src, members, offsets, ids, payload, tag in self._multicasts:
-            if offsets is None:
-                sets = named.get(members)
-                if sets is None:
-                    # -1 for an unknown node: validation covered every
-                    # set a group id names, and no other is gathered
-                    sets = named[members] = (
-                        np.fromiter(
-                            (index_of.get(n, -1) for s in members for n in s),
-                            np.intp,
-                        ),
-                        np.fromiter(map(len, members), np.intp, len(members)),
-                    )
-                table = ((index_of[src],) * len(members), *sets)
-            else:
-                table = (lookup[src], lookup[members], np.diff(offsets))
-            by_tag.setdefault(tag, []).append((ids, payload, *table))
+        for origins, members, offsets, ids, payload, tag in self._multicasts:
+            by_tag.setdefault(tag, []).append(
+                (ids, payload, lookup[origins], lookup[members], np.diff(offsets))
+            )
         return by_tag
 
     def _deliver_multicasts(self, phases: dict | None = None) -> None:
@@ -1059,9 +903,8 @@ class Cluster:
     def compute_order(self) -> tuple:
         """The compute nodes in canonical order (artifact-shared).
 
-        This is the node list hash-based protocols index into, so
-        :meth:`RoundContext.exchange` uses it as the default target
-        universe.
+        Every node index the round API takes — sources, targets, group
+        sources, destination members — is a position in this tuple.
         """
         return self._artifacts.compute_order
 

@@ -3,7 +3,7 @@
 Production sorts each fragment first, searches the splitters in it and
 registers every round as one run record; ``tests/reference_sorting.py``
 holds the bodies that looked every unsorted element up in the splitters
-and issued one ``send`` / ``exchange`` per node.  Element ``x`` lands in
+and issued one ``send`` / ``exchange_column`` per node.  Element ``x`` lands in
 interval ``#{splitters <= x}`` either way, so everything the model sees
 must be equal: outputs, every round's per-edge loads, received counts,
 the splitters and the sample count.  Bytes at the intermediate tags may

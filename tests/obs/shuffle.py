@@ -5,8 +5,7 @@ drives (and times) only the round itself::
 
     tree = rack_tree(4)
     with cluster.round() as ctx:
-        for node, targets, payload in prepare_uniform_hash(tree, 2_000, 7):
-            ctx.exchange(node, targets, payload, tag="recv")
+        ctx.exchange_column(*prepare_uniform_hash(tree, 2_000, 7), tag="recv")
 """
 
 from repro.data.generators import random_distribution
@@ -29,8 +28,9 @@ def rack_tree(racks: int) -> TreeTopology:
 
 def prepare_uniform_hash(
     tree: TreeTopology, num_elements: int, seed: int
-) -> list:
-    """``(node, target indices, local elements)`` per non-empty node."""
+) -> tuple:
+    """``(sources, targets, values)``: a relation's column and each
+    element's hashed target, as compute-order indices."""
     distribution = random_distribution(
         tree,
         r_size=num_elements,
@@ -43,9 +43,5 @@ def prepare_uniform_hash(
     hasher = WeightedNodeHasher(
         computes, [1.0] * len(computes), derive_seed(seed, "bench-speed")
     )
-    prepared = []
-    for node in computes:
-        local = cluster.local(node, "R")
-        if len(local):
-            prepared.append((node, hasher.assign_indices(local), local))
-    return prepared
+    owners, values = cluster.column("R")
+    return owners, hasher.assign_indices(values), values

@@ -34,8 +34,7 @@ def _audited_round(tree_size=2, elements=2_000):
     cluster = Cluster(tree)
     with auditing() as auditor:
         with cluster.round() as ctx:
-            for node, targets, payload in prepared:
-                ctx.exchange(node, targets, payload, tag="recv")
+            ctx.exchange_column(*prepared, tag="recv")
     return auditor, cluster, ctx
 
 
@@ -224,8 +223,8 @@ class TestExpectedDeliveries:
         leaves = [n for n in cluster.compute_order]
         with auditing() as auditor:
             with cluster.round() as ctx:
-                ctx.exchange(
-                    leaves[0],
+                ctx.exchange_column(
+                    np.array([0, 0, 0]),
                     np.array([1, 1, 2]),
                     np.array([10, 20, 30], dtype=np.int64),
                     tag="uni",

@@ -22,8 +22,7 @@ def _round_seconds(tree, prepared) -> float:
     cluster = Cluster(tree)
     start = perf_counter()
     with cluster.round() as ctx:
-        for node, targets, payload in prepared:
-            ctx.exchange(node, targets, payload, tag="recv")
+        ctx.exchange_column(*prepared, tag="recv")
     return perf_counter() - start
 
 

@@ -70,8 +70,7 @@ def _exchange_snapshot(tree, prepared, make_cluster, *, rounds=1) -> dict:
         cluster = make_cluster()
         for _ in range(rounds):
             with cluster.round() as ctx:
-                for node, targets, payload in prepared:
-                    ctx.exchange(node, targets, payload, tag="recv")
+                ctx.exchange_column(*prepared, tag="recv")
         if rounds > 1:
             # Reading a multi-round column compacts it lazily; both
             # backends must count those compactions identically.
@@ -182,8 +181,7 @@ class TestMergeIdentity:
         pool = get_pool(2, seed=7)
         cluster = ParallelCluster(tree, pool=pool, oracle=True)
         with cluster.round() as ctx:
-            for node, targets, payload in prepared:
-                ctx.exchange(node, targets, payload, tag="recv")
+            ctx.exchange_column(*prepared, tag="recv")
         cluster.close()
         assert not get_registry().enabled
         assert get_registry().snapshot() == {

@@ -38,8 +38,7 @@ def _run_traced(tree, prepared, cluster_factory):
     with tracing() as tracer:
         cluster = cluster_factory()
         with cluster.round() as ctx:
-            for node, targets, payload in prepared:
-                ctx.exchange(node, targets, payload, tag="recv")
+            ctx.exchange_column(*prepared, tag="recv")
         if isinstance(cluster, ParallelCluster):
             cluster.close()
     return tracer
@@ -97,8 +96,7 @@ class TestProcessTraceIdentity:
         pool = get_pool(2, seed=7)
         cluster = ParallelCluster(tree, pool=pool, oracle=True)
         with cluster.round() as ctx:
-            for node, targets, payload in prepared:
-                ctx.exchange(node, targets, payload, tag="recv")
+            ctx.exchange_column(*prepared, tag="recv")
         cluster.close()
         assert get_tracer().events == ()
 

@@ -98,15 +98,19 @@ class TestByteIdentity:
         for node in computes:
             cluster.put(node, "data", rng.integers(0, 10_000, size=300))
         with cluster.round() as ctx:
-            for node in computes:
+            for index, node in enumerate(computes):
                 values = cluster.take(node, "data")
-                targets = values % len(computes)
-                ctx.exchange(node, targets, values, tag="shuf", nodes=computes)
+                ctx.exchange_column(
+                    np.full(len(values), index),
+                    values % len(computes),
+                    values,
+                    tag="shuf",
+                )
         with cluster.round() as ctx:
-            ctx.exchange_multicast(
-                computes[0],
+            ctx.exchange_multicast_column(
+                [0, 0],
                 [0, 0, 1],
-                [computes[1:4], computes[4:6]],
+                ([1, 2, 3, 4, 5], [0, 3, 5]),
                 np.arange(3, dtype=np.int64),
                 tag="bc",
             )
@@ -136,6 +140,20 @@ class TestByteIdentity:
                     parallel.local(node, tag), sim.local(node, tag)
                 )
         parallel.close()
+
+    def test_oracle_shadow_holds_the_loaded_distribution(self, tree):
+        distribution = random_distribution(
+            tree, r_size=120, s_size=80, policy="zipf", seed=2
+        )
+        cluster = ParallelCluster(
+            tree, distribution, num_workers=2, oracle=True
+        )
+        try:
+            cluster.verify_oracle()  # before any round: X_0 on both
+            self._drive(cluster)
+            cluster.verify_oracle()
+        finally:
+            cluster.close()
 
     def test_verify_without_oracle_rejected(self, tree):
         cluster = ParallelCluster(tree, num_workers=2)

@@ -30,6 +30,14 @@ def _shm_entries() -> set:
     return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*"))
 
 
+def _all_to_all(cluster, count: int) -> tuple:
+    """Every node sends ``arange(count)``, element ``x`` to node ``x % n``:
+    ``(sources, targets, values)`` in compute-order indices."""
+    nodes = len(cluster.compute_order)
+    values = np.tile(np.arange(count, dtype=np.int64), nodes)
+    return np.repeat(np.arange(nodes), count), values % nodes, values
+
+
 @pytest.fixture
 def tree():
     return two_level([3, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
@@ -81,17 +89,8 @@ class TestPoolFailures:
 
 class TestClusterFailures:
     def _shuffle(self, cluster):
-        computes = cluster.compute_order
         with cluster.round() as ctx:
-            for node in computes:
-                values = np.arange(50, dtype=np.int64)
-                ctx.exchange(
-                    node,
-                    values % len(computes),
-                    values,
-                    tag="shuf",
-                    nodes=computes,
-                )
+            ctx.exchange_column(*_all_to_all(cluster, 50), tag="shuf")
 
     def test_round_timeout_annotated_with_round_and_topology(self, tree):
         pool = WorkerPool(2, seed=0)
@@ -167,14 +166,5 @@ class TestOracleDivergence:
             pool.shutdown()
 
     def _seed_and_shuffle(self, cluster):
-        computes = cluster.compute_order
         with cluster.round() as ctx:
-            for node in computes:
-                values = np.arange(80, dtype=np.int64)
-                ctx.exchange(
-                    node,
-                    values % len(computes),
-                    values,
-                    tag="shuf",
-                    nodes=computes,
-                )
+            ctx.exchange_column(*_all_to_all(cluster, 80), tag="shuf")

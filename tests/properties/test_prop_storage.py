@@ -1,7 +1,7 @@
 """Property: the columnar data plane is byte-identical to its oracles.
 
-Random mixed-round scripts (sends, hashed exchanges, multicast groups,
-interleaved tags, repeated rounds onto the same columns) must leave
+Random mixed-round scripts (sends, hashed column exchanges, multicast
+groups, interleaved tags, repeated rounds onto the same columns) must leave
 *exactly* the same observable state — per-edge ledger loads, per-node
 received counts, per-(node, tag) storage bytes — whichever substrate
 runs them:
@@ -35,81 +35,69 @@ def _shared_pools():
 def round_scripts(draw):
     """A random tree plus a multi-round mixed transfer script."""
     tree = draw(tree_topologies(min_nodes=3, max_nodes=9))
-    computes = sorted(tree.compute_nodes, key=str)
+    node = st.integers(0, len(tree.compute_nodes) - 1)  # a compute-order index
     rounds = []
     offset = 0  # distinct payload values across ops, so aliasing shows
     for _ in range(draw(st.integers(1, 3))):
         ops = []
         for _ in range(draw(st.integers(0, 4))):
             kind = draw(
-                st.sampled_from(("send", "exchange", "exchange_multicast"))
+                st.sampled_from(("send", "column", "multicast-column"))
             )
-            src = draw(st.sampled_from(computes))
             size = draw(st.integers(1, 20))
             tag = draw(st.sampled_from(("a", "b")))
             payload = np.arange(offset, offset + size, dtype=np.int64)
             offset += size
             if kind == "send":
-                dst = draw(st.sampled_from(computes))
-                ops.append(("send", src, dst, payload, tag))
-            elif kind == "exchange":
-                targets = np.asarray(
-                    draw(
-                        st.lists(
-                            st.integers(0, len(computes) - 1),
-                            min_size=size,
-                            max_size=size,
-                        )
-                    ),
-                    dtype=np.int64,
-                )
-                ops.append(("exchange", src, targets, payload, tag))
+                ops.append(("send", draw(node), draw(node), payload, tag))
+            elif kind == "column":
+                sources = sorted(draw(st.lists(node, min_size=size, max_size=size)))
+                targets = draw(st.lists(node, min_size=size, max_size=size))
+                ops.append(("column", sources, targets, payload, tag))
             else:
                 num_sets = draw(st.integers(1, 3))
-                sets = [
-                    frozenset(
-                        draw(
-                            st.lists(
-                                st.sampled_from(computes),
-                                min_size=1,
-                                max_size=3,
-                            )
-                        )
-                    )
+                rows = [
+                    draw(st.lists(node, min_size=1, max_size=3))
                     for _ in range(num_sets)
                 ]
-                group_ids = np.asarray(
-                    draw(
-                        st.lists(
-                            st.integers(0, num_sets - 1),
-                            min_size=size,
-                            max_size=size,
-                        )
-                    ),
-                    dtype=np.int64,
+                destinations = (
+                    sum(rows, []),
+                    np.cumsum([0, *map(len, rows)]),
+                )
+                group_sources = [draw(node) for _ in range(num_sets)]
+                group_ids = draw(
+                    st.lists(
+                        st.integers(0, num_sets - 1),
+                        min_size=size,
+                        max_size=size,
+                    )
                 )
                 ops.append(
-                    ("exchange_multicast", src, group_ids, sets, payload, tag)
+                    (
+                        "multicast-column",
+                        group_sources,
+                        group_ids,
+                        destinations,
+                        payload,
+                        tag,
+                    )
                 )
         rounds.append(ops)
     return tree, rounds
 
 
 def _replay(cluster, rounds):
+    order = cluster.compute_order
     for ops in rounds:
         with cluster.round() as ctx:
-            for op in ops:
-                if op[0] == "send":
-                    _, src, dst, payload, tag = op
-                    ctx.send(src, dst, payload, tag=tag)
-                elif op[0] == "exchange":
-                    _, src, targets, payload, tag = op
-                    ctx.exchange(src, targets, payload, tag=tag)
+            for kind, *args, tag in ops:
+                if kind == "send":
+                    src, dst, payload = args
+                    ctx.send(order[src], order[dst], payload, tag=tag)
+                elif kind == "column":
+                    ctx.exchange_column(*args, tag=tag)
                 else:
-                    _, src, group_ids, sets, payload, tag = op
-                    ctx.exchange_multicast(
-                        src, group_ids, sets, payload, tag=tag
-                    )
+                    ctx.exchange_multicast_column(*args, tag=tag)
     return cluster
 
 

@@ -14,12 +14,12 @@ The byte-identity contract every differential test asserts against this
 model (ledger loads per round and edge, received counts, tag sets and
 per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
 
-* ``exchange`` is one ``send`` per destination *node*; target indices
-  that alias one node under two positions of an explicit node list
-  collapse into a single delivery, in original element order;
-* ``exchange_multicast`` is one ``multicast`` per group id, ascending;
-* ``exchange_column`` is one ``exchange`` per run of equal ``sources`` in
-  column order, from ``compute_order[sources[run]]``;
+* a round is three calls plus two node-named front-ends: ``send`` is
+  one transfer, ``multicast`` one copy to every node of a set;
+* ``exchange_column`` is, per run of equal ``sources`` in column order,
+  one ``send`` per distinct target, ascending, from
+  ``compute_order[sources[run]]`` to ``compute_order[target]``, carrying
+  that target's elements in element order;
 * ``exchange_runs`` is one ``send`` per ``(source, target, count)``
   triple in order, from ``compute_order[source]`` to
   ``compute_order[target]``, each taking the next ``count`` elements;
@@ -48,25 +48,6 @@ from repro.sim.cluster import Cluster, RoundContext
 class ReferenceRoundContext(RoundContext):
     """Expands the batched calls to single transfers; delivers one by one."""
 
-    def exchange(self, src, targets, values, *, tag, nodes=None):
-        node_list = self._cluster.compute_order if nodes is None else list(nodes)
-        payload = self._as_payload(values)
-        # first position of each node: aliases collapse to one destination
-        first: dict = {}
-        canonical = np.array(
-            [first.setdefault(node, i) for i, node in enumerate(node_list)]
-        )
-        indices = canonical[np.asarray(targets, dtype=np.int64)]
-        for index in np.unique(indices).tolist():
-            self.send(src, node_list[index], payload[indices == index], tag=tag)
-
-    def exchange_multicast(self, src, group_ids, destination_sets, values, *, tag):
-        payload = self._as_payload(values)
-        ids = np.asarray(group_ids, dtype=np.int64)
-        sets = list(destination_sets)
-        for gid in np.unique(ids).tolist():
-            self.multicast(src, sets[gid], payload[ids == gid], tag=tag)
-
     def exchange_column(self, sources, targets, values, *, tag):
         order = self._cluster.compute_order
         sources = np.asarray(sources, dtype=np.int64)
@@ -74,9 +55,13 @@ class ReferenceRoundContext(RoundContext):
         payload = self._as_payload(values)
         cuts = [0, *(np.flatnonzero(np.diff(sources)) + 1).tolist(), len(sources)]
         for lo, hi in zip(cuts, cuts[1:]):
-            if hi > lo:
-                self.exchange(
-                    order[sources[lo]], targets[lo:hi], payload[lo:hi], tag=tag
+            run = targets[lo:hi]
+            for target in np.unique(run).tolist():
+                self.send(
+                    order[sources[lo]],
+                    order[target],
+                    payload[lo:hi][run == target],
+                    tag=tag,
                 )
 
     def exchange_runs(self, sources, targets, counts, values, *, tag):
@@ -114,15 +99,15 @@ class ReferenceRoundContext(RoundContext):
     def _finalize_bulk(self) -> None:
         cluster = self._cluster
         tree, ledger = cluster.tree, cluster.ledger
-        # send() and multicast() registered single-destination(-set)
+        # send() and multicast() registered one-run and one-group
         # records; unicasts first, then multicasts, each in call order
         order = cluster.compute_order
         transfers = [
             (order[source], (order[target],), payload, tag)
-            for source, _, target, _count, payload, tag in self._unicast_stream
+            for source, target, _count, payload, tag in self._unicast_stream
         ] + [
-            (src, sets[0], payload, tag)
-            for src, sets, _offsets, _group_ids, payload, tag in self._multicasts
+            (order[origin], [order[m] for m in members.tolist()], payload, tag)
+            for (origin,), members, _offsets, _ids, payload, tag in self._multicasts
         ]
         ledger.open_round()
         for src, dsts, payload, tag in transfers:

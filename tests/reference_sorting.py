@@ -1,4 +1,4 @@
-"""wTS and TeraSort, one ``send`` / one ``exchange`` at a time: the reference.
+"""wTS and TeraSort, one ``send`` / one node's column at a time: the reference.
 
 Production (:mod:`repro.core.sorting.wts`, :mod:`repro.core.sorting.terasort`)
 sorts every fragment first, cuts it at the splitters and registers each
@@ -308,13 +308,20 @@ def reference_terasort(
                 tag=_SPLITTERS,
             )
 
+    position = cluster.artifacts.compute_position
+    walk = np.array([position[v] for v in order])  # interval -> compute index
     with cluster.round() as ctx:  # round 3: scatter by interval
         for node in order:
             local = cluster.take(node, tag)
             if not len(local):
                 continue
             intervals = np.searchsorted(splitters, local, side="right")
-            ctx.exchange(node, intervals, local, tag=_FINAL, nodes=order)
+            ctx.exchange_column(
+                np.full(len(local), position[node]),
+                walk[intervals],
+                local,
+                tag=_FINAL,
+            )
 
     outputs = {v: np.sort(cluster.local(v, _FINAL)) for v in order}
     return ProtocolResult.from_ledger(

@@ -4,7 +4,7 @@ This is the body ``repro.graphs.components._hash_to_min`` had before it
 became relation-at-a-time, kept verbatim: one ``_LocalView`` per node
 (its local closure computed by the union-find oracle), per-vertex
 subscriber ``set``s deduplicated through ``frozenset`` keys, and one
-``exchange_multicast`` registration per owner per return leg.  It is
+``exchange_multicast_column`` registration per owner per return leg.  It is
 slow and obviously right, which is what a reference is for.
 :func:`reference_model` swaps it in under the registered protocols, so
 a whole ``connected-components`` run can be replayed the old way and
@@ -187,6 +187,7 @@ def _hash_to_min(
             converged = True
             break
         sent_pairs = 0
+        position = driver.cluster.artifacts.compute_position
         with driver.cluster_round(
             task="connected-components",
             protocol="label-return",
@@ -212,11 +213,12 @@ def _hash_to_min(
                 # Batched subscriber-subset return: one Steiner
                 # destination set per subset present (its subscribers
                 # minus the sender; vertices whose only subscriber is
-                # the sender ship nothing), one exchange_multicast for
-                # all subsets together.
+                # the sender ship nothing), one exchange_multicast_column
+                # for all subsets together.
                 used, group_ids = np.unique(subset_of, return_inverse=True)
                 destination_sets = [
-                    subset_members[sid] - {node} for sid in used.tolist()
+                    sorted(map(position.__getitem__, subset_members[sid] - {node}))
+                    for sid in used.tolist()
                 ]
                 nonempty = np.asarray(
                     [bool(dsts) for dsts in destination_sets], dtype=bool
@@ -224,10 +226,13 @@ def _hash_to_min(
                 mask = nonempty[group_ids]
                 if not mask.any():
                     continue
-                ctx.exchange_multicast(
-                    node,
+                ctx.exchange_multicast_column(
+                    [position[node]] * len(destination_sets),
                     group_ids[mask],
-                    destination_sets,
+                    (
+                        sum(destination_sets, []),
+                        np.cumsum([0, *map(len, destination_sets)]),
+                    ),
                     encode_tuples(
                         verts_out[mask],
                         labels_out[mask],

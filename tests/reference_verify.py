@@ -5,10 +5,11 @@ index (:func:`repro.core.sorting.ordering.is_valid_compute_order`),
 scans the sorted runs end to end once
 (:func:`~repro.core.sorting.ordering.verify_sorted_output`), and counts a
 round's unicast pairs sparsely, as ``(src, dst, count)`` triples
-(``RoundContext._collect_unicasts``).  This is what they replaced, kept
-word for word: the per-link ``compute_sides`` walk with Python position
-lists, the node-by-node run loop, and the dense ``(nodes, nodes)`` pair
-matrix read back with ``np.nonzero``.  They need NumPy and a
+(``RoundContext._collect_unicasts``).  This is what they replaced: the
+per-link ``compute_sides`` walk with Python position lists, the
+node-by-node run loop, and the dense ``(nodes, nodes)`` pair matrix,
+filled from the unicast stream's records and read back with
+``np.nonzero``.  They need NumPy and a
 ``TreeTopology`` and nothing else.
 
 :func:`reference_model` swaps the two pair-matrix methods in under the
@@ -114,43 +115,24 @@ def reference_collect_unicasts(self):
     """
     cluster = self._cluster
     routing = cluster.oracle.routing_index
-    index_of = routing.index_of
     size = routing.num_nodes
     # (src, dst) -> element count, accumulated as a dense matrix
     # (node counts are small; 1024 nodes is an 8 MB matrix)
     pair_matrix = np.zeros((size, size), dtype=np.int64)
-    lookup_dtype = index_dtype(size)
-    compute_lookup = routing.compute_idx.astype(lookup_dtype)
-    # explicit node list -> routing-index lookup, resolved once per
-    # distinct list (a protocol passes the same list from every node)
-    lookups: dict[tuple | None, np.ndarray] = {None: compute_lookup}
+    compute_lookup = routing.compute_idx.astype(index_dtype(size))
     by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for src, node_list, targets, counts, payload, tag in (
-        self._unicast_stream
-    ):
+    for src, targets, counts, payload, tag in self._unicast_stream:
         if counts is not None:  # runs: the triples are the pair counts
             run_dst = compute_lookup[targets]
             np.add.at(pair_matrix, (compute_lookup[src], run_dst), counts)
             dst_ids = np.repeat(run_dst, counts)
-        else:
-            lookup = lookups.get(node_list)
-            if lookup is None:
-                lookup = lookups[node_list] = np.fromiter(
-                    map(index_of.__getitem__, node_list),
-                    lookup_dtype,
-                    len(node_list),
-                )
-            dst_ids = lookup[targets]
-            if isinstance(src, np.ndarray):  # exchange_column()
-                flat = compute_lookup[src].astype(np.intp) * size
-                flat += dst_ids
-                pair_matrix += np.bincount(
-                    flat, minlength=size * size
-                ).reshape(size, size)
-            else:
-                pair_matrix[index_of[src]] += np.bincount(
-                    dst_ids, minlength=size
-                )
+        else:  # exchange_column()
+            dst_ids = compute_lookup[targets]
+            flat = compute_lookup[src].astype(np.intp) * size
+            flat += dst_ids
+            pair_matrix += np.bincount(
+                flat, minlength=size * size
+            ).reshape(size, size)
         by_tag.setdefault(tag, []).append((dst_ids, payload))
     return routing, by_tag, pair_matrix
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
-from repro.sim.cluster import Cluster
+from repro.sim.cluster import Cluster, RoundContext
 from repro.topology.builders import star, two_level
 
 
@@ -137,12 +137,6 @@ class TestRounds:
         assert cluster.ledger.num_rounds == 0
         assert len(cluster.local("v2", "x")) == 0
 
-    def test_scatter_convenience(self, cluster):
-        with cluster.round() as ctx:
-            ctx.scatter("v1", [("v2", [1]), ("v3", [2, 3])], tag="s")
-        assert cluster.local("v2", "s").tolist() == [1]
-        assert cluster.local("v3", "s").tolist() == [2, 3]
-
     def test_received_elements_excludes_self(self, cluster):
         with cluster.round() as ctx:
             ctx.send("v1", "v1", [1, 2], tag="a")
@@ -171,6 +165,100 @@ class TestRounds:
         assert cluster.received_elements("nowhere") == 0
         cluster._add_received("v1", 4)
         assert cluster.received_elements("v1") == 4
+
+
+class TestRoundApi:
+    """Three calls register a round; ``send`` and ``multicast`` are their
+    node-named front-ends, and each stream keeps one record shape."""
+
+    def test_the_registration_methods_are_exactly_five(self):
+        public = {name for name in vars(RoundContext) if not name.startswith("_")}
+        assert public == {
+            "send",
+            "multicast",
+            "exchange_column",
+            "exchange_runs",
+            "exchange_multicast_column",
+        }
+        for removed in ("exchange", "exchange_multicast", "scatter"):
+            assert not hasattr(RoundContext, removed)
+
+    def test_multicast_records_sorted_member_indices(self, cluster):
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.multicast(order[1], [order[4], order[0], order[2]], [5], tag="m")
+            ((origins, members, offsets, ids, payload, tag),) = ctx._multicasts
+        assert origins.tolist() == [1]
+        assert members.tolist() == [0, 2, 4]
+        assert offsets.tolist() == [0, 3]
+        assert (ids, payload.tolist(), tag) == (None, [5], "m")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("core", "destination 'core' is a router; only compute nodes "
+                     "can store data"),
+            ("v9", "unknown node 'v9'"),
+        ],
+    )
+    def test_bad_node_inside_a_set_is_named(self, cluster, bad, message):
+        with pytest.raises(ProtocolError) as raised:
+            with cluster.round() as ctx:
+                try:
+                    ctx.multicast("v1", {"v2", "v3", bad}, [1], tag="x")
+                finally:
+                    assert not ctx._multicasts
+        assert str(raised.value) == message
+
+    def test_self_only_destination_set_is_stored_free(self, cluster):
+        with cluster.round() as ctx:
+            ctx.multicast("v1", {"v1"}, [7, 8], tag="x")
+        assert cluster.local("v1", "x").tolist() == [7, 8]
+        assert cluster.ledger.round_loads(0) == {}
+        assert cluster.received_elements("v1") == 0
+
+    def test_source_inside_larger_destination_set(self, cluster):
+        with cluster.round() as ctx:
+            ctx.multicast("v1", {"v1", "v2"}, [7, 8], tag="x")
+        assert cluster.local("v1", "x").tolist() == [7, 8]
+        assert cluster.local("v2", "x").tolist() == [7, 8]
+        assert cluster.received_elements("v1") == 0
+        assert cluster.received_elements("v2") == 2
+        # one copy crosses v1 -> core -> v2, charged once per link
+        assert all(
+            count == 2 for count in cluster.ledger.round_loads(0).values()
+        )
+
+    def test_empty_multicast_payload_registers_nothing(self, cluster):
+        with cluster.round() as ctx:
+            ctx.multicast("v1", {"v2", "v4"}, [], tag="x")
+            assert not ctx._multicasts
+        assert cluster.ledger.round_loads(0) == {}
+
+
+class TestRouterSourceRegression:
+    """Data can never reside at a router, so no transfer may start there."""
+
+    def test_send_from_router_rejected(self, cluster):
+        with pytest.raises(ProtocolError, match="router"):
+            with cluster.round() as ctx:
+                ctx.send("core", "v1", [1], tag="x")
+
+    def test_multicast_from_router_rejected(self, cluster):
+        with pytest.raises(ProtocolError, match="router"):
+            with cluster.round() as ctx:
+                ctx.multicast("core", ["v1", "v2"], [1], tag="x")
+
+    def test_load_with_router_data_rejected(self, cluster):
+        from repro.errors import DistributionError
+
+        with pytest.raises(DistributionError, match="non-compute"):
+            cluster.load(Distribution({"core": {"R": [1]}}))
+
+
+def test_exchange_mode_kwarg_is_gone_not_ignored():
+    with pytest.raises(TypeError, match="exchange_mode"):
+        Cluster(star(3), exchange_mode="bulk")
 
 
 class TestRoundSpan:

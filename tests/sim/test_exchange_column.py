@@ -2,7 +2,7 @@
 ``exchange_multicast_column``.
 
 The contract under test: one ``exchange_column`` is observably identical
-to one ``exchange`` per run of equal sources, one
+to one ``send`` per run of equal sources and distinct target, one
 ``exchange_multicast_column`` to one ``multicast`` per group id — same
 storage bytes, received counts and per-edge loads — which the
 transfer-by-transfer reference model in ``tests/reference_delivery.py``
@@ -19,7 +19,9 @@ from repro.errors import ProtocolError
 from repro.obs.audit import auditing
 from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
+from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
+from repro.topology.steiner import RoutingIndex
 
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
@@ -70,6 +72,34 @@ class TestExchangeColumnDelivery:
                 )
         assert cluster.local(order[1], "x").tolist() == [7, 9, 10]
         assert_clusters_identical(cluster, reference)
+
+    def test_self_targets_cost_nothing(self, cluster):
+        with cluster.round() as ctx:
+            ctx.exchange_column([2, 2], [2, 2], [1, 2], tag="x")
+        assert cluster.local(cluster.compute_order[2], "x").tolist() == [1, 2]
+        assert cluster.ledger.round_loads(0) == {}
+        assert cluster.received_elements(cluster.compute_order[2]) == 0
+
+    def test_sends_and_columns_interleave_in_call_order(self):
+        """Mixed traffic to one (dst, tag) lands in registration order,
+        in production and in the reference model; another tag in the
+        same round is its own column."""
+        results = {}
+        for build in (Cluster, ReferenceCluster):
+            cluster = build(
+                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
+            )
+            order = cluster.compute_order
+            with cluster.round() as ctx:
+                ctx.send(order[0], order[1], [100, 101], tag="x")
+                ctx.exchange_column([2, 2, 2], [1, 1, 3], [200, 201, 5], tag="x")
+                ctx.exchange_column([3], [1], [7], tag="y")
+                ctx.send(order[3], order[1], [300], tag="x")
+            results[build] = [
+                cluster.local(order[1], tag).tolist() for tag in ("x", "y")
+            ]
+        assert results[Cluster] == [[100, 101, 200, 201, 300], [7]]
+        assert results[Cluster] == results[ReferenceCluster]
 
     def test_empty_payloads_pass_the_checks(self, cluster):
         empty = np.empty(0, np.int64)
@@ -126,6 +156,24 @@ class TestExchangeColumnValidation:
         with pytest.raises(ProtocolError, match="one-dimensional"):
             with cluster.round() as ctx:
                 ctx.exchange_column([0], [1], [[1]], tag="x")
+
+    @pytest.mark.parametrize(
+        "indices", [[[1]], np.empty((0, 2), dtype=np.int64)]
+    )
+    @pytest.mark.parametrize("what", ["sources", "targets"])
+    def test_two_dimensional_indices_rejected(self, cluster, what, indices):
+        """Also when no element flows: the early return for an empty
+        payload comes after every check."""
+        args = {
+            "sources": np.zeros(len(indices), np.int64),
+            "targets": np.zeros(len(indices), np.int64),
+            what: indices,
+        }
+        with pytest.raises(ProtocolError, match=f"{what} must be a one-dim"):
+            with cluster.round() as ctx:
+                ctx.exchange_column(
+                    **args, values=[1] * len(indices), tag="x"
+                )
 
     def test_registration_after_the_round_closed_rejected(self, cluster):
         with cluster.round() as ctx:
@@ -194,9 +242,22 @@ class TestExchangeMulticastColumnValidation:
             cluster, "group sources must be an integer", [0.0], [0], [[1]], [1]
         )
 
-    def test_float_group_ids_rejected(self, cluster):
+    @pytest.mark.parametrize(
+        "group_ids, values", [([0.0], [1]), (np.empty(0, np.float64), [])]
+    )
+    def test_float_group_ids_rejected(self, cluster, group_ids, values):
+        """An explicit float array is a bug whether or not it carries
+        elements."""
         _registers_nothing(
-            cluster, "group ids must be an integer", [0], [0.0], [[1]], [1]
+            cluster, "group ids must be an integer", [0], group_ids, [[1]], values
+        )
+
+    @pytest.mark.parametrize(
+        "group_ids, values", [([[0]], [1]), (np.empty((0, 1), np.int64), [])]
+    )
+    def test_two_dimensional_group_ids_rejected(self, cluster, group_ids, values):
+        _registers_nothing(
+            cluster, "group ids must be a one-dim", [0], group_ids, [[1]], values
         )
 
     @pytest.mark.parametrize(
@@ -304,31 +365,13 @@ class TestExchangeMulticastColumnValidation:
         )
 
     def test_unreferenced_empty_row_tolerated(self, cluster):
-        # like exchange_multicast: only sets a group id names are checked
+        # only sets a group id names are checked, like the multicast
+        # loop this call equals
         with cluster.round() as ctx:
             ctx.exchange_multicast_column(
                 [0, 0], [0], ([1], [0, 1, 1]), [1], tag="x"
             )
         assert cluster.local(cluster.compute_order[1], "x").tolist() == [1]
-
-
-class TestExplicitNodeLists:
-    def test_node_list_is_copied_at_registration(self, cluster):
-        """``exchange(nodes=...)`` snapshots the list once; mutating the
-        caller's list before the round closes changes nothing."""
-        nodes = ["v2", "v3"]
-        with cluster.round() as ctx:
-            ctx.exchange("v1", [0, 1], [1, 2], tag="x", nodes=nodes)
-            nodes[0] = "v4"
-            ctx.exchange("v1", [0, 1], [3, 4], tag="x", nodes=nodes)
-        assert cluster.local("v2", "x").tolist() == [1]
-        assert cluster.local("v4", "x").tolist() == [3]
-        assert cluster.local("v3", "x").tolist() == [2, 4]
-
-    def test_one_shot_iterable_accepted(self, cluster):
-        with cluster.round() as ctx:
-            ctx.exchange("v1", [1], [5], tag="x", nodes=iter(["v2", "v3"]))
-        assert cluster.local("v3", "x").tolist() == [5]
 
 
 def _rows(destinations) -> list[list[int]]:
@@ -431,11 +474,9 @@ def _replay(cluster, plan, form=None):
                 ctx.multicast(
                     order[src], [order[dst] for dst in dsts], values, tag=tag
                 )
-            elif kind == "send":
+            else:
                 src, dst, values = args
                 ctx.send(order[src], order[dst], values, tag=tag)
-            else:  # the per-node expansions, already node-named
-                getattr(ctx, kind)(*args, tag=tag)
     return cluster
 
 
@@ -472,10 +513,9 @@ class TestColumnEquivalenceProperty:
     @settings(max_examples=40, deadline=None)
     def test_column_calls_match_the_per_node_calls(self, instance):
         """The definition, in production code on both sides: one
-        ``exchange`` per run of equal sources, one named
-        ``exchange_multicast`` per group."""
+        ``send`` per run of equal sources and distinct target, ascending,
+        one ``multicast`` per group."""
         tree, plan = instance
-        order = Cluster(tree).compute_order
         expanded_plan = []
         for kind, tag, *args in plan:
             if kind == "column":
@@ -483,15 +523,12 @@ class TestColumnEquivalenceProperty:
                 start = 0
                 for stop in range(1, len(sources) + 1):
                     if stop == len(sources) or sources[stop] != sources[start]:
-                        expanded_plan.append(
-                            (
-                                "exchange",
-                                tag,
-                                order[sources[start]],
-                                targets[start:stop],
-                                values[start:stop],
+                        run = list(zip(targets[start:stop], values[start:stop]))
+                        for target in sorted(set(targets[start:stop])):
+                            chunk = [v for t, v in run if t == target]
+                            expanded_plan.append(
+                                ("send", tag, sources[start], target, chunk)
                             )
-                        )
                         start = stop
             elif kind == "multicast-column":
                 group_sources, group_ids, destinations, values = args
@@ -499,11 +536,10 @@ class TestColumnEquivalenceProperty:
                 for gid in sorted(set(group_ids)):
                     expanded_plan.append(
                         (
-                            "exchange_multicast",
+                            "multicast",
                             tag,
-                            order[group_sources[gid]],
-                            [0] * group_ids.count(gid),
-                            [{order[member] for member in rows[gid]}],
+                            group_sources[gid],
+                            sorted(set(rows[gid])),
                             [v for v, g in zip(values, group_ids) if g == gid],
                         )
                     )
@@ -515,3 +551,31 @@ class TestColumnEquivalenceProperty:
             a_name="column",
             b_name="per-node",
         )
+
+
+@st.composite
+def unicast_pairs(draw):
+    tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
+    node = st.sampled_from(sorted(tree.compute_nodes, key=str))
+    return tree, draw(st.lists(st.tuples(node, node), min_size=1, max_size=30))
+
+
+@given(unicast_pairs())
+@settings(max_examples=40, deadline=None)
+def test_routing_index_matches_path_walks(instance):
+    """The vectorized tree-flow charger equals per-pair path walks."""
+    tree, pairs = instance
+    routing = RoutingIndex(tree)
+    expected: dict = {}
+    for src, dst in pairs:
+        for edge in tree.path_edges(src, dst):
+            expected[edge] = expected.get(edge, 0) + 1
+    src_ids = np.asarray([routing.index_of[s] for s, _ in pairs])
+    dst_ids = np.asarray([routing.index_of[d] for _, d in pairs])
+    counts = np.ones(len(pairs), dtype=np.int64)
+    # the kernel returns the ledger's slot array: compare what the
+    # ledger presents of it
+    ledger = CostLedger(tree)
+    ledger.open_round()
+    ledger.add_link_loads(routing.unicast_loads(src_ids, dst_ids, counts))
+    assert ledger.round_loads(0) == expected

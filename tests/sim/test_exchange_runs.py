@@ -65,8 +65,8 @@ class TestDelivery:
         order = cluster.compute_order
         with cluster.round() as ctx:
             ctx.send(order[1], order[4], [5, 6], tag="x")
-            ((source, nodes, target, count, payload, tag),) = ctx._unicast_stream
-        assert (source, nodes, target, count, tag) == (1, None, 4, 2, "x")
+            ((source, target, count, payload, tag),) = ctx._unicast_stream
+        assert (source, target, count, tag) == (1, 4, 2, "x")
         assert payload.tolist() == [5, 6]
 
     def test_empty_payloads_pass_the_checks(self, cluster):

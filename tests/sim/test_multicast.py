@@ -1,6 +1,6 @@
-"""Tests for the batched multicast primitive and its accounting.
+"""Tests for the batched multicast and its accounting.
 
-The contract under test: one :meth:`RoundContext.exchange_multicast`
+The contract under test: one :meth:`RoundContext.exchange_multicast_column`
 call is observably identical to the equivalent per-group
 :meth:`RoundContext.multicast` loop — same per-node storage (content
 *and* element order), same ``received_elements``, same per-edge ledger
@@ -22,22 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.suites import standard_topologies
-from repro.errors import ProtocolError
 from repro.obs.audit import auditing
 from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
 from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
 from repro.topology.steiner import PathOracle, RoutingIndex
-from repro.topology.tree import node_sort_key
 
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0))
 
 
 def _snapshot(cluster, tags=("recv", "other")):
@@ -55,204 +48,63 @@ def _snapshot(cluster, tags=("recv", "other")):
     return storage, received, loads
 
 
-class TestExchangeMulticastBasics:
-    def test_delivers_to_every_member_in_element_order(self, cluster):
+def _csr(rows) -> tuple:
+    """Index rows as a CSR ``(members, offsets)`` pair."""
+    return sum(rows, []), np.cumsum([0, *map(len, rows)])
+
+
+def _register(ctx, node, group_ids, rows, values, tag, *, looped):
+    """One node's grouped multicasts: a column call, or the loop it equals."""
+    order = ctx._cluster.compute_order
+    if not looped:
+        ctx.exchange_multicast_column(
+            [node] * len(rows), group_ids, _csr(rows), values, tag=tag
+        )
+        return
+    ids = np.asarray(group_ids, dtype=np.int64)
+    chunk = np.asarray(values, dtype=np.int64)
+    for gid in np.unique(ids).tolist():
+        ctx.multicast(
+            order[node],
+            [order[m] for m in rows[gid]],
+            chunk[ids == gid],
+            tag=tag,
+        )
+
+
+def test_interleaves_with_sends_and_multicasts_across_models():
+    """Mixed traffic on one (dst, tag) lands in registration order
+    (unicasts first, then the multicast stream) in production and
+    in the reference model."""
+    results = {}
+    for model, build in (
+        ("production", Cluster),
+        ("reference", ReferenceCluster),
+    ):
+        cluster = build(
+            two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
+        )
+        position = cluster.artifacts.compute_position
+        v4, v5 = position["v4"], position["v5"]
         with cluster.round() as ctx:
-            ctx.exchange_multicast(
-                "v1",
-                [0, 1, 0],
-                [{"v3", "v4"}, {"v5"}],
+            ctx.multicast("v2", {"v4", "v5"}, [100], tag="x")
+            ctx.exchange_multicast_column(
+                [position["v1"]] * 2,
+                [1, 0, 1],
+                _csr([[v4], [v4, v5]]),
                 [1, 2, 3],
                 tag="x",
             )
-        assert cluster.local("v3", "x").tolist() == [1, 3]
-        assert cluster.local("v4", "x").tolist() == [1, 3]
-        assert cluster.local("v5", "x").tolist() == [2]
-
-    def test_charges_steiner_sets_like_looped_multicast(self):
-        a = Cluster(two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0))
-        b = Cluster(two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0))
-        sets = [frozenset({"v3", "v4"}), frozenset({"v2", "v5"})]
-        group_ids = np.array([0, 1, 0, 0, 1])
-        values = np.array([1, 2, 3, 4, 5])
-        with a.round() as ctx:
-            ctx.exchange_multicast("v1", group_ids, sets, values, tag="x")
-        with b.round() as ctx:
-            for index in np.unique(group_ids):
-                ctx.multicast(
-                    "v1", sets[index], values[group_ids == index], tag="x"
-                )
-        assert a.ledger.round_loads(0) == b.ledger.round_loads(0)
-        for v in a.compute_order:
-            assert a.local(v, "x").tolist() == b.local(v, "x").tolist()
-            assert a.received_elements(v) == b.received_elements(v)
-
-    def test_self_only_destination_set_is_stored_free(self):
-        """A destination set containing only the source stores a copy
-        at zero link cost — in multicast and exchange_multicast alike."""
-        for batched in (False, True):
-            cluster = Cluster(
-                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
-            )
-            with cluster.round() as ctx:
-                if batched:
-                    ctx.exchange_multicast(
-                        "v1", [0, 0], [{"v1"}], [7, 8], tag="x"
-                    )
-                else:
-                    ctx.multicast("v1", {"v1"}, [7, 8], tag="x")
-            assert cluster.local("v1", "x").tolist() == [7, 8]
-            assert cluster.ledger.round_loads(0) == {}
-            assert cluster.received_elements("v1") == 0
-
-    def test_source_inside_larger_destination_set(self, cluster):
-        with cluster.round() as ctx:
-            ctx.exchange_multicast(
-                "v1", [0, 0], [{"v1", "v2"}], [7, 8], tag="x"
-            )
-        assert cluster.local("v1", "x").tolist() == [7, 8]
-        assert cluster.local("v2", "x").tolist() == [7, 8]
-        assert cluster.received_elements("v1") == 0
-        assert cluster.received_elements("v2") == 2
-        # one copy crosses v1 -> core -> v2, charged once per link
-        assert all(
-            count == 2 for count in cluster.ledger.round_loads(0).values()
-        )
-
-    def test_interleaves_with_sends_and_multicasts_across_modes(self):
-        """Mixed traffic on one (dst, tag) lands in registration order
-        (unicasts first, then the multicast stream) in production and
-        in the reference model."""
-        results = {}
-        for model, build in (
-            ("production", Cluster),
-            ("reference", ReferenceCluster),
-        ):
-            cluster = build(
-                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
-            )
-            with cluster.round() as ctx:
-                ctx.multicast("v2", {"v4", "v5"}, [100], tag="x")
-                ctx.exchange_multicast(
-                    "v1", [1, 0, 1], [{"v4"}, {"v4", "v5"}], [1, 2, 3], tag="x"
-                )
-                ctx.send("v3", "v4", [200], tag="x")
-            results[model] = _snapshot(cluster, tags=("x",))
-        assert results["production"] == results["reference"]
-        storage = results["production"][0]
-        assert storage[("v4", "x")] == [200, 100, 2, 1, 3]
-
-    def test_empty_payload_is_free(self, cluster):
-        with cluster.round() as ctx:
-            ctx.exchange_multicast("v1", [], [{"v2"}], [], tag="x")
-        assert cluster.ledger.round_loads(0) == {}
-
-
-class TestExchangeMulticastValidation:
-    def test_router_source_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="router"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast("core", [0], [{"v1"}], [1], tag="x")
-
-    def test_router_in_destination_set_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="router"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast(
-                    "v1", [0], [{"v2", "core"}], [1], tag="x"
-                )
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ("core", "destination 'core' is a router; only compute nodes "
-                     "can store data"),
-            ("v9", "unknown node 'v9'"),
-        ],
-    )
-    @pytest.mark.parametrize("entry", ["single", "batched"])
-    def test_bad_node_inside_a_set_is_named(self, cluster, entry, bad, message):
-        """The set is validated with one subset test; on failure the
-        per-node walk still names the router / unknown node.  (The
-        column call takes compute-order indices, which can name
-        neither.)"""
-        dsts = {"v2", "v3", bad}
-        with pytest.raises(ProtocolError) as raised:
-            with cluster.round() as ctx:
-                if entry == "single":
-                    ctx.multicast("v1", dsts, [1], tag="x")
-                else:
-                    ctx.exchange_multicast("v1", [0], [dsts], [1], tag="x")
-        assert str(raised.value) == message
-
-    def test_unknown_node_in_unused_destination_set_tolerated(self, cluster):
-        with cluster.round() as ctx:
-            ctx.exchange_multicast(
-                "v1", [0, 0], [{"v2"}, {"v9"}], [1, 2], tag="x"
-            )
-            ctx.exchange_multicast("v3", [0], [{"v2"}, {"v9"}], [3], tag="x")
-        assert cluster.local("v2", "x").tolist() == [1, 2, 3]
-
-    def test_router_in_unused_destination_set_tolerated(self, cluster):
-        # validation covers the destination sets actually referenced,
-        # like the equivalent multicast loop would
-        with cluster.round() as ctx:
-            ctx.exchange_multicast(
-                "v1", [0, 0], [{"v2"}, {"core"}], [1, 2], tag="x"
-            )
-        assert cluster.local("v2", "x").tolist() == [1, 2]
-
-    def test_empty_used_destination_set_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="at least one destination"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast(
-                    "v1", [0, 1], [{"v2"}, frozenset()], [1, 2], tag="x"
-                )
-
-    def test_empty_unused_destination_set_tolerated(self, cluster):
-        with cluster.round() as ctx:
-            ctx.exchange_multicast(
-                "v1", [0, 0], [{"v2"}, frozenset()], [1, 2], tag="x"
-            )
-        assert cluster.local("v2", "x").tolist() == [1, 2]
-
-    def test_length_mismatch_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="one group id"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast("v1", [0, 0], [{"v2"}], [1], tag="x")
-
-    def test_out_of_range_group_id_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="group ids span"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast("v1", [1], [{"v2"}], [1], tag="x")
-
-    def test_negative_group_id_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="group ids span"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast("v1", [-1], [{"v2"}], [1], tag="x")
-
-    def test_float_group_ids_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast("v1", [0.5], [{"v2"}], [1], tag="x")
-
-    def test_zero_length_float_array_group_ids_rejected(self, cluster):
-        """The empty-payload early return must not skip dtype checks
-        (empty-payload validation regression)."""
-        with pytest.raises(ProtocolError, match="integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast(
-                    "v1", np.array([], dtype=np.float64), [{"v2"}], [], tag="x"
-                )
-
-    def test_two_dimensional_group_ids_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="one-dimensional"):
-            with cluster.round() as ctx:
-                ctx.exchange_multicast("v1", [[0]], [{"v2"}], [[1]], tag="x")
+            ctx.send("v3", "v4", [200], tag="x")
+        results[model] = _snapshot(cluster, tags=("x",))
+    assert results["production"] == results["reference"]
+    storage = results["production"][0]
+    assert storage[("v4", "x")] == [200, 100, 2, 1, 3]
 
 
 class TestStandardTopologyEquivalence:
-    """The satellite contract: exchange_multicast equals a looped
-    ctx.multicast on every standard benchmark topology."""
+    """exchange_multicast_column equals a looped ctx.multicast on every
+    standard benchmark topology."""
 
     @pytest.mark.parametrize(
         "tree",
@@ -260,42 +112,33 @@ class TestStandardTopologyEquivalence:
         ids=lambda tree: tree.name,
     )
     def test_equivalent_to_looped_multicast(self, tree):
-        computes = sorted(tree.compute_nodes, key=node_sort_key)
+        count = len(tree.compute_nodes)
         # the intersection replication shape: {hashed owner} | Vbeta
-        beta = frozenset(computes[:: max(1, len(computes) // 3)])
-        sets = [beta | {v} for v in computes]
+        beta = list(range(0, count, max(1, count // 3)))
+        rows = [sorted({*beta, v}) for v in range(count)]
         rng = np.random.default_rng(7)
         plan = [
             (
                 node,
-                rng.integers(0, len(sets), size=5 + i),
-                rng.integers(-50, 50, size=5 + i),
+                rng.integers(0, len(rows), size=5 + node),
+                rng.integers(-50, 50, size=5 + node),
             )
-            for i, node in enumerate(computes)
+            for node in range(count)
         ]
 
-        def replay(cluster, expand):
+        def replay(cluster, looped):
             with cluster.round() as ctx:
                 for node, group_ids, values in plan:
-                    if expand:
-                        for index in np.unique(group_ids):
-                            ctx.multicast(
-                                node,
-                                sets[index],
-                                values[group_ids == index],
-                                tag="recv",
-                            )
-                    else:
-                        ctx.exchange_multicast(
-                            node, group_ids, sets, values, tag="recv"
-                        )
+                    _register(
+                        ctx, node, group_ids, rows, values, "recv", looped=looped
+                    )
 
         bulk = Cluster(tree)
-        replay(bulk, expand=False)
+        replay(bulk, looped=False)
         looped = Cluster(tree)
-        replay(looped, expand=True)
+        replay(looped, looped=True)
         reference = ReferenceCluster(tree)
-        replay(reference, expand=False)
+        replay(reference, looped=False)
 
         assert _snapshot(bulk, tags=("recv",)) == _snapshot(
             looped, tags=("recv",)
@@ -306,60 +149,35 @@ class TestStandardTopologyEquivalence:
 
 
 def _random_multicast_plan(draw, tree):
-    """A registration-ordered mix of batched/plain multicasts and sends."""
-    computes = sorted(tree.compute_nodes, key=str)
+    """A registration-ordered mix of column/plain multicasts and sends,
+    every node a compute-order index."""
+    count = len(tree.compute_nodes)
+    node = st.integers(0, count - 1)
+    node_set = st.lists(node, min_size=1, max_size=min(4, count), unique=True)
     plan = []
-    for node in computes:
+    for source in range(count):
         for _ in range(draw(st.integers(1, 2))):
             tag = draw(st.sampled_from(["recv", "other"]))
-            kind = draw(
-                st.sampled_from(["exchange_multicast", "multicast", "send"])
-            )
-            if kind == "exchange_multicast":
-                sets = [
-                    frozenset(
-                        draw(
-                            st.sets(
-                                st.sampled_from(computes),
-                                min_size=1,
-                                max_size=min(4, len(computes)),
-                            )
-                        )
-                    )
-                    for _ in range(draw(st.integers(1, 3)))
-                ]
-                count = draw(st.integers(0, 10))
+            kind = draw(st.sampled_from(["column", "multicast", "send"]))
+            if kind == "column":
+                rows = [draw(node_set) for _ in range(draw(st.integers(1, 3)))]
+                size = draw(st.integers(0, 10))
                 group_ids = [
-                    draw(st.integers(0, len(sets) - 1)) for _ in range(count)
+                    draw(st.integers(0, len(rows) - 1)) for _ in range(size)
                 ]
-                values = [draw(st.integers(-50, 50)) for _ in range(count)]
-                plan.append((kind, node, group_ids, sets, values, tag))
-            elif kind == "multicast":
-                dsts = frozenset(
-                    draw(
-                        st.sets(
-                            st.sampled_from(computes),
-                            min_size=1,
-                            max_size=min(4, len(computes)),
-                        )
-                    )
-                )
-                count = draw(st.integers(1, 8))
-                values = [draw(st.integers(-50, 50)) for _ in range(count)]
-                plan.append((kind, node, None, [dsts], values, tag))
             else:
-                dst = draw(st.sampled_from(computes))
-                count = draw(st.integers(1, 8))
-                values = [draw(st.integers(-50, 50)) for _ in range(count)]
-                plan.append((kind, node, None, [frozenset({dst})], values, tag))
-    return computes, plan
+                rows = [draw(node_set if kind == "multicast" else st.tuples(node))]
+                size = draw(st.integers(1, 8))
+                group_ids = None
+            values = [draw(st.integers(-50, 50)) for _ in range(size)]
+            plan.append((kind, source, group_ids, [list(r) for r in rows], values, tag))
+    return plan
 
 
 @st.composite
 def multicast_instances(draw):
     tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
-    computes, plan = _random_multicast_plan(draw, tree)
-    return tree, computes, plan
+    return tree, _random_multicast_plan(draw, tree)
 
 
 class TestExchangeMulticastEquivalenceProperty:
@@ -367,38 +185,34 @@ class TestExchangeMulticastEquivalenceProperty:
     @settings(max_examples=60, deadline=None)
     def test_batched_matches_looped_and_per_send(self, instance):
         """The contract: byte-identical storage, received counts, and
-        per-edge ledgers between one exchange_multicast call, the
+        per-edge ledgers between one exchange_multicast_column call, the
         equivalent multicast loop, and the reference model, on random
         topologies with interleaved traffic."""
-        tree, computes, plan = instance
+        tree, plan = instance
 
-        def replay(cluster, expand_batched):
+        def replay(cluster, looped):
+            order = cluster.compute_order
             with cluster.round() as ctx:
-                for kind, node, group_ids, sets, values, tag in plan:
+                for kind, node, group_ids, rows, values, tag in plan:
                     if kind == "send":
-                        (dst,) = sets[0]
-                        ctx.send(node, dst, values, tag=tag)
+                        ((dst,),) = rows
+                        ctx.send(order[node], order[dst], values, tag=tag)
                     elif kind == "multicast":
-                        ctx.multicast(node, sets[0], values, tag=tag)
-                    elif expand_batched:
-                        ids = np.asarray(group_ids, dtype=np.int64)
-                        chunk = np.asarray(values, dtype=np.int64)
-                        for index in np.unique(ids):
-                            ctx.multicast(
-                                node, sets[index], chunk[ids == index], tag=tag
-                            )
+                        ctx.multicast(
+                            order[node], [order[m] for m in rows[0]], values, tag=tag
+                        )
                     else:
-                        ctx.exchange_multicast(
-                            node, group_ids, sets, values, tag=tag
+                        _register(
+                            ctx, node, group_ids, rows, values, tag, looped=looped
                         )
 
         bulk = Cluster(tree)
         with auditing(strict=True):
-            replay(bulk, expand_batched=False)
+            replay(bulk, looped=False)
         looped = Cluster(tree)
-        replay(looped, expand_batched=True)
+        replay(looped, looped=True)
         reference = ReferenceCluster(tree)
-        replay(reference, expand_batched=False)
+        replay(reference, looped=False)
 
         assert _snapshot(bulk) == _snapshot(looped)
         assert_clusters_identical(
@@ -409,27 +223,26 @@ class TestExchangeMulticastEquivalenceProperty:
     @settings(max_examples=40, deadline=None)
     def test_multicast_loads_matches_steiner_walks(self, instance):
         """The vectorized Steiner-flow charger equals per-group walks."""
-        tree, computes, plan = instance
+        tree, plan = instance
         oracle = PathOracle(tree)
         routing = RoutingIndex(tree)
+        order = routing.compute_nodes
         srcs, flat, starts, ends, counts = [], [], [], [], []
         expected: dict = {}
-        for _kind, node, group_ids, sets, values, _tag in plan:
+        for _kind, node, group_ids, rows, values, _tag in plan:
             ids = np.asarray(
                 group_ids if group_ids is not None else [0] * len(values),
                 dtype=np.int64,
             )
-            for index in np.unique(ids):
+            for index in np.unique(ids).tolist():
                 count = int((ids == index).sum())
-                if count == 0:
-                    continue
-                dsts = sets[index]
-                srcs.append(routing.index_of[node])
+                dsts = [order[m] for m in rows[index]]
+                srcs.append(routing.index_of[order[node]])
                 starts.append(len(flat))
                 flat.extend(routing.index_of[d] for d in dsts)
                 ends.append(len(flat))
                 counts.append(count)
-                for edge in oracle.steiner_edges(node, dsts):
+                for edge in oracle.steiner_edges(order[node], dsts):
                     expected[edge] = expected.get(edge, 0) + count
         if not srcs:
             return
@@ -493,9 +306,9 @@ for report in reports:
 
 def test_multicast_reports_do_not_depend_on_the_hash_seed():
     """String node ids hash differently per ``PYTHONHASHSEED``: the
-    index-array rounds (tree intersect / equi-join, the components
-    return leg) never see a set, and the named front-ends iterate
-    theirs only to build index arrays whose order nothing reads."""
+    index-array rounds (tree intersect / equi-join, star intersect, the
+    cartesian tile routing, the components return leg) never see a set,
+    and ``multicast`` sorts the member indices it builds from its set."""
     src = Path(__file__).resolve().parents[2] / "src"
     outputs = []
     for hash_seed in ("1", "3"):

@@ -4,8 +4,8 @@
 + dst`` keys to ``(src, dst, count)`` triples — by one ``bincount`` when
 the ``size²`` bins are at most four per key, by one sort otherwise;
 ``tests/reference_verify.py`` keeps the dense ``(nodes, nodes)`` matrix
-it replaced.  Random rounds mixing ``send``, ``exchange``,
-``exchange_column`` and ``exchange_runs`` (zero-count runs included), on
+it replaced.  Random rounds mixing ``send``, ``exchange_column`` and
+``exchange_runs`` (zero-count runs included), on
 trees of 3 to 300 nodes so that both reductions run, must give the
 matrix's ``np.nonzero`` order and values, and identical loads, received
 counts and storage.
@@ -35,7 +35,7 @@ def unicast_rounds(draw):
     most = draw(st.sampled_from([8, 200, 3000]))
     plan = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["send", "exchange", "column", "runs"]))
+        kind = draw(st.sampled_from(["send", "column", "runs"]))
         tag = draw(st.sampled_from(["a", "b"]))
         size = int(rng.integers(0, most))
         if kind == "runs":
@@ -48,8 +48,7 @@ def unicast_rounds(draw):
             ends = (rng.integers(0, count, size), rng.integers(0, count, size))
             plan.append((kind, tag, *ends))
         else:
-            targets = rng.integers(0, count, size if kind == "exchange" else 1)
-            plan.append((kind, tag, int(rng.integers(0, count)), targets, draw(st.booleans())))
+            plan.append((kind, tag, *rng.integers(0, count, 2).tolist()))
         plan[-1] += (rng.integers(-99, 99, size),)
     return tree, plan
 
@@ -61,16 +60,9 @@ def register(ctx, plan) -> None:
             ctx.exchange_runs(*args, values, tag=tag)
         elif kind == "column":
             ctx.exchange_column(*args, values, tag=tag)
-        elif kind == "send":
-            source, (target,), _ = args
-            ctx.send(order[source], order[target], values, tag=tag)
         else:
-            source, targets, named = args
-            # an explicit node list, reversed, or the canonical order
-            nodes = order[::-1] if named else None
-            if named:
-                targets = len(order) - 1 - targets
-            ctx.exchange(order[source], targets, values, tag=tag, nodes=nodes)
+            source, target = args
+            ctx.send(order[source], order[target], values, tag=tag)
 
 
 def replay(cluster, plan) -> Cluster:

@@ -18,6 +18,8 @@ from repro.baselines.uniform_hash import (
     uniform_hash_groupby,
     uniform_hash_intersect,
 )
+from repro.core.cartesian.tree import tree_cartesian_product
+from repro.core.cartesian.unequal import generalized_star_cartesian_product
 from repro.core.intersection.star import star_intersect
 from repro.core.intersection.tree import tree_intersect
 from repro.core.sorting.wts import weighted_terasort
@@ -31,10 +33,12 @@ from repro.sim import cluster as cluster_module
 
 from tests.reference_delivery import ReferenceCluster, run_on
 from tests.strategies import (
+    BANDWIDTH_CHOICES,
     graph_instances,
     keyed_instances,
     set_pair_instances,
     sort_instances,
+    tree_topologies,
 )
 
 
@@ -99,13 +103,33 @@ def _as_tuples(sets: Distribution, num_keys: int = 5) -> Distribution:
 
 
 @st.composite
-def star_instances(draw):
-    tree = repro.star(draw(st.integers(3, 6)))
+def star_instances(draw, *, unequal_bandwidths: bool = False):
+    leaves = draw(st.integers(3, 6))
+    bandwidth = (
+        [draw(st.sampled_from(BANDWIDTH_CHOICES)) for _ in range(leaves)]
+        if unequal_bandwidths
+        else 1.0
+    )
+    tree = repro.star(leaves, bandwidth=bandwidth)
     return tree, repro.random_distribution(
         tree,
         r_size=draw(st.integers(1, 60)),
         s_size=draw(st.integers(1, 60)),
         policy=draw(st.sampled_from(["uniform", "zipf"])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def equal_size_instances(draw):
+    """A random tree with ``|R| == |S|``, which Theorem 5 requires."""
+    tree = draw(tree_topologies(max_nodes=8))
+    size = draw(st.integers(1, 60))
+    return tree, repro.random_distribution(
+        tree,
+        r_size=size,
+        s_size=size,
+        policy=draw(st.sampled_from(["uniform", "zipf", "single-heavy"])),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -125,6 +149,16 @@ class TestWholeProtocolDifferential:
     @settings(max_examples=25, deadline=None)
     def test_star_intersect(self, instance):
         _assert_same_run(star_intersect, *instance, seed=3)
+
+    @given(instance=equal_size_instances(), materialize=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_tree_cartesian_product(self, instance, materialize):
+        _assert_same_run(tree_cartesian_product, *instance, materialize=materialize)
+
+    @given(instance=star_instances(unequal_bandwidths=True))
+    @settings(max_examples=25, deadline=None)
+    def test_unequal_star_cartesian_product(self, instance):
+        _assert_same_run(generalized_star_cartesian_product, *instance)
 
     @given(instance=sort_instances(max_nodes=8))
     @settings(max_examples=25, deadline=None)
