@@ -797,28 +797,23 @@ def _dispatch(args: argparse.Namespace, handlers: dict) -> int:
 
     ``--trace FILE`` / ``--metrics FILE`` record the whole command and
     write the Chrome-trace / metrics-snapshot JSON on exit (skipped for
-    the commands that already own that plumbing); ``--audit`` installs
-    a :class:`~repro.obs.CostAuditor` around everything and, in
-    ``record`` mode, turns any violation into a non-zero exit.
+    the commands that already own that plumbing); ``--audit`` adds a
+    :class:`~repro.obs.CostAuditor` and, in ``record`` mode, turns any
+    violation into a non-zero exit.  All three go into one run context
+    around the command.
     """
-    from contextlib import ExitStack
+    from repro.context import use
+    from repro.obs import CostAuditor, MetricsRegistry, Tracer
 
     tracer = registry = auditor = None
-    with ExitStack() as stack:
-        if args.trace is not None and args.command != "trace":
-            from repro.obs import tracing
-
-            tracer = stack.enter_context(tracing())
-        if args.metrics is not None and args.command != "metrics":
-            from repro.obs import collecting
-
-            registry = stack.enter_context(collecting())
-        if args.audit != "off":
-            from repro.obs import auditing
-
-            auditor = stack.enter_context(
-                auditing(strict=args.audit == "strict")
-            )
+    hooks = {}
+    if args.trace is not None and args.command != "trace":
+        tracer = hooks["tracer"] = Tracer()
+    if args.metrics is not None and args.command != "metrics":
+        registry = hooks["registry"] = MetricsRegistry()
+    if args.audit != "off":
+        auditor = hooks["auditor"] = CostAuditor(strict=args.audit == "strict")
+    with use(**hooks):
         status = handlers[args.command](args)
     if tracer is not None:
         from repro.obs import span_metrics, write_chrome_trace

@@ -22,16 +22,14 @@ distributes whole plans over the same worker pool.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.obs.audit import get_auditor, use_auditor
-from repro.obs.metrics import LATENCY_BUCKETS, get_registry, use_registry
-from repro.obs.tracer import get_tracer, use_tracer
+from repro.context import RunContext, current, use
+from repro.obs.metrics import LATENCY_BUCKETS
 from repro.report import RunReport
 from repro.core.cartesian.lower_bounds import cartesian_lower_bound
 from repro.core.intersection.lower_bound import intersection_lower_bound
@@ -47,9 +45,8 @@ from repro.registry import (
     get_task,
     register_task,
 )
-from repro.sim.cluster import current_backend, use_backend
 from repro.sim.protocol import ProtocolResult
-from repro.topology.artifacts import ensure_artifact_cache, get_artifact_cache, use_artifacts
+from repro.topology.artifacts import ArtifactCache
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import sorted_unique
 
@@ -196,6 +193,11 @@ register_task(
 )
 
 
+def _run_artifacts(context: RunContext) -> ArtifactCache:
+    """The context's artifact cache, or a one-shot cache for one run."""
+    return ArtifactCache() if context.artifacts is None else context.artifacts
+
+
 def run(
     task: str,
     tree: TreeTopology,
@@ -231,9 +233,9 @@ def run(
     backend:
         Execution substrate: ``"sim"`` (the cost-model simulator) or
         ``"process"`` (shared-memory worker processes).  ``None``
-        keeps the ambient backend (``use_backend`` context, default
-        ``"sim"``).  The protocol's spec must list the backend in its
-        ``backends`` capability tuple.
+        keeps the run context's backend (default ``"sim"``).  The
+        protocol's spec must list the backend in its ``backends``
+        capability tuple.
     num_workers:
         Worker-rank count for ``backend="process"``; ignored (and
         rejected) on the simulator.
@@ -277,28 +279,28 @@ def run_with_result(
     """
     task_spec = get_task(task)
     spec = get_protocol(task_spec.name, protocol or task_spec.default_protocol)
-    resolved_backend = backend if backend is not None else current_backend()
+    context = current()
+    resolved_backend = backend if backend is not None else context.backend
     if resolved_backend not in spec.backends:
         raise AnalysisError(
             f"protocol {spec.name!r} supports backends "
             f"{list(spec.backends)}, not {resolved_backend!r}"
         )
-    if backend is not None:
-        backend_opts = {}
+    if backend is None:
         if num_workers is not None:
-            if backend != "process":
-                raise AnalysisError(
-                    "num_workers only applies to backend='process', "
-                    f"not {backend!r}"
-                )
-            backend_opts["num_workers"] = num_workers
-        substrate = use_backend(backend, **backend_opts)
-    elif num_workers is not None:
-        raise AnalysisError("num_workers requires an explicit backend")
+            raise AnalysisError("num_workers requires an explicit backend")
+        backend_opts = context.backend_opts
+    elif num_workers is None:
+        backend_opts = {}
+    elif backend != "process":
+        raise AnalysisError(
+            "num_workers only applies to backend='process', "
+            f"not {backend!r}"
+        )
     else:
-        substrate = nullcontext()
-    tracer = get_tracer()
-    registry = get_registry()
+        backend_opts = {"num_workers": num_workers}
+    tracer = context.tracer
+    registry = context.registry
     run_labels = (
         {
             "task": task_spec.name,
@@ -327,7 +329,11 @@ def run_with_result(
             # share topology artifacts within this run; inside an
             # EngineSession the session's long-lived cache is reused
             # instead — run() is a thin one-shot session.
-            with substrate, ensure_artifact_cache():
+            with use(
+                backend=resolved_backend,
+                backend_opts=backend_opts,
+                artifacts=_run_artifacts(context),
+            ):
                 result = spec.call(tree, distribution, seed=seed, **opts)
         except Exception:
             if run_labels is not None:
@@ -382,7 +388,7 @@ def run_with_result(
                 "repro_runs_total", status="ok", **run_labels
             ).inc()
         root.set(cost=result.cost, rounds=result.rounds)
-    auditor = get_auditor()
+    auditor = context.auditor
     if auditor.enabled and bound is not None:
         auditor.check_bound(
             cost=result.cost,
@@ -512,43 +518,15 @@ def run_many(
 
         pool = get_pool(workers if workers is not None else 2)
         return pool.scatter(PLAN_JOB, list(enumerate(normalized)))
-    tracer = get_tracer()
-    registry = get_registry()
-    auditor = get_auditor()
-    artifact_cache = get_artifact_cache()
-    if (
-        tracer.enabled
-        or registry.enabled
-        or auditor.enabled
-        or artifact_cache is not None
-    ):
-        # Carry the caller's recording tracer, metrics registry,
-        # auditor, and artifact cache onto the executor threads (tracer
-        # buffer, registry instruments, and the artifact cache are
-        # shared and locked; span stacks are per-thread).  The no-op
-        # instances are *not* shared — the null tracer's path stack is
-        # single-threaded state.
-        def _mapper(indexed: tuple[int, RunPlan]) -> RunReport:
-            with use_tracer(tracer) if tracer.enabled else nullcontext():
-                with (
-                    use_registry(registry)
-                    if registry.enabled
-                    else nullcontext()
-                ):
-                    with (
-                        use_auditor(auditor)
-                        if auditor.enabled
-                        else nullcontext()
-                    ):
-                        with (
-                            use_artifacts(artifact_cache)
-                            if artifact_cache is not None
-                            else nullcontext()
-                        ):
-                            return _execute_annotated(indexed)
+    # Executor threads start from the default context: carry the
+    # caller's whole context onto them (everything in it is safe to
+    # share; span stacks are per thread).
+    context = current()
 
-    else:
-        _mapper = _execute_annotated
+    def _mapper(indexed: tuple[int, RunPlan]) -> RunReport:
+        with use(context):
+            return _execute_annotated(indexed)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_mapper, enumerate(normalized)))
 
@@ -592,7 +570,7 @@ def run_plan(
     started = perf_counter()
     # One-shot artifact scope, mirroring run(): the per-stage clusters
     # the executor builds all share one set of topology artifacts.
-    with ensure_artifact_cache():
+    with use(artifacts=_run_artifacts(current())):
         physical = optimize(
             query, tree, catalog, strategy=strategy, cache=plan_cache
         )

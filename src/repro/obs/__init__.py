@@ -5,8 +5,9 @@ package records where wall-clock time and bytes *actually* go as a run
 flows engine → plan stages → supersteps → round finalization → worker
 ranks, keeps standing counters a long-lived engine can expose, and
 audits the Section-2 invariants on every finalized round.  Zero
-dependencies, zero configuration: no-op instances are installed per
-thread by default, so instrumented code pays one attribute lookup when
+dependencies, zero configuration: the tracer, registry and auditor are
+fields of the run context (:mod:`repro.context`), whose default holds
+no-op instances, so instrumented code pays one context read when
 observability is off.
 
 * :mod:`repro.obs.tracer` — nested spans and Chrome-trace export
@@ -36,9 +37,7 @@ from repro.obs.tracer import (
     SpanEvent,
     Tracer,
     get_tracer,
-    set_tracer,
     tracing,
-    use_tracer,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -52,8 +51,6 @@ from repro.obs.metrics import (
     get_registry,
     merge_snapshots,
     prometheus_text,
-    set_registry,
-    use_registry,
     write_snapshot,
 )
 from repro.obs.audit import (
@@ -61,8 +58,6 @@ from repro.obs.audit import (
     NullAuditor,
     auditing,
     get_auditor,
-    set_auditor,
-    use_auditor,
 )
 
 __all__ = [
@@ -82,13 +77,7 @@ __all__ = [
     "get_tracer",
     "merge_snapshots",
     "prometheus_text",
-    "set_auditor",
-    "set_registry",
-    "set_tracer",
     "span_metrics",
     "tracing",
-    "use_auditor",
-    "use_registry",
-    "use_tracer",
     "write_chrome_trace",
 ]

@@ -36,19 +36,19 @@ through a shadow simulator ``round()``, an installed auditor checks
 process-backend rounds twice — once on the parallel substrate, once on
 the replay — for free.
 
-The default auditor is :class:`NullAuditor`: one thread-local attribute
-lookup per round, no snapshots, no checks — the same disabled-path
+The default auditor is :class:`NullAuditor`: one run-context read per
+round, no snapshots, no checks — the same disabled-path
 contract as ``NullTracer`` and ``NullRegistry``.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
 
+from repro.context import current, use
 from repro.errors import AuditError
 from repro.obs.metrics import get_registry
 from repro.util.grouping import sorted_unique
@@ -261,44 +261,14 @@ def _expected_deliveries(cluster, context) -> dict:
     return expected
 
 
-# ---------------------------------------------------------------------- #
-# installation (mirrors repro.obs.tracer)
-# ---------------------------------------------------------------------- #
-
-
-class _AuditState(threading.local):
-    def __init__(self) -> None:
-        self.auditor = NullAuditor()
-
-
-_STATE = _AuditState()
-
-
 def get_auditor():
-    """The auditor installed in this thread (no-op by default)."""
-    return _STATE.auditor
-
-
-def set_auditor(auditor):
-    """Install ``auditor`` in this thread; returns the previous one."""
-    previous = _STATE.auditor
-    _STATE.auditor = auditor
-    return previous
-
-
-@contextmanager
-def use_auditor(auditor) -> Iterator:
-    """Install ``auditor`` in this thread for the duration of the block."""
-    previous = set_auditor(auditor)
-    try:
-        yield auditor
-    finally:
-        _STATE.auditor = previous
+    """The auditor of this thread's run context (no-op by default)."""
+    return current().auditor
 
 
 @contextmanager
 def auditing(*, strict: bool = False) -> Iterator[CostAuditor]:
     """Audit every round within the block; yields the auditor."""
     auditor = CostAuditor(strict=strict)
-    with use_auditor(auditor):
+    with use(auditor=auditor):
         yield auditor

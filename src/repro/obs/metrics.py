@@ -17,11 +17,11 @@ exactly:
   snapshot into another (how worker ranks ship their deltas home over
   the round barrier), and :func:`prometheus_text` renders the
   Prometheus text exposition format.
-* :class:`NullRegistry` — the per-thread default.  Every instrument
-  call returns one shared no-op instrument; instrumented code gates
-  any label-dict construction on ``registry.enabled``, so the
-  disabled path costs one thread-local attribute lookup per round,
-  exactly like the :class:`~repro.obs.tracer.NullTracer` hook.
+* :class:`NullRegistry` — the default.  Every instrument call returns
+  one shared no-op instrument; instrumented code gates any label-dict
+  construction on ``registry.enabled``, so the disabled path costs one
+  run-context read per round, exactly like the
+  :class:`~repro.obs.tracer.NullTracer` hook.
 
 Histograms come in two bucket schemes:
 
@@ -43,6 +43,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.context import current, use
 from repro.errors import AnalysisError
 
 #: Fixed latency ladder (seconds) for wall-time histograms: 100us to
@@ -466,49 +467,15 @@ def write_snapshot(path, source) -> dict:
     return payload
 
 
-# ---------------------------------------------------------------------- #
-# installation (mirrors repro.obs.tracer)
-# ---------------------------------------------------------------------- #
-
-
-class _MetricsState(threading.local):
-    def __init__(self) -> None:
-        self.registry = NullRegistry()
-
-
-_STATE = _MetricsState()
-
-
 def get_registry():
-    """The metrics registry installed in this thread (no-op by default)."""
-    return _STATE.registry
-
-
-def set_registry(registry):
-    """Install ``registry`` in this thread; returns the previous one."""
-    previous = _STATE.registry
-    _STATE.registry = registry
-    return previous
-
-
-@contextmanager
-def use_registry(registry) -> Iterator:
-    """Install ``registry`` in this thread for the duration of the block.
-
-    Like ``use_tracer``: how a shared :class:`MetricsRegistry` follows
-    ``run_many`` work onto executor threads (the registry is locked, so
-    sharing is safe).
-    """
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        _STATE.registry = previous
+    """The metrics registry of this thread's run context (no-op by
+    default)."""
+    return current().registry
 
 
 @contextmanager
 def collecting() -> Iterator[MetricsRegistry]:
     """Collect metrics within the block; yields the registry."""
     registry = MetricsRegistry()
-    with use_registry(registry):
+    with use(registry=registry):
         yield registry

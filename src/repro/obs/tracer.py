@@ -10,19 +10,21 @@ Two tracer implementations share one surface:
   finished spans land in a bounded event buffer (overflow increments
   ``dropped`` instead of growing without limit).  One tracer may be
   shared by several threads — ``run_many``'s thread executor installs
-  the caller's tracer in every worker thread — so the *open-span
+  the caller's run context in every worker thread — so the *open-span
   stack* is kept per thread while the event buffer is shared under a
   lock.
-* :class:`NullTracer` — the per-thread default.  It records nothing
-  and times nothing; the only state it keeps is the stack of open span
-  *names*, so failure paths (worker crash, round timeout) can always
-  report *where* in the run they happened via :meth:`current_path`,
-  tracing on or off.  Span entry is one list append, exit one pop.
+* :class:`NullTracer` — the default.  It records nothing and times
+  nothing; the only state it keeps is the per-thread stack of open
+  span *names*, so failure paths (worker crash, round timeout) can
+  always report *where* in the run they happened via
+  :meth:`current_path`, tracing on or off.  Span entry is one list
+  append, exit one pop.
 
 Instrumented code never imports a concrete tracer; it asks
-:func:`get_tracer` (one thread-local attribute lookup) and calls the
-surface.  ``tracer.enabled`` gates any extra work — phase timers,
-ledger queries — that only matters when events are recorded.
+:func:`get_tracer` (the tracer of the current
+:class:`~repro.context.RunContext`) and calls the surface.
+``tracer.enabled`` gates any extra work — phase timers, ledger
+queries — that only matters when events are recorded.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.context import current, use
 
 #: Default event-buffer bound; ~100 bytes/event keeps worst case ~10 MB.
 DEFAULT_MAX_EVENTS = 100_000
@@ -115,7 +119,20 @@ class Span:
         return False
 
 
-class Tracer:
+class _PerThreadStack:
+    """The open-span stack each thread keeps on a tracer it shares."""
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def _stack(self) -> list:
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
+
+class Tracer(_PerThreadStack):
     """The recording tracer: nested spans into a bounded event buffer."""
 
     enabled = True
@@ -123,22 +140,12 @@ class Tracer:
     def __init__(self, *, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
+        super().__init__()
         self.max_events = max_events
         self.events: list[SpanEvent] = []
         self.dropped = 0
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._counter = itertools.count()
-
-    # ------------------------------------------------------------------ #
-    # per-thread state
-    # ------------------------------------------------------------------ #
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def _track(self) -> str:
         thread = threading.current_thread()
@@ -235,74 +242,37 @@ class _NullSpan:
         return False
 
 
-class NullTracer:
+class NullTracer(_PerThreadStack):
     """The default tracer: no events, no timing, just the name path.
 
     Keeping the open-span *names* costs one append/pop per span — spans
     open at round granularity, never per element — and is what lets
     :class:`~repro.parallel.pool.WorkerPool` failures name the
-    enclosing superstep/stage even when nobody asked for a trace.
+    enclosing superstep/stage even when nobody asked for a trace.  The
+    path is per thread, so every thread can share the default instance.
     """
 
     enabled = False
     events: tuple = ()
     dropped = 0
 
-    def __init__(self) -> None:
-        self._path: list[str] = []
-
     def span(self, name: str, *, category: str | None = None, **attrs):
-        return _NullSpan(self._path, name)
+        return _NullSpan(self._stack(), name)
 
     def annotate(self, **attrs) -> None:
         pass
 
     def current_path(self) -> tuple:
-        return tuple(self._path)
+        return tuple(self._stack())
 
     def add_event(self, *args, **kwargs) -> None:
         pass
 
 
-# ---------------------------------------------------------------------- #
-# installation
-# ---------------------------------------------------------------------- #
-
-
-class _ObsState(threading.local):
-    def __init__(self) -> None:
-        self.tracer = NullTracer()
-
-
-_STATE = _ObsState()
-
-
 def get_tracer():
-    """The tracer installed in this thread (a :class:`NullTracer` by
-    default)."""
-    return _STATE.tracer
-
-
-def set_tracer(tracer):
-    """Install ``tracer`` in this thread; returns the previous one."""
-    previous = _STATE.tracer
-    _STATE.tracer = tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer) -> Iterator:
-    """Install ``tracer`` in this thread for the duration of the block.
-
-    This is how a shared :class:`Tracer` follows work onto other
-    threads: ``run_many`` captures the caller's tracer and wraps each
-    plan execution in ``use_tracer`` on the executor thread.
-    """
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        _STATE.tracer = previous
+    """The tracer of this thread's run context (a :class:`NullTracer`
+    by default)."""
+    return current().tracer
 
 
 @contextmanager
@@ -313,5 +283,5 @@ def tracing(*, max_events: int = DEFAULT_MAX_EVENTS) -> Iterator[Tracer]:
     exit, so nesting and exceptions are safe.
     """
     tracer = Tracer(max_events=max_events)
-    with use_tracer(tracer):
+    with use(tracer=tracer):
         yield tracer

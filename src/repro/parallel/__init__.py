@@ -1,10 +1,10 @@
 """Real-parallel execution substrate: shared-memory worker processes.
 
-Importing this package registers the ``"process"`` execution backend
-with :mod:`repro.sim.cluster`, making
-``make_cluster``/``use_backend("process")`` — and therefore
-``engine.run(..., backend="process")`` — able to run protocol rounds
-across OS processes with the simulated ledger as byte-identical oracle.
+:class:`ParallelCluster` is the ``"process"`` execution backend:
+``make_cluster`` builds one when the run context's backend is
+``"process"`` — as inside ``engine.run(..., backend="process")`` — and
+runs protocol rounds across OS processes with the simulated ledger as
+byte-identical oracle.
 """
 
 from repro.parallel.backend import ParallelCluster, ParallelRoundContext

@@ -64,17 +64,13 @@ import numpy as np
 
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    use_registry,
-)
-from repro.obs.tracer import get_tracer
+from repro.context import use
+from repro.obs.metrics import MetricsRegistry, NullRegistry, get_registry
+from repro.obs.tracer import NullTracer, get_tracer
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, annotate_error, get_pool
 from repro.parallel.shmem import SharedArrayPool, attach_array
-from repro.sim.cluster import Cluster, RoundContext, register_backend
+from repro.sim.cluster import Cluster, RoundContext
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import cached_group_slices
 
@@ -391,26 +387,25 @@ class ParallelCluster(Cluster):
     # storage mirroring (oracle)
     # ------------------------------------------------------------------ #
 
+    def _mirror(self, method: str, *args) -> None:
+        """Repeat a storage call on the oracle's shadow, muted: a read
+        may compact the shadow's column, and the mirror must not
+        double-count metrics the real cluster already recorded."""
+        if self._oracle is not None:
+            with use(tracer=NullTracer(), registry=NullRegistry()):
+                getattr(self._oracle.shadow, method)(*args)
+
     def load(self, distribution: Distribution) -> None:
         super().load(distribution)
-        if self._oracle is not None:
-            with use_registry(NullRegistry()):
-                self._oracle.shadow.load(distribution)
+        self._mirror("load", distribution)
 
     def put(self, node, tag: str, values) -> None:
         super().put(node, tag, values)
-        if self._oracle is not None:
-            with use_registry(NullRegistry()):
-                self._oracle.shadow.put(node, tag, values)
+        self._mirror("put", node, tag, values)
 
     def take(self, node, tag: str) -> np.ndarray:
         values = super().take(node, tag)
-        if self._oracle is not None:
-            # the shadow's read may compact its column; mute the
-            # registry so the mirror doesn't double-count storage
-            # metrics the real cluster already recorded
-            with use_registry(NullRegistry()):
-                self._oracle.shadow.take(node, tag)
+        self._mirror("take", node, tag)
         return values
 
     # ------------------------------------------------------------------ #
@@ -430,5 +425,3 @@ class ParallelCluster(Cluster):
         self._storage.clear()
         _release_segments(self.pool.shm, self._retained_segments)
 
-
-register_backend("process", ParallelCluster)

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.context import use
 from repro.errors import ProtocolError
-from repro.obs.metrics import NullRegistry, use_registry
-from repro.obs.tracer import NullTracer, use_tracer
+from repro.obs.metrics import NullRegistry
+from repro.obs.tracer import NullTracer
 from repro.sim.cluster import Cluster
 from repro.topology.tree import TreeTopology, node_sort_key
 
@@ -66,7 +67,7 @@ class LedgerOracle:
         # through the shadow's own ``round()``, so auditing a
         # process-backend run checks the simulator's finalization of
         # the very same streams for free.
-        with use_tracer(NullTracer()), use_registry(NullRegistry()):
+        with use(tracer=NullTracer(), registry=NullRegistry()):
             with self.shadow.round() as context:
                 context._unicast_stream.extend(unicast_stream)
                 context._multicasts.extend(multicasts)
@@ -121,11 +122,12 @@ def assert_clusters_identical(
     per-tag storage bytes (``local()`` views).  Raises
     :class:`OracleMismatch` naming the first divergence.
 
-    Runs under a muted metrics registry: reading every column may
-    lazily compact it, and a verification pass must not perturb the
-    backend-agnostic storage counters it is there to safeguard.
+    Runs under a muted tracer and metrics registry: reading every
+    column may lazily compact it, and a verification pass must not
+    perturb the backend-agnostic storage counters it is there to
+    safeguard.
     """
-    with use_registry(NullRegistry()):
+    with use(tracer=NullTracer(), registry=NullRegistry()):
         _assert_clusters_identical(a, b, a_name=a_name, b_name=b_name)
 
 

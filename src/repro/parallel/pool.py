@@ -136,27 +136,28 @@ def _worker_main(rank, num_workers, seed, task_queue, result_queue):
     global WORKER_RANK, WORKER_COUNT, WORKER_RNG
     WORKER_RANK = rank
     WORKER_COUNT = num_workers
-    from repro.sim.cluster import reset_backend
+    from repro.context import default, use
     from repro.util.seeding import rank_generator
 
-    # A fork during ``use_backend("process")`` must not leak that state
-    # into the worker: jobs here always run on the simulator.
-    reset_backend()
     WORKER_RNG = rank_generator(seed, rank)
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        job_id, target, payload = item
-        try:
-            value = _resolve(target)(payload)
-            message = (rank, job_id, True, value)
-        except BaseException as error:  # noqa: BLE001 - shipped to master
-            message = (rank, job_id, False, _pack_error(error))
-        try:
-            result_queue.put(message)
-        except Exception as error:  # pragma: no cover - unpicklable value
-            result_queue.put((rank, job_id, False, _pack_error(error)))
+    # A fork inherits the forking thread's run context (a process
+    # backend, a recording tracer): jobs here start from the default,
+    # on the simulator.
+    with use(default()):
+        while True:
+            item = task_queue.get()
+            if item is None:
+                break
+            job_id, target, payload = item
+            try:
+                value = _resolve(target)(payload)
+                message = (rank, job_id, True, value)
+            except BaseException as error:  # noqa: BLE001 - shipped to master
+                message = (rank, job_id, False, _pack_error(error))
+            try:
+                result_queue.put(message)
+            except Exception as error:  # pragma: no cover - unpicklable value
+                result_queue.put((rank, job_id, False, _pack_error(error)))
     detach_all()
 
 

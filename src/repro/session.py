@@ -51,13 +51,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable
 
+from repro.context import use
 from repro.engine import RunPlan, run_many as _engine_run_many
 from repro.engine import run_plan as _engine_run_plan
 from repro.engine import run_with_result as _engine_run_with_result
 from repro.errors import AnalysisError
 from repro.plan.optimizer import PlanCache
 from repro.registry import get_task
-from repro.topology.artifacts import ArtifactCache, use_artifacts
+from repro.topology.artifacts import ArtifactCache
 from repro.topology.tree import TreeTopology
 
 SCHEDULES = ("cost", "fifo")
@@ -187,7 +188,7 @@ class EngineSession:
         backend, num_workers = self._resolve_substrate(
             kwargs.pop("backend", None), kwargs.pop("num_workers", None)
         )
-        with use_artifacts(self.artifact_cache):
+        with use(artifacts=self.artifact_cache):
             out = _engine_run_with_result(
                 task,
                 self.tree,
@@ -209,7 +210,7 @@ class EngineSession:
                 "no catalog: pass one to the call or pin one on the session"
             )
         kwargs.setdefault("plan_cache", self.plan_cache)
-        with use_artifacts(self.artifact_cache):
+        with use(artifacts=self.artifact_cache):
             out = _engine_run_plan(query, self.tree, catalog, **kwargs)
         self._plan_runs += 1
         return out
@@ -319,7 +320,7 @@ class EngineSession:
             # Cheapest certified bound first; unbounded tasks last,
             # submission order breaking ties (sort is stable).
             admitted.sort(key=lambda i: bounds.get(i, float("inf")))
-        with use_artifacts(self.artifact_cache):
+        with use(artifacts=self.artifact_cache):
             reports = _engine_run_many(
                 [normalized[i] for i in admitted],
                 workers=workers,

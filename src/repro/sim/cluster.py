@@ -38,14 +38,14 @@ loops) and delivers and charges every grouped transfer in bulk.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from itertools import accumulate, repeat
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.context import current
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.obs.audit import get_auditor
@@ -67,103 +67,31 @@ from repro.util.grouping import (
     index_dtype,
 )
 
-# ---------------------------------------------------------------------- #
-# execution backends
-# ---------------------------------------------------------------------- #
-#
-# Protocols construct their cluster through :func:`make_cluster`, which
-# dispatches to the *active backend*: ``"sim"`` (this module's
-# single-process :class:`Cluster`) or any substrate registered via
-# :func:`register_backend` — ``"process"`` is the shared-memory
-# multiprocessing substrate in :mod:`repro.parallel.backend`.  The
-# active backend is thread-local so concurrent ``run_many`` plans can
-# run under different backends without racing.
-
-_BACKEND_FACTORIES: dict[str, Callable] = {}
-
-
-class _BackendState(threading.local):
-    def __init__(self) -> None:
-        self.name = "sim"
-        self.opts: dict = {}
-
-
-_BACKEND_STATE = _BackendState()
-
-
-def register_backend(name: str, factory: Callable) -> None:
-    """Register a cluster factory ``factory(tree, distribution, **opts)``."""
-    _BACKEND_FACTORIES[name] = factory
-
-
-def reset_backend() -> None:
-    """Restore this thread's backend to the default simulator.
-
-    Forked worker processes call this on startup: a worker forked while
-    the master sat inside ``use_backend("process")`` would otherwise
-    inherit that state and recursively ask for a pool of its own.
-    """
-    _BACKEND_STATE.name = "sim"
-    _BACKEND_STATE.opts = {}
-
-
-def backend_names() -> tuple:
-    """Names of the registered execution backends."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def current_backend() -> str:
-    """The backend :func:`make_cluster` dispatches to in this thread."""
-    return _BACKEND_STATE.name
-
-
-def _resolve_backend(name: str) -> Callable:
-    if name not in _BACKEND_FACTORIES and name == "process":
-        # The process substrate registers itself on import; pull it in
-        # lazily so the simulator has no hard dependency on it.
-        import repro.parallel.backend  # noqa: F401
-    try:
-        return _BACKEND_FACTORIES[name]
-    except KeyError:
-        raise ProtocolError(
-            f"unknown execution backend {name!r}; "
-            f"registered: {backend_names()}"
-        ) from None
-
-
-@contextmanager
-def use_backend(name: str, **opts) -> Iterator[None]:
-    """Route :func:`make_cluster` to backend ``name`` within the block.
-
-    ``opts`` are merged into every cluster construction (e.g.
-    ``num_workers=4, oracle=True`` for the process backend).  The
-    engine wraps protocol invocations in this context when the caller
-    selects ``backend="process"``, so protocols themselves stay
-    backend-agnostic.
-    """
-    _resolve_backend(name)
-    previous_name, previous_opts = _BACKEND_STATE.name, _BACKEND_STATE.opts
-    _BACKEND_STATE.name = name
-    _BACKEND_STATE.opts = dict(opts)
-    try:
-        yield
-    finally:
-        _BACKEND_STATE.name = previous_name
-        _BACKEND_STATE.opts = previous_opts
-
 
 def make_cluster(
     tree: TreeTopology, distribution: Distribution | None = None, **kwargs
 ) -> "Cluster":
-    """Build a cluster on the active execution backend.
+    """Build a cluster on the run context's execution backend.
 
-    This is the constructor every protocol uses; keyword arguments the
-    protocol passes (``bits_per_element``) override same-named backend
-    options installed by :func:`use_backend`.
+    This is the constructor every protocol uses, so protocols stay
+    backend-agnostic: ``"sim"`` is this module's :class:`Cluster`,
+    ``"process"`` the shared-memory substrate of
+    :mod:`repro.parallel.backend`, imported on first use so the
+    simulator does not depend on it.  The context's ``backend_opts``
+    go into every construction; keyword arguments the protocol passes
+    (``bits_per_element``) override same-named options.
     """
-    factory = _resolve_backend(_BACKEND_STATE.name)
-    merged = {**_BACKEND_STATE.opts, **kwargs}
-    return factory(tree, distribution, **merged)
+    context = current()
+    if context.backend == "sim":
+        factory = Cluster
+    elif context.backend == "process":
+        from repro.parallel.backend import ParallelCluster as factory
+    else:
+        raise ProtocolError(
+            f"unknown execution backend {context.backend!r}; "
+            "registered: ('process', 'sim')"
+        )
+    return factory(tree, distribution, **{**context.backend_opts, **kwargs})
 
 
 def _concatenated(parts: Sequence) -> np.ndarray:
@@ -1046,5 +974,3 @@ class Cluster:
     def close(self) -> None:
         """Release substrate resources (no-op for the simulator)."""
 
-
-register_backend("sim", Cluster)

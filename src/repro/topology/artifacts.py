@@ -9,17 +9,16 @@ parameterize the whole cost model by the topology alone).  A one-shot
 answering thousands of queries on one fat tree is not.  This module
 factors those structures into :class:`TopologyArtifacts`, cached in an
 :class:`ArtifactCache` keyed by a stable :func:`topology_fingerprint`
-and installed thread-locally exactly like the :mod:`repro.obs`
-tracer/registry/auditor:
+and carried in the ``artifacts`` field of the run context
+(:mod:`repro.context`), next to the tracer, registry and auditor:
 
 * :class:`~repro.session.EngineSession` installs a long-lived cache, so
   every cluster built inside the session — by any protocol, any
   superstep, any plan stage — shares one set of artifacts per topology;
-* the module-level engine wraps each run in
-  :func:`ensure_artifact_cache`, a *one-shot* cache torn down with the
-  run — multi-cluster runs (graph supersteps, plan pipelines) stop
-  rebuilding the routing index per cluster, but nothing leaks across
-  independent ``run()`` calls.
+* the module-level engine installs a *one-shot* cache for each run when
+  none is installed, torn down with the run — multi-cluster runs (graph
+  supersteps, plan pipelines) stop rebuilding the routing index per
+  cluster, but nothing leaks across independent ``run()`` calls.
 
 Sharing is byte-identity-safe by construction: artifacts hold no
 data-dependent state, so a warm cluster produces ledgers, storage, and
@@ -36,6 +35,7 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
+from repro.context import current, use
 from repro.obs.metrics import get_registry
 from repro.topology.steiner import PathOracle
 from repro.topology.tree import TreeTopology, node_sort_key
@@ -173,61 +173,10 @@ class ArtifactCache:
             }
 
 
-# ---------------------------------------------------------------------- #
-# installation (mirrors repro.obs.metrics)
-# ---------------------------------------------------------------------- #
-
-
-class _ArtifactState(threading.local):
-    def __init__(self) -> None:
-        self.cache: ArtifactCache | None = None
-
-
-_STATE = _ArtifactState()
-
-
-def get_artifact_cache() -> ArtifactCache | None:
-    """The artifact cache installed in this thread (``None`` when cold)."""
-    return _STATE.cache
-
-
-def set_artifact_cache(cache: ArtifactCache | None) -> ArtifactCache | None:
-    """Install ``cache`` in this thread; returns the previous one."""
-    previous = _STATE.cache
-    _STATE.cache = cache
-    return previous
-
-
 @contextmanager
 def use_artifacts(cache: ArtifactCache) -> Iterator[ArtifactCache]:
-    """Install ``cache`` in this thread for the duration of the block.
-
-    Exception-safe like every installer in this codebase (the previous
-    cache is restored in a ``finally``): a failing run inside a session
-    cannot leak the session's cache onto the caller's thread.
-    """
-    previous = set_artifact_cache(cache)
-    try:
-        yield cache
-    finally:
-        _STATE.cache = previous
-
-
-@contextmanager
-def ensure_artifact_cache() -> Iterator[ArtifactCache]:
-    """A one-shot cache if none is active; a no-op inside a session.
-
-    The module-level engine wraps each run in this: clusters built
-    within the run share artifacts (graph supersteps, plan stages), the
-    cache dies with the run, and — crucially — an enclosing session's
-    long-lived cache is left in place untouched, so
-    ``session.run(...)`` and plain ``run(...)`` stay the same code path.
-    """
-    active = _STATE.cache
-    if active is not None:
-        yield active
-        return
-    with use_artifacts(ArtifactCache()) as cache:
+    """Share ``cache`` with every cluster built within the block."""
+    with use(artifacts=cache):
         yield cache
 
 
@@ -239,7 +188,5 @@ def resolve_artifacts(tree: TreeTopology) -> TopologyArtifacts:
     cold-path behavior exactly (a private, unshared build) while letting
     sessions and one-shot run scopes share transparently.
     """
-    cache = _STATE.cache
-    if cache is not None:
-        return cache.get(tree)
-    return TopologyArtifacts(tree)
+    cache = current().artifacts
+    return TopologyArtifacts(tree) if cache is None else cache.get(tree)

@@ -12,7 +12,6 @@ from repro.obs.audit import (
     NullAuditor,
     auditing,
     get_auditor,
-    use_auditor,
 )
 from repro.obs.metrics import collecting
 from repro.parallel.pool import shutdown_pools
@@ -198,13 +197,6 @@ class TestInstallation:
         auditor.check_bound(
             cost=0.0, bound=1.0, task="x", protocol="y", per_instance=True
         )
-
-    def test_use_auditor_restores_on_error(self):
-        before = get_auditor()
-        with pytest.raises(RuntimeError):
-            with use_auditor(CostAuditor()):
-                raise RuntimeError("boom")
-        assert get_auditor() is before
 
     def test_summary_groups_by_invariant(self):
         auditor = CostAuditor()

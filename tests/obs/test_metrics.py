@@ -1,7 +1,6 @@
 """Metrics registry unit behaviour: instruments, snapshots, merging."""
 
 import json
-import threading
 
 import pytest
 from hypothesis import given
@@ -17,8 +16,6 @@ from repro.obs.metrics import (
     merge_snapshots,
     parse_label_key,
     prometheus_text,
-    set_registry,
-    use_registry,
     write_snapshot,
 )
 
@@ -192,39 +189,6 @@ class TestInstallation:
             "gauges": {},
             "histograms": {},
         }
-
-    def test_collecting_installs_and_restores(self):
-        before = get_registry()
-        with collecting() as registry:
-            assert get_registry() is registry
-            assert registry.enabled
-        assert get_registry() is before
-
-    def test_use_registry_restores_on_error(self):
-        before = get_registry()
-        with pytest.raises(RuntimeError):
-            with use_registry(MetricsRegistry()):
-                raise RuntimeError("boom")
-        assert get_registry() is before
-
-    def test_installation_is_thread_local(self):
-        with collecting() as registry:
-            seen = []
-            thread = threading.Thread(
-                target=lambda: seen.append(get_registry())
-            )
-            thread.start()
-            thread.join()
-        assert isinstance(seen[0], NullRegistry)
-        assert seen[0] is not registry
-
-    def test_set_registry_returns_previous(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            assert get_registry() is registry
-        finally:
-            set_registry(previous)
 
     def test_summary_collapses_histograms(self):
         with collecting() as registry:

@@ -2,7 +2,7 @@
 
 The contract from the design: with no recording tracer, metrics
 registry, or auditor installed, the instrumentation costs a few
-thread-local attribute lookups plus a no-op span per *round* (never
+run-context reads plus a no-op span per *round* (never
 per element).  This test prices the full disabled hook sequence a
 round touches and asserts it stays far under 5% of a small prepared
 uniform-hash round.

@@ -1,17 +1,11 @@
-"""Tracer behaviour: nesting, ordering, bounds, paths, thread-locality."""
+"""Tracer behaviour: nesting, ordering, bounds, paths, shared threads."""
 
 import threading
 
 import pytest
 
-from repro.obs.tracer import (
-    NullTracer,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
-    use_tracer,
-)
+from repro.context import use
+from repro.obs.tracer import NullTracer, Tracer, get_tracer, tracing
 
 
 class TestSpanNesting:
@@ -129,49 +123,14 @@ class TestInstallation:
         assert isinstance(get_tracer(), NullTracer)
         assert get_tracer().enabled is False
 
-    def test_tracing_installs_and_restores(self):
-        before = get_tracer()
-        with tracing() as tracer:
-            assert get_tracer() is tracer
-            assert tracer.enabled is True
-        assert get_tracer() is before
-
-    def test_set_tracer_returns_previous(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert get_tracer() is tracer
-        finally:
-            set_tracer(previous)
-
-    def test_tracing_restores_on_exception(self):
-        before = get_tracer()
-        with pytest.raises(RuntimeError):
-            with tracing():
-                raise RuntimeError
-        assert get_tracer() is before
-
 
 class TestThreads:
-    def test_installation_is_thread_local(self):
-        seen = {}
-
-        def probe():
-            seen["tracer"] = get_tracer()
-
-        with tracing() as tracer:
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-            assert seen["tracer"] is not tracer
-            assert isinstance(seen["tracer"], NullTracer)
-
     def test_shared_tracer_keeps_per_thread_stacks_and_tracks(self):
         tracer = Tracer()
         barrier = threading.Barrier(2)
 
         def work(label):
-            with use_tracer(tracer):
+            with use(tracer=tracer):
                 with tracer.span(label):
                     barrier.wait(timeout=5)
                     assert tracer.current_path() == (label,)

@@ -3,19 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.context import current, use
 from repro.data.generators import random_distribution
 from repro.engine import RunPlan, run, run_many
 from repro.errors import AnalysisError, ProtocolError
 from repro.parallel import ParallelCluster
 from repro.parallel.pool import shutdown_pools
 from repro.registry import register_protocol
-from repro.sim.cluster import (
-    Cluster,
-    backend_names,
-    current_backend,
-    make_cluster,
-    use_backend,
-)
+from repro.sim.cluster import Cluster, make_cluster
 from repro.topology.builders import fat_tree, two_level
 
 
@@ -30,38 +25,36 @@ def tree():
     return two_level([3, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
 
 
-class TestBackendRegistry:
-    def test_process_backend_registered(self):
-        assert {"sim", "process"} <= set(backend_names())
-
+class TestMakeCluster:
     def test_default_backend_is_sim(self, tree):
-        assert current_backend() == "sim"
+        assert current().backend == "sim"
         cluster = make_cluster(tree)
         assert cluster.backend == "sim"
         assert type(cluster) is Cluster
 
-    def test_use_backend_dispatches_and_restores(self, tree):
-        with use_backend("process", num_workers=2):
-            assert current_backend() == "process"
+    def test_process_backend_dispatches(self, tree):
+        with use(backend="process", backend_opts={"num_workers": 2}):
             cluster = make_cluster(tree)
             assert isinstance(cluster, ParallelCluster)
             assert cluster.backend == "process"
             cluster.close()
-        assert current_backend() == "sim"
 
-    def test_use_backend_nests(self, tree):
-        with use_backend("process", num_workers=2):
-            with use_backend("sim"):
+    def test_inner_sim_backend_wins(self, tree):
+        with use(backend="process", backend_opts={"num_workers": 2}):
+            with use(backend="sim", backend_opts={}):
                 assert type(make_cluster(tree)) is Cluster
-            assert current_backend() == "process"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown execution backend"):
-            with use_backend("fpga"):
-                pass  # pragma: no cover
+    def test_unknown_backend_rejected(self, tree):
+        with use(backend="fpga"):
+            with pytest.raises(
+                ProtocolError,
+                match=r"unknown execution backend 'fpga'; "
+                r"registered: \('process', 'sim'\)",
+            ):
+                make_cluster(tree)
 
     def test_explicit_kwargs_override_backend_opts(self, tree):
-        with use_backend("process", num_workers=2):
+        with use(backend="process", backend_opts={"num_workers": 2}):
             cluster = make_cluster(tree, num_workers=3)
             assert cluster.num_workers == 3
             cluster.close()

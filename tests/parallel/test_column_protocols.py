@@ -19,13 +19,13 @@ from repro.baselines.uniform_hash import (
     uniform_hash_intersect,
 )
 from repro.core.intersection.tree import tree_intersect
+from repro.context import use
 from repro.core.sorting.wts import weighted_terasort
 from repro.data.generators import random_distribution, random_tuple_distribution
 from repro.obs.audit import auditing
 from repro.parallel.pool import shutdown_pools
 from repro.queries.aggregate import tree_groupby_aggregate
 from repro.queries.join import tree_equijoin
-from repro.sim.cluster import use_backend
 from repro.topology.builders import two_level
 
 
@@ -60,7 +60,7 @@ CASES = {
 
 def _audited(protocol, distribution, opts, backend, **backend_opts):
     with auditing(strict=True) as auditor:
-        with use_backend(backend, **backend_opts):
+        with use(backend=backend, backend_opts=backend_opts):
             result = protocol(TREE, distribution, seed=4, **opts)
     assert auditor.violations == []
     assert auditor.rounds_checked >= result.rounds > 0

@@ -32,8 +32,8 @@ per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
   then group id, then element order.
 
 ``ReferenceCluster`` takes the same constructor arguments as ``Cluster``,
-so registering it under a backend name (``register_backend`` /
-``use_backend``) replays whole protocols through the definition.
+so putting it in place of the ``"sim"`` backend's class (:func:`run_on`)
+replays whole protocols through the definition.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def run_on(cluster_class, protocol, tree, distribution, **opts):
         return built[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(cluster_module._BACKEND_FACTORIES, "sim", factory)
+        patch.setattr(cluster_module, "Cluster", factory)
         result = protocol(tree, distribution, **opts)
-    assert built, "the protocol never asked the factory table for a cluster"
+    assert built, "the protocol never asked make_cluster for a cluster"
     return result, built

@@ -345,7 +345,7 @@ class Recording(sim.Cluster):
         super().__init__(*args, **kwargs)
         built.append(self)
 
-sim.register_backend("sim", Recording)
+sim.Cluster = Recording  # what make_cluster builds on "sim"
 
 tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
 assert all(isinstance(v, str) for v in tree.compute_nodes)

@@ -1,8 +1,8 @@
 """Whole protocols, replayed through the reference delivery model.
 
-Every protocol builds its clusters through ``make_cluster``, so swapping
-the ``"sim"`` entry of the backend factory table for
-``tests/reference_delivery.ReferenceCluster`` runs the protocol's own
+Every protocol builds its clusters through ``make_cluster``, so putting
+``tests/reference_delivery.ReferenceCluster`` in place of the ``"sim"``
+backend's ``Cluster`` runs the protocol's own
 code — hashing, planning, supersteps — on the transfer-by-transfer
 definition of a round.  The two runs must agree on the cost, the round
 count, every round's per-edge loads, every cluster's received counts and

@@ -7,7 +7,8 @@ from repro.engine import RunPlan
 from repro.errors import AnalysisError
 from repro.plan import PlanCache, chain_catalog, chain_query
 from repro.session import SCHEDULES, EngineSession
-from repro.topology.artifacts import ArtifactCache, get_artifact_cache
+from repro.context import current
+from repro.topology.artifacts import ArtifactCache
 from repro.topology.builders import two_level
 
 
@@ -104,7 +105,7 @@ class TestSessionRuns:
     def test_session_scope_does_not_leak_cache(self, tree, dist):
         with EngineSession(tree) as session:
             session.run("set-intersection", dist)
-        assert get_artifact_cache() is None
+        assert current().artifacts is None
 
     def test_shared_artifact_cache_across_sessions(self, tree, dist):
         shared = ArtifactCache()

@@ -1,10 +1,9 @@
 """Tests for the shared topology-artifact layer (repro.topology.artifacts)."""
 
-import threading
-
 import numpy as np
 import pytest
 
+from repro.context import current
 from repro.data.generators import random_distribution
 from repro.errors import ProtocolError
 from repro.obs.metrics import collecting
@@ -12,10 +11,7 @@ from repro.sim.cluster import Cluster
 from repro.topology.artifacts import (
     ArtifactCache,
     TopologyArtifacts,
-    ensure_artifact_cache,
-    get_artifact_cache,
     resolve_artifacts,
-    set_artifact_cache,
     topology_fingerprint,
     use_artifacts,
 )
@@ -147,53 +143,27 @@ class TestArtifactCache:
         assert counters["repro_artifact_cache_hits_total"][""] == 1
 
 
-class TestInstallers:
-    def test_default_is_none(self):
-        assert get_artifact_cache() is None
+class TestRunScope:
+    def test_runs_inside_use_artifacts_share_the_installed_cache(self):
+        import repro
 
-    def test_use_artifacts_installs_and_restores(self):
         cache = ArtifactCache()
+        tree = _tree()
+        distribution = random_distribution(tree, r_size=40, s_size=40, seed=1)
         with use_artifacts(cache):
-            assert get_artifact_cache() is cache
-        assert get_artifact_cache() is None
+            repro.run("set-intersection", tree, distribution)
+            repro.run("set-intersection", tree, distribution)
+            assert current().artifacts is cache
+        assert cache.misses == 1 and cache.hits >= 1
+        assert current().artifacts is None
 
-    def test_use_artifacts_restores_on_exception(self):
-        cache = ArtifactCache()
-        with pytest.raises(RuntimeError):
-            with use_artifacts(cache):
-                raise RuntimeError("boom")
-        assert get_artifact_cache() is None
+    def test_a_run_outside_leaves_no_cache_installed(self):
+        import repro
 
-    def test_set_returns_previous(self):
-        cache = ArtifactCache()
-        assert set_artifact_cache(cache) is None
-        assert set_artifact_cache(None) is cache
-
-    def test_ensure_is_noop_inside_session_scope(self):
-        cache = ArtifactCache()
-        with use_artifacts(cache):
-            with ensure_artifact_cache() as active:
-                assert active is cache
-            # the enclosing cache survives the inner scope
-            assert get_artifact_cache() is cache
-
-    def test_ensure_installs_one_shot_cache(self):
-        with ensure_artifact_cache() as active:
-            assert get_artifact_cache() is active
-        assert get_artifact_cache() is None
-
-    def test_installation_is_thread_local(self):
-        cache = ArtifactCache()
-        seen = {}
-
-        def probe():
-            seen["other"] = get_artifact_cache()
-
-        with use_artifacts(cache):
-            worker = threading.Thread(target=probe)
-            worker.start()
-            worker.join()
-        assert seen["other"] is None
+        tree = _tree()
+        distribution = random_distribution(tree, r_size=40, s_size=40, seed=1)
+        repro.run("set-intersection", tree, distribution)
+        assert current().artifacts is None
 
     def test_resolve_prefers_installed_cache(self):
         cache = ArtifactCache()

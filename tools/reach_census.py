@@ -11,6 +11,14 @@ another in this process, separated by ``:::``::
     python tools/reach_census.py \\
         bench/run.py --workload serve_mix --smoke --seconds 0 \\
         ::: examples/quickstart.py ::: examples/query_plan.py
+
+The paper benchmarks run through pytest's ``__main__.py``, and need
+``--benchmark-disable``: pytest-benchmark calls ``sys.setprofile(None)``
+inside every ``benchmark(...)`` call, which would hide what it times::
+
+    BENCH_SMALL=1 python tools/reach_census.py \\
+        "$(python -c 'import os, pytest; print(os.path.dirname(pytest.__file__))')/__main__.py" \\
+        benchmarks -q -p no:cacheprovider --benchmark-disable
 """
 
 import ast
