@@ -16,8 +16,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_table
-from repro.analysis.runner import run_cartesian, run_intersection, run_sorting
 from repro.data.generators import random_distribution
+from repro.engine import run
 from repro.topology.builders import star, two_level
 
 SIZE = 6_000
@@ -52,16 +52,18 @@ def test_baselines_head_to_head(benchmark):
             ("uniform/MPC", _uniform_instance()),
             ("heterogeneous", _heterogeneous_instance()),
         ):
-            intersect_aware = run_intersection(tree, dist, protocol="tree", seed=5)
-            intersect_base = run_intersection(
-                tree, dist, protocol="uniform-hash", seed=5
+            intersect_aware = run(
+                "set-intersection", tree, dist, protocol="tree", seed=5
             )
-            cartesian_aware = run_cartesian(tree, dist, protocol="tree")
-            cartesian_base = run_cartesian(
-                tree, dist, protocol="classic-hypercube"
+            intersect_base = run(
+                "set-intersection", tree, dist, protocol="uniform-hash", seed=5
             )
-            sort_aware = run_sorting(tree, dist, protocol="wts", seed=5)
-            sort_base = run_sorting(tree, dist, protocol="terasort", seed=5)
+            cartesian_aware = run("cartesian-product", tree, dist, protocol="tree")
+            cartesian_base = run(
+                "cartesian-product", tree, dist, protocol="classic-hypercube"
+            )
+            sort_aware = run("sorting", tree, dist, protocol="wts", seed=5)
+            sort_base = run("sorting", tree, dist, protocol="terasort", seed=5)
             rows.append(
                 (
                     setting,

@@ -6,7 +6,9 @@ bottleneck link, and the algorithms adapt without modification — is
 validated by sweeping the input size on a star and on a two-level tree
 with slow uplinks and checking that (a) every task scales linearly in N
 (single-round protocols move each element O(1) times) and (b) the tree's
-slow uplinks raise cost by exactly the bottleneck factor.
+slow uplinks raise cost by exactly the bottleneck factor.  On the star
+the sweep also runs StarIntersect (Algorithm 1), the star-only protocol
+TreeIntersect generalizes, under the same scaling check.
 """
 
 from __future__ import annotations
@@ -21,20 +23,23 @@ from repro.topology.builders import star, two_level
 SIZES = (2_000, 8_000, 32_000)
 
 
-def _sweep(tree):
+def _sweep(tree, *, star_intersect=False):
     rows = []
     for size in SIZES:
         dist = random_distribution(
             tree, r_size=size, s_size=size, policy="uniform", seed=21
         )
-        rows.append(
-            {
-                "n": 2 * size,
-                "intersection": run("set-intersection", tree, dist, seed=2),
-                "cartesian": run("cartesian-product", tree, dist),
-                "sorting": run("sorting", tree, dist, seed=2),
-            }
-        )
+        row = {
+            "n": 2 * size,
+            "intersection": run("set-intersection", tree, dist, seed=2),
+            "cartesian": run("cartesian-product", tree, dist),
+            "sorting": run("sorting", tree, dist, seed=2),
+        }
+        if star_intersect:
+            row["star-intersection"] = run(
+                "set-intersection", tree, dist, protocol="star", seed=2
+            )
+        rows.append(row)
     return rows
 
 
@@ -46,7 +51,7 @@ def test_fig1_star_vs_tree(benchmark):
         name="two-level(4,4) slow uplinks",
     )
     results = benchmark.pedantic(
-        lambda: (_sweep(star_topology), _sweep(tree_topology)),
+        lambda: (_sweep(star_topology, star_intersect=True), _sweep(tree_topology)),
         rounds=1,
         iterations=1,
     )
@@ -62,11 +67,19 @@ def test_fig1_star_vs_tree(benchmark):
                     row["intersection"].cost,
                     row["cartesian"].cost,
                     row["sorting"].cost,
+                    row["star-intersection"].cost if "star-intersection" in row else "-",
                 ]
             )
     record_table(
         "Figure 1 — cost vs N on star(8) and a slow-uplink two-level tree",
-        ["topology", "N", "intersect cost", "cartesian cost", "sort cost"],
+        [
+            "topology",
+            "N",
+            "intersect cost",
+            "cartesian cost",
+            "sort cost",
+            "StarIntersect cost",
+        ],
         table_rows,
     )
 
@@ -74,7 +87,7 @@ def test_fig1_star_vs_tree(benchmark):
     # (sorting's fixed sampling overhead amortizes away, so its growth
     # can dip slightly below 16x at small N)
     for rows in (star_rows, tree_rows):
-        for task in ("intersection", "cartesian", "sorting"):
+        for task in rows[0].keys() - {"n"}:
             small, large = rows[0][task].cost, rows[-1][task].cost
             assert 6 * small <= large <= 32 * small, (task, small, large)
 

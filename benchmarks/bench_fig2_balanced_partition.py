@@ -18,13 +18,13 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_table
-from repro.analysis.runner import run_intersection
 from repro.core.intersection.partition import (
     balanced_partition,
     classify_edges,
     verify_balanced_partition,
 )
 from repro.data.generators import random_distribution
+from repro.engine import run
 from repro.topology.builders import caterpillar, two_level
 
 EXPONENTS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -48,8 +48,8 @@ def test_fig2_partition_quality_across_skew(benchmark):
                 tree, sizes, R_SIZE, blocks
             )
             classification = classify_edges(tree, sizes, R_SIZE)
-            report = run_intersection(
-                tree, dist, placement=f"zipf({exponent})", seed=3
+            report = run(
+                "set-intersection", tree, dist, placement=f"zipf({exponent})", seed=3
             )
             rows.append(
                 (exponent, blocks, violations, classification, report)

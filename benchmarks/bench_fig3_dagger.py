@@ -4,7 +4,8 @@ Figure 3 shows the two shapes of G-dagger: rooted at a compute node
 (left) and at a router (right).  The claims behind it (Section 4.1):
 
 * Lemma 4 — out-degree at most one, exactly one root — holds for every
-  placement;
+  placement, and the linear-time ``optimal_cover`` equals the best
+  ``cover_value`` over every minimal cover (Lemma 8);
 * when the root *is* a compute node (one node holds at least half the
   data), routing everything to it is the optimal cartesian-product
   strategy and the protocol switches to it;
@@ -20,10 +21,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_table
-from repro.analysis.runner import run_cartesian
 from repro.data.generators import random_distribution
+from repro.engine import run
 from repro.topology.builders import two_level
-from repro.topology.dagger import build_dagger
+from repro.topology.dagger import (
+    build_dagger,
+    cover_value,
+    minimal_covers,
+    optimal_cover,
+)
 
 FRACTIONS = (0.10, 0.30, 0.45, 0.55, 0.70, 0.90)
 SIZE = 3_000
@@ -42,8 +48,8 @@ def test_fig3_root_location_drives_strategy(benchmark):
             )
             sizes = {v: dist.size(v) for v in tree.compute_nodes}
             dagger = build_dagger(tree, sizes)
-            report = run_cartesian(
-                tree, dist, placement=f"heavy={fraction:g}"
+            report = run(
+                "cartesian-product", tree, dist, placement=f"heavy={fraction:g}"
             )
             rows.append((fraction, dagger, report))
         return rows
@@ -55,6 +61,10 @@ def test_fig3_root_location_drives_strategy(benchmark):
         # Lemma 4 shape invariants.
         roots = [v for v in dagger.tree.nodes if v not in dagger.parent]
         assert roots == [dagger.root]
+        # Lemma 8(3): the bottom-up recursion finds the best minimal cover.
+        _, best = optimal_cover(dagger)
+        enumerated = [cover_value(dagger, c) for c in minimal_covers(dagger)]
+        assert best == pytest.approx(min(enumerated))
         strategy = report.meta["result"]["strategy"]
         table.append(
             [

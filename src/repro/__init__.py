@@ -93,9 +93,6 @@ from repro.core.sorting import (
 )
 from repro.baselines import (
     classic_hypercube_cartesian_product,
-    gather_cartesian_product,
-    gather_intersect,
-    gather_sort,
     uniform_hash_intersect,
 )
 from repro.queries import (
@@ -132,7 +129,6 @@ from repro.graphs import (
     encode_edges,
     run_components,
     run_degrees,
-    run_neighborhood_aggregate,
     run_triangles,
 )
 from repro.obs import (
@@ -144,18 +140,8 @@ from repro.obs import (
     tracing,
     write_chrome_trace,
 )
-
-# pre-registry spelling of span_metrics; at the top level there is no
-# submodule named "metrics" to collide with, so the alias stays
-metrics = span_metrics
 from repro.report import GraphRunReport, PlanReport
-from repro.analysis import (
-    RunReport,
-    run_cartesian,
-    run_intersection,
-    run_sorting,
-    summarize_reports,
-)
+from repro.analysis import RunReport, summarize_reports
 
 __version__ = "1.0.0"
 
@@ -219,9 +205,6 @@ __all__ = [
     # baselines
     "uniform_hash_intersect",
     "classic_hypercube_cartesian_product",
-    "gather_intersect",
-    "gather_sort",
-    "gather_cartesian_product",
     # relational operators (the paper's future-work direction)
     "encode_tuples",
     "decode_tuples",
@@ -259,7 +242,6 @@ __all__ = [
     "run_components",
     "run_triangles",
     "run_degrees",
-    "run_neighborhood_aggregate",
     "GraphRunReport",
     "gnm_random_graph",
     "powerlaw_graph",
@@ -272,12 +254,8 @@ __all__ = [
     "get_tracer",
     "chrome_trace",
     "span_metrics",
-    "metrics",
     "write_chrome_trace",
     # analysis
     "RunReport",
-    "run_intersection",
-    "run_cartesian",
-    "run_sorting",
     "summarize_reports",
 ]

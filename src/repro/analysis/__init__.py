@@ -1,17 +1,14 @@
 """Experiment harness: run protocols against instances, compare to bounds.
 
 Execution lives in :mod:`repro.engine` (the single ``run()`` entry point
-plus the ``run_many`` batch API); :mod:`repro.analysis.runner` keeps the
-legacy per-task wrappers (``run_intersection``, ``run_cartesian``,
-``run_sorting``), each returning a :class:`repro.report.RunReport`
-with cost, lower bound, ratio, and round count.
-:mod:`repro.analysis.suites` defines the standard topology/placement
-grid the Table 1 benchmark sweeps, and :func:`suites.standard_plans`
-exposes that grid as engine plans.
+plus the ``run_many`` batch API), each run returning a
+:class:`repro.report.RunReport` with cost, lower bound, ratio, and round
+count.  :mod:`repro.analysis.suites` defines the standard
+topology/placement grid the Table 1 benchmark sweeps, and
+:func:`suites.standard_plans` exposes that grid as engine plans.
 """
 
 from repro.report import RunReport, aggregate, summarize_reports
-from repro.analysis.runner import run_cartesian, run_intersection, run_sorting
 from repro.analysis.suites import (
     placement_policies,
     standard_plans,
@@ -23,9 +20,6 @@ __all__ = [
     "RunReport",
     "aggregate",
     "summarize_reports",
-    "run_intersection",
-    "run_cartesian",
-    "run_sorting",
     "standard_topologies",
     "standard_plans",
     "placement_policies",

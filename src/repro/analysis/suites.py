@@ -10,9 +10,8 @@ trees) crossed with the placement regimes the analyses distinguish
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
-from repro.data.distribution import Distribution
 from repro.data.generators import (
     random_distribution,
     random_graph_distribution,
@@ -146,28 +145,3 @@ def standard_plans(
                     )
                 )
     return plans
-
-
-def instance_grid(
-    *,
-    r_size: int,
-    s_size: int,
-    seed: int = 0,
-    include_random: bool = True,
-    tuples: bool = False,
-) -> Iterable[tuple[TreeTopology, str, Distribution]]:
-    """Yield ``(topology, policy, distribution)`` across the full suite.
-
-    ``tuples=True`` yields keyed-tuple instances (for the relational
-    tasks) instead of set pairs.
-    """
-    generator = random_tuple_distribution if tuples else random_distribution
-    for tree in standard_topologies(include_random=include_random):
-        for policy in placement_policies():
-            yield tree, policy, generator(
-                tree,
-                r_size=r_size,
-                s_size=s_size,
-                policy=policy,
-                seed=seed,
-            )

@@ -2,10 +2,11 @@
 
 These are the strategies a classic MPC system would use — uniform hash
 partitioning for joins [7], the unweighted HyperCube for cartesian
-products [1], TeraSort with one splitter interval per node [41], and the
-trivial gather-everything strategy.  On the uniform MPC star they match
-the topology-aware algorithms; on heterogeneous trees and skewed
-placements the benchmarks show where and by how much they lose.
+products [1], TeraSort with one splitter interval per node [41], and,
+for the relational operators the planner compiles, the trivial
+gather-everything strategy.  On the uniform MPC star they match the
+topology-aware algorithms; on heterogeneous trees and skewed placements
+the benchmarks show where and by how much they lose.
 """
 
 from repro.baselines.uniform_hash import (
@@ -14,13 +15,7 @@ from repro.baselines.uniform_hash import (
     uniform_hash_intersect,
 )
 from repro.baselines.hypercube import classic_hypercube_cartesian_product
-from repro.baselines.gather import (
-    gather_cartesian_product,
-    gather_equijoin,
-    gather_groupby,
-    gather_intersect,
-    gather_sort,
-)
+from repro.baselines.gather import gather_equijoin, gather_groupby
 from repro.core.sorting.terasort import terasort as classic_terasort
 
 __all__ = [
@@ -31,7 +26,4 @@ __all__ = [
     "gather_groupby",
     "classic_hypercube_cartesian_product",
     "classic_terasort",
-    "gather_intersect",
-    "gather_sort",
-    "gather_cartesian_product",
 ]

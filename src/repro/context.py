@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:
@@ -50,16 +49,21 @@ class RunContext:
     backend_opts: dict = field(default_factory=dict)
 
 
-@cache
+_DEFAULT: RunContext | None = None  # built on first use
+
+
 def default() -> RunContext:
     """The context every thread starts from: no-op tracer, registry
     and auditor, no artifact cache, the simulator."""
-    # imported on first use: the obs modules import this one
-    from repro.obs.audit import NullAuditor
-    from repro.obs.metrics import NullRegistry
-    from repro.obs.tracer import NullTracer
+    global _DEFAULT
+    if _DEFAULT is None:
+        # imported on first use: the obs modules import this one
+        from repro.obs.audit import NullAuditor
+        from repro.obs.metrics import NullRegistry
+        from repro.obs.tracer import NullTracer
 
-    return RunContext(NullTracer(), NullRegistry(), NullAuditor())
+        _DEFAULT = RunContext(NullTracer(), NullRegistry(), NullAuditor())
+    return _DEFAULT
 
 
 class _Current(threading.local):
@@ -71,7 +75,8 @@ _CURRENT = _Current()
 
 def current() -> RunContext:
     """The context installed in this thread."""
-    return _CURRENT.context or default()
+    # read on every round by the disabled hooks: no call once built
+    return _CURRENT.context or _DEFAULT or default()
 
 
 @contextmanager

@@ -19,7 +19,6 @@ import numpy as np
 from repro.data.columns import NodeSegments, sorted_nodes
 from repro.errors import DistributionError
 from repro.topology.tree import NodeId, TreeTopology
-from repro.util.grouping import sorted_unique
 
 
 _EMPTY = np.empty(0, np.int64)
@@ -53,8 +52,7 @@ class Distribution:
     end to end in that order plus the ``offsets`` each node's fragment
     lies between (:meth:`from_columns` takes that form directly).  The
     container is immutable: fragments are served as read-only views of
-    the column, and derivation methods (:meth:`remap`,
-    :meth:`restrict`) return new instances.
+    the column.
     """
 
     def __init__(
@@ -204,54 +202,6 @@ class Distribution:
                 "data placed on non-compute nodes: "
                 f"{sorted(map(str, nonempty_strays))}"
             )
-
-    def require_partition(self, tag: str) -> None:
-        """Check relation ``tag`` has no element on two nodes (Section 2).
-
-        The model assumes the initial fragments partition the input with
-        no duplication; set-valued tasks additionally need global element
-        uniqueness, which this enforces.
-        """
-        full = self.relation(tag)
-        if len(sorted_unique(full)) != len(full):
-            raise DistributionError(
-                f"relation {tag!r} contains duplicated elements; initial "
-                "fragments must partition a set"
-            )
-
-    # ------------------------------------------------------------------ #
-    # derivation
-    # ------------------------------------------------------------------ #
-
-    def remap(self, node_map: Mapping[NodeId, NodeId]) -> "Distribution":
-        """Relocate fragments according to ``node_map`` (for normalization).
-
-        Nodes not mentioned in ``node_map`` keep their placement.  Two old
-        nodes must not map to the same new node.
-        """
-        targets = [node_map.get(n, n) for n in self.node_order]
-        if len(set(targets)) != len(targets):
-            raise DistributionError("node_map merges two placements")
-        return Distribution.from_columns(
-            targets, {tag: self.column(tag) for tag in self._tags}
-        )
-
-    def restrict(self, tags: Iterable[str]) -> "Distribution":
-        """Keep only the given relations."""
-        keep = {str(t) for t in tags}
-        return Distribution.from_columns(
-            self.node_order, {tag: self.column(tag) for tag in self._tags & keep}
-        )
-
-    def with_fragment(
-        self, node: NodeId, tag: str, values: Iterable[int]
-    ) -> "Distribution":
-        """Return a new instance with one fragment replaced."""
-        placements = {
-            n: {t: self.fragment(n, t) for t in self._tags} for n in self.node_order
-        }
-        placements.setdefault(node, {})[str(tag)] = values
-        return Distribution(placements)
 
     # ------------------------------------------------------------------ #
     # reporting

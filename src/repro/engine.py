@@ -1,10 +1,9 @@
 """The execution engine: one ``run()`` for every task and protocol.
 
-Replaces the per-task ``run_intersection``/``run_cartesian``/``run_sorting``
-triplet with a single capability-driven entry point.  The engine looks
-the task and protocol up in :mod:`repro.registry`, routes keyword
-arguments by the protocol's declared capabilities (the seed only goes to
-protocols that accept one), verifies the answer with the task's
+The engine looks the task and protocol up in :mod:`repro.registry`,
+routes keyword arguments by the protocol's declared capabilities (the
+seed only goes to protocols that accept one), verifies the answer with
+the task's
 verifier (the reproduction never reports cost for a wrong answer),
 computes the task's lower bound, and packages everything into a
 :class:`repro.report.RunReport`.

@@ -15,8 +15,8 @@ package opens that workload family on the same cost model:
   ``gather`` protocols);
 - **`triangles`** — triangle counting compiled as two equi-join stages
   through the query planner (registered task ``triangle-count``);
-- **`degrees`** — degree tables and neighbourhood aggregation reusing
-  the registered ``groupby-aggregate`` protocols;
+- **`degrees`** — degree tables reusing the registered
+  ``groupby-aggregate`` protocols;
 - **`reference`** — single-machine ground truth (union-find,
   adjacency-intersection counting) backing the verifiers.
 
@@ -62,13 +62,8 @@ from repro.graphs.triangles import (
     triangle_catalog,
     triangle_query,
     triangles_lower_bound,
-    tree_triangle_count,
 )
-from repro.graphs.degrees import (
-    incidence_distribution,
-    run_degrees,
-    run_neighborhood_aggregate,
-)
+from repro.graphs.degrees import incidence_distribution, run_degrees
 
 __all__ = [
     "DEFAULT_EDGE_TAG",
@@ -91,8 +86,6 @@ __all__ = [
     "triangle_catalog",
     "triangle_query",
     "triangles_lower_bound",
-    "tree_triangle_count",
     "run_degrees",
-    "run_neighborhood_aggregate",
     "incidence_distribution",
 ]

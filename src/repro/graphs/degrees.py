@@ -1,13 +1,12 @@
-"""Degree and neighbourhood aggregation, reusing ``groupby-aggregate``.
+"""Degree tables, reusing ``groupby-aggregate``.
 
 No new protocol is needed: a graph's degree table is the group-by
-``count`` of its incidence messages, and neighbourhood statistics
-(min/max/sum of neighbour ids per vertex) are the same shuffle under a
-different op.  These helpers build the keyed-tuple distribution from a
-placed graph — two messages per edge, one per endpoint, produced
-locally for free — and dispatch through the engine, so every
-registered group-by protocol (``tree`` / ``uniform-hash`` / ``gather``)
-works unchanged and the shared-key lower bound applies as-is.
+``count`` of its incidence messages.  These helpers build the
+keyed-tuple distribution from a placed graph — two messages per edge,
+one per endpoint, produced locally for free — and dispatch through the
+engine, so every registered group-by protocol (``tree`` /
+``uniform-hash`` / ``gather``) works unchanged and the shared-key lower
+bound applies as-is.
 """
 
 from __future__ import annotations
@@ -15,47 +14,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distribution import Distribution
-from repro.errors import ProtocolError
 from repro.graphs.model import PlacedGraph, VERTEX_BITS, decode_edges
 from repro.queries.tuples import encode_tuples
 from repro.report import RunReport
 from repro.topology.tree import TreeTopology, node_sort_key
 
-_NEIGHBOUR_OPS = ("min", "max", "sum")
 
+def incidence_distribution(graph: PlacedGraph, *, tag: str = "R") -> Distribution:
+    """Per-node ``(vertex, 1)`` messages: two per edge, placed as-is.
 
-def incidence_distribution(
-    graph: PlacedGraph,
-    *,
-    values: str = "ones",
-    tag: str = "R",
-    payload_bits: int = VERTEX_BITS,
-) -> Distribution:
-    """Per-node ``(vertex, value)`` messages: two per edge, placed as-is.
-
-    ``values="ones"`` pairs every endpoint with 1 (degree counting);
-    ``values="neighbour"`` pairs it with the opposite endpoint
-    (neighbourhood aggregation).  The expansion is local computation —
-    the shuffle is what the dispatched protocol charges.
+    Every endpoint of a local edge is paired with 1, so the group-by
+    ``count`` of the messages is the degree table.  The expansion is
+    local computation — the shuffle is what the dispatched protocol
+    charges.
     """
-    if values not in ("ones", "neighbour"):
-        raise ProtocolError(
-            f"unknown incidence values {values!r}; "
-            "choose 'ones' or 'neighbour'"
-        )
     placements: dict = {}
     for node in sorted(graph.nodes, key=node_sort_key):
         fragment = graph.distribution.fragment(node, graph.tag)
         if not len(fragment):
             continue
-        src, dst = decode_edges(fragment)
-        keys = np.concatenate([src, dst])
-        if values == "ones":
-            payloads = np.ones(len(keys), dtype=np.int64)
-        else:
-            payloads = np.concatenate([dst, src])
+        keys = np.concatenate(decode_edges(fragment))
         placements[node] = {
-            tag: encode_tuples(keys, payloads, payload_bits=payload_bits)
+            tag: encode_tuples(
+                keys, np.ones(len(keys), dtype=np.int64), payload_bits=VERTEX_BITS
+            )
         }
     return Distribution(placements)
 
@@ -75,47 +57,11 @@ def run_degrees(
     return run(
         "groupby-aggregate",
         tree,
-        incidence_distribution(graph, values="ones"),
+        incidence_distribution(graph),
         protocol=protocol,
         seed=seed,
         placement=placement,
         op="count",
         payload_bits=VERTEX_BITS,
-        **opts,
-    )
-
-
-def run_neighborhood_aggregate(
-    tree: TreeTopology,
-    graph: PlacedGraph,
-    *,
-    op: str = "min",
-    protocol: str | None = None,
-    seed: int = 0,
-    placement: str = "custom",
-    **opts,
-) -> RunReport:
-    """Aggregate each vertex's neighbour ids (one hash-to-min round)."""
-    if op not in _NEIGHBOUR_OPS:
-        raise ProtocolError(
-            f"unsupported neighbourhood op {op!r}; "
-            f"choose from {_NEIGHBOUR_OPS}"
-        )
-    from repro.engine import run
-
-    # Partial sums of neighbour ids overflow the 20-bit vertex width,
-    # so the `sum` op widens the payload (keys still fit: 62-40=22 bits).
-    payload_bits = 40 if op == "sum" else VERTEX_BITS
-    return run(
-        "groupby-aggregate",
-        tree,
-        incidence_distribution(
-            graph, values="neighbour", payload_bits=payload_bits
-        ),
-        protocol=protocol,
-        seed=seed,
-        placement=placement,
-        op=op,
-        payload_bits=payload_bits,
         **opts,
     )

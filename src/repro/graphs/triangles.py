@@ -9,10 +9,10 @@ as ``a < b``), so counting triangles is exactly the kind of
 multi-relation query the ``plan/`` subsystem compiles: two equi-join
 shuffle stages (the second with the ``a = a``/``c = c`` residual),
 each dispatched to a registered ``equijoin`` protocol.  The flavours
-pin the per-stage protocol:
+choose the per-stage protocol:
 
-* ``tree`` — the optimizer's join order, every shuffle the paper's
-  distribution-aware tree equi-join;
+* ``optimized`` — the optimizer's join order and per-stage protocol
+  choice;
 * ``uniform-hash`` — the same order with the MPC hash-join baseline;
 * ``gather`` — the planner's gather-everything strategy.
 
@@ -167,9 +167,9 @@ def _compile(tree: TreeTopology, catalog: dict, flavor: str):
     ``optimized`` keeps the planner's per-stage protocol choice (the
     topology-aware behaviour: whichever registered equi-join is
     estimated cheapest on this topology and placement); ``gather`` is
-    the planner's centralizing strategy; ``tree`` / ``uniform-hash``
-    pin every shuffle stage to that protocol, isolating what the
-    protocol choice alone is worth.
+    the planner's centralizing strategy; ``uniform-hash`` pins every
+    shuffle stage to that protocol, isolating what the protocol choice
+    alone is worth.
     """
     from repro.plan import optimize
 
@@ -274,32 +274,6 @@ def optimized_triangle_count(
         distribution,
         flavor="optimized",
         protocol_name="optimized-triangles",
-        seed=seed,
-        tag=tag,
-        bits_per_element=bits_per_element,
-    )
-
-
-@register_protocol(
-    task="triangle-count",
-    name="tree",
-    accepts_seed=True,
-    description="Two tree equi-join stages compiled by the planner",
-)
-def tree_triangle_count(
-    tree: TreeTopology,
-    distribution: Distribution,
-    *,
-    seed: int = 0,
-    tag: str = DEFAULT_EDGE_TAG,
-    bits_per_element: int = 64,
-) -> ProtocolResult:
-    """Distribution-aware triangle counting (tree equi-joins per stage)."""
-    return _count_triangles(
-        tree,
-        distribution,
-        flavor="tree",
-        protocol_name="tree-triangles",
         seed=seed,
         tag=tag,
         bits_per_element=bits_per_element,

@@ -6,9 +6,7 @@ and Perfetto load), one complete ``"X"`` event per finished span plus
 ``"M"`` metadata events naming the tracks.  :func:`span_metrics`
 reduces the same buffer to a flat ``{category: {count, total_s, ...}}``
 dict that ``RunReport``-family ``meta`` payloads can embed.  (Standing
-labeled counters live in :mod:`repro.obs.metrics`, which owns the
-``metrics`` name; the old ``metrics(tracer)`` spelling remains as an
-alias.)
+labeled counters live in :mod:`repro.obs.metrics`.)
 """
 
 from __future__ import annotations
@@ -134,11 +132,6 @@ def span_metrics(tracer) -> dict:
             "dropped": tracer.dropped,
         }
     )
-
-
-#: Backward-compatible spelling from before the registry submodule took
-#: the ``metrics`` name (``from repro.obs.export import metrics``).
-metrics = span_metrics
 
 
 def write_chrome_trace(path, tracer, **extra: Any) -> dict:

@@ -119,17 +119,22 @@ class Span:
         return False
 
 
+class _Stacks(threading.local):
+    """``stack`` is this thread's own list (``__init__`` runs once per
+    thread, on its first access)."""
+
+    def __init__(self) -> None:
+        self.stack: list = []
+
+
 class _PerThreadStack:
     """The open-span stack each thread keeps on a tracer it shares."""
 
     def __init__(self) -> None:
-        self._local = threading.local()
+        self._local = _Stacks()
 
     def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+        return self._local.stack
 
 
 class Tracer(_PerThreadStack):
@@ -220,25 +225,23 @@ class Tracer(_PerThreadStack):
             self.events.append(event)
 
 
-class _NullSpan:
-    """A span that keeps only its name on the tracer's path stack."""
+class _NullSpan(tuple):
+    """A span that keeps only its name on the tracer's path stack: the
+    pair ``(stack, name)``, built without a Python ``__init__``."""
 
-    __slots__ = ("_stack", "_name")
-
-    def __init__(self, stack: list, name: str) -> None:
-        self._stack = stack
-        self._name = name
+    __slots__ = ()
 
     def set(self, **attrs) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":
-        self._stack.append(self._name)
+        self[0].append(self[1])
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._stack:
-            self._stack.pop()
+        stack = self[0]
+        if stack:
+            stack.pop()
         return False
 
 
@@ -257,7 +260,7 @@ class NullTracer(_PerThreadStack):
     dropped = 0
 
     def span(self, name: str, *, category: str | None = None, **attrs):
-        return _NullSpan(self._stack(), name)
+        return _NullSpan((self._local.stack, name))
 
     def annotate(self, **attrs) -> None:
         pass

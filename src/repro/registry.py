@@ -265,16 +265,6 @@ def protocols_for(task: str) -> dict[str, ProtocolSpec]:
     }
 
 
-def protocol_table(task: str) -> dict[str, Callable]:
-    """Legacy view: ``{name: callable}`` for one task.
-
-    Kept so code written against the pre-registry per-task dispatch
-    dicts (``INTERSECTION_PROTOCOLS`` and friends) keeps working; new
-    code should query :func:`protocols_for` for full metadata.
-    """
-    return {name: spec.func for name, spec in protocols_for(task).items()}
-
-
 def list_protocols(task: str | None = None) -> list[ProtocolSpec]:
     """The catalog — every spec, or one task's specs, sorted by key."""
     if task is not None:

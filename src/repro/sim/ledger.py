@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ProtocolError, TopologyError
+from repro.errors import ProtocolError
 from repro.topology.tree import DirectedEdge, TreeTopology
 
 
@@ -53,21 +53,9 @@ class CostLedger:
         self._costs.append(None)
         self._open = True
 
-    def add_load(self, edge: DirectedEdge, elements: int) -> None:
-        """Charge ``elements`` routed through directed ``edge`` this round."""
-        if not self._open:
-            raise ProtocolError("no round is open")
-        if elements < 0:
-            raise ProtocolError(f"negative load {elements}")
-        slot = self._index.edge_slot.get(edge)
-        if slot is None:
-            u, v = edge
-            raise TopologyError(f"no edge ({u!r}, {v!r})")
-        self._rounds[-1].reshape(-1)[slot] += int(elements)
-
     def add_link_loads(self, loads: np.ndarray) -> None:
         """Charge ``loads``, the ``int64 (2, links)`` array a tree-flow
-        kernel returns: one :meth:`add_load` per slot, checked once."""
+        kernel returns, into the open round: every slot at once."""
         if not self._open:
             raise ProtocolError("no round is open")
         current = self._rounds[-1]
@@ -128,17 +116,6 @@ class CostLedger:
         """``cost(A)`` in bits."""
         return self.total_cost() * self._bits_per_element
 
-    def edge_total(self, edge: DirectedEdge) -> int:
-        """Total elements routed through ``edge`` across all rounds."""
-        slot = self._index.edge_slot.get(edge)
-        if slot is None:
-            return 0
-        return sum(int(loads.reshape(-1)[slot]) for loads in self._rounds)
-
-    def total_elements(self) -> int:
-        """Total element-hops (sum of loads over all edges and rounds)."""
-        return sum(int(loads.sum()) for loads in self._rounds)
-
     def bottleneck(self, index: int | None = None) -> tuple[DirectedEdge, float] | None:
         """The most expensive loaded directed edge (of one round or overall);
         of equally expensive ones, the first in round, then slot order."""
@@ -153,15 +130,3 @@ class CostLedger:
             if best is None or costs[first] > best[1]:
                 best = (self._index.slot_edges[slots[first]], float(costs[first]))
         return best
-
-    def summary(self) -> dict:
-        """A compact dict for reports and benchmark ``extra_info``."""
-        return {
-            "rounds": self.num_rounds,
-            "cost_elements": self.total_cost(),
-            "cost_bits": self.total_cost_bits(),
-            "total_element_hops": self.total_elements(),
-            "per_round_cost": [
-                self.round_cost(i) for i in range(self.num_rounds)
-            ],
-        }

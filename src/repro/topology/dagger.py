@@ -26,6 +26,7 @@ sides — all impossible, so Lemma 4's properties hold unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Hashable, Iterator, Mapping
 
 from repro.errors import TopologyError
@@ -190,7 +191,7 @@ def optimal_cover(dagger: Dagger) -> tuple[frozenset, float]:
 
 
 def minimal_covers(dagger: Dagger) -> Iterator[frozenset]:
-    """Enumerate all minimal covers ``U != {root}`` (for small trees/tests).
+    """Enumerate all minimal covers ``U != {root}`` (for small trees).
 
     A minimal cover picks, independently for each subtree hanging off the
     root, either the child itself or recursively a minimal cover of that
@@ -198,37 +199,20 @@ def minimal_covers(dagger: Dagger) -> Iterator[frozenset]:
     are disjoint and each contains at least one leaf.
     """
 
+    def combine(children: list) -> Iterator[frozenset]:
+        """Every union of one minimal cover per child's subtree."""
+        options = [list(covers_of(child)) for child in children]
+        return (frozenset().union(*picks) for picks in product(*options))
+
     def covers_of(node: NodeId) -> Iterator[frozenset]:
         yield frozenset({node})
         children = dagger.children(node)
-        if not children:
-            return
-        child_options = [list(covers_of(c)) for c in children]
-
-        def combine(index: int) -> Iterator[frozenset]:
-            if index == len(child_options):
-                yield frozenset()
-                return
-            for choice in child_options[index]:
-                for rest in combine(index + 1):
-                    yield choice | rest
-
-        yield from combine(0)
+        if children:
+            yield from combine(children)
 
     children = dagger.children(dagger.root)
-    if not children:
-        return
-    child_options = [list(covers_of(c)) for c in children]
-
-    def combine(index: int) -> Iterator[frozenset]:
-        if index == len(child_options):
-            yield frozenset()
-            return
-        for choice in child_options[index]:
-            for rest in combine(index + 1):
-                yield choice | rest
-
-    yield from combine(0)
+    if children:
+        yield from combine(children)
 
 
 def cover_value(dagger: Dagger, cover: frozenset) -> float:

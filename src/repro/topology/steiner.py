@@ -100,10 +100,9 @@ class RoutingIndex:
         # Directed edges as the slots of a ``(2, links)`` array — row 0:
         # ``edge[0] -> edge[1]`` of every link, row 1: the way back — the
         # layout of a round's loads from the push-up to the ledger's
-        # report: the slots' names row after row, flat slot by name, widths.
+        # report: the slots' names row after row, and their widths.
         links = list(tree.iter_links())
         self.slot_edges: list = [e for e, _, _ in links] + [e[::-1] for e, _, _ in links]
-        self.edge_slot: dict = {edge: i for i, edge in enumerate(self.slot_edges)}
         self.link_bandwidths = np.array(
             [[w for _, w, _ in links], [w for _, _, w in links]], dtype=np.float64
         ).reshape(2, len(links))

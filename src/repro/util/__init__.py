@@ -7,11 +7,7 @@ from repro.util.intmath import (
     next_power_of_two,
     next_power_of_two_at_least,
 )
-from repro.util.hashing import (
-    hash_to_unit,
-    splitmix64,
-    WeightedNodeHasher,
-)
+from repro.util.hashing import splitmix64, WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
 __all__ = [
@@ -20,7 +16,6 @@ __all__ = [
     "is_power_of_two",
     "next_power_of_two",
     "next_power_of_two_at_least",
-    "hash_to_unit",
     "splitmix64",
     "WeightedNodeHasher",
     "derive_seed",

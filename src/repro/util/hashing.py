@@ -28,7 +28,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.util.grouping import ContentCache, group_slices, index_dtype
+from repro.util.grouping import ContentCache, index_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -42,9 +42,9 @@ _BOUNDARY = -1
 #: The largest float64 below 1.0, the exclusive end of the unit interval.
 _LARGEST_POINT = float(np.nextafter(1.0, 0.0))
 
-#: Memo behind :meth:`WeightedNodeHasher.assign_indices` /
-#: :meth:`~WeightedNodeHasher.assign_slices` (per thread/worker); keys
-#: combine the hasher's identity token with the values' content digest.
+#: Memo behind :meth:`WeightedNodeHasher.assign_indices` (per
+#: thread/worker); keys combine the hasher's identity token with the
+#: values' content digest.
 #: Protocols hash whole relations, so an entry is relation-sized; the
 #: budget covers what one run re-reads (an iterative driver re-hashes
 #: one static key column per superstep: 4M narrow targets), not a
@@ -68,16 +68,6 @@ def splitmix64(values: np.ndarray, seed: int) -> np.ndarray:
         x *= _MIX2
         x ^= x >> np.uint64(31)
     return x
-
-
-def hash_to_unit(values: np.ndarray, seed: int) -> np.ndarray:
-    """Hash integer ``values`` to floats uniform in the unit interval.
-
-    ``uint64 -> float64`` rounds to nearest, so the top ``2**10`` hashes
-    map to exactly ``1.0``; :class:`WeightedNodeHasher` clamps them
-    below it.
-    """
-    return splitmix64(values, seed).astype(np.float64) / _U64_SPAN
 
 
 class WeightedNodeHasher:
@@ -173,11 +163,10 @@ class WeightedNodeHasher:
         """Return the index (into ``nodes``) chosen for each value.
 
         Memoized on the values array's content: iterative protocols
-        (hash-to-min supersteps, A/B benchmark repeats) route the same
-        key set round after round, and a repeated assignment costs one
-        digest pass instead of splitmix + table lookup.  Cached
-        results are read-only; a hit returns bit-identical indices by
-        construction.
+        (hash-to-min supersteps) route the same key set round after
+        round, and a repeated assignment costs one digest pass instead
+        of splitmix + table lookup.  Cached results are read-only; a hit
+        returns bit-identical indices by construction.
         """
         values = np.asarray(values)
         fingerprint = ASSIGN_CACHE.fingerprint(values)
@@ -191,47 +180,3 @@ class WeightedNodeHasher:
         targets.setflags(write=False)
         ASSIGN_CACHE.put(key, targets, targets.nbytes)
         return targets
-
-    def assign_slices(
-        self, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused hash + group kernel: one cache entry, zero re-sorting.
-
-        Returns ``(targets, order, owners, starts, ends)`` — the
-        assignment of :meth:`assign_indices` together with its
-        :func:`~repro.util.grouping.group_slices` grouping: permuting a
-        parallel array by ``order`` makes the elements owned by node
-        index ``owners[k]`` the contiguous slice ``[starts[k],
-        ends[k])``.  Protocols that both scatter by the assignment and
-        iterate its per-owner groups (the hash-to-min return leg) get
-        hash, node lookup, and argsort from one memo lookup on
-        repeated inputs.
-        """
-        values = np.asarray(values)
-        fingerprint = ASSIGN_CACHE.fingerprint(values)
-        if fingerprint is None:
-            targets = self._compute_indices(values)
-            return (targets, *group_slices(targets))
-        key = b"fused:" + self._token + fingerprint
-        hit = ASSIGN_CACHE.get(key)
-        if hit is not None:
-            return hit
-        targets = self.assign_indices(values)
-        grouped = group_slices(targets)
-        result = (targets, *grouped)
-        for part in result:
-            part.setflags(write=False)
-        ASSIGN_CACHE.put(
-            key, result, sum(part.nbytes for part in result)
-        )
-        return result
-
-    def assign(self, values: np.ndarray) -> list:
-        """Return the node chosen for each value."""
-        return [self._nodes[i] for i in self.assign_indices(values)]
-
-    def probability(self, node: Hashable) -> float:
-        """The marginal probability that an element is routed to ``node``."""
-        index = self._nodes.index(node)
-        previous = self._cumulative[index - 1] if index > 0 else 0.0
-        return float(self._cumulative[index] - previous)

@@ -5,6 +5,12 @@ import json
 import pytest
 
 import repro
+from repro.analysis.suites import (
+    GRAPH_SUITE_TASKS,
+    TUPLE_SUITE_TASKS,
+    placement_policies,
+    standard_topologies,
+)
 from repro.engine import RunPlan, run, run_many
 from repro.errors import AnalysisError, ProtocolError
 from repro.report import RunReport
@@ -31,25 +37,63 @@ class TestRun:
         report = run("intersection", tree, dist)
         assert report.task == "set-intersection"
 
-    def test_matches_legacy_wrappers(self, instance):
+    @pytest.mark.parametrize(
+        "task, protocol",
+        [
+            (task, protocol)
+            for task in repro.tasks()
+            for protocol in sorted(repro.protocols_for(task))
+        ],
+    )
+    def test_every_registered_protocol_runs_and_verifies(
+        self, instance, task, protocol
+    ):
         tree, dist = instance
-        for task, legacy in (
-            ("set-intersection", repro.run_intersection),
-            ("cartesian-product", repro.run_cartesian),
-            ("sorting", repro.run_sorting),
-        ):
-            new = run(task, tree, dist, seed=0, placement="uniform")
-            old = legacy(tree, dist, placement="uniform")
-            assert new.cost == old.cost
-            assert new.rounds == old.rounds
-            assert new.lower_bound == old.lower_bound
-            assert new.protocol == old.protocol
+        if repro.get_protocol(task, protocol).topology == "star":
+            tree = star(4)
+            dist = repro.random_distribution(tree, r_size=50, s_size=50, seed=2)
+        elif task in TUPLE_SUITE_TASKS:
+            dist = repro.random_tuple_distribution(
+                tree, r_size=100, s_size=100, seed=1
+            )
+        elif task in GRAPH_SUITE_TASKS:
+            dist = repro.random_graph_distribution(tree, num_edges=100, seed=1)
+        report = run(task, tree, dist, protocol=protocol, seed=0)
+        assert report.task == task
+        assert report.cost >= 0
+
+    def test_intersection_report_fields(self, instance):
+        tree, dist = instance
+        report = run("set-intersection", tree, dist, placement="uniform")
+        assert report.task == "set-intersection"
+        assert report.rounds == 1
+        assert report.lower_bound > 0
+        assert report.placement == "uniform"
+
+    def test_cartesian_report(self, instance):
+        tree, dist = instance
+        report = run("cartesian-product", tree, dist)
+        assert report.task == "cartesian-product"
+        assert report.cost >= report.lower_bound > 0
+
+    def test_sorting_report(self, instance):
+        tree, dist = instance
+        report = run("sorting", tree, dist)
+        assert report.task == "sorting"
+        assert report.rounds <= 4
+
+    def test_verification_can_be_disabled(self, instance):
+        tree, dist = instance
+        report = run("set-intersection", tree, dist, verify=False)
+        assert report.cost >= 0
 
     def test_seed_routed_only_to_seeded_protocols(self, instance):
         tree, dist = instance
-        # gather declares accepts_seed=False; a bogus seed must not reach
-        # it (passing one directly would raise TypeError).
-        report = run("set-intersection", tree, dist, protocol="gather", seed=99)
+        # classic-hypercube declares accepts_seed=False; a bogus seed must
+        # not reach it (passing one directly would raise TypeError).
+        report = run(
+            "cartesian-product", tree, dist, protocol="classic-hypercube", seed=99
+        )
         assert report.cost >= 0
         # seeded protocols actually consume the seed: different seeds may
         # move cost, same seed must reproduce it exactly.
@@ -92,6 +136,35 @@ class TestRun:
         tree, dist = instance
         with pytest.raises(AnalysisError, match="unknown protocol"):
             run("sorting", tree, dist, protocol="bogus")
+
+    @pytest.mark.parametrize("task", repro.tasks())
+    def test_unknown_protocol_error_names_the_registered_choices(
+        self, instance, task
+    ):
+        tree, dist = instance
+        with pytest.raises(AnalysisError) as excinfo:
+            run(task, tree, dist, protocol="bogus")
+        assert f"for task {task!r}" in str(excinfo.value)
+        assert f"choose from {sorted(repro.protocols_for(task))}" in str(
+            excinfo.value
+        )
+
+    @pytest.mark.parametrize(
+        "task, protocol",
+        [
+            ("set-intersection", "gather"),
+            ("sorting", "gather"),
+            ("cartesian-product", "gather"),
+            ("triangle-count", "tree"),
+        ],
+    )
+    def test_unrun_protocols_are_not_registered(self, instance, task, protocol):
+        """Protocols that no benchmark, example or command ran are gone;
+        asking for one is the ordinary unknown-protocol error."""
+        tree, dist = instance
+        assert protocol not in repro.protocols_for(task)
+        with pytest.raises(AnalysisError, match=f"unknown protocol '{protocol}'"):
+            run(task, tree, dist, protocol=protocol)
 
     def test_query_tasks_run_and_verify(self):
         tree = two_level([2, 2], uplink_bandwidth=1.0)
@@ -186,6 +259,16 @@ class TestRunMany:
         rendered = f"{excinfo.value}\n{notes}"
         assert "plan 1" in rendered
         assert "'sorting'" in rendered
+
+
+class TestSuites:
+    def test_standard_topologies_are_symmetric(self):
+        for tree in standard_topologies():
+            assert tree.is_symmetric
+
+    def test_policies(self):
+        assert "uniform" in placement_policies()
+        assert "zipf" in placement_policies()
 
 
 class TestReportSerialization:

@@ -8,7 +8,6 @@ from repro.analysis.suites import (
     DEFAULT_SUITE_TASKS,
     GRAPH_SUITE_TASKS,
     TUPLE_SUITE_TASKS,
-    instance_grid,
     standard_plans,
 )
 from repro.analysis.sweeps import Sweep
@@ -60,17 +59,6 @@ class TestSuiteGrid:
             # satellite: the group-by bound is registered, so every
             # relational report has a real (possibly zero) bound field
             assert report.lower_bound >= 0.0
-
-    def test_instance_grid_tuples_mode(self):
-        cells = list(
-            instance_grid(
-                r_size=50, s_size=50, seed=1, include_random=False, tuples=True
-            )
-        )
-        assert cells
-        for _, _, dist in cells[:4]:
-            keys, _ = repro.decode_tuples(dist.relation("R"))
-            assert keys.max() < 50  # keyed tuples, not raw 2^40 sets
 
 
 class TestTupleGenerator:

@@ -3,20 +3,71 @@
 import numpy as np
 import pytest
 
-from repro.baselines.gather import (
-    gather_cartesian_product,
-    gather_intersect,
-    gather_sort,
-)
 from repro.baselines.hypercube import (
     _lattice_shape,
     classic_hypercube_cartesian_product,
 )
 from repro.baselines.uniform_hash import uniform_hash_intersect
-from repro.core.sorting.ordering import verify_sorted_output
 from repro.data.distribution import Distribution
-from repro.data.generators import random_distribution
-from repro.topology.builders import star, two_level
+from repro.data.generators import random_distribution, random_tuple_distribution
+from repro.engine import run_with_result
+from repro.topology.builders import star
+
+# the gathers the planner runs, with the tags each one ships
+GATHER_TASKS = [("equijoin", ("R", "S")), ("groupby-aggregate", ("R",))]
+
+
+class TestGatherBaselines:
+    @pytest.mark.parametrize("task, tags", GATHER_TASKS)
+    def test_gather_targets_data_rich_node(self, simple_two_level, task, tags):
+        dist = random_tuple_distribution(
+            simple_two_level, r_size=100, s_size=100,
+            policy="single-heavy", seed=7,
+        )
+        sizes = {
+            v: sum(dist.size(v, tag) for tag in tags)
+            for v in simple_two_level.compute_nodes
+        }
+        _, result = run_with_result(task, simple_two_level, dist, protocol="gather")
+        assert sizes[result.meta["target"]] == max(sizes.values())
+
+    @pytest.mark.parametrize("task, tags", GATHER_TASKS)
+    def test_explicit_target(self, simple_star, task, tags):
+        dist = random_tuple_distribution(simple_star, r_size=20, s_size=20, seed=1)
+        report, result = run_with_result(
+            task, simple_star, dist, protocol="gather", target="v2"
+        )
+        assert result.meta["target"] == "v2"
+        # one round: every other node uploads its tuples over its own
+        # link, and v2's link carries all of them down
+        bandwidth = {"v1": 1.0, "v2": 2.0, "v3": 4.0, "v4": 8.0}
+        uploads = {
+            v: sum(dist.size(v, t) for t in tags) for v in ("v1", "v3", "v4")
+        }
+        expected = max(
+            [uploads[v] / bandwidth[v] for v in uploads]
+            + [sum(uploads.values()) / bandwidth["v2"]]
+        )
+        assert report.rounds == 1
+        assert report.cost == pytest.approx(expected)
+
+    @pytest.mark.parametrize("task, tags", GATHER_TASKS)
+    def test_gather_moves_everything_off_target_once(
+        self, simple_two_level, task, tags
+    ):
+        dist = random_tuple_distribution(
+            simple_two_level, r_size=60, s_size=90, policy="zipf", seed=3
+        )
+        _, result = run_with_result(task, simple_two_level, dist, protocol="gather")
+        target = result.meta["target"]
+        off_target = sum(
+            dist.size(v, tag)
+            for v in simple_two_level.compute_nodes - {target}
+            for tag in tags
+        )
+        # every off-target tuple enters the target's link exactly once
+        (parent,) = simple_two_level.neighbors(target)
+        assert result.ledger.round_loads(0).get((parent, target), 0) == off_target
 
 
 class TestUniformHash:
@@ -81,46 +132,3 @@ class TestClassicHypercube:
         dist = Distribution({"v1": {"R": [1, 2], "S": []}})
         result = classic_hypercube_cartesian_product(simple_star, dist)
         assert sum(o["num_pairs"] for o in result.outputs.values()) == 0
-
-
-class TestGatherBaselines:
-    def test_gather_intersect(self, simple_two_level):
-        dist = random_distribution(
-            simple_two_level, r_size=60, s_size=120, seed=6
-        )
-        result = gather_intersect(simple_two_level, dist)
-        expected = set(
-            np.intersect1d(dist.relation("R"), dist.relation("S")).tolist()
-        )
-        assert set(result.outputs[result.meta["target"]].tolist()) == expected
-        assert result.rounds == 1
-
-    def test_gather_targets_data_rich_node(self, simple_two_level):
-        dist = random_distribution(
-            simple_two_level, r_size=100, s_size=100,
-            policy="single-heavy", seed=7,
-        )
-        sizes = {v: dist.size(v) for v in simple_two_level.compute_nodes}
-        result = gather_intersect(simple_two_level, dist)
-        assert sizes[result.meta["target"]] == max(sizes.values())
-
-    def test_gather_sort(self, simple_two_level):
-        dist = random_distribution(simple_two_level, r_size=200, s_size=0, seed=8)
-        result = gather_sort(simple_two_level, dist)
-        verify_sorted_output(
-            simple_two_level,
-            result.outputs,
-            result.meta["order"],
-            dist.relation("R"),
-        )
-
-    def test_gather_cartesian(self, simple_star):
-        dist = random_distribution(simple_star, r_size=30, s_size=30, seed=9)
-        result = gather_cartesian_product(simple_star, dist)
-        assert sum(o["num_pairs"] for o in result.outputs.values()) == 900
-
-    def test_explicit_target(self, simple_star):
-        dist = random_distribution(simple_star, r_size=20, s_size=20, seed=1)
-        result = gather_sort(simple_star, dist, target="v2")
-        assert result.meta["target"] == "v2"
-        assert len(result.outputs["v2"]) == 20

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis.suites import instance_grid
+from repro.analysis.suites import standard_plans
 from repro.core.sorting.ordering import (
     is_valid_compute_order,
     verify_sorted_output,
@@ -155,18 +155,21 @@ def test_the_first_offending_node_is_named(outputs, message):
         assert str(raised.value) == message
 
 
-SORTING_PROTOCOLS = ("wts", "terasort", "gather")
+SORTING_PROTOCOLS = ("wts", "terasort")
 
 
 @pytest.mark.parametrize("protocol", SORTING_PROTOCOLS)
 def test_every_sorting_protocol_verifies_on_the_standard_suite(protocol):
-    for tree, _, distribution in instance_grid(r_size=300, s_size=0, seed=3):
+    for plan in standard_plans(r_size=300, s_size=0, seed=3, tasks=["sorting"]):
         report, result = run_with_result(
-            "sorting", tree, distribution, protocol=protocol, seed=1
+            "sorting", plan.tree, plan.distribution, protocol=protocol, seed=1
         )
         assert report.rounds >= 1
         reference_verify_sorted_output(
-            tree, result.outputs, result.meta["order"], distribution.relation("R")
+            plan.tree,
+            result.outputs,
+            result.meta["order"],
+            plan.distribution.relation("R"),
         )
 
 

@@ -59,7 +59,6 @@ class TestAccessors:
         assert dist.size("v1", 7) == 2
         assert dist.relation(7).tolist() == [1, 2, 3]
         assert dist.total(7) == 3
-        dist.require_partition(7)
 
     def test_size_total_per_node(self):
         assert sample_distribution().size("v1") == 5
@@ -96,7 +95,6 @@ class TestAccessors:
         dist = sample_distribution()
         dist.sizes("R")["v1"] = 99
         assert dist.size("v1", "R") == 3
-        assert dist.with_fragment("v3", "R", [8, 9]).sizes("R")["v3"] == 2
         assert dist.sizes("R")["v3"] == 0
 
     def test_relation_concatenates_in_node_order(self):
@@ -122,35 +120,8 @@ class TestValidation:
         tree = star(3)
         Distribution({"w": {}}).validate_for(tree)
 
-    def test_require_partition_accepts_disjoint(self):
-        sample_distribution().require_partition("R")
 
-    def test_require_partition_rejects_duplicates(self):
-        dist = Distribution({"v1": {"R": [1, 2]}, "v2": {"R": [2]}})
-        with pytest.raises(DistributionError, match="duplicated"):
-            dist.require_partition("R")
-
-
-class TestDerivation:
-    def test_remap_moves_fragments(self):
-        dist = sample_distribution().remap({"v1": "x"})
-        assert dist.size("x", "R") == 3
-        assert dist.size("v1", "R") == 0
-
-    def test_remap_rejects_merging(self):
-        with pytest.raises(DistributionError, match="merges"):
-            sample_distribution().remap({"v1": "v2"})
-
-    def test_restrict_drops_tags(self):
-        dist = sample_distribution().restrict(["R"])
-        assert dist.tags == frozenset({"R"})
-        assert dist.total() == 4
-
-    def test_with_fragment_replaces(self):
-        dist = sample_distribution().with_fragment("v2", "R", [7, 8])
-        assert dist.fragment("v2", "R").tolist() == [7, 8]
-        assert sample_distribution().fragment("v2", "R").tolist() == [4]
-
+class TestReporting:
     def test_describe_mentions_counts(self):
         assert "|R_v|=3" in sample_distribution().describe()
 

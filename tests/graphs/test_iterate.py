@@ -1,6 +1,5 @@
-"""Tests for the superstep driver and the group-by graph helpers."""
+"""Tests for the superstep driver and the group-by degree helpers."""
 
-import numpy as np
 import pytest
 
 import repro
@@ -9,10 +8,8 @@ from repro.graphs import (
     SuperstepDriver,
     incidence_distribution,
     run_degrees,
-    run_neighborhood_aggregate,
 )
-from repro.errors import ProtocolError
-from repro.topology.builders import star, two_level
+from repro.topology.builders import two_level
 
 
 @pytest.fixture
@@ -27,7 +24,7 @@ class TestSuperstepDriver:
     def test_absorbed_cost_equals_inner_cost(self, instance):
         tree, graph = instance
         driver = SuperstepDriver(tree)
-        dist = incidence_distribution(graph, values="ones")
+        dist = incidence_distribution(graph)
         result = driver.protocol_step(
             "groupby-aggregate",
             dist,
@@ -48,7 +45,7 @@ class TestSuperstepDriver:
     def test_steps_accumulate_in_order(self, instance):
         tree, graph = instance
         driver = SuperstepDriver(tree)
-        dist = incidence_distribution(graph, values="ones")
+        dist = incidence_distribution(graph)
         driver.protocol_step(
             "groupby-aggregate", dist, label="first", protocol="tree",
             op="count", payload_bits=20,
@@ -82,7 +79,7 @@ class TestSuperstepDriver:
         driver = SuperstepDriver(tree)
         driver.protocol_step(
             "groupby-aggregate",
-            incidence_distribution(graph, values="ones"),
+            incidence_distribution(graph),
             label="only",
             protocol="tree",
             op="count",
@@ -107,7 +104,7 @@ class TestDegrees:
         _, result = run_with_result(
             "groupby-aggregate",
             tree,
-            incidence_distribution(graph, values="ones"),
+            incidence_distribution(graph),
             op="count",
             payload_bits=20,
         )
@@ -126,39 +123,3 @@ class TestDegrees:
         report = run_degrees(tree, graph, seed=1)
         assert report.task == "groupby-aggregate"
         assert report.cost >= report.lower_bound >= 0
-
-    def test_neighborhood_min_is_hash_to_min_round(self, instance):
-        tree, graph = instance
-        from repro.engine import run_with_result
-
-        _, result = run_with_result(
-            "groupby-aggregate",
-            tree,
-            incidence_distribution(graph, values="neighbour"),
-            op="min",
-            payload_bits=20,
-        )
-        found = {}
-        for groups in result.outputs.values():
-            found.update(groups)
-        edges = graph.edges()
-        for vertex, smallest in found.items():
-            mask = (edges[:, 0] == vertex) | (edges[:, 1] == vertex)
-            neighbours = np.setdiff1d(edges[mask].ravel(), [vertex])
-            assert smallest == neighbours.min()
-
-    def test_neighborhood_rejects_unknown_op(self, instance):
-        tree, graph = instance
-        with pytest.raises(ProtocolError):
-            run_neighborhood_aggregate(tree, graph, op="median")
-
-    def test_neighborhood_sum_uses_wide_payload(self):
-        # sums of neighbour ids exceed the 20-bit vertex width; the
-        # helper must widen the payload instead of overflowing
-        tree = star(2)
-        hub = 0
-        spokes = np.arange(1, 40, dtype=np.int64)
-        edges = np.stack([np.full_like(spokes, hub), spokes], axis=1)
-        graph = PlacedGraph.from_edges(tree, edges)
-        report = run_neighborhood_aggregate(tree, graph, op="sum")
-        assert report.cost >= 0

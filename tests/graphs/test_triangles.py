@@ -17,7 +17,7 @@ from repro.graphs.model import encode_edges
 from repro.data.distribution import Distribution
 from repro.topology.builders import star, two_level
 
-PROTOCOLS = ("optimized", "tree", "uniform-hash", "gather")
+PROTOCOLS = ("optimized", "uniform-hash", "gather")
 
 
 @pytest.fixture
@@ -72,12 +72,12 @@ class TestCorrectness:
 class TestCompilation:
     def test_two_equijoin_stages(self, instance):
         tree, graph = instance
-        report = run_triangles(tree, graph, protocol="tree", seed=13)
+        report = run_triangles(tree, graph, protocol="uniform-hash", seed=13)
         joins = [
             step for step in report.supersteps if step.task == "equijoin"
         ]
         assert len(joins) == 2
-        assert all(step.protocol == "tree-equijoin" for step in joins)
+        assert all(step.protocol == "uniform-hash-equijoin" for step in joins)
 
     def test_catalog_schemas_share_columns(self, instance):
         tree, graph = instance
@@ -103,7 +103,7 @@ class TestEngineIntegration:
         assert spec.name == "triangle-count"
         assert spec.default_protocol == "optimized"
         names = set(repro.protocols_for("triangle-count"))
-        assert {"optimized", "tree", "uniform-hash", "gather"} <= names
+        assert names == {"optimized", "uniform-hash", "gather"}
 
     def test_engine_run_reports_bound(self, instance):
         tree, graph = instance

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs.export import chrome_trace, metrics, write_chrome_trace
+from repro.obs.export import chrome_trace, span_metrics, write_chrome_trace
 from repro.obs.tracer import Tracer, tracing
 
 
@@ -81,7 +81,7 @@ class TestChromeTraceSchema:
 
     def test_extra_kwargs_become_top_level_keys(self):
         tracer = _sample_tracer()
-        payload = chrome_trace(tracer, metrics=metrics(tracer), grid="8x8")
+        payload = chrome_trace(tracer, metrics=span_metrics(tracer), grid="8x8")
         assert payload["grid"] == "8x8"
         assert payload["metrics"]["num_events"] == len(tracer.events)
 
@@ -95,14 +95,14 @@ class TestChromeTraceSchema:
     def test_write_chrome_trace_round_trips(self, tmp_path):
         tracer = _sample_tracer()
         path = tmp_path / "demo.trace.json"
-        payload = write_chrome_trace(path, tracer, metrics=metrics(tracer))
+        payload = write_chrome_trace(path, tracer, metrics=span_metrics(tracer))
         assert json.loads(path.read_text()) == payload
 
 
 class TestMetrics:
     def test_aggregates_by_category(self):
         tracer = _sample_tracer()
-        summary = metrics(tracer)
+        summary = span_metrics(tracer)
         assert set(summary["spans"]) == {"engine", "round", "worker-round"}
         assert summary["spans"]["round"]["count"] == 1
         assert summary["num_events"] == 3
@@ -112,13 +112,13 @@ class TestMetrics:
         with tracing() as tracer:
             with tracer.span("bare"):
                 pass
-        assert set(metrics(tracer)["spans"]) == {"bare"}
+        assert set(span_metrics(tracer)["spans"]) == {"bare"}
 
     def test_bucket_stats_are_consistent(self):
         tracer = Tracer()
         tracer.add_event("a", 0.0, 1.0, category="c")
         tracer.add_event("b", 0.0, 3.0, category="c")
-        bucket = metrics(tracer)["spans"]["c"]
+        bucket = span_metrics(tracer)["spans"]["c"]
         assert bucket["count"] == 2
         assert bucket["total_s"] == pytest.approx(4.0)
         assert bucket["min_s"] == pytest.approx(1.0)
@@ -151,7 +151,7 @@ class TestMetrics:
             tracer.add_event(
                 category, start, start + duration, category=category
             )
-        summary = metrics(tracer)
+        summary = span_metrics(tracer)
         encoded = json.dumps(summary, allow_nan=False)
         assert json.loads(encoded) == summary
         total = sum(

@@ -26,7 +26,7 @@ def _round_seconds(tree, prepared) -> float:
     return perf_counter() - start
 
 
-def _disabled_hook_seconds(repeats: int = 20_000) -> float:
+def _disabled_hook_seconds(repeats: int = 2_000) -> float:
     """Per-iteration cost of every hook a disabled round executes."""
     tracer = get_tracer()
     assert isinstance(tracer, NullTracer)
@@ -53,8 +53,14 @@ class TestDisabledOverhead:
     def test_null_hooks_are_under_five_percent_of_a_small_round(self):
         tree = rack_tree(4)
         prepared = prepare_uniform_hash(tree, 50_000, 7)
-        round_seconds = min(_round_seconds(tree, prepared) for _ in range(3))
-        hook_seconds = _disabled_hook_seconds()
+        # Both sides are the best of interleaved samples a few ms long,
+        # so a scheduler pause on a busy host inflates neither alone.
+        samples = [
+            (_round_seconds(tree, prepared), _disabled_hook_seconds())
+            for _ in range(10)
+        ]
+        round_seconds = min(round_s for round_s, _ in samples)
+        hook_seconds = min(hook_s for _, hook_s in samples)
         # A bulk round opens one round span; allow 20 hook executions
         # of headroom and the margin is still enormous (~microseconds
         # of hooks vs milliseconds of round).

@@ -72,7 +72,9 @@ def partial_placements(draw, instances):
             {n: {t: distribution.fragment(n, t) for t in distribution.tags} for n in kept}
         )
     elif shape == "absent-tag":
-        distribution = distribution.restrict(["R"])
+        distribution = Distribution.from_columns(
+            distribution.node_order, {"R": distribution.column("R")}
+        )
     return tree, distribution
 
 

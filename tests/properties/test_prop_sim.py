@@ -85,7 +85,12 @@ class TestNormalizationEquivalence:
             np.intersect1d(dist.relation("R"), dist.relation("S")).tolist()
         )
         normalized = normalize(tree, virtual_bandwidth="sum")
-        remapped = dist.remap(normalized.node_map)
+        remapped = Distribution(
+            {
+                normalized.node_map.get(n, n): {t: dist.fragment(n, t) for t in dist.tags}
+                for n in dist.node_order
+            }
+        )
         result = tree_intersect(normalized.tree, remapped, seed=5)
         found: set = set()
         for values in result.outputs.values():

@@ -43,6 +43,7 @@ import pytest
 
 from repro.sim import cluster as cluster_module
 from repro.sim.cluster import Cluster, RoundContext
+from tests.link_loads import charge_round
 
 
 class ReferenceRoundContext(RoundContext):
@@ -109,18 +110,18 @@ class ReferenceRoundContext(RoundContext):
             (order[origin], [order[m] for m in members.tolist()], payload, tag)
             for (origin,), members, _offsets, _ids, payload, tag in self._multicasts
         ]
-        ledger.open_round()
+        loads: dict = {}
         for src, dsts, payload, tag in transfers:
             steiner_tree = {
                 edge for dst in dsts for edge in tree.path_edges(src, dst)
             }
             for edge in steiner_tree:
-                ledger.add_load(edge, len(payload))
+                loads[edge] = loads.get(edge, 0) + len(payload)
             for dst in dsts:
                 cluster._storage.append(dst, tag, payload)
                 if dst != src:
                     cluster._add_received(dst, len(payload))
-        ledger.close_round()
+        charge_round(ledger, tree, loads)
 
 
 class ReferenceCluster(Cluster):

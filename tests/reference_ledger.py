@@ -33,9 +33,10 @@ from repro.topology.tree import DirectedEdge, TreeTopology
 class ReferenceCostLedger:
     """Accumulates per-round directed-edge loads for one topology.
 
-    The pre-array ``CostLedger``, verbatim: a dict per round, every
-    charge validated by a ``tree.bandwidth`` lookup, every cost query a
-    walk over the dict.  The last two methods are the adapters that let
+    The pre-array ``CostLedger``, verbatim in the queries production
+    still has: a dict per round, every charge validated by a
+    ``tree.bandwidth`` lookup, every cost query a walk over the dict.
+    The last two methods are the adapters that let
     the production finalizers drive it (see :func:`reference_model`).
     """
 
@@ -57,23 +58,11 @@ class ReferenceCostLedger:
         self._rounds.append({})
         self._open = True
 
-    def add_load(self, edge: DirectedEdge, elements: int) -> None:
-        """Charge ``elements`` routed through directed ``edge`` this round."""
-        if not self._open:
-            raise ProtocolError("no round is open")
-        if elements < 0:
-            raise ProtocolError(f"negative load {elements}")
-        u, v = edge
-        self._tree.bandwidth(u, v)  # validates the edge exists
-        current = self._rounds[-1]
-        current[edge] = current.get(edge, 0) + int(elements)
-
     def add_loads(self, edges, counts) -> None:
         """Charge a batch of per-edge loads into the open round.
 
-        ``edges`` and ``counts`` are parallel iterables; equivalent to
-        calling :meth:`add_load` once per pair, but the open-round check
-        happens once and the hot loop stays tight — this is how the
+        ``edges`` and ``counts`` are parallel iterables; the open-round
+        check happens once and the hot loop stays tight — this is how the
         round finalizer charges a whole round's grouped transfers.
         """
         if not self._open:
@@ -124,14 +113,6 @@ class ReferenceCostLedger:
         """``cost(A)`` in bits."""
         return self.total_cost() * self._bits_per_element
 
-    def edge_total(self, edge: DirectedEdge) -> int:
-        """Total elements routed through ``edge`` across all rounds."""
-        return sum(loads.get(edge, 0) for loads in self._rounds)
-
-    def total_elements(self) -> int:
-        """Total element-hops (sum of loads over all edges and rounds)."""
-        return sum(sum(loads.values()) for loads in self._rounds)
-
     def bottleneck(self, index: int | None = None) -> tuple[DirectedEdge, float] | None:
         """The most expensive directed edge (of one round or overall)."""
         indices = range(len(self._rounds)) if index is None else [index]
@@ -142,18 +123,6 @@ class ReferenceCostLedger:
                 if best is None or cost > best[1]:
                     best = (edge, cost)
         return best
-
-    def summary(self) -> dict:
-        """A compact dict for reports and benchmark ``extra_info``."""
-        return {
-            "rounds": self.num_rounds,
-            "cost_elements": self.total_cost(),
-            "cost_bits": self.total_cost_bits(),
-            "total_element_hops": self.total_elements(),
-            "per_round_cost": [
-                self.round_cost(i) for i in range(self.num_rounds)
-            ],
-        }
 
     # ------------------------------------------------------------------ #
     # adapters: what production calls with arrays, on the dicts

@@ -35,7 +35,7 @@ from repro.plan.relation import (
 from repro.queries.tuples import encode_tuples
 from repro.report import RunReport
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
-from repro.util.grouping import index_dtype, sorted_unique
+from repro.util.grouping import index_dtype
 from repro.util.seeding import derive_seed
 
 _EMPTY = np.empty(0, np.int64)
@@ -268,9 +268,7 @@ class ReferenceDistribution:
 
     The container is immutable: fragments are stored and served as
     read-only views (never copied — the zero-copy handoff between plan
-    stages and cluster seeding rides on this), and derivation methods
-    (:meth:`remap`, :meth:`restrict`) return new instances sharing the
-    same underlying arrays.
+    stages and cluster seeding rides on this).
     """
 
     def __init__(
@@ -367,67 +365,6 @@ class ReferenceDistribution:
                 "data placed on non-compute nodes: "
                 f"{sorted(map(str, nonempty_strays))}"
             )
-
-    def require_partition(self, tag: str) -> None:
-        """Check relation ``tag`` has no element on two nodes (Section 2).
-
-        The model assumes the initial fragments partition the input with
-        no duplication; set-valued tasks additionally need global element
-        uniqueness, which this enforces.
-        """
-        full = self.relation(tag)
-        if len(sorted_unique(full)) != len(full):
-            raise DistributionError(
-                f"relation {tag!r} contains duplicated elements; initial "
-                "fragments must partition a set"
-            )
-
-    # ------------------------------------------------------------------ #
-    # derivation
-    # ------------------------------------------------------------------ #
-
-    def remap(self, node_map: Mapping[NodeId, NodeId]) -> "ReferenceDistribution":
-        """Relocate fragments according to ``node_map`` (for normalization).
-
-        Nodes not mentioned in ``node_map`` keep their placement.  Two old
-        nodes must not map to the same new node.
-        """
-        targets = [node_map.get(n, n) for n in self._fragments]
-        if len(set(targets)) != len(targets):
-            raise DistributionError("node_map merges two placements")
-        return ReferenceDistribution(
-            {
-                node_map.get(node, node): dict(relations)
-                for node, relations in self._fragments.items()
-            }
-        )
-
-    def restrict(self, tags: Iterable[str]) -> "ReferenceDistribution":
-        """Keep only the given relations."""
-        keep = {str(t) for t in tags}
-        return ReferenceDistribution(
-            {
-                node: {
-                    tag: fragment
-                    for tag, fragment in relations.items()
-                    if tag in keep
-                }
-                for node, relations in self._fragments.items()
-            }
-        )
-
-    def with_fragment(
-        self, node: NodeId, tag: str, values: Iterable[int]
-    ) -> "ReferenceDistribution":
-        """Return a new instance with one fragment replaced.
-
-        Unchanged fragments are shared (read-only), not copied.
-        """
-        updated: dict = {
-            n: dict(relations) for n, relations in self._fragments.items()
-        }
-        updated.setdefault(node, {})[str(tag)] = _as_fragment(values)
-        return ReferenceDistribution(updated)
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -164,12 +164,6 @@ def assert_same_ledger(found, expected, tree) -> None:
     assert_same_bottleneck(
         found.bottleneck(), expected.bottleneck(), expected, rounds, tree
     )
-    for edge in [*tree.directed_edges, ("n0", "n0"), ("nowhere", "n0")]:
-        assert found.edge_total(edge) == expected.edge_total(edge), edge
-        assert type(found.edge_total(edge)) is int
-    assert found.total_elements() == expected.total_elements()
-    assert type(found.total_elements()) is int
-    assert found.summary() == expected.summary()
 
 
 @given(ledger_programs())

@@ -65,6 +65,27 @@ class TestCli:
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "task, protocol, size_flag",
+        [
+            ("set-intersection", "gather", "--r-size"),
+            ("sorting", "gather", "--r-size"),
+            ("cartesian-product", "gather", "--r-size"),
+            ("triangle-count", "tree", "--edges"),
+        ],
+    )
+    def test_unregistered_protocol_exits_2_naming_the_choices(
+        self, task, protocol, size_flag, capsys
+    ):
+        from repro.registry import protocols_for
+
+        argv = ["metrics", task, "--protocol", protocol, "--racks", "2"]
+        assert main(argv + [size_flag, "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown protocol {protocol!r} for task {task!r}" in captured.err
+        assert str(sorted(protocols_for(task))) in captured.err
+
     def test_docstring_names_only_live_commands(self):
         import repro.__main__ as cli
 

@@ -13,6 +13,7 @@ from repro.errors import (
 from repro.sim.ledger import CostLedger
 from repro.sim.protocol import ProtocolResult
 from repro.topology.builders import star
+from tests.link_loads import charge_round
 
 
 class TestErrorHierarchy:
@@ -36,12 +37,10 @@ class TestErrorHierarchy:
 
 class TestProtocolResult:
     def make_ledger(self):
-        ledger = CostLedger(star(2), bits_per_element=32)
-        ledger.open_round()
-        ledger.add_load(("v1", "w"), 10)
-        ledger.close_round()
-        ledger.open_round()
-        ledger.close_round()
+        tree = star(2)
+        ledger = CostLedger(tree, bits_per_element=32)
+        charge_round(ledger, tree, {("v1", "w"): 10})
+        charge_round(ledger, tree, {})
         return ledger
 
     def test_from_ledger_derives_fields(self):

@@ -27,7 +27,7 @@ class TestQuickstartFlow:
         dist = repro.random_distribution(
             tree, r_size=1000, s_size=5000, policy="zipf", seed=0
         )
-        report = repro.run_intersection(tree, dist)
+        report = repro.run("set-intersection", tree, dist)
         assert report.rounds == 1
         assert report.cost <= 8 * report.lower_bound
 
@@ -38,11 +38,10 @@ class TestCrossTaskSuite:
         dist = repro.random_distribution(
             any_topology, r_size=200, s_size=200, policy=policy, seed=11
         )
-        intersection = repro.run_intersection(
-            any_topology, dist, placement=policy
+        intersection, cartesian, sorting = (
+            repro.run(task, any_topology, dist, placement=policy)
+            for task in ("set-intersection", "cartesian-product", "sorting")
         )
-        cartesian = repro.run_cartesian(any_topology, dist, placement=policy)
-        sorting = repro.run_sorting(any_topology, dist, placement=policy)
         assert intersection.rounds == 1
         assert cartesian.rounds == 1
         assert sorting.rounds <= 4
@@ -65,7 +64,9 @@ class TestCrossTaskSuite:
             np.intersect1d(dist.relation("R"), dist.relation("S")).tolist()
         )
         normalized = repro.normalize(tree, virtual_bandwidth="sum")
-        remapped = dist.remap(normalized.node_map)
+        remapped = repro.Distribution(
+            {normalized.node_map.get(n, n): rel for n, rel in placements.items()}
+        )
         result = repro.tree_intersect(normalized.tree, remapped, seed=1)
         found: set = set()
         for values in result.outputs.values():
@@ -81,8 +82,10 @@ class TestBaselineComparisons:
         dist = repro.random_distribution(
             tree, r_size=2000, s_size=2000, policy="proportional", seed=13
         )
-        aware = repro.run_cartesian(tree, dist, protocol="tree")
-        agnostic = repro.run_cartesian(tree, dist, protocol="classic-hypercube")
+        aware = repro.run("cartesian-product", tree, dist, protocol="tree")
+        agnostic = repro.run(
+            "cartesian-product", tree, dist, protocol="classic-hypercube"
+        )
         assert aware.cost < agnostic.cost
 
     def test_weighted_sort_beats_terasort_on_skewed_tree(self):
@@ -93,19 +96,17 @@ class TestBaselineComparisons:
         nodes = tree.left_to_right_compute_order()
         sizes = repro.place_zipf(20_000, nodes, exponent=1.5)
         dist = repro.distribute(values, sizes, tag="R", shuffle_seed=4)
-        wts = repro.run_sorting(tree, dist, protocol="wts", seed=5)
-        classic = repro.run_sorting(tree, dist, protocol="terasort", seed=5)
+        wts = repro.run("sorting", tree, dist, protocol="wts", seed=5)
+        classic = repro.run("sorting", tree, dist, protocol="terasort", seed=5)
         assert wts.cost < classic.cost
 
     def test_gather_optimal_for_dominant_node(self):
         tree = repro.star(5)
-        dist = repro.random_distribution(
-            tree, r_size=500, s_size=500,
-            policy="single-heavy", heavy_fraction=0.9, seed=17,
+        dist = repro.random_tuple_distribution(
+            tree, r_size=500, s_size=500, policy="single-heavy", seed=17
         )
-        gather = repro.run_intersection(tree, dist, protocol="gather")
-        bound = repro.intersection_lower_bound(tree, dist)
-        assert gather.cost <= 3 * max(bound.value, 1.0)
+        gather = repro.run("equijoin", tree, dist, protocol="gather")
+        assert gather.cost <= 3 * max(gather.lower_bound, 1.0)
 
 
 class TestCostModelConsistency:

@@ -9,7 +9,6 @@ from repro.registry import (
     get_protocol,
     get_task,
     list_protocols,
-    protocol_table,
     protocols_for,
     register_protocol,
     tasks,
@@ -27,19 +26,17 @@ class TestCatalog:
         }
 
     def test_legacy_protocols_present(self):
-        assert set(protocols_for("set-intersection")) >= {
+        assert set(protocols_for("set-intersection")) == {
             "tree",
             "star",
             "uniform-hash",
-            "gather",
         }
         assert set(protocols_for("cartesian-product")) >= {
             "tree",
             "star",
             "classic-hypercube",
-            "gather",
         }
-        assert set(protocols_for("sorting")) == {"wts", "terasort", "gather"}
+        assert set(protocols_for("sorting")) == {"wts", "terasort"}
 
     def test_listing_is_sorted_and_complete(self):
         specs = list_protocols()
@@ -47,7 +44,7 @@ class TestCatalog:
         assert keys == sorted(keys)
         assert len(specs) >= 15
         one_task = list_protocols("sorting")
-        assert {s.name for s in one_task} == {"wts", "terasort", "gather"}
+        assert {s.name for s in one_task} == {"wts", "terasort"}
         assert all(s.task == "sorting" for s in one_task)
 
     def test_specs_carry_metadata(self):
@@ -56,7 +53,7 @@ class TestCatalog:
         assert spec.kind == "algorithm"
         assert spec.accepts_seed
         assert spec.description
-        baseline = get_protocol("sorting", "gather")
+        baseline = get_protocol("cartesian-product", "classic-hypercube")
         assert baseline.kind == "baseline"
         assert not baseline.accepts_seed
 
@@ -64,11 +61,6 @@ class TestCatalog:
         assert get_protocol("set-intersection", "star").topology == "star"
         assert get_protocol("cartesian-product", "whc").topology == "star"
         assert get_protocol("set-intersection", "tree").topology is None
-
-    def test_protocol_table_matches_specs(self):
-        table = protocol_table("sorting")
-        assert table["wts"] is repro.weighted_terasort
-        assert table["terasort"] is repro.terasort
 
 
 class TestResolution:

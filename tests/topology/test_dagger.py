@@ -1,8 +1,11 @@
 """Unit tests for the G-dagger orientation (Lemma 4) and its covers."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.suites import standard_topologies
 from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
 from repro.topology.dagger import (
@@ -14,6 +17,19 @@ from repro.topology.dagger import (
 from repro.topology.tree import TreeTopology, node_sort_key
 
 from tests.strategies import node_sizes, tree_topologies
+
+SUITE = standard_topologies(include_random=False)
+
+
+def _covers_every_leaf(dagger, cover) -> bool:
+    """Every dagger leaf has itself or an ancestor in ``cover``."""
+    for leaf in dagger.dagger_leaves():
+        node = leaf
+        while node not in cover:
+            if node not in dagger.parent:
+                return False
+            node = dagger.parent[node]
+    return True
 
 
 class TestOrientation:
@@ -139,13 +155,41 @@ class TestCovers:
     def test_every_cover_covers_every_leaf(self):
         dagger = self.make_dagger()
         for cover in minimal_covers(dagger):
-            for leaf in dagger.dagger_leaves():
-                ancestors = {leaf}
-                node = leaf
-                while node in dagger.parent:
-                    node = dagger.parent[node]
-                    ancestors.add(node)
-                assert ancestors & cover, (leaf, cover)
+            assert _covers_every_leaf(dagger, cover), cover
+
+    @pytest.mark.parametrize("tree", SUITE, ids=lambda tree: tree.name)
+    def test_optimal_cover_is_best_over_enumeration_on_the_suite(self, tree):
+        """Lemma 8(3) on every standard topology."""
+        dagger = build_dagger(tree, {v: 1 for v in tree.compute_nodes})
+        cover, best = optimal_cover(dagger)
+        enumerated = {c: cover_value(dagger, c) for c in minimal_covers(dagger)}
+        assert cover in enumerated
+        assert best == pytest.approx(min(enumerated.values()))
+
+    @pytest.mark.parametrize("tree", SUITE, ids=lambda tree: tree.name)
+    def test_every_enumerated_cover_is_minimal(self, tree):
+        dagger = build_dagger(tree, {v: 1 for v in tree.compute_nodes})
+        covers = list(minimal_covers(dagger))
+        assert covers
+        for cover in covers:
+            assert _covers_every_leaf(dagger, cover)
+            # dropping any one node uncovers some leaf
+            for node in cover:
+                assert not _covers_every_leaf(dagger, cover - {node})
+
+    @pytest.mark.parametrize("tree", SUITE, ids=lambda tree: tree.name)
+    def test_enumeration_is_distinct_and_complete(self, tree):
+        """One cover per choice: a node either stands for its subtree or
+        defers to its children, independently per child."""
+        dagger = build_dagger(tree, {v: 1 for v in tree.compute_nodes})
+
+        def count(node):
+            children = dagger.children(node)
+            return 1 + math.prod(map(count, children)) if children else 1
+
+        covers = list(minimal_covers(dagger))
+        assert len(set(covers)) == len(covers)
+        assert len(covers) == math.prod(map(count, dagger.children(dagger.root)))
 
     def test_single_node_tree_has_no_cover(self):
         tree = TreeTopology({}, ["only"])

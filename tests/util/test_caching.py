@@ -199,24 +199,6 @@ class TestCachedAssignment:
         b = self._hasher(seed=6).assign_indices(values)
         assert not np.array_equal(a, b)
 
-    def test_assign_slices_is_fused_hash_plus_group(self):
-        hasher = self._hasher()
-        values = np.arange(5000, dtype=np.int64)
-        targets, order, uniques, starts, ends = hasher.assign_slices(values)
-        expected_targets = self._hasher().assign_indices(values)
-        assert np.array_equal(targets, expected_targets)
-        for fused, plain in zip(
-            (order, uniques, starts, ends), group_slices(expected_targets)
-        ):
-            assert np.array_equal(fused, plain)
-
-    def test_assign_slices_memoized(self):
-        hasher = self._hasher()
-        values = np.arange(5000, dtype=np.int64)
-        first = hasher.assign_slices(values)
-        second = hasher.assign_slices(values.copy())
-        assert second is first
-
     def test_targets_are_stored_in_the_narrow_lookup_dtype(self):
         values = np.arange(5000, dtype=np.int64)
         assert self._hasher().assign_indices(values).dtype == np.int16

@@ -64,12 +64,15 @@ def run_scripts(commands: list) -> set:
 
     sys.path.insert(0, str(SRC))
     for command in commands:
+        # resolved: a relative path would give the script's own code a
+        # relative co_filename, outside the prefix
+        script = str(Path(command[0]).resolve())
         sys.argv = command
-        sys.path.insert(0, str(Path(command[0]).resolve().parent))
+        sys.path.insert(0, str(Path(script).parent))
         threading.setprofile(hook)
         sys.setprofile(hook)
         try:
-            runpy.run_path(command[0], run_name="__main__")
+            runpy.run_path(script, run_name="__main__")
         except SystemExit as exit:
             if exit.code:
                 print(f"{' '.join(command)}: exit {exit.code}", file=sys.stderr)
