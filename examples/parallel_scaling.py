@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
-"""Walkthrough: the process execution substrate, oracle-verified.
+"""Walkthrough: query-level parallelism on worker processes.
 
-The simulator charges the paper's cost model in a single process; the
-``repro/parallel/`` substrate runs the same protocol rounds for real
-across worker processes, with the simulated ledger as a byte-identical
-oracle.  This example shows every layer of that stack:
+The simulator charges the paper's cost model in one process, and a
+query is never split across processes.  What runs in parallel is whole
+queries, on a persistent pool of worker processes:
 
-1. run a registered protocol on the process backend through the
-   ordinary engine facade (``repro.run(..., backend="process")``) and
-   check its report matches the simulator run exactly,
-2. drive a raw ``ParallelCluster`` round by hand with ``oracle=True``
-   and let ``verify_oracle()`` prove the shared-memory workers
-   produced byte-identical storage and ledger totals,
-3. fan a batch of plans out with ``run_many(..., executor="process")``
-   and confirm thread- and process-executed batches agree.
+1. ``repro.run(..., backend="process")`` runs one query on a pool worker
+   and returns the report the simulator returns in this process; the
+   caller's trace holds one ``barrier`` span for the wait;
+2. ``run_many(..., executor="process")`` deals a batch of plans over the
+   pool, and agrees with the thread executor plan for plan.
 
 Run:  python examples/parallel_scaling.py
 """
@@ -22,45 +18,27 @@ from __future__ import annotations
 
 import repro
 from repro.engine import RunPlan, run_many
-from repro.parallel import ParallelCluster
 from repro.parallel.pool import shutdown_pools
 
 
 def engine_parity() -> None:
-    """Same protocol, both substrates, identical reports."""
+    """Same query, in this process and on a worker, identical reports."""
     tree = repro.fat_tree(2, 2, leaf_bandwidth=2.0)
     dist = repro.random_distribution(
         tree, r_size=800, s_size=800, intersection_size=200, seed=3
     )
     sim = repro.run("set-intersection", tree, dist, seed=5)
-    par = repro.run(
-        "set-intersection", tree, dist, seed=5,
-        backend="process", num_workers=2,
-    )
+    with repro.tracing() as tracer:
+        par = repro.run(
+            "set-intersection", tree, dist, seed=5,
+            backend="process", num_workers=2,
+        )
+    (wait,) = tracer.events
     print("engine parity (set-intersection, fat-tree(2x2)):")
     print(f"  sim      cost={sim.cost:10.1f}  rounds={sim.rounds}")
-    print(f"  process  cost={par.cost:10.1f}  rounds={par.rounds}")
+    print(f"  process  cost={par.cost:10.1f}  rounds={par.rounds}"
+          f"  (waited {wait.duration * 1e3:.1f} ms in {wait.name!r})")
     assert (sim.cost, sim.rounds) == (par.cost, par.rounds)
-
-
-def raw_round_with_oracle() -> None:
-    """One hand-rolled shuffle round, A/B-checked against the sim."""
-    tree = repro.two_level([4, 4], leaf_bandwidth=2.0)
-    dist = repro.random_distribution(tree, r_size=4000, s_size=0, seed=3)
-    cluster = ParallelCluster(tree, dist, num_workers=2, oracle=True)
-    # the loaded relation as one column: every element goes to the node
-    # its value names, all indices in compute order
-    owners, values = cluster.column("R")
-    with cluster.round() as ctx:
-        ctx.exchange_column(
-            owners, values % len(cluster.compute_order), values, tag="shuffle"
-        )
-    cluster.verify_oracle()  # raises OracleMismatch on any divergence
-    print(
-        f"raw round on {tree.name}: cost={cluster.ledger.total_cost():.1f}, "
-        "oracle says byte-identical"
-    )
-    cluster.close()
 
 
 def batch_executors() -> None:
@@ -87,8 +65,6 @@ def batch_executors() -> None:
 def main() -> None:
     try:
         engine_parity()
-        print()
-        raw_round_with_oracle()
         print()
         batch_executors()
     finally:

@@ -11,9 +11,7 @@ recording tracer, then reads the trace three ways:
    finalizing it, and the span costs sum exactly to the report's cost;
 3. the Chrome-trace export — open the written file at
    ``chrome://tracing`` or https://ui.perfetto.dev to browse the
-   engine → superstep → round hierarchy on a timeline (add
-   ``--backend process`` workloads and worker ranks appear as their
-   own timeline rows).
+   engine → superstep → round hierarchy on a timeline.
 
 Run:  python examples/trace_run.py
 """

@@ -10,14 +10,14 @@ Usage::
     python -m repro graphs              # graph workloads vs baselines
     python -m repro serve --queries 500 # warm-session serving (one session)
     python -m repro table1 --r-size 2000 --s-size 2000 --seed 7
-    python -m repro compare --backend process --num-workers 4
+    python -m repro table1 --executor process --workers 4
 
 Each command prints the same plain-text tables the benchmark harness
 records, so the headline claims can be checked without pytest;
 ``protocols``, ``compare``, ``graphs``, ``serve`` and ``metrics`` take
 ``--json`` for machine-consumable output.
 
-Tracing: ``python -m repro trace cc --backend process`` runs one task
+Tracing: ``python -m repro trace cc`` runs one task
 under the :mod:`repro.obs` tracer and writes a Chrome-trace JSON
 (load it at ``chrome://tracing`` or https://ui.perfetto.dev), and every
 other command accepts ``--trace FILE`` to record whatever it runs.
@@ -58,10 +58,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         seed=args.seed,
         tasks=ALL_SUITE_TASKS,
     )
-    if args.backend != "sim":
-        for plan in plans:
-            plan.backend = args.backend
-            plan.num_workers = args.num_workers
     reports = run_many(plans, workers=args.workers, executor=args.executor)
     if args.verbose:
         print(summarize_reports(reports, title="All runs"))
@@ -120,27 +116,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ("cartesian-product", "tree", "classic-hypercube"),
         ("sorting", "wts", "terasort"),
     ):
-        backend_opts = (
-            {"backend": args.backend, "num_workers": args.num_workers}
-            if args.backend != "sim"
-            else {}
-        )
-        aware = run(
-            task,
-            tree,
-            dist,
-            protocol=aware_protocol,
-            seed=args.seed,
-            **backend_opts,
-        )
-        base = run(
-            task,
-            tree,
-            dist,
-            protocol=base_protocol,
-            seed=args.seed,
-            **backend_opts,
-        )
+        aware = run(task, tree, dist, protocol=aware_protocol, seed=args.seed)
+        base = run(task, tree, dist, protocol=base_protocol, seed=args.seed)
         reports.extend([aware, base])
         fmt_wall = lambda r: (
             "n/a" if r.wall_time_s is None else f"{r.wall_time_s:.3f}"
@@ -332,14 +309,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     workload, distributions, (catalog, plan_queries) = build_workload(
         tree, args.queries, seed=args.seed
     )
-    backend = None if args.backend == "sim" else args.backend
-    num_workers = args.num_workers if backend == "process" else None
     start = time.perf_counter()
     task_count = plan_count = 0
     total_cost = 0.0
-    with EngineSession(
-        tree, catalog=catalog, backend=backend, num_workers=num_workers
-    ) as session:
+    with EngineSession(tree, catalog=catalog) as session:
         for query in workload:
             if query.kind == "task":
                 report = session.run(
@@ -397,8 +370,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ]
             ],
             title=(
-                f"Warm session serving {tree.name} "
-                f"(backend={args.backend}, seed={args.seed})"
+                f"Warm session serving {tree.name} (seed={args.seed})"
             ),
         )
     )
@@ -446,11 +418,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import collecting, prometheus_text, write_snapshot
 
     task_spec, tree, dist = _one_task_instance(args)
-    backend_opts = (
-        {"backend": args.backend, "num_workers": args.num_workers}
-        if args.backend != "sim"
-        else {}
-    )
     with collecting() as registry:
         report = run(
             task_spec.name,
@@ -459,7 +426,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             protocol=args.protocol,
             seed=args.seed,
             placement=args.placement,
-            **backend_opts,
         )
     snap = registry.snapshot()
     series = sum(
@@ -483,7 +449,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(prometheus_text(snap), end="")
     print(
         f"# run: task={report.task} protocol={report.protocol} "
-        f"backend={args.backend} cost={report.cost:.1f} "
+        f"cost={report.cost:.1f} "
         f"rounds={report.rounds}",
         file=sys.stderr,
     )
@@ -495,11 +461,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import span_metrics, tracing, write_chrome_trace
 
     task_spec, tree, dist = _one_task_instance(args)
-    backend_opts = (
-        {"backend": args.backend, "num_workers": args.num_workers}
-        if args.backend != "sim"
-        else {}
-    )
     with tracing() as tracer:
         report = run(
             task_spec.name,
@@ -508,7 +469,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             protocol=args.protocol,
             seed=args.seed,
             placement=args.placement,
-            **backend_opts,
         )
     output = args.output or f"{task_spec.name}.trace.json"
     try:
@@ -528,7 +488,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             [
                 "task",
                 "protocol",
-                "backend",
                 "cost",
                 "rounds",
                 "wall s",
@@ -538,7 +497,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 [
                     report.task,
                     report.protocol,
-                    args.backend,
                     f"{report.cost:.1f}",
                     report.rounds,
                     (
@@ -607,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="thread-pool size for batch runs (default: executor's choice)",
+        help="table1: batch executor size (default: the executor's choice)",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="print per-instance rows"
@@ -659,26 +617,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve: number of mixed workload queries (default 200)",
     )
     parser.add_argument(
-        "--backend",
-        default="sim",
-        choices=["sim", "process"],
-        help=(
-            "table1/compare/serve/trace/metrics: execution substrate — "
-            "the cost-model "
-            "simulator or shared-memory worker processes (default sim)"
-        ),
-    )
-    parser.add_argument(
         "--executor",
         default="thread",
         choices=["thread", "process"],
-        help="table1: batch executor for the plan grid (default thread)",
-    )
-    parser.add_argument(
-        "--num-workers",
-        type=int,
-        default=2,
-        help="worker ranks for --backend process (default 2)",
+        help=(
+            "table1: run the plan grid on threads or on worker "
+            "processes (default thread)"
+        ),
     )
     parser.add_argument(
         "--trace",
@@ -769,11 +714,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command not in ("trace", "metrics"):
         if args.subcommand is not None:
             parser.error(f"unrecognized arguments: {args.subcommand}")
-    if args.executor == "process" and args.backend == "process":
-        parser.error(
-            "--executor process and --backend process are mutually "
-            "exclusive (workers cannot host nested worker pools)"
-        )
     handlers = {
         "table1": _cmd_table1,
         "compare": _cmd_compare,

@@ -1,10 +1,10 @@
 """One run context: the state a run carries, installed per thread.
 
 A run is one ledger on one tree (Section 2).  Around it the code
-carries five pieces of state: the tracer, the metrics registry, the
-auditor, the topology-artifact cache and the execution backend.  They
-live together in one frozen :class:`RunContext`, and one thread-local
-holds the current context.  :func:`current` reads it; :func:`use`
+carries four pieces of state: the tracer, the metrics registry, the
+auditor and the topology-artifact cache.  They live together in one
+frozen :class:`RunContext`, and one thread-local holds the current
+context.  :func:`current` reads it; :func:`use`
 installs a changed copy for the duration of a block and restores the
 previous context in a ``finally``, so nesting and exceptions are safe.
 
@@ -17,14 +17,15 @@ A context is safe to share between threads: the recording tracer, the
 registry, the auditor and the artifact cache lock their shared state,
 and both tracers keep their open-span stacks per thread.  So
 ``run_many`` captures ``current()`` once and installs it unchanged on
-every executor thread, and a new thread starts from :func:`default`.
+every executor thread, and a new thread (or a pool worker) starts from
+:func:`default`.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:
@@ -36,17 +37,13 @@ class RunContext:
     """Everything a run reads besides its inputs.
 
     ``artifacts`` is ``None`` outside a session or run scope, and
-    clusters then build private artifacts.  ``backend`` names the
-    substrate :func:`~repro.sim.cluster.make_cluster` builds on, and
-    ``backend_opts`` go into every construction.
+    clusters then build private artifacts.
     """
 
     tracer: Any
     registry: Any
     auditor: Any
     artifacts: ArtifactCache | None = None
-    backend: str = "sim"
-    backend_opts: dict = field(default_factory=dict)
 
 
 _DEFAULT: RunContext | None = None  # built on first use
@@ -54,7 +51,7 @@ _DEFAULT: RunContext | None = None  # built on first use
 
 def default() -> RunContext:
     """The context every thread starts from: no-op tracer, registry
-    and auditor, no artifact cache, the simulator."""
+    and auditor, no artifact cache."""
     global _DEFAULT
     if _DEFAULT is None:
         # imported on first use: the obs modules import this one

@@ -11,11 +11,10 @@ computes the task's lower bound, and packages everything into a
 Batch execution goes through :func:`run_many`, which evaluates a list
 of :class:`RunPlan` objects concurrently (the simulator is pure Python +
 numpy, and distinct runs share no state, so a thread pool is safe) and
-returns reports in plan order.  Both entry points select the execution
-substrate: ``run(..., backend="process")`` executes every round of the
-protocol across shared-memory worker processes
-(:mod:`repro.parallel`), and ``run_many(..., executor="process")``
-distributes whole plans over the same worker pool.
+returns reports in plan order.  Parallelism is per query, never inside
+one: ``run_many(..., executor="process")`` deals whole plans over the
+shared process pool (:mod:`repro.parallel`), and
+``run(..., backend="process")`` is that with one plan.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -39,11 +38,7 @@ from repro.errors import AnalysisError, ProtocolError
 from repro.queries.aggregate import GroupOutputs, groupby_lower_bound
 from repro.queries.join import JoinOutputs, equijoin_lower_bound
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
-from repro.registry import (
-    get_protocol,
-    get_task,
-    register_task,
-)
+from repro.registry import BACKENDS, get_protocol, get_task, register_task
 from repro.sim.protocol import ProtocolResult
 from repro.topology.artifacts import ArtifactCache
 from repro.topology.tree import TreeTopology
@@ -229,19 +224,33 @@ def run(
         Label recorded in the report (the placement policy name).
     verify:
         Check the answer with the task's verifier before reporting.
-    backend:
-        Execution substrate: ``"sim"`` (the cost-model simulator) or
-        ``"process"`` (shared-memory worker processes).  ``None``
-        keeps the run context's backend (default ``"sim"``).  The
-        protocol's spec must list the backend in its ``backends``
-        capability tuple.
-    num_workers:
-        Worker-rank count for ``backend="process"``; ignored (and
-        rejected) on the simulator.
+    backend, num_workers:
+        ``"sim"`` (default, ``None``) runs the query in this process.
+        ``"process"`` sends it whole to the shared pool of
+        ``num_workers`` processes (default 2), as a one-plan
+        :func:`run_many` with ``executor="process"``: the report is the
+        same, and the query's spans, metrics and audit checks stay on
+        the worker.
     opts:
         Extra keyword arguments forwarded to the protocol unchanged
         (e.g. ``blocks=...`` for ablations, ``materialize=True``).
     """
+    if backend not in (None, *BACKENDS):
+        raise AnalysisError(
+            f"unknown backend {backend!r}; choose from {list(BACKENDS)}"
+        )
+    if num_workers is not None and backend != "process":
+        raise AnalysisError(
+            f"num_workers only applies to backend='process', not {backend!r}"
+        )
+    if backend == "process":
+        plan = RunPlan(
+            task, tree, distribution, protocol, seed, placement, verify, opts
+        )
+        started = perf_counter()
+        (report,) = _scatter([plan], num_workers)
+        # what the caller waited for: the trip to the worker included
+        return replace(report, wall_time_s=perf_counter() - started)
     report, _ = run_with_result(
         task,
         tree,
@@ -250,8 +259,6 @@ def run(
         seed=seed,
         placement=placement,
         verify=verify,
-        backend=backend,
-        num_workers=num_workers,
         **opts,
     )
     return report
@@ -266,11 +273,10 @@ def run_with_result(
     seed: int = 0,
     placement: str = "custom",
     verify: bool = True,
-    backend: str | None = None,
-    num_workers: int | None = None,
     **opts,
 ) -> tuple[RunReport, ProtocolResult]:
-    """Like :func:`run`, but also return the raw :class:`ProtocolResult`.
+    """Like :func:`run` in this process, but also return the raw
+    :class:`ProtocolResult`.
 
     The report strips per-node outputs (it is a summary row); pipeline
     consumers — the query-plan executor above all — need the outputs to
@@ -279,46 +285,21 @@ def run_with_result(
     task_spec = get_task(task)
     spec = get_protocol(task_spec.name, protocol or task_spec.default_protocol)
     context = current()
-    resolved_backend = backend if backend is not None else context.backend
-    if resolved_backend not in spec.backends:
-        raise AnalysisError(
-            f"protocol {spec.name!r} supports backends "
-            f"{list(spec.backends)}, not {resolved_backend!r}"
-        )
-    if backend is None:
-        if num_workers is not None:
-            raise AnalysisError("num_workers requires an explicit backend")
-        backend_opts = context.backend_opts
-    elif num_workers is None:
-        backend_opts = {}
-    elif backend != "process":
-        raise AnalysisError(
-            "num_workers only applies to backend='process', "
-            f"not {backend!r}"
-        )
-    else:
-        backend_opts = {"num_workers": num_workers}
     tracer = context.tracer
     registry = context.registry
     run_labels = (
-        {
-            "task": task_spec.name,
-            "protocol": spec.name,
-            "backend": resolved_backend,
-        }
+        {"task": task_spec.name, "protocol": spec.name}
         if registry.enabled
         else None
     )
     # The root span of a task execution: everything below — supersteps,
-    # plan stages, rounds, worker barriers — nests under it, and pool
-    # failures report their position relative to it.
+    # plan stages, rounds — nests under it.
     with tracer.span(
         f"engine.run {task_spec.name}",
         category="engine",
         task=task_spec.name,
         protocol=spec.name,
         topology=tree.name,
-        backend=resolved_backend,
         placement=placement,
     ) as root:
         started = perf_counter()
@@ -328,11 +309,7 @@ def run_with_result(
             # share topology artifacts within this run; inside an
             # EngineSession the session's long-lived cache is reused
             # instead — run() is a thin one-shot session.
-            with use(
-                backend=resolved_backend,
-                backend_opts=backend_opts,
-                artifacts=_run_artifacts(context),
-            ):
+            with use(artifacts=_run_artifacts(context)):
                 result = spec.call(tree, distribution, seed=seed, **opts)
         except Exception:
             if run_labels is not None:
@@ -381,7 +358,6 @@ def run_with_result(
                 "repro_run_seconds",
                 buckets=LATENCY_BUCKETS,
                 task=task_spec.name,
-                backend=resolved_backend,
             ).observe(wall_time_s)
             registry.counter(
                 "repro_runs_total", status="ok", **run_labels
@@ -428,8 +404,6 @@ class RunPlan:
     seed: int = 0
     placement: str = "custom"
     verify: bool = True
-    backend: str | None = None
-    num_workers: int | None = None
     opts: dict = field(default_factory=dict)
 
     def execute(self) -> RunReport:
@@ -441,8 +415,6 @@ class RunPlan:
             seed=self.seed,
             placement=self.placement,
             verify=self.verify,
-            backend=self.backend,
-            num_workers=self.num_workers,
             **self.opts,
         )
 
@@ -457,18 +429,29 @@ def _execute_annotated(indexed: tuple[int, RunPlan]) -> RunReport:
     try:
         return plan.execute()
     except Exception as error:
-        note = f"run_many: plan {index} (task {plan.task!r}) failed"
-        if hasattr(error, "add_note"):  # Python >= 3.11
-            error.add_note(note)
-        elif error.args:
-            error.args = (f"{error.args[0]} [{note}]",) + error.args[1:]
-        else:
-            error.args = (note,)
+        from repro.parallel.pool import annotate_error
+
+        annotate_error(error, f"run_many: plan {index} (task {plan.task!r}) failed")
         raise
 
 
 #: Dispatch target for plans shipped to pool workers.
 PLAN_JOB = "repro.engine:_execute_annotated"
+
+
+def _scatter(plans: list[RunPlan], workers: int | None) -> list[RunReport]:
+    """Deal whole plans over the shared pool of ``workers`` processes
+    (default 2).  The caller's trace gets one ``barrier`` span for the
+    wait; the plans' own spans, metrics and audit checks stay on the
+    workers, which run from the default run context."""
+    # imported here: ``import repro`` should not load multiprocessing
+    from repro.parallel.pool import get_pool
+
+    pool = get_pool(2 if workers is None else workers)
+    with current().tracer.span(
+        "pool.scatter", category="barrier", workers=pool.num_workers
+    ):
+        return pool.scatter(PLAN_JOB, list(enumerate(plans)))
 
 
 def run_many(
@@ -511,12 +494,7 @@ def run_many(
             _execute_annotated(indexed) for indexed in enumerate(normalized)
         ]
     if executor == "process":
-        # Plans execute in worker processes: their spans stay worker-side
-        # (only master-side work lands in the caller's trace).
-        from repro.parallel.pool import get_pool
-
-        pool = get_pool(workers if workers is not None else 2)
-        return pool.scatter(PLAN_JOB, list(enumerate(normalized)))
+        return _scatter(normalized, workers)
     # Executor threads start from the default context: carry the
     # caller's whole context onto them (everything in it is safe to
     # share; span stacks are per thread).

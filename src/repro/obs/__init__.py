@@ -2,8 +2,7 @@
 
 The cost model says what a protocol *should* cost per round; this
 package records where wall-clock time and bytes *actually* go as a run
-flows engine → plan stages → supersteps → round finalization → worker
-ranks, keeps standing counters a long-lived engine can expose, and
+flows engine → plan stages → supersteps → round finalization, keeps standing counters a long-lived engine can expose, and
 audits the Section-2 invariants on every finalized round.  Zero
 dependencies, zero configuration: the tracer, registry and auditor are
 fields of the run context (:mod:`repro.context`), whose default holds
@@ -14,7 +13,7 @@ observability is off.
   (``tracing()`` / ``--trace``).
 * :mod:`repro.obs.metrics` — labeled Counter/Gauge/Histogram registry
   with Prometheus text + JSON snapshot exposition (``collecting()`` /
-  ``--metrics``), mergeable across worker ranks.
+  ``--metrics``).
 * :mod:`repro.obs.audit` — per-round cost-model invariant checks
   (``auditing()`` / ``--audit``), strict or recording.
 
@@ -49,7 +48,6 @@ from repro.obs.metrics import (
     NullRegistry,
     collecting,
     get_registry,
-    merge_snapshots,
     prometheus_text,
     write_snapshot,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "get_auditor",
     "get_registry",
     "get_tracer",
-    "merge_snapshots",
     "prometheus_text",
     "span_metrics",
     "tracing",

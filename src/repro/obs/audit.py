@@ -30,11 +30,9 @@ after every finalized round:
 Violations are recorded on the installed metrics registry as
 ``repro_audit_violations_total{invariant=...}`` and accumulated on the
 auditor; in strict mode the first violation raises
-:class:`~repro.errors.AuditError`.  Because the process backend's
-:class:`~repro.parallel.oracle.LedgerOracle` replays every round
-through a shadow simulator ``round()``, an installed auditor checks
-process-backend rounds twice — once on the parallel substrate, once on
-the replay — for free.
+:class:`~repro.errors.AuditError`.  A query sent to a pool worker
+(``run_many(executor="process")``, ``run(backend="process")``) runs
+there from the default context, unaudited.
 
 The default auditor is :class:`NullAuditor`: one run-context read per
 round, no snapshots, no checks — the same disabled-path
@@ -103,7 +101,7 @@ class CostAuditor:
         """Audit one finalized round against its raw transfer streams."""
         self.rounds_checked += 1
         index = cluster.ledger.num_rounds - 1
-        where = f"round {index} on {cluster.tree.name!r} ({cluster.backend})"
+        where = f"round {index} on {cluster.tree.name!r}"
         self._check_conservation(cluster, context, before, where)
         self._check_charges(cluster, index, where)
 

@@ -12,40 +12,23 @@ labeled counters live in :mod:`repro.obs.metrics`.)
 from __future__ import annotations
 
 import json
-import re
 import sys
 from typing import Any
 
 from repro.report import _jsonify
 
 #: pid used for every event — the trace describes one logical run, and
-#: worker-rank activity is distinguished by tid (track), not pid.
+#: threads are distinguished by tid (track), not pid.
 TRACE_PID = 0
-
-#: Worker-rank track names as emitted by the parallel backend
-#: (``"rank 0"``, ``"rank 12"``, ...).
-_RANK_TRACK = re.compile(r"rank\s*(\d+)")
 
 
 def _track_order(tracer) -> dict[str, int]:
-    """Deterministic track → tid mapping for the trace viewer.
-
-    ``"main"`` is always tid 0; worker-rank tracks follow in *numeric*
-    order (``rank 10`` sorts after ``rank 2``, not lexically between
-    ``rank 1`` and ``rank 2`` — with >10 ranks the viewer otherwise
-    interleaves them); any other track keeps its first appearance in
-    the buffer.
-    """
-    seen: list[str] = []
-    for event in tracer.events:
-        if event.track != "main" and event.track not in seen:
-            seen.append(event.track)
-    ranks = [t for t in seen if _RANK_TRACK.fullmatch(t)]
-    ranks.sort(key=lambda t: int(_RANK_TRACK.fullmatch(t).group(1)))
-    others = [t for t in seen if not _RANK_TRACK.fullmatch(t)]
+    """Deterministic track → tid mapping for the trace viewer:
+    ``"main"`` is tid 0, every other track follows in order of first
+    appearance in the buffer."""
     tids: dict[str, int] = {"main": 0}
-    for track in (*ranks, *others):
-        tids[track] = len(tids)
+    for event in tracer.events:
+        tids.setdefault(event.track, len(tids))
     return tids
 
 

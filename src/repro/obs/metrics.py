@@ -13,10 +13,8 @@ exactly:
   (created on first touch, cached per label set, updated under one
   registry lock so ``run_many`` threads can share a registry);
   :meth:`~MetricsRegistry.snapshot` emits a strictly
-  JSON-serializable state dict, :func:`merge_snapshot` folds one
-  snapshot into another (how worker ranks ship their deltas home over
-  the round barrier), and :func:`prometheus_text` renders the
-  Prometheus text exposition format.
+  JSON-serializable state dict, and :func:`prometheus_text` renders
+  the Prometheus text exposition format.
 * :class:`NullRegistry` — the default.  Every instrument call returns
   one shared no-op instrument; instrumented code gates any label-dict
   construction on ``registry.enabled``, so the disabled path costs one
@@ -29,10 +27,6 @@ Histograms come in two bucket schemes:
   round costs, edge loads: sizes spanning many orders of magnitude);
 * an explicit tuple of upper bounds (latencies: a fixed ladder keeps
   cross-run bucket layouts comparable).
-
-Merging is exact: bucket counts and observation counts are integers,
-so folding rank snapshots in any grouping produces identical totals —
-the associativity property the cross-process tests pin down.
 """
 
 from __future__ import annotations
@@ -233,12 +227,9 @@ class NullRegistry:
     def summary(self) -> dict:
         return {}
 
-    def merge_snapshot(self, payload: dict) -> None:
-        pass
-
 
 class MetricsRegistry:
-    """Thread-safe labeled instruments plus snapshot/merge plumbing."""
+    """Thread-safe labeled instruments plus snapshot export."""
 
     enabled = True
 
@@ -280,7 +271,7 @@ class MetricsRegistry:
                     key, Histogram(self._lock, buckets)
                 )
         elif instrument.scheme != Histogram.normalize_scheme(buckets):
-            # silently mixing schemes would make merged bucket tables
+            # silently mixing schemes would make the bucket table
             # meaningless; two callers must agree on a family's ladder
             raise AnalysisError(
                 f"histogram {name!r} already registered with bucket "
@@ -295,8 +286,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The registry's full state as JSON-serializable builtins.
 
-        This is the wire format: worker ranks ship it over the round
-        barrier, :func:`merge_snapshot` folds it into another registry,
         ``repro metrics --output`` writes it to disk, and
         :func:`prometheus_text` renders it.  Histogram bucket bounds
         are stringified floats (``"inf"`` for the overflow bucket) so
@@ -355,46 +344,6 @@ class MetricsRegistry:
                 for name, family in snap["histograms"].items()
             },
         }
-
-    def merge_snapshot(self, payload: dict) -> None:
-        """Fold a :meth:`snapshot` payload into this registry.
-
-        Counters and histogram buckets add; gauges take the incoming
-        value (last-writer-wins, the conventional gauge merge).  This
-        is how the master folds worker-rank deltas after a round
-        barrier — addition over integers, so any merge order produces
-        identical totals.
-        """
-        for name, family in payload.get("counters", {}).items():
-            for key, value in family.items():
-                self.counter(name, **parse_label_key(key)).inc(value)
-        for name, family in payload.get("gauges", {}).items():
-            for key, value in family.items():
-                self.gauge(name, **parse_label_key(key)).set(value)
-        for name, family in payload.get("histograms", {}).items():
-            for key, state in family.items():
-                scheme = state.get("scheme", "log2")
-                histogram = self.histogram(
-                    name,
-                    buckets="log2" if scheme == "log2" else tuple(scheme),
-                    **parse_label_key(key),
-                )
-                with self._lock:
-                    for bound, count in state.get("buckets", {}).items():
-                        numeric = float(bound)
-                        histogram.counts[numeric] = (
-                            histogram.counts.get(numeric, 0) + int(count)
-                        )
-                    histogram.total += state.get("sum", 0.0)
-                    histogram.count += int(state.get("count", 0))
-
-
-def merge_snapshots(*payloads: dict) -> dict:
-    """Pure-function fold of snapshot payloads (left to right)."""
-    merged = MetricsRegistry()
-    for payload in payloads:
-        merged.merge_snapshot(payload)
-    return merged.snapshot()
 
 
 # ---------------------------------------------------------------------- #

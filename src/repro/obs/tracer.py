@@ -15,7 +15,7 @@ Two tracer implementations share one surface:
   lock.
 * :class:`NullTracer` — the default.  It records nothing and times
   nothing; the only state it keeps is the per-thread stack of open
-  span *names*, so failure paths (worker crash, round timeout) can
+  span *names*, so failure paths (worker crash, job timeout) can
   always report *where* in the run they happened via
   :meth:`current_path`, tracing on or off.  Span entry is one list
   append, exit one pop.
@@ -49,8 +49,8 @@ MAIN_TRACK = "main"
 class SpanEvent:
     """One finished span: name, monotonic interval, attributes.
 
-    ``track`` groups events into timeline rows (the master thread,
-    worker ranks, run_many threads); ``depth`` is the nesting depth at
+    ``track`` groups events into timeline rows (the installing thread,
+    run_many threads); ``depth`` is the nesting depth at
     open time and ``index`` a per-tracer sequence number, so exports
     can reconstruct ordering without trusting float ties.
     """
@@ -182,40 +182,6 @@ class Tracer(_PerThreadStack):
         """Names of this thread's open spans, outermost first."""
         return tuple(span.name for span in self._stack())
 
-    def add_event(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        attrs: dict | None = None,
-        track: str | None = None,
-        category: str | None = None,
-    ) -> None:
-        """Inject an externally timed span (e.g. one shipped back by a
-        worker rank over the round barrier) into the buffer.
-
-        ``start``/``end`` must be ``time.perf_counter()`` readings; on
-        the platforms the process backend supports they share the
-        master's clock domain (CLOCK_MONOTONIC is machine-wide), so
-        merged worker spans land at their true position on the
-        timeline.
-        """
-        merged = dict(attrs) if attrs else {}
-        if category is not None:
-            merged["category"] = category
-        depth = len(self._stack())
-        self._record(
-            SpanEvent(
-                name=name,
-                start=start,
-                end=end,
-                attrs=merged,
-                track=track if track is not None else self._track(),
-                depth=depth,
-            )
-        )
-
     def _record(self, event: SpanEvent) -> None:
         with self._lock:
             if len(self.events) >= self.max_events:
@@ -267,9 +233,6 @@ class NullTracer(_PerThreadStack):
 
     def current_path(self) -> tuple:
         return tuple(self._stack())
-
-    def add_event(self, *args, **kwargs) -> None:
-        pass
 
 
 def get_tracer():

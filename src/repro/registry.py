@@ -31,6 +31,10 @@ from typing import Callable
 
 from repro.errors import AnalysisError
 
+#: Execution backends of :func:`repro.run`: ``"sim"`` runs the query in
+#: this process, ``"process"`` on one worker of a process pool.
+BACKENDS = ("sim", "process")
+
 
 class RegistryError(AnalysisError):
     """The protocol/task catalog was queried or mutated inconsistently."""
@@ -60,13 +64,6 @@ class ProtocolSpec:
     topology:
         ``None`` if the protocol runs on any symmetric tree, otherwise
         the topology family it requires (e.g. ``"star"``).
-    backends:
-        Execution backends the protocol is known to run on.  Protocols
-        build their cluster through
-        :func:`repro.sim.cluster.make_cluster`, so by default they run
-        on every registered substrate; a protocol that hard-requires
-        the simulator declares ``backends=("sim",)`` and the engine
-        refuses to dispatch it elsewhere.
     description:
         One-line summary shown by ``python -m repro protocols``.
     """
@@ -77,8 +74,11 @@ class ProtocolSpec:
     kind: str = "algorithm"
     accepts_seed: bool = False
     topology: str | None = None
-    backends: tuple = ("sim", "process")
     description: str = ""
+
+    #: Where :func:`repro.run` can execute it: every protocol runs on
+    #: either, because ``"process"`` runs the same code on a pool worker.
+    backends = BACKENDS
 
     def call(self, tree, distribution, *, seed: int = 0, **kwargs):
         """Invoke the protocol, routing ``seed`` only if it is accepted."""
@@ -144,7 +144,6 @@ def register_protocol(
     kind: str = "algorithm",
     accepts_seed: bool = False,
     topology: str | None = None,
-    backends: tuple = ("sim", "process"),
     description: str | None = None,
 ) -> Callable:
     """Class the decorated callable into the catalog; returns it unchanged.
@@ -188,7 +187,6 @@ def register_protocol(
             kind=kind,
             accepts_seed=accepts_seed,
             topology=topology,
-            backends=tuple(backends),
             description=summary,
         )
         return func

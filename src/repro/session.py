@@ -9,17 +9,14 @@ Blanas parameterize every cost and every algorithm by the topology, so
 the topology is the natural unit of session state).
 
 :class:`EngineSession` pins a topology — and optionally a default
-distribution, catalog, and execution backend — and keeps three kinds of
-state warm across queries:
+distribution and catalog — and keeps two kinds of state warm across
+queries:
 
 * **topology artifacts** (:mod:`repro.topology.artifacts`): routing
-  index, compute orders, rank tables — built once at
-  session construction, shared by every cluster any query builds;
+  index and compute order — built once at session construction, shared
+  by every cluster any query builds;
 * **compiled plans** (:class:`repro.plan.optimizer.PlanCache`): repeated
-  query shapes skip the join-order and protocol search entirely;
-* **the worker pool** (:func:`repro.parallel.pool.get_pool`): sessions
-  on the process backend prestart their ranks, so the first query does
-  not pay the fork-and-handshake cost.
+  query shapes skip the join-order and protocol search entirely.
 
 Warm serving is *byte-identical* to cold one-shot runs: artifacts and
 cached plans are pure functions of (topology, placement statistics),
@@ -48,11 +45,11 @@ batches.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from repro.context import use
-from repro.engine import RunPlan, run_many as _engine_run_many
+from repro.engine import RunPlan, run as _engine_run
+from repro.engine import run_many as _engine_run_many
 from repro.engine import run_plan as _engine_run_plan
 from repro.engine import run_with_result as _engine_run_with_result
 from repro.errors import AnalysisError
@@ -78,10 +75,6 @@ class EngineSession:
         an explicit distribution uses it.
     catalog:
         Optional default relation catalog for :meth:`run_plan`.
-    backend, num_workers:
-        Pinned execution substrate, forwarded to every run unless a
-        call overrides it.  ``backend="process"`` prestarts the shared
-        worker pool at construction.
     artifact_cache, plan_cache:
         Bring-your-own caches — several sessions on one box may share
         one :class:`~repro.topology.artifacts.ArtifactCache` (it is
@@ -89,8 +82,7 @@ class EngineSession:
         never collide).  Defaults to fresh private instances.
 
     Sessions are context managers for symmetry with the rest of the
-    API; exiting is cheap (caches are garbage-collected, the worker
-    pool is process-wide and stays warm for other sessions).
+    API; exiting is cheap (caches are garbage-collected).
     """
 
     def __init__(
@@ -99,21 +91,12 @@ class EngineSession:
         *,
         distribution=None,
         catalog: dict | None = None,
-        backend: str | None = None,
-        num_workers: int | None = None,
         artifact_cache: ArtifactCache | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if num_workers is not None and backend != "process":
-            raise AnalysisError(
-                "num_workers only applies to backend='process', "
-                f"not {backend!r}"
-            )
         self.tree = tree
         self._distribution = distribution
         self._catalog = catalog
-        self._backend = backend
-        self._num_workers = num_workers
         self.artifact_cache = (
             artifact_cache if artifact_cache is not None else ArtifactCache()
         )
@@ -127,10 +110,6 @@ class EngineSession:
         # included: session construction is the warm-up, queries are not.
         self._artifacts = self.artifact_cache.get(tree)
         self._artifacts.oracle.routing_index
-        if backend == "process":
-            from repro.parallel.pool import get_pool
-
-            get_pool(num_workers if num_workers is not None else 2)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -144,13 +123,7 @@ class EngineSession:
         self.close()
 
     def close(self) -> None:
-        """Mark the session closed; further runs raise.
-
-        Deliberately does *not* shut down the worker pool: pools are
-        process-wide and shared across sessions (and with
-        ``run_many(executor="process")``), so a tenant leaving must not
-        cold-start its neighbours.
-        """
+        """Mark the session closed; further runs raise."""
         self._closed = True
 
     def _check_open(self) -> None:
@@ -161,22 +134,16 @@ class EngineSession:
     # single runs (the engine API, with pinned defaults)
     # ------------------------------------------------------------------ #
 
-    def _resolve_substrate(
-        self, backend: str | None, num_workers: int | None
-    ) -> tuple[str | None, int | None]:
-        if backend is None:
-            backend = self._backend
-            if num_workers is None:
-                num_workers = self._num_workers
-        return backend, num_workers
-
     def run(self, task: str, distribution=None, **kwargs):
-        """:func:`repro.run` against the session's warm state."""
-        report, _ = self.run_with_result(task, distribution, **kwargs)
-        return report
+        """:func:`repro.run` against the session's warm state (a
+        ``backend="process"`` run builds its artifacts on the worker)."""
+        return self._run(_engine_run, task, distribution, kwargs)
 
     def run_with_result(self, task: str, distribution=None, **kwargs):
         """:func:`repro.engine.run_with_result`, warm."""
+        return self._run(_engine_run_with_result, task, distribution, kwargs)
+
+    def _run(self, entry, task: str, distribution, kwargs: dict):
         self._check_open()
         if distribution is None:
             distribution = self._distribution
@@ -185,18 +152,8 @@ class EngineSession:
                 "no distribution: pass one to the call or pin one "
                 "on the session"
             )
-        backend, num_workers = self._resolve_substrate(
-            kwargs.pop("backend", None), kwargs.pop("num_workers", None)
-        )
         with use(artifacts=self.artifact_cache):
-            out = _engine_run_with_result(
-                task,
-                self.tree,
-                distribution,
-                backend=backend,
-                num_workers=num_workers,
-                **kwargs,
-            )
+            out = entry(task, self.tree, distribution, **kwargs)
         self._runs += 1
         return out
 
@@ -231,15 +188,6 @@ class EngineSession:
                 "no distribution: set one on the plan or pin one "
                 "on the session"
             )
-        if plan.backend is None:
-            backend, num_workers = self._resolve_substrate(
-                None, plan.num_workers
-            )
-            if backend is not None:
-                # Never mutate a caller's plan object.
-                plan = replace(
-                    plan, backend=backend, num_workers=num_workers
-                )
         return plan
 
     def _lower_bound(self, plan: RunPlan) -> float | None:
@@ -340,8 +288,6 @@ class EngineSession:
         return {
             "topology": self.tree.name,
             "fingerprint": self._artifacts.fingerprint,
-            "backend": self._backend or "ambient",
-            "num_workers": self._num_workers,
             "runs": self._runs,
             "plan_runs": self._plan_runs,
             "batches": self._batches,

@@ -45,7 +45,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.context import current
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.obs.audit import get_auditor
@@ -71,27 +70,10 @@ from repro.util.grouping import (
 def make_cluster(
     tree: TreeTopology, distribution: Distribution | None = None, **kwargs
 ) -> "Cluster":
-    """Build a cluster on the run context's execution backend.
-
-    This is the constructor every protocol uses, so protocols stay
-    backend-agnostic: ``"sim"`` is this module's :class:`Cluster`,
-    ``"process"`` the shared-memory substrate of
-    :mod:`repro.parallel.backend`, imported on first use so the
-    simulator does not depend on it.  The context's ``backend_opts``
-    go into every construction; keyword arguments the protocol passes
-    (``bits_per_element``) override same-named options.
-    """
-    context = current()
-    if context.backend == "sim":
-        factory = Cluster
-    elif context.backend == "process":
-        from repro.parallel.backend import ParallelCluster as factory
-    else:
-        raise ProtocolError(
-            f"unknown execution backend {context.backend!r}; "
-            "registered: ('process', 'sim')"
-        )
-    return factory(tree, distribution, **{**context.backend_opts, **kwargs})
+    """The constructor every protocol uses: a :class:`Cluster`, looked
+    up when called, so a test can put a reference model in its place
+    (``tests/reference_delivery.py``)."""
+    return Cluster(tree, distribution, **kwargs)
 
 
 def _concatenated(parts: Sequence) -> np.ndarray:
@@ -515,9 +497,6 @@ class RoundContext:
             # deliver: install the grouped slices into node storage
             for tag, sorted_payload, uniques, starts, ends in grouped:
                 if registry.enabled:
-                    # The process backend records this same total from
-                    # its worker ranks; keeping the label set identical
-                    # is what makes sim and process snapshots match.
                     registry.counter(
                         "repro_delivered_elements_total", tag=tag
                     ).inc(len(sorted_payload))
@@ -554,11 +533,7 @@ class RoundContext:
         registration-ordered ``(dst_ids, payload)`` parts whose
         concatenation is the round's full scatter for that tag, plus
         the round's ``(src, dst, count)`` pair counts that feed the
-        vectorized tree-flow charger (:func:`_pair_counts`).  Shared by
-        the in-process bulk finalizer and the process-backend finalizer,
-        which ships the same columns to its workers — byte-identity
-        between the two substrates starts with collecting identical
-        columns.
+        vectorized tree-flow charger (:func:`_pair_counts`).
         """
         routing = self._cluster.oracle.routing_index
         size = routing.num_nodes
@@ -716,11 +691,9 @@ class RoundContext:
     def _annotate_round(self, tracer, phases: dict | None = None) -> None:
         """Attach ledger-derived attrs to the enclosing round span.
 
-        Called after ``close_round`` by every finalizer (this one and
-        the process substrate's), so the round span
-        carries the same model-cost facts regardless of the execution
-        path: the round's cost and the edge that sets it, its most-loaded
-        edge, and the registered payload volume per tag.  ``phases`` adds
+        Called after ``close_round``: the round span carries the
+        round's cost and the edge that sets it, its most-loaded edge,
+        and the registered payload volume per tag.  ``phases`` adds
         the finalize-time split when the finalizer measured one.
         """
         ledger = self._cluster.ledger
@@ -754,14 +727,9 @@ class RoundContext:
         return elements
 
     def _record_round_metrics(self, registry) -> None:
-        """Record the closed round on the installed metrics registry.
-
-        Deliberately carries *no* backend label: every count here is
-        derived from the registered streams and the ledger, which both
-        substrates produce byte-identically, so a sim-run snapshot and
-        a process-run snapshot of the same protocol are equal — the
-        property the cross-process merge tests assert.
-        """
+        """Record the closed round on the installed metrics registry;
+        every count is derived from the registered streams and the
+        ledger."""
         ledger = self._cluster.ledger
         index = ledger.num_rounds - 1
         registry.counter("repro_rounds_total").inc()
@@ -781,6 +749,9 @@ class RoundContext:
 
 class Cluster:
     """Tree topology + per-node storage + cost accounting."""
+
+    #: What :meth:`round` opens (a test swaps in its reference model).
+    round_context = RoundContext
 
     def __init__(
         self,
@@ -856,22 +827,6 @@ class Cluster:
             values, offsets = distribution.column(tag)
             self._storage.install(tag, owners, offsets[:-1], offsets[1:], values)
 
-    def put(self, node: NodeId, tag: str, values) -> None:
-        """Append ``values`` to ``node``'s storage under ``tag``.
-
-        Zero-copy when ``values`` is already a 1-D ``int64`` array: the
-        array is referenced, not copied (the storage layer serves
-        read-only views, so the historical defensive copies are gone).
-        """
-        if node not in self._tree.compute_nodes:
-            raise ProtocolError(
-                f"{node!r} is not a compute node and cannot store data"
-            )
-        payload = np.asarray(values, dtype=np.int64)
-        if len(payload) == 0:
-            return
-        self._storage.append(node, str(tag), payload)
-
     def local(self, node: NodeId, tag: str) -> np.ndarray:
         """All elements ``node`` currently holds under ``tag``.
 
@@ -905,9 +860,6 @@ class Cluster:
         """Element count at ``node`` for one tag or across all tags."""
         return self._storage.size(node, None if tag is None else str(tag))
 
-    def tags_at(self, node: NodeId) -> frozenset:
-        return self._storage.tags(node)
-
     def received_elements(self, node: NodeId) -> int:
         """Elements delivered to ``node`` from other nodes (MPC measure)."""
         index = self.oracle.routing_index.index_of.get(node)
@@ -917,18 +869,13 @@ class Cluster:
         """Record ``count`` remote arrivals at ``node``.
 
         The named front-end of the one vector the bulk deliveries add
-        their arrivals to; the audit conservation check and the
-        process-backend oracle both compare against it.
+        their arrivals to.
         """
         self._received_elements[self.oracle.routing_index.index_of[node]] += count
 
     # ------------------------------------------------------------------ #
     # rounds
     # ------------------------------------------------------------------ #
-
-    def _make_round_context(self) -> RoundContext:
-        """Factory hook: substrates override to supply their finalizer."""
-        return RoundContext(self)
 
     @contextmanager
     def round(self) -> Iterator[RoundContext]:
@@ -940,15 +887,13 @@ class Cluster:
         if self._round_open:
             raise ProtocolError("a round is already in progress")
         self._round_open = True
-        context = self._make_round_context()
+        context = self.round_context(self)
         auditor = get_auditor()
         before = auditor.before_round(self) if auditor.enabled else None
         # one span per round, covering both the protocol's local work
         # and finalization; finalize still runs only on clean exit
         with get_tracer().span(
-            f"round {self.ledger.num_rounds}",
-            category="round",
-            backend=self.backend,
+            f"round {self.ledger.num_rounds}", category="round"
         ):
             try:
                 yield context
@@ -961,16 +906,4 @@ class Cluster:
     @property
     def rounds_executed(self) -> int:
         return self.ledger.num_rounds
-
-    # ------------------------------------------------------------------ #
-    # substrate lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def backend(self) -> str:
-        """Which execution substrate this cluster runs on."""
-        return "sim"
-
-    def close(self) -> None:
-        """Release substrate resources (no-op for the simulator)."""
 

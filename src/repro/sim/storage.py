@@ -28,9 +28,7 @@ contract (``tests/sim/test_storage.py``):
 ``repro_storage_compactions_total{tag=...}`` counts the ``(node, tag)``
 columns that had more than one piece when a read merged them — the same
 number whether 144 per-node reads or one whole-column merge did the
-merging, and the same on either substrate (the process backend appends
-per node what the simulator installs as one table; the pieces per node
-are equal).
+merging.
 """
 
 from __future__ import annotations
@@ -147,10 +145,6 @@ class ColumnarStore:
         values = self.view(node, tag)
         self.discard(node, tag)
         return values
-
-    def clear(self) -> None:
-        """Drop every column (the process backend's ``close``)."""
-        self._tags.clear()
 
     # ------------------------------------------------------------------ #
     # reads

@@ -1,8 +1,8 @@
 """Session-scoped topology artifacts: build once, serve many runs.
 
 Every expensive structure a cluster derives from its topology — the
-canonical compute order, rank-ownership lookups, beside the tree's
-own routing index — is a pure function of the immutable
+canonical compute order, beside the tree's own routing index — is a
+pure function of the immutable
 :class:`~repro.topology.tree.TreeTopology` (Hu, Koutris & Blanas
 parameterize the whole cost model by the topology alone).  A one-shot
 ``run()`` rebuilding them per cluster is fine; a serving engine
@@ -32,8 +32,6 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 from weakref import WeakValueDictionary
-
-import numpy as np
 
 from repro.context import current, use
 from repro.obs.metrics import get_registry
@@ -66,7 +64,7 @@ class TopologyArtifacts:
     still builds lazily on first use, but *once per topology* instead
     of once per cluster).  Instances are safe to share across
     ``run_many`` threads: the routing index is the tree's own (built
-    once, under a lock) and the rank-lookup table is guarded by a lock.
+    once, under a lock) and nothing else changes after construction.
     """
 
     def __init__(
@@ -82,29 +80,6 @@ class TopologyArtifacts:
         self.compute_position: dict = {
             node: index for index, node in enumerate(self.compute_order)
         }
-        self._lock = threading.Lock()
-        self._rank_lookups: dict[int, np.ndarray] = {}
-
-    def rank_lookup(self, routing, num_workers: int) -> np.ndarray:
-        """Routing-index -> owning rank (``-1`` for routers), per rank count.
-
-        The process backend assigns compute nodes to ranks in
-        contiguous blocks of the canonical compute order; the table
-        depends only on (topology, ``num_workers``), so sessions mixing
-        worker counts keep one entry per count.
-        """
-        table = self._rank_lookups.get(num_workers)
-        if table is None:
-            with self._lock:
-                table = self._rank_lookups.get(num_workers)
-                if table is None:
-                    count = len(routing.compute_idx)
-                    table = np.full(routing.num_nodes, -1, dtype=np.int32)
-                    table[routing.compute_idx] = (
-                        np.arange(count) * num_workers // count
-                    )
-                    self._rank_lookups[num_workers] = table
-        return table
 
 
 class ArtifactCache:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 from typing import Hashable
 
-import numpy as np
-
 
 def derive_seed(seed: int, *tokens: Hashable) -> int:
     """Derive a reproducible 64-bit seed from ``seed`` and ``tokens``."""
@@ -24,30 +22,3 @@ def derive_seed(seed: int, *tokens: Hashable) -> int:
         hasher.update(b"\x1f")  # unit separator: ("ab","c") != ("a","bc")
         hasher.update(repr(token).encode("utf-8"))
     return int.from_bytes(hasher.digest(), "little")
-
-
-def rank_seed(seed: int, rank: int) -> int:
-    """The 64-bit seed of worker ``rank``'s independent stream.
-
-    Derivation is pure BLAKE2b over the run seed and the rank, so the
-    value is identical no matter which process computes it or which
-    ``multiprocessing`` start method (``fork``/``spawn``) created that
-    process — spawned workers re-derive it from ``(seed, rank)`` alone
-    rather than inheriting interpreter state.
-    """
-    if rank < 0:
-        raise ValueError(f"worker rank must be >= 0, got {rank}")
-    return derive_seed(seed, "worker-rank", int(rank))
-
-
-def rank_generator(seed: int, rank: int) -> np.random.Generator:
-    """An independent, reproducible numpy Generator for worker ``rank``.
-
-    Each rank gets its own PCG64 stream keyed by :func:`rank_seed`;
-    distinct ranks land on cryptographically separated keys, so streams
-    are disjoint for all practical purposes, and the same ``(seed,
-    rank)`` pair always reproduces the same stream.
-    """
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(rank_seed(seed, rank)))
-    )

@@ -13,6 +13,8 @@ from repro.analysis.suites import (
 )
 from repro.engine import RunPlan, run, run_many
 from repro.errors import AnalysisError, ProtocolError
+from repro.obs.metrics import collecting, parse_label_key
+from repro.registry import get_task
 from repro.report import RunReport
 from repro.topology.builders import star, two_level
 
@@ -61,6 +63,43 @@ class TestRun:
         report = run(task, tree, dist, protocol=protocol, seed=0)
         assert report.task == task
         assert report.cost >= 0
+
+    @pytest.mark.parametrize("task", repro.tasks())
+    def test_root_span_and_run_series_labels(self, instance, task):
+        """The root span and the engine's metric series carry the task,
+        protocol, topology and placement, and no execution label."""
+        tree, dist = instance
+        if task in TUPLE_SUITE_TASKS:
+            dist = repro.random_tuple_distribution(
+                tree, r_size=100, s_size=100, seed=1
+            )
+        elif task in GRAPH_SUITE_TASKS:
+            dist = repro.random_graph_distribution(tree, num_edges=100, seed=1)
+        protocol = get_task(task).default_protocol
+        with repro.tracing() as tracer, collecting() as registry:
+            report = run(task, tree, dist, placement="zipf")
+        (root,) = [e for e in tracer.events if e.depth == 0]
+        assert root.attrs == {
+            "category": "engine",
+            "task": task,
+            "protocol": protocol,
+            "topology": tree.name,
+            "placement": "zipf",
+            "cost": report.cost,
+            "rounds": report.rounds,
+        }
+        snapshot = registry.snapshot()
+        runs = snapshot["counters"]["repro_runs_total"]
+        assert {"task": task, "protocol": protocol, "status": "ok"} in map(
+            parse_label_key, runs
+        )
+        assert {frozenset(parse_label_key(key)) for key in runs} == {
+            frozenset({"task", "protocol", "status"})
+        }
+        seconds = snapshot["histograms"]["repro_run_seconds"]
+        assert {frozenset(parse_label_key(key)) for key in seconds} == {
+            frozenset({"task"})
+        }
 
     def test_intersection_report_fields(self, instance):
         tree, dist = instance

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.suites import ALL_SUITE_TASKS, standard_plans
 from repro.data.generators import random_distribution
-from repro.engine import run, run_many
+from repro.engine import run_many
 from repro.errors import AuditError
 from repro.obs.audit import (
     CostAuditor,
@@ -14,16 +14,9 @@ from repro.obs.audit import (
     get_auditor,
 )
 from repro.obs.metrics import collecting
-from repro.parallel.pool import shutdown_pools
 from repro.registry import get_task
 from repro.sim.cluster import Cluster
 from tests.obs.shuffle import prepare_uniform_hash, rack_tree
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _shared_pools():
-    yield
-    shutdown_pools()
 
 
 def _audited_round(tree_size=2, elements=2_000):
@@ -54,31 +47,6 @@ class TestCleanRounds:
         assert summary["violations"] == 0
         assert summary["rounds_checked"] > len(plans)
         assert summary["bounds_checked"] > 0
-
-    def test_process_backend_rounds_audited_clean(self):
-        tree = rack_tree(4)
-        dist = random_distribution(
-            tree, r_size=400, s_size=400, policy="uniform", seed=3
-        )
-        with auditing(strict=True) as auditor:
-            for task in (
-                "set-intersection",
-                "cartesian-product",
-                "sorting",
-            ):
-                run(
-                    task,
-                    tree,
-                    dist,
-                    seed=1,
-                    backend="process",
-                    num_workers=2,
-                )
-        # the LedgerOracle replays every parallel round through a
-        # shadow simulator round, so each run is audited on both the
-        # parallel substrate and the replay
-        assert auditor.summary()["violations"] == 0
-        assert auditor.rounds_checked > 0
 
 
 class TestViolationDetection:

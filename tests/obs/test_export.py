@@ -1,6 +1,7 @@
 """Chrome-trace schema validation and metrics round-trip properties."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.export import chrome_trace, span_metrics, write_chrome_trace
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import SpanEvent, Tracer, tracing
+
+
+def _span_on_thread(tracer, track: str, name: str, **attrs) -> None:
+    """One span recorded by a thread named ``track``."""
+
+    def work():
+        with tracer.span(name, **attrs):
+            pass
+
+    thread = threading.Thread(target=work, name=track)
+    thread.start()
+    thread.join()
+
+
+def _record(tracer, *spans) -> None:
+    """Record ``(name, start, end, category)`` tuples as finished spans
+    with given timestamps."""
+    for name, start, end, category in spans:
+        tracer._record(SpanEvent(name, start, end, {"category": category}))
 
 
 def _sample_tracer() -> Tracer:
@@ -16,14 +36,7 @@ def _sample_tracer() -> Tracer:
         with tracer.span("engine.run demo", category="engine", task="demo"):
             with tracer.span("round 0", category="round", round=0):
                 tracer.annotate(round_cost=2.5, max_edge_load=5)
-            tracer.add_event(
-                "rank0/round 0",
-                0.0,
-                1.0,
-                track="rank 0",
-                category="worker-round",
-                attrs={"rank": 0},
-            )
+        _span_on_thread(tracer, "worker", "run 1", category="thread-run")
     return tracer
 
 
@@ -49,7 +62,7 @@ class TestChromeTraceSchema:
             if event["ph"] == "M"
         }
         assert meta["main"] == 0
-        assert "rank 0" in meta
+        assert "worker" in meta
         used_tids = {
             event["tid"]
             for event in payload["traceEvents"]
@@ -75,7 +88,9 @@ class TestChromeTraceSchema:
         tracer.events[0].attrs["nan"] = float("nan")
         text = json.dumps(chrome_trace(tracer), allow_nan=False)
         decoded = json.loads(text)
-        args = decoded["traceEvents"][-1]["args"]
+        (args,) = [
+            e["args"] for e in decoded["traceEvents"] if e["name"] == "round 0"
+        ]
         assert args["np_int"] == 7
         assert args["nan"] is None
 
@@ -103,7 +118,7 @@ class TestMetrics:
     def test_aggregates_by_category(self):
         tracer = _sample_tracer()
         summary = span_metrics(tracer)
-        assert set(summary["spans"]) == {"engine", "round", "worker-round"}
+        assert set(summary["spans"]) == {"engine", "round", "thread-run"}
         assert summary["spans"]["round"]["count"] == 1
         assert summary["num_events"] == 3
         assert summary["dropped"] == 0
@@ -116,8 +131,7 @@ class TestMetrics:
 
     def test_bucket_stats_are_consistent(self):
         tracer = Tracer()
-        tracer.add_event("a", 0.0, 1.0, category="c")
-        tracer.add_event("b", 0.0, 3.0, category="c")
+        _record(tracer, ("a", 0.0, 1.0, "c"), ("b", 0.0, 3.0, "c"))
         bucket = span_metrics(tracer)["spans"]["c"]
         assert bucket["count"] == 2
         assert bucket["total_s"] == pytest.approx(4.0)
@@ -147,10 +161,13 @@ class TestMetrics:
     )
     def test_metrics_json_round_trip(self, spans):
         tracer = Tracer()
-        for category, start, duration in spans:
-            tracer.add_event(
-                category, start, start + duration, category=category
-            )
+        _record(
+            tracer,
+            *(
+                (category, start, start + duration, category)
+                for category, start, duration in spans
+            ),
+        )
         summary = span_metrics(tracer)
         encoded = json.dumps(summary, allow_nan=False)
         assert json.loads(encoded) == summary
@@ -161,69 +178,36 @@ class TestMetrics:
 
 
 class TestTrackOrder:
-    def test_rank_tracks_sort_numerically_not_lexically(self):
-        tracer = Tracer()
-        # arrival order is scrambled and lexical order would interleave
-        # rank 10 between rank 1 and rank 2
-        for rank in (10, 2, 0, 1, 11):
-            tracer.add_event(
-                f"rank{rank}/round 0", 0.0, 1.0, track=f"rank {rank}"
-            )
-        payload = chrome_trace(tracer)
-        names = {
+    def _tids(self, tracer) -> dict:
+        return {
             event["args"]["name"]: event["tid"]
-            for event in payload["traceEvents"]
+            for event in chrome_trace(tracer)["traceEvents"]
             if event["ph"] == "M"
         }
-        assert names["main"] == 0
-        ranks = sorted(
-            (tid, track)
-            for track, tid in names.items()
-            if track.startswith("rank")
-        )
-        assert [track for _, track in ranks] == [
-            "rank 0", "rank 1", "rank 2", "rank 10", "rank 11",
-        ]
 
-    def test_non_rank_tracks_keep_first_appearance_after_ranks(self):
+    def test_main_first_then_first_appearance(self):
         tracer = Tracer()
-        tracer.add_event("z", 0.0, 1.0, track="zeta")
-        tracer.add_event("r", 0.0, 1.0, track="rank 1")
-        tracer.add_event("a", 0.0, 1.0, track="alpha")
-        payload = chrome_trace(tracer)
-        names = {
-            event["args"]["name"]: event["tid"]
-            for event in payload["traceEvents"]
-            if event["ph"] == "M"
-        }
-        assert names["main"] == 0
-        assert names["rank 1"] == 1
-        assert names["zeta"] == 2  # first appearance among non-ranks
-        assert names["alpha"] == 3
+        _span_on_thread(tracer, "zeta", "z")
+        with tracer.span("m"):
+            pass
+        _span_on_thread(tracer, "alpha", "a")
+        assert self._tids(tracer) == {"main": 0, "zeta": 1, "alpha": 2}
 
     def test_every_event_tid_matches_its_track_metadata(self):
         tracer = Tracer()
-        for rank in (3, 1, 2):
-            tracer.add_event(
-                f"rank{rank}/round 0", 0.0, 1.0, track=f"rank {rank}"
-            )
-        payload = chrome_trace(tracer)
-        names = {
-            event["args"]["name"]: event["tid"]
-            for event in payload["traceEvents"]
-            if event["ph"] == "M"
-        }
-        for event in payload["traceEvents"]:
+        for track in ("t3", "t1", "t2"):
+            _span_on_thread(tracer, track, f"{track}/run")
+        tids = self._tids(tracer)
+        for event in chrome_trace(tracer)["traceEvents"]:
             if event["ph"] == "X":
-                rank = event["name"].split("/")[0].removeprefix("rank")
-                assert event["tid"] == names[f"rank {rank}"]
+                assert event["tid"] == tids[event["name"].split("/")[0]]
 
 
 class TestDroppedEvents:
     def _overflowed_tracer(self) -> Tracer:
         tracer = Tracer(max_events=2)
         for index in range(5):
-            tracer.add_event(f"event {index}", 0.0, 1.0)
+            _record(tracer, (f"event {index}", 0.0, 1.0, None))
         assert tracer.dropped == 3
         return tracer
 

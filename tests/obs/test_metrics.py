@@ -3,8 +3,6 @@
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
 from repro.obs.metrics import (
@@ -13,7 +11,6 @@ from repro.obs.metrics import (
     NullRegistry,
     collecting,
     get_registry,
-    merge_snapshots,
     parse_label_key,
     prometheus_text,
     write_snapshot,
@@ -83,69 +80,12 @@ class TestSnapshotAndMerge:
         written = write_snapshot(path, registry)
         assert json.loads(path.read_text()) == written == payload
 
-    def test_merge_adds_counters_and_buckets_gauges_overwrite(self):
-        left = MetricsRegistry()
-        left.counter("c_total").inc(2)
-        left.gauge("g").set(1.0)
-        left.histogram("h").observe(3)
-        right = MetricsRegistry()
-        right.counter("c_total").inc(5)
-        right.counter("other_total", tag="x").inc()
-        right.gauge("g").set(9.0)
-        right.histogram("h").observe(3)
-        right.histogram("h").observe(100)
-        left.merge_snapshot(right.snapshot())
-        snap = left.snapshot()
-        assert snap["counters"]["c_total"][""] == 7
-        assert snap["counters"]["other_total"] == {"tag=x": 1}
-        assert snap["gauges"]["g"][""] == 9.0
-        hist = snap["histograms"]["h"][""]
-        assert hist["count"] == 3
-        assert hist["buckets"] == {"4.0": 2, "128.0": 1}
-
     def test_label_key_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("c_total", task="sort", backend="sim").inc()
         (key,) = registry.snapshot()["counters"]["c_total"]
         assert parse_label_key(key) == {"task": "sort", "backend": "sim"}
         assert parse_label_key("") == {}
-
-
-def _registry_from(ops) -> dict:
-    """Build a snapshot from generated (kind, label, value) operations."""
-    registry = MetricsRegistry()
-    for kind, label, value in ops:
-        if kind == "counter":
-            registry.counter("c_total", tag=label).inc(value)
-        else:
-            registry.histogram("h_total", tag=label).observe(value)
-    return registry.snapshot()
-
-
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["counter", "histogram"]),
-        st.sampled_from(["a", "b"]),
-        st.integers(min_value=0, max_value=2**40),
-    ),
-    max_size=12,
-)
-
-
-class TestMergeAlgebra:
-    @given(_OPS, _OPS, _OPS)
-    def test_merge_is_associative(self, ops_a, ops_b, ops_c):
-        a, b, c = map(_registry_from, (ops_a, ops_b, ops_c))
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
-        assert left == right
-
-    @given(_OPS, _OPS)
-    def test_counter_and_histogram_merge_commutes(self, ops_a, ops_b):
-        # gauges are last-writer-wins, so commutativity only holds for
-        # the additive families — which is what rank merging relies on
-        a, b = map(_registry_from, (ops_a, ops_b))
-        assert merge_snapshots(a, b) == merge_snapshots(b, a)
 
 
 class TestPrometheusText:

@@ -5,7 +5,14 @@ import threading
 import pytest
 
 from repro.context import use
-from repro.obs.tracer import NullTracer, Tracer, get_tracer, tracing
+from repro.obs.tracer import (
+    MAIN_TRACK,
+    NullTracer,
+    SpanEvent,
+    Tracer,
+    get_tracer,
+    tracing,
+)
 
 
 class TestSpanNesting:
@@ -91,13 +98,6 @@ class TestBoundedBuffer:
         with pytest.raises(ValueError):
             Tracer(max_events=0)
 
-    def test_add_event_respects_bound(self):
-        tracer = Tracer(max_events=1)
-        tracer.add_event("a", 0.0, 1.0)
-        tracer.add_event("b", 1.0, 2.0)
-        assert [event.name for event in tracer.events] == ["a"]
-        assert tracer.dropped == 1
-
 
 class TestCurrentPath:
     def test_recording_tracer_path(self):
@@ -148,18 +148,3 @@ class TestThreads:
             "worker-0",
             "worker-1",
         }
-
-    def test_add_event_uses_explicit_track(self):
-        with tracing() as tracer:
-            tracer.add_event(
-                "rank0/round 0",
-                1.0,
-                2.0,
-                track="rank 0",
-                category="worker-round",
-                attrs={"rank": 0},
-            )
-        (event,) = tracer.events
-        assert event.track == "rank 0"
-        assert event.attrs == {"rank": 0, "category": "worker-round"}
-        assert event.duration == 1.0

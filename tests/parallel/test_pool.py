@@ -1,61 +1,130 @@
-"""Worker-pool lifecycle, dispatch, and cross-process seeding tests."""
+"""Worker-pool lifecycle and dispatch tests."""
 
 import multiprocessing
-from multiprocessing import shared_memory
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ProtocolError
 from repro.parallel.pool import (
     WorkerPool,
+    annotate_error,
     default_start_method,
     get_pool,
     shutdown_pools,
 )
 
-ECHO = "repro.parallel.pool:_echo_kernel"
-PROBE = "repro.parallel.pool:_rank_probe"
-BOOM = "repro.parallel.pool:_raise_kernel"
+ECHO = "tests.parallel.test_pool:echo"
+BOOM = "tests.parallel.test_pool:boom"
+PID = "tests.parallel.test_pool:pid"
+RANK = "tests.parallel.test_pool:rank"
+NESTED = "tests.parallel.test_pool:nested"
+
+
+def echo(payload):
+    return payload
+
+
+def boom(payload):
+    error = ValueError(f"boom on {payload!r}")
+    annotate_error(error, "kernel-side note")
+    raise error
+
+
+def pid(_payload) -> int:
+    return os.getpid()
+
+
+def rank(_payload):
+    from repro.parallel import pool
+
+    return pool.WORKER_RANK
+
+
+def nested(make):
+    """Try to build a pool inside a worker; the refusal's message."""
+    try:
+        get_pool(1) if make == "get_pool" else WorkerPool(1)
+    except ProtocolError as error:
+        return str(error)
+    return None
 
 
 @pytest.fixture
 def pool():
-    pool = WorkerPool(2, seed=0)
+    pool = WorkerPool(2)
     yield pool
     pool.shutdown()
 
 
 class TestDispatch:
-    def test_broadcast_returns_per_rank_results(self, pool):
-        assert pool.broadcast(ECHO, ["a", "b"]) == ["a", "b"]
-
-    def test_broadcast_needs_one_payload_per_rank(self, pool):
-        with pytest.raises(ProtocolError, match="one payload per rank"):
-            pool.broadcast(ECHO, ["only-one"])
-
     def test_scatter_preserves_item_order(self, pool):
         items = list(range(7))
         assert pool.scatter(ECHO, items) == items
+
+    def test_scatter_deals_round_robin(self, pool):
+        assert pool.scatter(PID, [0, 1, 2, 3]) == pool.pids * 2
+
+    def test_one_item_runs_on_rank_zero(self, pool):
+        assert pool.scatter(PID, [0]) == pool.pids[:1]
 
     def test_scatter_empty_is_noop(self, pool):
         assert pool.scatter(ECHO, []) == []
 
     def test_bad_target_spelling_rejected(self, pool):
         with pytest.raises(ProtocolError, match="module:function"):
-            pool.broadcast("notamodulepath", [None, None])
+            pool.scatter("notamodulepath", [None])
 
     def test_job_exception_reraised_with_rank_note(self, pool):
         with pytest.raises(ValueError, match="boom") as info:
-            pool.broadcast(BOOM, ["x", "y"])
+            pool.scatter(BOOM, ["x", "y"])
         notes = getattr(info.value, "__notes__", ())
         assert any("kernel-side note" in note for note in notes)
         assert any("worker rank 0" in note for note in notes)
 
+    def test_lowest_failing_item_is_raised(self, pool):
+        # items 0 and 2 run on rank 0, item 1 on rank 1; all three fail
+        with pytest.raises(ValueError, match="boom on 'b'") as info:
+            pool.scatter(BOOM, ["b", "c", "d"])
+        assert any("worker rank 0" in note for note in info.value.__notes__)
+
+    def test_workers_know_their_rank(self, pool):
+        from repro.parallel import pool as pool_module
+
+        assert pool.scatter(RANK, [0, 1, 2]) == [0, 1, 0]
+        assert pool_module.WORKER_RANK is None
+
+    @pytest.mark.parametrize("make", ["get_pool", "WorkerPool"])
+    def test_workers_build_no_pools(self, pool, make):
+        (message,) = pool.scatter(NESTED, [make])
+        assert message == (
+            "nested worker pools are not supported: this process is "
+            "already worker rank 0"
+        )
+
     def test_pool_survives_job_exceptions(self, pool):
         with pytest.raises(ValueError):
-            pool.broadcast(BOOM, ["x", "y"])
+            pool.scatter(BOOM, ["x", "y"])
         assert not pool.closed
-        assert pool.broadcast(ECHO, [1, 2]) == [1, 2]
+        assert pool.scatter(ECHO, [1, 2]) == [1, 2]
+
+    def test_threads_sharing_a_pool_get_their_own_results(self, pool):
+        results = {}
+
+        def work(label):
+            results[label] = pool.scatter(ECHO, [label] * 5)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {i: [i] * 5 for i in range(6)}
 
 
 class TestLifecycle:
@@ -63,27 +132,33 @@ class TestLifecycle:
         with pytest.raises(ProtocolError, match="at least one rank"):
             WorkerPool(0)
 
-    def test_shutdown_unlinks_segments(self):
-        import numpy as np
+    def test_default_start_method_is_available(self):
+        assert (
+            default_start_method() in multiprocessing.get_all_start_methods()
+        )
 
-        pool = WorkerPool(1, seed=0)
-        segment, _ = pool.shm.lease_array(np.int64, 100)
-        name = segment.name
-        pool.shutdown()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+    @pytest.mark.parametrize(
+        "method",
+        [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
+    )
+    def test_both_start_methods_run_jobs(self, method):
+        pool = WorkerPool(1, start_method=method)
+        try:
+            assert pool.scatter(ECHO, ["a"]) == ["a"]
+        finally:
+            pool.shutdown()
 
     def test_closed_pool_rejects_jobs(self):
-        pool = WorkerPool(1, seed=0)
+        pool = WorkerPool(1)
         pool.shutdown()
         with pytest.raises(ProtocolError, match="closed"):
-            pool.broadcast(ECHO, [None])
+            pool.scatter(ECHO, [None])
 
     def test_get_pool_caches_per_configuration(self):
         try:
-            a = get_pool(2, seed=0)
-            b = get_pool(2, seed=0)
-            c = get_pool(2, seed=1)
+            a = get_pool(2)
+            b = get_pool(2)
+            c = get_pool(1)
             assert a is b
             assert a is not c
         finally:
@@ -91,16 +166,14 @@ class TestLifecycle:
 
     def test_get_pool_is_thread_safe(self):
         # A lost check-then-create race would orphan a spawned pool
-        # (live workers + segments shutdown_pools never sees); all
-        # threads must receive the one cached instance.
-        import threading
-
+        # (live workers shutdown_pools never sees); all threads must
+        # receive the one cached instance.
         pools = []
         barrier = threading.Barrier(8)
 
         def grab():
             barrier.wait()
-            pools.append(get_pool(2, seed=0))
+            pools.append(get_pool(2))
 
         try:
             threads = [threading.Thread(target=grab) for _ in range(8)]
@@ -112,82 +185,46 @@ class TestLifecycle:
         finally:
             shutdown_pools()
 
+    def test_shutdown_is_idempotent(self):
+        pool = WorkerPool(1)
+        pool.shutdown()
+        pool.shutdown()
+        assert pool.closed
+        assert not any(p.is_alive() for p in pool._processes)
+
+    def test_shutdown_pools_closes_every_shared_pool(self):
+        pools = [get_pool(1), get_pool(2)]
+        shutdown_pools()
+        assert all(pool.closed for pool in pools)
+        assert get_pool(1) is not pools[0]
+        shutdown_pools()
+
     def test_get_pool_replaces_closed_pool(self):
         try:
-            a = get_pool(2, seed=0)
+            a = get_pool(2)
             a.shutdown()
-            b = get_pool(2, seed=0)
+            b = get_pool(2)
             assert b is not a
             assert not b.closed
         finally:
             shutdown_pools()
 
 
-class TestRankSeeding:
-    """Satellite contract: per-rank streams are disjoint and identical
-    across fork and spawn (spawn-safe derivation from the run seed)."""
-
-    @pytest.fixture(scope="class")
-    def probes_by_method(self):
-        methods = [
-            m
-            for m in ("fork", "spawn")
-            if m in multiprocessing.get_all_start_methods()
-        ]
-        results = {}
-        for method in methods:
-            pool = WorkerPool(2, start_method=method, seed=11)
-            try:
-                results[method] = pool.broadcast(PROBE, [{"draws": 6}] * 2)
-            finally:
-                pool.shutdown()
-        return results
-
-    def test_default_start_method_is_available(self):
-        assert (
-            default_start_method() in multiprocessing.get_all_start_methods()
-        )
-
-    def test_ranks_identify_themselves(self, probes_by_method):
-        for probes in probes_by_method.values():
-            assert [p["rank"] for p in probes] == [0, 1]
-            assert all(p["count"] == 2 for p in probes)
-
-    def test_streams_disjoint_across_ranks(self, probes_by_method):
-        for probes in probes_by_method.values():
-            assert probes[0]["draws"] != probes[1]["draws"]
-
-    def test_streams_reproducible_across_start_methods(
-        self, probes_by_method
-    ):
-        draws = [
-            [p["draws"] for p in probes]
-            for probes in probes_by_method.values()
-        ]
-        assert all(d == draws[0] for d in draws)
-
-    def test_streams_reproducible_across_pools(self):
-        first = WorkerPool(2, seed=11)
-        try:
-            probes = first.broadcast(PROBE, [{"draws": 6}] * 2)
-        finally:
-            first.shutdown()
-        second = WorkerPool(2, seed=11)
-        try:
-            again = second.broadcast(PROBE, [{"draws": 6}] * 2)
-        finally:
-            second.shutdown()
-        assert [p["draws"] for p in probes] == [p["draws"] for p in again]
-
-    def test_seed_changes_streams(self):
-        pool = WorkerPool(1, seed=12)
-        try:
-            probes = pool.broadcast(PROBE, [{"draws": 6}])
-        finally:
-            pool.shutdown()
-        other = WorkerPool(1, seed=13)
-        try:
-            different = other.broadcast(PROBE, [{"draws": 6}])
-        finally:
-            other.shutdown()
-        assert probes[0]["draws"] != different[0]["draws"]
+def test_importing_repro_starts_no_process_machinery():
+    """The pool is imported on first use: ``import repro`` loads neither
+    it nor :mod:`multiprocessing`."""
+    src = Path(repro.__file__).resolve().parents[1]
+    probe = (
+        "import sys, repro; "
+        "print([m for m in ('multiprocessing', 'repro.parallel.pool') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

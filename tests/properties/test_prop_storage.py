@@ -3,32 +3,20 @@
 Random mixed-round scripts (sends, hashed column exchanges, multicast
 groups, interleaved tags, repeated rounds onto the same columns) must leave
 *exactly* the same observable state — per-edge ledger loads, per-node
-received counts, per-(node, tag) storage bytes — whichever substrate
-runs them:
-
-* the simulator (columnar store, vectorized grouping/gather) vs the
-  per-send reference model of ``tests/reference_delivery.py``;
-* the process backend at 1/2/3 workers vs the simulator.
+received counts, per-(node, tag) storage bytes — on the simulator
+(columnar store, vectorized grouping/gather) as on the per-send
+reference model of ``tests/reference_delivery.py``.
 
 ``assert_clusters_identical`` raises on the first divergence, naming it.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import ParallelCluster
-from repro.parallel.oracle import assert_clusters_identical
-from repro.parallel.pool import get_pool, shutdown_pools
 from repro.sim.cluster import Cluster
+from tests.cluster_identity import assert_clusters_identical
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _shared_pools():
-    yield
-    shutdown_pools()
 
 
 @st.composite
@@ -111,18 +99,3 @@ class TestColumnarByteIdentity:
         assert_clusters_identical(
             bulk, per_send, a_name="bulk", b_name="reference"
         )
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @given(script=round_scripts())
-    @settings(max_examples=10, deadline=None)
-    def test_process_backend_matches_sim(self, workers, script):
-        tree, rounds = script
-        sim = _replay(Cluster(tree), rounds)
-        pool = get_pool(workers, seed=7)
-        proc = _replay(ParallelCluster(tree, pool=pool), rounds)
-        try:
-            assert_clusters_identical(
-                proc, sim, a_name="process", b_name="sim"
-            )
-        finally:
-            proc.close()

@@ -95,10 +95,10 @@ class TestProcessBackendIdentity:
     def test_warm_process_session_matches_cold_sim(self, tree, seed):
         dist = _distribution(tree, seed)
         cold = repro.run("set-intersection", tree, dist, seed=seed)
-        with EngineSession(
-            tree, backend="process", num_workers=2
-        ) as session:
-            warm = session.run("set-intersection", dist, seed=seed)
+        with EngineSession(tree) as session:
+            warm = session.run(
+                "set-intersection", dist, seed=seed, backend="process", num_workers=2
+            )
         assert warm.cost == cold.cost
         assert warm.rounds == cold.rounds
         assert warm.meta["result"] == cold.meta["result"]

@@ -12,7 +12,8 @@ from ``RoutingIndex``, not from ``PathOracle``.
 
 The byte-identity contract every differential test asserts against this
 model (ledger loads per round and edge, received counts, tag sets and
-per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
+per-``(node, tag)`` storage bytes, via
+``tests.cluster_identity.assert_clusters_identical``):
 
 * a round is three calls plus two node-named front-ends: ``send`` is
   one transfer, ``multicast`` one copy to every node of a set;
@@ -32,7 +33,7 @@ per-``(node, tag)`` storage bytes, via ``assert_clusters_identical``):
   then group id, then element order.
 
 ``ReferenceCluster`` takes the same constructor arguments as ``Cluster``,
-so putting it in place of the ``"sim"`` backend's class (:func:`run_on`)
+so putting it in place of the class ``make_cluster`` builds (:func:`run_on`)
 replays whole protocols through the definition.
 """
 
@@ -127,12 +128,11 @@ class ReferenceRoundContext(RoundContext):
 class ReferenceCluster(Cluster):
     """A ``Cluster`` whose rounds run through the reference model."""
 
-    def _make_round_context(self) -> RoundContext:
-        return ReferenceRoundContext(self)
+    round_context = ReferenceRoundContext
 
 
 def run_on(cluster_class, protocol, tree, distribution, **opts):
-    """Run ``protocol`` with ``"sim"`` clusters built by ``cluster_class``;
+    """Run ``protocol`` with its clusters built by ``cluster_class``;
     returns the result and every cluster the protocol built."""
     built = []
 

@@ -37,6 +37,7 @@ from repro.report import RunReport
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
 from repro.util.grouping import index_dtype
 from repro.util.seeding import derive_seed
+from tests.cluster_storage import put
 
 _EMPTY = np.empty(0, np.int64)
 _EMPTY.setflags(write=False)
@@ -449,7 +450,7 @@ def reference_load(cluster, distribution) -> None:
         for tag in distribution.tags:
             fragment = distribution.fragment(node, tag)
             if len(fragment):
-                cluster.put(node, tag, fragment)
+                put(cluster, node, tag, fragment)
 
 
 def reference_column(cluster, tag: str) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
-from repro.sim.cluster import Cluster, RoundContext
+from repro.sim.cluster import Cluster, RoundContext, make_cluster
 from repro.topology.builders import star, two_level
+from tests.cluster_storage import put
 
 
 @pytest.fixture
@@ -15,34 +16,22 @@ def cluster():
 
 
 class TestStorage:
-    def test_put_and_local(self, cluster):
-        cluster.put("v1", "R", [1, 2, 3])
-        assert cluster.local("v1", "R").tolist() == [1, 2, 3]
-
-    def test_put_appends(self, cluster):
-        cluster.put("v1", "R", [1])
-        cluster.put("v1", "R", [2])
+    def test_local_reads_appended_fragments(self, cluster):
+        put(cluster, "v1", "R", [1])
+        put(cluster, "v1", "R", [2])
         assert cluster.local("v1", "R").tolist() == [1, 2]
 
-    def test_put_on_router_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="compute"):
-            cluster.put("core", "R", [1])
-
     def test_take_removes(self, cluster):
-        cluster.put("v1", "R", [1, 2])
+        put(cluster, "v1", "R", [1, 2])
         taken = cluster.take("v1", "R")
         assert taken.tolist() == [1, 2]
         assert len(cluster.local("v1", "R")) == 0
 
     def test_local_size(self, cluster):
-        cluster.put("v1", "R", [1, 2])
-        cluster.put("v1", "S", [3])
+        put(cluster, "v1", "R", [1, 2])
+        put(cluster, "v1", "S", [3])
         assert cluster.local_size("v1", "R") == 2
         assert cluster.local_size("v1") == 3
-
-    def test_tags_at(self, cluster):
-        cluster.put("v2", "X", [1])
-        assert cluster.tags_at("v2") == frozenset({"X"})
 
     def test_load_distribution(self):
         tree = star(3)
@@ -54,7 +43,7 @@ class TestStorage:
 
 class TestRounds:
     def test_send_delivers_and_charges_path(self, cluster):
-        cluster.put("v1", "R", [5, 6, 7])
+        put(cluster, "v1", "R", [5, 6, 7])
         with cluster.round() as ctx:
             ctx.send("v1", "v3", cluster.local("v1", "R"), tag="recv")
         assert cluster.local("v3", "recv").tolist() == [5, 6, 7]
@@ -66,7 +55,7 @@ class TestRounds:
 
     def test_round_cost_uses_bottleneck(self, cluster):
         # leaf links have bandwidth 2, uplinks bandwidth 1.
-        cluster.put("v1", "R", np.arange(4))
+        put(cluster, "v1", "R", np.arange(4))
         with cluster.round() as ctx:
             ctx.send("v1", "v3", np.arange(4), tag="recv")
         assert cluster.ledger.round_cost(0) == 4.0  # 4 elements / bw 1
@@ -254,6 +243,14 @@ class TestRouterSourceRegression:
 
         with pytest.raises(DistributionError, match="non-compute"):
             cluster.load(Distribution({"core": {"R": [1]}}))
+
+
+def test_make_cluster_builds_a_loaded_simulator():
+    dist = Distribution({"v1": {"R": [1, 2]}, "v2": {"R": [3]}})
+    cluster = make_cluster(star(3), dist, bits_per_element=32)
+    assert type(cluster) is Cluster
+    assert cluster.local("v1", "R").tolist() == [1, 2]
+    assert cluster.ledger.bits_per_element == 32
 
 
 def test_exchange_mode_kwarg_is_gone_not_ignored():

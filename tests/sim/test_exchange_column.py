@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.obs.audit import auditing
-from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
 from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
 from repro.topology.steiner import RoutingIndex
 
+from tests.cluster_identity import assert_clusters_identical
+from tests.cluster_storage import put
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
 
@@ -35,9 +36,9 @@ def cluster():
 class TestColumn:
     def test_concatenates_fragments_in_compute_order(self, cluster):
         order = cluster.compute_order
-        cluster.put(order[3], "R", [30, 31])
-        cluster.put(order[0], "R", [1])
-        cluster.put(order[0], "S", [99])
+        put(cluster, order[3], "R", [30, 31])
+        put(cluster, order[0], "R", [1])
+        put(cluster, order[0], "S", [99])
         owners, values = cluster.column("R")
         assert owners.tolist() == [0, 3, 3]
         assert values.tolist() == [1, 30, 31]

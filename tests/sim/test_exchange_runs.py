@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.obs.audit import auditing
-from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
 from repro.topology.builders import two_level
 
+from tests.cluster_identity import assert_clusters_identical
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
 

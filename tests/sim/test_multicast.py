@@ -23,12 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.suites import standard_topologies
 from repro.obs.audit import auditing
-from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
 from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
 from repro.topology.steiner import PathOracle, RoutingIndex
 
+from tests.cluster_identity import assert_clusters_identical
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
 
@@ -345,7 +345,7 @@ class Recording(sim.Cluster):
         super().__init__(*args, **kwargs)
         built.append(self)
 
-sim.Cluster = Recording  # what make_cluster builds on "sim"
+sim.Cluster = Recording  # what make_cluster builds
 
 tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
 assert all(isinstance(v, str) for v in tree.compute_nodes)

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.parallel.oracle import assert_clusters_identical
 from repro.sim.cluster import Cluster
+from tests.cluster_identity import assert_clusters_identical
 from tests.reference_verify import reference_collect_unicasts, reference_model
 from tests.strategies import shaped_trees, tree_topologies
 

@@ -25,12 +25,12 @@ from repro.core.intersection.tree import tree_intersect
 from repro.core.sorting.wts import weighted_terasort
 from repro.data.distribution import Distribution
 from repro.graphs.components import uniform_hash_connected_components
-from repro.parallel.oracle import assert_clusters_identical
 from repro.queries.aggregate import tree_groupby_aggregate
 from repro.queries.join import tree_equijoin
 from repro.queries.tuples import encode_tuples
 from repro.sim import cluster as cluster_module
 
+from tests.cluster_identity import assert_clusters_identical
 from tests.reference_delivery import ReferenceCluster, run_on
 from tests.strategies import (
     BANDWIDTH_CHOICES,

@@ -14,6 +14,7 @@ from repro.obs.metrics import collecting
 from repro.sim.storage import ColumnarStore
 from repro.topology.builders import star
 from repro.sim.cluster import Cluster
+from tests.cluster_storage import put
 
 
 class TestColumnarStore:
@@ -85,15 +86,14 @@ class TestColumnarStore:
         assert store.size("v1", "R") == 0
         assert len(store.view("v1", "R")) == 0
 
-    def test_discard_and_clear(self):
+    def test_discard(self):
         store = ColumnarStore()
         store.append("v1", "R", np.arange(3, dtype=np.int64))
         store.append("v2", "S", np.arange(2, dtype=np.int64))
         store.discard("v1", "R")
         assert store.size("v1", "R") == 0
         store.discard("ghost", "R")  # no-op
-        store.clear()
-        assert store.sizes() == {}
+        assert store.sizes() == {"v2": {"S": 2}}
 
     def test_tags_and_nodes(self):
         store = ColumnarStore()
@@ -107,14 +107,14 @@ class TestColumnarStore:
 class TestClusterAliasing:
     """The single-chunk aliasing regression at the cluster surface."""
 
-    def test_local_of_put_array_is_readonly_alias(self):
-        # put() references the caller's array; local() serves it back as
+    def test_local_of_stored_array_is_readonly_alias(self):
+        # storage references the caller's array; local() serves it back as
         # a writeable=False view — a protocol mutating the return value
         # must raise instead of silently rewriting storage
         tree = star(3)
         cluster = Cluster(tree)
         original = np.arange(10, dtype=np.int64)
-        cluster.put("v1", "R", original)
+        put(cluster, "v1", "R", original)
         local = cluster.local("v1", "R")
         assert np.shares_memory(local, original)
         assert not local.flags.writeable
@@ -125,7 +125,7 @@ class TestClusterAliasing:
     def test_take_returns_readonly(self):
         tree = star(3)
         cluster = Cluster(tree)
-        cluster.put("v1", "R", np.arange(4, dtype=np.int64))
+        put(cluster, "v1", "R", np.arange(4, dtype=np.int64))
         taken = cluster.take("v1", "R")
         assert not taken.flags.writeable
         assert cluster.local_size("v1", "R") == 0

@@ -65,6 +65,19 @@ class TestCli:
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag", [["--backend", "process"], ["--num-workers", "2"]])
+    @pytest.mark.parametrize(
+        "command", ["table1", "compare", "serve", "trace", "metrics"]
+    )
+    def test_removed_backend_flags_are_a_usage_error(self, command, flag, capsys):
+        """``--backend`` / ``--num-workers`` went with rank-side
+        parallelism: every command that took them now rejects them
+        instead of ignoring them."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flag, command])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "task, protocol, size_flag",
         [
@@ -162,11 +175,8 @@ class TestHelp:
                 {"protocols", "compare", "graphs", "serve", "metrics"},
             ),
             ("queries", {"serve"}),
-            (
-                "backend",
-                {"table1", "compare", "serve", "trace", "metrics"},
-            ),
             ("executor", {"table1"}),
+            ("workers", {"table1"}),
             ("racks", {"serve", "trace", "metrics"}),
             ("protocol", {"trace", "metrics"}),
             ("output", {"trace", "metrics"}),
@@ -218,29 +228,6 @@ class TestServeCommand:
         assert payload["session"]["runs"] == 18
         assert payload["session"]["artifact_cache"]["misses"] == 1
         assert payload["total_cost"] > 0
-
-    def test_serve_process_backend(self, capsys):
-        assert (
-            main(
-                [
-                    "--racks",
-                    "3",
-                    "--queries",
-                    "8",
-                    "--backend",
-                    "process",
-                    "--num-workers",
-                    "2",
-                    "--json",
-                    "serve",
-                ]
-            )
-            == 0
-        )
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["session"]["backend"] == "process"
 
 
 class TestGraphsCommand:

@@ -17,29 +17,29 @@ from repro.obs.metrics import (
     collecting,
     get_registry,
 )
-from repro.obs.tracer import MAIN_TRACK, NullTracer, Tracer, get_tracer, tracing
-from repro.parallel.pool import WorkerPool, shutdown_pools
+from repro.obs.tracer import NullTracer, Tracer, get_tracer, tracing
+from repro.parallel.pool import WorkerPool
 from repro.topology.artifacts import ArtifactCache, use_artifacts
 from repro.topology.builders import fat_tree
 
-#: One change per field of the context; "backend" moves its options too.
+#: One change per field of the context.
 CHANGES = {
     "tracer": lambda: {"tracer": Tracer()},
     "registry": lambda: {"registry": MetricsRegistry()},
     "auditor": lambda: {"auditor": CostAuditor()},
     "artifacts": lambda: {"artifacts": ArtifactCache()},
-    "backend": lambda: {"backend": "process", "backend_opts": {"num_workers": 2}},
 }
 FIELDS = sorted(CHANGES)
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _shared_pools():
-    yield
-    shutdown_pools()
-
-
 class TestDefault:
+    @pytest.mark.parametrize("field", ["backend", "backend_opts"])
+    def test_the_backend_is_not_run_context_state(self, field):
+        # a backend is an argument of one run, not installed state
+        with pytest.raises(TypeError, match=field):
+            with use(**{field: None}):
+                pass
+
     def test_every_thread_starts_from_the_default(self):
         context = default()
         assert current() is context
@@ -47,11 +47,11 @@ class TestDefault:
         assert isinstance(context.registry, NullRegistry)
         assert isinstance(context.auditor, NullAuditor)
         assert context.artifacts is None
-        assert (context.backend, context.backend_opts) == ("sim", {})
+        assert {f.name for f in dataclasses.fields(context)} == set(FIELDS)
 
     def test_context_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            current().backend = "process"
+            current().artifacts = ArtifactCache()
 
     def test_readers_read_the_current_context(self):
         hooks = {
@@ -161,14 +161,6 @@ class TestRunMany:
         )
         return [RunPlan("sorting", tree, dist, seed=seed) for seed in range(2)]
 
-    def test_the_ambient_backend_reaches_executor_threads(self, plans):
-        with tracing() as tracer:
-            with use(backend="process", backend_opts={"num_workers": 2}):
-                run_many(plans, workers=2)
-        runs = [e for e in tracer.events if e.attrs.get("category") == "engine"]
-        assert [e.attrs["backend"] for e in runs] == ["process", "process"]
-        assert all(e.track != MAIN_TRACK for e in runs)
-
     @pytest.mark.parametrize("field", FIELDS)
     def test_every_field_reaches_executor_threads(
         self, plans, field, monkeypatch
@@ -195,16 +187,16 @@ def _worker_context(_payload) -> tuple:
     return (
         type(context.tracer).__name__,
         type(context.auditor).__name__,
-        context.backend,
+        context.artifacts,
     )
 
 
 def test_a_pool_forked_inside_hooks_starts_workers_from_the_default():
-    with tracing(), auditing(), use(backend="process"):
-        pool = WorkerPool(2, seed=0)
+    with tracing(), auditing(), use_artifacts(ArtifactCache()):
+        pool = WorkerPool(2)
     try:
-        replies = pool.broadcast("tests.test_context:_worker_context", [0, 0])
+        replies = pool.scatter("tests.test_context:_worker_context", [0, 0])
     finally:
         pool.shutdown()
-    assert replies == [("NullTracer", "NullAuditor", "sim")] * 2
+    assert replies == [("NullTracer", "NullAuditor", None)] * 2
 

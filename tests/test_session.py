@@ -3,7 +3,6 @@
 import pytest
 
 import repro
-from repro.engine import RunPlan
 from repro.errors import AnalysisError
 from repro.plan import PlanCache, chain_catalog, chain_query
 from repro.session import SCHEDULES, EngineSession
@@ -87,10 +86,6 @@ class TestSessionRuns:
         with EngineSession(tree) as session:
             report, result = session.run_with_result("set-intersection", dist)
         assert report.cost == result.cost
-
-    def test_num_workers_requires_process_backend(self, tree):
-        with pytest.raises(AnalysisError, match="num_workers"):
-            EngineSession(tree, num_workers=2)
 
     def test_closed_session_rejects_everything(self, tree, dist):
         session = EngineSession(tree)
@@ -245,15 +240,6 @@ class TestRunMany:
             report = session.run("set-intersection", dist)
         assert bound == pytest.approx(report.lower_bound)
 
-    def test_run_many_does_not_mutate_caller_plans(self, tree, dist):
-        plan = RunPlan(task="set-intersection", tree=tree, distribution=dist)
-        with EngineSession(
-            tree, backend="process", num_workers=2
-        ) as session:
-            session.run_many([plan])
-        assert plan.backend is None
-        assert plan.num_workers is None
-
     def test_pinned_distribution_fills_batch(self, tree, dist):
         with EngineSession(tree, distribution=dist) as session:
             reports = session.run_many([{"task": "set-intersection"}])
@@ -263,23 +249,20 @@ class TestRunMany:
 
 
 class TestProcessBackend:
-    def test_process_session_identical_to_sim(self, tree, dist):
+    def test_call_site_process_backend_identical_to_sim(self, tree, dist):
         cold = repro.run("set-intersection", tree, dist, seed=2)
-        with EngineSession(
-            tree, backend="process", num_workers=2
-        ) as session:
-            warm = session.run("set-intersection", dist, seed=2)
+        with EngineSession(tree) as session:
+            warm = session.run(
+                "set-intersection", dist, seed=2, backend="process", num_workers=2
+            )
         assert warm.cost == cold.cost
         assert warm.rounds == cold.rounds
         assert warm.meta["result"] == cold.meta["result"]
 
-    def test_call_site_backend_override(self, tree, dist):
-        with EngineSession(tree) as session:
-            report = session.run(
-                "set-intersection", dist, backend="process", num_workers=2
-            )
-        cold = repro.run("set-intersection", tree, dist)
-        assert report.cost == cold.cost
+    @pytest.mark.parametrize("pinned", [{"backend": "process"}, {"num_workers": 2}])
+    def test_backend_is_chosen_per_call_not_pinned(self, tree, pinned):
+        with pytest.raises(TypeError, match=next(iter(pinned))):
+            EngineSession(tree, **pinned)
 
 
 class TestSummary:
@@ -296,7 +279,6 @@ class TestSummary:
         assert summary["fingerprint"] == session.artifact_cache.get(
             tree
         ).fingerprint
-        assert summary["backend"] == "ambient"
         assert summary["runs"] == 3
         assert summary["plan_runs"] == 1
         assert summary["batches"] == 1

@@ -52,21 +52,6 @@ class TestTopologyArtifacts:
         cluster = Cluster(tree, artifacts=artifacts)
         assert artifacts.compute_order == cluster.compute_order
 
-    def test_rank_lookup_matches_block_assignment(self):
-        tree = _tree()
-        artifacts = TopologyArtifacts(tree)
-        routing = artifacts.oracle.routing_index
-        for num_workers in (1, 2, 4):
-            table = artifacts.rank_lookup(routing, num_workers)
-            computes = artifacts.compute_order
-            for index, node in enumerate(computes):
-                expected = (index * num_workers) // len(computes)
-                assert table[routing.index_of[node]] == expected
-            # routers stay unassigned
-            assert (table == -1).sum() == routing.num_nodes - len(computes)
-            # cached per rank count: same array object on repeat
-            assert artifacts.rank_lookup(routing, num_workers) is table
-
 
 @pytest.fixture
 def fingerprint_calls(monkeypatch):

@@ -1,8 +1,6 @@
 """Unit tests for hierarchical seed derivation."""
 
-import pytest
-
-from repro.util.seeding import derive_seed, rank_generator, rank_seed
+from repro.util.seeding import derive_seed
 
 
 class TestDeriveSeed:
@@ -24,36 +22,3 @@ class TestDeriveSeed:
 
     def test_mixed_token_types(self):
         assert derive_seed(0, 1) != derive_seed(0, "1")
-
-
-class TestRankSeeding:
-    def test_reproducible(self):
-        assert rank_seed(42, 3) == rank_seed(42, 3)
-
-    def test_distinct_per_rank(self):
-        seeds = {rank_seed(7, rank) for rank in range(64)}
-        assert len(seeds) == 64
-
-    def test_distinct_per_run_seed(self):
-        assert rank_seed(0, 1) != rank_seed(1, 1)
-
-    def test_negative_rank_rejected(self):
-        with pytest.raises(ValueError):
-            rank_seed(0, -1)
-
-    def test_matches_derive_seed_namespace(self):
-        # spawn-safety contract: any process can re-derive the value
-        # from (seed, rank) alone with the public derivation
-        assert rank_seed(5, 2) == derive_seed(5, "worker-rank", 2)
-
-    def test_generator_streams_reproducible(self):
-        a = rank_generator(9, 1).integers(0, 2**63, size=8)
-        b = rank_generator(9, 1).integers(0, 2**63, size=8)
-        assert (a == b).all()
-
-    def test_generator_streams_disjoint(self):
-        draws = [
-            tuple(rank_generator(9, rank).integers(0, 2**63, size=8))
-            for rank in range(8)
-        ]
-        assert len(set(draws)) == len(draws)
