@@ -13,8 +13,9 @@ of :class:`RunPlan` objects concurrently (the simulator is pure Python +
 numpy, and distinct runs share no state, so a thread pool is safe) and
 returns reports in plan order.  Parallelism is per query, never inside
 one: ``run_many(..., executor="process")`` deals whole plans over the
-shared process pool (:mod:`repro.parallel`), and
-``run(..., backend="process")`` is that with one plan.
+shared worker pool (:func:`repro.parallel.pool.get_pool`, one
+``ProcessPoolExecutor`` per rank), and ``run(..., backend="process")``
+is that with one plan, so it runs on rank 0.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.core.intersection.lower_bound import intersection_lower_bound
 from repro.core.sorting.lower_bound import sorting_lower_bound
 from repro.core.sorting.ordering import verify_sorted_output
 from repro.data.distribution import Distribution
-from repro.errors import AnalysisError, ProtocolError
+from repro.errors import AnalysisError, ProtocolError, annotate_error
 from repro.queries.aggregate import GroupOutputs, groupby_lower_bound
 from repro.queries.join import JoinOutputs, equijoin_lower_bound
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
@@ -226,8 +227,8 @@ def run(
         Check the answer with the task's verifier before reporting.
     backend, num_workers:
         ``"sim"`` (default, ``None``) runs the query in this process.
-        ``"process"`` sends it whole to the shared pool of
-        ``num_workers`` processes (default 2), as a one-plan
+        ``"process"`` sends it whole to rank 0 of the shared pool of
+        ``num_workers`` processes (default 2, at least 1), as a one-plan
         :func:`run_many` with ``executor="process"``: the report is the
         same, and the query's spans, metrics and audit checks stay on
         the worker.
@@ -248,7 +249,7 @@ def run(
             task, tree, distribution, protocol, seed, placement, verify, opts
         )
         started = perf_counter()
-        (report,) = _scatter([plan], num_workers)
+        (report,) = run_many([plan], workers=num_workers, executor="process")
         # what the caller waited for: the trip to the worker included
         return replace(report, wall_time_s=perf_counter() - started)
     report, _ = run_with_result(
@@ -429,29 +430,8 @@ def _execute_annotated(indexed: tuple[int, RunPlan]) -> RunReport:
     try:
         return plan.execute()
     except Exception as error:
-        from repro.parallel.pool import annotate_error
-
         annotate_error(error, f"run_many: plan {index} (task {plan.task!r}) failed")
         raise
-
-
-#: Dispatch target for plans shipped to pool workers.
-PLAN_JOB = "repro.engine:_execute_annotated"
-
-
-def _scatter(plans: list[RunPlan], workers: int | None) -> list[RunReport]:
-    """Deal whole plans over the shared pool of ``workers`` processes
-    (default 2).  The caller's trace gets one ``barrier`` span for the
-    wait; the plans' own spans, metrics and audit checks stay on the
-    workers, which run from the default run context."""
-    # imported here: ``import repro`` should not load multiprocessing
-    from repro.parallel.pool import get_pool
-
-    pool = get_pool(2 if workers is None else workers)
-    with current().tracer.span(
-        "pool.scatter", category="barrier", workers=pool.num_workers
-    ):
-        return pool.scatter(PLAN_JOB, list(enumerate(plans)))
 
 
 def run_many(
@@ -463,19 +443,23 @@ def run_many(
     """Execute plans concurrently; reports come back in plan order.
 
     ``plans`` may mix :class:`RunPlan` instances and plain dicts with the
-    same field names.  ``workers=1`` (or a single plan) degrades to a
-    sequential loop, so failures surface with clean tracebacks; any
-    worker's exception propagates after the pool drains, annotated with
-    the failing plan's index and task name.
+    same field names.  A failing plan's exception is annotated with
+    its index and task name.
 
-    ``executor`` picks the batch substrate: ``"thread"`` (default) maps
+    ``executor`` picks the batch substrate.  ``"thread"`` (default) maps
     plans over a thread pool — fine for the simulator, which releases
-    the GIL in its numpy kernels — while ``"process"`` scatters whole
-    plans round-robin over the shared worker-process pool
-    (:func:`repro.parallel.pool.get_pool`), escaping the GIL entirely.
-    Plans and reports cross the process boundary by pickling, so
-    ``"process"`` requires picklable plan fields (every in-repo
-    topology/distribution is).
+    the GIL in its numpy kernels — and degrades to a sequential loop
+    for ``workers=1`` or a single plan, so failures surface with clean
+    tracebacks.  ``"process"`` always deals the plans round-robin over
+    the shared pool of ``workers`` processes (default 2,
+    :func:`repro.parallel.pool.get_pool`), escaping the GIL entirely:
+    plan ``i`` runs on rank ``i % workers`` under the default run
+    context, so its spans, metrics and audit checks stay there, and the
+    caller's trace gets one ``pool.scatter`` span (category
+    ``barrier``) for the wait.  Plans and reports cross the process
+    boundary by pickling, so ``"process"`` requires picklable plan
+    fields (every in-repo topology/distribution is); the first failing
+    plan's exception is raised with its worker rank noted.
     """
     if workers is not None and workers < 1:
         raise AnalysisError(f"workers must be >= 1, got {workers}")
@@ -489,12 +473,19 @@ def run_many(
     ]
     if not normalized:
         return []
+    if executor == "process":
+        # imported here: ``import repro`` should not load multiprocessing
+        from repro.parallel.pool import get_pool
+
+        pool = get_pool(2 if workers is None else workers)
+        with current().tracer.span(
+            "pool.scatter", category="barrier", workers=pool.num_workers
+        ):
+            return pool.map(_execute_annotated, enumerate(normalized))
     if workers == 1 or len(normalized) == 1:
         return [
             _execute_annotated(indexed) for indexed in enumerate(normalized)
         ]
-    if executor == "process":
-        return _scatter(normalized, workers)
     # Executor threads start from the default context: carry the
     # caller's whole context onto them (everything in it is safe to
     # share; span stacks are per thread).

@@ -71,3 +71,13 @@ class AuditError(ReproError):
     Section 2 model (or a run's cost beats its own lower bound) and the
     auditor was installed with ``strict=True``.
     """
+
+
+def annotate_error(error: BaseException, note: str) -> None:
+    """Attach ``note`` to ``error`` (``add_note`` on 3.11+, args fold)."""
+    if hasattr(error, "add_note"):  # Python >= 3.11
+        error.add_note(note)
+    elif error.args:
+        error.args = (f"{error.args[0]} [{note}]",) + error.args[1:]
+    else:
+        error.args = (note,)

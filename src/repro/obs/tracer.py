@@ -216,9 +216,10 @@ class NullTracer(_PerThreadStack):
 
     Keeping the open-span *names* costs one append/pop per span — spans
     open at round granularity, never per element — and is what lets
-    :class:`~repro.parallel.pool.WorkerPool` failures name the
-    enclosing superstep/stage even when nobody asked for a trace.  The
-    path is per thread, so every thread can share the default instance.
+    a lost :class:`~repro.parallel.pool.WorkerPool` worker name the
+    caller's open spans (``pool.scatter``) even when nobody asked for a
+    trace.  The path is per thread, so every thread can share the
+    default instance.
     """
 
     enabled = False

@@ -1,6 +1,5 @@
 """Worker-pool lifecycle and dispatch tests."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,20 +9,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ProtocolError
-from repro.parallel.pool import (
-    WorkerPool,
-    annotate_error,
-    default_start_method,
-    get_pool,
-    shutdown_pools,
-)
-
-ECHO = "tests.parallel.test_pool:echo"
-BOOM = "tests.parallel.test_pool:boom"
-PID = "tests.parallel.test_pool:pid"
-RANK = "tests.parallel.test_pool:rank"
-NESTED = "tests.parallel.test_pool:nested"
+from repro.errors import ProtocolError, annotate_error
+from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
 
 
 def echo(payload):
@@ -36,14 +23,12 @@ def boom(payload):
     raise error
 
 
+def boom_if_set(payload):
+    return boom(payload) if payload else payload
+
+
 def pid(_payload) -> int:
     return os.getpid()
-
-
-def rank(_payload):
-    from repro.parallel import pool
-
-    return pool.WORKER_RANK
 
 
 def nested(make):
@@ -55,6 +40,10 @@ def nested(make):
     return None
 
 
+def _alive(pid: int) -> bool:
+    return Path(f"/proc/{pid}").exists()
+
+
 @pytest.fixture
 def pool():
     pool = WorkerPool(2)
@@ -63,26 +52,26 @@ def pool():
 
 
 class TestDispatch:
-    def test_scatter_preserves_item_order(self, pool):
+    def test_map_preserves_item_order(self, pool):
         items = list(range(7))
-        assert pool.scatter(ECHO, items) == items
+        assert pool.map(echo, items) == items
 
-    def test_scatter_deals_round_robin(self, pool):
-        assert pool.scatter(PID, [0, 1, 2, 3]) == pool.pids * 2
+    def test_map_deals_round_robin(self, pool):
+        assert pool.map(pid, [0, 1, 2, 3]) == pool.pids * 2
 
     def test_one_item_runs_on_rank_zero(self, pool):
-        assert pool.scatter(PID, [0]) == pool.pids[:1]
+        assert pool.map(pid, [0]) == pool.pids[:1]
 
-    def test_scatter_empty_is_noop(self, pool):
-        assert pool.scatter(ECHO, []) == []
+    def test_map_empty_is_noop(self, pool):
+        assert pool.map(echo, []) == []
 
-    def test_bad_target_spelling_rejected(self, pool):
-        with pytest.raises(ProtocolError, match="module:function"):
-            pool.scatter("notamodulepath", [None])
+    def test_pids_are_live_workers(self, pool):
+        assert len(set(pool.pids)) == pool.num_workers == 2
+        assert os.getpid() not in pool.pids
 
     def test_job_exception_reraised_with_rank_note(self, pool):
         with pytest.raises(ValueError, match="boom") as info:
-            pool.scatter(BOOM, ["x", "y"])
+            pool.map(boom, ["x", "y"])
         notes = getattr(info.value, "__notes__", ())
         assert any("kernel-side note" in note for note in notes)
         assert any("worker rank 0" in note for note in notes)
@@ -90,34 +79,30 @@ class TestDispatch:
     def test_lowest_failing_item_is_raised(self, pool):
         # items 0 and 2 run on rank 0, item 1 on rank 1; all three fail
         with pytest.raises(ValueError, match="boom on 'b'") as info:
-            pool.scatter(BOOM, ["b", "c", "d"])
+            pool.map(boom, ["b", "c", "d"])
         assert any("worker rank 0" in note for note in info.value.__notes__)
 
-    def test_workers_know_their_rank(self, pool):
-        from repro.parallel import pool as pool_module
-
-        assert pool.scatter(RANK, [0, 1, 2]) == [0, 1, 0]
-        assert pool_module.WORKER_RANK is None
+    def test_a_failure_on_rank_one_names_rank_one(self, pool):
+        with pytest.raises(ValueError, match="boom on 'y'") as info:
+            pool.map(boom_if_set, ["", "y"])
+        assert any("worker rank 1" in note for note in info.value.__notes__)
 
     @pytest.mark.parametrize("make", ["get_pool", "WorkerPool"])
     def test_workers_build_no_pools(self, pool, make):
-        (message,) = pool.scatter(NESTED, [make])
-        assert message == (
-            "nested worker pools are not supported: this process is "
-            "already worker rank 0"
-        )
+        (message,) = pool.map(nested, [make])
+        assert message == "nested worker pools are not supported"
 
     def test_pool_survives_job_exceptions(self, pool):
         with pytest.raises(ValueError):
-            pool.scatter(BOOM, ["x", "y"])
+            pool.map(boom, ["x", "y"])
         assert not pool.closed
-        assert pool.scatter(ECHO, [1, 2]) == [1, 2]
+        assert pool.map(echo, [1, 2]) == [1, 2]
 
     def test_threads_sharing_a_pool_get_their_own_results(self, pool):
         results = {}
 
         def work(label):
-            results[label] = pool.scatter(ECHO, [label] * 5)
+            results[label] = pool.map(echo, [label] * 5)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
         for thread in threads:
@@ -129,32 +114,16 @@ class TestDispatch:
 
 class TestLifecycle:
     def test_requires_at_least_one_rank(self):
-        with pytest.raises(ProtocolError, match="at least one rank"):
+        with pytest.raises(ProtocolError, match="needs a rank"):
             WorkerPool(0)
-
-    def test_default_start_method_is_available(self):
-        assert (
-            default_start_method() in multiprocessing.get_all_start_methods()
-        )
-
-    @pytest.mark.parametrize(
-        "method",
-        [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()],
-    )
-    def test_both_start_methods_run_jobs(self, method):
-        pool = WorkerPool(1, start_method=method)
-        try:
-            assert pool.scatter(ECHO, ["a"]) == ["a"]
-        finally:
-            pool.shutdown()
 
     def test_closed_pool_rejects_jobs(self):
         pool = WorkerPool(1)
         pool.shutdown()
         with pytest.raises(ProtocolError, match="closed"):
-            pool.scatter(ECHO, [None])
+            pool.map(echo, [None])
 
-    def test_get_pool_caches_per_configuration(self):
+    def test_get_pool_caches_per_size(self):
         try:
             a = get_pool(2)
             b = get_pool(2)
@@ -165,7 +134,7 @@ class TestLifecycle:
             shutdown_pools()
 
     def test_get_pool_is_thread_safe(self):
-        # A lost check-then-create race would orphan a spawned pool
+        # A lost check-then-create race would orphan a started pool
         # (live workers shutdown_pools never sees); all threads must
         # receive the one cached instance.
         pools = []
@@ -185,12 +154,12 @@ class TestLifecycle:
         finally:
             shutdown_pools()
 
-    def test_shutdown_is_idempotent(self):
-        pool = WorkerPool(1)
+    def test_shutdown_is_idempotent_and_stops_the_workers(self):
+        pool = WorkerPool(2)
         pool.shutdown()
         pool.shutdown()
         assert pool.closed
-        assert not any(p.is_alive() for p in pool._processes)
+        assert not any(_alive(pid) for pid in pool.pids)
 
     def test_shutdown_pools_closes_every_shared_pool(self):
         pools = [get_pool(1), get_pool(2)]
@@ -216,8 +185,8 @@ def test_importing_repro_starts_no_process_machinery():
     src = Path(repro.__file__).resolve().parents[1]
     probe = (
         "import sys, repro; "
-        "print([m for m in ('multiprocessing', 'repro.parallel.pool') "
-        "if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
+        "'repro.parallel.pool') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

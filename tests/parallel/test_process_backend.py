@@ -123,6 +123,13 @@ class TestArguments:
         with pytest.raises(AnalysisError, match="only applies"):
             run("sorting", tree, dist, backend=backend, num_workers=2)
 
+    @pytest.mark.parametrize("num_workers", [0, -1])
+    def test_num_workers_must_be_positive(self, instance, num_workers):
+        tree, dist = instance
+        # validated by run_many before any pool is built
+        with pytest.raises(AnalysisError, match=f"must be >= 1, got {num_workers}"):
+            run("sorting", tree, dist, backend="process", num_workers=num_workers)
+
     def test_worker_errors_come_back_annotated(self, instance):
         tree, dist = instance
         with pytest.raises(AnalysisError, match="unknown protocol") as info:
@@ -164,11 +171,25 @@ class TestRunMany:
         process = run_many(plans, workers=2, executor="process")
         assert [_strip(r) for r in process] == [_strip(r) for r in thread]
 
-    @pytest.mark.parametrize("workers, count", [(1, 3), (2, 1)])
-    def test_one_worker_or_one_plan_runs_here(self, plans, workers, count):
-        # the sequential loop: the plans' spans land in this trace
+    @pytest.mark.parametrize("workers, count", [(1, 3), (2, 1), (None, 1)])
+    def test_one_worker_or_one_plan_still_goes_to_the_pool(
+        self, plans, workers, count
+    ):
+        # no sequential shortcut: the plans' spans stay on the worker
         with tracing() as tracer:
-            run_many(plans[:count], workers=workers, executor="process")
+            reports = run_many(plans[:count], workers=workers, executor="process")
+        assert [e.name for e in tracer.events] == ["pool.scatter"]
+        assert [_strip(r) for r in reports] == [
+            _strip(r) for r in run_many(plans[:count], workers=1)
+        ]
+
+    @pytest.mark.parametrize("workers, count", [(1, 3), (2, 1)])
+    def test_one_worker_or_one_plan_on_threads_runs_here(
+        self, plans, workers, count
+    ):
+        # the thread executor's sequential loop: spans land in this trace
+        with tracing() as tracer:
+            run_many(plans[:count], workers=workers)
         names = [e.name for e in tracer.events]
         assert "pool.scatter" not in names
         assert names.count("engine.run sorting") == count

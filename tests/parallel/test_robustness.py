@@ -1,97 +1,103 @@
-"""Failure-path tests: a dead worker or a deadline overrun.
+"""Failure-path tests: a worker that dies.
 
-A worker crash (SIGKILL) or a job that overruns its deadline surfaces as
-:class:`ProtocolError` naming the guilty rank and the job's label, and
-the pool closes itself; a later ``get_pool`` builds a fresh one.
+A worker crash (SIGKILL) surfaces as :class:`ProtocolError` naming the
+lost rank and the caller's open spans, and the pool closes itself; a
+later ``get_pool`` builds a fresh one.
 """
 
 import os
 import signal
-import threading
-import time
 
 import pytest
 
 from repro.data.generators import random_distribution
-from repro.engine import run
+from repro.engine import RunPlan, run, run_many
 from repro.errors import ProtocolError
-from repro.obs.tracer import get_tracer
 from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
 from repro.topology.builders import two_level
 
-SLEEP = "tests.parallel.test_robustness:sleep"
+
+class KillsItsWorker:
+    """A payload whose unpickling SIGKILLs the worker it was sent to:
+    the job dies after it left the caller, with no timing involved."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+
+    def __reduce__(self):
+        return os.kill, (self.pid, signal.SIGKILL)
 
 
-def sleep(seconds) -> str:
-    time.sleep(float(seconds))
-    return "slept"
+def echo(payload):
+    return payload
+
+
+@pytest.fixture
+def instance():
+    tree = two_level([3, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
+    return tree, random_distribution(tree, r_size=300, s_size=300, seed=1)
 
 
 class TestPoolFailures:
-    def test_timeout_names_ranks_and_closes_pool(self):
+    def test_killed_worker_names_its_rank_and_closes_the_pool(self):
         pool = WorkerPool(2)
-        with pytest.raises(ProtocolError, match=r"timed out.*rank"):
-            pool.scatter(SLEEP, [30.0, 30.0], timeout=0.3, label="job 7")
+        with pytest.raises(ProtocolError, match=r"^lost worker rank 1$"):
+            pool.map(echo, ["fine", KillsItsWorker(pool.pids[1])])
         assert pool.closed
 
-    def test_timeout_error_names_the_job(self):
+    def test_broken_pool_refuses_jobs(self):
         pool = WorkerPool(1)
-        with pytest.raises(ProtocolError, match="job 7"):
-            pool.scatter(SLEEP, [30.0], timeout=0.3, label="job 7")
+        with pytest.raises(ProtocolError, match="lost worker rank 0"):
+            pool.map(echo, [KillsItsWorker(pool.pids[0])])
+        with pytest.raises(ProtocolError, match="closed"):
+            pool.map(echo, [0])
 
-    def test_timeout_error_carries_active_span_stack(self):
-        tracer = get_tracer()  # the default no-op tracer suffices
-        pool = WorkerPool(1)
-        with tracer.span("run_many"):
-            with tracer.span("pool.scatter"):
-                with pytest.raises(
-                    ProtocolError, match=r"active spans: run_many > pool.scatter"
-                ):
-                    pool.scatter(SLEEP, [30.0], timeout=0.3)
-        assert pool.closed
-
-    def test_sigkill_names_rank_and_exit_code(self):
-        pool = WorkerPool(2)
-        victim = pool.pids[1]
-        threading.Timer(0.2, os.kill, args=(victim, signal.SIGKILL)).start()
-        with pytest.raises(ProtocolError, match=r"lost worker rank 1.*-9"):
-            pool.scatter(SLEEP, [30.0, 30.0], timeout=30, label="job 3")
-        assert pool.closed
-
-    def test_broken_pool_reports_reason(self):
-        pool = WorkerPool(1)
-        with pytest.raises(ProtocolError):
-            pool.scatter(SLEEP, [30.0], timeout=0.3, label="job 2")
-        with pytest.raises(ProtocolError, match="job 2"):
-            pool.scatter(SLEEP, [0.0])
+    def test_get_pool_replaces_a_broken_pool(self):
+        try:
+            broken = get_pool(1)
+            with pytest.raises(ProtocolError):
+                broken.map(echo, [KillsItsWorker(broken.pids[0])])
+            fresh = get_pool(1)
+            assert fresh is not broken
+            assert fresh.map(echo, [3]) == [3]
+        finally:
+            shutdown_pools()
 
 
 class TestProcessBackendFailures:
-    def test_killed_worker_fails_the_query_and_the_next_one_runs(self):
-        tree = two_level([3, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
-        dist = random_distribution(tree, r_size=300, s_size=300, seed=1)
+    def test_worker_killed_mid_query_fails_it_and_the_next_one_runs(
+        self, instance
+    ):
+        tree, dist = instance
         try:
-            pool = get_pool(1)
-            pool.scatter(SLEEP, [0.0])  # the rank is up
-            os.kill(pool.pids[0], signal.SIGKILL)
-            with pytest.raises(ProtocolError, match="lost worker rank 0"):
-                run("sorting", tree, dist, backend="process", num_workers=1)
+            pool = get_pool(2)
+            plans = [
+                RunPlan("sorting", tree, dist),
+                RunPlan(
+                    "sorting", tree, dist,
+                    opts={"poison": KillsItsWorker(pool.pids[1])},
+                ),
+            ]
+            with pytest.raises(ProtocolError) as info:
+                run_many(plans, workers=2, executor="process")
+            assert str(info.value) == (
+                "lost worker rank 1 [active spans: pool.scatter]"
+            )
+            reports = run_many(plans[:1] * 2, workers=2, executor="process")
+            assert get_pool(2) is not pool
+            assert [r.cost for r in reports] == [run("sorting", tree, dist).cost] * 2
+        finally:
+            shutdown_pools()
+
+    def test_killed_idle_worker_fails_the_next_query_only(self, instance):
+        tree, dist = instance
+        try:
+            os.kill(get_pool(1).pids[0], signal.SIGKILL)
+            with pytest.raises(ProtocolError) as info:
+                run("set-intersection", tree, dist, backend="process", num_workers=1)
+            assert str(info.value).startswith("lost worker rank 0")
+            assert str(info.value).endswith("[active spans: pool.scatter]")
             report = run("sorting", tree, dist, backend="process", num_workers=1)
             assert report.cost == run("sorting", tree, dist).cost
         finally:
             shutdown_pools()
-
-    def test_lost_worker_error_names_the_scatter_span(self):
-        tree = two_level([2, 2])
-        dist = random_distribution(tree, r_size=100, s_size=100, seed=1)
-        try:
-            pool = get_pool(1)
-            pool.scatter(SLEEP, [0.0])
-            os.kill(pool.pids[0], signal.SIGKILL)
-            with pytest.raises(ProtocolError) as info:
-                run("set-intersection", tree, dist, backend="process", num_workers=1)
-        finally:
-            shutdown_pools()
-        message = str(info.value)
-        assert "lost worker rank 0" in message
-        assert message.endswith("[active spans: pool.scatter]")

@@ -195,7 +195,7 @@ def test_a_pool_forked_inside_hooks_starts_workers_from_the_default():
     with tracing(), auditing(), use_artifacts(ArtifactCache()):
         pool = WorkerPool(2)
     try:
-        replies = pool.scatter("tests.test_context:_worker_context", [0, 0])
+        replies = pool.map(_worker_context, [0, 0])
     finally:
         pool.shutdown()
     assert replies == [("NullTracer", "NullAuditor", None)] * 2
