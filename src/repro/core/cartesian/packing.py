@@ -238,25 +238,12 @@ def pack_by_dagger(
     invariant behind the ``O(N * l_u)`` per-link bound of Theorem 5.
     """
     pools: dict[NodeId, list[_SquareNode]] = {}
-
-    def visit(node: NodeId) -> list["_SquareNode"]:
-        gathered: list[_SquareNode] = []
-        if node in dims:
-            gathered.append(_SquareNode(dims[node], owner=node))
+    for node in dagger.postorder():
+        gathered = [_SquareNode(dims[node], owner=node)] if node in dims else []
         for child in dagger.children(node):
-            gathered.extend(visit(child))
+            gathered.extend(pools.pop(child))
         pools[node] = merge_pool(gathered)
-        return pools[node]
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(dagger.tree.nodes) + 100))
-    try:
-        root_pool = visit(dagger.root)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return _finish(root_pool, dims, grid_w, grid_h)
+    return _finish(pools[dagger.root], dims, grid_w, grid_h)
 
 
 def assert_tiles_cover_grid(

@@ -49,16 +49,12 @@ class TreePackingPlan:
 
 def _compute_bearing(dagger: Dagger) -> dict:
     """``node -> True`` iff the node's G-dagger subtree has a compute node."""
+    computes = dagger.tree.compute_nodes
     bearing: dict = {}
-
-    def visit(node: NodeId) -> bool:
-        result = node in dagger.tree.compute_nodes
-        for child in dagger.children(node):
-            result = visit(child) or result
-        bearing[node] = result
-        return result
-
-    visit(dagger.root)
+    for node in dagger.postorder():
+        bearing[node] = node in computes or any(
+            bearing[child] for child in dagger.children(node)
+        )
     return bearing
 
 
@@ -85,12 +81,8 @@ def balanced_packing_tree(dagger: Dagger, n_total: int) -> TreePackingPlan:
         return [c for c in dagger.children(node) if bearing[c]]
 
     wtilde: dict = {}
-    order: list = []
-    stack = [dagger.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(children_of(node))
+    # pre-order, the last child's subtree first
+    order = [node for node in reversed(dagger.postorder()) if bearing[node]]
     for node in reversed(order):  # post-order: children before parents
         children = children_of(node)
         if node != dagger.root:

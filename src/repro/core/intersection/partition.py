@@ -15,10 +15,13 @@ across blocks, keeping every link within its budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import ProtocolError, TopologyError
-from repro.topology.tree import NodeId, TreeTopology, UndirectedEdge
+from repro.topology.tree import NodeId, TreeTopology
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,9 @@ def classify_edges(
 def _alpha_components(
     tree: TreeTopology, alpha_edges: frozenset
 ) -> dict[NodeId, int]:
-    """Union-find over α-edges: node -> α-component id."""
+    """Union-find over α-edges: node -> α-component id, numbered in the
+    order of each component's first node in ``routing_index.nodes`` (so
+    the ids do not depend on the order the α-edges are merged in)."""
     parent: dict[NodeId, NodeId] = {n: n for n in tree.nodes}
 
     def find(x: NodeId) -> NodeId:
@@ -74,10 +79,9 @@ def _alpha_components(
         if root_a != root_b:
             parent[root_a] = root_b
 
-    roots = sorted(
-        {find(n) for n in tree.nodes}, key=tree.routing_index.index_of.__getitem__
-    )
-    index = {root: i for i, root in enumerate(roots)}
+    index: dict = {}
+    for n in tree.routing_index.nodes:
+        index.setdefault(find(n), len(index))
     return {n: index[find(n)] for n in tree.nodes}
 
 
@@ -162,6 +166,18 @@ def balanced_partition(
     return blocks
 
 
+def _members(tree: TreeTopology, block: frozenset) -> np.ndarray:
+    """Per node of ``routing_index.compute_nodes``, whether it is in ``block``."""
+    computes = tree.routing_index.compute_nodes
+    return np.fromiter(map(block.__contains__, computes), bool, len(computes))
+
+
+def _spanning(tree: TreeTopology, members: np.ndarray) -> np.ndarray:
+    """Per link, whether both of its sides hold one of the ``members``."""
+    minus, plus = tree.link_side_sums(members.astype(np.int64))
+    return (minus > 0) & (plus > 0)
+
+
 def block_spanning_edges(
     tree: TreeTopology, block: frozenset
 ) -> frozenset:
@@ -170,12 +186,8 @@ def block_spanning_edges(
     A link belongs to the spanning (Steiner) tree of ``block`` iff both of
     its sides contain at least one member of the block.
     """
-    edges = set()
-    for edge in tree.undirected_edges():
-        minus, plus = tree.compute_sides(edge)
-        if (minus & block) and (plus & block):
-            edges.add(edge)
-    return frozenset(edges)
+    spanning = _spanning(tree, _members(tree, block))
+    return frozenset(compress(tree.undirected_edges(), spanning))
 
 
 def verify_balanced_partition(
@@ -215,14 +227,12 @@ def verify_balanced_partition(
             )
 
     # (2) every link in at most one block's spanning tree.
-    edge_multiplicity: dict[UndirectedEdge, int] = {}
-    spanning = [block_spanning_edges(tree, block) for block in blocks]
-    for edges in spanning:
-        for edge in edges:
-            edge_multiplicity[edge] = edge_multiplicity.get(edge, 0) + 1
-    for edge, count in edge_multiplicity.items():
-        if count > 1:
-            violations.append(f"link {edge} appears in {count} spanning trees")
+    links = tree.undirected_edges()
+    members = [_members(tree, block) for block in blocks]
+    spanning = [_spanning(tree, member) for member in members]
+    multiplicity = sum(spanning, np.zeros(len(links), np.int64))
+    for k in np.flatnonzero(multiplicity > 1).tolist():
+        violations.append(f"link {links[k]} appears in {multiplicity[k]} spanning trees")
 
     # (3) every block holds at least |R| data.
     for i, block in enumerate(blocks):
@@ -233,16 +243,14 @@ def verify_balanced_partition(
             )
 
     # (4) every β-edge inside a block's spanning tree has a light side.
-    for i, (block, edges) in enumerate(zip(blocks, spanning)):
-        for edge in edges:
-            if edge not in classification.beta:
-                continue
-            minus, plus = tree.compute_sides(edge)
-            inside_minus = sum(sizes.get(v, 0) for v in minus & block)
-            inside_plus = sum(sizes.get(v, 0) for v in plus & block)
-            if min(inside_minus, inside_plus) > r_size:
-                violations.append(
-                    f"β-edge {edge} in block {i} has both sides above |R|: "
-                    f"{inside_minus} / {inside_plus} vs {r_size}"
-                )
+    beta = np.fromiter(map(classification.beta.__contains__, links), bool, len(links))
+    node_sizes = np.array([sizes.get(v, 0) for v in tree.routing_index.compute_nodes])
+    for i, (member, inside_tree) in enumerate(zip(members, spanning)):
+        minus, plus = tree.link_side_sums(np.where(member, node_sizes, 0))
+        heavy = beta & inside_tree & (np.minimum(minus, plus) > r_size)
+        for k in np.flatnonzero(heavy).tolist():
+            violations.append(
+                f"β-edge {links[k]} in block {i} has both sides above |R|: "
+                f"{minus[k].item()} / {plus[k].item()} vs {r_size}"
+            )
     return violations

@@ -20,16 +20,12 @@ from repro.topology.tree import NodeId, TreeTopology
 
 def _link_sides(index: RoutingIndex, at, placed, ufunc, identity) -> np.ndarray:
     """Per link, ``ufunc`` over ``placed`` (put at nodes ``at``) on the
-    side below the link's child — pushed up level by level — and on the
-    other side — the preorder before and after that subtree: ``(2, links)``."""
+    side below the link's child and on the other side: ``(2, links)``."""
     values = np.full(index.num_nodes, identity)
     values[at] = placed
-    inside = index._push_up(values.copy(), ufunc)
-    in_preorder = values[index.preorder]
-    before = ufunc.accumulate(np.r_[identity, in_preorder])
-    after = ufunc.accumulate(np.r_[in_preorder, identity][::-1])[::-1]
+    inside, outside = index.subtree_sums(values, ufunc, identity)
     child = index.link_child
-    return np.stack([inside[child], ufunc(before[index.tin[child]], after[index.tout[child]])])
+    return np.stack([inside[child], outside[child]])
 
 
 def is_valid_compute_order(tree: TreeTopology, order: Sequence[NodeId]) -> bool:

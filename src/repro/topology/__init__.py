@@ -5,8 +5,8 @@ bandwidths; a distinguished subset of nodes are *compute* nodes that can
 store data and compute, while the remaining nodes only route.  This
 package implements the tree-structured topologies the paper's results are
 about, together with the w.l.o.g. normalizations of Section 2.1, the
-oriented graph G-dagger of Section 4.1, and the routing oracles used by
-the simulator.
+oriented graph G-dagger of Section 4.1, and the routing kernels the
+simulator charges through.
 """
 
 from repro.topology.tree import TreeTopology, NodeId, UndirectedEdge, DirectedEdge

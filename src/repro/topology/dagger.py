@@ -11,7 +11,9 @@ A *cover* of G-dagger is a node set such that every leaf has an ancestor
 in it (a node counts as its own ancestor); Theorem 4 turns every minimal
 cover ``U != {r}`` into a lower bound ``N / sqrt(sum_{u in U} w_u^2)``.
 :func:`optimal_cover` computes the strongest such bound with the same
-bottom-up recursion the paper uses for ``w~`` in Algorithm 5 / Lemma 8(3).
+bottom-up recurrence the paper uses for ``w~`` in Algorithm 5 / Lemma 8(3):
+like every pass over G-dagger's subtrees, one loop over
+:meth:`Dagger.postorder`, so no pass recurses as deep as the tree.
 
 Tie-breaking: when both sides of a link hold exactly half the data, both
 orientations satisfy the paper's rule, and a careless per-edge choice can
@@ -56,16 +58,31 @@ class Dagger:
     parent: dict
     out_bandwidth: dict
     _children: dict = field(init=False, repr=False, compare=False)
+    _postorder: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         children: dict = {}
         for node in sorted(self.parent, key=node_sort_key):
             children.setdefault(self.parent[node], []).append(node)
+        # the stack walk visits the last child's subtree first, so its
+        # reverse is the recursive post-order, children in order
+        walk: list = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            walk.append(node)
+            stack.extend(children.get(node, ()))
         object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_postorder", tuple(reversed(walk)))
 
     def children(self, node: NodeId) -> list:
         """Nodes whose out-edge points at ``node``, in deterministic order."""
         return list(self._children.get(node, ()))
+
+    def postorder(self) -> tuple:
+        """Every node after its :meth:`children`, in their order; the root
+        last.  Each bottom-up pass over G-dagger loops over this."""
+        return self._postorder
 
     def dagger_leaves(self) -> list:
         """Nodes with in-degree zero in the orientation."""
@@ -115,10 +132,11 @@ def build_dagger(
         only = next(iter(tree.nodes))
         return Dagger(tree=tree, root=only, parent={}, out_bandwidth={})
 
-    pivot = max(tree.nodes, key=node_sort_key)
+    pivot_on_b = tree.links_facing(max(tree.nodes, key=node_sort_key)).tolist()
     parent: dict = {}
     out_bandwidth: dict = {}
-    for edge, (weight_a, weight_b) in tree.side_weights(node_weights).items():
+    sides = tree.side_weights(node_weights).items()
+    for (edge, (weight_a, weight_b)), toward_b in zip(sides, pivot_on_b):
         a, b = edge
         if weight_a < weight_b:
             tail, head = a, b
@@ -126,8 +144,7 @@ def build_dagger(
             tail, head = b, a
         else:
             # Tie: orient toward the side holding the pivot node.
-            a_nodes, _ = tree.edge_sides(edge)
-            tail, head = (b, a) if pivot in a_nodes else (a, b)
+            tail, head = (a, b) if toward_b else (b, a)
         if tail in parent:  # pragma: no cover - excluded by the tie rule
             raise TopologyError(
                 f"node {tail!r} received two out-edges; orientation bug"
@@ -146,7 +163,7 @@ def build_dagger(
 def optimal_cover(dagger: Dagger) -> tuple[frozenset, float]:
     """The minimal cover minimizing ``sum w_u^2`` and that minimum's sqrt.
 
-    Runs the bottom-up recursion of Algorithm 5's first phase: for each
+    Runs the bottom-up recurrence of Algorithm 5's first phase: for each
     node, either its own out-edge bandwidth squared, or the best covers of
     its children summed — whichever is smaller.  At the root only the
     children sum is allowed (the root has no out-edge, and the trivial
@@ -160,34 +177,17 @@ def optimal_cover(dagger: Dagger) -> tuple[frozenset, float]:
 
     best_value: dict = {}
     best_cover: dict = {}
-
-    def visit(node: NodeId) -> None:
+    for node in dagger.postorder():
         children = dagger.children(node)
-        for child in children:
-            visit(child)
-        child_sum = sum(best_value[c] for c in children)
-        child_cover = frozenset().union(*(best_cover[c] for c in children)) if children else frozenset()
-        if node == dagger.root:
-            best_value[node] = child_sum
-            best_cover[node] = child_cover
-            return
+        child_sum = sum(best_value.pop(c) for c in children)
+        child_cover = frozenset().union(*(best_cover.pop(c) for c in children))
+        if node == dagger.root:  # last in the post-order
+            return child_cover, child_sum ** 0.5
         own = dagger.out_bandwidth[node] ** 2
         if children and child_sum < own:
-            best_value[node] = child_sum
-            best_cover[node] = child_cover
+            best_value[node], best_cover[node] = child_sum, child_cover
         else:
-            best_value[node] = own
-            best_cover[node] = frozenset({node})
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(dagger.tree.nodes) + 100))
-    try:
-        visit(dagger.root)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return best_cover[dagger.root], best_value[dagger.root] ** 0.5
+            best_value[node], best_cover[node] = own, frozenset({node})
 
 
 def minimal_covers(dagger: Dagger) -> Iterator[frozenset]:
@@ -199,20 +199,18 @@ def minimal_covers(dagger: Dagger) -> Iterator[frozenset]:
     are disjoint and each contains at least one leaf.
     """
 
-    def combine(children: list) -> Iterator[frozenset]:
+    covers: dict = {}
+
+    def combine(node: NodeId) -> Iterator[frozenset]:
         """Every union of one minimal cover per child's subtree."""
-        options = [list(covers_of(child)) for child in children]
+        options = [covers.pop(child) for child in dagger.children(node)]
+        if not options:
+            return iter(())
         return (frozenset().union(*picks) for picks in product(*options))
 
-    def covers_of(node: NodeId) -> Iterator[frozenset]:
-        yield frozenset({node})
-        children = dagger.children(node)
-        if children:
-            yield from combine(children)
-
-    children = dagger.children(dagger.root)
-    if children:
-        yield from combine(children)
+    for node in dagger.postorder()[:-1]:  # the root comes last
+        covers[node] = [frozenset({node}), *combine(node)]
+    yield from combine(dagger.root)
 
 
 def cover_value(dagger: Dagger, cover: frozenset) -> float:

@@ -1,4 +1,4 @@
-"""Path and Steiner-edge oracle for routing on trees.
+"""Vectorized tree-flow kernels: routing loads and per-link sides.
 
 The cost model charges a link once for every element routed through it.
 When a protocol multicasts the same element from a source to several
@@ -7,18 +7,18 @@ grid squares sharing a row range in Theorem 5), a sensible router forwards
 *one* copy along the shared prefix and fans out later — which is exactly
 what the paper's upper-bound analyses assume.  The set of links such a
 multicast touches is the Steiner tree of {source} ∪ destinations, directed
-away from the source; :class:`PathOracle` computes those edge sets one
-query at a time (the definition), :class:`RoutingIndex` charges whole
-rounds of them with vectorized tree-flow kernels.
+away from the source — the union of the ``tree.path_edges`` from the
+source to each destination, which is the definition.
+:class:`RoutingIndex` charges whole rounds of them with vectorized
+tree-flow kernels, and its :meth:`~RoutingIndex.subtree_sums` is the one
+kernel behind every per-link side aggregate (``V-e`` / ``V+e``).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
 import numpy as np
 
-from repro.topology.tree import DirectedEdge, TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology, node_sort_key
 
 
 class RoutingIndex:
@@ -158,18 +158,29 @@ class RoutingIndex:
         prev[starts] = terminals[np.r_[starts[1:], len(terminals)] - 1]
         return terminals, self.lca(terminals, prev)
 
-    def subtree_sums(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per node ``x``: the weight inside ``x``'s subtree, and outside it.
+    def subtree_sums(
+        self, values: np.ndarray, ufunc: np.ufunc = np.add, identity=0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per node ``x``: ``ufunc`` over ``values`` inside ``x``'s subtree,
+        and outside it — the two sides of the link ``x -- parent[x]``.
 
-        Additions only, in a fixed order (push-up inside; preorder prefix
-        plus suffix outside), never ``total - subtree``: with float
-        weights a side that holds nothing is exactly zero.
+        The one per-link side kernel, for sums (``np.add``, behind
+        :meth:`TreeTopology.link_side_sums`) and for extremes
+        (``np.minimum`` / ``np.maximum`` with their identity, the
+        Section-5 order check).  Inside by the push-up; outside by
+        ``ufunc`` over the preorder before ``tin`` and from ``tout`` on,
+        each accumulated from an end holding ``identity``.  Sums are
+        additions only, in that fixed order, never ``total - subtree``:
+        with float values a side that holds nothing is exactly zero.
         """
-        in_preorder = weights[self.preorder]
-        zero = np.zeros(1, dtype=weights.dtype)
-        before = np.concatenate([zero, np.cumsum(in_preorder)])
-        after = np.concatenate([np.cumsum(in_preorder[::-1])[::-1], zero])
-        return self._push_up(weights.copy()), before[self.tin] + after[self.tout]
+        in_preorder = values[self.preorder]
+        end = np.full(1, identity, dtype=values.dtype)
+        before = ufunc.accumulate(np.concatenate([end, in_preorder]))
+        after = ufunc.accumulate(np.concatenate([end, in_preorder[::-1]]))[::-1]
+        return (
+            self._push_up(values.copy(), ufunc),
+            ufunc(before[self.tin], after[self.tout]),
+        )
 
     def steiner_counts(self, node_idx: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Per node ``x``: the distinct keys held on both sides of the
@@ -240,9 +251,9 @@ class RoutingIndex:
         ``src[g]`` to the destination indices
         ``terminals[starts[g]:ends[g]]``; each directed edge of the
         Steiner tree of ``{src} | destinations`` (directed away from
-        the source) is charged ``counts[g]`` once, exactly like
-        :meth:`PathOracle.steiner_edges` accounting; returned in the
-        slot layout of :meth:`unicast_loads`.
+        the source) is charged ``counts[g]`` once — the union of the
+        source-to-destination paths; returned in the slot layout of
+        :meth:`unicast_loads`.
 
         The vectorization rests on the edge-disjoint upward paths of
         :meth:`_steiner_paths` (the cyclic first pair yields the
@@ -292,12 +303,11 @@ class RoutingIndex:
 
 
 class PathOracle:
-    """Path / Steiner-edge queries against one topology.
+    """One topology's routing structures, as the artifact layer shares
+    them (:mod:`repro.topology.artifacts`); holds no state of its own.
 
-    The plain, uncached definitions the vectorized kernels are tested
-    against; production rounds charge through :attr:`routing_index`.
-    Instances are shared across clusters through the artifact layer
-    (:mod:`repro.topology.artifacts`) and hold no state of their own.
+    Rounds charge through :attr:`routing_index`; the definition its
+    kernels are tested against is a union of ``tree.path_edges``.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
@@ -307,27 +317,3 @@ class PathOracle:
     def routing_index(self) -> RoutingIndex:
         """The tree's integer-indexed routing structure."""
         return self._tree.routing_index
-
-    @property
-    def tree(self) -> TreeTopology:
-        return self._tree
-
-    def path_edges(self, src: Hashable, dst: Hashable) -> tuple[DirectedEdge, ...]:
-        """Directed edges on the unique path ``src -> dst`` (may be empty)."""
-        return self._tree.path_edges(src, dst)
-
-    def steiner_edges(
-        self, src: Hashable, dsts: Iterable[Hashable]
-    ) -> tuple[DirectedEdge, ...]:
-        """Directed edges a deduplicated multicast from ``src`` traverses.
-
-        This is the union of the directed paths from ``src`` to each
-        destination; because all paths share the source, the union is the
-        Steiner tree of the terminal set directed away from ``src``, and
-        each link appears at most once.
-        """
-        edges: dict[DirectedEdge, None] = {}
-        for dst in sorted(frozenset(dsts), key=lambda n: str(n)):
-            for edge in self._tree.path_edges(src, dst):
-                edges.setdefault(edge, None)
-        return tuple(edges)

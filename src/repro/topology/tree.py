@@ -15,7 +15,9 @@ Terminology used throughout the package:
   single object (edge partitions, lower bounds);
 * **edge sides** — removing an undirected edge ``(a, b)`` from the tree
   splits the nodes into the side containing ``a`` and the side containing
-  ``b``; the paper writes these as ``V-e`` and ``V+e``.
+  ``b``; the paper writes these as ``V-e`` and ``V+e``.  They are never
+  listed: :meth:`TreeTopology.link_side_sums` aggregates over both sides
+  of every link at once.
 """
 
 from __future__ import annotations
@@ -149,8 +151,6 @@ class TreeTopology:
         self._parent: dict[NodeId, NodeId | None] = {}
         self._depth: dict[NodeId, int] = {}
         self._build_rooting()
-        self._sides_cache: dict[UndirectedEdge, tuple[frozenset, frozenset]] = {}
-        self._compute_sides_cache: dict[UndirectedEdge, tuple[frozenset, frozenset]] = {}
         keys = {n: node_sort_key(n) for n in self._nodes}
         self._links = sorted(
             ((u, v) for (u, v) in self._bandwidth if keys[u] <= keys[v]),
@@ -404,33 +404,6 @@ class TreeTopology:
     # edge partitions (the V-e / V+e of the paper)
     # ------------------------------------------------------------------ #
 
-    def edge_sides(self, edge: UndirectedEdge) -> tuple[frozenset, frozenset]:
-        """All nodes on each side of a link, ``(side of edge[0], side of edge[1])``."""
-        edge = self.canonical_edge(*edge)
-        cached = self._sides_cache.get(edge)
-        if cached is None:
-            a, b = edge
-            a_is_child = self._parent[a] == b
-            index = self.routing_index
-            child = index.index_of[a if a_is_child else b]
-            subtree = index.preorder[index.tin[child] : index.tout[child]]
-            below = frozenset(index.nodes[i] for i in subtree.tolist())
-            above = self._nodes - below
-            cached = (below, above) if a_is_child else (above, below)
-            self._sides_cache[edge] = cached
-        return cached
-
-    def compute_sides(self, edge: UndirectedEdge) -> tuple[frozenset, frozenset]:
-        """Compute nodes on each side of a link."""
-        edge = self.canonical_edge(*edge)
-        cached = self._compute_sides_cache.get(edge)
-        if cached is not None:
-            return cached
-        a_side, b_side = self.edge_sides(edge)
-        result = (a_side & self._compute_nodes, b_side & self._compute_nodes)
-        self._compute_sides_cache[edge] = result
-        return result
-
     def link_side_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per link, the sums of ``values`` over the compute nodes on each side.
 
@@ -438,9 +411,11 @@ class TreeTopology:
         ``routing_index.compute_nodes`` order; the two results align with
         :meth:`undirected_edges` (side of ``edge[0]``, side of ``edge[1]``).
         This is the quantity ``(sum_{v in V-e} N_v, sum_{v in V+e} N_v)``
-        that every lower bound and planner estimate is expressed through.
-        Integer values sum exactly, float values in the fixed order of
-        :meth:`RoutingIndex.subtree_sums`.
+        that every lower bound, planner estimate and G-dagger orientation
+        is expressed through; with a 0/1 membership vector it counts a
+        node set's members on each side (the partition checks).  Integer
+        values sum exactly, float values in the fixed order of
+        :meth:`RoutingIndex.subtree_sums`, the one per-link side kernel.
         """
         index = self.routing_index
         node_weights = np.zeros(index.num_nodes, dtype=values.dtype)
@@ -476,24 +451,6 @@ class TreeTopology:
             asymmetric = np.flatnonzero(index.link_forward != index.link_backward)
             self.undirected_bandwidth(self._links[asymmetric[0]])  # raises
         return index.link_forward
-
-    def shared_key_counts(
-        self, keys_by_node: Mapping[NodeId, np.ndarray]
-    ) -> dict[UndirectedEdge, int]:
-        """Per link, how many distinct keys compute nodes hold on both
-        sides; ``keys_by_node[v]`` are node ``v``'s keys, repeats allowed."""
-        index = self.routing_index
-        held = {
-            index.index_of[v]: keys
-            for v, keys in keys_by_node.items()
-            if v in self._compute_nodes
-        }
-        counts = index.steiner_counts(
-            np.repeat(list(held), [len(keys) for keys in held.values()]),
-            # the leading empty array keeps "nobody holds a key" concatenable
-            np.concatenate([np.empty(0, np.int64), *held.values()]),
-        )
-        return dict(zip(self._links, counts[index.link_child].tolist()))
 
     @cached_property
     def fingerprint(self) -> str:

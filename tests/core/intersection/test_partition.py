@@ -1,14 +1,18 @@
 """Unit tests for α/β classification and the balanced partition (Alg. 3)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.intersection.partition import (
+    _alpha_components,
     balanced_partition,
     block_spanning_edges,
     classify_edges,
     verify_balanced_partition,
 )
 from repro.topology.builders import caterpillar, star, two_level
+from repro.topology.tree import TreeTopology
 
 
 class TestClassifyEdges:
@@ -143,3 +147,32 @@ class TestVerifier:
             [frozenset({"v1"}), frozenset({"v2"})],
         )
         assert any("< |R|" in v for v in violations)
+
+
+def test_verify_keeps_no_side_sets():
+    """Definition 1's checks are per-link sums over arrays: on 1 057
+    nodes they allocate well under a MiB and leave nothing on the tree
+    (a frozenset pair per link costs O(nodes x links), ~100 MiB here)."""
+    tree = two_level([32] * 32)
+    sizes = {v: 1 + i % 7 for i, v in enumerate(sorted(tree.compute_nodes, key=str))}
+    blocks = balanced_partition(tree, sizes, r_size=100)
+    assert len(blocks) == 32
+    tracemalloc.start()
+    try:
+        assert verify_balanced_partition(tree, sizes, 100, blocks) == []
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert kept < 2**20
+
+
+def test_alpha_component_ids_follow_the_node_order():
+    """Component ids (named in violation messages) number components by
+    their first node, not by the union-find root the α-edges' merge
+    order — a frozenset's, so the hash seed's — happened to leave."""
+    tree = TreeTopology.from_undirected(
+        {("n1", "n9"): 1.0, ("n2", "n9"): 1.0, ("n2", "n3"): 1.0}, ["n1", "n3"]
+    )
+    component_of = _alpha_components(tree, frozenset({("n1", "n9"), ("n2", "n3")}))
+    assert component_of == {"n1": 0, "n9": 0, "n2": 1, "n3": 1}

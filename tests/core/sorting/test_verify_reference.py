@@ -2,8 +2,8 @@
 
 ``is_valid_compute_order`` decides every link at once from one push-up
 over the routing index and ``verify_sorted_output`` scans the runs end
-to end once; ``tests/reference_verify.py`` keeps the per-link
-``compute_sides`` walk and the node-by-node loop they replaced.  On
+to end once; ``tests/reference_verify.py`` keeps the per-link side
+walk and the node-by-node loop they replaced.  On
 random trees — stars, paths, single nodes, asymmetric links, inner
 nodes that compute — both must give the same boolean for any order, and
 the same exception type and message for any injected fault.

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 
 from repro.topology.normalize import normalize
-from repro.topology.steiner import PathOracle
+from tests.link_loads import multicast_links, unicast_links
 from tests.strategies import tree_topologies
+from tests.tree_sides import compute_sides, edge_sides, union_of_paths
 
 
 class TestTreeInvariants:
@@ -12,7 +13,7 @@ class TestTreeInvariants:
     @settings(max_examples=60)
     def test_edge_sides_partition(self, tree):
         for edge in tree.undirected_edges():
-            a_side, b_side = tree.edge_sides(edge)
+            a_side, b_side = edge_sides(tree, edge)
             assert a_side | b_side == tree.nodes
             assert not (a_side & b_side)
 
@@ -32,7 +33,7 @@ class TestTreeInvariants:
         order = tree.left_to_right_compute_order()
         position = {v: i for i, v in enumerate(order)}
         for edge in tree.undirected_edges():
-            for side in tree.compute_sides(edge):
+            for side in compute_sides(tree, edge):
                 positions = sorted(position[v] for v in side)
                 if positions and positions == list(
                     range(positions[0], positions[-1] + 1)
@@ -72,21 +73,20 @@ class TestSteinerInvariants:
     @given(tree=tree_topologies())
     @settings(max_examples=40)
     def test_steiner_equals_union_of_paths(self, tree):
-        oracle = PathOracle(tree)
         computes = sorted(tree.compute_nodes, key=str)
         src = computes[0]
         dsts = computes[1:4] if len(computes) > 1 else computes
         union = set()
         for dst in dsts:
             union |= set(tree.path_edges(src, dst))
-        assert set(oracle.steiner_edges(src, dsts)) == union
+        assert union_of_paths(tree, src, dsts) == union
+        assert multicast_links(tree, src, dsts) == dict.fromkeys(union, 1)
 
     @given(tree=tree_topologies())
     @settings(max_examples=40)
     def test_steiner_subadditive(self, tree):
-        oracle = PathOracle(tree)
         computes = sorted(tree.compute_nodes, key=str)
         src = computes[0]
-        full = set(oracle.steiner_edges(src, computes))
+        full = set(multicast_links(tree, src, computes))
         for dst in computes:
-            assert set(oracle.path_edges(src, dst)) <= full
+            assert set(unicast_links(tree, src, dst)) <= full

@@ -2,11 +2,12 @@
 
 These are the per-edge Python loops that production code ran before the
 ``RoutingIndex`` kernels (``subtree_sums``, ``steiner_counts``) replaced
-them: walk ``compute_sides`` per link and ``sum`` / ``np.intersect1d``
-the two sides.  They are slow and obviously right, which is what a
-reference is for.  :func:`reference_model` swaps them in under the code
-that still reads ``tree.side_weights`` (G-dagger, hence Theorem 4's
-cover), and the per-link bounds that production now computes as one
+them: find each link's two sides (``tests/tree_sides.py``, a walk that
+never reads the routing index) and ``sum`` / ``np.intersect1d`` them.
+They are slow and obviously right, which is what a reference is for.
+:func:`reference_model` swaps the sums in under the code that still
+reads ``tree.side_weights`` (G-dagger, hence Theorem 4's cover), and
+the per-link bounds that production now computes as one
 vector over the links are kept below start to finish as they were —
 node-keyed size dicts, one ``min`` and one division per edge, the
 maximum by a ``max`` over the dict — so every bound can be recomputed
@@ -24,6 +25,7 @@ from repro.graphs.model import DEFAULT_EDGE_TAG, decode_edges
 from repro.graphs.reference import reference_components
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.topology.tree import TreeTopology, node_sort_key
+from tests.tree_sides import compute_sides
 
 
 def undirected_edges_reference(tree: TreeTopology) -> list:
@@ -43,7 +45,7 @@ def side_weights_reference(tree: TreeTopology, weights) -> dict:
     """``(sum over V-e, sum over V+e)`` per link, one ``sum`` per side."""
     result = {}
     for edge in undirected_edges_reference(tree):
-        a_side, b_side = tree.compute_sides(edge)
+        a_side, b_side = compute_sides(tree, edge)
         result[edge] = (
             sum(weights.get(v, 0) for v in a_side),
             sum(weights.get(v, 0) for v in b_side),
@@ -55,7 +57,7 @@ def shared_key_counts_reference(tree: TreeTopology, keys_by_node) -> dict:
     """Distinct keys on both sides per link, one ``intersect1d`` per link."""
     result = {}
     for edge in undirected_edges_reference(tree):
-        a_side, b_side = tree.compute_sides(edge)
+        a_side, b_side = compute_sides(tree, edge)
         a_keys = [keys_by_node[v] for v in a_side if len(keys_by_node.get(v, ()))]
         b_keys = [keys_by_node[v] for v in b_side if len(keys_by_node.get(v, ()))]
         if not a_keys or not b_keys:
@@ -70,13 +72,12 @@ def shared_key_counts_reference(tree: TreeTopology, keys_by_node) -> dict:
 @contextmanager
 def reference_model():
     """Run the enclosed bound computations on the per-edge loops."""
-    kernels = (TreeTopology.side_weights, TreeTopology.shared_key_counts)
+    kernel = TreeTopology.side_weights
     TreeTopology.side_weights = side_weights_reference
-    TreeTopology.shared_key_counts = shared_key_counts_reference
     try:
         yield
     finally:
-        TreeTopology.side_weights, TreeTopology.shared_key_counts = kernels
+        TreeTopology.side_weights = kernel
 
 
 def from_per_edge_reference(per_edge: dict, description: str) -> LowerBound:
@@ -236,7 +237,7 @@ def components_lower_bound_reference(
         )
     per_edge = {}
     for edge in undirected_edges_reference(tree):
-        a_side, b_side = tree.compute_sides(edge)
+        a_side, b_side = compute_sides(tree, edge)
         a_comps = frozenset().union(*(node_components[v] for v in a_side))
         b_comps = frozenset().union(*(node_components[v] for v in b_side))
         per_edge[edge] = len(a_comps & b_comps) / (

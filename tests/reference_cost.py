@@ -3,9 +3,9 @@
 These are the bodies ``repro.plan.cost`` had before placement profiles
 became vectors and the estimators one per-link array kernel: profiles
 are ``{node: rows}`` dicts, every estimate walks
-``tree.undirected_edges()`` with ``tree.bandwidth()`` /
-``tree.compute_sides()`` per link, and each estimator redoes its own
-``side_weights``.  They are slow and obviously right.  Everything below
+``tree.undirected_edges()`` with ``tree.bandwidth()`` / the link's
+sides (``tests/tree_sides.py``) per link, and each estimator redoes its
+own ``side_weights``.  They are slow and obviously right.  Everything below
 the imports is moved here unchanged (``CostModel`` is renamed
 :class:`ReferenceCostModel`); :func:`reference_model` swaps it in under
 the optimizer, so whole plans can be compiled the old way and compared
@@ -32,6 +32,7 @@ from repro.plan.cost import (
     placement_profile,
 )
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from tests.tree_sides import compute_sides
 
 # --------------------------------------------------------------------- #
 # per-link shuffle estimates
@@ -123,7 +124,7 @@ def estimate_gather_cost(
     side_sizes = tree.side_weights(combined)
     cost = 0.0
     for edge in tree.undirected_edges():
-        a_side, b_side = tree.compute_sides(edge)
+        a_side, b_side = compute_sides(tree, edge)
         a_size, b_size = side_sizes[edge]
         a, b = edge
         if target in b_side:

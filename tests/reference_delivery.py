@@ -7,8 +7,8 @@ those kernels must reproduce, written the slow and obviously right way:
 a transfer follows the unique tree path between its endpoints, a
 multicast the union of the source→destination paths (its Steiner tree),
 every link on it is charged once per element, and the round costs the
-most loaded link.  Paths come straight from ``tree.path_edges`` — not
-from ``RoutingIndex``, not from ``PathOracle``.
+most loaded link.  Paths come straight from ``tree.path_edges``, not
+from ``RoutingIndex``.
 
 The byte-identity contract every differential test asserts against this
 model (ledger loads per round and edge, received counts, tag sets and

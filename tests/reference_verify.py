@@ -6,11 +6,11 @@ scans the sorted runs end to end once
 (:func:`~repro.core.sorting.ordering.verify_sorted_output`), and counts a
 round's unicast pairs sparsely, as ``(src, dst, count)`` triples
 (``RoundContext._collect_unicasts``).  This is what they replaced: the
-per-link ``compute_sides`` walk with Python position lists, the
-node-by-node run loop, and the dense ``(nodes, nodes)`` pair matrix,
-filled from the unicast stream's records and read back with
-``np.nonzero``.  They need NumPy and a
-``TreeTopology`` and nothing else.
+per-link side walk (sides from ``tests/tree_sides.py``) with Python
+position lists, the node-by-node run loop, and the dense ``(nodes,
+nodes)`` pair matrix, filled from the unicast stream's records and read
+back with ``np.nonzero``.  They need NumPy and a ``TreeTopology`` and
+nothing else.
 
 :func:`reference_model` swaps the two pair-matrix methods in under the
 production finalizers, so a whole round is collected and charged the
@@ -29,6 +29,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import index_dtype
+from tests.tree_sides import compute_sides
 
 
 def _is_contiguous(positions: list[int]) -> bool:
@@ -52,7 +53,7 @@ def reference_is_valid_compute_order(
         return False
     position = {node: i for i, node in enumerate(order)}
     for edge in tree.undirected_edges():
-        minus, plus = tree.compute_sides(edge)
+        minus, plus = compute_sides(tree, edge)
         side_a = [position[v] for v in minus]
         side_b = [position[v] for v in plus]
         if not (_is_contiguous(side_a) or _is_contiguous(side_b)):

@@ -26,11 +26,12 @@ from repro.obs.audit import auditing
 from repro.sim.cluster import Cluster
 from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
-from repro.topology.steiner import PathOracle, RoutingIndex
+from repro.topology.steiner import RoutingIndex
 
 from tests.cluster_identity import assert_clusters_identical
 from tests.reference_delivery import ReferenceCluster
 from tests.strategies import tree_topologies
+from tests.tree_sides import union_of_paths
 
 
 def _snapshot(cluster, tags=("recv", "other")):
@@ -224,7 +225,6 @@ class TestExchangeMulticastEquivalenceProperty:
     def test_multicast_loads_matches_steiner_walks(self, instance):
         """The vectorized Steiner-flow charger equals per-group walks."""
         tree, plan = instance
-        oracle = PathOracle(tree)
         routing = RoutingIndex(tree)
         order = routing.compute_nodes
         srcs, flat, starts, ends, counts = [], [], [], [], []
@@ -242,7 +242,7 @@ class TestExchangeMulticastEquivalenceProperty:
                 flat.extend(routing.index_of[d] for d in dsts)
                 ends.append(len(flat))
                 counts.append(count)
-                for edge in oracle.steiner_edges(order[node], dsts):
+                for edge in union_of_paths(tree, order[node], dsts):
                     expected[edge] = expected.get(edge, 0) + count
         if not srcs:
             return

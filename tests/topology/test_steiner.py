@@ -1,54 +1,58 @@
-"""Unit tests for the path/Steiner oracle (multicast deduplication)."""
+"""The routing kernels' link sets against the union of tree paths.
+
+A unicast crosses the links of ``tree.path_edges``; a deduplicated
+multicast crosses each link of the union of its source-to-destination
+paths once (``tests/tree_sides.union_of_paths``).  One element sent
+through :class:`RoutingIndex` must load exactly those directed links.
+"""
 
 from repro.topology.builders import two_level
-from repro.topology.steiner import PathOracle
+from tests.link_loads import multicast_links, unicast_links
+from tests.tree_sides import union_of_paths
 
 
-class TestPathOracle:
+class TestSteinerLinks:
     def setup_method(self):
         self.tree = two_level([2, 3])
-        self.oracle = PathOracle(self.tree)
 
     def test_path_matches_tree(self):
-        assert self.oracle.path_edges("v1", "v3") == self.tree.path_edges(
-            "v1", "v3"
+        assert unicast_links(self.tree, "v1", "v3") == dict.fromkeys(
+            self.tree.path_edges("v1", "v3"), 1
         )
 
     def test_path_to_self_empty(self):
-        assert self.oracle.path_edges("v2", "v2") == ()
+        assert unicast_links(self.tree, "v2", "v2") == {}
 
     def test_steiner_single_destination_is_path(self):
-        assert set(self.oracle.steiner_edges("v1", ["v4"])) == set(
-            self.tree.path_edges("v1", "v4")
+        assert multicast_links(self.tree, "v1", ["v4"]) == dict.fromkeys(
+            self.tree.path_edges("v1", "v4"), 1
         )
 
     def test_steiner_dedups_shared_prefix(self):
-        # v1 -> {v3, v4}: the shared segment v1..w2 must appear once.
-        edges = self.oracle.steiner_edges("v1", ["v3", "v4"])
-        assert edges.count(("v1", "w1")) == 1
-        assert edges.count(("w1", "core")) == 1
-        assert ("w2", "v3") in edges
-        assert ("w2", "v4") in edges
-        assert len(edges) == 5
+        # v1 -> {v3, v4}: the shared segment v1..w2 is charged once.
+        links = multicast_links(self.tree, "v1", ["v3", "v4"])
+        assert links[("v1", "w1")] == 1
+        assert links[("w1", "core")] == 1
+        assert ("w2", "v3") in links
+        assert ("w2", "v4") in links
+        assert len(links) == 5
+        assert set(links.values()) == {1}
 
     def test_steiner_covers_union_of_paths(self):
         destinations = ["v2", "v3", "v5"]
-        edges = set(self.oracle.steiner_edges("v1", destinations))
-        union = set()
-        for destination in destinations:
-            union |= set(self.tree.path_edges("v1", destination))
-        assert edges == union
+        links = multicast_links(self.tree, "v1", destinations)
+        assert links == dict.fromkeys(union_of_paths(self.tree, "v1", destinations), 1)
 
     def test_steiner_to_self_only(self):
-        assert self.oracle.steiner_edges("v1", ["v1"]) == ()
+        assert multicast_links(self.tree, "v1", ["v1"]) == {}
 
     def test_destination_order_irrelevant(self):
-        forward = self.oracle.steiner_edges("v1", ["v3", "v4"])
-        backward = self.oracle.steiner_edges("v1", ["v4", "v3"])
-        assert set(forward) == set(backward)
+        forward = multicast_links(self.tree, "v1", ["v3", "v4"])
+        backward = multicast_links(self.tree, "v1", ["v4", "v3"])
+        assert forward == backward
 
     def test_edges_directed_away_from_source(self):
-        for (u, v) in self.oracle.steiner_edges("v5", ["v1", "v2"]):
+        for (u, v) in multicast_links(self.tree, "v5", ["v1", "v2"]):
             # every edge points from the v5 side toward the destinations
             assert self.tree.path_nodes("v5", v).index(v) > self.tree.path_nodes(
                 "v5", u

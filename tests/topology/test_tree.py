@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
 from repro.topology.tree import TreeTopology, node_sort_key
+from tests.tree_sides import compute_sides, edge_sides
 
 
 def chain(*bandwidths):
@@ -162,22 +164,35 @@ class TestPaths:
         assert tree.path_nodes("v0", "v3") == ["v0", "v1", "v2", "v3"]
 
 
+def compute_mask(tree, members) -> np.ndarray:
+    """0/1 per compute node, in ``link_side_sums`` order."""
+    return np.array(
+        [v in members for v in tree.routing_index.compute_nodes], dtype=np.int64
+    )
+
+
+def link_sums(tree, edge, values) -> tuple:
+    """``link_side_sums(values)`` at one link, as Python numbers."""
+    at = tree.undirected_edges().index(edge)
+    return tuple(side[at].item() for side in tree.link_side_sums(values))
+
+
 class TestEdgeSides:
     def test_sides_partition_the_nodes(self, simple_two_level):
         for edge in simple_two_level.undirected_edges():
-            a_side, b_side = simple_two_level.edge_sides(edge)
+            a_side, b_side = edge_sides(simple_two_level, edge)
             assert a_side | b_side == simple_two_level.nodes
             assert not (a_side & b_side)
             assert edge[0] in a_side
             assert edge[1] in b_side
 
     def test_compute_sides_of_uplink(self, simple_two_level):
-        minus, plus = simple_two_level.compute_sides(("core", "w1"))
-        rack_one = frozenset({"v1", "v2"})
-        assert {minus, plus} == {
-            rack_one,
-            frozenset({"v3", "v4", "v5"}),
-        }
+        tree = simple_two_level
+        uplink = tree.canonical_edge("core", "w1")
+        rack_one = compute_mask(tree, {"v1", "v2"})
+        w1_first = uplink[0] == "w1"
+        assert link_sums(tree, uplink, rack_one) == ((2, 0) if w1_first else (0, 2))
+        assert link_sums(tree, uplink, 1 - rack_one) == ((0, 3) if w1_first else (3, 0))
 
     def test_side_weights(self, simple_two_level):
         weights = {"v1": 5, "v2": 5, "v3": 1, "v4": 1, "v5": 1}
@@ -186,10 +201,13 @@ class TestEdgeSides:
         assert sorted(sums) == [3, 10]
 
     def test_leaf_edge_isolates_leaf(self, simple_two_level):
-        minus, plus = simple_two_level.compute_sides(
-            simple_two_level.canonical_edge("v1", "w1")
-        )
-        assert frozenset({"v1"}) in (minus, plus)
+        tree = simple_two_level
+        leaf_link = tree.canonical_edge("v1", "w1")
+        v1_first = leaf_link[0] == "v1"
+        counts = link_sums(tree, leaf_link, compute_mask(tree, tree.compute_nodes))
+        assert counts == ((1, 4) if v1_first else (4, 1))
+        alone = link_sums(tree, leaf_link, compute_mask(tree, {"v1"}))
+        assert alone == ((1, 0) if v1_first else (0, 1))
 
 
 class TestTraversalOrder:
@@ -202,7 +220,7 @@ class TestTraversalOrder:
         order = simple_two_level.left_to_right_compute_order()
         position = {v: i for i, v in enumerate(order)}
         for edge in simple_two_level.undirected_edges():
-            minus, plus = simple_two_level.compute_sides(edge)
+            minus, plus = compute_sides(simple_two_level, edge)
             for side in (minus, plus):
                 positions = sorted(position[v] for v in side)
                 if positions and positions == list(

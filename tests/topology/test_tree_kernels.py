@@ -1,9 +1,11 @@
 """The two per-link kernels against their set-based definitions.
 
-``RoutingIndex.subtree_sums`` must equal "``compute_sides`` then ``sum``"
-and ``RoutingIndex.steiner_counts`` must equal "``intersect1d`` of the two
-sides' keys", link by link; the loops that used to compute them in
-production live on in ``tests/reference_bounds.py`` as the model.
+``RoutingIndex.subtree_sums`` must equal "the link's sides, then ``sum``
+(or ``min`` / ``max``)" and ``RoutingIndex.steiner_counts`` must equal
+"``intersect1d`` of the two sides' keys", link by link.  The sides come
+from ``tests/tree_sides.py``, a walk that never reads the routing index;
+the loops that used to compute the sums in production live on in
+``tests/reference_bounds.py`` as the model.
 """
 
 import math
@@ -23,6 +25,7 @@ from tests.reference_bounds import (
     undirected_edges_reference,
 )
 from tests.strategies import node_sizes, tree_topologies
+from tests.tree_sides import edge_sides
 
 
 @st.composite
@@ -51,6 +54,23 @@ def assert_same_dict(found: dict, expected: dict) -> None:
     for value in found.values():
         for number in value if isinstance(value, tuple) else (value,):
             assert type(number) in (int, float)
+
+
+def shared_key_counts(tree, keys_by_node) -> dict:
+    """``steiner_counts`` keyed by link, fed the way
+    ``LowerBound.from_shared_keys`` feeds it: every key held, paired with
+    its holder's routing index (compute nodes only, repeats allowed)."""
+    index = tree.routing_index
+    held = {
+        index.index_of[v]: keys
+        for v, keys in keys_by_node.items()
+        if v in tree.compute_nodes
+    }
+    counts = index.steiner_counts(
+        np.repeat(list(held), [len(keys) for keys in held.values()]),
+        np.concatenate([np.empty(0, np.int64), *held.values()]),
+    )
+    return dict(zip(tree.undirected_edges(), counts[index.link_child].tolist()))
 
 
 class TestSubtreeSums:
@@ -93,13 +113,41 @@ class TestSubtreeSums:
         for (a, b), child, first in zip(
             tree.undirected_edges(), index.link_child, index.link_child_first
         ):
-            a_side, b_side = tree.edge_sides((a, b))
+            a_side, b_side = edge_sides(tree, (a, b))
             a_sum = sum(by_node[v] for v in a_side)
             b_sum = sum(by_node[v] for v in b_side)
             assert index.nodes[child] == (a if first else b)
             assert (below[child], above[child]) == (
                 (a_sum, b_sum) if first else (b_sum, a_sum)
             )
+
+    @given(data=st.data(), tree=trees_with_any_compute_set())
+    @settings(max_examples=100, deadline=None)
+    def test_min_and_max_match_edge_sides(self, data, tree):
+        index = tree.routing_index
+        values = np.array(
+            [data.draw(st.integers(-9, 9)) for _ in index.nodes], dtype=np.int64
+        )
+        by_node = dict(zip(index.nodes, values.tolist()))
+        for ufunc, reduce, identity in [(np.minimum, min, 99), (np.maximum, max, -99)]:
+            below, above = index.subtree_sums(values, ufunc, identity)
+            for (a, b), child, first in zip(
+                tree.undirected_edges(), index.link_child, index.link_child_first
+            ):
+                a_side, b_side = edge_sides(tree, (a, b))
+                a_end = reduce(by_node[v] for v in a_side)
+                b_end = reduce(by_node[v] for v in b_side)
+                assert (below[child], above[child]) == (
+                    (a_end, b_end) if first else (b_end, a_end)
+                )
+
+    def test_min_and_max_of_an_empty_side_are_the_identity(self):
+        index = path_tree(3).routing_index
+        assert index.nodes == ["p000", "p001", "p002", "p003"]
+        below, above = index.subtree_sums(np.array([7, 50, 50, 50]), np.minimum, 50)
+        # p000 is the root: its subtree is everything, its outside nothing
+        assert below.tolist() == [7, 50, 50, 50]
+        assert above.tolist() == [50, 7, 7, 7]
 
     def test_weights_for_routers_and_strangers_are_ignored(self):
         tree = two_level([2, 2])
@@ -124,7 +172,7 @@ class TestSubtreeSums:
     def test_single_node_tree_has_no_links(self):
         tree = single_node_tree()
         assert tree.side_weights({"only": 5}) == {}
-        assert tree.shared_key_counts({"only": np.array([1, 2])}) == {}
+        assert shared_key_counts(tree, {"only": np.array([1, 2])}) == {}
         assert tree.undirected_edges() == []
 
 
@@ -140,14 +188,14 @@ class TestSteinerCounts:
             for v in sorted(tree.compute_nodes, key=str)
         }
         assert_same_dict(
-            tree.shared_key_counts(keys_by_node),
+            shared_key_counts(tree, keys_by_node),
             shared_key_counts_reference(tree, keys_by_node),
         )
 
     def test_key_on_one_node_crosses_no_link(self):
         tree = two_level([2, 2])
         first = min(tree.compute_nodes, key=str)
-        counts = tree.shared_key_counts({first: np.array([4, 4, 9])})
+        counts = shared_key_counts(tree, {first: np.array([4, 4, 9])})
         assert set(counts.values()) == {0}
 
     def test_duplicates_on_a_node_count_once(self):
@@ -155,27 +203,27 @@ class TestSteinerCounts:
         a, b, c = sorted(tree.compute_nodes, key=str)
         keys = {a: np.array([5, 5, 5]), b: np.array([5, 5]), c: np.array([6])}
         assert_same_dict(
-            tree.shared_key_counts(keys), shared_key_counts_reference(tree, keys)
+            shared_key_counts(tree, keys), shared_key_counts_reference(tree, keys)
         )
-        assert sorted(tree.shared_key_counts(keys).values()) == [0, 1, 1]
+        assert sorted(shared_key_counts(tree, keys).values()) == [0, 1, 1]
 
     def test_empty_and_missing_fragments(self):
         tree = two_level([2, 3])
         empty = {v: np.empty(0, np.int64) for v in tree.compute_nodes}
         zeros = dict.fromkeys(tree.undirected_edges(), 0)
-        assert tree.shared_key_counts(empty) == zeros
-        assert tree.shared_key_counts({}) == zeros
+        assert shared_key_counts(tree, empty) == zeros
+        assert shared_key_counts(tree, {}) == zeros
 
     def test_keys_on_routers_are_ignored(self):
         tree = two_level([2, 2])
         keys = {v: np.array([1]) for v in tree.nodes}
         only_compute = {v: np.array([1]) for v in tree.compute_nodes}
-        assert tree.shared_key_counts(keys) == tree.shared_key_counts(only_compute)
+        assert shared_key_counts(tree, keys) == shared_key_counts(tree, only_compute)
 
     def test_deep_path(self):
         tree = path_tree(200)
         keys = {"p000": np.array([1, 2, 3]), "p200": np.array([2, 3, 4])}
-        assert set(tree.shared_key_counts(keys).values()) == {2}
+        assert set(shared_key_counts(tree, keys).values()) == {2}
 
 
 class TestLinkArrays:
@@ -195,7 +243,7 @@ class TestLinkArrays:
     @settings(max_examples=80, deadline=None)
     def test_links_facing_is_membership_in_the_second_side(self, data, tree):
         node = data.draw(st.sampled_from(sorted(tree.nodes, key=str)))
-        expected = [node in tree.edge_sides(e)[1] for e in tree.undirected_edges()]
+        expected = [node in edge_sides(tree, e)[1] for e in tree.undirected_edges()]
         assert tree.links_facing(node).tolist() == expected
 
     def test_bandwidth_arrays_follow_the_link_order(self):
