@@ -13,6 +13,13 @@ The optimizer makes the two decisions the logical algebra leaves open:
   baseline) is scored on the estimated placement profile of the stage's
   inputs, and the cheapest wins.
 
+The search scores each distinct stage once.  A stage's estimate is a
+pure function of its two input profiles and its output cardinality, so
+one compile keeps a table of the stages it has scored: the prefix that
+left-deep orders share is looked up, not re-scored.  Within one order,
+the protocol beam keeps only the cheapest state per placement profile —
+what a state can still add depends on its profile alone.
+
 Three strategies share this machinery: ``optimized`` (min-cost order,
 min-cost protocols), ``gather`` (the order as written, every stage the
 gather baseline — the "ship everything to one node" plan), and
@@ -52,8 +59,9 @@ STRATEGIES = ("optimized", "gather", "worst-order")
 # targets the paper's chain/star benchmark queries, not 20-way joins.
 MAX_JOIN_INPUTS = 8
 
-# Beam width for per-order protocol-sequence search; 81 = 3^4 keeps the
-# search exhaustive up to four shuffle stages (five-way joins).
+# Beam width for per-order protocol-sequence search, counted in distinct
+# placement profiles (a dominated state never enters the beam); 81 = 3^4
+# keeps the search exhaustive up to four shuffle stages (five-way joins).
 PROTOCOL_BEAM = 81
 
 AGGREGATE_BITS = 40
@@ -194,6 +202,10 @@ def _flatten_join(join: Join) -> tuple[list, list]:
 # --------------------------------------------------------------------- #
 
 
+class _Collision(Exception):
+    """A merge whose output would hold the column ``args[0]`` twice."""
+
+
 @dataclass
 class _Candidate:
     """One simulated merge order: its stages-to-be and total cost."""
@@ -219,6 +231,9 @@ class _Compiler:
         self.strategy = strategy
         self.model = CostModel(tree)
         self.stages: list = []
+        # (left profile, right profile, output rows) -> join_stages result;
+        # one tree and one protocol tuple per compiler make it exact.
+        self.stage_table: dict = {}
         self.join_protocols = self._candidates("equijoin", "join")
         self.groupby_protocols = self._candidates("groupby-aggregate", "groupby")
 
@@ -381,26 +396,31 @@ class _Compiler:
 
     def _choose_order(self, compiled, conditions) -> _Candidate:
         k = len(compiled)
-        written = tuple(range(k))
+        collision: str | None = None
+
+        def scored(order) -> _Candidate | None:
+            nonlocal collision
+            try:
+                return self._simulate(compiled, conditions, order)
+            except _Collision as error:
+                collision = collision or error.args[0]
+                return None
+
         if self.strategy == "gather":
-            candidate = self._simulate(compiled, conditions, written)
+            candidate = scored(tuple(range(k)))
             if candidate is not None:
                 return candidate
-        best: _Candidate | None = None
-        seen_any = False
-        for order in permutations(range(k)):
-            candidate = self._simulate(compiled, conditions, order)
-            if candidate is None:
-                continue
-            seen_any = True
-            if best is None:
-                best = candidate
-            elif self.strategy == "worst-order":
-                if candidate.cost > best.cost:
-                    best = candidate
-            elif candidate.cost < best.cost:
-                best = candidate
-        if not seen_any:
+        # min / max keep the first of equals, in permutation order
+        pick = max if self.strategy == "worst-order" else min
+        candidates = filter(None, map(scored, permutations(range(k))))
+        best = pick(candidates, key=lambda candidate: candidate.cost, default=None)
+        if best is None:
+            if collision is not None:
+                raise PlanError(
+                    f"no join order avoids a repeated column: the output "
+                    f"would hold {collision!r} twice; rename it in one "
+                    f"of the inputs"
+                )
             raise PlanError(
                 "join inputs are not connected by the conditions; "
                 "cross products are not supported"
@@ -409,6 +429,9 @@ class _Compiler:
 
     def _simulate(self, compiled, conditions, order) -> _Candidate | None:
         """Score one merge order; ``None`` if some step lacks a condition.
+
+        Raises :class:`_Collision` if every step has a condition but some
+        step's output would repeat a column name.
 
         Phase one walks the merges and derives everything that does not
         depend on protocol choice: stage key pairs, residual equalities,
@@ -435,6 +458,7 @@ class _Compiler:
             for c in schema.columns
         }
         steps = []
+        repeated = None
         for new in order[1:]:
             pairs = []
             for li, lcol, ri, rcol in conditions:
@@ -459,8 +483,8 @@ class _Compiler:
             for c in new_schema.columns:
                 if c in dropped:
                     continue
-                if c in out_columns:
-                    return None  # name collision under this order
+                if c in out_columns and repeated is None:
+                    repeated = c
                 out_columns.append(c)
                 out_bits.append(new_schema.width(c))
             for a, b in pairs:
@@ -491,16 +515,22 @@ class _Compiler:
             )
             merged.add(new)
             columns, bits = out_columns, out_bits
+        if repeated is not None:
+            raise _Collision(repeated)
         return steps
 
     def _assign_protocols(self, compiled, order, steps) -> _Candidate:
         """Pick each stage's protocol by beam search over sequences.
 
         States carry the cost so far and the current placement profile
-        (each protocol leaves the data somewhere different).  A beam of
-        :data:`PROTOCOL_BEAM` keeps the search exhaustive for every
-        sequence length the benchmark queries reach (``3^m`` states fit
-        the beam for ``m <= 4`` stages) and near-optimal beyond.
+        (each protocol leaves the data somewhere different).  Of states
+        with equal profiles only the first in the stable cost order is
+        kept: every completion adds the same costs to both, so it stays
+        at least as cheap and ahead of the others to the end.  A beam of
+        :data:`PROTOCOL_BEAM` distinct profiles keeps the search
+        exhaustive for every sequence length the benchmark queries reach
+        (``3^m`` states fit the beam for ``m <= 4`` stages) and
+        near-optimal beyond.
         """
         protocols = (
             ("gather",) if self.strategy == "gather" else self.join_protocols
@@ -509,17 +539,24 @@ class _Compiler:
         states = [(0.0, compiled[order[0]][1].profile, [])]
         for step in steps:
             right = compiled[step["new"]][1].profile
+            rows = step["stats"].rows
+            right_key = right.tobytes()
             expanded = []
             for total, left, chosen in states:
-                stages = self.model.join_stages(
-                    left, right, step["stats"].rows, protocols
-                )
+                key = (left.tobytes(), right_key, rows)
+                stages = self.stage_table.get(key)
+                if stages is None:
+                    stages = self.model.join_stages(left, right, rows, protocols)
+                    self.stage_table[key] = stages
                 for name, (cost, profile) in zip(protocols, stages):
                     expanded.append(
                         (total + cost, profile, chosen + [(name, cost, profile)])
                     )
             expanded.sort(key=lambda state: state[0])
-            states = expanded[:PROTOCOL_BEAM]
+            distinct: dict = {}
+            for state in expanded:
+                distinct.setdefault(state[1].tobytes(), state)
+            states = list(distinct.values())[:PROTOCOL_BEAM]
         total, _, chosen = states[0]
         annotated = [
             {
@@ -574,9 +611,10 @@ class PlanCache:
 
     A serving session sees the same handful of query *shapes* over and
     over; the left-deep order enumeration and per-stage protocol beam
-    search dominate small-plan latency, and their output depends only on
-    the logical plan, the topology structure, and the catalog's
-    placement statistics.  The cache key captures exactly those three
+    search are still the largest single part of a cold small plan
+    (about 40% of a cold chain-3 / star-2 / chain-4 mix on a 144-leaf
+    two-level tree), and their output depends only on the logical plan,
+    the topology structure, and the catalog's placement statistics.  The cache key captures exactly those three
     (:meth:`key`): the logical plan's deterministic ``describe()``
     string, the structural :func:`topology_fingerprint` (label-blind, so
     renamed builds of one network share plans), and a per-relation

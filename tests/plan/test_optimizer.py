@@ -1,8 +1,12 @@
 """Unit tests for join ordering, protocol choice and plan explain."""
 
+import math
+from itertools import permutations, product
+
 import pytest
 
 from repro.errors import PlanError
+from repro.plan.cost import CostModel
 from repro.plan.logical import (
     Filter,
     GroupBy,
@@ -12,9 +16,10 @@ from repro.plan.logical import (
     chain_query,
     star_query,
 )
-from repro.plan.optimizer import optimize
+from repro.plan.optimizer import STRATEGIES, _Compiler, _flatten_join, optimize
 from repro.plan.relation import chain_catalog, star_catalog
 from repro.topology.builders import star, two_level
+from tests.plan.test_cost_kernels import QUERIES
 
 
 @pytest.fixture
@@ -94,7 +99,20 @@ class TestCompilation:
             inputs=(Scan("R0"), Scan("R1"), Scan("R2")),
             conditions=(JoinCondition(0, "x1", 1, "x1"),),
         )
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="not connected"):
+            optimize(query, tree, catalog)
+
+    def test_self_join_names_the_repeated_column(self, tree):
+        catalog = chain_catalog(tree, num_relations=2, rows=100, seed=1)
+        query = Join((Scan("R0"), Scan("R0")), (JoinCondition(0, "x1", 1, "x1"),))
+        with pytest.raises(PlanError, match="would hold 'x0' twice"):
+            optimize(query, tree, catalog)
+
+    def test_join_on_other_columns_names_the_repeated_column(self, tree):
+        catalog = chain_catalog(tree, num_relations=2, rows=100, seed=1)
+        # R0(x0, x1) on x0 = R1(x1, x2).x2: both sides keep an x1
+        query = Join((Scan("R0"), Scan("R1")), (JoinCondition(0, "x0", 1, "x2"),))
+        with pytest.raises(PlanError, match="would hold 'x1' twice"):
             optimize(query, tree, catalog)
 
 
@@ -130,3 +148,156 @@ class TestStrategies:
         assert "optimized plan" in text
         assert "join" in text
         assert "est cost" in text
+
+
+# --------------------------------------------------------------------- #
+# the search against exhaustive enumeration
+# --------------------------------------------------------------------- #
+
+ORACLE_TREES = {
+    "racks-3-4-2": lambda: two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4]),
+    "star-6": lambda: star(6, bandwidth=[1, 2, 4, 2, 1, 8]),
+}
+
+
+def _join_of(query):
+    while not isinstance(query, Join):
+        query = query.child
+    return query
+
+
+def _sequence_costs(compiler, compiled, conditions, orders, protocols) -> dict:
+    """``{(order, protocol sequence): cost}`` for every connected order,
+    each sequence summed left to right through ``join_stages``."""
+    costs = {}
+    for order in orders:
+        steps = compiler._merge_walk(compiled, conditions, order)
+        if steps is None:
+            continue
+        for sequence in product(protocols, repeat=len(steps)):
+            profile = compiled[order[0]][1].profile
+            total = 0.0
+            for step, name in zip(steps, sequence):
+                right = compiled[step["new"]][1].profile
+                ((cost, profile),) = compiler.model.join_stages(
+                    profile, right, step["stats"].rows, (name,)
+                )
+                total += cost
+            costs[order, sequence] = total
+    return costs
+
+
+def _mirror(order: tuple, sequence: tuple) -> tuple:
+    """The first merge's two sides are one stage: equal up to a swap."""
+    return frozenset(order[:2]), order[2:], sequence
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("tree_name", sorted(ORACLE_TREES))
+@pytest.mark.parametrize("shape", sorted(QUERIES))
+def test_search_finds_the_exhaustive_optimum(shape, tree_name, strategy):
+    query, make_catalog, width = QUERIES[shape]
+    tree = ORACLE_TREES[tree_name]()
+    catalog = make_catalog(tree, rows=120, key_space=64, seed=3, policy="zipf", **width)
+    plan = optimize(query, tree, catalog, strategy=strategy)
+
+    compiler = _Compiler(tree, catalog, strategy)
+    leaves, conditions = _flatten_join(_join_of(query))
+    compiled = [compiler.compile(leaf) for leaf in leaves]
+    if strategy == "gather":
+        # the order as written, every stage the gather baseline
+        orders, protocols = [tuple(range(len(leaves)))], ("gather",)
+    else:
+        orders, protocols = permutations(range(len(leaves))), compiler.join_protocols
+    costs = _sequence_costs(compiler, compiled, conditions, orders, protocols)
+    per_order = {}
+    for (order, _), cost in costs.items():
+        per_order[order] = min(cost, per_order.get(order, math.inf))
+    if strategy == "worst-order":
+        expected = max(per_order.values())
+        winners = {
+            _mirror(order, sequence)
+            for (order, sequence), cost in costs.items()
+            if per_order[order] == expected and cost == expected
+        }
+    else:
+        expected = min(costs.values())
+        winners = {
+            _mirror(order, sequence)
+            for (order, sequence), cost in costs.items()
+            if cost == expected
+        }
+
+    joins = [stage for stage in plan.stages if stage.kind == "join"]
+    join_cost = sum(stage.est_cost for stage in joins)
+    assert math.isclose(join_cost, expected, rel_tol=1e-12)
+    if isinstance(query, Join):
+        assert math.isclose(plan.estimated_cost, expected, rel_tol=1e-12)
+    if len(winners) == 1:
+        leaf_of = {index: leaf for leaf, (index, _, _) in enumerate(compiled)}
+        order = tuple(leaf_of[i] for i in joins[0].inputs) + tuple(
+            leaf_of[stage.inputs[1]] for stage in joins[1:]
+        )
+        sequence = tuple(stage.protocol for stage in joins)
+        assert {_mirror(order, sequence)} == winners
+
+
+def _recording_join_stages(monkeypatch) -> list:
+    keys = []
+    original = CostModel.join_stages
+
+    def recorded(self, left, right, out_rows, protocols):
+        keys.append((left.tobytes(), right.tobytes(), out_rows))
+        return original(self, left, right, out_rows, protocols)
+
+    monkeypatch.setattr(CostModel, "join_stages", recorded)
+    return keys
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shape", sorted(QUERIES))
+def test_each_distinct_stage_is_scored_once(monkeypatch, shape, strategy):
+    query, make_catalog, width = QUERIES[shape]
+    tree = ORACLE_TREES["racks-3-4-2"]()
+    catalog = make_catalog(tree, rows=120, key_space=64, seed=3, policy="zipf", **width)
+    keys = _recording_join_stages(monkeypatch)
+    optimize(query, tree, catalog, strategy=strategy)
+    assert keys
+    assert len(keys) == len(set(keys))
+
+
+def test_chain_four_scores_its_shared_prefixes_once(monkeypatch):
+    # Equal placements and a saturated key space give every relation
+    # the same profile and every join the same estimate, so the eight
+    # connected orders share the most prefixes: re-scoring them all
+    # costs 104 calls.
+    tree = two_level([12] * 12, leaf_bandwidth=2, uplink_bandwidth=4)
+    catalog = chain_catalog(tree, num_relations=4, rows=300, key_space=64, seed=1)
+    keys = _recording_join_stages(monkeypatch)
+    optimize(chain_query(4), tree, catalog)
+    assert len(keys) <= 26
+
+
+def test_compiles_share_no_stage_table():
+    # Same profile shapes throughout, so a stage table leaked from one
+    # compile would be keyed like the next one's stages; each compile
+    # must still return what it returns on its own.
+    tree = two_level([4, 4], leaf_bandwidth=[4.0, 1.0], uplink_bandwidth=2.0)
+    swapped = two_level([4, 4], leaf_bandwidth=[1.0, 4.0], uplink_bandwidth=0.5)
+    catalogs = [
+        chain_catalog(tree, num_relations=4, rows=200, seed=seed, policy=policy)
+        for seed, policy in ((1, "zipf"), (2, "uniform"))
+    ]
+    runs = [
+        (topology, catalog, strategy)
+        for topology in (tree, swapped)
+        for catalog in catalogs
+        for strategy in STRATEGIES
+    ]
+    forward = [optimize(chain_query(4), *run[:2], strategy=run[2]) for run in runs]
+    backward = [
+        optimize(chain_query(4), *run[:2], strategy=run[2]) for run in reversed(runs)
+    ]
+    assert forward == backward[::-1]
+    # the two trees price the same stages differently
+    assert forward[0].estimated_cost != forward[len(runs) // 2].estimated_cost
