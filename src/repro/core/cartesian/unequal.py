@@ -98,7 +98,7 @@ def _star_leaf_bandwidths(tree: TreeTopology) -> dict:
         raise ProtocolError("the star center must be a router")
     return {
         v: tree.bandwidth(v, center)
-        for v in sorted(tree.compute_nodes, key=node_sort_key)
+        for v in tree.routing_index.compute_nodes
     }
 
 
@@ -327,7 +327,7 @@ def _strategy_proportional(
     bandwidths = _star_leaf_bandwidths(tree)
     weights = np.array([bandwidths[v] for v in beta])
     cluster = make_cluster(tree, distribution, bits_per_element=bits)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    computes = cluster.compute_order
     r_size = distribution.total(r_tag)
     with cluster.round() as ctx:
         _broadcast_r_to_beta(ctx, cluster, computes, beta, r_tag)
@@ -364,7 +364,7 @@ def _strategy_generalized_whc(
     tree, distribution, r_tag, s_tag, alpha, beta, bits
 ) -> ProtocolResult | None:
     bandwidths = _star_leaf_bandwidths(tree)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    computes = tree.routing_index.compute_nodes
     r_size = distribution.total(r_tag)
     alpha_s = sum(distribution.size(v, s_tag) for v in alpha)
 
@@ -455,7 +455,7 @@ def generalized_star_cartesian_product(
     small, large = (s_tag, r_tag) if swapped else (r_tag, s_tag)
     r_size = distribution.total(small)
     s_size = distribution.total(large)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    computes = tree.routing_index.compute_nodes
     sizes = {
         v: distribution.size(v, small) + distribution.size(v, large)
         for v in computes

@@ -30,7 +30,7 @@ from repro.errors import ProtocolError
 from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 from repro.util.intmath import next_power_of_two_at_least
 
 
@@ -103,7 +103,7 @@ def whc_cartesian_product(
     n_total = r_total + s_total
 
     center = tree.star_center()
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    computes = tree.routing_index.compute_nodes
     if dims is None:
         bandwidths = {v: tree.bandwidth(v, center) for v in computes if v != center}
         if center in tree.compute_nodes:

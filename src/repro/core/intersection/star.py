@@ -19,7 +19,7 @@ from repro.errors import ProtocolError
 from repro.registry import register_protocol
 from repro.sim.cluster import make_cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.grouping import sorted_unique, unique_rows
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
@@ -61,7 +61,7 @@ def star_intersect(
     swapped = distribution.total(r_tag) > distribution.total(s_tag)
     small_tag, large_tag = (s_tag, r_tag) if swapped else (r_tag, s_tag)
 
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    computes = tree.routing_index.compute_nodes
     sizes = {
         v: distribution.size(v, small_tag) + distribution.size(v, large_tag)
         for v in computes

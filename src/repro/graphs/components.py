@@ -37,7 +37,7 @@ from repro.core.common import LowerBound, column_holders
 from repro.data.columns import KeyValueArrays
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
-from repro.graphs.iterate import SuperstepDriver
+from repro.graphs.iterate import SuperstepDriver, _run_graph_task
 from repro.graphs.model import (
     DEFAULT_EDGE_TAG,
     VERTEX_BITS,
@@ -48,9 +48,9 @@ from repro.graphs.reference import reference_components
 from repro.queries.aggregate import GroupOutputs
 from repro.queries.tuples import decode_tuples, encode_tuples
 from repro.registry import register_protocol, register_task
-from repro.report import GraphRunReport, RunReport
+from repro.report import GraphRunReport
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 from repro.util.components import component_roots
 from repro.util.grouping import (
     concat_ranges,
@@ -478,7 +478,7 @@ def gather_connected_components(
 ) -> ProtocolResult:
     """One round: centralize the edge list, solve locally."""
     distribution.validate_for(tree)
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
+    computes = tree.routing_index.compute_nodes
     if target is None:
         target = max(computes, key=lambda v: distribution.size(v, tag))
     driver = SuperstepDriver(tree, bits_per_element=bits_per_element)
@@ -547,35 +547,13 @@ def run_components(
     protocol records them in its ``meta``) so convergence behaviour is
     visible round by round.
     """
-    from repro.engine import run_with_result
-
-    distribution = (
-        graph.distribution if isinstance(graph, PlacedGraph) else graph
-    )
-    report, result = run_with_result(
+    return _run_graph_task(
         "connected-components",
         tree,
-        distribution,
+        graph,
         protocol=protocol,
         seed=seed,
         placement=placement,
         verify=verify,
         **opts,
-    )
-    meta = dict(result.meta)
-    steps = tuple(
-        RunReport.from_dict(payload) for payload in meta.pop("supersteps", [])
-    )
-    return GraphRunReport(
-        task=report.task,
-        protocol=report.protocol,
-        topology=report.topology,
-        placement=placement,
-        num_vertices=int(meta.get("num_vertices", 0)),
-        num_edges=int(meta.get("num_edges", 0)),
-        supersteps=steps,
-        lower_bound=report.lower_bound,
-        converged=bool(meta.get("converged", False)),
-        meta=meta,
-        wall_time_s=report.wall_time_s,
     )

@@ -27,6 +27,8 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator
 
+from repro.data.distribution import Distribution
+from repro.graphs.model import PlacedGraph
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.report import GraphRunReport, RunReport
@@ -250,3 +252,59 @@ class SuperstepDriver:
             meta=meta or {},
             wall_time_s=wall_time_s,
         )
+
+
+def _run_graph_task(
+    task: str,
+    tree: TreeTopology,
+    graph: "PlacedGraph | Distribution",
+    *,
+    converged: bool | None = None,
+    protocol: str | None = None,
+    seed: int = 0,
+    placement: str = "custom",
+    verify: bool = True,
+    **opts,
+) -> GraphRunReport:
+    """Run a graph task through the engine and report per superstep.
+
+    The body of the graph facades: ``graph`` is a
+    :class:`~repro.graphs.model.PlacedGraph` or its distribution, and
+    the flat engine report is expanded back into the superstep rows the
+    protocol records in its ``meta``.  ``converged`` is read from that
+    ``meta`` unless the caller fixes it (a one-shot task always is).
+    """
+    from repro.engine import run_with_result
+
+    distribution = (
+        graph.distribution if isinstance(graph, PlacedGraph) else graph
+    )
+    report, result = run_with_result(
+        task,
+        tree,
+        distribution,
+        protocol=protocol,
+        seed=seed,
+        placement=placement,
+        verify=verify,
+        **opts,
+    )
+    meta = dict(result.meta)
+    steps = tuple(
+        RunReport.from_dict(payload) for payload in meta.pop("supersteps", [])
+    )
+    if converged is None:
+        converged = bool(meta.get("converged", False))
+    return GraphRunReport(
+        task=report.task,
+        protocol=report.protocol,
+        topology=report.topology,
+        placement=placement,
+        num_vertices=int(meta.get("num_vertices", 0)),
+        num_edges=int(meta.get("num_edges", 0)),
+        supersteps=steps,
+        lower_bound=report.lower_bound,
+        converged=converged,
+        meta=meta,
+        wall_time_s=report.wall_time_s,
+    )

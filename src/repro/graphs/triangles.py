@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.common import LowerBound, column_holders
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
+from repro.graphs.iterate import _run_graph_task
 from repro.graphs.model import (
     DEFAULT_EDGE_TAG,
     VERTEX_BITS,
@@ -40,7 +41,7 @@ from repro.graphs.model import (
 )
 from repro.graphs.reference import reference_triangle_count
 from repro.registry import register_protocol, register_task
-from repro.report import GraphRunReport, RunReport
+from repro.report import GraphRunReport
 from repro.sim.ledger import CostLedger
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology, node_sort_key
@@ -361,35 +362,14 @@ def run_triangles(
     **opts,
 ) -> GraphRunReport:
     """Run triangle counting and report per-stage costs."""
-    from repro.engine import run_with_result
-
-    distribution = (
-        graph.distribution if isinstance(graph, PlacedGraph) else graph
-    )
-    report, result = run_with_result(
+    return _run_graph_task(
         "triangle-count",
         tree,
-        distribution,
+        graph,
+        converged=True,
         protocol=protocol,
         seed=seed,
         placement=placement,
         verify=verify,
         **opts,
-    )
-    meta = dict(result.meta)
-    steps = tuple(
-        RunReport.from_dict(payload) for payload in meta.pop("supersteps", [])
-    )
-    return GraphRunReport(
-        task=report.task,
-        protocol=report.protocol,
-        topology=report.topology,
-        placement=placement,
-        num_vertices=int(meta.get("num_vertices", 0)),
-        num_edges=int(meta.get("num_edges", 0)),
-        supersteps=steps,
-        lower_bound=report.lower_bound,
-        converged=True,
-        meta=meta,
-        wall_time_s=report.wall_time_s,
     )

@@ -238,7 +238,7 @@ def _expected_deliveries(cluster, context) -> dict:
         np.add.at(arrivals, targets, 1 if counts is None else counts)
         for position in np.flatnonzero(arrivals).tolist():
             _add(order[position], tag, int(arrivals[position]))
-    for _origins, members, offsets, group_ids, payload, tag in (
+    for _origins, members, offsets, group_ids, _payload, tag in (
         context._multicasts
     ):
         # one delivery per distinct (group, member) pair
@@ -247,11 +247,7 @@ def _expected_deliveries(cluster, context) -> dict:
             np.repeat(np.arange(groups), np.diff(offsets)) * len(order)
             + members
         )
-        counts = (
-            np.array([len(payload)])
-            if group_ids is None
-            else np.bincount(group_ids, minlength=groups)
-        )
+        counts = np.bincount(group_ids, minlength=groups)
         arrivals = np.zeros(len(order), dtype=np.int64)
         np.add.at(arrivals, pairs % len(order), counts[pairs // len(order)])
         for position in np.flatnonzero(arrivals).tolist():

@@ -1,7 +1,10 @@
-"""Run a compiled physical plan stage by stage on one cluster.
+"""Run a compiled physical plan stage by stage.
 
 Each communication stage is dispatched through the engine to a
-*registered* protocol — the executor never reimplements shuffles.  For
+*registered* protocol — the executor never reimplements shuffles — and
+so runs on a cluster of its own, which
+:func:`~repro.engine.run_with_result` builds for it; the stages share
+only the topology artifacts of the run scope.  For
 a join stage it re-packs both input relations around the stage's join
 key (key high, remaining columns as the payload), builds a fresh
 :class:`~repro.data.distribution.Distribution` from the per-node

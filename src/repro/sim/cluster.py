@@ -52,15 +52,11 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.sim.ledger import CostLedger
 from repro.sim.storage import ColumnarStore
-from repro.topology.artifacts import (
-    TopologyArtifacts,
-    resolve_artifacts,
-    topology_fingerprint,
-)
+from repro.topology.artifacts import TopologyArtifacts, resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import (
+    _concat_parts,
     cached_group_slices,
-    concat_group_slices,
     concat_ranges,
     group_slices,
     index_dtype,
@@ -116,14 +112,13 @@ class RoundContext:
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
         # the multicast stream, in registration order: (origins, members,
-        # offsets, group ids or None, payload, tag), nodes as compute-
-        # order indices.  Group g goes from origins[g] to the set
+        # offsets, group ids, payload, tag), nodes as compute-order
+        # indices.  Group g goes from origins[g] to the set
         # members[offsets[g]:offsets[g + 1]] and element i belongs to
-        # group ids[i]; ids None is multicast()'s one group, every
-        # element to group 0.  Grouping is deferred to finalization like
-        # the unicast stream's, so the round's replicated traffic is
-        # grouped with one pass per tag and charged with one vectorized
-        # Steiner-flow call.
+        # group ids[i] (multicast()'s one group: all zeros).  Grouping is
+        # deferred to finalization like the unicast stream's, so the
+        # round's replicated traffic is grouped with one pass per tag and
+        # charged with one vectorized Steiner-flow call.
         self._multicasts: list[tuple] = []
         # the unicast stream, in registration order: (sources, targets,
         # counts or None, payload, tag), nodes as compute-order indices.
@@ -267,7 +262,7 @@ class RoundContext:
                 np.array([source]),
                 np.array(members),
                 np.array([0, len(members)]),
-                None,
+                np.zeros(len(payload), np.intp),
                 payload,
                 str(tag),
             )
@@ -585,8 +580,8 @@ class RoundContext:
         """Deliver and charge the round's multicast stream in bulk.
 
         Group ids are lifted into a per-tag global id space (each
-        record's local ids shifted by a running base, the shift deferred
-        to :func:`concat_group_slices`), so one grouping pass per tag
+        record's local ids shifted by a running base and materialized by
+        :func:`_concat_parts`), so one memoized grouping pass per tag
         covers every replicated element of the round; global ids ascend
         in registration x local-id order, which keeps per-``(dst, tag)``
         byte order identical to the per-group multicast loop.  Each
@@ -614,8 +609,8 @@ class RoundContext:
             t1 = perf_counter() if phases is not None else 0.0
             ids, payloads, *table = zip(*records)
             bases = accumulate(map(len, table[2]), initial=0)
-            order, uniques, starts, ends = concat_group_slices(
-                [(i, len(p), base) for i, p, base in zip(ids, payloads, bases)]
+            order, uniques, starts, ends = cached_group_slices(
+                _concat_parts(list(zip(ids, bases)))
             )
             all_payload, sources, members, fanouts = map(
                 _concatenated, (payloads, *table)
@@ -769,9 +764,7 @@ class Cluster:
         # per-cluster behavior.
         if artifacts is None:
             artifacts = resolve_artifacts(tree)
-        elif artifacts.tree is not tree and artifacts.fingerprint != (
-            topology_fingerprint(tree)
-        ):
+        elif artifacts.fingerprint != tree.fingerprint:
             # Prebuilt artifacts may come from a structurally identical
             # tree object (fingerprint keying); a structurally
             # *different* one would silently misroute every transfer.

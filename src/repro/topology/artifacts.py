@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from typing import Iterator
-from weakref import WeakValueDictionary
 
 from repro.context import current, use
 from repro.obs.metrics import get_registry
@@ -67,12 +66,9 @@ class TopologyArtifacts:
     once, under a lock) and nothing else changes after construction.
     """
 
-    def __init__(
-        self, tree: TreeTopology, *, fingerprint: str | None = None
-    ) -> None:
+    def __init__(self, tree: TreeTopology) -> None:
         self.tree = tree
-        # a cache that digested the tree to look it up passes the digest in
-        self.fingerprint = fingerprint or topology_fingerprint(tree)
+        self.fingerprint = tree.fingerprint
         self.oracle = PathOracle(tree)
         self.compute_order: tuple = tuple(
             sorted(tree.compute_nodes, key=node_sort_key)
@@ -85,11 +81,11 @@ class TopologyArtifacts:
 class ArtifactCache:
     """A bounded, thread-safe LRU of :class:`TopologyArtifacts`.
 
-    Keyed by :func:`topology_fingerprint`, with a weak identity fast
-    path: the same ``TreeTopology`` *object* skips fingerprinting
-    entirely (the common case inside a session pinning one tree).
-    Hits and misses are recorded on the installed metrics registry as
-    ``repro_artifact_cache_hits_total`` / ``_misses_total``.
+    Keyed by :func:`topology_fingerprint` and nothing else: the digest
+    is memoized on the immutable tree, so a lookup of a tree seen
+    before is one dict probe, and every hit refreshes the entry's
+    recency.  Hits and misses are recorded on the installed metrics
+    registry as ``repro_artifact_cache_hits_total`` / ``_misses_total``.
     """
 
     def __init__(self, max_entries: int = 16) -> None:
@@ -98,7 +94,6 @@ class ArtifactCache:
         self._max_entries = max_entries
         self._lock = threading.RLock()
         self._entries: dict[str, TopologyArtifacts] = {}
-        self._by_identity: WeakValueDictionary = WeakValueDictionary()
         self.hits = 0
         self.misses = 0
 
@@ -106,26 +101,16 @@ class ArtifactCache:
         """The artifacts for ``tree``, built on first sight."""
         registry = get_registry()
         with self._lock:
-            artifacts = self._by_identity.get(id(tree))
-            if artifacts is not None and artifacts.tree is tree:
-                self.hits += 1
-                if registry.enabled:
-                    registry.counter("repro_artifact_cache_hits_total").inc()
-                return artifacts
-            fingerprint = topology_fingerprint(tree)
-            artifacts = self._entries.get(fingerprint)
+            # LRU touch: a hit is re-inserted at the back of the dict order
+            artifacts = self._entries.pop(tree.fingerprint, None)
             if artifacts is not None:
-                # LRU touch: re-insert at the back of the dict order.
-                self._entries.pop(artifacts.fingerprint)
                 self._entries[artifacts.fingerprint] = artifacts
-                self._by_identity[id(tree)] = artifacts
                 self.hits += 1
                 if registry.enabled:
                     registry.counter("repro_artifact_cache_hits_total").inc()
                 return artifacts
-            artifacts = TopologyArtifacts(tree, fingerprint=fingerprint)
-            self._entries[fingerprint] = artifacts
-            self._by_identity[id(tree)] = artifacts
+            artifacts = TopologyArtifacts(tree)
+            self._entries[artifacts.fingerprint] = artifacts
             while len(self._entries) > self._max_entries:
                 evicted = next(iter(self._entries))
                 del self._entries[evicted]

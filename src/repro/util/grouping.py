@@ -17,15 +17,18 @@ iteration, and an A/B benchmark replays one prepared round per repeat.
 :class:`ContentCache` — a thread-local, bounded, content-addressed
 memo (blake2b over the array bytes), so a repeated grouping costs one
 hash pass instead of an argsort, and a cache hit is exact: equal bytes
-in, the identical (read-only) grouping out.
+in, the identical (read-only) grouping out.  The digest is the memo's
+only key — every lookup hashes the bytes, with no identity shortcut —
+so an array mutated between two calls is regrouped, never served a
+stale grouping.  A round's multicast id stream goes through the same
+memo: the finalizer materializes it (:func:`_concat_parts`) and groups
+the result with :func:`cached_group_slices`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 import threading
-import weakref
 from collections import OrderedDict
 from typing import Sequence
 
@@ -73,55 +76,19 @@ class ContentCache(threading.local):
         self._entries: OrderedDict[bytes, tuple] = OrderedDict()
         self._nbytes: dict[bytes, int] = {}
         self._total_bytes = 0
-        # identity fast path: fingerprints of *immutable* arrays, keyed
-        # by object id and guarded by a weakref (a recycled id cannot
-        # resolve to the original array)
-        self._id_memo: dict[int, tuple] = {}
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _is_immutable(array: np.ndarray) -> bool:
-        """Whether ``array``'s bytes provably cannot change.
-
-        True for non-writeable arrays that own their data or view
-        another non-writeable ndarray; a read-only view of a writeable
-        base (or of a foreign buffer) can still be mutated through the
-        base, so it never takes the identity fast path.
-        """
-        if array.flags.writeable:
-            return False
-        base = array.base
-        if base is None:
-            return True
-        base_flags = getattr(base, "flags", None)
-        return base_flags is not None and not base_flags.writeable
-
     def fingerprint(self, array: np.ndarray) -> bytes | None:
-        """Content digest of ``array``, or ``None`` when below the gate.
-
-        Immutable arrays (the memoized kernels hand these out) are
-        digested once per object: repeated fingerprints of the same
-        object are an O(1) identity lookup, not a hash pass.
-        """
+        """Content digest of ``array``, or ``None`` when below the gate."""
         if array.size < self.min_size:
             return None
-        immutable = self._is_immutable(array)
-        if immutable:
-            memo = self._id_memo.get(id(array))
-            if memo is not None and memo[0]() is array:
-                return memo[1]
         data = array if array.flags["C_CONTIGUOUS"] else (
             np.ascontiguousarray(array)
         )
         digest = hashlib.blake2b(data.data, digest_size=16)
         digest.update(f"{array.dtype.str}{array.shape}".encode())
-        result = digest.digest()
-        if immutable:
-            if len(self._id_memo) >= 4 * self.capacity:
-                self._id_memo.clear()
-            self._id_memo[id(array)] = (weakref.ref(array), result)
-        return result
+        return digest.digest()
 
     def get(self, key: bytes):
         entry = self._entries.get(key)
@@ -148,7 +115,6 @@ class ContentCache(threading.local):
     def clear(self) -> None:
         self._entries.clear()
         self._nbytes.clear()
-        self._id_memo.clear()
         self._total_bytes = 0
 
 
@@ -313,56 +279,12 @@ def cached_group_slices(
     return result
 
 
-def _concat_parts(
-    parts: Sequence[tuple[np.ndarray | None, int, int]]
-) -> np.ndarray:
+def _concat_parts(parts: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     """Materialize ``concat(ids + base, ...)`` in one output pass."""
-    out = np.empty(sum(part[1] for part in parts), dtype=np.int64)
+    out = np.empty(sum(len(ids) for ids, _ in parts), dtype=np.int64)
     position = 0
-    for ids, length, base in parts:
-        segment = out[position : position + length]
-        if ids is None:
-            segment[:] = base
-        else:
-            np.add(ids, base, out=segment, casting="unsafe")
-        position += length
+    for ids, base in parts:
+        segment = out[position : position + len(ids)]
+        np.add(ids, base, out=segment, casting="unsafe")
+        position += len(ids)
     return out
-
-
-def concat_group_slices(
-    parts: Sequence[tuple[np.ndarray | None, int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group a concatenated, base-shifted index stream, memoized by parts.
-
-    ``parts`` is a sequence of ``(ids, length, base)`` triples: each
-    contributes ``ids + base`` to the stream (``ids is None`` means a
-    constant run of ``base``, ``length`` elements long — a single-group
-    record).  The result equals ``group_slices`` of the materialized
-    stream, but the memo key folds the *parts'* content fingerprints
-    and bases rather than digesting the concatenation — so a repeated
-    round (an iterative superstep, an A/B benchmark repeat) hits
-    without materializing the stream at all, and the identity fast
-    path makes the per-part fingerprints O(1) for the immutable arrays
-    the memoized assignment kernels hand out.  Any part below the
-    digest gate falls back to grouping the materialized stream.
-    """
-    if len(parts) == 1 and parts[0][0] is not None and parts[0][2] == 0:
-        return cached_group_slices(parts[0][0])
-    hasher = hashlib.blake2b(digest_size=16)
-    for ids, length, base in parts:
-        if ids is None:
-            hasher.update(b"F" + struct.pack("<qq", base, length))
-        else:
-            fingerprint = GROUP_CACHE.fingerprint(ids)
-            if fingerprint is None:
-                return cached_group_slices(_concat_parts(parts))
-            hasher.update(b"P" + fingerprint + struct.pack("<q", base))
-    key = b"parts:" + hasher.digest()
-    hit = GROUP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = tuple(
-        _readonly(part) for part in group_slices(_concat_parts(parts))
-    )
-    GROUP_CACHE.put(key, result, sum(part.nbytes for part in result))
-    return result

@@ -18,6 +18,7 @@ from repro.plan import (
 )
 from repro.topology import artifacts
 from repro.topology.builders import two_level
+from repro.topology.tree import TreeTopology
 
 
 @pytest.fixture(scope="module")
@@ -140,28 +141,25 @@ class TestKeys:
         ) == cache.key(Scan("R0"), tree, {"R0": from_mapping}, "optimized")
 
     def test_a_hit_reads_the_fingerprint_the_artifact_cache_holds(
-        self, tree, catalog, monkeypatch
+        self, catalog, monkeypatch
     ):
-        fingerprinted = []
-        fingerprint = artifacts.topology_fingerprint
-        monkeypatch.setattr(
-            artifacts,
-            "topology_fingerprint",
-            lambda t: fingerprinted.append(t) or fingerprint(t),
-        )
+        memo = TreeTopology.__dict__["fingerprint"]
+        walk = memo.func
+        walked = []
+        monkeypatch.setattr(memo, "func", lambda t: walked.append(t) or walk(t))
+        tree = two_level([3, 3], uplink_bandwidth=2.0)
         cache = PlanCache()
         with artifacts.use_artifacts(artifacts.ArtifactCache()) as shared:
             first = optimize(chain_query(3), tree, catalog, cache=cache)
-            assert fingerprinted
-            del fingerprinted[:]
+            assert walked == [tree]
             hits = shared.hits
             assert optimize(chain_query(3), tree, catalog, cache=cache) is first
-            # one counted identity lookup, no second walk over the tree
-            assert fingerprinted == []
+            # one counted artifact-cache lookup, no second walk of the tree
+            assert walked == [tree]
             assert shared.hits == hits + 1
-        # cold callers fingerprint per lookup, as they always did
+        # cold callers key on the same digest
         assert cache.key(chain_query(3), tree, catalog, "optimized")[1] == (
-            fingerprint(tree)
+            artifacts.topology_fingerprint(tree)
         )
 
 

@@ -180,7 +180,8 @@ class TestRoundApi:
         assert origins.tolist() == [1]
         assert members.tolist() == [0, 2, 4]
         assert offsets.tolist() == [0, 3]
-        assert (ids, payload.tolist(), tag) == (None, [5], "m")
+        assert (ids.tolist(), payload.tolist(), tag) == ([0], [5], "m")
+        assert ids.dtype == np.intp
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -16,6 +16,7 @@ from repro.topology.artifacts import (
     use_artifacts,
 )
 from repro.topology.builders import star, two_level
+from repro.topology.tree import TreeTopology
 
 
 def _tree(name=None, uplink=2.0):
@@ -54,45 +55,47 @@ class TestTopologyArtifacts:
 
 
 @pytest.fixture
-def fingerprint_calls(monkeypatch):
-    """Every ``topology_fingerprint`` call the artifact layer makes."""
-    import repro.topology.artifacts as artifacts_module
-
+def digest_walks(monkeypatch):
+    """Every walk of a tree that computes its structural digest."""
+    memo = TreeTopology.__dict__["fingerprint"]
+    walk = memo.func
     calls = []
 
     def counted(tree):
         calls.append(tree)
-        return topology_fingerprint(tree)
+        return walk(tree)
 
-    monkeypatch.setattr(artifacts_module, "topology_fingerprint", counted)
+    monkeypatch.setattr(memo, "func", counted)
     return calls
 
 
 class TestFingerprintOncePerTree:
-    def test_one_shot_run_fingerprints_its_tree_once(self, fingerprint_calls):
+    def test_one_shot_run_fingerprints_its_tree_once(self, digest_walks):
         import repro
 
         tree = _tree()
         distribution = random_distribution(tree, r_size=40, s_size=40, seed=1)
         repro.run("set-intersection", tree, distribution)
-        assert fingerprint_calls == [tree]
+        assert digest_walks == [tree]
 
-    def test_cache_miss_hands_its_digest_to_the_artifacts(self, fingerprint_calls):
+    def test_cache_lookups_walk_the_tree_once(self, digest_walks):
         tree = _tree()
-        artifacts = ArtifactCache().get(tree)
-        assert fingerprint_calls == [tree]
+        cache = ArtifactCache()
+        artifacts = cache.get(tree)
+        assert cache.get(tree) is artifacts
+        assert digest_walks == [tree]
         assert artifacts.fingerprint == topology_fingerprint(tree)
 
     def test_artifacts_outside_a_cache_fingerprint_themselves(
-        self, fingerprint_calls
+        self, digest_walks
     ):
         tree = _tree()
         assert TopologyArtifacts(tree).fingerprint == topology_fingerprint(tree)
-        assert fingerprint_calls == [tree]
+        assert digest_walks == [tree]
 
 
 class TestArtifactCache:
-    def test_identity_hit_skips_fingerprinting(self):
+    def test_repeat_lookup_of_one_tree_hits(self):
         cache = ArtifactCache()
         tree = _tree()
         first = cache.get(tree)
@@ -114,6 +117,18 @@ class TestArtifactCache:
         assert len(cache) == 2
         # the first topology was evicted: re-getting rebuilds (a miss)
         cache.get(_tree(uplink=1.0))
+        assert cache.misses == 4
+
+    def test_a_hit_refreshes_recency(self):
+        # A, B, A, C with room for two: the second A made B the least
+        # recently used, so C evicts B and a rebuilt A still hits
+        cache = ArtifactCache(max_entries=2)
+        a, b, c = (_tree(uplink=bw) for bw in (1.0, 2.0, 4.0))
+        for tree in (a, b, a, c):
+            cache.get(tree)
+        assert cache.get(_tree(uplink=1.0)) is cache.get(a)
+        assert (cache.hits, cache.misses) == (3, 3)
+        cache.get(_tree(uplink=2.0))
         assert cache.misses == 4
 
     def test_counters_recorded_on_installed_registry(self):

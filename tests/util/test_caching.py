@@ -12,8 +12,8 @@ import pytest
 from repro.util.grouping import (
     GROUP_CACHE,
     ContentCache,
+    _concat_parts,
     cached_group_slices,
-    concat_group_slices,
     group_slices,
 )
 from repro.util.hashing import ASSIGN_CACHE, WeightedNodeHasher
@@ -65,35 +65,22 @@ class TestContentCache:
         assert cache.get(b"a") is None
         assert cache.get(b"b") == 2
 
-    def test_immutable_arrays_take_the_identity_fast_path(self):
+    def test_fingerprint_is_the_content_digest(self):
+        # a read-only array is digested like any other: equal bytes,
+        # equal fingerprint, from this cache or a fresh one
         cache = ContentCache(min_size=1)
         array = np.arange(16, dtype=np.int64)
         array.setflags(write=False)
         first = cache.fingerprint(array)
-        assert id(array) in cache._id_memo
         assert cache.fingerprint(array) == first
-        # the fast path must agree with a from-scratch digest
         assert ContentCache(min_size=1).fingerprint(array.copy()) == first
 
-    def test_writeable_arrays_are_never_identity_memoized(self):
+    def test_mutation_changes_the_fingerprint(self):
         cache = ContentCache(min_size=1)
         array = np.arange(16, dtype=np.int64)
         before = cache.fingerprint(array)
-        assert id(array) not in cache._id_memo
-        array[0] = 99  # a mutation must change the fingerprint
+        array[0] = 99
         assert cache.fingerprint(array) != before
-
-    def test_readonly_view_of_writeable_base_is_not_memoized(self):
-        # the base can still mutate the bytes, so identity is not
-        # enough to prove content stability
-        cache = ContentCache(min_size=1)
-        base = np.arange(16, dtype=np.int64)
-        view = base.view()
-        view.setflags(write=False)
-        before = cache.fingerprint(view)
-        assert id(view) not in cache._id_memo
-        base[0] = 99
-        assert cache.fingerprint(view) != before
 
 
 class TestCachedGroupSlices:
@@ -122,58 +109,68 @@ class TestCachedGroupSlices:
         cached_group_slices(indices)
         assert (GROUP_CACHE.hits, GROUP_CACHE.misses) == (hits, misses)
 
+    def test_readonly_view_of_a_mutated_base_regroups(self):
+        # the view cannot be written, but its base can: the second call
+        # must see the new bytes, not a grouping keyed by the object
+        base = np.zeros(4000, dtype=np.int64)
+        view = base.view()
+        view.setflags(write=False)
+        first = cached_group_slices(view)
+        assert first[1].tolist() == [0]
+        base[::2] = 3
+        second = cached_group_slices(view)
+        assert second[1].tolist() == [0, 3]
+        for cached, plain in zip(second, group_slices(base.copy())):
+            assert np.array_equal(cached, plain)
 
-class TestConcatGroupSlices:
+
+class TestConcatParts:
+    """A round's multicast id stream: ``_concat_parts`` materializes it
+    and the content memo groups it."""
+
     def _parts(self):
         rng = np.random.default_rng(11)
         a = rng.integers(0, 5, size=3000)
         b = rng.integers(0, 7, size=2000)
-        return [(a, len(a), 0), (None, 1500, 5), (b, len(b), 6)]
+        return [(a, 0), (np.zeros(1500, np.intp), 5), (b, 6)]
 
     def _materialized(self, parts):
-        segments = [
-            np.full(length, base, np.int64) if ids is None else ids + base
-            for ids, length, base in parts
-        ]
-        return np.concatenate(segments)
+        return np.concatenate([ids + base for ids, base in parts])
 
     def test_matches_grouping_the_materialized_stream(self):
         parts = self._parts()
-        result = concat_group_slices(parts)
+        assert np.array_equal(_concat_parts(parts), self._materialized(parts))
+        result = cached_group_slices(_concat_parts(parts))
         plain = group_slices(self._materialized(parts))
         for fused, expected in zip(result, plain):
             assert np.array_equal(fused, expected)
 
-    def test_repeated_parts_hit_without_materializing(self):
+    def test_repeated_parts_hit_on_the_stream_content(self):
         parts = self._parts()
-        first = concat_group_slices(parts)
+        first = cached_group_slices(_concat_parts(parts))
         hits_before = GROUP_CACHE.hits
-        second = concat_group_slices([(p[0], p[1], p[2]) for p in parts])
+        second = cached_group_slices(
+            _concat_parts([(ids.copy(), base) for ids, base in parts])
+        )
         assert second is first
         assert GROUP_CACHE.hits == hits_before + 1
 
-    def test_single_part_at_base_zero_delegates(self):
-        rng = np.random.default_rng(12)
-        ids = rng.integers(0, 9, size=4000)
-        assert concat_group_slices([(ids, len(ids), 0)]) is (
-            cached_group_slices(ids)
-        )
-
-    def test_small_parts_fall_back_correctly(self):
+    def test_small_parts_match_the_materialized_stream(self):
         parts = [
-            (np.asarray([2, 0, 1]), 3, 0),
-            (None, 2, 3),
-            (np.asarray([1, 0]), 2, 4),
+            (np.asarray([2, 0, 1]), 0),
+            (np.zeros(2, np.intp), 3),
+            (np.asarray([1, 0]), 4),
         ]
-        result = concat_group_slices(parts)
+        result = cached_group_slices(_concat_parts(parts))
         plain = group_slices(self._materialized(parts))
         for fused, expected in zip(result, plain):
             assert np.array_equal(fused, expected)
 
     def test_base_shift_distinguishes_equal_ids(self):
         ids = np.zeros(2000, dtype=np.int64)
-        low = concat_group_slices([(ids, len(ids), 0), (None, 1, 1)])
-        high = concat_group_slices([(ids, len(ids), 3), (None, 1, 0)])
+        one = np.zeros(1, np.intp)
+        low = cached_group_slices(_concat_parts([(ids, 0), (one, 1)]))
+        high = cached_group_slices(_concat_parts([(ids, 3), (one, 0)]))
         assert low[1].tolist() == [0, 1]
         assert high[1].tolist() == [0, 3]
 
