@@ -65,6 +65,16 @@ import repro.queries.aggregate  # noqa: F401
 import repro.queries.join  # noqa: F401
 
 
+def _verify_output_nodes(tree: TreeTopology, result: ProtocolResult) -> None:
+    """Only compute nodes hold data (Section 2), outputs included."""
+    if not result.outputs.keys() <= tree.compute_nodes:
+        stray = next(node for node in result.outputs if node not in tree.compute_nodes)
+        raise ProtocolError(
+            f"{result.protocol} left output at {stray!r}, which is not a "
+            "compute node"
+        )
+
+
 def _verify_intersection(
     tree: TreeTopology, distribution: Distribution, result: ProtocolResult
 ) -> None:
@@ -321,6 +331,7 @@ def run_with_result(
         if verify and task_spec.verifier is not None:
             with tracer.span("engine.verify", category="verify"):
                 try:
+                    _verify_output_nodes(tree, result)
                     task_spec.verifier(tree, distribution, result)
                 except Exception:
                     if run_labels is not None:

@@ -18,7 +18,8 @@ package opens that workload family on the same cost model:
 - **`degrees`** — degree tables reusing the registered
   ``groupby-aggregate`` protocols;
 - **`reference`** — single-machine ground truth (union-find,
-  adjacency-intersection counting) backing the verifiers.
+  adjacency-intersection counting): the triangle verifier's answer and
+  the connectivity kernel's test oracle.
 
 Quick start::
 

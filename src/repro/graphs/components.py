@@ -44,7 +44,6 @@ from repro.graphs.model import (
     PlacedGraph,
     decode_edges,
 )
-from repro.graphs.reference import reference_components
 from repro.queries.aggregate import GroupOutputs
 from repro.queries.tuples import decode_tuples, encode_tuples
 from repro.registry import register_protocol, register_task
@@ -66,6 +65,15 @@ _GATHER_RECV = "cc.gather.recv"
 # --------------------------------------------------------------------- #
 # lower bound + verification
 # --------------------------------------------------------------------- #
+
+
+def _edge_components(distribution: Distribution, tag: str):
+    """The global edge list's sorted distinct endpoints, each edge's
+    source row among them, and every endpoint's component root row."""
+    vertices, src_row, dst_row = _endpoint_rows(
+        *decode_edges(distribution.relation(tag))
+    )
+    return vertices, src_row, component_roots(src_row, dst_row, len(vertices))
 
 
 def components_lower_bound(
@@ -93,14 +101,12 @@ def components_lower_bound(
     full-duplex factor included.
     """
     tree.require_symmetric("the connectivity lower bound")
-    vertices, src_row, dst_row = _endpoint_rows(
-        *decode_edges(distribution.column(tag)[0])
-    )
+    _, src_row, roots = _edge_components(distribution, tag)
     return LowerBound.from_shared_keys(
         tree,
         column_holders(tree, distribution, tag),
         # an edge lies in the component of its source endpoint
-        component_roots(src_row, dst_row, len(vertices))[src_row],
+        roots[src_row],
         "per-link spanning-component counting (connectivity)",
     )
 
@@ -108,11 +114,15 @@ def components_lower_bound(
 def _verify_components(
     tree: TreeTopology, distribution: Distribution, result: ProtocolResult
 ) -> None:
-    """Each non-isolated vertex must appear once, with its component min
-    (the union-find oracle's, which shares no code with the kernels)."""
+    """Each non-isolated vertex must appear once, with its component min.
+
+    The expected labelling is :func:`component_roots` over the global
+    edge list — the kernel the protocols use too, so this checks what
+    they deliver and emit; the kernel itself is checked against the
+    union-find oracle in tier-1 tests.
+    """
     tag = result.meta.get("tag", DEFAULT_EDGE_TAG)
-    src, dst = decode_edges(distribution.relation(tag))
-    expected = reference_components(np.stack([src, dst], axis=1))
+    expected, _, roots = _edge_components(distribution, tag)
     owned = GroupOutputs.of(result.outputs)
     order = np.argsort(owned.keys_array, kind="stable")
     vertices = owned.keys_array[order]
@@ -122,10 +132,9 @@ def _verify_components(
             f"{result.protocol} emitted vertex {owned.keys_array[again.min()]} "
             "at two nodes"
         )
-    expected = KeyValueArrays.from_dict(expected)
     if not (
-        np.array_equal(vertices, expected.keys_array)
-        and np.array_equal(owned.values_array[order], expected.values_array)
+        np.array_equal(vertices, expected)
+        and np.array_equal(owned.values_array[order], expected[roots])
     ):
         raise ProtocolError(
             f"{result.protocol} produced a wrong labelling "

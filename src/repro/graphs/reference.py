@@ -1,10 +1,12 @@
 """Single-machine reference implementations for the graph tasks.
 
-These are the ground truth the distributed protocols are verified
-against — the graph analogue of ``np.intersect1d`` for set
-intersection.  They run on the concatenated global edge list and are
-deliberately simple: union-find for connectivity, sorted-adjacency
-intersection for triangles, ``bincount`` for degrees.
+They run on the concatenated global edge list and are deliberately
+simple: union-find for connectivity, sorted-adjacency intersection for
+triangles, ``bincount`` for degrees.  The triangle count is the
+``triangle-count`` run verifier's ground truth.  The union-find is not
+a run verifier (connectivity runs are checked with the array kernel
+:func:`repro.util.components.component_roots`); it is that kernel's
+test oracle and the examples' independent check.
 """
 
 from __future__ import annotations

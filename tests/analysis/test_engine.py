@@ -1,6 +1,7 @@
 """Tests for the unified engine: run(), run_many(), report round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,12 +12,22 @@ from repro.analysis.suites import (
     placement_policies,
     standard_topologies,
 )
-from repro.engine import RunPlan, run, run_many
+from repro import registry
+from repro.engine import RunPlan, run, run_many, run_with_result
 from repro.errors import AnalysisError, ProtocolError
 from repro.obs.metrics import collecting, parse_label_key
 from repro.registry import get_task
 from repro.report import RunReport
 from repro.topology.builders import star, two_level
+
+
+def task_distribution(tree, task: str):
+    """A small input of the shape ``task`` reads."""
+    if task in TUPLE_SUITE_TASKS:
+        return repro.random_tuple_distribution(tree, r_size=100, s_size=100, seed=1)
+    if task in GRAPH_SUITE_TASKS:
+        return repro.random_graph_distribution(tree, num_edges=100, seed=1)
+    return repro.random_distribution(tree, r_size=100, s_size=100, seed=1)
 
 
 @pytest.fixture
@@ -50,16 +61,12 @@ class TestRun:
     def test_every_registered_protocol_runs_and_verifies(
         self, instance, task, protocol
     ):
-        tree, dist = instance
+        tree, _ = instance
         if repro.get_protocol(task, protocol).topology == "star":
             tree = star(4)
             dist = repro.random_distribution(tree, r_size=50, s_size=50, seed=2)
-        elif task in TUPLE_SUITE_TASKS:
-            dist = repro.random_tuple_distribution(
-                tree, r_size=100, s_size=100, seed=1
-            )
-        elif task in GRAPH_SUITE_TASKS:
-            dist = repro.random_graph_distribution(tree, num_edges=100, seed=1)
+        else:
+            dist = task_distribution(tree, task)
         report = run(task, tree, dist, protocol=protocol, seed=0)
         assert report.task == task
         assert report.cost >= 0
@@ -68,13 +75,8 @@ class TestRun:
     def test_root_span_and_run_series_labels(self, instance, task):
         """The root span and the engine's metric series carry the task,
         protocol, topology and placement, and no execution label."""
-        tree, dist = instance
-        if task in TUPLE_SUITE_TASKS:
-            dist = repro.random_tuple_distribution(
-                tree, r_size=100, s_size=100, seed=1
-            )
-        elif task in GRAPH_SUITE_TASKS:
-            dist = repro.random_graph_distribution(tree, num_edges=100, seed=1)
+        tree, _ = instance
+        dist = task_distribution(tree, task)
         protocol = get_task(task).default_protocol
         with repro.tracing() as tracer, collecting() as registry:
             report = run(task, tree, dist, placement="zipf")
@@ -228,6 +230,34 @@ class TestRun:
         agg = run("groupby-aggregate", tree, dist, seed=1)
         assert agg.task == "groupby-aggregate"
         assert agg.lower_bound == 0.0
+
+    @pytest.mark.parametrize("stray", ["w2", "nope"])
+    @pytest.mark.parametrize("task", repro.tasks())
+    def test_output_off_the_compute_nodes_is_rejected(
+        self, monkeypatch, task, stray
+    ):
+        """Only compute nodes hold data (Section 2): one node's output
+        moved to a router or to a name outside the tree fails the run,
+        whatever the task's own verifier checks."""
+        tree = two_level([4, 4])
+        dist = task_distribution(tree, task)
+        spec = repro.get_protocol(task, get_task(task).default_protocol)
+
+        def moved(*args, **kwargs):
+            result = spec.func(*args, **kwargs)
+            outputs = dict(result.outputs)
+            outputs[stray] = outputs.pop(next(iter(outputs)))
+            return replace(result, outputs=outputs)
+
+        monkeypatch.setitem(
+            registry._PROTOCOL_SPECS,
+            (spec.task, spec.name),
+            replace(spec, func=moved),
+        )
+        with pytest.raises(
+            ProtocolError, match=f"at {stray!r}, which is not a compute node"
+        ):
+            run_with_result(task, tree, dist)
 
 
 class TestRunMany:

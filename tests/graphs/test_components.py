@@ -1,5 +1,7 @@
 """Tests for the connected-components task and its protocols."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,66 @@ from repro.data.distribution import Distribution
 from repro.topology.builders import star, two_level
 
 PROTOCOLS = ("tree", "uniform-hash", "gather")
+
+
+def _relabel(outputs: dict, relabel) -> None:
+    """Replace every label ``l`` by ``relabel(vertex, l)``, in place."""
+    for labels in outputs.values():
+        for vertex, label in labels.items():
+            labels[vertex] = relabel(vertex, label)
+
+
+def _components(outputs: dict) -> dict:
+    """``{label: sorted vertices}`` over every node's output."""
+    members: dict = {}
+    for labels in outputs.values():
+        for vertex, label in labels.items():
+            members.setdefault(label, []).append(vertex)
+    return {label: sorted(vertices) for label, vertices in members.items()}
+
+
+def _merge_two(outputs: dict) -> None:
+    first, second = sorted(_components(outputs))[:2]
+    _relabel(outputs, lambda v, label: first if label == second else label)
+
+
+def _split_one(outputs: dict) -> None:
+    _, vertices = min(_components(outputs).items())
+    upper = set(vertices[len(vertices) // 2 :])
+    _relabel(outputs, lambda v, label: min(upper) if v in upper else label)
+
+
+def _label_by_max(outputs: dict) -> None:
+    root, vertices = min(_components(outputs).items())
+    _relabel(outputs, lambda v, label: vertices[-1] if label == root else label)
+
+
+def _emit_twice(outputs: dict) -> None:
+    source, target = [node for node, labels in outputs.items() if labels][:2]
+    vertex, label = next(iter(outputs[source].items()))
+    outputs[target][vertex] = label
+
+
+def _drop_one(outputs: dict) -> None:
+    labels = next(labels for labels in outputs.values() if labels)
+    del labels[next(iter(labels))]
+
+
+def _add_isolated(outputs: dict) -> None:
+    labels = next(labels for labels in outputs.values() if labels)
+    extra = 1 + max(max(labels) for labels in outputs.values() if labels)
+    labels[extra] = extra
+
+
+#: corruption of a correct labelling -> the verifier message it must raise
+BAD_LABELLINGS = {
+    "merged-components": (_merge_two, "wrong labelling"),
+    "split-component": (_split_one, "wrong labelling"),
+    "label-not-minimum": (_label_by_max, "wrong labelling"),
+    "vertex-at-two-nodes": (_emit_twice, "at two nodes"),
+    "missing-vertex": (_drop_one, "wrong labelling"),
+    "extra-vertex": (_add_isolated, "wrong labelling"),
+}
 
 
 @pytest.fixture
@@ -119,6 +181,29 @@ class TestEngineIntegration:
         )
         with pytest.raises(ProtocolError):
             _verify_components(tree, graph.distribution, bogus)
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELLINGS))
+    def test_verifier_rejects_bad_labellings(self, instance, case):
+        """Each corruption of a real ``tree`` run's labelling is caught."""
+        tree, graph = instance
+        from repro.engine import run_with_result
+        from repro.graphs.components import _verify_components
+
+        _, result = run_with_result(
+            "connected-components",
+            tree,
+            graph.distribution,
+            protocol="tree",
+            seed=7,
+        )
+        _verify_components(tree, graph.distribution, result)
+        outputs = {node: dict(labels) for node, labels in result.outputs.items()}
+        corrupt, message = BAD_LABELLINGS[case]
+        corrupt(outputs)
+        with pytest.raises(ProtocolError, match=message):
+            _verify_components(
+                tree, graph.distribution, replace(result, outputs=outputs)
+            )
 
 
 class TestCostModel:

@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.generators import (
+    gnm_random_graph,
+    planted_components_graph,
+    powerlaw_graph,
+)
 from repro.graphs.reference import reference_components
 from repro.util import components
 from repro.util.components import component_roots
@@ -81,6 +86,32 @@ def test_one_call_for_several_fragments(instances):
         assert np.array_equal(
             batched[base : base + n], component_roots(u, v, n) + base
         )
+
+
+GRAPH_FAMILIES = {
+    # graph_cc's shape: average degree 16, one giant component
+    "gnm-degree-16": lambda seed: gnm_random_graph(1_500, 12_000, seed=seed),
+    "planted": lambda seed: planted_components_graph(8, 200, seed=seed),
+    # hubs plus dust: components of very different sizes
+    "powerlaw": lambda seed: powerlaw_graph(
+        4_000, 6_000, exponent=1.2, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_matches_union_find_on_graph_families(family, seed):
+    """The connected-components run verifier's expected labelling — the
+    kernel over the edges' distinct endpoints — is union-find's, exactly,
+    on every graph family the generators emit."""
+    edges = GRAPH_FAMILIES[family](seed)
+    vertices, rows = np.unique(edges, return_inverse=True)
+    rows = rows.reshape(edges.shape)
+    labels = vertices[component_roots(rows[:, 0], rows[:, 1], len(vertices))]
+    assert dict(zip(vertices.tolist(), labels.tolist())) == reference_components(
+        edges
+    )
 
 
 def test_contract():
