@@ -84,10 +84,12 @@ def main() -> None:
             {"task": "cartesian-product", "distribution": workload[1]},
             {"task": "sorting", "distribution": workload[2]},
         ]
-        # Every task carries a certified lower bound — a promise, not
-        # an estimate.  A tight budget rejects the most expensive
-        # certified query before spending anything on it; the admitted
-        # rest run cheapest bound first.
+        # Every task carries a lower bound.  A tight budget rejects the
+        # query with the largest bound before spending anything on it;
+        # the admitted rest run cheapest bound first.  These three
+        # bounds are the paper's worst-case theorems, so a rejected
+        # query might still have cost less than its bound (ROADMAP
+        # item 1(b) makes bounds say which kind they are).
         bounds = [session.lower_bound(plan) for plan in batch]
         budget = sorted(bounds)[1] + 1  # admit the two cheapest
         reports = session.run_many(batch, max_bound=budget)

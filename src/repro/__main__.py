@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 
 from repro.report import aggregate, summarize_reports
 from repro.analysis.suites import (
@@ -739,21 +740,21 @@ def _dispatch(args: argparse.Namespace, handlers: dict) -> int:
     write the Chrome-trace / metrics-snapshot JSON on exit (skipped for
     the commands that already own that plumbing); ``--audit`` adds a
     :class:`~repro.obs.CostAuditor` and, in ``record`` mode, turns any
-    violation into a non-zero exit.  All three go into one run context
-    around the command.
+    violation into a non-zero exit.  Their front-ends nest into one run
+    context around the command.
     """
-    from repro.context import use
-    from repro.obs import CostAuditor, MetricsRegistry, Tracer
+    from repro.obs import auditing, collecting, tracing
 
     tracer = registry = auditor = None
-    hooks = {}
-    if args.trace is not None and args.command != "trace":
-        tracer = hooks["tracer"] = Tracer()
-    if args.metrics is not None and args.command != "metrics":
-        registry = hooks["registry"] = MetricsRegistry()
-    if args.audit != "off":
-        auditor = hooks["auditor"] = CostAuditor(strict=args.audit == "strict")
-    with use(**hooks):
+    with ExitStack() as hooks:
+        if args.trace is not None and args.command != "trace":
+            tracer = hooks.enter_context(tracing())
+        if args.metrics is not None and args.command != "metrics":
+            registry = hooks.enter_context(collecting())
+        if args.audit != "off":
+            auditor = hooks.enter_context(
+                auditing(strict=args.audit == "strict")
+            )
         status = handlers[args.command](args)
     if tracer is not None:
         from repro.obs import span_metrics, write_chrome_trace

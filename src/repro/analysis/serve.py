@@ -20,9 +20,8 @@ from repro.plan.relation import chain_catalog, star_catalog
 from repro.topology.tree import TreeTopology
 
 #: Fields stripped before comparing warm and cold reports: wall-clock
-#: is the only thing allowed to differ, and the metrics summary embeds
-#: registry state (counter totals) rather than query output.
-_NONDETERMINISTIC_KEYS = ("wall_time_s", "metrics")
+#: is the only thing allowed to differ.
+_NONDETERMINISTIC_KEYS = ("wall_time_s",)
 
 
 def strip_report(report) -> dict:

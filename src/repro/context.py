@@ -8,17 +8,20 @@ context.  :func:`current` reads it; :func:`use`
 installs a changed copy for the duration of a block and restores the
 previous context in a ``finally``, so nesting and exceptions are safe.
 
-The front-ends ``tracing()``, ``collecting()``, ``auditing()`` and
-``use_artifacts()`` are ``use`` with one field changed, and
-``get_tracer()`` / ``get_registry()`` / ``get_auditor()`` read one
-field of ``current()``.
+The front-ends ``tracing()``, ``auditing()`` and ``use_artifacts()``
+are ``use`` with one field changed, and ``get_tracer()`` /
+``get_auditor()`` read one field of ``current()``.  The registry is
+not called by instrumented code: the recording tracer folds every span
+it closes into the registry of the current context.  So a registry
+counts only under a recording tracer, and ``collecting()`` installs a
+:class:`~repro.obs.tracer.FoldingTracer` beside it when none is.
 
-A context is safe to share between threads: the recording tracer, the
-registry, the auditor and the artifact cache lock their shared state,
-and both tracers keep their open-span stacks per thread.  So
-``run_many`` captures ``current()`` once and installs it unchanged on
-every executor thread, and a new thread (or a pool worker) starts from
-:func:`default`.
+A context is safe to share between threads: the recording tracer (and
+the registry folds under its lock), the auditor and the artifact cache
+lock their shared state, and both tracers keep their open-span stacks
+per thread.  So ``run_many`` captures ``current()`` once and installs
+it unchanged on every executor thread, and a new thread (or a pool
+worker) starts from :func:`default`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
     from repro.topology.artifacts import ArtifactCache
 
 
@@ -36,12 +40,13 @@ if TYPE_CHECKING:
 class RunContext:
     """Everything a run reads besides its inputs.
 
-    ``artifacts`` is ``None`` outside a session or run scope, and
-    clusters then build private artifacts.
+    ``registry`` is ``None`` outside ``collecting()``; ``artifacts``
+    is ``None`` outside a session or run scope, and clusters then build
+    private artifacts.
     """
 
     tracer: Any
-    registry: Any
+    registry: MetricsRegistry | None
     auditor: Any
     artifacts: ArtifactCache | None = None
 
@@ -50,16 +55,15 @@ _DEFAULT: RunContext | None = None  # built on first use
 
 
 def default() -> RunContext:
-    """The context every thread starts from: no-op tracer, registry
-    and auditor, no artifact cache."""
+    """The context every thread starts from: no-op tracer and auditor,
+    no registry, no artifact cache."""
     global _DEFAULT
     if _DEFAULT is None:
         # imported on first use: the obs modules import this one
         from repro.obs.audit import NullAuditor
-        from repro.obs.metrics import NullRegistry
         from repro.obs.tracer import NullTracer
 
-        _DEFAULT = RunContext(NullTracer(), NullRegistry(), NullAuditor())
+        _DEFAULT = RunContext(NullTracer(), None, NullAuditor())
     return _DEFAULT
 
 

@@ -28,7 +28,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.context import RunContext, current, use
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.report import RunReport
 from repro.core.cartesian.lower_bounds import cartesian_lower_bound
 from repro.core.intersection.lower_bound import intersection_lower_bound
@@ -297,12 +296,6 @@ def run_with_result(
     spec = get_protocol(task_spec.name, protocol or task_spec.default_protocol)
     context = current()
     tracer = context.tracer
-    registry = context.registry
-    run_labels = (
-        {"task": task_spec.name, "protocol": spec.name}
-        if registry.enabled
-        else None
-    )
     # The root span of a task execution: everything below — supersteps,
     # plan stages, rounds — nests under it.
     with tracer.span(
@@ -314,44 +307,21 @@ def run_with_result(
         placement=placement,
     ) as root:
         started = perf_counter()
-        try:
-            # A one-shot artifact scope: clusters the protocol builds
-            # (one for most tasks, one per superstep for graph drivers)
-            # share topology artifacts within this run; inside an
-            # EngineSession the session's long-lived cache is reused
-            # instead — run() is a thin one-shot session.
-            with use(artifacts=_run_artifacts(context)):
-                result = spec.call(tree, distribution, seed=seed, **opts)
-        except Exception:
-            if run_labels is not None:
-                registry.counter(
-                    "repro_runs_total", status="error", **run_labels
-                ).inc()
-            raise
+        # A one-shot artifact scope: clusters the protocol builds
+        # (one for most tasks, one per superstep for graph drivers)
+        # share topology artifacts within this run; inside an
+        # EngineSession the session's long-lived cache is reused
+        # instead — run() is a thin one-shot session.
+        with use(artifacts=_run_artifacts(context)):
+            result = spec.call(tree, distribution, seed=seed, **opts)
         if verify and task_spec.verifier is not None:
-            with tracer.span("engine.verify", category="verify"):
-                try:
-                    _verify_output_nodes(tree, result)
-                    task_spec.verifier(tree, distribution, result)
-                except Exception:
-                    if run_labels is not None:
-                        registry.counter(
-                            "repro_verify_total",
-                            outcome="fail",
-                            task=task_spec.name,
-                        ).inc()
-                        registry.counter(
-                            "repro_runs_total", status="error", **run_labels
-                        ).inc()
-                    raise
-            if run_labels is not None:
-                registry.counter(
-                    "repro_verify_total", outcome="pass", task=task_spec.name
-                ).inc()
-        elif run_labels is not None:
-            registry.counter(
-                "repro_verify_total", outcome="skipped", task=task_spec.name
-            ).inc()
+            with tracer.span(
+                "engine.verify", category="verify", task=task_spec.name
+            ):
+                _verify_output_nodes(tree, result)
+                task_spec.verifier(tree, distribution, result)
+        else:
+            root.set(verify="skipped")
         bound = None
         if task_spec.lower_bound is not None:
             bound_opts = {
@@ -365,16 +335,9 @@ def run_with_result(
                 )
         # what the caller waited for: protocol, verify and bound
         wall_time_s = perf_counter() - started
-        if run_labels is not None:
-            registry.histogram(
-                "repro_run_seconds",
-                buckets=LATENCY_BUCKETS,
-                task=task_spec.name,
-            ).observe(wall_time_s)
-            registry.counter(
-                "repro_runs_total", status="ok", **run_labels
-            ).inc()
-        root.set(cost=result.cost, rounds=result.rounds)
+        root.set(
+            cost=result.cost, rounds=result.rounds, wall_time_s=wall_time_s
+        )
     auditor = context.auditor
     if auditor.enabled and bound is not None:
         auditor.check_bound(
@@ -388,8 +351,6 @@ def run_with_result(
         "result": result.meta,
         "bound": bound.description if bound is not None else "",
     }
-    if registry.enabled:
-        meta["metrics"] = registry.summary()
     report = RunReport(
         task=task_spec.name,
         protocol=result.protocol,

@@ -338,6 +338,7 @@ def _hash_to_min(
             task="connected-components",
             protocol="label-return",
             label=f"superstep {step} return",
+            input_size=int(ships.sum()),
         ) as ctx:
             ctx.exchange_multicast_column(
                 group_owner,
@@ -350,7 +351,6 @@ def _hash_to_min(
                 ),
                 tag=_LABEL_RECV,
             )
-        driver.set_last_input_size(int(ships.sum()))
         received = [
             driver.cluster.take(computes[i], _LABEL_RECV)
             for i in holders.tolist()

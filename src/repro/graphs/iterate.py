@@ -29,7 +29,6 @@ from typing import Iterator
 
 from repro.data.distribution import Distribution
 from repro.graphs.model import PlacedGraph
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.report import GraphRunReport, RunReport
 from repro.sim.cluster import Cluster, RoundContext, make_cluster
@@ -102,7 +101,7 @@ class SuperstepDriver:
 
         with get_tracer().span(
             label, category="superstep", task=task, step="protocol"
-        ):
+        ) as span:
             report, result = run_with_result(
                 task,
                 self._tree,
@@ -114,7 +113,7 @@ class SuperstepDriver:
                 **opts,
             )
             self._absorb(result.ledger)
-        self._record_step_metrics(task, "protocol", distribution.total())
+            span.set(elements=distribution.total())
         self._steps.append(report)
         return result
 
@@ -131,16 +130,18 @@ class SuperstepDriver:
 
         Sends registered inside the block are routed, delivered and
         charged by the shared cluster; on exit the round becomes one
-        zero-bound :class:`RunReport` row labelled ``label``.
+        zero-bound :class:`RunReport` row labelled ``label``, and
+        ``input_size`` (the elements the round ships) is both the row's
+        input size and the ``elements`` attribute of its span.
         """
         started = perf_counter()
         with get_tracer().span(
             label, category="superstep", task=task, step="cluster-round"
-        ):
+        ) as span:
             with self._cluster.round() as ctx:
                 yield ctx
+            span.set(elements=input_size)
         index = self.ledger.num_rounds - 1
-        self._record_step_metrics(task, "cluster-round", input_size)
         self._steps.append(
             RunReport(
                 task=task,
@@ -155,50 +156,6 @@ class SuperstepDriver:
                 wall_time_s=perf_counter() - started,
             )
         )
-
-    def set_last_input_size(self, input_size: int) -> None:
-        """Record a step's input volume after the round has closed.
-
-        Return legs only know how many elements they shipped once the
-        round's sends are enumerated, which is after
-        :meth:`cluster_round` already built the report row.
-        """
-        if not self._steps:
-            return
-        from dataclasses import replace
-
-        previous = self._steps[-1].input_size
-        task = self._steps[-1].task
-        self._steps[-1] = replace(self._steps[-1], input_size=input_size)
-        registry = get_registry()
-        if registry.enabled and input_size > previous:
-            # The round's element count was unknown when the row was
-            # built; count the late-reported volume now.
-            registry.counter(
-                "repro_superstep_elements_total",
-                task=task,
-                phase="cluster-round",
-            ).inc(input_size - previous)
-
-    def _record_step_metrics(
-        self, task: str, phase: str, elements: int
-    ) -> None:
-        """Per-phase superstep counters (the Snippet-1 discipline).
-
-        ``phase`` distinguishes engine-dispatched protocol steps from
-        driver-level cluster rounds, so a workload's step mix — and the
-        element volume each phase moved — is scrapeable per task.
-        """
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        registry.counter(
-            "repro_supersteps_total", task=task, phase=phase
-        ).inc()
-        if elements:
-            registry.counter(
-                "repro_superstep_elements_total", task=task, phase=phase
-            ).inc(int(elements))
 
     def _absorb(self, ledger: CostLedger) -> None:
         """Replay an inner protocol's per-round loads into the master.

@@ -2,18 +2,21 @@
 
 The cost model says what a protocol *should* cost per round; this
 package records where wall-clock time and bytes *actually* go as a run
-flows engine → plan stages → supersteps → round finalization, keeps standing counters a long-lived engine can expose, and
-audits the Section-2 invariants on every finalized round.  Zero
-dependencies, zero configuration: the tracer, registry and auditor are
-fields of the run context (:mod:`repro.context`), whose default holds
-no-op instances, so instrumented code pays one context read when
-observability is off.
+flows engine → plan stages → supersteps → round finalization, keeps
+standing counters a long-lived engine can expose, and audits the
+Section-2 invariants on every finalized round.  Closing a span is the
+only emission: the counters are a fold over closed spans, so every fact
+is a span attribute first.  Zero dependencies, zero configuration: the
+tracer, registry and auditor are fields of the run context
+(:mod:`repro.context`), whose default holds a no-op tracer and
+auditor and no registry, so instrumented code pays one context read
+when observability is off.
 
 * :mod:`repro.obs.tracer` — nested spans and Chrome-trace export
   (``tracing()`` / ``--trace``).
-* :mod:`repro.obs.metrics` — labeled Counter/Gauge/Histogram registry
-  with Prometheus text + JSON snapshot exposition (``collecting()`` /
-  ``--metrics``).
+* :mod:`repro.obs.metrics` — the fold table from span attributes to
+  labeled counter and histogram families, with Prometheus text + JSON
+  snapshot exposition (``collecting()`` / ``--metrics``).
 * :mod:`repro.obs.audit` — per-round cost-model invariant checks
   (``auditing()`` / ``--audit``), strict or recording.
 
@@ -45,9 +48,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
-    NullRegistry,
     collecting,
-    get_registry,
     prometheus_text,
     write_snapshot,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "CostAuditor",
     "MetricsRegistry",
     "NullAuditor",
-    "NullRegistry",
     "NullTracer",
     "Span",
     "SpanEvent",
@@ -71,7 +71,6 @@ __all__ = [
     "chrome_trace",
     "collecting",
     "get_auditor",
-    "get_registry",
     "get_tracer",
     "prometheus_text",
     "span_metrics",

@@ -27,16 +27,17 @@ after every finalized round:
     bound is legitimate and is only counted as
     ``repro_bound_beats_total``.
 
-Violations are recorded on the installed metrics registry as
-``repro_audit_violations_total{invariant=...}`` and accumulated on the
-auditor; in strict mode the first violation raises
+Every violation is one small ``audit`` span (``invariant``,
+``violations=1``), which the metrics registry folds into
+``repro_audit_violations_total{invariant=...}``, and is accumulated on
+the auditor; in strict mode the first violation raises
 :class:`~repro.errors.AuditError`.  A query sent to a pool worker
 (``run_many(executor="process")``, ``run(backend="process")``) runs
 there from the default context, unaudited.
 
 The default auditor is :class:`NullAuditor`: one run-context read per
 round, no snapshots, no checks — the same disabled-path
-contract as ``NullTracer`` and ``NullRegistry``.
+contract as ``NullTracer``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from repro.context import current, use
 from repro.errors import AuditError
-from repro.obs.metrics import get_registry
+from repro.obs.tracer import mark
 from repro.util.grouping import sorted_unique
 
 #: Tolerance for float comparisons (round costs are ratios of integer
@@ -127,9 +128,7 @@ class CostAuditor:
                 f"the instance-valid lower bound {bound!r}",
             )
         else:
-            get_registry().counter(
-                "repro_bound_beats_total", task=task
-            ).inc()
+            mark("audit.bound", "audit", task=task, bound_beats=1)
 
     # ------------------------------------------------------------------ #
     # invariants
@@ -196,9 +195,9 @@ class CostAuditor:
 
     def _violation(self, invariant: str, detail: str) -> None:
         self.violations.append({"invariant": invariant, "detail": detail})
-        get_registry().counter(
-            "repro_audit_violations_total", invariant=invariant
-        ).inc()
+        mark(
+            f"audit {invariant}", "audit", invariant=invariant, violations=1
+        )
         if self.strict:
             raise AuditError(f"[{invariant}] {detail}")
 

@@ -1,25 +1,24 @@
-"""A labeled Counter/Gauge/Histogram registry for long-lived engines.
+"""Metrics: closed spans folded into labeled counters and histograms.
 
 Tracing (:mod:`repro.obs.tracer`) answers "where did *this run's* time
 go"; the registry answers the standing question a serving engine must
-keep answering: how many runs, rounds, elements, bytes, verify failures
-— by task, protocol, backend, tag — since the process started, and how
-are per-round costs distributed?  The design mirrors the tracer's
-exactly:
+keep answering: how many runs, rounds, elements, bytes, cache hits,
+verify failures — by task, protocol, tag — since the process started,
+and how are per-round costs distributed?  The registry has no
+instruments of its own.  It subscribes to the span stream: the tracer
+hands it every closed :class:`~repro.obs.tracer.SpanEvent` under the
+tracer's lock, and :meth:`MetricsRegistry.fold` applies the
+declarative table :data:`FOLDS`.  Each row names a span (by category
+or by name), the attribute it reads and the labels it copies, so a
+fact the program wants counted is a span attribute and nothing else.
 
-* :class:`MetricsRegistry` — the recording registry
-  :func:`collecting` installs.  ``counter(name, **labels)`` /
-  ``gauge(...)`` / ``histogram(...)`` return live instruments
-  (created on first touch, cached per label set, updated under one
-  registry lock so ``run_many`` threads can share a registry);
-  :meth:`~MetricsRegistry.snapshot` emits a strictly
-  JSON-serializable state dict, and :func:`prometheus_text` renders
-  the Prometheus text exposition format.
-* :class:`NullRegistry` — the default.  Every instrument call returns
-  one shared no-op instrument; instrumented code gates any label-dict
-  construction on ``registry.enabled``, so the disabled path costs one
-  run-context read per round, exactly like the
-  :class:`~repro.obs.tracer.NullTracer` hook.
+:func:`collecting` installs a fresh registry for a block (and a
+:class:`~repro.obs.tracer.FoldingTracer` when no recording tracer is
+installed, so spans close somewhere); ``tracing()`` and
+``collecting()`` nest in either order with the same counts.
+:meth:`~MetricsRegistry.snapshot` emits a strictly JSON-serializable
+state dict, and :func:`prometheus_text` renders the Prometheus text
+exposition format.
 
 Histograms come in two bucket schemes:
 
@@ -33,12 +32,12 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.context import current, use
-from repro.errors import AnalysisError
+from repro.obs.tracer import FoldingTracer
 
 #: Fixed latency ladder (seconds) for wall-time histograms: 100us to
 #: ~2 minutes, roughly x4 per step.  A fixed ladder (not log2-on-demand)
@@ -60,28 +59,96 @@ LATENCY_BUCKETS = (
 #: 1.0 means the planner's estimate was exact).
 RATIO_BUCKETS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 10.0)
 
-#: Counter families recorded by the session/serving caches (created on
-#: first touch like every instrument; listed here as the documented
-#: contract the serve CLI and dashboards key on).  The artifact pair is
-#: incremented by :meth:`repro.topology.artifacts.ArtifactCache.get`;
-#: the plan triple by :class:`repro.plan.optimizer.PlanCache` (hits and
-#: misses labeled by ``strategy``; ``rejected`` counts plans the
-#: lower-bound admission gate kept out of the cache).
-ARTIFACT_CACHE_COUNTERS = (
-    "repro_artifact_cache_hits_total",
-    "repro_artifact_cache_misses_total",
+
+@dataclass(frozen=True)
+class Fold:
+    """One row of the fold: which closed spans feed ``family``, and how.
+
+    ``span`` is matched against the span's category and its name.  A
+    row with an ``attr`` skips spans that lack it; the attribute's
+    value is what a counter adds (a dict adds one series per key,
+    labelled ``per_key``) or a histogram observes, and ``count`` adds
+    1 instead.  A row without ``attr`` counts every matching span.
+    ``labels`` are ``(label, attribute)`` pairs; ``status`` is
+    ``(label, value without error, value with error)``, read from the
+    ``error`` attribute a span gets when an exception closes it.
+    ``buckets`` makes the family a histogram.  A counter never adds 0,
+    so a zero creates no series.
+    """
+
+    family: str
+    span: str
+    attr: str | None = None
+    count: bool = False
+    labels: tuple = ()
+    per_key: str | None = None
+    status: tuple | None = None
+    buckets: str | tuple | None = None
+
+
+_TASK = (("task", "task"),)
+_STEP = (("task", "task"), ("phase", "step"))
+_KIND = (("kind", "kind"),)
+_STRATEGY = (("strategy", "strategy"),)
+
+#: The whole mapping from the span stream to metric families.
+FOLDS = (
+    # engine.run: one per task execution, error or not
+    Fold("repro_runs_total", "engine",
+         labels=(("task", "task"), ("protocol", "protocol")),
+         status=("status", "ok", "error")),
+    Fold("repro_run_seconds", "engine", "wall_time_s", labels=_TASK,
+         buckets=LATENCY_BUCKETS),
+    Fold("repro_verify_total", "verify", labels=_TASK,
+         status=("outcome", "pass", "fail")),
+    Fold("repro_verify_total", "engine", "verify", count=True,
+         labels=(("task", "task"), ("outcome", "verify"))),
+    # rounds: the attributes the finalizer annotates after close_round
+    Fold("repro_rounds_total", "round", "round_cost", count=True),
+    Fold("repro_round_cost", "round", "round_cost", buckets="log2"),
+    Fold("repro_max_edge_load", "round", "max_edge_load", buckets="log2"),
+    Fold("repro_round_elements_total", "round", "elements_by_tag",
+         per_key="tag"),
+    Fold("repro_round_bytes_total", "round", "bytes_by_tag", per_key="tag"),
+    Fold("repro_delivered_elements_total", "round", "delivered_by_tag",
+         per_key="tag"),
+    # graph supersteps and plan stages: set when the step completes
+    Fold("repro_supersteps_total", "superstep", "elements", count=True,
+         labels=_STEP),
+    Fold("repro_superstep_elements_total", "superstep", "elements",
+         labels=_STEP),
+    Fold("repro_plan_stages_total", "stage", "cost", count=True,
+         labels=_KIND),
+    Fold("repro_stage_cost_ratio", "stage", "cost_ratio", labels=_KIND,
+         buckets=RATIO_BUCKETS),
+    # caches, storage and the auditor: small spans of their own
+    Fold("repro_plan_cache_hits_total", "plan_cache.lookup", "hits",
+         labels=_STRATEGY),
+    Fold("repro_plan_cache_misses_total", "plan_cache.lookup", "misses",
+         labels=_STRATEGY),
+    Fold("repro_plan_cache_rejected_total", "plan_cache.admit", "rejected",
+         labels=_STRATEGY),
+    Fold("repro_artifact_cache_hits_total", "artifact_cache.get", "hits"),
+    Fold("repro_artifact_cache_misses_total", "artifact_cache.get", "misses"),
+    Fold("repro_storage_compactions_total", "storage", "columns",
+         labels=(("tag", "tag"),)),
+    Fold("repro_bound_beats_total", "audit", "bound_beats", labels=_TASK),
+    Fold("repro_audit_violations_total", "audit", "violations",
+         labels=(("invariant", "invariant"),)),
 )
-PLAN_CACHE_COUNTERS = (
-    "repro_plan_cache_hits_total",
-    "repro_plan_cache_misses_total",
-    "repro_plan_cache_rejected_total",
-)
+
+#: ``FOLDS`` by the category or name they match, in table order.
+_FOLDS_BY_SPAN = {
+    span: tuple(row for row in FOLDS if row.span == span)
+    for span in dict.fromkeys(row.span for row in FOLDS)
+}
 
 
 def _label_key(labels: dict) -> str:
-    """Deterministic flat encoding of a label set (sorted ``k=v`` pairs).
+    """Deterministic flat encoding of a label set (sorted ``k=v`` pairs
+    joined by ``|``).
 
-    Label values in this codebase are task/protocol/tag/backend names;
+    Label values in this codebase are task/protocol/tag/strategy names;
     the encoding is documented as not supporting ``|`` or ``=`` inside
     values (they would split ambiguously on parse).
     """
@@ -99,74 +166,23 @@ def parse_label_key(key: str) -> dict:
     return labels
 
 
-class Counter:
-    """A monotonically increasing count (runs, rounds, elements...)."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        if amount < 0:
-            raise AnalysisError(f"counters only go up, got {amount}")
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (pool size, last cost ratio...)."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value -= amount
-
-
 class Histogram:
     """Bucketed observations: log2-on-demand or a fixed bound ladder.
 
-    ``buckets="log2"`` stores one integer count per power-of-two upper
+    ``scheme="log2"`` stores one integer count per power-of-two upper
     bound, created lazily — ``observe(v)`` lands in the smallest bucket
     ``2**k >= v`` (``v <= 0`` lands in bucket ``0``).  A tuple of
     ascending bounds gives fixed buckets with a ``+Inf`` overflow
     bucket, Prometheus-style.
     """
 
-    __slots__ = ("_lock", "scheme", "counts", "total", "count")
+    __slots__ = ("scheme", "counts", "total", "count")
 
-    def __init__(self, lock: threading.Lock, buckets) -> None:
-        self._lock = lock
-        self.scheme = self.normalize_scheme(buckets)
+    def __init__(self, scheme) -> None:
+        self.scheme = scheme
         self.counts: dict[float, int] = {}
         self.total = 0.0
         self.count = 0
-
-    @staticmethod
-    def normalize_scheme(buckets):
-        """Validate a bucket spec: ``"log2"`` or ascending bound tuple."""
-        if buckets == "log2":
-            return "log2"
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise AnalysisError(
-                "histogram buckets must be strictly ascending bounds"
-            )
-        return bounds
 
     def _bucket_of(self, value: float) -> float:
         if self.scheme == "log2":
@@ -180,108 +196,61 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         bucket = self._bucket_of(value)
-        with self._lock:
-            self.counts[bucket] = self.counts.get(bucket, 0) + 1
-            self.total += value
-            self.count += 1
-
-
-class _NullInstrument:
-    """The shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The default registry: records nothing, allocates nothing."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets="log2", **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def summary(self) -> dict:
-        return {}
+        self.counts[bucket] = self.counts.get(bucket, 0) + 1
+        self.total += value
+        self.count += 1
 
 
 class MetricsRegistry:
-    """Thread-safe labeled instruments plus snapshot export."""
+    """Counter and histogram families folded from closed spans.
 
-    enabled = True
+    The tracer calls :meth:`fold` under its lock, so the families need
+    no lock of their own; :meth:`snapshot` copies each family in one
+    step.
+    """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, dict[str, Counter]] = {}
-        self._gauges: dict[str, dict[str, Gauge]] = {}
+        self._counters: dict[str, dict[str, int | float]] = {}
         self._histograms: dict[str, dict[str, Histogram]] = {}
 
-    # ------------------------------------------------------------------ #
-    # instruments
-    # ------------------------------------------------------------------ #
+    def fold(self, event) -> None:
+        """Apply every :data:`FOLDS` row that matches ``event``."""
+        attrs = event.attrs
+        category = attrs.get("category")
+        rows = _FOLDS_BY_SPAN.get(category, ())
+        if event.name != category:
+            rows += _FOLDS_BY_SPAN.get(event.name, ())
+        for row in rows:
+            if row.attr is None:
+                value = 1
+            else:
+                value = attrs.get(row.attr)
+                if value is None:
+                    continue
+                if row.count:
+                    value = 1
+            labels = {label: attrs.get(attr) for label, attr in row.labels}
+            if row.status is not None:
+                label, ok, error = row.status
+                labels[label] = error if "error" in attrs else ok
+            if row.per_key is None:
+                self._add(row, labels, value)
+            else:
+                for key, amount in value.items():
+                    self._add(row, {**labels, row.per_key: key}, amount)
 
-    def counter(self, name: str, **labels) -> Counter:
+    def _add(self, row: Fold, labels: dict, value) -> None:
         key = _label_key(labels)
-        family = self._counters.setdefault(name, {})
-        instrument = family.get(key)
-        if instrument is None:
-            with self._lock:
-                instrument = family.setdefault(key, Counter(self._lock))
-        return instrument
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = _label_key(labels)
-        family = self._gauges.setdefault(name, {})
-        instrument = family.get(key)
-        if instrument is None:
-            with self._lock:
-                instrument = family.setdefault(key, Gauge(self._lock))
-        return instrument
-
-    def histogram(self, name: str, buckets="log2", **labels) -> Histogram:
-        key = _label_key(labels)
-        family = self._histograms.setdefault(name, {})
-        instrument = family.get(key)
-        if instrument is None:
-            with self._lock:
-                instrument = family.setdefault(
-                    key, Histogram(self._lock, buckets)
-                )
-        elif instrument.scheme != Histogram.normalize_scheme(buckets):
-            # silently mixing schemes would make the bucket table
-            # meaningless; two callers must agree on a family's ladder
-            raise AnalysisError(
-                f"histogram {name!r} already registered with bucket "
-                f"scheme {instrument.scheme!r}"
-            )
-        return instrument
-
-    # ------------------------------------------------------------------ #
-    # export
-    # ------------------------------------------------------------------ #
+        if row.buckets is None:
+            if value:
+                family = self._counters.setdefault(row.family, {})
+                family[key] = family.get(key, 0) + value
+            return
+        family = self._histograms.setdefault(row.family, {})
+        histogram = family.get(key)
+        if histogram is None:
+            histogram = family[key] = Histogram(row.buckets)
+        histogram.observe(value)
 
     def snapshot(self) -> dict:
         """The registry's full state as JSON-serializable builtins.
@@ -291,59 +260,25 @@ class MetricsRegistry:
         are stringified floats (``"inf"`` for the overflow bucket) so
         the payload survives ``json.dumps(..., allow_nan=False)``.
         """
-        with self._lock:
-            counters = {
-                name: {key: c.value for key, c in family.items()}
-                for name, family in self._counters.items()
-            }
-            gauges = {
-                name: {key: g.value for key, g in family.items()}
-                for name, family in self._gauges.items()
-            }
-            histograms = {
-                name: {
-                    key: {
-                        "scheme": (
-                            "log2"
-                            if h.scheme == "log2"
-                            else list(h.scheme)
-                        ),
-                        "buckets": {
-                            str(bound): count
-                            for bound, count in sorted(h.counts.items())
-                        },
-                        "sum": h.total,
-                        "count": h.count,
-                    }
-                    for key, h in family.items()
-                }
-                for name, family in self._histograms.items()
-            }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+        counters = {
+            name: dict(family) for name, family in list(self._counters.items())
         }
-
-    def summary(self) -> dict:
-        """A compact per-family digest for ``RunReport.meta`` embedding.
-
-        Counters and gauges keep their per-label values; histograms
-        collapse to ``{count, sum}`` — enough for report consumers
-        without dragging full bucket tables into every report row.
-        """
-        snap = self.snapshot()
-        return {
-            "counters": snap["counters"],
-            "gauges": snap["gauges"],
-            "histograms": {
-                name: {
-                    key: {"count": h["count"], "sum": h["sum"]}
-                    for key, h in family.items()
+        histograms = {
+            name: {
+                key: {
+                    "scheme": "log2" if h.scheme == "log2" else list(h.scheme),
+                    "buckets": {
+                        str(bound): count
+                        for bound, count in sorted(h.counts.items())
+                    },
+                    "sum": h.total,
+                    "count": h.count,
                 }
-                for name, family in snap["histograms"].items()
-            },
+                for key, h in list(family.items())
+            }
+            for name, family in list(self._histograms.items())
         }
+        return {"counters": counters, "histograms": histograms}
 
 
 # ---------------------------------------------------------------------- #
@@ -380,10 +315,6 @@ def prometheus_text(source) -> str:
         lines.append(f"# TYPE {name} counter")
         for key, value in sorted(snap["counters"][name].items()):
             lines.append(f"{name}{_prom_labels(key)} {_format_value(value)}")
-    for name in sorted(snap.get("gauges", {})):
-        lines.append(f"# TYPE {name} gauge")
-        for key, value in sorted(snap["gauges"][name].items()):
-            lines.append(f"{name}{_prom_labels(key)} {_format_value(value)}")
     for name in sorted(snap.get("histograms", {})):
         lines.append(f"# TYPE {name} histogram")
         for key, state in sorted(snap["histograms"][name].items()):
@@ -416,15 +347,18 @@ def write_snapshot(path, source) -> dict:
     return payload
 
 
-def get_registry():
-    """The metrics registry of this thread's run context (no-op by
-    default)."""
-    return current().registry
-
-
 @contextmanager
 def collecting() -> Iterator[MetricsRegistry]:
-    """Collect metrics within the block; yields the registry."""
+    """Fold every span closed within the block into a new registry;
+    yields the registry.
+
+    The registry counts closed spans, so without a recording tracer in
+    the current context a :class:`~repro.obs.tracer.FoldingTracer`
+    (which keeps no events) is installed for the block too.
+    """
     registry = MetricsRegistry()
-    with use(registry=registry):
+    tracer = current().tracer
+    if not tracer.enabled:
+        tracer = FoldingTracer()
+    with use(registry=registry, tracer=tracer):
         yield registry

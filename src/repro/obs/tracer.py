@@ -1,6 +1,11 @@
-"""Thread-local span tracing with a bounded in-memory event buffer.
+"""Thread-local span tracing: the program's one instrumentation stream.
 
-Two tracer implementations share one surface:
+Closing a span is the only way the program emits anything.  Every
+closed span goes to the event buffer of the tracer that recorded it
+and, under the same lock, to the metrics registry of the run context
+(:meth:`repro.obs.metrics.MetricsRegistry.fold`), which turns span
+attributes into counters and histograms.  Three tracers share one
+surface:
 
 * :class:`Tracer` — the recording tracer :func:`tracing` installs.
   ``span(name, **attrs)`` opens a nested span (monotonic
@@ -13,6 +18,9 @@ Two tracer implementations share one surface:
   the caller's run context in every worker thread — so the *open-span
   stack* is kept per thread while the event buffer is shared under a
   lock.
+* :class:`FoldingTracer` — what ``collecting()`` installs when no
+  recording tracer is: it keeps no events, so a long session never
+  drops counts, and only feeds the registry.
 * :class:`NullTracer` — the default.  It records nothing and times
   nothing; the only state it keeps is the per-thread stack of open
   span *names*, so failure paths (worker crash, job timeout) can
@@ -24,7 +32,7 @@ Instrumented code never imports a concrete tracer; it asks
 :func:`get_tracer` (the tracer of the current
 :class:`~repro.context.RunContext`) and calls the surface.
 ``tracer.enabled`` gates any extra work — phase timers, ledger
-queries — that only matters when events are recorded.
+queries — that only matters when spans are recorded.
 """
 
 from __future__ import annotations
@@ -183,12 +191,26 @@ class Tracer(_PerThreadStack):
         return tuple(span.name for span in self._stack())
 
     def _record(self, event: SpanEvent) -> None:
+        registry = current().registry
         with self._lock:
+            if registry is not None:
+                registry.fold(event)
             if len(self.events) >= self.max_events:
                 self.dropped += 1
                 return
             event.index = next(self._counter)
             self.events.append(event)
+
+
+class FoldingTracer(Tracer):
+    """A recording tracer that keeps no events: each closed span only
+    feeds the run context's metrics registry."""
+
+    def _record(self, event: SpanEvent) -> None:
+        registry = current().registry
+        if registry is not None:
+            with self._lock:
+                registry.fold(event)
 
 
 class _NullSpan(tuple):
@@ -234,6 +256,13 @@ class NullTracer(_PerThreadStack):
 
     def current_path(self) -> tuple:
         return tuple(self._stack())
+
+
+def mark(name: str, category: str, **facts) -> None:
+    """Emit ``facts`` as one closed, zero-length span of the current
+    tracer: for a fact that happens where no span of its own is open."""
+    with current().tracer.span(name, category=category, **facts):
+        pass
 
 
 def get_tracer():

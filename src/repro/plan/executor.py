@@ -32,7 +32,6 @@ from repro.data.distribution import Distribution
 from repro.data.generators import merge_distributions
 from repro.engine import run_with_result
 from repro.errors import PlanError
-from repro.obs.metrics import RATIO_BUCKETS, get_registry
 from repro.obs.tracer import get_tracer
 from repro.plan.optimizer import AGGREGATE_BITS, PhysicalPlan, PhysicalStage
 from repro.plan.relation import PlacedRelation, Schema
@@ -172,26 +171,19 @@ def _execute_groupby(
     )
 
 
-def _record_stage_metrics(stage: PhysicalStage, report: RunReport) -> None:
-    """Record a finished stage's estimate accuracy on the registry.
+def _stage_facts(stage: PhysicalStage, report: RunReport) -> dict:
+    """A finished stage's span attributes: its actual cost and rounds,
+    and the actual/estimated cost ratio (1.0 = the optimizer was exact).
 
-    The actual/estimated cost ratio (1.0 = the optimizer was exact)
-    lands in a fixed-bucket histogram, so a drifting cost model shows
-    up as mass migrating out of the 0.75–1.5 buckets over a service's
-    lifetime — the planner counterpart of the round-level audit.
+    The registry folds the ratio into a fixed-bucket histogram, so a
+    drifting cost model shows up as mass migrating out of the 0.75–1.5
+    buckets over a service's lifetime — the planner counterpart of the
+    round-level audit.
     """
-    registry = get_registry()
-    if not registry.enabled:
-        return
-    registry.counter("repro_plan_stages_total", kind=stage.kind).inc()
+    facts = {"cost": report.cost, "rounds": report.rounds}
     if stage.est_cost > 0 and report.cost > 0:
-        ratio = report.cost / stage.est_cost
-        registry.histogram(
-            "repro_stage_cost_ratio", buckets=RATIO_BUCKETS, kind=stage.kind
-        ).observe(ratio)
-        registry.gauge(
-            "repro_stage_last_cost_ratio", kind=stage.kind
-        ).set(ratio)
+        facts["cost_ratio"] = report.cost / stage.est_cost
+    return facts
 
 
 def execute_plan(
@@ -246,6 +238,7 @@ def execute_plan(
                 with tracer.span(
                     f"stage {index} join",
                     category="stage",
+                    kind=stage.kind,
                     operator=stage.describe(),
                     protocol=stage.protocol or "local",
                     est_cost=stage.est_cost,
@@ -264,8 +257,7 @@ def execute_plan(
                         report = _empty_stage_report(
                             stage, index, tree, "equijoin"
                         )
-                    span.set(cost=report.cost, rounds=report.rounds)
-                _record_stage_metrics(stage, report)
+                    span.set(**_stage_facts(stage, report))
                 stage_reports.append(report)
                 results.append(produced)
                 continue
@@ -273,6 +265,7 @@ def execute_plan(
                 with tracer.span(
                     f"stage {index} groupby",
                     category="stage",
+                    kind=stage.kind,
                     operator=stage.describe(),
                     protocol=stage.protocol or "local",
                     est_cost=stage.est_cost,
@@ -290,8 +283,7 @@ def execute_plan(
                         report = _empty_stage_report(
                             stage, index, tree, "groupby-aggregate"
                         )
-                    span.set(cost=report.cost, rounds=report.rounds)
-                _record_stage_metrics(stage, report)
+                    span.set(**_stage_facts(stage, report))
                 stage_reports.append(report)
                 results.append(produced)
                 continue

@@ -36,7 +36,7 @@ from itertools import permutations
 from weakref import WeakKeyDictionary
 
 from repro.errors import PlanError
-from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer
 from repro.plan.cost import (
     CostModel,
     RelationStats,
@@ -628,9 +628,10 @@ class PlanCache:
     a baseline plan (``gather`` / ``worst-order``) estimated at more
     than ``admit_ratio`` times the cached optimized sibling is *not*
     admitted — deliberately bad diagnostic plans should not evict
-    serving traffic.  Hits and misses are recorded on the installed
-    metrics registry as ``repro_plan_cache_hits_total`` /
-    ``_misses_total`` (rejections as ``_rejected_total``).
+    serving traffic.  Every lookup and admission is a small ``cache``
+    span whose ``hits`` / ``misses`` / ``rejected`` attribute the
+    metrics registry folds into ``repro_plan_cache_hits_total`` /
+    ``_misses_total`` / ``_rejected_total``.
     """
 
     def __init__(
@@ -693,29 +694,25 @@ class PlanCache:
 
     def lookup(self, key: tuple) -> PhysicalPlan | None:
         """The cached plan for ``key``, with LRU touch; ``None`` on miss."""
-        registry = get_registry()
-        with self._lock:
+        with get_tracer().span(
+            "plan_cache.lookup", category="cache", strategy=key[3]
+        ) as span, self._lock:
             plan = self._entries.get(key)
             if plan is not None:
                 self._entries.pop(key)
                 self._entries[key] = plan
                 self.hits += 1
-                if registry.enabled:
-                    registry.counter(
-                        "repro_plan_cache_hits_total", strategy=key[3]
-                    ).inc()
+                span.set(hits=1)
                 return plan
             self.misses += 1
-            if registry.enabled:
-                registry.counter(
-                    "repro_plan_cache_misses_total", strategy=key[3]
-                ).inc()
+            span.set(misses=1)
             return None
 
     def admit(self, key: tuple, plan: PhysicalPlan) -> bool:
         """Cache ``plan`` unless admission control rejects it."""
-        registry = get_registry()
-        with self._lock:
+        with get_tracer().span(
+            "plan_cache.admit", category="cache", strategy=plan.strategy
+        ) as span, self._lock:
             if plan.strategy != "optimized":
                 sibling = self._entries.get(key[:3] + ("optimized",))
                 if (
@@ -724,11 +721,7 @@ class PlanCache:
                     > self._admit_ratio * max(sibling.estimated_cost, 1e-12)
                 ):
                     self.rejected += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "repro_plan_cache_rejected_total",
-                            strategy=plan.strategy,
-                        ).inc()
+                    span.set(rejected=1)
                     return False
             self._entries[key] = plan
             while len(self._entries) > self._max_entries:

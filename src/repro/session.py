@@ -233,9 +233,16 @@ class EngineSession:
           lower bound is computed up front (cheap: a closed-form
           formula over placement statistics); plans whose bound already
           exceeds the budget are rejected without running, and their
-          result slot is ``None``.  The bound is a promise, not an
-          estimate: an admitted query can cost more than its bound, but
-          a rejected one could never have cost less.
+          result slot is ``None``.  Only a bound that holds for every
+          input (``TaskSpec.bound_holds_per_instance``, true today for
+          the graph tasks alone) promises that a rejected query could
+          never have cost less.  The paper's Theorem 1/3/6 bounds are
+          worst-case: a run on an easy instance can cost less than its
+          bound (set-intersection beats Theorem 1 on 30 of the 32
+          standard-suite instances), so a budget over them rejects
+          queries that might have fit.  Bounds that say which kind
+          they are, and admission on instance bounds only, are ROADMAP
+          item 1(b).
         * ``schedule`` — ``"cost"`` (default) executes admitted plans
           cheapest-bound-first, the classic shortest-job-first
           approximation for batch latency; ``"fifo"`` preserves

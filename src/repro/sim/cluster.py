@@ -48,7 +48,6 @@ import numpy as np
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.obs.audit import get_auditor
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.sim.ledger import CostLedger
 from repro.sim.storage import ColumnarStore
@@ -458,17 +457,21 @@ class RoundContext:
 
         When a recording tracer is installed, the finalizer splits its
         wall time into *group* (collection + argsort), *deliver*
-        (storage appends), and *charge* (tree-flow accounting) phases
-        and annotates the enclosing round span with them alongside the
-        ledger-derived round attrs; with the default no-op tracer no
-        clock is read.
+        (storage appends), and *charge* (tree-flow accounting) phases,
+        counts the delivered elements per tag, and annotates the
+        enclosing round span with both alongside the ledger-derived
+        round attrs; with the default no-op tracer no clock is read.
         """
         cluster = self._cluster
         storage = cluster._storage
         tracer = get_tracer()
-        registry = get_registry()
         phases = (
-            {"group": 0.0, "deliver": 0.0, "charge": 0.0}
+            {
+                "t_group_s": 0.0,
+                "t_deliver_s": 0.0,
+                "t_charge_s": 0.0,
+                "delivered_by_tag": {},
+            }
             if tracer.enabled
             else None
         )
@@ -488,13 +491,13 @@ class RoundContext:
                 grouped.append((tag, all_payload[order], uniques, starts, ends))
             if phases is not None:
                 t1 = perf_counter()
-                phases["group"] += t1 - t0
+                phases["t_group_s"] += t1 - t0
             # deliver: install the grouped slices into node storage
             for tag, sorted_payload, uniques, starts, ends in grouped:
-                if registry.enabled:
-                    registry.counter(
-                        "repro_delivered_elements_total", tag=tag
-                    ).inc(len(sorted_payload))
+                if phases is not None:
+                    delivered = phases["delivered_by_tag"]
+                    count = len(sorted_payload)
+                    delivered[tag] = delivered.get(tag, 0) + count
                 # group_slices left the payload cut by destination: it
                 # is the table, installed whole
                 storage.install(
@@ -506,16 +509,14 @@ class RoundContext:
                 )
             if phases is not None:
                 t2 = perf_counter()
-                phases["deliver"] += t2 - t1
+                phases["t_deliver_s"] += t2 - t1
             self._apply_pair_loads(routing, pairs)
             if phases is not None:
-                phases["charge"] += perf_counter() - t2
+                phases["t_charge_s"] += perf_counter() - t2
 
         if self._multicasts:
             self._deliver_multicasts(phases)
         cluster.ledger.close_round()
-        if registry.enabled:
-            self._record_round_metrics(registry)
         if phases is not None:
             self._annotate_round(tracer, phases)
 
@@ -599,11 +600,10 @@ class RoundContext:
         cluster = self._cluster
         routing = cluster.oracle.routing_index
         storage = cluster._storage
-        registry = get_registry()
         t0 = perf_counter() if phases is not None else 0.0
         by_tag = self._collect_multicasts(routing)
         if phases is not None:
-            phases["group"] += perf_counter() - t0
+            phases["t_group_s"] += perf_counter() - t0
         charges: list[tuple] = []
         for tag, records in by_tag.items():
             t1 = perf_counter() if phases is not None else 0.0
@@ -618,7 +618,7 @@ class RoundContext:
             sorted_payload = all_payload[order]
             if phases is not None:
                 t2 = perf_counter()
-                phases["group"] += t2 - t1
+                phases["t_group_s"] += t2 - t1
             # one row per (present group, member)
             present = uniques.astype(np.intp)
             counts = ends - starts
@@ -664,12 +664,10 @@ class RoundContext:
             np.add.at(
                 cluster._received_elements, row_dst[remote], lengths[remote]
             )
-            if registry.enabled:
-                registry.counter(
-                    "repro_delivered_elements_total", tag=tag
-                ).inc(int(lengths.sum()))
             if phases is not None:
-                phases["deliver"] += perf_counter() - t2
+                delivered = phases["delivered_by_tag"]
+                delivered[tag] = delivered.get(tag, 0) + int(lengths.sum())
+                phases["t_deliver_s"] += perf_counter() - t2
         t3 = perf_counter() if phases is not None else 0.0
         sources, terminals, fanout, counts = (
             np.concatenate(column) for column in zip(*charges)
@@ -681,15 +679,17 @@ class RoundContext:
             )
         )
         if phases is not None:
-            phases["charge"] += perf_counter() - t3
+            phases["t_charge_s"] += perf_counter() - t3
 
-    def _annotate_round(self, tracer, phases: dict | None = None) -> None:
+    def _annotate_round(self, tracer, phases: dict) -> None:
         """Attach ledger-derived attrs to the enclosing round span.
 
         Called after ``close_round``: the round span carries the
         round's cost and the edge that sets it, its most-loaded edge,
-        and the registered payload volume per tag.  ``phases`` adds
-        the finalize-time split when the finalizer measured one.
+        and the registered payload volume per tag, beside the
+        finalizer's ``phases`` (its time split and delivered volume).
+        These attributes are the round's metrics too: the registry
+        folds them when the span closes.
         """
         ledger = self._cluster.ledger
         index = ledger.num_rounds - 1
@@ -706,11 +706,7 @@ class RoundContext:
                 tag: count * bits // 8 for tag, count in elements.items()
             },
         }
-        if phases is not None:
-            attrs["t_group_s"] = phases["group"]
-            attrs["t_deliver_s"] = phases["deliver"]
-            attrs["t_charge_s"] = phases["charge"]
-        tracer.annotate(**attrs)
+        tracer.annotate(**attrs, **phases)
 
     def _elements_by_tag(self) -> dict[str, int]:
         """Registered (pre-replication) element counts per tag."""
@@ -720,26 +716,6 @@ class RoundContext:
         for *_, payload, tag in self._multicasts:
             elements[tag] = elements.get(tag, 0) + len(payload)
         return elements
-
-    def _record_round_metrics(self, registry) -> None:
-        """Record the closed round on the installed metrics registry;
-        every count is derived from the registered streams and the
-        ledger."""
-        ledger = self._cluster.ledger
-        index = ledger.num_rounds - 1
-        registry.counter("repro_rounds_total").inc()
-        registry.histogram("repro_round_cost").observe(
-            ledger.round_cost(index)
-        )
-        registry.histogram("repro_max_edge_load").observe(
-            int(ledger.link_loads(index).max(initial=0))
-        )
-        bits = ledger.bits_per_element
-        for tag, count in self._elements_by_tag().items():
-            registry.counter("repro_round_elements_total", tag=tag).inc(count)
-            registry.counter("repro_round_bytes_total", tag=tag).inc(
-                count * bits // 8
-            )
 
 
 class Cluster:

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
+from repro.obs.tracer import mark
 from repro.util.grouping import index_dtype, regroup_stretches
 
 #: Shared zero-length read-only column served for absent (node, tag)s.
@@ -168,7 +168,7 @@ class ColumnarStore:
             merged = np.concatenate(pieces)
             merged.setflags(write=False)
             pieces[:] = [merged]
-            _count_compactions(tag, 1)
+            mark("storage.compact", "storage", tag=tag, columns=1)
         return pieces[0] if pieces else _EMPTY
 
     def chunk_count(self, node, tag: str) -> int:
@@ -198,7 +198,9 @@ class ColumnarStore:
                 starts = ends - np.diff(ends, prepend=0)
                 tables = [(np.concatenate(arrays), held, starts, ends), *tables]
             values, owners, starts, ends, stretches = regroup_stretches(tables)
-            _count_compactions(tag, int(np.count_nonzero(stretches > 1)))
+            columns = int(np.count_nonzero(stretches > 1))
+            if columns:
+                mark("storage.compact", "storage", tag=tag, columns=columns)
             state.pieces, state.tables = {}, [(_readonly(values), owners, starts, ends)]
             state.owners = np.repeat(owners.astype(dtype), ends - starts)
             state.owners.setflags(write=False)
@@ -228,9 +230,3 @@ class ColumnarStore:
             for index, length in lengths.items():
                 held.setdefault(self._nodes[index], {})[tag] = length
         return held
-
-
-def _count_compactions(tag: str, columns: int) -> None:
-    registry = get_registry()
-    if columns and registry.enabled:
-        registry.counter("repro_storage_compactions_total", tag=tag).inc(columns)

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.context import current, use
-from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer
 from repro.topology.steiner import PathOracle
 from repro.topology.tree import TreeTopology, node_sort_key
 
@@ -84,8 +84,9 @@ class ArtifactCache:
     Keyed by :func:`topology_fingerprint` and nothing else: the digest
     is memoized on the immutable tree, so a lookup of a tree seen
     before is one dict probe, and every hit refreshes the entry's
-    recency.  Hits and misses are recorded on the installed metrics
-    registry as ``repro_artifact_cache_hits_total`` / ``_misses_total``.
+    recency.  Every lookup is a small ``cache`` span whose ``hits`` /
+    ``misses`` attribute the metrics registry folds into
+    ``repro_artifact_cache_hits_total`` / ``_misses_total``.
     """
 
     def __init__(self, max_entries: int = 16) -> None:
@@ -99,15 +100,15 @@ class ArtifactCache:
 
     def get(self, tree: TreeTopology) -> TopologyArtifacts:
         """The artifacts for ``tree``, built on first sight."""
-        registry = get_registry()
-        with self._lock:
+        with get_tracer().span(
+            "artifact_cache.get", category="cache"
+        ) as span, self._lock:
             # LRU touch: a hit is re-inserted at the back of the dict order
             artifacts = self._entries.pop(tree.fingerprint, None)
             if artifacts is not None:
                 self._entries[artifacts.fingerprint] = artifacts
                 self.hits += 1
-                if registry.enabled:
-                    registry.counter("repro_artifact_cache_hits_total").inc()
+                span.set(hits=1)
                 return artifacts
             artifacts = TopologyArtifacts(tree)
             self._entries[artifacts.fingerprint] = artifacts
@@ -115,8 +116,7 @@ class ArtifactCache:
                 evicted = next(iter(self._entries))
                 del self._entries[evicted]
             self.misses += 1
-            if registry.enabled:
-                registry.counter("repro_artifact_cache_misses_total").inc()
+            span.set(misses=1)
             return artifacts
 
     def __len__(self) -> int:

@@ -89,6 +89,7 @@ class TestRun:
             "placement": "zipf",
             "cost": report.cost,
             "rounds": report.rounds,
+            "wall_time_s": report.wall_time_s,
         }
         snapshot = registry.snapshot()
         runs = snapshot["counters"]["repro_runs_total"]

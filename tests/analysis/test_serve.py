@@ -200,7 +200,7 @@ class TestStripReport:
             _Nested(
                 values=np.arange(3),
                 pair=(1, (2, 3)),
-                meta={"offsets": np.array([0, 2]), "metrics": {"n": 1}},
+                meta={"offsets": np.array([0, 2])},
                 wall_time_s=0.5,
             )
         )

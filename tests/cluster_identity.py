@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.context import use
-from repro.obs.metrics import NullRegistry
 from repro.obs.tracer import NullTracer
 from repro.topology.tree import node_sort_key
 
@@ -27,10 +26,11 @@ def assert_clusters_identical(a, b, *, a_name: str = "A", b_name: str = "B") -> 
     received counts, tag sets and per-``(node, tag)`` storage bytes must
     all be equal; the first divergence is named.
 
-    Runs under a muted tracer and registry: reading every column may
-    compact it, and the check must not perturb the storage counters.
+    Runs under a muted tracer: reading every column may compact it,
+    and the check must not perturb the storage counters (the registry
+    counts only spans a recording tracer closes).
     """
-    with use(tracer=NullTracer(), registry=NullRegistry()):
+    with use(tracer=NullTracer()):
         _compare(a, b, a_name, b_name)
 
 

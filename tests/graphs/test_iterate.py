@@ -9,6 +9,7 @@ from repro.graphs import (
     incidence_distribution,
     run_degrees,
 )
+from repro.obs.tracer import tracing
 from repro.topology.builders import two_level
 
 
@@ -63,16 +64,18 @@ class TestSuperstepDriver:
         received = driver.cluster.take(computes[1], "demo.recv")
         assert received.tolist() == [1, 2, 3]
 
-    def test_set_last_input_size(self, instance):
+    def test_input_size_is_the_row_and_the_span_elements(self, instance):
         tree, _ = instance
         driver = SuperstepDriver(tree)
         computes = sorted(tree.compute_nodes, key=str)
-        with driver.cluster_round(
-            task="demo", protocol="raw", label="round"
-        ) as ctx:
-            ctx.send(computes[0], computes[1], [7], tag="x")
-        driver.set_last_input_size(41)
+        with tracing() as tracer:
+            with driver.cluster_round(
+                task="demo", protocol="raw", label="round", input_size=41
+            ) as ctx:
+                ctx.send(computes[0], computes[1], [7], tag="x")
         assert driver.steps[-1].input_size == 41
+        (step,) = [e for e in tracer.events if e.name == "round"]
+        assert step.attrs["elements"] == 41
 
     def test_report_packages_totals(self, instance):
         tree, graph = instance

@@ -3,15 +3,16 @@
 The contract from the design: with no recording tracer, metrics
 registry, or auditor installed, the instrumentation costs a few
 run-context reads plus a no-op span per *round* (never
-per element).  This test prices the full disabled hook sequence a
+per element).  Metrics add no hook of their own: the registry folds
+closed spans, so without a recording tracer it is never reached.  This test prices the full disabled hook sequence a
 round touches and asserts it stays far under 5% of a small prepared
 uniform-hash round.
 """
 
 from time import perf_counter
 
+from repro.context import current
 from repro.obs.audit import NullAuditor, get_auditor
-from repro.obs.metrics import NullRegistry, get_registry
 from repro.obs.tracer import NullTracer, get_tracer
 from repro.sim.cluster import Cluster
 from tests.obs.shuffle import prepare_uniform_hash, rack_tree
@@ -30,7 +31,7 @@ def _disabled_hook_seconds(repeats: int = 2_000) -> float:
     """Per-iteration cost of every hook a disabled round executes."""
     tracer = get_tracer()
     assert isinstance(tracer, NullTracer)
-    assert isinstance(get_registry(), NullRegistry)
+    assert current().registry is None
     assert isinstance(get_auditor(), NullAuditor)
     start = perf_counter()
     for index in range(repeats):
@@ -38,10 +39,7 @@ def _disabled_hook_seconds(repeats: int = 2_000) -> float:
             if tracer.enabled:  # the gate phase timers hide behind
                 raise AssertionError("tracer should be disabled")
             tracer.annotate(cost=1.0)
-        # the metrics and audit gates Cluster.round executes per round
-        registry = get_registry()
-        if registry.enabled:
-            raise AssertionError("registry should be disabled")
+        # the audit gate Cluster.round executes per round
         auditor = get_auditor()
         if auditor.enabled:
             raise AssertionError("auditor should be disabled")

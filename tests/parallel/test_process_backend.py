@@ -260,15 +260,14 @@ class TestObservability:
         observed = {}
         for backend in BACKENDS:
             with collecting() as registry, auditing(strict=True) as auditor:
-                report = run(task, tree, dist, seed=1, backend=backend)
+                run(task, tree, dist, seed=1, backend=backend)
             observed[backend] = (
                 registry.snapshot()["counters"],
-                "metrics" in report.meta,
                 auditor.rounds_checked,
             )
-        assert observed["process"] == ({}, False, 0)
-        counters, has_metrics, rounds_checked = observed["sim"]
-        assert counters["repro_runs_total"] and has_metrics
+        assert observed["process"] == ({}, 0)
+        counters, rounds_checked = observed["sim"]
+        assert counters["repro_runs_total"]
         assert rounds_checked > 0
 
 

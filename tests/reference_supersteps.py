@@ -187,46 +187,43 @@ def _hash_to_min(
             converged = True
             break
         sent_pairs = 0
+        sends = []
         position = driver.cluster.artifacts.compute_position
-        with driver.cluster_round(
-            task="connected-components",
-            protocol="label-return",
-            label=f"superstep {step} return",
-        ) as ctx:
-            for node, verts, labels, positions, changed_mask in per_owner:
-                if delta_return:
-                    verts_out = verts[changed_mask]
-                    labels_out = labels[changed_mask]
-                    pos_out = positions[changed_mask]
-                else:
-                    verts_out, labels_out, pos_out = verts, labels, positions
-                if not len(verts_out):
-                    continue
-                subset_of = vertex_subset[pos_out]
-                member_mask = is_member.get(node)
-                if member_mask is not None:
-                    # The owner also holds edges of some of these
-                    # vertices: its local view updates for free.
-                    own = member_mask[subset_of]
-                    if own.any():
-                        views[node].update(verts_out[own], labels_out[own])
-                # Batched subscriber-subset return: one Steiner
-                # destination set per subset present (its subscribers
-                # minus the sender; vertices whose only subscriber is
-                # the sender ship nothing), one exchange_multicast_column
-                # for all subsets together.
-                used, group_ids = np.unique(subset_of, return_inverse=True)
-                destination_sets = [
-                    sorted(map(position.__getitem__, subset_members[sid] - {node}))
-                    for sid in used.tolist()
-                ]
-                nonempty = np.asarray(
-                    [bool(dsts) for dsts in destination_sets], dtype=bool
-                )
-                mask = nonempty[group_ids]
-                if not mask.any():
-                    continue
-                ctx.exchange_multicast_column(
+        for node, verts, labels, positions, changed_mask in per_owner:
+            if delta_return:
+                verts_out = verts[changed_mask]
+                labels_out = labels[changed_mask]
+                pos_out = positions[changed_mask]
+            else:
+                verts_out, labels_out, pos_out = verts, labels, positions
+            if not len(verts_out):
+                continue
+            subset_of = vertex_subset[pos_out]
+            member_mask = is_member.get(node)
+            if member_mask is not None:
+                # The owner also holds edges of some of these
+                # vertices: its local view updates for free.
+                own = member_mask[subset_of]
+                if own.any():
+                    views[node].update(verts_out[own], labels_out[own])
+            # Batched subscriber-subset return: one Steiner
+            # destination set per subset present (its subscribers
+            # minus the sender; vertices whose only subscriber is
+            # the sender ship nothing), one exchange_multicast_column
+            # for all subsets together.
+            used, group_ids = np.unique(subset_of, return_inverse=True)
+            destination_sets = [
+                sorted(map(position.__getitem__, subset_members[sid] - {node}))
+                for sid in used.tolist()
+            ]
+            nonempty = np.asarray(
+                [bool(dsts) for dsts in destination_sets], dtype=bool
+            )
+            mask = nonempty[group_ids]
+            if not mask.any():
+                continue
+            sends.append(
+                (
                     [position[node]] * len(destination_sets),
                     group_ids[mask],
                     (
@@ -238,10 +235,18 @@ def _hash_to_min(
                         labels_out[mask],
                         payload_bits=VERTEX_BITS,
                     ),
-                    tag=_LABEL_RECV,
                 )
-                sent_pairs += int(mask.sum())
-        driver.set_last_input_size(sent_pairs)
+            )
+            sent_pairs += int(mask.sum())
+        # the round's size is known before it opens: every send is built
+        with driver.cluster_round(
+            task="connected-components",
+            protocol="label-return",
+            label=f"superstep {step} return",
+            input_size=sent_pairs,
+        ) as ctx:
+            for send in sends:
+                ctx.exchange_multicast_column(*send, tag=_LABEL_RECV)
         for node, view in views.items():
             received = driver.cluster.take(node, _LABEL_RECV)
             if len(received):

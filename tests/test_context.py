@@ -11,13 +11,14 @@ from repro.context import current, default, use
 from repro.data.generators import random_distribution
 from repro.engine import RunPlan, run_many
 from repro.obs.audit import CostAuditor, NullAuditor, auditing, get_auditor
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NullRegistry,
-    collecting,
-    get_registry,
+from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.tracer import (
+    FoldingTracer,
+    NullTracer,
+    Tracer,
+    get_tracer,
+    tracing,
 )
-from repro.obs.tracer import NullTracer, Tracer, get_tracer, tracing
 from repro.parallel.pool import WorkerPool
 from repro.topology.artifacts import ArtifactCache, use_artifacts
 from repro.topology.builders import fat_tree
@@ -44,7 +45,7 @@ class TestDefault:
         context = default()
         assert current() is context
         assert isinstance(context.tracer, NullTracer)
-        assert isinstance(context.registry, NullRegistry)
+        assert context.registry is None
         assert isinstance(context.auditor, NullAuditor)
         assert context.artifacts is None
         assert {f.name for f in dataclasses.fields(context)} == set(FIELDS)
@@ -61,7 +62,6 @@ class TestDefault:
         }
         with use(**hooks) as context:
             assert get_tracer() is context.tracer
-            assert get_registry() is context.registry
             assert get_auditor() is context.auditor
 
     def test_the_default_null_tracer_keeps_a_path_per_thread(self):
@@ -140,7 +140,6 @@ class TestUse:
     "front_end, field",
     [
         (tracing, "tracer"),
-        (collecting, "registry"),
         (auditing, "auditor"),
         (lambda: use_artifacts(ArtifactCache()), "artifacts"),
     ],
@@ -150,6 +149,18 @@ def test_front_ends_change_one_field(front_end, field):
     with front_end() as installed:
         assert current() == dataclasses.replace(before, **{field: installed})
     assert current() is before
+
+
+def test_collecting_adds_a_folding_tracer_only_when_none_records():
+    before = current()
+    with collecting() as registry:
+        assert current().registry is registry
+        assert isinstance(current().tracer, FoldingTracer)
+    assert current() is before
+    with tracing() as tracer, collecting() as registry:
+        assert current() == dataclasses.replace(
+            before, tracer=tracer, registry=registry
+        )
 
 
 class TestRunMany:
