@@ -16,12 +16,38 @@ from repro.queries.aggregate import GroupOutputs, combine_per_key
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import RoundContext, make_cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import index_dtype
 
 _RECV = "gather.recv"
+
+
+def gather_relation(
+    ctx: RoundContext,
+    computes: tuple,
+    distribution: Distribution,
+    tag: str,
+    target: int,
+    *,
+    recv_tag: str,
+) -> None:
+    """Register the gather of relation ``tag`` to ``computes[target]`` as
+    one :meth:`RoundContext.exchange_runs`: one run per other node of
+    the compute order ``computes``, its whole fragment, in that order.
+    The target's own fragment stays where it is."""
+    sizes = distribution.sizes_over(computes, tag)
+    values = distribution.column(tag)[0]  # laid out in compute order
+    lo = int(sizes[:target].sum())
+    others = np.delete(np.arange(len(computes)), target)
+    ctx.exchange_runs(
+        others,
+        np.full(len(others), target),
+        sizes[others],
+        np.concatenate((values[:lo], values[lo + sizes[target] :])),
+        tag=recv_tag,
+    )
 
 
 def _pick_target(
@@ -55,14 +81,17 @@ def gather_equijoin(
     if target is None:
         target = _pick_target(tree, distribution, (r_tag, s_tag))
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
-        for node in cluster.compute_order:
-            if node == target:
-                continue
-            for tag in (r_tag, s_tag):
-                local = cluster.local(node, tag)
-                if len(local):
-                    ctx.send(node, target, local, tag=f"{_RECV}.{tag}")
+        for tag in (r_tag, s_tag):
+            gather_relation(
+                ctx,
+                cluster.compute_order,
+                distribution,
+                tag,
+                owner,
+                recv_tag=f"{_RECV}.{tag}",
+            )
     r_all = np.concatenate(
         [cluster.local(target, r_tag), cluster.local(target, f"{_RECV}.{r_tag}")]
     )
@@ -70,7 +99,6 @@ def gather_equijoin(
         [cluster.local(target, s_tag), cluster.local(target, f"{_RECV}.{s_tag}")]
     )
     # every tuple sits at the target: the relation-wide join, one owner
-    owner = cluster.artifacts.compute_position[target]
     dtype = index_dtype(len(cluster.compute_order))
     outputs = join_columns(
         (np.full(len(r_all), owner, dtype), r_all),
@@ -112,20 +140,17 @@ def gather_groupby(
     if target is None:
         target = _pick_target(tree, distribution, (tag,))
     cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
-        for node in cluster.compute_order:
-            if node == target:
-                continue
-            local = cluster.local(node, tag)
-            if len(local):
-                ctx.send(node, target, local, tag=_RECV)
+        gather_relation(
+            ctx, cluster.compute_order, distribution, tag, owner, recv_tag=_RECV
+        )
     gathered = np.concatenate(
         [cluster.local(target, tag), cluster.local(target, _RECV)]
     )
     keys, values = decode_tuples(gathered, payload_bits=payload_bits)
     final_keys, final_values = combine_per_key(keys, values, op)
     computes = cluster.compute_order
-    owner = cluster.artifacts.compute_position[target]
     bounds = [0] * (owner + 1) + [len(final_keys)] * (len(computes) - owner)
     outputs = GroupOutputs(computes, bounds, final_keys, final_values)
     return ProtocolResult.from_ledger(

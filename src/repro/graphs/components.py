@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.gather import gather_relation
 from repro.core.common import LowerBound, column_holders
 from repro.data.columns import KeyValueArrays
 from repro.data.distribution import Distribution
@@ -499,12 +500,15 @@ def gather_connected_components(
             label="gather edges",
             input_size=total_edges,
         ) as ctx:
-            for node in computes:
-                if node == target:
-                    continue
-                fragment = distribution.fragment(node, tag)
-                if len(fragment):
-                    ctx.send(node, target, fragment, tag=_GATHER_RECV)
+            cluster = driver.cluster
+            gather_relation(
+                ctx,
+                cluster.compute_order,
+                distribution,
+                tag,
+                cluster.artifacts.compute_position[target],
+                recv_tag=_GATHER_RECV,
+            )
     gathered = np.concatenate(
         [distribution.fragment(target, tag), driver.cluster.take(target, _GATHER_RECV)]
     )

@@ -32,8 +32,13 @@ a router:
 node-named front-ends for one run and one group.  Each call appends one
 record to one of two streams, unicast and multicast, and each stream
 has one record shape.  Finalization groups the whole round with one
-stable argsort per tag (no per-destination masks, no per-group Python
-loops) and delivers and charges every grouped transfer in bulk.
+stable sort per tag (no per-destination masks, no per-group Python
+loops) and delivers and charges every grouped transfer in bulk.  A
+unicast tag that carries runs is sorted by run, not by element: the
+run destinations are sorted once and the payload is gathered run by
+run, so a sorted fragment cut at the splitters never gets a
+per-element destination column.  Nothing in the data plane is
+memoized: every grouping runs the kernel on the arrays it is given.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from repro.topology.artifacts import TopologyArtifacts, resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import (
     _concat_parts,
-    cached_group_slices,
     concat_ranges,
     group_slices,
     index_dtype,
@@ -105,6 +109,41 @@ def _pair_counts(keys: list, run_keys: list, run_counts: list, size: int) -> tup
     return (*np.divmod(flat[starts], size), counts)
 
 
+def _group_by_destination(parts: Sequence[tuple]) -> tuple:
+    """One tag's unicast parts grouped by destination: ``(payload,
+    destinations, starts, ends)``, destination ``k`` receiving
+    ``payload[starts[k]:ends[k]]`` in registration order.
+
+    A part is ``(dst_ids, counts, payload)``: with ``counts`` ``None``
+    element ``i`` goes to ``dst_ids[i]``, otherwise run ``i`` is the
+    next ``counts[i]`` elements.  A tag without runs takes one stable
+    sort of its elements.  Otherwise an element part counts as runs of
+    length one, the stable sort is over runs, and the payload is
+    gathered run by run: a stable sort of runs puts their elements in
+    the order a stable sort of the elements would.
+    """
+    dst_ids, counts, payloads = zip(*parts)
+    payload = _concatenated(payloads)
+    order, uniques, starts, ends = group_slices(_concatenated(dst_ids))
+    if all(part is None for part in counts):
+        return payload[order], uniques, starts, ends
+    lengths = _concatenated(
+        [
+            np.ones(len(ids), np.intp) if part is None else part
+            for ids, part in zip(dst_ids, counts)
+        ]
+    )
+    firsts = np.cumsum(lengths) - lengths
+    lengths = lengths[order]
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    return (
+        payload[concat_ranges(firsts[order], lengths)],
+        uniques,
+        bounds[starts],
+        bounds[ends],
+    )
+
+
 class RoundContext:
     """Collects the transfers of one round; created by :meth:`Cluster.round`."""
 
@@ -124,10 +163,10 @@ class RoundContext:
         # counts None: element i goes from sources[i] to targets[i].
         # Runs: the payload laid end to end, run i being counts[i]
         # elements from sources[i] to targets[i] (send() records its one
-        # run as three ints).  Grouping is deferred to finalization so
-        # the whole round is grouped with one pass, and registration
-        # order is what keeps storage byte-identical to one send per run
-        # even when calls mix on one (dst, tag).
+        # run as three one-element arrays).  Grouping is deferred to
+        # finalization so the whole round is grouped with one pass, and
+        # registration order is what keeps storage byte-identical to one
+        # send per run even when calls mix on one (dst, tag).
         self._unicast_stream: list[tuple] = []
         self._closed = False
 
@@ -225,7 +264,13 @@ class RoundContext:
         if len(payload) == 0:
             return
         self._unicast_stream.append(
-            (source, target, len(payload), payload, str(tag))
+            (
+                np.array([source], np.intp),
+                np.array([target], np.intp),
+                np.array([len(payload)], np.intp),
+                payload,
+                str(tag),
+            )
         )
 
     def multicast(
@@ -445,9 +490,11 @@ class RoundContext:
         """Deliver and charge the whole round with grouped bookkeeping.
 
         All transfers are grouped by ``(dst, tag)`` for delivery — one
-        stable argsort per tag across every scatter of the round — and
-        by routing unit for accounting: unicast ``(src, dst)`` pair
-        counts feed the vectorized tree-flow charger
+        stable sort per tag across every scatter of the round, over
+        runs when the tag carries any (:func:`_group_by_destination`),
+        with no memo in front of it — and by routing unit for
+        accounting: unicast ``(src, dst)`` pair counts feed the
+        vectorized tree-flow charger
         (:meth:`~repro.topology.steiner.RoutingIndex.unicast_loads`),
         multicasts their Steiner sets; each kernel's ``(2, links)`` load
         array goes to the ledger whole (:meth:`CostLedger.add_link_loads`).
@@ -456,9 +503,9 @@ class RoundContext:
         reference model in ``tests/reference_delivery.py``).
 
         When a recording tracer is installed, the finalizer splits its
-        wall time into *group* (collection + argsort), *deliver*
-        (storage appends), and *charge* (tree-flow accounting) phases,
-        counts the delivered elements per tag, and annotates the
+        wall time into *group* (collection, sort, payload gather),
+        *deliver* (storage appends) and *charge* (tree-flow accounting)
+        phases, counts the delivered elements per tag, and annotates the
         enclosing round span with both alongside the ledger-derived
         round attrs; with the default no-op tracer no clock is read.
         """
@@ -480,15 +527,13 @@ class RoundContext:
         if self._unicast_stream:
             t0 = perf_counter() if phases is not None else 0.0
             routing, by_tag, pairs = self._collect_unicasts()
-            # group: one pass per tag over the whole round; the argsort
-            # is stable and parts are concatenated in registration
-            # order, so per-(dst, tag) contents match a transfer-by-
-            # transfer delivery exactly
-            grouped = []
-            for tag, parts in by_tag.items():
-                all_dst, all_payload = map(_concatenated, zip(*parts))
-                order, uniques, starts, ends = cached_group_slices(all_dst)
-                grouped.append((tag, all_payload[order], uniques, starts, ends))
+            # group: one stable sort per tag over the whole round, parts
+            # concatenated in registration order, so per-(dst, tag)
+            # contents match a transfer-by-transfer delivery exactly
+            grouped = [
+                (tag, *_group_by_destination(parts))
+                for tag, parts in by_tag.items()
+            ]
             if phases is not None:
                 t1 = perf_counter()
                 phases["t_group_s"] += t1 - t0
@@ -498,7 +543,7 @@ class RoundContext:
                     delivered = phases["delivered_by_tag"]
                     count = len(sorted_payload)
                     delivered[tag] = delivered.get(tag, 0) + count
-                # group_slices left the payload cut by destination: it
+                # the grouping left the payload cut by destination: it
                 # is the table, installed whole
                 storage.install(
                     tag,
@@ -522,19 +567,21 @@ class RoundContext:
 
     def _collect_unicasts(
         self,
-    ) -> tuple[object, dict[str, list[tuple[np.ndarray, np.ndarray]]], tuple]:
+    ) -> tuple[object, dict[str, list[tuple]], tuple]:
         """Resolve the unicast stream into columnar per-tag parts.
 
         Returns ``(routing_index, by_tag, pairs)``: per tag, the
-        registration-ordered ``(dst_ids, payload)`` parts whose
-        concatenation is the round's full scatter for that tag, plus
-        the round's ``(src, dst, count)`` pair counts that feed the
-        vectorized tree-flow charger (:func:`_pair_counts`).
+        registration-ordered ``(dst_ids, counts, payload)`` parts whose
+        concatenation is the round's full scatter for that tag — one
+        routing index per element when ``counts`` is ``None``, else one
+        per run of ``counts`` elements (:func:`_group_by_destination`
+        reads both) — plus the round's ``(src, dst, count)`` pair counts
+        that feed the vectorized tree-flow charger (:func:`_pair_counts`).
         """
         routing = self._cluster.oracle.routing_index
         size = routing.num_nodes
         compute_lookup = routing.compute_idx.astype(index_dtype(size))
-        by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        by_tag: dict[str, list[tuple]] = {}
         # flat ``src * size + dst`` keys: one per element, or one per run
         # beside its count
         keys, run_keys, run_counts = [], [], []
@@ -546,8 +593,7 @@ class RoundContext:
             else:
                 run_keys.append(flat)
                 run_counts.append(counts)
-                dst_ids = np.repeat(dst_ids, counts)
-            by_tag.setdefault(tag, []).append((dst_ids, payload))
+            by_tag.setdefault(tag, []).append((dst_ids, counts, payload))
         return routing, by_tag, _pair_counts(keys, run_keys, run_counts, size)
 
     def _apply_pair_loads(self, routing, pairs: tuple) -> None:
@@ -582,7 +628,7 @@ class RoundContext:
 
         Group ids are lifted into a per-tag global id space (each
         record's local ids shifted by a running base and materialized by
-        :func:`_concat_parts`), so one memoized grouping pass per tag
+        :func:`_concat_parts`), so one grouping pass per tag
         covers every replicated element of the round; global ids ascend
         in registration x local-id order, which keeps per-``(dst, tag)``
         byte order identical to the per-group multicast loop.  Each
@@ -609,7 +655,7 @@ class RoundContext:
             t1 = perf_counter() if phases is not None else 0.0
             ids, payloads, *table = zip(*records)
             bases = accumulate(map(len, table[2]), initial=0)
-            order, uniques, starts, ends = cached_group_slices(
+            order, uniques, starts, ends = group_slices(
                 _concat_parts(list(zip(ids, bases)))
             )
             all_payload, sources, members, fanouts = map(

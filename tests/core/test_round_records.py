@@ -65,3 +65,24 @@ def test_star_intersect_without_r_moves_nothing(records):
     result = star_intersect(tree, distribution, seed=2)
     assert records == [(0, 0)]
     assert (result.cost, result.meta["v_alpha"]) == (0.0, [])
+
+
+@pytest.mark.parametrize("tree", standard_topologies(), ids=lambda tree: tree.name)
+@pytest.mark.parametrize(
+    "task, records_per_round", [("equijoin", 2), ("groupby-aggregate", 1)]
+)
+def test_gathers_register_one_run_record_per_relation(
+    records, tree, task, records_per_round
+):
+    distribution = repro.random_tuple_distribution(
+        tree, r_size=200, s_size=300, seed=1
+    )
+    repro.run(task, tree, distribution, protocol="gather")
+    assert records == [(records_per_round, 0)]
+
+
+@pytest.mark.parametrize("tree", standard_topologies(), ids=lambda tree: tree.name)
+def test_the_components_gather_registers_one_run_record(records, tree):
+    distribution = repro.random_graph_distribution(tree, num_edges=150, seed=1)
+    repro.run("connected-components", tree, distribution, protocol="gather")
+    assert records == [(1, 0)]

@@ -106,7 +106,7 @@ class ReferenceRoundContext(RoundContext):
         order = cluster.compute_order
         transfers = [
             (order[source], (order[target],), payload, tag)
-            for source, target, _count, payload, tag in self._unicast_stream
+            for (source,), (target,), _count, payload, tag in self._unicast_stream
         ] + [
             (order[origin], [order[m] for m in members.tolist()], payload, tag)
             for (origin,), members, _offsets, _ids, payload, tag in self._multicasts

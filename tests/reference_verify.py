@@ -108,10 +108,11 @@ def reference_collect_unicasts(self):
     """Resolve the unicast stream into columnar per-tag parts.
 
     Returns ``(routing_index, by_tag, pair_matrix)``: per tag, the
-    registration-ordered ``(dst_ids, payload)`` parts whose
-    concatenation is the round's full scatter for that tag, plus
-    the dense ``(src, dst) -> element count`` matrix that feeds the
-    vectorized tree-flow charger.
+    registration-ordered ``(dst_ids, None, payload)`` parts — one
+    destination per element, runs expanded, so the finalizer groups
+    them element by element — whose concatenation is the round's full
+    scatter for that tag, plus the dense ``(src, dst) -> element
+    count`` matrix that feeds the vectorized tree-flow charger.
     (``self`` is a ``RoundContext``: the old method body.)
     """
     cluster = self._cluster
@@ -121,7 +122,7 @@ def reference_collect_unicasts(self):
     # (node counts are small; 1024 nodes is an 8 MB matrix)
     pair_matrix = np.zeros((size, size), dtype=np.int64)
     compute_lookup = routing.compute_idx.astype(index_dtype(size))
-    by_tag: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    by_tag: dict[str, list[tuple]] = {}
     for src, targets, counts, payload, tag in self._unicast_stream:
         if counts is not None:  # runs: the triples are the pair counts
             run_dst = compute_lookup[targets]
@@ -134,7 +135,7 @@ def reference_collect_unicasts(self):
             pair_matrix += np.bincount(
                 flat, minlength=size * size
             ).reshape(size, size)
-        by_tag.setdefault(tag, []).append((dst_ids, payload))
+        by_tag.setdefault(tag, []).append((dst_ids, None, payload))
     return routing, by_tag, pair_matrix
 
 

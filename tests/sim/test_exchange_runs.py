@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.obs.audit import auditing
-from repro.sim.cluster import Cluster
+from repro.sim.cluster import Cluster, _group_by_destination
+from repro.util.grouping import group_slices
 from repro.topology.builders import two_level
 
 from tests.cluster_identity import assert_clusters_identical
@@ -65,9 +66,10 @@ class TestDelivery:
         order = cluster.compute_order
         with cluster.round() as ctx:
             ctx.send(order[1], order[4], [5, 6], tag="x")
-            ((source, target, count, payload, tag),) = ctx._unicast_stream
-        assert (source, target, count, tag) == (1, 4, 2, "x")
-        assert payload.tolist() == [5, 6]
+            ((sources, targets, counts, payload, tag),) = ctx._unicast_stream
+        # the record shape exchange_runs registers: one-run arrays
+        assert [part.tolist() for part in (sources, targets, counts)] == [[1], [4], [2]]
+        assert tag == "x" and payload.tolist() == [5, 6]
 
     def test_empty_payloads_pass_the_checks(self, cluster):
         empty = np.empty(0, np.int64)
@@ -315,3 +317,91 @@ class TestRunsEquivalenceProperty:
         assert_clusters_identical(
             production, reference, a_name="production", b_name="reference"
         )
+
+
+class TestRunsAtProtocolSizes:
+    """The sorting protocols send thousands of runs carrying hundreds of
+    thousands of elements per round; the property above draws a handful
+    of tiny ones.  One deterministic round at that scale, under one tag:
+    run triples with zero-count runs and self-runs, an
+    ``exchange_column`` record and a ``send``."""
+
+    @staticmethod
+    def _plan(tree):
+        rng = np.random.default_rng(20)
+        nodes = len(tree.compute_nodes)
+        runs = 4000
+        sources = np.sort(rng.integers(0, nodes, runs))  # fragments by source
+        targets = rng.integers(0, nodes, runs)
+        counts = rng.integers(1, 112, runs)
+        counts[rng.random(runs) < 0.1] = 0
+        self_runs = rng.random(runs) < 0.05
+        targets[self_runs] = sources[self_runs]
+        column = 5000
+        return [
+            ("send", "recv", 7, 3, rng.integers(-99, 99, 300)),
+            (
+                "runs",
+                "recv",
+                sources,
+                targets,
+                counts,
+                rng.integers(-(2**40), 2**40, int(counts.sum())),
+            ),
+            (
+                "column",
+                "recv",
+                rng.integers(0, nodes, column),
+                rng.integers(0, nodes, column),
+                rng.integers(-99, 99, column),
+            ),
+        ]
+
+    def test_a_sorting_sized_round_matches_the_reference_model(self):
+        tree = two_level([20] * 20)
+        plan = self._plan(tree)
+        (_, _, sources, targets, counts, payload) = plan[1]
+        assert len(counts) == 4000 and 190_000 < len(payload) < 210_000
+        assert (counts == 0).any() and (sources == targets).any()
+        with auditing(strict=True):
+            production = _replay(Cluster(tree), plan)
+        reference = _replay(ReferenceCluster(tree), plan)
+        assert production.ledger.round_loads(0) == reference.ledger.round_loads(0)
+        assert_clusters_identical(
+            production, reference, a_name="production", b_name="reference"
+        )
+
+
+@st.composite
+def unicast_parts(draw):
+    """One tag's ``(dst_ids, counts, payload)`` parts: per-element parts
+    (``counts`` ``None``) and run parts, zero-count runs included."""
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(0, 30))
+        column = st.lists(st.integers(0, 6), min_size=size, max_size=size)
+        ids = np.asarray(draw(column), np.int16)
+        if draw(st.booleans()):
+            counts = np.asarray(draw(column), np.intp)
+            payload = np.arange(int(counts.sum()), dtype=np.int64) * 7
+            parts.append((ids, counts, payload))
+        else:
+            parts.append((ids, None, np.arange(size, dtype=np.int64) * 3))
+    return parts
+
+
+@given(unicast_parts())
+@settings(max_examples=200, deadline=None)
+def test_grouping_by_run_is_grouping_the_expanded_elements(parts):
+    """The definition: expand every run to one id per element, then one
+    stable sort of the elements; empty destinations install nothing."""
+    ids = np.concatenate(
+        [ids if counts is None else np.repeat(ids, counts) for ids, counts, _ in parts]
+    )
+    payload = np.concatenate([payload for *_, payload in parts])
+    order, uniques, starts, ends = group_slices(ids)
+    found, destinations, los, his = _group_by_destination(parts)
+    assert found.tolist() == payload[order].tolist()
+    held = his > los
+    assert destinations[held].tolist() == uniques.tolist()
+    assert (los[held].tolist(), his[held].tolist()) == (starts.tolist(), ends.tolist())

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.baselines.gather import gather_equijoin, gather_groupby
 from repro.baselines.uniform_hash import (
     uniform_hash_equijoin,
     uniform_hash_groupby,
@@ -24,7 +25,10 @@ from repro.core.intersection.star import star_intersect
 from repro.core.intersection.tree import tree_intersect
 from repro.core.sorting.wts import weighted_terasort
 from repro.data.distribution import Distribution
-from repro.graphs.components import uniform_hash_connected_components
+from repro.graphs.components import (
+    gather_connected_components,
+    uniform_hash_connected_components,
+)
 from repro.queries.aggregate import tree_groupby_aggregate
 from repro.queries.join import tree_equijoin
 from repro.queries.tuples import encode_tuples
@@ -215,3 +219,22 @@ class TestWholeProtocolDifferential:
             op=op,
             pre_aggregate=pre_aggregate,
         )
+
+    @given(instance=set_pair_instances(max_nodes=8))
+    @settings(max_examples=25, deadline=None)
+    def test_gather_equijoin(self, instance):
+        tree, sets = instance
+        _assert_same_run(gather_equijoin, tree, _as_tuples(sets), materialize=True)
+
+    @given(
+        instance=keyed_instances(max_nodes=8),
+        op=st.sampled_from(["sum", "count", "min", "max"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_gather_groupby(self, instance, op):
+        _assert_same_run(gather_groupby, *instance, op=op)
+
+    @given(instance=graph_instances(max_nodes=8, max_vertices=25))
+    @settings(max_examples=20, deadline=None)
+    def test_gather_connected_components(self, instance):
+        _assert_same_run(gather_connected_components, *instance)

@@ -49,11 +49,33 @@ class TestWeightedNodeHasher:
         with pytest.raises(ValueError):
             WeightedNodeHasher(["a", "b"], [0.0, 0.0], 0)
 
-    def test_consistent_across_instances(self):
-        values = np.arange(1000)
+    @pytest.mark.parametrize(
+        "values",
+        [np.arange(1000), np.random.default_rng(2).integers(0, 2**40, 300_000)],
+        ids=["small", "relation-sized"],
+    )
+    def test_consistent_across_instances(self, values):
+        # seed and weights define the function: two instances, and two
+        # calls on one, agree
         first = WeightedNodeHasher(["a", "b", "c"], [1, 2, 3], 42)
         second = WeightedNodeHasher(["a", "b", "c"], [1, 2, 3], 42)
-        assert np.array_equal(first.assign_indices(values), second.assign_indices(values))
+        expected = first.assign_indices(values)
+        assert np.array_equal(second.assign_indices(values), expected)
+        assert np.array_equal(first.assign_indices(values.copy()), expected)
+
+    def test_distinct_seeds_assign_differently(self):
+        values = np.arange(5000, dtype=np.int64)
+        a = WeightedNodeHasher(range(6), [1.0 + i for i in range(6)], 5)
+        b = WeightedNodeHasher(range(6), [1.0 + i for i in range(6)], 6)
+        assert not np.array_equal(a.assign_indices(values), b.assign_indices(values))
+
+    def test_targets_are_in_the_narrow_lookup_dtype(self):
+        values = np.arange(5000, dtype=np.int64)
+        hasher = WeightedNodeHasher(range(6), [1.0] * 6, 5)
+        assert hasher.assign_indices(values).dtype == np.int16
+        assert hasher.assign_indices(values[:10]).dtype == np.int16
+        wide = WeightedNodeHasher(range(2**15), [1.0] * 2**15, 5)
+        assert wide.assign_indices(values).dtype == np.int64
 
     def test_zero_weight_node_gets_nothing(self):
         hasher = WeightedNodeHasher(["a", "b", "c"], [1.0, 0.0, 1.0], 5)
