@@ -8,8 +8,9 @@ queries, on a persistent pool of worker processes:
 1. ``repro.run(..., backend="process")`` runs one query on a pool worker
    and returns the report the simulator returns in this process; the
    caller's trace holds one ``barrier`` span for the wait;
-2. ``run_many(..., executor="process")`` deals a batch of plans over the
-   pool, and agrees with the thread executor plan for plan.
+2. ``run_many(..., workers=2)`` deals a batch of plans over the pool,
+   and agrees plan for plan with ``run_many(...)``, which runs the batch
+   in this process.
 
 Run:  python examples/parallel_scaling.py
 """
@@ -41,8 +42,8 @@ def engine_parity() -> None:
     assert (sim.cost, sim.rounds) == (par.cost, par.rounds)
 
 
-def batch_executors() -> None:
-    """run_many on threads vs the worker-process pool."""
+def batch_paths() -> None:
+    """run_many in this process vs on the worker-process pool."""
     tree = repro.fat_tree(2, 2, leaf_bandwidth=2.0)
     plans = [
         RunPlan(
@@ -55,18 +56,19 @@ def batch_executors() -> None:
         )
         for seed in (1, 2, 3)
     ]
-    threaded = run_many(plans, executor="thread")
-    processed = run_many(plans, executor="process", workers=2)
-    costs = [report.cost for report in threaded]
-    assert costs == [report.cost for report in processed]
-    print(f"run_many executors agree on {len(plans)} sorting plans: {costs}")
+    in_caller = run_many(plans)
+    pooled = run_many(plans, workers=2)
+    costs = [report.cost for report in in_caller]
+    assert costs == [report.cost for report in pooled]
+    print(f"run_many in process and on the pool agree on {len(plans)} "
+          f"sorting plans: {costs}")
 
 
 def main() -> None:
     try:
         engine_parity()
         print()
-        batch_executors()
+        batch_paths()
     finally:
         shutdown_pools()
 

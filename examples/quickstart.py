@@ -36,7 +36,7 @@ def main() -> None:
     # One engine call per task: repro.run dispatches through the protocol
     # registry, so the same entry point covers every task and protocol
     # (run ``python -m repro protocols`` for the catalog).  run_many
-    # evaluates the batch concurrently and preserves order.
+    # evaluates the batch in this process and preserves order.
     reports = repro.run_many(
         [
             repro.RunPlan(task, tree, dist, seed=1, placement="zipf")

@@ -13,10 +13,9 @@ way a multi-tenant query service would:
 2. cached plan queries (``session.run_plan``): the second execution of
    a query shape skips the optimizer's join-order and protocol search
    entirely (watch the plan-cache hit counter);
-3. a served batch (``session.run_many``) with the serve layer's two
-   traffic controls — *lower-bound admission* (queries whose certified
-   minimum cost exceeds the budget are rejected before running) and
-   *cheapest-bound-first scheduling*;
+3. a served batch (``session.run_many``) with the serve layer's
+   traffic control, *lower-bound admission*: queries whose certified
+   minimum cost exceeds the budget are rejected before running;
 4. the cold-vs-warm comparison: the same query through the stateless
    one-shot engine, byte-identical answer, measurably slower.
 
@@ -86,7 +85,7 @@ def main() -> None:
         ]
         # Every task carries a lower bound.  A tight budget rejects the
         # query with the largest bound before spending anything on it;
-        # the admitted rest run cheapest bound first.  These three
+        # the admitted rest run in submission order.  These three
         # bounds are the paper's worst-case theorems, so a rejected
         # query might still have cost less than its bound (ROADMAP
         # item 1(b) makes bounds say which kind they are).

@@ -19,8 +19,8 @@ Quick start::
 
 Every protocol lives in a central catalog (``repro.list_protocols()``,
 ``python -m repro protocols``); ``repro.run(task, ...)`` dispatches
-through it and ``repro.run_many(plans)`` evaluates whole grids
-concurrently.
+through it and ``repro.run_many(plans)`` evaluates whole grids, in
+this process or (``workers=n``) on a pool of worker processes.
 
 See ``examples/`` for complete scenarios and DESIGN.md for the module map.
 """

@@ -10,7 +10,7 @@ Usage::
     python -m repro graphs              # graph workloads vs baselines
     python -m repro serve --queries 500 # warm-session serving (one session)
     python -m repro table1 --r-size 2000 --s-size 2000 --seed 7
-    python -m repro table1 --executor process --workers 4
+    python -m repro table1 --workers 2  # the grid on 2 worker processes
 
 Each command prints the same plain-text tables the benchmark harness
 records, so the headline claims can be checked without pytest;
@@ -59,7 +59,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         seed=args.seed,
         tasks=ALL_SUITE_TASKS,
     )
-    reports = run_many(plans, workers=args.workers, executor=args.executor)
+    reports = run_many(plans, workers=args.workers)
     if args.verbose:
         print(summarize_reports(reports, title="All runs"))
         print()
@@ -566,7 +566,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="table1: batch executor size (default: the executor's choice)",
+        help=(
+            "table1: run the plan grid on N worker processes (default: "
+            "in this process)"
+        ),
     )
     parser.add_argument(
         "--verbose", action="store_true", help="print per-instance rows"
@@ -616,15 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=200,
         help="serve: number of mixed workload queries (default 200)",
-    )
-    parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help=(
-            "table1: run the plan grid on threads or on worker "
-            "processes (default thread)"
-        ),
     )
     parser.add_argument(
         "--trace",
@@ -715,6 +709,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command not in ("trace", "metrics"):
         if args.subcommand is not None:
             parser.error(f"unrecognized arguments: {args.subcommand}")
+    pooled = args.command == "table1" and args.workers is not None
+    if pooled and (args.audit != "off" or args.metrics is not None):
+        # the plans' spans and audit checks stay on the workers
+        parser.error(
+            "--workers cannot be combined with --audit or --metrics: "
+            "pooled plans are audited and metered on the worker "
+            "processes, not here"
+        )
     handlers = {
         "table1": _cmd_table1,
         "compare": _cmd_compare,

@@ -102,8 +102,8 @@ def standard_plans(
     a placed G(n, m) edge list on the same topology and placement, so
     every registered task — not just the paper's three — sweeps the
     same grid.  Feed the result to :func:`repro.engine.run_many` to
-    evaluate the grid concurrently; report order follows the grid
-    order.
+    evaluate the grid (``workers=n`` deals it over worker processes);
+    report order follows the grid order.
     """
     task_list = list(tasks)
     kinds = {_instance_kind(t) for t in task_list}

@@ -16,12 +16,12 @@ it closes into the registry of the current context.  So a registry
 counts only under a recording tracer, and ``collecting()`` installs a
 :class:`~repro.obs.tracer.FoldingTracer` beside it when none is.
 
-A context is safe to share between threads: the recording tracer (and
-the registry folds under its lock), the auditor and the artifact cache
-lock their shared state, and both tracers keep their open-span stacks
-per thread.  So ``run_many`` captures ``current()`` once and installs
-it unchanged on every executor thread, and a new thread (or a pool
-worker) starts from :func:`default`.
+A new thread, and every pool worker, starts from :func:`default`;
+``run_many`` without ``workers`` runs its plans in the caller, under
+the caller's context.  A caller may still install one context in
+threads of its own: the recording tracer (and the registry folds under
+its lock), the auditor and the artifact cache lock their shared state,
+and both tracers keep their open-span stacks per thread.
 """
 
 from __future__ import annotations

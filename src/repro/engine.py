@@ -8,19 +8,18 @@ verifier (the reproduction never reports cost for a wrong answer),
 computes the task's lower bound, and packages everything into a
 :class:`repro.report.RunReport`.
 
-Batch execution goes through :func:`run_many`, which evaluates a list
-of :class:`RunPlan` objects concurrently (the simulator is pure Python +
-numpy, and distinct runs share no state, so a thread pool is safe) and
-returns reports in plan order.  Parallelism is per query, never inside
-one: ``run_many(..., executor="process")`` deals whole plans over the
-shared worker pool (:func:`repro.parallel.pool.get_pool`, one
-``ProcessPoolExecutor`` per rank), and ``run(..., backend="process")``
-is that with one plan, so it runs on rank 0.
+Batch execution goes through :func:`run_many`, which returns reports
+in plan order.  A batch runs in the caller, plan after plan under the
+caller's run context, or whole plans are dealt over the shared worker
+pool (:func:`repro.parallel.pool.get_pool`, one ``ProcessPoolExecutor``
+per rank); parallelism is per query, never inside one.  Every report's
+cost is its Section-2 ledger, so the path changes only wall time.
+``run(..., backend="process")`` is the pool with one plan, so it runs
+on rank 0.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterable
@@ -238,9 +237,8 @@ def run(
         ``"sim"`` (default, ``None``) runs the query in this process.
         ``"process"`` sends it whole to rank 0 of the shared pool of
         ``num_workers`` processes (default 2, at least 1), as a one-plan
-        :func:`run_many` with ``executor="process"``: the report is the
-        same, and the query's spans, metrics and audit checks stay on
-        the worker.
+        :func:`run_many` on that pool: the report is the same, and the
+        query's spans, metrics and audit checks stay on the worker.
     opts:
         Extra keyword arguments forwarded to the protocol unchanged
         (e.g. ``blocks=...`` for ablations, ``materialize=True``).
@@ -258,7 +256,8 @@ def run(
             task, tree, distribution, protocol, seed, placement, verify, opts
         )
         started = perf_counter()
-        (report,) = run_many([plan], workers=num_workers, executor="process")
+        workers = 2 if num_workers is None else num_workers
+        (report,) = run_many([plan], workers=workers)
         # what the caller waited for: the trip to the worker included
         return replace(report, wall_time_s=perf_counter() - started)
     report, _ = run_with_result(
@@ -407,68 +406,49 @@ def _execute_annotated(indexed: tuple[int, RunPlan]) -> RunReport:
 
 
 def run_many(
-    plans: Iterable[RunPlan | dict],
-    *,
-    workers: int | None = None,
-    executor: str = "thread",
+    plans: Iterable[RunPlan | dict], *, workers: int | None = None
 ) -> list[RunReport]:
-    """Execute plans concurrently; reports come back in plan order.
+    """Execute plans; reports come back in plan order.
 
     ``plans`` may mix :class:`RunPlan` instances and plain dicts with the
     same field names.  A failing plan's exception is annotated with
     its index and task name.
 
-    ``executor`` picks the batch substrate.  ``"thread"`` (default) maps
-    plans over a thread pool — fine for the simulator, which releases
-    the GIL in its numpy kernels — and degrades to a sequential loop
-    for ``workers=1`` or a single plan, so failures surface with clean
-    tracebacks.  ``"process"`` always deals the plans round-robin over
-    the shared pool of ``workers`` processes (default 2,
-    :func:`repro.parallel.pool.get_pool`), escaping the GIL entirely:
-    plan ``i`` runs on rank ``i % workers`` under the default run
+    ``workers=None`` (default) runs the plans one after another in the
+    caller, under the caller's run context: their spans, metrics and
+    audit checks land where the caller's hooks are.  An int ``n >= 1``
+    deals them round-robin over the shared pool of ``n`` worker
+    processes (:func:`repro.parallel.pool.get_pool`), even one plan or
+    ``n = 1``: plan ``i`` runs on rank ``i % n`` under the default run
     context, so its spans, metrics and audit checks stay there, and the
     caller's trace gets one ``pool.scatter`` span (category
     ``barrier``) for the wait.  Plans and reports cross the process
-    boundary by pickling, so ``"process"`` requires picklable plan
-    fields (every in-repo topology/distribution is); the first failing
-    plan's exception is raised with its worker rank noted.
+    boundary by pickling, so the pool requires picklable plan fields
+    (every in-repo topology/distribution is); the first failing plan's
+    exception is raised with its worker rank noted.  Either way a
+    report's cost is its plan's Section-2 ledger: the two paths return
+    the same reports apart from ``wall_time_s``.
     """
     if workers is not None and workers < 1:
         raise AnalysisError(f"workers must be >= 1, got {workers}")
-    if executor not in ("thread", "process"):
-        raise AnalysisError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
     normalized: list[RunPlan] = [
         plan if isinstance(plan, RunPlan) else RunPlan(**plan)
         for plan in plans
     ]
-    if not normalized:
-        return []
-    if executor == "process":
-        # imported here: ``import repro`` should not load multiprocessing
-        from repro.parallel.pool import get_pool
-
-        pool = get_pool(2 if workers is None else workers)
-        with current().tracer.span(
-            "pool.scatter", category="barrier", workers=pool.num_workers
-        ):
-            return pool.map(_execute_annotated, enumerate(normalized))
-    if workers == 1 or len(normalized) == 1:
+    if workers is None:
         return [
             _execute_annotated(indexed) for indexed in enumerate(normalized)
         ]
-    # Executor threads start from the default context: carry the
-    # caller's whole context onto them (everything in it is safe to
-    # share; span stacks are per thread).
-    context = current()
+    if not normalized:
+        return []
+    # imported here: ``import repro`` should not load multiprocessing
+    from repro.parallel.pool import get_pool
 
-    def _mapper(indexed: tuple[int, RunPlan]) -> RunReport:
-        with use(context):
-            return _execute_annotated(indexed)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_mapper, enumerate(normalized)))
+    pool = get_pool(workers)
+    with current().tracer.span(
+        "pool.scatter", category="barrier", workers=pool.num_workers
+    ):
+        return pool.map(_execute_annotated, enumerate(normalized))
 
 
 def run_plan(

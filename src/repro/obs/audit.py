@@ -32,7 +32,7 @@ Every violation is one small ``audit`` span (``invariant``,
 ``repro_audit_violations_total{invariant=...}``, and is accumulated on
 the auditor; in strict mode the first violation raises
 :class:`~repro.errors.AuditError`.  A query sent to a pool worker
-(``run_many(executor="process")``, ``run(backend="process")``) runs
+(``run_many(workers=n)``, ``run(backend="process")``) runs
 there from the default context, unaudited.
 
 The default auditor is :class:`NullAuditor`: one run-context read per

@@ -13,9 +13,8 @@ surface:
   the innermost open span (how round finalizers attach ledger-derived
   facts without threading span objects through call stacks), and
   finished spans land in a bounded event buffer (overflow increments
-  ``dropped`` instead of growing without limit).  One tracer may be
-  shared by several threads — ``run_many``'s thread executor installs
-  the caller's run context in every worker thread — so the *open-span
+  ``dropped`` instead of growing without limit).  A caller may
+  install one tracer in several threads of its own, so the *open-span
   stack* is kept per thread while the event buffer is shared under a
   lock.
 * :class:`FoldingTracer` — what ``collecting()`` installs when no
@@ -57,8 +56,8 @@ MAIN_TRACK = "main"
 class SpanEvent:
     """One finished span: name, monotonic interval, attributes.
 
-    ``track`` groups events into timeline rows (the installing thread,
-    run_many threads); ``depth`` is the nesting depth at
+    ``track`` groups events into timeline rows (the main thread, or the
+    recording thread's name); ``depth`` is the nesting depth at
     open time and ``index`` a per-tracer sequence number, so exports
     can reconstruct ordering without trusting float ties.
     """

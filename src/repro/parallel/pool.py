@@ -103,7 +103,8 @@ def get_pool(num_workers: int) -> WorkerPool:
     """The shared pool of ``num_workers`` ranks, rebuilt once closed."""
     # before the lock: workers are forked while it is held, and keep it so
     _refuse_nesting()
-    # atomic: run_many's threads ask at once; a lost race orphans a pool
+    # atomic: callers may share pools from their own threads, and a
+    # lost race would orphan a pool
     with _SHARED_POOLS_LOCK:
         pool = _SHARED_POOLS.get(num_workers)
         if pool is None or pool.closed:

@@ -35,12 +35,13 @@ Quick start::
             report = session.run("set-intersection", dist)
     print(session.summary())
 
-``session.run_many`` adds the serve-layer traffic controls the
-one-shot engine has no state for: a lower-bound admission gate
-(``max_bound`` — reject queries whose *certified minimum* cost already
-exceeds the budget, before spending anything on them) and
-cheapest-bound-first scheduling (``schedule="cost"``) for concurrent
-batches.
+``session.run_many`` runs a batch as :func:`repro.run_many` does (in the
+caller, or over the worker pool with ``workers=n``) and adds the one
+serve-layer traffic control the one-shot engine has no state for: a
+lower-bound admission gate (``max_bound`` — reject queries whose
+*certified minimum* cost already exceeds the budget, before spending
+anything on them).  Reports come back together in submission order,
+so the order the admitted plans run in changes no report.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ from repro.plan.optimizer import PlanCache
 from repro.registry import get_task
 from repro.topology.artifacts import ArtifactCache
 from repro.topology.tree import TreeTopology
-
-SCHEDULES = ("cost", "fifo")
 
 
 class EngineSession:
@@ -207,7 +206,7 @@ class EngineSession:
         """The certified lower bound :meth:`run_many` admits against.
 
         ``None`` when the plan's task registers no bound (such plans
-        are always admitted and scheduled last under ``"cost"``).
+        are always admitted).
         Exposed so callers can pick an admission budget from the
         workload itself.
         """
@@ -219,67 +218,48 @@ class EngineSession:
         plans: Iterable[RunPlan | dict],
         *,
         workers: int | None = None,
-        executor: str = "thread",
         max_bound: float | None = None,
-        schedule: str = "cost",
     ) -> list:
         """Serve a batch of plans against the session's warm state.
 
-        Beyond :func:`repro.run_many` (whose ``workers`` / ``executor``
-        semantics this inherits), the serve layer adds two traffic
-        controls built on the paper's lower bounds:
+        ``workers`` is :func:`repro.run_many`'s: ``None`` runs the
+        batch in the caller, an int deals it over that many worker
+        processes.  Results come back in submission order.  Beyond
+        that, the serve layer adds *admission control* built on the
+        paper's lower bounds:
 
-        * ``max_bound`` — *admission control*.  Each plan's certified
-          lower bound is computed up front (cheap: a closed-form
-          formula over placement statistics); plans whose bound already
-          exceeds the budget are rejected without running, and their
-          result slot is ``None``.  Only a bound that holds for every
-          input (``TaskSpec.bound_holds_per_instance``, true today for
-          the graph tasks alone) promises that a rejected query could
-          never have cost less.  The paper's Theorem 1/3/6 bounds are
+        * ``max_bound`` — each plan's certified lower bound is computed
+          up front (cheap: a closed-form formula over placement
+          statistics); plans whose bound already exceeds the budget are
+          rejected without running, and their result slot is ``None``.
+          Only a bound that holds for every input
+          (``TaskSpec.bound_holds_per_instance``, true today for the
+          graph tasks alone) promises that a rejected query could never
+          have cost less.  The paper's Theorem 1/3/6 bounds are
           worst-case: a run on an easy instance can cost less than its
           bound (set-intersection beats Theorem 1 on 30 of the 32
           standard-suite instances), so a budget over them rejects
           queries that might have fit.  Bounds that say which kind
           they are, and admission on instance bounds only, are ROADMAP
-          item 1(b).
-        * ``schedule`` — ``"cost"`` (default) executes admitted plans
-          cheapest-bound-first, the classic shortest-job-first
-          approximation for batch latency; ``"fifo"`` preserves
-          submission order.  Results always come back in submission
-          order regardless.
+          item 1(b).  Without ``max_bound`` no bound is computed here:
+          each admitted run computes its own.
         """
         self._check_open()
-        if schedule not in SCHEDULES:
-            raise AnalysisError(
-                f"schedule must be one of {SCHEDULES}, got {schedule!r}"
-            )
         normalized = [self._normalize(plan) for plan in plans]
         self._batches += 1
-        admitted: list[int] = []
-        bounds: dict[int, float] = {}
+
+        def admit(plan: RunPlan) -> bool:
+            if max_bound is None:
+                return True
+            bound = self._lower_bound(plan)
+            return bound is None or bound <= max_bound
+
+        admitted = [i for i, plan in enumerate(normalized) if admit(plan)]
+        self._rejected += len(normalized) - len(admitted)
         results: list = [None] * len(normalized)
-        for index, plan in enumerate(normalized):
-            bound = (
-                self._lower_bound(plan)
-                if (max_bound is not None or schedule == "cost")
-                else None
-            )
-            if bound is not None:
-                bounds[index] = bound
-            if max_bound is not None and bound is not None and bound > max_bound:
-                self._rejected += 1
-                continue
-            admitted.append(index)
-        if schedule == "cost":
-            # Cheapest certified bound first; unbounded tasks last,
-            # submission order breaking ties (sort is stable).
-            admitted.sort(key=lambda i: bounds.get(i, float("inf")))
         with use(artifacts=self.artifact_cache):
             reports = _engine_run_many(
-                [normalized[i] for i in admitted],
-                workers=workers,
-                executor=executor,
+                [normalized[i] for i in admitted], workers=workers
             )
         for position, report in zip(admitted, reports):
             results[position] = report

@@ -61,8 +61,8 @@ class TopologyArtifacts:
     Everything here is a deterministic pure function of ``tree``;
     construction is cheap (the heavy piece — the routing index —
     still builds lazily on first use, but *once per topology* instead
-    of once per cluster).  Instances are safe to share across
-    ``run_many`` threads: the routing index is the tree's own (built
+    of once per cluster).  Instances are safe to share across a
+    caller's threads: the routing index is the tree's own (built
     once, under a lock) and nothing else changes after construction.
     """
 

@@ -16,6 +16,7 @@ from repro import registry
 from repro.engine import RunPlan, run, run_many, run_with_result
 from repro.errors import AnalysisError, ProtocolError
 from repro.obs.metrics import collecting, parse_label_key
+from repro.parallel.pool import shutdown_pools
 from repro.registry import get_task
 from repro.report import RunReport
 from repro.topology.builders import star, two_level
@@ -262,6 +263,11 @@ class TestRun:
 
 
 class TestRunMany:
+    @pytest.fixture(autouse=True, scope="class")
+    def _shared_pools(self):
+        yield
+        shutdown_pools()
+
     def test_reports_in_plan_order(self, instance):
         tree, dist = instance
         star_tree = star(4)
@@ -280,7 +286,7 @@ class TestRunMany:
             ),
             RunPlan("set-intersection", tree, dist, placement="d"),
         ]
-        reports = run_many(plans, workers=4)
+        reports = run_many(plans, workers=2)
         assert [r.placement for r in reports] == ["a", "b", "c", "d"]
         assert [r.task for r in reports] == [p.task for p in plans]
 
@@ -289,8 +295,8 @@ class TestRunMany:
         plans = [
             RunPlan("set-intersection", tree, dist, seed=s) for s in range(4)
         ]
-        parallel = run_many(plans, workers=4)
-        sequential = run_many(plans, workers=1)
+        parallel = run_many(plans, workers=2)
+        sequential = run_many(plans)
         assert [r.cost for r in parallel] == [r.cost for r in sequential]
 
     def test_dict_plans_accepted(self, instance):
@@ -312,7 +318,7 @@ class TestRunMany:
         with pytest.raises(AnalysisError, match="unknown protocol"):
             run_many(plans, workers=2)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [None, 2])
     def test_failure_annotated_with_plan_index_and_task(
         self, instance, workers
     ):

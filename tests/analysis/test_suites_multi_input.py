@@ -52,7 +52,7 @@ class TestSuiteGrid:
                 include_random=False,
             )
         ]
-        reports = run_many(plans[:8], workers=1)
+        reports = run_many(plans[:8])
         for report in reports:
             assert report.task in TUPLE_SUITE_TASKS
             assert report.rounds >= 1

@@ -1,10 +1,10 @@
 """G-dagger passes on a tree deeper than Python's recursion limit.
 
 A caterpillar with a 1 500-router spine and these inputs orients into a
-G-dagger 1 000 levels deep, with a leaf hanging off every level.  Every bottom-up pass (the bearing flags and Algorithm 5's sweeps,
-the optimal cover, the packing merge) loops over ``Dagger.postorder()``,
-so none of them recurses, and none of them touches the process-wide
-recursion limit that other ``run_many`` threads share.
+G-dagger 1 000 levels deep, with a leaf hanging off every level.
+Every bottom-up pass (the bearing flags and Algorithm 5's sweeps, the
+optimal cover, the packing merge) loops over ``Dagger.postorder()``,
+so no pass recurses.
 """
 
 import sys

@@ -1,5 +1,5 @@
 """``backend="process"``: one whole query on one pool worker, as a
-one-plan ``run_many(executor="process")``.
+one-plan ``run_many(workers=n)``.
 
 The report must equal the simulator's.  The caller's trace records one
 ``barrier`` span for the wait; the query's own spans, metrics and audit
@@ -154,7 +154,7 @@ class TestArguments:
             RunPlan("sorting", tree, dist, opts={"backend": "process"})
         ] * 2
         with pytest.raises(ProtocolError, match="nested worker pools"):
-            run_many(plans, workers=2, executor="process")
+            run_many(plans, workers=2)
 
 
 class TestRunMany:
@@ -164,61 +164,66 @@ class TestRunMany:
         return [RunPlan("sorting", tree, dist, seed=seed) for seed in range(3)]
 
     @pytest.mark.parametrize("task", repro.tasks())
-    def test_process_executor_matches_thread(self, task):
+    def test_pool_matches_in_caller(self, task):
         tree, dist = _instance(task)
         plans = [RunPlan(task, tree, dist, seed=seed) for seed in range(3)]
-        thread = run_many(plans, workers=2)
-        process = run_many(plans, workers=2, executor="process")
-        assert [_strip(r) for r in process] == [_strip(r) for r in thread]
+        in_caller = run_many(plans)
+        pooled = run_many(plans, workers=2)
+        assert [_strip(r) for r in pooled] == [_strip(r) for r in in_caller]
 
-    @pytest.mark.parametrize("workers, count", [(1, 3), (2, 1), (None, 1)])
+    @pytest.mark.parametrize("workers, count", [(1, 3), (2, 1)])
     def test_one_worker_or_one_plan_still_goes_to_the_pool(
         self, plans, workers, count
     ):
         # no sequential shortcut: the plans' spans stay on the worker
         with tracing() as tracer:
-            reports = run_many(plans[:count], workers=workers, executor="process")
+            reports = run_many(plans[:count], workers=workers)
         assert [e.name for e in tracer.events] == ["pool.scatter"]
         assert [_strip(r) for r in reports] == [
-            _strip(r) for r in run_many(plans[:count], workers=1)
+            _strip(r) for r in run_many(plans[:count])
         ]
 
-    @pytest.mark.parametrize("workers, count", [(1, 3), (2, 1)])
-    def test_one_worker_or_one_plan_on_threads_runs_here(
-        self, plans, workers, count
-    ):
-        # the thread executor's sequential loop: spans land in this trace
+    def test_process_backend_defaults_to_two_workers(self, plans):
+        plan = plans[0]
         with tracing() as tracer:
-            run_many(plans[:count], workers=workers)
+            report = run(
+                plan.task, plan.tree, plan.distribution, backend="process"
+            )
+        (scatter,) = tracer.events
+        assert scatter.name == "pool.scatter"
+        assert scatter.attrs["workers"] == 2
+        assert _strip(report) == _strip(plan.execute())
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_in_caller_batch_runs_here(self, plans, count):
+        # no pool: every plan's spans land in this trace
+        with tracing() as tracer:
+            run_many(plans[:count])
         names = [e.name for e in tracer.events]
         assert "pool.scatter" not in names
         assert names.count("engine.run sorting") == count
 
-    def test_unknown_executor_rejected(self, plans):
-        with pytest.raises(AnalysisError, match="executor must be"):
-            run_many(plans, executor="rayon")
-
     def test_process_executor_annotates_failing_plan(self, plans):
         plans[1].protocol = "no-such-protocol"
         with pytest.raises(AnalysisError, match="unknown protocol") as info:
-            run_many(plans, workers=2, executor="process")
+            run_many(plans, workers=2)
         notes = " ".join(getattr(info.value, "__notes__", ()))
         assert "plan 1" in notes
         assert "worker rank" in notes
 
     def test_process_executor_waits_in_one_barrier_span(self, plans):
         with tracing() as tracer:
-            run_many(plans, workers=2, executor="process")
+            run_many(plans, workers=2)
         (scatter,) = tracer.events
         assert scatter.name == "pool.scatter"
         assert scatter.attrs == {"category": "barrier", "workers": 2}
 
-    def test_process_backend_plans_on_threads(self, plans):
-        baseline = run_many(plans, workers=1)
+    def test_process_backend_plans_in_caller(self, plans):
+        baseline = run_many(plans)
         for plan in plans:
             plan.opts = {"backend": "process", "num_workers": 2}
         with tracing() as tracer:
-            reports = run_many(plans, workers=2)
+            reports = run_many(plans)
         assert [_strip(r) for r in reports] == [_strip(r) for r in baseline]
         assert [e.name for e in tracer.events] == ["pool.scatter"] * 3
 

@@ -79,11 +79,11 @@ class TestProcessBackendFailures:
                 ),
             ]
             with pytest.raises(ProtocolError) as info:
-                run_many(plans, workers=2, executor="process")
+                run_many(plans, workers=2)
             assert str(info.value) == (
                 "lost worker rank 1 [active spans: pool.scatter]"
             )
-            reports = run_many(plans[:1] * 2, workers=2, executor="process")
+            reports = run_many(plans[:1] * 2, workers=2)
             assert get_pool(2) is not pool
             assert [r.cost for r in reports] == [run("sorting", tree, dist).cost] * 2
         finally:

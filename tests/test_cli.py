@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import _build_parser, _rack_tree, main
+from repro.parallel.pool import shutdown_pools
 
 
 def _actions_by_dest() -> dict:
@@ -25,6 +26,41 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "All runs" in out
+
+    def test_table1_on_workers_prints_the_in_process_table(self, capsys):
+        argv = ["--r-size", "120", "--s-size", "120", "table1"]
+        try:
+            assert main(argv) == 0
+            here = capsys.readouterr().out
+            assert main(["--workers", "2", *argv]) == 0
+            pooled = capsys.readouterr().out
+        finally:
+            shutdown_pools()
+
+        def without_wall(table: str) -> list:
+            # the last column is wall time, the only one allowed to differ
+            return [line.rsplit(None, 1)[0] for line in table.splitlines()]
+
+        assert "set-intersection" in here
+        assert without_wall(pooled) == without_wall(here)
+
+    @pytest.mark.parametrize(
+        "hook",
+        [["--audit", "record"], ["--audit", "strict"], ["--metrics", "m.json"]],
+    )
+    def test_table1_on_workers_refuses_audit_and_metrics(
+        self, hook, capsys, tmp_path, monkeypatch
+    ):
+        """Pooled plans run under each worker's default context, so an
+        audit or metrics snapshot of them would check nothing."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workers", "2", *hook, "table1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers cannot be combined with --audit" in captured.err
+        assert not (tmp_path / "m.json").exists()
 
     def test_compare(self, capsys):
         assert main(["--r-size", "400", "--s-size", "400", "compare"]) == 0
@@ -175,7 +211,6 @@ class TestHelp:
                 {"protocols", "compare", "graphs", "serve", "metrics"},
             ),
             ("queries", {"serve"}),
-            ("executor", {"table1"}),
             ("workers", {"table1"}),
             ("racks", {"serve", "trace", "metrics"}),
             ("protocol", {"trace", "metrics"}),

@@ -173,7 +173,7 @@ class TestRunMany:
         return [RunPlan("sorting", tree, dist, seed=seed) for seed in range(2)]
 
     @pytest.mark.parametrize("field", FIELDS)
-    def test_every_field_reaches_executor_threads(
+    def test_every_field_reaches_in_caller_plans(
         self, plans, field, monkeypatch
     ):
         seen = []
@@ -185,10 +185,10 @@ class TestRunMany:
 
         monkeypatch.setattr(engine, "_execute_annotated", probe)
         with use(**CHANGES[field]()) as caller:
-            run_many(plans, workers=2)
+            run_many(plans)
         assert len(seen) == 2
         for thread, context in seen:
-            assert thread is not threading.main_thread()
+            assert thread is threading.current_thread()
             assert context == caller
 
 

@@ -1,11 +1,14 @@
 """Tests for the session-scoped engine (repro.session)."""
 
+import dataclasses
+
 import pytest
 
 import repro
+from repro import registry
 from repro.errors import AnalysisError
 from repro.plan import PlanCache, chain_catalog, chain_query
-from repro.session import SCHEDULES, EngineSession
+from repro.session import EngineSession
 from repro.context import current
 from repro.topology.artifacts import ArtifactCache
 from repro.topology.builders import two_level
@@ -202,18 +205,28 @@ class TestRunMany:
         for warm, cold_report in zip(reports, cold):
             assert _strip(warm) == _strip(cold_report)
 
-    def test_fifo_schedule_matches_cost_schedule_results(self, tree, dist):
+    def test_without_max_bound_each_bound_is_computed_once(
+        self, tree, dist, monkeypatch
+    ):
+        # only the runs compute bounds: no pass over the batch up front
         batch = self._batch(dist)
-        with EngineSession(tree) as session:
-            by_cost = session.run_many(batch, schedule="cost")
-            by_fifo = session.run_many(batch, schedule="fifo")
-        assert [_strip(r) for r in by_cost] == [_strip(r) for r in by_fifo]
+        calls = []
+        for plan in batch:
+            spec = registry.get_task(plan["task"])
 
-    def test_unknown_schedule_rejected(self, tree, dist):
+            def counting(*args, _spec=spec, **kwargs):
+                calls.append(_spec.name)
+                return _spec.lower_bound(*args, **kwargs)
+
+            monkeypatch.setitem(
+                registry._TASK_SPECS,
+                spec.name,
+                dataclasses.replace(spec, lower_bound=counting),
+            )
         with EngineSession(tree) as session:
-            with pytest.raises(AnalysisError, match="schedule"):
-                session.run_many(self._batch(dist), schedule="lifo")
-        assert SCHEDULES == ("cost", "fifo")
+            reports = session.run_many(batch)
+        assert sorted(calls) == sorted(plan["task"] for plan in batch)
+        assert all(report is not None for report in reports)
 
     def test_max_bound_rejects_expensive_plans(self, tree, dist):
         batch = self._batch(dist)

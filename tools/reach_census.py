@@ -2,8 +2,8 @@
 """Which functions of ``src/repro`` does a run enter?
 
 Runs scripts under a profile hook (``sys.setprofile`` and
-``threading.setprofile``, so executor threads count; worker processes do
-not) that records every ``src/repro`` function entered, then prints per
+``threading.setprofile``, so threads a script starts count; worker
+processes do not) that records every ``src/repro`` function entered, then prints per
 module the functions reached out of those defined and the body lines of
 the ones never entered.  Standard library only; scripts run one after
 another in this process, separated by ``:::``::
