@@ -16,7 +16,7 @@ from repro.queries.aggregate import GroupOutputs, combine_per_key
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
-from repro.sim.cluster import RoundContext, make_cluster
+from repro.sim.cluster import Cluster, RoundContext
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import index_dtype
@@ -80,7 +80,7 @@ def gather_equijoin(
     distribution.validate_for(tree)
     if target is None:
         target = _pick_target(tree, distribution, (r_tag, s_tag))
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
         for tag in (r_tag, s_tag):
@@ -139,7 +139,7 @@ def gather_groupby(
     distribution.validate_for(tree)
     if target is None:
         target = _pick_target(tree, distribution, (tag,))
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
         gather_relation(

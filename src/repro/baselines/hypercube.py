@@ -23,7 +23,7 @@ from repro.core.cartesian.routing import (
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.intmath import ceil_div
@@ -62,7 +62,7 @@ def classic_hypercube_cartesian_product(
     distribution.validate_for(tree)
     r_total = distribution.total(r_tag)
     s_total = distribution.total(s_tag)
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     computes = cluster.compute_order
     if r_total == 0 or s_total == 0:
         outputs = {v: {"num_pairs": 0} for v in computes}

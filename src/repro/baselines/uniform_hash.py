@@ -16,7 +16,7 @@ from repro.queries.aggregate import hashed_groupby_round
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS
 from repro.registry import register_protocol
-from repro.sim.cluster import Cluster, make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.hashing import WeightedNodeHasher
@@ -72,7 +72,7 @@ def uniform_hash_intersect(
 ) -> ProtocolResult:
     """Hash-join both relations uniformly over all compute nodes."""
     distribution.validate_for(tree)
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     _hash_relations(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-hash"),
@@ -112,7 +112,7 @@ def uniform_hash_equijoin(
     distribution-aware tree protocol by the bandwidth spread.
     """
     distribution.validate_for(tree)
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     _hash_relations(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-join"),
@@ -159,7 +159,7 @@ def uniform_hash_groupby(
     data-light nodes behind slow links own as many groups as anyone.
     """
     distribution.validate_for(tree)
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     outputs = hashed_groupby_round(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-groupby"),

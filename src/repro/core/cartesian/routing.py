@@ -164,14 +164,20 @@ def gather_all_pairs(
     (Lemma 7's first case) or is the G-dagger root (Section 4.1).
     """
     computes = cluster.compute_order
+    position = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
-        for node in computes:
-            if node == target:
-                continue
-            for tag, recv in ((r_tag, R_RECV), (s_tag, S_RECV)):
-                local = cluster.local(node, tag)
-                if len(local):
-                    ctx.send(node, target, local, tag=recv)
+        for tag, recv in ((r_tag, R_RECV), (s_tag, S_RECV)):
+            # one run per other owner: its whole fragment
+            owners, values = cluster.column(tag)
+            away = owners != position
+            sources, counts = np.unique(owners[away], return_counts=True)
+            ctx.exchange_runs(
+                sources,
+                np.full(len(sources), position),
+                counts,
+                values[away],
+                tag=recv,
+            )
     r_all = np.concatenate(
         [cluster.local(target, r_tag), cluster.local(target, R_RECV)]
     )

@@ -13,7 +13,7 @@ from repro.core.cartesian.whc import whc_cartesian_product
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology, node_sort_key
 
@@ -53,7 +53,7 @@ def star_cartesian_product(
     }
     total = sum(sizes.values())
     if total == 0:
-        cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
         outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
         return ProtocolResult.from_ledger(
             "star-cartesian", cluster.ledger, outputs=outputs,
@@ -62,7 +62,7 @@ def star_cartesian_product(
 
     heaviest = max(sorted(sizes, key=node_sort_key), key=lambda v: sizes[v])
     if sizes[heaviest] > total / 2:
-        cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
         outputs = gather_all_pairs(
             cluster, heaviest, r_tag=r_tag, s_tag=s_tag, materialize=materialize
         )

@@ -30,7 +30,7 @@ from repro.core.cartesian.tree_packing import balanced_packing_tree
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.dagger import build_dagger
 from repro.topology.tree import TreeTopology
@@ -65,7 +65,7 @@ def tree_cartesian_product(
         for v in tree.compute_nodes
     }
     n_total = sum(sizes.values())
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     if n_total == 0:
         outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
         return ProtocolResult.from_ledger(

@@ -43,7 +43,7 @@ from repro.core.common import LowerBound
 from repro.data.distribution import Distribution
 from repro.errors import PackingError, ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
 from repro.util.intmath import next_power_of_two_at_least
@@ -296,7 +296,7 @@ def _strategy_gather(tree, distribution, r_tag, s_tag, bits) -> ProtocolResult:
     target = max(
         sorted(bandwidths, key=node_sort_key), key=lambda v: bandwidths[v]
     )
-    cluster = make_cluster(tree, distribution, bits_per_element=bits)
+    cluster = Cluster(tree, distribution, bits_per_element=bits)
     outputs = gather_all_pairs(
         cluster, target, r_tag=r_tag, s_tag=s_tag, materialize=False
     )
@@ -326,25 +326,28 @@ def _strategy_proportional(
         return None
     bandwidths = _star_leaf_bandwidths(tree)
     weights = np.array([bandwidths[v] for v in beta])
-    cluster = make_cluster(tree, distribution, bits_per_element=bits)
+    cluster = Cluster(tree, distribution, bits_per_element=bits)
     computes = cluster.compute_order
     r_size = distribution.total(r_tag)
+    position = cluster.artifacts.compute_position
+    sources = np.array([position[v] for v in alpha], dtype=np.intp)
+    owners, values = cluster.column(s_tag)
+    sizes = np.bincount(owners, minlength=len(computes))[sources]
+    # each Vα fragment (Vα ascends in compute order, as the column does)
+    # cut at the cumulative Vβ bandwidth shares: one run per chunk
+    cuts = np.floor(
+        np.cumsum(weights / weights.sum()) * sizes[:, None]
+    ).astype(np.int64)
+    cuts[:, -1] = sizes  # guard against float round-down
     with cluster.round() as ctx:
         _broadcast_r_to_beta(ctx, cluster, computes, beta, r_tag)
-        for node in alpha:
-            local = cluster.local(node, s_tag)
-            if not len(local):
-                continue
-            shares = np.floor(
-                np.cumsum(weights / weights.sum()) * len(local)
-            ).astype(np.int64)
-            shares[-1] = len(local)  # guard against float round-down
-            start = 0
-            for target, stop in zip(beta, shares):
-                chunk = local[start:stop]
-                start = int(stop)
-                if len(chunk):
-                    ctx.send(node, target, chunk, tag=_S_CHUNK)
+        ctx.exchange_runs(
+            np.repeat(sources, len(beta)),
+            np.tile([position[v] for v in beta], len(alpha)),
+            np.diff(cuts, prepend=0).ravel(),
+            values[np.isin(owners, sources)],
+            tag=_S_CHUNK,
+        )
     outputs: dict = {v: {"num_pairs": 0} for v in computes}
     for node in beta:
         outputs[node] = {
@@ -388,7 +391,7 @@ def _strategy_generalized_whc(
         tree, Distribution(sub_placements), r_tag="R#", s_tag="S#"
     )
 
-    cluster = make_cluster(tree, distribution, bits_per_element=bits)
+    cluster = Cluster(tree, distribution, bits_per_element=bits)
     with cluster.round() as ctx:
         _broadcast_r_to_beta(ctx, cluster, computes, beta, r_tag)
         if alpha and alpha_s:
@@ -462,7 +465,7 @@ def generalized_star_cartesian_product(
     }
     total = sum(sizes.values())
     if total == 0 or r_size == 0:
-        cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
         outputs = {v: {"num_pairs": 0} for v in computes}
         return ProtocolResult.from_ledger(
             "unequal-star-cartesian", cluster.ledger, outputs=outputs,
@@ -471,7 +474,7 @@ def generalized_star_cartesian_product(
 
     heaviest = max(computes, key=lambda v: sizes[v])
     if sizes[heaviest] > total / 2:
-        cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
         outputs = gather_all_pairs(
             cluster, heaviest, r_tag=small, s_tag=large, materialize=False
         )

@@ -28,7 +28,7 @@ from repro.core.cartesian.routing import (
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.intmath import next_power_of_two_at_least
@@ -116,7 +116,7 @@ def whc_cartesian_product(
     tiles = pack_flat(dims, r_total, s_total)
     coverage = coverage_report(tiles, r_total, s_total)
 
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     with cluster.round() as ctx:
         route_axis(
             ctx, cluster, labeling, tiles,

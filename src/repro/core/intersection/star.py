@@ -17,7 +17,7 @@ import numpy as np
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import sorted_unique, unique_rows
@@ -85,7 +85,7 @@ def star_intersect(
         else None
     )
 
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     # ``computes`` is the cluster's compute order, so the hasher's node
     # indices are the round API's
     in_beta = np.fromiter((v in beta_set for v in computes), bool, len(computes))

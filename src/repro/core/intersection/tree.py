@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.intersection.partition import balanced_partition, classify_edges
 from repro.data.distribution import Distribution
 from repro.registry import register_protocol
-from repro.sim.cluster import Cluster, make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import owner_bounds, sorted_runs, unique_rows
@@ -76,7 +76,7 @@ def hashed_partition_round(
             hasher = WeightedNodeHasher(names, weights, derive_seed(seed, seed_scope, i))
             routes.append((members, hasher))
 
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     with cluster.round() as ctx:
         owners, small = cluster.column(small_tag)
         keys = small >> key_shift

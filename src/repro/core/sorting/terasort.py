@@ -24,7 +24,7 @@ import numpy as np
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.seeding import derive_seed
@@ -161,7 +161,7 @@ def terasort(
     distribution.validate_for(tree)
     order = tree.left_to_right_compute_order()
     total = distribution.total(tag)
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     if total == 0:
         outputs = {v: np.empty(0, np.int64) for v in order}
         return ProtocolResult.from_ledger(

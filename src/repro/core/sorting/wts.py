@@ -39,7 +39,7 @@ from repro.core.sorting.terasort import (
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.intmath import ceil_div
@@ -83,7 +83,7 @@ def weighted_terasort(
     order = tree.left_to_right_compute_order()
     sizes = dict(zip(order, distribution.sizes_over(tuple(order), tag).tolist()))
     total = sum(sizes.values())
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     if total == 0:
         outputs = {v: np.empty(0, np.int64) for v in order}
         return ProtocolResult.from_ledger(

@@ -16,10 +16,7 @@ package opens that workload family on the same cost model:
 - **`triangles`** — triangle counting compiled as two equi-join stages
   through the query planner (registered task ``triangle-count``);
 - **`degrees`** — degree tables reusing the registered
-  ``groupby-aggregate`` protocols;
-- **`reference`** — single-machine ground truth (union-find,
-  adjacency-intersection counting): the triangle verifier's answer and
-  the connectivity kernel's test oracle.
+  ``groupby-aggregate`` protocols.
 
 Quick start::
 
@@ -45,11 +42,6 @@ from repro.graphs.model import (
     decode_edges,
     encode_edges,
 )
-from repro.graphs.reference import (
-    reference_components,
-    reference_degrees,
-    reference_triangle_count,
-)
 from repro.graphs.iterate import SuperstepDriver
 from repro.graphs.components import (
     components_lower_bound,
@@ -74,9 +66,6 @@ __all__ = [
     "canonical_edges",
     "decode_edges",
     "encode_edges",
-    "reference_components",
-    "reference_degrees",
-    "reference_triangle_count",
     "SuperstepDriver",
     "components_lower_bound",
     "gather_connected_components",

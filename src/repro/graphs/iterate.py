@@ -31,7 +31,7 @@ from repro.data.distribution import Distribution
 from repro.graphs.model import PlacedGraph
 from repro.obs.tracer import get_tracer
 from repro.report import GraphRunReport, RunReport
-from repro.sim.cluster import Cluster, RoundContext, make_cluster
+from repro.sim.cluster import Cluster, RoundContext
 from repro.sim.ledger import CostLedger
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
@@ -44,7 +44,7 @@ class SuperstepDriver:
         self, tree: TreeTopology, *, bits_per_element: int = 64
     ) -> None:
         self._tree = tree
-        self._cluster = make_cluster(tree, bits_per_element=bits_per_element)
+        self._cluster = Cluster(tree, bits_per_element=bits_per_element)
         self._steps: list[RunReport] = []
 
     @property

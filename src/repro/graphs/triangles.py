@@ -37,9 +37,9 @@ from repro.graphs.model import (
     DEFAULT_EDGE_TAG,
     VERTEX_BITS,
     PlacedGraph,
+    canonical_edges,
     decode_edges,
 )
-from repro.graphs.reference import reference_triangle_count
 from repro.registry import register_protocol, register_task
 from repro.report import GraphRunReport
 from repro.sim.ledger import CostLedger
@@ -82,29 +82,35 @@ def triangles_lower_bound(
     )
 
 
+def _triangle_count(canonical: np.ndarray) -> int:
+    """Triangles of a simple graph given as its sorted ``(u, v)`` edges,
+    ``u < v``: per edge, the common higher-numbered neighbours, so the
+    triangle ``x < y < z`` counts once, at edge ``(x, y)``."""
+    heads = canonical[:, 0]
+    starts = np.flatnonzero(np.diff(heads, prepend=heads[:1] - 1))
+    forward = dict(
+        zip(heads[starts].tolist(), np.split(canonical[:, 1], starts[1:]))
+    )
+    return sum(
+        len(np.intersect1d(forward[u], forward[v], assume_unique=True))
+        for u, v in canonical.tolist()
+        if v in forward
+    )
+
+
 def _verify_triangles(
     tree: TreeTopology, distribution: Distribution, result: ProtocolResult
 ) -> None:
-    """The per-node counts must sum to the reference triangle count."""
+    """The per-node counts must sum to the graph's triangle count."""
     tag = result.meta.get("tag", DEFAULT_EDGE_TAG)
-    fragments = [
-        distribution.fragment(v, tag)
-        for v in sorted(distribution.nodes, key=node_sort_key)
-    ]
-    fragments = [f for f in fragments if len(f)]
-    if fragments:
-        packed = np.concatenate(fragments)
-        src, dst = decode_edges(packed)
-        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-        canonical = np.stack([lo, hi], axis=1)
-        if len(np.unique(canonical, axis=0)) != len(canonical):
-            raise ProtocolError(
-                "triangle counting requires a simple graph; the placement "
-                "contains duplicated edges"
-            )
-        expected = reference_triangle_count(canonical)
-    else:
-        expected = 0
+    packed = distribution.relation(tag)
+    canonical = canonical_edges(np.stack(decode_edges(packed), axis=1))
+    if len(canonical) != len(packed):
+        raise ProtocolError(
+            "triangle counting requires a simple graph; the placement "
+            "contains duplicated edges"
+        )
+    expected = _triangle_count(canonical)
     produced = sum(
         output.get("num_triangles", 0) for output in result.outputs.values()
     )

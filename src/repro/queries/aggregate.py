@@ -29,7 +29,7 @@ from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples, encode_tuples
 from repro.registry import register_protocol
-from repro.sim.cluster import Cluster, make_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import owner_bounds, sorted_runs
@@ -228,7 +228,7 @@ def tree_groupby_aggregate(
     tree.require_symmetric("tree_groupby_aggregate")
     distribution.validate_for(tree)
 
-    cluster = make_cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
     computes = cluster.compute_order
     sizes = distribution.sizes_over(computes, tag)
     if not sizes.any():

@@ -66,15 +66,6 @@ from repro.util.grouping import (
 )
 
 
-def make_cluster(
-    tree: TreeTopology, distribution: Distribution | None = None, **kwargs
-) -> "Cluster":
-    """The constructor every protocol uses: a :class:`Cluster`, looked
-    up when called, so a test can put a reference model in its place
-    (``tests/reference_delivery.py``)."""
-    return Cluster(tree, distribution, **kwargs)
-
-
 def _concatenated(parts: Sequence) -> np.ndarray:
     """``np.concatenate(parts)``, minus the copy when there is one part."""
     return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
@@ -500,7 +491,7 @@ class RoundContext:
         array goes to the ledger whole (:meth:`CostLedger.add_link_loads`).
         Addition over element counts is commutative, so the per-edge
         loads equal a transfer-by-transfer path walk's exactly (the
-        reference model in ``tests/reference_delivery.py``).
+        Section-2 model in ``tests/model/``).
 
         When a recording tracer is installed, the finalizer splits its
         wall time into *group* (collection, sort, payload gather),
@@ -767,9 +758,6 @@ class RoundContext:
 class Cluster:
     """Tree topology + per-node storage + cost accounting."""
 
-    #: What :meth:`round` opens (a test swaps in its reference model).
-    round_context = RoundContext
-
     def __init__(
         self,
         tree: TreeTopology,
@@ -880,14 +868,6 @@ class Cluster:
         index = self.oracle.routing_index.index_of.get(node)
         return 0 if index is None else int(self._received_elements[index])
 
-    def _add_received(self, node: NodeId, count: int) -> None:
-        """Record ``count`` remote arrivals at ``node``.
-
-        The named front-end of the one vector the bulk deliveries add
-        their arrivals to.
-        """
-        self._received_elements[self.oracle.routing_index.index_of[node]] += count
-
     # ------------------------------------------------------------------ #
     # rounds
     # ------------------------------------------------------------------ #
@@ -902,7 +882,7 @@ class Cluster:
         if self._round_open:
             raise ProtocolError("a round is already in progress")
         self._round_open = True
-        context = self.round_context(self)
+        context = RoundContext(self)
         auditor = get_auditor()
         before = auditor.before_round(self) if auditor.enabled else None
         # one span per round, covering both the protocol's local work

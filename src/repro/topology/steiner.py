@@ -7,8 +7,9 @@ grid squares sharing a row range in Theorem 5), a sensible router forwards
 *one* copy along the shared prefix and fans out later — which is exactly
 what the paper's upper-bound analyses assume.  The set of links such a
 multicast touches is the Steiner tree of {source} ∪ destinations, directed
-away from the source — the union of the ``tree.path_edges`` from the
-source to each destination, which is the definition.
+away from the source — the union of the tree paths from the source to
+each destination, which is the definition (walked link by link in the
+Section-2 model, ``tests/model/``).
 :class:`RoutingIndex` charges whole rounds of them with vectorized
 tree-flow kernels, and its :meth:`~RoutingIndex.subtree_sums` is the one
 kernel behind every per-link side aggregate (``V-e`` / ``V+e``).
@@ -307,7 +308,8 @@ class PathOracle:
     them (:mod:`repro.topology.artifacts`); holds no state of its own.
 
     Rounds charge through :attr:`routing_index`; the definition its
-    kernels are tested against is a union of ``tree.path_edges``.
+    kernels are tested against is the Section-2 model's path walk
+    (``tests/model/paths.py``).
     """
 
     def __init__(self, tree: TreeTopology) -> None:

@@ -149,7 +149,6 @@ class TreeTopology:
         self._validate_tree()
         self._root = min(self._nodes, key=node_sort_key)
         self._parent: dict[NodeId, NodeId | None] = {}
-        self._depth: dict[NodeId, int] = {}
         self._build_rooting()
         keys = {n: node_sort_key(n) for n in self._nodes}
         self._links = sorted(
@@ -229,14 +228,12 @@ class TreeTopology:
 
     def _build_rooting(self) -> None:
         self._parent[self._root] = None
-        self._depth[self._root] = 0
         frontier = deque([self._root])
         while frontier:
             node = frontier.popleft()
             for neighbor in sorted(self._adjacency[node], key=node_sort_key):
                 if neighbor not in self._parent:
                     self._parent[neighbor] = node
-                    self._depth[neighbor] = self._depth[node] + 1
                     frontier.append(neighbor)
 
     # ------------------------------------------------------------------ #
@@ -364,7 +361,7 @@ class TreeTopology:
         return min(candidates, key=node_sort_key)
 
     # ------------------------------------------------------------------ #
-    # paths
+    # rooting
     # ------------------------------------------------------------------ #
 
     def parent(self, node: NodeId) -> NodeId | None:
@@ -372,33 +369,6 @@ class TreeTopology:
         if node not in self._parent:
             raise TopologyError(f"unknown node {node!r}")
         return self._parent[node]
-
-    def path_nodes(self, u: NodeId, v: NodeId) -> list:
-        """The unique path from ``u`` to ``v`` as a node list (inclusive)."""
-        if u not in self._nodes or v not in self._nodes:
-            missing = u if u not in self._nodes else v
-            raise TopologyError(f"unknown node {missing!r}")
-        up_from_u: list = [u]
-        up_from_v: list = [v]
-        a, b = u, v
-        while self._depth[a] > self._depth[b]:
-            a = self._parent[a]
-            up_from_u.append(a)
-        while self._depth[b] > self._depth[a]:
-            b = self._parent[b]
-            up_from_v.append(b)
-        while a != b:
-            a = self._parent[a]
-            b = self._parent[b]
-            up_from_u.append(a)
-            up_from_v.append(b)
-        # up_from_u ends at the LCA; up_from_v also ends at the LCA.
-        return up_from_u + list(reversed(up_from_v[:-1]))
-
-    def path_edges(self, u: NodeId, v: NodeId) -> tuple:
-        """Directed edges traversed when sending from ``u`` to ``v``."""
-        nodes = self.path_nodes(u, v)
-        return tuple(zip(nodes[:-1], nodes[1:]))
 
     # ------------------------------------------------------------------ #
     # edge partitions (the V-e / V+e of the paper)

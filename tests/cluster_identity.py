@@ -1,8 +1,9 @@
 """Exact equality of two clusters' observable state.
 
-The differential tests run one round script or protocol on two clusters
-(production against a reference model, one call shape against another)
-and compare everything a run leaves behind.  All comparisons are exact:
+The differential tests run one round script on two clusters (one call
+shape against another, or production against the Section-2 model's
+:class:`~tests.model.rounds.ModelCluster`) and compare everything a run
+leaves behind.  All comparisons are exact:
 integer loads, ``array_equal`` on int64 payloads.
 """
 
@@ -75,3 +76,30 @@ def _compare(a, b, a_name: str, b_name: str) -> None:
                 f"{len(payload_a)} vs {len(payload_b)} elements "
                 f"({a_name} vs {b_name})"
             )
+
+
+def snapshot(cluster) -> dict:
+    """A production cluster's observable state in the shape of
+    :meth:`tests.model.rounds.ModelCluster.snapshot`: per-round loads and
+    costs, received counts, and every non-empty ``(node, tag)`` column."""
+    ledger = cluster.ledger
+    with use(tracer=NullTracer()):
+        storage = {
+            (node, tag): cluster.local(node, tag).tolist()
+            for node in cluster.compute_order
+            for tag in sorted(cluster._storage.tags(node))
+        }
+    return {
+        "loads": [ledger.round_loads(i) for i in range(ledger.num_rounds)],
+        "costs": [ledger.round_cost(i) for i in range(ledger.num_rounds)],
+        "received": {v: cluster.received_elements(v) for v in cluster.compute_order},
+        "storage": {key: values for key, values in storage.items() if values},
+    }
+
+
+def assert_matches_model(cluster, model) -> None:
+    """Every part of :func:`snapshot` equals the model's; the first
+    differing part is named."""
+    ours, theirs = snapshot(cluster), model.snapshot()
+    for part in ("loads", "costs", "received", "storage"):
+        assert ours[part] == theirs[part], f"{part} differ from the model"

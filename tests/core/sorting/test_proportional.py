@@ -1,12 +1,12 @@
 """Unit tests for Algorithm 6 and the Lemma 9 guarantees."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.sorting.proportional import proportional_quotas, proportional_runs
-
-from tests.reference_sorting import reference_proportional_quotas
 
 
 class TestBasics:
@@ -51,15 +51,32 @@ MANY_HEAVY = st.integers(0, 2**16).map(
 ).filter(lambda sizes: sum(sizes) > 0)
 
 
-def reference_runs(heavy, light_sizes):
+def algorithm6_quotas(heavy, light):
+    """Algorithm 6 for one light node, heavy node by heavy node: round
+    the ideal share down while the carried credit covers its fraction,
+    else up."""
+    total, quotas, credit = sum(heavy), [], 0.0
+    for size in heavy:
+        ideal = size / total * light
+        fraction = ideal - math.floor(ideal)
+        if credit >= fraction:
+            quotas.append(math.floor(ideal))
+            credit -= fraction
+        else:
+            quotas.append(math.floor(ideal) + 1)
+            credit += 1.0 - fraction
+    return quotas
+
+
+def per_light_runs(heavy, light_sizes):
     """Light node by light node, ``min(quota, elements left)`` per heavy
-    node from the one-node walk: the non-empty ``(light, heavy, count)``."""
+    node from Algorithm 6: the non-empty ``(light, heavy, count)``."""
     runs = ([], [], [])
     for row, size in enumerate(light_sizes):
         if not size:
             continue
         offset = 0
-        for column, quota in enumerate(reference_proportional_quotas(heavy, size)):
+        for column, quota in enumerate(algorithm6_quotas(heavy, size)):
             sent = min(quota, size - offset)
             offset += sent
             if sent:
@@ -69,8 +86,8 @@ def reference_runs(heavy, light_sizes):
 
 
 class TestOnePassAgainstTheWalk:
-    """All light nodes in one pass over the heavy nodes equal the scalar
-    walk per light node with ``==``: quotas and clipped runs."""
+    """All light nodes in one pass over the heavy nodes equal Algorithm
+    6's scalar walk per light node with ``==``: quotas and clipped runs."""
 
     @given(
         heavy=st.one_of(HEAVY, MANY_HEAVY),
@@ -82,11 +99,9 @@ class TestOnePassAgainstTheWalk:
     @settings(max_examples=150, deadline=None)
     def test_quotas_and_runs(self, heavy, light):
         for size in light:
-            assert proportional_quotas(heavy, size) == reference_proportional_quotas(
-                heavy, size
-            )
+            assert proportional_quotas(heavy, size) == algorithm6_quotas(heavy, size)
         runs = proportional_runs(heavy, np.asarray(light, dtype=np.int64))
-        assert tuple(part.tolist() for part in runs) == reference_runs(heavy, light)
+        assert tuple(part.tolist() for part in runs) == per_light_runs(heavy, light)
         assert runs[2].sum() == sum(light)
 
     def test_no_light_data_needs_no_heavy_data(self):
@@ -134,8 +149,6 @@ class TestLemma9:
     @settings(max_examples=100)
     def test_credit_never_negative(self, heavy, light):
         # equivalent statement: every quota is floor(ideal) or floor+1
-        import math
-
         quotas = proportional_quotas(heavy, light)
         total = sum(heavy)
         for quota, size in zip(quotas, heavy):

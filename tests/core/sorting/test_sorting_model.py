@@ -1,13 +1,11 @@
-"""wTS and TeraSort against their pre-run-record bodies.
+"""wTS and TeraSort against the Section-2 model, and their run records.
 
-Production sorts each fragment first, searches the splitters in it and
-registers every round as one run record; ``tests/reference_sorting.py``
-holds the bodies that looked every unsorted element up in the splitters
-and issued one ``send`` / ``exchange_column`` per node.  Element ``x`` lands in
-interval ``#{splitters <= x}`` either way, so everything the model sees
-must be equal: outputs, every round's per-edge loads, received counts,
-the splitters and the sample count.  Bytes at the intermediate tags may
-be ordered differently and are not compared.
+Both sorts run on their real cluster under the model's auditor, which
+checks every round's per-link loads, cost, received counts and appended
+bytes (``tests/model/rounds.py``); the runs they leave along the
+traversal order must be a valid order's sort of the input.  The
+splitter search, the splitter gather and the one-record rounds are
+checked on their own below.
 """
 
 import numpy as np
@@ -15,53 +13,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro
+from repro.context import use
 from repro.core.sorting.terasort import interval_runs, select_splitters, terasort
 from repro.core.sorting.wts import weighted_terasort
 from repro.data.distribution import Distribution
 from repro.sim import cluster as cluster_module
 from repro.topology.builders import two_level
 
-from tests.reference_delivery import run_on
-from tests.reference_sorting import (
-    reference_select_splitters,
-    reference_terasort,
-    reference_weighted_terasort,
-)
+from tests.model import tasks
+from tests.model.rounds import ModelAuditor
 from tests.strategies import tree_topologies
 
 
-def _run(protocol, tree, distribution, **opts):
-    """The protocol's result and the one cluster it ran on."""
-    result, (cluster,) = run_on(
-        cluster_module.Cluster, protocol, tree, distribution, **opts
+def _assert_sorts_by_the_model(protocol, tree, distribution, **opts):
+    auditor = ModelAuditor()
+    with use(auditor=auditor):
+        result = protocol(tree, distribution, **opts)
+    assert len(auditor.costs) == result.rounds
+    assert tasks.sorted_along(
+        tree, result.outputs, result.meta["order"], distribution.relation("R")
     )
-    return result, cluster
-
-
-def _assert_same_sort(production, reference, tree, distribution, **opts):
-    ours, our_cluster = _run(production, tree, distribution, **opts)
-    theirs, their_cluster = _run(reference, tree, distribution, **opts)
-    assert ours.rounds == theirs.rounds
-    assert ours.cost == theirs.cost
-    for index in range(ours.rounds):
-        assert ours.ledger.round_loads(index) == theirs.ledger.round_loads(
-            index
-        ), f"round {index}"
-    for node in tree.compute_nodes:
-        assert our_cluster.received_elements(
-            node
-        ) == their_cluster.received_elements(node), node
-    assert ours.outputs.keys() == theirs.outputs.keys()
-    for node, run in theirs.outputs.items():
-        assert ours.outputs[node].dtype == run.dtype
-        assert np.array_equal(ours.outputs[node], run), node
-    assert ours.meta.keys() == theirs.meta.keys()
-    for key, value in theirs.meta.items():
-        if key == "splitters":
-            assert ours.meta[key].dtype == value.dtype
-            assert np.array_equal(ours.meta[key], value)
-        else:
-            assert ours.meta[key] == value, key
+    return result
 
 
 @st.composite
@@ -84,7 +56,7 @@ def duplicate_heavy_instances(draw):
     )
 
 
-class TestAgainstTheSendLoopBodies:
+class TestAgainstTheModel:
     @given(
         instance=duplicate_heavy_instances(),
         seed=st.integers(0, 5),
@@ -95,9 +67,8 @@ class TestAgainstTheSendLoopBodies:
     def test_weighted_terasort(
         self, instance, seed, gather_shortcut, proportional_split
     ):
-        _assert_same_sort(
+        _assert_sorts_by_the_model(
             weighted_terasort,
-            reference_weighted_terasort,
             *instance,
             seed=seed,
             gather_shortcut=gather_shortcut,
@@ -107,28 +78,21 @@ class TestAgainstTheSendLoopBodies:
     @given(instance=duplicate_heavy_instances(), seed=st.integers(0, 5))
     @settings(max_examples=80, deadline=None)
     def test_terasort(self, instance, seed):
-        _assert_same_sort(terasort, reference_terasort, *instance, seed=seed)
+        _assert_sorts_by_the_model(terasort, *instance, seed=seed)
 
     @pytest.mark.parametrize("policy", ["zipf", "uniform", "single-heavy"])
-    @pytest.mark.parametrize(
-        "production, reference",
-        [
-            (weighted_terasort, reference_weighted_terasort),
-            (terasort, reference_terasort),
-        ],
-    )
-    def test_sampled_instance_on_64_leaves(self, production, reference, policy):
+    @pytest.mark.parametrize("protocol", [weighted_terasort, terasort])
+    def test_sampled_instance_on_64_leaves(self, protocol, policy):
         """Large enough that the sample rate is below one: the samples
         are drawn from the fragments as stored, before they are sorted."""
         tree = two_level([8] * 8, uplink_bandwidth=4.0)
         distribution = repro.random_distribution(
             tree, r_size=40_000, s_size=0, policy=policy, seed=5
         )
-        extra = {"gather_shortcut": False} if production is weighted_terasort else {}
-        _assert_same_sort(
-            production, reference, tree, distribution, seed=2, **extra
+        extra = {"gather_shortcut": False} if protocol is weighted_terasort else {}
+        result = _assert_sorts_by_the_model(
+            protocol, tree, distribution, seed=2, **extra
         )
-        result = production(tree, distribution, seed=2, **extra)
         assert 0 < result.meta["num_samples"] < 40_000
 
 
@@ -209,12 +173,20 @@ class TestSelectSplitters:
     @example(samples=list(range(10)), counts=[5, 5, 5])
     @example(samples=[3], counts=[0, 2, 0])
     @settings(max_examples=150, deadline=None)
-    def test_one_gather_is_the_loop(self, samples, counts):
+    def test_one_every_step_samples(self, samples, counts):
+        """Splitter ``k`` closes the first ``c_0 + ... + c_k`` sample
+        intervals of ``ceil(s / sum(c))`` samples; past the end, the
+        largest sample."""
         samples = np.sort(np.asarray(samples, dtype=np.int64))
-        ours = select_splitters(samples, counts)
-        theirs = reference_select_splitters(samples, counts)
-        assert ours.dtype == theirs.dtype == np.int64
-        assert ours.tolist() == theirs.tolist()
+        found = select_splitters(samples, counts)
+        assert found.dtype == np.int64
+        if not len(samples):
+            assert found.tolist() == []
+            return
+        step = -(-len(samples) // sum(counts))
+        closed = np.cumsum(counts[:-1]) * step
+        expected = [samples[max(0, min(c, len(samples)) - 1)] for c in closed]
+        assert found.tolist() == expected
 
 
 class TestEveryElementSampled:

@@ -1,12 +1,13 @@
-"""The sort verifier against its node-by-node reference model.
+"""The sort verifier against the model's definition of a sort.
 
 ``is_valid_compute_order`` decides every link at once from one push-up
 over the routing index and ``verify_sorted_output`` scans the runs end
-to end once; ``tests/reference_verify.py`` keeps the per-link side
-walk and the node-by-node loop they replaced.  On
-random trees — stars, paths, single nodes, asymmetric links, inner
-nodes that compute — both must give the same boolean for any order, and
-the same exception type and message for any injected fault.
+to end once; the model (``tests/model/tasks.py``) checks each link's
+sides one by one and compares the runs read along the order with
+``sorted``.  On random trees — stars, paths, single nodes, asymmetric
+links, inner nodes that compute — both must accept the same orders and
+the same outputs under any injected fault, and a rejection must name
+the check and the node the model finds first.
 """
 
 import dataclasses
@@ -25,10 +26,7 @@ from repro.core.sorting.ordering import (
 from repro.engine import run_with_result
 from repro.errors import ProtocolError
 from repro.registry import get_task
-from tests.reference_verify import (
-    reference_is_valid_compute_order,
-    reference_verify_sorted_output,
-)
+from tests.model.tasks import sorted_along, valid_order
 from tests.strategies import shaped_trees
 
 ORDER_KINDS = ("valid", "rotated", "permuted", "swapped", "duplicate", "missing", "extra")
@@ -69,11 +67,9 @@ def candidate_orders(draw):
 
 @given(candidate_orders())
 @settings(max_examples=400, deadline=None)
-def test_order_check_matches_the_reference(instance):
+def test_order_check_matches_the_model(instance):
     tree, order = instance
-    assert is_valid_compute_order(tree, order) == reference_is_valid_compute_order(
-        tree, order
-    )
+    assert is_valid_compute_order(tree, order) == valid_order(tree, order)
 
 
 def test_every_rooting_of_a_random_tree_is_valid():
@@ -81,7 +77,7 @@ def test_every_rooting_of_a_random_tree_is_valid():
     for root in tree.nodes:
         order = tree.left_to_right_compute_order(root)
         assert is_valid_compute_order(tree, order)
-        assert reference_is_valid_compute_order(tree, order)
+        assert valid_order(tree, order)
 
 
 @st.composite
@@ -120,20 +116,45 @@ def faulty_outputs(draw):
     return tree, outputs, order, expected
 
 
-def outcome(verify, *args):
-    try:
-        verify(*args)
-    except ProtocolError as error:
-        return type(error), str(error)
+def rejection(tree, outputs, order, expected) -> str | None:
+    """The verifier's message for the first check the outputs fail, read
+    off the model's definitions: a valid order, no node outside it, the
+    first fall along the order (named at the node holding its lower end),
+    then the multiset; ``None`` if they sort ``expected``."""
+    if not valid_order(tree, order):
+        return f"{list(order)!r} is not a valid traversal order"
+    stray = [node for node in outputs if node not in order]
+    if stray:
+        return f"node {stray[0]!r} holds output but is not in the order"
+    previous = None
+    for node in order:
+        run = [int(x) for x in outputs.get(node, ())]
+        if not run:
+            continue
+        if any(b < a for a, b in zip(run, run[1:])):
+            return f"node {node!r} holds an unsorted run"
+        if previous is not None and run[0] < previous:
+            return f"node {node!r} holds {run[0]} but an earlier node holds {previous}"
+        previous = run[-1]
+    found = [int(x) for node in order for x in outputs.get(node, ())]
+    if found != sorted(map(int, expected)):
+        return (
+            "sorted output is not a permutation of the input "
+            f"({len(found)} vs {len(expected)} elements)"
+        )
     return None
 
 
 @given(faulty_outputs())
 @settings(max_examples=400, deadline=None)
-def test_sorted_output_check_matches_the_reference(instance):
-    assert outcome(verify_sorted_output, *instance) == outcome(
-        reference_verify_sorted_output, *instance
-    )
+def test_sorted_output_check_matches_the_model(instance):
+    try:
+        verify_sorted_output(*instance)
+        message = None
+    except ProtocolError as error:
+        message = str(error)
+    assert (message is None) == sorted_along(*instance)
+    assert message == rejection(*instance)
 
 
 @pytest.mark.parametrize(
@@ -149,10 +170,9 @@ def test_the_first_offending_node_is_named(outputs, message):
     tree = repro.star(3)
     arrays = {node: np.array(run, dtype=np.int64) for node, run in outputs.items()}
     expected = np.concatenate(list(arrays.values()))
-    for verify in (verify_sorted_output, reference_verify_sorted_output):
-        with pytest.raises(ProtocolError) as raised:
-            verify(tree, arrays, ["v1", "v2", "v3"], expected)
-        assert str(raised.value) == message
+    with pytest.raises(ProtocolError) as raised:
+        verify_sorted_output(tree, arrays, ["v1", "v2", "v3"], expected)
+    assert str(raised.value) == message
 
 
 SORTING_PROTOCOLS = ("wts", "terasort")
@@ -165,7 +185,7 @@ def test_every_sorting_protocol_verifies_on_the_standard_suite(protocol):
             "sorting", plan.tree, plan.distribution, protocol=protocol, seed=1
         )
         assert report.rounds >= 1
-        reference_verify_sorted_output(
+        assert sorted_along(
             plan.tree,
             result.outputs,
             result.meta["order"],

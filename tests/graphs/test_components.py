@@ -10,12 +10,12 @@ from repro.errors import ProtocolError
 from repro.graphs import (
     PlacedGraph,
     components_lower_bound,
-    reference_components,
     run_components,
 )
 from repro.graphs.model import encode_edges
 from repro.data.distribution import Distribution
 from repro.topology.builders import star, two_level
+from tests.model.tasks import components
 
 PROTOCOLS = ("tree", "uniform-hash", "gather")
 
@@ -93,7 +93,7 @@ class TestCorrectness:
     def test_outputs_match_union_find(self, instance, protocol):
         tree, graph = instance
         report = run_components(tree, graph, protocol=protocol, seed=7)
-        expected = reference_components(graph.edges())
+        expected = components(graph.edges())
         found = {}
         for step in report.supersteps:
             assert step.cost >= 0

@@ -9,8 +9,8 @@ from repro.data.generators import (
     planted_components_graph,
     powerlaw_graph,
 )
-from repro.graphs import reference_components, reference_degrees
 from repro.report import GraphRunReport, RunReport
+from tests.model.tasks import components, degrees
 
 
 # --------------------------------------------------------------------- #
@@ -32,8 +32,7 @@ def test_gnm_degree_sums_match_edge_count(num_vertices, density, seed):
     # simple graph: canonical orientation, no duplicates, no loops
     assert np.all(edges[:, 0] < edges[:, 1])
     assert len(np.unique(edges, axis=0)) == num_edges
-    degrees = reference_degrees(edges, num_vertices=num_vertices)
-    assert degrees.sum() == 2 * num_edges
+    assert sum(degrees(edges).values()) == 2 * num_edges
 
 
 @settings(max_examples=25, deadline=None)
@@ -50,8 +49,7 @@ def test_powerlaw_degree_sums_and_simplicity(num_vertices, seed, exponent):
     assert edges.shape == (num_edges, 2)
     assert np.all(edges[:, 0] < edges[:, 1])
     assert len(np.unique(edges, axis=0)) == num_edges
-    degrees = reference_degrees(edges, num_vertices=num_vertices)
-    assert degrees.sum() == 2 * num_edges
+    assert sum(degrees(edges).values()) == 2 * num_edges
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,7 +62,7 @@ def test_planted_components_are_recovered(num_components, component_size, seed):
     edges = planted_components_graph(
         num_components, component_size, seed=seed
     )
-    labels = reference_components(edges)
+    labels = components(edges)
     # every vertex of every block is present (spanning trees connect them)
     assert len(labels) == num_components * component_size
     # each block is exactly one component, labelled by its first vertex

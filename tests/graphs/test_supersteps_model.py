@@ -1,13 +1,15 @@
-"""The vertex-table superstep loop against the per-node reference driver.
+"""The hash-to-min superstep loop against the Section-2 model.
 
-``tests/reference_supersteps.py`` keeps the hash-to-min body as it was
-when every node had its own ``_LocalView``; this module runs whole
-``connected-components`` protocols both ways, under the strict auditor,
-and requires the same outputs per node and the same superstep rows —
-cost, rounds, input size and bound compared with ``==``.
+Whole ``connected-components`` protocols run under the model's auditor,
+which checks every round of every superstep — the group-by shuffles and
+the label-return multicasts — against the transfer-by-transfer model
+(``tests/model/rounds.py``).  The labelling must be the union-find's,
+the reported cost the sum of the model's round costs, the bound the
+model's formula, and the superstep rows must add up to the run.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,39 +25,37 @@ from repro.data.distribution import Distribution
 from repro.engine import run_with_result
 from repro.graphs import PlacedGraph
 from repro.graphs.model import encode_edges
-from repro.obs.audit import auditing
+from repro.context import use
 from repro.topology.builders import star, two_level
 from repro.topology.tree import TreeTopology
-from tests.reference_supersteps import reference_model
+from tests.model import bounds, tasks
+from tests.model.rounds import ModelAuditor
 from tests.strategies import tree_topologies
 
 FLAVOURS = ("tree", "uniform-hash")
-ROW_FIELDS = ("protocol", "placement", "input_size", "rounds", "cost", "lower_bound")
-
-
-def run_audited(tree, distribution, protocol, seed):
-    with auditing(strict=True):
-        return run_with_result(
+def assert_run_matches_the_model(tree, distribution, protocol, seed=0):
+    auditor = ModelAuditor()
+    with use(auditor=auditor):
+        report, result = run_with_result(
             "connected-components", tree, distribution, protocol=protocol, seed=seed
         )
-
-
-def assert_same_run(tree, distribution, protocol, seed=0):
-    report, result = run_audited(tree, distribution, protocol, seed)
-    with reference_model():
-        expected_report, expected = run_audited(tree, distribution, protocol, seed)
-    assert result.outputs.keys() == expected.outputs.keys()
-    for node, labels in expected.outputs.items():
-        assert result.outputs[node] == labels, node
-    meta, expected_meta = dict(result.meta), dict(expected.meta)
-    rows, expected_rows = meta.pop("supersteps"), expected_meta.pop("supersteps")
-    assert meta == expected_meta  # num_supersteps, num_vertices, converged, ...
-    assert [[row[f] for f in ROW_FIELDS] for row in rows] == [
-        [row[f] for f in ROW_FIELDS] for row in expected_rows
-    ]
-    assert (report.cost, report.rounds, report.lower_bound) == (
-        expected_report.cost, expected_report.rounds, expected_report.lower_bound
+    labels = {}
+    for output in result.outputs.values():
+        for vertex, label in output.items():
+            assert vertex not in labels, vertex
+            labels[vertex] = label
+    expected = tasks.components(tasks.graph_edges(distribution.relation("E")))
+    assert labels == expected
+    assert result.meta["converged"]
+    assert result.meta["num_vertices"] == len(expected)
+    assert math.isclose(report.cost, sum(auditor.costs))
+    assert report.rounds == len(auditor.costs)
+    assert math.isclose(
+        report.lower_bound, bounds.value(bounds.components(tree, distribution))
     )
+    rows = result.meta["supersteps"]
+    assert sum(row["rounds"] for row in rows) == report.rounds
+    assert math.isclose(sum(row["cost"] for row in rows), report.cost)
 
 
 def path_edges(n: int) -> np.ndarray:
@@ -102,7 +102,7 @@ TREES = {
 @pytest.mark.parametrize("tree", TREES)
 def test_named_shapes(tree, graph, policy, protocol):
     placed = PlacedGraph.from_edges(TREES[tree], GRAPHS[graph], policy=policy, seed=5)
-    assert_same_run(TREES[tree], placed.distribution, protocol, seed=1)
+    assert_run_matches_the_model(TREES[tree], placed.distribution, protocol, seed=1)
 
 
 @given(data=st.data(), tree=tree_topologies())
@@ -129,7 +129,7 @@ def test_random_trees(data, tree):
         tree, edges, policy=data.draw(st.sampled_from(["zipf", "uniform"])), seed=seed
     )
     for protocol in FLAVOURS:
-        assert_same_run(tree, placed.distribution, protocol, seed=seed % 5)
+        assert_run_matches_the_model(tree, placed.distribution, protocol, seed=seed % 5)
 
 
 @pytest.mark.parametrize("protocol", FLAVOURS)
@@ -146,7 +146,7 @@ def test_raw_fragments(protocol):
             nodes[3]: {"E": encode_edges([5, top - 1], [4, top])},
         }
     )
-    assert_same_run(tree, distribution, protocol)
+    assert_run_matches_the_model(tree, distribution, protocol)
 
 
 _HASHSEED_SCRIPT = """
@@ -173,7 +173,7 @@ for protocol in ("tree", "uniform-hash", "gather"):
 
 def test_reports_do_not_depend_on_the_hash_seed():
     """String node ids hash differently per ``PYTHONHASHSEED``; the
-    per-node driver iterated ``set``s of them, the vertex table must not."""
+    superstep loop must never iterate a ``set`` of them."""
     src = Path(__file__).resolve().parents[2] / "src"
     outputs = []
     for hash_seed in ("1", "3"):

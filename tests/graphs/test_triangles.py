@@ -2,20 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import ProtocolError
 from repro.graphs import (
     PlacedGraph,
-    reference_triangle_count,
     run_triangles,
     triangle_catalog,
     triangle_query,
     triangles_lower_bound,
 )
-from repro.graphs.model import encode_edges
+from repro.graphs.model import canonical_edges, encode_edges
+from repro.graphs.triangles import _triangle_count
 from repro.data.distribution import Distribution
 from repro.topology.builders import star, two_level
+from tests.model.tasks import triangle_count
 
 PROTOCOLS = ("optimized", "uniform-hash", "gather")
 
@@ -30,10 +33,10 @@ def instance():
 
 class TestCorrectness:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_count_matches_reference(self, instance, protocol):
+    def test_count_matches_the_model(self, instance, protocol):
         tree, graph = instance
         report = run_triangles(tree, graph, protocol=protocol, seed=13)
-        expected = reference_triangle_count(graph.edges())
+        expected = triangle_count(graph.edges())
         assert expected > 0  # the instance is dense enough to be interesting
         assert report.meta["num_triangles"] == expected
 
@@ -154,3 +157,15 @@ class TestCostModel:
         )
         bound = triangles_lower_bound(tree, dist)
         assert bound.value == pytest.approx(1 / (2 * 0.5))
+
+
+@given(
+    num_vertices=st.integers(2, 30),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_verifiers_count_is_the_models(num_vertices, density, seed):
+    num_edges = int(density * num_vertices * (num_vertices - 1) // 2)
+    edges = repro.gnm_random_graph(num_vertices, num_edges, seed=seed)
+    assert _triangle_count(canonical_edges(edges)) == triangle_count(edges)

@@ -1,13 +1,16 @@
-"""Every registered bound, recomputed on the per-edge reference loops.
+"""Every per-link and cover bound against the model's formula.
 
 Production computes a per-link bound as one vector over the links (the
 relation's offsets -> ``link_side_sums`` / ``steiner_counts`` -> one
-division by the bandwidths); this module recomputes each of them with
-the node-keyed, edge-by-edge bodies of ``tests/reference_bounds.py`` and
-requires the same ``value``, ``bottleneck_edge`` and ``per_edge`` (values
-*and* key order).  Inputs are integer sizes, so equality is exact.
+division by the bandwidths); the model (``tests/model/bounds.py``)
+recomputes each link's value from link sides it enumerates, on
+placements that leave nodes or a whole relation out.  Inputs are integer
+sizes, so every link's value must be equal exactly, listed in
+``undirected_edges()`` order, with the first largest link as the
+bottleneck.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -32,17 +35,7 @@ from repro.graphs.model import encode_edges
 from repro.queries import equijoin_lower_bound, groupby_lower_bound
 from repro.topology.builders import two_level
 from repro.topology.dagger import build_dagger
-from tests.reference_bounds import (
-    cartesian_lower_bound_flow_reference,
-    components_lower_bound_reference,
-    equijoin_lower_bound_reference,
-    groupby_lower_bound_reference,
-    intersection_lower_bound_reference,
-    reference_model,
-    sorting_lower_bound_reference,
-    triangles_lower_bound_reference,
-    unequal_lower_bound_flow_reference,
-)
+from tests.model import bounds
 from tests.strategies import (
     graph_instances,
     keyed_instances,
@@ -53,11 +46,21 @@ from tests.strategies import (
 )
 
 
-def assert_same_bound(found, expected) -> None:
-    assert found == expected
-    assert list(found.per_edge) == list(expected.per_edge)
+def assert_bound(found, model, tree) -> None:
+    """``model`` is the model's ``{link: value}`` dict for a per-link
+    bound, or the value of a bound that is not a per-link maximum."""
     assert type(found.value) is float
+    if not isinstance(model, dict):  # Theorem 4
+        assert math.isclose(found.value, model), (found.value, model)
+        assert found.per_edge == {} and found.bottleneck_edge is None
+        return
+    edges = tree.undirected_edges()
+    assert list(found.per_edge) == edges
     assert all(type(v) in (int, float) for v in found.per_edge.values())
+    assert {frozenset(e): v for e, v in found.per_edge.items()} == model
+    assert found.value == bounds.value(model)
+    top = [e for e in edges if model[frozenset(e)] == found.value]
+    assert found.bottleneck_edge == (top[0] if top else None)
 
 
 @st.composite
@@ -78,48 +81,35 @@ def partial_placements(draw, instances):
     return tree, distribution
 
 
-LIGHTER_SIDE_BOUNDS = [
-    (intersection_lower_bound, intersection_lower_bound_reference),
-    (equijoin_lower_bound, equijoin_lower_bound_reference),
-    (cartesian_lower_bound_flow, cartesian_lower_bound_flow_reference),
-    (unequal_lower_bound_flow, unequal_lower_bound_flow_reference),
+TWO_RELATION_BOUNDS = [
+    (intersection_lower_bound, bounds.intersection),
+    (equijoin_lower_bound, bounds.intersection),
+    (cartesian_lower_bound_flow, bounds.theorem3),
+    # Theorem 8's flow is Theorem 1's: capped at the smaller relation
+    (unequal_lower_bound_flow, bounds.intersection),
+    (cartesian_lower_bound_cover, bounds.theorem4),
+    (cartesian_lower_bound, bounds.cartesian),
 ]
 
 
 @pytest.mark.parametrize(
-    "bound, reference", LIGHTER_SIDE_BOUNDS, ids=lambda b: b.__name__
+    "bound, model", TWO_RELATION_BOUNDS, ids=lambda b: b.__name__
 )
 @given(instance=partial_placements(set_pair_instances()))
 @settings(max_examples=40, deadline=None)
-def test_two_relation_bounds(bound, reference, instance):
+def test_two_relation_bounds(bound, model, instance):
     tree, distribution = instance
-    assert_same_bound(bound(tree, distribution), reference(tree, distribution))
-
-
-@pytest.mark.parametrize(
-    "bound", [cartesian_lower_bound_cover, cartesian_lower_bound],
-    ids=lambda b: b.__name__,
-)
-@given(instance=set_pair_instances())
-@settings(max_examples=40, deadline=None)
-def test_cover_bounds(bound, instance):
-    """Theorem 4 reads G-dagger, which reads ``tree.side_weights``."""
-    tree, distribution = instance
-    found = bound(tree, distribution)
-    with reference_model():
-        expected = bound(tree, distribution)
-    if expected.per_edge:  # the flow bound won: its own reference applies
-        expected = cartesian_lower_bound_flow_reference(tree, distribution)
-    assert_same_bound(found, expected)
+    assert_bound(bound(tree, distribution), model(tree, distribution), tree)
 
 
 @given(instance=partial_placements(sort_instances()))
 @settings(max_examples=40, deadline=None)
 def test_sorting_bound(instance):
     tree, distribution = instance
-    assert_same_bound(
+    assert_bound(
         sorting_lower_bound(tree, distribution),
-        sorting_lower_bound_reference(tree, distribution),
+        bounds.sorting(tree, distribution),
+        tree,
     )
 
 
@@ -129,10 +119,8 @@ def test_dagger_orientation(data, tree):
     """Theorem 4's cover is read off G-dagger: same orientation, same ties."""
     sizes = data.draw(node_sizes(tree, max_size=3))  # small sizes tie often
     found = build_dagger(tree, sizes)
-    with reference_model():
-        expected = build_dagger(tree, sizes)
-    assert (found.root, found.parent, found.out_bandwidth) == (
-        expected.root, expected.parent, expected.out_bandwidth
+    assert (found.root, found.parent, found.out_bandwidth) == bounds.dagger(
+        tree, sizes
     )
 
 
@@ -140,14 +128,16 @@ def test_dagger_orientation(data, tree):
 @settings(max_examples=60, deadline=None)
 def test_groupby_bound(instance):
     tree, distribution = instance
-    assert_same_bound(
+    assert_bound(
         groupby_lower_bound(tree, distribution),
-        groupby_lower_bound_reference(tree, distribution),
+        bounds.groupby(tree, distribution),
+        tree,
     )
     # a narrower payload merges neighbouring keys: another key multiset
-    assert_same_bound(
+    assert_bound(
         groupby_lower_bound(tree, distribution, payload_bits=22),
-        groupby_lower_bound_reference(tree, distribution, payload_bits=22),
+        bounds.groupby(tree, distribution, payload_bits=22),
+        tree,
     )
 
 
@@ -155,13 +145,15 @@ def test_groupby_bound(instance):
 @settings(max_examples=60, deadline=None)
 def test_graph_bounds(instance):
     tree, distribution = instance
-    assert_same_bound(
+    assert_bound(
         components_lower_bound(tree, distribution),
-        components_lower_bound_reference(tree, distribution),
+        bounds.components(tree, distribution),
+        tree,
     )
-    assert_same_bound(
+    assert_bound(
         triangles_lower_bound(tree, distribution),
-        triangles_lower_bound_reference(tree, distribution),
+        bounds.triangles(tree, distribution),
+        tree,
     )
 
 
@@ -181,7 +173,7 @@ def test_components_bound_with_sparse_ids_and_empty_nodes():
     placements[nodes[1]] = {"E": []}
     distribution = Distribution(placements)
     found = components_lower_bound(tree, distribution)
-    assert_same_bound(found, components_lower_bound_reference(tree, distribution))
+    assert_bound(found, bounds.components(tree, distribution), tree)
     assert found.value > 0
 
 

@@ -10,7 +10,7 @@ from repro.topology.dagger import (
     optimal_cover,
 )
 from tests.strategies import node_sizes, tree_topologies
-from tests.tree_sides import compute_sides, edge_sides
+from tests.model.paths import node_sides, sides
 
 
 class TestLemma4:
@@ -43,8 +43,8 @@ class TestLemma4:
         dagger = build_dagger(tree, sizes)
         for node, parent in dagger.parent.items():
             edge = tree.canonical_edge(node, parent)
-            minus, plus = compute_sides(tree, edge)
-            node_side = minus if node in edge_sides(tree, edge)[0] else plus
+            minus, plus = sides(tree, edge)
+            node_side = minus if node in node_sides(tree, edge)[0] else plus
             other_side = plus if node_side is minus else minus
             weight_node = sum(sizes.get(v, 0) for v in node_side)
             weight_other = sum(sizes.get(v, 0) for v in other_side)

@@ -7,7 +7,7 @@ from repro.core.intersection.tree import tree_intersect
 from repro.data.distribution import Distribution
 from repro.sim.cluster import Cluster
 from tests.strategies import set_pair_instances, tree_topologies
-from tests.tree_sides import union_of_paths
+from tests.model.paths import steiner_links
 
 
 @st.composite
@@ -53,7 +53,7 @@ class TestLedgerIdentities:
                 ctx.multicast(src, dsts, np.arange(size), tag="x")
         expected: dict = {}
         for src, dsts, size in transfers:
-            for edge in union_of_paths(tree, src, dsts):
+            for edge in steiner_links(tree, src, dsts):
                 expected[edge] = expected.get(edge, 0) + size
         assert cluster.ledger.round_loads(0) == expected
 

@@ -4,18 +4,18 @@ Random mixed-round scripts (sends, hashed column exchanges, multicast
 groups, interleaved tags, repeated rounds onto the same columns) must leave
 *exactly* the same observable state — per-edge ledger loads, per-node
 received counts, per-(node, tag) storage bytes — on the simulator
-(columnar store, vectorized grouping/gather) as on the per-send
-reference model of ``tests/reference_delivery.py``.
+(columnar store, vectorized grouping/gather) as in the transfer-by-
+transfer Section-2 model of ``tests/model/rounds.py``.
 
-``assert_clusters_identical`` raises on the first divergence, naming it.
+``assert_matches_model`` raises on the first divergent part, naming it.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.cluster import Cluster
-from tests.cluster_identity import assert_clusters_identical
-from tests.reference_delivery import ReferenceCluster
+from tests.cluster_identity import assert_matches_model
+from tests.model.rounds import ModelCluster
 from tests.strategies import tree_topologies
 
 
@@ -92,10 +92,8 @@ def _replay(cluster, rounds):
 class TestColumnarByteIdentity:
     @given(script=round_scripts())
     @settings(max_examples=60, deadline=None)
-    def test_bulk_matches_per_send(self, script):
+    def test_bulk_matches_the_model(self, script):
         tree, rounds = script
-        bulk = _replay(Cluster(tree), rounds)
-        per_send = _replay(ReferenceCluster(tree), rounds)
-        assert_clusters_identical(
-            bulk, per_send, a_name="bulk", b_name="reference"
+        assert_matches_model(
+            _replay(Cluster(tree), rounds), _replay(ModelCluster(tree), rounds)
         )

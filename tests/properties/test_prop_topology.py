@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from repro.topology.normalize import normalize
 from tests.link_loads import multicast_links, unicast_links
 from tests.strategies import tree_topologies
-from tests.tree_sides import compute_sides, edge_sides, union_of_paths
+from tests.model.paths import (
+    node_sides,
+    path_edges,
+    path_nodes,
+    sides,
+    steiner_links,
+)
 
 
 class TestTreeInvariants:
@@ -13,7 +19,7 @@ class TestTreeInvariants:
     @settings(max_examples=60)
     def test_edge_sides_partition(self, tree):
         for edge in tree.undirected_edges():
-            a_side, b_side = edge_sides(tree, edge)
+            a_side, b_side = node_sides(tree, edge)
             assert a_side | b_side == tree.nodes
             assert not (a_side & b_side)
 
@@ -23,7 +29,7 @@ class TestTreeInvariants:
         nodes = sorted(tree.compute_nodes, key=str)
         for u in nodes[:3]:
             for v in nodes[-3:]:
-                path = tree.path_nodes(u, v)
+                path = path_nodes(tree, u, v)
                 assert path[0] == u and path[-1] == v
                 assert len(path) == len(set(path))  # simple path
 
@@ -33,7 +39,7 @@ class TestTreeInvariants:
         order = tree.left_to_right_compute_order()
         position = {v: i for i, v in enumerate(order)}
         for edge in tree.undirected_edges():
-            for side in compute_sides(tree, edge):
+            for side in sides(tree, edge):
                 positions = sorted(position[v] for v in side)
                 if positions and positions == list(
                     range(positions[0], positions[-1] + 1)
@@ -78,8 +84,8 @@ class TestSteinerInvariants:
         dsts = computes[1:4] if len(computes) > 1 else computes
         union = set()
         for dst in dsts:
-            union |= set(tree.path_edges(src, dst))
-        assert union_of_paths(tree, src, dsts) == union
+            union |= set(path_edges(tree, src, dst))
+        assert steiner_links(tree, src, dsts) == union
         assert multicast_links(tree, src, dsts) == dict.fromkeys(union, 1)
 
     @given(tree=tree_topologies())

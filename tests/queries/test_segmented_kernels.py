@@ -1,11 +1,11 @@
-"""The segmented local kernels equal a per-node loop over the old bodies.
+"""The segmented local kernels equal the task definitions node by node.
 
 ``intersect_columns``, ``join_columns`` and ``combine_per_node_key``
 evaluate every node's local computation in one pass over whole columns;
-the reference (``tests/reference_kernels.py``) splits the columns back
-into per-node fragments and runs ``np.intersect1d`` / the per-key join /
-the sort-and-``reduceat`` combiner on each.  Outputs must agree value for
-value and row for row.
+the tests split the columns back into per-node fragments and compute
+each node's answer with the model's sets and dicts
+(``tests/model/tasks.py``).  Outputs must agree value for value; the
+order of a join's rows and a combiner's keys is checked on its own.
 """
 
 import numpy as np
@@ -18,13 +18,7 @@ from repro.queries.join import join_columns, local_join
 from repro.queries.tuples import encode_tuples
 from repro.util.grouping import owner_bounds
 
-from tests.reference_kernels import (
-    reference_combine_per_key,
-    reference_combine_per_node_key,
-    reference_intersect_columns,
-    reference_join_columns,
-    reference_local_join,
-)
+from tests.model import tasks
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -84,34 +78,42 @@ def tuple_columns(draw):
     return num_nodes, payload_bits, sides[0], sides[1]
 
 
-def _assert_join_results_equal(actual: list, expected: list) -> None:
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got.keys() == want.keys()
-        assert got["num_pairs"] == want["num_pairs"]
-        assert got["num_keys"] == want["num_keys"]
-        assert type(got["num_pairs"]) is int and type(got["num_keys"]) is int
-        if "pairs" in want:
-            assert got["pairs"].dtype == np.int64
-            assert got["pairs"].shape == want["pairs"].shape
-            assert np.array_equal(got["pairs"], want["pairs"])
+def fragments(owners, values, num_nodes: int) -> list:
+    """A column split back into per-node fragments, order preserved."""
+    return [values[owners == node] for node in range(num_nodes)]
+
+
+def assert_join_is_the_model(got, r_tuples, s_tuples, payload_bits, materialize):
+    expected = tasks.join(
+        tasks.rows(r_tuples, payload_bits), tasks.rows(s_tuples, payload_bits)
+    )
+    assert got.keys() == {"num_pairs", "num_keys", *(["pairs"] if materialize else [])}
+    assert type(got["num_pairs"]) is int and type(got["num_keys"]) is int
+    assert got["num_pairs"] == sum(expected.values())
+    assert got["num_keys"] == len({key for key, _, _ in expected})
+    if materialize:
+        pairs = got["pairs"]
+        assert pairs.dtype == np.int64 and pairs.shape == (got["num_pairs"], 3)
+        assert sorted(map(tuple, pairs.tolist())) == sorted(expected.elements())
+        assert (np.diff(pairs[:, 0]) >= 0).all()  # key ascending
 
 
 class TestIntersectColumns:
     @given(set_columns())
     @settings(max_examples=150, deadline=None)
-    def test_equals_per_node_intersect1d(self, instance):
+    def test_equals_per_node_set_intersection(self, instance):
         num_nodes, (r_owners, r_values), (s_owners, s_values) = instance
         actual = intersect_columns(
             (r_owners, r_values), (s_owners, s_values), range(num_nodes)
         )
-        expected = reference_intersect_columns(
-            r_owners, r_values, s_owners, s_values, num_nodes
-        )
         assert list(actual) == list(range(num_nodes))
-        for node, want in enumerate(expected):
+        for node, r, s in zip(
+            range(num_nodes),
+            fragments(r_owners, r_values, num_nodes),
+            fragments(s_owners, s_values, num_nodes),
+        ):
             assert actual[node].dtype == np.int64
-            assert np.array_equal(actual[node], want)
+            assert actual[node].tolist() == sorted(set(r.tolist()) & set(s.tolist()))
 
     def test_nodes_holding_nothing_or_one_side_only(self):
         empty = np.empty(0, np.int64)
@@ -148,7 +150,7 @@ class TestIntersectColumns:
 class TestJoinColumns:
     @given(tuple_columns(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_equals_per_node_local_join(self, instance, materialize):
+    def test_equals_per_node_join(self, instance, materialize):
         num_nodes, payload_bits, (r_owners, r_tuples), (s_owners, s_tuples) = (
             instance
         )
@@ -160,39 +162,21 @@ class TestJoinColumns:
             materialize=materialize,
         )
         assert list(actual) == list(range(num_nodes))
-        expected = reference_join_columns(
-            r_owners,
-            r_tuples,
-            s_owners,
-            s_tuples,
-            num_nodes,
-            payload_bits=payload_bits,
-            materialize=materialize,
-        )
-        _assert_join_results_equal(list(actual.values()), expected)
+        for node, r, s in zip(
+            range(num_nodes),
+            fragments(r_owners, r_tuples, num_nodes),
+            fragments(s_owners, s_tuples, num_nodes),
+        ):
+            assert_join_is_the_model(actual[node], r, s, payload_bits, materialize)
 
     @given(tuple_columns(), st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_local_join_is_the_one_node_case(self, instance, materialize):
         _, payload_bits, (_, r_tuples), (_, s_tuples) = instance
-        _assert_join_results_equal(
-            [
-                local_join(
-                    r_tuples,
-                    s_tuples,
-                    payload_bits=payload_bits,
-                    materialize=materialize,
-                )
-            ],
-            [
-                reference_local_join(
-                    r_tuples,
-                    s_tuples,
-                    payload_bits=payload_bits,
-                    materialize=materialize,
-                )
-            ],
+        got = local_join(
+            r_tuples, s_tuples, payload_bits=payload_bits, materialize=materialize
         )
+        assert_join_is_the_model(got, r_tuples, s_tuples, payload_bits, materialize)
 
     def test_row_order_is_key_ascending_then_r_major(self):
         r = encode_tuples([7, 3, 7], [1, 2, 3])
@@ -244,24 +228,25 @@ class TestCombinePerNodeKey:
         )
         assert np.all(np.diff(out_owners) >= 0)
         bounds = owner_bounds(out_owners, num_nodes)
-        expected = reference_combine_per_node_key(
-            owners, keys, values, op, num_nodes
-        )
-        for (want_keys, want_values), lo, hi in zip(
-            expected, bounds, bounds[1:]
+        assert out_values.dtype == np.int64
+        for node_keys, node_values, lo, hi in zip(
+            fragments(owners, keys, num_nodes),
+            fragments(owners, values, num_nodes),
+            bounds,
+            bounds[1:],
         ):
-            assert np.array_equal(out_keys[lo:hi], want_keys)
-            assert np.array_equal(out_values[lo:hi], want_values)
-            assert out_values.dtype == np.int64
+            expected = tasks.aggregate(zip(node_keys, node_values), op)
+            assert out_keys[lo:hi].tolist() == sorted(expected)
+            assert out_values[lo:hi].tolist() == [expected[k] for k in sorted(expected)]
 
     @pytest.mark.parametrize("op", ["sum", "count", "min", "max"])
     def test_combine_per_key_is_the_one_node_case(self, op):
         keys = np.asarray([4, 1, 4, 9, 1, 4], dtype=np.int64)
         values = np.asarray([3, -2, 8, 0, 5, 1], dtype=np.int64)
-        got = combine_per_key(keys, values, op)
-        want = reference_combine_per_key(keys, values, op)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        got_keys, got_values = combine_per_key(keys, values, op)
+        expected = tasks.aggregate(zip(keys, values), op)
+        assert got_keys.tolist() == sorted(expected)
+        assert got_values.tolist() == [expected[k] for k in sorted(expected)]
 
     @pytest.mark.parametrize("op", ["sum", "count", "min", "max"])
     def test_empty_input(self, op):

@@ -4,7 +4,7 @@ These are the bodies ``repro.plan.cost`` had before placement profiles
 became vectors and the estimators one per-link array kernel: profiles
 are ``{node: rows}`` dicts, every estimate walks
 ``tree.undirected_edges()`` with ``tree.bandwidth()`` / the link's
-sides (``tests/tree_sides.py``) per link, and each estimator redoes its
+sides (``tests/model/paths.py``) per link, and each estimator redoes its
 own ``side_weights``.  They are slow and obviously right.  Everything below
 the imports is moved here unchanged (``CostModel`` is renamed
 :class:`ReferenceCostModel`); :func:`reference_model` swaps it in under
@@ -32,7 +32,7 @@ from repro.plan.cost import (
     placement_profile,
 )
 from repro.topology.tree import NodeId, TreeTopology, node_sort_key
-from tests.tree_sides import compute_sides
+from tests.model.paths import sides as compute_sides
 
 # --------------------------------------------------------------------- #
 # per-link shuffle estimates

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
-from repro.sim.cluster import Cluster, RoundContext, make_cluster
+from repro.sim.cluster import Cluster, RoundContext
 from repro.topology.builders import star, two_level
 from tests.cluster_storage import put
 
@@ -152,8 +152,12 @@ class TestRounds:
         # routers receive nothing; a node the tree never had reads as 0
         assert cluster.received_elements("core") == 0
         assert cluster.received_elements("nowhere") == 0
-        cluster._add_received("v1", 4)
+        # a later round adds to the same vector; a self-copy is no arrival
+        with cluster.round() as ctx:
+            ctx.send("v4", "v1", [6, 7, 8, 9], tag="c")
+            ctx.send("v2", "v2", [1], tag="c")
         assert cluster.received_elements("v1") == 4
+        assert cluster.received_elements("v2") == 5
 
 
 class TestRoundApi:
@@ -246,10 +250,9 @@ class TestRouterSourceRegression:
             cluster.load(Distribution({"core": {"R": [1]}}))
 
 
-def test_make_cluster_builds_a_loaded_simulator():
+def test_the_constructor_builds_a_loaded_simulator():
     dist = Distribution({"v1": {"R": [1, 2]}, "v2": {"R": [3]}})
-    cluster = make_cluster(star(3), dist, bits_per_element=32)
-    assert type(cluster) is Cluster
+    cluster = Cluster(star(3), dist, bits_per_element=32)
     assert cluster.local("v1", "R").tolist() == [1, 2]
     assert cluster.ledger.bits_per_element == 32
 

@@ -5,8 +5,8 @@ The contract under test: one ``exchange_column`` is observably identical
 to one ``send`` per run of equal sources and distinct target, one
 ``exchange_multicast_column`` to one ``multicast`` per group id — same
 storage bytes, received counts and per-edge loads — which the
-transfer-by-transfer reference model in ``tests/reference_delivery.py``
-spells out.  Destination sets are compute-order index arrays, a
+transfer-by-transfer Section-2 model in ``tests/model/rounds.py`` spells
+out.  Destination sets are compute-order index arrays, a
 ``(groups, k)`` matrix or a CSR ``(members, offsets)`` tuple; validation
 is span checks, run before anything is registered.
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.context import use
 from repro.errors import ProtocolError
 from repro.obs.audit import auditing
 from repro.sim.cluster import Cluster
@@ -22,9 +23,10 @@ from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
 from repro.topology.steiner import RoutingIndex
 
-from tests.cluster_identity import assert_clusters_identical
+from tests.cluster_identity import assert_clusters_identical, assert_matches_model
 from tests.cluster_storage import put
-from tests.reference_delivery import ReferenceCluster
+from tests.model.paths import path_edges
+from tests.model.rounds import ModelAuditor, ModelCluster
 from tests.strategies import tree_topologies
 
 
@@ -65,14 +67,14 @@ class TestExchangeColumnDelivery:
         """A run is a run in column order (wTS scatters in traversal
         order, not compute order); each keeps its place."""
         order = cluster.compute_order
-        reference = ReferenceCluster(cluster.tree)
-        for model in (cluster, reference):
-            with model.round() as ctx:
+        model = ModelCluster(cluster.tree)
+        for built in (cluster, model):
+            with built.round() as ctx:
                 ctx.exchange_column(
                     [3, 3, 0, 3], [1, 2, 1, 1], [7, 8, 9, 10], tag="x"
                 )
         assert cluster.local(order[1], "x").tolist() == [7, 9, 10]
-        assert_clusters_identical(cluster, reference)
+        assert_matches_model(cluster, model)
 
     def test_self_targets_cost_nothing(self, cluster):
         with cluster.round() as ctx:
@@ -83,24 +85,22 @@ class TestExchangeColumnDelivery:
 
     def test_sends_and_columns_interleave_in_call_order(self):
         """Mixed traffic to one (dst, tag) lands in registration order,
-        in production and in the reference model; another tag in the
-        same round is its own column."""
-        results = {}
-        for build in (Cluster, ReferenceCluster):
-            cluster = build(
-                two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
-            )
-            order = cluster.compute_order
-            with cluster.round() as ctx:
+        in production and in the model; another tag in the same round is
+        its own column."""
+        tree = two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
+        cluster, model = Cluster(tree), ModelCluster(tree)
+        order = cluster.compute_order
+        for built in (cluster, model):
+            with built.round() as ctx:
                 ctx.send(order[0], order[1], [100, 101], tag="x")
                 ctx.exchange_column([2, 2, 2], [1, 1, 3], [200, 201, 5], tag="x")
                 ctx.exchange_column([3], [1], [7], tag="y")
                 ctx.send(order[3], order[1], [300], tag="x")
-            results[build] = [
-                cluster.local(order[1], tag).tolist() for tag in ("x", "y")
-            ]
-        assert results[Cluster] == [[100, 101, 200, 201, 300], [7]]
-        assert results[Cluster] == results[ReferenceCluster]
+        assert [cluster.local(order[1], tag).tolist() for tag in ("x", "y")] == [
+            [100, 101, 200, 201, 300],
+            [7],
+        ]
+        assert_matches_model(cluster, model)
 
     def test_empty_payloads_pass_the_checks(self, cluster):
         empty = np.empty(0, np.int64)
@@ -484,16 +484,11 @@ def _replay(cluster, plan, form=None):
 class TestColumnEquivalenceProperty:
     @given(column_rounds())
     @settings(max_examples=80, deadline=None)
-    def test_column_calls_match_the_reference_model(self, instance):
+    def test_column_calls_match_the_model(self, instance):
         tree, plan = instance
         with auditing(strict=True):
             production = _replay(Cluster(tree), plan)
-        assert_clusters_identical(
-            production,
-            _replay(ReferenceCluster(tree), plan),
-            a_name="production",
-            b_name="reference",
-        )
+        assert_matches_model(production, _replay(ModelCluster(tree), plan))
 
     @given(column_rounds())
     @settings(max_examples=40, deadline=None)
@@ -503,12 +498,7 @@ class TestColumnEquivalenceProperty:
             as_csr = _replay(Cluster(tree), plan, _as_csr)
             as_matrix = _replay(Cluster(tree), plan, _as_matrix)
         assert_clusters_identical(as_csr, as_matrix, a_name="csr", b_name="matrix")
-        assert_clusters_identical(
-            as_csr,
-            _replay(ReferenceCluster(tree), plan),
-            a_name="csr",
-            b_name="reference",
-        )
+        assert_matches_model(as_csr, _replay(ModelCluster(tree), plan))
 
     @given(column_rounds())
     @settings(max_examples=40, deadline=None)
@@ -546,12 +536,10 @@ class TestColumnEquivalenceProperty:
                     )
             else:
                 expanded_plan.append((kind, tag, *args))
-        assert_clusters_identical(
-            _replay(Cluster(tree), plan),
-            _replay(Cluster(tree), expanded_plan),
-            a_name="column",
-            b_name="per-node",
-        )
+        with use(auditor=ModelAuditor()):
+            column = _replay(Cluster(tree), plan)
+            per_node = _replay(Cluster(tree), expanded_plan)
+        assert_clusters_identical(column, per_node, a_name="column", b_name="per-node")
 
 
 @st.composite
@@ -569,7 +557,7 @@ def test_routing_index_matches_path_walks(instance):
     routing = RoutingIndex(tree)
     expected: dict = {}
     for src, dst in pairs:
-        for edge in tree.path_edges(src, dst):
+        for edge in path_edges(tree, src, dst):
             expected[edge] = expected.get(edge, 0) + 1
     src_ids = np.asarray([routing.index_of[s] for s, _ in pairs])
     dst_ids = np.asarray([routing.index_of[d] for _, d in pairs])

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.context import use
 from repro.errors import ProtocolError
 from repro.obs.audit import auditing
 from repro.sim.cluster import Cluster, _group_by_destination
 from repro.util.grouping import group_slices
 from repro.topology.builders import two_level
 
-from tests.cluster_identity import assert_clusters_identical
-from tests.reference_delivery import ReferenceCluster
+from tests.cluster_identity import assert_clusters_identical, assert_matches_model
+from tests.model.rounds import ModelAuditor, ModelCluster
 from tests.strategies import tree_topologies
 
 
@@ -297,9 +298,9 @@ class TestRunsEquivalenceProperty:
     @settings(max_examples=100, deadline=None)
     def test_runs_match_the_send_loop(self, instance):
         """Ledger, received counts and storage bytes, in production code
-        on both sides and under the strict auditor."""
+        on both sides, every round checked by the model's auditor."""
         tree, plan = instance
-        with auditing(strict=True):
+        with use(auditor=ModelAuditor()):
             as_runs = _replay(Cluster(tree), plan)
             as_sends = _replay(Cluster(tree), plan, runs_as_sends=True)
         assert as_runs.ledger.round_loads(0) == as_sends.ledger.round_loads(0)
@@ -309,13 +310,10 @@ class TestRunsEquivalenceProperty:
 
     @given(run_rounds())
     @settings(max_examples=60, deadline=None)
-    def test_runs_match_the_reference_model(self, instance):
+    def test_runs_match_the_model(self, instance):
         tree, plan = instance
-        production = _replay(Cluster(tree), plan)
-        reference = _replay(ReferenceCluster(tree), plan)
-        assert production.ledger.round_loads(0) == reference.ledger.round_loads(0)
-        assert_clusters_identical(
-            production, reference, a_name="production", b_name="reference"
+        assert_matches_model(
+            _replay(Cluster(tree), plan), _replay(ModelCluster(tree), plan)
         )
 
 
@@ -357,7 +355,7 @@ class TestRunsAtProtocolSizes:
             ),
         ]
 
-    def test_a_sorting_sized_round_matches_the_reference_model(self):
+    def test_a_sorting_sized_round_matches_the_model(self):
         tree = two_level([20] * 20)
         plan = self._plan(tree)
         (_, _, sources, targets, counts, payload) = plan[1]
@@ -365,11 +363,7 @@ class TestRunsAtProtocolSizes:
         assert (counts == 0).any() and (sources == targets).any()
         with auditing(strict=True):
             production = _replay(Cluster(tree), plan)
-        reference = _replay(ReferenceCluster(tree), plan)
-        assert production.ledger.round_loads(0) == reference.ledger.round_loads(0)
-        assert_clusters_identical(
-            production, reference, a_name="production", b_name="reference"
-        )
+        assert_matches_model(production, _replay(ModelCluster(tree), plan))
 
 
 @st.composite

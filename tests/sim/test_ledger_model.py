@@ -1,13 +1,13 @@
-"""The array ledger against the dict-per-round ledger it replaced.
+"""The array ledger against the Section-2 model's rounds.
 
 Random trees — asymmetric links, infinite bandwidths, routers and the
 single-node tree included — and random rounds mixing every registration
 form run twice: through production (loads as one ``(2, links)`` array
-from the push-up to the report) and under
-``tests/reference_ledger.reference_model`` (the old unpacking loops and
-the old dict ledger).  Every ledger query must agree with ``==``; costs
-are sums and quotients of the same integers and bandwidths, so there is
-no tolerance to grant.
+from the push-up to the report) and through the model's transfer walk
+(``tests/model/rounds.py``).  Every ledger query must agree with ``==``,
+also after a superstep driver absorbs the ledger; costs are sums and
+quotients of the same integers and bandwidths, so there is no tolerance
+to grant.
 """
 
 import math
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.graphs.iterate import SuperstepDriver
 from repro.sim.cluster import Cluster
 from repro.topology.tree import TreeTopology
-from tests.reference_ledger import reference_model
+from tests.model.rounds import ModelCluster
 
 WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
 
@@ -100,10 +100,8 @@ def ledger_programs(draw):
     return tree, program
 
 
-def _replay(tree, program):
-    """Run the program on a fresh cluster, then absorb its ledger into a
-    superstep driver's master: ``(the cluster's ledger, the master's)``."""
-    cluster = Cluster(tree)
+def _replay(cluster, program):
+    """Run the program on ``cluster``; returns it."""
     order = cluster.compute_order
     for ops in program:
         with cluster.round() as ctx:
@@ -117,75 +115,44 @@ def _replay(tree, program):
                     ctx.exchange_runs(*args, tag="t")
                 else:
                     ctx.exchange_multicast_column(*args, tag="m")
-    driver = SuperstepDriver(tree)
-    driver._absorb(cluster.ledger)
-    return cluster.ledger, driver.ledger
+    return cluster
 
 
-def _attains(reference, rounds, edge, cost, tree) -> bool:
-    return any(
-        reference.round_loads(i).get(edge, 0) / tree.bandwidth(*edge) == cost
-        and reference.round_loads(i).get(edge, 0) > 0
-        for i in rounds
-    )
-
-
-def assert_same_bottleneck(found, expected, reference, rounds, tree) -> None:
-    """Same cost; the same edge whenever the maximum is unique.  Among
-    equally expensive edges the dict ledger named the first *charged*,
-    the array ledger names the first *slot* — both attain the cost."""
-    if expected is None:
+def assert_bottleneck(found, outcomes, tree) -> None:
+    """The model's most expensive charged link, or one tied with it."""
+    costs = {
+        (i, edge): load / tree.bandwidth(*edge)
+        for i, outcome in enumerate(outcomes)
+        for edge, load in outcome.loads.items()
+    }
+    if not costs:
         assert found is None
         return
-    assert found is not None and found[1] == expected[1]
-    assert _attains(reference, rounds, found[0], expected[1], tree)
-    ties = {
-        edge
-        for i in rounds
-        for edge in reference.round_loads(i)
-        if _attains(reference, [i], edge, expected[1], tree)
-    }
-    if len(ties) == 1:
-        assert found[0] == expected[0]
+    worst = max(costs.values())
+    assert found is not None and found[1] == worst
+    assert any(edge == found[0] and cost == worst for (_, edge), cost in costs.items())
 
 
-def assert_same_ledger(found, expected, tree) -> None:
-    assert found.num_rounds == expected.num_rounds
-    rounds = range(expected.num_rounds)
-    for i in rounds:
-        assert found.round_loads(i) == expected.round_loads(i), i
-        assert found.round_cost(i) == expected.round_cost(i), i
-        assert_same_bottleneck(
-            found.bottleneck(i), expected.bottleneck(i), expected, [i], tree
-        )
-    assert found.total_cost() == expected.total_cost()
-    assert found.total_cost_bits() == expected.total_cost_bits()
-    assert type(found.total_cost()) is type(expected.total_cost())
-    assert_same_bottleneck(
-        found.bottleneck(), expected.bottleneck(), expected, rounds, tree
-    )
+def assert_ledger_matches(ledger, outcomes, tree) -> None:
+    assert ledger.num_rounds == len(outcomes)
+    for i, outcome in enumerate(outcomes):
+        assert ledger.round_loads(i) == outcome.loads, i
+        assert ledger.round_cost(i) == outcome.cost, i
+        assert_bottleneck(ledger.bottleneck(i), [outcome], tree)
+    total = sum(outcome.cost for outcome in outcomes)
+    assert ledger.total_cost() == total and type(ledger.total_cost()) is float
+    assert ledger.total_cost_bits() == total * ledger.bits_per_element
+    assert_bottleneck(ledger.bottleneck(), outcomes, tree)
 
 
 @given(ledger_programs())
 @settings(max_examples=150, deadline=None)
-def test_array_ledger_matches_the_dict_ledger(instance):
+def test_array_ledger_matches_the_model(instance):
     tree, program = instance
-    ledger, master = _replay(tree, program)
-    with reference_model():
-        reference_ledger, reference_master = _replay(tree, program)
-    assert_same_ledger(ledger, reference_ledger, tree)
-    assert_same_ledger(master, reference_master, tree)
+    ledger = _replay(Cluster(tree), program).ledger
+    outcomes = _replay(ModelCluster(tree), program).outcomes
+    assert_ledger_matches(ledger, outcomes, tree)
     # an absorbed ledger is the inner one, round for round
-    assert_same_ledger(master, reference_ledger, tree)
-
-
-def test_reference_model_really_runs_the_dict_ledger():
-    """The differential above is vacuous unless the swap takes."""
-    from tests.reference_ledger import ReferenceCostLedger
-
-    tree = TreeTopology.from_undirected({("a", "b"): 2.0}, ["a", "b"])
-    with reference_model():
-        ledger, master = _replay(tree, [[("send", 0, 1, [1, 2, 3])]])
-    assert type(ledger) is type(master) is ReferenceCostLedger
-    assert ledger._rounds == [{("a", "b"): 3}]
-    assert type(Cluster(tree).ledger) is not ReferenceCostLedger
+    driver = SuperstepDriver(tree)
+    driver._absorb(ledger)
+    assert_ledger_matches(driver.ledger, outcomes, tree)

@@ -6,8 +6,8 @@ call is observably identical to the equivalent per-group
 *and* element order), same ``received_elements``, same per-edge ledger
 loads — on any topology and any family of Steiner destination sets.
 The production cluster, the looped expansion, and the transfer-by-
-transfer reference model (``tests/reference_delivery.py``) are compared
-end to end, and the vectorized :meth:`RoutingIndex.multicast_loads`
+transfer Section-2 model (``tests/model/rounds.py``) are compared end to
+end, and the vectorized :meth:`RoutingIndex.multicast_loads`
 charger is checked against per-group Steiner-edge walks.
 """
 
@@ -22,16 +22,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.suites import standard_topologies
+from repro.context import use
 from repro.obs.audit import auditing
 from repro.sim.cluster import Cluster
 from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
 from repro.topology.steiner import RoutingIndex
 
-from tests.cluster_identity import assert_clusters_identical
-from tests.reference_delivery import ReferenceCluster
+from tests.cluster_identity import assert_matches_model
+from tests.model.rounds import ModelAuditor, ModelCluster
 from tests.strategies import tree_topologies
-from tests.tree_sides import union_of_paths
+from tests.model.paths import steiner_links
 
 
 def _snapshot(cluster, tags=("recv", "other")):
@@ -56,12 +57,12 @@ def _csr(rows) -> tuple:
 
 def _register(ctx, node, group_ids, rows, values, tag, *, looped):
     """One node's grouped multicasts: a column call, or the loop it equals."""
-    order = ctx._cluster.compute_order
     if not looped:
         ctx.exchange_multicast_column(
             [node] * len(rows), group_ids, _csr(rows), values, tag=tag
         )
         return
+    order = ctx._cluster.compute_order
     ids = np.asarray(group_ids, dtype=np.int64)
     chunk = np.asarray(values, dtype=np.int64)
     for gid in np.unique(ids).tolist():
@@ -76,18 +77,13 @@ def _register(ctx, node, group_ids, rows, values, tag, *, looped):
 def test_interleaves_with_sends_and_multicasts_across_models():
     """Mixed traffic on one (dst, tag) lands in registration order
     (unicasts first, then the multicast stream) in production and
-    in the reference model."""
-    results = {}
-    for model, build in (
-        ("production", Cluster),
-        ("reference", ReferenceCluster),
-    ):
-        cluster = build(
-            two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
-        )
-        position = cluster.artifacts.compute_position
-        v4, v5 = position["v4"], position["v5"]
-        with cluster.round() as ctx:
+    in the model."""
+    tree = two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
+    cluster, model = Cluster(tree), ModelCluster(tree)
+    position = cluster.artifacts.compute_position
+    v4, v5 = position["v4"], position["v5"]
+    for built in (cluster, model):
+        with built.round() as ctx:
             ctx.multicast("v2", {"v4", "v5"}, [100], tag="x")
             ctx.exchange_multicast_column(
                 [position["v1"]] * 2,
@@ -97,10 +93,8 @@ def test_interleaves_with_sends_and_multicasts_across_models():
                 tag="x",
             )
             ctx.send("v3", "v4", [200], tag="x")
-        results[model] = _snapshot(cluster, tags=("x",))
-    assert results["production"] == results["reference"]
-    storage = results["production"][0]
-    assert storage[("v4", "x")] == [200, 100, 2, 1, 3]
+    assert_matches_model(cluster, model)
+    assert cluster.local("v4", "x").tolist() == [200, 100, 2, 1, 3]
 
 
 class TestStandardTopologyEquivalence:
@@ -138,15 +132,13 @@ class TestStandardTopologyEquivalence:
         replay(bulk, looped=False)
         looped = Cluster(tree)
         replay(looped, looped=True)
-        reference = ReferenceCluster(tree)
-        replay(reference, looped=False)
+        model = ModelCluster(tree)
+        replay(model, looped=False)
 
         assert _snapshot(bulk, tags=("recv",)) == _snapshot(
             looped, tags=("recv",)
         )
-        assert_clusters_identical(
-            bulk, reference, a_name="production", b_name="reference"
-        )
+        assert_matches_model(bulk, model)
 
 
 def _random_multicast_plan(draw, tree):
@@ -184,11 +176,11 @@ def multicast_instances(draw):
 class TestExchangeMulticastEquivalenceProperty:
     @given(multicast_instances())
     @settings(max_examples=60, deadline=None)
-    def test_batched_matches_looped_and_per_send(self, instance):
+    def test_batched_matches_looped_and_the_model(self, instance):
         """The contract: byte-identical storage, received counts, and
         per-edge ledgers between one exchange_multicast_column call, the
-        equivalent multicast loop, and the reference model, on random
-        topologies with interleaved traffic."""
+        equivalent multicast loop, and the model, on random topologies
+        with interleaved traffic."""
         tree, plan = instance
 
         def replay(cluster, looped):
@@ -211,14 +203,13 @@ class TestExchangeMulticastEquivalenceProperty:
         with auditing(strict=True):
             replay(bulk, looped=False)
         looped = Cluster(tree)
-        replay(looped, looped=True)
-        reference = ReferenceCluster(tree)
-        replay(reference, looped=False)
+        with use(auditor=ModelAuditor()):
+            replay(looped, looped=True)
+        model = ModelCluster(tree)
+        replay(model, looped=False)
 
         assert _snapshot(bulk) == _snapshot(looped)
-        assert_clusters_identical(
-            bulk, reference, a_name="production", b_name="reference"
-        )
+        assert_matches_model(bulk, model)
 
     @given(multicast_instances())
     @settings(max_examples=40, deadline=None)
@@ -242,7 +233,7 @@ class TestExchangeMulticastEquivalenceProperty:
                 flat.extend(routing.index_of[d] for d in dsts)
                 ends.append(len(flat))
                 counts.append(count)
-                for edge in union_of_paths(tree, order[node], dsts):
+                for edge in steiner_links(tree, order[node], dsts):
                     expected[edge] = expected.get(edge, 0) + count
         if not srcs:
             return
@@ -335,30 +326,24 @@ import hashlib
 import json
 import repro
 from repro.analysis.serve import strip_report
+from repro.context import use
 from repro.plan import chain_catalog, chain_query
-from repro.sim import cluster as sim
+from tests.model.rounds import ModelAuditor
 
-built = []
-
-class Recording(sim.Cluster):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        built.append(self)
-
-sim.Cluster = Recording  # what make_cluster builds
+auditor = ModelAuditor()  # checks every round and keeps its cluster
 
 tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
 assert all(isinstance(v, str) for v in tree.compute_nodes)
 tuples = repro.random_tuple_distribution(tree, r_size=300, s_size=300, seed=5)
 catalog = chain_catalog(tree, num_relations=3, rows=120, key_space=32, seed=3)
-with repro.auditing(strict=True):
+with use(auditor=auditor):
     reports = [
         repro.run("equijoin", tree, tuples, protocol="uniform-hash", seed=2),
         repro.run_plan(chain_query(3), tree, catalog, seed=4),
     ]
 for report in reports:
     print(json.dumps(strip_report(report), sort_keys=True, default=str))
-for cluster in built:
+for cluster in auditor.clusters:
     ledger = cluster.ledger
     for index in range(ledger.num_rounds):
         print(sorted((str(e), n) for e, n in ledger.round_loads(index).items()))
@@ -377,11 +362,13 @@ def test_unicast_runs_and_plans_do_not_depend_on_the_hash_seed():
     tuple, and unicast delivery installs in destination-index order:
     ledger rounds, the store's contents *and its order*, and the
     stripped reports of a hashed equi-join and a chain-3 plan are the
-    same under two ``PYTHONHASHSEED``s."""
-    src = Path(__file__).resolve().parents[2] / "src"
+    same under two ``PYTHONHASHSEED``s, every round checked against
+    the model."""
+    root = Path(__file__).resolve().parents[2]
+    path = os.pathsep.join([str(root / "src"), str(root)])
     outputs = []
     for hash_seed in ("1", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
         done = subprocess.run(
             [sys.executable, "-c", _UNICAST_HASHSEED_SCRIPT],
             env=env, capture_output=True, text=True, timeout=120,

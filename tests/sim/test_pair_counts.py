@@ -1,17 +1,16 @@
-"""A round's unicast pair counts, sparse, against the dense pair matrix.
+"""A round's unicast pair counts, sparse, against their definition.
 
 ``RoundContext._collect_unicasts`` reduces the round's flat ``src * size
 + dst`` keys to ``(src, dst, count)`` triples — by one ``bincount`` when
-the ``size²`` bins are at most four per key, by one sort otherwise;
-``tests/reference_verify.py`` keeps the dense ``(nodes, nodes)`` matrix
-it replaced.  Random rounds mixing ``send``, ``exchange_column`` and
-``exchange_runs`` (zero-count runs included), on
-trees of 3 to 300 nodes so that both reductions run, must give the
-matrix's ``np.nonzero`` order and values, and identical loads, received
-counts and storage.
+the ``size²`` bins are at most four per key, by one sort otherwise.
+Random rounds mixing ``send``, ``exchange_column`` and ``exchange_runs``
+(zero-count runs included), on trees of 3 to 300 nodes so that both
+reductions run, must give every pair's element count in pair order,
+and the loads, received counts and storage of the Section-2 model.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.sim.cluster import Cluster
-from tests.cluster_identity import assert_clusters_identical
-from tests.reference_verify import reference_collect_unicasts, reference_model
+from tests.cluster_identity import assert_matches_model
+from tests.model.rounds import ModelCluster
 from tests.strategies import shaped_trees, tree_topologies
 
 
@@ -53,8 +52,7 @@ def unicast_rounds(draw):
     return tree, plan
 
 
-def register(ctx, plan) -> None:
-    order = ctx._cluster.compute_order
+def register(ctx, order, plan) -> None:
     for kind, tag, *args, values in plan:
         if kind == "runs":
             ctx.exchange_runs(*args, values, tag=tag)
@@ -65,66 +63,71 @@ def register(ctx, plan) -> None:
             ctx.send(order[source], order[target], values, tag=tag)
 
 
-def replay(cluster, plan) -> Cluster:
+def replay(cluster, plan):
     with cluster.round() as ctx:
-        register(ctx, plan)
+        register(ctx, cluster.compute_order, plan)
     return cluster
+
+
+def per_element(kind, args, values) -> tuple:
+    """The ``(sources, targets)`` compute-order index of every element."""
+    if kind == "runs":
+        sources, targets, counts = args
+        return np.repeat(sources, counts), np.repeat(targets, counts)
+    if kind == "column":
+        return tuple(args)
+    return tuple(np.full(len(values), end) for end in args)
 
 
 @given(unicast_rounds())
 @settings(max_examples=120, deadline=None)
-def test_pair_counts_are_the_dense_matrix_read_sparsely(instance):
+def test_pair_counts_count_every_element_once(instance):
+    """Ascending ``(src, dst)`` routing-index pairs with their element
+    counts, and per tag the registered payloads, each element beside its
+    target's routing index."""
     tree, plan = instance
+    at = tree.routing_index.compute_idx
+    pairs, parts = Counter(), {}
+    for kind, tag, *args, values in plan:
+        sources, targets = per_element(kind, args, values)
+        pairs.update(zip(at[sources].tolist(), at[targets].tolist()))
+        if len(values):
+            parts.setdefault(tag, []).append((at[targets].tolist(), values))
     with Cluster(tree).round() as ctx:
-        register(ctx, plan)
+        register(ctx, ctx._cluster.compute_order, plan)
         _, by_tag, (src, dst, counts) = ctx._collect_unicasts()
-        _, by_tag_then, matrix = reference_collect_unicasts(ctx)
-    expected_src, expected_dst = np.nonzero(matrix)
-    assert src.tolist() == expected_src.tolist()
-    assert dst.tolist() == expected_dst.tolist()
-    assert counts.tolist() == matrix[expected_src, expected_dst].tolist()
-    assert by_tag.keys() == by_tag_then.keys()
-    for tag, parts in by_tag.items():
-        for (ids, counts, payload), (ids_then, no_counts, payload_then) in zip(
-            parts, by_tag_then[tag]
-        ):
-            # production keeps one id per run; the reference one per element
+    assert list(zip(zip(src.tolist(), dst.tolist()), counts.tolist())) == sorted(
+        pairs.items()
+    )
+    assert by_tag.keys() == parts.keys()
+    for tag, found in by_tag.items():
+        assert len(found) == len(parts[tag])
+        for (ids, counts, payload), (targets, values) in zip(found, parts[tag]):
+            # one id per run, or one per element
             if counts is not None:
                 ids = np.repeat(ids, counts)
-            assert no_counts is None
-            assert np.array_equal(ids, ids_then) and payload is payload_then
+            assert ids.tolist() == targets and payload is values
 
 
 @given(unicast_rounds())
 @settings(max_examples=60, deadline=None)
-def test_loads_and_arrivals_match_the_dense_matrix(instance):
+def test_loads_and_arrivals_match_the_model(instance):
     tree, plan = instance
-    production = replay(Cluster(tree), plan)
-    with reference_model():
-        reference = replay(Cluster(tree), plan)
-    assert np.array_equal(production.ledger.link_loads(0), reference.ledger.link_loads(0))
-    assert production.ledger.round_loads(0) == reference.ledger.round_loads(0)
-    assert np.array_equal(production._received_elements, reference._received_elements)
-    assert_clusters_identical(
-        production, reference, a_name="sparse", b_name="dense matrix"
-    )
+    assert_matches_model(replay(Cluster(tree), plan), replay(ModelCluster(tree), plan))
 
 
 @pytest.mark.parametrize(
     "racks, elements, bincounted",
     [([2] * 3, 400, True), ([4] * 4, 60, False), ([12] * 12, 2000, False), ([20] * 20, 200_000, True)],
 )
-def test_both_reductions_agree_with_the_matrix(racks, elements, bincounted):
+def test_both_reductions_agree_with_the_model(racks, elements, bincounted):
     tree = repro.two_level(racks)
     rng = np.random.default_rng(len(racks))
     count = len(tree.compute_nodes)
     size = tree.routing_index.num_nodes
     assert (size * size <= 4 * elements) == bincounted
     plan = [("column", "a", rng.integers(0, count, elements), rng.integers(0, count, elements), rng.integers(0, 9, elements))]
-    production = replay(Cluster(tree), plan)
-    with reference_model():
-        reference = replay(Cluster(tree), plan)
-    assert_clusters_identical(production, reference)
+    assert_matches_model(replay(Cluster(tree), plan), replay(ModelCluster(tree), plan))
 
 
 def test_a_uniform_hash_round_on_2048_nodes_stays_small():

@@ -14,6 +14,7 @@ from repro.topology.builders import (
     star,
     two_level,
 )
+from tests.model.paths import path_nodes
 
 
 class TestStar:
@@ -70,8 +71,8 @@ class TestTwoLevel:
 
     def test_rack_membership(self):
         tree = two_level([2, 3])
-        assert tree.path_nodes("v1", "v2") == ["v1", "w1", "v2"]
-        assert "core" in tree.path_nodes("v1", "v3")
+        assert path_nodes(tree, "v1", "v2") == ["v1", "w1", "v2"]
+        assert "core" in path_nodes(tree, "v1", "v3")
 
     def test_per_rack_bandwidths(self):
         tree = two_level(
@@ -126,7 +127,7 @@ class TestFromParentMap:
         tree = from_parent_map(
             {"b": ("a", 1.0), "c": ("b", 2.0)}, ["a", "c"]
         )
-        assert tree.path_nodes("a", "c") == ["a", "b", "c"]
+        assert path_nodes(tree, "a", "c") == ["a", "b", "c"]
         assert tree.bandwidth("c", "b") == 2.0
 
 

@@ -1,14 +1,14 @@
 """The routing kernels' link sets against the union of tree paths.
 
-A unicast crosses the links of ``tree.path_edges``; a deduplicated
-multicast crosses each link of the union of its source-to-destination
-paths once (``tests/tree_sides.union_of_paths``).  One element sent
+A unicast crosses the links of its tree path; a deduplicated multicast
+crosses each link of the union of its source-to-destination paths once
+(the Section-2 model's walk, ``tests/model/paths.py``).  One element sent
 through :class:`RoutingIndex` must load exactly those directed links.
 """
 
 from repro.topology.builders import two_level
 from tests.link_loads import multicast_links, unicast_links
-from tests.tree_sides import union_of_paths
+from tests.model.paths import path_edges, path_nodes, steiner_links
 
 
 class TestSteinerLinks:
@@ -17,7 +17,7 @@ class TestSteinerLinks:
 
     def test_path_matches_tree(self):
         assert unicast_links(self.tree, "v1", "v3") == dict.fromkeys(
-            self.tree.path_edges("v1", "v3"), 1
+            path_edges(self.tree, "v1", "v3"), 1
         )
 
     def test_path_to_self_empty(self):
@@ -25,7 +25,7 @@ class TestSteinerLinks:
 
     def test_steiner_single_destination_is_path(self):
         assert multicast_links(self.tree, "v1", ["v4"]) == dict.fromkeys(
-            self.tree.path_edges("v1", "v4"), 1
+            path_edges(self.tree, "v1", "v4"), 1
         )
 
     def test_steiner_dedups_shared_prefix(self):
@@ -41,7 +41,7 @@ class TestSteinerLinks:
     def test_steiner_covers_union_of_paths(self):
         destinations = ["v2", "v3", "v5"]
         links = multicast_links(self.tree, "v1", destinations)
-        assert links == dict.fromkeys(union_of_paths(self.tree, "v1", destinations), 1)
+        assert links == dict.fromkeys(steiner_links(self.tree, "v1", destinations), 1)
 
     def test_steiner_to_self_only(self):
         assert multicast_links(self.tree, "v1", ["v1"]) == {}
@@ -54,6 +54,5 @@ class TestSteinerLinks:
     def test_edges_directed_away_from_source(self):
         for (u, v) in multicast_links(self.tree, "v5", ["v1", "v2"]):
             # every edge points from the v5 side toward the destinations
-            assert self.tree.path_nodes("v5", v).index(v) > self.tree.path_nodes(
-                "v5", u
-            ).index(u)
+            path = path_nodes(self.tree, "v5", v)
+            assert path.index(v) > path_nodes(self.tree, "v5", u).index(u)

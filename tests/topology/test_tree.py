@@ -8,7 +8,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
 from repro.topology.tree import TreeTopology, node_sort_key
-from tests.tree_sides import compute_sides, edge_sides
+from tests.model.paths import node_sides, path_edges, path_nodes, sides
 
 
 def chain(*bandwidths):
@@ -135,33 +135,33 @@ class TestStarDetection:
 
 class TestPaths:
     def test_path_to_self_is_trivial(self, simple_two_level):
-        assert simple_two_level.path_nodes("v1", "v1") == ["v1"]
-        assert simple_two_level.path_edges("v1", "v1") == ()
+        assert path_nodes(simple_two_level, "v1", "v1") == ["v1"]
+        assert path_edges(simple_two_level, "v1", "v1") == []
 
     def test_path_within_rack(self, simple_two_level):
-        assert simple_two_level.path_nodes("v1", "v2") == ["v1", "w1", "v2"]
+        assert path_nodes(simple_two_level, "v1", "v2") == ["v1", "w1", "v2"]
 
     def test_path_across_racks(self, simple_two_level):
-        assert simple_two_level.path_nodes("v1", "v4") == [
+        assert path_nodes(simple_two_level, "v1", "v4") == [
             "v1", "w1", "core", "w2", "v4",
         ]
 
     def test_path_edges_direction(self, simple_two_level):
-        edges = simple_two_level.path_edges("v1", "v3")
-        assert edges == (("v1", "w1"), ("w1", "core"), ("core", "w2"), ("w2", "v3"))
+        edges = path_edges(simple_two_level, "v1", "v3")
+        assert edges == [("v1", "w1"), ("w1", "core"), ("core", "w2"), ("w2", "v3")]
 
     def test_path_is_reversible(self, simple_two_level):
-        forward = simple_two_level.path_nodes("v2", "v5")
-        backward = simple_two_level.path_nodes("v5", "v2")
+        forward = path_nodes(simple_two_level, "v2", "v5")
+        backward = path_nodes(simple_two_level, "v5", "v2")
         assert forward == list(reversed(backward))
 
     def test_unknown_node_raises(self, simple_two_level):
         with pytest.raises(TopologyError):
-            simple_two_level.path_nodes("v1", "ghost")
+            path_nodes(simple_two_level, "v1", "ghost")
 
     def test_path_on_chain(self):
         tree = chain(1.0, 2.0, 4.0)
-        assert tree.path_nodes("v0", "v3") == ["v0", "v1", "v2", "v3"]
+        assert path_nodes(tree, "v0", "v3") == ["v0", "v1", "v2", "v3"]
 
 
 def compute_mask(tree, members) -> np.ndarray:
@@ -180,7 +180,7 @@ def link_sums(tree, edge, values) -> tuple:
 class TestEdgeSides:
     def test_sides_partition_the_nodes(self, simple_two_level):
         for edge in simple_two_level.undirected_edges():
-            a_side, b_side = edge_sides(simple_two_level, edge)
+            a_side, b_side = node_sides(simple_two_level, edge)
             assert a_side | b_side == simple_two_level.nodes
             assert not (a_side & b_side)
             assert edge[0] in a_side
@@ -220,7 +220,7 @@ class TestTraversalOrder:
         order = simple_two_level.left_to_right_compute_order()
         position = {v: i for i, v in enumerate(order)}
         for edge in simple_two_level.undirected_edges():
-            minus, plus = compute_sides(simple_two_level, edge)
+            minus, plus = sides(simple_two_level, edge)
             for side in (minus, plus):
                 positions = sorted(position[v] for v in side)
                 if positions and positions == list(

@@ -2,10 +2,9 @@
 
 ``RoutingIndex.subtree_sums`` must equal "the link's sides, then ``sum``
 (or ``min`` / ``max``)" and ``RoutingIndex.steiner_counts`` must equal
-"``intersect1d`` of the two sides' keys", link by link.  The sides come
-from ``tests/tree_sides.py``, a walk that never reads the routing index;
-the loops that used to compute the sums in production live on in
-``tests/reference_bounds.py`` as the model.
+"the set intersection of the two sides' keys", link by link.  The sides
+come from the Section-2 model (``tests/model/paths.py``), a walk that
+never reads the routing index.
 """
 
 import math
@@ -18,14 +17,9 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
-from repro.topology.tree import TreeTopology
-from tests.reference_bounds import (
-    shared_key_counts_reference,
-    side_weights_reference,
-    undirected_edges_reference,
-)
+from repro.topology.tree import TreeTopology, node_sort_key
+from tests.model.paths import node_sides, sides
 from tests.strategies import node_sizes, tree_topologies
-from tests.tree_sides import edge_sides
 
 
 @st.composite
@@ -54,6 +48,26 @@ def assert_same_dict(found: dict, expected: dict) -> None:
     for value in found.values():
         for number in value if isinstance(value, tuple) else (value,):
             assert type(number) in (int, float)
+
+
+def side_weights_reference(tree, weights) -> dict:
+    """Per link, ``sum`` of ``weights`` over each side's compute nodes."""
+    return {
+        edge: tuple(sum(weights.get(v, 0) for v in side) for side in sides(tree, edge))
+        for edge in tree.undirected_edges()
+    }
+
+
+def shared_key_counts_reference(tree, keys_by_node) -> dict:
+    """Per link, the keys held on both sides."""
+
+    def held(side):
+        return set().union(*(keys_by_node.get(v, ()) for v in side))
+
+    return {
+        edge: len(held(a) & held(b))
+        for edge, (a, b) in ((e, sides(tree, e)) for e in tree.undirected_edges())
+    }
 
 
 def shared_key_counts(tree, keys_by_node) -> dict:
@@ -113,7 +127,7 @@ class TestSubtreeSums:
         for (a, b), child, first in zip(
             tree.undirected_edges(), index.link_child, index.link_child_first
         ):
-            a_side, b_side = edge_sides(tree, (a, b))
+            a_side, b_side = node_sides(tree, (a, b))
             a_sum = sum(by_node[v] for v in a_side)
             b_sum = sum(by_node[v] for v in b_side)
             assert index.nodes[child] == (a if first else b)
@@ -134,7 +148,7 @@ class TestSubtreeSums:
             for (a, b), child, first in zip(
                 tree.undirected_edges(), index.link_child, index.link_child_first
             ):
-                a_side, b_side = edge_sides(tree, (a, b))
+                a_side, b_side = node_sides(tree, (a, b))
                 a_end = reduce(by_node[v] for v in a_side)
                 b_end = reduce(by_node[v] for v in b_side)
                 assert (below[child], above[child]) == (
@@ -243,7 +257,7 @@ class TestLinkArrays:
     @settings(max_examples=80, deadline=None)
     def test_links_facing_is_membership_in_the_second_side(self, data, tree):
         node = data.draw(st.sampled_from(sorted(tree.nodes, key=str)))
-        expected = [node in edge_sides(tree, e)[1] for e in tree.undirected_edges()]
+        expected = [node in node_sides(tree, e)[1] for e in tree.undirected_edges()]
         assert tree.links_facing(node).tolist() == expected
 
     def test_bandwidth_arrays_follow_the_link_order(self):
@@ -277,7 +291,10 @@ class TestLinksAndIndexOwnership:
     @given(tree=trees_with_any_compute_set())
     @settings(max_examples=60, deadline=None)
     def test_undirected_edges_order_is_unchanged(self, tree):
-        assert tree.undirected_edges() == undirected_edges_reference(tree)
+        canonical = {tuple(sorted(e, key=node_sort_key)) for e in tree.directed_edges}
+        assert tree.undirected_edges() == sorted(
+            canonical, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))
+        )
 
     def test_undirected_edges_returns_a_fresh_list(self):
         tree = two_level([2, 2])

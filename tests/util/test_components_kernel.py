@@ -1,4 +1,4 @@
-"""``component_roots`` against the union-find oracle, and its round count."""
+"""``component_roots`` against the model's union-find, and its round count."""
 
 import math
 
@@ -12,15 +12,15 @@ from repro.data.generators import (
     planted_components_graph,
     powerlaw_graph,
 )
-from repro.graphs.reference import reference_components
 from repro.util import components
 from repro.util.components import component_roots
+from tests.model.tasks import components as union_find
 
 
 def expected_roots(u, v, n: int) -> np.ndarray:
     """Union-find's answer in the kernel's shape: isolated vertices are roots."""
     roots = np.arange(n, dtype=np.int64)
-    for vertex, root in reference_components(np.stack([u, v], axis=1)).items():
+    for vertex, root in union_find(zip(u, v)).items():
         roots[vertex] = root
     return roots
 
@@ -109,9 +109,7 @@ def test_matches_union_find_on_graph_families(family, seed):
     vertices, rows = np.unique(edges, return_inverse=True)
     rows = rows.reshape(edges.shape)
     labels = vertices[component_roots(rows[:, 0], rows[:, 1], len(vertices))]
-    assert dict(zip(vertices.tolist(), labels.tolist())) == reference_components(
-        edges
-    )
+    assert dict(zip(vertices.tolist(), labels.tolist())) == union_find(edges)
 
 
 def test_contract():

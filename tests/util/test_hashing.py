@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.util.grouping import index_dtype
 from repro.util.hashing import WeightedNodeHasher, splitmix64
-
-from tests.reference_kernels import reference_weighted_indices
 
 
 class TestSplitmix64:
@@ -129,6 +128,21 @@ def _probe_hashes(weights, rng) -> np.ndarray:
             np.asarray(near + ends, dtype=np.uint64),
             rng.integers(0, 2**64, 5000, dtype=np.uint64),
         ]
+    )
+
+
+def reference_weighted_indices(weights, hashes) -> np.ndarray:
+    """The node index of each 64-bit hash by definition: the number of
+    cumulative weights at or below the hash's point of the unit
+    interval, the top hashes (which round to 1.0) clamped to the largest
+    point below it; one binary search per element."""
+    weights = np.asarray(weights, dtype=np.float64)
+    cumulative = np.cumsum(weights / float(weights.sum()))
+    cumulative[-1] = 1.0
+    points = np.asarray(hashes, dtype=np.uint64).astype(np.float64) / 2.0**64
+    points = np.minimum(points, np.nextafter(1.0, 0.0))
+    return np.searchsorted(cumulative, points, side="right").astype(
+        index_dtype(len(weights))
     )
 
 
