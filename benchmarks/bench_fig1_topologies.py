@@ -8,7 +8,10 @@ with slow uplinks and checking that (a) every task scales linearly in N
 (single-round protocols move each element O(1) times) and (b) the tree's
 slow uplinks raise cost by exactly the bottleneck factor.  On the star
 the sweep also runs StarIntersect (Algorithm 1), the star-only protocol
-TreeIntersect generalizes, under the same scaling check.
+TreeIntersect generalizes, under the same scaling check.  The family's
+diameter extreme, a caterpillar 1 500 routers long, pins three costs and
+records each run's wall: the routing kernels' work must not grow with
+the tree's depth.
 """
 
 from __future__ import annotations
@@ -18,9 +21,16 @@ import pytest
 from benchmarks.conftest import record_table
 from repro.data.generators import random_distribution
 from repro.engine import run
-from repro.topology.builders import star, two_level
+from repro.topology.builders import caterpillar, star, two_level
 
 SIZES = (2_000, 8_000, 32_000)
+# caterpillar(1500, 1), |R| = |S| = 2 000, seed 1: the canonical rooting
+# is 1 500 links deep
+DEEP_COSTS = {
+    "cartesian-product": 2044.0,
+    "set-intersection": 1134.0,
+    "sorting": 4009.0,
+}
 
 
 def _sweep(tree, *, star_intersect=False):
@@ -98,3 +108,22 @@ def test_fig1_star_vs_tree(benchmark):
             assert tree_row[task].cost > star_row[task].cost
 
     benchmark.extra_info["sizes"] = list(SIZES)
+
+
+@pytest.mark.benchmark(group="fig1")
+def test_fig1_deep_caterpillar(benchmark):
+    tree = caterpillar(1500, 1)
+    dist = random_distribution(tree, r_size=2000, s_size=2000, seed=1)
+    reports = benchmark.pedantic(
+        lambda: {task: run(task, tree, dist, seed=1) for task in DEEP_COSTS},
+        rounds=1,
+        iterations=1,
+    )
+    walls = {task: round(report.wall_time_s * 1000) for task, report in reports.items()}
+    record_table(
+        "Figure 1 — caterpillar(1500, 1), |R| = |S| = 2000: one run each",
+        ["task", "cost", "rounds", "wall ms"],
+        [[task, r.cost, r.rounds, walls[task]] for task, r in reports.items()],
+    )
+    assert {task: report.cost for task, report in reports.items()} == DEEP_COSTS
+    benchmark.extra_info["wall_ms"] = walls

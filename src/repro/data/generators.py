@@ -151,8 +151,9 @@ def placement_sizes(
 
     ``policy`` is one of ``uniform``, ``zipf``, ``single-heavy``,
     ``proportional`` (to compute-node uplink bandwidth, with infinite
-    links weighted as if they carried the whole input).  Every
-    generator that accepts a policy name routes through here.
+    links weighted as if they carried the whole input; a lone node has
+    no uplink and counts as an infinite one).  Every generator that
+    accepts a policy name routes through here.
     """
     if nodes is None:
         nodes = tree.left_to_right_compute_order()
@@ -166,7 +167,8 @@ def placement_sizes(
         )
     if policy == "proportional":
         uplinks = {
-            n: tree.bandwidth(n, tree.neighbors(n)[0]) for n in nodes
+            n: tree.bandwidth(n, up[0]) if (up := tree.neighbors(n)) else np.inf
+            for n in nodes
         }
         finite = {
             n: (w if np.isfinite(w) else max(1.0, float(total)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.tree import TreeTopology, node_sort_key
+from repro.util.grouping import concat_ranges
 
 
 class RoutingIndex:
@@ -30,8 +31,10 @@ class RoutingIndex:
     Python is what used to dominate round finalization.  This index
     computes the per-edge loads of *all* pairs together:
 
-    * LCAs by lifting both endpoint arrays up the canonical rooting,
-      one vectorized step per tree level;
+    * LCAs by one range minimum over the DFS preorder: for ``tin[a] <
+      tin[b]`` the LCA is the parent of the shallowest node entered in
+      ``(tin[a], tin[b]]``, read from a sparse table built once — a
+      fixed number of array gathers whatever the tree's depth;
     * per-edge loads by the classic tree-difference trick — charge
       ``+count`` at the endpoint, ``-count`` at the LCA, and push
       partial sums up the tree level by level; the accumulated value at
@@ -74,18 +77,31 @@ class RoutingIndex:
                 depth[x] = depth[parent[x]] + 1
             stack.extend(reversed(children[x]))
         self.parent = parent
-        self.depth = depth
-        self.max_depth = int(depth.max()) if size else 0
         # node indices per depth level, deepest first, root level excluded
         self.levels_desc: list[np.ndarray] = [
-            np.flatnonzero(depth == d)
-            for d in range(self.max_depth, 0, -1)
+            np.flatnonzero(depth == d) for d in range(int(depth.max(initial=0)), 0, -1)
         ]
         # ``preorder[tin[x]:tout[x]]`` is exactly the subtree of ``x``
         self.preorder = np.array(preorder, dtype=np.intp)
         self.tin = np.empty(size, dtype=np.int64)
         self.tin[self.preorder] = np.arange(size)
         self.tout = self.tin + self._push_up(np.ones(size, dtype=np.int64))
+        # Sparse table for :meth:`_meet`, rows of ``size`` flattened: row
+        # ``r`` holds at ``i`` the least ``tin`` of a parent of
+        # ``preorder[i + 1 : i + 1 + 2**(r - 1)]``; row 0 is ``tin``
+        # itself, the answer of an empty range.  A range of ``d`` nodes
+        # reads row ``d.bit_length()`` at ``lo + _first[d]`` and at
+        # ``hi + _last[d]``.
+        spans = [np.arange(size), np.append(self.tin[parent[self.preorder[1:]]], size)]
+        for r in range(2, (size - 1).bit_length() + 1):
+            half, row = 1 << (r - 2), spans[-1].copy()
+            np.minimum(spans[-1][:-half], spans[-1][half:], out=row[:-half])
+            spans.append(row)
+        self._spans = np.concatenate(spans)
+        rows = np.frexp(np.arange(size))[1].astype(np.int64)
+        self._first = rows * size
+        self._last = self._first - ((1 << rows) >> 1)
+        self._tin_bits = (size - 1).bit_length()
         self.compute_nodes = tuple(n for n in self.nodes if n in tree.compute_nodes)
         self.compute_idx = np.array(
             [self.index_of[n] for n in self.compute_nodes], dtype=np.intp
@@ -115,23 +131,20 @@ class RoutingIndex:
 
     def lca(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized lowest common ancestors of index arrays ``a``, ``b``."""
-        a = np.array(a, dtype=np.intp)
-        b = np.array(b, dtype=np.intp)
-        parent, depth = self.parent, self.depth
-        deeper = depth[a] > depth[b]
-        while deeper.any():
-            a[deeper] = parent[a[deeper]]
-            deeper = depth[a] > depth[b]
-        deeper = depth[b] > depth[a]
-        while deeper.any():
-            b[deeper] = parent[b[deeper]]
-            deeper = depth[b] > depth[a]
-        differ = a != b
-        while differ.any():
-            a[differ] = parent[a[differ]]
-            b[differ] = parent[b[differ]]
-            differ = a != b
-        return a
+        tin_a = self.tin[np.asarray(a, dtype=np.intp)]
+        tin_b = self.tin[np.asarray(b, dtype=np.intp)]
+        return self._meet(np.minimum(tin_a, tin_b), np.maximum(tin_a, tin_b))
+
+    def _meet(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The LCAs of the nodes entered at ``lo <= hi``: the least parent
+        ``tin`` over ``preorder(lo, hi]`` (every node there lies below the
+        LCA and one child of it does), or ``lo`` for an empty range."""
+        length = hi - lo
+        first, last = self._first[length], self._last[length]
+        first += lo
+        last += hi
+        first, last = self._spans[first], self._spans[last]
+        return self.preorder[np.minimum(first, last, out=first)]
 
     def _push_up(self, values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
         """Add (or ``ufunc``: min, max) every node's value into all its
@@ -141,23 +154,29 @@ class RoutingIndex:
         return values
 
     def _steiner_paths(
-        self, terminals: np.ndarray, groups: np.ndarray
+        self, terminals: np.ndarray, groups: np.ndarray, starts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The virtual-tree decomposition of one Steiner tree per group.
 
-        Returns the terminals sorted by ``(group, preorder)`` and each
-        one's LCA with its cyclic predecessor inside the group.  The
-        upward paths terminal -> that LCA are edge-disjoint and cover
-        every Steiner edge of the group exactly once; a repeated
-        terminal adds an empty path.
+        ``groups`` are dense non-negative ids and group ``g`` begins at
+        ``starts[g]`` once sorted.  Returns the terminals sorted by
+        ``(group, preorder)`` — one sort of ``tin`` with the group in the
+        bits above it — and each one's LCA with its cyclic predecessor
+        inside the group.  The upward paths terminal -> that LCA are
+        edge-disjoint and cover every Steiner edge of the group exactly
+        once; a repeated terminal adds an empty path.  Sorted neighbours
+        need no ``min``/``max``: ``(prev, next)``, and ``(first, last)``
+        for the cyclic pair, are already ``lo <= hi``.
         """
-        order = np.lexsort((self.tin[terminals], groups))
-        terminals, groups = terminals[order], groups[order]
-        starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
-        prev = np.empty_like(terminals)
-        prev[1:] = terminals[:-1]
-        prev[starts] = terminals[np.r_[starts[1:], len(terminals)] - 1]
-        return terminals, self.lca(terminals, prev)
+        bits = self._tin_bits
+        hi = np.sort(groups << bits | self.tin[terminals])
+        hi &= (1 << bits) - 1
+        terminals = self.preorder[hi]
+        lo = np.empty_like(hi)
+        lo[1:] = hi[:-1]
+        lo[starts] = hi[starts]
+        hi[starts] = hi[np.r_[starts[1:], len(hi)] - 1]
+        return terminals, self._meet(lo, hi)
 
     def subtree_sums(
         self, values: np.ndarray, ufunc: np.ufunc = np.add, identity=0
@@ -193,7 +212,14 @@ class RoutingIndex:
         """
         if len(keys) == 0:
             return np.zeros(self.num_nodes, dtype=np.int64)
-        holders, meet = self._steiner_paths(node_idx, keys)
+        order = np.argsort(keys)
+        ranked = keys[order]
+        fresh = np.empty(len(keys), dtype=bool)
+        fresh[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+        holders, meet = self._steiner_paths(
+            np.asarray(node_idx)[order], np.cumsum(fresh), np.flatnonzero(fresh)
+        )
         size = self.num_nodes
         return self._push_up(
             np.bincount(holders, minlength=size) - np.bincount(meet, minlength=size)
@@ -277,19 +303,15 @@ class RoutingIndex:
         k = lens + 1  # terminals per group, the source included
         out_end = np.cumsum(k)
         out_start = out_end - k
-        total = int(out_end[-1])
-        group_of = np.repeat(np.arange(num_groups, dtype=np.intp), k)
-        # flat terminal array: each group's source followed by its
-        # destination slice, gathered without a per-group Python loop
-        flat = np.empty(total, dtype=np.intp)
-        flat[out_start] = src
-        pos = np.arange(total, dtype=np.intp)
-        dst_slots = pos != out_start[group_of]
-        gather = pos - out_start[group_of] - 1 + starts[group_of]
-        flat[dst_slots] = terminals[gather[dst_slots]]
-        t_sorted, meet = self._steiner_paths(flat, group_of)
+        # every source, then every destination slice: the sort inside
+        # :meth:`_steiner_paths` brings each group's terminals together
+        ids = np.arange(num_groups, dtype=np.intp)
+        flat = np.concatenate([src, terminals[concat_ranges(starts, lens)]])
+        t_sorted, meet = self._steiner_paths(
+            flat, np.concatenate([ids, np.repeat(ids, lens)]), out_start
+        )
         roots = meet[out_start]  # lca(t_1, t_k) = the group's Steiner root
-        per_terminal = counts[group_of]
+        per_terminal = np.repeat(counts, k)
         up = np.zeros(self.num_nodes, dtype=np.int64)
         down = np.zeros(self.num_nodes, dtype=np.int64)
         # upward: the source's path to the Steiner root

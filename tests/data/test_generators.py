@@ -14,10 +14,12 @@ from repro.data.generators import (
     place_single_heavy,
     place_uniform,
     place_zipf,
+    placement_sizes,
     random_distribution,
 )
 from repro.errors import DistributionError
 from repro.topology.builders import star, two_level
+from repro.topology.tree import TreeTopology
 
 
 class TestMakeSetPair:
@@ -110,6 +112,13 @@ class TestPlacementPolicies:
             90, self.nodes, {"a": 1, "b": 2, "c": 3, "d": 3}
         )
         assert sizes == {"a": 10, "b": 20, "c": 30, "d": 30}
+
+    def test_proportional_on_a_single_node_tree(self):
+        # a lone node has no uplink: it weighs as an infinite link and
+        # holds everything
+        tree = TreeTopology({}, ["only"])
+        assert placement_sizes(tree, 7, "proportional") == {"only": 7}
+        assert placement_sizes(tree, 0, "proportional") == {"only": 0}
 
     def test_by_weights_total_exact(self):
         weights = np.array([0.3, 0.3, 0.4])

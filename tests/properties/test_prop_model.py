@@ -168,10 +168,8 @@ def test_protocol_matches_the_model(spec, data, policy, r_size, s_size, seed, op
         else shaped_trees(max_nodes=8),
         label="tree",
     )
-    # every protocol needs equal bandwidths both ways (see below), and
-    # ``proportional`` weighs a node by its uplink, which a lone node lacks
+    # every protocol needs equal bandwidths both ways (see below)
     assume(tree.is_symmetric)
-    assume(policy != "proportional" or len(tree.nodes) > 1)
     if (spec.task, spec.name) in EQUAL_SIZES:
         s_size = r_size
     if spec.name == "whc":  # weighted HyperCube refuses an empty input
