@@ -28,19 +28,26 @@ def main() -> None:
     print(repro.ascii_tree(tree, root="o"))
     print()
 
-    # Any communication pattern: cost == max received.
+    # Any communication pattern: cost == max received.  The round's
+    # unicasts are runs: one (source, target, count) triple per ordered
+    # pair of machines, nodes named by their compute-order index.
     cluster = Cluster(tree)
     rng = np.random.default_rng(0)
+    position = cluster.artifacts.compute_position
+    ends = [
+        (position[f"v{i}"], position[f"v{j}"])
+        for i in range(1, p + 1)
+        for j in range(1, p + 1)
+        if i != j
+    ]
+    counts = [int(rng.integers(1, 50)) for _ in ends]
     with cluster.round() as ctx:
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                if i != j:
-                    ctx.send(
-                        f"v{i}",
-                        f"v{j}",
-                        np.arange(rng.integers(1, 50)),
-                        tag="x",
-                    )
+        ctx.exchange_runs(
+            *zip(*ends),
+            counts,
+            np.concatenate([np.arange(count) for count in counts]),
+            tag="x",
+        )
     pairs = verify_mpc_equivalence(cluster)
     print(
         "Random all-to-all round: topology-aware cost "

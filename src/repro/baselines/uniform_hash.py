@@ -19,6 +19,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
+from repro.util.grouping import runs_by_target
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -46,12 +47,10 @@ def _hash_relations(
     with cluster.round() as ctx:
         for tag, recv in routes:
             owners, values = cluster.column(tag)
-            ctx.exchange_column(
-                owners,
-                hasher.assign_indices(values >> key_shift),
-                values,
-                tag=recv,
+            order, *runs = runs_by_target(
+                owners, hasher.assign_indices(values >> key_shift)
             )
+            ctx.exchange_runs(*runs, values[order], tag=recv)
 
 
 @register_protocol(

@@ -306,13 +306,26 @@ def _strategy_gather(tree, distribution, r_tag, s_tag, bits) -> ProtocolResult:
     )
 
 
-def _broadcast_r_to_beta(ctx, cluster, computes, beta, r_tag) -> None:
-    beta_set = frozenset(beta)
-    for node in computes:
-        local = cluster.local(node, r_tag)
-        destinations = beta_set - {node}
-        if len(local) and destinations:
-            ctx.multicast(node, destinations, local, tag=_R_BETA)
+def _broadcast_r_to_beta(ctx, cluster, beta, r_tag) -> None:
+    """Every compute node multicasts its R fragment to the Vβ nodes other
+    than itself: one group per compute node, in compute order, its set
+    in CSR form.  A node whose set is empty (the only Vβ node) sends
+    nothing."""
+    count = len(cluster.compute_order)
+    position = cluster.artifacts.compute_position
+    beta_ids = np.array(sorted(position[v] for v in beta), dtype=np.intp)
+    rows = np.broadcast_to(beta_ids, (count, len(beta_ids)))
+    keep = rows != np.arange(count)[:, None]
+    offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    owners, values = cluster.column(r_tag)
+    served = (np.diff(offsets) > 0)[owners]
+    ctx.exchange_multicast_column(
+        np.arange(count),
+        owners[served],
+        (rows[keep], offsets),
+        values[served],
+        tag=_R_BETA,
+    )
 
 
 def _beta_pairs(cluster, node, r_size, s_tag) -> int:
@@ -340,7 +353,7 @@ def _strategy_proportional(
     ).astype(np.int64)
     cuts[:, -1] = sizes  # guard against float round-down
     with cluster.round() as ctx:
-        _broadcast_r_to_beta(ctx, cluster, computes, beta, r_tag)
+        _broadcast_r_to_beta(ctx, cluster, beta, r_tag)
         ctx.exchange_runs(
             np.repeat(sources, len(beta)),
             np.tile([position[v] for v in beta], len(alpha)),
@@ -393,7 +406,7 @@ def _strategy_generalized_whc(
 
     cluster = Cluster(tree, distribution, bits_per_element=bits)
     with cluster.round() as ctx:
-        _broadcast_r_to_beta(ctx, cluster, computes, beta, r_tag)
+        _broadcast_r_to_beta(ctx, cluster, beta, r_tag)
         if alpha and alpha_s:
             # Route against the sub-labeling but read payloads from the
             # real storage tags.

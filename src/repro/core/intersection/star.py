@@ -20,7 +20,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
-from repro.util.grouping import sorted_unique, unique_rows
+from repro.util.grouping import runs_by_target, sorted_unique, unique_rows
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -109,12 +109,11 @@ def star_intersect(
             )
             owners, large = cluster.column(large_tag)
             alpha = ~in_beta[owners]
-            ctx.exchange_column(
-                owners[alpha],
-                hasher.assign_indices(large[alpha]),
-                large[alpha],
-                tag=_S_RECV,
+            large = large[alpha]
+            order, *runs = runs_by_target(
+                owners[alpha], hasher.assign_indices(large)
             )
+            ctx.exchange_runs(*runs, large[order], tag=_S_RECV)
 
     outputs: dict = {}
     for v in computes:

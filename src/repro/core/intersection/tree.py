@@ -23,7 +23,12 @@ from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
-from repro.util.grouping import owner_bounds, sorted_runs, unique_rows
+from repro.util.grouping import (
+    owner_bounds,
+    runs_by_target,
+    sorted_runs,
+    unique_rows,
+)
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -96,7 +101,8 @@ def hashed_partition_round(
         for members, hasher in routes:
             held = np.isin(owners, members)
             targets[held] = members[hasher.assign_indices(keys[held])]
-        ctx.exchange_column(owners, targets, large, tag=large_recv)
+        order, *runs = runs_by_target(owners, targets)
+        ctx.exchange_runs(*runs, large[order], tag=large_recv)
     return cluster, blocks, sizes, r_size
 
 

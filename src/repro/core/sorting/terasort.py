@@ -70,6 +70,19 @@ def compute_ids(cluster, nodes) -> np.ndarray:
     return np.asarray([position[v] for v in nodes], dtype=np.intp)
 
 
+def broadcast_splitters(ctx, ids: np.ndarray, splitters: np.ndarray) -> None:
+    """The coordinator ``ids[0]`` multicasts ``splitters`` to every other
+    node of ``ids``: one group, routed on its Steiner tree."""
+    if len(splitters) and len(ids) > 1:
+        ctx.exchange_multicast_column(
+            ids[:1],
+            np.zeros(len(splitters), np.intp),
+            ids[None, 1:],
+            splitters,
+            tag=_SPLITTERS,
+        )
+
+
 def draw_samples(
     stream: str, seed: int, nodes, fragments, rho: float
 ) -> list[np.ndarray]:
@@ -188,13 +201,7 @@ def terasort(
     splitters = select_splitters(samples, [1] * len(order))
 
     with cluster.round() as ctx:  # round 2: broadcast splitters
-        if len(splitters) and len(order) > 1:
-            ctx.multicast(
-                coordinator,
-                [v for v in order if v != coordinator],
-                splitters,
-                tag=_SPLITTERS,
-            )
+        broadcast_splitters(ctx, order_ids, splitters)
 
     with cluster.round() as ctx:  # round 3: scatter by interval
         lengths, values = laid_end_to_end(

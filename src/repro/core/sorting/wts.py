@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.sorting.proportional import proportional_runs
 from repro.core.sorting.terasort import (
+    broadcast_splitters,
     compute_ids,
     draw_samples,
     interval_runs,
@@ -46,7 +47,6 @@ from repro.util.intmath import ceil_div
 
 _MOVED = "sort.moved"
 _SAMPLES = "sort.samples"
-_SPLITTERS = "sort.splitters"
 _FINAL = "sort.final"
 
 
@@ -179,13 +179,7 @@ def weighted_terasort(
 
     # Round 3: broadcast the splitters to the other heavy nodes.
     with cluster.round() as ctx:
-        if len(splitters) and len(heavy) > 1:
-            ctx.multicast(
-                coordinator,
-                [v for v in heavy if v != coordinator],
-                splitters,
-                tag=_SPLITTERS,
-            )
+        broadcast_splitters(ctx, heavy_ids, splitters)
 
     # Round 4: scatter by splitter interval; heavy node j keeps
     # [b_{j-1}, b_j).  Each fragment is sorted first (after sampling, so

@@ -231,10 +231,9 @@ def _expected_deliveries(cluster, context) -> dict:
 
     order = cluster.compute_order
     for _sources, targets, counts, _payload, tag in context._unicast_stream:
-        # a per-element record names one target per element, a run
-        # record one per run of ``counts`` elements
+        # one target per run of ``counts`` elements
         arrivals = np.zeros(len(order), dtype=np.int64)
-        np.add.at(arrivals, targets, 1 if counts is None else counts)
+        np.add.at(arrivals, targets, counts)
         for position in np.flatnonzero(arrivals).tolist():
             _add(order[position], tag, int(arrivals[position]))
     for _origins, members, offsets, group_ids, _payload, tag in (

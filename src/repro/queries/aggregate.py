@@ -32,7 +32,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
-from repro.util.grouping import owner_bounds, sorted_runs
+from repro.util.grouping import owner_bounds, runs_by_target, sorted_runs
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -142,9 +142,8 @@ def hashed_groupby_round(
                 owners, keys, values, op
             )
             payload = encode_tuples(keys, values, payload_bits=payload_bits)
-        ctx.exchange_column(
-            owners, hasher.assign_indices(keys), payload, tag=recv_tag
-        )
+        order, *runs = runs_by_target(owners, hasher.assign_indices(keys))
+        ctx.exchange_runs(*runs, payload[order], tag=recv_tag)
     owners, received = cluster.column(recv_tag)
     keys, values = decode_tuples(received, payload_bits=payload_bits)
     owners, keys, values = combine_per_node_key(

@@ -15,30 +15,26 @@ Protocols interact with storage under string *tags* (relation names, or
 scratch tags like ``"R.recv"``), which is how a receiver distinguishes
 arrivals from pre-existing local data.
 
-A round is registered through three calls, every node named by its
-index in :attr:`Cluster.compute_order`, so no end of a transfer can be
-a router:
+A round is registered through two calls, one per kind of Section-2
+transfer, every node named by its index in
+:attr:`Cluster.compute_order`, so no end of a transfer can be a router:
 
-* :meth:`RoundContext.exchange_column` — a whole relation
-  (:meth:`Cluster.column`), one source and one target per element;
-* :meth:`RoundContext.exchange_runs` — traffic already grouped by
-  ``(source, destination)``, such as a sorted fragment cut at the
-  splitters: one ``(source, target, count)`` triple per stretch of the
-  payload;
+* :meth:`RoundContext.exchange_runs` — unicasts: one ``(source, target,
+  count)`` triple per stretch of the payload, such as a sorted fragment
+  cut at the splitters, or a hash-partitioned relation cut into runs by
+  :func:`~repro.util.grouping.runs_by_target`;
 * :meth:`RoundContext.exchange_multicast_column` — replication: groups
   of ``(source, destination set)``, one group id per element.
 
-:meth:`RoundContext.send` and :meth:`RoundContext.multicast` are their
-node-named front-ends for one run and one group.  Each call appends one
-record to one of two streams, unicast and multicast, and each stream
-has one record shape.  Finalization groups the whole round with one
-stable sort per tag (no per-destination masks, no per-group Python
-loops) and delivers and charges every grouped transfer in bulk.  A
-unicast tag that carries runs is sorted by run, not by element: the
+Each call appends one record to one of two streams, unicast and
+multicast, and each stream has one record shape.  Finalization groups
+the whole round with one stable sort per tag (no per-destination masks,
+no per-group Python loops) and delivers and charges every grouped
+transfer in bulk.  A unicast tag is sorted by run, not by element: the
 run destinations are sorted once and the payload is gathered run by
-run, so a sorted fragment cut at the splitters never gets a
-per-element destination column.  Nothing in the data plane is
-memoized: every grouping runs the kernel on the arrays it is given.
+run, so no round builds a per-element destination column.  Nothing in
+the data plane is memoized: every grouping runs the kernel on the
+arrays it is given.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from itertools import accumulate, repeat
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,33 +67,26 @@ def _concatenated(parts: Sequence) -> np.ndarray:
     return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
-def _pair_counts(keys: list, run_keys: list, run_counts: list, size: int) -> tuple:
+def _pair_counts(keys: np.ndarray, counts: np.ndarray, size: int) -> tuple:
     """``(src, dst, count)`` arrays ascending by pair, no zero count, from
-    flat ``src * size + dst`` keys of one element each and of one run
-    each.  One integer ``bincount`` when the ``size²`` bins
-    are at most four per key, else one sort: memory follows the round's
-    traffic, never the square of the node count."""
-    keys = np.concatenate(keys) if keys else np.empty(0, np.intp)
-    runs = counts = keys[:0]
-    if run_keys:
-        runs, counts = np.hstack(run_keys), np.hstack(run_counts)
-        live = counts > 0  # an empty run is no pair
-        runs, counts = runs[live], counts[live]
-    if size * size <= 4 * (len(keys) + len(runs)):
-        dense = np.bincount(keys, minlength=size * size)
-        np.add.at(dense, runs, counts)
+    flat ``src * size + dst`` run keys and the runs' counts.  One
+    ``bincount``-sized table when the ``size²`` bins are at most four per
+    run, else one sort: memory follows the round's runs, never the square
+    of the node count."""
+    live = counts > 0  # an empty run is no pair
+    keys, counts = keys[live], counts[live]
+    if size * size <= 4 * len(keys):
+        dense = np.zeros(size * size, np.intp)
+        np.add.at(dense, keys, counts)
         flat = np.flatnonzero(dense)
         return (*np.divmod(flat, size), dense[flat])
-    flat = np.concatenate([keys, runs])
-    order = np.argsort(flat)
-    flat = flat[order]
-    fresh = np.ones(len(flat), dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=fresh[1:])
+    order = np.argsort(keys)
+    keys = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    weights = np.ones(len(flat), dtype=np.intp)
-    weights[len(keys) :] = counts
-    counts = np.add.reduceat(weights[order] if len(runs) else weights, starts)
-    return (*np.divmod(flat[starts], size), counts)
+    counts = np.add.reduceat(counts[order], starts)
+    return (*np.divmod(keys[starts], size), counts)
 
 
 def _group_by_destination(parts: Sequence[tuple]) -> tuple:
@@ -105,34 +94,25 @@ def _group_by_destination(parts: Sequence[tuple]) -> tuple:
     destinations, starts, ends)``, destination ``k`` receiving
     ``payload[starts[k]:ends[k]]`` in registration order.
 
-    A part is ``(dst_ids, counts, payload)``: with ``counts`` ``None``
-    element ``i`` goes to ``dst_ids[i]``, otherwise run ``i`` is the
-    next ``counts[i]`` elements.  A tag without runs takes one stable
-    sort of its elements.  Otherwise an element part counts as runs of
-    length one, the stable sort is over runs, and the payload is
-    gathered run by run: a stable sort of runs puts their elements in
-    the order a stable sort of the elements would.
+    A part is ``(dst_ids, counts, payload)``, run ``i`` being the next
+    ``counts[i]`` elements, bound for ``dst_ids[i]``.  The stable sort is
+    over runs and the payload is gathered run by run: a stable sort of
+    runs puts their elements in the order a stable sort of the elements
+    would.
     """
     dst_ids, counts, payloads = zip(*parts)
     payload = _concatenated(payloads)
     order, uniques, starts, ends = group_slices(_concatenated(dst_ids))
-    if all(part is None for part in counts):
-        return payload[order], uniques, starts, ends
-    lengths = _concatenated(
-        [
-            np.ones(len(ids), np.intp) if part is None else part
-            for ids, part in zip(dst_ids, counts)
-        ]
-    )
-    firsts = np.cumsum(lengths) - lengths
+    lengths = _concatenated(counts)
+    # run k of the sorted runs ends at bounds[k]; its elements sit
+    # shift[k] further on in the payload as registered (the CSR gather of
+    # concat_ranges, both ends' cumulative sums taken once)
+    shift = np.cumsum(lengths)[order]
     lengths = lengths[order]
-    bounds = np.concatenate(([0], np.cumsum(lengths)))
-    return (
-        payload[concat_ranges(firsts[order], lengths)],
-        uniques,
-        bounds[starts],
-        bounds[ends],
-    )
+    bounds = np.cumsum(lengths)
+    shift -= bounds
+    gather = np.repeat(shift, lengths) + np.arange(len(payload))
+    return payload[gather], uniques, (bounds - lengths)[starts], bounds[ends - 1]
 
 
 class RoundContext:
@@ -144,20 +124,18 @@ class RoundContext:
         # offsets, group ids, payload, tag), nodes as compute-order
         # indices.  Group g goes from origins[g] to the set
         # members[offsets[g]:offsets[g + 1]] and element i belongs to
-        # group ids[i] (multicast()'s one group: all zeros).  Grouping is
-        # deferred to finalization like the unicast stream's, so the
-        # round's replicated traffic is grouped with one pass per tag and
-        # charged with one vectorized Steiner-flow call.
+        # group ids[i].  Grouping is deferred to finalization like the
+        # unicast stream's, so the round's replicated traffic is grouped
+        # with one pass per tag and charged with one vectorized
+        # Steiner-flow call.
         self._multicasts: list[tuple] = []
         # the unicast stream, in registration order: (sources, targets,
-        # counts or None, payload, tag), nodes as compute-order indices.
-        # counts None: element i goes from sources[i] to targets[i].
-        # Runs: the payload laid end to end, run i being counts[i]
-        # elements from sources[i] to targets[i] (send() records its one
-        # run as three one-element arrays).  Grouping is deferred to
+        # counts, payload, tag), nodes as compute-order indices, the
+        # payload laid end to end, run i being counts[i] elements from
+        # sources[i] to targets[i].  Grouping is deferred to
         # finalization so the whole round is grouped with one pass, and
         # registration order is what keeps storage byte-identical to one
-        # send per run even when calls mix on one (dst, tag).
+        # transfer per run even when calls mix on one (dst, tag).
         self._unicast_stream: list[tuple] = []
         self._closed = False
 
@@ -168,26 +146,6 @@ class RoundContext:
     def _check_open(self) -> None:
         if self._closed:
             raise ProtocolError("round already finalized")
-
-    def _check_source(self, src: NodeId) -> None:
-        tree = self._cluster.tree
-        if src not in tree.nodes:
-            raise ProtocolError(f"unknown node {src!r}")
-        if src not in tree.compute_nodes:
-            raise ProtocolError(
-                f"source {src!r} is a router; data can only reside at "
-                "compute nodes, so no transfer can originate there"
-            )
-
-    def _check_destination(self, dst: NodeId) -> None:
-        tree = self._cluster.tree
-        if dst not in tree.nodes:
-            raise ProtocolError(f"unknown node {dst!r}")
-        if dst not in tree.compute_nodes:
-            raise ProtocolError(
-                f"destination {dst!r} is a router; only compute nodes "
-                "can store data"
-            )
 
     @staticmethod
     def _as_payload(values) -> np.ndarray:
@@ -238,123 +196,23 @@ class RoundContext:
     # the transfer API
     # ------------------------------------------------------------------ #
 
-    def send(self, src: NodeId, dst: NodeId, values, *, tag: str) -> None:
-        """Unicast ``values`` from ``src`` to ``dst`` under ``tag``.
-
-        The one-run form of :meth:`exchange_runs`, with node names.
-        """
-        self._check_open()
-        payload = self._as_payload(values)
-        position = self._cluster.artifacts.compute_position
-        source = position.get(src)
-        if source is None:
-            self._check_source(src)
-        target = position.get(dst)
-        if target is None:
-            self._check_destination(dst)
-        if len(payload) == 0:
-            return
-        self._unicast_stream.append(
-            (
-                np.array([source], np.intp),
-                np.array([target], np.intp),
-                np.array([len(payload)], np.intp),
-                payload,
-                str(tag),
-            )
-        )
-
-    def multicast(
-        self, src: NodeId, dsts: Iterable[NodeId], values, *, tag: str
-    ) -> None:
-        """Send one copy of ``values`` toward every node in ``dsts``.
-
-        Routing is deduplicated: each link on the Steiner tree of
-        ``{src} | dsts`` carries the payload once, which is the routing
-        the paper's upper-bound analyses assume for replicated tuples.
-        The one-group form of :meth:`exchange_multicast_column`, with
-        node names.
-        """
-        self._check_open()
-        payload = self._as_payload(values)
-        destination_set = set(dsts)
-        if not destination_set:
-            raise ProtocolError("multicast needs at least one destination")
-        position = self._cluster.artifacts.compute_position
-        source = position.get(src)
-        if source is None:
-            self._check_source(src)
-        if not destination_set <= position.keys():
-            # one subset test; the per-node walk only names the offender
-            for node in destination_set:
-                self._check_destination(node)
-        if len(payload) == 0:
-            return
-        # sorted: nothing downstream may depend on set iteration order
-        members = sorted(map(position.__getitem__, destination_set))
-        self._multicasts.append(
-            (
-                np.array([source]),
-                np.array(members),
-                np.array([0, len(members)]),
-                np.zeros(len(payload), np.intp),
-                payload,
-                str(tag),
-            )
-        )
-
-    def exchange_column(self, sources, targets, values, *, tag: str) -> None:
-        """Scatter a whole relation: element ``i`` travels from compute
-        node ``compute_order[sources[i]]`` to ``compute_order[targets[i]]``.
-
-        ``sources`` is what :meth:`Cluster.column` returns as
-        ``owners``: one registration and one stream record for the
-        relation instead of one per node.  Equivalent to one
-        :meth:`send` per run of equal ``sources`` and distinct target,
-        and delivered and charged byte-identically — per ``(dst, tag)``
-        the column's element order is preserved.  Both index arrays
-        address the canonical compute order, so neither end of a
-        transfer can be a router.
-        """
-        self._check_open()
-        payload = self._as_payload(values)
-        source_indices = self._as_indices(sources, "sources")
-        target_indices = self._as_indices(targets, "targets")
-        if not len(source_indices) == len(target_indices) == len(payload):
-            raise ProtocolError(
-                f"{len(payload)} values but {len(source_indices)} sources "
-                f"and {len(target_indices)} targets; exchange_column needs "
-                "one source and one target index per element"
-            )
-        count = len(self._cluster.compute_order)
-        self._check_index_span(
-            source_indices, count, "source indices", "compute nodes"
-        )
-        self._check_index_span(
-            target_indices, count, "target indices", "compute nodes"
-        )
-        if len(payload) == 0:
-            return
-        self._unicast_stream.append(
-            (source_indices, target_indices, None, payload, str(tag))
-        )
-
     def exchange_runs(
         self, sources, targets, counts, values, *, tag: str
     ) -> None:
-        """Scatter a payload that is already grouped: run ``i`` is the
-        next ``counts[i]`` elements of ``values``, travelling from
-        compute node ``compute_order[sources[i]]`` to
+        """Unicast a payload in runs: run ``i`` is the next
+        ``counts[i]`` elements of ``values``, travelling from compute
+        node ``compute_order[sources[i]]`` to
         ``compute_order[targets[i]]``.
 
-        The form for traffic a protocol produces in stretches — a
-        sorted fragment cut at the splitters, a light node's
-        proportional scatter, a gather: one registration and one stream
-        record for the round, one index triple per run instead of one
-        target per element.  Equivalent to one :meth:`send` per run in
-        order (an empty run sends nothing) and delivered and charged
-        byte-identically to that loop.  The three index arrays address
-        the canonical compute order, so neither end of a run can be a
+        Every unicast of the package takes this form — a sorted
+        fragment cut at the splitters, a light node's proportional
+        scatter, a gather, a hash partition cut into runs by
+        :func:`~repro.util.grouping.runs_by_target`: one registration
+        and one stream record, one index triple per run.  Each run is
+        one Section-2 transfer along its tree path (an empty run sends
+        nothing), and each ``(dst, tag)`` receives its runs in
+        registration order.  The three index arrays address the
+        canonical compute order, so neither end of a run can be a
         router.
         """
         self._check_open()
@@ -410,10 +268,12 @@ class RoundContext:
         integer ``(groups, k)`` matrix, one set per row, or a CSR
         ``(members, offsets)`` tuple, set ``g`` being
         ``members[offsets[g]:offsets[g + 1]]``.  They are *sets*: a
-        member listed twice is delivered once.  Equivalent to one
-        :meth:`multicast` per group id, ascending, and delivered and
-        charged byte-identically to that loop; like there, a set a
-        group id names needs at least one destination.
+        member listed twice is delivered once.  Each group id is one
+        Section-2 multicast, routed on the Steiner tree of its source
+        and set so that every link carries the payload once; each
+        ``(dst, tag)`` receives the groups by registration and then
+        ascending id.  A set a group id names needs at least one
+        destination.
         """
         self._check_open()
         payload = self._as_payload(values)
@@ -482,7 +342,7 @@ class RoundContext:
 
         All transfers are grouped by ``(dst, tag)`` for delivery — one
         stable sort per tag across every scatter of the round, over
-        runs when the tag carries any (:func:`_group_by_destination`),
+        runs (:func:`_group_by_destination`),
         with no memo in front of it — and by routing unit for
         accounting: unicast ``(src, dst)`` pair counts feed the
         vectorized tree-flow charger
@@ -564,28 +424,23 @@ class RoundContext:
         Returns ``(routing_index, by_tag, pairs)``: per tag, the
         registration-ordered ``(dst_ids, counts, payload)`` parts whose
         concatenation is the round's full scatter for that tag — one
-        routing index per element when ``counts`` is ``None``, else one
-        per run of ``counts`` elements (:func:`_group_by_destination`
-        reads both) — plus the round's ``(src, dst, count)`` pair counts
-        that feed the vectorized tree-flow charger (:func:`_pair_counts`).
+        routing index per run of ``counts`` elements — plus the round's
+        ``(src, dst, count)`` pair counts that feed the vectorized
+        tree-flow charger (:func:`_pair_counts`).
         """
         routing = self._cluster.oracle.routing_index
         size = routing.num_nodes
         compute_lookup = routing.compute_idx.astype(index_dtype(size))
         by_tag: dict[str, list[tuple]] = {}
-        # flat ``src * size + dst`` keys: one per element, or one per run
-        # beside its count
-        keys, run_keys, run_counts = [], [], []
-        for sources, targets, counts, payload, tag in self._unicast_stream:
+        keys, counts = [], []
+        for sources, targets, runs, payload, tag in self._unicast_stream:
             dst_ids = compute_lookup[targets]
-            flat = routing.compute_idx[sources] * size + dst_ids
-            if counts is None:
-                keys.append(flat)
-            else:
-                run_keys.append(flat)
-                run_counts.append(counts)
-            by_tag.setdefault(tag, []).append((dst_ids, counts, payload))
-        return routing, by_tag, _pair_counts(keys, run_keys, run_counts, size)
+            keys.append(routing.compute_idx[sources] * size + dst_ids)
+            counts.append(runs)
+            by_tag.setdefault(tag, []).append((dst_ids, runs, payload))
+        return routing, by_tag, _pair_counts(
+            _concatenated(keys), _concatenated(counts), size
+        )
 
     def _apply_pair_loads(self, routing, pairs: tuple) -> None:
         """Charge the ``(src, dst, count)`` pair counts to the ledger and
@@ -622,7 +477,7 @@ class RoundContext:
         :func:`_concat_parts`), so one grouping pass per tag
         covers every replicated element of the round; global ids ascend
         in registration x local-id order, which keeps per-``(dst, tag)``
-        byte order identical to the per-group multicast loop.  Each
+        byte order identical to one multicast per group, in that order.  Each
         ``(present group, member)`` pair is a row (a CSR gather, no loop
         over groups); rows are grouped by destination with the same
         stable primitive and a repeated pair — sets, not lists — is
@@ -849,9 +704,10 @@ class Cluster:
         routing index's narrow lookup dtype; both are read-only.  A tag
         held as one table (a loaded relation, a unicast delivery) is
         served as stored, no copy; see :mod:`repro.sim.storage` for the
-        other case.  This is what the relation-at-a-time calls
-        (:meth:`RoundContext.exchange_column`) and the segmented local
-        kernels consume.
+        other case.  This is what the two round calls consume — a hash
+        partition cuts it into runs
+        (:func:`~repro.util.grouping.runs_by_target`), a replication
+        groups it by owner — and so do the segmented local kernels.
         """
         return self._storage.column(str(tag))
 
@@ -876,7 +732,7 @@ class Cluster:
     def round(self) -> Iterator[RoundContext]:
         """Open a communication round.
 
-        All sends registered inside the ``with`` block belong to the same
+        All transfers registered inside the ``with`` block belong to the same
         round; deliveries and cost accounting happen when the block exits.
         """
         if self._round_open:

@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.errors import ProtocolError
+
 
 def index_dtype(count: int) -> type:
     """The dtype index arrays over ``count`` candidates are kept in.
@@ -55,13 +57,12 @@ def group_slices(
             indices = indices.astype(np.int16)
     order = np.argsort(indices, kind="stable")
     sorted_indices = indices[order]
-    if len(sorted_indices) == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return order, sorted_indices, empty, empty
-    boundaries = np.flatnonzero(np.diff(sorted_indices)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(sorted_indices)]))
-    return order, sorted_indices[starts], starts, ends
+    # group edges, the end of the array included: one pass, no concatenate
+    fresh = np.ones(len(order) + 1, dtype=bool)
+    np.not_equal(sorted_indices[1:], sorted_indices[:-1], out=fresh[1:-1])
+    edges = np.flatnonzero(fresh)
+    starts = edges[:-1]
+    return order, sorted_indices[starts], starts, edges[1:]
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -101,6 +102,42 @@ def sorted_runs(
     fresh[1:] |= sorted_owners[1:] != sorted_owners[:-1]
     starts = np.flatnonzero(fresh)
     return order, starts, np.diff(starts, append=len(order))
+
+
+def runs_by_target(
+    sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut a column's ``(source, target)`` pairs into runs by target.
+
+    Returns ``(order, run_sources, run_targets, counts)``: ``values[order]``
+    lays a parallel column out run by run, run ``i`` being the next
+    ``counts[i]`` elements, all from ``run_sources[i]`` to
+    ``run_targets[i]`` — what :meth:`RoundContext.exchange_runs
+    <repro.sim.cluster.RoundContext.exchange_runs>` takes.  One stable
+    :func:`group_slices` of the targets (a radix sort for narrow
+    indices), then a cut wherever the source or the target changes, so
+    every target's elements keep their column order whatever order the
+    sources come in.  Two one-dimensional columns of one length are
+    required: a shorter one would drop elements without a word.
+    """
+    sources = np.asarray(sources)
+    targets = np.asarray(targets)
+    for what, column in (("sources", sources), ("targets", targets)):
+        if column.ndim != 1:
+            raise ProtocolError(f"{what} must be a one-dimensional array")
+    if len(sources) != len(targets):
+        raise ProtocolError(
+            f"{len(sources)} sources but {len(targets)} targets; a hash "
+            "partition needs one source and one target per element"
+        )
+    order, _, group_starts, _ = group_slices(targets)
+    sources = sources[order]
+    fresh = np.ones(len(order) + 1, dtype=bool)
+    np.not_equal(sources[1:], sources[:-1], out=fresh[1:-1])
+    fresh[group_starts] = True
+    edges = np.flatnonzero(fresh)
+    starts = edges[:-1]
+    return order, sources[starts], targets[order[starts]], np.diff(edges)
 
 
 def owner_bounds(sorted_owners: np.ndarray, num_owners: int) -> list[int]:

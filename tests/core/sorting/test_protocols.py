@@ -6,6 +6,7 @@ import pytest
 from repro.core.sorting.lower_bound import sorting_lower_bound
 from repro.core.sorting.ordering import verify_sorted_output
 from repro.core.sorting.terasort import (
+    broadcast_splitters,
     sample_probability,
     select_splitters,
     terasort,
@@ -20,6 +21,7 @@ from repro.data.generators import (
     place_uniform,
     place_zipf,
 )
+from repro.sim.cluster import Cluster
 from repro.topology.builders import star, two_level
 
 
@@ -60,6 +62,42 @@ class TestSamplingHelpers:
 
     def test_heavy_threshold(self):
         assert heavy_threshold(4, 800) == 100.0
+
+
+class TestBroadcastSplitters:
+    """The coordinator's one multicast group: every other listed node
+    gets the splitters, each link of their Steiner tree carries them
+    once, and nothing is registered when there is nothing to send."""
+
+    def test_every_other_node_receives_the_splitters_once(self):
+        tree = two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
+        cluster = Cluster(tree)
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            broadcast_splitters(ctx, np.array([1, 0, 4]), np.array([10, 20]))
+        held = {node: cluster.local(node, "sort.splitters").tolist() for node in order}
+        assert held == {
+            order[0]: [10, 20],
+            order[1]: [],
+            order[2]: [],
+            order[3]: [],
+            order[4]: [10, 20],
+        }
+        # v2 up to its rack switch and down to v1; the switch up to the
+        # core, down the other rack to v5: five links, two elements each
+        assert sorted(cluster.ledger.round_loads(0).values()) == [2] * 5
+
+    @pytest.mark.parametrize(
+        "ids, splitters", [([3], [10, 20]), ([1, 0, 4], []), ([], [])]
+    )
+    def test_nothing_to_broadcast_registers_nothing(self, ids, splitters):
+        cluster = Cluster(two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0))
+        with cluster.round() as ctx:
+            broadcast_splitters(
+                ctx, np.array(ids, np.intp), np.array(splitters, np.int64)
+            )
+            assert not ctx._multicasts
+        assert cluster.ledger.round_loads(0) == {}
 
 
 class TestTeraSort:

@@ -52,11 +52,11 @@ class TestSuperstepDriver:
             "groupby-aggregate", dist, label="first", protocol="tree",
             op="count", payload_bits=20,
         )
-        computes = sorted(tree.compute_nodes, key=str)
+        computes = driver.cluster.compute_order
         with driver.cluster_round(
             task="demo", protocol="raw", label="second", input_size=3
         ) as ctx:
-            ctx.send(computes[0], computes[1], [1, 2, 3], tag="demo.recv")
+            ctx.exchange_runs([0], [1], [3], [1, 2, 3], tag="demo.recv")
         labels = [step.placement for step in driver.steps]
         assert labels == ["first", "second"]
         assert driver.steps[1].input_size == 3
@@ -68,12 +68,11 @@ class TestSuperstepDriver:
     def test_input_size_is_the_row_and_the_span_elements(self, instance):
         tree, _ = instance
         driver = SuperstepDriver(tree)
-        computes = sorted(tree.compute_nodes, key=str)
         with tracing() as tracer:
             with driver.cluster_round(
                 task="demo", protocol="raw", label="round", input_size=41
             ) as ctx:
-                ctx.send(computes[0], computes[1], [7], tag="x")
+                ctx.exchange_runs([0], [1], [1], [7], tag="x")
         assert driver.steps[-1].input_size == 41
         (step,) = [e for e in tracer.events if e.name == "round"]
         assert step.attrs["elements"] == 41

@@ -7,12 +7,11 @@ A transfer loads every link on the union of its paths once per element
 registration order, then the multicasts by registration order and group
 id; a copy a node sends itself is stored, not received.
 
-The five ``RoundContext`` calls expand into transfers, nodes named by
-their compute-order position: ``send`` is one transfer and ``multicast``
-one copy to a set; ``exchange_column`` is one transfer per element;
-``exchange_runs`` one per ``(source, target, count)`` run, each taking
-the next ``count`` elements; ``exchange_multicast_column`` one
-multicast per group id, ascending, to the *set* its row names.
+The two ``RoundContext`` calls expand into transfers, nodes named by
+their compute-order position: ``exchange_runs`` is one unicast per
+``(source, target, count)`` run, each taking the next ``count``
+elements; ``exchange_multicast_column`` one multicast per group id,
+ascending, to the *set* its row names.
 
 :class:`ModelCluster` runs these calls on storage of its own;
 :class:`ModelAuditor` checks live production rounds from the run
@@ -43,27 +42,18 @@ def _ints(values) -> list:
 
 
 class Calls:
-    """The five calls of one round, expanded into transfers."""
+    """The two calls of one round, expanded into transfers."""
 
     def __init__(self, order) -> None:
         self.order = order
         self.transfers: list = []
 
-    def send(self, src, dst, values, *, tag) -> None:
-        self.transfers.append(Transfer(src, frozenset([dst]), _ints(values), tag, False))
-
-    def multicast(self, src, dsts, values, *, tag) -> None:
-        self.transfers.append(Transfer(src, frozenset(dsts), _ints(values), tag, True))
-
-    def exchange_column(self, sources, targets, values, *, tag) -> None:
-        for source, target, value in zip(_ints(sources), _ints(targets), _ints(values)):
-            self.send(self.order[source], self.order[target], [value], tag=tag)
-
     def exchange_runs(self, sources, targets, counts, values, *, tag) -> None:
         payload, start = _ints(values), 0
         for source, target, count in zip(_ints(sources), _ints(targets), _ints(counts)):
             run = payload[start : start + count]
-            self.send(self.order[source], self.order[target], run, tag=tag)
+            dsts = frozenset([self.order[target]])
+            self.transfers.append(Transfer(self.order[source], dsts, run, tag, False))
             start += count
 
     def exchange_multicast_column(
@@ -76,12 +66,9 @@ class Calls:
             rows = [_ints(row) for row in destinations]
         ids, payload, sources = _ints(group_ids), _ints(values), _ints(group_sources)
         for gid in sorted(set(ids)):
-            self.multicast(
-                self.order[sources[gid]],
-                {self.order[member] for member in rows[gid]},
-                [value for value, of in zip(payload, ids) if of == gid],
-                tag=tag,
-            )
+            dsts = frozenset(self.order[member] for member in rows[gid])
+            run = [value for value, of in zip(payload, ids) if of == gid]
+            self.transfers.append(Transfer(self.order[sources[gid]], dsts, run, tag, True))
 
 
 class Outcome(NamedTuple):
@@ -146,15 +133,12 @@ class ModelCluster:
 
 def round_transfers(cluster, context) -> list:
     """A finalized production round's transfers, read off its two record
-    streams: ``(sources, targets, counts or None, payload, tag)`` unicast
-    records and ``(origins, members, offsets, group ids, payload, tag)``
-    multicast records, nodes as compute-order positions."""
+    streams: ``(sources, targets, counts, payload, tag)`` unicast records
+    and ``(origins, members, offsets, group ids, payload, tag)`` multicast
+    records, nodes as compute-order positions."""
     calls = Calls(cluster.compute_order)
     for sources, targets, counts, payload, tag in context._unicast_stream:
-        if counts is None:
-            calls.exchange_column(sources, targets, payload, tag=tag)
-        else:
-            calls.exchange_runs(sources, targets, counts, payload, tag=tag)
+        calls.exchange_runs(sources, targets, counts, payload, tag=tag)
     for origins, members, offsets, ids, payload, tag in context._multicasts:
         calls.exchange_multicast_column(origins, ids, (members, offsets), payload, tag=tag)
     return calls.transfers

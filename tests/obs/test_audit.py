@@ -16,7 +16,7 @@ from repro.obs.audit import (
 from repro.obs.metrics import collecting
 from repro.registry import get_task
 from repro.sim.cluster import Cluster
-from tests.obs.shuffle import prepare_uniform_hash, rack_tree
+from tests.obs.shuffle import hash_partition, prepare_uniform_hash, rack_tree
 
 
 def _audited_round(tree_size=2, elements=2_000):
@@ -26,7 +26,7 @@ def _audited_round(tree_size=2, elements=2_000):
     cluster = Cluster(tree)
     with auditing() as auditor:
         with cluster.round() as ctx:
-            ctx.exchange_column(*prepared, tag="recv")
+            hash_partition(ctx, *prepared, tag="recv")
     return auditor, cluster, ctx
 
 
@@ -180,18 +180,20 @@ class TestExpectedDeliveries:
     def test_reference_expansion_counts_multicast_fanout(self):
         tree = rack_tree(2)
         cluster = Cluster(tree)
-        leaves = [n for n in cluster.compute_order]
+        leaves = cluster.compute_order
         with auditing() as auditor:
             with cluster.round() as ctx:
-                ctx.exchange_column(
-                    np.array([0, 0, 0]),
-                    np.array([1, 1, 2]),
+                ctx.exchange_runs(
+                    np.array([0, 0]),
+                    np.array([1, 2]),
+                    np.array([2, 1]),
                     np.array([10, 20, 30], dtype=np.int64),
                     tag="uni",
                 )
-                ctx.multicast(
-                    leaves[1],
-                    [leaves[2], leaves[3]],
+                ctx.exchange_multicast_column(
+                    [1],
+                    [0, 0],
+                    [[2, 3]],
                     np.array([7, 8], dtype=np.int64),
                     tag="multi",
                 )

@@ -15,7 +15,7 @@ from repro.context import current
 from repro.obs.audit import NullAuditor, get_auditor
 from repro.obs.tracer import NullTracer, get_tracer
 from repro.sim.cluster import Cluster
-from tests.obs.shuffle import prepare_uniform_hash, rack_tree
+from tests.obs.shuffle import hash_partition, prepare_uniform_hash, rack_tree
 
 
 def _round_seconds(tree, prepared) -> float:
@@ -23,7 +23,7 @@ def _round_seconds(tree, prepared) -> float:
     cluster = Cluster(tree)
     start = perf_counter()
     with cluster.round() as ctx:
-        ctx.exchange_column(*prepared, tag="recv")
+        hash_partition(ctx, *prepared, tag="recv")
     return perf_counter() - start
 
 

@@ -27,15 +27,30 @@ def transfer_plans(draw):
     return tree, transfers
 
 
+def _multicast_round(tree, transfers) -> Cluster:
+    """One round on a fresh cluster: every transfer one group of a single
+    ``exchange_multicast_column`` call."""
+    cluster = Cluster(tree)
+    position = cluster.artifacts.compute_position
+    rows = [sorted(position[v] for v in dsts) for _, dsts, _ in transfers]
+    sizes = np.array([size for *_, size in transfers], dtype=np.intp)
+    with cluster.round() as ctx:
+        ctx.exchange_multicast_column(
+            [position[src] for src, _, _ in transfers],
+            np.repeat(np.arange(len(transfers)), sizes),
+            (sum(rows, []), np.cumsum([0, *map(len, rows)])),
+            np.concatenate([np.arange(size) for size in sizes] or [[]]),
+            tag="x",
+        )
+    return cluster
+
+
 class TestLedgerIdentities:
     @given(plan=transfer_plans())
     @settings(max_examples=80, deadline=None)
     def test_round_cost_is_bottleneck(self, plan):
         tree, transfers = plan
-        cluster = Cluster(tree)
-        with cluster.round() as ctx:
-            for src, dsts, size in transfers:
-                ctx.multicast(src, dsts, np.arange(size), tag="x")
+        cluster = _multicast_round(tree, transfers)
         loads = cluster.ledger.round_loads(0)
         expected = max(
             (count / tree.bandwidth(*edge) for edge, count in loads.items()),
@@ -47,10 +62,7 @@ class TestLedgerIdentities:
     @settings(max_examples=80, deadline=None)
     def test_edge_loads_match_steiner_union(self, plan):
         tree, transfers = plan
-        cluster = Cluster(tree)
-        with cluster.round() as ctx:
-            for src, dsts, size in transfers:
-                ctx.multicast(src, dsts, np.arange(size), tag="x")
+        cluster = _multicast_round(tree, transfers)
         expected: dict = {}
         for src, dsts, size in transfers:
             for edge in steiner_links(tree, src, dsts):
@@ -61,10 +73,7 @@ class TestLedgerIdentities:
     @settings(max_examples=60, deadline=None)
     def test_deliveries_complete_and_exact(self, plan):
         tree, transfers = plan
-        cluster = Cluster(tree)
-        with cluster.round() as ctx:
-            for src, dsts, size in transfers:
-                ctx.multicast(src, dsts, np.arange(size), tag="x")
+        cluster = _multicast_round(tree, transfers)
         expected_per_node: dict = {}
         for _, dsts, size in transfers:
             for dst in dsts:

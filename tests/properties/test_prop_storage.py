@@ -1,7 +1,8 @@
 """Property: the columnar data plane is byte-identical to its oracles.
 
-Random mixed-round scripts (sends, hashed column exchanges, multicast
-groups, interleaved tags, repeated rounds onto the same columns) must leave
+Random mixed-round scripts (runs, hashed column exchanges cut into runs,
+multicast groups, interleaved tags, repeated rounds onto the same
+columns) must leave
 *exactly* the same observable state — per-edge ledger loads, per-node
 received counts, per-(node, tag) storage bytes — on the simulator
 (columnar store, vectorized grouping/gather) as in the transfer-by-
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.cluster import Cluster
 from tests.cluster_identity import assert_matches_model
 from tests.model.rounds import ModelCluster
+from tests.obs.shuffle import hash_partition
 from tests.strategies import tree_topologies
 
 
@@ -29,15 +31,16 @@ def round_scripts(draw):
     for _ in range(draw(st.integers(1, 3))):
         ops = []
         for _ in range(draw(st.integers(0, 4))):
-            kind = draw(
-                st.sampled_from(("send", "column", "multicast-column"))
-            )
+            kind = draw(st.sampled_from(("runs", "column", "multicast-column")))
             size = draw(st.integers(1, 20))
             tag = draw(st.sampled_from(("a", "b")))
             payload = np.arange(offset, offset + size, dtype=np.int64)
             offset += size
-            if kind == "send":
-                ops.append(("send", draw(node), draw(node), payload, tag))
+            if kind == "runs":
+                cuts = sorted(draw(st.lists(st.integers(0, size), max_size=3)))
+                counts = np.diff([0, *cuts, size])
+                ends = [[draw(node) for _ in counts] for _ in range(2)]
+                ops.append(("runs", *ends, counts, payload, tag))
             elif kind == "column":
                 sources = sorted(draw(st.lists(node, min_size=size, max_size=size)))
                 targets = draw(st.lists(node, min_size=size, max_size=size))
@@ -75,15 +78,13 @@ def round_scripts(draw):
 
 
 def _replay(cluster, rounds):
-    order = cluster.compute_order
     for ops in rounds:
         with cluster.round() as ctx:
             for kind, *args, tag in ops:
-                if kind == "send":
-                    src, dst, payload = args
-                    ctx.send(order[src], order[dst], payload, tag=tag)
+                if kind == "runs":
+                    ctx.exchange_runs(*args, tag=tag)
                 elif kind == "column":
-                    ctx.exchange_column(*args, tag=tag)
+                    hash_partition(ctx, *args, tag=tag)
                 else:
                     ctx.exchange_multicast_column(*args, tag=tag)
     return cluster

@@ -42,10 +42,12 @@ class TestStorage:
 
 
 class TestRounds:
-    def test_send_delivers_and_charges_path(self, cluster):
+    """Nodes by compute-order index: v1..v5 are 0..4."""
+
+    def test_a_run_delivers_and_charges_its_path(self, cluster):
         put(cluster, "v1", "R", [5, 6, 7])
         with cluster.round() as ctx:
-            ctx.send("v1", "v3", cluster.local("v1", "R"), tag="recv")
+            ctx.exchange_runs([0], [2], [3], cluster.local("v1", "R"), tag="recv")
         assert cluster.local("v3", "recv").tolist() == [5, 6, 7]
         loads = cluster.ledger.round_loads(0)
         assert loads[("v1", "w1")] == 3
@@ -55,14 +57,15 @@ class TestRounds:
 
     def test_round_cost_uses_bottleneck(self, cluster):
         # leaf links have bandwidth 2, uplinks bandwidth 1.
-        put(cluster, "v1", "R", np.arange(4))
         with cluster.round() as ctx:
-            ctx.send("v1", "v3", np.arange(4), tag="recv")
+            ctx.exchange_runs([0], [2], [4], np.arange(4), tag="recv")
         assert cluster.ledger.round_cost(0) == 4.0  # 4 elements / bw 1
 
     def test_multicast_charges_steiner_edges_once(self, cluster):
         with cluster.round() as ctx:
-            ctx.multicast("v1", ["v3", "v4", "v5"], np.arange(10), tag="m")
+            ctx.exchange_multicast_column(
+                [0], np.zeros(10, np.intp), [[2, 3, 4]], np.arange(10), tag="m"
+            )
         loads = cluster.ledger.round_loads(0)
         assert loads[("w1", "core")] == 10  # shared prefix charged once
         assert loads[("w2", "v3")] == 10
@@ -70,41 +73,21 @@ class TestRounds:
 
     def test_multicast_delivers_copies(self, cluster):
         with cluster.round() as ctx:
-            ctx.multicast("v1", ["v3", "v4"], [1, 2], tag="m")
+            ctx.exchange_multicast_column([0], [0, 0], [[2, 3]], [1, 2], tag="m")
         assert cluster.local("v3", "m").tolist() == [1, 2]
         assert cluster.local("v4", "m").tolist() == [1, 2]
 
     def test_self_send_costs_nothing(self, cluster):
         with cluster.round() as ctx:
-            ctx.send("v1", "v1", [1, 2, 3], tag="self")
+            ctx.exchange_runs([0], [0], [3], [1, 2, 3], tag="self")
         assert cluster.ledger.round_cost(0) == 0.0
         assert cluster.local("v1", "self").tolist() == [1, 2, 3]
 
     def test_empty_payload_is_free(self, cluster):
         with cluster.round() as ctx:
-            ctx.send("v1", "v3", [], tag="x")
+            ctx.exchange_runs([0], [2], [0], [], tag="x")
         assert cluster.ledger.round_loads(0) == {}
         assert len(cluster.local("v3", "x")) == 0
-
-    def test_router_destination_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="router"):
-            with cluster.round() as ctx:
-                ctx.send("v1", "core", [1], tag="x")
-
-    def test_unknown_node_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="unknown"):
-            with cluster.round() as ctx:
-                ctx.send("v1", "ghost", [1], tag="x")
-
-    def test_empty_destination_set_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="destination"):
-            with cluster.round() as ctx:
-                ctx.multicast("v1", [], [1], tag="x")
-
-    def test_two_dimensional_payload_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="one-dimensional"):
-            with cluster.round() as ctx:
-                ctx.send("v1", "v2", [[1, 2]], tag="x")
 
     def test_nested_rounds_rejected(self, cluster):
         with pytest.raises(ProtocolError, match="in progress"):
@@ -114,22 +97,21 @@ class TestRounds:
 
     def test_deliveries_wait_for_round_end(self, cluster):
         with cluster.round() as ctx:
-            ctx.send("v1", "v2", [1], tag="late")
+            ctx.exchange_runs([0], [1], [1], [1], tag="late")
             assert len(cluster.local("v2", "late")) == 0
         assert cluster.local("v2", "late").tolist() == [1]
 
     def test_failed_round_not_accounted(self, cluster):
         with pytest.raises(RuntimeError):
             with cluster.round() as ctx:
-                ctx.send("v1", "v2", [1], tag="x")
+                ctx.exchange_runs([0], [1], [1], [1], tag="x")
                 raise RuntimeError("protocol bug")
         assert cluster.ledger.num_rounds == 0
         assert len(cluster.local("v2", "x")) == 0
 
     def test_received_elements_excludes_self(self, cluster):
         with cluster.round() as ctx:
-            ctx.send("v1", "v1", [1, 2], tag="a")
-            ctx.send("v1", "v2", [3], tag="a")
+            ctx.exchange_runs([0, 0], [0, 1], [2, 1], [1, 2, 3], tag="a")
         assert cluster.received_elements("v1") == 0
         assert cluster.received_elements("v2") == 1
 
@@ -142,8 +124,8 @@ class TestRounds:
 
     def test_received_elements_is_one_vector_with_a_named_view(self, cluster):
         with cluster.round() as ctx:
-            ctx.send("v1", "v2", [1, 2, 3], tag="a")
-            ctx.multicast("v3", ["v2", "v3", "v4"], [4, 5], tag="b")
+            ctx.exchange_runs([0], [1], [3], [1, 2, 3], tag="a")
+            ctx.exchange_multicast_column([2], [0, 0], [[1, 2, 3]], [4, 5], tag="b")
         assert cluster._received_elements.dtype == np.int64
         assert cluster._received_elements.sum() == 3 + 2 + 2
         assert cluster.received_elements("v2") == 5
@@ -154,66 +136,38 @@ class TestRounds:
         assert cluster.received_elements("nowhere") == 0
         # a later round adds to the same vector; a self-copy is no arrival
         with cluster.round() as ctx:
-            ctx.send("v4", "v1", [6, 7, 8, 9], tag="c")
-            ctx.send("v2", "v2", [1], tag="c")
+            ctx.exchange_runs([3, 1], [0, 1], [4, 1], [6, 7, 8, 9, 1], tag="c")
         assert cluster.received_elements("v1") == 4
         assert cluster.received_elements("v2") == 5
 
 
 class TestRoundApi:
-    """Three calls register a round; ``send`` and ``multicast`` are their
-    node-named front-ends, and each stream keeps one record shape."""
+    """Two calls register a round, one per kind of Section-2 transfer,
+    and each stream keeps one record shape."""
 
-    def test_the_registration_methods_are_exactly_five(self):
+    def test_the_registration_methods_are_exactly_two(self):
         public = {name for name in vars(RoundContext) if not name.startswith("_")}
-        assert public == {
+        assert public == {"exchange_runs", "exchange_multicast_column"}
+        for removed in (
             "send",
             "multicast",
             "exchange_column",
-            "exchange_runs",
-            "exchange_multicast_column",
-        }
-        for removed in ("exchange", "exchange_multicast", "scatter"):
+            "exchange",
+            "exchange_multicast",
+            "scatter",
+        ):
             assert not hasattr(RoundContext, removed)
-
-    def test_multicast_records_sorted_member_indices(self, cluster):
-        order = cluster.compute_order
-        with cluster.round() as ctx:
-            ctx.multicast(order[1], [order[4], order[0], order[2]], [5], tag="m")
-            ((origins, members, offsets, ids, payload, tag),) = ctx._multicasts
-        assert origins.tolist() == [1]
-        assert members.tolist() == [0, 2, 4]
-        assert offsets.tolist() == [0, 3]
-        assert (ids.tolist(), payload.tolist(), tag) == ([0], [5], "m")
-        assert ids.dtype == np.intp
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ("core", "destination 'core' is a router; only compute nodes "
-                     "can store data"),
-            ("v9", "unknown node 'v9'"),
-        ],
-    )
-    def test_bad_node_inside_a_set_is_named(self, cluster, bad, message):
-        with pytest.raises(ProtocolError) as raised:
-            with cluster.round() as ctx:
-                try:
-                    ctx.multicast("v1", {"v2", "v3", bad}, [1], tag="x")
-                finally:
-                    assert not ctx._multicasts
-        assert str(raised.value) == message
 
     def test_self_only_destination_set_is_stored_free(self, cluster):
         with cluster.round() as ctx:
-            ctx.multicast("v1", {"v1"}, [7, 8], tag="x")
+            ctx.exchange_multicast_column([0], [0, 0], [[0]], [7, 8], tag="x")
         assert cluster.local("v1", "x").tolist() == [7, 8]
         assert cluster.ledger.round_loads(0) == {}
         assert cluster.received_elements("v1") == 0
 
     def test_source_inside_larger_destination_set(self, cluster):
         with cluster.round() as ctx:
-            ctx.multicast("v1", {"v1", "v2"}, [7, 8], tag="x")
+            ctx.exchange_multicast_column([0], [0, 0], [[0, 1]], [7, 8], tag="x")
         assert cluster.local("v1", "x").tolist() == [7, 8]
         assert cluster.local("v2", "x").tolist() == [7, 8]
         assert cluster.received_elements("v1") == 0
@@ -225,23 +179,15 @@ class TestRoundApi:
 
     def test_empty_multicast_payload_registers_nothing(self, cluster):
         with cluster.round() as ctx:
-            ctx.multicast("v1", {"v2", "v4"}, [], tag="x")
+            ctx.exchange_multicast_column([0], [], [[1, 3]], [], tag="x")
             assert not ctx._multicasts
         assert cluster.ledger.round_loads(0) == {}
 
 
 class TestRouterSourceRegression:
-    """Data can never reside at a router, so no transfer may start there."""
-
-    def test_send_from_router_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="router"):
-            with cluster.round() as ctx:
-                ctx.send("core", "v1", [1], tag="x")
-
-    def test_multicast_from_router_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="router"):
-            with cluster.round() as ctx:
-                ctx.multicast("core", ["v1", "v2"], [1], tag="x")
+    """Data can never reside at a router.  The round calls name nodes by
+    compute-order index, so no transfer can start or end at one; loading
+    is the other way in."""
 
     def test_load_with_router_data_rejected(self, cluster):
         from repro.errors import DistributionError
@@ -278,8 +224,7 @@ class TestRoundSpan:
         with tracing() as tracer:
             with cluster.round() as ctx:
                 # 6 elements over the rack uplink (w=1) and leaf links (w=2)
-                ctx.send("v1", "v3", [1] * 6, tag="a")
-                ctx.send("v2", "v1", [2] * 8, tag="a")
+                ctx.exchange_runs([0, 1], [2, 0], [6, 8], [1] * 6 + [2] * 8, tag="a")
             with cluster.round():
                 pass
         busy, empty = self._round_attrs(tracer)

@@ -1,14 +1,18 @@
-"""The relation-at-a-time calls: ``column``, ``exchange_column`` and
+"""Relations at a time: ``column``, a hash partition (the column cut
+into runs by ``runs_by_target``, one ``exchange_runs``) and
 ``exchange_multicast_column``.
 
-The contract under test: one ``exchange_column`` is observably identical
-to one ``send`` per run of equal sources and distinct target, one
-``exchange_multicast_column`` to one ``multicast`` per group id — same
-storage bytes, received counts and per-edge loads — which the
+The contract under test: a hash partition is observably identical to
+one single-element run per element in column order, one
+``exchange_multicast_column`` to one call per group id — same storage
+bytes, received counts and per-edge loads — which the
 transfer-by-transfer Section-2 model in ``tests/model/rounds.py`` spells
 out.  Destination sets are compute-order index arrays, a
 ``(groups, k)`` matrix or a CSR ``(members, offsets)`` tuple; validation
-is span checks, run before anything is registered.
+is span checks, run before anything is registered.  The unicast checks
+are ``exchange_runs``'s own (``test_exchange_runs.py``); a hash
+partition reaches them through ``runs_by_target``, which itself refuses
+columns of two lengths or more than one dimension.
 """
 
 import numpy as np
@@ -22,11 +26,13 @@ from repro.sim.cluster import Cluster
 from repro.sim.ledger import CostLedger
 from repro.topology.builders import two_level
 from repro.topology.steiner import RoutingIndex
+from repro.util.grouping import runs_by_target
 
 from tests.cluster_identity import assert_clusters_identical, assert_matches_model
 from tests.cluster_storage import put
 from tests.model.paths import path_edges
 from tests.model.rounds import ModelAuditor, ModelCluster
+from tests.obs.shuffle import hash_partition
 from tests.strategies import tree_topologies
 
 
@@ -52,12 +58,12 @@ class TestColumn:
         assert values.dtype == np.int64
 
 
-class TestExchangeColumnDelivery:
+class TestHashPartitionDelivery:
     def test_delivers_in_column_order_per_destination(self, cluster):
         order = cluster.compute_order
         with cluster.round() as ctx:
-            ctx.exchange_column(
-                [0, 0, 2, 2, 4], [1, 3, 1, 1, 3], [10, 11, 12, 13, 14], tag="x"
+            hash_partition(
+                ctx, [0, 0, 2, 2, 4], [1, 3, 1, 1, 3], [10, 11, 12, 13, 14], tag="x"
             )
         assert cluster.local(order[1], "x").tolist() == [10, 12, 13]
         assert cluster.local(order[3], "x").tolist() == [11, 14]
@@ -70,20 +76,18 @@ class TestExchangeColumnDelivery:
         model = ModelCluster(cluster.tree)
         for built in (cluster, model):
             with built.round() as ctx:
-                ctx.exchange_column(
-                    [3, 3, 0, 3], [1, 2, 1, 1], [7, 8, 9, 10], tag="x"
-                )
+                hash_partition(ctx, [3, 3, 0, 3], [1, 2, 1, 1], [7, 8, 9, 10], tag="x")
         assert cluster.local(order[1], "x").tolist() == [7, 9, 10]
         assert_matches_model(cluster, model)
 
     def test_self_targets_cost_nothing(self, cluster):
         with cluster.round() as ctx:
-            ctx.exchange_column([2, 2], [2, 2], [1, 2], tag="x")
+            hash_partition(ctx, [2, 2], [2, 2], [1, 2], tag="x")
         assert cluster.local(cluster.compute_order[2], "x").tolist() == [1, 2]
         assert cluster.ledger.round_loads(0) == {}
         assert cluster.received_elements(cluster.compute_order[2]) == 0
 
-    def test_sends_and_columns_interleave_in_call_order(self):
+    def test_runs_and_partitions_interleave_in_call_order(self):
         """Mixed traffic to one (dst, tag) lands in registration order,
         in production and in the model; another tag in the same round is
         its own column."""
@@ -92,10 +96,10 @@ class TestExchangeColumnDelivery:
         order = cluster.compute_order
         for built in (cluster, model):
             with built.round() as ctx:
-                ctx.send(order[0], order[1], [100, 101], tag="x")
-                ctx.exchange_column([2, 2, 2], [1, 1, 3], [200, 201, 5], tag="x")
-                ctx.exchange_column([3], [1], [7], tag="y")
-                ctx.send(order[3], order[1], [300], tag="x")
+                ctx.exchange_runs([0], [1], [2], [100, 101], tag="x")
+                hash_partition(ctx, [2, 2, 2], [1, 1, 3], [200, 201, 5], tag="x")
+                hash_partition(ctx, [3], [1], [7], tag="y")
+                ctx.exchange_runs([3], [1], [1], [300], tag="x")
         assert [cluster.local(order[1], tag).tolist() for tag in ("x", "y")] == [
             [100, 101, 200, 201, 300],
             [7],
@@ -105,8 +109,8 @@ class TestExchangeColumnDelivery:
     def test_empty_payloads_pass_the_checks(self, cluster):
         empty = np.empty(0, np.int64)
         with cluster.round() as ctx:
-            ctx.exchange_column(empty, empty, empty, tag="x")
-            ctx.exchange_column([], [], [], tag="x")
+            hash_partition(ctx, empty, empty, empty, tag="x")
+            hash_partition(ctx, [], [], [], tag="x")
             ctx.exchange_multicast_column(
                 [], [], np.empty((0, 2), np.int64), [], tag="x"
             )
@@ -116,73 +120,82 @@ class TestExchangeColumnDelivery:
         assert cluster.ledger.round_loads(0) == {}
 
 
-class TestExchangeColumnValidation:
+def _partition_registers_nothing(cluster, message, sources, targets, values):
+    """A hash partition registered as the protocols write it —
+    ``runs_by_target`` on the raw columns, then one ``exchange_runs`` —
+    raises ``message`` and leaves the round's streams empty."""
+    with pytest.raises(ProtocolError, match=message):
+        with cluster.round() as ctx:
+            try:
+                order, *runs = runs_by_target(sources, targets)
+                ctx.exchange_runs(*runs, np.asarray(values)[order], tag="x")
+            finally:
+                assert not ctx._multicasts and not ctx._unicast_stream
+
+
+class TestHashPartitionValidation:
+    """A malformed column is refused on its way through the helper and
+    the call, before anything is registered; none is cut short."""
+
     def test_float_sources_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="sources must be an integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_column([0.5], [1], [1], tag="x")
+        _partition_registers_nothing(
+            cluster, "sources must be an integer", [0.5], [1], [1]
+        )
 
     def test_float_targets_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="targets must be an integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_column([0], np.asarray([1.0]), [1], tag="x")
+        _partition_registers_nothing(
+            cluster, "targets must be an integer", [0], np.asarray([1.0]), [1]
+        )
 
     def test_zero_length_float_index_array_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="integer"):
-            with cluster.round() as ctx:
-                ctx.exchange_column(np.empty(0, np.float64), [], [], tag="x")
+        _partition_registers_nothing(
+            cluster, "integer", np.empty(0, np.float64), np.empty(0, np.int64), []
+        )
 
     @pytest.mark.parametrize(
         "sources, targets, values",
-        [([0, 1], [1], [5]), ([0], [1, 2], [5]), ([0], [1], [5, 6])],
+        [([0, 1], [1], [5]), ([0], [1, 2], [5, 6]), ([0, 1], [], [])],
     )
     def test_length_mismatch_rejected(self, cluster, sources, targets, values):
-        with pytest.raises(ProtocolError, match="one source and one target"):
-            with cluster.round() as ctx:
-                ctx.exchange_column(sources, targets, values, tag="x")
+        _partition_registers_nothing(
+            cluster, "one source and one target per element", sources, targets, values
+        )
 
     @pytest.mark.parametrize("index", [-1, 5, 99])
     def test_source_outside_compute_order_rejected(self, cluster, index):
-        with pytest.raises(ProtocolError, match="source indices"):
-            with cluster.round() as ctx:
-                ctx.exchange_column([index], [0], [1], tag="x")
+        _partition_registers_nothing(cluster, "source indices", [index], [0], [1])
 
     @pytest.mark.parametrize("index", [-1, 5, 99])
     def test_target_outside_compute_order_rejected(self, cluster, index):
-        with pytest.raises(ProtocolError, match="target indices"):
-            with cluster.round() as ctx:
-                ctx.exchange_column([0], [index], [1], tag="x")
+        _partition_registers_nothing(cluster, "target indices", [0], [index], [1])
 
     def test_two_dimensional_payload_rejected(self, cluster):
-        with pytest.raises(ProtocolError, match="one-dimensional"):
-            with cluster.round() as ctx:
-                ctx.exchange_column([0], [1], [[1]], tag="x")
+        _partition_registers_nothing(cluster, "one-dimensional", [0], [1], [[1]])
 
     @pytest.mark.parametrize(
         "indices", [[[1]], np.empty((0, 2), dtype=np.int64)]
     )
     @pytest.mark.parametrize("what", ["sources", "targets"])
     def test_two_dimensional_indices_rejected(self, cluster, what, indices):
-        """Also when no element flows: the early return for an empty
-        payload comes after every check."""
-        args = {
+        """Also when no element flows."""
+        columns = {
             "sources": np.zeros(len(indices), np.int64),
             "targets": np.zeros(len(indices), np.int64),
             what: indices,
         }
-        with pytest.raises(ProtocolError, match=f"{what} must be a one-dim"):
-            with cluster.round() as ctx:
-                ctx.exchange_column(
-                    **args, values=[1] * len(indices), tag="x"
-                )
+        _partition_registers_nothing(
+            cluster,
+            f"{what} must be a one-dim",
+            *columns.values(),
+            [1] * len(indices),
+        )
 
     def test_registration_after_the_round_closed_rejected(self, cluster):
         with cluster.round() as ctx:
             pass
+        order, *runs = runs_by_target([0], [1])
         with pytest.raises(ProtocolError, match="already finalized"):
-            ctx.exchange_column([0], [1], [1], tag="x")
-        with pytest.raises(ProtocolError, match="already finalized"):
-            ctx.exchange_multicast_column([0], [0], [[1]], [1], tag="x")
+            ctx.exchange_runs(*runs, np.asarray([1])[order], tag="x")
 
 
 def _registers_nothing(cluster, message, *args):
@@ -238,6 +251,12 @@ class TestExchangeMulticastColumnDelivery:
 
 
 class TestExchangeMulticastColumnValidation:
+    def test_registration_after_the_round_closed_rejected(self, cluster):
+        with cluster.round() as ctx:
+            pass
+        with pytest.raises(ProtocolError, match="already finalized"):
+            ctx.exchange_multicast_column([0], [0], [[1]], [1], tag="x")
+
     def test_float_group_sources_rejected(self, cluster):
         _registers_nothing(
             cluster, "group sources must be an integer", [0.0], [0], [[1]], [1]
@@ -366,8 +385,8 @@ class TestExchangeMulticastColumnValidation:
         )
 
     def test_unreferenced_empty_row_tolerated(self, cluster):
-        # only sets a group id names are checked, like the multicast
-        # loop this call equals
+        # only sets a group id names are checked, like one call per
+        # group id would
         with cluster.round() as ctx:
             ctx.exchange_multicast_column(
                 [0, 0], [0], ([1], [0, 1, 1]), [1], tag="x"
@@ -398,21 +417,20 @@ def _as_matrix(destinations) -> list[list[int]]:
 
 @st.composite
 def column_rounds(draw):
-    """A random round mixing column registrations with per-node calls.
+    """A random round mixing hash partitions, multicast columns and
+    one-run records.
 
-    Multicast columns come as matrices and as CSR tuples, with repeated
-    members, the source inside its own row, empty rows no group id
-    names, several records per tag, and named ``multicast`` records on
-    the same ``(dst, tag)``.
+    Partitions come with ascending and descending sources; multicast
+    columns as matrices and as CSR tuples, with repeated members, the
+    source inside its own row, empty rows no group id names, and several
+    records per tag.
     """
     tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
     count = len(tree.compute_nodes)
     index = st.integers(0, count - 1)
     plan = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(
-            st.sampled_from(["column", "multicast-column", "multicast", "send"])
-        )
+        kind = draw(st.sampled_from(["column", "multicast-column", "run"]))
         tag = draw(st.sampled_from(["recv", "other"]))
         size = draw(st.integers(0, 8))
         values = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
@@ -452,32 +470,23 @@ def column_rounds(draw):
                     values[: len(group_ids)],
                 )
             )
-        elif kind == "multicast":
-            dsts = draw(st.sets(index, min_size=1, max_size=count))
-            plan.append((kind, tag, draw(index), sorted(dsts), values))
         else:
             plan.append((kind, tag, draw(index), draw(index), values))
     return tree, plan
 
 
 def _replay(cluster, plan, form=None):
-    order = cluster.compute_order
     with cluster.round() as ctx:
         for kind, tag, *args in plan:
             if kind == "column":
-                ctx.exchange_column(*args, tag=tag)
+                hash_partition(ctx, *args, tag=tag)
             elif kind == "multicast-column":
                 if form is not None:
                     args[2] = form(args[2])
                 ctx.exchange_multicast_column(*args, tag=tag)
-            elif kind == "multicast":
-                src, dsts, values = args
-                ctx.multicast(
-                    order[src], [order[dst] for dst in dsts], values, tag=tag
-                )
             else:
                 src, dst, values = args
-                ctx.send(order[src], order[dst], values, tag=tag)
+                ctx.exchange_runs([src], [dst], [len(values)], values, tag=tag)
     return cluster
 
 
@@ -502,44 +511,39 @@ class TestColumnEquivalenceProperty:
 
     @given(column_rounds())
     @settings(max_examples=40, deadline=None)
-    def test_column_calls_match_the_per_node_calls(self, instance):
+    def test_column_calls_match_their_definition(self, instance):
         """The definition, in production code on both sides: one
-        ``send`` per run of equal sources and distinct target, ascending,
-        one ``multicast`` per group."""
+        single-element run per element of a partition, in column order,
+        and one call per group id of a multicast column, ascending."""
         tree, plan = instance
         expanded_plan = []
         for kind, tag, *args in plan:
             if kind == "column":
-                sources, targets, values = args
-                start = 0
-                for stop in range(1, len(sources) + 1):
-                    if stop == len(sources) or sources[stop] != sources[start]:
-                        run = list(zip(targets[start:stop], values[start:stop]))
-                        for target in sorted(set(targets[start:stop])):
-                            chunk = [v for t, v in run if t == target]
-                            expanded_plan.append(
-                                ("send", tag, sources[start], target, chunk)
-                            )
-                        start = stop
+                for source, target, value in zip(*args):
+                    expanded_plan.append(("run", tag, source, target, [value]))
             elif kind == "multicast-column":
                 group_sources, group_ids, destinations, values = args
                 rows = _rows(destinations)
                 for gid in sorted(set(group_ids)):
+                    chunk = [v for v, g in zip(values, group_ids) if g == gid]
                     expanded_plan.append(
                         (
-                            "multicast",
+                            "multicast-column",
                             tag,
-                            group_sources[gid],
-                            sorted(set(rows[gid])),
-                            [v for v, g in zip(values, group_ids) if g == gid],
+                            [group_sources[gid]],
+                            [0] * len(chunk),
+                            [sorted(set(rows[gid]))],
+                            chunk,
                         )
                     )
             else:
                 expanded_plan.append((kind, tag, *args))
         with use(auditor=ModelAuditor()):
             column = _replay(Cluster(tree), plan)
-            per_node = _replay(Cluster(tree), expanded_plan)
-        assert_clusters_identical(column, per_node, a_name="column", b_name="per-node")
+            one_by_one = _replay(Cluster(tree), expanded_plan)
+        assert_clusters_identical(
+            column, one_by_one, a_name="column", b_name="one by one"
+        )
 
 
 @st.composite

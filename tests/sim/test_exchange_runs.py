@@ -2,11 +2,11 @@
 ``(source, target, count)`` triple per run.
 
 The contract under test: one ``exchange_runs`` is observably identical
-to one ``send`` per triple in order — same per-edge loads, received
-counts and per-``(node, tag)`` storage bytes — also when several run
-records share a tag with a per-element record in one round; ``send`` is
-the one-run front-end of the same stream record; validation runs before
-anything is registered, for zero-length payloads too.
+to one call per triple in order — same per-edge loads, received counts
+and per-``(node, tag)`` storage bytes — also when several run records
+share a tag with a hash partition's runs in one round, and equal to the
+Section-2 model's one transfer per run; validation runs before anything
+is registered, for zero-length payloads too.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.topology.builders import two_level
 
 from tests.cluster_identity import assert_clusters_identical, assert_matches_model
 from tests.model.rounds import ModelAuditor, ModelCluster
+from tests.obs.shuffle import hash_partition
 from tests.strategies import tree_topologies
 
 
@@ -62,15 +63,6 @@ class TestDelivery:
         with cluster.round() as ctx:
             ctx.exchange_runs([0, 1], [2, 3], [1, 1], [5, 6], tag="x")
             assert len(ctx._unicast_stream) == 1
-
-    def test_send_is_the_one_run_record(self, cluster):
-        order = cluster.compute_order
-        with cluster.round() as ctx:
-            ctx.send(order[1], order[4], [5, 6], tag="x")
-            ((sources, targets, counts, payload, tag),) = ctx._unicast_stream
-        # the record shape exchange_runs registers: one-run arrays
-        assert [part.tolist() for part in (sources, targets, counts)] == [[1], [4], [2]]
-        assert tag == "x" and payload.tolist() == [5, 6]
 
     def test_empty_payloads_pass_the_checks(self, cluster):
         empty = np.empty(0, np.int64)
@@ -196,40 +188,40 @@ class TestValidation:
         _registers_nothing(cluster, "one-dimensional", [0], [1], [1], [[5]])
         _registers_nothing(cluster, "one-dimensional", [[0]], [1], [1], [5])
 
+    @pytest.mark.parametrize(
+        "indices", [[[1]], np.empty((0, 2), dtype=np.int64)]
+    )
+    @pytest.mark.parametrize("what", ["sources", "targets", "counts"])
+    def test_two_dimensional_indices_rejected(self, cluster, what, indices):
+        """Also when no element flows: the early return for an empty
+        payload comes after every check."""
+        args = {
+            "sources": np.zeros(len(indices), np.int64),
+            "targets": np.zeros(len(indices), np.int64),
+            "counts": np.ones(len(indices), np.int64),
+            what: indices,
+        }
+        _registers_nothing(
+            cluster, f"{what} must be a one-dim", *args.values(), [1] * len(indices)
+        )
+
     def test_registration_after_the_round_closed_rejected(self, cluster):
         with cluster.round() as ctx:
             pass
         with pytest.raises(ProtocolError, match="already finalized"):
             ctx.exchange_runs([0], [1], [1], [5], tag="x")
 
-    def test_send_still_names_the_offending_node(self, cluster):
-        router = next(iter(cluster.tree.nodes - cluster.tree.compute_nodes))
-        leaf = cluster.compute_order[0]
-        for args, message in (
-            ((router, leaf), "source .* is a router"),
-            ((leaf, router), "destination .* is a router"),
-            (("nowhere", leaf), "unknown node 'nowhere'"),
-            ((leaf, "nowhere"), "unknown node 'nowhere'"),
-        ):
-            for values in ([5], []):
-                with pytest.raises(ProtocolError, match=message):
-                    with cluster.round() as ctx:
-                        try:
-                            ctx.send(*args, values, tag="x")
-                        finally:
-                            assert not ctx._unicast_stream
-
-
 @st.composite
 def run_rounds(draw):
-    """A random round of run records, mixed with ``send`` and
-    ``exchange_column`` records under two tags: zero-count runs,
-    self-runs, several records per ``(dst, tag)``."""
+    """A random round of run records, mixed with one-run records and
+    hash partitions (a column cut into runs by ``runs_by_target``) under
+    two tags: zero-count runs, self-runs, several records per ``(dst,
+    tag)``."""
     tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
     index = st.integers(0, len(tree.compute_nodes) - 1)
     plan = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["runs", "runs", "column", "send"]))
+        kind = draw(st.sampled_from(["runs", "runs", "column", "run"]))
         tag = draw(st.sampled_from(["recv", "other"]))
         if kind == "runs":
             num_runs = draw(st.integers(0, 6))
@@ -268,27 +260,22 @@ def run_rounds(draw):
     return tree, plan
 
 
-def _replay(cluster, plan, *, runs_as_sends=False):
-    order = cluster.compute_order
+def _replay(cluster, plan, *, run_by_run=False):
     with cluster.round() as ctx:
         for kind, tag, *args in plan:
             if kind == "column":
-                ctx.exchange_column(*args, tag=tag)
-            elif kind == "send":
+                hash_partition(ctx, *args, tag=tag)
+            elif kind == "run":
                 source, target, values = args
-                ctx.send(order[source], order[target], values, tag=tag)
-            elif not runs_as_sends:
+                ctx.exchange_runs([source], [target], [len(values)], values, tag=tag)
+            elif not run_by_run:
                 ctx.exchange_runs(*args, tag=tag)
-            else:  # the definition: one send per triple, in order
+            else:  # the definition: one call per triple, in order
                 sources, targets, counts, values = args
                 offset = 0
                 for source, target, count in zip(sources, targets, counts):
-                    ctx.send(
-                        order[source],
-                        order[target],
-                        values[offset : offset + count],
-                        tag=tag,
-                    )
+                    run = values[offset : offset + count]
+                    ctx.exchange_runs([source], [target], [count], run, tag=tag)
                     offset += count
     return cluster
 
@@ -296,16 +283,16 @@ def _replay(cluster, plan, *, runs_as_sends=False):
 class TestRunsEquivalenceProperty:
     @given(run_rounds())
     @settings(max_examples=100, deadline=None)
-    def test_runs_match_the_send_loop(self, instance):
+    def test_runs_match_the_run_by_run_loop(self, instance):
         """Ledger, received counts and storage bytes, in production code
         on both sides, every round checked by the model's auditor."""
         tree, plan = instance
         with use(auditor=ModelAuditor()):
             as_runs = _replay(Cluster(tree), plan)
-            as_sends = _replay(Cluster(tree), plan, runs_as_sends=True)
-        assert as_runs.ledger.round_loads(0) == as_sends.ledger.round_loads(0)
+            one_by_one = _replay(Cluster(tree), plan, run_by_run=True)
+        assert as_runs.ledger.round_loads(0) == one_by_one.ledger.round_loads(0)
         assert_clusters_identical(
-            as_runs, as_sends, a_name="runs", b_name="send loop"
+            as_runs, one_by_one, a_name="runs", b_name="run-by-run loop"
         )
 
     @given(run_rounds())
@@ -321,8 +308,8 @@ class TestRunsAtProtocolSizes:
     """The sorting protocols send thousands of runs carrying hundreds of
     thousands of elements per round; the property above draws a handful
     of tiny ones.  One deterministic round at that scale, under one tag:
-    run triples with zero-count runs and self-runs, an
-    ``exchange_column`` record and a ``send``."""
+    run triples with zero-count runs and self-runs, a hash partition and
+    a one-run record."""
 
     @staticmethod
     def _plan(tree):
@@ -337,7 +324,7 @@ class TestRunsAtProtocolSizes:
         targets[self_runs] = sources[self_runs]
         column = 5000
         return [
-            ("send", "recv", 7, 3, rng.integers(-99, 99, 300)),
+            ("run", "recv", 7, 3, rng.integers(-99, 99, 300)),
             (
                 "runs",
                 "recv",
@@ -368,19 +355,16 @@ class TestRunsAtProtocolSizes:
 
 @st.composite
 def unicast_parts(draw):
-    """One tag's ``(dst_ids, counts, payload)`` parts: per-element parts
-    (``counts`` ``None``) and run parts, zero-count runs included."""
+    """One tag's ``(dst_ids, counts, payload)`` run parts, zero-count
+    runs included."""
     parts = []
     for _ in range(draw(st.integers(1, 5))):
         size = draw(st.integers(0, 30))
         column = st.lists(st.integers(0, 6), min_size=size, max_size=size)
         ids = np.asarray(draw(column), np.int16)
-        if draw(st.booleans()):
-            counts = np.asarray(draw(column), np.intp)
-            payload = np.arange(int(counts.sum()), dtype=np.int64) * 7
-            parts.append((ids, counts, payload))
-        else:
-            parts.append((ids, None, np.arange(size, dtype=np.int64) * 3))
+        counts = np.asarray(draw(column), np.intp)
+        payload = np.arange(int(counts.sum()), dtype=np.int64) * 7
+        parts.append((ids, counts, payload))
     return parts
 
 
@@ -389,9 +373,7 @@ def unicast_parts(draw):
 def test_grouping_by_run_is_grouping_the_expanded_elements(parts):
     """The definition: expand every run to one id per element, then one
     stable sort of the elements; empty destinations install nothing."""
-    ids = np.concatenate(
-        [ids if counts is None else np.repeat(ids, counts) for ids, counts, _ in parts]
-    )
+    ids = np.concatenate([np.repeat(ids, counts) for ids, counts, _ in parts])
     payload = np.concatenate([payload for *_, payload in parts])
     order, uniques, starts, ends = group_slices(ids)
     found, destinations, los, his = _group_by_destination(parts)

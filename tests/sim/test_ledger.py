@@ -103,16 +103,17 @@ class TestAccounting:
         self, simple_star
     ):
         cluster = Cluster(simple_star)
+        assert cluster.compute_order[:2] == ("v1", "v2")
         with cluster.round() as ctx:
-            ctx.send("v1", "v2", [1, 2], tag="t")
+            ctx.exchange_runs([0], [1], [2], [1, 2], tag="t")
         with pytest.raises(RuntimeError, match="protocol bug"):
             with cluster.round() as ctx:
-                ctx.send("v1", "v2", [1, 2, 3], tag="t")
+                ctx.exchange_runs([0], [1], [3], [1, 2, 3], tag="t")
                 raise RuntimeError("protocol bug")
         ledger = cluster.ledger
         assert ledger.num_rounds == 1
         with cluster.round() as ctx:
-            ctx.send("v2", "v1", [7] * 6, tag="t")
+            ctx.exchange_runs([1], [0], [6], [7] * 6, tag="t")
         assert ledger.num_rounds == 2
         # simple_star bandwidths: v1=1, v2=2
         assert [ledger.round_cost(i) for i in range(2)] == [2.0, 6.0]

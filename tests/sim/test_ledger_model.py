@@ -59,16 +59,10 @@ def ledger_programs(draw):
     for _ in range(draw(st.integers(1, 4))):
         ops = []
         for _ in range(draw(st.integers(0, 4))):
-            kind = draw(
-                st.sampled_from(["send", "column", "runs", "multicast-column"])
-            )
+            kind = draw(st.sampled_from(["runs", "multicast-column"]))
             size = draw(st.integers(0, 8))
-            if kind == "send":
-                ops.append((kind, draw(index), draw(index), values(size)))
-            elif kind == "column":
-                ops.append((kind, indices(size), indices(size), values(size)))
-            elif kind == "runs":
-                counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+            if kind == "runs":
+                counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
                 ops.append(
                     (
                         kind,
@@ -102,16 +96,10 @@ def ledger_programs(draw):
 
 def _replay(cluster, program):
     """Run the program on ``cluster``; returns it."""
-    order = cluster.compute_order
     for ops in program:
         with cluster.round() as ctx:
             for kind, *args in ops:
-                if kind == "send":
-                    src, dst, payload = args
-                    ctx.send(order[src], order[dst], payload, tag="t")
-                elif kind == "column":
-                    ctx.exchange_column(*args, tag="t")
-                elif kind == "runs":
+                if kind == "runs":
                     ctx.exchange_runs(*args, tag="t")
                 else:
                     ctx.exchange_multicast_column(*args, tag="m")

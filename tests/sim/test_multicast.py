@@ -1,10 +1,10 @@
 """Tests for the batched multicast and its accounting.
 
 The contract under test: one :meth:`RoundContext.exchange_multicast_column`
-call is observably identical to the equivalent per-group
-:meth:`RoundContext.multicast` loop — same per-node storage (content
-*and* element order), same ``received_elements``, same per-edge ledger
-loads — on any topology and any family of Steiner destination sets.
+call is observably identical to a loop of one call per group — same
+per-node storage (content *and* element order), same
+``received_elements``, same per-edge ledger loads — on any topology and
+any family of Steiner destination sets.
 The production cluster, the looped expansion, and the transfer-by-
 transfer Section-2 model (``tests/model/rounds.py``) are compared end to
 end, and the vectorized :meth:`RoutingIndex.multicast_loads`
@@ -56,49 +56,47 @@ def _csr(rows) -> tuple:
 
 
 def _register(ctx, node, group_ids, rows, values, tag, *, looped):
-    """One node's grouped multicasts: a column call, or the loop it equals."""
+    """One node's grouped multicasts: a column call, or the loop of
+    one-group calls it equals."""
     if not looped:
         ctx.exchange_multicast_column(
             [node] * len(rows), group_ids, _csr(rows), values, tag=tag
         )
         return
-    order = ctx._cluster.compute_order
     ids = np.asarray(group_ids, dtype=np.int64)
     chunk = np.asarray(values, dtype=np.int64)
     for gid in np.unique(ids).tolist():
-        ctx.multicast(
-            order[node],
-            [order[m] for m in rows[gid]],
-            chunk[ids == gid],
-            tag=tag,
+        members = chunk[ids == gid]
+        ctx.exchange_multicast_column(
+            [node], np.zeros(len(members), np.intp), [rows[gid]], members, tag=tag
         )
 
 
-def test_interleaves_with_sends_and_multicasts_across_models():
+def test_interleaves_with_runs_and_multicasts_across_models():
     """Mixed traffic on one (dst, tag) lands in registration order
     (unicasts first, then the multicast stream) in production and
     in the model."""
     tree = two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
     cluster, model = Cluster(tree), ModelCluster(tree)
     position = cluster.artifacts.compute_position
-    v4, v5 = position["v4"], position["v5"]
+    v1, v2, v3, v4, v5 = (position[f"v{i}"] for i in range(1, 6))
     for built in (cluster, model):
         with built.round() as ctx:
-            ctx.multicast("v2", {"v4", "v5"}, [100], tag="x")
+            ctx.exchange_multicast_column([v2], [0], [[v4, v5]], [100], tag="x")
             ctx.exchange_multicast_column(
-                [position["v1"]] * 2,
+                [v1] * 2,
                 [1, 0, 1],
                 _csr([[v4], [v4, v5]]),
                 [1, 2, 3],
                 tag="x",
             )
-            ctx.send("v3", "v4", [200], tag="x")
+            ctx.exchange_runs([v3], [v4], [1], [200], tag="x")
     assert_matches_model(cluster, model)
     assert cluster.local("v4", "x").tolist() == [200, 100, 2, 1, 3]
 
 
 class TestStandardTopologyEquivalence:
-    """exchange_multicast_column equals a looped ctx.multicast on every
+    """exchange_multicast_column equals a loop of one-group calls on every
     standard benchmark topology."""
 
     @pytest.mark.parametrize(
@@ -142,8 +140,8 @@ class TestStandardTopologyEquivalence:
 
 
 def _random_multicast_plan(draw, tree):
-    """A registration-ordered mix of column/plain multicasts and sends,
-    every node a compute-order index."""
+    """A registration-ordered mix of many- and one-group multicast
+    columns and one-run records, every node a compute-order index."""
     count = len(tree.compute_nodes)
     node = st.integers(0, count - 1)
     node_set = st.lists(node, min_size=1, max_size=min(4, count), unique=True)
@@ -151,7 +149,7 @@ def _random_multicast_plan(draw, tree):
     for source in range(count):
         for _ in range(draw(st.integers(1, 2))):
             tag = draw(st.sampled_from(["recv", "other"]))
-            kind = draw(st.sampled_from(["column", "multicast", "send"]))
+            kind = draw(st.sampled_from(["column", "multicast", "run"]))
             if kind == "column":
                 rows = [draw(node_set) for _ in range(draw(st.integers(1, 3)))]
                 size = draw(st.integers(0, 10))
@@ -179,20 +177,19 @@ class TestExchangeMulticastEquivalenceProperty:
     def test_batched_matches_looped_and_the_model(self, instance):
         """The contract: byte-identical storage, received counts, and
         per-edge ledgers between one exchange_multicast_column call, the
-        equivalent multicast loop, and the model, on random topologies
-        with interleaved traffic."""
+        equivalent loop of one-group calls, and the model, on random
+        topologies with interleaved traffic."""
         tree, plan = instance
 
         def replay(cluster, looped):
-            order = cluster.compute_order
             with cluster.round() as ctx:
                 for kind, node, group_ids, rows, values, tag in plan:
-                    if kind == "send":
+                    if kind == "run":
                         ((dst,),) = rows
-                        ctx.send(order[node], order[dst], values, tag=tag)
+                        ctx.exchange_runs([node], [dst], [len(values)], values, tag=tag)
                     elif kind == "multicast":
-                        ctx.multicast(
-                            order[node], [order[m] for m in rows[0]], values, tag=tag
+                        ctx.exchange_multicast_column(
+                            [node], [0] * len(values), [rows[0]], values, tag=tag
                         )
                     else:
                         _register(
@@ -298,8 +295,8 @@ for report in reports:
 def test_multicast_reports_do_not_depend_on_the_hash_seed():
     """String node ids hash differently per ``PYTHONHASHSEED``: the
     index-array rounds (tree intersect / equi-join, star intersect, the
-    cartesian tile routing, the components return leg) never see a set,
-    and ``multicast`` sorts the member indices it builds from its set."""
+    cartesian tile routing, the components return leg) never see a
+    set."""
     src = Path(__file__).resolve().parents[2] / "src"
     outputs = []
     for hash_seed in ("1", "3"):

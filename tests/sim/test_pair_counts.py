@@ -1,12 +1,14 @@
 """A round's unicast pair counts, sparse, against their definition.
 
 ``RoundContext._collect_unicasts`` reduces the round's flat ``src * size
-+ dst`` keys to ``(src, dst, count)`` triples — by one ``bincount`` when
-the ``size²`` bins are at most four per key, by one sort otherwise.
-Random rounds mixing ``send``, ``exchange_column`` and ``exchange_runs``
-(zero-count runs included), on trees of 3 to 300 nodes so that both
-reductions run, must give every pair's element count in pair order,
-and the loads, received counts and storage of the Section-2 model.
++ dst`` run keys to ``(src, dst, count)`` triples — by one
+``bincount``-sized table when the ``size²`` bins are at most four per
+run, by one sort otherwise.  Random rounds of ``exchange_runs`` records
+— one-run records, hash partitions cut into runs by ``runs_by_target``
+and free run lists, zero-count runs included — on trees of 3 to 300
+nodes so that both reductions run, must give every pair's element count
+in pair order, and the loads, received counts and storage of the
+Section-2 model.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.sim.cluster import Cluster
+from repro.util.grouping import runs_by_target
 from tests.cluster_identity import assert_matches_model
 from tests.model.rounds import ModelCluster
 from tests.strategies import shaped_trees, tree_topologies
@@ -34,49 +37,35 @@ def unicast_rounds(draw):
     most = draw(st.sampled_from([8, 200, 3000]))
     plan = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["send", "column", "runs"]))
+        kind = draw(st.sampled_from(["run", "column", "runs"]))
         tag = draw(st.sampled_from(["a", "b"]))
         size = int(rng.integers(0, most))
+        values = rng.integers(-99, 99, size)
         if kind == "runs":
             runs = int(rng.integers(0, 3 * count))
             counts = rng.integers(0, 4, runs) * rng.integers(0, 2, runs)
-            size = int(counts.sum())
             ends = (rng.integers(0, count, runs), rng.integers(0, count, runs))
-            plan.append((kind, tag, *ends, counts))
+            values = rng.integers(-99, 99, int(counts.sum()))
         elif kind == "column":
-            ends = (rng.integers(0, count, size), rng.integers(0, count, size))
-            plan.append((kind, tag, *ends))
+            order, *ends, counts = runs_by_target(
+                rng.integers(0, count, size), rng.integers(0, count, size)
+            )
+            values = values[order]
         else:
-            plan.append((kind, tag, *rng.integers(0, count, 2).tolist()))
-        plan[-1] += (rng.integers(-99, 99, size),)
+            ends, counts = rng.integers(0, count, (2, 1)), [size]
+        plan.append((tag, *ends, counts, values))
     return tree, plan
 
 
-def register(ctx, order, plan) -> None:
-    for kind, tag, *args, values in plan:
-        if kind == "runs":
-            ctx.exchange_runs(*args, values, tag=tag)
-        elif kind == "column":
-            ctx.exchange_column(*args, values, tag=tag)
-        else:
-            source, target = args
-            ctx.send(order[source], order[target], values, tag=tag)
+def register(ctx, plan) -> None:
+    for tag, *args in plan:
+        ctx.exchange_runs(*args, tag=tag)
 
 
 def replay(cluster, plan):
     with cluster.round() as ctx:
-        register(ctx, cluster.compute_order, plan)
+        register(ctx, plan)
     return cluster
-
-
-def per_element(kind, args, values) -> tuple:
-    """The ``(sources, targets)`` compute-order index of every element."""
-    if kind == "runs":
-        sources, targets, counts = args
-        return np.repeat(sources, counts), np.repeat(targets, counts)
-    if kind == "column":
-        return tuple(args)
-    return tuple(np.full(len(values), end) for end in args)
 
 
 @given(unicast_rounds())
@@ -88,13 +77,17 @@ def test_pair_counts_count_every_element_once(instance):
     tree, plan = instance
     at = tree.routing_index.compute_idx
     pairs, parts = Counter(), {}
-    for kind, tag, *args, values in plan:
-        sources, targets = per_element(kind, args, values)
+    for tag, sources, targets, counts, values in plan:
+        sources, targets = np.repeat(sources, counts), np.repeat(targets, counts)
         pairs.update(zip(at[sources].tolist(), at[targets].tolist()))
         if len(values):
             parts.setdefault(tag, []).append((at[targets].tolist(), values))
     with Cluster(tree).round() as ctx:
-        register(ctx, ctx._cluster.compute_order, plan)
+        register(ctx, plan)
+        # finalization collects a non-empty stream only
+        if not ctx._unicast_stream:
+            assert not parts and not pairs
+            return
         _, by_tag, (src, dst, counts) = ctx._collect_unicasts()
     assert list(zip(zip(src.tolist(), dst.tolist()), counts.tolist())) == sorted(
         pairs.items()
@@ -103,10 +96,8 @@ def test_pair_counts_count_every_element_once(instance):
     for tag, found in by_tag.items():
         assert len(found) == len(parts[tag])
         for (ids, counts, payload), (targets, values) in zip(found, parts[tag]):
-            # one id per run, or one per element
-            if counts is not None:
-                ids = np.repeat(ids, counts)
-            assert ids.tolist() == targets and payload is values
+            # one id per run
+            assert np.repeat(ids, counts).tolist() == targets and payload is values
 
 
 @given(unicast_rounds())
@@ -117,16 +108,18 @@ def test_loads_and_arrivals_match_the_model(instance):
 
 
 @pytest.mark.parametrize(
-    "racks, elements, bincounted",
+    "racks, runs, bincounted",
     [([2] * 3, 400, True), ([4] * 4, 60, False), ([12] * 12, 2000, False), ([20] * 20, 200_000, True)],
 )
-def test_both_reductions_agree_with_the_model(racks, elements, bincounted):
+def test_both_reductions_agree_with_the_model(racks, runs, bincounted):
     tree = repro.two_level(racks)
     rng = np.random.default_rng(len(racks))
     count = len(tree.compute_nodes)
     size = tree.routing_index.num_nodes
-    assert (size * size <= 4 * elements) == bincounted
-    plan = [("column", "a", rng.integers(0, count, elements), rng.integers(0, count, elements), rng.integers(0, 9, elements))]
+    assert (size * size <= 4 * runs) == bincounted
+    counts = rng.integers(1, 3, runs)
+    ends = rng.integers(0, count, (2, runs))
+    plan = [("a", *ends, counts, rng.integers(0, 9, int(counts.sum())))]
     assert_matches_model(replay(Cluster(tree), plan), replay(ModelCluster(tree), plan))
 
 

@@ -14,9 +14,14 @@ class TestMpcStar:
         tree = mpc_star(4)
         cluster = Cluster(tree)
         with cluster.round() as ctx:
-            ctx.send("v1", "v2", np.arange(10), tag="x")
-            ctx.send("v3", "v2", np.arange(5), tag="x")
-            ctx.send("v2", "v4", np.arange(3), tag="x")
+            # v1 -> v2, v3 -> v2 and v2 -> v4, nodes by compute-order index
+            ctx.exchange_runs(
+                [0, 2, 1],
+                [1, 1, 3],
+                [10, 5, 3],
+                np.concatenate([np.arange(10), np.arange(5), np.arange(3)]),
+                tag="x",
+            )
         pairs = verify_mpc_equivalence(cluster)
         assert pairs == [(15.0, 15.0)]  # v2 received 15 elements
 
@@ -25,8 +30,10 @@ class TestMpcStar:
         cluster = Cluster(tree)
         with cluster.round() as ctx:
             # one sender fanning out: each receiver gets little, cost small
-            ctx.send("v1", "v2", np.arange(100), tag="x")
-            ctx.send("v1", "v3", np.arange(100), tag="x")
+            # (v1 -> v2 and v1 -> v3, nodes by compute-order index)
+            ctx.exchange_runs(
+                [0, 0], [1, 2], [100, 100], np.tile(np.arange(100), 2), tag="x"
+            )
         assert cluster.ledger.round_cost(0) == 100.0
 
     def test_uniform_distribution(self):

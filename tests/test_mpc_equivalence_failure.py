@@ -18,8 +18,9 @@ class TestEquivalenceChecker:
         with cluster.round() as ctx:
             # v1 sends a lot (slow uplink), v3 receives little relative
             # to its fast downlink: cost is dominated by v1's uplink,
-            # which max-received cannot see.
-            ctx.send("v1", "v3", np.arange(100), tag="x")
+            # which max-received cannot see.  (v1 -> v3, nodes by
+            # compute-order index)
+            ctx.exchange_runs([0], [2], [100], np.arange(100), tag="x")
         with pytest.raises(AssertionError):
             verify_mpc_equivalence(cluster)
 
