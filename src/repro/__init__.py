@@ -117,7 +117,6 @@ from repro.engine import RunPlan, run, run_many, run_plan
 from repro.topology.artifacts import (
     ArtifactCache,
     TopologyArtifacts,
-    topology_fingerprint,
     use_artifacts,
 )
 from repro.plan.optimizer import PlanCache
@@ -228,7 +227,6 @@ __all__ = [
     "EngineSession",
     "ArtifactCache",
     "TopologyArtifacts",
-    "topology_fingerprint",
     "use_artifacts",
     "PlanCache",
     # query planner (repro.plan has the full subsystem API)

@@ -74,13 +74,12 @@ def gather_equijoin(
     s_tag: str = "S",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     materialize: bool = False,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Ship both encoded relations to one node; join there."""
     distribution.validate_for(tree)
     if target is None:
         target = _pick_target(tree, distribution, (r_tag, s_tag))
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
         for tag in (r_tag, s_tag):
@@ -129,7 +128,6 @@ def gather_groupby(
     target: NodeId | None = None,
     tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Ship every tuple to one node; aggregate per key there.
 
@@ -139,7 +137,7 @@ def gather_groupby(
     distribution.validate_for(tree)
     if target is None:
         target = _pick_target(tree, distribution, (tag,))
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
         gather_relation(

@@ -56,13 +56,12 @@ def classic_hypercube_cartesian_product(
     r_tag: str = "R",
     s_tag: str = "S",
     materialize: bool = False,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run the equal-rectangles HyperCube on any tree."""
     distribution.validate_for(tree)
     r_total = distribution.total(r_tag)
     s_total = distribution.total(s_tag)
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     computes = cluster.compute_order
     if r_total == 0 or s_total == 0:
         outputs = {v: {"num_pairs": 0} for v in computes}

@@ -67,11 +67,10 @@ def uniform_hash_intersect(
     seed: int = 0,
     r_tag: str = "R",
     s_tag: str = "S",
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Hash-join both relations uniformly over all compute nodes."""
     distribution.validate_for(tree)
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     _hash_relations(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-hash"),
@@ -101,7 +100,6 @@ def uniform_hash_equijoin(
     s_tag: str = "S",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     materialize: bool = False,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Hash both relations uniformly by key; join co-located fragments.
 
@@ -111,7 +109,7 @@ def uniform_hash_equijoin(
     distribution-aware tree protocol by the bandwidth spread.
     """
     distribution.validate_for(tree)
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     _hash_relations(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-join"),
@@ -149,7 +147,6 @@ def uniform_hash_groupby(
     tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     pre_aggregate: bool = True,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Group-by with a uniform (topology-agnostic) partial shuffle.
 
@@ -158,7 +155,7 @@ def uniform_hash_groupby(
     data-light nodes behind slow links own as many groups as anyone.
     """
     distribution.validate_for(tree)
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     outputs = hashed_groupby_round(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-groupby"),

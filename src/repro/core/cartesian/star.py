@@ -31,7 +31,6 @@ def star_cartesian_product(
     r_tag: str = "R",
     s_tag: str = "S",
     materialize: bool = False,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run Algorithm 4 on a symmetric star; requires ``|R| == |S|``."""
     tree.require_symmetric("StarCartesianProduct")
@@ -53,7 +52,7 @@ def star_cartesian_product(
     }
     total = sum(sizes.values())
     if total == 0:
-        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution)
         outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
         return ProtocolResult.from_ledger(
             "star-cartesian", cluster.ledger, outputs=outputs,
@@ -62,7 +61,7 @@ def star_cartesian_product(
 
     heaviest = max(sorted(sizes, key=node_sort_key), key=lambda v: sizes[v])
     if sizes[heaviest] > total / 2:
-        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution)
         outputs = gather_all_pairs(
             cluster, heaviest, r_tag=r_tag, s_tag=s_tag, materialize=materialize
         )
@@ -79,7 +78,6 @@ def star_cartesian_product(
         r_tag=r_tag,
         s_tag=s_tag,
         materialize=materialize,
-        bits_per_element=bits_per_element,
     )
     result.protocol = "star-cartesian"
     result.meta["strategy"] = "weighted-hypercube"

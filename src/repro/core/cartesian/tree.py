@@ -48,7 +48,6 @@ def tree_cartesian_product(
     r_tag: str = "R",
     s_tag: str = "S",
     materialize: bool = False,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run the Theorem 5 protocol; requires ``|R| == |S|``."""
     tree.require_symmetric("tree cartesian product")
@@ -65,7 +64,7 @@ def tree_cartesian_product(
         for v in tree.compute_nodes
     }
     n_total = sum(sizes.values())
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     if n_total == 0:
         outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
         return ProtocolResult.from_ledger(

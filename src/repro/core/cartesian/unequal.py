@@ -291,12 +291,12 @@ def balanced_packing_unequal(
 # --------------------------------------------------------------------- #
 
 
-def _strategy_gather(tree, distribution, r_tag, s_tag, bits) -> ProtocolResult:
+def _strategy_gather(tree, distribution, r_tag, s_tag) -> ProtocolResult:
     bandwidths = _star_leaf_bandwidths(tree)
     target = max(
         sorted(bandwidths, key=node_sort_key), key=lambda v: bandwidths[v]
     )
-    cluster = Cluster(tree, distribution, bits_per_element=bits)
+    cluster = Cluster(tree, distribution)
     outputs = gather_all_pairs(
         cluster, target, r_tag=r_tag, s_tag=s_tag, materialize=False
     )
@@ -333,13 +333,13 @@ def _beta_pairs(cluster, node, r_size, s_tag) -> int:
 
 
 def _strategy_proportional(
-    tree, distribution, r_tag, s_tag, alpha, beta, bits
+    tree, distribution, r_tag, s_tag, alpha, beta
 ) -> ProtocolResult | None:
     if not beta:
         return None
     bandwidths = _star_leaf_bandwidths(tree)
     weights = np.array([bandwidths[v] for v in beta])
-    cluster = Cluster(tree, distribution, bits_per_element=bits)
+    cluster = Cluster(tree, distribution)
     computes = cluster.compute_order
     r_size = distribution.total(r_tag)
     position = cluster.artifacts.compute_position
@@ -377,7 +377,7 @@ def _strategy_proportional(
 
 
 def _strategy_generalized_whc(
-    tree, distribution, r_tag, s_tag, alpha, beta, bits
+    tree, distribution, r_tag, s_tag, alpha, beta
 ) -> ProtocolResult | None:
     bandwidths = _star_leaf_bandwidths(tree)
     computes = tree.routing_index.compute_nodes
@@ -404,7 +404,7 @@ def _strategy_generalized_whc(
         tree, Distribution(sub_placements), r_tag="R#", s_tag="S#"
     )
 
-    cluster = Cluster(tree, distribution, bits_per_element=bits)
+    cluster = Cluster(tree, distribution)
     with cluster.round() as ctx:
         _broadcast_r_to_beta(ctx, cluster, beta, r_tag)
         if alpha and alpha_s:
@@ -448,7 +448,6 @@ def generalized_star_cartesian_product(
     *,
     r_tag: str = "R",
     s_tag: str = "S",
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Algorithm 8: the unequal-size cartesian product on a star.
 
@@ -478,7 +477,7 @@ def generalized_star_cartesian_product(
     }
     total = sum(sizes.values())
     if total == 0 or r_size == 0:
-        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution)
         outputs = {v: {"num_pairs": 0} for v in computes}
         return ProtocolResult.from_ledger(
             "unequal-star-cartesian", cluster.ledger, outputs=outputs,
@@ -487,7 +486,7 @@ def generalized_star_cartesian_product(
 
     heaviest = max(computes, key=lambda v: sizes[v])
     if sizes[heaviest] > total / 2:
-        cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+        cluster = Cluster(tree, distribution)
         outputs = gather_all_pairs(
             cluster, heaviest, r_tag=small, s_tag=large, materialize=False
         )
@@ -500,12 +499,10 @@ def generalized_star_cartesian_product(
 
     alpha, beta = _split_alpha_beta(sizes, r_size)
     candidates = [
-        _strategy_gather(tree, distribution, small, large, bits_per_element),
-        _strategy_proportional(
-            tree, distribution, small, large, alpha, beta, bits_per_element
-        ),
+        _strategy_gather(tree, distribution, small, large),
+        _strategy_proportional(tree, distribution, small, large, alpha, beta),
         _strategy_generalized_whc(
-            tree, distribution, small, large, alpha, beta, bits_per_element
+            tree, distribution, small, large, alpha, beta
         ),
     ]
     viable = [c for c in candidates if c is not None]

@@ -75,7 +75,6 @@ def whc_cartesian_product(
     r_tag: str = "R",
     s_tag: str = "S",
     materialize: bool = False,
-    bits_per_element: int = 64,
     dims: Mapping[NodeId, int] | None = None,
 ) -> ProtocolResult:
     """Run wHC on a symmetric star; requires ``|R| == |S|``.
@@ -116,7 +115,7 @@ def whc_cartesian_product(
     tiles = pack_flat(dims, r_total, s_total)
     coverage = coverage_report(tiles, r_total, s_total)
 
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     with cluster.round() as ctx:
         route_axis(
             ctx, cluster, labeling, tiles,

@@ -42,7 +42,6 @@ def star_intersect(
     seed: int = 0,
     r_tag: str = "R",
     s_tag: str = "S",
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run Algorithm 1 and return outputs plus the model cost.
 
@@ -85,7 +84,7 @@ def star_intersect(
         else None
     )
 
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     # ``computes`` is the cluster's compute order, so the hasher's node
     # indices are the round API's
     in_beta = np.fromiter((v in beta_set for v in computes), bool, len(computes))

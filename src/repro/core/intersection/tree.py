@@ -48,7 +48,6 @@ def hashed_partition_round(
     seed: int,
     seed_scope: str,
     key_shift: int = 0,
-    bits_per_element: int = 64,
 ) -> tuple[Cluster, list[frozenset], dict, int]:
     """The one round of Algorithm 2, a relation at a time.
 
@@ -81,7 +80,7 @@ def hashed_partition_round(
             hasher = WeightedNodeHasher(names, weights, derive_seed(seed, seed_scope, i))
             routes.append((members, hasher))
 
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     with cluster.round() as ctx:
         owners, small = cluster.column(small_tag)
         keys = small >> key_shift
@@ -146,7 +145,6 @@ def tree_intersect(
     r_tag: str = "R",
     s_tag: str = "S",
     blocks: Sequence[frozenset] | None = None,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run Algorithm 2 and return outputs plus the model cost.
 
@@ -170,7 +168,6 @@ def tree_intersect(
         blocks=blocks,
         seed=seed,
         seed_scope="tree-intersect",
-        bits_per_element=bits_per_element,
     )
     outputs = intersect_columns(
         cluster.column(_R_RECV), cluster.column(_S_RECV), cluster.compute_order

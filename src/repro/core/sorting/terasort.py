@@ -162,7 +162,6 @@ def terasort(
     *,
     seed: int = 0,
     tag: str = "R",
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run classic TeraSort; ``outputs[v]`` is node ``v``'s sorted run.
 
@@ -174,7 +173,7 @@ def terasort(
     distribution.validate_for(tree)
     order = tree.left_to_right_compute_order()
     total = distribution.total(tag)
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     if total == 0:
         outputs = {v: np.empty(0, np.int64) for v in order}
         return ProtocolResult.from_ledger(

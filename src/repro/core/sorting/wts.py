@@ -69,7 +69,6 @@ def weighted_terasort(
     tag: str = "R",
     gather_shortcut: bool = True,
     proportional_split: bool = True,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Run wTS; ``outputs[v]`` is node ``v``'s final sorted run.
 
@@ -83,7 +82,7 @@ def weighted_terasort(
     order = tree.left_to_right_compute_order()
     sizes = dict(zip(order, distribution.sizes_over(tuple(order), tag).tolist()))
     total = sum(sizes.values())
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     if total == 0:
         outputs = {v: np.empty(0, np.int64) for v in order}
         return ProtocolResult.from_ledger(

@@ -203,7 +203,6 @@ def _hash_to_min(
     delta_return: bool,
     local_closure: bool,
     max_supersteps: int | None,
-    bits_per_element: int,
 ) -> tuple[SuperstepDriver, dict, dict]:
     """Shared superstep loop; flavours differ only in the knobs above.
 
@@ -219,7 +218,7 @@ def _hash_to_min(
     """
     tree.require_symmetric("connected components")
     distribution.validate_for(tree)
-    driver = SuperstepDriver(tree, bits_per_element=bits_per_element)
+    driver = SuperstepDriver(tree)
     computes = driver.cluster.compute_order
     base_meta = {
         "tag": tag,
@@ -301,7 +300,6 @@ def _hash_to_min(
             op="min",
             payload_bits=VERTEX_BITS,
             pre_aggregate=pre_aggregate,
-            bits_per_element=bits_per_element,
         )
         # Every owner's output as one (owner, vertex, label) relation.
         owned = GroupOutputs.of(result.outputs, computes)
@@ -410,7 +408,6 @@ def tree_connected_components(
     seed: int = 0,
     tag: str = DEFAULT_EDGE_TAG,
     max_supersteps: int | None = None,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Distribution-aware hash-to-min: local contraction, delta returns.
 
@@ -430,7 +427,6 @@ def tree_connected_components(
         delta_return=True,
         local_closure=True,
         max_supersteps=max_supersteps,
-        bits_per_element=bits_per_element,
     )
     return _finalize("tree-components", driver, outputs, meta)
 
@@ -449,7 +445,6 @@ def uniform_hash_connected_components(
     seed: int = 0,
     tag: str = DEFAULT_EDGE_TAG,
     max_supersteps: int | None = None,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Topology-agnostic hash-to-min, as the MPC papers state it.
 
@@ -467,7 +462,6 @@ def uniform_hash_connected_components(
         delta_return=False,
         local_closure=False,
         max_supersteps=max_supersteps,
-        bits_per_element=bits_per_element,
     )
     return _finalize("uniform-hash-components", driver, outputs, meta)
 
@@ -484,14 +478,13 @@ def gather_connected_components(
     *,
     target: NodeId | None = None,
     tag: str = DEFAULT_EDGE_TAG,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """One round: centralize the edge list, solve locally."""
     distribution.validate_for(tree)
     computes = tree.routing_index.compute_nodes
     if target is None:
         target = max(computes, key=lambda v: distribution.size(v, tag))
-    driver = SuperstepDriver(tree, bits_per_element=bits_per_element)
+    driver = SuperstepDriver(tree)
     total_edges = distribution.total(tag)
     if total_edges:
         with driver.cluster_round(

@@ -40,11 +40,9 @@ from repro.topology.tree import TreeTopology
 class SuperstepDriver:
     """Compose registered protocols and raw rounds on one master ledger."""
 
-    def __init__(
-        self, tree: TreeTopology, *, bits_per_element: int = 64
-    ) -> None:
+    def __init__(self, tree: TreeTopology) -> None:
         self._tree = tree
-        self._cluster = Cluster(tree, bits_per_element=bits_per_element)
+        self._cluster = Cluster(tree)
         self._steps: list[RunReport] = []
 
     @property

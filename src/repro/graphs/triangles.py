@@ -202,7 +202,6 @@ def _count_triangles(
     protocol_name: str,
     seed: int,
     tag: str,
-    bits_per_element: int,
 ) -> ProtocolResult:
     from repro.plan.executor import execute_plan
 
@@ -213,8 +212,7 @@ def _count_triangles(
             protocol=protocol_name,
             rounds=0,
             cost=0.0,
-            cost_bits=0.0,
-            ledger=CostLedger(tree, bits_per_element=bits_per_element),
+            ledger=CostLedger(tree),
             outputs={v: {"num_triangles": 0} for v in tree.compute_nodes},
             meta={
                 "tag": tag,
@@ -249,8 +247,7 @@ def _count_triangles(
         protocol=protocol_name,
         rounds=plan_report.rounds,
         cost=plan_report.cost,
-        cost_bits=plan_report.cost * bits_per_element,
-        ledger=CostLedger(tree, bits_per_element=bits_per_element),
+        ledger=CostLedger(tree),
         outputs=outputs,
         meta=meta,
     )
@@ -273,7 +270,6 @@ def optimized_triangle_count(
     *,
     seed: int = 0,
     tag: str = DEFAULT_EDGE_TAG,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Topology-aware triangle counting: the planner picks each stage."""
     return _count_triangles(
@@ -283,7 +279,6 @@ def optimized_triangle_count(
         protocol_name="optimized-triangles",
         seed=seed,
         tag=tag,
-        bits_per_element=bits_per_element,
     )
 
 
@@ -300,7 +295,6 @@ def uniform_hash_triangle_count(
     *,
     seed: int = 0,
     tag: str = DEFAULT_EDGE_TAG,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Topology-agnostic triangle counting (uniform hash joins)."""
     return _count_triangles(
@@ -310,7 +304,6 @@ def uniform_hash_triangle_count(
         protocol_name="uniform-hash-triangles",
         seed=seed,
         tag=tag,
-        bits_per_element=bits_per_element,
     )
 
 
@@ -327,7 +320,6 @@ def gather_triangle_count(
     *,
     seed: int = 0,
     tag: str = DEFAULT_EDGE_TAG,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Centralizing triangle counting (gather stages)."""
     return _count_triangles(
@@ -337,7 +329,6 @@ def gather_triangle_count(
         protocol_name="gather-triangles",
         seed=seed,
         tag=tag,
-        bits_per_element=bits_per_element,
     )
 
 

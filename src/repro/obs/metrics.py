@@ -126,8 +126,6 @@ FOLDS = (
          labels=_STRATEGY),
     Fold("repro_plan_cache_misses_total", "plan_cache.lookup", "misses",
          labels=_STRATEGY),
-    Fold("repro_plan_cache_rejected_total", "plan_cache.admit", "rejected",
-         labels=_STRATEGY),
     Fold("repro_artifact_cache_hits_total", "artifact_cache.get", "hits"),
     Fold("repro_artifact_cache_misses_total", "artifact_cache.get", "misses"),
     Fold("repro_storage_compactions_total", "storage", "columns",

@@ -49,7 +49,6 @@ from repro.plan.cost import (
 from repro.plan.logical import Filter, GroupBy, Join, LogicalPlan, Scan
 from repro.plan.relation import MAX_PAYLOAD_BITS, MAX_ROW_BITS, Schema
 from repro.registry import protocols_for
-from repro.topology.artifacts import resolve_artifacts
 from repro.topology.tree import TreeTopology
 from repro.util.text import render_table
 
@@ -606,6 +605,10 @@ class _Compiler:
 # --------------------------------------------------------------------- #
 
 
+#: The most compiled plans a :class:`PlanCache` keeps.
+PLAN_CACHE_ENTRIES = 128
+
+
 class PlanCache:
     """A bounded, thread-safe LRU of compiled :class:`PhysicalPlan` s.
 
@@ -616,33 +619,21 @@ class PlanCache:
     two-level tree), and their output depends only on the logical plan,
     the topology structure, and the catalog's placement statistics.  The cache key captures exactly those three
     (:meth:`key`): the logical plan's deterministic ``describe()``
-    string, the structural :func:`topology_fingerprint` (label-blind, so
-    renamed builds of one network share plans), and a per-relation
+    string, the structural :attr:`TreeTopology.fingerprint` (label-blind,
+    so renamed builds of one network share plans), and a per-relation
     statistics digest — schema, row/distinct counts, and the per-node
     fragment profile — so *any* data movement or re-placement changes
     the key and misses, never serving a stale plan.  Cached plans are
     frozen dataclasses shared by reference.
 
-    Admission is lower-bound-gated: the ``optimized`` strategy's
-    estimate is the model's cheapest achievable cost for the shape, so
-    a baseline plan (``gather`` / ``worst-order``) estimated at more
-    than ``admit_ratio`` times the cached optimized sibling is *not*
-    admitted — deliberately bad diagnostic plans should not evict
-    serving traffic.  Every lookup and admission is a small ``cache``
-    span whose ``hits`` / ``misses`` / ``rejected`` attribute the
-    metrics registry folds into ``repro_plan_cache_hits_total`` /
-    ``_misses_total`` / ``_rejected_total``.
+    Every compiled plan is admitted; past :data:`PLAN_CACHE_ENTRIES`,
+    the least recently used one is evicted.  Every lookup is a small
+    ``cache`` span whose ``hits`` / ``misses`` attribute the metrics
+    registry folds into ``repro_plan_cache_hits_total`` /
+    ``_misses_total``.
     """
 
-    def __init__(
-        self, max_entries: int = 128, *, admit_ratio: float = 8.0
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if admit_ratio < 1.0:
-            raise ValueError(f"admit_ratio must be >= 1.0, got {admit_ratio}")
-        self._max_entries = max_entries
-        self._admit_ratio = admit_ratio
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._entries: dict[tuple, PhysicalPlan] = {}
         # Per-relation stats digests, keyed weakly by the PlacedRelation
@@ -652,7 +643,6 @@ class PlanCache:
         self._relation_digests: WeakKeyDictionary = WeakKeyDictionary()
         self.hits = 0
         self.misses = 0
-        self.rejected = 0
 
     def _relation_digest(self, name: str, relation) -> str:
         digest = self._relation_digests.get(relation)
@@ -685,12 +675,7 @@ class PlanCache:
                 self._relation_digest(name, catalog[name])
                 for name in sorted(catalog)
             )
-        return (
-            query.describe(),
-            resolve_artifacts(tree).fingerprint,
-            catalog_part,
-            strategy,
-        )
+        return (query.describe(), tree.fingerprint, catalog_part, strategy)
 
     def lookup(self, key: tuple) -> PhysicalPlan | None:
         """The cached plan for ``key``, with LRU touch; ``None`` on miss."""
@@ -708,39 +693,24 @@ class PlanCache:
             span.set(misses=1)
             return None
 
-    def admit(self, key: tuple, plan: PhysicalPlan) -> bool:
-        """Cache ``plan`` unless admission control rejects it."""
-        with get_tracer().span(
-            "plan_cache.admit", category="cache", strategy=plan.strategy
-        ) as span, self._lock:
-            if plan.strategy != "optimized":
-                sibling = self._entries.get(key[:3] + ("optimized",))
-                if (
-                    sibling is not None
-                    and plan.estimated_cost
-                    > self._admit_ratio * max(sibling.estimated_cost, 1e-12)
-                ):
-                    self.rejected += 1
-                    span.set(rejected=1)
-                    return False
+    def admit(self, key: tuple, plan: PhysicalPlan) -> None:
+        """Cache ``plan``, evicting the least recently used past the bound."""
+        with self._lock:
             self._entries[key] = plan
-            while len(self._entries) > self._max_entries:
-                evicted = next(iter(self._entries))
-                del self._entries[evicted]
-            return True
+            while len(self._entries) > PLAN_CACHE_ENTRIES:
+                del self._entries[next(iter(self._entries))]
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def stats(self) -> dict:
-        """Hit/miss/rejection counts and current size, for summaries."""
+        """Hit/miss counts and current size, for summaries."""
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "rejected": self.rejected,
             }
 
 

@@ -211,7 +211,6 @@ def tree_groupby_aggregate(
     tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     pre_aggregate: bool = True,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Aggregate encoded (key, value) tuples per key across the tree.
 
@@ -227,7 +226,7 @@ def tree_groupby_aggregate(
     tree.require_symmetric("tree_groupby_aggregate")
     distribution.validate_for(tree)
 
-    cluster = Cluster(tree, distribution, bits_per_element=bits_per_element)
+    cluster = Cluster(tree, distribution)
     computes = cluster.compute_order
     sizes = distribution.sizes_over(computes, tag)
     if not sizes.any():

@@ -191,7 +191,6 @@ def tree_equijoin(
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     blocks: Sequence[frozenset] | None = None,
     materialize: bool = False,
-    bits_per_element: int = 64,
 ) -> ProtocolResult:
     """Single-round equi-join of encoded relations; see module docstring.
 
@@ -218,7 +217,6 @@ def tree_equijoin(
         seed=seed,
         seed_scope="equijoin",
         key_shift=payload_bits,
-        bits_per_element=bits_per_element,
     )
     outputs = join_columns(
         cluster.column(_R_RECV),

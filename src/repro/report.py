@@ -229,29 +229,6 @@ class PlanReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PlanReport":
-        wall_time_s = payload.get("wall_time_s")
-        try:
-            return cls(
-                query=payload["query"],
-                strategy=payload["strategy"],
-                topology=payload["topology"],
-                stages=tuple(
-                    RunReport.from_dict(stage) for stage in payload["stages"]
-                ),
-                estimated_cost=float(payload["estimated_cost"]),
-                output_rows=int(payload["output_rows"]),
-                meta=payload.get("meta", {}),
-                wall_time_s=(
-                    None if wall_time_s is None else float(wall_time_s)
-                ),
-            )
-        except KeyError as missing:
-            raise AnalysisError(
-                f"plan report payload is missing field {missing}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class GraphRunReport:
@@ -336,32 +313,6 @@ class GraphRunReport:
             "meta": _jsonify(self.meta),
             "wall_time_s": self.wall_time_s,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GraphRunReport":
-        wall_time_s = payload.get("wall_time_s")
-        try:
-            return cls(
-                task=payload["task"],
-                protocol=payload["protocol"],
-                topology=payload["topology"],
-                placement=payload["placement"],
-                num_vertices=int(payload["num_vertices"]),
-                num_edges=int(payload["num_edges"]),
-                supersteps=tuple(
-                    RunReport.from_dict(step) for step in payload["supersteps"]
-                ),
-                lower_bound=float(payload["lower_bound"]),
-                converged=bool(payload["converged"]),
-                meta=payload.get("meta", {}),
-                wall_time_s=(
-                    None if wall_time_s is None else float(wall_time_s)
-                ),
-            )
-        except KeyError as missing:
-            raise AnalysisError(
-                f"graph report payload is missing field {missing}"
-            ) from None
 
 
 def summarize_reports(

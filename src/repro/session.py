@@ -74,12 +74,11 @@ class EngineSession:
         an explicit distribution uses it.
     catalog:
         Optional default relation catalog for :meth:`run_plan`.
-    artifact_cache, plan_cache:
-        Bring-your-own caches — several sessions on one box may share
-        one :class:`~repro.topology.artifacts.ArtifactCache` (it is
-        keyed by topology fingerprint, so tenants on different networks
-        never collide).  Defaults to fresh private instances.
 
+    A session owns two private caches: ``artifact_cache`` (an
+    :class:`~repro.topology.artifacts.ArtifactCache`, installed around
+    every run) and ``plan_cache`` (a
+    :class:`~repro.plan.optimizer.PlanCache`, used by :meth:`run_plan`).
     Sessions are context managers for symmetry with the rest of the
     API; exiting is cheap (caches are garbage-collected).
     """
@@ -90,16 +89,12 @@ class EngineSession:
         *,
         distribution=None,
         catalog: dict | None = None,
-        artifact_cache: ArtifactCache | None = None,
-        plan_cache: PlanCache | None = None,
     ) -> None:
         self.tree = tree
         self._distribution = distribution
         self._catalog = catalog
-        self.artifact_cache = (
-            artifact_cache if artifact_cache is not None else ArtifactCache()
-        )
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        self.artifact_cache = ArtifactCache()
+        self.plan_cache = PlanCache()
         self._closed = False
         self._runs = 0
         self._plan_runs = 0
@@ -165,9 +160,10 @@ class EngineSession:
             raise AnalysisError(
                 "no catalog: pass one to the call or pin one on the session"
             )
-        kwargs.setdefault("plan_cache", self.plan_cache)
         with use(artifacts=self.artifact_cache):
-            out = _engine_run_plan(query, self.tree, catalog, **kwargs)
+            out = _engine_run_plan(
+                query, self.tree, catalog, plan_cache=self.plan_cache, **kwargs
+            )
         self._plan_runs += 1
         return out
 

@@ -50,7 +50,7 @@ from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.obs.audit import get_auditor
 from repro.obs.tracer import get_tracer
-from repro.sim.ledger import CostLedger
+from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
 from repro.sim.storage import ColumnarStore
 from repro.topology.artifacts import TopologyArtifacts, resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
@@ -587,7 +587,6 @@ class RoundContext:
         index = ledger.num_rounds - 1
         bottleneck = ledger.bottleneck(index)
         elements = self._elements_by_tag()
-        bits = ledger.bits_per_element
         attrs = {
             "round": index,
             "round_cost": ledger.round_cost(index),
@@ -595,7 +594,8 @@ class RoundContext:
             "max_edge_load": int(ledger.link_loads(index).max(initial=0)),
             "elements_by_tag": elements,
             "bytes_by_tag": {
-                tag: count * bits // 8 for tag, count in elements.items()
+                tag: count * BITS_PER_ELEMENT // 8
+                for tag, count in elements.items()
             },
         }
         tracer.annotate(**attrs, **phases)
@@ -617,29 +617,15 @@ class Cluster:
         self,
         tree: TreeTopology,
         distribution: Distribution | None = None,
-        *,
-        bits_per_element: int = 64,
-        artifacts: TopologyArtifacts | None = None,
     ) -> None:
         self._tree = tree
         # The expensive per-topology structures (routing index,
         # compute order) come from the artifact layer: prebuilt and
         # shared when a session or one-shot run scope installed an
-        # ArtifactCache, private and fresh otherwise — the historical
-        # per-cluster behavior.
-        if artifacts is None:
-            artifacts = resolve_artifacts(tree)
-        elif artifacts.fingerprint != tree.fingerprint:
-            # Prebuilt artifacts may come from a structurally identical
-            # tree object (fingerprint keying); a structurally
-            # *different* one would silently misroute every transfer.
-            raise ProtocolError(
-                f"artifacts were built for {artifacts.tree.name!r}, whose "
-                f"structure differs from {tree.name!r}"
-            )
-        self._artifacts = artifacts
+        # ArtifactCache, private and fresh otherwise.
+        self._artifacts = artifacts = resolve_artifacts(tree)
         self.oracle = artifacts.oracle
-        self.ledger = CostLedger(tree, bits_per_element=bits_per_element)
+        self.ledger = CostLedger(tree)
         self._storage = ColumnarStore(artifacts.compute_order)
         # remote arrivals per node of the routing index
         self._received_elements = np.zeros(len(tree.nodes), dtype=np.int64)

@@ -6,8 +6,9 @@ cost measures:
 
 * ``round_cost(i) = max_e |Y_i(e)| / w_e``,
 * ``total_cost = sum_i round_cost(i)`` (in element units),
-* the same in bits, as elements x ``bits_per_element`` (the paper's
-  "pay a log N factor to translate to bits").
+* the same in bits, as elements x :data:`BITS_PER_ELEMENT`: every
+  element here is one 64-bit word, the paper's "pay a log N factor to
+  translate to bits" with ``log N = 64``.
 
 Edges with infinite bandwidth contribute zero cost but their loads are
 still recorded, so analyses can inspect raw traffic.
@@ -27,15 +28,15 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.topology.tree import DirectedEdge, TreeTopology
 
+#: Bits per element: every element is one ``int64`` word.
+BITS_PER_ELEMENT = 64
+
 
 class CostLedger:
     """Accumulates per-round directed-edge loads for one topology."""
 
-    def __init__(self, tree: TreeTopology, *, bits_per_element: int = 64) -> None:
-        if bits_per_element <= 0:
-            raise ProtocolError("bits_per_element must be positive")
+    def __init__(self, tree: TreeTopology) -> None:
         self._index = tree.routing_index  # the slot layout and bandwidths
-        self._bits_per_element = bits_per_element
         self._rounds: list[np.ndarray] = []
         self._costs: list[float | None] = []  # per round; None while open
         self._open = False
@@ -83,10 +84,6 @@ class CostLedger:
     def num_rounds(self) -> int:
         return len(self._rounds)
 
-    @property
-    def bits_per_element(self) -> int:
-        return self._bits_per_element
-
     def link_loads(self, index: int) -> np.ndarray:
         """Round ``index`` as stored: a read-only ``(2, links)`` view."""
         view = self._rounds[index].view()
@@ -111,10 +108,6 @@ class CostLedger:
     def total_cost(self) -> float:
         """The paper's ``cost(A)`` in element units."""
         return sum(map(self.round_cost, range(len(self._rounds))))
-
-    def total_cost_bits(self) -> float:
-        """``cost(A)`` in bits."""
-        return self.total_cost() * self._bits_per_element
 
     def bottleneck(self, index: int | None = None) -> tuple[DirectedEdge, float] | None:
         """The most expensive loaded directed edge (of one round or overall);

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.sim.ledger import CostLedger
+from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
 
 
 @dataclass
@@ -21,7 +21,7 @@ class ProtocolResult:
     cost:
         Model cost in element units: ``sum_i max_e |Y_i(e)| / w_e``.
     cost_bits:
-        The same cost in bits (elements x bits per element).
+        The same cost in bits (elements x :data:`BITS_PER_ELEMENT`).
     ledger:
         The full per-round, per-edge accounting, for deeper analysis.
     outputs:
@@ -35,7 +35,6 @@ class ProtocolResult:
     protocol: str
     rounds: int
     cost: float
-    cost_bits: float
     ledger: CostLedger
     outputs: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -53,11 +52,14 @@ class ProtocolResult:
             protocol=protocol,
             rounds=ledger.num_rounds,
             cost=ledger.total_cost(),
-            cost_bits=ledger.total_cost_bits(),
             ledger=ledger,
             outputs=outputs or {},
             meta=meta or {},
         )
+
+    @property
+    def cost_bits(self) -> float:
+        return self.cost * BITS_PER_ELEMENT
 
     def describe(self) -> str:
         return (

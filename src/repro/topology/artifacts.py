@@ -8,9 +8,10 @@ parameterize the whole cost model by the topology alone).  A one-shot
 ``run()`` rebuilding them per cluster is fine; a serving engine
 answering thousands of queries on one fat tree is not.  This module
 factors those structures into :class:`TopologyArtifacts`, cached in an
-:class:`ArtifactCache` keyed by a stable :func:`topology_fingerprint`
-and carried in the ``artifacts`` field of the run context
-(:mod:`repro.context`), next to the tracer, registry and auditor:
+:class:`ArtifactCache` keyed by the stable structural digest
+:attr:`~repro.topology.tree.TreeTopology.fingerprint` and carried in
+the ``artifacts`` field of the run context (:mod:`repro.context`), next
+to the tracer, registry and auditor:
 
 * :class:`~repro.session.EngineSession` installs a long-lived cache, so
   every cluster built inside the session — by any protocol, any
@@ -38,21 +39,8 @@ from repro.topology.steiner import PathOracle
 from repro.topology.tree import TreeTopology, node_sort_key
 
 
-def topology_fingerprint(tree: TreeTopology) -> str:
-    """A stable content digest of a topology's *structure*.
-
-    Two trees with the same nodes (type + repr), the same directed
-    edges with the same bandwidths, and the same compute-node set map
-    to the same fingerprint — the ``name`` label is deliberately
-    excluded, so differently-labelled builds of the same network share
-    artifacts.  Node identity uses :func:`node_sort_key` (type name,
-    str, repr): distinct ids that stringify identically but differ in
-    type or repr stay distinct, matching the canonical orders every
-    artifact is built from.  The digest is memoized on the tree
-    (:attr:`TreeTopology.fingerprint`), so a fresh one-shot cache looks
-    a tree up without walking it again.
-    """
-    return tree.fingerprint
+#: The most topologies an :class:`ArtifactCache` keeps artifacts for.
+ARTIFACT_CACHE_ENTRIES = 16
 
 
 class TopologyArtifacts:
@@ -81,18 +69,16 @@ class TopologyArtifacts:
 class ArtifactCache:
     """A bounded, thread-safe LRU of :class:`TopologyArtifacts`.
 
-    Keyed by :func:`topology_fingerprint` and nothing else: the digest
-    is memoized on the immutable tree, so a lookup of a tree seen
+    Keyed by :attr:`TreeTopology.fingerprint` and nothing else: the
+    digest is memoized on the immutable tree, so a lookup of a tree seen
     before is one dict probe, and every hit refreshes the entry's
-    recency.  Every lookup is a small ``cache`` span whose ``hits`` /
-    ``misses`` attribute the metrics registry folds into
+    recency; past :data:`ARTIFACT_CACHE_ENTRIES`, the least recently
+    used entry is evicted.  Every lookup is a small ``cache`` span whose
+    ``hits`` / ``misses`` attribute the metrics registry folds into
     ``repro_artifact_cache_hits_total`` / ``_misses_total``.
     """
 
-    def __init__(self, max_entries: int = 16) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._entries: dict[str, TopologyArtifacts] = {}
         self.hits = 0
@@ -112,9 +98,8 @@ class ArtifactCache:
                 return artifacts
             artifacts = TopologyArtifacts(tree)
             self._entries[artifacts.fingerprint] = artifacts
-            while len(self._entries) > self._max_entries:
-                evicted = next(iter(self._entries))
-                del self._entries[evicted]
+            while len(self._entries) > ARTIFACT_CACHE_ENTRIES:
+                del self._entries[next(iter(self._entries))]
             self.misses += 1
             span.set(misses=1)
             return artifacts
@@ -143,10 +128,10 @@ def use_artifacts(cache: ArtifactCache) -> Iterator[ArtifactCache]:
 def resolve_artifacts(tree: TreeTopology) -> TopologyArtifacts:
     """Artifacts for ``tree`` from the installed cache, else built fresh.
 
-    The constructor-side hook: :class:`~repro.sim.cluster.Cluster` calls
-    this when not handed prebuilt artifacts explicitly, which preserves
-    cold-path behavior exactly (a private, unshared build) while letting
-    sessions and one-shot run scopes share transparently.
+    The constructor-side hook: every :class:`~repro.sim.cluster.Cluster`
+    calls this, so a cluster outside any cache scope gets a private,
+    unshared build while sessions and one-shot run scopes share
+    transparently.
     """
     cache = current().artifacts
     return TopologyArtifacts(tree) if cache is None else cache.get(tree)

@@ -424,9 +424,18 @@ class TreeTopology:
 
     @cached_property
     def fingerprint(self) -> str:
-        """The structural digest behind
-        :func:`~repro.topology.artifacts.topology_fingerprint`, computed
-        once per tree (the tree is immutable)."""
+        """A stable content digest of the topology's *structure*,
+        computed once per tree (the tree is immutable).
+
+        Two trees with the same nodes (type + repr), the same directed
+        edges with the same bandwidths, and the same compute-node set
+        share a fingerprint — the ``name`` label is deliberately
+        excluded, so differently-labelled builds of one network share
+        topology artifacts and compiled plans.  Node identity uses
+        :func:`node_sort_key` (type name, str, repr): distinct ids that
+        stringify identically but differ in type or repr stay distinct,
+        matching the canonical orders every artifact is built from.
+        """
         digest = hashlib.blake2b(digest_size=16)
         for node in sorted(self._nodes, key=node_sort_key):
             digest.update(repr(node_sort_key(node)).encode())

@@ -110,7 +110,7 @@ class TestStrictJson:
         )
         payload = json.loads(json.dumps(plan.to_dict(), allow_nan=False))
         assert payload["stages"][0]["ratio"] is None
-        assert PlanReport.from_dict(payload).query == "q"
+        assert payload["query"] == "q"
 
     def test_graph_report_infinite_ratio_serializes(self):
         graph = GraphRunReport(

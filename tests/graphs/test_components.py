@@ -174,7 +174,6 @@ class TestEngineIntegration:
             protocol="bogus",
             rounds=1,
             cost=0.0,
-            cost_bits=0.0,
             ledger=CostLedger(tree),
             outputs={next(iter(tree.compute_nodes)): {0: 99}},
             meta={"tag": "E"},

@@ -120,17 +120,12 @@ def test_graph_report_json_round_trip(
         meta={"num_supersteps": len(supersteps)},
     )
     payload = json.loads(json.dumps(report.to_dict()))
-    rebuilt = GraphRunReport.from_dict(payload)
-    assert rebuilt.task == report.task
-    assert rebuilt.protocol == report.protocol
-    assert rebuilt.num_vertices == report.num_vertices
-    assert rebuilt.num_edges == report.num_edges
-    assert rebuilt.converged == report.converged
-    assert rebuilt.cost == report.cost
-    assert rebuilt.rounds == report.rounds
-    assert rebuilt.lower_bound == report.lower_bound
-    assert len(rebuilt.supersteps) == len(report.supersteps)
-    for old, new in zip(report.supersteps, rebuilt.supersteps):
+    for field in ("task", "protocol", "num_vertices", "num_edges", "converged",
+                  "cost", "rounds", "lower_bound"):
+        assert payload[field] == getattr(report, field), field
+    rebuilt = [RunReport.from_dict(step) for step in payload["supersteps"]]
+    assert len(rebuilt) == len(report.supersteps)
+    for old, new in zip(report.supersteps, rebuilt):
         assert new.task == old.task
         assert new.cost == old.cost
         assert new.rounds == old.rounds

@@ -1,5 +1,6 @@
 """Unit tests for the plan executor and its reports."""
 
+import json
 from time import perf_counter
 
 import numpy as np
@@ -173,10 +174,10 @@ class TestReports:
             sum(stage.cost for stage in report.stages)
         )
         assert report.rounds == sum(s.rounds for s in report.stages)
-        rebuilt = PlanReport.from_dict(report.to_dict())
-        assert rebuilt.cost == pytest.approx(report.cost)
-        assert rebuilt.strategy == report.strategy
-        assert rebuilt.output_rows == report.output_rows
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["cost"] == pytest.approx(report.cost)
+        assert payload["strategy"] == report.strategy
+        assert payload["output_rows"] == report.output_rows
         assert "plan on" in report.summarize()
 
     def test_run_plan_facade(self, tree):

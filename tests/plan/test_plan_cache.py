@@ -13,6 +13,7 @@ from repro.plan import (
     chain_catalog,
     chain_query,
     optimize,
+    optimizer,
     star_catalog,
     star_query,
 )
@@ -38,12 +39,7 @@ class TestKeys:
         first = optimize(query, tree, catalog, cache=cache)
         second = optimize(query, tree, catalog, cache=cache)
         assert second is first  # shared by reference, not recompiled
-        assert cache.stats() == {
-            "entries": 1,
-            "hits": 1,
-            "misses": 1,
-            "rejected": 0,
-        }
+        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_renamed_tree_hits(self, catalog, tree):
         # same structure, different label: plans are shared
@@ -93,8 +89,6 @@ class TestKeys:
     def test_digest_is_paid_once_per_relation_object(
         self, tree, catalog, monkeypatch
     ):
-        from repro.plan import optimizer
-
         scanned = []
         cardinalities_of = optimizer.cardinalities_of
         monkeypatch.setattr(
@@ -140,7 +134,7 @@ class TestKeys:
             Scan("R0"), tree, {"R0": from_columns}, "optimized"
         ) == cache.key(Scan("R0"), tree, {"R0": from_mapping}, "optimized")
 
-    def test_a_hit_reads_the_fingerprint_the_artifact_cache_holds(
+    def test_a_hit_reads_the_tree_fingerprint_and_no_artifacts(
         self, catalog, monkeypatch
     ):
         memo = TreeTopology.__dict__["fingerprint"]
@@ -152,57 +146,49 @@ class TestKeys:
         with artifacts.use_artifacts(artifacts.ArtifactCache()) as shared:
             first = optimize(chain_query(3), tree, catalog, cache=cache)
             assert walked == [tree]
-            hits = shared.hits
+            lookups = shared.hits + shared.misses
             assert optimize(chain_query(3), tree, catalog, cache=cache) is first
-            # one counted artifact-cache lookup, no second walk of the tree
+            # no artifact-cache lookup, no second walk of the tree
             assert walked == [tree]
-            assert shared.hits == hits + 1
-        # cold callers key on the same digest
+            assert shared.hits + shared.misses == lookups
         assert cache.key(chain_query(3), tree, catalog, "optimized")[1] == (
-            artifacts.topology_fingerprint(tree)
+            tree.fingerprint
         )
 
 
 class TestAdmission:
-    def test_expensive_baseline_rejected(self, tree, catalog):
-        cache = PlanCache(admit_ratio=1.0)
-        query = chain_query(3)
-        optimized = optimize(query, tree, catalog, cache=cache)
-        gather = optimize(query, tree, catalog, strategy="gather", cache=cache)
-        # sanity: the diagnostic plan really is costlier than optimal
-        assert gather.estimated_cost > optimized.estimated_cost
-        assert cache.rejected == 1
-        # the rejected plan was still returned, just not cached
-        assert gather.strategy == "gather"
-        again = optimize(query, tree, catalog, strategy="gather", cache=cache)
-        assert again is not gather
-        assert cache.misses == 3
-
-    def test_generous_ratio_admits_baselines(self, tree, catalog):
-        cache = PlanCache(admit_ratio=1e9)
-        query = chain_query(3)
-        optimize(query, tree, catalog, cache=cache)
-        optimize(query, tree, catalog, strategy="gather", cache=cache)
-        assert cache.rejected == 0
-        assert len(cache) == 2
-
     def test_baseline_without_optimized_sibling_admitted(self, tree, catalog):
-        # no optimized estimate to gate against: admit
-        cache = PlanCache(admit_ratio=1.0)
+        cache = PlanCache()
         optimize(chain_query(3), tree, catalog, strategy="gather", cache=cache)
-        assert cache.rejected == 0
         assert len(cache) == 1
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            PlanCache(0)
-        with pytest.raises(ValueError):
-            PlanCache(admit_ratio=0.5)
+    def test_costlier_baseline_is_admitted_and_hits(self, tree, catalog):
+        # every compiled plan is cached, however its estimate compares
+        # with the optimized plan of the same query
+        cache = PlanCache()
+        query = chain_query(3)
+        with collecting() as registry:
+            optimized = optimize(query, tree, catalog, cache=cache)
+            gather = optimize(
+                query, tree, catalog, strategy="gather", cache=cache
+            )
+            assert gather.estimated_cost > optimized.estimated_cost
+            assert len(cache) == 2
+            again = optimize(
+                query, tree, catalog, strategy="gather", cache=cache
+            )
+        assert again is gather
+        assert (cache.hits, cache.misses) == (1, 2)
+        # the baseline's hit is counted under its own strategy label
+        assert registry.snapshot()["counters"][
+            "repro_plan_cache_hits_total"
+        ] == {"strategy=gather": 1}
 
 
 class TestLru:
-    def test_eviction_bounds_entries(self, tree, catalog):
-        cache = PlanCache(max_entries=2)
+    def test_eviction_bounds_entries(self, tree, catalog, monkeypatch):
+        monkeypatch.setattr(optimizer, "PLAN_CACHE_ENTRIES", 2)
+        cache = PlanCache()
         star_cat = dict(catalog)
         star_cat.update(star_catalog(tree, num_satellites=2, seed=1))
         for query in (chain_query(3), chain_query(2), star_query(2)):
@@ -213,9 +199,10 @@ class TestLru:
         assert cache.hits == 0
         assert cache.misses == 4
 
-    def test_lookup_touches_lru_order(self, tree):
+    def test_lookup_touches_lru_order(self, tree, monkeypatch):
+        monkeypatch.setattr(optimizer, "PLAN_CACHE_ENTRIES", 2)
         catalog = chain_catalog(tree, num_relations=4, rows=200, seed=0)
-        cache = PlanCache(max_entries=2)
+        cache = PlanCache()
         optimize(chain_query(3), tree, catalog, cache=cache)
         optimize(chain_query(2), tree, catalog, cache=cache)
         optimize(chain_query(3), tree, catalog, cache=cache)  # touch
@@ -226,7 +213,7 @@ class TestLru:
 
 class TestCounters:
     def test_hits_and_misses_labeled_by_strategy(self, tree, catalog):
-        cache = PlanCache(admit_ratio=1.0)
+        cache = PlanCache()
         query = chain_query(3)
         with collecting() as registry:
             optimize(query, tree, catalog, cache=cache)
@@ -239,9 +226,6 @@ class TestCounters:
         }
         assert counters["repro_plan_cache_hits_total"] == {
             "strategy=optimized": 1
-        }
-        assert counters["repro_plan_cache_rejected_total"] == {
-            "strategy=gather": 1
         }
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.sim.cluster import Cluster, RoundContext
+from repro.sim.ledger import BITS_PER_ELEMENT
 from repro.topology.builders import star, two_level
 from tests.cluster_storage import put
 
@@ -198,9 +199,8 @@ class TestRouterSourceRegression:
 
 def test_the_constructor_builds_a_loaded_simulator():
     dist = Distribution({"v1": {"R": [1, 2]}, "v2": {"R": [3]}})
-    cluster = Cluster(star(3), dist, bits_per_element=32)
+    cluster = Cluster(star(3), dist)
     assert cluster.local("v1", "R").tolist() == [1, 2]
-    assert cluster.ledger.bits_per_element == 32
 
 
 def test_exchange_mode_kwarg_is_gone_not_ignored():
@@ -236,3 +236,15 @@ class TestRoundSpan:
         assert empty["round_cost"] == 0.0
         assert empty["bottleneck_edge"] is None
         assert empty["max_edge_load"] == 0
+
+    def test_bytes_by_tag_are_one_word_per_element(self, cluster):
+        from repro.obs.tracer import tracing
+
+        with tracing() as tracer:
+            with cluster.round() as ctx:
+                ctx.exchange_runs([0], [2], [3], [1, 1, 1], tag="a")
+                ctx.exchange_runs([1], [0], [5], [2] * 5, tag="b")
+        (attrs,) = self._round_attrs(tracer)
+        assert attrs["elements_by_tag"] == {"a": 3, "b": 5}
+        assert BITS_PER_ELEMENT == 64
+        assert attrs["bytes_by_tag"] == {"a": 24, "b": 40}

@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.sim.cluster import Cluster
-from repro.sim.ledger import CostLedger
+from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
+from repro.sim.protocol import ProtocolResult
 from repro.topology.builders import mpc_star, star
 from tests.link_loads import charge_round, link_loads
 
@@ -145,13 +146,12 @@ class TestAccounting:
         assert ledger.round_cost(0) == 0.0
 
     def test_bits_conversion(self, simple_star):
-        ledger = CostLedger(simple_star, bits_per_element=32)
-        charge_round(ledger, simple_star, {("v1", "w"): 10})
-        assert ledger.total_cost_bits() == 320.0
-
-    def test_rejects_nonpositive_bits(self, simple_star):
-        with pytest.raises(ProtocolError):
-            CostLedger(simple_star, bits_per_element=0)
+        # 10 elements over a bandwidth-2 link cost 5 elements: 320 bits
+        ledger = CostLedger(simple_star)
+        charge_round(ledger, simple_star, {("v2", "w"): 10})
+        result = ProtocolResult.from_ledger("demo", ledger)
+        assert result.cost == 5.0
+        assert result.cost_bits == 5.0 * BITS_PER_ELEMENT == 320.0
 
 
 class TestQueries:

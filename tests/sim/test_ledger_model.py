@@ -129,7 +129,6 @@ def assert_ledger_matches(ledger, outcomes, tree) -> None:
         assert_bottleneck(ledger.bottleneck(i), [outcome], tree)
     total = sum(outcome.cost for outcome in outcomes)
     assert ledger.total_cost() == total and type(ledger.total_cost()) is float
-    assert ledger.total_cost_bits() == total * ledger.bits_per_element
     assert_bottleneck(ledger.bottleneck(), outcomes, tree)
 
 

@@ -38,7 +38,7 @@ class TestErrorHierarchy:
 class TestProtocolResult:
     def make_ledger(self):
         tree = star(2)
-        ledger = CostLedger(tree, bits_per_element=32)
+        ledger = CostLedger(tree)
         charge_round(ledger, tree, {("v1", "w"): 10})
         charge_round(ledger, tree, {})
         return ledger
@@ -48,7 +48,7 @@ class TestProtocolResult:
         assert result.protocol == "demo"
         assert result.rounds == 2
         assert result.cost == 10.0
-        assert result.cost_bits == 320.0
+        assert result.cost_bits == 640.0
 
     def test_outputs_and_meta_default_empty(self):
         result = ProtocolResult.from_ledger("demo", self.make_ledger())

@@ -1,5 +1,7 @@
-"""``tools/reach_census.py`` counts a script given by a relative path."""
+"""``tools/reach_census.py``: script paths, relative or absolute, and the
+option census."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +40,31 @@ def test_relative_script_path_is_counted():
 def test_relative_and_absolute_paths_count_the_same():
     absolute = _main_row(str(ROOT / "src" / "repro" / "__main__.py"))
     assert _main_row("src/repro/__main__.py") == absolute
+
+
+def test_option_census_lists_only_parameters_never_set(
+    tmp_path, monkeypatch, capsys
+):
+    spec = importlib.util.spec_from_file_location(
+        "reach_census", ROOT / "tools" / "reach_census.py"
+    )
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    package = tmp_path / "package"
+    package.mkdir()
+    script = package / "script.py"
+    script.write_text(
+        "def f(a, set_me=1, *, left_alone='x'):\n"
+        "    return a\n"
+        "\n"
+        "f(0, set_me=5)\n"
+        "f(1)\n"
+    )
+    # count the throwaway script's functions instead of src/repro's
+    monkeypatch.setattr(census, "PACKAGE", package)
+    monkeypatch.setattr(census, "SRC", tmp_path)
+    monkeypatch.setattr(sys, "argv", list(sys.argv))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    census.main([str(script)])
+    listed = capsys.readouterr().out.split("every call: ")[1].splitlines()
+    assert listed == ["1", "package/script.py:1 f(left_alone)"]

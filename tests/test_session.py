@@ -10,7 +10,6 @@ from repro.errors import AnalysisError
 from repro.plan import PlanCache, chain_catalog, chain_query
 from repro.session import EngineSession
 from repro.context import current
-from repro.topology.artifacts import ArtifactCache
 from repro.topology.builders import two_level
 
 
@@ -105,14 +104,16 @@ class TestSessionRuns:
             session.run("set-intersection", dist)
         assert current().artifacts is None
 
-    def test_shared_artifact_cache_across_sessions(self, tree, dist):
-        shared = ArtifactCache()
-        with EngineSession(tree, artifact_cache=shared):
-            pass
-        with EngineSession(tree, artifact_cache=shared) as second:
+    def test_each_session_owns_its_artifact_cache(self, tree, dist):
+        with EngineSession(tree) as first:
+            first.run("set-intersection", dist)
+        with EngineSession(tree) as second:
             second.run("set-intersection", dist)
-        assert shared.misses == 1
-        assert shared.hits >= 1
+            stats = second.artifact_cache.stats()
+        assert second.artifact_cache is not first.artifact_cache
+        # the second session built its own artifacts once, then hit
+        assert stats["misses"] == 1
+        assert stats["hits"] >= 1
 
 
 def _collection_sizes(root) -> dict:
@@ -180,14 +181,18 @@ class TestSessionPlans:
             with pytest.raises(AnalysisError, match="no catalog"):
                 session.run_plan(chain_query(3))
 
-    def test_bring_your_own_plan_cache(self, tree):
+    def test_plan_cache_is_private_to_a_session(self, tree):
         catalog = chain_catalog(tree, num_relations=3, rows=200, seed=0)
-        shared = PlanCache()
-        with EngineSession(tree, catalog=catalog, plan_cache=shared) as one:
+        with EngineSession(tree, catalog=catalog) as one:
             one.run_plan(chain_query(3))
-        with EngineSession(tree, catalog=catalog, plan_cache=shared) as two:
+        with EngineSession(tree, catalog=catalog) as two:
             two.run_plan(chain_query(3))
-        assert shared.hits == 1
+            # a call cannot bring its own cache either
+            with pytest.raises(TypeError, match="plan_cache"):
+                two.run_plan(chain_query(3), plan_cache=PlanCache())
+        assert two.plan_cache is not one.plan_cache
+        assert two.plan_cache.stats()["hits"] == 0
+        assert two.plan_cache.stats()["misses"] == 1
 
 
 class TestRunMany:

@@ -5,14 +5,13 @@ import pytest
 
 from repro.context import current
 from repro.data.generators import random_distribution
-from repro.errors import ProtocolError
 from repro.obs.metrics import collecting
 from repro.sim.cluster import Cluster
+from repro.topology import artifacts as artifacts_module
 from repro.topology.artifacts import (
     ArtifactCache,
     TopologyArtifacts,
     resolve_artifacts,
-    topology_fingerprint,
     use_artifacts,
 )
 from repro.topology.builders import star, two_level
@@ -25,33 +24,25 @@ def _tree(name=None, uplink=2.0):
 
 class TestFingerprint:
     def test_structurally_equal_trees_share_fingerprint(self):
-        assert topology_fingerprint(_tree("a")) == topology_fingerprint(
-            _tree("b")
-        )
+        assert _tree("a").fingerprint == _tree("b").fingerprint
 
     def test_name_is_excluded(self):
         tree = _tree("first build")
         renamed = _tree("second build")
         assert tree.name != renamed.name
-        assert topology_fingerprint(tree) == topology_fingerprint(renamed)
+        assert tree.fingerprint == renamed.fingerprint
 
     def test_bandwidth_changes_fingerprint(self):
-        assert topology_fingerprint(_tree(uplink=2.0)) != topology_fingerprint(
-            _tree(uplink=4.0)
-        )
+        assert _tree(uplink=2.0).fingerprint != _tree(uplink=4.0).fingerprint
 
     def test_different_structure_changes_fingerprint(self):
-        assert topology_fingerprint(_tree()) != topology_fingerprint(
-            star(6)
-        )
+        assert _tree().fingerprint != star(6).fingerprint
 
 
 class TestTopologyArtifacts:
     def test_compute_order_is_canonical(self):
         tree = _tree()
-        artifacts = TopologyArtifacts(tree)
-        cluster = Cluster(tree, artifacts=artifacts)
-        assert artifacts.compute_order == cluster.compute_order
+        assert TopologyArtifacts(tree).compute_order == Cluster(tree).compute_order
 
 
 @pytest.fixture
@@ -84,13 +75,13 @@ class TestFingerprintOncePerTree:
         artifacts = cache.get(tree)
         assert cache.get(tree) is artifacts
         assert digest_walks == [tree]
-        assert artifacts.fingerprint == topology_fingerprint(tree)
+        assert artifacts.fingerprint == tree.fingerprint
 
     def test_artifacts_outside_a_cache_fingerprint_themselves(
         self, digest_walks
     ):
         tree = _tree()
-        assert TopologyArtifacts(tree).fingerprint == topology_fingerprint(tree)
+        assert TopologyArtifacts(tree).fingerprint == tree.fingerprint
         assert digest_walks == [tree]
 
 
@@ -109,20 +100,26 @@ class TestArtifactCache:
         assert second is first
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_lru_eviction_bounds_entries(self):
-        cache = ArtifactCache(max_entries=2)
-        trees = [_tree(uplink=bw) for bw in (1.0, 2.0, 4.0)]
-        for tree in trees:
-            cache.get(tree)
-        assert len(cache) == 2
+    @pytest.mark.parametrize("bound", [2, None], ids=["patched", "default"])
+    def test_lru_eviction_bounds_entries(self, monkeypatch, bound):
+        if bound is None:
+            bound = artifacts_module.ARTIFACT_CACHE_ENTRIES
+        else:
+            monkeypatch.setattr(artifacts_module, "ARTIFACT_CACHE_ENTRIES", bound)
+        cache = ArtifactCache()
+        for index in range(bound + 1):
+            cache.get(_tree(uplink=1.0 + index))
+        assert len(cache) == bound
+        assert cache.misses == bound + 1
         # the first topology was evicted: re-getting rebuilds (a miss)
         cache.get(_tree(uplink=1.0))
-        assert cache.misses == 4
+        assert cache.misses == bound + 2
 
-    def test_a_hit_refreshes_recency(self):
+    def test_a_hit_refreshes_recency(self, monkeypatch):
         # A, B, A, C with room for two: the second A made B the least
         # recently used, so C evicts B and a rebuilt A still hits
-        cache = ArtifactCache(max_entries=2)
+        monkeypatch.setattr(artifacts_module, "ARTIFACT_CACHE_ENTRIES", 2)
+        cache = ArtifactCache()
         a, b, c = (_tree(uplink=bw) for bw in (1.0, 2.0, 4.0))
         for tree in (a, b, a, c):
             cache.get(tree)
@@ -176,22 +173,28 @@ class TestRunScope:
 
 
 class TestClusterIntegration:
-    def test_explicit_artifacts_are_used(self):
+    def test_installed_artifacts_are_used(self):
         tree = _tree()
-        artifacts = TopologyArtifacts(tree)
-        cluster = Cluster(tree, artifacts=artifacts)
+        with use_artifacts(ArtifactCache()) as cache:
+            artifacts = cache.get(tree)
+            cluster = Cluster(tree)
         assert cluster.artifacts is artifacts
         assert cluster.oracle is artifacts.oracle
 
-    def test_structurally_equal_artifacts_accepted(self):
-        artifacts = TopologyArtifacts(_tree("a"))
-        cluster = Cluster(_tree("b"), artifacts=artifacts)
+    def test_structurally_equal_artifacts_are_shared(self):
+        with use_artifacts(ArtifactCache()) as cache:
+            artifacts = cache.get(_tree("a"))
+            cluster = Cluster(_tree("b"))
         assert cluster.artifacts is artifacts
 
-    def test_mismatched_artifacts_rejected(self):
-        artifacts = TopologyArtifacts(_tree(uplink=2.0))
-        with pytest.raises(ProtocolError):
-            Cluster(_tree(uplink=4.0), artifacts=artifacts)
+    def test_mismatched_trees_get_their_own_artifacts(self):
+        with use_artifacts(ArtifactCache()) as cache:
+            other = cache.get(_tree(uplink=2.0))
+            tree = _tree(uplink=4.0)
+            cluster = Cluster(tree)
+        assert cluster.artifacts is not other
+        assert cluster.artifacts.fingerprint == tree.fingerprint
+        assert cache.misses == 2
 
     def test_shared_artifacts_do_not_change_ledger(self):
         tree = _tree()

@@ -1,6 +1,6 @@
 """Pure functions of an immutable tree are worked out once per tree.
 
-``TreeTopology.fingerprint`` (what ``topology_fingerprint`` returns) and
+``TreeTopology.fingerprint`` (the key of every topology cache) and
 the default-rooted ``left_to_right_compute_order`` are memoized on the
 tree: the digest must stay byte-equal to walking the tree again, a
 derived tree must get its own, a pickled tree must come back with the
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.topology.artifacts import topology_fingerprint
 from repro.topology.tree import node_sort_key
 from tests.strategies import BANDWIDTH_CHOICES, shaped_trees, tree_topologies
 
@@ -41,8 +40,8 @@ any_tree = st.one_of(tree_topologies(min_nodes=2, max_nodes=14), shaped_trees())
 @given(any_tree)
 @settings(max_examples=150, deadline=None)
 def test_the_memoized_digest_is_the_recomputed_one(tree):
-    assert topology_fingerprint(tree) == recomputed_fingerprint(tree)
-    assert topology_fingerprint(tree) is topology_fingerprint(tree)
+    assert tree.fingerprint == recomputed_fingerprint(tree)
+    assert tree.fingerprint is tree.fingerprint
     assert pickle.loads(pickle.dumps(tree)).fingerprint == tree.fingerprint
 
 

@@ -19,6 +19,14 @@ inside every ``benchmark(...)`` call, which would hide what it times::
     BENCH_SMALL=1 python tools/reach_census.py \\
         "$(python -c 'import os, pytest; print(os.path.dirname(pytest.__file__))')/__main__.py" \\
         benchmarks -q -p no:cacheprovider --benchmark-disable
+
+After the table comes the option census: the same hook compares, on
+every entry of a ``src/repro`` function, each parameter that has a
+default with the value it received, and the census prints the parameters
+that every run left at their default -- options no caller sets, each a
+constant in waiting.  A default is evaluated in its module's globals;
+one that names anything else (an enclosing local, a class attribute) is
+not counted.
 """
 
 import ast
@@ -53,14 +61,71 @@ def defined_functions() -> dict:
     return functions
 
 
-def run_scripts(commands: list) -> set:
-    """Run each ``[script, *args]`` as ``__main__``; the reached functions."""
-    reached, prefix = set(), str(PACKAGE)
+def defaulted_parameters() -> dict:
+    """``(file, first line) -> (name, {parameter: default source})`` per
+    function with at least one defaulted parameter."""
+    functions = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, FUNCTION):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [
+                    *zip(positional[len(positional) - len(args.defaults):],
+                         args.defaults),
+                    *((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None),
+                ]
+                if pairs:
+                    functions[str(path), _span(node).start] = (
+                        node.name, {a.arg: ast.unparse(d) for a, d in pairs}
+                    )
+    return functions
+
+
+def _same(value, default) -> bool:
+    """``value`` is the default: the same object, or an equal one of its type."""
+    if value is default:
+        return True
+    if type(value) is not type(default):
+        return False
+    try:
+        return bool(value == default)
+    except Exception:  # an array compared elementwise, say
+        return False
+
+
+def run_scripts(commands: list, options: dict) -> set:
+    """Run each ``[script, *args]`` as ``__main__``; the reached functions.
+
+    Also the option census, in ``options`` (:func:`defaulted_parameters`)
+    in place: a function's default sources become their values on its
+    first entry, and every parameter that ever receives another value
+    than its default is deleted."""
+    reached, prefix, evaluated = set(), str(PACKAGE), set()
 
     def hook(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(prefix):
-            reached.add((code.co_filename, code.co_firstlineno))
+            key = (code.co_filename, code.co_firstlineno)
+            reached.add(key)
+            if key in options:
+                check(key, frame)
+
+    def check(key, frame):
+        parameters = options[key][1]
+        if key not in evaluated:
+            evaluated.add(key)
+            for name, source in list(parameters.items()):
+                try:
+                    parameters[name] = eval(source, frame.f_globals)
+                except Exception:  # a default that is not module-level
+                    del parameters[name]
+        if parameters:
+            received = frame.f_locals
+            for name, default in list(parameters.items()):
+                if not _same(received.get(name, default), default):
+                    del parameters[name]
 
     sys.path.insert(0, str(SRC))
     for command in commands:
@@ -92,7 +157,8 @@ def main(argv: list) -> None:
             current = []
     if not commands:
         sys.exit(__doc__)
-    reached = run_scripts(commands)
+    options = defaulted_parameters()
+    reached = run_scripts(commands, options)
     modules: dict = {}
     for key, body in defined_functions().items():
         counts = modules.setdefault(key[0], [0, 0, 0])
@@ -105,6 +171,20 @@ def main(argv: list) -> None:
     rows = [(str(Path(f).relative_to(SRC)), *c) for f, c in sorted(modules.items())]
     for name, hit, count, missed in [*rows, ("total", *map(sum, zip(*modules.values())))]:
         print(f"{name:<44} {f'{hit}/{count}':>9} {missed:>16}")
+    print_options(options, reached)
+
+
+def print_options(options: dict, reached: set) -> None:
+    """The parameters of reached functions that no call ever set."""
+    never = [
+        (str(Path(key[0]).relative_to(SRC)), key[1], name, parameter)
+        for key, (name, parameters) in sorted(options.items())
+        if key in reached
+        for parameter in parameters
+    ]
+    print(f"\noptions left at their default in every call: {len(never)}")
+    for module, line, name, parameter in never:
+        print(f"{module}:{line} {name}({parameter})")
 
 
 if __name__ == "__main__":
