@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.intersection.tree import intersect_columns
 from repro.data.distribution import Distribution
-from repro.queries.aggregate import hashed_groupby_round
+from repro.queries.aggregate import groupby_hasher, hashed_groupby_round
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS
 from repro.registry import register_protocol
@@ -158,7 +158,7 @@ def uniform_hash_groupby(
     cluster = Cluster(tree, distribution)
     outputs = hashed_groupby_round(
         cluster,
-        _uniform_hasher(cluster, seed, "uniform-groupby"),
+        groupby_hasher("uniform-hash", cluster.compute_order, None, seed),
         tag=tag,
         recv_tag=_AGG_RECV,
         op=op,

@@ -307,7 +307,6 @@ def run_with_result(
     ) as root:
         started = perf_counter()
         # A one-shot artifact scope: clusters the protocol builds
-        # (one for most tasks, one per superstep for graph drivers)
         # share topology artifacts within this run; inside an
         # EngineSession the session's long-lived cache is reused
         # instead — run() is a thin one-shot session.

@@ -7,9 +7,9 @@ package opens that workload family on the same cost model:
 
 - **`model`** — edges as packed 64-bit ``(src, dst)`` elements and
   :class:`PlacedGraph`, the per-node edge placement;
-- **`iterate`** — :class:`SuperstepDriver`, which composes registered
-  protocols across supersteps on one master ledger and reports them as
-  a :class:`~repro.report.GraphRunReport`;
+- **`iterate`** — :class:`SuperstepDriver`, which runs a workload's
+  supersteps as rounds of one cluster and ledger, one report row per
+  step, and the facades' :class:`~repro.report.GraphRunReport`;
 - **`components`** — hash-to-min connected components (registered task
   ``connected-components`` with ``tree`` / ``uniform-hash`` /
   ``gather`` protocols);

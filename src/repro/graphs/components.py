@@ -3,8 +3,9 @@
 The MPC connectivity literature (Andoni et al. 2018, Behnezhad et al.
 2019) solves connectivity by repeated shuffle/aggregate supersteps;
 this module runs the classic *hash-to-min* label propagation on the
-paper's cost model, with the per-round shuffle dispatched to a
-**registered** ``groupby-aggregate`` protocol so the topology-aware /
+paper's cost model, each superstep's shuffle being one round of a
+**registered** ``groupby-aggregate`` protocol (its owner hash and its
+kernel, run on the driver's cluster) so the topology-aware /
 topology-agnostic comparison is inherited from the substrate:
 
 * every vertex starts labelled with its own id;
@@ -45,7 +46,14 @@ from repro.graphs.model import (
     PlacedGraph,
     decode_edges,
 )
-from repro.queries.aggregate import GroupOutputs
+from repro.obs.audit import get_auditor
+from repro.obs.tracer import get_tracer
+from repro.queries.aggregate import (
+    GroupOutputs,
+    groupby_hasher,
+    groupby_lower_bound,
+    hashed_groupby_round,
+)
 from repro.queries.tuples import decode_tuples, encode_tuples
 from repro.registry import register_protocol, register_task
 from repro.report import GraphRunReport
@@ -59,6 +67,10 @@ from repro.util.grouping import (
     unique_rows,
 )
 
+_GROUPBY = "groupby-aggregate"
+#: the registered group-by protocols' receive tag, so a superstep's
+#: shuffle is the same round as theirs in every per-tag metric
+_SHUFFLE_RECV = "aggregate.recv"
 _LABEL_RECV = "cc.labels.recv"
 _GATHER_RECV = "cc.gather.recv"
 
@@ -219,7 +231,8 @@ def _hash_to_min(
     tree.require_symmetric("connected components")
     distribution.validate_for(tree)
     driver = SuperstepDriver(tree)
-    computes = driver.cluster.compute_order
+    cluster = driver.cluster
+    computes = cluster.compute_order
     base_meta = {
         "tag": tag,
         "payload_bits": VERTEX_BITS,
@@ -227,8 +240,7 @@ def _hash_to_min(
     }
     fragments = [distribution.fragment(v, tag) for v in computes]
     sizes = np.fromiter(map(len, fragments), np.int64, len(computes))
-    holders = np.flatnonzero(sizes)
-    if not len(holders):
+    if not sizes.any():
         outputs: dict = {v: KeyValueArrays.empty() for v in computes}
         return driver, outputs, dict(
             base_meta, num_vertices=0, num_supersteps=0, converged=True
@@ -271,6 +283,26 @@ def _hash_to_min(
     if max_supersteps is None:
         max_supersteps = len(all_vertices) + 2
 
+    # Every superstep shuffles the same keys from the same holders (only
+    # the labels in the payload change), so the shuffle's owner hash, its
+    # group-by bound and its group count are fixed before the first one.
+    def shuffle_input(payload: np.ndarray) -> Distribution:
+        """Every node's messages ``(key, payload)``, as relation ``R``."""
+        messages = encode_tuples(message_keys, payload, payload_bits=VERTEX_BITS)
+        return Distribution.from_columns(computes, {"R": (messages, message_offsets)})
+
+    tracer = get_tracer()
+    auditor = get_auditor()
+    shuffle = f"{shuffle_protocol}-groupby"
+    hasher = groupby_hasher(shuffle_protocol, computes, np.diff(message_offsets), seed)
+    with tracer.span("groupby bound", category="bound", task=_GROUPBY):
+        # the bound reads keys and holders only: any payload will do
+        bound = groupby_lower_bound(
+            tree, shuffle_input(message_keys), payload_bits=VERTEX_BITS
+        )
+    op_meta = {"op": "min", "pre_aggregate": pre_aggregate, "payload_bits": VERTEX_BITS}
+    step_meta = {"result": op_meta, "bound": bound.description}
+
     converged = False
     owned: dict = {}
     for step in range(1, max_supersteps + 1):
@@ -282,27 +314,40 @@ def _hash_to_min(
             )
         else:
             proposals = labels[message_rows]
-        messages = encode_tuples(
-            message_keys, proposals, payload_bits=VERTEX_BITS
-        )
-        placements = {
-            computes[i]: {
-                "R": messages[message_offsets[i] : message_offsets[i + 1]]
-            }
-            for i in holders.tolist()
-        }
-        result = driver.protocol_step(
-            "groupby-aggregate",
-            Distribution(placements),
-            protocol=shuffle_protocol,
+        cluster.load(shuffle_input(proposals))
+        with driver.step(
+            task=_GROUPBY,
+            protocol=shuffle,
             label=f"superstep {step} shuffle",
-            seed=seed,
-            op="min",
-            payload_bits=VERTEX_BITS,
-            pre_aggregate=pre_aggregate,
-        )
+            phase="protocol",
+            input_size=len(message_keys),
+            lower_bound=bound.value,
+            meta=step_meta,
+        ):
+            owned = hashed_groupby_round(
+                cluster,
+                hasher,
+                tag="R",
+                recv_tag=_SHUFFLE_RECV,
+                op="min",
+                payload_bits=VERTEX_BITS,
+                pre_aggregate=pre_aggregate,
+            )
+            # every vertex some fragment touches is one group
+            with tracer.span("groupby verify", category="verify", task=_GROUPBY):
+                if owned.bounds[-1] != len(all_vertices):
+                    raise ProtocolError(
+                        f"{shuffle} emitted {owned.bounds[-1]} of "
+                        f"{len(all_vertices)} groups"
+                    )
+            auditor.check_bound(
+                cost=driver.ledger.round_cost(-1),
+                bound=bound.value,
+                task=_GROUPBY,
+                protocol=shuffle,
+                per_instance=False,
+            )
         # Every owner's output as one (owner, vertex, label) relation.
-        owned = GroupOutputs.of(result.outputs, computes)
         out_owner = np.repeat(np.arange(len(computes)), np.diff(owned.bounds))
         out_vertices, out_labels = owned.keys_array, owned.values_array
         positions = np.searchsorted(all_vertices, out_vertices)
@@ -350,14 +395,10 @@ def _hash_to_min(
                 ),
                 tag=_LABEL_RECV,
             )
-        received = [
-            driver.cluster.take(computes[i], _LABEL_RECV)
-            for i in holders.tolist()
-        ]
+        got_owner, received = cluster.take_column(_LABEL_RECV)
         got_vertices, got_labels = decode_tuples(
-            np.concatenate(received), payload_bits=VERTEX_BITS
+            received, payload_bits=VERTEX_BITS
         )
-        got_owner = np.repeat(holders, np.fromiter(map(len, received), np.intp))
         # An owner that also holds edges of a vertex updates its own row
         # for free; subscribers update from what the leg delivered.
         keys = _row_keys(

@@ -67,13 +67,13 @@ class GroupOutputs(NodeOutputs):
         return KeyValueArrays(self.keys_array[lo:hi], self.values_array[lo:hi])
 
     @classmethod
-    def of(cls, outputs, nodes: tuple | None = None) -> "GroupOutputs":
-        """``outputs`` over ``nodes`` (default: its own): what the
-        registered group-by protocols return; a plain ``{node: groups}``
-        is converted here, once."""
-        if isinstance(outputs, GroupOutputs) and nodes in (None, outputs.nodes):
+    def of(cls, outputs) -> "GroupOutputs":
+        """``outputs`` as one :class:`GroupOutputs`: what the registered
+        group-by protocols return; a plain ``{node: groups}`` is
+        converted here, once."""
+        if isinstance(outputs, GroupOutputs):
             return outputs
-        nodes = tuple(outputs) if nodes is None else nodes
+        nodes = tuple(outputs)
         owned = [KeyValueArrays.from_dict(outputs.get(v) or {}) for v in nodes]
         return cls(
             nodes,
@@ -114,6 +114,23 @@ def combine_per_key(
     )[1:]
 
 
+def groupby_hasher(
+    protocol: str, computes: tuple, sizes: np.ndarray | None, seed: int
+) -> WeightedNodeHasher:
+    """The owner hash of the registered group-by ``protocol``.
+
+    ``tree`` picks each key's owner among ``computes`` with probability
+    proportional to the tuples the node holds (``sizes``, in the same
+    order); the ``uniform-hash`` baseline weighs every node alike and
+    reads no sizes.
+    """
+    if protocol == "uniform-hash":
+        return WeightedNodeHasher(
+            computes, [1.0] * len(computes), derive_seed(seed, "uniform-groupby")
+        )
+    return WeightedNodeHasher(computes, sizes, derive_seed(seed, "groupby"))
+
+
 def hashed_groupby_round(
     cluster: Cluster,
     hasher: WeightedNodeHasher,
@@ -127,12 +144,15 @@ def hashed_groupby_round(
     """Combine, shuffle by ``hasher`` and finalize: one group-by round.
 
     Shared by the tree protocol and the uniform-hash baseline, which
-    differ only in the hash weights.  With ``pre_aggregate`` every node
-    ships one partial per key (``count`` partials are counts, so the
-    owners finalize them by ``sum``); without it raw tuples travel and
-    finalize under ``op``.  Returns the per-node
-    :class:`~repro.data.columns.KeyValueArrays` outputs as one
-    :class:`GroupOutputs`.
+    differ only in the hash (:func:`groupby_hasher`), and by the
+    hash-to-min supersteps of :mod:`repro.graphs.components`.  With
+    ``pre_aggregate`` every node ships one partial per key (``count``
+    partials are counts, so the owners finalize them by ``sum``);
+    without it raw tuples travel and finalize under ``op``.  The round
+    consumes ``tag`` and what arrives under ``recv_tag``, so a driver
+    can run one per superstep on the same cluster.  Returns the
+    per-node :class:`~repro.data.columns.KeyValueArrays` outputs as
+    one :class:`GroupOutputs`.
     """
     with cluster.round() as ctx:
         owners, payload = cluster.column(tag)
@@ -144,7 +164,8 @@ def hashed_groupby_round(
             payload = encode_tuples(keys, values, payload_bits=payload_bits)
         order, *runs = runs_by_target(owners, hasher.assign_indices(keys))
         ctx.exchange_runs(*runs, payload[order], tag=recv_tag)
-    owners, received = cluster.column(recv_tag)
+    cluster.take_column(tag)
+    owners, received = cluster.take_column(recv_tag)
     keys, values = decode_tuples(received, payload_bits=payload_bits)
     owners, keys, values = combine_per_node_key(
         owners, keys, values, "sum" if pre_aggregate and op == "count" else op
@@ -236,10 +257,9 @@ def tree_groupby_aggregate(
             meta={"op": op, "payload_bits": payload_bits},
         )
 
-    hasher = WeightedNodeHasher(computes, sizes, derive_seed(seed, "groupby"))
     outputs = hashed_groupby_round(
         cluster,
-        hasher,
+        groupby_hasher("tree", computes, sizes, seed),
         tag=tag,
         recv_tag=_RECV,
         op=op,

@@ -701,6 +701,11 @@ class Cluster:
         """Remove and return ``node``'s data under ``tag`` (read-only)."""
         return self._storage.pop(node, str(tag))
 
+    def take_column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """Remove relation ``tag`` from every node; return it as
+        :meth:`column` does."""
+        return self._storage.pop_column(str(tag))
+
     def local_size(self, node: NodeId, tag: str | None = None) -> int:
         """Element count at ``node`` for one tag or across all tags."""
         return self._storage.size(node, None if tag is None else str(tag))

@@ -206,6 +206,12 @@ class ColumnarStore:
             state.owners.setflags(write=False)
         return state.owners, state.tables[0][0]
 
+    def pop_column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """Remove a whole tag and return it as :meth:`column` would."""
+        column = self.column(tag)
+        self._tags.pop(tag, None)
+        return column
+
     def size(self, node, tag: str | None = None) -> int:
         """Element count for one column, or across a node's columns."""
         tags = self._tags if tag is None else (tag,)

@@ -9,7 +9,9 @@ from repro.graphs import (
     incidence_distribution,
     run_degrees,
 )
+from repro.engine import run_with_result
 from repro.obs.tracer import tracing
+from repro.queries.aggregate import groupby_hasher, hashed_groupby_round
 from repro.topology.builders import two_level
 from tests.model.tasks import degrees
 
@@ -22,37 +24,59 @@ def instance():
     return tree, graph
 
 
+def shuffle_step(driver, dist, label, protocol="tree", seed=0):
+    """One degree-count group-by round as a step of ``driver``: the
+    registered ``protocol``'s hash and kernel, on the driver's cluster."""
+    cluster = driver.cluster
+    computes = cluster.compute_order
+    cluster.load(dist)
+    with driver.step(
+        task="groupby-aggregate",
+        protocol=protocol,
+        label=label,
+        phase="protocol",
+        input_size=dist.total(),
+        lower_bound=1.5,
+    ):
+        return hashed_groupby_round(
+            cluster,
+            groupby_hasher(protocol, computes, dist.sizes_over(computes, "R"), seed),
+            tag="R",
+            recv_tag="aggregate.recv",
+            op="count",
+            payload_bits=20,
+            pre_aggregate=True,
+        )
+
+
 class TestSuperstepDriver:
-    def test_absorbed_cost_equals_inner_cost(self, instance):
+    @pytest.mark.parametrize("protocol", ["tree", "uniform-hash"])
+    def test_a_step_is_the_registered_protocols_round(self, instance, protocol):
         tree, graph = instance
         driver = SuperstepDriver(tree)
         dist = incidence_distribution(graph)
-        result = driver.protocol_step(
-            "groupby-aggregate",
-            dist,
-            label="step 1",
-            protocol="tree",
-            seed=1,
-            op="count",
-            payload_bits=20,
+        owned = shuffle_step(driver, dist, "step 1", protocol, seed=1)
+        _, result = run_with_result(
+            "groupby-aggregate", tree, dist, protocol=protocol, seed=1,
+            op="count", payload_bits=20,
         )
-        assert driver.total_cost == pytest.approx(result.cost)
-        assert driver.num_rounds == result.rounds
-        # round boundaries preserved: per-round costs match too
-        for i in range(result.rounds):
-            assert driver.ledger.round_cost(i) == pytest.approx(
-                result.ledger.round_cost(i)
-            )
+        assert driver.ledger.num_rounds == result.rounds == 1
+        assert driver.ledger.round_loads(0) == result.ledger.round_loads(0)
+        assert driver.ledger.total_cost() == result.cost
+        assert dict(owned.items()) == dict(result.outputs.items())
+        (row,) = driver.steps
+        assert (row.placement, row.rounds, row.cost, row.lower_bound) == (
+            "step 1", 1, result.cost, 1.5
+        )
 
     def test_steps_accumulate_in_order(self, instance):
         tree, graph = instance
         driver = SuperstepDriver(tree)
-        dist = incidence_distribution(graph)
-        driver.protocol_step(
-            "groupby-aggregate", dist, label="first", protocol="tree",
-            op="count", payload_bits=20,
-        )
+        shuffle_step(driver, incidence_distribution(graph), "first")
         computes = driver.cluster.compute_order
+        # the shuffle consumed its input and what it received
+        for tag in ("R", "aggregate.recv"):
+            assert len(driver.cluster.column(tag)[1]) == 0
         with driver.cluster_round(
             task="demo", protocol="raw", label="second", input_size=3
         ) as ctx:
@@ -61,7 +85,8 @@ class TestSuperstepDriver:
         assert labels == ["first", "second"]
         assert driver.steps[1].input_size == 3
         assert driver.steps[1].cost > 0
-        assert driver.num_rounds == 2
+        assert driver.steps[1].meta == {"driver_round": 1}
+        assert driver.ledger.num_rounds == 2
         received = driver.cluster.take(computes[1], "demo.recv")
         assert received.tolist() == [1, 2, 3]
 
@@ -77,33 +102,24 @@ class TestSuperstepDriver:
         (step,) = [e for e in tracer.events if e.name == "round"]
         assert step.attrs["elements"] == 41
 
-    def test_report_packages_totals(self, instance):
+    def test_a_failed_step_records_no_row(self, instance):
         tree, graph = instance
         driver = SuperstepDriver(tree)
-        driver.protocol_step(
-            "groupby-aggregate",
-            incidence_distribution(graph),
-            label="only",
-            protocol="tree",
-            op="count",
-            payload_bits=20,
-        )
-        report = driver.report(
-            task="demo-task",
-            protocol="demo",
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-        )
-        assert report.cost == pytest.approx(driver.total_cost)
-        assert report.num_supersteps == 1
-        assert report.converged
+        shuffle_step(driver, incidence_distribution(graph), "kept")
+        with tracing() as tracer, pytest.raises(RuntimeError):
+            with driver.step(
+                task="demo", protocol="raw", label="broken", phase="protocol",
+                input_size=5,
+            ):
+                raise RuntimeError("step body failed")
+        assert [step.placement for step in driver.steps] == ["kept"]
+        (span,) = [e for e in tracer.events if e.name == "broken"]
+        assert "error" in span.attrs and "elements" not in span.attrs
 
 
 class TestDegrees:
     def test_degree_counts_match_reference(self, instance):
         tree, graph = instance
-        from repro.engine import run_with_result
-
         _, result = run_with_result(
             "groupby-aggregate",
             tree,

@@ -54,6 +54,12 @@ def assert_run_matches_the_model(tree, distribution, protocol, seed=0):
         report.lower_bound, bounds.value(bounds.components(tree, distribution))
     )
     rows = result.meta["supersteps"]
+    # Node v's message keys are the vertices v's fragment touches, every
+    # superstep: the shuffle's bound is the model's shared-vertex count.
+    shared_vertices = bounds.value(bounds.triangles(tree, distribution))
+    for row in rows:
+        if row["placement"].endswith(" shuffle"):
+            assert math.isclose(row["lower_bound"], shared_vertices), row["placement"]
     assert sum(row["rounds"] for row in rows) == report.rounds
     assert math.isclose(sum(row["cost"] for row in rows), report.cost)
 

@@ -344,7 +344,6 @@ IDENTITY = {
         "repro_verify_total": {"outcome=pass|task=cartesian-product": 1},
     },
     "metrics connected-components --racks 4 --edges 400": {
-        "repro_artifact_cache_hits_total": {"": 6},
         "repro_artifact_cache_misses_total": {"": 1},
         "repro_delivered_elements_total": {
             "tag=aggregate.recv": 4242,
@@ -367,7 +366,6 @@ IDENTITY = {
         "repro_rounds_total": {"": 11},
         "repro_runs_total": {
             "protocol=tree|status=ok|task=connected-components": 1,
-            "protocol=tree|status=ok|task=groupby-aggregate": 6,
         },
         "repro_superstep_elements_total": {
             "phase=cluster-round|task=connected-components": 557,
@@ -386,7 +384,6 @@ IDENTITY = {
         "metrics connected-components --racks 4 --edges 400"
         " --protocol uniform-hash"
     ): {
-        "repro_artifact_cache_hits_total": {"": 8},
         "repro_artifact_cache_misses_total": {"": 1},
         "repro_delivered_elements_total": {
             "tag=aggregate.recv": 12056,
@@ -405,7 +402,6 @@ IDENTITY = {
         "repro_rounds_total": {"": 15},
         "repro_runs_total": {
             "protocol=uniform-hash|status=ok|task=connected-components": 1,
-            "protocol=uniform-hash|status=ok|task=groupby-aggregate": 8,
         },
         "repro_superstep_elements_total": {
             "phase=cluster-round|task=connected-components": 1344,

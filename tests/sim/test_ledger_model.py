@@ -5,9 +5,9 @@ single-node tree included — and random rounds mixing every registration
 form run twice: through production (loads as one ``(2, links)`` array
 from the push-up to the report) and through the model's transfer walk
 (``tests/model/rounds.py``).  Every ledger query must agree with ``==``,
-also after a superstep driver absorbs the ledger; costs are sums and
-quotients of the same integers and bandwidths, so there is no tolerance
-to grant.
+also when a superstep driver records the rounds as one step; costs are
+sums and quotients of the same integers and bandwidths, so there is no
+tolerance to grant.
 """
 
 import math
@@ -139,7 +139,14 @@ def test_array_ledger_matches_the_model(instance):
     ledger = _replay(Cluster(tree), program).ledger
     outcomes = _replay(ModelCluster(tree), program).outcomes
     assert_ledger_matches(ledger, outcomes, tree)
-    # an absorbed ledger is the inner one, round for round
+    # a superstep driver's step records the same rounds, round for round
     driver = SuperstepDriver(tree)
-    driver._absorb(ledger)
+    with driver.step(
+        task="replay", protocol="replay", label="program", phase="protocol",
+        input_size=0,
+    ):
+        _replay(driver.cluster, program)
     assert_ledger_matches(driver.ledger, outcomes, tree)
+    (row,) = driver.steps
+    assert row.rounds == len(outcomes)
+    assert row.cost == sum(outcome.cost for outcome in outcomes)

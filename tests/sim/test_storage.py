@@ -269,7 +269,7 @@ class TestStoreModel:
             op = data.draw(
                 st.sampled_from(
                     ("install", "install", "append", "view", "pop", "discard",
-                     "sizes", "column")
+                     "sizes", "column", "pop_column")
                 )
             )
             tag = data.draw(st.sampled_from(self.TAGS))
@@ -308,8 +308,8 @@ class TestStoreModel:
             elif op == "discard":
                 store.discard(node, tag)
                 model.pop((node, tag), None)
-            elif op == "column":
-                owners, values = store.column(tag)
+            elif op in ("column", "pop_column"):
+                owners, values = getattr(store, op)(tag)
                 expected = [
                     (i, value)
                     for i, name in enumerate(self.NODES)
@@ -317,6 +317,9 @@ class TestStoreModel:
                 ]
                 assert list(zip(owners.tolist(), values.tolist())) == expected
                 assert not values.flags.writeable
+                if op == "pop_column":
+                    for name in self.NODES:
+                        model.pop((name, tag), None)
             expected_sizes: dict = {}
             for (name, held_tag), held in model.items():
                 expected_sizes.setdefault(name, {})[held_tag] = len(held)
