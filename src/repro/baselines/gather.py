@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distribution import Distribution
-from repro.queries.aggregate import GroupOutputs, combine_per_key
+from repro.queries.aggregate import GroupOutputs, combine_per_key, require_op
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
 from repro.registry import register_protocol
@@ -70,19 +70,17 @@ def gather_equijoin(
     distribution: Distribution,
     *,
     target: NodeId | None = None,
-    r_tag: str = "R",
-    s_tag: str = "S",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     materialize: bool = False,
 ) -> ProtocolResult:
     """Ship both encoded relations to one node; join there."""
     distribution.validate_for(tree)
     if target is None:
-        target = _pick_target(tree, distribution, (r_tag, s_tag))
+        target = _pick_target(tree, distribution, ("R", "S"))
     cluster = Cluster(tree, distribution)
     owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
-        for tag in (r_tag, s_tag):
+        for tag in ("R", "S"):
             gather_relation(
                 ctx,
                 cluster.compute_order,
@@ -92,10 +90,10 @@ def gather_equijoin(
                 recv_tag=f"{_RECV}.{tag}",
             )
     r_all = np.concatenate(
-        [cluster.local(target, r_tag), cluster.local(target, f"{_RECV}.{r_tag}")]
+        [cluster.local(target, "R"), cluster.local(target, f"{_RECV}.R")]
     )
     s_all = np.concatenate(
-        [cluster.local(target, s_tag), cluster.local(target, f"{_RECV}.{s_tag}")]
+        [cluster.local(target, "S"), cluster.local(target, f"{_RECV}.S")]
     )
     # every tuple sits at the target: the relation-wide join, one owner
     dtype = index_dtype(len(cluster.compute_order))
@@ -126,7 +124,6 @@ def gather_groupby(
     *,
     op: str = "sum",
     target: NodeId | None = None,
-    tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
 ) -> ProtocolResult:
     """Ship every tuple to one node; aggregate per key there.
@@ -134,17 +131,18 @@ def gather_groupby(
     No combiner: the point of the baseline is the cost of centralizing
     raw data, which the pre-aggregated tree protocol avoids.
     """
+    require_op(op)
     distribution.validate_for(tree)
     if target is None:
-        target = _pick_target(tree, distribution, (tag,))
+        target = _pick_target(tree, distribution, ("R",))
     cluster = Cluster(tree, distribution)
     owner = cluster.artifacts.compute_position[target]
     with cluster.round() as ctx:
         gather_relation(
-            ctx, cluster.compute_order, distribution, tag, owner, recv_tag=_RECV
+            ctx, cluster.compute_order, distribution, "R", owner, recv_tag=_RECV
         )
     gathered = np.concatenate(
-        [cluster.local(target, tag), cluster.local(target, _RECV)]
+        [cluster.local(target, "R"), cluster.local(target, _RECV)]
     )
     keys, values = decode_tuples(gathered, payload_bits=payload_bits)
     final_keys, final_values = combine_per_key(keys, values, op)

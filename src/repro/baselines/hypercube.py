@@ -53,14 +53,12 @@ def classic_hypercube_cartesian_product(
     tree: TreeTopology,
     distribution: Distribution,
     *,
-    r_tag: str = "R",
-    s_tag: str = "S",
     materialize: bool = False,
 ) -> ProtocolResult:
     """Run the equal-rectangles HyperCube on any tree."""
     distribution.validate_for(tree)
-    r_total = distribution.total(r_tag)
-    s_total = distribution.total(s_tag)
+    r_total = distribution.total("R")
+    s_total = distribution.total("S")
     cluster = Cluster(tree, distribution)
     computes = cluster.compute_order
     if r_total == 0 or s_total == 0:
@@ -83,17 +81,15 @@ def classic_hypercube_cartesian_product(
         )
     coverage = coverage_report(tiles, r_total, s_total)
 
-    labeling = GridLabeling.from_distribution(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
+    labeling = GridLabeling.from_distribution(tree, distribution)
     with cluster.round() as ctx:
         route_axis(
             ctx, cluster, labeling, tiles,
-            axis="r", source_tag=r_tag, recv_tag=R_RECV,
+            axis="r", source_tag="R", recv_tag=R_RECV,
         )
         route_axis(
             ctx, cluster, labeling, tiles,
-            axis="s", source_tag=s_tag, recv_tag=S_RECV,
+            axis="s", source_tag="S", recv_tag=S_RECV,
         )
     outputs = collect_outputs(cluster, labeling, tiles, materialize=materialize)
     return ProtocolResult.from_ledger(

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from repro.core.intersection.tree import intersect_columns
 from repro.data.distribution import Distribution
-from repro.queries.aggregate import groupby_hasher, hashed_groupby_round
+from repro.queries.aggregate import (
+    groupby_hasher,
+    hashed_groupby_round,
+    require_op,
+)
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS
 from repro.registry import register_protocol
@@ -40,12 +44,13 @@ def _uniform_hasher(cluster: Cluster, seed: int, scope: str) -> WeightedNodeHash
 def _hash_relations(
     cluster: Cluster,
     hasher: WeightedNodeHasher,
-    routes: tuple[tuple[str, str], ...],
+    recv_tags: tuple[str, str],
     key_shift: int = 0,
 ) -> None:
-    """One round: every ``(tag, recv)`` relation hashed over all nodes."""
+    """One round: ``R`` and ``S`` hashed over all nodes, each received
+    under its tag of ``recv_tags``."""
     with cluster.round() as ctx:
-        for tag, recv in routes:
+        for tag, recv in zip(("R", "S"), recv_tags):
             owners, values = cluster.column(tag)
             order, *runs = runs_by_target(
                 owners, hasher.assign_indices(values >> key_shift)
@@ -65,8 +70,6 @@ def uniform_hash_intersect(
     distribution: Distribution,
     *,
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> ProtocolResult:
     """Hash-join both relations uniformly over all compute nodes."""
     distribution.validate_for(tree)
@@ -74,7 +77,7 @@ def uniform_hash_intersect(
     _hash_relations(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-hash"),
-        ((r_tag, _R_RECV), (s_tag, _S_RECV)),
+        (_R_RECV, _S_RECV),
     )
     outputs = intersect_columns(
         cluster.column(_R_RECV), cluster.column(_S_RECV), cluster.compute_order
@@ -96,8 +99,6 @@ def uniform_hash_equijoin(
     distribution: Distribution,
     *,
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     materialize: bool = False,
 ) -> ProtocolResult:
@@ -113,7 +114,7 @@ def uniform_hash_equijoin(
     _hash_relations(
         cluster,
         _uniform_hasher(cluster, seed, "uniform-join"),
-        ((r_tag, _JOIN_R_RECV), (s_tag, _JOIN_S_RECV)),
+        (_JOIN_R_RECV, _JOIN_S_RECV),
         key_shift=payload_bits,
     )
     outputs = join_columns(
@@ -144,7 +145,6 @@ def uniform_hash_groupby(
     *,
     op: str = "sum",
     seed: int = 0,
-    tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     pre_aggregate: bool = True,
 ) -> ProtocolResult:
@@ -154,12 +154,12 @@ def uniform_hash_groupby(
     uniformly random owner instead of a placement-weighted one, so
     data-light nodes behind slow links own as many groups as anyone.
     """
+    require_op(op)
     distribution.validate_for(tree)
     cluster = Cluster(tree, distribution)
     outputs = hashed_groupby_round(
         cluster,
         groupby_hasher("uniform-hash", cluster.compute_order, None, seed),
-        tag=tag,
         recv_tag=_AGG_RECV,
         op=op,
         payload_bits=payload_bits,

@@ -39,9 +39,6 @@ class GridLabeling:
         cls,
         tree: TreeTopology,
         distribution: Distribution,
-        *,
-        r_tag: str = "R",
-        s_tag: str = "S",
     ) -> "GridLabeling":
         """Label fragments following the tree's left-to-right node order."""
         order = tuple(tree.left_to_right_compute_order())
@@ -50,8 +47,8 @@ class GridLabeling:
         r_offset = 0
         s_offset = 0
         for node in order:
-            r_count = distribution.size(node, r_tag)
-            s_count = distribution.size(node, s_tag)
+            r_count = distribution.size(node, "R")
+            s_count = distribution.size(node, "S")
             r_ranges[node] = (r_offset, r_offset + r_count)
             s_ranges[node] = (s_offset, s_offset + s_count)
             r_offset += r_count

@@ -23,11 +23,9 @@ from repro.topology.dagger import build_dagger, optimal_cover
 from repro.topology.tree import TreeTopology
 
 
-def _sizes(
-    tree: TreeTopology, distribution: Distribution, r_tag: str, s_tag: str
-) -> dict:
+def _sizes(tree: TreeTopology, distribution: Distribution) -> dict:
     return {
-        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
+        v: distribution.size(v, "R") + distribution.size(v, "S")
         for v in tree.compute_nodes
     }
 
@@ -35,23 +33,17 @@ def _sizes(
 def cartesian_lower_bound_flow(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """Instantiate Theorem 3 for one topology and placement."""
     tree.require_symmetric("the Theorem 3 lower bound")
     return LowerBound.from_lighter_sides(
-        tree, distribution, (r_tag, s_tag), "Theorem 3 (cartesian, flow)"
+        tree, distribution, ("R", "S"), "Theorem 3 (cartesian, flow)"
     )
 
 
 def cartesian_lower_bound_cover(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """Instantiate Theorem 4 for one topology and placement.
 
@@ -62,7 +54,7 @@ def cartesian_lower_bound_cover(
     ignores in the maximum.
     """
     tree.require_symmetric("the Theorem 4 lower bound")
-    sizes = _sizes(tree, distribution, r_tag, s_tag)
+    sizes = _sizes(tree, distribution)
     total = sum(sizes.values())
     if total == 0 or len(tree.nodes) == 1:
         return LowerBound(0.0, description="Theorem 4 (trivial instance)")
@@ -85,17 +77,10 @@ def cartesian_lower_bound_cover(
 def cartesian_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """The stronger of Theorems 3 and 4 for one instance."""
-    flow = cartesian_lower_bound_flow(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
-    cover = cartesian_lower_bound_cover(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
+    flow = cartesian_lower_bound_flow(tree, distribution)
+    cover = cartesian_lower_bound_cover(tree, distribution)
     if cover.value > flow.value:
         return cover
     return flow

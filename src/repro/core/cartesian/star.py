@@ -28,8 +28,6 @@ def star_cartesian_product(
     tree: TreeTopology,
     distribution: Distribution,
     *,
-    r_tag: str = "R",
-    s_tag: str = "S",
     materialize: bool = False,
 ) -> ProtocolResult:
     """Run Algorithm 4 on a symmetric star; requires ``|R| == |S|``."""
@@ -39,15 +37,15 @@ def star_cartesian_product(
             "StarCartesianProduct needs a star; use tree_cartesian_product"
         )
     distribution.validate_for(tree)
-    r_total = distribution.total(r_tag)
-    s_total = distribution.total(s_tag)
+    r_total = distribution.total("R")
+    s_total = distribution.total("S")
     if r_total != s_total:
         raise ProtocolError(
             f"Algorithm 4 handles |R| == |S| (got {r_total} vs {s_total}); "
             "use generalized_star_cartesian_product for the unequal case"
         )
     sizes = {
-        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
+        v: distribution.size(v, "R") + distribution.size(v, "S")
         for v in tree.compute_nodes
     }
     total = sum(sizes.values())
@@ -63,7 +61,7 @@ def star_cartesian_product(
     if sizes[heaviest] > total / 2:
         cluster = Cluster(tree, distribution)
         outputs = gather_all_pairs(
-            cluster, heaviest, r_tag=r_tag, s_tag=s_tag, materialize=materialize
+            cluster, heaviest, r_tag="R", s_tag="S", materialize=materialize
         )
         return ProtocolResult.from_ledger(
             "star-cartesian",
@@ -73,11 +71,7 @@ def star_cartesian_product(
         )
 
     result = whc_cartesian_product(
-        tree,
-        distribution,
-        r_tag=r_tag,
-        s_tag=s_tag,
-        materialize=materialize,
+        tree, distribution, materialize=materialize
     )
     result.protocol = "star-cartesian"
     result.meta["strategy"] = "weighted-hypercube"

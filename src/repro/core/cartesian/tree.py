@@ -45,22 +45,20 @@ def tree_cartesian_product(
     tree: TreeTopology,
     distribution: Distribution,
     *,
-    r_tag: str = "R",
-    s_tag: str = "S",
     materialize: bool = False,
 ) -> ProtocolResult:
     """Run the Theorem 5 protocol; requires ``|R| == |S|``."""
     tree.require_symmetric("tree cartesian product")
     distribution.validate_for(tree)
-    r_total = distribution.total(r_tag)
-    s_total = distribution.total(s_tag)
+    r_total = distribution.total("R")
+    s_total = distribution.total("S")
     if r_total != s_total:
         raise ProtocolError(
             f"Theorem 5 handles |R| == |S| (got {r_total} vs {s_total}); "
             "use generalized_star_cartesian_product for the unequal case"
         )
     sizes = {
-        v: distribution.size(v, r_tag) + distribution.size(v, s_tag)
+        v: distribution.size(v, "R") + distribution.size(v, "S")
         for v in tree.compute_nodes
     }
     n_total = sum(sizes.values())
@@ -75,7 +73,7 @@ def tree_cartesian_product(
     dagger = build_dagger(tree, sizes)
     if dagger.root_is_compute:
         outputs = gather_all_pairs(
-            cluster, dagger.root, r_tag=r_tag, s_tag=s_tag,
+            cluster, dagger.root, r_tag="R", s_tag="S",
             materialize=materialize,
         )
         return ProtocolResult.from_ledger(
@@ -88,17 +86,15 @@ def tree_cartesian_product(
     plan = balanced_packing_tree(dagger, n_total)
     tiles = pack_by_dagger(dagger, plan.dims, r_total, s_total)
     coverage = coverage_report(tiles, r_total, s_total)
-    labeling = GridLabeling.from_distribution(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
+    labeling = GridLabeling.from_distribution(tree, distribution)
     with cluster.round() as ctx:
         route_axis(
             ctx, cluster, labeling, tiles,
-            axis="r", source_tag=r_tag, recv_tag=R_RECV,
+            axis="r", source_tag="R", recv_tag=R_RECV,
         )
         route_axis(
             ctx, cluster, labeling, tiles,
-            axis="s", source_tag=s_tag, recv_tag=S_RECV,
+            axis="s", source_tag="S", recv_tag=S_RECV,
         )
     outputs = collect_outputs(cluster, labeling, tiles, materialize=materialize)
     return ProtocolResult.from_ledger(

@@ -117,27 +117,21 @@ def _split_alpha_beta(
 def unequal_lower_bound_flow(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """Theorem 8: per-link flow bound ``min(N_v, N - N_v, |R|) / w_v``."""
     tree.require_symmetric("the Theorem 8 lower bound")
     return LowerBound.from_lighter_sides(
         tree,
         distribution,
-        (r_tag, s_tag),
+        ("R", "S"),
         "Theorem 8 (unequal, flow)",
-        cap=min(distribution.total(r_tag), distribution.total(s_tag)),
+        cap=min(distribution.total("R"), distribution.total("S")),
     )
 
 
 def unequal_lower_bound_counting(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """Theorem 9: the counting bound for ``max_v N_v <= N/2`` star instances.
 
@@ -147,8 +141,8 @@ def unequal_lower_bound_counting(
     strategy is then optimal and Theorem 8 already covers it).
     """
     tree.require_symmetric("the Theorem 9 lower bound")
-    swapped = distribution.total(r_tag) > distribution.total(s_tag)
-    small, large = (s_tag, r_tag) if swapped else (r_tag, s_tag)
+    swapped = distribution.total("R") > distribution.total("S")
+    small, large = ("S", "R") if swapped else ("R", "S")
     r_size = distribution.total(small)
     s_size = distribution.total(large)
     if r_size * s_size == 0:
@@ -180,17 +174,10 @@ def unequal_lower_bound_counting(
 def unequal_cartesian_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """The stronger of Theorems 8 and 9."""
-    flow = unequal_lower_bound_flow(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
-    counting = unequal_lower_bound_counting(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
+    flow = unequal_lower_bound_flow(tree, distribution)
+    counting = unequal_lower_bound_counting(tree, distribution)
     return counting if counting.value > flow.value else flow
 
 
@@ -396,12 +383,12 @@ def _strategy_generalized_whc(
     # Vβ fragments are joined locally against the broadcast copy of R).
     sub_placements: dict = {}
     for node in computes:
-        entry: dict = {"R#": distribution.fragment(node, r_tag)}
+        entry: dict = {"R": distribution.fragment(node, r_tag)}
         if node in set(alpha):
-            entry["S#"] = distribution.fragment(node, s_tag)
+            entry["S"] = distribution.fragment(node, s_tag)
         sub_placements[node] = entry
     labeling = GridLabeling.from_distribution(
-        tree, Distribution(sub_placements), r_tag="R#", s_tag="S#"
+        tree, Distribution(sub_placements)
     )
 
     cluster = Cluster(tree, distribution)
@@ -445,9 +432,6 @@ def _strategy_generalized_whc(
 def generalized_star_cartesian_product(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> ProtocolResult:
     """Algorithm 8: the unequal-size cartesian product on a star.
 
@@ -466,8 +450,8 @@ def generalized_star_cartesian_product(
         raise ProtocolError("Algorithm 8 runs on star topologies")
     distribution.validate_for(tree)
 
-    swapped = distribution.total(r_tag) > distribution.total(s_tag)
-    small, large = (s_tag, r_tag) if swapped else (r_tag, s_tag)
+    swapped = distribution.total("R") > distribution.total("S")
+    small, large = ("S", "R") if swapped else ("R", "S")
     r_size = distribution.total(small)
     s_size = distribution.total(large)
     computes = tree.routing_index.compute_nodes

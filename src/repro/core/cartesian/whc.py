@@ -72,8 +72,6 @@ def whc_cartesian_product(
     tree: TreeTopology,
     distribution: Distribution,
     *,
-    r_tag: str = "R",
-    s_tag: str = "S",
     materialize: bool = False,
     dims: Mapping[NodeId, int] | None = None,
 ) -> ProtocolResult:
@@ -92,8 +90,8 @@ def whc_cartesian_product(
             "tree_cartesian_product for general trees"
         )
     distribution.validate_for(tree)
-    r_total = distribution.total(r_tag)
-    s_total = distribution.total(s_tag)
+    r_total = distribution.total("R")
+    s_total = distribution.total("S")
     if r_total != s_total:
         raise ProtocolError(
             f"wHC handles |R| == |S| (got {r_total} vs {s_total}); use "
@@ -109,9 +107,7 @@ def whc_cartesian_product(
             raise ProtocolError("the star center must be a router for wHC")
         dims = whc_dimensions(bandwidths, n_total)
 
-    labeling = GridLabeling.from_distribution(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
+    labeling = GridLabeling.from_distribution(tree, distribution)
     tiles = pack_flat(dims, r_total, s_total)
     coverage = coverage_report(tiles, r_total, s_total)
 
@@ -119,11 +115,11 @@ def whc_cartesian_product(
     with cluster.round() as ctx:
         route_axis(
             ctx, cluster, labeling, tiles,
-            axis="r", source_tag=r_tag, recv_tag=R_RECV,
+            axis="r", source_tag="R", recv_tag=R_RECV,
         )
         route_axis(
             ctx, cluster, labeling, tiles,
-            axis="s", source_tag=s_tag, recv_tag=S_RECV,
+            axis="s", source_tag="S", recv_tag=S_RECV,
         )
     outputs = collect_outputs(cluster, labeling, tiles, materialize=materialize)
     return ProtocolResult.from_ledger(

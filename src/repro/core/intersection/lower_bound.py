@@ -22,16 +22,13 @@ from repro.topology.tree import TreeTopology
 def intersection_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """Instantiate Theorem 1 for one topology and placement."""
     tree.require_symmetric("the Theorem 1 lower bound")
     return LowerBound.from_lighter_sides(
         tree,
         distribution,
-        (r_tag, s_tag),
+        ("R", "S"),
         "Theorem 1 (set intersection)",
-        cap=min(distribution.total(r_tag), distribution.total(s_tag)),
+        cap=min(distribution.total("R"), distribution.total("S")),
     )

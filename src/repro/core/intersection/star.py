@@ -40,8 +40,6 @@ def star_intersect(
     distribution: Distribution,
     *,
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> ProtocolResult:
     """Run Algorithm 1 and return outputs plus the model cost.
 
@@ -57,8 +55,8 @@ def star_intersect(
     distribution.validate_for(tree)
 
     # The analysis assumes |R| <= |S|; swap roles internally if needed.
-    swapped = distribution.total(r_tag) > distribution.total(s_tag)
-    small_tag, large_tag = (s_tag, r_tag) if swapped else (r_tag, s_tag)
+    swapped = distribution.total("R") > distribution.total("S")
+    small_tag, large_tag = ("S", "R") if swapped else ("R", "S")
 
     computes = tree.routing_index.compute_nodes
     sizes = {

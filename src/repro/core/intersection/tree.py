@@ -142,8 +142,6 @@ def tree_intersect(
     distribution: Distribution,
     *,
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
     blocks: Sequence[frozenset] | None = None,
 ) -> ProtocolResult:
     """Run Algorithm 2 and return outputs plus the model cost.
@@ -156,8 +154,8 @@ def tree_intersect(
     tree.require_symmetric("TreeIntersect")
     distribution.validate_for(tree)
 
-    swapped = distribution.total(r_tag) > distribution.total(s_tag)
-    small_tag, large_tag = (s_tag, r_tag) if swapped else (r_tag, s_tag)
+    swapped = distribution.total("R") > distribution.total("S")
+    small_tag, large_tag = ("S", "R") if swapped else ("R", "S")
     cluster, blocks, sizes, r_size = hashed_partition_round(
         tree,
         distribution,

@@ -21,11 +21,9 @@ from repro.topology.tree import TreeTopology
 def sorting_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    tag: str = "R",
 ) -> LowerBound:
     """Instantiate Theorem 6 for one topology and per-node sizes."""
     tree.require_symmetric("the Theorem 6 lower bound")
     return LowerBound.from_lighter_sides(
-        tree, distribution, (tag,), "Theorem 6 (sorting)"
+        tree, distribution, ("R",), "Theorem 6 (sorting)"
     )

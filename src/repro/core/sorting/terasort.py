@@ -161,7 +161,6 @@ def terasort(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = "R",
 ) -> ProtocolResult:
     """Run classic TeraSort; ``outputs[v]`` is node ``v``'s sorted run.
 
@@ -172,7 +171,7 @@ def terasort(
     tree.require_symmetric("TeraSort")
     distribution.validate_for(tree)
     order = tree.left_to_right_compute_order()
-    total = distribution.total(tag)
+    total = distribution.total("R")
     cluster = Cluster(tree, distribution)
     if total == 0:
         outputs = {v: np.empty(0, np.int64) for v in order}
@@ -187,7 +186,7 @@ def terasort(
 
     with cluster.round() as ctx:  # round 1: sampling
         samples = draw_samples(
-            "terasort", seed, order, [cluster.local(v, tag) for v in order], rho
+            "terasort", seed, order, [cluster.local(v, "R") for v in order], rho
         )
         ctx.exchange_runs(
             order_ids,
@@ -204,7 +203,7 @@ def terasort(
 
     with cluster.round() as ctx:  # round 3: scatter by interval
         lengths, values = laid_end_to_end(
-            [cluster.take(node, tag) for node in order]
+            [cluster.take(node, "R") for node in order]
         )
         fragments, intervals, counts = interval_runs(values, lengths, splitters)
         ctx.exchange_runs(

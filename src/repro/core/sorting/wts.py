@@ -66,7 +66,6 @@ def weighted_terasort(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = "R",
     gather_shortcut: bool = True,
     proportional_split: bool = True,
 ) -> ProtocolResult:
@@ -80,7 +79,7 @@ def weighted_terasort(
     tree.require_symmetric("weighted TeraSort")
     distribution.validate_for(tree)
     order = tree.left_to_right_compute_order()
-    sizes = dict(zip(order, distribution.sizes_over(tuple(order), tag).tolist()))
+    sizes = dict(zip(order, distribution.sizes_over(tuple(order), "R").tolist()))
     total = sum(sizes.values())
     cluster = Cluster(tree, distribution)
     if total == 0:
@@ -98,12 +97,12 @@ def weighted_terasort(
             ctx.exchange_runs(
                 compute_ids(cluster, others),
                 compute_ids(cluster, [heaviest] * len(others)),
-                *laid_end_to_end([cluster.take(v, tag) for v in others]),
+                *laid_end_to_end([cluster.take(v, "R") for v in others]),
                 tag=_FINAL,
             )
         merged = np.sort(
             np.concatenate(
-                [cluster.local(heaviest, tag), cluster.local(heaviest, _FINAL)]
+                [cluster.local(heaviest, "R"), cluster.local(heaviest, _FINAL)]
             )
         )
         outputs = {v: np.empty(0, np.int64) for v in order}
@@ -128,7 +127,7 @@ def weighted_terasort(
     with cluster.round() as ctx:
         senders = [v for v in light if sizes[v]]
         lengths, values = laid_end_to_end(
-            [cluster.take(v, tag) for v in senders]
+            [cluster.take(v, "R") for v in senders]
         )
         rows, columns, counts = proportional_runs(heavy_sizes, lengths)
         if counts.sum() < len(values):  # pragma: no cover - Lemma 9(3)
@@ -143,7 +142,7 @@ def weighted_terasort(
 
     # what the heavy nodes now hold, end to end in heavy order
     lengths, everything = laid_end_to_end(
-        [cluster.local(v, t) for v in heavy for t in (tag, _MOVED)]
+        [cluster.local(v, t) for v in heavy for t in ("R", _MOVED)]
     )
     m_lengths = lengths.reshape(-1, 2).sum(axis=1)
     m_sizes = dict(zip(heavy, m_lengths.tolist()))

@@ -259,8 +259,6 @@ def random_distribution(
     intersection_size: int | None = None,
     policy: str = "uniform",
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
     zipf_exponent: float = 1.0,
     heavy_fraction: float = 0.8,
 ) -> Distribution:
@@ -287,13 +285,13 @@ def random_distribution(
     r_part = distribute(
         r_values,
         sizes_for(r_size),
-        tag=r_tag,
+        tag="R",
         shuffle_seed=derive_seed(seed, "place-R"),
     )
     s_part = distribute(
         s_values,
         sizes_for(s_size),
-        tag=s_tag,
+        tag="S",
         shuffle_seed=derive_seed(seed, "place-S"),
     )
     return merge_distributions(r_part, s_part)
@@ -308,8 +306,6 @@ def random_tuple_distribution(
     payload_bits: int = 20,
     policy: str = "uniform",
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> Distribution:
     """Keyed-tuple workload for the multi-input tasks (join, group-by).
 
@@ -338,10 +334,10 @@ def random_tuple_distribution(
         return encode_tuples(keys, payloads, payload_bits=payload_bits)
 
     r_part = distribute(
-        encoded(r_size), placement_sizes(tree, r_size, policy, nodes), tag=r_tag
+        encoded(r_size), placement_sizes(tree, r_size, policy, nodes), tag="R"
     )
     s_part = distribute(
-        encoded(s_size), placement_sizes(tree, s_size, policy, nodes), tag=s_tag
+        encoded(s_size), placement_sizes(tree, s_size, policy, nodes), tag="S"
     )
     return merge_distributions(r_part, s_part)
 
@@ -496,7 +492,6 @@ def random_graph_distribution(
     kind: str = "gnm",
     policy: str = "uniform",
     seed: int = 0,
-    tag: str = "E",
     exponent: float = 2.0,
     num_components: int = 4,
 ) -> Distribution:
@@ -505,7 +500,7 @@ def random_graph_distribution(
     ``kind`` picks the generator (``gnm`` / ``powerlaw`` / ``planted``)
     and ``policy`` the placement regime, mirroring
     :func:`random_distribution` for relations.  Returns the placed
-    edge distribution (tag ``"E"``); wrap it in
+    edge distribution (relation ``"E"``); wrap it in
     :class:`repro.graphs.PlacedGraph` for the graph accessors.
     """
     # Imported here: repro.graphs builds on this module's placement
@@ -543,7 +538,6 @@ def random_graph_distribution(
         num_vertices=num_vertices,
         policy=policy,
         seed=seed,
-        tag=tag,
     ).distribution
 
 
@@ -552,7 +546,6 @@ def adversarial_sorted_distribution(
     sizes: PlacementSizes | None = None,
     *,
     total: int | None = None,
-    tag: str = "R",
     root: NodeId | None = None,
 ) -> Distribution:
     """The adversarial placement from the proof of Theorem 6 (Figure 5).
@@ -583,4 +576,4 @@ def adversarial_sorted_distribution(
         raise DistributionError(
             f"sizes given for unknown compute nodes {sorted(map(str, extra))}"
         )
-    return distribute(sequence, ordered_sizes, tag=tag)
+    return distribute(sequence, ordered_sizes, tag="R")

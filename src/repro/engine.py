@@ -183,7 +183,6 @@ register_task(
     default_protocol="tree",
     verifier=_verify_equijoin,
     lower_bound=equijoin_lower_bound,
-    lower_bound_opts=("r_tag", "s_tag"),
     aliases=("join",),
 )
 register_task(
@@ -191,7 +190,7 @@ register_task(
     default_protocol="tree",
     verifier=_verify_aggregate,
     lower_bound=groupby_lower_bound,
-    lower_bound_opts=("tag", "payload_bits"),
+    lower_bound_opts=("payload_bits",),
     aliases=("aggregate", "groupby"),
 )
 

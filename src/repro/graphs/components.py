@@ -80,11 +80,11 @@ _GATHER_RECV = "cc.gather.recv"
 # --------------------------------------------------------------------- #
 
 
-def _edge_components(distribution: Distribution, tag: str):
+def _edge_components(distribution: Distribution):
     """The global edge list's sorted distinct endpoints, each edge's
     source row among them, and every endpoint's component root row."""
     vertices, src_row, dst_row = _endpoint_rows(
-        *decode_edges(distribution.relation(tag))
+        *decode_edges(distribution.relation(DEFAULT_EDGE_TAG))
     )
     return vertices, src_row, component_roots(src_row, dst_row, len(vertices))
 
@@ -92,8 +92,6 @@ def _edge_components(distribution: Distribution, tag: str):
 def components_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    tag: str = DEFAULT_EDGE_TAG,
 ) -> LowerBound:
     """A per-link counting lower bound for connectivity.
 
@@ -114,10 +112,10 @@ def components_lower_bound(
     full-duplex factor included.
     """
     tree.require_symmetric("the connectivity lower bound")
-    _, src_row, roots = _edge_components(distribution, tag)
+    _, src_row, roots = _edge_components(distribution)
     return LowerBound.from_shared_keys(
         tree,
-        column_holders(tree, distribution, tag),
+        column_holders(tree, distribution, DEFAULT_EDGE_TAG),
         # an edge lies in the component of its source endpoint
         roots[src_row],
         "per-link spanning-component counting (connectivity)",
@@ -134,8 +132,7 @@ def _verify_components(
     they deliver and emit; the kernel itself is checked against the
     union-find oracle in tier-1 tests.
     """
-    tag = result.meta.get("tag", DEFAULT_EDGE_TAG)
-    expected, _, roots = _edge_components(distribution, tag)
+    expected, _, roots = _edge_components(distribution)
     owned = GroupOutputs.of(result.outputs)
     order = np.argsort(owned.keys_array, kind="stable")
     vertices = owned.keys_array[order]
@@ -209,7 +206,6 @@ def _hash_to_min(
     distribution: Distribution,
     *,
     seed: int,
-    tag: str,
     shuffle_protocol: str,
     pre_aggregate: bool,
     delta_return: bool,
@@ -234,11 +230,11 @@ def _hash_to_min(
     cluster = driver.cluster
     computes = cluster.compute_order
     base_meta = {
-        "tag": tag,
+        "tag": DEFAULT_EDGE_TAG,
         "payload_bits": VERTEX_BITS,
-        "num_edges": distribution.total(tag),
+        "num_edges": distribution.total(DEFAULT_EDGE_TAG),
     }
-    fragments = [distribution.fragment(v, tag) for v in computes]
+    fragments = [distribution.fragment(v, DEFAULT_EDGE_TAG) for v in computes]
     sizes = np.fromiter(map(len, fragments), np.int64, len(computes))
     if not sizes.any():
         outputs: dict = {v: KeyValueArrays.empty() for v in computes}
@@ -327,7 +323,6 @@ def _hash_to_min(
             owned = hashed_groupby_round(
                 cluster,
                 hasher,
-                tag="R",
                 recv_tag=_SHUFFLE_RECV,
                 op="min",
                 payload_bits=VERTEX_BITS,
@@ -447,7 +442,6 @@ def tree_connected_components(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = DEFAULT_EDGE_TAG,
     max_supersteps: int | None = None,
 ) -> ProtocolResult:
     """Distribution-aware hash-to-min: local contraction, delta returns.
@@ -462,7 +456,6 @@ def tree_connected_components(
         tree,
         distribution,
         seed=seed,
-        tag=tag,
         shuffle_protocol="tree",
         pre_aggregate=True,
         delta_return=True,
@@ -484,7 +477,6 @@ def uniform_hash_connected_components(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = DEFAULT_EDGE_TAG,
     max_supersteps: int | None = None,
 ) -> ProtocolResult:
     """Topology-agnostic hash-to-min, as the MPC papers state it.
@@ -497,7 +489,6 @@ def uniform_hash_connected_components(
         tree,
         distribution,
         seed=seed,
-        tag=tag,
         shuffle_protocol="uniform-hash",
         pre_aggregate=False,
         delta_return=False,
@@ -518,15 +509,16 @@ def gather_connected_components(
     distribution: Distribution,
     *,
     target: NodeId | None = None,
-    tag: str = DEFAULT_EDGE_TAG,
 ) -> ProtocolResult:
     """One round: centralize the edge list, solve locally."""
     distribution.validate_for(tree)
     computes = tree.routing_index.compute_nodes
     if target is None:
-        target = max(computes, key=lambda v: distribution.size(v, tag))
+        target = max(
+            computes, key=lambda v: distribution.size(v, DEFAULT_EDGE_TAG)
+        )
     driver = SuperstepDriver(tree)
-    total_edges = distribution.total(tag)
+    total_edges = distribution.total(DEFAULT_EDGE_TAG)
     if total_edges:
         with driver.cluster_round(
             task="connected-components",
@@ -539,19 +531,22 @@ def gather_connected_components(
                 ctx,
                 cluster.compute_order,
                 distribution,
-                tag,
+                DEFAULT_EDGE_TAG,
                 cluster.artifacts.compute_position[target],
                 recv_tag=_GATHER_RECV,
             )
     gathered = np.concatenate(
-        [distribution.fragment(target, tag), driver.cluster.take(target, _GATHER_RECV)]
+        [
+            distribution.fragment(target, DEFAULT_EDGE_TAG),
+            driver.cluster.take(target, _GATHER_RECV),
+        ]
     )
     vertices, src_row, dst_row = _endpoint_rows(*decode_edges(gathered))
     roots = component_roots(src_row, dst_row, len(vertices))
     outputs: dict = {v: KeyValueArrays.empty() for v in computes}
     outputs[target] = KeyValueArrays(vertices, vertices[roots])
     meta = {
-        "tag": tag,
+        "tag": DEFAULT_EDGE_TAG,
         "target": target,
         "num_vertices": len(vertices),
         "num_edges": int(total_edges),
@@ -566,7 +561,6 @@ register_task(
     default_protocol="tree",
     verifier=_verify_components,
     lower_bound=components_lower_bound,
-    lower_bound_opts=("tag",),
     bound_holds_per_instance=True,
     aliases=("cc", "components", "connectivity"),
 )

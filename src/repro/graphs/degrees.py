@@ -14,14 +14,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distribution import Distribution
-from repro.graphs.model import PlacedGraph, VERTEX_BITS, decode_edges
+from repro.graphs.model import (
+    DEFAULT_EDGE_TAG,
+    VERTEX_BITS,
+    PlacedGraph,
+    decode_edges,
+)
 from repro.queries.tuples import encode_tuples
 from repro.report import RunReport
 from repro.topology.tree import TreeTopology, node_sort_key
 
 
-def incidence_distribution(graph: PlacedGraph, *, tag: str = "R") -> Distribution:
-    """Per-node ``(vertex, 1)`` messages: two per edge, placed as-is.
+def incidence_distribution(graph: PlacedGraph) -> Distribution:
+    """Per-node ``(vertex, 1)`` messages as relation ``R``: two per edge,
+    placed as-is.
 
     Every endpoint of a local edge is paired with 1, so the group-by
     ``count`` of the messages is the degree table.  The expansion is
@@ -30,12 +36,12 @@ def incidence_distribution(graph: PlacedGraph, *, tag: str = "R") -> Distributio
     """
     placements: dict = {}
     for node in sorted(graph.nodes, key=node_sort_key):
-        fragment = graph.distribution.fragment(node, graph.tag)
+        fragment = graph.distribution.fragment(node, DEFAULT_EDGE_TAG)
         if not len(fragment):
             continue
         keys = np.concatenate(decode_edges(fragment))
         placements[node] = {
-            tag: encode_tuples(
+            "R": encode_tuples(
                 keys, np.ones(len(keys), dtype=np.int64), payload_bits=VERTEX_BITS
             )
         }

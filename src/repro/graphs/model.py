@@ -11,12 +11,12 @@ the keyed-tuple encoding (``20 + 20`` bits).
 
 A :class:`PlacedGraph` is the graph analogue of
 :class:`~repro.data.distribution.Distribution` for relations: it wraps
-a distribution whose fragments hold packed edges under one tag (default
-``"E"``), records the vertex count, and exposes the edge/degree
-accessors the workloads and verifiers need.  Edges are stored once per
-undirected edge in canonical ``src < dst`` orientation; protocols that
-need both directions (label propagation) expand fragments locally,
-which is free computation in the model.
+a distribution whose fragments hold packed edges as relation ``"E"``
+(:data:`DEFAULT_EDGE_TAG`), records the vertex count, and exposes the
+edge/degree accessors the workloads and verifiers need.  Edges are
+stored once per undirected edge in canonical ``src < dst`` orientation;
+protocols that need both directions (label propagation) expand
+fragments locally, which is free computation in the model.
 """
 
 from __future__ import annotations
@@ -81,15 +81,13 @@ class PlacedGraph:
     Parameters
     ----------
     distribution:
-        A :class:`Distribution` whose ``tag`` fragments hold packed
+        A :class:`Distribution` whose ``"E"`` fragments hold packed
         edges (see :func:`encode_edges`).
     num_vertices:
         Size of the vertex id space; defaults to ``max endpoint + 1``.
         Isolated vertices (ids with no incident edge) are allowed but
         carry no data, so connectivity and degrees are reported for
         non-isolated vertices only.
-    tag:
-        The relation tag under which edges are stored.
     """
 
     def __init__(
@@ -97,13 +95,11 @@ class PlacedGraph:
         distribution: Distribution,
         *,
         num_vertices: int | None = None,
-        tag: str = DEFAULT_EDGE_TAG,
     ) -> None:
         self._distribution = distribution
-        self._tag = str(tag)
         endpoints_max = -1
         for node in distribution.nodes:
-            fragment = distribution.fragment(node, self._tag)
+            fragment = distribution.fragment(node, DEFAULT_EDGE_TAG)
             if not len(fragment):
                 continue
             src, dst = decode_edges(fragment)
@@ -136,7 +132,6 @@ class PlacedGraph:
         num_vertices: int | None = None,
         policy: str = "uniform",
         seed: int = 0,
-        tag: str = DEFAULT_EDGE_TAG,
     ) -> "PlacedGraph":
         """Place ``(m, 2)`` edges on ``tree`` under a named policy.
 
@@ -157,10 +152,10 @@ class PlacedGraph:
         distribution = distribute(
             packed,
             sizes,
-            tag=tag,
+            tag=DEFAULT_EDGE_TAG,
             shuffle_seed=derive_seed(seed, "place-graph"),
         )
-        return cls(distribution, num_vertices=num_vertices, tag=tag)
+        return cls(distribution, num_vertices=num_vertices)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -172,16 +167,12 @@ class PlacedGraph:
         return self._distribution
 
     @property
-    def tag(self) -> str:
-        return self._tag
-
-    @property
     def num_vertices(self) -> int:
         return self._num_vertices
 
     @property
     def num_edges(self) -> int:
-        return self._distribution.total(self._tag)
+        return self._distribution.total(DEFAULT_EDGE_TAG)
 
     @property
     def nodes(self) -> frozenset:
@@ -189,7 +180,7 @@ class PlacedGraph:
 
     def fragment_edges(self, node: NodeId) -> np.ndarray:
         """The ``(m_v, 2)`` edges initially placed at ``node``."""
-        fragment = self._distribution.fragment(node, self._tag)
+        fragment = self._distribution.fragment(node, DEFAULT_EDGE_TAG)
         src, dst = decode_edges(fragment)
         return np.stack([src, dst], axis=1) if len(src) else np.empty(
             (0, 2), np.int64
@@ -226,11 +217,11 @@ class PlacedGraph:
     def describe(self) -> str:
         lines = [
             f"PlacedGraph(n={self.num_vertices}, m={self.num_edges}, "
-            f"tag={self._tag!r})"
+            f"tag={DEFAULT_EDGE_TAG!r})"
         ]
         for node in sorted(self._distribution.nodes, key=node_sort_key):
             lines.append(
-                f"  {node}: {self._distribution.size(node, self._tag)} edges"
+                f"  {node}: {self._distribution.size(node, DEFAULT_EDGE_TAG)} edges"
             )
         return "\n".join(lines)
 

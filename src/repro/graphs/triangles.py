@@ -55,8 +55,6 @@ from repro.topology.tree import TreeTopology, node_sort_key
 def triangles_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    tag: str = DEFAULT_EDGE_TAG,
 ) -> LowerBound:
     """A per-link counting lower bound for triangle counting.
 
@@ -76,8 +74,8 @@ def triangles_lower_bound(
     tree.require_symmetric("the triangle-count lower bound")
     return LowerBound.from_shared_keys(
         tree,
-        np.tile(column_holders(tree, distribution, tag), 2),
-        np.concatenate(decode_edges(distribution.column(tag)[0])),
+        np.tile(column_holders(tree, distribution, DEFAULT_EDGE_TAG), 2),
+        np.concatenate(decode_edges(distribution.column(DEFAULT_EDGE_TAG)[0])),
         "per-link shared-vertex counting (triangles)",
     )
 
@@ -102,8 +100,7 @@ def _verify_triangles(
     tree: TreeTopology, distribution: Distribution, result: ProtocolResult
 ) -> None:
     """The per-node counts must sum to the graph's triangle count."""
-    tag = result.meta.get("tag", DEFAULT_EDGE_TAG)
-    packed = distribution.relation(tag)
+    packed = distribution.relation(DEFAULT_EDGE_TAG)
     canonical = canonical_edges(np.stack(decode_edges(packed), axis=1))
     if len(canonical) != len(packed):
         raise ProtocolError(
@@ -139,9 +136,7 @@ def triangle_query():
     )
 
 
-def triangle_catalog(
-    tree: TreeTopology, distribution: Distribution, *, tag: str = DEFAULT_EDGE_TAG
-) -> dict:
+def triangle_catalog(tree: TreeTopology, distribution: Distribution) -> dict:
     """Three renamings of the oriented edge relation, placed as given.
 
     Each fragment is canonicalized locally (``a < b`` — free
@@ -152,7 +147,7 @@ def triangle_catalog(
 
     fragments: dict = {}
     for node in sorted(distribution.nodes, key=node_sort_key):
-        packed = distribution.fragment(node, tag)
+        packed = distribution.fragment(node, DEFAULT_EDGE_TAG)
         if not len(packed):
             continue
         src, dst = decode_edges(packed)
@@ -201,12 +196,11 @@ def _count_triangles(
     flavor: str,
     protocol_name: str,
     seed: int,
-    tag: str,
 ) -> ProtocolResult:
     from repro.plan.executor import execute_plan
 
-    catalog = triangle_catalog(tree, distribution, tag=tag)
-    num_edges = distribution.total(tag)
+    catalog = triangle_catalog(tree, distribution)
+    num_edges = distribution.total(DEFAULT_EDGE_TAG)
     if num_edges == 0:
         return ProtocolResult(
             protocol=protocol_name,
@@ -215,7 +209,7 @@ def _count_triangles(
             ledger=CostLedger(tree),
             outputs={v: {"num_triangles": 0} for v in tree.compute_nodes},
             meta={
-                "tag": tag,
+                "tag": DEFAULT_EDGE_TAG,
                 "num_edges": 0,
                 "num_vertices": 0,
                 "num_triangles": 0,
@@ -232,7 +226,7 @@ def _count_triangles(
         outputs[node] = {"num_triangles": int(output.size(node))}
     vertices = np.unique(catalog["E1"].rows())
     meta = {
-        "tag": tag,
+        "tag": DEFAULT_EDGE_TAG,
         "num_edges": int(num_edges),
         "num_vertices": int(len(vertices)),
         "num_triangles": int(output.total_rows),
@@ -269,7 +263,6 @@ def optimized_triangle_count(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = DEFAULT_EDGE_TAG,
 ) -> ProtocolResult:
     """Topology-aware triangle counting: the planner picks each stage."""
     return _count_triangles(
@@ -278,7 +271,6 @@ def optimized_triangle_count(
         flavor="optimized",
         protocol_name="optimized-triangles",
         seed=seed,
-        tag=tag,
     )
 
 
@@ -294,7 +286,6 @@ def uniform_hash_triangle_count(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = DEFAULT_EDGE_TAG,
 ) -> ProtocolResult:
     """Topology-agnostic triangle counting (uniform hash joins)."""
     return _count_triangles(
@@ -303,7 +294,6 @@ def uniform_hash_triangle_count(
         flavor="uniform-hash",
         protocol_name="uniform-hash-triangles",
         seed=seed,
-        tag=tag,
     )
 
 
@@ -319,7 +309,6 @@ def gather_triangle_count(
     distribution: Distribution,
     *,
     seed: int = 0,
-    tag: str = DEFAULT_EDGE_TAG,
 ) -> ProtocolResult:
     """Centralizing triangle counting (gather stages)."""
     return _count_triangles(
@@ -328,7 +317,6 @@ def gather_triangle_count(
         flavor="gather",
         protocol_name="gather-triangles",
         seed=seed,
-        tag=tag,
     )
 
 
@@ -337,7 +325,6 @@ register_task(
     default_protocol="optimized",
     verifier=_verify_triangles,
     lower_bound=triangles_lower_bound,
-    lower_bound_opts=("tag",),
     bound_holds_per_instance=True,
     aliases=("triangles",),
 )

@@ -25,11 +25,12 @@ __all__ = ["mpc_star", "mpc_uniform_distribution", "verify_mpc_equivalence"]
 
 
 def mpc_uniform_distribution(
-    tree: TreeTopology, values: np.ndarray, *, tag: str = "R"
+    tree: TreeTopology, values: np.ndarray
 ) -> Distribution:
-    """The classic MPC assumption: each node starts with ``N/p`` elements."""
+    """The classic MPC assumption: each node starts with ``N/p`` elements
+    of relation ``R``."""
     nodes = tree.left_to_right_compute_order()
-    return distribute(values, place_uniform(len(values), nodes), tag=tag)
+    return distribute(values, place_uniform(len(values), nodes), tag="R")
 
 
 def verify_mpc_equivalence(cluster: Cluster) -> list[tuple[float, float]]:

@@ -12,7 +12,9 @@ with the same placement-weighted machinery as the paper's tasks:
    data-rich, well-connected nodes own more groups;
 3. **final combine** at the owner.
 
-Supported operations: ``sum``, ``count``, ``min``, ``max``.  The
+Supported operations: ``sum``, ``count``, ``min``, ``max``; every
+registered group-by protocol rejects any other ``op`` through
+:func:`require_op` before its first round.  The tree
 protocol is a single round; disabling pre-aggregation (the ablation)
 shows the combiner's effect on the model cost.
 """
@@ -114,6 +116,14 @@ def combine_per_key(
     )[1:]
 
 
+def require_op(op: str) -> None:
+    """Reject an ``op`` no reducer implements."""
+    if op not in _REDUCERS:
+        raise ProtocolError(
+            f"unsupported op {op!r}; choose from {sorted(_REDUCERS)}"
+        )
+
+
 def groupby_hasher(
     protocol: str, computes: tuple, sizes: np.ndarray | None, seed: int
 ) -> WeightedNodeHasher:
@@ -135,7 +145,6 @@ def hashed_groupby_round(
     cluster: Cluster,
     hasher: WeightedNodeHasher,
     *,
-    tag: str,
     recv_tag: str,
     op: str,
     payload_bits: int,
@@ -149,13 +158,13 @@ def hashed_groupby_round(
     ``pre_aggregate`` every node ships one partial per key (``count``
     partials are counts, so the owners finalize them by ``sum``);
     without it raw tuples travel and finalize under ``op``.  The round
-    consumes ``tag`` and what arrives under ``recv_tag``, so a driver
+    consumes relation ``R`` and what arrives under ``recv_tag``, so a driver
     can run one per superstep on the same cluster.  Returns the
     per-node :class:`~repro.data.columns.KeyValueArrays` outputs as
     one :class:`GroupOutputs`.
     """
     with cluster.round() as ctx:
-        owners, payload = cluster.column(tag)
+        owners, payload = cluster.column("R")
         keys, values = decode_tuples(payload, payload_bits=payload_bits)
         if pre_aggregate:
             owners, keys, values = combine_per_node_key(
@@ -164,7 +173,7 @@ def hashed_groupby_round(
             payload = encode_tuples(keys, values, payload_bits=payload_bits)
         order, *runs = runs_by_target(owners, hasher.assign_indices(keys))
         ctx.exchange_runs(*runs, payload[order], tag=recv_tag)
-    cluster.take_column(tag)
+    cluster.take_column("R")
     owners, received = cluster.take_column(recv_tag)
     keys, values = decode_tuples(received, payload_bits=payload_bits)
     owners, keys, values = combine_per_node_key(
@@ -182,7 +191,6 @@ def groupby_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
     *,
-    tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
 ) -> LowerBound:
     """A per-link lower bound for group-by aggregation.
@@ -208,10 +216,10 @@ def groupby_lower_bound(
     placements, which is what forces the factor 2.)
     """
     tree.require_symmetric("the group-by lower bound")
-    keys, _ = decode_tuples(distribution.column(tag)[0], payload_bits=payload_bits)
+    keys, _ = decode_tuples(distribution.column("R")[0], payload_bits=payload_bits)
     return LowerBound.from_shared_keys(
         tree,
-        column_holders(tree, distribution, tag),
+        column_holders(tree, distribution, "R"),
         keys,
         "per-link shared-key counting (group-by)",
     )
@@ -229,7 +237,6 @@ def tree_groupby_aggregate(
     *,
     op: str = "sum",
     seed: int = 0,
-    tag: str = "R",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     pre_aggregate: bool = True,
 ) -> ProtocolResult:
@@ -240,16 +247,13 @@ def tree_groupby_aggregate(
     partials (the ablation).  Note ``sum``/``count`` partials must fit
     the payload width; choose ``payload_bits`` accordingly.
     """
-    if op not in _REDUCERS:
-        raise ProtocolError(
-            f"unsupported op {op!r}; choose from {sorted(_REDUCERS)}"
-        )
+    require_op(op)
     tree.require_symmetric("tree_groupby_aggregate")
     distribution.validate_for(tree)
 
     cluster = Cluster(tree, distribution)
     computes = cluster.compute_order
-    sizes = distribution.sizes_over(computes, tag)
+    sizes = distribution.sizes_over(computes, "R")
     if not sizes.any():
         return ProtocolResult.from_ledger(
             "tree-groupby", cluster.ledger,
@@ -260,7 +264,6 @@ def tree_groupby_aggregate(
     outputs = hashed_groupby_round(
         cluster,
         groupby_hasher("tree", computes, sizes, seed),
-        tag=tag,
         recv_tag=_RECV,
         op=op,
         payload_bits=payload_bits,

@@ -42,9 +42,6 @@ _S_RECV = "join.S.recv"
 def equijoin_lower_bound(
     tree: TreeTopology,
     distribution: Distribution,
-    *,
-    r_tag: str = "R",
-    s_tag: str = "S",
 ) -> LowerBound:
     """A valid equi-join lower bound via Theorem 1.
 
@@ -54,9 +51,7 @@ def equijoin_lower_bound(
     bound on the tuple counts.  (Output-size-sensitive bounds for skewed
     keys are future work, as in the paper.)
     """
-    bound = intersection_lower_bound(
-        tree, distribution, r_tag=r_tag, s_tag=s_tag
-    )
+    bound = intersection_lower_bound(tree, distribution)
     return LowerBound(
         value=bound.value,
         bottleneck_edge=bound.bottleneck_edge,
@@ -186,8 +181,6 @@ def tree_equijoin(
     distribution: Distribution,
     *,
     seed: int = 0,
-    r_tag: str = "R",
-    s_tag: str = "S",
     payload_bits: int = DEFAULT_PAYLOAD_BITS,
     blocks: Sequence[frozenset] | None = None,
     materialize: bool = False,
@@ -201,8 +194,8 @@ def tree_equijoin(
     tree.require_symmetric("tree_equijoin")
     distribution.validate_for(tree)
 
-    swapped = distribution.total(r_tag) > distribution.total(s_tag)
-    small_tag, large_tag = (s_tag, r_tag) if swapped else (r_tag, s_tag)
+    swapped = distribution.total("R") > distribution.total("S")
+    small_tag, large_tag = ("S", "R") if swapped else ("R", "S")
     small_recv, large_recv = (
         (_S_RECV, _R_RECV) if swapped else (_R_RECV, _S_RECV)
     )

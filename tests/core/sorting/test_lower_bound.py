@@ -38,7 +38,7 @@ class TestSortingLowerBound:
             {"v1": {"R": [1, 2], "X": list(range(100))},
              "v2": {"R": [3, 4]}}
         )
-        bound = sorting_lower_bound(tree, dist, tag="R")
+        bound = sorting_lower_bound(tree, dist)
         assert bound.value == 2.0
 
     def test_adversarial_distribution_has_positive_bound(self):

@@ -41,7 +41,6 @@ def shuffle_step(driver, dist, label, protocol="tree", seed=0):
         return hashed_groupby_round(
             cluster,
             groupby_hasher(protocol, computes, dist.sizes_over(computes, "R"), seed),
-            tag="R",
             recv_tag="aggregate.recv",
             op="count",
             payload_bits=20,

@@ -125,28 +125,28 @@ def theorem4(tree, distribution) -> float:
     return total / best**0.5
 
 
-def groupby(tree, distribution, *, tag="R", payload_bits=DEFAULT_PAYLOAD_BITS) -> dict:
+def groupby(tree, distribution, *, payload_bits=DEFAULT_PAYLOAD_BITS) -> dict:
     return _shared(
         tree,
         {
-            v: {key for key, _ in tasks.rows(distribution.fragment(v, tag), payload_bits)}
+            v: {key for key, _ in tasks.rows(distribution.fragment(v, "R"), payload_bits)}
             for v in tree.compute_nodes
         },
     )
 
 
-def _held_vertices(tree, distribution, tag) -> dict:
+def _held_vertices(tree, distribution) -> dict:
     return {
-        v: {x for edge in tasks.graph_edges(distribution.fragment(v, tag)) for x in edge}
+        v: {x for edge in tasks.graph_edges(distribution.fragment(v, DEFAULT_EDGE_TAG)) for x in edge}
         for v in tree.compute_nodes
     }
 
 
-def triangles(tree, distribution, *, tag=DEFAULT_EDGE_TAG) -> dict:
-    return _shared(tree, _held_vertices(tree, distribution, tag))
+def triangles(tree, distribution) -> dict:
+    return _shared(tree, _held_vertices(tree, distribution))
 
 
-def components(tree, distribution, *, tag=DEFAULT_EDGE_TAG) -> dict:
-    label = tasks.components(tasks.graph_edges(distribution.relation(tag)))
-    held = _held_vertices(tree, distribution, tag)
+def components(tree, distribution) -> dict:
+    label = tasks.components(tasks.graph_edges(distribution.relation(DEFAULT_EDGE_TAG)))
+    held = _held_vertices(tree, distribution)
     return _shared(tree, {v: {label[x] for x in held[v]} for v in held})

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.distribution import Distribution
+from repro.engine import run
 from repro.errors import ProtocolError
 from repro.queries.aggregate import tree_groupby_aggregate
 from repro.queries.tuples import encode_tuples
+from repro.registry import list_protocols
 from repro.topology.builders import star
 from repro.util.seeding import derive_seed
 
@@ -87,10 +89,15 @@ class TestGroupByAggregate:
         )
         assert merged_outputs(result) == reference(rows, "count")
 
-    def test_rejects_unknown_op(self, simple_star):
-        dist = place_tuples(simple_star, [(1, 1)])
-        with pytest.raises(ProtocolError, match="unsupported op"):
-            tree_groupby_aggregate(simple_star, dist, op="median")
+    @pytest.mark.parametrize(
+        "protocol",
+        [spec.name for spec in list_protocols("groupby-aggregate")],
+    )
+    @pytest.mark.parametrize("rows", [[(1, 1), (2, 5)], []], ids=["tuples", "empty"])
+    def test_every_protocol_rejects_unknown_op(self, simple_star, protocol, rows):
+        dist = place_tuples(simple_star, rows)
+        with pytest.raises(ProtocolError, match="unsupported op 'median'"):
+            run("groupby-aggregate", simple_star, dist, protocol=protocol, op="median")
 
     def test_owners_follow_placement_weights(self):
         # nearly all data on v1: v1 should own most groups.

@@ -150,12 +150,23 @@ class TestRegistration:
 
 
 class TestLowerBoundOpts:
-    def test_relational_tasks_declare_bound_opts(self):
-        assert get_task("equijoin").lower_bound_opts == ("r_tag", "s_tag")
+    def test_tasks_declare_bound_opts(self):
+        # Relations are always R and S, edges always E: the only option
+        # a bound shares with its protocols is the group-by tuple width.
+        assert get_task("equijoin").lower_bound_opts == ()
         assert get_task("groupby-aggregate").lower_bound_opts == (
-            "tag",
             "payload_bits",
         )
+        assert get_task("connected-components").lower_bound_opts == ()
+        assert get_task("triangle-count").lower_bound_opts == ()
+
+    def test_relation_tags_are_not_options(self):
+        tree = repro.star(3)
+        dist = repro.random_tuple_distribution(
+            tree, r_size=30, s_size=30, seed=1
+        )
+        with pytest.raises(TypeError, match="r_tag"):
+            repro.run("equijoin", tree, dist, r_tag="R")
 
     def test_engine_forwards_bound_opts(self):
         # The group-by bound decodes keys, so it must see the same
