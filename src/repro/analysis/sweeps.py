@@ -49,7 +49,6 @@ class Sweep:
         protocols: Sequence[str],
         metric: str = "cost",
         seed: int = 0,
-        include_bound: bool = True,
         opts: Mapping | None = None,
     ) -> "Sweep":
         """Sweep registered protocols over a parameter via the engine.
@@ -57,15 +56,14 @@ class Sweep:
         ``make_instance(x)`` builds the ``(tree, distribution)`` pair for
         each grid point; every protocol contributes one series of the
         report attribute named by ``metric``, plus a shared
-        ``lower-bound`` series unless disabled.  ``opts`` are forwarded
-        to every run unchanged — the hook the multi-input tasks need
-        (``payload_bits=...`` for the relational operators, ``op=...``
-        for aggregation).  Returns self.
+        ``lower-bound`` series when ``metric`` is ``"cost"``.  ``opts``
+        are forwarded to every run unchanged — the hook the multi-input
+        tasks need (``payload_bits=...`` for the relational operators,
+        ``op=...`` for aggregation).  Returns self.
         """
         extra = dict(opts or {})
         for x in xs:
             tree, distribution = make_instance(x)
-            bound = None
             for protocol in protocols:
                 report = run(
                     task,
@@ -76,9 +74,8 @@ class Sweep:
                     **extra,
                 )
                 self.add(protocol, x, getattr(report, metric))
-                bound = report.lower_bound
-            if include_bound and metric == "cost" and bound is not None:
-                self.add("lower-bound", x, bound)
+            if metric == "cost" and protocols:
+                self.add("lower-bound", x, report.lower_bound)
         return self
 
     def ratios(self, numerator: str, denominator: str) -> list[float]:

@@ -51,7 +51,7 @@ def star_cartesian_product(
     total = sum(sizes.values())
     if total == 0:
         cluster = Cluster(tree, distribution)
-        outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
+        outputs = {v: {"num_pairs": 0} for v in tree.routing_index.compute_nodes}
         return ProtocolResult.from_ledger(
             "star-cartesian", cluster.ledger, outputs=outputs,
             meta={"strategy": "empty"},

@@ -131,7 +131,7 @@ def _verify_equijoin(
     r_unique, r_counts = np.unique(r_keys, return_counts=True)
     s_unique, s_counts = np.unique(s_keys, return_counts=True)
     common, r_index, s_index = np.intersect1d(
-        r_unique, s_unique, return_indices=True
+        r_unique, s_unique, assume_unique=True, return_indices=True
     )
     expected = int(np.sum(r_counts[r_index] * s_counts[s_index]))
     produced = JoinOutputs.of(result.outputs).pair_bounds[-1]
@@ -208,7 +208,6 @@ def run(
     protocol: str | None = None,
     seed: int = 0,
     placement: str = "custom",
-    verify: bool = True,
     backend: str | None = None,
     num_workers: int | None = None,
     **opts,
@@ -230,8 +229,6 @@ def run(
         ``accepts_seed``; callers never need to know which ones do.
     placement:
         Label recorded in the report (the placement policy name).
-    verify:
-        Check the answer with the task's verifier before reporting.
     backend, num_workers:
         ``"sim"`` (default, ``None``) runs the query in this process.
         ``"process"`` sends it whole to rank 0 of the shared pool of
@@ -252,7 +249,7 @@ def run(
         )
     if backend == "process":
         plan = RunPlan(
-            task, tree, distribution, protocol, seed, placement, verify, opts
+            task, tree, distribution, protocol, seed, placement, opts
         )
         started = perf_counter()
         workers = 2 if num_workers is None else num_workers
@@ -266,7 +263,6 @@ def run(
         protocol=protocol,
         seed=seed,
         placement=placement,
-        verify=verify,
         **opts,
     )
     return report
@@ -280,7 +276,6 @@ def run_with_result(
     protocol: str | None = None,
     seed: int = 0,
     placement: str = "custom",
-    verify: bool = True,
     **opts,
 ) -> tuple[RunReport, ProtocolResult]:
     """Like :func:`run` in this process, but also return the raw
@@ -311,32 +306,20 @@ def run_with_result(
         # instead — run() is a thin one-shot session.
         with use(artifacts=_run_artifacts(context)):
             result = spec.call(tree, distribution, seed=seed, **opts)
-        if verify and task_spec.verifier is not None:
-            with tracer.span(
-                "engine.verify", category="verify", task=task_spec.name
-            ):
-                _verify_output_nodes(tree, result)
-                task_spec.verifier(tree, distribution, result)
-        else:
-            root.set(verify="skipped")
-        bound = None
-        if task_spec.lower_bound is not None:
-            bound_opts = {
-                name: opts[name]
-                for name in task_spec.lower_bound_opts
-                if name in opts
-            }
-            with tracer.span("engine.bound", category="bound"):
-                bound = task_spec.lower_bound(
-                    tree, distribution, **bound_opts
-                )
+        with tracer.span(
+            "engine.verify", category="verify", task=task_spec.name
+        ):
+            _verify_output_nodes(tree, result)
+            task_spec.verifier(tree, distribution, result)
+        with tracer.span("engine.bound", category="bound"):
+            bound = task_spec.bound(tree, distribution, opts)
         # what the caller waited for: protocol, verify and bound
         wall_time_s = perf_counter() - started
         root.set(
             cost=result.cost, rounds=result.rounds, wall_time_s=wall_time_s
         )
     auditor = context.auditor
-    if auditor.enabled and bound is not None:
+    if auditor.enabled:
         auditor.check_bound(
             cost=result.cost,
             bound=bound.value,
@@ -344,10 +327,7 @@ def run_with_result(
             protocol=result.protocol,
             per_instance=task_spec.bound_holds_per_instance,
         )
-    meta = {
-        "result": result.meta,
-        "bound": bound.description if bound is not None else "",
-    }
+    meta = {"result": result.meta, "bound": bound.description}
     report = RunReport(
         task=task_spec.name,
         protocol=result.protocol,
@@ -356,7 +336,7 @@ def run_with_result(
         input_size=distribution.total(),
         rounds=result.rounds,
         cost=result.cost,
-        lower_bound=bound.value if bound is not None else 0.0,
+        lower_bound=bound.value,
         meta=meta,
         wall_time_s=wall_time_s,
     )
@@ -373,7 +353,6 @@ class RunPlan:
     protocol: str | None = None
     seed: int = 0
     placement: str = "custom"
-    verify: bool = True
     opts: dict = field(default_factory=dict)
 
     def execute(self) -> RunReport:
@@ -384,7 +363,6 @@ class RunPlan:
             protocol=self.protocol,
             seed=self.seed,
             placement=self.placement,
-            verify=self.verify,
             **self.opts,
         )
 
@@ -456,7 +434,6 @@ def run_plan(
     *,
     strategy: str = "optimized",
     seed: int = 0,
-    verify: bool = True,
     keep_output: bool = False,
     plan_cache=None,
 ):
@@ -497,7 +474,6 @@ def run_plan(
             tree,
             catalog,
             seed=seed,
-            verify=verify,
             keep_output=True,
         )
     report = replace(report, wall_time_s=perf_counter() - started)

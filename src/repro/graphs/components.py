@@ -578,7 +578,6 @@ def run_components(
     protocol: str | None = None,
     seed: int = 0,
     placement: str = "custom",
-    verify: bool = True,
     **opts,
 ) -> GraphRunReport:
     """Run connected components and report per-superstep costs.
@@ -595,6 +594,5 @@ def run_components(
         protocol=protocol,
         seed=seed,
         placement=placement,
-        verify=verify,
         **opts,
     )

@@ -144,7 +144,6 @@ def _run_graph_task(
     protocol: str | None = None,
     seed: int = 0,
     placement: str = "custom",
-    verify: bool = True,
     **opts,
 ) -> GraphRunReport:
     """Run a graph task through the engine and report per superstep.
@@ -167,7 +166,6 @@ def _run_graph_task(
         protocol=protocol,
         seed=seed,
         placement=placement,
-        verify=verify,
         **opts,
     )
     meta = dict(result.meta)

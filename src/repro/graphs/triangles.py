@@ -200,6 +200,7 @@ def _count_triangles(
     from repro.plan.executor import execute_plan
 
     catalog = triangle_catalog(tree, distribution)
+    computes = tree.routing_index.compute_nodes
     num_edges = distribution.total(DEFAULT_EDGE_TAG)
     if num_edges == 0:
         return ProtocolResult(
@@ -207,7 +208,7 @@ def _count_triangles(
             rounds=0,
             cost=0.0,
             ledger=CostLedger(tree),
-            outputs={v: {"num_triangles": 0} for v in tree.compute_nodes},
+            outputs={v: {"num_triangles": 0} for v in computes},
             meta={
                 "tag": DEFAULT_EDGE_TAG,
                 "num_edges": 0,
@@ -221,7 +222,7 @@ def _count_triangles(
     plan_report, output = execute_plan(
         physical, tree, catalog, seed=seed, keep_output=True
     )
-    outputs: dict = {v: {"num_triangles": 0} for v in tree.compute_nodes}
+    outputs: dict = {v: {"num_triangles": 0} for v in computes}
     for node in output.nodes:
         outputs[node] = {"num_triangles": int(output.size(node))}
     vertices = np.unique(catalog["E1"].rows())
@@ -342,7 +343,6 @@ def run_triangles(
     protocol: str | None = None,
     seed: int = 0,
     placement: str = "custom",
-    verify: bool = True,
     **opts,
 ) -> GraphRunReport:
     """Run triangle counting and report per-stage costs."""
@@ -354,6 +354,5 @@ def run_triangles(
         protocol=protocol,
         seed=seed,
         placement=placement,
-        verify=verify,
         **opts,
     )

@@ -101,8 +101,6 @@ FOLDS = (
          buckets=LATENCY_BUCKETS),
     Fold("repro_verify_total", "verify", labels=_TASK,
          status=("outcome", "pass", "fail")),
-    Fold("repro_verify_total", "engine", "verify", count=True,
-         labels=(("task", "task"), ("outcome", "verify"))),
     # rounds: the attributes the finalizer annotates after close_round
     Fold("repro_rounds_total", "round", "round_cost", count=True),
     Fold("repro_round_cost", "round", "round_cost", buckets="log2"),

@@ -66,7 +66,6 @@ def _execute_join(
     right: PlacedRelation,
     *,
     seed: int,
-    verify: bool,
 ) -> tuple[RunReport | None, PlacedRelation]:
     out_schema = stage.schema
     if left.total_rows == 0 or right.total_rows == 0:
@@ -91,7 +90,6 @@ def _execute_join(
         protocol=stage.protocol,
         seed=derive_seed(seed, "plan-stage", index),
         placement=f"stage {index}",
-        verify=verify,
         payload_bits=shared_bits,
         materialize=True,
     )
@@ -137,7 +135,6 @@ def _execute_groupby(
     child: PlacedRelation,
     *,
     seed: int,
-    verify: bool,
 ) -> tuple[RunReport | None, PlacedRelation]:
     out_schema = stage.schema
     if child.total_rows == 0:
@@ -156,7 +153,6 @@ def _execute_groupby(
         protocol=stage.protocol,
         seed=derive_seed(seed, "plan-stage", index),
         placement=f"stage {index}",
-        verify=verify,
         op=stage.op,
         payload_bits=AGGREGATE_BITS,
     )
@@ -192,7 +188,6 @@ def execute_plan(
     catalog: dict,
     *,
     seed: int = 0,
-    verify: bool = True,
     keep_output: bool = False,
 ):
     """Execute ``physical`` on ``tree``; returns a :class:`PlanReport`.
@@ -251,7 +246,6 @@ def execute_plan(
                         results[stage.inputs[0]],
                         results[stage.inputs[1]],
                         seed=seed,
-                        verify=verify,
                     )
                     if report is None:
                         report = _empty_stage_report(
@@ -277,7 +271,6 @@ def execute_plan(
                         tree,
                         results[stage.inputs[0]],
                         seed=seed,
-                        verify=verify,
                     )
                     if report is None:
                         report = _empty_stage_report(

@@ -91,6 +91,10 @@ class ProtocolSpec:
 class TaskSpec:
     """One registered task: verification + bound shared by its protocols.
 
+    Every task registers both, and every run calls both: the engine
+    reports no cost for an answer its verifier has not accepted, and
+    none without the bound beside it.
+
     Attributes
     ----------
     name:
@@ -99,12 +103,10 @@ class TaskSpec:
         Protocol name used when the caller does not pick one.
     verifier:
         ``verifier(tree, distribution, result)`` raising
-        :class:`repro.errors.ProtocolError` on a wrong answer, or ``None``
-        if the task has no cheap independent check.
+        :class:`repro.errors.ProtocolError` on a wrong answer.
     lower_bound:
         ``lower_bound(tree, distribution)`` returning a
-        :class:`repro.core.common.LowerBound`, or ``None`` when the task
-        has no implemented bound (the report then records ``0.0``).
+        :class:`repro.core.common.LowerBound`.
     lower_bound_opts:
         Names of protocol keyword arguments the bound also understands
         (e.g. ``payload_bits`` for keyed tasks).  The engine forwards
@@ -125,11 +127,20 @@ class TaskSpec:
 
     name: str
     default_protocol: str
-    verifier: Callable | None = None
-    lower_bound: Callable | None = None
+    verifier: Callable
+    lower_bound: Callable
     lower_bound_opts: tuple = field(default_factory=tuple)
     bound_holds_per_instance: bool = False
     aliases: tuple = field(default_factory=tuple)
+
+    def bound(self, tree, distribution, opts: dict):
+        """The lower bound of the instance a protocol ran on with
+        ``opts``; only the names in ``lower_bound_opts`` reach it."""
+        return self.lower_bound(
+            tree,
+            distribution,
+            **{name: opts[name] for name in self.lower_bound_opts if name in opts},
+        )
 
 
 _PROTOCOL_SPECS: dict[tuple[str, str], ProtocolSpec] = {}
@@ -198,8 +209,8 @@ def register_task(
     name: str,
     *,
     default_protocol: str,
-    verifier: Callable | None = None,
-    lower_bound: Callable | None = None,
+    verifier: Callable,
+    lower_bound: Callable,
     lower_bound_opts: tuple = (),
     bound_holds_per_instance: bool = False,
     aliases: tuple = (),

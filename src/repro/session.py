@@ -185,24 +185,14 @@ class EngineSession:
             )
         return plan
 
-    def _lower_bound(self, plan: RunPlan) -> float | None:
-        task_spec = get_task(plan.task)
-        if task_spec.lower_bound is None:
-            return None
-        bound_opts = {
-            name: plan.opts[name]
-            for name in task_spec.lower_bound_opts
-            if name in plan.opts
-        }
-        return task_spec.lower_bound(
-            plan.tree, plan.distribution, **bound_opts
+    def _lower_bound(self, plan: RunPlan) -> float:
+        return get_task(plan.task).bound(
+            plan.tree, plan.distribution, plan.opts
         ).value
 
-    def lower_bound(self, plan: RunPlan | dict) -> float | None:
-        """The certified lower bound :meth:`run_many` admits against.
-
-        ``None`` when the plan's task registers no bound (such plans
-        are always admitted).
+    def lower_bound(self, plan: RunPlan | dict) -> float:
+        """The certified lower bound :meth:`run_many` admits against:
+        the one the plan's run reports (every task registers one).
         Exposed so callers can pick an admission budget from the
         workload itself.
         """
@@ -245,10 +235,7 @@ class EngineSession:
         self._batches += 1
 
         def admit(plan: RunPlan) -> bool:
-            if max_bound is None:
-                return True
-            bound = self._lower_bound(plan)
-            return bound is None or bound <= max_bound
+            return max_bound is None or self._lower_bound(plan) <= max_bound
 
         admitted = [i for i, plan in enumerate(normalized) if admit(plan)]
         self._rejected += len(normalized) - len(admitted)

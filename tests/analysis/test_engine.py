@@ -15,8 +15,11 @@ from repro.analysis.suites import (
 from repro import registry
 from repro.engine import RunPlan, run, run_many, run_with_result
 from repro.errors import AnalysisError, ProtocolError
+from repro.graphs import PlacedGraph
 from repro.obs.metrics import collecting, parse_label_key
 from repro.parallel.pool import shutdown_pools
+from repro.plan.logical import chain_query
+from repro.plan.relation import chain_catalog
 from repro.registry import get_task
 from repro.report import RunReport
 from repro.topology.builders import star, two_level
@@ -125,10 +128,18 @@ class TestRun:
         assert report.task == "sorting"
         assert report.rounds <= 4
 
-    def test_verification_can_be_disabled(self, instance):
-        tree, dist = instance
-        report = run("set-intersection", tree, dist, verify=False)
-        assert report.cost >= 0
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tree, dist: run("set-intersection", tree, dist, verify=False),
+            lambda tree, dist: RunPlan("set-intersection", tree, dist, verify=False),
+            lambda tree, dist: repro.run_plan(chain_query(2), tree, {}, verify=False),
+        ],
+        ids=["run", "RunPlan", "run_plan"],
+    )
+    def test_verification_cannot_be_disabled(self, instance, call):
+        with pytest.raises(TypeError, match="verify"):
+            call(*instance)
 
     def test_seed_routed_only_to_seeded_protocols(self, instance):
         tree, dist = instance
@@ -260,6 +271,48 @@ class TestRun:
             ProtocolError, match=f"at {stray!r}, which is not a compute node"
         ):
             run_with_result(task, tree, dist)
+
+
+def _answer_wrongly(monkeypatch, task: str) -> None:
+    """Every protocol of ``task`` runs, then returns no output at all."""
+    for spec in repro.protocols_for(task).values():
+
+        def wrong(*args, _func=spec.func, **kwargs):
+            return replace(_func(*args, **kwargs), outputs={})
+
+        monkeypatch.setitem(
+            registry._PROTOCOL_SPECS,
+            (spec.task, spec.name),
+            replace(spec, func=wrong),
+        )
+
+
+class TestWrongAnswers:
+    """A wrong answer fails the run through every entry point."""
+
+    @pytest.fixture
+    def tree(self):
+        return two_level([2, 3], uplink_bandwidth=0.5)
+
+    def test_run_plan(self, monkeypatch, tree):
+        catalog = chain_catalog(tree, num_relations=2, rows=100, seed=1)
+        _answer_wrongly(monkeypatch, "equijoin")
+        with pytest.raises(ProtocolError, match="joined 0 of"):
+            repro.run_plan(chain_query(2), tree, catalog)
+
+    def test_run_components(self, monkeypatch, tree):
+        graph = repro.random_graph_distribution(tree, num_edges=100, seed=1)
+        _answer_wrongly(monkeypatch, "connected-components")
+        with pytest.raises(ProtocolError, match="wrong labelling"):
+            repro.run_components(tree, graph)
+
+    def test_run_triangles(self, monkeypatch, tree):
+        graph = PlacedGraph.from_edges(
+            tree, repro.gnm_random_graph(30, 150, seed=3), seed=4
+        )
+        _answer_wrongly(monkeypatch, "triangle-count")
+        with pytest.raises(ProtocolError, match="counted 0 of"):
+            repro.run_triangles(tree, graph)
 
 
 class TestRunMany:

@@ -125,6 +125,11 @@ class TestStarCartesianProduct:
         assert total_pairs(result) == 0
         assert result.meta["strategy"] == "empty"
 
+    def test_empty_outputs_follow_the_compute_order(self):
+        tree = star(9)
+        result = star_cartesian_product(tree, Distribution({}))
+        assert tuple(result.outputs) == tree.routing_index.compute_nodes
+
     def test_gather_cost_matches_lower_bound(self):
         tree = star(3, bandwidth=[1.0, 2.0, 4.0])
         dist = Distribution(
@@ -194,6 +199,11 @@ class TestTreeCartesianProduct:
     def test_empty_instance(self, simple_two_level):
         result = tree_cartesian_product(simple_two_level, Distribution({}))
         assert total_pairs(result) == 0
+
+    def test_empty_outputs_follow_the_compute_order(self):
+        tree = two_level([3, 3, 3])
+        result = tree_cartesian_product(tree, Distribution({}))
+        assert tuple(result.outputs) == tree.routing_index.compute_nodes
 
     def test_deterministic(self, simple_two_level):
         dist = random_distribution(

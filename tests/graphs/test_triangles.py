@@ -17,6 +17,7 @@ from repro.graphs import (
 from repro.graphs.model import canonical_edges, encode_edges
 from repro.graphs.triangles import _triangle_count
 from repro.data.distribution import Distribution
+from repro.engine import run_with_result
 from repro.topology.builders import star, two_level
 from tests.model.tasks import triangle_count
 
@@ -57,6 +58,17 @@ class TestCorrectness:
         report = run_triangles(tree, empty, protocol=protocol)
         assert report.cost == 0
         assert report.meta["num_triangles"] == 0
+
+    @pytest.mark.parametrize("num_edges", [0, 120])
+    def test_outputs_follow_the_compute_order(self, num_edges):
+        tree = two_level([3, 3, 3])
+        graph = PlacedGraph.from_edges(
+            tree, repro.gnm_random_graph(40, num_edges, seed=5), seed=6
+        )
+        _, result = run_with_result(
+            "triangle-count", tree, graph.distribution, seed=7
+        )
+        assert tuple(result.outputs) == tree.routing_index.compute_nodes
 
     def test_orientation_of_placed_fragments_is_irrelevant(self):
         # fragments may store (hi, lo); the catalog canonicalizes locally

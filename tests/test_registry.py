@@ -11,6 +11,7 @@ from repro.registry import (
     list_protocols,
     protocols_for,
     register_protocol,
+    register_task,
     tasks,
 )
 
@@ -147,6 +148,16 @@ class TestRegistration:
             )
         finally:
             registry_module._PROTOCOL_SPECS.pop(("sorting", "test-probe"))
+
+
+class TestTaskContract:
+    @pytest.mark.parametrize("missing", ["verifier", "lower_bound"])
+    def test_a_task_registers_a_verifier_and_a_bound(self, missing):
+        callables = {"verifier": print, "lower_bound": print}
+        del callables[missing]
+        with pytest.raises(TypeError, match=missing):
+            register_task("test-probe", default_protocol="x", **callables)
+        assert "test-probe" not in tasks()
 
 
 class TestLowerBoundOpts:
