@@ -33,7 +33,7 @@ def main() -> None:
     # pair of machines, nodes named by their compute-order index.
     cluster = Cluster(tree)
     rng = np.random.default_rng(0)
-    position = cluster.artifacts.compute_position
+    position = tree.compute_position
     ends = [
         (position[f"v{i}"], position[f"v{j}"])
         for i in range(1, p + 1)

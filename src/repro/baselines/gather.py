@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distribution import Distribution
+from repro.errors import ProtocolError
 from repro.queries.aggregate import GroupOutputs, combine_per_key, require_op
 from repro.queries.join import join_columns
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples
@@ -50,11 +51,21 @@ def gather_relation(
     )
 
 
+def target_position(tree: TreeTopology, target: NodeId) -> int:
+    """``target``'s index in ``tree.compute_nodes``; a router or a node
+    outside the tree cannot be gathered to."""
+    if not tree.is_compute_node(target):
+        raise ProtocolError(
+            f"gather target {target!r} is not a compute node of {tree.name}"
+        )
+    return tree.compute_position[target]
+
+
 def _pick_target(
     tree: TreeTopology, distribution: Distribution, tags: tuple[str, ...]
 ) -> NodeId:
     return max(
-        tree.routing_index.compute_nodes,  # canonical order: ties go to the first
+        tree.compute_nodes,  # canonical order: ties go to the first
         key=lambda v: sum(distribution.size(v, t) for t in tags),
     )
 
@@ -78,7 +89,7 @@ def gather_equijoin(
     if target is None:
         target = _pick_target(tree, distribution, ("R", "S"))
     cluster = Cluster(tree, distribution)
-    owner = cluster.artifacts.compute_position[target]
+    owner = target_position(tree, target)
     with cluster.round() as ctx:
         for tag in ("R", "S"):
             gather_relation(
@@ -136,7 +147,7 @@ def gather_groupby(
     if target is None:
         target = _pick_target(tree, distribution, ("R",))
     cluster = Cluster(tree, distribution)
-    owner = cluster.artifacts.compute_position[target]
+    owner = target_position(tree, target)
     with cluster.round() as ctx:
         gather_relation(
             ctx, cluster.compute_order, distribution, "R", owner, recv_tag=_RECV

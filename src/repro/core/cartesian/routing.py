@@ -79,9 +79,9 @@ def route_axis(
     total = labeling.total(axis)
     if total == 0:
         return
-    position = cluster.artifacts.compute_position
+    position = cluster.tree.compute_position
     owners, values = cluster.column(source_tag)
-    bounds = owner_bounds(owners, len(position))
+    bounds = owner_bounds(owners, len(cluster.compute_order))
     sources, starts, lengths, members, fanouts = [], [], [], [], []
     for lo, hi, destinations in axis_segments(tiles, axis, total):
         targets = sorted(map(position.__getitem__, destinations))
@@ -164,7 +164,7 @@ def gather_all_pairs(
     (Lemma 7's first case) or is the G-dagger root (Section 4.1).
     """
     computes = cluster.compute_order
-    position = cluster.artifacts.compute_position[target]
+    position = cluster.tree.compute_position[target]
     with cluster.round() as ctx:
         for tag, recv in ((r_tag, R_RECV), (s_tag, S_RECV)):
             # one run per other owner: its whole fragment

@@ -15,7 +15,7 @@ from repro.errors import ProtocolError
 from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 
 
 @register_protocol(
@@ -51,13 +51,13 @@ def star_cartesian_product(
     total = sum(sizes.values())
     if total == 0:
         cluster = Cluster(tree, distribution)
-        outputs = {v: {"num_pairs": 0} for v in tree.routing_index.compute_nodes}
+        outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
         return ProtocolResult.from_ledger(
             "star-cartesian", cluster.ledger, outputs=outputs,
             meta={"strategy": "empty"},
         )
 
-    heaviest = max(sorted(sizes, key=node_sort_key), key=lambda v: sizes[v])
+    heaviest = max(sizes, key=sizes.__getitem__)  # of equals, the first
     if sizes[heaviest] > total / 2:
         cluster = Cluster(tree, distribution)
         outputs = gather_all_pairs(

@@ -64,7 +64,7 @@ def tree_cartesian_product(
     n_total = sum(sizes.values())
     cluster = Cluster(tree, distribution)
     if n_total == 0:
-        outputs = {v: {"num_pairs": 0} for v in tree.routing_index.compute_nodes}
+        outputs = {v: {"num_pairs": 0} for v in tree.compute_nodes}
         return ProtocolResult.from_ledger(
             "tree-cartesian", cluster.ledger, outputs=outputs,
             meta={"strategy": "empty"},

@@ -49,10 +49,10 @@ class TreePackingPlan:
 
 def _compute_bearing(dagger: Dagger) -> dict:
     """``node -> True`` iff the node's G-dagger subtree has a compute node."""
-    computes = dagger.tree.compute_nodes
+    tree = dagger.tree
     bearing: dict = {}
     for node in dagger.postorder():
-        bearing[node] = node in computes or any(
+        bearing[node] = tree.is_compute_node(node) or any(
             bearing[child] for child in dagger.children(node)
         )
     return bearing
@@ -115,7 +115,7 @@ def balanced_packing_tree(dagger: Dagger, n_total: int) -> TreePackingPlan:
     dims = {
         node: next_power_of_two_at_least(n_total * share[node])
         for node in order
-        if node in dagger.tree.compute_nodes
+        if dagger.tree.is_compute_node(node)
     }
     # Trim the power-of-two overshoot while the area still covers the
     # grid; every bound in the Theorem 5 analysis is monotone in the

@@ -94,23 +94,22 @@ def l_star(
 
 def _star_leaf_bandwidths(tree: TreeTopology) -> dict:
     center = tree.star_center()
-    if center in tree.compute_nodes:
+    if tree.is_compute_node(center):
         raise ProtocolError("the star center must be a router")
     return {
         v: tree.bandwidth(v, center)
-        for v in tree.routing_index.compute_nodes
+        for v in tree.compute_nodes
     }
 
 
 def _split_alpha_beta(
     sizes: Mapping[NodeId, int], r_size: int
 ) -> tuple[list, list]:
+    """The light (alpha) and heavy (beta) leaves, each list in the order
+    of ``sizes`` (built over ``tree.compute_nodes``)."""
     total = sum(sizes.values())
-    alpha = [
-        v for v in sorted(sizes, key=node_sort_key)
-        if min(sizes[v], total - sizes[v]) < r_size
-    ]
-    beta = [v for v in sorted(sizes, key=node_sort_key) if v not in set(alpha)]
+    alpha = [v for v in sizes if min(sizes[v], total - sizes[v]) < r_size]
+    beta = [v for v in sizes if min(sizes[v], total - sizes[v]) >= r_size]
     return alpha, beta
 
 
@@ -280,9 +279,7 @@ def balanced_packing_unequal(
 
 def _strategy_gather(tree, distribution, r_tag, s_tag) -> ProtocolResult:
     bandwidths = _star_leaf_bandwidths(tree)
-    target = max(
-        sorted(bandwidths, key=node_sort_key), key=lambda v: bandwidths[v]
-    )
+    target = max(bandwidths, key=bandwidths.__getitem__)
     cluster = Cluster(tree, distribution)
     outputs = gather_all_pairs(
         cluster, target, r_tag=r_tag, s_tag=s_tag, materialize=False
@@ -299,7 +296,7 @@ def _broadcast_r_to_beta(ctx, cluster, beta, r_tag) -> None:
     in CSR form.  A node whose set is empty (the only Vβ node) sends
     nothing."""
     count = len(cluster.compute_order)
-    position = cluster.artifacts.compute_position
+    position = cluster.tree.compute_position
     beta_ids = np.array(sorted(position[v] for v in beta), dtype=np.intp)
     rows = np.broadcast_to(beta_ids, (count, len(beta_ids)))
     keep = rows != np.arange(count)[:, None]
@@ -329,7 +326,7 @@ def _strategy_proportional(
     cluster = Cluster(tree, distribution)
     computes = cluster.compute_order
     r_size = distribution.total(r_tag)
-    position = cluster.artifacts.compute_position
+    position = tree.compute_position
     sources = np.array([position[v] for v in alpha], dtype=np.intp)
     owners, values = cluster.column(s_tag)
     sizes = np.bincount(owners, minlength=len(computes))[sources]
@@ -367,7 +364,7 @@ def _strategy_generalized_whc(
     tree, distribution, r_tag, s_tag, alpha, beta
 ) -> ProtocolResult | None:
     bandwidths = _star_leaf_bandwidths(tree)
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     r_size = distribution.total(r_tag)
     alpha_s = sum(distribution.size(v, s_tag) for v in alpha)
 
@@ -454,7 +451,7 @@ def generalized_star_cartesian_product(
     small, large = ("S", "R") if swapped else ("R", "S")
     r_size = distribution.total(small)
     s_size = distribution.total(large)
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     sizes = {
         v: distribution.size(v, small) + distribution.size(v, large)
         for v in computes

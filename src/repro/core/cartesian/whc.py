@@ -100,10 +100,10 @@ def whc_cartesian_product(
     n_total = r_total + s_total
 
     center = tree.star_center()
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     if dims is None:
         bandwidths = {v: tree.bandwidth(v, center) for v in computes if v != center}
-        if center in tree.compute_nodes:
+        if tree.is_compute_node(center):
             raise ProtocolError("the star center must be a router for wHC")
         dims = whc_dimensions(bandwidths, n_total)
 

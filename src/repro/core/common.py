@@ -57,7 +57,7 @@ class LowerBound:
         """Per-link flow counting: what the lighter side of a link holds of
         relations ``tags`` (at most ``cap`` elements of it) must cross, so
         ``cost(e) >= min(sum_{V-e} N_v, sum_{V+e} N_v[, cap]) / w_e``."""
-        sizes = distribution.sizes_over(tree.routing_index.compute_nodes, *tags)
+        sizes = distribution.sizes_over(tree.compute_nodes, *tags)
         lighter = np.minimum(*tree.link_side_sums(sizes))
         if cap is not None:
             lighter = np.minimum(lighter, cap)
@@ -88,7 +88,6 @@ def column_holders(tree, distribution, tag: str) -> np.ndarray:
     """The routing index of the node holding each element of
     ``distribution.column(tag)`` (canonical node order on both sides)."""
     distribution.validate_for(tree)
-    index = tree.routing_index
     return np.repeat(
-        index.compute_idx, distribution.sizes_over(index.compute_nodes, tag)
+        tree.routing_index.compute_idx, distribution.sizes_over(tree.compute_nodes, tag)
     )

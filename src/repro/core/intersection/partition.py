@@ -64,7 +64,7 @@ def _alpha_components(
     tree: TreeTopology, alpha_edges: frozenset
 ) -> dict[NodeId, int]:
     """Union-find over α-edges: node -> α-component id, numbered in the
-    order of each component's first node in ``routing_index.nodes`` (so
+    order of each component's first node in ``tree.nodes`` (so
     the ids do not depend on the order the α-edges are merged in)."""
     parent: dict[NodeId, NodeId] = {n: n for n in tree.nodes}
 
@@ -80,7 +80,7 @@ def _alpha_components(
             parent[root_a] = root_b
 
     index: dict = {}
-    for n in tree.routing_index.nodes:
+    for n in tree.nodes:
         index.setdefault(find(n), len(index))
     return {n: index[find(n)] for n in tree.nodes}
 
@@ -157,18 +157,20 @@ def balanced_partition(
         remaining.discard(x)
 
     blocks = [b for b in blocks if b]
-    covered = frozenset().union(*blocks) if blocks else frozenset()
-    if covered != computes:  # pragma: no cover - safety net
+    covered = frozenset().union(*blocks)
+    missing = [v for v in computes if v not in covered]
+    extra = len(covered) - (len(computes) - len(missing))
+    if missing or extra:  # pragma: no cover - safety net
         raise ProtocolError(
-            "balanced partition does not cover all compute nodes; "
-            f"missing {sorted(map(str, computes - covered))}"
+            "balanced partition does not cover exactly the compute nodes; "
+            f"missing {sorted(map(str, missing))}, {extra} outside them"
         )
     return blocks
 
 
 def _members(tree: TreeTopology, block: frozenset) -> np.ndarray:
-    """Per node of ``routing_index.compute_nodes``, whether it is in ``block``."""
-    computes = tree.routing_index.compute_nodes
+    """Per node of ``tree.compute_nodes``, whether it is in ``block``."""
+    computes = tree.compute_nodes
     return np.fromiter(map(block.__contains__, computes), bool, len(computes))
 
 
@@ -244,7 +246,7 @@ def verify_balanced_partition(
 
     # (4) every β-edge inside a block's spanning tree has a light side.
     beta = np.fromiter(map(classification.beta.__contains__, links), bool, len(links))
-    node_sizes = np.array([sizes.get(v, 0) for v in tree.routing_index.compute_nodes])
+    node_sizes = np.array([sizes.get(v, 0) for v in tree.compute_nodes])
     for i, (member, inside_tree) in enumerate(zip(members, spanning)):
         minus, plus = tree.link_side_sums(np.where(member, node_sizes, 0))
         heavy = beta & inside_tree & (np.minimum(minus, plus) > r_size)

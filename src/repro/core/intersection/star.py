@@ -58,7 +58,7 @@ def star_intersect(
     swapped = distribution.total("R") > distribution.total("S")
     small_tag, large_tag = ("S", "R") if swapped else ("R", "S")
 
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     sizes = {
         v: distribution.size(v, small_tag) + distribution.size(v, large_tag)
         for v in computes

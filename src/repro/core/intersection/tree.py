@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.intersection.partition import balanced_partition, classify_edges
 from repro.data.distribution import Distribution
+from repro.errors import ProtocolError
 from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
@@ -61,8 +62,7 @@ def hashed_partition_round(
     cluster after the round with the blocks, per-node sizes and the
     small relation's size the partition was computed from.
     """
-    computes = tree.routing_index.compute_nodes
-    node_index = dict(zip(computes, range(len(computes))))
+    computes = tree.compute_nodes
     size_vector = distribution.sizes_over(computes, small_tag, large_tag)
     sizes = dict(zip(computes, size_vector.tolist()))
     r_size = distribution.total(small_tag)
@@ -72,8 +72,11 @@ def hashed_partition_round(
 
     # per block holding data: its members' compute-order indices and h_i
     routes: list[tuple[np.ndarray, WeightedNodeHasher]] = []
+    position = tree.compute_position
     for i, block in enumerate(blocks):
-        members = np.sort(np.fromiter(map(node_index.__getitem__, block), np.intp))
+        members = np.sort(np.fromiter(map(position.__getitem__, block), np.intp))
+        if members.size and members[0] < 0:  # a router's entry
+            raise ProtocolError(f"block {i} holds a node that does not compute")
         weights = size_vector[members]
         if weights.sum() > 0:
             names = [computes[m] for m in members.tolist()]

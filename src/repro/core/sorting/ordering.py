@@ -37,10 +37,12 @@ def is_valid_compute_order(tree: TreeTopology, order: Sequence[NodeId]) -> bool:
     All links at once: per side, the count, min and max of the positions
     it holds — contiguous when empty or spanning exactly its count.
     """
-    if set(order) != tree.compute_nodes or len(order) != len(tree.compute_nodes):
+    count = len(order)
+    if count != tree.num_compute_nodes or len(set(order)) != count:
+        return False
+    if not all(map(tree.is_compute_node, order)):
         return False
     index = tree.routing_index
-    count = len(order)
     at = np.fromiter(map(index.index_of.__getitem__, order), np.intp, count)
     positions = np.arange(count)
     held = _link_sides(index, at, 1, np.add, 0)
@@ -67,9 +69,9 @@ def verify_sorted_output(
     """
     if not is_valid_compute_order(tree, order):
         raise ProtocolError(f"{list(order)!r} is not a valid traversal order")
-    if not outputs.keys() <= tree.compute_nodes:
-        stray = next(node for node in outputs if node not in tree.compute_nodes)
-        raise ProtocolError(f"node {stray!r} holds output but is not in the order")
+    for node in outputs:
+        if not tree.is_compute_node(node):
+            raise ProtocolError(f"node {node!r} holds output but is not in the order")
     runs = [np.asarray(outputs.get(node, np.empty(0, np.int64))) for node in order]
     merged = np.concatenate(runs)
     expected_sorted = np.sort(np.asarray(expected, dtype=np.int64))

@@ -66,7 +66,7 @@ def select_splitters(
 
 def compute_ids(cluster, nodes) -> np.ndarray:
     """The compute-order indices of ``nodes``, as ``exchange_runs`` takes them."""
-    position = cluster.artifacts.compute_position
+    position = cluster.tree.compute_position
     return np.asarray([position[v] for v in nodes], dtype=np.intp)
 
 

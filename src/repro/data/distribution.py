@@ -195,8 +195,9 @@ class Distribution:
 
     def validate_for(self, tree: TreeTopology) -> None:
         """Check the placement only uses compute nodes of ``tree``."""
-        strays = self.nodes - tree.compute_nodes
-        nonempty_strays = [n for n in strays if self.size(n) > 0]
+        nonempty_strays = [
+            n for n in self.node_order if not tree.is_compute_node(n) and self.size(n) > 0
+        ]
         if nonempty_strays:
             raise DistributionError(
                 "data placed on non-compute nodes: "

@@ -65,12 +65,12 @@ import repro.queries.join  # noqa: F401
 
 def _verify_output_nodes(tree: TreeTopology, result: ProtocolResult) -> None:
     """Only compute nodes hold data (Section 2), outputs included."""
-    if not result.outputs.keys() <= tree.compute_nodes:
-        stray = next(node for node in result.outputs if node not in tree.compute_nodes)
-        raise ProtocolError(
-            f"{result.protocol} left output at {stray!r}, which is not a "
-            "compute node"
-        )
+    for node in result.outputs:
+        if not tree.is_compute_node(node):
+            raise ProtocolError(
+                f"{result.protocol} left output at {node!r}, which is not a "
+                "compute node"
+            )
 
 
 def _verify_intersection(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gather import gather_relation
+from repro.baselines.gather import gather_relation, target_position
 from repro.core.common import LowerBound, column_holders
 from repro.data.columns import KeyValueArrays
 from repro.data.distribution import Distribution
@@ -512,7 +512,7 @@ def gather_connected_components(
 ) -> ProtocolResult:
     """One round: centralize the edge list, solve locally."""
     distribution.validate_for(tree)
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     if target is None:
         target = max(
             computes, key=lambda v: distribution.size(v, DEFAULT_EDGE_TAG)
@@ -532,7 +532,7 @@ def gather_connected_components(
                 cluster.compute_order,
                 distribution,
                 DEFAULT_EDGE_TAG,
-                cluster.artifacts.compute_position[target],
+                target_position(tree, target),
                 recv_tag=_GATHER_RECV,
             )
     gathered = np.concatenate(

@@ -22,7 +22,7 @@ from repro.graphs.model import (
 )
 from repro.queries.tuples import encode_tuples
 from repro.report import RunReport
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 
 
 def incidence_distribution(graph: PlacedGraph) -> Distribution:
@@ -35,7 +35,7 @@ def incidence_distribution(graph: PlacedGraph) -> Distribution:
     charges.
     """
     placements: dict = {}
-    for node in sorted(graph.nodes, key=node_sort_key):
+    for node in graph.distribution.node_order:
         fragment = graph.distribution.fragment(node, DEFAULT_EDGE_TAG)
         if not len(fragment):
             continue

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.data.distribution import Distribution
 from repro.errors import DistributionError
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import sorted_unique
 
 VERTEX_BITS = 20
@@ -98,7 +98,7 @@ class PlacedGraph:
     ) -> None:
         self._distribution = distribution
         endpoints_max = -1
-        for node in distribution.nodes:
+        for node in distribution.node_order:
             fragment = distribution.fragment(node, DEFAULT_EDGE_TAG)
             if not len(fragment):
                 continue
@@ -190,7 +190,7 @@ class PlacedGraph:
         """All edges concatenated in deterministic node order."""
         parts = [
             self.fragment_edges(node)
-            for node in sorted(self._distribution.nodes, key=node_sort_key)
+            for node in self._distribution.node_order
         ]
         parts = [p for p in parts if len(p)]
         if not parts:
@@ -219,7 +219,7 @@ class PlacedGraph:
             f"PlacedGraph(n={self.num_vertices}, m={self.num_edges}, "
             f"tag={DEFAULT_EDGE_TAG!r})"
         ]
-        for node in sorted(self._distribution.nodes, key=node_sort_key):
+        for node in self._distribution.node_order:
             lines.append(
                 f"  {node}: {self._distribution.size(node, DEFAULT_EDGE_TAG)} edges"
             )

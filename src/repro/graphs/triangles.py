@@ -44,7 +44,7 @@ from repro.registry import register_protocol, register_task
 from repro.report import GraphRunReport
 from repro.sim.ledger import CostLedger
 from repro.sim.protocol import ProtocolResult
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 
 
 # --------------------------------------------------------------------- #
@@ -146,7 +146,7 @@ def triangle_catalog(tree: TreeTopology, distribution: Distribution) -> dict:
     from repro.plan import PlacedRelation, Schema
 
     fragments: dict = {}
-    for node in sorted(distribution.nodes, key=node_sort_key):
+    for node in distribution.node_order:
         packed = distribution.fragment(node, DEFAULT_EDGE_TAG)
         if not len(packed):
             continue
@@ -200,7 +200,7 @@ def _count_triangles(
     from repro.plan.executor import execute_plan
 
     catalog = triangle_catalog(tree, distribution)
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     num_edges = distribution.total(DEFAULT_EDGE_TAG)
     if num_edges == 0:
         return ProtocolResult(

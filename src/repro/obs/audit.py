@@ -163,7 +163,7 @@ class CostAuditor:
                     f"negative load {count!r}",
                 )
                 continue
-            if u == v or u not in tree.nodes or v not in tree.nodes:
+            if u == v or u not in tree or v not in tree:
                 self._violation(
                     "charge",
                     f"{where}: charged edge {edge!r} is not a canonical "

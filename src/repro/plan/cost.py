@@ -58,7 +58,7 @@ class RelationStats:
     profile:
         Estimated rows per compute node — where the relation lives, the
         input the per-link cost estimators work from: a ``float64``
-        vector in ``tree.routing_index.compute_nodes`` order (see
+        vector in ``tree.compute_nodes`` order (see
         :func:`placement_profile`), ``None`` for a join output whose
         protocol is not chosen yet.
     """
@@ -77,20 +77,20 @@ class RelationStats:
 def placement_profile(
     tree: TreeTopology, sizes: Mapping[NodeId, float]
 ) -> np.ndarray:
-    """``sizes`` as a vector in ``tree.routing_index.compute_nodes`` order.
+    """``sizes`` as a vector in ``tree.compute_nodes`` order.
 
     The one way a node-keyed mapping enters the cost model: nodes it
     leaves out hold nothing, a key that is not a compute node of
     ``tree`` is an error, not a weight to drop or to count.
     """
     for node in sizes:
-        if node not in tree.compute_nodes:
+        if not tree.is_compute_node(node):
             raise PlanError(
                 f"profile places rows on {node!r}, which is not a compute "
                 f"node of {tree.name}"
             )
     return np.array(
-        [sizes.get(v, 0.0) for v in tree.routing_index.compute_nodes],
+        [sizes.get(v, 0.0) for v in tree.compute_nodes],
         dtype=np.float64,
     )
 
@@ -107,8 +107,7 @@ def cardinalities_of(relation: PlacedRelation) -> tuple[float, dict]:
 def stats_of(relation: PlacedRelation, tree: TreeTopology) -> RelationStats:
     """Exact statistics of a base relation (the model's prior knowledge)."""
     rows, distinct = cardinalities_of(relation)
-    compute_nodes = tree.routing_index.compute_nodes
-    if relation.node_order == compute_nodes:  # laid out like the profile
+    if relation.node_order == tree.compute_nodes:  # laid out like the profile
         profile = np.diff(relation.offsets).astype(np.float64)
     else:
         profile = placement_profile(tree, relation.sizes())
@@ -184,7 +183,7 @@ class CostModel:
 
     Every estimate is a few array expressions over the per-link side
     sums (:meth:`TreeTopology.link_side_sums`) of a placement profile,
-    a vector in ``tree.routing_index.compute_nodes`` order.  Beside the
+    a vector in ``tree.compute_nodes`` order.  Beside the
     stage cost the model estimates the output profile (where the result
     rows land), which feeds the next stage's estimate — a gather stage
     leaves everything on one node, a uniform shuffle spreads it evenly,
@@ -194,7 +193,7 @@ class CostModel:
     def __init__(self, tree: TreeTopology) -> None:
         self.tree = tree
         index = tree.routing_index
-        self._computes = index.compute_nodes
+        self._computes = tree.compute_nodes
         self._forward = index.link_forward
         self._backward = index.link_backward
         self._uniform = np.ones(len(self._computes))
@@ -371,4 +370,4 @@ def estimate_gather_cost(
     """Exact stage cost of gathering everything at the best target."""
     model, _, combined, sizes = _stage_input(tree, profiles)
     cost, target = model.gather_cost(combined, sizes)
-    return cost, tree.routing_index.compute_nodes[target]
+    return cost, tree.compute_nodes[target]

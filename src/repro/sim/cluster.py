@@ -52,7 +52,7 @@ from repro.obs.audit import get_auditor
 from repro.obs.tracer import get_tracer
 from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
 from repro.sim.storage import ColumnarStore
-from repro.topology.artifacts import TopologyArtifacts, resolve_artifacts
+from repro.topology.artifacts import resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.grouping import (
     _concat_parts,
@@ -619,14 +619,12 @@ class Cluster:
         distribution: Distribution | None = None,
     ) -> None:
         self._tree = tree
-        # The expensive per-topology structures (routing index,
-        # compute order) come from the artifact layer: prebuilt and
-        # shared when a session or one-shot run scope installed an
-        # ArtifactCache, private and fresh otherwise.
-        self._artifacts = artifacts = resolve_artifacts(tree)
-        self.oracle = artifacts.oracle
+        # The per-topology path oracle comes from the artifact layer:
+        # prebuilt and shared when a session or one-shot run scope
+        # installed an ArtifactCache, private and fresh otherwise.
+        self.oracle = resolve_artifacts(tree).oracle
         self.ledger = CostLedger(tree)
-        self._storage = ColumnarStore(artifacts.compute_order)
+        self._storage = ColumnarStore(tree.compute_nodes)
         # remote arrivals per node of the routing index
         self._received_elements = np.zeros(len(tree.nodes), dtype=np.int64)
         self._round_open = False
@@ -638,18 +636,13 @@ class Cluster:
         return self._tree
 
     @property
-    def artifacts(self) -> TopologyArtifacts:
-        """The per-topology structures this cluster runs on."""
-        return self._artifacts
-
-    @property
     def compute_order(self) -> tuple:
-        """The compute nodes in canonical order (artifact-shared).
+        """The tree's compute nodes (:attr:`TreeTopology.compute_nodes`).
 
         Every node index the round API takes — sources, targets, group
         sources, destination members — is a position in this tuple.
         """
-        return self._artifacts.compute_order
+        return self._tree.compute_nodes
 
     # ------------------------------------------------------------------ #
     # storage
@@ -664,7 +657,7 @@ class Cluster:
         distribution.validate_for(self._tree)
         # a node outside the tree holds nothing (validated): -1, dropped
         owners = np.fromiter(
-            map(self._artifacts.compute_position.get, distribution.node_order, repeat(-1)),
+            map(self._tree.compute_position.get, distribution.node_order, repeat(-1)),
             np.intp,
         )
         for tag in sorted(distribution.tags):

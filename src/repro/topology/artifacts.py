@@ -1,7 +1,7 @@
 """Session-scoped topology artifacts: build once, serve many runs.
 
 Every expensive structure a cluster derives from its topology — the
-canonical compute order, beside the tree's own routing index — is a
+path oracle, beside the tree's own routing index — is a
 pure function of the immutable
 :class:`~repro.topology.tree.TreeTopology` (Hu, Koutris & Blanas
 parameterize the whole cost model by the topology alone).  A one-shot
@@ -36,7 +36,7 @@ from typing import Iterator
 from repro.context import current, use
 from repro.obs.tracer import get_tracer
 from repro.topology.steiner import PathOracle
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 
 
 #: The most topologies an :class:`ArtifactCache` keeps artifacts for.
@@ -58,12 +58,6 @@ class TopologyArtifacts:
         self.tree = tree
         self.fingerprint = tree.fingerprint
         self.oracle = PathOracle(tree)
-        self.compute_order: tuple = tuple(
-            sorted(tree.compute_nodes, key=node_sort_key)
-        )
-        self.compute_position: dict = {
-            node: index for index, node in enumerate(self.compute_order)
-        }
 
 
 class ArtifactCache:

@@ -32,7 +32,7 @@ from itertools import product
 from typing import Hashable, Iterator, Mapping
 
 from repro.errors import TopologyError
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,9 @@ class Dagger:
 
     def __post_init__(self) -> None:
         children: dict = {}
-        for node in sorted(self.parent, key=node_sort_key):
-            children.setdefault(self.parent[node], []).append(node)
+        for node in self.tree.nodes:
+            if node in self.parent:
+                children.setdefault(self.parent[node], []).append(node)
         # the stack walk visits the last child's subtree first, so its
         # reverse is the recursive post-order, children in order
         walk: list = []
@@ -87,10 +88,7 @@ class Dagger:
     def dagger_leaves(self) -> list:
         """Nodes with in-degree zero in the orientation."""
         parents = set(self.parent.values())
-        return sorted(
-            (v for v in self.tree.nodes if v not in parents),
-            key=node_sort_key,
-        )
+        return [v for v in self.tree.nodes if v not in parents]
 
     @property
     def root_is_compute(self) -> bool:
@@ -100,7 +98,7 @@ class Dagger:
         root is already optimal for the cartesian product (Section 4.1),
         so the packing machinery is bypassed.
         """
-        return self.root in self.tree.compute_nodes
+        return self.tree.is_compute_node(self.root)
 
     def subtree_nodes(self, node: NodeId) -> frozenset:
         """All nodes in the subtree of ``node`` (nodes oriented toward it)."""
@@ -124,15 +122,15 @@ def build_dagger(
     """
     tree.require_symmetric("building G-dagger")
     for node in node_weights:
-        if node not in tree.compute_nodes:
+        if not tree.is_compute_node(node):
             raise TopologyError(
                 f"weight given for {node!r}, which is not a compute node"
             )
     if len(tree.nodes) == 1:
-        only = next(iter(tree.nodes))
+        only = tree.nodes[0]
         return Dagger(tree=tree, root=only, parent={}, out_bandwidth={})
 
-    pivot_on_b = tree.links_facing(max(tree.nodes, key=node_sort_key)).tolist()
+    pivot_on_b = tree.links_facing(tree.nodes[-1]).tolist()
     parent: dict = {}
     out_bandwidth: dict = {}
     sides = tree.side_weights(node_weights).items()

@@ -12,8 +12,10 @@ The paper's tree algorithms assume, without loss of generality, that
 
 :func:`normalize` applies both and returns the transformed topology plus
 the compute-node relocation map, so an initial data distribution on the
-original tree can be replayed on the normalized one
-(:meth:`repro.data.distribution.Distribution.remap`).
+original tree can be replayed on the normalized one: place each node's
+fragments at ``node_map[node]``, e.g.
+``Distribution({node_map[v]: {tag: dist.fragment(v, tag) for tag in
+dist.tags} for v in dist.node_order})``.
 """
 
 from __future__ import annotations

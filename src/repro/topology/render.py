@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Hashable, Mapping
 
-from repro.topology.tree import NodeId, TreeTopology, node_sort_key
+from repro.topology.tree import NodeId, TreeTopology
 
 
 def _format_bandwidth(value: float) -> str:
@@ -35,16 +35,14 @@ def ascii_tree(
     are appended as ``N=...`` when provided.
     """
     if root is None:
-        root = min(
-            tree.routers if tree.routers else tree.nodes, key=node_sort_key
-        )
-    if root not in tree.nodes:
+        root = (tree.routers or tree.nodes)[0]
+    if root not in tree:
         raise ValueError(f"unknown root {root!r}")
 
     lines: list[str] = []
 
     def label(node: NodeId) -> str:
-        mark = f"[{node}]" if node in tree.compute_nodes else f"({node})"
+        mark = f"[{node}]" if tree.is_compute_node(node) else f"({node})"
         if node_weights is not None and node in node_weights:
             mark += f" N={node_weights[node]:g}"
         return mark

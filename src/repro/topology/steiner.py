@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.tree import TreeTopology, node_sort_key
+from repro.topology.tree import TreeTopology
 from repro.util.grouping import concat_ranges
 
 
@@ -52,11 +52,10 @@ class RoutingIndex:
     """
 
     def __init__(self, tree: TreeTopology) -> None:
-        self.nodes: list = sorted(tree.nodes, key=node_sort_key)
-        self.index_of: dict = {n: i for i, n in enumerate(self.nodes)}
-        size = len(self.nodes)
+        self.index_of: dict = {n: i for i, n in enumerate(tree.nodes)}
+        size = len(tree.nodes)
         parent = np.full(size, -1, dtype=np.intp)
-        for i, node in enumerate(self.nodes):
+        for i, node in enumerate(tree.nodes):
             p = tree.parent(node)
             if p is not None:
                 parent[i] = self.index_of[p]
@@ -102,9 +101,8 @@ class RoutingIndex:
         self._first = rows * size
         self._last = self._first - ((1 << rows) >> 1)
         self._tin_bits = (size - 1).bit_length()
-        self.compute_nodes = tuple(n for n in self.nodes if n in tree.compute_nodes)
         self.compute_idx = np.array(
-            [self.index_of[n] for n in self.compute_nodes], dtype=np.intp
+            [self.index_of[n] for n in tree.compute_nodes], dtype=np.intp
         )
         # per link of ``tree.undirected_edges()``: whether ``edge[0]`` is
         # the endpoint farther from the root, and that endpoint's index
@@ -127,7 +125,7 @@ class RoutingIndex:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
     def lca(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized lowest common ancestors of index arrays ``a``, ``b``."""

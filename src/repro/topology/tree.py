@@ -27,6 +27,8 @@ import math
 import threading
 from collections import deque
 from functools import cached_property, lru_cache
+from itertools import count
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -105,7 +107,6 @@ class TreeTopology:
         name: str | None = None,
     ) -> None:
         self._bandwidth: dict[DirectedEdge, float] = {}
-        adjacency: dict[NodeId, dict[NodeId, float]] = {}
         for (u, v), w in directed_edges.items():
             if u == v:
                 raise TopologyError(f"self-loop at node {u!r}")
@@ -116,8 +117,6 @@ class TreeTopology:
             if (u, v) in self._bandwidth:
                 raise TopologyError(f"duplicate directed edge ({u!r}, {v!r})")
             self._bandwidth[(u, v)] = float(w)
-            adjacency.setdefault(u, {})[v] = float(w)
-            adjacency.setdefault(v, {})
         for (u, v) in self._bandwidth:
             if (v, u) not in self._bandwidth:
                 raise TopologyError(
@@ -128,33 +127,44 @@ class TreeTopology:
             w == self._bandwidth[(v, u)] for (u, v), w in self._bandwidth.items()
         )
 
-        self._compute_nodes = frozenset(compute_nodes)
-        if not self._compute_nodes:
+        computes = frozenset(compute_nodes)
+        if not computes:
             raise TopologyError("at least one compute node is required")
-
-        self._nodes = frozenset(adjacency) | self._compute_nodes
-        unknown = self._compute_nodes - frozenset(adjacency) if adjacency else frozenset()
-        if adjacency and unknown:
+        endpoints = frozenset(u for u, _ in self._bandwidth)
+        if endpoints and not computes <= endpoints:
             raise TopologyError(
-                f"compute nodes {sorted(map(str, unknown))} do not appear in any edge"
+                f"compute nodes {sorted(map(str, computes - endpoints))} "
+                "do not appear in any edge"
             )
-        if not adjacency and len(self._nodes) > 1:
+        if not endpoints and len(computes) > 1:
             raise TopologyError("multiple nodes but no edges: network is disconnected")
 
-        self._adjacency = {u: dict(nbrs) for u, nbrs in adjacency.items()}
-        for node in self._nodes:
-            self._adjacency.setdefault(node, {})
+        # The one node order, decided here: the accessors hand out tuples
+        # in it, every adjacency lists its neighbors in it, and membership
+        # reads the one node table (node -> compute position, -1 a router).
+        self._nodes = tuple(sorted(endpoints | computes, key=node_sort_key))
+        self._compute_nodes = tuple(n for n in self._nodes if n in computes)
+        self._routers = tuple(n for n in self._nodes if n not in computes)
+        counter = count()
+        self._compute_position = MappingProxyType(
+            {n: next(counter) if n in computes else -1 for n in self._nodes}
+        )
+        position = {n: i for i, n in enumerate(self._nodes)}
+        self._adjacency: dict[NodeId, dict[NodeId, float]] = {n: {} for n in self._nodes}
+        for u, v in sorted(self._bandwidth, key=lambda e: (position[e[0]], position[e[1]])):
+            self._adjacency[u][v] = self._bandwidth[(u, v)]
         self.name = name or f"tree[{len(self._nodes)}n/{len(self._compute_nodes)}c]"
 
-        self._validate_tree()
-        self._root = min(self._nodes, key=node_sort_key)
+        self._root = self._nodes[0]
         self._parent: dict[NodeId, NodeId | None] = {}
         self._build_rooting()
-        keys = {n: node_sort_key(n) for n in self._nodes}
-        self._links = sorted(
-            ((u, v) for (u, v) in self._bandwidth if keys[u] <= keys[v]),
-            key=lambda e: (keys[e[0]], keys[e[1]]),
-        )
+        self._leaves = tuple(n for n in self._nodes if len(self._adjacency[n]) <= 1)
+        self._links = [
+            (u, v)
+            for u in self._nodes
+            for v in self._adjacency[u]
+            if position[u] < position[v]
+        ]
         self._routing_index: RoutingIndex | None = None
         self._canonical_walk: tuple | None = None  # worked out on first use
 
@@ -202,10 +212,12 @@ class TreeTopology:
         return TreeTopology(dict(self._bandwidth), compute_nodes, name=self.name)
 
     # ------------------------------------------------------------------ #
-    # validation
+    # validation and rooting
     # ------------------------------------------------------------------ #
 
-    def _validate_tree(self) -> None:
+    def _build_rooting(self) -> None:
+        """Root the tree at its first node, breadth first; with ``n - 1``
+        links, the walk reaches every node exactly when they form a tree."""
         n_nodes = len(self._nodes)
         n_links = len(self._bandwidth) // 2
         if n_links != n_nodes - 1:
@@ -213,47 +225,46 @@ class TreeTopology:
                 f"{n_nodes} nodes need exactly {n_nodes - 1} links to form a "
                 f"tree, got {n_links}"
             )
-        if n_nodes == 0:
-            raise TopologyError("empty topology")
-        seen = {next(iter(self._nodes))}
-        frontier = deque(seen)
-        while frontier:
-            node = frontier.popleft()
-            for neighbor in self._adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        if len(seen) != n_nodes:
-            raise TopologyError("network is disconnected")
-
-    def _build_rooting(self) -> None:
         self._parent[self._root] = None
         frontier = deque([self._root])
         while frontier:
             node = frontier.popleft()
-            for neighbor in sorted(self._adjacency[node], key=node_sort_key):
+            for neighbor in self._adjacency[node]:
                 if neighbor not in self._parent:
                     self._parent[neighbor] = node
                     frontier.append(neighbor)
+        if len(self._parent) != n_nodes:
+            raise TopologyError("network is disconnected")
 
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #
 
     @property
-    def nodes(self) -> frozenset:
-        """All network nodes (compute nodes and routers)."""
+    def nodes(self) -> tuple:
+        """All network nodes (compute nodes and routers), in
+        :func:`node_sort_key` order."""
         return self._nodes
 
     @property
-    def compute_nodes(self) -> frozenset:
-        """The compute-node set ``V_C``."""
+    def compute_nodes(self) -> tuple:
+        """The compute nodes ``V_C``, in :func:`node_sort_key` order."""
         return self._compute_nodes
 
     @property
-    def routers(self) -> frozenset:
-        """Nodes that can only route data."""
-        return self._nodes - self._compute_nodes
+    def routers(self) -> tuple:
+        """Nodes that can only route data, in :func:`node_sort_key` order."""
+        return self._routers
+
+    @property
+    def compute_position(self) -> Mapping:
+        """Every node of the tree -> its position in :attr:`compute_nodes`,
+        ``-1`` for a router (read-only; ``node in tree`` reads it too)."""
+        return self._compute_position
+
+    def is_compute_node(self, node: NodeId) -> bool:
+        """Whether ``node`` is a compute node of this tree."""
+        return self._compute_position.get(node, -1) >= 0
 
     @property
     def num_nodes(self) -> int:
@@ -264,21 +275,20 @@ class TreeTopology:
         return len(self._compute_nodes)
 
     def neighbors(self, node: NodeId) -> list:
-        """Neighbors of ``node`` in deterministic order."""
+        """Neighbors of ``node`` in :func:`node_sort_key` order."""
         if node not in self._adjacency:
             raise TopologyError(f"unknown node {node!r}")
-        return sorted(self._adjacency[node], key=node_sort_key)
+        return list(self._adjacency[node])
 
     def degree(self, node: NodeId) -> int:
         if node not in self._adjacency:
             raise TopologyError(f"unknown node {node!r}")
         return len(self._adjacency[node])
 
-    def leaves(self) -> frozenset:
-        """Nodes of degree one (or the sole node of a single-node tree)."""
-        if len(self._nodes) == 1:
-            return self._nodes
-        return frozenset(n for n in self._nodes if self.degree(n) == 1)
+    def leaves(self) -> tuple:
+        """Nodes of degree one (or the sole node of a single-node tree),
+        in :func:`node_sort_key` order."""
+        return self._leaves
 
     def bandwidth(self, u: NodeId, v: NodeId) -> float:
         """Bandwidth of the directed channel ``u -> v``."""
@@ -348,17 +358,11 @@ class TreeTopology:
         """The hub of a star topology (raises if the tree is not a star)."""
         if not self.is_star():
             raise TopologyError(f"{self.name} is not a star topology")
-        if len(self._nodes) == 1:
-            return next(iter(self._nodes))
-        if len(self._nodes) == 2:
+        if len(self._nodes) <= 2:
             # Either node serves as center; prefer a router if present.
-            routers = self.routers
-            pool = routers if routers else self._nodes
-            return min(pool, key=node_sort_key)
-        candidates = set(self._nodes)
-        for (u, v) in self.undirected_edges():
-            candidates &= {u, v}
-        return min(candidates, key=node_sort_key)
+            return (self._routers or self._nodes)[0]
+        (center,) = set.intersection(*map(set, self._links))
+        return center
 
     # ------------------------------------------------------------------ #
     # rooting
@@ -378,7 +382,7 @@ class TreeTopology:
         """Per link, the sums of ``values`` over the compute nodes on each side.
 
         ``values`` holds one entry per compute node in
-        ``routing_index.compute_nodes`` order; the two results align with
+        :attr:`compute_nodes` order; the two results align with
         :meth:`undirected_edges` (side of ``edge[0]``, side of ``edge[1]``).
         This is the quantity ``(sum_{v in V-e} N_v, sum_{v in V+e} N_v)``
         that every lower bound, planner estimate and G-dagger orientation
@@ -400,13 +404,13 @@ class TreeTopology:
         self, weights: Mapping[NodeId, float]
     ) -> dict[UndirectedEdge, tuple[float, float]]:
         """:meth:`link_side_sums` of a node-keyed mapping, keyed by link."""
-        values = np.array([weights.get(v, 0) for v in self.routing_index.compute_nodes])
+        values = np.array([weights.get(v, 0) for v in self._compute_nodes])
         first, second = self.link_side_sums(values)
         return dict(zip(self._links, zip(first.tolist(), second.tolist())))
 
     def links_facing(self, node: NodeId) -> np.ndarray:
         """Per link, whether ``node`` lies on the side of ``edge[1]``."""
-        if node not in self._nodes:
+        if node not in self._compute_position:
             raise TopologyError(f"unknown node {node!r}")
         index = self.routing_index
         entered = index.tin[index.index_of[node]]
@@ -437,15 +441,12 @@ class TreeTopology:
         matching the canonical orders every artifact is built from.
         """
         digest = hashlib.blake2b(digest_size=16)
-        for node in sorted(self._nodes, key=node_sort_key):
+        for node in self._nodes:
             digest.update(repr(node_sort_key(node)).encode())
-            digest.update(b"\x01" if node in self._compute_nodes else b"\x00")
-        for (u, v) in sorted(
-            self._bandwidth, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))
-        ):
-            digest.update(
-                repr((node_sort_key(u), node_sort_key(v), self._bandwidth[(u, v)])).encode()
-            )
+            digest.update(b"\x01" if self._compute_position[node] >= 0 else b"\x00")
+        for u in self._nodes:  # directed edges in (u, v) order
+            for v, width in self._adjacency[u].items():
+                digest.update(repr((node_sort_key(u), node_sort_key(v), width)).encode())
         return digest.hexdigest()
 
     @property
@@ -479,18 +480,16 @@ class TreeTopology:
             if self._canonical_walk is None:
                 self._canonical_walk = tuple(self.left_to_right_compute_order(self._root))
             return list(self._canonical_walk)
-        if root not in self._nodes:
+        if root not in self._compute_position:
             raise TopologyError(f"unknown root {root!r}")
         order: list = []
         stack: list = [root]
         seen = {root}
         while stack:
             node = stack.pop()
-            if node in self._compute_nodes:
+            if self._compute_position[node] >= 0:
                 order.append(node)
-            for neighbor in sorted(
-                self._adjacency[node], key=node_sort_key, reverse=True
-            ):
+            for neighbor in reversed(self._adjacency[node]):
                 if neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
@@ -501,7 +500,7 @@ class TreeTopology:
     # ------------------------------------------------------------------ #
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._nodes
+        return node in self._compute_position
 
     def __repr__(self) -> str:
         sym = "symmetric" if self.is_symmetric else "asymmetric"

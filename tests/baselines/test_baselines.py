@@ -9,8 +9,13 @@ from repro.baselines.hypercube import (
 )
 from repro.baselines.uniform_hash import uniform_hash_intersect
 from repro.data.distribution import Distribution
-from repro.data.generators import random_distribution, random_tuple_distribution
+from repro.data.generators import (
+    random_distribution,
+    random_graph_distribution,
+    random_tuple_distribution,
+)
 from repro.engine import run_with_result
+from repro.errors import ProtocolError
 from repro.topology.builders import star
 
 # the gathers the planner runs, with the tags each one ships
@@ -51,6 +56,20 @@ class TestGatherBaselines:
         assert report.rounds == 1
         assert report.cost == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "task", [task for task, _ in GATHER_TASKS] + ["connected-components"]
+    )
+    def test_a_target_that_does_not_compute_is_refused(self, simple_star, task):
+        if task == "connected-components":
+            dist = random_graph_distribution(simple_star, num_edges=30, seed=1)
+        else:
+            dist = random_tuple_distribution(simple_star, r_size=20, s_size=20, seed=1)
+        for target in (*simple_star.routers, "ghost"):
+            with pytest.raises(ProtocolError, match="not a compute node"):
+                run_with_result(
+                    task, simple_star, dist, protocol="gather", target=target
+                )
+
     @pytest.mark.parametrize("task, tags", GATHER_TASKS)
     def test_gather_moves_everything_off_target_once(
         self, simple_two_level, task, tags
@@ -62,7 +81,8 @@ class TestGatherBaselines:
         target = result.meta["target"]
         off_target = sum(
             dist.size(v, tag)
-            for v in simple_two_level.compute_nodes - {target}
+            for v in simple_two_level.compute_nodes
+            if v != target
             for tag in tags
         )
         # every off-target tuple enters the target's link exactly once

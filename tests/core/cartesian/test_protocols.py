@@ -128,7 +128,7 @@ class TestStarCartesianProduct:
     def test_empty_outputs_follow_the_compute_order(self):
         tree = star(9)
         result = star_cartesian_product(tree, Distribution({}))
-        assert tuple(result.outputs) == tree.routing_index.compute_nodes
+        assert tuple(result.outputs) == tree.compute_nodes
 
     def test_gather_cost_matches_lower_bound(self):
         tree = star(3, bandwidth=[1.0, 2.0, 4.0])
@@ -203,7 +203,7 @@ class TestTreeCartesianProduct:
     def test_empty_outputs_follow_the_compute_order(self):
         tree = two_level([3, 3, 3])
         result = tree_cartesian_product(tree, Distribution({}))
-        assert tuple(result.outputs) == tree.routing_index.compute_nodes
+        assert tuple(result.outputs) == tree.compute_nodes
 
     def test_deterministic(self, simple_two_level):
         dist = random_distribution(

@@ -51,7 +51,7 @@ class TestBalancedPartition:
         tree = star(4)
         sizes = {f"v{i}": 2 for i in range(1, 5)}
         blocks = balanced_partition(tree, sizes, r_size=100)
-        assert blocks == [tree.compute_nodes]
+        assert blocks == [frozenset(tree.compute_nodes)]
 
     def test_all_heavy_star_gives_singletons(self):
         tree = star(4)
@@ -93,7 +93,7 @@ class TestBalancedPartition:
         sizes = {"v1": 5, "v2": 5, "v3": 5}
         blocks = balanced_partition(tree, sizes, r_size=0)
         union = frozenset().union(*blocks)
-        assert union == tree.compute_nodes
+        assert union == set(tree.compute_nodes)
 
     def test_merging_respects_alpha_connectivity(self):
         # Rack 1 holds little data (α-connected through its router);

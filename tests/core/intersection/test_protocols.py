@@ -105,6 +105,12 @@ class TestTreeIntersectCorrectness:
         assert result.meta["num_blocks"] == 1
         assert emitted_union(result) == expected_intersection(dist)
 
+    def test_explicit_blocks_must_hold_compute_nodes(self, simple_star):
+        dist = random_distribution(simple_star, r_size=50, s_size=150, seed=2)
+        blocks = [simple_star.compute_nodes + simple_star.routers]
+        with pytest.raises(ProtocolError, match="does not compute"):
+            tree_intersect(simple_star, dist, blocks=blocks)
+
 
 class TestTreeIntersectCost:
     @pytest.mark.parametrize("policy", ["uniform", "zipf", "single-heavy"])

@@ -60,7 +60,7 @@ def candidate_orders(draw):
     elif kind == "missing":
         del order[draw(position)]
     elif kind == "extra":
-        spare = sorted(tree.nodes - tree.compute_nodes, key=str) + ["ghost"]
+        spare = [*tree.routers, "ghost"]
         order.insert(draw(st.integers(0, len(order))), draw(st.sampled_from(spare)))
     return tree, order
 

@@ -8,12 +8,7 @@ the reported cost the sum of the model's round costs, the bound the
 model's formula, and the superstep rows must add up to the run.
 """
 
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,45 +148,3 @@ def test_raw_fragments(protocol):
         }
     )
     assert_run_matches_the_model(tree, distribution, protocol)
-
-
-_HASHSEED_SCRIPT = """
-import json
-import repro
-
-def strip(value):
-    if isinstance(value, dict):
-        return {k: strip(v) for k, v in value.items() if k != "wall_time_s"}
-    if isinstance(value, (list, tuple)):
-        return [strip(v) for v in value]
-    return value
-
-tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
-assert all(isinstance(v, str) for v in tree.compute_nodes)
-graph = repro.random_graph_distribution(
-    tree, num_edges=400, num_vertices=90, policy="zipf", seed=11
-)
-for protocol in ("tree", "uniform-hash", "gather"):
-    report = repro.run_components(tree, graph, protocol=protocol, seed=2)
-    print(json.dumps(strip(report.to_dict()), sort_keys=True, default=str))
-"""
-
-
-def test_reports_do_not_depend_on_the_hash_seed():
-    """String node ids hash differently per ``PYTHONHASHSEED``; the
-    superstep loop must never iterate a ``set`` of them."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    outputs = []
-    for hash_seed in ("1", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", _HASHSEED_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    rows = [json.loads(line) for line in outputs[0].splitlines()]
-    assert [row["protocol"] for row in rows] == [
-        "tree-components", "uniform-hash-components", "gather-components"
-    ]

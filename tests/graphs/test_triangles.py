@@ -68,7 +68,7 @@ class TestCorrectness:
         _, result = run_with_result(
             "triangle-count", tree, graph.distribution, seed=7
         )
-        assert tuple(result.outputs) == tree.routing_index.compute_nodes
+        assert tuple(result.outputs) == tree.compute_nodes
 
     def test_orientation_of_placed_fragments_is_irrelevant(self):
         # fragments may store (hi, lo); the catalog canonicalizes locally

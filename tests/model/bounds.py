@@ -91,7 +91,7 @@ def dagger(tree, sizes) -> tuple:
         tail = child if toward_parent else parent
         head[tail] = parent if toward_parent else child
         width[tail] = tree.bandwidth(child, parent)
-    (root,) = tree.nodes - head.keys()
+    (root,) = set(tree.nodes) - head.keys()
     return root, head, width
 
 
@@ -110,7 +110,7 @@ def theorem4(tree, distribution) -> float:
             at = head[at]
             chain.add(at)
         above[node] = chain
-    leaves = tree.nodes - set(head.values())
+    leaves = set(tree.nodes) - set(head.values())
 
     def covers(nodes) -> bool:
         return all(above[leaf] & nodes for leaf in leaves)

@@ -95,7 +95,7 @@ def sorted_along(tree, outputs, order, expected) -> bool:
 def valid_order(tree, order) -> bool:
     """A left-to-right traversal of some rooting: every compute node once,
     and on each link one side's compute nodes are consecutive."""
-    if len(set(order)) != len(order) or set(order) != tree.compute_nodes:
+    if len(set(order)) != len(order) or set(order) != set(tree.compute_nodes):
         return False
     position = {node: i for i, node in enumerate(order)}
     for link in links(tree):

@@ -79,7 +79,7 @@ def cost_trees(draw, *, symmetric: bool = True) -> TreeTopology:
 @st.composite
 def node_profiles(draw, tree: TreeTopology, kind: str) -> dict:
     """A ``{node: rows}`` profile in compute order; empty nodes may be left out."""
-    computes = tree.routing_index.compute_nodes
+    computes = tree.compute_nodes
     if kind == "zero":
         values = [0.0] * len(computes)
     elif kind == "one-hot":

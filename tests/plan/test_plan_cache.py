@@ -104,7 +104,7 @@ class TestKeys:
     def test_moving_one_row_between_two_nodes_changes_the_key(self, tree):
         schema = Schema(("x0", "x1"), (8, 8))
         rows = np.arange(12, dtype=np.int64).reshape(6, 2)
-        nodes = tree.routing_index.compute_nodes[:2]
+        nodes = tree.compute_nodes[:2]
         cache = PlanCache()
         keys = [
             cache.key(
@@ -122,7 +122,7 @@ class TestKeys:
         schema = Schema(("x0", "x1"), (8, 8))
         rows = np.arange(20, dtype=np.int64).reshape(10, 2)
         # the layout order of from_columns is free: here, reversed
-        nodes = tuple(reversed(tree.routing_index.compute_nodes))
+        nodes = tuple(reversed(tree.compute_nodes))
         offsets = np.array([0, 2, 2, 5, 6, 9, 10])
         from_columns = PlacedRelation.from_columns(schema, nodes, rows, offsets)
         from_mapping = PlacedRelation(

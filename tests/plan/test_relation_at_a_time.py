@@ -83,7 +83,7 @@ def test_store_writes_do_not_grow_with_the_tree(monkeypatch):
 
 def test_column_of_a_loaded_relation_copies_nothing():
     tree = repro.two_level([4] * 4)
-    nodes = tree.routing_index.compute_nodes
+    nodes = tree.compute_nodes
     values = np.arange(400_000, dtype=np.int64)
     offsets = np.arange(len(nodes) + 1) * (len(values) // len(nodes))
     cluster = Cluster(

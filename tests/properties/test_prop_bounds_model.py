@@ -11,10 +11,6 @@ bottleneck.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,55 +171,3 @@ def test_components_bound_with_sparse_ids_and_empty_nodes():
     found = components_lower_bound(tree, distribution)
     assert_bound(found, bounds.components(tree, distribution), tree)
     assert found.value > 0
-
-
-_HASHSEED_SCRIPT = """
-import numpy as np
-import repro
-from repro.data.distribution import Distribution
-from repro.plan import Filter, GroupBy, Join, Scan, chain_catalog, chain_query, optimize
-from repro.plan.cost import estimate_tree_cost
-from repro.queries import groupby_lower_bound
-from repro.queries.tuples import encode_tuples
-
-tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
-nodes = sorted(tree.compute_nodes, key=str)
-rng = np.random.default_rng(5)
-placements = {
-    v: {"R": encode_tuples(rng.integers(0, 40, 30), rng.integers(0, 9, 30))}
-    for v in nodes
-}
-print(repr(groupby_lower_bound(tree, Distribution(placements))))
-# 2**53 + 1.0 rounds back to 2**53, so these sums show the order they ran in
-profile = {v: 2.0**53 if i == 4 else 1.0 for i, v in enumerate(nodes)}
-print(repr(tree.side_weights(profile)))
-print(repr(estimate_tree_cost(tree, [profile])))
-# whole plans: a filter makes every later profile and total fractional
-catalog = chain_catalog(
-    tree, num_relations=3, rows=150, key_space=64, seed=2, policy="zipf"
-)
-chain = chain_query(3)
-kept = Filter(Scan("R0"), "x0", "<=", 40)
-filtered = Join((kept, Scan("R1"), Scan("R2")), chain.conditions)
-for query in (chain, filtered, GroupBy(kept, key="x1", value="x0")):
-    for strategy in ("optimized", "worst-order"):
-        print(repr(optimize(query, tree, catalog, strategy=strategy).stages))
-"""
-
-
-def test_bound_and_estimate_do_not_depend_on_the_hash_seed():
-    """String node ids hash differently per ``PYTHONHASHSEED``; a bound or
-    an estimate that iterated a set of them would show it in ``repr``."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    outputs = []
-    for hash_seed in ("1", "3"):  # the set-based sums differed between these
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", _HASHSEED_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    assert "LowerBound(value=" in outputs[0]
-    assert "protocol='tree'" in outputs[0]

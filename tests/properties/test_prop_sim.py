@@ -31,7 +31,7 @@ def _multicast_round(tree, transfers) -> Cluster:
     """One round on a fresh cluster: every transfer one group of a single
     ``exchange_multicast_column`` call."""
     cluster = Cluster(tree)
-    position = cluster.artifacts.compute_position
+    position = tree.compute_position
     rows = [sorted(position[v] for v in dsts) for _, dsts, _ in transfers]
     sizes = np.array([size for *_, size in transfers], dtype=np.intp)
     with cluster.round() as ctx:

@@ -20,7 +20,7 @@ class TestTreeInvariants:
     def test_edge_sides_partition(self, tree):
         for edge in tree.undirected_edges():
             a_side, b_side = node_sides(tree, edge)
-            assert a_side | b_side == tree.nodes
+            assert a_side | b_side == set(tree.nodes)
             assert not (a_side & b_side)
 
     @given(tree=tree_topologies())

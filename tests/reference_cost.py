@@ -225,7 +225,7 @@ class ReferenceCostModel:
 
 def as_mapping(tree: TreeTopology, profile) -> dict:
     """A profile vector as the ``{node: rows}`` dict the reference reads."""
-    return dict(zip(tree.routing_index.compute_nodes, profile.tolist()))
+    return dict(zip(tree.compute_nodes, profile.tolist()))
 
 
 def _join_stages(self, left, right, out_rows, protocols) -> list:

@@ -11,12 +11,6 @@ end, and the vectorized :meth:`RoutingIndex.multicast_loads`
 charger is checked against per-group Steiner-edge walks.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,7 +72,7 @@ def test_interleaves_with_runs_and_multicasts_across_models():
     in the model."""
     tree = two_level([2, 3], leaf_bandwidth=2.0, uplink_bandwidth=1.0)
     cluster, model = Cluster(tree), ModelCluster(tree)
-    position = cluster.artifacts.compute_position
+    position = tree.compute_position
     v1, v2, v3, v4, v5 = (position[f"v{i}"] for i in range(1, 6))
     for built in (cluster, model):
         with built.round() as ctx:
@@ -214,7 +208,7 @@ class TestExchangeMulticastEquivalenceProperty:
         """The vectorized Steiner-flow charger equals per-group walks."""
         tree, plan = instance
         routing = RoutingIndex(tree)
-        order = routing.compute_nodes
+        order = tree.compute_nodes
         srcs, flat, starts, ends, counts = [], [], [], [], []
         expected: dict = {}
         for _kind, node, group_ids, rows, values, _tag in plan:
@@ -247,132 +241,3 @@ class TestExchangeMulticastEquivalenceProperty:
         ledger.open_round()
         ledger.add_link_loads(got)
         assert ledger.round_loads(0) == expected
-
-
-_HASHSEED_SCRIPT = """
-import json
-import repro
-
-def strip(value):
-    if isinstance(value, dict):
-        return {k: strip(v) for k, v in value.items() if k != "wall_time_s"}
-    if isinstance(value, (list, tuple)):
-        return [strip(v) for v in value]
-    return value
-
-tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
-star = repro.star(5)
-assert all(isinstance(v, str) for v in tree.compute_nodes | star.compute_nodes)
-sets = repro.random_distribution(tree, r_size=300, s_size=900, policy="zipf", seed=5)
-tuples = repro.random_tuple_distribution(tree, r_size=300, s_size=300, seed=5)
-graph = repro.random_graph_distribution(
-    tree, num_edges=400, num_vertices=90, policy="zipf", seed=11
-)
-with repro.auditing(strict=True):
-    reports = [
-        repro.run("set-intersection", tree, sets, protocol="tree", seed=2),
-        repro.run("equijoin", tree, tuples, protocol="tree", seed=2),
-        repro.run(
-            "cartesian-product",
-            tree,
-            repro.random_distribution(tree, r_size=300, s_size=300, seed=5),
-            protocol="tree",
-        ),
-        repro.run(
-            "set-intersection",
-            star,
-            repro.random_distribution(star, r_size=200, s_size=200, seed=5),
-            protocol="star",
-            seed=2,
-        ),
-        repro.run_components(tree, graph, protocol="tree", seed=2),
-    ]
-for report in reports:
-    print(json.dumps(strip(report.to_dict()), sort_keys=True, default=str))
-"""
-
-
-def test_multicast_reports_do_not_depend_on_the_hash_seed():
-    """String node ids hash differently per ``PYTHONHASHSEED``: the
-    index-array rounds (tree intersect / equi-join, star intersect, the
-    cartesian tile routing, the components return leg) never see a
-    set."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    outputs = []
-    for hash_seed in ("1", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", _HASHSEED_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    rows = [json.loads(line) for line in outputs[0].splitlines()]
-    assert [row["protocol"] for row in rows] == [
-        "tree-intersect",
-        "tree-equijoin",
-        "tree-cartesian",
-        "star-intersect",
-        "tree-components",
-    ]
-
-
-_UNICAST_HASHSEED_SCRIPT = """
-import hashlib
-import json
-import repro
-from repro.analysis.serve import strip_report
-from repro.context import use
-from repro.plan import chain_catalog, chain_query
-from tests.model.rounds import ModelAuditor
-
-auditor = ModelAuditor()  # checks every round and keeps its cluster
-
-tree = repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4])
-assert all(isinstance(v, str) for v in tree.compute_nodes)
-tuples = repro.random_tuple_distribution(tree, r_size=300, s_size=300, seed=5)
-catalog = chain_catalog(tree, num_relations=3, rows=120, key_space=32, seed=3)
-with use(auditor=auditor):
-    reports = [
-        repro.run("equijoin", tree, tuples, protocol="uniform-hash", seed=2),
-        repro.run_plan(chain_query(3), tree, catalog, seed=4),
-    ]
-for report in reports:
-    print(json.dumps(strip_report(report), sort_keys=True, default=str))
-for cluster in auditor.clusters:
-    ledger = cluster.ledger
-    for index in range(ledger.num_rounds):
-        print(sorted((str(e), n) for e, n in ledger.round_loads(index).items()))
-    # in the store's own order: what load and delivery put where, and when
-    sizes = cluster._storage.sizes()
-    print(json.dumps(sizes))
-    for node, tags in sizes.items():
-        for tag in tags:
-            held = cluster.local(node, tag).tobytes()
-            print(node, tag, hashlib.blake2b(held, digest_size=8).hexdigest())
-"""
-
-
-def test_unicast_runs_and_plans_do_not_depend_on_the_hash_seed():
-    """``Cluster.load`` installs sorted tag by the placement's node
-    tuple, and unicast delivery installs in destination-index order:
-    ledger rounds, the store's contents *and its order*, and the
-    stripped reports of a hashed equi-join and a chain-3 plan are the
-    same under two ``PYTHONHASHSEED``s, every round checked against
-    the model."""
-    root = Path(__file__).resolve().parents[2]
-    path = os.pathsep.join([str(root / "src"), str(root)])
-    outputs = []
-    for hash_seed in ("1", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-c", _UNICAST_HASHSEED_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    reports = [json.loads(line) for line in outputs[0].splitlines()[:2]]
-    assert reports[0]["protocol"] == "uniform-hash-equijoin"
-    assert len(reports[1]["stages"]) == 2

@@ -42,7 +42,8 @@ class TestFingerprint:
 class TestTopologyArtifacts:
     def test_compute_order_is_canonical(self):
         tree = _tree()
-        assert TopologyArtifacts(tree).compute_order == Cluster(tree).compute_order
+        assert Cluster(tree).compute_order is tree.compute_nodes
+        assert not hasattr(TopologyArtifacts(tree), "compute_position")
 
 
 @pytest.fixture
@@ -178,23 +179,22 @@ class TestClusterIntegration:
         with use_artifacts(ArtifactCache()) as cache:
             artifacts = cache.get(tree)
             cluster = Cluster(tree)
-        assert cluster.artifacts is artifacts
         assert cluster.oracle is artifacts.oracle
 
     def test_structurally_equal_artifacts_are_shared(self):
         with use_artifacts(ArtifactCache()) as cache:
             artifacts = cache.get(_tree("a"))
             cluster = Cluster(_tree("b"))
-        assert cluster.artifacts is artifacts
+        assert cluster.oracle is artifacts.oracle
 
     def test_mismatched_trees_get_their_own_artifacts(self):
         with use_artifacts(ArtifactCache()) as cache:
             other = cache.get(_tree(uplink=2.0))
             tree = _tree(uplink=4.0)
             cluster = Cluster(tree)
-        assert cluster.artifacts is not other
-        assert cluster.artifacts.fingerprint == tree.fingerprint
+        assert cluster.oracle is not other.oracle
         assert cache.misses == 2
+        assert cluster.oracle is cache.get(tree).oracle
 
     def test_shared_artifacts_do_not_change_ledger(self):
         tree = _tree()

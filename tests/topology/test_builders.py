@@ -21,7 +21,7 @@ class TestStar:
     def test_shape(self):
         tree = star(6)
         assert tree.num_compute_nodes == 6
-        assert tree.routers == frozenset({"w"})
+        assert tree.routers == ("w",)
         assert tree.is_star()
 
     def test_scalar_bandwidth(self):
@@ -66,7 +66,7 @@ class TestTwoLevel:
     def test_shape(self):
         tree = two_level([2, 3])
         assert tree.num_compute_nodes == 5
-        assert tree.routers == frozenset({"w1", "w2", "core"})
+        assert tree.routers == ("core", "w1", "w2")
         assert tree.degree("core") == 2
 
     def test_rack_membership(self):

@@ -71,7 +71,7 @@ class TestSuppressDegreeTwo:
         edges = {("a", "x"): 3.0, ("x", "y"): 1.0, ("y", "b"): 2.0}
         tree = TreeTopology.from_undirected(edges, ["a", "b"])
         result = suppress_degree_two(tree)
-        assert result.nodes == frozenset({"a", "b"})
+        assert result.nodes == ("a", "b")
         assert result.bandwidth("a", "b") == 1.0  # min along the chain
 
     def test_asymmetric_minimum_per_direction(self):

@@ -38,7 +38,7 @@ def assert_lca_is_the_meet(tree, pairs) -> None:
     index = tree.routing_index
     a = np.array([index.index_of[u] for u, _ in pairs], dtype=np.intp)
     b = np.array([index.index_of[v] for _, v in pairs], dtype=np.intp)
-    found = [index.nodes[i] for i in index.lca(a, b).tolist()]
+    found = [tree.nodes[i] for i in index.lca(a, b).tolist()]
     assert found == [model_meet(tree, u, v) for u, v in pairs]
 
 
@@ -103,7 +103,7 @@ class TestLca:
     def test_deep_trees(self, name):
         tree = DEEP_TREES[name]()
         assert depth_of(tree) >= 200
-        nodes = tree.routing_index.nodes
+        nodes = tree.nodes
         # every node against both ends of the preorder, the deepest node,
         # a middle node and itself; the pairs in both orders
         fixed = [nodes[0], nodes[-1], nodes[len(nodes) // 2],
@@ -118,7 +118,7 @@ class TestLca:
         assert_lca_is_the_meet(tree, pairs)
         index = tree.routing_index
         deepest = index.index_of["p300"]
-        assert index.nodes[index.lca([deepest], [index.index_of["p000"]])[0]] == "p000"
+        assert tree.nodes[index.lca([deepest], [index.index_of["p000"]])[0]] == "p000"
 
     def test_single_node_and_empty_arrays(self):
         assert_lca_is_the_meet(single_node_tree(), [("only", "only")] * 2)
@@ -136,7 +136,7 @@ class TestDeepTrees:
         assert depth_of(self.tree) >= 100
 
     def test_unicast_loads(self):
-        computes = self.index.compute_nodes
+        computes = self.tree.compute_nodes
         src = self.rng.integers(len(computes), size=60)
         dst = self.rng.integers(len(computes), size=60)
         counts = self.rng.integers(1, 5, size=60)
@@ -149,7 +149,7 @@ class TestDeepTrees:
         assert loaded_links(self.tree, loads) == expected
 
     def test_multicast_loads(self):
-        computes = self.index.compute_nodes
+        computes = self.tree.compute_nodes
         srcs, flat, starts, ends, counts = [], [], [], [], []
         expected: dict = {}
         for group in range(25):
@@ -171,7 +171,7 @@ class TestDeepTrees:
     def test_steiner_counts(self):
         keys_by_node = {
             v: self.rng.integers(-3, 12, size=self.rng.integers(0, 4)) * 10**12
-            for v in self.index.compute_nodes
+            for v in self.tree.compute_nodes
         }
         assert shared_key_counts(self.tree, keys_by_node) == shared_key_counts_reference(
             self.tree, keys_by_node

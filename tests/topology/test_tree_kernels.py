@@ -120,17 +120,17 @@ class TestSubtreeSums:
     def test_kernel_on_all_nodes_matches_edge_sides(self, data, tree):
         index = tree.routing_index
         weights = np.array(
-            [data.draw(st.integers(0, 9)) for _ in index.nodes], dtype=np.int64
+            [data.draw(st.integers(0, 9)) for _ in tree.nodes], dtype=np.int64
         )
         below, above = index.subtree_sums(weights)
-        by_node = dict(zip(index.nodes, weights.tolist()))
+        by_node = dict(zip(tree.nodes, weights.tolist()))
         for (a, b), child, first in zip(
             tree.undirected_edges(), index.link_child, index.link_child_first
         ):
             a_side, b_side = node_sides(tree, (a, b))
             a_sum = sum(by_node[v] for v in a_side)
             b_sum = sum(by_node[v] for v in b_side)
-            assert index.nodes[child] == (a if first else b)
+            assert tree.nodes[child] == (a if first else b)
             assert (below[child], above[child]) == (
                 (a_sum, b_sum) if first else (b_sum, a_sum)
             )
@@ -140,9 +140,9 @@ class TestSubtreeSums:
     def test_min_and_max_match_edge_sides(self, data, tree):
         index = tree.routing_index
         values = np.array(
-            [data.draw(st.integers(-9, 9)) for _ in index.nodes], dtype=np.int64
+            [data.draw(st.integers(-9, 9)) for _ in tree.nodes], dtype=np.int64
         )
-        by_node = dict(zip(index.nodes, values.tolist()))
+        by_node = dict(zip(tree.nodes, values.tolist()))
         for ufunc, reduce, identity in [(np.minimum, min, 99), (np.maximum, max, -99)]:
             below, above = index.subtree_sums(values, ufunc, identity)
             for (a, b), child, first in zip(
@@ -156,8 +156,9 @@ class TestSubtreeSums:
                 )
 
     def test_min_and_max_of_an_empty_side_are_the_identity(self):
-        index = path_tree(3).routing_index
-        assert index.nodes == ["p000", "p001", "p002", "p003"]
+        tree = path_tree(3)
+        index = tree.routing_index
+        assert tree.nodes == ("p000", "p001", "p002", "p003")
         below, above = index.subtree_sums(np.array([7, 50, 50, 50]), np.minimum, 50)
         # p000 is the root: its subtree is everything, its outside nothing
         assert below.tolist() == [7, 50, 50, 50]
@@ -247,7 +248,7 @@ class TestLinkArrays:
     @settings(max_examples=80, deadline=None)
     def test_side_weights_is_link_side_sums_keyed_by_link(self, data, tree):
         sizes = data.draw(node_sizes(tree))
-        values = np.array([sizes[v] for v in tree.routing_index.compute_nodes])
+        values = np.array([sizes[v] for v in tree.compute_nodes])
         first, second = tree.link_side_sums(values)
         assert tree.side_weights(sizes) == dict(
             zip(tree.undirected_edges(), zip(first.tolist(), second.tolist()))

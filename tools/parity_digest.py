@@ -1,0 +1,240 @@
+#!/usr/bin/env python3
+"""One digest of everything a fixed grid of runs makes observable.
+
+Runs every registered (task, protocol) and every task's lower bound on
+six trees, two instance shapes (equal and unequal relation sizes, a
+small and a larger graph), two placement policies and three seeds, plus
+a chain-3 query
+plan, the optimizer's stage choices and two float sums whose result
+shows their order, and prints one BLAKE2b digest over:
+
+* each report without its wall times: cost, rounds, bound value and
+  description, and the protocol's meta;
+* each task's bound on each instance, per-link values included;
+* each protocol's outputs, dict key order included;
+* the per-round link loads of each run's ledger;
+* after every round of every cluster, what the store holds, in the
+  store's own order (node, tag, length and a digest of the elements).
+
+A run the protocol refuses (a star-only protocol on a non-star) is
+digested by its error type.  Two checkouts, or two hash seeds, that
+print the same digest made the same observable choices on the grid::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tools/parity_digest.py
+    PYTHONHASHSEED=1 PYTHONPATH=src python tools/parity_digest.py --per-run
+
+``--per-run`` prints one ``label digest`` line per run before the
+total, for a ``diff`` of two outputs.  Standard library and NumPy only.
+"""
+
+import argparse
+import hashlib
+import sys
+from functools import partial
+from collections.abc import Mapping
+
+import numpy as np
+
+import repro
+from repro.context import use
+from repro.engine import run_with_result
+from repro.errors import ReproError
+from repro.plan import Filter, GroupBy, Join, Scan, chain_catalog, chain_query, optimize
+from repro.plan.cost import estimate_tree_cost
+from repro.registry import get_task
+
+TREES = (
+    lambda: repro.star(4),
+    lambda: repro.two_level([3, 3]),
+    lambda: repro.two_level([2, 3, 4], uplink_bandwidth=0.5),
+    lambda: repro.caterpillar(5, 2),
+    lambda: repro.star(3, [1, 2, 2]),
+    lambda: repro.two_level([3, 4, 2], uplink_bandwidth=[1, 2, 4]),
+)
+POLICIES = ("uniform", "zipf")
+SEEDS = (0, 1, 2)
+SIZE = 60  # elements of the smaller relation
+#: Per instance shape, ``(|R|, |S|)`` of the relation tasks and ``(edges,
+#: vertices)`` of the graph tasks.  Equal sizes suit the star protocols;
+#: with ``|S| = 3|R|`` a link or a star leaf can hold ``|R|`` on both
+#: sides, so the β paths run (several TreeIntersect blocks, StarIntersect
+#: and unequal-star β leaves).
+SHAPES = (
+    ("even", (SIZE, SIZE), (120, None)),
+    ("skewed", (SIZE, 3 * SIZE), (400, 90)),
+)
+
+
+def _instance(task: str, tree, policy: str, seed: int, relations, graph):
+    if task in ("connected-components", "triangle-count"):
+        edges, vertices = graph
+        return repro.random_graph_distribution(
+            tree, num_edges=edges, num_vertices=vertices, policy=policy, seed=seed
+        )
+    r_size, s_size = relations
+    if task in ("equijoin", "groupby-aggregate"):
+        return repro.random_tuple_distribution(
+            tree, r_size=r_size, s_size=s_size, policy=policy, seed=seed
+        )
+    return repro.random_distribution(
+        tree, r_size=r_size, s_size=s_size, policy=policy, seed=seed
+    )
+
+
+def _encode(value) -> bytes:
+    """A canonical byte form: containers in their own order, arrays by
+    dtype, shape and contents, other objects by type and attributes,
+    keys naming a wall time dropped."""
+    if isinstance(value, Mapping):
+        return b"{" + b",".join(
+            _encode(k) + b":" + _encode(v)
+            for k, v in value.items()
+            if "wall" not in str(k)
+        ) + b"}"
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(map(_encode, value)) + b"]"
+    if isinstance(value, np.ndarray):
+        array = np.ascontiguousarray(value)
+        return repr((array.dtype.str, array.shape)).encode() + array.tobytes()
+    if hasattr(value, "__dict__"):
+        return type(value).__name__.encode() + _encode(vars(value))
+    return repr(value).encode()
+
+
+class _StoreRecorder:
+    """An auditor that checks nothing: after every round it records
+    what the cluster's store holds, in the store's order."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.rounds: list = []
+
+    def before_round(self, cluster) -> None:
+        return None
+
+    def check_round(self, cluster, context, before) -> None:
+        held = []
+        for node, tags in cluster._storage.sizes().items():
+            for tag, length in tags.items():
+                data = cluster.local(node, tag).tobytes()
+                held.append((node, tag, length, hashlib.blake2b(data).hexdigest()))
+        self.rounds.append(held)
+
+    def check_bound(self, **_) -> None:
+        return None
+
+
+def _protocol_runs():
+    protocols: dict = {}
+    for spec in repro.list_protocols():
+        protocols.setdefault(spec.task, []).append(spec)
+    for make_tree in TREES:
+        tree = make_tree()
+        for task, specs in protocols.items():
+            for shape, relations, graph in SHAPES:
+                for policy in POLICIES:
+                    for seed in SEEDS:
+                        where = f"{tree.name} {shape} {policy} {seed}"
+                        dist = _instance(task, tree, policy, seed, relations, graph)
+                        yield f"{task} bound {where}", partial(_bound, tree, task, dist)
+                        for spec in specs:
+                            yield f"{task}/{spec.name} {where}", partial(
+                                _run, tree, spec, dist, seed
+                            )
+
+
+def _bound(tree, task: str, distribution):
+    """The task's whole lower bound: value, bottleneck, per-link values."""
+    try:
+        return repr(get_task(task).lower_bound(tree, distribution))
+    except ReproError as error:
+        return _refusal(error)
+
+
+def _refusal(error: ReproError) -> tuple:
+    return ("refused", type(error).__name__)
+
+
+def _run(tree, spec, distribution, seed: int):
+    recorder = _StoreRecorder()
+    try:
+        with use(auditor=recorder):
+            report, result = run_with_result(
+                spec.task, tree, distribution, protocol=spec.name, seed=seed
+            )
+    except ReproError as error:
+        return _refusal(error)
+    loads = [result.ledger.link_loads(i) for i in range(result.ledger.num_rounds)]
+    return report.to_dict(), result.outputs, loads, recorder.rounds
+
+
+def _plan_runs():
+    for make_tree in TREES:
+        tree = make_tree()
+        catalog = chain_catalog(
+            tree, num_relations=3, rows=SIZE, key_space=32, seed=3, policy="zipf"
+        )
+        yield f"plan chain-3 {tree.name}", partial(_plan, tree, catalog)
+        chain = chain_query(3)
+        kept = Filter(Scan("R0"), "x0", "<=", 20)
+        filtered = Join((kept, Scan("R1"), Scan("R2")), chain.conditions)
+        for name, query in (
+            ("chain-3", chain),
+            ("filtered", filtered),
+            ("groupby", GroupBy(kept, key="x1", value="x0")),
+        ):
+            for strategy in ("optimized", "worst-order"):
+                yield f"optimize {name} {strategy} {tree.name}", partial(
+                    _stages, query, tree, catalog, strategy
+                )
+        yield f"float sums {tree.name}", partial(_float_sums, tree)
+
+
+def _stages(query, tree, catalog, strategy: str) -> str:
+    return repr(optimize(query, tree, catalog, strategy=strategy).stages)
+
+
+def _plan(tree, catalog):
+    recorder = _StoreRecorder()
+    with use(auditor=recorder):
+        report, output = repro.run_plan(
+            chain_query(3), tree, catalog, seed=4, keep_output=True
+        )
+    return (
+        report.to_dict(), output.node_order, output.offsets, output.rows(), recorder.rounds
+    )
+
+
+def _float_sums(tree):
+    """``2**53 + 1.0`` rounds back to ``2**53``: these sums differ with
+    the order they run in."""
+    nodes = sorted(tree.compute_nodes, key=str)
+    middle = len(nodes) // 2
+    profile = {v: 2.0**53 if i == middle else 1.0 for i, v in enumerate(nodes)}
+    return tree.side_weights(profile), estimate_tree_cost(tree, [profile])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--per-run", action="store_true", help="print one digest line per run"
+    )
+    args = parser.parse_args(argv)
+    total = hashlib.blake2b(digest_size=16)
+    count = refused = 0
+    for source in (_protocol_runs(), _plan_runs()):
+        for label, produce in source:
+            outcome = produce()
+            refused += outcome[0] == "refused"
+            encoded = _encode(outcome)
+            total.update(label.encode() + b"\n" + encoded + b"\n")
+            count += 1
+            if args.per_run:
+                print(label, hashlib.blake2b(encoded, digest_size=8).hexdigest())
+    print(f"parity digest {total.hexdigest()} over {count} runs ({refused} refused)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
