@@ -194,10 +194,21 @@ class Distribution:
     # ------------------------------------------------------------------ #
 
     def validate_for(self, tree: TreeTopology) -> None:
-        """Check the placement only uses compute nodes of ``tree``."""
-        nonempty_strays = [
-            n for n in self.node_order if not tree.is_compute_node(n) and self.size(n) > 0
-        ]
+        """Check the placement only uses compute nodes of ``tree``.
+
+        No Python call per node: a placement laid out on the tree's
+        compute nodes is one tuple comparison; otherwise one C-level
+        pass of ``tree.compute_position`` over :attr:`node_order`, and
+        the stored offsets only if some node does not compute."""
+        nodes = self.node_order
+        if nodes == tree.compute_nodes:
+            return
+        position = tree.compute_position
+        strays = np.fromiter(map(position.get, nodes, repeat(-1)), np.intp, len(nodes)) < 0
+        if not strays.any():
+            return
+        held = self.sizes_over(nodes, *self._columns) > 0
+        nonempty_strays = [nodes[i] for i in np.flatnonzero(strays & held).tolist()]
         if nonempty_strays:
             raise DistributionError(
                 "data placed on non-compute nodes: "

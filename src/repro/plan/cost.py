@@ -178,6 +178,12 @@ def _total(profile: np.ndarray) -> float:
     return sum(profile.tolist())
 
 
+def _totals(stack: np.ndarray) -> np.ndarray:
+    """:func:`_total` of every row of ``stack``: the same Python ``sum``
+    per row, never a NumPy reduction, so each equals the one-row total."""
+    return np.array([sum(row) for row in stack.tolist()], dtype=np.float64)
+
+
 class CostModel:
     """Scores candidate ``(operator, protocol)`` stages on one topology.
 
@@ -188,105 +194,129 @@ class CostModel:
     rows land), which feeds the next stage's estimate — a gather stage
     leaves everything on one node, a uniform shuffle spreads it evenly,
     a weighted shuffle follows the data.
+
+    The estimators work on stacks: one profile, side sum and cost per
+    row, so the optimizer scores a whole join step in one pass.  Every
+    operation is elementwise or a per-row ``max`` / ``argmax``, and
+    totals are :func:`_totals`, so a row's estimate is bit for bit the
+    estimate of that row scored alone.
     """
 
     def __init__(self, tree: TreeTopology) -> None:
         self.tree = tree
-        index = tree.routing_index
+        index = self._index = tree.routing_index
         self._computes = tree.compute_nodes
         self._forward = index.link_forward
         self._backward = index.link_backward
-        self._uniform = np.ones(len(self._computes))
+        self._uniform = np.ones((1, len(self._computes)))
+        self._uniform_totals = _totals(self._uniform)
         self._uniform_sides = tree.link_side_sums(self._uniform)
 
     def shuffle_cost(
-        self, sizes: tuple, weights: tuple, total_weight: float
-    ) -> float:
-        """Expected ``max_e load(e) / w_e`` of hashing rows by weight.
+        self, sizes: tuple, weights: tuple, totals: np.ndarray
+    ) -> np.ndarray:
+        """Per row, expected ``max_e load(e) / w_e`` of hashing rows by weight.
 
         ``sizes`` and ``weights`` are the per-link side sums of the rows
-        shipped and of the destination weights: an element is routed to
-        node ``u`` with probability proportional to ``u``'s weight, so
-        the directed link ``a -> b`` expects ``size(side of a) *
-        P(destination on side of b)``.
+        shipped and of the destination weights, ``totals`` the weights'
+        totals (per row, or one for all): an element is routed to node ``u`` with probability
+        proportional to ``u``'s weight, so the directed link ``a -> b``
+        expects ``size(side of a) * P(destination on side of b)``.  A
+        row whose weights total nothing costs nothing.
         """
-        if total_weight <= 0:
-            return 0.0
-        forward = sizes[0] * (weights[1] / total_weight) / self._forward
-        backward = sizes[1] * (weights[0] / total_weight) / self._backward
-        return float(max(forward.max(initial=0.0), backward.max(initial=0.0)))
+        live = totals > 0
+        share = np.where(live, totals, 1.0)[:, None]
+        forward = sizes[0] * (weights[1] / share) / self._forward
+        backward = sizes[1] * (weights[0] / share) / self._backward
+        cost = np.maximum(forward.max(axis=1, initial=0.0), backward.max(axis=1, initial=0.0))
+        return np.where(live, cost, 0.0)
 
-    def uniform_hash_cost(self, sizes: tuple) -> float:
-        """Expected stage cost of the uniform-hash baseline."""
-        return self.shuffle_cost(
-            sizes, self._uniform_sides, float(len(self._computes))
-        )
+    def uniform_hash_cost(self, sizes: tuple) -> np.ndarray:
+        """Expected stage cost of the uniform-hash baseline, per row."""
+        return self.shuffle_cost(sizes, self._uniform_sides, self._uniform_totals)
 
     def tree_cost(
-        self, combined: np.ndarray, sizes: tuple, totals: Sequence[float]
-    ) -> float:
-        """Estimated stage cost of the distribution-aware tree protocols.
+        self,
+        combined: np.ndarray,
+        sizes: tuple,
+        totals: np.ndarray,
+        smallest: np.ndarray,
+    ) -> np.ndarray:
+        """Estimated stage cost of the distribution-aware tree protocols,
+        per row: ``totals`` are the rows' :func:`_totals`, ``smallest``
+        the total of the smallest input relation.
 
         Expected load of a placement-weighted shuffle, floored by the
         Theorem-1-style per-link bound (for every link, any correct keyed
         protocol pays at least ``min(totals..., side sums) / w_e``), then
-        scaled by :data:`TREE_COST_CALIBRATION`.
+        scaled by :data:`TREE_COST_CALIBRATION`.  A row that places
+        nothing costs nothing.
         """
-        if not (combined > 0).any():
-            return 0.0
-        expectation = self.shuffle_cost(sizes, sizes, _total(combined))
-        cap = np.minimum(np.minimum(*sizes), min(totals))
-        bound = (cap / self.tree.undirected_bandwidths()).max(initial=0.0)
-        return TREE_COST_CALIBRATION * max(expectation, float(bound))
+        live = (combined > 0).any(axis=1)
+        if not live.any():
+            return np.zeros(len(combined))
+        expectation = self.shuffle_cost(sizes, sizes, totals)
+        cap = np.minimum(np.minimum(*sizes), smallest[:, None])
+        bound = (cap / self.tree.undirected_bandwidths()).max(axis=1, initial=0.0)
+        return np.where(
+            live, TREE_COST_CALIBRATION * np.maximum(expectation, bound), 0.0
+        )
 
     def gather_cost(
         self, combined: np.ndarray, sizes: tuple
-    ) -> tuple[float, int]:
-        """Exact cost of gathering everything at the best target, and
-        that target's position: the fullest node, the first of equals."""
-        target = int(np.argmax(combined))
-        inbound = np.where(
-            self.tree.links_facing(self._computes[target]),
-            sizes[0] / self._forward,
-            sizes[1] / self._backward,
-        )
-        return float(inbound.max(initial=0.0)), target
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the exact cost of gathering everything at the best
+        target, and that target's position: the fullest node, the first
+        of equals."""
+        targets = np.argmax(combined, axis=1)
+        facing = self._index.links_facing(self._index.compute_idx[targets])
+        inbound = np.where(facing, sizes[0] / self._forward, sizes[1] / self._backward)
+        return inbound.max(axis=1, initial=0.0), targets
 
-    def _spread(self, rows: float, weights: np.ndarray) -> np.ndarray:
-        total = _total(weights)
-        if total <= 0:
-            return np.full(len(weights), rows / len(weights))
-        return rows * weights / total
+    def _spread(
+        self, rows: np.ndarray, weights: np.ndarray, totals: np.ndarray
+    ) -> np.ndarray:
+        """``rows`` (a column) spread in proportion to ``weights`` (one row
+        per stage, or one for all), evenly where the weights total
+        nothing."""
+        live = (totals > 0)[:, None]
+        share = np.where(live, totals[:, None], 1.0)
+        return np.where(live, rows * weights / share, rows / weights.shape[1])
 
-    def _at(self, target: int, rows: float) -> np.ndarray:
-        profile = np.zeros(len(self._computes))
-        profile[target] = rows
-        return profile
+    def _at(self, targets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        profiles = np.zeros((len(targets), len(self._computes)))
+        profiles[np.arange(len(targets)), targets] = rows[:, 0]
+        return profiles
 
     def join_stages(
-        self, left: np.ndarray, right: np.ndarray, out_rows: float, protocols
+        self, lefts: np.ndarray, rights: np.ndarray, out_rows, protocols
     ) -> list:
-        """``(estimated cost, output profile)`` of one join shuffle under
-        each of ``protocols``, all read off one combined side-sum."""
-        combined = left + right
+        """Per stage ``i`` of a stack — ``lefts[i]`` joined with
+        ``rights[i]``, ``out_rows[i]`` rows out — the ``(estimated cost,
+        output profile)`` of its shuffle under each of ``protocols``, all
+        read off one stacked side-sum pass."""
+        combined = lefts + rights
         sizes = self.tree.link_side_sums(combined)
-        stages = []
+        totals = _totals(combined)
+        rows = np.array(out_rows, dtype=np.float64)[:, None]
+        scored = []
         for protocol in protocols:
             if protocol == "gather":
-                cost, target = self.gather_cost(combined, sizes)
-                stages.append((cost, self._at(target, out_rows)))
+                costs, targets = self.gather_cost(combined, sizes)
+                profiles = self._at(targets, rows)
             elif protocol == "uniform-hash":
-                cost = self.uniform_hash_cost(sizes)
-                stages.append((cost, self._spread(out_rows, self._uniform)))
+                costs = self.uniform_hash_cost(sizes)
+                profiles = self._spread(rows, self._uniform, self._uniform_totals)
             elif protocol == "tree":
-                totals = [_total(left), _total(right)]
-                cost = self.tree_cost(combined, sizes, totals)
-                stages.append((cost, self._spread(out_rows, combined)))
+                smallest = np.minimum(_totals(lefts), _totals(rights))
+                costs = self.tree_cost(combined, sizes, totals, smallest)
+                profiles = self._spread(rows, combined, totals)
             else:
                 raise PlanError(
                     f"no cost estimator for join protocol {protocol!r}"
                 )
-        return stages
+            scored.append(zip(costs.tolist(), profiles))
+        return [list(stage) for stage in zip(*scored)]
 
     def groupby_stages(
         self, child: np.ndarray, groups: float, protocols
@@ -298,26 +328,31 @@ class CostModel:
         each node ships at most ``min(rows_v, groups)`` partials; the
         gather baseline ships raw tuples.
         """
-        raw = self.tree.link_side_sums(child)
-        partials = self.tree.link_side_sums(np.minimum(child, groups))
+        first, second = self.tree.link_side_sums(
+            np.stack([child, np.minimum(child, groups)])
+        )
+        raw, partials = (first[:1], second[:1]), (first[1:], second[1:])
+        stack, rows = child[None], np.array([[groups]], dtype=np.float64)
         stages = []
         for protocol in protocols:
             if protocol == "gather":
-                cost, target = self.gather_cost(child, raw)
-                stages.append((cost, self._at(target, groups)))
+                costs, targets = self.gather_cost(stack, raw)
+                profiles = self._at(targets, rows)
             elif protocol == "uniform-hash":
-                cost = self.uniform_hash_cost(partials)
-                stages.append((cost, self._spread(groups, self._uniform)))
+                costs = self.uniform_hash_cost(partials)
+                profiles = self._spread(rows, self._uniform, self._uniform_totals)
             elif protocol == "tree":
                 if not (child > 0).any():
                     stages.append((0.0, np.zeros(len(child))))
                     continue
-                cost = self.shuffle_cost(partials, raw, _total(child))
-                stages.append((cost, self._spread(groups, child)))
+                totals = _totals(stack)
+                costs = self.shuffle_cost(partials, raw, totals)
+                profiles = self._spread(rows, stack, totals)
             else:
                 raise PlanError(
                     f"no cost estimator for group-by protocol {protocol!r}"
                 )
+            stages.append((costs.item(), profiles[0]))
         return stages
 
     def supported_protocols(self, operator: str) -> tuple:
@@ -341,11 +376,12 @@ class CostModel:
 def _stage_input(
     tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
 ) -> tuple:
-    """``(model, per-profile totals, combined profile, its side sums)``."""
+    """``(model, smallest profile total, combined profile, its side
+    sums)``, each for a one-row stack."""
     vectors = [placement_profile(tree, profile) for profile in profiles]
-    combined = sum(vectors, np.zeros(tree.num_compute_nodes))
-    totals = [_total(vector) for vector in vectors]
-    return CostModel(tree), totals, combined, tree.link_side_sums(combined)
+    combined = sum(vectors, np.zeros(tree.num_compute_nodes))[None]
+    smallest = np.array([min(map(_total, vectors), default=0.0)])
+    return CostModel(tree), smallest, combined, tree.link_side_sums(combined)
 
 
 def estimate_uniform_hash_cost(
@@ -353,15 +389,15 @@ def estimate_uniform_hash_cost(
 ) -> float:
     """Expected stage cost of the uniform-hash baseline."""
     model, _, _, sizes = _stage_input(tree, profiles)
-    return model.uniform_hash_cost(sizes)
+    return model.uniform_hash_cost(sizes).item()
 
 
 def estimate_tree_cost(
     tree: TreeTopology, profiles: Sequence[Mapping[NodeId, float]]
 ) -> float:
     """Estimated stage cost of the distribution-aware tree protocols."""
-    model, totals, combined, sizes = _stage_input(tree, profiles)
-    return model.tree_cost(combined, sizes, totals)
+    model, smallest, combined, sizes = _stage_input(tree, profiles)
+    return model.tree_cost(combined, sizes, _totals(combined), smallest).item()
 
 
 def estimate_gather_cost(
@@ -369,5 +405,5 @@ def estimate_gather_cost(
 ) -> tuple[float, NodeId]:
     """Exact stage cost of gathering everything at the best target."""
     model, _, combined, sizes = _stage_input(tree, profiles)
-    cost, target = model.gather_cost(combined, sizes)
-    return cost, tree.compute_nodes[target]
+    (cost,), (target,) = model.gather_cost(combined, sizes)
+    return cost.item(), tree.compute_nodes[target]

@@ -13,12 +13,18 @@ The optimizer makes the two decisions the logical algebra leaves open:
   baseline) is scored on the estimated placement profile of the stage's
   inputs, and the cheapest wins.
 
-The search scores each distinct stage once.  A stage's estimate is a
-pure function of its two input profiles and its output cardinality, so
-one compile keeps a table of the stages it has scored: the prefix that
-left-deep orders share is looked up, not re-scored.  Within one order,
-the protocol beam keeps only the cheapest state per placement profile —
-what a state can still add depends on its profile alone.
+The search scores a whole join step at once.  It first walks the merges
+of every connected order, then advances all the orders' protocol beams
+in lockstep: every order has one step per join input after the first,
+and at each step the stages no order has scored yet go to
+:meth:`~repro.plan.cost.CostModel.join_stages` as one stack.  A stage's
+estimate is a pure function of its two input profiles and its output
+cardinality, so one compile keeps a table of the stages it has scored:
+each distinct stage is scored once, and the prefix that left-deep orders
+share is looked up, not re-scored.  Within one order, the protocol beam
+keeps only the cheapest state per placement profile — what a state can
+still add depends on its profile alone — and expands exactly as it
+would alone.
 
 Three strategies share this machinery: ``optimized`` (min-cost order,
 min-cost protocols), ``gather`` (the order as written, every stage the
@@ -34,6 +40,8 @@ import threading
 from dataclasses import dataclass
 from itertools import permutations
 from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from repro.errors import PlanError
 from repro.obs.tracer import get_tracer
@@ -230,8 +238,8 @@ class _Compiler:
         self.strategy = strategy
         self.model = CostModel(tree)
         self.stages: list = []
-        # (left profile, right profile, output rows) -> join_stages result;
-        # one tree and one protocol tuple per compiler make it exact.
+        # (left profile, right profile, output rows) -> one join_stages
+        # row; one tree and one protocol tuple per compiler make it exact.
         self.stage_table: dict = {}
         self.join_protocols = self._candidates("equijoin", "join")
         self.groupby_protocols = self._candidates("groupby-aggregate", "groupby")
@@ -397,21 +405,27 @@ class _Compiler:
         k = len(compiled)
         collision: str | None = None
 
-        def scored(order) -> _Candidate | None:
+        def walks(orders) -> list:
+            """``(order, steps)`` of every connected order, in order."""
             nonlocal collision
-            try:
-                return self._simulate(compiled, conditions, order)
-            except _Collision as error:
-                collision = collision or error.args[0]
-                return None
+            found = []
+            for order in orders:
+                try:
+                    steps = self._merge_walk(compiled, conditions, order)
+                except _Collision as error:
+                    collision = collision or error.args[0]
+                    continue
+                if steps is not None:
+                    found.append((order, steps))
+            return found
 
         if self.strategy == "gather":
-            candidate = scored(tuple(range(k)))
-            if candidate is not None:
-                return candidate
+            written = walks([tuple(range(k))])
+            if written:
+                return self._search(compiled, written)[0]
         # min / max keep the first of equals, in permutation order
         pick = max if self.strategy == "worst-order" else min
-        candidates = filter(None, map(scored, permutations(range(k))))
+        candidates = self._search(compiled, walks(permutations(range(k))))
         best = pick(candidates, key=lambda candidate: candidate.cost, default=None)
         if best is None:
             if collision is not None:
@@ -425,24 +439,6 @@ class _Compiler:
                 "cross products are not supported"
             )
         return best
-
-    def _simulate(self, compiled, conditions, order) -> _Candidate | None:
-        """Score one merge order; ``None`` if some step lacks a condition.
-
-        Raises :class:`_Collision` if every step has a condition but some
-        step's output would repeat a column name.
-
-        Phase one walks the merges and derives everything that does not
-        depend on protocol choice: stage key pairs, residual equalities,
-        output columns and cardinality estimates.  Phase two assigns a
-        protocol to every stage by searching protocol *sequences* — a
-        gather stage leaves all data on one node and makes every later
-        stage nearly free, which no greedy per-stage choice can see.
-        """
-        steps = self._merge_walk(compiled, conditions, order)
-        if steps is None:
-            return None
-        return self._assign_protocols(compiled, order, steps)
 
     def _merge_walk(self, compiled, conditions, order) -> list | None:
         first = order[0]
@@ -518,59 +514,87 @@ class _Compiler:
             raise _Collision(repeated)
         return steps
 
-    def _assign_protocols(self, compiled, order, steps) -> _Candidate:
-        """Pick each stage's protocol by beam search over sequences.
+    def _search(self, compiled, walks) -> list:
+        """Pick each stage's protocol by beam search over sequences, for
+        every walk in lockstep; one :class:`_Candidate` per walk.
 
-        States carry the cost so far and the current placement profile
-        (each protocol leaves the data somewhere different).  Of states
-        with equal profiles only the first in the stable cost order is
-        kept: every completion adds the same costs to both, so it stays
-        at least as cheap and ahead of the others to the end.  A beam of
-        :data:`PROTOCOL_BEAM` distinct profiles keeps the search
-        exhaustive for every sequence length the benchmark queries reach
-        (``3^m`` states fit the beam for ``m <= 4`` stages) and
-        near-optimal beyond.
+        A gather stage leaves all data on one node and makes every later
+        stage nearly free, which no greedy per-stage choice can see, so
+        the search ranks protocol *sequences*.  States carry the cost so
+        far and the current placement profile (each protocol leaves the
+        data somewhere different).  Of states with equal profiles only
+        the first in the stable cost order is kept: every completion adds
+        the same costs to both, so it stays at least as cheap and ahead
+        of the others to the end.  A beam of :data:`PROTOCOL_BEAM`
+        distinct profiles keeps the search exhaustive for every sequence
+        length the benchmark queries reach (``3^m`` states fit the beam
+        for ``m <= 4`` stages) and near-optimal beyond.
+
+        Every walk has one step per join input after the first, so all
+        beams advance together: each step's stages not yet in
+        :attr:`stage_table` are scored in one stacked
+        :meth:`CostModel.join_stages` call, then every beam expands on
+        its own, as if alone.
         """
         protocols = (
             ("gather",) if self.strategy == "gather" else self.join_protocols
         )
-        # (cost so far, current profile, [(protocol, cost, profile) per step])
-        states = [(0.0, compiled[order[0]][1].profile, [])]
-        for step in steps:
-            right = compiled[step["new"]][1].profile
-            rows = step["stats"].rows
-            right_key = right.tobytes()
-            expanded = []
-            for total, left, chosen in states:
-                key = (left.tobytes(), right_key, rows)
-                stages = self.stage_table.get(key)
-                if stages is None:
-                    stages = self.model.join_stages(left, right, rows, protocols)
-                    self.stage_table[key] = stages
-                for name, (cost, profile) in zip(protocols, stages):
-                    expanded.append(
-                        (total + cost, profile, chosen + [(name, cost, profile)])
-                    )
-            expanded.sort(key=lambda state: state[0])
-            distinct: dict = {}
-            for state in expanded:
-                distinct.setdefault(state[1].tobytes(), state)
-            states = list(distinct.values())[:PROTOCOL_BEAM]
-        total, _, chosen = states[0]
-        annotated = [
-            {
-                **step,
-                "protocol": name,
-                "cost": cost,
-                "stats": RelationStats(
-                    rows=step["stats"].rows,
-                    distinct=step["stats"].distinct,
-                    profile=profile,
-                ),
-            }
-            for step, (name, cost, profile) in zip(steps, chosen)
-        ]
-        return _Candidate(order=tuple(order), steps=annotated, cost=total)
+        # per walk: [(cost so far, current profile, [(protocol, cost, profile)])]
+        beams = [[(0.0, compiled[order[0]][1].profile, [])] for order, _ in walks]
+        for depth in range(len(compiled) - 1):
+            keys = []  # per walk, each state's stage table key
+            pending: dict = {}  # unscored key -> (left, right) profiles
+            for (_, steps), states in zip(walks, beams):
+                step = steps[depth]
+                right = compiled[step["new"]][1].profile
+                right_key, rows = right.tobytes(), step["stats"].rows
+                keys.append([(left.tobytes(), right_key, rows) for _, left, _ in states])
+                for key, (_, left, _) in zip(keys[-1], states):
+                    if key not in self.stage_table:
+                        pending.setdefault(key, (left, right))
+            if pending:
+                lefts, rights = (np.stack(side) for side in zip(*pending.values()))
+                rows = [key[2] for key in pending]
+                scored = self.model.join_stages(lefts, rights, rows, protocols)
+                self.stage_table.update(zip(pending, scored))
+            beams = [
+                self._expand(states, stage_keys, protocols)
+                for states, stage_keys in zip(beams, keys)
+            ]
+        candidates = []
+        for (order, steps), states in zip(walks, beams):
+            total, _, chosen = states[0]
+            annotated = [
+                {
+                    **step,
+                    "protocol": name,
+                    "cost": cost,
+                    "stats": RelationStats(
+                        rows=step["stats"].rows,
+                        distinct=step["stats"].distinct,
+                        profile=profile,
+                    ),
+                }
+                for step, (name, cost, profile) in zip(steps, chosen)
+            ]
+            candidates.append(_Candidate(order=tuple(order), steps=annotated, cost=total))
+        return candidates
+
+    def _expand(self, states, keys, protocols) -> list:
+        """One beam step: every state under every protocol, stably sorted
+        by cost, the first state per profile kept, at most
+        :data:`PROTOCOL_BEAM` of them."""
+        expanded = []
+        for (total, _, chosen), key in zip(states, keys):
+            for name, (cost, profile) in zip(protocols, self.stage_table[key]):
+                expanded.append(
+                    (total + cost, profile, chosen + [(name, cost, profile)])
+                )
+        expanded.sort(key=lambda state: state[0])
+        distinct: dict = {}
+        for state in expanded:
+            distinct.setdefault(state[1].tobytes(), state)
+        return list(distinct.values())[:PROTOCOL_BEAM]
 
     def _emit_join_steps(
         self, compiled, candidate: _Candidate
@@ -615,8 +639,8 @@ class PlanCache:
     A serving session sees the same handful of query *shapes* over and
     over; the left-deep order enumeration and per-stage protocol beam
     search are still the largest single part of a cold small plan
-    (about 40% of a cold chain-3 / star-2 / chain-4 mix on a 144-leaf
-    two-level tree), and their output depends only on the logical plan,
+    (about 35% of a cold chain-3 / star-2 / chain-4 mix on a 144-leaf
+    two-level tree, with each join step scored as one stack), and their output depends only on the logical plan,
     the topology structure, and the catalog's placement statistics.  The cache key captures exactly those three
     (:meth:`key`): the logical plan's deterministic ``describe()``
     string, the structural :attr:`TreeTopology.fingerprint` (label-blind,

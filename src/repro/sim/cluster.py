@@ -355,7 +355,7 @@ class RoundContext:
 
         When a recording tracer is installed, the finalizer splits its
         wall time into *group* (collection, sort, payload gather),
-        *deliver* (storage appends) and *charge* (tree-flow accounting)
+        *deliver* (storage installs) and *charge* (tree-flow accounting)
         phases, counts the delivered elements per tag, and annotates the
         enclosing round span with both alongside the ledger-derived
         round attrs; with the default no-op tracer no clock is read.

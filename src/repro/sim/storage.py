@@ -81,8 +81,7 @@ class ColumnarStore:
     """``(node, tag) -> column`` storage behind the cluster surface.
 
     ``nodes`` fixes the index space tables are installed in (a cluster
-    passes its canonical compute order); a node first seen by
-    :meth:`append` is given the next index.  Arrays must already be
+    passes its canonical compute order).  Arrays must already be
     one-dimensional ``int64`` — the cluster validates payloads before
     they reach storage.
     """
@@ -90,7 +89,7 @@ class ColumnarStore:
     __slots__ = ("_nodes", "_position", "_tags")
 
     def __init__(self, nodes: Sequence = ()) -> None:
-        self._nodes = list(nodes)
+        self._nodes = tuple(nodes)
         self._position = dict(zip(self._nodes, range(len(self._nodes))))
         self._tags: dict[str, _Tag] = {}
 
@@ -124,15 +123,6 @@ class ColumnarStore:
             state = self._tag(tag)
             state.tables.append((_readonly(values), owners, starts, ends))
             state.owners = None
-
-    def append(self, node, tag: str, chunk: np.ndarray) -> None:
-        """Reference one delivered chunk at the end of a node's column."""
-        index = self._position.get(node)
-        if index is None:
-            index = self._position[node] = len(self._nodes)
-            self._nodes.append(node)
-        pieces = self._tag(tag).per_node()
-        pieces.setdefault(index, []).append(_readonly(chunk))
 
     def discard(self, node, tag: str) -> None:
         """Drop a column (no-op when absent)."""

@@ -146,10 +146,18 @@ class RoutingIndex:
 
     def _push_up(self, values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
         """Add (or ``ufunc``: min, max) every node's value into all its
-        ancestors, in place."""
+        ancestors, in place (a trailing batch axis rides along)."""
         for level in self.levels_desc:
             ufunc.at(values, self.parent[level], values[level])
         return values
+
+    def links_facing(self, nodes: np.ndarray) -> np.ndarray:
+        """Per node index of ``nodes`` (any shape), per link whether the
+        node lies on the side of ``edge[1]``: a trailing links axis."""
+        entered = self.tin[nodes][..., None]
+        child = self.link_child
+        below = (self.tin[child] <= entered) & (entered < self.tout[child])
+        return below != self.link_child_first
 
     def _steiner_paths(
         self, terminals: np.ndarray, groups: np.ndarray, starts: np.ndarray
@@ -190,9 +198,14 @@ class RoutingIndex:
         each accumulated from an end holding ``identity``.  Sums are
         additions only, in that fixed order, never ``total - subtree``:
         with float values a side that holds nothing is exactly zero.
+
+        ``values`` is one value per node, or a stack of them with the
+        batch on a trailing axis (``(nodes, batch)``): every column runs
+        the same operations in the same order, so column ``j`` of a
+        stacked call equals the call on column ``j`` alone, bit for bit.
         """
         in_preorder = values[self.preorder]
-        end = np.full(1, identity, dtype=values.dtype)
+        end = np.full((1, *values.shape[1:]), identity, dtype=values.dtype)
         before = ufunc.accumulate(np.concatenate([end, in_preorder]))
         after = ufunc.accumulate(np.concatenate([end, in_preorder[::-1]]))[::-1]
         return (

@@ -390,15 +390,18 @@ class TreeTopology:
         node set's members on each side (the partition checks).  Integer
         values sum exactly, float values in the fixed order of
         :meth:`RoutingIndex.subtree_sums`, the one per-link side kernel.
+
+        A stack of profiles, one per row, is summed in one pass of that
+        kernel; each result then holds one row per profile, equal to the
+        one-profile call on that row.
         """
         index = self.routing_index
-        node_weights = np.zeros(index.num_nodes, dtype=values.dtype)
-        node_weights[index.compute_idx] = values
+        node_weights = np.zeros((index.num_nodes, *values.shape[:-1]), dtype=values.dtype)
+        node_weights[index.compute_idx] = values.T
         below, above = index.subtree_sums(node_weights)
-        child = index.link_child
-        first = np.where(index.link_child_first, below[child], above[child])
-        second = np.where(index.link_child_first, above[child], below[child])
-        return first, second
+        child, child_first = index.link_child, index.link_child_first
+        below, above = below[child].T, above[child].T
+        return np.where(child_first, below, above), np.where(child_first, above, below)
 
     def side_weights(
         self, weights: Mapping[NodeId, float]
@@ -413,10 +416,7 @@ class TreeTopology:
         if node not in self._compute_position:
             raise TopologyError(f"unknown node {node!r}")
         index = self.routing_index
-        entered = index.tin[index.index_of[node]]
-        child = index.link_child
-        below = (index.tin[child] <= entered) & (entered < index.tout[child])
-        return below != index.link_child_first
+        return index.links_facing(index.index_of[node])
 
     def undirected_bandwidths(self) -> np.ndarray:
         """:meth:`undirected_bandwidth` of every link, as one array."""

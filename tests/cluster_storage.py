@@ -5,8 +5,12 @@ import numpy as np
 
 
 def put(cluster, node, tag: str, values) -> None:
-    """Append ``values`` to ``node``'s storage under ``tag`` (referenced,
-    not copied, when already a 1-D ``int64`` array)."""
+    """Add ``values`` at the end of ``node``'s storage under ``tag`` as a
+    one-stretch table (referenced, not copied, when already a 1-D
+    ``int64`` array)."""
     payload = np.asarray(values, dtype=np.int64)
     if len(payload):
-        cluster._storage.append(node, str(tag), payload)
+        owner = np.array([cluster.compute_order.index(node)])
+        cluster._storage.install(
+            str(tag), owner, np.array([0]), np.array([len(payload)]), payload
+        )

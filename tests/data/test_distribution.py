@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.distribution import Distribution
 from repro.errors import DistributionError
-from repro.topology.builders import star
+from repro.topology.builders import star, two_level
 
 
 def sample_distribution():
@@ -119,6 +119,30 @@ class TestValidation:
     def test_validate_for_allows_empty_stray(self):
         tree = star(3)
         Distribution({"w": {}}).validate_for(tree)
+
+    def test_validate_for_names_every_router_and_stranger_holding_data(self):
+        tree = two_level([2, 2])
+        assert "core" in tree.routers
+        computes = tree.compute_nodes
+        placement = Distribution(
+            {
+                computes[0]: {"R": [1, 2]},
+                "nowhere": {"S": [3]},
+                "core": {"R": [], "S": [4]},
+                computes[1]: {"S": [5]},
+            }
+        )
+        with pytest.raises(DistributionError) as refused:
+            placement.validate_for(tree)
+        assert str(refused.value) == (
+            "data placed on non-compute nodes: ['core', 'nowhere']"
+        )
+
+    def test_validate_for_accepts_a_router_holding_only_empty_fragments(self):
+        tree = two_level([2, 2])
+        Distribution(
+            {"core": {"R": [], "S": []}, tree.compute_nodes[0]: {"R": [7]}}
+        ).validate_for(tree)
 
 
 class TestReporting:

@@ -119,8 +119,8 @@ class TestCostModel:
         nodes = tree.left_to_right_compute_order()
         left = placement_profile(tree, {nodes[0]: 100.0})
         right = placement_profile(tree, {n: 25.0 for n in nodes})
-        (_, gathered), (_, uniform) = model.join_stages(
-            left, right, 500.0, ("gather", "uniform-hash")
+        ((_, gathered), (_, uniform)), = model.join_stages(
+            left[None], right[None], [500.0], ("gather", "uniform-hash")
         )
         assert gathered.sum() == pytest.approx(500.0)
         # gather leaves everything on one node
@@ -130,7 +130,7 @@ class TestCostModel:
     def test_unknown_protocol_rejected(self):
         model = CostModel(star(3))
         with pytest.raises(PlanError):
-            model.join_stages(np.ones(3), np.ones(3), 1, ("bogus",))
+            model.join_stages(np.ones((1, 3)), np.ones((1, 3)), [1], ("bogus",))
         with pytest.raises(PlanError):
             model.groupby_stages(np.ones(3), 1, ("bogus",))
 

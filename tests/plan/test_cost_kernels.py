@@ -12,6 +12,7 @@ reference's docstring), so there — and only there — the comparison is
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,10 +205,10 @@ def test_join_stages_match_reference(instance, out_rows):
     tree, profiles = instance
     left, right = profiles[0], profiles[-1]
     reference = reference_cost.ReferenceCostModel(tree)
-    found = CostModel(tree).join_stages(
-        placement_profile(tree, left),
-        placement_profile(tree, right),
-        out_rows,
+    (found,) = CostModel(tree).join_stages(
+        placement_profile(tree, left)[None],
+        placement_profile(tree, right)[None],
+        [out_rows],
         PROTOCOLS,
     )
     for protocol, (cost, profile) in zip(PROTOCOLS, found):
@@ -225,6 +226,34 @@ def test_join_stages_match_reference(instance, out_rows):
             profile.tolist()
             == placement_profile(tree, expected_profile).tolist()
         )
+
+
+@given(data=st.data(), tree=cost_trees())
+@settings(max_examples=100, deadline=None)
+def test_a_stacked_step_scores_every_stage_as_if_alone(data, tree):
+    """One stacked call is one call per row, bit for bit: costs, output
+    profiles and their bytes (the optimizer's dedupe key)."""
+    count = data.draw(st.integers(1, 5))
+    sides = [
+        [
+            placement_profile(
+                tree, data.draw(node_profiles(tree, data.draw(st.sampled_from(KINDS))))
+            )
+            for _ in range(2)
+        ]
+        for _ in range(count)
+    ]
+    rows = [data.draw(st.floats(0, 1e4, allow_nan=False)) for _ in range(count)]
+    model = CostModel(tree)
+    lefts, rights = (np.stack(side) for side in zip(*sides))
+    stacked = model.join_stages(lefts, rights, rows, PROTOCOLS)
+    assert len(stacked) == count
+    for (left, right), out_rows, found in zip(sides, rows, stacked):
+        (alone,) = model.join_stages(left[None], right[None], [out_rows], PROTOCOLS)
+        for (cost, profile), (cost_alone, profile_alone) in zip(found, alone):
+            assert type(cost) is float
+            assert cost == cost_alone
+            assert profile.tobytes() == profile_alone.tobytes()
 
 
 @given(instance=stage_inputs(), groups=st.floats(0, 300, allow_nan=False))

@@ -4,8 +4,10 @@ import math
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import PlanError
+from repro.errors import PlanError, ReproError
 from repro.plan.cost import CostModel
 from repro.plan.logical import (
     Filter,
@@ -19,7 +21,9 @@ from repro.plan.logical import (
 from repro.plan.optimizer import STRATEGIES, _Compiler, _flatten_join, optimize
 from repro.plan.relation import chain_catalog, star_catalog
 from repro.topology.builders import star, two_level
+from tests.plan.reference_search import reference_stages
 from tests.plan.test_cost_kernels import QUERIES
+from tests.strategies import shaped_trees
 
 
 @pytest.fixture
@@ -168,7 +172,8 @@ def _join_of(query):
 
 def _sequence_costs(compiler, compiled, conditions, orders, protocols) -> dict:
     """``{(order, protocol sequence): cost}`` for every connected order,
-    each sequence summed left to right through ``join_stages``."""
+    each sequence summed left to right through ``join_stages``, one
+    one-row stack per stage."""
     costs = {}
     for order in orders:
         steps = compiler._merge_walk(compiled, conditions, order)
@@ -179,8 +184,8 @@ def _sequence_costs(compiler, compiled, conditions, orders, protocols) -> dict:
             total = 0.0
             for step, name in zip(steps, sequence):
                 right = compiled[step["new"]][1].profile
-                ((cost, profile),) = compiler.model.join_stages(
-                    profile, right, step["stats"].rows, (name,)
+                (((cost, profile),),) = compiler.model.join_stages(
+                    profile[None], right[None], [step["stats"].rows], (name,)
                 )
                 total += cost
             costs[order, sequence] = total
@@ -243,15 +248,22 @@ def test_search_finds_the_exhaustive_optimum(shape, tree_name, strategy):
 
 
 def _recording_join_stages(monkeypatch) -> list:
-    keys = []
+    """Patch the stacked entry point: one list of scored stage keys per
+    call, ``(left bytes, right bytes, output rows)`` per row."""
+    calls = []
     original = CostModel.join_stages
 
-    def recorded(self, left, right, out_rows, protocols):
-        keys.append((left.tobytes(), right.tobytes(), out_rows))
-        return original(self, left, right, out_rows, protocols)
+    def recorded(self, lefts, rights, out_rows, protocols):
+        calls.append(
+            [
+                (left.tobytes(), right.tobytes(), rows)
+                for left, right, rows in zip(lefts, rights, out_rows)
+            ]
+        )
+        return original(self, lefts, rights, out_rows, protocols)
 
     monkeypatch.setattr(CostModel, "join_stages", recorded)
-    return keys
+    return calls
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -260,22 +272,27 @@ def test_each_distinct_stage_is_scored_once(monkeypatch, shape, strategy):
     query, make_catalog, width = QUERIES[shape]
     tree = ORACLE_TREES["racks-3-4-2"]()
     catalog = make_catalog(tree, rows=120, key_space=64, seed=3, policy="zipf", **width)
-    keys = _recording_join_stages(monkeypatch)
-    optimize(query, tree, catalog, strategy=strategy)
+    calls = _recording_join_stages(monkeypatch)
+    plan = optimize(query, tree, catalog, strategy=strategy)
+    keys = [key for call in calls for key in call]
     assert keys
     assert len(keys) == len(set(keys))
+    # one stacked call per join step, none of them empty
+    assert len(calls) == sum(stage.kind == "join" for stage in plan.stages)
+    assert all(calls)
 
 
 def test_chain_four_scores_its_shared_prefixes_once(monkeypatch):
     # Equal placements and a saturated key space give every relation
     # the same profile and every join the same estimate, so the eight
     # connected orders share the most prefixes: re-scoring them all
-    # costs 104 calls.
+    # would score 104 stages.  The three join steps are three calls.
     tree = two_level([12] * 12, leaf_bandwidth=2, uplink_bandwidth=4)
     catalog = chain_catalog(tree, num_relations=4, rows=300, key_space=64, seed=1)
-    keys = _recording_join_stages(monkeypatch)
+    calls = _recording_join_stages(monkeypatch)
     optimize(chain_query(4), tree, catalog)
-    assert len(keys) <= 26
+    assert len(calls) == 3
+    assert sum(map(len, calls)) <= 26
 
 
 def test_compiles_share_no_stage_table():
@@ -301,3 +318,41 @@ def test_compiles_share_no_stage_table():
     assert forward == backward[::-1]
     # the two trees price the same stages differently
     assert forward[0].estimated_cost != forward[len(runs) // 2].estimated_cost
+
+
+def _compiled(compile_stages):
+    """``repr`` of the compiled stages, or the error a compile raised."""
+    try:
+        return repr(compile_stages())
+    except ReproError as error:
+        return type(error).__name__, str(error)
+
+
+@given(data=st.data(), tree=shaped_trees(max_nodes=8))
+@settings(max_examples=60, deadline=None)
+def test_the_lockstep_search_compiles_what_the_per_order_search_compiles(data, tree):
+    """Scoring a join step at once changes no choice: every strategy
+    compiles the stages the one-order-at-a-time reference compiles, on
+    any tree (a single node, routers under computes, asymmetric links)."""
+    shape = data.draw(st.sampled_from(("chain-3", "chain-4", "star-2", "star-3")))
+    query, make_catalog, width = QUERIES[shape]
+    key_space = data.draw(st.sampled_from((2, 8, 64)))
+
+    def drawn_catalog():
+        return make_catalog(
+            tree,
+            rows=data.draw(st.integers(1, 60)),
+            key_space=key_space,
+            seed=data.draw(st.integers(0, 3)),
+            policy=data.draw(st.sampled_from(("zipf", "uniform", "proportional"))),
+            **width,
+        )
+
+    # one catalog places every relation alike; mixing several gives the
+    # inputs different profiles and sizes
+    catalog = drawn_catalog()
+    catalog = {name: drawn_catalog()[name] for name in catalog}
+    for strategy in STRATEGIES:
+        found = _compiled(lambda: optimize(query, tree, catalog, strategy=strategy).stages)
+        expected = _compiled(lambda: reference_stages(query, tree, catalog, strategy))
+        assert found == expected

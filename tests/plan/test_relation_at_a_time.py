@@ -75,7 +75,6 @@ def test_store_writes_do_not_grow_with_the_tree(monkeypatch):
         session, catalog = warm_session(racks)
         with monkeypatch.context() as patch:
             calls = count_method_calls(patch, ColumnarStore, "install")
-            calls += count_method_calls(patch, ColumnarStore, "append")
             session.run_plan(chain_query(3), catalog, seed=1)
         writes.append(len(calls))
     assert writes[0] == writes[1] > 0

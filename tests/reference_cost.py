@@ -228,14 +228,18 @@ def as_mapping(tree: TreeTopology, profile) -> dict:
     return dict(zip(tree.compute_nodes, profile.tolist()))
 
 
-def _join_stages(self, left, right, out_rows, protocols) -> list:
+def _join_stages(self, lefts, rights, out_rows, protocols) -> list:
+    """The stacked entry point, one reference stage per row."""
     reference = ReferenceCostModel(self.tree)
-    left, right = (
-        RelationStats(rows=0.0, profile=as_mapping(self.tree, p))
-        for p in (left, right)
-    )
-    stages = [reference.join_stage(left, right, p, out_rows) for p in protocols]
-    return [(cost, placement_profile(self.tree, out)) for cost, out in stages]
+    scored = []
+    for left, right, rows in zip(lefts, rights, out_rows):
+        left, right = (
+            RelationStats(rows=0.0, profile=as_mapping(self.tree, p))
+            for p in (left, right)
+        )
+        stages = [reference.join_stage(left, right, p, rows) for p in protocols]
+        scored.append([(cost, placement_profile(self.tree, out)) for cost, out in stages])
+    return scored
 
 
 def _groupby_stages(self, child, groups, protocols) -> list:

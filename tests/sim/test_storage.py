@@ -1,6 +1,6 @@
 """Unit tests for the columnar storage layer (ColumnarStore).
 
-The load-bearing contracts: appends reference chunks without copying,
+The load-bearing contracts: installs reference arrays without copying,
 reads are read-only zero-copy views (the single-chunk aliasing case is
 the regression this file pins down), compaction is lazy, cached, and
 counted, and sizes are maintained incrementally.
@@ -17,9 +17,18 @@ from repro.sim.cluster import Cluster
 from tests.cluster_storage import put
 
 
+NODES = ("v1", "v2")
+
+
+def _put(store, node, tag: str, chunk: np.ndarray) -> None:
+    """``chunk`` at the end of ``node``'s column: a one-stretch table."""
+    owner = np.array([store._position[node]])
+    store.install(tag, owner, np.array([0]), np.array([len(chunk)]), chunk)
+
+
 class TestColumnarStore:
     def test_view_of_empty_column_is_empty_readonly(self):
-        store = ColumnarStore()
+        store = ColumnarStore(NODES)
         view = store.view("v1", "R")
         assert len(view) == 0
         assert not view.flags.writeable
@@ -27,9 +36,9 @@ class TestColumnarStore:
     def test_single_chunk_view_aliases_the_chunk(self):
         # the zero-copy contract: a single-chunk column is served as a
         # direct view of the delivered array, no concatenate, no copy
-        store = ColumnarStore()
+        store = ColumnarStore(NODES)
         chunk = np.arange(5, dtype=np.int64)
-        store.append("v1", "R", chunk)
+        _put(store, "v1", "R", chunk)
         view = store.view("v1", "R")
         assert np.shares_memory(view, chunk)
         assert not view.flags.writeable
@@ -37,9 +46,9 @@ class TestColumnarStore:
             view[0] = 99
 
     def test_multi_chunk_view_compacts_once_and_caches(self):
-        store = ColumnarStore()
-        store.append("v1", "R", np.arange(3, dtype=np.int64))
-        store.append("v1", "R", np.arange(3, 6, dtype=np.int64))
+        store = ColumnarStore(NODES)
+        _put(store, "v1", "R", np.arange(3, dtype=np.int64))
+        _put(store, "v1", "R", np.arange(3, 6, dtype=np.int64))
         assert store.chunk_count("v1", "R") == 2
         first = store.view("v1", "R")
         assert first.tolist() == [0, 1, 2, 3, 4, 5]
@@ -47,39 +56,39 @@ class TestColumnarStore:
         # repeated reads return the same cached object
         assert store.view("v1", "R") is first
 
-    def test_append_invalidates_the_cached_view(self):
-        store = ColumnarStore()
-        store.append("v1", "R", np.arange(2, dtype=np.int64))
+    def test_a_write_invalidates_the_cached_view(self):
+        store = ColumnarStore(NODES)
+        _put(store, "v1", "R", np.arange(2, dtype=np.int64))
         before = store.view("v1", "R")
-        store.append("v1", "R", np.arange(2, 4, dtype=np.int64))
+        _put(store, "v1", "R", np.arange(2, 4, dtype=np.int64))
         after = store.view("v1", "R")
         assert after is not before
         assert after.tolist() == [0, 1, 2, 3]
 
     def test_compactions_are_counted_per_tag(self):
-        store = ColumnarStore()
+        store = ColumnarStore(NODES)
         with collecting() as registry:
-            store.append("v1", "R", np.arange(2, dtype=np.int64))
-            store.append("v1", "R", np.arange(2, dtype=np.int64))
+            _put(store, "v1", "R", np.arange(2, dtype=np.int64))
+            _put(store, "v1", "R", np.arange(2, dtype=np.int64))
             store.view("v1", "R")  # multi-chunk: counts
             store.view("v1", "R")  # cached: does not count
-            store.append("v2", "R", np.arange(2, dtype=np.int64))
+            _put(store, "v2", "R", np.arange(2, dtype=np.int64))
             store.view("v2", "R")  # single-chunk: does not count
         counters = registry.snapshot()["counters"]
         assert counters["repro_storage_compactions_total"] == {"tag=R": 1}
 
     def test_sizes_are_incremental(self):
-        store = ColumnarStore()
-        store.append("v1", "R", np.arange(3, dtype=np.int64))
-        store.append("v1", "R", np.arange(4, dtype=np.int64))
-        store.append("v1", "S", np.arange(2, dtype=np.int64))
+        store = ColumnarStore(NODES)
+        _put(store, "v1", "R", np.arange(3, dtype=np.int64))
+        _put(store, "v1", "R", np.arange(4, dtype=np.int64))
+        _put(store, "v1", "S", np.arange(2, dtype=np.int64))
         assert store.size("v1", "R") == 7
         assert store.size("v1") == 9
         assert store.sizes() == {"v1": {"R": 7, "S": 2}}
 
     def test_pop_removes_and_returns_readonly(self):
-        store = ColumnarStore()
-        store.append("v1", "R", np.arange(3, dtype=np.int64))
+        store = ColumnarStore(NODES)
+        _put(store, "v1", "R", np.arange(3, dtype=np.int64))
         values = store.pop("v1", "R")
         assert values.tolist() == [0, 1, 2]
         assert not values.flags.writeable
@@ -87,18 +96,18 @@ class TestColumnarStore:
         assert len(store.view("v1", "R")) == 0
 
     def test_discard(self):
-        store = ColumnarStore()
-        store.append("v1", "R", np.arange(3, dtype=np.int64))
-        store.append("v2", "S", np.arange(2, dtype=np.int64))
+        store = ColumnarStore(NODES)
+        _put(store, "v1", "R", np.arange(3, dtype=np.int64))
+        _put(store, "v2", "S", np.arange(2, dtype=np.int64))
         store.discard("v1", "R")
         assert store.size("v1", "R") == 0
         store.discard("ghost", "R")  # no-op
         assert store.sizes() == {"v2": {"S": 2}}
 
     def test_tags_and_nodes(self):
-        store = ColumnarStore()
-        store.append("v1", "R", np.arange(1, dtype=np.int64))
-        store.append("v1", "S", np.arange(1, dtype=np.int64))
+        store = ColumnarStore(NODES)
+        _put(store, "v1", "R", np.arange(1, dtype=np.int64))
+        _put(store, "v1", "S", np.arange(1, dtype=np.int64))
         assert store.tags("v1") == frozenset({"R", "S"})
         assert store.tags("ghost") == frozenset()
         assert set(store.nodes()) == {"v1"}
@@ -198,11 +207,11 @@ class TestTableContract:
 
     def test_column_merges_tables_and_chunks_in_arrival_order(self):
         # the unicast-then-multicast round shape: a table, per-node
-        # appends, another table — each node's pieces in arrival order
+        # one-stretch tables, another table — each node's pieces in arrival order
         store = ColumnarStore(["a", "b", "c"])
         store.install("R", *_table([0, 1], [2, 1]))  # a: 0 1, b: 2
-        store.append("b", "R", np.array([10], dtype=np.int64))
-        store.append("c", "R", np.array([11, 12], dtype=np.int64))
+        _put(store, "b", "R", np.array([10], dtype=np.int64))
+        _put(store, "c", "R", np.array([11, 12], dtype=np.int64))
         store.install("R", *_table([1, 2], [1, 1], first=20))  # b: 20, c: 21
         with collecting() as registry:
             owners, values = store.column("R")
@@ -225,7 +234,7 @@ class TestTableContract:
             store = ColumnarStore(range(6))
             store.install("R", *_table(range(6), [2] * 6))
             store.install("R", *_table([1, 3, 5], [1, 2, 3], first=50))
-            store.append(0, "R", np.array([7], dtype=np.int64))
+            _put(store, 0, "R", np.array([7], dtype=np.int64))
             return store
 
         with collecting() as registry:
@@ -268,7 +277,7 @@ class TestStoreModel:
         for _ in range(data.draw(st.integers(1, 14))):
             op = data.draw(
                 st.sampled_from(
-                    ("install", "install", "append", "view", "pop", "discard",
+                    ("install", "install", "put", "view", "pop", "discard",
                      "sizes", "column", "pop_column")
                 )
             )
@@ -294,9 +303,9 @@ class TestStoreModel:
                         model.setdefault((self.NODES[owner], tag), []).extend(
                             values[lo:hi].tolist()
                         )
-            elif op == "append":
+            elif op == "put":
                 chunk = values_of(data.draw(st.integers(1, 3)))
-                store.append(node, tag, chunk)
+                _put(store, node, tag, chunk)
                 model.setdefault((node, tag), []).extend(chunk.tolist())
             elif op == "view":
                 view = store.view(node, tag)

@@ -19,7 +19,7 @@ from repro.errors import TopologyError
 from repro.topology.builders import star, two_level
 from repro.topology.tree import TreeTopology, node_sort_key
 from tests.model.paths import node_sides, sides
-from tests.strategies import node_sizes, tree_topologies
+from tests.strategies import node_sizes, shaped_trees, tree_topologies
 
 
 @st.composite
@@ -239,6 +239,51 @@ class TestSteinerCounts:
         tree = path_tree(200)
         keys = {"p000": np.array([1, 2, 3]), "p200": np.array([2, 3, 4])}
         assert set(shared_key_counts(tree, keys).values()) == {2}
+
+
+@st.composite
+def profile_stacks(draw, tree: TreeTopology) -> np.ndarray:
+    """Float profiles in compute order, one per row: an all-zero row,
+    then rows of zeros, small integers and ``2**53`` next to ones, whose
+    float sums come out differently in different orders."""
+    count = tree.num_compute_nodes
+    values = st.sampled_from([0.0, 0.0, 1.0, 3.0, 2.0**53, 2.0**53 + 2])
+    rows = [[0.0] * count] + [
+        [draw(values) for _ in range(count)]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.float64)
+
+
+class TestStackedKernel:
+    """A stack of profiles is one kernel pass whose every row (column,
+    on the routing index) equals the one-profile call, bit for bit."""
+
+    @given(data=st.data(), tree=shaped_trees())
+    @settings(max_examples=120, deadline=None)
+    def test_link_side_sums_of_a_stack_are_its_rows_summed_alone(self, data, tree):
+        stack = data.draw(profile_stacks(tree))
+        first, second = tree.link_side_sums(stack)
+        assert first.shape == second.shape == (len(stack), len(tree.undirected_edges()))
+        for i, profile in enumerate(stack):
+            alone = tree.link_side_sums(profile)
+            assert np.array_equal(first[i], alone[0])
+            assert np.array_equal(second[i], alone[1])
+
+    @given(data=st.data(), tree=shaped_trees())
+    @settings(max_examples=120, deadline=None)
+    def test_subtree_sums_of_a_stack_are_its_columns_alone(self, data, tree):
+        index = tree.routing_index
+        rows = data.draw(profile_stacks(tree))
+        stack = np.zeros((index.num_nodes, len(rows)))
+        stack[index.compute_idx] = rows.T
+        for ufunc, identity in ((np.add, 0), (np.minimum, np.inf), (np.maximum, -np.inf)):
+            below, above = index.subtree_sums(stack, ufunc, identity)
+            for j in range(len(rows)):
+                alone = index.subtree_sums(stack[:, j].copy(), ufunc, identity)
+                assert np.array_equal(below[:, j], alone[0])
+                assert np.array_equal(above[:, j], alone[1])
 
 
 class TestLinkArrays:

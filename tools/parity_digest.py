@@ -4,9 +4,10 @@
 Runs every registered (task, protocol) and every task's lower bound on
 six trees, two instance shapes (equal and unequal relation sizes, a
 small and a larger graph), two placement policies and three seeds, plus
-a chain-3 query
-plan, the optimizer's stage choices and two float sums whose result
-shows their order, and prints one BLAKE2b digest over:
+a chain-3 query plan, the optimizer's stage choices (chain-3, filtered
+and group-by queries; chain-4 and star-3 under every strategy) and two
+float sums whose result shows their order, and prints one BLAKE2b
+digest over:
 
 * each report without its wall times: cost, rounds, bound value and
   description, and the protocol's meta;
@@ -39,8 +40,19 @@ import repro
 from repro.context import use
 from repro.engine import run_with_result
 from repro.errors import ReproError
-from repro.plan import Filter, GroupBy, Join, Scan, chain_catalog, chain_query, optimize
+from repro.plan import (
+    Filter,
+    GroupBy,
+    Join,
+    Scan,
+    chain_catalog,
+    chain_query,
+    optimize,
+    star_catalog,
+    star_query,
+)
 from repro.plan.cost import estimate_tree_cost
+from repro.plan.optimizer import STRATEGIES
 from repro.registry import get_task
 
 TREES = (
@@ -187,6 +199,18 @@ def _plan_runs():
             for strategy in ("optimized", "worst-order"):
                 yield f"optimize {name} {strategy} {tree.name}", partial(
                     _stages, query, tree, catalog, strategy
+                )
+        # three and four join steps, every strategy (gather's written order too)
+        for name, query, make_catalog, width in (
+            ("chain-4", chain_query(4), chain_catalog, {"num_relations": 4}),
+            ("star-3", star_query(3), star_catalog, {"num_satellites": 3}),
+        ):
+            wide = make_catalog(
+                tree, rows=SIZE, key_space=32, seed=3, policy="zipf", **width
+            )
+            for strategy in STRATEGIES:
+                yield f"optimize {name} {strategy} {tree.name}", partial(
+                    _stages, query, tree, wide, strategy
                 )
         yield f"float sums {tree.name}", partial(_float_sums, tree)
 
