@@ -102,7 +102,17 @@ def balanced_partition(
     completeness — the intersection protocol always passes the smaller
     relation).
     """
-    classification = classify_edges(tree, sizes, r_size)
+    return partition_blocks(tree, sizes, r_size, classify_edges(tree, sizes, r_size))
+
+
+def partition_blocks(
+    tree: TreeTopology,
+    sizes: Mapping[NodeId, int],
+    r_size: int,
+    classification: EdgeClassification,
+) -> list[frozenset]:
+    """:func:`balanced_partition` from the instance's
+    :func:`classify_edges` result, for a caller that reads it too."""
     computes = tree.compute_nodes
     if not classification.beta:
         return [frozenset(computes)]

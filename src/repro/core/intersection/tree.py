@@ -17,7 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.intersection.partition import balanced_partition, classify_edges
+from repro.core.intersection.partition import (
+    EdgeClassification,
+    classify_edges,
+    partition_blocks,
+)
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.registry import register_protocol
@@ -26,6 +30,7 @@ from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import (
     owner_bounds,
+    packed_words,
     runs_by_target,
     sorted_runs,
     unique_rows,
@@ -49,7 +54,7 @@ def hashed_partition_round(
     seed: int,
     seed_scope: str,
     key_shift: int = 0,
-) -> tuple[Cluster, list[frozenset], dict, int]:
+) -> tuple[Cluster, list[frozenset], EdgeClassification, int]:
     """The one round of Algorithm 2, a relation at a time.
 
     Shared by TreeIntersect and the tree equi-join: block ``i`` of the
@@ -59,15 +64,18 @@ def hashed_partition_round(
     hashed owner per block — rows ``[source, owner_1 ... owner_k]``,
     one multicast group per distinct row — and the large relation is
     hashed within the block of the node holding it.  Returns the
-    cluster after the round with the blocks, per-node sizes and the
-    small relation's size the partition was computed from.
+    cluster after the round, the blocks, the α/β classification of the
+    links and the small relation's size; the classification is made
+    once, also when ``blocks`` is given, because TreeIntersect's meta
+    reports it.
     """
     computes = tree.compute_nodes
     size_vector = distribution.sizes_over(computes, small_tag, large_tag)
     sizes = dict(zip(computes, size_vector.tolist()))
     r_size = distribution.total(small_tag)
+    classification = classify_edges(tree, sizes, r_size)
     if blocks is None:
-        blocks = balanced_partition(tree, sizes, r_size)
+        blocks = partition_blocks(tree, sizes, r_size, classification)
     blocks = [frozenset(b) for b in blocks]
 
     # per block holding data: its members' compute-order indices and h_i
@@ -105,7 +113,7 @@ def hashed_partition_round(
             targets[held] = members[hasher.assign_indices(keys[held])]
         order, *runs = runs_by_target(owners, targets)
         ctx.exchange_runs(*runs, large[order], tag=large_recv)
-    return cluster, blocks, sizes, r_size
+    return cluster, blocks, classification, r_size
 
 
 def intersect_columns(
@@ -120,15 +128,33 @@ def intersect_columns(
     of distinct values it holds on both sides.  Both columns are sorted
     together within the node order, and a run of equal ``(node, value)``
     pairs is common exactly when it draws from both sides.
+
+    When the pairs fit :func:`~repro.util.grouping.packed_words` with
+    one bit to spare, that bit is the side (``R`` 0, ``S`` 1) and the
+    sort needs no positions: after one ``np.sort`` of the words, a pair
+    ``h`` is common exactly when a word ``2h`` is followed by ``2h + 1``,
+    and the values come back out of the words.
     """
     owners = np.concatenate((r_column[0], s_column[0]))
     values = np.concatenate((r_column[1], s_column[1]))
-    order, starts, lengths = sorted_runs(owners, values)
-    from_s = np.add.reduceat(order >= len(r_column[0]), starts, dtype=np.intp)
-    common = (from_s > 0) & (from_s < lengths)
-    first = order[starts[common]]
-    bounds = owner_bounds(owners[first], len(nodes))
-    found = values[first]
+    packed = packed_words((owners, values), 1)
+    if packed is None:
+        order, starts, lengths = sorted_runs(owners, values)
+        from_s = np.add.reduceat(order >= len(r_column[0]), starts, dtype=np.intp)
+        common = (from_s > 0) & (from_s < lengths)
+        first = order[starts[common]]
+        bounds = owner_bounds(owners[first], len(nodes))
+        found = values[first]
+    else:
+        words, (owner_lo, value_lo), (_, width) = packed
+        words[len(r_column[0]) :] |= 1
+        words.sort()
+        last_r = np.flatnonzero(np.diff(words) == 1)
+        pairs = words[last_r[(words[last_r] & 1) == 0]] >> 1
+        bounds = owner_bounds((pairs >> width) + owner_lo, len(nodes))
+        pairs &= (1 << width) - 1
+        pairs += value_lo
+        found = pairs.astype(values.dtype, copy=False)
     return {
         node: found[lo:hi] for node, lo, hi in zip(nodes, bounds, bounds[1:])
     }
@@ -159,7 +185,7 @@ def tree_intersect(
 
     swapped = distribution.total("R") > distribution.total("S")
     small_tag, large_tag = ("S", "R") if swapped else ("R", "S")
-    cluster, blocks, sizes, r_size = hashed_partition_round(
+    cluster, blocks, classification, r_size = hashed_partition_round(
         tree,
         distribution,
         small_tag=small_tag,
@@ -173,8 +199,6 @@ def tree_intersect(
     outputs = intersect_columns(
         cluster.column(_R_RECV), cluster.column(_S_RECV), cluster.compute_order
     )
-
-    classification = classify_edges(tree, sizes, r_size)
     return ProtocolResult.from_ledger(
         "tree-intersect",
         cluster.ledger,

@@ -117,11 +117,6 @@ class Distribution:
         """The relation names present anywhere in the placement."""
         return self._tags
 
-    @property
-    def nodes(self) -> frozenset:
-        """Nodes that appear in the placement (possibly with empty data)."""
-        return frozenset(self.node_order)
-
     def column(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
         """Relation ``tag`` as stored: ``(values, offsets)`` over
         :attr:`node_order` (read-only; an absent tag is all-empty)."""

@@ -64,6 +64,7 @@ from repro.util.grouping import (
     concat_ranges,
     group_slices,
     sorted_unique,
+    unique_inverse,
     unique_rows,
 )
 
@@ -159,7 +160,7 @@ def _verify_components(
 
 def _endpoint_rows(src: np.ndarray, dst: np.ndarray):
     """Sorted distinct endpoints and each edge's two positions among them."""
-    keys, rows = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    keys, rows = unique_inverse(np.concatenate([src, dst]))
     return keys, rows[: len(src)], rows[len(src) :]
 
 
@@ -268,7 +269,7 @@ def _hash_to_min(
         )[by_owner]
         message_offsets = offsets + 2 * np.concatenate([[0], np.cumsum(sizes)])
 
-    all_vertices, vertex_of_row = np.unique(row_vertex, return_inverse=True)
+    all_vertices, vertex_of_row = unique_inverse(row_vertex)
     # Return legs group label updates by *subscriber set* (the owners
     # whose fragments touch the vertex); many vertices share one.
     subset_of, subscribers, subscriber_offsets = _subscriber_subsets(
@@ -360,9 +361,8 @@ def _hash_to_min(
         # subset) pair, its Steiner destinations the subset with the
         # owner masked out; a vertex whose only subscriber is its owner
         # ships nothing.
-        groups, group_ids = np.unique(
-            out_owner * num_subsets + subset_of[positions],
-            return_inverse=True,
+        groups, group_ids = unique_inverse(
+            out_owner * num_subsets + subset_of[positions]
         )
         group_owner, group_subset = np.divmod(groups, num_subsets)
         sizes = np.diff(subscriber_offsets)[group_subset]

@@ -174,10 +174,6 @@ class PlacedGraph:
     def num_edges(self) -> int:
         return self._distribution.total(DEFAULT_EDGE_TAG)
 
-    @property
-    def nodes(self) -> frozenset:
-        return self._distribution.nodes
-
     def fragment_edges(self, node: NodeId) -> np.ndarray:
         """The ``(m_v, 2)`` edges initially placed at ``node``."""
         fragment = self._distribution.fragment(node, DEFAULT_EDGE_TAG)
@@ -228,5 +224,5 @@ class PlacedGraph:
     def __repr__(self) -> str:
         return (
             f"PlacedGraph(num_vertices={self.num_vertices}, "
-            f"num_edges={self.num_edges}, nodes={len(self.nodes)})"
+            f"num_edges={self.num_edges}, nodes={len(self._distribution.node_order)})"
         )

@@ -223,7 +223,7 @@ def _count_triangles(
         physical, tree, catalog, seed=seed, keep_output=True
     )
     outputs: dict = {v: {"num_triangles": 0} for v in computes}
-    for node in output.nodes:
+    for node in output.node_order:
         outputs[node] = {"num_triangles": int(output.size(node))}
     vertices = np.unique(catalog["E1"].rows())
     meta = {

@@ -202,10 +202,6 @@ class PlacedRelation:
     # accessors
     # ------------------------------------------------------------------ #
 
-    @property
-    def nodes(self) -> frozenset:
-        return frozenset(self.node_order)
-
     def fragment(self, node: NodeId) -> np.ndarray:
         """Rows held at ``node`` (copy; empty when the node is absent)."""
         return self._segments.get(node, self._rows[:0]).copy()

@@ -10,6 +10,17 @@ simulator's wall-clock.  Grouping with one stable ``argsort`` is
 (original element order preserved within each group, because the sort
 is stable).
 
+The sorts by ``(owner, key)`` pairs and by values (:func:`sorted_runs`,
+:func:`unique_inverse`) pack when they can: if each field's span
+(``max - min``, in Python ints) and the positions together need at
+most 63 bits, one plain ``np.sort`` of int64 words ``((owner - min) <<
+k | (key - min)) << p | position`` replaces two 64-bit argsorts and
+their gathers (:func:`packed_words`).  The words order as the pairs
+do, the position bits make equal pairs order by position, so the sort
+is stable, and ``key - min`` is exact: a key that fits spans less than
+``2**63``, so the difference lies in ``[0, 2**63)``.  Wider inputs take
+the full-width argsorts; the results are the same either way.
+
 Nothing here is memoized; every caller runs the kernel.  A memo keyed
 by the array's content must hash every input it sees, and the inputs do
 not repeat often enough to pay for that: a fresh batch repeated 1
@@ -80,6 +91,73 @@ def sorted_unique(values) -> np.ndarray:
     return ordered[fresh]
 
 
+#: Bits an int64 word offers a packed sort: the sign bit stays clear,
+#: so the words order as the tuples of their fields do.
+_WORD_BITS = 63
+
+
+def packed_words(
+    fields: Sequence[np.ndarray], low_bits: int
+) -> tuple[np.ndarray, list[int], list[int]] | None:
+    """Pack integer columns into one int64 word per element, or ``None``.
+
+    Field ``f`` is stored as ``f - min(f)`` in ``(max - min).bit_length()``
+    bits, the first field highest, above ``low_bits`` zero bits the
+    caller fills.  Returns ``(words, minima, widths)`` when everything
+    fits in 63 bits; then the words order exactly as the field tuples
+    do.  ``f - min(f)`` is taken in ``int64`` and cannot overflow: a
+    field that fits spans less than ``2**63``, so its true difference
+    lies in ``[0, 2**63)``.  Empty columns, ``uint64`` and non-integer
+    columns never pack.
+    """
+    if not len(fields[0]) or any(
+        f.dtype.kind not in "iu" or f.dtype == np.uint64 for f in fields
+    ):
+        return None
+    minima, widths = [], []
+    for field in fields:
+        lo = int(field.min())
+        minima.append(lo)
+        widths.append((int(field.max()) - lo).bit_length())
+    if sum(widths) + low_bits > _WORD_BITS:
+        return None
+    words = np.subtract(fields[0], minima[0], dtype=np.int64)
+    for field, lo, width in zip(fields[1:], minima[1:], widths[1:]):
+        words <<= width
+        words |= np.subtract(field, lo, dtype=np.int64)
+    words <<= low_bits
+    return words, minima, widths
+
+
+def _sorted_positions(
+    fields: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
+    """A stable lexicographic sort of the field tuples by packed words,
+    or ``None`` when they do not fit: ``(order, keys, minima)``, where
+    ``order`` lists positions as ``np.lexsort`` would and ``keys[j]``
+    packs the fields of element ``order[j]`` less the ``minima``."""
+    bits = (len(fields[0]) - 1).bit_length()
+    packed = packed_words(fields, bits)
+    if packed is None:
+        return None
+    words, minima, _ = packed
+    # positions in the low bits: equal tuples order by position, so one
+    # plain sort is stable, and the sorted words carry the order
+    words |= np.arange(len(words))
+    words.sort()
+    order = words & ((1 << bits) - 1)
+    words >>= bits
+    return order, words, minima
+
+
+def _run_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of equal neighbours."""
+    fresh = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return starts, np.diff(starts, append=len(sorted_keys))
+
+
 def sorted_runs(
     owners: np.ndarray, keys: np.ndarray, *, stable: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,11 +167,22 @@ def sorted_runs(
     ``(order, starts, lengths)`` where ``order`` sorts the parallel
     arrays by owner, then key, and run ``j`` — one distinct ``(owner,
     key)`` pair — is ``order[starts[j] : starts[j] + lengths[j]]``.
-    Keys are compared as full ``int64`` values (nothing is packed into
-    spare bits): one argsort by key, then a stable pass over the narrow
-    owner indices, which NumPy radix-sorts.  ``stable=True``
-    additionally keeps equal pairs in their original relative order.
+    ``stable=True`` additionally keeps equal pairs in their original
+    relative order.
+
+    When the owner span, the key span and the positions fit in 63 bits
+    (:func:`packed_words`), this is one ``np.sort`` of int64 words
+    ``((owner - min) << k | (key - min)) << p | position``: the high
+    bits cut the runs, the low ``p`` bits are the order, and the order
+    is stable whatever ``stable`` says, because equal pairs compare by
+    position.  Otherwise the keys are compared as full ``int64``
+    values: one argsort by key, then a stable pass over the narrow
+    owner indices, which NumPy radix-sorts.
     """
+    packed = _sorted_positions((owners, keys))
+    if packed is not None:
+        order, pairs, _ = packed
+        return order, *_run_starts(pairs)
     by_key = np.argsort(keys, kind="stable" if stable else None)
     order = by_key[np.argsort(owners[by_key], kind="stable")]
     sorted_owners, sorted_keys = owners[order], keys[order]
@@ -102,6 +191,24 @@ def sorted_runs(
     fresh[1:] |= sorted_owners[1:] != sorted_owners[:-1]
     starts = np.flatnonzero(fresh)
     return order, starts, np.diff(starts, append=len(order))
+
+
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D integer array.
+
+    Values whose span and positions fit in 63 bits take one ``np.sort``
+    of packed words (see :func:`sorted_runs`); the rest go to NumPy.
+    """
+    packed = _sorted_positions((values,))
+    if packed is None:
+        return np.unique(values, return_inverse=True)
+    order, words, (lo,) = packed
+    starts, lengths = _run_starts(words)
+    inverse = np.empty(len(words), dtype=np.intp)
+    inverse[order] = np.repeat(np.arange(len(starts)), lengths)
+    distinct = words[starts]
+    distinct += lo
+    return distinct.astype(values.dtype, copy=False), inverse
 
 
 def runs_by_target(

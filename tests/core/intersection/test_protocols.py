@@ -141,6 +141,38 @@ class TestTreeIntersectCost:
                 assert loads.get(directed, 0) <= 3 * 200
 
 
+class TestTreeIntersectClassifiesOnce:
+    """One α/β classification per run feeds both the partition and the
+    meta's edge counts, with or without a ``blocks=`` override."""
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_one_classification_feeds_the_meta(self, monkeypatch, override):
+        import repro.core.intersection.tree as tree_module
+        from repro.core.intersection import partition
+
+        tree = two_level([2, 2], leaf_bandwidth=4.0)
+        dist = random_distribution(
+            tree, r_size=200, s_size=2000, policy="uniform", seed=6
+        )
+        sizes = {v: dist.size(v) for v in tree.compute_nodes}
+        classification = partition.classify_edges(tree, sizes, 200)
+        blocks = [tree.compute_nodes] if override else None
+        wanted = blocks or partition.balanced_partition(tree, sizes, 200)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return classification
+
+        monkeypatch.setattr(tree_module, "classify_edges", counted)
+        monkeypatch.setattr(partition, "classify_edges", counted)
+        result = tree_intersect(tree, dist, seed=3, blocks=blocks)
+        assert len(calls) == 1
+        assert result.meta["num_blocks"] == len(wanted) > (0 if override else 1)
+        assert result.meta["num_alpha_edges"] == classification.num_alpha
+        assert result.meta["num_beta_edges"] == classification.num_beta > 0
+
+
 class TestStarIntersect:
     def test_exact_intersection(self, simple_star):
         dist = random_distribution(simple_star, r_size=120, s_size=600, seed=8)

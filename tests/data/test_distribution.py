@@ -23,7 +23,7 @@ class TestAccessors:
         assert sample_distribution().tags == frozenset({"R", "S"})
 
     def test_nodes_include_empty(self):
-        assert sample_distribution().nodes == frozenset({"v1", "v2", "v3"})
+        assert sample_distribution().node_order == ("v1", "v2", "v3")
 
     def test_fragment_is_readonly_view(self):
         dist = sample_distribution()
@@ -83,11 +83,11 @@ class TestAccessors:
                     len(dist.fragment(node, t))
                     for t in (dist.tags if tag is None else [tag])
                 )
-                for node in dist.nodes
+                for node in dist.node_order
             }
             assert dist.sizes(tag) == walked
             assert dist.total(tag) == sum(walked.values())
-            for node in (*dist.nodes, "ghost"):
+            for node in (*dist.node_order, "ghost"):
                 assert dist.size(node, tag) == walked.get(node, 0)
                 assert type(dist.size(node, tag)) is int
 

@@ -105,7 +105,7 @@ def assert_relation_is(relation, schema, fragments, nodes) -> None:
     """``relation`` holds exactly ``fragments`` (``{node: rows}``)."""
     assert relation.schema == schema
     held = {node: as_rows(rows, schema.arity) for node, rows in fragments.items()}
-    assert relation.nodes == frozenset(held)
+    assert set(relation.node_order) == set(held)
     assert relation.sizes() == {node: len(rows) for node, rows in held.items()}
     assert relation.total_rows == sum(map(len, held.values()))
     for node in (*nodes, "never-seen"):
@@ -137,7 +137,7 @@ def assert_distribution_is(distribution, placements, nodes, tags) -> None:
         node: {str(tag): [int(x) for x in values] for tag, values in relations.items()}
         for node, relations in placements.items()
     }
-    assert distribution.nodes == frozenset(held)
+    assert set(distribution.node_order) == set(held)
     assert distribution.tags == frozenset(tag for r in held.values() for tag in r)
     for tag in (*map(str, tags), "never-seen", None):
         sizes = {
@@ -400,7 +400,7 @@ class TestStages:
         )
         assert produced.schema == stage.schema
         assert Counter(all_rows(produced)) == expected
-        assert produced.nodes <= set(nodes)
+        assert set(produced.node_order) <= set(nodes)
         assert (report is None) == (not left.total_rows or not right.total_rows)
 
     @given(data=st.data())
@@ -429,7 +429,7 @@ class TestStages:
         expected = tasks.aggregate([(row[0], row[at]) for row in all_rows(child)], op)
         assert produced.schema == stage.schema
         assert sorted(all_rows(produced)) == sorted(expected.items())
-        for node in produced.nodes:  # each node's groups ascend by key
+        for node in produced.node_order:  # each node's groups ascend by key
             keys = produced.fragment(node)[:, 0].tolist()
             assert keys == sorted(keys)
         assert (report is None) == (not child.total_rows)

@@ -146,6 +146,36 @@ class TestIntersectColumns:
             )
             assert [out.tolist() for out in outputs.values()] == [[], []]
 
+    @pytest.mark.parametrize("bits, packs", [(63, True), (64, False)])
+    def test_both_sides_of_the_side_bit_fit(self, monkeypatch, bits, packs):
+        """Owners 0..3 (2 bits) and a value span of ``bits - 3`` bits
+        leave the side bit inside (63) or outside (64) the packed sort;
+        both paths find every node's common values."""
+        import repro.core.intersection.tree as tree_module
+
+        rng = np.random.default_rng(bits)
+        width = bits - 3
+        values = INT64_MIN + rng.integers(0, 2**width, 400)
+        values[:2] = INT64_MIN, INT64_MIN + 2**width - 1
+        values[200:300] = values[:100]  # common when the owners agree
+        owners = rng.integers(0, 4, 400).astype(np.int16)
+        fits, real = [], tree_module.packed_words
+
+        def spy(fields, low_bits):
+            packed = real(fields, low_bits)
+            fits.append(packed is not None)
+            return packed
+
+        monkeypatch.setattr(tree_module, "packed_words", spy)
+        r_column, s_column = (owners[:200], values[:200]), (owners[200:], values[200:])
+        outputs = intersect_columns(r_column, s_column, range(4))
+        assert fits == [packs]
+        for node, r, s in zip(
+            range(4), fragments(*r_column, 4), fragments(*s_column, 4)
+        ):
+            assert outputs[node].tolist() == sorted(set(r.tolist()) & set(s.tolist()))
+        assert sum(map(len, outputs.values())) > 10
+
 
 class TestJoinColumns:
     @given(tuple_columns(), st.booleans())

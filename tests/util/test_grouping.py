@@ -1,10 +1,13 @@
-"""``group_slices`` and the multicast id stream it groups.
+"""``group_slices``, the multicast id stream it groups, and the sorts
+of ``sorted_runs`` and ``unique_inverse``.
 
 Every round's grouping runs the kernel on the arrays it is given (no
 memo), so these pin results: the grouping against the per-group mask
 it replaced, and a round's multicast id stream — each record's ids
 shifted by a running base and materialized by ``_concat_parts`` —
-grouped as the based concatenation would be.
+grouped as the based concatenation would be.  ``sorted_runs`` and
+``unique_inverse`` are checked against ``np.lexsort`` and ``np.unique``
+on both sides of the packed sort's 63-bit fit.
 """
 
 import numpy as np
@@ -12,7 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.util.grouping import _concat_parts, group_slices
+from repro.util import grouping
+from repro.util.grouping import (
+    _concat_parts,
+    group_slices,
+    packed_words,
+    sorted_runs,
+    unique_inverse,
+)
+
+INT64 = np.iinfo(np.int64)
 
 
 def _assert_groupings_equal(found, expected) -> None:
@@ -98,3 +110,126 @@ class TestConcatParts:
             2**15 - 1,
             2**15 + 39_999,
         ]
+
+
+def _span_bits(column: np.ndarray) -> int:
+    return (int(column.max()) - int(column.min())).bit_length() if len(column) else 0
+
+
+@st.composite
+def owner_key_columns(draw):
+    """Parallel int16 owners and int64 keys with repeated pairs.  Keys
+    are narrow (negative ones included), reach the int64 extremes, or
+    span exactly what leaves the owner, key and position bits at 63 or
+    at 64 — one bit inside or outside the packed sort's fit."""
+    n = draw(st.integers(0, 40))
+    spread = draw(st.sampled_from([0, 3, 2**16 - 1]))
+    low = draw(st.integers(-(2**15), 2**15 - 1 - spread))
+    owners = np.asarray(
+        draw(st.lists(st.integers(low, low + spread), min_size=n, max_size=n)),
+        np.int16,
+    )
+    kind = draw(st.sampled_from(["narrow", "extreme", "fit edge"]))
+    if kind == "narrow":
+        pool = st.integers(-5, 5)
+    elif kind == "extreme":
+        pool = st.sampled_from([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max])
+    else:
+        width = draw(st.sampled_from([63, 64])) - _span_bits(owners)
+        width -= (max(n, 1) - 1).bit_length()
+        lo = draw(st.integers(INT64.min, INT64.max - (2**width - 1)))
+        middle = draw(st.integers(lo, lo + 2**width - 1))
+        pool = st.sampled_from([lo, middle, lo + 2**width - 1])
+    keys = np.asarray(draw(st.lists(pool, min_size=n, max_size=n)), np.int64)
+    if kind == "fit edge" and n >= 2:
+        keys[:2] = lo, lo + 2**width - 1  # the whole span, wherever they sort
+        draw(st.randoms()).shuffle(keys)
+    return owners, keys
+
+
+def _reference_runs(owners, keys):
+    """``(order, starts, lengths)`` by ``np.lexsort`` and a Python scan."""
+    order = np.lexsort((np.arange(len(keys)), keys, owners))
+    pairs = list(zip(owners[order].tolist(), keys[order].tolist()))
+    starts = [i for i in range(len(pairs)) if not i or pairs[i] != pairs[i - 1]]
+    return order, starts, np.diff(starts + [len(pairs)]).tolist()
+
+
+@given(owner_key_columns())
+@settings(max_examples=300, deadline=None)
+def test_sorted_runs_is_a_stable_lexsort(columns):
+    owners, keys = columns
+    order, starts, lengths = _reference_runs(owners, keys)
+    found = sorted_runs(owners, keys, stable=True)
+    assert found[0].tolist() == order.tolist()
+    assert (found[1].tolist(), found[2].tolist()) == (starts, lengths)
+    unstable = sorted_runs(owners, keys)
+    assert sorted(unstable[0].tolist()) == list(range(len(keys)))
+    assert owners[unstable[0]].tolist() == owners[order].tolist()
+    assert keys[unstable[0]].tolist() == keys[order].tolist()
+    assert (unstable[1].tolist(), unstable[2].tolist()) == (starts, lengths)
+
+
+@given(owner_key_columns(), st.sampled_from([np.int16, np.int32, np.int64]))
+@settings(max_examples=300, deadline=None)
+def test_unique_inverse_is_np_unique(columns, dtype):
+    owners, keys = columns
+    for values in (owners, keys if dtype == np.int64 else keys.astype(dtype)):
+        found, inverse = unique_inverse(values)
+        expected, expected_inverse = np.unique(values, return_inverse=True)
+        assert found.dtype == expected.dtype and found.shape == expected.shape
+        assert found.tolist() == expected.tolist()
+        assert inverse.dtype == expected_inverse.dtype
+        assert inverse.tolist() == expected_inverse.tolist()
+
+
+def _spy_on_packing(monkeypatch) -> list:
+    """Record, per packing attempt, whether the words fit."""
+    fits, real = [], grouping.packed_words
+
+    def spy(fields, low_bits):
+        packed = real(fields, low_bits)
+        fits.append(packed is not None)
+        return packed
+
+    monkeypatch.setattr(grouping, "packed_words", spy)
+    return fits
+
+
+@pytest.mark.parametrize("bits, packs", [(63, True), (64, False)])
+def test_the_fit_picks_the_path_of_sorted_runs(monkeypatch, bits, packs):
+    # 4096 positions (12 bits), owners 0..63 (6 bits), keys the rest
+    # (each pair twice, so runs have two elements)
+    owners = (np.arange(4096) % 64).astype(np.int16)
+    width = bits - 12 - 6
+    keys = np.random.default_rng(bits).integers(0, 2**width, 4096) - 2**40
+    keys[:2] = -(2**40), 2**width - 1 - 2**40
+    keys[2048:] = keys[:2048]
+    fits = _spy_on_packing(monkeypatch)
+    order, starts, lengths = _reference_runs(owners, keys)
+    found = sorted_runs(owners, keys, stable=True)
+    assert fits == [packs]
+    assert found[0].tolist() == order.tolist()
+    assert (found[1].tolist(), found[2].tolist()) == (starts, lengths)
+
+
+@pytest.mark.parametrize("bits, packs", [(63, True), (64, False)])
+def test_the_fit_picks_the_path_of_unique_inverse(monkeypatch, bits, packs):
+    # 4096 positions (12 bits), values the rest, each value twice
+    values = np.random.default_rng(bits).integers(0, 2 ** (bits - 12), 4096)
+    values[:2] = 0, 2 ** (bits - 12) - 1
+    values[2048:] = values[:2048]
+    values += INT64.min
+    fits = _spy_on_packing(monkeypatch)
+    found, inverse = unique_inverse(values)
+    expected, expected_inverse = np.unique(values, return_inverse=True)
+    assert fits == [packs]
+    assert found.tolist() == expected.tolist()
+    assert inverse.tolist() == expected_inverse.tolist()
+
+
+def test_columns_that_never_pack():
+    assert packed_words((np.empty(0, np.int64),), 0) is None
+    assert packed_words((np.arange(3, dtype=np.uint64),), 0) is None
+    assert packed_words((np.arange(3.0),), 0) is None
+    assert packed_words((np.arange(3, dtype=np.uint32),), 0) is not None

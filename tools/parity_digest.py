@@ -4,10 +4,12 @@
 Runs every registered (task, protocol) and every task's lower bound on
 six trees, two instance shapes (equal and unequal relation sizes, a
 small and a larger graph), two placement policies and three seeds, plus
-a chain-3 query plan, the optimizer's stage choices (chain-3, filtered
-and group-by queries; chain-4 and star-3 under every strategy) and two
-float sums whose result shows their order, and prints one BLAKE2b
-digest over:
+the intersection, equi-join and group-by protocols on one instance
+whose elements reach ``±2**62`` (too wide for the packed sort of the
+local kernels, so they take the full-width path), a chain-3 query
+plan, the optimizer's stage choices (chain-3, filtered and group-by
+queries; chain-4 and star-3 under every strategy) and two float sums
+whose result shows their order, and prints one BLAKE2b digest over:
 
 * each report without its wall times: cost, rounds, bound value and
   description, and the protocol's meta;
@@ -38,6 +40,7 @@ import numpy as np
 
 import repro
 from repro.context import use
+from repro.data.distribution import Distribution
 from repro.engine import run_with_result
 from repro.errors import ReproError
 from repro.plan import (
@@ -168,17 +171,49 @@ def _refusal(error: ReproError) -> tuple:
     return ("refused", type(error).__name__)
 
 
-def _run(tree, spec, distribution, seed: int):
+def _run(tree, spec, distribution, seed: int, **opts):
     recorder = _StoreRecorder()
     try:
         with use(auditor=recorder):
             report, result = run_with_result(
-                spec.task, tree, distribution, protocol=spec.name, seed=seed
+                spec.task, tree, distribution, protocol=spec.name, seed=seed, **opts
             )
     except ReproError as error:
         return _refusal(error)
     loads = [result.ledger.link_loads(i) for i in range(result.ledger.num_rounds)]
     return report.to_dict(), result.outputs, loads, recorder.rounds
+
+
+def _wide_runs():
+    """Every intersection, equi-join and group-by protocol on one
+    instance too wide for a packed sort: set elements reaching
+    ``±2**62``, and tuples whose keys, under one payload bit, span
+    ``[0, 2**61)``: the widest keys a tuple encodes."""
+    tree = repro.star(4)
+    rng = np.random.default_rng(5)
+    offsets = np.arange(0, 61, 15)  # 15 elements per node
+    values = np.unique(rng.integers(-(2**62), 2**62, 98, endpoint=True))
+    values = rng.permutation(np.concatenate([values, [-(2**62), 2**62]]))
+    keys = rng.integers(0, 2**61, 20)
+    keys[:2] = 0, 2**61 - 1
+    tuples = {
+        tag: ((rng.choice(keys, 60) << 1) | rng.integers(0, 2, 60), offsets)
+        for tag in ("R", "S")
+    }
+    sets = {"R": (values[:60], offsets), "S": (values[40:], offsets)}
+    instances = {
+        "set-intersection": (sets, {}),
+        "equijoin": (tuples, {"payload_bits": 1}),
+        # min of one-bit payloads stays one bit; a sum would not
+        "groupby-aggregate": (tuples, {"payload_bits": 1, "op": "min"}),
+    }
+    for spec in repro.list_protocols():
+        if spec.task in instances:
+            columns, opts = instances[spec.task]
+            dist = Distribution.from_columns(tree.compute_nodes, columns)
+            yield f"wide {spec.task}/{spec.name} {tree.name}", partial(
+                _run, tree, spec, dist, 0, **opts
+            )
 
 
 def _plan_runs():
@@ -247,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     total = hashlib.blake2b(digest_size=16)
     count = refused = 0
-    for source in (_protocol_runs(), _plan_runs()):
+    for source in (_protocol_runs(), _wide_runs(), _plan_runs()):
         for label, produce in source:
             outcome = produce()
             refused += outcome[0] == "refused"
