@@ -72,7 +72,7 @@ def route_axis(
 ) -> None:
     """Multicast every element of one relation to the tiles needing it.
 
-    One registration: a group per ``(segment, owner)`` pair, in segment
+    One registration: a run per ``(segment, owner)`` pair, in segment
     then label order, carrying the owner's slice of the segment to the
     segment's tiles.
     """
@@ -94,10 +94,10 @@ def route_axis(
             members += targets
             fanouts.append(len(targets))
     lengths = np.array(lengths)
-    ctx.exchange_multicast_column(
+    ctx.exchange_multicast_runs(
         sources,
-        np.repeat(np.arange(len(lengths)), lengths),
         (np.array(members), np.cumsum([0, *fanouts])),
+        lengths,
         values[concat_ranges(np.array(starts), lengths)],
         tag=recv_tag,
     )

@@ -292,22 +292,22 @@ def _strategy_gather(tree, distribution, r_tag, s_tag) -> ProtocolResult:
 
 def _broadcast_r_to_beta(ctx, cluster, beta, r_tag) -> None:
     """Every compute node multicasts its R fragment to the Vβ nodes other
-    than itself: one group per compute node, in compute order, its set
-    in CSR form.  A node whose set is empty (the only Vβ node) sends
-    nothing."""
+    than itself: one run per compute node, in compute order (the
+    column's owner order), its set in CSR form.  A node whose set is
+    empty (the only Vβ node) sends an empty run."""
     count = len(cluster.compute_order)
     position = cluster.tree.compute_position
     beta_ids = np.array(sorted(position[v] for v in beta), dtype=np.intp)
     rows = np.broadcast_to(beta_ids, (count, len(beta_ids)))
     keep = rows != np.arange(count)[:, None]
-    offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    fanouts = keep.sum(axis=1)
     owners, values = cluster.column(r_tag)
-    served = (np.diff(offsets) > 0)[owners]
-    ctx.exchange_multicast_column(
+    served = fanouts > 0
+    ctx.exchange_multicast_runs(
         np.arange(count),
-        owners[served],
-        (rows[keep], offsets),
-        values[served],
+        (rows[keep], np.concatenate(([0], np.cumsum(fanouts)))),
+        np.where(served, np.bincount(owners, minlength=count), 0),
+        values[served[owners]],
         tag=_R_BETA,
     )
 

@@ -20,7 +20,7 @@ from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
-from repro.util.grouping import runs_by_target, sorted_unique, unique_rows
+from repro.util.grouping import row_runs, runs_by_target, sorted_unique
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
 
@@ -90,19 +90,19 @@ def star_intersect(
         # No hasher means every weight is zero: R is empty and every
         # node is in Vβ, so nothing moves.
         if hasher is not None:
-            # One group per (owner, hashed node) row; its Steiner
+            # One run per (owner, hashed node) row; its Steiner
             # destination set is the hashed node plus every data-rich Vβ
             # node (which all receive a full R copy).
             owners, small = cluster.column(small_tag)
-            groups, group_ids = unique_rows(
-                np.column_stack((owners, hasher.assign_indices(small)))
-            )
+            rows = np.column_stack((owners, hasher.assign_indices(small)))
+            order, starts, counts = row_runs(rows)
+            runs = rows[order[starts]]
             beta = np.flatnonzero(in_beta)
             destinations = np.column_stack(
-                (np.broadcast_to(beta, (len(groups), len(beta))), groups[:, 1])
+                (np.broadcast_to(beta, (len(runs), len(beta))), runs[:, 1])
             )
-            ctx.exchange_multicast_column(
-                groups[:, 0], group_ids, destinations, small, tag=_R_RECV
+            ctx.exchange_multicast_runs(
+                runs[:, 0], destinations, counts, small[order], tag=_R_RECV
             )
             owners, large = cluster.column(large_tag)
             alpha = ~in_beta[owners]

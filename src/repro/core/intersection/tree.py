@@ -29,11 +29,11 @@ from repro.sim.cluster import Cluster
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import (
+    full_width_runs,
     owner_bounds,
     packed_words,
+    row_runs,
     runs_by_target,
-    sorted_runs,
-    unique_rows,
 )
 from repro.util.hashing import WeightedNodeHasher
 from repro.util.seeding import derive_seed
@@ -62,7 +62,8 @@ def hashed_partition_round(
     (keyed by ``derive_seed(seed, seed_scope, i)``, evaluated on
     ``element >> key_shift``); the small relation is replicated to one
     hashed owner per block — rows ``[source, owner_1 ... owner_k]``,
-    one multicast group per distinct row — and the large relation is
+    one multicast run per distinct row, cut by one sort
+    (:func:`~repro.util.grouping.row_runs`) — and the large relation is
     hashed within the block of the node holding it.  Returns the
     cluster after the round, the blocks, the α/β classification of the
     links and the small relation's size; the classification is made
@@ -99,9 +100,10 @@ def hashed_partition_round(
         rows[:, 0] = owners
         for slot, (members, hasher) in enumerate(routes, start=1):
             rows[:, slot] = members[hasher.assign_indices(keys)]
-        groups, group_ids = unique_rows(rows)
-        ctx.exchange_multicast_column(
-            groups[:, 0], group_ids, groups[:, 1:], small, tag=small_recv
+        order, starts, counts = row_runs(rows)
+        runs = rows[order[starts]]
+        ctx.exchange_multicast_runs(
+            runs[:, 0], runs[:, 1:], counts, small[order], tag=small_recv
         )
         owners, large = cluster.column(large_tag)
         keys = large >> key_shift
@@ -133,13 +135,16 @@ def intersect_columns(
     one bit to spare, that bit is the side (``R`` 0, ``S`` 1) and the
     sort needs no positions: after one ``np.sort`` of the words, a pair
     ``h`` is common exactly when a word ``2h`` is followed by ``2h + 1``,
-    and the values come back out of the words.
+    and the values come back out of the words.  When the side bit does
+    not fit, position bits cannot either (two or more elements need at
+    least one), so the fallback is the full-width sort, with no second
+    packing attempt.
     """
     owners = np.concatenate((r_column[0], s_column[0]))
     values = np.concatenate((r_column[1], s_column[1]))
     packed = packed_words((owners, values), 1)
     if packed is None:
-        order, starts, lengths = sorted_runs(owners, values)
+        order, starts, lengths = full_width_runs(owners, values)
         from_s = np.add.reduceat(order >= len(r_column[0]), starts, dtype=np.intp)
         common = (from_s > 0) & (from_s < lengths)
         first = order[starts[common]]

@@ -72,14 +72,10 @@ def compute_ids(cluster, nodes) -> np.ndarray:
 
 def broadcast_splitters(ctx, ids: np.ndarray, splitters: np.ndarray) -> None:
     """The coordinator ``ids[0]`` multicasts ``splitters`` to every other
-    node of ``ids``: one group, routed on its Steiner tree."""
+    node of ``ids``: one run, routed on its Steiner tree."""
     if len(splitters) and len(ids) > 1:
-        ctx.exchange_multicast_column(
-            ids[:1],
-            np.zeros(len(splitters), np.intp),
-            ids[None, 1:],
-            splitters,
-            tag=_SPLITTERS,
+        ctx.exchange_multicast_runs(
+            ids[:1], ids[None, 1:], [len(splitters)], splitters, tag=_SPLITTERS
         )
 
 

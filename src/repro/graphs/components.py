@@ -63,6 +63,7 @@ from repro.util.components import component_roots
 from repro.util.grouping import (
     concat_ranges,
     group_slices,
+    row_runs,
     sorted_unique,
     unique_inverse,
     unique_rows,
@@ -275,7 +276,6 @@ def _hash_to_min(
     subset_of, subscribers, subscriber_offsets = _subscriber_subsets(
         row_owner, vertex_of_row
     )
-    num_subsets = len(subscriber_offsets) - 1
     prev_labels = all_vertices.copy()  # identity is globally known
     if max_supersteps is None:
         max_supersteps = len(all_vertices) + 2
@@ -357,32 +357,33 @@ def _hash_to_min(
                 column[changed]
                 for column in (out_owner, out_vertices, out_labels, positions)
             )
-        # One registration per leg: a group is an (owner, subscriber
+        # One registration per leg: a run is an (owner, subscriber
         # subset) pair, its Steiner destinations the subset with the
         # owner masked out; a vertex whose only subscriber is its owner
-        # ships nothing.
-        groups, group_ids = unique_inverse(
-            out_owner * num_subsets + subset_of[positions]
-        )
-        group_owner, group_subset = np.divmod(groups, num_subsets)
-        sizes = np.diff(subscriber_offsets)[group_subset]
+        # ships nothing (its run is empty).
+        rows = np.column_stack((out_owner, subset_of[positions]))
+        order, starts, lengths = row_runs(rows)
+        run_owner, run_subset = rows[order[starts]].T
+        sizes = np.diff(subscriber_offsets)[run_subset]
         members = subscribers[
-            concat_ranges(subscriber_offsets[group_subset], sizes)
+            concat_ranges(subscriber_offsets[run_subset], sizes)
         ]
-        group_of = np.repeat(np.arange(len(groups)), sizes)
-        away = members != group_owner[group_of]
-        fanout = np.bincount(group_of[away], minlength=len(groups))
-        ships = (fanout > 0)[group_ids]
+        run_of = np.repeat(np.arange(len(starts)), sizes)
+        away = members != run_owner[run_of]
+        fanout = np.bincount(run_of[away], minlength=len(starts))
+        live = fanout > 0
+        counts = np.where(live, lengths, 0)
+        ships = order[np.repeat(live, lengths)]
         with driver.cluster_round(
             task="connected-components",
             protocol="label-return",
             label=f"superstep {step} return",
-            input_size=int(ships.sum()),
+            input_size=len(ships),
         ) as ctx:
-            ctx.exchange_multicast_column(
-                group_owner,
-                group_ids[ships],
+            ctx.exchange_multicast_runs(
+                run_owner,
                 (members[away], np.concatenate([[0], np.cumsum(fanout)])),
+                counts,
                 encode_tuples(
                     out_vertices[ships],
                     out_labels[ships],

@@ -236,16 +236,16 @@ def _expected_deliveries(cluster, context) -> dict:
         np.add.at(arrivals, targets, counts)
         for position in np.flatnonzero(arrivals).tolist():
             _add(order[position], tag, int(arrivals[position]))
-    for _origins, members, offsets, group_ids, _payload, tag in (
+    for _origins, members, offsets, counts, _payload, tag in (
         context._multicasts
     ):
-        # one delivery per distinct (group, member) pair
-        groups = len(offsets) - 1
+        # one delivery of ``counts[i]`` elements per distinct (run i,
+        # member) pair
+        runs = len(offsets) - 1
         pairs = sorted_unique(
-            np.repeat(np.arange(groups), np.diff(offsets)) * len(order)
+            np.repeat(np.arange(runs), np.diff(offsets)) * len(order)
             + members
         )
-        counts = np.bincount(group_ids, minlength=groups)
         arrivals = np.zeros(len(order), dtype=np.int64)
         np.add.at(arrivals, pairs % len(order), counts[pairs // len(order)])
         for position in np.flatnonzero(arrivals).tolist():

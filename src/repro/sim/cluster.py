@@ -23,24 +23,29 @@ transfer, every node named by its index in
   count)`` triple per stretch of the payload, such as a sorted fragment
   cut at the splitters, or a hash-partitioned relation cut into runs by
   :func:`~repro.util.grouping.runs_by_target`;
-* :meth:`RoundContext.exchange_multicast_column` — replication: groups
-  of ``(source, destination set)``, one group id per element.
+* :meth:`RoundContext.exchange_multicast_runs` — replication: one
+  ``(source, destination set, count)`` triple per stretch of the
+  payload, such as a replicated relation cut into runs of equal
+  ``(source, hashed owners)`` rows by :func:`~repro.util.grouping.row_runs`.
 
-Each call appends one record to one of two streams, unicast and
-multicast, and each stream has one record shape.  Finalization groups
-the whole round with one stable sort per tag (no per-destination masks,
-no per-group Python loops) and delivers and charges every grouped
-transfer in bulk.  A unicast tag is sorted by run, not by element: the
-run destinations are sorted once and the payload is gathered run by
-run, so no round builds a per-element destination column.  Nothing in
-the data plane is memoized: every grouping runs the kernel on the
-arrays it is given.
+The two calls are twins: run ``i`` is the next ``counts[i]`` elements,
+each run is one Section-2 transfer (an empty run sends nothing), and
+each ``(dst, tag)`` receives its runs in registration order.  Each call
+appends one record to one of two streams, unicast and multicast, and
+each stream has one record shape.  Finalization works on runs, never on
+a per-element id column (no per-destination masks, no per-group Python
+loops), and delivers and charges every transfer in bulk.  A unicast tag
+sorts its run destinations once and gathers the payload run by run; a
+multicast tag takes its run bounds from one ``cumsum`` of the counts
+and groups its ``(run, member)`` rows by destination, with no payload
+gather.  Nothing in the data plane is memoized: every grouping runs the
+kernel on the arrays it is given.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import accumulate, repeat
+from itertools import repeat
 from time import perf_counter
 from typing import Iterator, Sequence
 
@@ -54,12 +59,7 @@ from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
 from repro.sim.storage import ColumnarStore
 from repro.topology.artifacts import resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
-from repro.util.grouping import (
-    _concat_parts,
-    concat_ranges,
-    group_slices,
-    index_dtype,
-)
+from repro.util.grouping import concat_ranges, group_slices, index_dtype
 
 
 def _concatenated(parts: Sequence) -> np.ndarray:
@@ -121,13 +121,13 @@ class RoundContext:
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
         # the multicast stream, in registration order: (origins, members,
-        # offsets, group ids, payload, tag), nodes as compute-order
-        # indices.  Group g goes from origins[g] to the set
-        # members[offsets[g]:offsets[g + 1]] and element i belongs to
-        # group ids[i].  Grouping is deferred to finalization like the
-        # unicast stream's, so the round's replicated traffic is grouped
-        # with one pass per tag and charged with one vectorized
-        # Steiner-flow call.
+        # offsets, counts, payload, tag), nodes as compute-order indices,
+        # the payload laid end to end.  Run i is the next counts[i]
+        # elements, from origins[i] to the set
+        # members[offsets[i]:offsets[i + 1]].  Delivery is deferred to
+        # finalization like the unicast stream's, so the round's
+        # replicated traffic is grouped with one pass per tag and charged
+        # with one vectorized Steiner-flow call.
         self._multicasts: list[tuple] = []
         # the unicast stream, in registration order: (sources, targets,
         # counts, payload, tag), nodes as compute-order indices, the
@@ -156,7 +156,7 @@ class RoundContext:
 
     @staticmethod
     def _as_indices(indices, what: str) -> np.ndarray:
-        """Validate a parallel index array (``targets`` / ``group_ids``).
+        """Validate a parallel index array (``targets`` / ``counts``).
 
         Dtype is checked even for zero-length arrays — an explicit
         float array is a bug whether or not it holds elements — but an
@@ -190,6 +190,17 @@ class RoundContext:
             raise ProtocolError(
                 f"{what} span [{lo}, {hi}] but only "
                 f"{bound} {candidates} were given"
+            )
+
+    @staticmethod
+    def _check_counts(counts: np.ndarray, payload: np.ndarray, call: str) -> None:
+        """Run counts are non-negative and lay the runs end to end."""
+        if counts.size and int(counts.min()) < 0:
+            raise ProtocolError("run counts must be non-negative")
+        if int(counts.sum()) != len(payload):
+            raise ProtocolError(
+                f"{len(payload)} values but the run counts sum to "
+                f"{int(counts.sum())}; {call} lays the runs end to end"
             )
 
     # ------------------------------------------------------------------ #
@@ -233,14 +244,7 @@ class RoundContext:
         self._check_index_span(
             target_indices, count, "target indices", "compute nodes"
         )
-        if run_lengths.size and int(run_lengths.min()) < 0:
-            raise ProtocolError("run counts must be non-negative")
-        if int(run_lengths.sum()) != len(payload):
-            raise ProtocolError(
-                f"{len(payload)} values but the run counts sum to "
-                f"{int(run_lengths.sum())}; exchange_runs lays the runs "
-                "end to end"
-            )
+        self._check_counts(run_lengths, payload, "exchange_runs")
         if len(payload) == 0:
             return
         self._unicast_stream.append(
@@ -253,37 +257,34 @@ class RoundContext:
             )
         )
 
-    def exchange_multicast_column(
-        self, group_sources, group_ids, destinations, values, *, tag: str
+    def exchange_multicast_runs(
+        self, sources, destinations, counts, values, *, tag: str
     ) -> None:
-        """Replicate a whole relation: element ``i`` goes from compute
-        node ``compute_order[group_sources[group_ids[i]]]`` to every
-        node of destination set ``group_ids[i]``.
+        """Replicate a payload in runs: run ``i`` is the next
+        ``counts[i]`` elements of ``values``, travelling from compute
+        node ``compute_order[sources[i]]`` to every node of destination
+        set ``i``.
 
-        A group is a (source, destination set) pair, so one registration
-        carries every node's replicated elements (one group per distinct
-        block-target row in TreeIntersect, one per segment and owner in
-        the cartesian tile routing).  ``destinations`` holds the
-        sets as compute-order indices, which cannot name a router: an
-        integer ``(groups, k)`` matrix, one set per row, or a CSR
-        ``(members, offsets)`` tuple, set ``g`` being
-        ``members[offsets[g]:offsets[g + 1]]``.  They are *sets*: a
-        member listed twice is delivered once.  Each group id is one
+        The multicast twin of :meth:`exchange_runs`: one registration
+        carries every node's replicated elements (one run per distinct
+        ``(source, hashed owners)`` row in TreeIntersect, one per segment
+        and owner in the cartesian tile routing).  ``destinations``
+        holds the sets as compute-order indices, which cannot name a
+        router: an integer ``(runs, k)`` matrix, one set per row, or a
+        CSR ``(members, offsets)`` tuple, set ``i`` being
+        ``members[offsets[i]:offsets[i + 1]]``.  They are *sets*: a
+        member listed twice is delivered once.  Each run is one
         Section-2 multicast, routed on the Steiner tree of its source
-        and set so that every link carries the payload once; each
-        ``(dst, tag)`` receives the groups by registration and then
-        ascending id.  A set a group id names needs at least one
-        destination.
+        and set so that every link carries the payload once; an empty
+        run sends nothing, and a run with elements needs at least one
+        destination.  Each ``(dst, tag)`` receives its runs in
+        registration order.  The payload is stored as given, not
+        copied: it must not be written to after the call.
         """
         self._check_open()
         payload = self._as_payload(values)
-        ids = self._as_indices(group_ids, "group ids")
-        if len(ids) != len(payload):
-            raise ProtocolError(
-                f"{len(payload)} values but {len(ids)} group ids; "
-                "exchange_multicast_column needs one group id per element"
-            )
-        origins = self._as_indices(group_sources, "group sources")
+        origins = self._as_indices(sources, "sources")
+        run_lengths = self._as_indices(counts, "counts")
         if isinstance(destinations, tuple) and len(destinations) == 2:
             members = self._as_indices(destinations[0], "destination members")
             offsets = self._as_indices(destinations[1], "destination offsets")
@@ -300,32 +301,36 @@ class RoundContext:
             matrix = np.asarray(destinations)
             if matrix.ndim != 2 or matrix.dtype.kind not in "iu":
                 raise ProtocolError(
-                    "destinations must be an integer (groups, k) matrix "
+                    "destinations must be an integer (runs, k) matrix "
                     "or a (members, offsets) tuple"
                 )
             members = matrix.ravel()
             offsets = np.arange(len(matrix) + 1) * matrix.shape[1]
-        groups = len(offsets) - 1
-        if len(origins) != groups:
+        if not len(origins) == len(offsets) - 1 == len(run_lengths):
             raise ProtocolError(
-                f"{groups} destination sets but {len(origins)} group "
-                "sources; exchange_multicast_column needs one source index "
-                "per set"
+                f"{len(run_lengths)} counts but {len(origins)} sources and "
+                f"{len(offsets) - 1} destination sets; exchange_multicast_runs "
+                "needs one source, one destination set and one count per run"
             )
         count = len(self._cluster.compute_order)
-        for indices, bound, what, candidates in (
-            (origins, count, "group sources", "compute nodes"),
-            (members, count, "destination members", "compute nodes"),
-            (ids, groups, "group ids", "destination sets"),
-        ):
-            self._check_index_span(indices, bound, what, candidates)
+        self._check_index_span(origins, count, "source indices", "compute nodes")
+        self._check_index_span(
+            members, count, "destination members", "compute nodes"
+        )
+        self._check_counts(run_lengths, payload, "exchange_multicast_runs")
         if len(payload) == 0:
             return
-        empty = offsets[1:] == offsets[:-1]
-        if empty.any() and empty[ids].any():
+        if ((offsets[1:] == offsets[:-1]) & (run_lengths > 0)).any():
             raise ProtocolError("multicast needs at least one destination")
         self._multicasts.append(
-            (origins, members, offsets, ids, payload, str(tag))
+            (
+                origins,
+                members,
+                offsets,
+                run_lengths.astype(np.intp, copy=False),
+                payload,
+                str(tag),
+            )
         )
 
     # ------------------------------------------------------------------ #
@@ -342,8 +347,9 @@ class RoundContext:
 
         All transfers are grouped by ``(dst, tag)`` for delivery — one
         stable sort per tag across every scatter of the round, over
-        runs (:func:`_group_by_destination`),
-        with no memo in front of it — and by routing unit for
+        runs (:func:`_group_by_destination`; the multicast rows in
+        :meth:`_deliver_multicasts`), with no memo in front of it — and
+        by routing unit for
         accounting: unicast ``(src, dst)`` pair counts feed the
         vectorized tree-flow charger
         (:meth:`~repro.topology.steiner.RoutingIndex.unicast_loads`),
@@ -354,9 +360,9 @@ class RoundContext:
         Section-2 model in ``tests/model/``).
 
         When a recording tracer is installed, the finalizer splits its
-        wall time into *group* (collection, sort, payload gather),
-        *deliver* (storage installs) and *charge* (tree-flow accounting)
-        phases, counts the delivered elements per tag, and annotates the
+        wall time into *group* (collection, the unicast sort and payload
+        gather, the multicast run bounds), *deliver* (storage installs)
+        and *charge* (tree-flow accounting) phases, counts the delivered elements per tag, and annotates the
         enclosing round span with both alongside the ledger-derived
         round attrs; with the default no-op tracer no clock is read.
         """
@@ -456,36 +462,35 @@ class RoundContext:
     def _collect_multicasts(self, routing) -> dict[str, list[tuple]]:
         """Resolve the multicast stream into per-tag records of arrays.
 
-        Per tag and in registration order: ``(group ids, payload,
-        sources, members, fanouts)``, the last three naming routing
-        indices — every group's source, the groups' destination members
-        laid end to end, and how many each group has.
+        Per tag and in registration order: ``(counts, payload, sources,
+        members, fanouts)``, the last three naming routing indices —
+        every run's source, the runs' destination members laid end to
+        end, and how many each run has.
         """
         lookup = routing.compute_idx
         by_tag: dict[str, list[tuple]] = {}
-        for origins, members, offsets, ids, payload, tag in self._multicasts:
+        for origins, members, offsets, counts, payload, tag in self._multicasts:
             by_tag.setdefault(tag, []).append(
-                (ids, payload, lookup[origins], lookup[members], np.diff(offsets))
+                (counts, payload, lookup[origins], lookup[members], np.diff(offsets))
             )
         return by_tag
 
     def _deliver_multicasts(self, phases: dict | None = None) -> None:
         """Deliver and charge the round's multicast stream in bulk.
 
-        Group ids are lifted into a per-tag global id space (each
-        record's local ids shifted by a running base and materialized by
-        :func:`_concat_parts`), so one grouping pass per tag
-        covers every replicated element of the round; global ids ascend
-        in registration x local-id order, which keeps per-``(dst, tag)``
-        byte order identical to one multicast per group, in that order.  Each
-        ``(present group, member)`` pair is a row (a CSR gather, no loop
-        over groups); rows are grouped by destination with the same
-        stable primitive and a repeated pair — sets, not lists — is
-        dropped.  A destination one group serves receives that group's
-        slice of the grouped payload as a zero-copy view (a
-        whole-relation broadcast moves no bytes); one served by several
-        receives one gathered chunk, its groups in ascending-gid order.
-        The same rows charge every group's Steiner tree through one
+        A tag's records are laid end to end in registration order, so
+        its runs are too: run ``k`` ends at ``cumsum(counts)[k]`` of the
+        concatenated payload, and no element is sorted or gathered to
+        find its run.  Runs without elements are dropped.  Each ``(run,
+        member)`` pair is a row (a CSR gather, no loop over runs); rows
+        are grouped by destination with one stable sort over the rows,
+        so each destination's runs keep registration order, and a
+        repeated pair — sets, not lists — is dropped.  A destination one
+        run serves receives that run's slice of the payload as a
+        zero-copy view (a whole-relation broadcast moves no bytes); one
+        served by several receives one gathered chunk, its runs in
+        registration order.  The same rows charge every run's Steiner
+        tree through one
         :meth:`~repro.topology.steiner.RoutingIndex.multicast_loads`
         call, added to the ledger's open round beside the unicasts'.
         """
@@ -499,60 +504,56 @@ class RoundContext:
         charges: list[tuple] = []
         for tag, records in by_tag.items():
             t1 = perf_counter() if phases is not None else 0.0
-            ids, payloads, *table = zip(*records)
-            bases = accumulate(map(len, table[2]), initial=0)
-            order, uniques, starts, ends = group_slices(
-                _concat_parts(list(zip(ids, bases)))
+            counts, payload, sources, members, fanouts = map(
+                _concatenated, zip(*records)
             )
-            all_payload, sources, members, fanouts = map(
-                _concatenated, (payloads, *table)
-            )
-            sorted_payload = all_payload[order]
+            # the runs that carry elements, and where each ends
+            ends = np.cumsum(counts)
+            live = np.flatnonzero(counts)
+            counts, ends, sources = counts[live], ends[live], sources[live]
+            starts = ends - counts
             if phases is not None:
                 t2 = perf_counter()
                 phases["t_group_s"] += t2 - t1
-            # one row per (present group, member)
-            present = uniques.astype(np.intp)
-            counts = ends - starts
-            sources = sources[present]
-            fanout = fanouts[present]
+            # one row per (live run, member)
+            fanout = fanouts[live]
             row_dst = members[
-                concat_ranges((np.cumsum(fanouts) - fanouts)[present], fanout)
+                concat_ranges((np.cumsum(fanouts) - fanouts)[live], fanout)
             ]
-            row_group = np.repeat(np.arange(len(present)), fanout)
+            row_run = np.repeat(np.arange(len(live)), fanout)
             charges.append((sources, row_dst, fanout, counts))
             # group rows by destination — stable, so rows stay in
-            # ascending-gid order within a dst, exactly the per-group
+            # registration order within a dst, exactly the per-run
             # loop's append order, and a repeated pair is adjacent
             r_order, r_uniques, r_starts, r_ends = group_slices(row_dst)
-            row_dst, row_group = row_dst[r_order], row_group[r_order]
+            row_dst, row_run = row_dst[r_order], row_run[r_order]
             repeated = (row_dst[1:] == row_dst[:-1]) & (
-                row_group[1:] == row_group[:-1]
+                row_run[1:] == row_run[:-1]
             )
             if repeated.any():
                 keep = np.concatenate(([True], ~repeated))
-                row_dst, row_group = row_dst[keep], row_group[keep]
+                row_dst, row_run = row_dst[keep], row_run[keep]
                 r_starts = np.searchsorted(row_dst, r_uniques, side="left")
                 r_ends = np.searchsorted(row_dst, r_uniques, side="right")
-            lengths = counts[row_group]
-            # the destinations several groups serve share one gather,
+            lengths = counts[row_run]
+            # the destinations several runs serve share one gather,
             # each taking its slice of it
             single = r_ends - r_starts == 1
             shared = ~np.repeat(single, r_ends - r_starts)
-            gathered = sorted_payload[
-                concat_ranges(starts[row_group[shared]], lengths[shared])
+            gathered = payload[
+                concat_ranges(starts[row_run[shared]], lengths[shared])
             ]
             sizes = np.add.reduceat(lengths, r_starts)
             gathered_his = np.cumsum(np.where(single, 0, sizes))
-            first = row_group[r_starts]
+            first = row_run[r_starts]
             los = np.where(single, starts[first], gathered_his - sizes)
             his = np.where(single, ends[first], gathered_his)
             positions = np.searchsorted(routing.compute_idx, r_uniques)
-            for where, source in ((single, sorted_payload), (~single, gathered)):
+            for where, source in ((single, payload), (~single, gathered)):
                 storage.install(
                     tag, positions[where], los[where], his[where], source
                 )
-            remote = sources[row_group] != row_dst
+            remote = sources[row_run] != row_dst
             np.add.at(
                 cluster._received_elements, row_dst[remote], lengths[remote]
             )
@@ -639,8 +640,8 @@ class Cluster:
     def compute_order(self) -> tuple:
         """The tree's compute nodes (:attr:`TreeTopology.compute_nodes`).
 
-        Every node index the round API takes — sources, targets, group
-        sources, destination members — is a position in this tuple.
+        Every node index the round API takes — sources, targets,
+        destination members — is a position in this tuple.
         """
         return self._tree.compute_nodes
 

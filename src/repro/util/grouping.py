@@ -2,7 +2,7 @@
 
 Every shuffle in the package ends with the same structure: a values
 array and a parallel array of small integer group ids (destination
-indices, splitter intervals, multicast row ids).  The naive per-group
+indices, splitter intervals).  The naive per-group
 ``values[ids == g]`` loop rescans the full array once per group —
 ``O(n * p)`` work for ``p`` groups — which is what used to dominate the
 simulator's wall-clock.  Grouping with one stable ``argsort`` is
@@ -10,16 +10,17 @@ simulator's wall-clock.  Grouping with one stable ``argsort`` is
 (original element order preserved within each group, because the sort
 is stable).
 
-The sorts by ``(owner, key)`` pairs and by values (:func:`sorted_runs`,
-:func:`unique_inverse`) pack when they can: if each field's span
-(``max - min``, in Python ints) and the positions together need at
-most 63 bits, one plain ``np.sort`` of int64 words ``((owner - min) <<
-k | (key - min)) << p | position`` replaces two 64-bit argsorts and
-their gathers (:func:`packed_words`).  The words order as the pairs
-do, the position bits make equal pairs order by position, so the sort
-is stable, and ``key - min`` is exact: a key that fits spans less than
-``2**63``, so the difference lies in ``[0, 2**63)``.  Wider inputs take
-the full-width argsorts; the results are the same either way.
+The sorts by ``(owner, key)`` pairs, by rows and by values
+(:func:`sorted_runs`, :func:`row_runs`, :func:`unique_inverse`) pack
+when they can: if each field's span (``max - min``, in Python ints) and
+the positions together need at most 63 bits, one plain ``np.sort`` of
+int64 words ``((owner - min) << k | (key - min)) << p | position``
+replaces two 64-bit argsorts and their gathers (:func:`packed_words`).
+The words order as the pairs do, the position bits make equal pairs
+order by position, so the sort is stable, and ``key - min`` is exact: a
+key that fits spans less than ``2**63``, so the difference lies in
+``[0, 2**63)``.  Wider inputs take the full-width argsorts; the results
+are the same either way.
 
 Nothing here is memoized; every caller runs the kernel.  A memo keyed
 by the array's content must hash every input it sees, and the inputs do
@@ -152,10 +153,11 @@ def _sorted_positions(
 
 def _run_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of every run of equal neighbours."""
-    fresh = np.ones(len(sorted_keys), dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    return starts, np.diff(starts, append=len(sorted_keys))
+    # run edges, the end of the array included: no concatenate
+    fresh = np.ones(len(sorted_keys) + 1, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=fresh[1:-1])
+    edges = np.flatnonzero(fresh)
+    return edges[:-1], np.diff(edges)
 
 
 def sorted_runs(
@@ -183,6 +185,15 @@ def sorted_runs(
     if packed is not None:
         order, pairs, _ = packed
         return order, *_run_starts(pairs)
+    return full_width_runs(owners, keys, stable=stable)
+
+
+def full_width_runs(
+    owners: np.ndarray, keys: np.ndarray, *, stable: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sorted_runs` without the packing attempt, for callers that
+    already know the pairs and positions do not fit 63 bits: one
+    argsort by key, then a stable pass over the owners."""
     by_key = np.argsort(keys, kind="stable" if stable else None)
     order = by_key[np.argsort(owners[by_key], kind="stable")]
     sorted_owners, sorted_keys = owners[order], keys[order]
@@ -299,17 +310,48 @@ def regroup_stretches(
     return values, owners[firsts], ends - np.add.reduceat(lengths, firsts), ends, stretches
 
 
-def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(matrix, axis=0, return_inverse=True)`` for integer
-    matrices, by one ``lexsort`` over the columns — an order of
-    magnitude faster than NumPy's structured-dtype row sort."""
+def _lexsorted_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, fresh)``: a stable ``np.lexsort`` of the matrix's rows
+    and, per sorted row, whether it differs from the one before."""
     order = np.lexsort(matrix.T[::-1])
     ordered = matrix[order]
     fresh = np.ones(len(ordered), dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(ordered), dtype=np.intp)
+    return order, fresh
+
+
+def row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort an integer matrix's rows and cut them into runs of equal rows.
+
+    Returns ``(order, starts, lengths)``: ``order`` lists the rows
+    lexicographically, equal rows in their original order, and run
+    ``j`` — one distinct row, ascending — is ``order[starts[j] :
+    starts[j] + lengths[j]]``.  This is how a replication is cut into
+    multicast runs: run ``j`` carries the elements whose row (source,
+    destinations) is ``matrix[order[starts[j]]]``.
+
+    When the columns' spans and the positions fit 63 bits
+    (:func:`packed_words`), this is one ``np.sort`` of words packing
+    every column above the position, as in :func:`sorted_runs`;
+    otherwise one ``np.lexsort`` over the columns.
+    """
+    packed = _sorted_positions(matrix.T)
+    if packed is not None:
+        order, words, _ = packed
+        return order, *_run_starts(words)
+    order, fresh = _lexsorted_rows(matrix)
+    starts = np.flatnonzero(fresh)
+    return order, starts, np.diff(starts, append=len(order))
+
+
+def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(matrix, axis=0, return_inverse=True)`` for integer
+    matrices, by one ``lexsort`` over the columns — an order of
+    magnitude faster than NumPy's structured-dtype row sort."""
+    order, fresh = _lexsorted_rows(matrix)
+    inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(fresh) - 1
-    return ordered[fresh], inverse
+    return matrix[order[fresh]], inverse
 
 
 #: Inert stand-in for the deleted grouping memo, kept only because the
@@ -317,17 +359,3 @@ def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: change to the harness removes it.
 GROUP_CACHE = SimpleNamespace(hits=0, misses=0, clear=lambda: None)
 
-
-def _concat_parts(parts: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Materialize ``concat(ids + base, ...)`` in one output pass.
-
-    The sums are taken in ``int64``: narrow ids plus a running base can
-    pass their own dtype's range.
-    """
-    out = np.empty(sum(len(ids) for ids, _ in parts), dtype=np.int64)
-    position = 0
-    for ids, base in parts:
-        segment = out[position : position + len(ids)]
-        np.add(ids, base, out=segment, dtype=np.int64, casting="unsafe")
-        position += len(ids)
-    return out

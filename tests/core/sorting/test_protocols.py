@@ -65,7 +65,7 @@ class TestSamplingHelpers:
 
 
 class TestBroadcastSplitters:
-    """The coordinator's one multicast group: every other listed node
+    """The coordinator's one multicast run: every other listed node
     gets the splitters, each link of their Steiner tree carries them
     once, and nothing is registered when there is nothing to send."""
 

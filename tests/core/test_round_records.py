@@ -1,11 +1,11 @@
 """Count guard: the multi-set rounds register one column record per stream.
 
 The cartesian tile routing (``route_axis``) registers one
-``exchange_multicast_column`` per axis however many ``(segment, owner)``
-groups the packing yields, and StarIntersect one multicast record (``R``
+``exchange_multicast_runs`` per axis however many ``(segment, owner)``
+runs the packing yields, and StarIntersect one multicast record (``R``
 to the hashed nodes and Vβ) and at most one unicast record (the Vα
 nodes' ``S``).  Counts, not times: a loop over owners would register one
-record per group.
+record per run.
 """
 
 import pytest

@@ -4,14 +4,14 @@ A round is a list of transfers ``(src, destination set, payload, tag)``.
 A transfer loads every link on the union of its paths once per element
 (a unicast's path, a multicast's Steiner tree); the round costs
 ``max_e load_e / w_e``.  Each ``(dst, tag)`` receives the unicasts in
-registration order, then the multicasts by registration order and group
-id; a copy a node sends itself is stored, not received.
+registration order, then the multicasts in registration order; a copy a
+node sends itself is stored, not received.
 
 The two ``RoundContext`` calls expand into transfers, nodes named by
-their compute-order position: ``exchange_runs`` is one unicast per
-``(source, target, count)`` run, each taking the next ``count``
-elements; ``exchange_multicast_column`` one multicast per group id,
-ascending, to the *set* its row names.
+their compute-order position, each run taking the next ``count``
+elements: ``exchange_runs`` is one unicast per ``(source, target,
+count)`` run; ``exchange_multicast_runs`` one multicast per ``(source,
+destination set, count)`` run, to the *set* its row names.
 
 :class:`ModelCluster` runs these calls on storage of its own;
 :class:`ModelAuditor` checks live production rounds from the run
@@ -56,19 +56,20 @@ class Calls:
             self.transfers.append(Transfer(self.order[source], dsts, run, tag, False))
             start += count
 
-    def exchange_multicast_column(
-        self, group_sources, group_ids, destinations, values, *, tag
+    def exchange_multicast_runs(
+        self, sources, destinations, counts, values, *, tag
     ) -> None:
         if isinstance(destinations, tuple):  # CSR (members, offsets)
             members, offsets = map(_ints, destinations)
             rows = [members[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
         else:  # one set per matrix row
             rows = [_ints(row) for row in destinations]
-        ids, payload, sources = _ints(group_ids), _ints(values), _ints(group_sources)
-        for gid in sorted(set(ids)):
-            dsts = frozenset(self.order[member] for member in rows[gid])
-            run = [value for value, of in zip(payload, ids) if of == gid]
-            self.transfers.append(Transfer(self.order[sources[gid]], dsts, run, tag, True))
+        payload, start = _ints(values), 0
+        for source, row, count in zip(_ints(sources), rows, _ints(counts)):
+            dsts = frozenset(self.order[member] for member in row)
+            run = payload[start : start + count]
+            self.transfers.append(Transfer(self.order[source], dsts, run, tag, True))
+            start += count
 
 
 class Outcome(NamedTuple):
@@ -134,13 +135,15 @@ class ModelCluster:
 def round_transfers(cluster, context) -> list:
     """A finalized production round's transfers, read off its two record
     streams: ``(sources, targets, counts, payload, tag)`` unicast records
-    and ``(origins, members, offsets, group ids, payload, tag)`` multicast
+    and ``(origins, members, offsets, counts, payload, tag)`` multicast
     records, nodes as compute-order positions."""
     calls = Calls(cluster.compute_order)
     for sources, targets, counts, payload, tag in context._unicast_stream:
         calls.exchange_runs(sources, targets, counts, payload, tag=tag)
-    for origins, members, offsets, ids, payload, tag in context._multicasts:
-        calls.exchange_multicast_column(origins, ids, (members, offsets), payload, tag=tag)
+    for origins, members, offsets, counts, payload, tag in context._multicasts:
+        calls.exchange_multicast_runs(
+            origins, (members, offsets), counts, payload, tag=tag
+        )
     return calls.transfers
 
 

@@ -190,10 +190,10 @@ class TestExpectedDeliveries:
                     np.array([10, 20, 30], dtype=np.int64),
                     tag="uni",
                 )
-                ctx.exchange_multicast_column(
+                ctx.exchange_multicast_runs(
                     [1],
-                    [0, 0],
                     [[2, 3]],
+                    [2],
                     np.array([7, 8], dtype=np.int64),
                     tag="multi",
                 )

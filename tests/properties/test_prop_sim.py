@@ -28,17 +28,17 @@ def transfer_plans(draw):
 
 
 def _multicast_round(tree, transfers) -> Cluster:
-    """One round on a fresh cluster: every transfer one group of a single
-    ``exchange_multicast_column`` call."""
+    """One round on a fresh cluster: every transfer one run of a single
+    ``exchange_multicast_runs`` call."""
     cluster = Cluster(tree)
     position = tree.compute_position
     rows = [sorted(position[v] for v in dsts) for _, dsts, _ in transfers]
     sizes = np.array([size for *_, size in transfers], dtype=np.intp)
     with cluster.round() as ctx:
-        ctx.exchange_multicast_column(
+        ctx.exchange_multicast_runs(
             [position[src] for src, _, _ in transfers],
-            np.repeat(np.arange(len(transfers)), sizes),
             (sum(rows, []), np.cumsum([0, *map(len, rows)])),
+            sizes,
             np.concatenate([np.arange(size) for size in sizes] or [[]]),
             tag="x",
         )

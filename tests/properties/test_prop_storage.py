@@ -1,7 +1,7 @@
 """Property: the columnar data plane is byte-identical to its oracles.
 
 Random mixed-round scripts (runs, hashed column exchanges cut into runs,
-multicast groups, interleaved tags, repeated rounds onto the same
+multicast runs, interleaved tags, repeated rounds onto the same
 columns) must leave
 *exactly* the same observable state — per-edge ledger loads, per-node
 received counts, per-(node, tag) storage bytes — on the simulator
@@ -31,7 +31,7 @@ def round_scripts(draw):
     for _ in range(draw(st.integers(1, 3))):
         ops = []
         for _ in range(draw(st.integers(0, 4))):
-            kind = draw(st.sampled_from(("runs", "column", "multicast-column")))
+            kind = draw(st.sampled_from(("runs", "column", "multicast-runs")))
             size = draw(st.integers(1, 20))
             tag = draw(st.sampled_from(("a", "b")))
             payload = np.arange(offset, offset + size, dtype=np.int64)
@@ -55,23 +55,19 @@ def round_scripts(draw):
                     sum(rows, []),
                     np.cumsum([0, *map(len, rows)]),
                 )
-                group_sources = [draw(node) for _ in range(num_sets)]
-                group_ids = draw(
-                    st.lists(
-                        st.integers(0, num_sets - 1),
-                        min_size=size,
-                        max_size=size,
+                sources = [draw(node) for _ in range(num_sets)]
+                cuts = sorted(
+                    draw(
+                        st.lists(
+                            st.integers(0, size),
+                            min_size=num_sets - 1,
+                            max_size=num_sets - 1,
+                        )
                     )
                 )
+                counts = np.diff([0, *cuts, size])
                 ops.append(
-                    (
-                        "multicast-column",
-                        group_sources,
-                        group_ids,
-                        destinations,
-                        payload,
-                        tag,
-                    )
+                    ("multicast-runs", sources, destinations, counts, payload, tag)
                 )
         rounds.append(ops)
     return tree, rounds
@@ -86,7 +82,7 @@ def _replay(cluster, rounds):
                 elif kind == "column":
                     hash_partition(ctx, *args, tag=tag)
                 else:
-                    ctx.exchange_multicast_column(*args, tag=tag)
+                    ctx.exchange_multicast_runs(*args, tag=tag)
     return cluster
 
 

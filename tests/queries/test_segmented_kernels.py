@@ -146,19 +146,24 @@ class TestIntersectColumns:
             )
             assert [out.tolist() for out in outputs.values()] == [[], []]
 
-    @pytest.mark.parametrize("bits, packs", [(63, True), (64, False)])
-    def test_both_sides_of_the_side_bit_fit(self, monkeypatch, bits, packs):
-        """Owners 0..3 (2 bits) and a value span of ``bits - 3`` bits
-        leave the side bit inside (63) or outside (64) the packed sort;
-        both paths find every node's common values."""
-        import repro.core.intersection.tree as tree_module
-
+    @staticmethod
+    def _side_bit_columns(bits):
+        """Owners 0..3 (2 bits) and a value span of ``bits - 3`` bits:
+        the side bit lands inside (63) or outside (64) the packed sort."""
         rng = np.random.default_rng(bits)
         width = bits - 3
         values = INT64_MIN + rng.integers(0, 2**width, 400)
         values[:2] = INT64_MIN, INT64_MIN + 2**width - 1
         values[200:300] = values[:100]  # common when the owners agree
         owners = rng.integers(0, 4, 400).astype(np.int16)
+        return owners, values
+
+    @pytest.mark.parametrize("bits, packs", [(63, True), (64, False)])
+    def test_both_sides_of_the_side_bit_fit(self, monkeypatch, bits, packs):
+        """Both paths find every node's common values."""
+        import repro.core.intersection.tree as tree_module
+
+        owners, values = self._side_bit_columns(bits)
         fits, real = [], tree_module.packed_words
 
         def spy(fields, low_bits):
@@ -175,6 +180,27 @@ class TestIntersectColumns:
         ):
             assert outputs[node].tolist() == sorted(set(r.tolist()) & set(s.tolist()))
         assert sum(map(len, outputs.values())) > 10
+
+    @pytest.mark.parametrize("bits", [63, 64])
+    def test_a_wide_column_packs_once(self, monkeypatch, bits):
+        """When the side bit does not fit, position bits cannot either:
+        the fallback sorts at full width without packing again."""
+        import repro.core.intersection.tree as tree_module
+        from repro.util import grouping
+
+        calls, real = [], grouping.packed_words
+
+        def spy(fields, low_bits):
+            calls.append(low_bits)
+            return real(fields, low_bits)
+
+        monkeypatch.setattr(tree_module, "packed_words", spy)
+        monkeypatch.setattr(grouping, "packed_words", spy)
+        owners, values = self._side_bit_columns(bits)
+        intersect_columns(
+            (owners[:200], values[:200]), (owners[200:], values[200:]), range(4)
+        )
+        assert calls == [1]
 
 
 class TestJoinColumns:

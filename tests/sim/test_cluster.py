@@ -64,8 +64,8 @@ class TestRounds:
 
     def test_multicast_charges_steiner_edges_once(self, cluster):
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column(
-                [0], np.zeros(10, np.intp), [[2, 3, 4]], np.arange(10), tag="m"
+            ctx.exchange_multicast_runs(
+                [0], [[2, 3, 4]], [10], np.arange(10), tag="m"
             )
         loads = cluster.ledger.round_loads(0)
         assert loads[("w1", "core")] == 10  # shared prefix charged once
@@ -74,7 +74,7 @@ class TestRounds:
 
     def test_multicast_delivers_copies(self, cluster):
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column([0], [0, 0], [[2, 3]], [1, 2], tag="m")
+            ctx.exchange_multicast_runs([0], [[2, 3]], [2], [1, 2], tag="m")
         assert cluster.local("v3", "m").tolist() == [1, 2]
         assert cluster.local("v4", "m").tolist() == [1, 2]
 
@@ -126,7 +126,7 @@ class TestRounds:
     def test_received_elements_is_one_vector_with_a_named_view(self, cluster):
         with cluster.round() as ctx:
             ctx.exchange_runs([0], [1], [3], [1, 2, 3], tag="a")
-            ctx.exchange_multicast_column([2], [0, 0], [[1, 2, 3]], [4, 5], tag="b")
+            ctx.exchange_multicast_runs([2], [[1, 2, 3]], [2], [4, 5], tag="b")
         assert cluster._received_elements.dtype == np.int64
         assert cluster._received_elements.sum() == 3 + 2 + 2
         assert cluster.received_elements("v2") == 5
@@ -148,27 +148,28 @@ class TestRoundApi:
 
     def test_the_registration_methods_are_exactly_two(self):
         public = {name for name in vars(RoundContext) if not name.startswith("_")}
-        assert public == {"exchange_runs", "exchange_multicast_column"}
+        assert public == {"exchange_runs", "exchange_multicast_runs"}
         for removed in (
             "send",
             "multicast",
             "exchange_column",
             "exchange",
             "exchange_multicast",
+            "exchange_multicast_column",
             "scatter",
         ):
             assert not hasattr(RoundContext, removed)
 
     def test_self_only_destination_set_is_stored_free(self, cluster):
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column([0], [0, 0], [[0]], [7, 8], tag="x")
+            ctx.exchange_multicast_runs([0], [[0]], [2], [7, 8], tag="x")
         assert cluster.local("v1", "x").tolist() == [7, 8]
         assert cluster.ledger.round_loads(0) == {}
         assert cluster.received_elements("v1") == 0
 
     def test_source_inside_larger_destination_set(self, cluster):
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column([0], [0, 0], [[0, 1]], [7, 8], tag="x")
+            ctx.exchange_multicast_runs([0], [[0, 1]], [2], [7, 8], tag="x")
         assert cluster.local("v1", "x").tolist() == [7, 8]
         assert cluster.local("v2", "x").tolist() == [7, 8]
         assert cluster.received_elements("v1") == 0
@@ -180,7 +181,7 @@ class TestRoundApi:
 
     def test_empty_multicast_payload_registers_nothing(self, cluster):
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column([0], [], [[1, 3]], [], tag="x")
+            ctx.exchange_multicast_runs([0], [[1, 3]], [0], [], tag="x")
             assert not ctx._multicasts
         assert cluster.ledger.round_loads(0) == {}
 

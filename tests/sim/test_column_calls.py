@@ -1,18 +1,18 @@
 """Relations at a time: ``column``, a hash partition (the column cut
 into runs by ``runs_by_target``, one ``exchange_runs``) and
-``exchange_multicast_column``.
+``exchange_multicast_runs``.
 
 The contract under test: a hash partition is observably identical to
 one single-element run per element in column order, one
-``exchange_multicast_column`` to one call per group id — same storage
-bytes, received counts and per-edge loads — which the
+``exchange_multicast_runs`` to one call per run in registration order —
+same storage bytes, received counts and per-edge loads — which the
 transfer-by-transfer Section-2 model in ``tests/model/rounds.py`` spells
 out.  Destination sets are compute-order index arrays, a
-``(groups, k)`` matrix or a CSR ``(members, offsets)`` tuple; validation
-is span checks, run before anything is registered.  The unicast checks
-are ``exchange_runs``'s own (``test_exchange_runs.py``); a hash
-partition reaches them through ``runs_by_target``, which itself refuses
-columns of two lengths or more than one dimension.
+``(runs, k)`` matrix or a CSR ``(members, offsets)`` tuple; validation
+is span and count checks, run before anything is registered.  The
+unicast checks are ``exchange_runs``'s own (``test_exchange_runs.py``);
+a hash partition reaches them through ``runs_by_target``, which itself
+refuses columns of two lengths or more than one dimension.
 """
 
 import numpy as np
@@ -111,12 +111,12 @@ class TestHashPartitionDelivery:
         with cluster.round() as ctx:
             hash_partition(ctx, empty, empty, empty, tag="x")
             hash_partition(ctx, [], [], [], tag="x")
-            ctx.exchange_multicast_column(
-                [], [], np.empty((0, 2), np.int64), [], tag="x"
+            ctx.exchange_multicast_runs(
+                [], np.empty((0, 2), np.int64), [], [], tag="x"
             )
-            ctx.exchange_multicast_column([], [], ([], [0]), [], tag="x")
-            ctx.exchange_multicast_column([0], empty, [[1]], empty, tag="x")
-            ctx.exchange_multicast_column([0], empty, ([1], [0, 1]), empty, tag="x")
+            ctx.exchange_multicast_runs([], ([], [0]), [], [], tag="x")
+            ctx.exchange_multicast_runs([0], [[1]], [0], empty, tag="x")
+            ctx.exchange_multicast_runs([0], ([1], [0, 1]), [0], empty, tag="x")
         assert cluster.ledger.round_loads(0) == {}
 
 
@@ -203,19 +203,19 @@ def _registers_nothing(cluster, message, *args):
     with pytest.raises(ProtocolError, match=message):
         with cluster.round() as ctx:
             try:
-                ctx.exchange_multicast_column(*args, tag="x")
+                ctx.exchange_multicast_runs(*args, tag="x")
             finally:
                 assert not ctx._multicasts and not ctx._unicast_stream
 
 
-class TestExchangeMulticastColumnDelivery:
+class TestExchangeMulticastRunsDelivery:
     def test_matrix_and_csr_deliver_to_every_member(self, cluster):
         order = cluster.compute_order
         for destinations in ([[2, 3], [4, 4]], ([2, 3, 4], [0, 2, 3])):
             fresh = Cluster(cluster.tree)
             with fresh.round() as ctx:
-                ctx.exchange_multicast_column(
-                    [0, 1], [0, 1, 0], destinations, [1, 2, 3], tag="x"
+                ctx.exchange_multicast_runs(
+                    [0, 1], destinations, [2, 1], [1, 3, 2], tag="x"
                 )
             assert fresh.local(order[2], "x").tolist() == [1, 3]
             assert fresh.local(order[3], "x").tolist() == [1, 3]
@@ -223,14 +223,14 @@ class TestExchangeMulticastColumnDelivery:
             assert fresh.local(order[4], "x").tolist() == [2]
             assert fresh.received_elements(order[4]) == 1
 
-    def test_one_group_is_a_view_several_are_one_gathered_chunk(self, cluster):
-        """The view / gather split: a destination one group serves
-        aliases the grouped payload; one served by several gets a
-        single chunk, groups in ascending-gid order."""
+    def test_one_run_is_a_view_several_are_one_gathered_chunk(self, cluster):
+        """The view / gather split: a destination one run serves
+        aliases the payload; one served by several gets a single chunk,
+        runs in registration order."""
         order = cluster.compute_order
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column(
-                [0, 0], [1, 0, 1, 0], ([1, 2, 2], [0, 2, 3]), [5, 6, 7, 8], tag="x"
+            ctx.exchange_multicast_runs(
+                [0, 0], ([1, 2, 2], [0, 2, 3]), [2, 2], [6, 8, 5, 7], tag="x"
             )
         assert cluster.local(order[1], "x").tolist() == [6, 8]
         assert cluster.local(order[2], "x").tolist() == [6, 8, 5, 7]
@@ -240,44 +240,55 @@ class TestExchangeMulticastColumnDelivery:
             cluster.local(order[1], "x"), cluster.local(order[2], "x")
         ) is False
 
+    def test_each_destination_receives_runs_in_registration_order(self, cluster):
+        """No run is reordered by its source or its set: the second run
+        to node 2 lands after the first, whatever their sources."""
+        order = cluster.compute_order
+        with cluster.round() as ctx:
+            ctx.exchange_multicast_runs(
+                [4, 0, 4], [[2, 2], [1, 2], [2, 3]], [1, 2, 1], [5, 6, 7, 8], tag="x"
+            )
+            ctx.exchange_multicast_runs([0], [[2]], [1], [9], tag="x")
+        assert cluster.local(order[2], "x").tolist() == [5, 6, 7, 8, 9]
+        assert cluster.local(order[1], "x").tolist() == [6, 7]
+        assert cluster.local(order[3], "x").tolist() == [8]
+
     def test_whole_relation_broadcast_copies_nothing(self, cluster):
         order = cluster.compute_order
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column(
-                [0], [0, 0, 0], [[1, 2, 3]], [5, 6, 7], tag="x"
-            )
+            ctx.exchange_multicast_runs([0], [[1, 2, 3]], [3], [5, 6, 7], tag="x")
         views = [cluster.local(order[i], "x") for i in (1, 2, 3)]
         assert all(np.shares_memory(views[0], view) for view in views)
 
 
-class TestExchangeMulticastColumnValidation:
+class TestExchangeMulticastRunsValidation:
     def test_registration_after_the_round_closed_rejected(self, cluster):
         with cluster.round() as ctx:
             pass
         with pytest.raises(ProtocolError, match="already finalized"):
-            ctx.exchange_multicast_column([0], [0], [[1]], [1], tag="x")
+            ctx.exchange_multicast_runs([0], [[1]], [1], [1], tag="x")
 
-    def test_float_group_sources_rejected(self, cluster):
+    def test_float_sources_rejected(self, cluster):
         _registers_nothing(
-            cluster, "group sources must be an integer", [0.0], [0], [[1]], [1]
+            cluster, "sources must be an integer", [0.0], [[1]], [1], [1]
         )
 
     @pytest.mark.parametrize(
-        "group_ids, values", [([0.0], [1]), (np.empty(0, np.float64), [])]
+        "counts, values", [([1.0], [1]), (np.empty(0, np.float64), [])]
     )
-    def test_float_group_ids_rejected(self, cluster, group_ids, values):
+    def test_float_counts_rejected(self, cluster, counts, values):
         """An explicit float array is a bug whether or not it carries
         elements."""
         _registers_nothing(
-            cluster, "group ids must be an integer", [0], group_ids, [[1]], values
+            cluster, "counts must be an integer", [0], [[1]], counts, values
         )
 
     @pytest.mark.parametrize(
-        "group_ids, values", [([[0]], [1]), (np.empty((0, 1), np.int64), [])]
+        "counts, values", [([[1]], [1]), (np.empty((0, 1), np.int64), [])]
     )
-    def test_two_dimensional_group_ids_rejected(self, cluster, group_ids, values):
+    def test_two_dimensional_counts_rejected(self, cluster, counts, values):
         _registers_nothing(
-            cluster, "group ids must be a one-dim", [0], group_ids, [[1]], values
+            cluster, "counts must be a one-dim", [0], [[1]], counts, values
         )
 
     @pytest.mark.parametrize(
@@ -301,8 +312,8 @@ class TestExchangeMulticastColumnValidation:
             cluster,
             "integer|one-dimensional",
             [0] * len(destinations),
-            [0] * len(values),
             destinations,
+            [len(values)] * len(destinations),
             values,
         )
 
@@ -311,27 +322,62 @@ class TestExchangeMulticastColumnValidation:
     )
     @pytest.mark.parametrize("values", [[1], []])
     def test_malformed_offsets_rejected(self, cluster, offsets, values):
+        runs = max(len(offsets) - 1, 0)
         _registers_nothing(
             cluster,
             "destination offsets must rise from 0 to the 2 members given",
-            [0] * max(len(offsets) - 1, 0),
-            [0] * len(values),
+            [0] * runs,
             ([1, 2], offsets),
+            [len(values)] + [0] * (runs - 1) if runs else [],
             values,
         )
 
-    @pytest.mark.parametrize("destinations", [[[1]], ([1], [0, 1])])
-    def test_one_source_per_set_required(self, cluster, destinations):
+    @pytest.mark.parametrize(
+        "sources, destinations, counts",
+        [
+            ([0, 1], [[1]], [1]),
+            ([0, 1], ([1], [0, 1]), [1]),
+            ([0], [[1], [2]], [1]),
+            ([0], ([1, 2], [0, 1, 2]), [1]),
+            ([0], [[1]], [1, 0]),
+            ([0], ([1], [0, 1]), [0, 1]),
+        ],
+    )
+    @pytest.mark.parametrize("payload", [True, False])
+    def test_one_source_set_and_count_per_run_required(
+        self, cluster, sources, destinations, counts, payload
+    ):
         _registers_nothing(
-            cluster, "one source index per set", [0, 1], [0], destinations, [1]
-        )
-        _registers_nothing(
-            cluster, "one source index per set", [0, 1], [], destinations, []
+            cluster,
+            "one source, one destination set and one count per run",
+            sources,
+            destinations,
+            counts if payload else [0] * len(counts),
+            [1] if payload else [],
         )
 
-    def test_one_group_id_per_element_required(self, cluster):
+    @pytest.mark.parametrize(
+        "counts, values", [([2], [1]), ([0], [1]), ([1], []), ([1, 1], [1])]
+    )
+    def test_counts_must_sum_to_the_payload(self, cluster, counts, values):
         _registers_nothing(
-            cluster, "one group id per element", [0], [0, 0], [[1]], [1]
+            cluster,
+            f"{len(values)} values but the run counts sum to {sum(counts)}",
+            [0] * len(counts),
+            [[1]] * len(counts),
+            counts,
+            values,
+        )
+
+    @pytest.mark.parametrize("values", [[1], []])
+    def test_negative_counts_rejected(self, cluster, values):
+        _registers_nothing(
+            cluster,
+            "run counts must be non-negative",
+            [0, 0],
+            [[1], [2]],
+            [-1, len(values) + 1],
+            values,
         )
 
     @pytest.mark.parametrize("index", [-1, 5])
@@ -339,11 +385,11 @@ class TestExchangeMulticastColumnValidation:
     def test_source_outside_compute_order_rejected(self, cluster, index, values):
         _registers_nothing(
             cluster,
-            rf"group sources span \[{index}, {index}\] but only 5 compute "
+            rf"source indices span \[{index}, {index}\] but only 5 compute "
             "nodes were given",
             [index],
-            [0] * len(values),
             [[1]],
+            [len(values)],
             values,
         )
 
@@ -359,37 +405,26 @@ class TestExchangeMulticastColumnValidation:
             r"destination members span \[-?\d, \d\] but only 5 compute "
             "nodes were given",
             [0],
-            [0] * len(values),
             destinations,
+            [len(values)],
             values,
-        )
-
-    @pytest.mark.parametrize("gid", [-1, 1])
-    def test_group_id_outside_the_sets_rejected(self, cluster, gid):
-        _registers_nothing(
-            cluster,
-            rf"group ids span \[{gid}, {gid}\] but only 1 destination sets "
-            "were given",
-            [0],
-            [gid],
-            [[1]],
-            [1],
         )
 
     @pytest.mark.parametrize(
         "destinations", [np.empty((1, 0), np.int64), ([], [0, 0])]
     )
-    def test_referenced_empty_row_rejected(self, cluster, destinations):
+    def test_run_with_elements_and_no_destination_rejected(
+        self, cluster, destinations
+    ):
         _registers_nothing(
-            cluster, "at least one destination", [0], [0], destinations, [1]
+            cluster, "at least one destination", [0], destinations, [1], [1]
         )
 
-    def test_unreferenced_empty_row_tolerated(self, cluster):
-        # only sets a group id names are checked, like one call per
-        # group id would
+    def test_empty_run_without_destination_tolerated(self, cluster):
+        # an empty run sends nothing, like a call of its own would
         with cluster.round() as ctx:
-            ctx.exchange_multicast_column(
-                [0, 0], [0], ([1], [0, 1, 1]), [1], tag="x"
+            ctx.exchange_multicast_runs(
+                [0, 0], ([1], [0, 1, 1]), [1, 0], [1], tag="x"
             )
         assert cluster.local(cluster.compute_order[1], "x").tolist() == [1]
 
@@ -409,30 +444,55 @@ def _as_csr(destinations) -> tuple:
 
 def _as_matrix(destinations) -> list[list[int]]:
     """Rows padded to one width by repeating a member — rows are sets;
-    an (unreferenced) empty row is filled with index 0."""
+    an empty row (an empty run's) is filled with index 0."""
     rows = _rows(destinations)
     width = max(1, *(len(row) for row in rows))
     return [row + (row[:1] or [0]) * (width - len(row)) for row in rows]
 
 
 @st.composite
+def multicast_runs(draw, count: int):
+    """One ``exchange_multicast_runs`` registration's ``(sources,
+    destinations, counts)``: zero-count runs (an empty set has one),
+    sets with repeated members, runs repeating an earlier run's source
+    and set, and sources inside their own set."""
+    index = st.integers(0, count - 1)
+    sources, rows, counts = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if rows and draw(st.booleans()):
+            pick = draw(st.integers(0, len(rows) - 1))
+            source, row = sources[pick], list(rows[pick])
+        else:
+            source = draw(index)
+            row = draw(st.lists(index, min_size=0, max_size=count + 1))
+            if draw(st.booleans()):
+                row.append(source)
+        sources.append(source)
+        rows.append(row)
+        counts.append(draw(st.integers(0, 3)) if row else 0)
+    return sources, draw(st.sampled_from([_as_csr, _as_matrix]))(rows), counts
+
+
+@st.composite
 def column_rounds(draw):
-    """A random round mixing hash partitions, multicast columns and
-    one-run records.
+    """A random round mixing hash partitions, multicast runs and
+    one-run records on one or two tags.
 
     Partitions come with ascending and descending sources; multicast
-    columns as matrices and as CSR tuples, with repeated members, the
-    source inside its own row, empty rows no group id names, and several
-    records per tag.
+    runs as :func:`multicast_runs` draws them, several records per tag.
     """
     tree = draw(tree_topologies(min_nodes=3, max_nodes=10))
     count = len(tree.compute_nodes)
     index = st.integers(0, count - 1)
     plan = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["column", "multicast-column", "run"]))
+        kind = draw(st.sampled_from(["column", "multicast-runs", "run"]))
         tag = draw(st.sampled_from(["recv", "other"]))
-        size = draw(st.integers(0, 8))
+        if kind == "multicast-runs":
+            sources, destinations, counts = draw(multicast_runs(count))
+            size = sum(counts)
+        else:
+            size = draw(st.integers(0, 8))
         values = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
         if kind == "column":
             sources = sorted(draw(st.lists(index, min_size=size, max_size=size)))
@@ -440,36 +500,8 @@ def column_rounds(draw):
                 sources.reverse()
             targets = draw(st.lists(index, min_size=size, max_size=size))
             plan.append((kind, tag, sources, targets, values))
-        elif kind == "multicast-column":
-            num_sets = draw(st.integers(1, 4))
-            rows = [
-                draw(st.lists(index, min_size=0, max_size=count + 1))
-                for _ in range(num_sets)
-            ]
-            referenced = [gid for gid, row in enumerate(rows) if row]
-            group_ids = (
-                draw(
-                    st.lists(
-                        st.sampled_from(referenced), min_size=size, max_size=size
-                    )
-                )
-                if referenced
-                else []
-            )
-            group_sources = draw(
-                st.lists(index, min_size=num_sets, max_size=num_sets)
-            )
-            form = draw(st.sampled_from([_as_csr, _as_matrix]))
-            plan.append(
-                (
-                    kind,
-                    tag,
-                    group_sources,
-                    group_ids,
-                    form(rows),
-                    values[: len(group_ids)],
-                )
-            )
+        elif kind == "multicast-runs":
+            plan.append((kind, tag, sources, destinations, counts, values))
         else:
             plan.append((kind, tag, draw(index), draw(index), values))
     return tree, plan
@@ -480,10 +512,10 @@ def _replay(cluster, plan, form=None):
         for kind, tag, *args in plan:
             if kind == "column":
                 hash_partition(ctx, *args, tag=tag)
-            elif kind == "multicast-column":
+            elif kind == "multicast-runs":
                 if form is not None:
-                    args[2] = form(args[2])
-                ctx.exchange_multicast_column(*args, tag=tag)
+                    args[1] = form(args[1])
+                ctx.exchange_multicast_runs(*args, tag=tag)
             else:
                 src, dst, values = args
                 ctx.exchange_runs([src], [dst], [len(values)], values, tag=tag)
@@ -514,26 +546,27 @@ class TestColumnEquivalenceProperty:
     def test_column_calls_match_their_definition(self, instance):
         """The definition, in production code on both sides: one
         single-element run per element of a partition, in column order,
-        and one call per group id of a multicast column, ascending."""
+        and one call per run of a multicast registration, in order."""
         tree, plan = instance
         expanded_plan = []
         for kind, tag, *args in plan:
             if kind == "column":
                 for source, target, value in zip(*args):
                     expanded_plan.append(("run", tag, source, target, [value]))
-            elif kind == "multicast-column":
-                group_sources, group_ids, destinations, values = args
-                rows = _rows(destinations)
-                for gid in sorted(set(group_ids)):
-                    chunk = [v for v, g in zip(values, group_ids) if g == gid]
+            elif kind == "multicast-runs":
+                sources, destinations, counts, values = args
+                ends = np.cumsum(counts).tolist()
+                for source, row, count, end in zip(
+                    sources, _rows(destinations), counts, ends
+                ):
                     expanded_plan.append(
                         (
-                            "multicast-column",
+                            "multicast-runs",
                             tag,
-                            [group_sources[gid]],
-                            [0] * len(chunk),
-                            [sorted(set(rows[gid]))],
-                            chunk,
+                            [source],
+                            [sorted(set(row)) or [0]],
+                            [count],
+                            values[end - count : end],
                         )
                     )
             else:

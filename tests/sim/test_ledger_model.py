@@ -59,8 +59,7 @@ def ledger_programs(draw):
     for _ in range(draw(st.integers(1, 4))):
         ops = []
         for _ in range(draw(st.integers(0, 4))):
-            kind = draw(st.sampled_from(["runs", "multicast-column"]))
-            size = draw(st.integers(0, 8))
+            kind = draw(st.sampled_from(["runs", "multicast-runs"]))
             if kind == "runs":
                 counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
                 ops.append(
@@ -73,21 +72,16 @@ def ledger_programs(draw):
                     )
                 )
             else:
-                groups = draw(st.integers(1, 3))
+                runs = draw(st.integers(1, 3))
                 fanout = draw(st.integers(1, 3))
+                counts = draw(st.lists(st.integers(0, 3), min_size=runs, max_size=runs))
                 ops.append(
                     (
                         kind,
-                        indices(groups),
-                        draw(
-                            st.lists(
-                                st.integers(0, groups - 1),
-                                min_size=size,
-                                max_size=size,
-                            )
-                        ),
-                        [indices(fanout) for _ in range(groups)],
-                        values(size),
+                        indices(runs),
+                        [indices(fanout) for _ in range(runs)],
+                        counts,
+                        values(sum(counts)),
                     )
                 )
         program.append(ops)
@@ -102,7 +96,7 @@ def _replay(cluster, program):
                 if kind == "runs":
                     ctx.exchange_runs(*args, tag="t")
                 else:
-                    ctx.exchange_multicast_column(*args, tag="m")
+                    ctx.exchange_multicast_runs(*args, tag="m")
     return cluster
 
 

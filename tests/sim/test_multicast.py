@@ -1,14 +1,14 @@
 """Tests for the batched multicast and its accounting.
 
-The contract under test: one :meth:`RoundContext.exchange_multicast_column`
-call is observably identical to a loop of one call per group — same
+The contract under test: one :meth:`RoundContext.exchange_multicast_runs`
+call is observably identical to a loop of one call per run — same
 per-node storage (content *and* element order), same
 ``received_elements``, same per-edge ledger loads — on any topology and
 any family of Steiner destination sets.
 The production cluster, the looped expansion, and the transfer-by-
 transfer Section-2 model (``tests/model/rounds.py``) are compared end to
 end, and the vectorized :meth:`RoutingIndex.multicast_loads`
-charger is checked against per-group Steiner-edge walks.
+charger is checked against per-run Steiner-edge walks.
 """
 
 import numpy as np
@@ -49,20 +49,18 @@ def _csr(rows) -> tuple:
     return sum(rows, []), np.cumsum([0, *map(len, rows)])
 
 
-def _register(ctx, node, group_ids, rows, values, tag, *, looped):
-    """One node's grouped multicasts: a column call, or the loop of
-    one-group calls it equals."""
+def _register(ctx, node, rows, counts, values, tag, *, looped):
+    """One node's multicast runs: one call, or the loop of one-run
+    calls it equals."""
     if not looped:
-        ctx.exchange_multicast_column(
-            [node] * len(rows), group_ids, _csr(rows), values, tag=tag
+        ctx.exchange_multicast_runs(
+            [node] * len(rows), _csr(rows), counts, values, tag=tag
         )
         return
-    ids = np.asarray(group_ids, dtype=np.int64)
-    chunk = np.asarray(values, dtype=np.int64)
-    for gid in np.unique(ids).tolist():
-        members = chunk[ids == gid]
-        ctx.exchange_multicast_column(
-            [node], np.zeros(len(members), np.intp), [rows[gid]], members, tag=tag
+    ends = np.cumsum(counts).tolist()
+    for row, count, end in zip(rows, counts, ends):
+        ctx.exchange_multicast_runs(
+            [node], [row], [count], values[end - count : end], tag=tag
         )
 
 
@@ -76,13 +74,9 @@ def test_interleaves_with_runs_and_multicasts_across_models():
     v1, v2, v3, v4, v5 = (position[f"v{i}"] for i in range(1, 6))
     for built in (cluster, model):
         with built.round() as ctx:
-            ctx.exchange_multicast_column([v2], [0], [[v4, v5]], [100], tag="x")
-            ctx.exchange_multicast_column(
-                [v1] * 2,
-                [1, 0, 1],
-                _csr([[v4], [v4, v5]]),
-                [1, 2, 3],
-                tag="x",
+            ctx.exchange_multicast_runs([v2], [[v4, v5]], [1], [100], tag="x")
+            ctx.exchange_multicast_runs(
+                [v1] * 2, _csr([[v4], [v4, v5]]), [1, 2], [2, 1, 3], tag="x"
             )
             ctx.exchange_runs([v3], [v4], [1], [200], tag="x")
     assert_matches_model(cluster, model)
@@ -90,7 +84,7 @@ def test_interleaves_with_runs_and_multicasts_across_models():
 
 
 class TestStandardTopologyEquivalence:
-    """exchange_multicast_column equals a loop of one-group calls on every
+    """exchange_multicast_runs equals a loop of one-run calls on every
     standard benchmark topology."""
 
     @pytest.mark.parametrize(
@@ -102,22 +96,21 @@ class TestStandardTopologyEquivalence:
         count = len(tree.compute_nodes)
         # the intersection replication shape: {hashed owner} | Vbeta
         beta = list(range(0, count, max(1, count // 3)))
-        rows = [sorted({*beta, v}) for v in range(count)]
+        sets = [sorted({*beta, v}) for v in range(count)]
         rng = np.random.default_rng(7)
-        plan = [
-            (
-                node,
-                rng.integers(0, len(rows), size=5 + node),
-                rng.integers(-50, 50, size=5 + node),
-            )
-            for node in range(count)
-        ]
+        plan = []
+        for node in range(count):
+            # runs may repeat a set, and may be empty
+            picks = rng.integers(0, len(sets), size=2 + node % 4)
+            counts = rng.integers(0, 4, size=len(picks))
+            values = rng.integers(-50, 50, size=counts.sum())
+            plan.append((node, [sets[i] for i in picks], counts, values))
 
         def replay(cluster, looped):
             with cluster.round() as ctx:
-                for node, group_ids, values in plan:
+                for node, rows, counts, values in plan:
                     _register(
-                        ctx, node, group_ids, rows, values, "recv", looped=looped
+                        ctx, node, rows, counts, values, "recv", looped=looped
                     )
 
         bulk = Cluster(tree)
@@ -134,8 +127,9 @@ class TestStandardTopologyEquivalence:
 
 
 def _random_multicast_plan(draw, tree):
-    """A registration-ordered mix of many- and one-group multicast
-    columns and one-run records, every node a compute-order index."""
+    """A registration-ordered mix of many- and one-run multicast
+    registrations and one-run unicast records, every node a
+    compute-order index."""
     count = len(tree.compute_nodes)
     node = st.integers(0, count - 1)
     node_set = st.lists(node, min_size=1, max_size=min(4, count), unique=True)
@@ -143,19 +137,15 @@ def _random_multicast_plan(draw, tree):
     for source in range(count):
         for _ in range(draw(st.integers(1, 2))):
             tag = draw(st.sampled_from(["recv", "other"]))
-            kind = draw(st.sampled_from(["column", "multicast", "run"]))
-            if kind == "column":
+            kind = draw(st.sampled_from(["runs", "multicast", "run"]))
+            if kind == "runs":
                 rows = [draw(node_set) for _ in range(draw(st.integers(1, 3)))]
-                size = draw(st.integers(0, 10))
-                group_ids = [
-                    draw(st.integers(0, len(rows) - 1)) for _ in range(size)
-                ]
+                counts = [draw(st.integers(0, 4)) for _ in rows]
             else:
                 rows = [draw(node_set if kind == "multicast" else st.tuples(node))]
-                size = draw(st.integers(1, 8))
-                group_ids = None
-            values = [draw(st.integers(-50, 50)) for _ in range(size)]
-            plan.append((kind, source, group_ids, [list(r) for r in rows], values, tag))
+                counts = [draw(st.integers(1, 8))]
+            values = [draw(st.integers(-50, 50)) for _ in range(sum(counts))]
+            plan.append((kind, source, [list(r) for r in rows], counts, values, tag))
     return plan
 
 
@@ -170,24 +160,24 @@ class TestExchangeMulticastEquivalenceProperty:
     @settings(max_examples=60, deadline=None)
     def test_batched_matches_looped_and_the_model(self, instance):
         """The contract: byte-identical storage, received counts, and
-        per-edge ledgers between one exchange_multicast_column call, the
-        equivalent loop of one-group calls, and the model, on random
+        per-edge ledgers between one exchange_multicast_runs call, the
+        equivalent loop of one-run calls, and the model, on random
         topologies with interleaved traffic."""
         tree, plan = instance
 
         def replay(cluster, looped):
             with cluster.round() as ctx:
-                for kind, node, group_ids, rows, values, tag in plan:
+                for kind, node, rows, counts, values, tag in plan:
                     if kind == "run":
                         ((dst,),) = rows
-                        ctx.exchange_runs([node], [dst], [len(values)], values, tag=tag)
+                        ctx.exchange_runs([node], [dst], counts, values, tag=tag)
                     elif kind == "multicast":
-                        ctx.exchange_multicast_column(
-                            [node], [0] * len(values), [rows[0]], values, tag=tag
+                        ctx.exchange_multicast_runs(
+                            [node], rows, counts, values, tag=tag
                         )
                     else:
                         _register(
-                            ctx, node, group_ids, rows, values, tag, looped=looped
+                            ctx, node, rows, counts, values, tag, looped=looped
                         )
 
         bulk = Cluster(tree)
@@ -205,20 +195,17 @@ class TestExchangeMulticastEquivalenceProperty:
     @given(multicast_instances())
     @settings(max_examples=40, deadline=None)
     def test_multicast_loads_matches_steiner_walks(self, instance):
-        """The vectorized Steiner-flow charger equals per-group walks."""
+        """The vectorized Steiner-flow charger equals per-run walks."""
         tree, plan = instance
         routing = RoutingIndex(tree)
         order = tree.compute_nodes
         srcs, flat, starts, ends, counts = [], [], [], [], []
         expected: dict = {}
-        for _kind, node, group_ids, rows, values, _tag in plan:
-            ids = np.asarray(
-                group_ids if group_ids is not None else [0] * len(values),
-                dtype=np.int64,
-            )
-            for index in np.unique(ids).tolist():
-                count = int((ids == index).sum())
-                dsts = [order[m] for m in rows[index]]
+        for _kind, node, rows, run_counts, _values, _tag in plan:
+            for row, count in zip(rows, run_counts):
+                if not count:
+                    continue
+                dsts = [order[m] for m in row]
                 srcs.append(routing.index_of[order[node]])
                 starts.append(len(flat))
                 flat.extend(routing.index_of[d] for d in dsts)

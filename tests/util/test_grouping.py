@@ -1,13 +1,11 @@
-"""``group_slices``, the multicast id stream it groups, and the sorts
-of ``sorted_runs`` and ``unique_inverse``.
+"""``group_slices`` and the sorts of ``sorted_runs``, ``row_runs`` and
+``unique_inverse``.
 
 Every round's grouping runs the kernel on the arrays it is given (no
 memo), so these pin results: the grouping against the per-group mask
-it replaced, and a round's multicast id stream — each record's ids
-shifted by a running base and materialized by ``_concat_parts`` —
-grouped as the based concatenation would be.  ``sorted_runs`` and
-``unique_inverse`` are checked against ``np.lexsort`` and ``np.unique``
-on both sides of the packed sort's 63-bit fit.
+it replaced, and ``sorted_runs``, ``row_runs`` and ``unique_inverse``
+against ``np.lexsort`` and ``np.unique`` on both sides of the packed
+sort's 63-bit fit.
 """
 
 import numpy as np
@@ -17,11 +15,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.util import grouping
 from repro.util.grouping import (
-    _concat_parts,
     group_slices,
     packed_words,
+    row_runs,
     sorted_runs,
     unique_inverse,
+    unique_rows,
 )
 
 INT64 = np.iinfo(np.int64)
@@ -67,49 +66,6 @@ def test_ids_past_the_int16_range_group_exactly():
 def test_an_empty_array_has_no_groups():
     order, uniques, starts, ends = group_slices(np.empty(0, np.int64))
     assert [len(part) for part in (order, uniques, starts, ends)] == [0] * 4
-
-
-class TestConcatParts:
-    def _parts(self):
-        rng = np.random.default_rng(11)
-        a = rng.integers(0, 5, size=3000)
-        b = rng.integers(0, 7, size=2000)
-        return [(a, 0), (np.zeros(1500, np.intp), 5), (b, 6)]
-
-    @staticmethod
-    def _based(parts):
-        return np.concatenate([ids + base for ids, base in parts])
-
-    def test_grouping_the_stream_is_grouping_the_based_concatenation(self):
-        parts = self._parts()
-        assert np.array_equal(_concat_parts(parts), self._based(parts))
-        _assert_groupings_equal(
-            group_slices(_concat_parts(parts)), group_slices(self._based(parts))
-        )
-
-    def test_small_parts_match_the_based_concatenation(self):
-        parts = [
-            (np.asarray([2, 0, 1]), 0),
-            (np.zeros(2, np.intp), 3),
-            (np.asarray([1, 0]), 4),
-        ]
-        _assert_groupings_equal(
-            group_slices(_concat_parts(parts)), group_slices(self._based(parts))
-        )
-
-    def test_base_shift_distinguishes_equal_ids(self):
-        ids = np.zeros(2000, dtype=np.int64)
-        one = np.zeros(1, np.intp)
-        assert group_slices(_concat_parts([(ids, 0), (one, 1)]))[1].tolist() == [0, 1]
-        assert group_slices(_concat_parts([(ids, 3), (one, 0)]))[1].tolist() == [0, 3]
-
-    def test_narrow_ids_are_widened_before_the_shift(self):
-        ids = np.full(4, 2**15 - 1, np.int16)
-        assert _concat_parts([(ids, 5)]).tolist() == [2**15 + 4] * 4
-        assert _concat_parts([(ids[:1], 0), (ids[:1], 40_000)]).tolist() == [
-            2**15 - 1,
-            2**15 + 39_999,
-        ]
 
 
 def _span_bits(column: np.ndarray) -> int:
@@ -233,3 +189,95 @@ def test_columns_that_never_pack():
     assert packed_words((np.arange(3, dtype=np.uint64),), 0) is None
     assert packed_words((np.arange(3.0),), 0) is None
     assert packed_words((np.arange(3, dtype=np.uint32),), 0) is not None
+
+
+#: Bits a column of each dtype can span.
+_CAP = {np.int16: 16, np.int64: 64}
+
+
+@st.composite
+def row_matrices(draw):
+    """An int16 or int64 matrix of 1-8 columns and 0-40 rows with
+    repeated rows.  Its columns are narrow, reach the dtype's extremes,
+    or span exactly what leaves the column and position bits at 63 or
+    64 — one bit inside or outside the packed sort's fit."""
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+    info, cap = np.iinfo(dtype), _CAP[dtype]
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["narrow", "extreme", "fit edge"]))
+    if kind == "fit edge":
+        remaining = draw(st.sampled_from([63, 64])) - (max(n, 1) - 1).bit_length()
+        k = draw(st.integers(-(-remaining // cap), 8))
+        widths = []
+        for left in range(k - 1, 0, -1):
+            width = draw(
+                st.integers(max(0, remaining - cap * left), min(cap, remaining))
+            )
+            widths.append(width)
+            remaining -= width
+        widths.append(remaining)
+    else:
+        k = draw(st.integers(1, 8))
+    columns = []
+    for j in range(k):
+        if kind == "narrow":
+            pool = st.integers(-2, 2)
+        elif kind == "extreme":
+            lo, hi = int(info.min), int(info.max)
+            pool = st.sampled_from([lo, lo + 1, -1, 0, hi])
+        else:
+            span = 2 ** widths[j] - 1
+            lo = draw(st.integers(int(info.min), int(info.max) - span))
+            pool = st.sampled_from([lo, lo + span // 2, lo + span])
+        column = np.asarray(draw(st.lists(pool, min_size=n, max_size=n)), dtype)
+        if kind == "fit edge" and n >= 2:
+            column[:2] = lo, lo + span  # the whole span, wherever they sort
+            draw(st.randoms()).shuffle(column)
+        columns.append(column)
+    return np.column_stack(columns) if n else np.empty((0, k), dtype)
+
+
+def _reference_row_runs(matrix):
+    """``(order, starts, lengths)`` by ``np.lexsort`` and a Python scan."""
+    order = np.lexsort((np.arange(len(matrix)), *matrix.T[::-1]))
+    rows = [tuple(row) for row in matrix[order].tolist()]
+    starts = [i for i in range(len(rows)) if not i or rows[i] != rows[i - 1]]
+    return order.tolist(), starts, np.diff(starts + [len(rows)]).tolist()
+
+
+@given(row_matrices())
+@settings(max_examples=300, deadline=None)
+def test_row_runs_is_a_stable_lexsort(matrix):
+    order, starts, lengths = row_runs(matrix)
+    assert (order.tolist(), starts.tolist(), lengths.tolist()) == (
+        _reference_row_runs(matrix)
+    )
+    if len(matrix):
+        distinct, inverse = unique_rows(matrix)
+        assert matrix[order[starts]].tolist() == distinct.tolist()
+        runs = np.repeat(np.arange(len(starts)), lengths)
+        assert inverse[order].tolist() == runs.tolist()
+
+
+@pytest.mark.parametrize("bits, packs", [(63, True), (64, False)])
+@pytest.mark.parametrize(
+    "dtype, widths", [(np.int16, (16, 16, 16)), (np.int64, (6, 20))]
+)
+def test_the_fit_picks_the_path_of_row_runs(monkeypatch, bits, packs, dtype, widths):
+    # 4096 positions (12 bits), the given column widths, and a last
+    # column taking the rest; each row twice
+    rng = np.random.default_rng(bits)
+    widths = (*widths, bits - 12 - sum(widths))
+    low = int(np.iinfo(dtype).min)
+    matrix = np.empty((4096, len(widths)), dtype)
+    for j, width in enumerate(widths):
+        matrix[:, j] = low + rng.integers(0, 2**width, 4096)
+        matrix[:2, j] = low, low + 2**width - 1
+    matrix[2048:] = matrix[:2048]
+    fits = _spy_on_packing(monkeypatch)
+    order, starts, lengths = row_runs(matrix)
+    assert fits == [packs]
+    assert (order.tolist(), starts.tolist(), lengths.tolist()) == (
+        _reference_row_runs(matrix)
+    )
+    assert set(lengths.tolist()) == {2}
