@@ -1,8 +1,11 @@
 """Cartesian-product lower bounds (Theorems 3 and 4).
 
 Theorem 3 is a per-link *flow* bound: if a link cannot carry the lighter
-side's data, that side must instead receive everything, so every link
-costs at least ``min(sum_{V-e} N_v, sum_{V+e} N_v) / w_e``.
+side's data, that side must instead receive everything, so the lighter
+side's data crosses every link.  The link is full duplex (the ledger
+charges its two directions apart), so one direction carries at least
+half of it: every link costs at least ``min(sum_{V-e} N_v, sum_{V+e}
+N_v) / (2 w_e)``.
 
 Theorem 4 is a *counting* bound: pick any minimal cover ``U`` of the
 oriented tree G-dagger (other than the root alone); the subtrees rooted

@@ -117,7 +117,8 @@ def unequal_lower_bound_flow(
     tree: TreeTopology,
     distribution: Distribution,
 ) -> LowerBound:
-    """Theorem 8: per-link flow bound ``min(N_v, N - N_v, |R|) / w_v``."""
+    """Theorem 8: per-link flow bound ``min(N_v, N - N_v, |R|) / (2 w_v)``,
+    half on each direction of the full-duplex link."""
     tree.require_symmetric("the Theorem 8 lower bound")
     return LowerBound.from_lighter_sides(
         tree,

@@ -55,14 +55,16 @@ class LowerBound:
     @staticmethod
     def from_lighter_sides(tree, distribution, tags, description, *, cap=None):
         """Per-link flow counting: what the lighter side of a link holds of
-        relations ``tags`` (at most ``cap`` elements of it) must cross, so
-        ``cost(e) >= min(sum_{V-e} N_v, sum_{V+e} N_v[, cap]) / w_e``."""
+        relations ``tags`` (at most ``cap`` elements of it) must cross the
+        link.  The link is full duplex, so the crossing may split over its
+        two directions and one of them carries at least half:
+        ``cost(e) >= min(sum_{V-e} N_v, sum_{V+e} N_v[, cap]) / (2 w_e)``."""
         sizes = distribution.sizes_over(tree.compute_nodes, *tags)
         lighter = np.minimum(*tree.link_side_sums(sizes))
         if cap is not None:
             lighter = np.minimum(lighter, cap)
         return LowerBound.from_links(
-            tree, lighter / tree.undirected_bandwidths(), description
+            tree, lighter / (2.0 * tree.undirected_bandwidths()), description
         )
 
     @staticmethod

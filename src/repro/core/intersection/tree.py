@@ -30,6 +30,7 @@ from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import (
     full_width_runs,
+    index_dtype,
     owner_bounds,
     packed_words,
     row_runs,
@@ -107,11 +108,16 @@ def hashed_partition_round(
         )
         owners, large = cluster.column(large_tag)
         keys = large >> key_shift
-        # a node outside every block keeps target -1, which the
+        # the route of every element's holder, by one node -> route
+        # lookup; a node outside every block keeps target -1, which the
         # registration rejects
+        route_of = np.full(len(computes), -1, dtype=index_dtype(len(routes)))
+        for slot, (members, _) in enumerate(routes):
+            route_of[members] = slot
+        routed = route_of.take(owners)  # owners come narrow: no widening
         targets = np.full(len(large), -1, dtype=owners.dtype)
-        for members, hasher in routes:
-            held = np.isin(owners, members)
+        for slot, (members, hasher) in enumerate(routes):
+            held = routed == slot
             targets[held] = members[hasher.assign_indices(keys[held])]
         order, *runs = runs_by_target(owners, targets)
         ctx.exchange_runs(*runs, large[order], tag=large_recv)

@@ -29,17 +29,23 @@ transfer, every node named by its index in
   ``(source, hashed owners)`` rows by :func:`~repro.util.grouping.row_runs`.
 
 The two calls are twins: run ``i`` is the next ``counts[i]`` elements,
-each run is one Section-2 transfer (an empty run sends nothing), and
-each ``(dst, tag)`` receives its runs in registration order.  Each call
-appends one record to one of two streams, unicast and multicast, and
-each stream has one record shape.  Finalization works on runs, never on
-a per-element id column (no per-destination masks, no per-group Python
-loops), and delivers and charges every transfer in bulk.  A unicast tag
-sorts its run destinations once and gathers the payload run by run; a
+each run is one Section-2 transfer (an empty run sends nothing), each
+``(dst, tag)`` receives its runs in registration order, and the payload
+is stored as given, so it must not be written after the call.  Each
+call appends one record to one of two streams, unicast and multicast,
+and each stream has one record shape.  Finalization works on runs,
+never on a per-element id column (no per-destination masks, no
+per-group Python loops), and delivers and charges every transfer in
+bulk.  A unicast tag puts its runs in their stable order by
+destination: when the destinations never fall (a hash partition) that
+order is the identity and the payload is installed as registered, one
+stretch per destination; otherwise (a sorting scatter's source-major
+runs) the runs are sorted once and the payload gathered run by run.  A
 multicast tag takes its run bounds from one ``cumsum`` of the counts
 and groups its ``(run, member)`` rows by destination, with no payload
-gather.  Nothing in the data plane is memoized: every grouping runs the
-kernel on the arrays it is given.
+gather.  Unicasts are charged run by run, with no aggregation by
+``(src, dst)`` pair.  Nothing in the data plane is memoized: every
+grouping runs the kernel on the arrays it is given.
 """
 
 from __future__ import annotations
@@ -59,34 +65,12 @@ from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
 from repro.sim.storage import ColumnarStore
 from repro.topology.artifacts import resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
-from repro.util.grouping import concat_ranges, group_slices, index_dtype
+from repro.util.grouping import concat_ranges, gather_ranges, group_slices
 
 
 def _concatenated(parts: Sequence) -> np.ndarray:
     """``np.concatenate(parts)``, minus the copy when there is one part."""
     return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
-
-
-def _pair_counts(keys: np.ndarray, counts: np.ndarray, size: int) -> tuple:
-    """``(src, dst, count)`` arrays ascending by pair, no zero count, from
-    flat ``src * size + dst`` run keys and the runs' counts.  One
-    ``bincount``-sized table when the ``size²`` bins are at most four per
-    run, else one sort: memory follows the round's runs, never the square
-    of the node count."""
-    live = counts > 0  # an empty run is no pair
-    keys, counts = keys[live], counts[live]
-    if size * size <= 4 * len(keys):
-        dense = np.zeros(size * size, np.intp)
-        np.add.at(dense, keys, counts)
-        flat = np.flatnonzero(dense)
-        return (*np.divmod(flat, size), dense[flat])
-    order = np.argsort(keys)
-    keys = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    counts = np.add.reduceat(counts[order], starts)
-    return (*np.divmod(keys[starts], size), counts)
 
 
 def _group_by_destination(parts: Sequence[tuple]) -> tuple:
@@ -95,24 +79,30 @@ def _group_by_destination(parts: Sequence[tuple]) -> tuple:
     ``payload[starts[k]:ends[k]]`` in registration order.
 
     A part is ``(dst_ids, counts, payload)``, run ``i`` being the next
-    ``counts[i]`` elements, bound for ``dst_ids[i]``.  The stable sort is
-    over runs and the payload is gathered run by run: a stable sort of
-    runs puts their elements in the order a stable sort of the elements
-    would.
+    ``counts[i]`` elements, bound for ``dst_ids[i]``.  The runs are put
+    in their stable order by destination — a stable sort of runs puts
+    their elements in the order a stable sort of the elements would —
+    and every destination's runs are then one stretch.  Runs whose
+    destinations never fall (a hash partition cut by
+    :func:`~repro.util.grouping.runs_by_target`) are already in that
+    order: it is the identity, and the payload is returned as registered,
+    no copy when there is one part.  Otherwise the payload is gathered
+    run by run (:func:`~repro.util.grouping.gather_ranges`; a sorting
+    scatter's source-major runs are one transpose).
     """
-    dst_ids, counts, payloads = zip(*parts)
-    payload = _concatenated(payloads)
-    order, uniques, starts, ends = group_slices(_concatenated(dst_ids))
-    lengths = _concatenated(counts)
-    # run k of the sorted runs ends at bounds[k]; its elements sit
-    # shift[k] further on in the payload as registered (the CSR gather of
-    # concat_ranges, both ends' cumulative sums taken once)
-    shift = np.cumsum(lengths)[order]
-    lengths = lengths[order]
-    bounds = np.cumsum(lengths)
-    shift -= bounds
-    gather = np.repeat(shift, lengths) + np.arange(len(payload))
-    return payload[gather], uniques, (bounds - lengths)[starts], bounds[ends - 1]
+    dst_ids, counts, payload = map(_concatenated, zip(*parts))
+    if (dst_ids[1:] < dst_ids[:-1]).any():
+        order = group_slices(dst_ids)[0]
+        payload = gather_ranges(
+            payload, (np.cumsum(counts) - counts)[order], counts[order]
+        )
+        dst_ids, counts = dst_ids[order], counts[order]
+    # each destination's last run, and where its stretch ends
+    last = np.ones(len(dst_ids), dtype=bool)
+    np.not_equal(dst_ids[1:], dst_ids[:-1], out=last[:-1])
+    last = np.flatnonzero(last)
+    ends = np.cumsum(counts)[last]
+    return payload, dst_ids[last], np.concatenate(([0], ends[:-1])), ends
 
 
 class RoundContext:
@@ -224,7 +214,12 @@ class RoundContext:
         nothing), and each ``(dst, tag)`` receives its runs in
         registration order.  The three index arrays address the
         canonical compute order, so neither end of a run can be a
-        router.
+        router.  The payload is stored as given, not copied: it must
+        not be written to after the call.  Runs whose targets never
+        fall — a hash partition's — are delivered as registered, one
+        stretch per target and no gather; other orders (a sorting
+        scatter's source-major runs) cost one gather of the payload at
+        finalization.
         """
         self._check_open()
         payload = self._as_payload(values)
@@ -345,26 +340,29 @@ class RoundContext:
     def _finalize_bulk(self) -> None:
         """Deliver and charge the whole round with grouped bookkeeping.
 
-        All transfers are grouped by ``(dst, tag)`` for delivery — one
-        stable sort per tag across every scatter of the round, over
-        runs (:func:`_group_by_destination`; the multicast rows in
-        :meth:`_deliver_multicasts`), with no memo in front of it — and
-        by routing unit for
-        accounting: unicast ``(src, dst)`` pair counts feed the
-        vectorized tree-flow charger
-        (:meth:`~repro.topology.steiner.RoutingIndex.unicast_loads`),
-        multicasts their Steiner sets; each kernel's ``(2, links)`` load
-        array goes to the ledger whole (:meth:`CostLedger.add_link_loads`).
-        Addition over element counts is commutative, so the per-edge
-        loads equal a transfer-by-transfer path walk's exactly (the
-        Section-2 model in ``tests/model/``).
+        All transfers are grouped by ``(dst, tag)`` for delivery — per
+        tag across every scatter of the round, over runs
+        (:func:`_group_by_destination`: a stable sort of the runs only
+        when their destinations fall, the identity otherwise; the
+        multicast rows in :meth:`_deliver_multicasts`), with no memo in
+        front of it — and charged per routing unit: every unicast run
+        feeds the vectorized tree-flow charger
+        (:meth:`~repro.topology.steiner.RoutingIndex.unicast_loads`,
+        one LCA per run, no pair aggregation), multicasts their Steiner
+        sets; each kernel's ``(2, links)`` load array goes to the
+        ledger whole (:meth:`CostLedger.add_link_loads`).  Addition over
+        element counts is commutative, so the per-edge loads equal a
+        transfer-by-transfer path walk's exactly (the Section-2 model in
+        ``tests/model/``).
 
         When a recording tracer is installed, the finalizer splits its
-        wall time into *group* (collection, the unicast sort and payload
-        gather, the multicast run bounds), *deliver* (storage installs)
-        and *charge* (tree-flow accounting) phases, counts the delivered elements per tag, and annotates the
-        enclosing round span with both alongside the ledger-derived
-        round attrs; with the default no-op tracer no clock is read.
+        wall time into *group* (collection, the unicast run order and
+        any payload gather, the multicast run bounds), *deliver*
+        (storage installs) and *charge* (tree-flow accounting and
+        arrivals) phases, counts the delivered elements per tag, and
+        annotates the enclosing round span with both alongside the
+        ledger-derived round attrs; with the default no-op tracer no
+        clock is read.
         """
         cluster = self._cluster
         storage = cluster._storage
@@ -383,10 +381,12 @@ class RoundContext:
 
         if self._unicast_stream:
             t0 = perf_counter() if phases is not None else 0.0
-            routing, by_tag, pairs = self._collect_unicasts()
-            # group: one stable sort per tag over the whole round, parts
-            # concatenated in registration order, so per-(dst, tag)
-            # contents match a transfer-by-transfer delivery exactly
+            by_tag: dict[str, list[tuple]] = {}
+            for _, targets, counts, payload, tag in self._unicast_stream:
+                by_tag.setdefault(tag, []).append((targets, counts, payload))
+            # group: per tag, the runs of the whole round in registration
+            # order, so per-(dst, tag) contents match a transfer-by-transfer
+            # delivery exactly
             grouped = [
                 (tag, *_group_by_destination(parts))
                 for tag, parts in by_tag.items()
@@ -394,25 +394,17 @@ class RoundContext:
             if phases is not None:
                 t1 = perf_counter()
                 phases["t_group_s"] += t1 - t0
-            # deliver: install the grouped slices into node storage
-            for tag, sorted_payload, uniques, starts, ends in grouped:
+            # deliver: the grouping left each payload cut by destination,
+            # one stretch per compute-order index: it is the table
+            for tag, payload, destinations, starts, ends in grouped:
                 if phases is not None:
                     delivered = phases["delivered_by_tag"]
-                    count = len(sorted_payload)
-                    delivered[tag] = delivered.get(tag, 0) + count
-                # the grouping left the payload cut by destination: it
-                # is the table, installed whole
-                storage.install(
-                    tag,
-                    np.searchsorted(routing.compute_idx, uniques),
-                    starts,
-                    ends,
-                    sorted_payload,
-                )
+                    delivered[tag] = delivered.get(tag, 0) + len(payload)
+                storage.install(tag, destinations, starts, ends, payload)
             if phases is not None:
                 t2 = perf_counter()
                 phases["t_deliver_s"] += t2 - t1
-            self._apply_pair_loads(routing, pairs)
+            self._charge_unicasts()
             if phases is not None:
                 phases["t_charge_s"] += perf_counter() - t2
 
@@ -422,42 +414,27 @@ class RoundContext:
         if phases is not None:
             self._annotate_round(tracer, phases)
 
-    def _collect_unicasts(
-        self,
-    ) -> tuple[object, dict[str, list[tuple]], tuple]:
-        """Resolve the unicast stream into columnar per-tag parts.
-
-        Returns ``(routing_index, by_tag, pairs)``: per tag, the
-        registration-ordered ``(dst_ids, counts, payload)`` parts whose
-        concatenation is the round's full scatter for that tag — one
-        routing index per run of ``counts`` elements — plus the round's
-        ``(src, dst, count)`` pair counts that feed the vectorized
-        tree-flow charger (:func:`_pair_counts`).
-        """
-        routing = self._cluster.oracle.routing_index
-        size = routing.num_nodes
-        compute_lookup = routing.compute_idx.astype(index_dtype(size))
-        by_tag: dict[str, list[tuple]] = {}
-        keys, counts = [], []
-        for sources, targets, runs, payload, tag in self._unicast_stream:
-            dst_ids = compute_lookup[targets]
-            keys.append(routing.compute_idx[sources] * size + dst_ids)
-            counts.append(runs)
-            by_tag.setdefault(tag, []).append((dst_ids, runs, payload))
-        return routing, by_tag, _pair_counts(
-            _concatenated(keys), _concatenated(counts), size
-        )
-
-    def _apply_pair_loads(self, routing, pairs: tuple) -> None:
-        """Charge the ``(src, dst, count)`` pair counts to the ledger and
-        record arrivals."""
+    def _charge_unicasts(self) -> None:
+        """Charge the round's unicast runs to the ledger and count their
+        arrivals: every run of every record, no aggregation by pair
+        first (the loads are sums over runs, and a pair rarely carries
+        more than one run), in one
+        :meth:`~repro.topology.steiner.RoutingIndex.unicast_loads` call."""
         cluster = self._cluster
-        src_ids, dst_ids, counts = pairs
+        routing = cluster.oracle.routing_index
+        sources, targets, counts, *_ = zip(*self._unicast_stream)
+        sources, targets, counts = map(_concatenated, (sources, targets, counts))
+        # ``take``: the indices come narrow, which ``[]`` widens first
+        src_ids = routing.compute_idx.take(sources)
+        dst_ids = routing.compute_idx.take(targets)
         cluster.ledger.add_link_loads(
             routing.unicast_loads(src_ids, dst_ids, counts)
         )
         remote = src_ids != dst_ids
-        np.add.at(cluster._received_elements, dst_ids[remote], counts[remote])
+        arrivals = np.bincount(
+            dst_ids[remote], counts[remote], minlength=routing.num_nodes
+        )
+        cluster._received_elements += arrivals.astype(np.int64)
 
     def _collect_multicasts(self, routing) -> dict[str, list[tuple]]:
         """Resolve the multicast stream into per-tag records of arrays.
@@ -540,9 +517,9 @@ class RoundContext:
             # each taking its slice of it
             single = r_ends - r_starts == 1
             shared = ~np.repeat(single, r_ends - r_starts)
-            gathered = payload[
-                concat_ranges(starts[row_run[shared]], lengths[shared])
-            ]
+            gathered = gather_ranges(
+                payload, starts[row_run[shared]], lengths[shared]
+            )
             sizes = np.add.reduceat(lengths, r_starts)
             gathered_his = np.cumsum(np.where(single, 0, sizes))
             first = row_run[r_starts]
@@ -554,9 +531,10 @@ class RoundContext:
                     tag, positions[where], los[where], his[where], source
                 )
             remote = sources[row_run] != row_dst
-            np.add.at(
-                cluster._received_elements, row_dst[remote], lengths[remote]
+            arrivals = np.bincount(
+                row_dst[remote], lengths[remote], minlength=routing.num_nodes
             )
+            cluster._received_elements += arrivals.astype(np.int64)
             if phases is not None:
                 delivered = phases["delivered_by_tag"]
                 delivered[tag] = delivered.get(tag, 0) + int(lengths.sum())

@@ -248,15 +248,13 @@ class RoutingIndex:
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
-        counts = np.asarray(counts, dtype=np.int64)
-        meet = self.lca(src, dst)
-        up = np.zeros(self.num_nodes, dtype=np.int64)
-        down = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(up, src, counts)
-        np.subtract.at(up, meet, counts)
-        np.add.at(down, dst, counts)
-        np.subtract.at(down, meet, counts)
-        return self._push_loads(up, down)
+        size = self.num_nodes
+        # one bincount per end and one at the LCAs, whose charge both
+        # directions take off; counts are exact in float64 below 2**53
+        at_meet = np.bincount(self.lca(src, dst), counts, size)
+        up = np.bincount(src, counts, size) - at_meet
+        down = np.bincount(dst, counts, size) - at_meet
+        return self._push_loads(up.astype(np.int64), down.astype(np.int64))
 
     def _push_loads(self, up: np.ndarray, down: np.ndarray) -> np.ndarray:
         """Prefix-sum tree-difference arrays into per-slot loads.

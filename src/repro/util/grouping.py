@@ -271,6 +271,36 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
 
 
+#: Mean slice length from which :func:`gather_ranges` copies slice by
+#: slice: one slice costs about as much as 30 elements of index array.
+_LONG_SLICE = 32
+
+
+def gather_ranges(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """``values[concat_ranges(starts, lengths)]``: the slices
+    ``values[starts[i]:starts[i] + lengths[i]]`` end to end.
+
+    Short slices (and no slices) go through that index array.  Long
+    ones are copied slice by slice into one new buffer (one
+    ``bytes.join`` over memoryviews): the only full-size allocation is
+    the result, where the index takes three more (the two index
+    temporaries and the index), and fresh full-size pages are what a
+    large gather pays for.  The result may be read-only.
+    """
+    slices = len(lengths)
+    if not slices or int(lengths.sum()) < _LONG_SLICE * slices:
+        return values[concat_ranges(starts, lengths)]
+    values = np.ascontiguousarray(values)
+    width = values.itemsize
+    buffer = memoryview(values).cast("B")
+    firsts = (starts * width).tolist()
+    stops = ((starts + lengths) * width).tolist()
+    joined = b"".join([buffer[a:b] for a, b in zip(firsts, stops)])
+    return np.frombuffer(joined, values.dtype)
+
+
 def regroup_stretches(
     tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -301,9 +331,9 @@ def regroup_stretches(
     owners = owners[order]
     lengths = np.concatenate([t[3] - t[2] for t in tables])[order]
     sources = np.concatenate([t[2] + base for t, base in zip(tables, bases)])
-    values = np.concatenate([t[0] for t in tables])[
-        concat_ranges(sources[order], lengths)
-    ]
+    values = gather_ranges(
+        np.concatenate([t[0] for t in tables]), sources[order], lengths
+    )
     firsts = np.flatnonzero(np.diff(owners, prepend=-1))
     stretches = np.diff(firsts, append=len(owners))
     ends = np.cumsum(lengths)[firsts + stretches - 1]

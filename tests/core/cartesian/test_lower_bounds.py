@@ -7,7 +7,9 @@ from repro.core.cartesian.lower_bounds import (
     cartesian_lower_bound_cover,
     cartesian_lower_bound_flow,
 )
+from repro.core.cartesian.unequal import unequal_lower_bound_flow
 from repro.data.distribution import Distribution
+from repro.sim.cluster import Cluster
 from repro.topology.builders import star, two_level
 
 
@@ -27,13 +29,13 @@ class TestFlowBound:
     def test_balanced_star(self):
         tree, dist = balanced_star_instance([1.0, 1.0, 1.0, 1.0])
         bound = cartesian_lower_bound_flow(tree, dist)
-        # each leaf edge: min(10, 30) / 1 = 10
-        assert bound.value == 10.0
+        # each leaf edge: min(10, 30) / (2 * 1) = 5
+        assert bound.value == 5.0
 
     def test_slow_link_dominates(self):
         tree, dist = balanced_star_instance([0.1, 1.0, 1.0, 1.0])
         bound = cartesian_lower_bound_flow(tree, dist)
-        assert bound.value == 10 / 0.1
+        assert bound.value == 10 / (2 * 0.1)
         assert bound.bottleneck_edge == tree.canonical_edge("v1", "w")
 
     def test_uplink_bottleneck(self):
@@ -45,7 +47,7 @@ class TestFlowBound:
             }
         )
         bound = cartesian_lower_bound_flow(tree, dist)
-        assert bound.value == 10 / 0.5
+        assert bound.value == 10 / (2 * 0.5)
 
     def test_empty_distribution(self):
         tree = star(3)
@@ -117,3 +119,35 @@ class TestCombinedBound:
         tree, dist = balanced_star_instance([1.0] * 9)
         combined = cartesian_lower_bound(tree, dist)
         assert "Theorem 4" in combined.description
+
+
+def test_the_flow_bounds_stay_below_a_one_round_witness_on_star3():
+    """R at v1 and v2, S at v1 and v3: sending R@v1 -> v3, R@v2 -> v1
+    and S@v3 -> v2 meets every pair and puts one element on each
+    directed link, so the optimum costs at most 1; the flow bounds
+    (Theorems 3 and 8) charge each link half of its lighter side, 1."""
+    tree = star(3)
+    dist = Distribution(
+        {"v1": {"R": [1], "S": [10]}, "v2": {"R": [2]}, "v3": {"S": [30]}}
+    )
+    cluster = Cluster(tree, dist)
+    at = cluster.compute_order.index
+    with cluster.round() as ctx:
+        ctx.exchange_runs(
+            [at("v1"), at("v2"), at("v3")],
+            [at("v3"), at("v1"), at("v2")],
+            [1, 1, 1],
+            [1, 2, 30],
+            tag="sent",
+        )
+    holds = {
+        v: set(cluster.local(v, "R")) | set(cluster.local(v, "S"))
+        | set(cluster.local(v, "sent"))
+        for v in cluster.compute_order
+    }
+    assert all(
+        any({r, s} <= held for held in holds.values()) for r in (1, 2) for s in (10, 30)
+    )
+    assert cluster.ledger.total_cost() == 1.0
+    for bound in (cartesian_lower_bound_flow, unequal_lower_bound_flow):
+        assert bound(tree, dist).value == 1.0

@@ -73,7 +73,7 @@ class TestLowerBounds:
             }
         )
         bound = unequal_lower_bound_flow(tree, dist)
-        assert bound.value == 10.0  # min(N_v, N - N_v, |R|) = |R|
+        assert bound.value == 5.0  # min(N_v, N - N_v, |R|) / 2 = |R| / 2
 
     def test_counting_bound_inapplicable_with_dominant_node(self):
         tree = star(2)
@@ -115,7 +115,7 @@ class TestLowerBounds:
         bound = unequal_lower_bound_counting(tree, dist)
         assert bound.value == 0.0
         flow = unequal_lower_bound_flow(tree, dist)
-        assert flow.value >= 200.0  # |R| per unit-bandwidth link
+        assert flow.value >= 100.0  # |R| / 2 per unit-bandwidth link
 
 
 class TestBalancedPackingUnequal:

@@ -16,8 +16,8 @@ class TestIntersectionLowerBound:
             {"v1": {"R": list(range(5))}, "v2": {"S": list(range(100, 200))}}
         )
         bound = intersection_lower_bound(tree, dist)
-        # min(|R|, |S|, N_v1, N_v2) = |R| = 5 on both leaf links.
-        assert bound.value == 5.0
+        # min(|R|, |S|, N_v1, N_v2) / 2 = |R| / 2 on both leaf links.
+        assert bound.value == 2.5
 
     def test_side_sums_cap_the_bound(self):
         tree = star(3, bandwidth=1.0)
@@ -29,8 +29,8 @@ class TestIntersectionLowerBound:
             }
         )
         bound = intersection_lower_bound(tree, dist)
-        # Each leaf edge: min(2, 100, N_v, N - N_v) = 2.
-        assert bound.value == 2.0
+        # Each leaf edge: min(2, 100, N_v, N - N_v) / 2 = 1.
+        assert bound.value == 1.0
 
     def test_bandwidth_divides(self):
         tree = star(2, bandwidth=[0.5, 4.0])
@@ -41,7 +41,7 @@ class TestIntersectionLowerBound:
             }
         )
         bound = intersection_lower_bound(tree, dist)
-        assert bound.value == 10 / 0.5
+        assert bound.value == 10 / (2 * 0.5)
         assert bound.bottleneck_edge == tree.canonical_edge("v1", "w")
 
     def test_uplink_can_be_the_bottleneck(self):
@@ -53,7 +53,7 @@ class TestIntersectionLowerBound:
             }
         )
         bound = intersection_lower_bound(tree, dist)
-        assert bound.value == 20 / 0.1
+        assert bound.value == 20 / (2 * 0.1)
         assert "core" in bound.bottleneck_edge[0] or "core" in bound.bottleneck_edge[1]
 
     def test_empty_relation_gives_zero(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.core.sorting.lower_bound import sorting_lower_bound
 from repro.data.distribution import Distribution
 from repro.data.generators import adversarial_sorted_distribution
@@ -15,7 +16,7 @@ class TestSortingLowerBound:
             {f"v{i}": {"R": list(range(i * 100, i * 100 + 10))} for i in range(1, 5)}
         )
         bound = sorting_lower_bound(tree, dist)
-        assert bound.value == 10.0  # min(10, 30) on each unit leaf link
+        assert bound.value == 5.0  # min(10, 30) / 2 on each unit leaf link
 
     def test_slow_uplink(self):
         tree = two_level([2, 2], leaf_bandwidth=4.0, uplink_bandwidth=0.5)
@@ -23,7 +24,7 @@ class TestSortingLowerBound:
             {f"v{i}": {"R": list(range(i * 50, i * 50 + 8))} for i in range(1, 5)}
         )
         bound = sorting_lower_bound(tree, dist)
-        assert bound.value == 16 / 0.5  # rack split 16/16 over bw 0.5
+        assert bound.value == 16 / (2 * 0.5)  # rack split 16/16 over bw 0.5
 
     def test_empty_side_contributes_zero(self):
         tree = star(3)
@@ -39,10 +40,24 @@ class TestSortingLowerBound:
              "v2": {"R": [3, 4]}}
         )
         bound = sorting_lower_bound(tree, dist)
-        assert bound.value == 2.0
+        assert bound.value == 1.0
 
     def test_adversarial_distribution_has_positive_bound(self):
         tree = two_level([3, 3])
         dist = adversarial_sorted_distribution(tree, total=600)
         bound = sorting_lower_bound(tree, dist)
-        assert bound.value >= 300.0  # uplink split is 300/300 at bw 1
+        assert bound.value >= 150.0  # uplink split is 300/300 at bw 1
+
+    @pytest.mark.parametrize("protocol", ["terasort", "wts"])
+    def test_the_protocols_cost_at_least_the_bound_on_its_adversarial_placement(
+        self, protocol
+    ):
+        """Theorem 6's own witness: half the lighter side per link (the
+        link is full duplex), which both sorting protocols pay."""
+        tree = two_level([3, 3])
+        dist = adversarial_sorted_distribution(tree, total=4000)
+        bound = sorting_lower_bound(tree, dist)
+        assert bound.value == 999.5
+        for seed in range(3):
+            report = repro.run("sorting", tree, dist, protocol=protocol, seed=seed)
+            assert report.cost >= bound.value

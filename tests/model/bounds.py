@@ -3,7 +3,7 @@ by :func:`tests.model.paths.sides`.  A per-link bound is its
 ``{link: value}`` dict, each link a ``frozenset`` of its two ends;
 :func:`value` reads off the maximum.
 
-Flow bounds charge a link what its lighter side holds; shared-key
+Flow bounds charge a link half what its lighter side holds; shared-key
 bounds charge it half the keys (vertices, components) held on both
 sides.  Theorem 4 is ``N / sqrt(sum_u w_u^2)`` for the best minimal
 cover ``U`` of G-dagger, found by trying every node set, so it is for
@@ -39,9 +39,12 @@ def _sizes(tree, distribution, *tags) -> dict:
 
 
 def _flow(tree, sizes, cap=float("inf")) -> dict:
+    """The lighter side's data crosses the link, half of it at least in
+    one of the two directions."""
     return _per_link(
         tree,
-        lambda a, b: min(sum(sizes[v] for v in a), sum(sizes[v] for v in b), cap),
+        lambda a, b: min(sum(sizes[v] for v in a), sum(sizes[v] for v in b), cap)
+        / 2.0,
     )
 
 

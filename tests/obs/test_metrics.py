@@ -239,7 +239,6 @@ class TestInstallation:
 IDENTITY = {
     "metrics set-intersection --racks 4 --r-size 300 --s-size 900": {
         "repro_artifact_cache_misses_total": {"": 1},
-        "repro_bound_beats_total": {"task=set-intersection": 1},
         "repro_delivered_elements_total": {
             "tag=intersect.R.recv": 900,
             "tag=intersect.S.recv": 900,
@@ -262,7 +261,6 @@ IDENTITY = {
     },
     "metrics equijoin --racks 4 --r-size 300 --s-size 900": {
         "repro_artifact_cache_misses_total": {"": 1},
-        "repro_bound_beats_total": {"task=equijoin": 1},
         "repro_delivered_elements_total": {
             "tag=join.R.recv": 900,
             "tag=join.S.recv": 900,
@@ -567,7 +565,6 @@ IDENTITY = {
     },
     "plan --relations 3 --rows 300": {
         "repro_artifact_cache_misses_total": {"": 48},
-        "repro_bound_beats_total": {"task=equijoin": 10},
         "repro_delivered_elements_total": {
             "tag=gather.recv.R": 2220,
             "tag=gather.recv.S": 4440,

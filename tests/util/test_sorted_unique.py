@@ -13,7 +13,7 @@ from repro.data.distribution import Distribution
 from repro.engine import _verify_aggregate, _verify_intersection
 from repro.errors import ProtocolError
 from repro.queries.tuples import encode_tuples
-from repro.util.grouping import concat_ranges, sorted_unique
+from repro.util.grouping import concat_ranges, gather_ranges, sorted_unique
 
 
 @given(
@@ -45,6 +45,22 @@ def test_concat_ranges_is_the_concatenated_aranges(slices):
     lengths = np.array([n for _, n in slices], dtype=np.intp)
     expected = [i for s, n in slices for i in range(s, s + n)]
     assert concat_ranges(starts, lengths).tolist() == expected
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 200), st.integers(0, 90)), max_size=12),
+    st.sampled_from([np.int64, np.int16]),
+)
+def test_gather_ranges_is_the_indexed_gather(slices, dtype):
+    """Short slices take the index, long ones the slice-by-slice copy;
+    both are ``values[concat_ranges(starts, lengths)]``, strided input
+    included."""
+    values = (np.arange(600, dtype=dtype) * 3 - 7)[::2]
+    starts = np.array([min(s, 300 - n) for s, n in slices], dtype=np.intp)
+    lengths = np.array([n for _, n in slices], dtype=np.intp)
+    found = gather_ranges(values, starts, lengths)
+    expected = values[concat_ranges(starts, lengths)]
+    assert found.dtype == expected.dtype and found.tolist() == expected.tolist()
 
 
 class TestIntersectionVerifier:
