@@ -105,7 +105,7 @@ def star_intersect(
                 runs[:, 0], destinations, counts, small[order], tag=_R_RECV
             )
             owners, large = cluster.column(large_tag)
-            alpha = ~in_beta[owners]
+            alpha = ~in_beta.take(owners)
             large = large[alpha]
             order, *runs = runs_by_target(
                 owners[alpha], hasher.assign_indices(large)

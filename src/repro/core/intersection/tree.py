@@ -100,7 +100,7 @@ def hashed_partition_round(
         rows = np.empty((len(small), 1 + len(routes)), dtype=owners.dtype)
         rows[:, 0] = owners
         for slot, (members, hasher) in enumerate(routes, start=1):
-            rows[:, slot] = members[hasher.assign_indices(keys)]
+            rows[:, slot] = members.take(hasher.assign_indices(keys))
         order, starts, counts = row_runs(rows)
         runs = rows[order[starts]]
         ctx.exchange_multicast_runs(
@@ -118,7 +118,7 @@ def hashed_partition_round(
         targets = np.full(len(large), -1, dtype=owners.dtype)
         for slot, (members, hasher) in enumerate(routes):
             held = routed == slot
-            targets[held] = members[hasher.assign_indices(keys[held])]
+            targets[held] = members.take(hasher.assign_indices(keys[held]))
         order, *runs = runs_by_target(owners, targets)
         ctx.exchange_runs(*runs, large[order], tag=large_recv)
     return cluster, blocks, classification, r_size

@@ -53,8 +53,9 @@ def test_the_digest_does_not_depend_on_the_hash_seed():
     assert {"plan", "optimize", "float"} <= labels
 
 
-def grid_results(label: str) -> list:
-    """The outcomes of every grid run whose label starts with ``label``."""
+def grid_results(label: str, runs: str = "_protocol_runs") -> list:
+    """The outcomes of every run of the tool's ``runs`` source whose
+    label starts with ``label``."""
     spec = importlib.util.spec_from_file_location(
         "parity_digest", ROOT / "tools" / "parity_digest.py"
     )
@@ -62,8 +63,26 @@ def grid_results(label: str) -> list:
     spec.loader.exec_module(tool)
     return [
         produce()
-        for name, produce in tool._protocol_runs()
+        for name, produce in getattr(tool, runs)()
         if name.startswith(label)
+    ]
+
+
+def test_the_digest_holds_the_verifiers_verdicts():
+    """On the ``±2**62`` instance (the verifiers' wide fallback) each
+    run digests the verdict on its answer and on fixed corruptions."""
+    (*_, verdicts), = grid_results("wide set-intersection/tree ", "_wide_runs")
+    assert verdicts == [
+        ("answer", "ok"),
+        ("non-member", "tree-intersect produced a wrong intersection (21 vs 20 elements)"),
+        ("dropped", "tree-intersect produced a wrong intersection (19 vs 20 elements)"),
+        ("at two nodes", "ok"),
+    ]
+    (*_, verdicts), = grid_results("wide equijoin/tree ", "_wide_runs")
+    assert verdicts == [
+        ("answer", "ok"),
+        ("pair_bounds -1", "tree-equijoin joined 191 of 192 pairs"),
+        ("pair_bounds +1", "tree-equijoin joined 193 of 192 pairs"),
     ]
 
 

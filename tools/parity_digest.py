@@ -17,7 +17,11 @@ whose result shows their order, and prints one BLAKE2b digest over:
 * each protocol's outputs, dict key order included;
 * the per-round link loads of each run's ledger;
 * after every round of every cluster, what the store holds, in the
-  store's own order (node, tag, length and a digest of the elements).
+  store's own order (node, tag, length and a digest of the elements);
+* the task verifier's verdict (``ok`` or its message) on each answer,
+  and on fixed corruptions of it: an intersection with one element
+  dropped, with a non-member added and with one element emitted at two
+  nodes; a join whose ``pair_bounds`` end one pair short or over.
 
 A run the protocol refuses (a star-only protocol on a non-star) is
 digested by its error type.  Two checkouts, or two hash seeds, that
@@ -31,6 +35,7 @@ total, for a ``diff`` of two outputs.  Standard library and NumPy only.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from functools import partial
@@ -42,7 +47,7 @@ import repro
 from repro.context import use
 from repro.data.distribution import Distribution
 from repro.engine import run_with_result
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
 from repro.plan import (
     Filter,
     GroupBy,
@@ -56,6 +61,7 @@ from repro.plan import (
 )
 from repro.plan.cost import estimate_tree_cost
 from repro.plan.optimizer import STRATEGIES
+from repro.queries.join import JoinOutputs
 from repro.registry import get_task
 
 TREES = (
@@ -181,7 +187,47 @@ def _run(tree, spec, distribution, seed: int, **opts):
     except ReproError as error:
         return _refusal(error)
     loads = [result.ledger.link_loads(i) for i in range(result.ledger.num_rounds)]
-    return report.to_dict(), result.outputs, loads, recorder.rounds
+    verdicts = [
+        (name, _verdict(tree, spec.task, distribution, result, outputs))
+        for name, outputs in _corruptions(tree, spec.task, distribution, result.outputs)
+    ]
+    return report.to_dict(), result.outputs, loads, recorder.rounds, verdicts
+
+
+def _verdict(tree, task: str, distribution, result, outputs) -> str:
+    """What the task's verifier says of ``result`` holding ``outputs``."""
+    try:
+        get_task(task).verifier(
+            tree, distribution, dataclasses.replace(result, outputs=outputs)
+        )
+    except ProtocolError as error:
+        return str(error)
+    return "ok"
+
+
+def _corruptions(tree, task: str, distribution, outputs):
+    """The answer itself, then fixed corruptions of it: ``(name, outputs)``."""
+    yield "answer", outputs
+    if task == "set-intersection":
+        inputs = (distribution.relation("R"), distribution.relation("S"))
+        outside = max(int(relation.max(initial=0)) for relation in inputs) + 1
+        node = next(iter(outputs), tree.compute_nodes[0])
+        held = outputs.get(node, np.empty(0, np.int64))
+        yield "non-member", {**outputs, node: np.append(held, outside)}
+        full = [v for v, elements in outputs.items() if len(elements)]
+        if full:
+            first, last = full[0], list(outputs)[-1]
+            yield "dropped", {**outputs, first: outputs[first][1:]}
+            if last != first:
+                twice = np.append(outputs[last], outputs[first][0])
+                yield "at two nodes", {**outputs, last: twice}
+    elif task == "equijoin":
+        joined = JoinOutputs.of(outputs)
+        for shift in (-1, 1):
+            bounds = [*joined.pair_bounds[:-1], joined.pair_bounds[-1] + shift]
+            yield f"pair_bounds {shift:+d}", JoinOutputs(
+                joined.nodes, bounds, joined.run_bounds, joined.pairs
+            )
 
 
 def _wide_runs():
