@@ -21,7 +21,8 @@ topology-agnostic comparison is inherited from the substrate:
 The protocol flavours differ exactly where topology awareness lives:
 
 * ``tree`` — placement-weighted ownership (the registered ``tree``
-  group-by), per-node combining before the shuffle, and *delta* return
+  group-by), per-node combining before the shuffle (the local closure
+  leaves one message per locally known vertex), and *delta* return
   legs (only changed labels travel back);
 * ``uniform-hash`` — the textbook MPC baseline: uniform ownership, raw
   per-edge messages (no combiner, ``pre_aggregate=False``), and a full
@@ -209,7 +210,6 @@ def _hash_to_min(
     *,
     seed: int,
     shuffle_protocol: str,
-    pre_aggregate: bool,
     delta_return: bool,
     local_closure: bool,
     max_supersteps: int | None,
@@ -222,9 +222,12 @@ def _hash_to_min(
     proposes the minimum label over its fragment's *local* connected
     component (free computation in the model — the local-contraction
     optimization of the MPC connectivity literature), all nodes'
-    closures coming from one :func:`component_roots` call; without it,
-    proposals are the textbook single-hop messages, one per directed
-    edge plus one identity message per row.
+    closures coming from one :func:`component_roots` call.  The closure
+    is then the combiner: it leaves one message per table row, already
+    sorted by ``(owner, vertex)``, so the shuffle runs no sender-side
+    combine.  Without it, proposals are the textbook single-hop
+    messages, one per directed edge plus one identity message per row,
+    shipped raw.
     """
     tree.require_symmetric("connected components")
     distribution.validate_for(tree)
@@ -297,7 +300,11 @@ def _hash_to_min(
         bound = groupby_lower_bound(
             tree, shuffle_input(message_keys), payload_bits=VERTEX_BITS
         )
-    op_meta = {"op": "min", "pre_aggregate": pre_aggregate, "payload_bits": VERTEX_BITS}
+    op_meta = {
+        "op": "min",
+        "pre_aggregate": local_closure,  # the closure is the combiner
+        "payload_bits": VERTEX_BITS,
+    }
     step_meta = {"result": op_meta, "bound": bound.description}
 
     converged = False
@@ -327,7 +334,7 @@ def _hash_to_min(
                 recv_tag=_SHUFFLE_RECV,
                 op="min",
                 payload_bits=VERTEX_BITS,
-                pre_aggregate=pre_aggregate,
+                pre_aggregate=False,
             )
             # every vertex some fragment touches is one group
             with tracer.span("groupby verify", category="verify", task=_GROUPBY):
@@ -458,7 +465,6 @@ def tree_connected_components(
         distribution,
         seed=seed,
         shuffle_protocol="tree",
-        pre_aggregate=True,
         delta_return=True,
         local_closure=True,
         max_supersteps=max_supersteps,
@@ -491,7 +497,6 @@ def uniform_hash_connected_components(
         distribution,
         seed=seed,
         shuffle_protocol="uniform-hash",
-        pre_aggregate=False,
         delta_return=False,
         local_closure=False,
         max_supersteps=max_supersteps,

@@ -18,24 +18,24 @@ def _hook_round(parent: np.ndarray, u: np.ndarray, v: np.ndarray):
 
     ``parent`` maps each vertex to its root on entry and on exit (it is
     updated in place); returns the edges that still join two distinct
-    roots, contracted to those roots.  A root that stays a root either
+    roots, contracted to those roots.  The hook is one
+    ``np.minimum.at``: every edge's endpoints are roots, so a larger
+    root still points at itself and ends up at its smallest partner,
+    whatever order the edges come in.  A root that stays a root either
     absorbed every neighbour or had none smaller, so two rounds at least
     halve the number of roots that still have an edge: O(log n) rounds.
     """
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    # per distinct larger root the minimum partner: sort + reduceat
-    # rather than np.minimum.at, which was slow before NumPy 1.25 (the
-    # sort need not be stable: a minimum does not depend on the order)
-    order = np.argsort(hi)
-    lo, hi = lo[order], hi[order]
-    starts = np.flatnonzero(np.concatenate(([True], hi[1:] != hi[:-1])))
-    parent[hi[starts]] = np.minimum.reduceat(lo, starts)
+    # unbuffered ufunc.at is fast from NumPy 1.25; on the numpy>=1.22
+    # floor it is slower, never wrong (RoutingIndex._push_up relies on
+    # it too)
+    np.minimum.at(parent, hi, lo)
     while True:  # hooks only point downwards, so this ends at the roots
-        grand = parent[parent]
+        grand = parent.take(parent)
         if np.array_equal(grand, parent):
             break
         parent[:] = grand
-    u, v = parent[lo], parent[hi]
+    u, v = parent.take(lo), parent.take(hi)
     live = u != v
     return u[live], v[live]
 

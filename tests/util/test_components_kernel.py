@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.generators import (
@@ -45,6 +45,39 @@ def test_matches_union_find(instance):
         np.concatenate([u, v, u]), np.concatenate([v, u, v]), n
     )
     assert np.array_equal(both, roots)
+
+
+@st.composite
+def large_edge_lists(draw):
+    """Up to 5 000 vertices and 20 000 edges, sparse to dense; self-loops
+    and repeated edges are planted, since at low density few occur."""
+    u, v, n = draw(edge_lists(max_vertices=5_000, max_edges=20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    loops = rng.integers(0, n, len(u) // 20 + 1)
+    again = rng.integers(0, max(len(u), 1), len(u) // 10)
+    edges = np.concatenate(
+        [np.column_stack((u, v)), np.column_stack((loops, loops)),
+         np.column_stack((v, u))[again]]
+    )
+    edges = edges[rng.permutation(len(edges))]
+    return edges[:, 0], edges[:, 1], n
+
+
+def full_size(n: int, m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, m), rng.integers(0, n, m), n
+
+
+@given(instance=large_edge_lists())
+# the top of the range, below and above the giant-component threshold
+@example(instance=full_size(5_000, 2_000, 1))
+@example(instance=full_size(5_000, 20_000, 2))
+@settings(max_examples=30, deadline=None)
+def test_matches_union_find_at_scale(instance):
+    """Many hook rounds and many hooks onto one root per round: the
+    sizes at which the order of a round's hooks could matter."""
+    u, v, n = instance
+    assert np.array_equal(component_roots(u, v, n), expected_roots(u, v, n))
 
 
 @pytest.mark.parametrize(
@@ -142,17 +175,25 @@ def hooking_rounds(monkeypatch, u, v, n: int) -> int:
 
 PATH = 5_000
 
+#: hook rounds per path labelling, whatever order the edges come in
+#: (``random`` is the seed-3 permutation)
+PATH_ROUNDS = {"along": 1, "descending": 1, "zigzag": 2, "random": 8}
+
 
 @pytest.mark.parametrize("edge_order", ["sorted", "reversed", "random"])
-@pytest.mark.parametrize("labelling", ["along", "zigzag", "random"])
+@pytest.mark.parametrize("labelling", sorted(PATH_ROUNDS))
 def test_long_paths_take_logarithmically_many_rounds(
     monkeypatch, edge_order, labelling
 ):
     """Pointer jumping, not label crawling: a 5 000-path must not need
-    thousands of hooking rounds whatever order its edges or ids come in."""
+    thousands of hooking rounds whatever order its edges or ids come in.
+    The counts are pinned, so a change to the hook cannot add rounds
+    unnoticed."""
     rng = np.random.default_rng(3)
     if labelling == "along":
         ids = np.arange(PATH)
+    elif labelling == "descending":
+        ids = np.arange(PATH - 1, -1, -1)
     elif labelling == "zigzag":  # 0, n-1, 1, n-2, ...: every other id is a local minimum
         ids = np.empty(PATH, dtype=np.int64)
         ids[0::2] = np.arange(PATH // 2)
@@ -166,6 +207,13 @@ def test_long_paths_take_logarithmically_many_rounds(
         shuffle = rng.permutation(PATH - 1)
         u, v = v[shuffle], u[shuffle]
     rounds = hooking_rounds(monkeypatch, u, v, PATH)
-    assert rounds <= {"along": 1, "zigzag": 2}.get(
-        labelling, math.ceil(math.log2(PATH))
-    )
+    assert rounds == PATH_ROUNDS[labelling] <= math.ceil(math.log2(PATH))
+
+
+@pytest.mark.parametrize("centre_first", [True, False])
+def test_star_on_the_largest_index(monkeypatch, centre_first):
+    """Every edge hooks the centre in round one (all onto one root, the
+    minimum must win), and every leaf then hooks onto 0 in round two."""
+    centre, leaves = np.full(PATH - 1, PATH - 1), np.arange(PATH - 1)
+    u, v = (centre, leaves) if centre_first else (leaves, centre)
+    assert hooking_rounds(monkeypatch, u, v, PATH) == 2
