@@ -38,9 +38,8 @@ def is_valid_compute_order(tree: TreeTopology, order: Sequence[NodeId]) -> bool:
     it holds — contiguous when empty or spanning exactly its count.
     """
     count = len(order)
-    if count != tree.num_compute_nodes or len(set(order)) != count:
-        return False
-    if not all(map(tree.is_compute_node, order)):
+    # as many nodes as compute, and every compute node among them
+    if count != tree.num_compute_nodes or set(order) != set(tree.compute_nodes):
         return False
     index = tree.routing_index
     at = np.fromiter(map(index.index_of.__getitem__, order), np.intp, count)
@@ -60,8 +59,23 @@ def verify_sorted_output(
 ) -> None:
     """Assert the outputs are a correct sort of ``expected`` along ``order``.
 
+    :func:`check_sorted_output` against ``expected`` sorted.
+    """
+    check_sorted_output(
+        tree, outputs, order, np.sort(np.asarray(expected, dtype=np.int64))
+    )
+
+
+def check_sorted_output(
+    tree: TreeTopology,
+    outputs: Mapping[NodeId, np.ndarray],
+    order: Sequence[NodeId],
+    expected_sorted: np.ndarray,
+) -> None:
+    """Assert the outputs, read along ``order``, are ``expected_sorted``.
+
     Checks: the order is a valid traversal; no node outside it holds
-    output; and the runs, end to end, equal ``expected`` sorted.  Only a
+    output; and the runs, end to end, equal ``expected_sorted``.  Only a
     failed comparison looks further, for the first fall along the order
     (named at its node) or else a wrong multiset, so a correct sort is
     read once.  Raises :class:`ProtocolError` with a specific message
@@ -69,12 +83,14 @@ def verify_sorted_output(
     """
     if not is_valid_compute_order(tree, order):
         raise ProtocolError(f"{list(order)!r} is not a valid traversal order")
-    for node in outputs:
-        if not tree.is_compute_node(node):
-            raise ProtocolError(f"node {node!r} holds output but is not in the order")
+    # a valid order holds every compute node, so a node outside it is one
+    # that does not compute
+    stray = set(outputs).difference(tree.compute_nodes)
+    if stray:
+        node = next(node for node in outputs if node in stray)
+        raise ProtocolError(f"node {node!r} holds output but is not in the order")
     runs = [np.asarray(outputs.get(node, np.empty(0, np.int64))) for node in order]
     merged = np.concatenate(runs)
-    expected_sorted = np.sort(np.asarray(expected, dtype=np.int64))
     if np.array_equal(merged, expected_sorted):
         return  # equal to a sort, so no run falls
     falls = np.flatnonzero(merged[1:] < merged[:-1])

@@ -8,11 +8,21 @@ verifier (the reproduction never reports cost for a wrong answer),
 computes the task's lower bound, and packages everything into a
 :class:`repro.report.RunReport`.
 
+A verifier's expected answer and the bound read only the input, so on
+an input of at least :data:`AHEAD_MIN_ELEMENTS` elements, in a process
+that may use more than one CPU, one job computes both on the engine's
+side thread (one persistent thread, under the caller's run context)
+while the protocol runs in the caller; the caller then joins it,
+checks the answer and reports.  Smaller inputs compute both after the
+protocol, in the caller.  Only NumPy that releases the GIL overlaps,
+so the report is the same either way and only wall time changes.
+
 Batch execution goes through :func:`run_many`, which returns reports
 in plan order.  A batch runs in the caller, plan after plan under the
 caller's run context, or whole plans are dealt over the shared worker
 pool (:func:`repro.parallel.pool.get_pool`, one ``ProcessPoolExecutor``
-per rank); parallelism is per query, never inside one.  Every report's
+per rank); queries run in parallel only there, and inside one query
+only its verification and bound beside its protocol.  Every report's
 cost is its Section-2 ledger, so the path changes only wall time.
 ``run(..., backend="process")`` is the pool with one plan, so it runs
 on rank 0.
@@ -20,6 +30,9 @@ on rank 0.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterable
@@ -31,13 +44,19 @@ from repro.report import RunReport
 from repro.core.cartesian.lower_bounds import cartesian_lower_bound
 from repro.core.intersection.lower_bound import intersection_lower_bound
 from repro.core.sorting.lower_bound import sorting_lower_bound
-from repro.core.sorting.ordering import verify_sorted_output
+from repro.core.sorting.ordering import check_sorted_output
 from repro.data.distribution import Distribution
 from repro.errors import AnalysisError, ProtocolError, annotate_error
 from repro.queries.aggregate import GroupOutputs, groupby_lower_bound
 from repro.queries.join import JoinOutputs, equijoin_lower_bound
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS
-from repro.registry import BACKENDS, get_protocol, get_task, register_task
+from repro.registry import (
+    BACKENDS,
+    TaskSpec,
+    get_protocol,
+    get_task,
+    register_task,
+)
 from repro.sim.protocol import ProtocolResult
 from repro.topology.artifacts import ArtifactCache
 from repro.topology.tree import TreeTopology
@@ -65,12 +84,13 @@ import repro.queries.join  # noqa: F401
 
 def _verify_output_nodes(tree: TreeTopology, result: ProtocolResult) -> None:
     """Only compute nodes hold data (Section 2), outputs included."""
-    for node in result.outputs:
-        if not tree.is_compute_node(node):
-            raise ProtocolError(
-                f"{result.protocol} left output at {node!r}, which is not a "
-                "compute node"
-            )
+    stray = set(result.outputs).difference(tree.compute_nodes)
+    if stray:
+        node = next(node for node in result.outputs if node in stray)
+        raise ProtocolError(
+            f"{result.protocol} left output at {node!r}, which is not a "
+            "compute node"
+        )
 
 
 def _shared_keys(
@@ -116,13 +136,18 @@ def _shared_keys(
     return keys, bounds[run + 1] - bounds[run], bounds[run + 2] - bounds[run + 1]
 
 
-def _verify_intersection(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
-) -> None:
-    """The emitted union must equal ``R ∩ S`` exactly."""
+def _expect_intersection(
+    tree: TreeTopology, distribution: Distribution, **opts
+) -> np.ndarray:
+    """``R ∩ S``, ascending."""
     expected, _, _ = _shared_keys(
         distribution.relation("R"), distribution.relation("S")
     )
+    return expected
+
+
+def _check_intersection(result: ProtocolResult, expected: np.ndarray) -> None:
+    """The emitted union must equal ``R ∩ S`` exactly."""
     found = (
         sorted_unique(np.concatenate(list(result.outputs.values())))
         if result.outputs
@@ -135,11 +160,15 @@ def _verify_intersection(
         )
 
 
-def _verify_cartesian(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
-) -> None:
+def _expect_cartesian(
+    tree: TreeTopology, distribution: Distribution, **opts
+) -> int:
+    """``|R| * |S|`` pairs."""
+    return distribution.total("R") * distribution.total("S")
+
+
+def _check_cartesian(result: ProtocolResult, expected: int) -> None:
     """Every ``(r, s)`` pair must be enumerated exactly once in total."""
-    expected = distribution.total("R") * distribution.total("S")
     produced = sum(o["num_pairs"] for o in result.outputs.values())
     if produced != expected:
         raise ProtocolError(
@@ -147,27 +176,39 @@ def _verify_cartesian(
         )
 
 
-def _verify_sorting(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
+def _expect_sorting(
+    tree: TreeTopology, distribution: Distribution, **opts
+) -> tuple[TreeTopology, np.ndarray]:
+    """``R`` sorted, and the tree whose traversal must hold it."""
+    return tree, np.sort(distribution.relation("R"))
+
+
+def _check_sorting(
+    result: ProtocolResult, expected: tuple[TreeTopology, np.ndarray]
 ) -> None:
-    verify_sorted_output(
-        tree,
-        result.outputs,
-        result.meta["order"],
-        distribution.relation("R"),
+    tree, expected_sorted = expected
+    check_sorted_output(
+        tree, result.outputs, result.meta["order"], expected_sorted
     )
 
 
-def _verify_equijoin(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
-) -> None:
-    """The join must produce ``sum_k cnt_R(k) * cnt_S(k)`` pairs."""
-    payload_bits = result.meta.get("payload_bits", DEFAULT_PAYLOAD_BITS)
+def _expect_equijoin(
+    tree: TreeTopology,
+    distribution: Distribution,
+    *,
+    payload_bits: int = DEFAULT_PAYLOAD_BITS,
+    **opts,
+) -> int:
+    """``sum_k cnt_R(k) * cnt_S(k)`` over the keys above ``payload_bits``."""
     _, r_counts, s_counts = _shared_keys(
         distribution.relation("R") >> payload_bits,
         distribution.relation("S") >> payload_bits,
     )
-    expected = int(np.dot(r_counts, s_counts))
+    return int(np.dot(r_counts, s_counts))
+
+
+def _check_equijoin(result: ProtocolResult, expected: int) -> None:
+    """The join must produce the expected number of pairs."""
     produced = JoinOutputs.of(result.outputs).pair_bounds[-1]
     if produced != expected:
         raise ProtocolError(
@@ -175,13 +216,19 @@ def _verify_equijoin(
         )
 
 
-def _verify_aggregate(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
-) -> None:
+def _expect_aggregate(
+    tree: TreeTopology,
+    distribution: Distribution,
+    *,
+    payload_bits: int = DEFAULT_PAYLOAD_BITS,
+    **opts,
+) -> int:
+    """The number of distinct keys above ``payload_bits``."""
+    return len(sorted_unique(distribution.relation("R") >> payload_bits))
+
+
+def _check_aggregate(result: ProtocolResult, expected: int) -> None:
     """Every distinct input key must appear at exactly one node."""
-    payload_bits = result.meta.get("payload_bits", DEFAULT_PAYLOAD_BITS)
-    keys = distribution.relation("R") >> payload_bits
-    expected = len(sorted_unique(keys))
     produced = GroupOutputs.of(result.outputs).bounds[-1]
     if produced != expected:
         raise ProtocolError(
@@ -192,35 +239,40 @@ def _verify_aggregate(
 register_task(
     "set-intersection",
     default_protocol="tree",
-    verifier=_verify_intersection,
+    expect=_expect_intersection,
+    check=_check_intersection,
     lower_bound=intersection_lower_bound,
     aliases=("intersection",),
 )
 register_task(
     "cartesian-product",
     default_protocol="tree",
-    verifier=_verify_cartesian,
+    expect=_expect_cartesian,
+    check=_check_cartesian,
     lower_bound=cartesian_lower_bound,
     aliases=("cartesian",),
 )
 register_task(
     "sorting",
     default_protocol="wts",
-    verifier=_verify_sorting,
+    expect=_expect_sorting,
+    check=_check_sorting,
     lower_bound=sorting_lower_bound,
     aliases=("sort",),
 )
 register_task(
     "equijoin",
     default_protocol="tree",
-    verifier=_verify_equijoin,
+    expect=_expect_equijoin,
+    check=_check_equijoin,
     lower_bound=equijoin_lower_bound,
     aliases=("join",),
 )
 register_task(
     "groupby-aggregate",
     default_protocol="tree",
-    verifier=_verify_aggregate,
+    expect=_expect_aggregate,
+    check=_check_aggregate,
     lower_bound=groupby_lower_bound,
     lower_bound_opts=("payload_bits",),
     aliases=("aggregate", "groupby"),
@@ -230,6 +282,88 @@ register_task(
 def _run_artifacts(context: RunContext) -> ArtifactCache:
     """The context's artifact cache, or a one-shot cache for one run."""
     return ArtifactCache() if context.artifacts is None else context.artifacts
+
+
+#: Inputs of at least this many elements compute their expected answer
+#: and bound on the side thread while the protocol runs; below it the
+#: thread hand-off costs more than the overlap saves (DESIGN.md,
+#: "Execution architecture", has the measured crossover).
+AHEAD_MIN_ELEMENTS = 16384
+
+
+try:  # the CPUs this process may run on
+    _USABLE_CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _USABLE_CPUS = os.cpu_count() or 1
+
+_side: ThreadPoolExecutor | None = None
+_side_lock = threading.Lock()
+
+
+def _side_executor() -> ThreadPoolExecutor:
+    """The one side thread, built on first use and kept for the process."""
+    global _side
+    if _side is None:
+        with _side_lock:
+            if _side is None:
+                _side = ThreadPoolExecutor(1, thread_name_prefix="engine.ahead")
+    return _side
+
+
+def _forget_side() -> None:
+    """In a forked child, where the parent's side thread does not run:
+    the next large run builds the child's own."""
+    global _side, _side_lock
+    _side = None
+    _side_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # wherever a process can fork
+    os.register_at_fork(after_in_child=_forget_side)
+
+
+def _ahead(
+    context: RunContext,
+    task_spec: TaskSpec,
+    tree: TreeTopology,
+    distribution: Distribution,
+    opts: dict,
+) -> tuple:
+    """The input-only half of a run, on the side thread: the verifier's
+    expected answer, and the bound or the exception computing it raised
+    (the caller raises it where it would have raised it itself)."""
+    with use(context), context.tracer.span(
+        f"engine.ahead {task_spec.name}", category="ahead", task=task_spec.name
+    ) as span:
+        started = perf_counter()
+        try:
+            expected = task_spec.expect(tree, distribution, **opts)
+            try:
+                bound = task_spec.bound(tree, distribution, opts)
+            except Exception as error:
+                bound = error
+        finally:
+            span.set(wall_time_s=perf_counter() - started)
+    return expected, bound
+
+
+def _start_ahead(
+    context: RunContext,
+    task_spec: TaskSpec,
+    tree: TreeTopology,
+    distribution: Distribution,
+    opts: dict,
+) -> Future | None:
+    """:func:`_ahead` submitted to the side thread, or ``None`` where
+    the caller computes both halves itself after the protocol."""
+    if _USABLE_CPUS < 2 or distribution.total() < AHEAD_MIN_ELEMENTS:
+        return None
+    try:
+        return _side_executor().submit(
+            _ahead, context, task_spec, tree, distribution, opts
+        )
+    except RuntimeError:  # the interpreter is shutting its threads down
+        return None
 
 
 def run(
@@ -332,19 +466,33 @@ def run_with_result(
         placement=placement,
     ) as root:
         started = perf_counter()
-        # A one-shot artifact scope: clusters the protocol builds
-        # share topology artifacts within this run; inside an
-        # EngineSession the session's long-lived cache is reused
-        # instead — run() is a thin one-shot session.
-        with use(artifacts=_run_artifacts(context)):
-            result = spec.call(tree, distribution, seed=seed, **opts)
-        with tracer.span(
-            "engine.verify", category="verify", task=task_spec.name
-        ):
-            _verify_output_nodes(tree, result)
-            task_spec.verifier(tree, distribution, result)
-        with tracer.span("engine.bound", category="bound"):
-            bound = task_spec.bound(tree, distribution, opts)
+        ahead = _start_ahead(context, task_spec, tree, distribution, opts)
+        try:
+            # A one-shot artifact scope: clusters the protocol builds
+            # share topology artifacts within this run; inside an
+            # EngineSession the session's long-lived cache is reused
+            # instead — run() is a thin one-shot session.
+            with use(artifacts=_run_artifacts(context)):
+                result = spec.call(tree, distribution, seed=seed, **opts)
+            with tracer.span(
+                "engine.verify", category="verify", task=task_spec.name
+            ):
+                _verify_output_nodes(tree, result)
+                if ahead is None:
+                    expected = task_spec.expect(tree, distribution, **opts)
+                else:
+                    expected, bound = ahead.result()
+                task_spec.check(result, expected)
+            with tracer.span("engine.bound", category="bound"):
+                if ahead is None:
+                    bound = task_spec.bound(tree, distribution, opts)
+                elif isinstance(bound, Exception):
+                    raise bound
+        finally:
+            if ahead is not None:
+                # no job outlives its run; after a failure above, the
+                # job's own exception (if any) is read here and dropped
+                ahead.exception()
         # what the caller waited for: protocol, verify and bound
         wall_time_s = perf_counter() - started
         root.set(

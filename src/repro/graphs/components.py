@@ -125,17 +125,25 @@ def components_lower_bound(
     )
 
 
-def _verify_components(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
-) -> None:
-    """Each non-isolated vertex must appear once, with its component min.
+def _expect_components(
+    tree: TreeTopology, distribution: Distribution, **opts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-isolated vertex, ascending, and its component's min.
 
     The expected labelling is :func:`component_roots` over the global
     edge list — the kernel the protocols use too, so this checks what
     they deliver and emit; the kernel itself is checked against the
     union-find oracle in tier-1 tests.
     """
-    expected, _, roots = _edge_components(distribution)
+    vertices, _, roots = _edge_components(distribution)
+    return vertices, vertices[roots]
+
+
+def _check_components(
+    result: ProtocolResult, expected: tuple[np.ndarray, np.ndarray]
+) -> None:
+    """Each non-isolated vertex must appear once, with its component min."""
+    vertices_expected, labels = expected
     owned = GroupOutputs.of(result.outputs)
     order = np.argsort(owned.keys_array, kind="stable")
     vertices = owned.keys_array[order]
@@ -146,12 +154,12 @@ def _verify_components(
             "at two nodes"
         )
     if not (
-        np.array_equal(vertices, expected)
-        and np.array_equal(owned.values_array[order], expected[roots])
+        np.array_equal(vertices, vertices_expected)
+        and np.array_equal(owned.values_array[order], labels)
     ):
         raise ProtocolError(
             f"{result.protocol} produced a wrong labelling "
-            f"({len(vertices)} vertices vs {len(expected)} expected)"
+            f"({len(vertices)} vertices vs {len(vertices_expected)} expected)"
         )
 
 
@@ -565,7 +573,8 @@ def gather_connected_components(
 register_task(
     "connected-components",
     default_protocol="tree",
-    verifier=_verify_components,
+    expect=_expect_components,
+    check=_check_components,
     lower_bound=components_lower_bound,
     bound_holds_per_instance=True,
     aliases=("cc", "components", "connectivity"),

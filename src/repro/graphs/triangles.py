@@ -96,10 +96,10 @@ def _triangle_count(canonical: np.ndarray) -> int:
     )
 
 
-def _verify_triangles(
-    tree: TreeTopology, distribution: Distribution, result: ProtocolResult
-) -> None:
-    """The per-node counts must sum to the graph's triangle count."""
+def _expect_triangles(
+    tree: TreeTopology, distribution: Distribution, **opts
+) -> int:
+    """The graph's triangle count; a graph that is not simple has none."""
     packed = distribution.relation(DEFAULT_EDGE_TAG)
     canonical = canonical_edges(np.stack(decode_edges(packed), axis=1))
     if len(canonical) != len(packed):
@@ -107,7 +107,11 @@ def _verify_triangles(
             "triangle counting requires a simple graph; the placement "
             "contains duplicated edges"
         )
-    expected = _triangle_count(canonical)
+    return _triangle_count(canonical)
+
+
+def _check_triangles(result: ProtocolResult, expected: int) -> None:
+    """The per-node counts must sum to the graph's triangle count."""
     produced = sum(
         output.get("num_triangles", 0) for output in result.outputs.values()
     )
@@ -324,7 +328,8 @@ def gather_triangle_count(
 register_task(
     "triangle-count",
     default_protocol="optimized",
-    verifier=_verify_triangles,
+    expect=_expect_triangles,
+    check=_check_triangles,
     lower_bound=triangles_lower_bound,
     bound_holds_per_instance=True,
     aliases=("triangles",),

@@ -101,6 +101,10 @@ FOLDS = (
          buckets=LATENCY_BUCKETS),
     Fold("repro_verify_total", "verify", labels=_TASK,
          status=("outcome", "pass", "fail")),
+    # engine.ahead: a large run's expected answer and bound, computed on
+    # the side thread while its protocol runs
+    Fold("repro_ahead_seconds", "ahead", "wall_time_s", labels=_TASK,
+         buckets=LATENCY_BUCKETS),
     # rounds: the attributes the finalizer annotates after close_round
     Fold("repro_rounds_total", "round", "round_cost", count=True),
     Fold("repro_round_cost", "round", "round_cost", buckets="log2"),

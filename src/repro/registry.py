@@ -9,7 +9,7 @@ on this tree?").  This module gives that competition a single seam:
   :func:`register_protocol`, declaring its task, name, kind and
   capabilities (does it take a seed?  does it require a star?), and
 * every task self-registers via :func:`register_task`, declaring its
-  default protocol, verifier and lower bound.
+  default protocol, its verifier's two halves and its lower bound.
 
 The engine (:mod:`repro.engine`) consults this catalog instead of
 hard-coded per-task dispatch tables, so adding a protocol anywhere in
@@ -93,7 +93,11 @@ class TaskSpec:
 
     Every task registers both, and every run calls both: the engine
     reports no cost for an answer its verifier has not accepted, and
-    none without the bound beside it.
+    none without the bound beside it.  The verifier comes in two
+    halves.  ``expect`` reads only the input, like the bound, so the
+    engine may compute both on its side thread while the protocol
+    runs; ``check`` compares the protocol's answer with what ``expect``
+    returned, on the caller's thread once the protocol is done.
 
     Attributes
     ----------
@@ -101,8 +105,16 @@ class TaskSpec:
         Canonical task name.
     default_protocol:
         Protocol name used when the caller does not pick one.
-    verifier:
-        ``verifier(tree, distribution, result)`` raising
+    expect:
+        ``expect(tree, distribution, **opts)`` returning what a correct
+        answer must look like, from the input alone, with its own
+        NumPy (a verifier built on the protocol kernels would pass
+        their bugs).  It gets every protocol option of the run and
+        reads those that change the instance (``payload_bits``); it
+        may raise :class:`repro.errors.ProtocolError` on an input the
+        task is not defined for.
+    check:
+        ``check(result, expected)`` raising
         :class:`repro.errors.ProtocolError` on a wrong answer.
     lower_bound:
         ``lower_bound(tree, distribution)`` returning a
@@ -127,11 +139,18 @@ class TaskSpec:
 
     name: str
     default_protocol: str
-    verifier: Callable
+    expect: Callable
+    check: Callable
     lower_bound: Callable
     lower_bound_opts: tuple = field(default_factory=tuple)
     bound_holds_per_instance: bool = False
     aliases: tuple = field(default_factory=tuple)
+
+    def verify(self, tree, distribution, result, **opts) -> None:
+        """Both halves at once: raise :class:`repro.errors.ProtocolError`
+        unless ``result`` answers the instance a protocol ran on with
+        ``opts``."""
+        self.check(result, self.expect(tree, distribution, **opts))
 
     def bound(self, tree, distribution, opts: dict):
         """The lower bound of the instance a protocol ran on with
@@ -209,7 +228,8 @@ def register_task(
     name: str,
     *,
     default_protocol: str,
-    verifier: Callable,
+    expect: Callable,
+    check: Callable,
     lower_bound: Callable,
     lower_bound_opts: tuple = (),
     bound_holds_per_instance: bool = False,
@@ -219,7 +239,8 @@ def register_task(
     spec = TaskSpec(
         name=name,
         default_protocol=default_protocol,
-        verifier=verifier,
+        expect=expect,
+        check=check,
         lower_bound=lower_bound,
         lower_bound_opts=tuple(lower_bound_opts),
         bound_holds_per_instance=bound_holds_per_instance,

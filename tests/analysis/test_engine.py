@@ -17,6 +17,7 @@ from repro.engine import RunPlan, run, run_many, run_with_result
 from repro.errors import AnalysisError, ProtocolError
 from repro.graphs import PlacedGraph
 from repro.obs.metrics import collecting, parse_label_key
+from repro.obs.tracer import MAIN_TRACK
 from repro.parallel.pool import shutdown_pools
 from repro.plan.logical import chain_query
 from repro.plan.relation import chain_catalog
@@ -84,7 +85,11 @@ class TestRun:
         protocol = get_task(task).default_protocol
         with repro.tracing() as tracer, collecting() as registry:
             report = run(task, tree, dist, placement="zipf")
-        (root,) = [e for e in tracer.events if e.depth == 0]
+        # the main track's: a large run's engine.ahead span is the root
+        # of the side thread's track
+        (root,) = [
+            e for e in tracer.events if e.depth == 0 and e.track == MAIN_TRACK
+        ]
         assert root.attrs == {
             "category": "engine",
             "task": task,

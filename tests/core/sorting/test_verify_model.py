@@ -205,7 +205,7 @@ def test_output_at_a_node_outside_the_order_is_rejected(stray):
         result, outputs={**result.outputs, stray: np.array([10**9])}
     )
     with pytest.raises(ProtocolError) as raised:
-        get_task("sorting").verifier(tree, distribution, bad)
+        get_task("sorting").verify(tree, distribution, bad)
     assert str(raised.value) == (
         f"node {stray!r} holds output but is not in the order"
     )

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.errors import ProtocolError
+from repro.registry import get_task
 from repro.graphs import (
     PlacedGraph,
     components_lower_bound,
@@ -166,7 +167,6 @@ class TestEngineIntegration:
 
     def test_verifier_rejects_wrong_labelling(self, instance):
         tree, graph = instance
-        from repro.graphs.components import _verify_components
         from repro.sim.protocol import ProtocolResult
         from repro.sim.ledger import CostLedger
 
@@ -179,14 +179,13 @@ class TestEngineIntegration:
             meta={"tag": "E"},
         )
         with pytest.raises(ProtocolError):
-            _verify_components(tree, graph.distribution, bogus)
+            get_task("connected-components").verify(tree, graph.distribution, bogus)
 
     @pytest.mark.parametrize("case", sorted(BAD_LABELLINGS))
     def test_verifier_rejects_bad_labellings(self, instance, case):
         """Each corruption of a real ``tree`` run's labelling is caught."""
         tree, graph = instance
         from repro.engine import run_with_result
-        from repro.graphs.components import _verify_components
 
         _, result = run_with_result(
             "connected-components",
@@ -195,12 +194,12 @@ class TestEngineIntegration:
             protocol="tree",
             seed=7,
         )
-        _verify_components(tree, graph.distribution, result)
+        get_task("connected-components").verify(tree, graph.distribution, result)
         outputs = {node: dict(labels) for node, labels in result.outputs.items()}
         corrupt, message = BAD_LABELLINGS[case]
         corrupt(outputs)
         with pytest.raises(ProtocolError, match=message):
-            _verify_components(
+            get_task("connected-components").verify(
                 tree, graph.distribution, replace(result, outputs=outputs)
             )
 

@@ -623,14 +623,15 @@ IDENTITY = {
 
 
 def _families(snapshot: dict) -> dict:
-    """Counters and histograms in one dict, timing families dropped."""
+    """Counters and histograms in one dict, timing families dropped
+    (``repro_ahead_seconds`` exists only where a process may use two CPUs)."""
     histograms = {
         name: {
             key: (state["buckets"], state["sum"], state["count"])
             for key, state in family.items()
         }
         for name, family in snapshot["histograms"].items()
-        if name != "repro_run_seconds"
+        if not name.endswith("_seconds")
     }
     return {**snapshot["counters"], **histograms}
 
@@ -724,7 +725,7 @@ class TestFoldConsistency:
         monkeypatch.setitem(
             specs._TASK_SPECS,
             spec.name,
-            dataclasses.replace(spec, verifier=failing),
+            dataclasses.replace(spec, check=failing),
         )
         tree, dist = _instance("sorting")
         with collecting() as registry, pytest.raises(ProtocolError):

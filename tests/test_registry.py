@@ -151,9 +151,9 @@ class TestRegistration:
 
 
 class TestTaskContract:
-    @pytest.mark.parametrize("missing", ["verifier", "lower_bound"])
+    @pytest.mark.parametrize("missing", ["expect", "check", "lower_bound"])
     def test_a_task_registers_a_verifier_and_a_bound(self, missing):
-        callables = {"verifier": print, "lower_bound": print}
+        callables = {"expect": print, "check": print, "lower_bound": print}
         del callables[missing]
         with pytest.raises(TypeError, match=missing):
             register_task("test-probe", default_protocol="x", **callables)

@@ -12,15 +12,11 @@ from hypothesis.extra import numpy as hnp
 import repro
 from repro import engine
 from repro.data.distribution import Distribution
-from repro.engine import (
-    _shared_keys,
-    _verify_aggregate,
-    _verify_equijoin,
-    _verify_intersection,
-)
+from repro.engine import _shared_keys
 from repro.errors import ProtocolError
 from repro.queries.join import JoinOutputs
 from repro.queries.tuples import encode_tuples
+from repro.registry import get_task
 from repro.util.grouping import concat_ranges, gather_ranges, sorted_unique
 
 
@@ -150,7 +146,7 @@ class TestIntersectionVerifier:
             }
         )
         result = repro.tree_intersect(tree, distribution, seed=1)
-        _verify_intersection(tree, distribution, result)
+        get_task("set-intersection").verify(tree, distribution, result)
         return tree, distribution, result
 
     @pytest.mark.parametrize(
@@ -169,7 +165,7 @@ class TestIntersectionVerifier:
             outputs={v: np.asarray(o, np.int64) for v, o in outputs.items()},
         )
         with pytest.raises(ProtocolError) as raised:
-            _verify_intersection(tree, distribution, bad)
+            get_task("set-intersection").verify(tree, distribution, bad)
         assert str(raised.value) == (
             f"tree-intersect produced a wrong intersection ({found} vs 2 elements)"
         )
@@ -177,7 +173,7 @@ class TestIntersectionVerifier:
     def test_an_element_emitted_at_two_nodes_counts_once(self, run):
         tree, distribution, result = run
         emitted = {"v1": np.array([5, 2, 5]), "v3": np.array([2])}
-        _verify_intersection(
+        get_task("set-intersection").verify(
             tree, distribution, dataclasses.replace(result, outputs=emitted)
         )
 
@@ -191,12 +187,12 @@ class TestIntersectionVerifier:
             {"v1": {"R": wide[:3], "S": wide[1:]}, "v2": {"R": [2**62, 8]}}
         )
         result = repro.tree_intersect(tree, distribution, seed=1)
-        _verify_intersection(tree, distribution, result)
+        get_task("set-intersection").verify(tree, distribution, result)
         missing = dataclasses.replace(
             result, outputs={"v1": np.array([-1, 3], np.int64)}
         )
         with pytest.raises(ProtocolError) as raised:
-            _verify_intersection(tree, distribution, missing)
+            get_task("set-intersection").verify(tree, distribution, missing)
         assert str(raised.value) == (
             "tree-intersect produced a wrong intersection (2 vs 3 elements)"
         )
@@ -220,7 +216,7 @@ class TestEquijoinVerifier:
             }
         )
         result = repro.get_protocol("equijoin", "tree").call(tree, distribution)
-        _verify_equijoin(tree, distribution, result)
+        get_task("equijoin").verify(tree, distribution, result)
         return tree, distribution, result
 
     @pytest.mark.parametrize(
@@ -243,7 +239,7 @@ class TestEquijoinVerifier:
             ),
         )
         with pytest.raises(ProtocolError) as raised:
-            _verify_equijoin(tree, distribution, bad)
+            get_task("equijoin").verify(tree, distribution, bad)
         assert str(raised.value) == f"tree-equijoin joined {produced} of 2 pairs"
 
 
@@ -258,9 +254,9 @@ def test_aggregate_verifier_counts_distinct_keys():
     result = repro.get_protocol("groupby-aggregate", "tree").call(
         tree, distribution
     )
-    _verify_aggregate(tree, distribution, result)
+    get_task("groupby-aggregate").verify(tree, distribution, result)
     short = dataclasses.replace(
         result, outputs={v: {} for v in result.outputs}
     )
     with pytest.raises(ProtocolError, match="emitted 0 of 3 groups"):
-        _verify_aggregate(tree, distribution, short)
+        get_task("groupby-aggregate").verify(tree, distribution, short)

@@ -188,17 +188,17 @@ def _run(tree, spec, distribution, seed: int, **opts):
         return _refusal(error)
     loads = [result.ledger.link_loads(i) for i in range(result.ledger.num_rounds)]
     verdicts = [
-        (name, _verdict(tree, spec.task, distribution, result, outputs))
+        (name, _verdict(tree, spec.task, distribution, result, outputs, opts))
         for name, outputs in _corruptions(tree, spec.task, distribution, result.outputs)
     ]
     return report.to_dict(), result.outputs, loads, recorder.rounds, verdicts
 
 
-def _verdict(tree, task: str, distribution, result, outputs) -> str:
+def _verdict(tree, task: str, distribution, result, outputs, opts: dict) -> str:
     """What the task's verifier says of ``result`` holding ``outputs``."""
     try:
-        get_task(task).verifier(
-            tree, distribution, dataclasses.replace(result, outputs=outputs)
+        get_task(task).verify(
+            tree, distribution, dataclasses.replace(result, outputs=outputs), **opts
         )
     except ProtocolError as error:
         return str(error)
