@@ -5,8 +5,9 @@ The MPC connectivity literature (Andoni et al. 2018, Behnezhad et al.
 this module runs the classic *hash-to-min* label propagation on the
 paper's cost model, each superstep's shuffle being one round of a
 **registered** ``groupby-aggregate`` protocol (its owner hash and its
-kernel, run on the driver's cluster) so the topology-aware /
-topology-agnostic comparison is inherited from the substrate:
+kernel's two halves, run on the driver's cluster) so the
+topology-aware / topology-agnostic comparison is inherited from the
+substrate:
 
 * every vertex starts labelled with its own id;
 * each superstep, every node proposes — for each locally held directed
@@ -29,9 +30,20 @@ The protocol flavours differ exactly where topology awareness lives:
   label refresh every superstep;
 * ``gather`` — ship every edge to one node and run union-find there
   (one round; optimal when one node dominates).
+
+Every superstep ships the same keys from the same holders; only the
+labels in the payload change.  So a hash-to-min run lays out its
+shuffle once (:func:`~repro.queries.aggregate.shuffle_layout`: the
+owner hash and the runs), computes the group-by bound once, and groups
+the owners' arrivals once, on the first superstep; each superstep
+installs its messages as relation ``R`` and is one
+:func:`~repro.queries.aggregate.shuffle_round` along that layout.
+Arrivals that differ from the first superstep's are refused.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +63,10 @@ from repro.obs.audit import get_auditor
 from repro.obs.tracer import get_tracer
 from repro.queries.aggregate import (
     GroupOutputs,
+    groupby_column_bound,
     groupby_hasher,
-    groupby_lower_bound,
-    hashed_groupby_round,
+    shuffle_layout,
+    shuffle_round,
 )
 from repro.queries.tuples import decode_tuples, encode_tuples
 from repro.registry import register_protocol, register_task
@@ -64,10 +77,13 @@ from repro.util.components import component_roots
 from repro.util.grouping import (
     concat_ranges,
     group_slices,
+    owner_bounds,
     row_runs,
+    sorted_runs,
     sorted_unique,
     unique_inverse,
     unique_rows,
+    value_runs,
 )
 
 _GROUPBY = "groupby-aggregate"
@@ -176,25 +192,37 @@ def _endpoint_rows(src: np.ndarray, dst: np.ndarray):
 
 def _row_keys(owner: np.ndarray, vertex: np.ndarray) -> np.ndarray:
     """Vertex-table key of ``(owner index, vertex)``: packed like an edge."""
-    return (owner << np.int64(VERTEX_BITS)) | vertex
+    return (owner.astype(np.int64) << np.int64(VERTEX_BITS)) | vertex
+
+
+def _table_rows(
+    table: np.ndarray, owner: np.ndarray, vertex: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``(owner, vertex)`` pairs hold a row of the vertex table:
+    their positions among the pairs, and those rows."""
+    keys = _row_keys(owner, vertex)
+    rows = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    held = np.flatnonzero(table[rows] == keys)
+    return held, rows[held]
 
 
 def _subscriber_subsets(
-    row_owner: np.ndarray, vertex_of_row: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicated subscriber sets: the vertex table read by vertex.
+    row_owner: np.ndarray, row_vertex: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct vertices and their deduplicated subscriber sets:
+    the vertex table read by vertex.
 
-    Returns each vertex's subset id and the subsets as one CSR pair:
-    subset ``s`` is ``members[offsets[s]:offsets[s + 1]]``, the
-    ascending compute-order indices of the nodes whose fragments touch
-    the vertex.  Owner segments of equal length are compared as the
-    rows of one matrix, so memory stays O(table rows) however many
-    nodes there are.
+    Returns the vertices ascending, each one's subset id and the
+    subsets as one CSR pair: subset ``s`` is
+    ``members[offsets[s]:offsets[s + 1]]``, the ascending compute-order
+    indices of the nodes whose fragments touch the vertex.  One stable
+    sort of the rows by vertex gives the vertices and every vertex's
+    owner segment; segments of equal length are compared as the rows of
+    one matrix, so memory stays O(table rows) however many nodes there
+    are.
     """
-    by_vertex = np.argsort(vertex_of_row, kind="stable")
+    by_vertex, starts, lengths = value_runs(row_vertex)
     owners = row_owner[by_vertex]  # grouped by vertex, ascending within
-    lengths = np.bincount(vertex_of_row)
-    starts = np.cumsum(lengths) - lengths
     subset_of = np.empty(len(lengths), dtype=np.intp)
     members: list[np.ndarray] = []
     sizes: list[np.ndarray] = []
@@ -209,7 +237,85 @@ def _subscriber_subsets(
         members.append(distinct.ravel())
         sizes.append(np.full(len(distinct), length))
     offsets = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
-    return subset_of, np.concatenate(members), offsets
+    vertices = row_vertex[by_vertex[starts]]
+    return vertices, subset_of, np.concatenate(members), offsets
+
+
+@dataclass(frozen=True)
+class _Groups:
+    """The groups a superstep's shuffle delivers, fixed per run.
+
+    Every superstep ships the same keys along the same layout, so the
+    arrivals' keys (``arrived``) and their grouping per ``(owner,
+    vertex)`` are the first superstep's: ``values[order]`` reduced at
+    ``starts`` is every group's label.  Per group: its ``owner``, its
+    ``vertex`` and that vertex's position among the run's distinct
+    vertices (``position``); ``own_groups`` are the groups whose owner
+    holds a row of the vertex table for the vertex, at ``own_rows``.
+    """
+
+    arrived: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    vertex: np.ndarray
+    position: np.ndarray
+    own_groups: np.ndarray
+    own_rows: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        owners: np.ndarray,
+        arrived: np.ndarray,
+        all_vertices: np.ndarray,
+        table: np.ndarray,
+    ) -> "_Groups":
+        """Group the arrivals ``(owners, arrived)``: the owners'
+        combine, its sort run once for the whole run."""
+        order, starts, _ = sorted_runs(owners, arrived)
+        first = order[starts]
+        owner, vertex = owners[first], arrived[first]
+        return cls(
+            arrived,
+            order,
+            starts,
+            owner,
+            vertex,
+            np.searchsorted(all_vertices, vertex),
+            *_table_rows(table, owner, vertex),
+        )
+
+
+def _label_runs(
+    group_owner: np.ndarray,
+    group_subset: np.ndarray,
+    subscribers: np.ndarray,
+    subscriber_offsets: np.ndarray,
+) -> tuple:
+    """The multicast runs of a label-return leg shipping every group.
+
+    A run is an ``(owner, subscriber subset)`` pair, its Steiner
+    destinations the subset with the owner masked out; a vertex whose
+    only subscriber is its owner ships nothing (its run is empty).
+    Returns ``(run_owner, destinations, counts, ships)``: what
+    :meth:`~repro.sim.cluster.RoundContext.exchange_multicast_runs`
+    takes, ``ships`` being the groups whose labels travel, in run order.
+    A leg shipping fewer groups keeps the runs and their order and
+    ships fewer labels per run.
+    """
+    rows = np.column_stack((group_owner, group_subset))
+    order, starts, lengths = row_runs(rows)
+    run_owner, run_subset = rows[order[starts]].T
+    sizes = np.diff(subscriber_offsets)[run_subset]
+    members = subscribers[concat_ranges(subscriber_offsets[run_subset], sizes)]
+    run_of = np.repeat(np.arange(len(starts)), sizes)
+    away = members != run_owner[run_of]
+    fanout = np.bincount(run_of[away], minlength=len(starts))
+    live = fanout > 0
+    destinations = (members[away], np.concatenate([[0], np.cumsum(fanout)]))
+    ships = order[np.repeat(live, lengths)]
+    return run_owner, destinations, np.where(live, lengths, 0), ships
 
 
 def _hash_to_min(
@@ -236,6 +342,14 @@ def _hash_to_min(
     combine.  Without it, proposals are the textbook single-hop
     messages, one per directed edge plus one identity message per row,
     shipped raw.
+
+    Every superstep ships the same keys from the same holders; only
+    the labels in the payload change.  So the shuffle's layout (owner
+    hash and runs), its bound and, once the first superstep's messages
+    arrive, their grouping at the owners (:class:`_Groups`) are computed
+    once per run, and so are the return legs' runs (a delta leg ships
+    fewer labels along them).  A later superstep whose arrivals differ
+    from the first's raises :class:`ProtocolError`.
     """
     tree.require_symmetric("connected components")
     distribution.validate_for(tree)
@@ -280,34 +394,27 @@ def _hash_to_min(
             [lo_row, hi_row, np.arange(len(table))]
         )[by_owner]
         message_offsets = offsets + 2 * np.concatenate([[0], np.cumsum(sizes)])
+    message_sizes = np.diff(message_offsets)
 
-    all_vertices, vertex_of_row = unique_inverse(row_vertex)
     # Return legs group label updates by *subscriber set* (the owners
     # whose fragments touch the vertex); many vertices share one.
-    subset_of, subscribers, subscriber_offsets = _subscriber_subsets(
-        row_owner, vertex_of_row
+    all_vertices, subset_of, subscribers, subscriber_offsets = (
+        _subscriber_subsets(row_owner, row_vertex)
     )
     prev_labels = all_vertices.copy()  # identity is globally known
     if max_supersteps is None:
         max_supersteps = len(all_vertices) + 2
 
-    # Every superstep shuffles the same keys from the same holders (only
-    # the labels in the payload change), so the shuffle's owner hash, its
-    # group-by bound and its group count are fixed before the first one.
-    def shuffle_input(payload: np.ndarray) -> Distribution:
-        """Every node's messages ``(key, payload)``, as relation ``R``."""
-        messages = encode_tuples(message_keys, payload, payload_bits=VERTEX_BITS)
-        return Distribution.from_columns(computes, {"R": (messages, message_offsets)})
-
     tracer = get_tracer()
     auditor = get_auditor()
     shuffle = f"{shuffle_protocol}-groupby"
-    hasher = groupby_hasher(shuffle_protocol, computes, np.diff(message_offsets), seed)
+    layout = shuffle_layout(
+        np.repeat(np.arange(len(computes)), message_sizes),
+        message_keys,
+        groupby_hasher(shuffle_protocol, computes, message_sizes, seed),
+    )
     with tracer.span("groupby bound", category="bound", task=_GROUPBY):
-        # the bound reads keys and holders only: any payload will do
-        bound = groupby_lower_bound(
-            tree, shuffle_input(message_keys), payload_bits=VERTEX_BITS
-        )
+        bound = groupby_column_bound(tree, message_sizes, message_keys)
     op_meta = {
         "op": "min",
         "pre_aggregate": local_closure,  # the closure is the combiner
@@ -316,7 +423,8 @@ def _hash_to_min(
     step_meta = {"result": op_meta, "bound": bound.description}
 
     converged = False
-    owned: dict = {}
+    owned: _Groups | None = None  # fixed by the first superstep's arrivals
+    leg = None  # the return legs' runs, fixed with them
     for step in range(1, max_supersteps + 1):
         if local_closure:
             proposals = np.empty_like(labels)
@@ -326,7 +434,9 @@ def _hash_to_min(
             )
         else:
             proposals = labels[message_rows]
-        cluster.load(shuffle_input(proposals))
+        # the nodes hold their messages as relation R while the round runs
+        messages = encode_tuples(message_keys, proposals, payload_bits=VERTEX_BITS)
+        cluster.load_column("R", messages, message_offsets)
         with driver.step(
             task=_GROUPBY,
             protocol=shuffle,
@@ -336,21 +446,27 @@ def _hash_to_min(
             lower_bound=bound.value,
             meta=step_meta,
         ):
-            owned = hashed_groupby_round(
-                cluster,
-                hasher,
-                recv_tag=_SHUFFLE_RECV,
-                op="min",
-                payload_bits=VERTEX_BITS,
-                pre_aggregate=False,
+            owners, received = shuffle_round(
+                cluster, layout, messages, recv_tag=_SHUFFLE_RECV
             )
-            # every vertex some fragment touches is one group
+            arrived, values = decode_tuples(received, payload_bits=VERTEX_BITS)
+            if owned is None:
+                owned = _Groups.of(owners, arrived, all_vertices, table)
             with tracer.span("groupby verify", category="verify", task=_GROUPBY):
-                if owned.bounds[-1] != len(all_vertices):
+                # every vertex some fragment touches is one group, and
+                # the grouping fixed by the first superstep still holds
+                if len(owned.vertex) != len(all_vertices):
                     raise ProtocolError(
-                        f"{shuffle} emitted {owned.bounds[-1]} of "
+                        f"{shuffle} emitted {len(owned.vertex)} of "
                         f"{len(all_vertices)} groups"
                     )
+                if not np.array_equal(arrived, owned.arrived):
+                    raise ProtocolError(
+                        f"superstep {step} of {shuffle} delivered other keys "
+                        "than the first superstep; the owners' grouping is "
+                        "fixed per run"
+                    )
+            out_labels = np.minimum.reduceat(values[owned.order], owned.starts)
             auditor.check_bound(
                 cost=driver.ledger.round_cost(-1),
                 bound=bound.value,
@@ -358,37 +474,26 @@ def _hash_to_min(
                 protocol=shuffle,
                 per_instance=False,
             )
-        # Every owner's output as one (owner, vertex, label) relation.
-        out_owner = np.repeat(np.arange(len(computes)), np.diff(owned.bounds))
-        out_vertices, out_labels = owned.keys_array, owned.values_array
-        positions = np.searchsorted(all_vertices, out_vertices)
-        changed = out_labels != prev_labels[positions]
+        changed = out_labels != prev_labels[owned.position]
         if not changed.any():
             converged = True
             break
-        prev_labels[positions] = out_labels
-        if delta_return:
-            out_owner, out_vertices, out_labels, positions = (
-                column[changed]
-                for column in (out_owner, out_vertices, out_labels, positions)
+        prev_labels[owned.position] = out_labels
+        # One registration per leg, along runs fixed per run: a full
+        # refresh ships every label, a delta leg the changed ones.
+        if leg is None:
+            leg = _label_runs(
+                owned.owner,
+                subset_of[owned.position],
+                subscribers,
+                subscriber_offsets,
             )
-        # One registration per leg: a run is an (owner, subscriber
-        # subset) pair, its Steiner destinations the subset with the
-        # owner masked out; a vertex whose only subscriber is its owner
-        # ships nothing (its run is empty).
-        rows = np.column_stack((out_owner, subset_of[positions]))
-        order, starts, lengths = row_runs(rows)
-        run_owner, run_subset = rows[order[starts]].T
-        sizes = np.diff(subscriber_offsets)[run_subset]
-        members = subscribers[
-            concat_ranges(subscriber_offsets[run_subset], sizes)
-        ]
-        run_of = np.repeat(np.arange(len(starts)), sizes)
-        away = members != run_owner[run_of]
-        fanout = np.bincount(run_of[away], minlength=len(starts))
-        live = fanout > 0
-        counts = np.where(live, lengths, 0)
-        ships = order[np.repeat(live, lengths)]
+        run_owner, destinations, counts, ships = leg
+        if delta_return:
+            sent = changed[ships]
+            shipped = np.concatenate([[0], np.cumsum(sent)])
+            counts = np.diff(shipped[np.concatenate([[0], np.cumsum(counts)])])
+            ships = ships[sent]
         with driver.cluster_round(
             task="connected-components",
             protocol="label-return",
@@ -397,10 +502,10 @@ def _hash_to_min(
         ) as ctx:
             ctx.exchange_multicast_runs(
                 run_owner,
-                (members[away], np.concatenate([[0], np.cumsum(fanout)])),
+                destinations,
                 counts,
                 encode_tuples(
-                    out_vertices[ships],
+                    owned.vertex[ships],
                     out_labels[ships],
                     payload_bits=VERTEX_BITS,
                 ),
@@ -411,14 +516,12 @@ def _hash_to_min(
             received, payload_bits=VERTEX_BITS
         )
         # An owner that also holds edges of a vertex updates its own row
-        # for free; subscribers update from what the leg delivered.
-        keys = _row_keys(
-            np.concatenate([out_owner, got_owner]),
-            np.concatenate([out_vertices, got_vertices]),
-        )
-        rows = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-        held = table[rows] == keys
-        labels[rows[held]] = np.concatenate([out_labels, got_labels])[held]
+        # for free (an unchanged label is already there); subscribers
+        # update from what the leg delivered.
+        mine = changed[owned.own_groups]
+        labels[owned.own_rows[mine]] = out_labels[owned.own_groups[mine]]
+        held, rows = _table_rows(table, got_owner, got_vertices)
+        labels[rows] = got_labels[held]
     if not converged:
         raise ProtocolError(
             f"hash-to-min did not converge within {max_supersteps} supersteps"
@@ -429,7 +532,9 @@ def _hash_to_min(
         num_supersteps=step,
         converged=True,
     )
-    return driver, owned, meta
+    return driver, GroupOutputs(
+        computes, owner_bounds(owned.owner, len(computes)), owned.vertex, out_labels
+    ), meta
 
 
 def _finalize(

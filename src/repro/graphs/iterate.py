@@ -7,7 +7,7 @@ it runs a workload as a sequence of steps on one
 :class:`~repro.sim.cluster.Cluster`, whose ledger is the run's ledger.
 A step is any rounds the caller runs on that cluster inside
 :meth:`SuperstepDriver.step` — a hash-to-min shuffle is one
-:func:`~repro.queries.aggregate.hashed_groupby_round` — or one round
+:func:`~repro.queries.aggregate.shuffle_round` along the run's layout — or one round
 opened by :meth:`SuperstepDriver.cluster_round` (e.g. pushing updated
 labels back to the nodes that subscribe to them).  Every round is
 charged once, where it runs, so the driver's total cost is exactly the

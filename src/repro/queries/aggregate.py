@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.common import LowerBound, column_holders
+from repro.core.common import LowerBound
 from repro.data.columns import KeyValueArrays, NodeOutputs
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
@@ -141,6 +141,43 @@ def groupby_hasher(
     return WeightedNodeHasher(computes, sizes, derive_seed(seed, "groupby"))
 
 
+def shuffle_layout(
+    owners: np.ndarray, keys: np.ndarray, hasher: WeightedNodeHasher
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The layout half of a hashed group-by round: where every tuple goes.
+
+    Tuple ``i`` is held by compute node ``owners[i]`` and travels to
+    the owner ``hasher`` picks for ``keys[i]``; the tuples are cut into
+    runs by :func:`~repro.util.grouping.runs_by_target`, so the result
+    is ``(order, run_sources, run_targets, counts)``.  It reads keys and
+    holders only: a driver whose rounds ship the same keys from the
+    same holders (the hash-to-min supersteps of
+    :mod:`repro.graphs.components`) lays out once and ships many
+    payloads along it.
+    """
+    return runs_by_target(owners, hasher.assign_indices(keys))
+
+
+def shuffle_round(
+    cluster: Cluster, layout: tuple, payload: np.ndarray, *, recv_tag: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The round half: ship ``payload`` along ``layout`` in one round.
+
+    ``layout`` is :func:`shuffle_layout`'s, over the tuples ``payload``
+    holds in the same order.  The nodes hold that input as relation
+    ``R`` while the round runs; the round consumes it and what arrives
+    under ``recv_tag``, and returns the arrivals as
+    :meth:`Cluster.column <repro.sim.cluster.Cluster.column>` does:
+    ``(owners, received)``, ascending by owner, each owner's in run
+    order.
+    """
+    order, *runs = layout
+    with cluster.round() as ctx:
+        ctx.exchange_runs(*runs, payload[order], tag=recv_tag)
+    cluster.take_column("R")
+    return cluster.take_column(recv_tag)
+
+
 def hashed_groupby_round(
     cluster: Cluster,
     hasher: WeightedNodeHasher,
@@ -153,28 +190,25 @@ def hashed_groupby_round(
     """Combine, shuffle by ``hasher`` and finalize: one group-by round.
 
     Shared by the tree protocol and the uniform-hash baseline, which
-    differ only in the hash (:func:`groupby_hasher`), and by the
-    hash-to-min supersteps of :mod:`repro.graphs.components`.  With
-    ``pre_aggregate`` every node ships one partial per key (``count``
-    partials are counts, so the owners finalize them by ``sum``);
-    without it raw tuples travel and finalize under ``op``.  The round
-    consumes relation ``R`` and what arrives under ``recv_tag``, so a driver
-    can run one per superstep on the same cluster.  Returns the
-    per-node :class:`~repro.data.columns.KeyValueArrays` outputs as
-    one :class:`GroupOutputs`.
+    differ only in the hash (:func:`groupby_hasher`): the two kernel
+    halves in sequence, :func:`shuffle_layout` over what relation ``R``
+    holds, then :func:`shuffle_round`.  With ``pre_aggregate`` every
+    node ships one partial per key (``count`` partials are counts, so
+    the owners finalize them by ``sum``); without it raw tuples travel
+    and finalize under ``op``.  The round consumes relation ``R`` and
+    what arrives under ``recv_tag``, so a driver can run one per step
+    on the same cluster.  Returns the per-node
+    :class:`~repro.data.columns.KeyValueArrays` outputs as one
+    :class:`GroupOutputs`.
     """
-    with cluster.round() as ctx:
-        owners, payload = cluster.column("R")
-        keys, values = decode_tuples(payload, payload_bits=payload_bits)
-        if pre_aggregate:
-            owners, keys, values = combine_per_node_key(
-                owners, keys, values, op
-            )
-            payload = encode_tuples(keys, values, payload_bits=payload_bits)
-        order, *runs = runs_by_target(owners, hasher.assign_indices(keys))
-        ctx.exchange_runs(*runs, payload[order], tag=recv_tag)
-    cluster.take_column("R")
-    owners, received = cluster.take_column(recv_tag)
+    owners, payload = cluster.column("R")
+    keys, values = decode_tuples(payload, payload_bits=payload_bits)
+    if pre_aggregate:
+        owners, keys, values = combine_per_node_key(owners, keys, values, op)
+        payload = encode_tuples(keys, values, payload_bits=payload_bits)
+    owners, received = shuffle_round(
+        cluster, shuffle_layout(owners, keys, hasher), payload, recv_tag=recv_tag
+    )
     keys, values = decode_tuples(received, payload_bits=payload_bits)
     owners, keys, values = combine_per_node_key(
         owners, keys, values, "sum" if pre_aggregate and op == "count" else op
@@ -184,6 +218,20 @@ def hashed_groupby_round(
     # (a Mapping-compatible view, no per-key boxing)
     return GroupOutputs(
         computes, owner_bounds(owners, len(computes)), keys, values
+    )
+
+
+def groupby_column_bound(
+    tree: TreeTopology, sizes: np.ndarray, keys: np.ndarray
+) -> LowerBound:
+    """:func:`groupby_lower_bound` over one column of keys: the first
+    ``sizes[0]`` keys held by ``tree.compute_nodes[0]``, the next
+    ``sizes[1]`` by the next compute node, and so on."""
+    return LowerBound.from_shared_keys(
+        tree,
+        np.repeat(tree.routing_index.compute_idx, sizes),
+        keys,
+        "per-link shared-key counting (group-by)",
     )
 
 
@@ -216,12 +264,10 @@ def groupby_lower_bound(
     placements, which is what forces the factor 2.)
     """
     tree.require_symmetric("the group-by lower bound")
+    distribution.validate_for(tree)
     keys, _ = decode_tuples(distribution.column("R")[0], payload_bits=payload_bits)
-    return LowerBound.from_shared_keys(
-        tree,
-        column_holders(tree, distribution, "R"),
-        keys,
-        "per-link shared-key counting (group-by)",
+    return groupby_column_bound(
+        tree, distribution.sizes_over(tree.compute_nodes, "R"), keys
     )
 
 

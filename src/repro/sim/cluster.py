@@ -643,6 +643,27 @@ class Cluster:
             values, offsets = distribution.column(tag)
             self._storage.install(tag, owners, offsets[:-1], offsets[1:], values)
 
+    def load_column(self, tag: str, values, offsets: np.ndarray) -> None:
+        """Install relation ``tag`` held in compute order: node
+        ``compute_order[i]`` gets ``values[offsets[i]:offsets[i + 1]]``.
+
+        What :meth:`load` does per tag, for a column a protocol already
+        holds in compute order (a superstep's messages), with no
+        :class:`~repro.data.distribution.Distribution` around it.  The
+        values are referenced, not copied.
+        """
+        values = RoundContext._as_payload(values)
+        count = len(self.compute_order)
+        if len(offsets) != count + 1 or offsets[-1] != len(values):
+            raise ProtocolError(
+                f"{len(offsets)} offsets over {len(values)} values; a column "
+                f"over {count} compute nodes needs {count + 1}, the last "
+                "one its length"
+            )
+        self._storage.install(
+            str(tag), np.arange(count), offsets[:-1], offsets[1:], values
+        )
+
     def local(self, node: NodeId, tag: str) -> np.ndarray:
         """All elements ``node`` currently holds under ``tag``.
 

@@ -11,7 +11,8 @@ simulator's wall-clock.  Grouping with one stable ``argsort`` is
 is stable).
 
 The sorts by ``(owner, key)`` pairs, by rows and by values
-(:func:`sorted_runs`, :func:`row_runs`, :func:`unique_inverse`) pack
+(:func:`sorted_runs`, :func:`row_runs`, :func:`value_runs`,
+:func:`unique_inverse`) pack
 when they can: if each field's span (``max - min``, in Python ints) and
 the positions together need at most 63 bits, one plain ``np.sort`` of
 int64 words ``((owner - min) << k | (key - min)) << p | position``
@@ -204,22 +205,29 @@ def full_width_runs(
     return order, starts, np.diff(starts, append=len(order))
 
 
-def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` for a 1-D integer array.
+def value_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sorted_runs` for one column: ``(order, starts, lengths)``,
+    ``order`` a stable sort of ``values`` and run ``j`` — one distinct
+    value, ascending — ``order[starts[j] : starts[j] + lengths[j]]``.
 
-    Values whose span and positions fit in 63 bits take one ``np.sort``
-    of packed words (see :func:`sorted_runs`); the rest go to NumPy.
+    One packed ``np.sort`` when the span and the positions fit 63 bits;
+    a stable argsort otherwise.
     """
     packed = _sorted_positions((values,))
-    if packed is None:
-        return np.unique(values, return_inverse=True)
-    order, words, (lo,) = packed
-    starts, lengths = _run_starts(words)
-    inverse = np.empty(len(words), dtype=np.intp)
+    if packed is not None:
+        order, words, _ = packed
+        return order, *_run_starts(words)
+    order = np.argsort(values, kind="stable")
+    return order, *_run_starts(values[order])
+
+
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D integer array,
+    from the runs of :func:`value_runs`."""
+    order, starts, lengths = value_runs(values)
+    inverse = np.empty(len(values), dtype=np.intp)
     inverse[order] = np.repeat(np.arange(len(starts)), lengths)
-    distinct = words[starts]
-    distinct += lo
-    return distinct.astype(values.dtype, copy=False), inverse
+    return values[order[starts]], inverse
 
 
 def runs_by_target(
