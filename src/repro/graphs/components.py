@@ -31,14 +31,17 @@ The protocol flavours differ exactly where topology awareness lives:
 * ``gather`` — ship every edge to one node and run union-find there
   (one round; optimal when one node dominates).
 
-Every superstep ships the same keys from the same holders; only the
-labels in the payload change.  So a hash-to-min run lays out its
-shuffle once (:func:`~repro.queries.aggregate.shuffle_layout`: the
-owner hash and the runs), computes the group-by bound once, and groups
-the owners' arrivals once, on the first superstep; each superstep
-installs its messages as relation ``R`` and is one
-:func:`~repro.queries.aggregate.shuffle_round` along that layout.
-Arrivals that differ from the first superstep's are refused.
+Every superstep ships the same keys from the same holders, and every
+return leg the labels of the same groups to the same subscribers; only
+the labels change.  So a hash-to-min run lays out both legs once, as
+cluster layouts (:class:`~repro.sim.layout.RoundLayout`): the shuffle
+(:func:`~repro.queries.aggregate.shuffle_layout`, the owner hash and
+the runs) and the return leg (one multicast run per owner and
+subscriber set).  Their delivery indexes say what every superstep will
+deliver: the keys the owners group, once per run, and the vertex-table
+row of every label a return leg delivers — a gather, not a search.
+Each superstep ships both legs along their layouts, a delta leg fewer
+labels per run; arrivals other than the layout says are refused.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from repro.queries.aggregate import (
 from repro.queries.tuples import decode_tuples, encode_tuples
 from repro.registry import register_protocol, register_task
 from repro.report import GraphRunReport
+from repro.sim.layout import RoundLayout
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import NodeId, TreeTopology
 from repro.util.components import component_roots
@@ -195,31 +199,19 @@ def _row_keys(owner: np.ndarray, vertex: np.ndarray) -> np.ndarray:
     return (owner.astype(np.int64) << np.int64(VERTEX_BITS)) | vertex
 
 
-def _table_rows(
-    table: np.ndarray, owner: np.ndarray, vertex: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which ``(owner, vertex)`` pairs hold a row of the vertex table:
-    their positions among the pairs, and those rows."""
-    keys = _row_keys(owner, vertex)
-    rows = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-    held = np.flatnonzero(table[rows] == keys)
-    return held, rows[held]
-
-
-def _subscriber_subsets(
-    row_owner: np.ndarray, row_vertex: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _subscriber_subsets(row_owner: np.ndarray, row_vertex: np.ndarray) -> tuple:
     """The distinct vertices and their deduplicated subscriber sets:
     the vertex table read by vertex.
 
-    Returns the vertices ascending, each one's subset id and the
-    subsets as one CSR pair: subset ``s`` is
-    ``members[offsets[s]:offsets[s + 1]]``, the ascending compute-order
-    indices of the nodes whose fragments touch the vertex.  One stable
-    sort of the rows by vertex gives the vertices and every vertex's
-    owner segment; segments of equal length are compared as the rows of
-    one matrix, so memory stays O(table rows) however many nodes there
-    are.
+    Returns the vertices ascending, each one's subset id, the subsets
+    as one CSR pair — subset ``s`` is ``members[offsets[s]:offsets[s +
+    1]]``, the ascending compute-order indices of the nodes whose
+    fragments touch the vertex — and the table rows grouped by vertex
+    with each vertex's first: the ``j``-th member of a vertex's subset
+    holds its row ``by_vertex[starts[vertex] + j]``.  One stable sort of
+    the rows by vertex gives the vertices and every vertex's owner
+    segment; segments of equal length are compared as the rows of one
+    matrix, so memory stays O(table rows) however many nodes there are.
     """
     by_vertex, starts, lengths = value_runs(row_vertex)
     owners = row_owner[by_vertex]  # grouped by vertex, ascending within
@@ -238,20 +230,16 @@ def _subscriber_subsets(
         sizes.append(np.full(len(distinct), length))
     offsets = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
     vertices = row_vertex[by_vertex[starts]]
-    return vertices, subset_of, np.concatenate(members), offsets
+    return vertices, subset_of, np.concatenate(members), offsets, by_vertex, starts
 
 
 @dataclass(frozen=True)
 class _Groups:
-    """The groups a superstep's shuffle delivers, fixed per run.
-
-    Every superstep ships the same keys along the same layout, so the
-    arrivals' keys (``arrived``) and their grouping per ``(owner,
-    vertex)`` are the first superstep's: ``values[order]`` reduced at
-    ``starts`` is every group's label.  Per group: its ``owner``, its
-    ``vertex`` and that vertex's position among the run's distinct
-    vertices (``position``); ``own_groups`` are the groups whose owner
-    holds a row of the vertex table for the vertex, at ``own_rows``.
+    """The groups a superstep's shuffle delivers, fixed per run: the
+    keys its layout delivers (``arrived``) and their grouping per
+    ``(owner, vertex)``, ``values[order]`` reduced at ``starts`` being
+    every group's label.  Per group: its ``owner``, its ``vertex`` and
+    that vertex's position among the run's distinct vertices.
     """
 
     arrived: np.ndarray
@@ -260,62 +248,78 @@ class _Groups:
     owner: np.ndarray
     vertex: np.ndarray
     position: np.ndarray
-    own_groups: np.ndarray
-    own_rows: np.ndarray
 
     @classmethod
-    def of(
-        cls,
-        owners: np.ndarray,
-        arrived: np.ndarray,
-        all_vertices: np.ndarray,
-        table: np.ndarray,
-    ) -> "_Groups":
+    def of(cls, owners: np.ndarray, arrived: np.ndarray, all_vertices: np.ndarray):
         """Group the arrivals ``(owners, arrived)``: the owners'
         combine, its sort run once for the whole run."""
         order, starts, _ = sorted_runs(owners, arrived)
         first = order[starts]
         owner, vertex = owners[first], arrived[first]
         return cls(
-            arrived,
-            order,
-            starts,
-            owner,
-            vertex,
-            np.searchsorted(all_vertices, vertex),
-            *_table_rows(table, owner, vertex),
+            arrived, order, starts, owner, vertex, np.searchsorted(all_vertices, vertex)
         )
 
 
-def _label_runs(
-    group_owner: np.ndarray,
-    group_subset: np.ndarray,
-    subscribers: np.ndarray,
-    subscriber_offsets: np.ndarray,
-) -> tuple:
-    """The multicast runs of a label-return leg shipping every group.
+@dataclass(frozen=True)
+class _ReturnLeg:
+    """A run's label-return leg, laid out once.
 
     A run is an ``(owner, subscriber subset)`` pair, its Steiner
     destinations the subset with the owner masked out; a vertex whose
     only subscriber is its owner ships nothing (its run is empty).
-    Returns ``(run_owner, destinations, counts, ships)``: what
-    :meth:`~repro.sim.cluster.RoundContext.exchange_multicast_runs`
-    takes, ``ships`` being the groups whose labels travel, in run order.
-    A leg shipping fewer groups keeps the runs and their order and
-    ships fewer labels per run.
+    ``ships`` are the groups a full leg ships, in payload order; a delta
+    leg ships the changed ones along the same runs.  Per label a full
+    leg delivers, in the layout's delivery order: its group
+    (``arrivals``) and the vertex-table row it updates (``rows``).  An
+    owner that subscribes to its own vertex updates its row for free:
+    ``own_groups`` at ``own_rows``.
     """
-    rows = np.column_stack((group_owner, group_subset))
-    order, starts, lengths = row_runs(rows)
-    run_owner, run_subset = rows[order[starts]].T
-    sizes = np.diff(subscriber_offsets)[run_subset]
-    members = subscribers[concat_ranges(subscriber_offsets[run_subset], sizes)]
-    run_of = np.repeat(np.arange(len(starts)), sizes)
-    away = members != run_owner[run_of]
-    fanout = np.bincount(run_of[away], minlength=len(starts))
-    live = fanout > 0
-    destinations = (members[away], np.concatenate([[0], np.cumsum(fanout)]))
-    ships = order[np.repeat(live, lengths)]
-    return run_owner, destinations, np.where(live, lengths, 0), ships
+
+    layout: RoundLayout
+    ships: np.ndarray
+    arrivals: np.ndarray
+    rows: np.ndarray
+    own_groups: np.ndarray
+    own_rows: np.ndarray
+
+    @classmethod
+    def of(cls, cluster, owned: _Groups, subset_of, subsets: tuple) -> "_ReturnLeg":
+        subscribers, offsets, by_vertex, vertex_starts = subsets
+        rows = np.column_stack((owned.owner, subset_of[owned.position]))
+        order, starts, lengths = row_runs(rows)
+        run_owner, run_subset = rows[order[starts]].T
+        sizes = np.diff(offsets)[run_subset]
+        # every run's subset, and each member's rank in it: the rank of
+        # the vertex-table row it holds among the vertex's rows
+        run_of = np.repeat(np.arange(len(starts)), sizes)
+        index = concat_ranges(offsets[run_subset], sizes)
+        rank = index - offsets[run_subset][run_of]
+        away = subscribers[index] != run_owner[run_of]
+        fanout = np.bincount(run_of[away], minlength=len(starts))
+        layout = cluster.lay_out(
+            run_owner,
+            subscribers[index[away]],
+            np.where(fanout > 0, lengths, 0),
+            offsets=np.concatenate([[0], np.cumsum(fanout)]),
+            tag=_LABEL_RECV,
+        )
+        positions, delivered = layout.delivery
+        ships = order[np.repeat(fanout > 0, lengths)]
+        arrivals = ships[positions]
+        first_row = vertex_starts[owned.position]
+        own_rank = np.full(len(starts), -1)
+        own_rank[run_of[~away]] = rank[~away]
+        group_rank = np.repeat(own_rank, lengths)
+        own_groups = order[group_rank >= 0]
+        return cls(
+            layout,
+            ships,
+            arrivals,
+            by_vertex[first_row[arrivals] + rank[away][layout.row_member[delivered]]],
+            own_groups,
+            by_vertex[first_row[own_groups] + group_rank[group_rank >= 0]],
+        )
 
 
 def _hash_to_min(
@@ -343,13 +347,11 @@ def _hash_to_min(
     messages, one per directed edge plus one identity message per row,
     shipped raw.
 
-    Every superstep ships the same keys from the same holders; only
-    the labels in the payload change.  So the shuffle's layout (owner
-    hash and runs), its bound and, once the first superstep's messages
-    arrive, their grouping at the owners (:class:`_Groups`) are computed
-    once per run, and so are the return legs' runs (a delta leg ships
-    fewer labels along them).  A later superstep whose arrivals differ
-    from the first's raises :class:`ProtocolError`.
+    Both legs are laid out once per run (see the module docstring), and
+    so are the shuffle's bound, the owners' grouping (:class:`_Groups`)
+    and the table rows the return leg updates (:class:`_ReturnLeg`).  A
+    superstep whose arrivals differ from its layout's raises
+    :class:`ProtocolError`.
     """
     tree.require_symmetric("connected components")
     distribution.validate_for(tree)
@@ -398,21 +400,32 @@ def _hash_to_min(
 
     # Return legs group label updates by *subscriber set* (the owners
     # whose fragments touch the vertex); many vertices share one.
-    all_vertices, subset_of, subscribers, subscriber_offsets = (
-        _subscriber_subsets(row_owner, row_vertex)
-    )
+    all_vertices, subset_of, *subsets = _subscriber_subsets(row_owner, row_vertex)
     prev_labels = all_vertices.copy()  # identity is globally known
     if max_supersteps is None:
         max_supersteps = len(all_vertices) + 2
 
     tracer = get_tracer()
     auditor = get_auditor()
-    shuffle = f"{shuffle_protocol}-groupby"
-    layout = shuffle_layout(
+    shuffle_name = f"{shuffle_protocol}-groupby"
+    shuffle = shuffle_layout(
+        cluster,
         np.repeat(np.arange(len(computes)), message_sizes),
         message_keys,
         groupby_hasher(shuffle_protocol, computes, message_sizes, seed),
+        recv_tag=_SHUFFLE_RECV,
     )
+    order, layout = shuffle
+    positions, rows = layout.delivery
+    owned = _Groups.of(
+        layout.row_destination[rows], message_keys[order[positions]], all_vertices
+    )
+    if len(owned.vertex) != len(all_vertices):
+        raise ProtocolError(
+            f"{shuffle_name} emitted {len(owned.vertex)} of "
+            f"{len(all_vertices)} groups"
+        )
+    leg = _ReturnLeg.of(cluster, owned, subset_of, subsets)
     with tracer.span("groupby bound", category="bound", task=_GROUPBY):
         bound = groupby_column_bound(tree, message_sizes, message_keys)
     op_meta = {
@@ -423,8 +436,6 @@ def _hash_to_min(
     step_meta = {"result": op_meta, "bound": bound.description}
 
     converged = False
-    owned: _Groups | None = None  # fixed by the first superstep's arrivals
-    leg = None  # the return legs' runs, fixed with them
     for step in range(1, max_supersteps + 1):
         if local_closure:
             proposals = np.empty_like(labels)
@@ -439,31 +450,20 @@ def _hash_to_min(
         cluster.load_column("R", messages, message_offsets)
         with driver.step(
             task=_GROUPBY,
-            protocol=shuffle,
+            protocol=shuffle_name,
             label=f"superstep {step} shuffle",
             phase="protocol",
             input_size=len(message_keys),
             lower_bound=bound.value,
             meta=step_meta,
         ):
-            owners, received = shuffle_round(
-                cluster, layout, messages, recv_tag=_SHUFFLE_RECV
-            )
+            _, received = shuffle_round(cluster, shuffle, messages)
             arrived, values = decode_tuples(received, payload_bits=VERTEX_BITS)
-            if owned is None:
-                owned = _Groups.of(owners, arrived, all_vertices, table)
             with tracer.span("groupby verify", category="verify", task=_GROUPBY):
-                # every vertex some fragment touches is one group, and
-                # the grouping fixed by the first superstep still holds
-                if len(owned.vertex) != len(all_vertices):
-                    raise ProtocolError(
-                        f"{shuffle} emitted {len(owned.vertex)} of "
-                        f"{len(all_vertices)} groups"
-                    )
                 if not np.array_equal(arrived, owned.arrived):
                     raise ProtocolError(
-                        f"superstep {step} of {shuffle} delivered other keys "
-                        "than the first superstep; the owners' grouping is "
+                        f"superstep {step} of {shuffle_name} delivered other "
+                        "keys than its layout says; the owners' grouping is "
                         "fixed per run"
                     )
             out_labels = np.minimum.reduceat(values[owned.order], owned.starts)
@@ -471,7 +471,7 @@ def _hash_to_min(
                 cost=driver.ledger.round_cost(-1),
                 bound=bound.value,
                 task=_GROUPBY,
-                protocol=shuffle,
+                protocol=shuffle_name,
                 per_instance=False,
             )
         changed = out_labels != prev_labels[owned.position]
@@ -479,49 +479,45 @@ def _hash_to_min(
             converged = True
             break
         prev_labels[owned.position] = out_labels
-        # One registration per leg, along runs fixed per run: a full
+        # One shipment per leg along the run's return layout: a full
         # refresh ships every label, a delta leg the changed ones.
-        if leg is None:
-            leg = _label_runs(
-                owned.owner,
-                subset_of[owned.position],
-                subscribers,
-                subscriber_offsets,
-            )
-        run_owner, destinations, counts, ships = leg
+        ships, counts = leg.ships, None
+        arrivals, rows = leg.arrivals, leg.rows
         if delta_return:
             sent = changed[ships]
             shipped = np.concatenate([[0], np.cumsum(sent)])
-            counts = np.diff(shipped[np.concatenate([[0], np.cumsum(counts)])])
+            counts = np.diff(shipped[np.concatenate([[0], np.cumsum(leg.layout.counts)])])
             ships = ships[sent]
+            delivered = changed[arrivals]
+            arrivals, rows = arrivals[delivered], rows[delivered]
         with driver.cluster_round(
             task="connected-components",
             protocol="label-return",
             label=f"superstep {step} return",
             input_size=len(ships),
         ) as ctx:
-            ctx.exchange_multicast_runs(
-                run_owner,
-                destinations,
-                counts,
+            ctx.exchange_layout(
+                leg.layout,
                 encode_tuples(
-                    owned.vertex[ships],
-                    out_labels[ships],
-                    payload_bits=VERTEX_BITS,
+                    owned.vertex[ships], out_labels[ships], payload_bits=VERTEX_BITS
                 ),
-                tag=_LABEL_RECV,
+                counts,
             )
-        got_owner, received = cluster.take_column(_LABEL_RECV)
-        got_vertices, got_labels = decode_tuples(
-            received, payload_bits=VERTEX_BITS
-        )
+        _, received = cluster.take_column(_LABEL_RECV)
+        got_vertices, got_labels = decode_tuples(received, payload_bits=VERTEX_BITS)
+        # the layout says which vertex every delivered label is for, and
+        # so which table row it updates
+        if not np.array_equal(got_vertices, owned.vertex[arrivals]):
+            raise ProtocolError(
+                f"superstep {step} return delivered other labels than its "
+                "layout says"
+            )
         # An owner that also holds edges of a vertex updates its own row
         # for free (an unchanged label is already there); subscribers
         # update from what the leg delivered.
-        mine = changed[owned.own_groups]
-        labels[owned.own_rows[mine]] = out_labels[owned.own_groups[mine]]
-        held, rows = _table_rows(table, got_owner, got_vertices)
-        labels[rows] = got_labels[held]
+        mine = changed[leg.own_groups]
+        labels[leg.own_rows[mine]] = out_labels[leg.own_groups[mine]]
+        labels[rows] = got_labels
     if not converged:
         raise ProtocolError(
             f"hash-to-min did not converge within {max_supersteps} supersteps"

@@ -32,6 +32,7 @@ from repro.errors import ProtocolError
 from repro.queries.tuples import DEFAULT_PAYLOAD_BITS, decode_tuples, encode_tuples
 from repro.registry import register_protocol
 from repro.sim.cluster import Cluster
+from repro.sim.layout import RoundLayout
 from repro.sim.protocol import ProtocolResult
 from repro.topology.tree import TreeTopology
 from repro.util.grouping import owner_bounds, runs_by_target, sorted_runs
@@ -142,40 +143,49 @@ def groupby_hasher(
 
 
 def shuffle_layout(
-    owners: np.ndarray, keys: np.ndarray, hasher: WeightedNodeHasher
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    cluster: Cluster,
+    owners: np.ndarray,
+    keys: np.ndarray,
+    hasher: WeightedNodeHasher,
+    *,
+    recv_tag: str,
+) -> tuple[np.ndarray, RoundLayout]:
     """The layout half of a hashed group-by round: where every tuple goes.
 
     Tuple ``i`` is held by compute node ``owners[i]`` and travels to
-    the owner ``hasher`` picks for ``keys[i]``; the tuples are cut into
-    runs by :func:`~repro.util.grouping.runs_by_target`, so the result
-    is ``(order, run_sources, run_targets, counts)``.  It reads keys and
-    holders only: a driver whose rounds ship the same keys from the
-    same holders (the hash-to-min supersteps of
+    the owner ``hasher`` picks for ``keys[i]``, arriving under
+    ``recv_tag``; the tuples are cut into runs by
+    :func:`~repro.util.grouping.runs_by_target`.  Returns ``(order,
+    layout)``: ``values[order]`` lays a parallel column out run by run,
+    and ``layout`` is the cluster's
+    (:meth:`Cluster.lay_out <repro.sim.cluster.Cluster.lay_out>`).  It
+    reads keys and holders only: a protocol whose rounds ship the same
+    keys from the same holders (the hash-to-min supersteps of
     :mod:`repro.graphs.components`) lays out once and ships many
     payloads along it.
     """
-    return runs_by_target(owners, hasher.assign_indices(keys))
+    order, *runs = runs_by_target(owners, hasher.assign_indices(keys))
+    return order, cluster.lay_out(*runs, tag=recv_tag)
 
 
 def shuffle_round(
-    cluster: Cluster, layout: tuple, payload: np.ndarray, *, recv_tag: str
+    cluster: Cluster, shuffle: tuple, payload: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The round half: ship ``payload`` along ``layout`` in one round.
+    """The round half: ship ``payload`` along ``shuffle`` in one round.
 
-    ``layout`` is :func:`shuffle_layout`'s, over the tuples ``payload``
-    holds in the same order.  The nodes hold that input as relation
-    ``R`` while the round runs; the round consumes it and what arrives
-    under ``recv_tag``, and returns the arrivals as
+    ``shuffle`` is :func:`shuffle_layout`'s ``(order, layout)``, over
+    the tuples ``payload`` holds in the same order.  The nodes hold that
+    input as relation ``R`` while the round runs; the round consumes it
+    and what arrives under the layout's tag, and returns the arrivals as
     :meth:`Cluster.column <repro.sim.cluster.Cluster.column>` does:
     ``(owners, received)``, ascending by owner, each owner's in run
-    order.
+    order — the layout's delivery index.
     """
-    order, *runs = layout
+    order, layout = shuffle
     with cluster.round() as ctx:
-        ctx.exchange_runs(*runs, payload[order], tag=recv_tag)
+        ctx.exchange_layout(layout, payload[order])
     cluster.take_column("R")
-    return cluster.take_column(recv_tag)
+    return cluster.take_column(layout.tag)
 
 
 def hashed_groupby_round(
@@ -207,7 +217,9 @@ def hashed_groupby_round(
         owners, keys, values = combine_per_node_key(owners, keys, values, op)
         payload = encode_tuples(keys, values, payload_bits=payload_bits)
     owners, received = shuffle_round(
-        cluster, shuffle_layout(owners, keys, hasher), payload, recv_tag=recv_tag
+        cluster,
+        shuffle_layout(cluster, owners, keys, hasher, recv_tag=recv_tag),
+        payload,
     )
     keys, values = decode_tuples(received, payload_bits=payload_bits)
     owners, keys, values = combine_per_node_key(

@@ -33,19 +33,23 @@ each run is one Section-2 transfer (an empty run sends nothing), each
 ``(dst, tag)`` receives its runs in registration order, and the payload
 is stored as given, so it must not be written after the call.  Each
 call appends one record to one of two streams, unicast and multicast,
-and each stream has one record shape.  Finalization works on runs,
-never on a per-element id column (no per-destination masks, no
-per-group Python loops), and delivers and charges every transfer in
-bulk.  A unicast tag puts its runs in their stable order by
-destination: when the destinations never fall (a hash partition) that
-order is the identity and the payload is installed as registered, one
-stretch per destination; otherwise (a sorting scatter's source-major
-runs) the runs are sorted once and the payload gathered run by run.  A
-multicast tag takes its run bounds from one ``cumsum`` of the counts
-and groups its ``(run, member)`` rows by destination, with no payload
-gather.  Unicasts are charged run by run, with no aggregation by
-``(src, dst)`` pair.  Nothing in the data plane is memoized: every
-grouping runs the kernel on the arrays it is given.
+and each stream has one record shape.
+
+Both calls lay out their runs (:meth:`Cluster.lay_out`, a
+:class:`~repro.sim.layout.RoundLayout`: the rows grouped by destination
+and the path half of the charge) and ship the payload along the layout
+(:meth:`RoundContext.exchange_layout`), the one delivery path.  A
+protocol whose rounds keep their runs lays out once and ships every round
+along the layout, with per-run counts of its own for a delta leg.
+Finalization works on runs, never on a per-element id column (no
+per-destination masks, no per-group Python loops), and delivers and
+charges every transfer in bulk: unicast runs whose destinations never
+fall (a hash partition) install the payload as registered, one stretch
+per destination; other runs (a sorting scatter's source-major runs) are
+gathered run by run; multicast rows take their run bounds from one
+``cumsum`` of the counts.  Runs are charged as they are, with no
+aggregation by ``(src, dst)`` pair.  Nothing in the data plane is
+memoized across runs: a layout lives as long as its caller keeps it.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from itertools import repeat
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -61,48 +65,12 @@ from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
 from repro.obs.audit import get_auditor
 from repro.obs.tracer import get_tracer
+from repro.sim.layout import RoundLayout
 from repro.sim.ledger import BITS_PER_ELEMENT, CostLedger
 from repro.sim.storage import ColumnarStore
 from repro.topology.artifacts import resolve_artifacts
 from repro.topology.tree import NodeId, TreeTopology
-from repro.util.grouping import concat_ranges, gather_ranges, group_slices
-
-
-def _concatenated(parts: Sequence) -> np.ndarray:
-    """``np.concatenate(parts)``, minus the copy when there is one part."""
-    return np.asarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
-
-
-def _group_by_destination(parts: Sequence[tuple]) -> tuple:
-    """One tag's unicast parts grouped by destination: ``(payload,
-    destinations, starts, ends)``, destination ``k`` receiving
-    ``payload[starts[k]:ends[k]]`` in registration order.
-
-    A part is ``(dst_ids, counts, payload)``, run ``i`` being the next
-    ``counts[i]`` elements, bound for ``dst_ids[i]``.  The runs are put
-    in their stable order by destination — a stable sort of runs puts
-    their elements in the order a stable sort of the elements would —
-    and every destination's runs are then one stretch.  Runs whose
-    destinations never fall (a hash partition cut by
-    :func:`~repro.util.grouping.runs_by_target`) are already in that
-    order: it is the identity, and the payload is returned as registered,
-    no copy when there is one part.  Otherwise the payload is gathered
-    run by run (:func:`~repro.util.grouping.gather_ranges`; a sorting
-    scatter's source-major runs are one transpose).
-    """
-    dst_ids, counts, payload = map(_concatenated, zip(*parts))
-    if (dst_ids[1:] < dst_ids[:-1]).any():
-        order = group_slices(dst_ids)[0]
-        payload = gather_ranges(
-            payload, (np.cumsum(counts) - counts)[order], counts[order]
-        )
-        dst_ids, counts = dst_ids[order], counts[order]
-    # each destination's last run, and where its stretch ends
-    last = np.ones(len(dst_ids), dtype=bool)
-    np.not_equal(dst_ids[1:], dst_ids[:-1], out=last[:-1])
-    last = np.flatnonzero(last)
-    ends = np.cumsum(counts)[last]
-    return payload, dst_ids[last], np.concatenate(([0], ends[:-1])), ends
+from repro.util.grouping import concatenated
 
 
 class RoundContext:
@@ -110,24 +78,38 @@ class RoundContext:
 
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
-        # the multicast stream, in registration order: (origins, members,
-        # offsets, counts, payload, tag), nodes as compute-order indices,
-        # the payload laid end to end.  Run i is the next counts[i]
-        # elements, from origins[i] to the set
-        # members[offsets[i]:offsets[i + 1]].  Delivery is deferred to
-        # finalization like the unicast stream's, so the round's
-        # replicated traffic is grouped with one pass per tag and charged
-        # with one vectorized Steiner-flow call.
-        self._multicasts: list[tuple] = []
-        # the unicast stream, in registration order: (sources, targets,
-        # counts, payload, tag), nodes as compute-order indices, the
-        # payload laid end to end, run i being counts[i] elements from
-        # sources[i] to targets[i].  Grouping is deferred to
-        # finalization so the whole round is grouped with one pass, and
-        # registration order is what keeps storage byte-identical to one
-        # transfer per run even when calls mix on one (dst, tag).
-        self._unicast_stream: list[tuple] = []
+        # (layout, counts, payload) per registration, in registration
+        # order; delivery and charge are deferred to finalization, so
+        # the whole round is charged with one push of the tree-flow
+        # kernel, and registration order is what keeps storage
+        # byte-identical to one transfer per run even when calls mix on
+        # one (dst, tag)
+        self._shipments: list[tuple] = []
         self._closed = False
+
+    @property
+    def _unicast_stream(self) -> list[tuple]:
+        """The unicast records, in registration order: ``(sources,
+        targets, counts, payload, tag)``, nodes as compute-order indices,
+        run ``i`` being ``counts[i]`` elements from ``sources[i]`` to
+        ``targets[i]``."""
+        return [
+            (layout.sources, layout.members, counts, payload, layout.tag)
+            for layout, counts, payload in self._shipments
+            if not layout.multicast
+        ]
+
+    @property
+    def _multicasts(self) -> list[tuple]:
+        """The multicast records, in registration order: ``(origins,
+        members, offsets, counts, payload, tag)``, run ``i`` being the
+        next ``counts[i]`` elements, from ``origins[i]`` to the set
+        ``members[offsets[i]:offsets[i + 1]]``."""
+        return [
+            (layout.sources, layout.members, layout.offsets, counts, payload, layout.tag)
+            for layout, counts, payload in self._shipments
+            if layout.multicast
+        ]
 
     # ------------------------------------------------------------------ #
     # validation
@@ -183,10 +165,14 @@ class RoundContext:
             )
 
     @staticmethod
-    def _check_counts(counts: np.ndarray, payload: np.ndarray, call: str) -> None:
-        """Run counts are non-negative and lay the runs end to end."""
+    def _check_signs(counts: np.ndarray) -> None:
+        """Run counts are non-negative."""
         if counts.size and int(counts.min()) < 0:
             raise ProtocolError("run counts must be non-negative")
+
+    @staticmethod
+    def _check_total(counts: np.ndarray, payload: np.ndarray, call: str) -> None:
+        """Run counts lay the runs end to end."""
         if int(counts.sum()) != len(payload):
             raise ProtocolError(
                 f"{len(payload)} values but the run counts sum to "
@@ -215,42 +201,14 @@ class RoundContext:
         registration order.  The three index arrays address the
         canonical compute order, so neither end of a run can be a
         router.  The payload is stored as given, not copied: it must
-        not be written to after the call.  Runs whose targets never
-        fall — a hash partition's — are delivered as registered, one
-        stretch per target and no gather; other orders (a sorting
-        scatter's source-major runs) cost one gather of the payload at
-        finalization.
+        not be written to after the call.  The runs are laid out
+        (:meth:`Cluster.lay_out`) and shipped once
+        (:meth:`exchange_layout`).
         """
         self._check_open()
         payload = self._as_payload(values)
-        source_indices = self._as_indices(sources, "sources")
-        target_indices = self._as_indices(targets, "targets")
-        run_lengths = self._as_indices(counts, "counts")
-        if not len(source_indices) == len(target_indices) == len(run_lengths):
-            raise ProtocolError(
-                f"{len(run_lengths)} counts but {len(source_indices)} sources "
-                f"and {len(target_indices)} targets; exchange_runs needs "
-                "one source, one target and one count per run"
-            )
-        count = len(self._cluster.compute_order)
-        self._check_index_span(
-            source_indices, count, "source indices", "compute nodes"
-        )
-        self._check_index_span(
-            target_indices, count, "target indices", "compute nodes"
-        )
-        self._check_counts(run_lengths, payload, "exchange_runs")
-        if len(payload) == 0:
-            return
-        self._unicast_stream.append(
-            (
-                source_indices,
-                target_indices,
-                run_lengths.astype(np.intp, copy=False),
-                payload,
-                str(tag),
-            )
-        )
+        layout = self._cluster.lay_out(sources, targets, counts, tag=tag)
+        self._ship(layout, payload, layout.counts)
 
     def exchange_multicast_runs(
         self, sources, destinations, counts, values, *, tag: str
@@ -278,20 +236,8 @@ class RoundContext:
         """
         self._check_open()
         payload = self._as_payload(values)
-        origins = self._as_indices(sources, "sources")
-        run_lengths = self._as_indices(counts, "counts")
         if isinstance(destinations, tuple) and len(destinations) == 2:
-            members = self._as_indices(destinations[0], "destination members")
-            offsets = self._as_indices(destinations[1], "destination offsets")
-            if not len(offsets) or (
-                offsets[0] != 0
-                or offsets[-1] != len(members)
-                or (offsets[1:] < offsets[:-1]).any()
-            ):
-                raise ProtocolError(
-                    "destination offsets must rise from 0 to the "
-                    f"{len(members)} members given"
-                )
+            members, offsets = destinations
         else:
             matrix = np.asarray(destinations)
             if matrix.ndim != 2 or matrix.dtype.kind not in "iu":
@@ -301,32 +247,51 @@ class RoundContext:
                 )
             members = matrix.ravel()
             offsets = np.arange(len(matrix) + 1) * matrix.shape[1]
-        if not len(origins) == len(offsets) - 1 == len(run_lengths):
-            raise ProtocolError(
-                f"{len(run_lengths)} counts but {len(origins)} sources and "
-                f"{len(offsets) - 1} destination sets; exchange_multicast_runs "
-                "needs one source, one destination set and one count per run"
-            )
-        count = len(self._cluster.compute_order)
-        self._check_index_span(origins, count, "source indices", "compute nodes")
-        self._check_index_span(
-            members, count, "destination members", "compute nodes"
+        layout = self._cluster.lay_out(
+            sources, members, counts, offsets=offsets, tag=tag
         )
-        self._check_counts(run_lengths, payload, "exchange_multicast_runs")
+        self._ship(layout, payload, layout.counts)
+
+    def exchange_layout(self, layout: RoundLayout, values, counts=None) -> None:
+        """Ship ``values`` along ``layout`` (:meth:`Cluster.lay_out`):
+        run ``i`` is the next ``counts[i]`` elements, by default the
+        counts it was laid out with.
+
+        The round is the one its two calls would register for the same
+        runs and counts — the same stream record, the same deliveries
+        and the same charge — but what the layout already knows is not
+        derived again: the grouping of its rows by destination and the
+        path half of the charge.  A run of count zero sends nothing and
+        stays in the layout, so a delta leg ships fewer elements along
+        the runs of a full one.  The payload is stored as given, not
+        copied: it must not be written to after the call.
+        """
+        self._check_open()
+        payload = self._as_payload(values)
+        if layout.routing is not self._cluster.oracle.routing_index:
+            raise ProtocolError("the layout was laid out on another tree")
+        if counts is None:
+            run_lengths = layout.counts
+        else:
+            run_lengths = self._as_indices(counts, "counts")
+            if len(run_lengths) != layout.runs:
+                raise ProtocolError(
+                    f"{len(run_lengths)} counts but the layout has "
+                    f"{layout.runs} runs; a shipment needs one count per run"
+                )
+            self._check_signs(run_lengths)
+        self._ship(layout, payload, run_lengths.astype(np.intp, copy=False))
+
+    def _ship(self, layout: RoundLayout, payload: np.ndarray, counts: np.ndarray) -> None:
+        """Register a shipment whose layout and counts are checked."""
+        call = "exchange_multicast_runs" if layout.multicast else "exchange_runs"
+        self._check_total(counts, payload, call)
         if len(payload) == 0:
             return
-        if ((offsets[1:] == offsets[:-1]) & (run_lengths > 0)).any():
+        offsets = layout.offsets
+        if layout.multicast and ((offsets[1:] == offsets[:-1]) & (counts > 0)).any():
             raise ProtocolError("multicast needs at least one destination")
-        self._multicasts.append(
-            (
-                origins,
-                members,
-                offsets,
-                run_lengths.astype(np.intp, copy=False),
-                payload,
-                str(tag),
-            )
-        )
+        self._shipments.append((layout, counts, payload))
 
     # ------------------------------------------------------------------ #
     # finalization
@@ -338,31 +303,39 @@ class RoundContext:
         self._finalize_bulk()
 
     def _finalize_bulk(self) -> None:
-        """Deliver and charge the whole round with grouped bookkeeping.
+        """Deliver and charge the whole round, shipment by shipment.
 
-        All transfers are grouped by ``(dst, tag)`` for delivery — per
-        tag across every scatter of the round, over runs
-        (:func:`_group_by_destination`: a stable sort of the runs only
-        when their destinations fall, the identity otherwise; the
-        multicast rows in :meth:`_deliver_multicasts`), with no memo in
-        front of it — and charged per routing unit: every unicast run
-        feeds the vectorized tree-flow charger
-        (:meth:`~repro.topology.steiner.RoutingIndex.unicast_loads`,
-        one LCA per run, no pair aggregation), multicasts their Steiner
-        sets; each kernel's ``(2, links)`` load array goes to the
-        ledger whole (:meth:`CostLedger.add_link_loads`).  Addition over
-        element counts is commutative, so the per-edge loads equal a
-        transfer-by-transfer path walk's exactly (the Section-2 model in
-        ``tests/model/``).
+        A tag's shipments of one kind are delivered as one, their runs
+        and payloads end to end (:meth:`RoundLayout.merged
+        <repro.sim.layout.RoundLayout.merged>`); unicast tags go first,
+        then multicast ones, each in registration order — exactly the
+        order the per-transfer path produces, so every ``(dst, tag)``
+        receives what one transfer per run would append.  Each layout
+        cuts its payload into one stretch per destination and counts
+        the arrivals (:meth:`RoundLayout.ship
+        <repro.sim.layout.RoundLayout.ship>`: the payload as registered
+        when the rows are the runs in order, one gathered chunk
+        otherwise, a view for a multicast destination one run serves),
+        and storage installs the tables.  The charge is one path half
+        per kind — the kind's layouts merged when the round has several,
+        so a fresh round finds its LCAs in one call — with the
+        shipments' counts, added in one
+        :meth:`~repro.topology.steiner.RoutingIndex.path_loads` call —
+        no aggregation by ``(src, dst)`` pair, a run rarely sharing
+        one — and handed to the ledger whole
+        (:meth:`CostLedger.add_link_loads`).  Addition over element
+        counts is commutative, so the per-edge loads equal a
+        transfer-by-transfer path walk's exactly (the Section-2 model
+        in ``tests/model/``).
 
         When a recording tracer is installed, the finalizer splits its
-        wall time into *group* (collection, the unicast run order and
-        any payload gather, the multicast run bounds), *deliver*
-        (storage installs) and *charge* (tree-flow accounting and
-        arrivals) phases, counts the delivered elements per tag, and
-        annotates the enclosing round span with both alongside the
-        ledger-derived round attrs; with the default no-op tracer no
-        clock is read.
+        wall time into *group* (the layouts' rows on first use, the
+        stretches, any payload gather and the arrivals), *deliver*
+        (storage installs) and *charge* (the path halves on first use
+        and the tree-flow accounting) phases, counts the delivered
+        elements per tag, and annotates the enclosing round span with
+        both alongside the ledger-derived round attrs; with the default
+        no-op tracer no clock is read.
         """
         cluster = self._cluster
         storage = cluster._storage
@@ -378,179 +351,55 @@ class RoundContext:
             else None
         )
         cluster.ledger.open_round()
-
-        if self._unicast_stream:
-            t0 = perf_counter() if phases is not None else 0.0
-            by_tag: dict[str, list[tuple]] = {}
-            for _, targets, counts, payload, tag in self._unicast_stream:
-                by_tag.setdefault(tag, []).append((targets, counts, payload))
-            # group: per tag, the runs of the whole round in registration
-            # order, so per-(dst, tag) contents match a transfer-by-transfer
-            # delivery exactly
-            grouped = [
-                (tag, *_group_by_destination(parts))
-                for tag, parts in by_tag.items()
-            ]
+        t0 = perf_counter() if phases is not None else 0.0
+        by_tag: dict[tuple, list[tuple]] = {}
+        for shipment in self._shipments:
+            layout = shipment[0]
+            by_tag.setdefault((layout.multicast, layout.tag), []).append(shipment)
+        shipments = []
+        for key in sorted(by_tag, key=lambda k: k[0]):
+            layouts, counts, payloads = zip(*by_tag[key])
+            shipments.append(
+                (*RoundLayout.merged(list(zip(layouts, counts))), concatenated(payloads))
+            )
+        by_kind: dict[bool, list[tuple]] = {}
+        for layout, counts, _ in shipments:
+            by_kind.setdefault(layout.multicast, []).append((layout, counts))
+        arrivals = []
+        for layout, counts, payload in shipments:
+            tables, arrived = layout.ship(counts, payload)
+            arrivals.append(arrived)
             if phases is not None:
                 t1 = perf_counter()
                 phases["t_group_s"] += t1 - t0
-            # deliver: the grouping left each payload cut by destination,
-            # one stretch per compute-order index: it is the table
-            for tag, payload, destinations, starts, ends in grouped:
-                if phases is not None:
-                    delivered = phases["delivered_by_tag"]
-                    delivered[tag] = delivered.get(tag, 0) + len(payload)
-                storage.install(tag, destinations, starts, ends, payload)
+            for table in tables:
+                storage.install(layout.tag, *table)
             if phases is not None:
-                t2 = perf_counter()
-                phases["t_deliver_s"] += t2 - t1
-            self._charge_unicasts()
+                delivered = phases["delivered_by_tag"]
+                delivered[layout.tag] = delivered.get(layout.tag, 0) + sum(
+                    int((his - los).sum()) for _, los, his, _ in tables
+                )
+                t0 = perf_counter()
+                phases["t_deliver_s"] += t0 - t1
+        if shipments:
+            routing = cluster.oracle.routing_index
+            receivers, lengths = map(concatenated, zip(*arrivals))
+            cluster._received_elements += np.bincount(
+                receivers, lengths, minlength=routing.num_nodes
+            ).astype(np.int64)
+            cluster.ledger.add_link_loads(
+                routing.path_loads(
+                    [
+                        (layout.paths, counts)
+                        for layout, counts in map(RoundLayout.merged, by_kind.values())
+                    ]
+                )
+            )
             if phases is not None:
-                phases["t_charge_s"] += perf_counter() - t2
-
-        if self._multicasts:
-            self._deliver_multicasts(phases)
+                phases["t_charge_s"] += perf_counter() - t0
         cluster.ledger.close_round()
         if phases is not None:
             self._annotate_round(tracer, phases)
-
-    def _charge_unicasts(self) -> None:
-        """Charge the round's unicast runs to the ledger and count their
-        arrivals: every run of every record, no aggregation by pair
-        first (the loads are sums over runs, and a pair rarely carries
-        more than one run), in one
-        :meth:`~repro.topology.steiner.RoutingIndex.unicast_loads` call."""
-        cluster = self._cluster
-        routing = cluster.oracle.routing_index
-        sources, targets, counts, *_ = zip(*self._unicast_stream)
-        sources, targets, counts = map(_concatenated, (sources, targets, counts))
-        # ``take``: the indices come narrow, which ``[]`` widens first
-        src_ids = routing.compute_idx.take(sources)
-        dst_ids = routing.compute_idx.take(targets)
-        cluster.ledger.add_link_loads(
-            routing.unicast_loads(src_ids, dst_ids, counts)
-        )
-        remote = src_ids != dst_ids
-        arrivals = np.bincount(
-            dst_ids[remote], counts[remote], minlength=routing.num_nodes
-        )
-        cluster._received_elements += arrivals.astype(np.int64)
-
-    def _collect_multicasts(self, routing) -> dict[str, list[tuple]]:
-        """Resolve the multicast stream into per-tag records of arrays.
-
-        Per tag and in registration order: ``(counts, payload, sources,
-        members, fanouts)``, the last three naming routing indices —
-        every run's source, the runs' destination members laid end to
-        end, and how many each run has.
-        """
-        lookup = routing.compute_idx
-        by_tag: dict[str, list[tuple]] = {}
-        for origins, members, offsets, counts, payload, tag in self._multicasts:
-            by_tag.setdefault(tag, []).append(
-                (counts, payload, lookup[origins], lookup[members], np.diff(offsets))
-            )
-        return by_tag
-
-    def _deliver_multicasts(self, phases: dict | None = None) -> None:
-        """Deliver and charge the round's multicast stream in bulk.
-
-        A tag's records are laid end to end in registration order, so
-        its runs are too: run ``k`` ends at ``cumsum(counts)[k]`` of the
-        concatenated payload, and no element is sorted or gathered to
-        find its run.  Runs without elements are dropped.  Each ``(run,
-        member)`` pair is a row (a CSR gather, no loop over runs); rows
-        are grouped by destination with one stable sort over the rows,
-        so each destination's runs keep registration order, and a
-        repeated pair — sets, not lists — is dropped.  A destination one
-        run serves receives that run's slice of the payload as a
-        zero-copy view (a whole-relation broadcast moves no bytes); one
-        served by several receives one gathered chunk, its runs in
-        registration order.  The same rows charge every run's Steiner
-        tree through one
-        :meth:`~repro.topology.steiner.RoutingIndex.multicast_loads`
-        call, added to the ledger's open round beside the unicasts'.
-        """
-        cluster = self._cluster
-        routing = cluster.oracle.routing_index
-        storage = cluster._storage
-        t0 = perf_counter() if phases is not None else 0.0
-        by_tag = self._collect_multicasts(routing)
-        if phases is not None:
-            phases["t_group_s"] += perf_counter() - t0
-        charges: list[tuple] = []
-        for tag, records in by_tag.items():
-            t1 = perf_counter() if phases is not None else 0.0
-            counts, payload, sources, members, fanouts = map(
-                _concatenated, zip(*records)
-            )
-            # the runs that carry elements, and where each ends
-            ends = np.cumsum(counts)
-            live = np.flatnonzero(counts)
-            counts, ends, sources = counts[live], ends[live], sources[live]
-            starts = ends - counts
-            if phases is not None:
-                t2 = perf_counter()
-                phases["t_group_s"] += t2 - t1
-            # one row per (live run, member)
-            fanout = fanouts[live]
-            row_dst = members[
-                concat_ranges((np.cumsum(fanouts) - fanouts)[live], fanout)
-            ]
-            row_run = np.repeat(np.arange(len(live)), fanout)
-            charges.append((sources, row_dst, fanout, counts))
-            # group rows by destination — stable, so rows stay in
-            # registration order within a dst, exactly the per-run
-            # loop's append order, and a repeated pair is adjacent
-            r_order, r_uniques, r_starts, r_ends = group_slices(row_dst)
-            row_dst, row_run = row_dst[r_order], row_run[r_order]
-            repeated = (row_dst[1:] == row_dst[:-1]) & (
-                row_run[1:] == row_run[:-1]
-            )
-            if repeated.any():
-                keep = np.concatenate(([True], ~repeated))
-                row_dst, row_run = row_dst[keep], row_run[keep]
-                r_starts = np.searchsorted(row_dst, r_uniques, side="left")
-                r_ends = np.searchsorted(row_dst, r_uniques, side="right")
-            lengths = counts[row_run]
-            # the destinations several runs serve share one gather,
-            # each taking its slice of it
-            single = r_ends - r_starts == 1
-            shared = ~np.repeat(single, r_ends - r_starts)
-            gathered = gather_ranges(
-                payload, starts[row_run[shared]], lengths[shared]
-            )
-            sizes = np.add.reduceat(lengths, r_starts)
-            gathered_his = np.cumsum(np.where(single, 0, sizes))
-            first = row_run[r_starts]
-            los = np.where(single, starts[first], gathered_his - sizes)
-            his = np.where(single, ends[first], gathered_his)
-            positions = np.searchsorted(routing.compute_idx, r_uniques)
-            for where, source in ((single, payload), (~single, gathered)):
-                storage.install(
-                    tag, positions[where], los[where], his[where], source
-                )
-            remote = sources[row_run] != row_dst
-            arrivals = np.bincount(
-                row_dst[remote], lengths[remote], minlength=routing.num_nodes
-            )
-            cluster._received_elements += arrivals.astype(np.int64)
-            if phases is not None:
-                delivered = phases["delivered_by_tag"]
-                delivered[tag] = delivered.get(tag, 0) + int(lengths.sum())
-                phases["t_deliver_s"] += perf_counter() - t2
-        t3 = perf_counter() if phases is not None else 0.0
-        sources, terminals, fanout, counts = (
-            np.concatenate(column) for column in zip(*charges)
-        )
-        stops = np.cumsum(fanout)
-        cluster.ledger.add_link_loads(
-            routing.multicast_loads(
-                sources, terminals, stops - fanout, stops, counts
-            )
-        )
-        if phases is not None:
-            phases["t_charge_s"] += perf_counter() - t3
 
     def _annotate_round(self, tracer, phases: dict) -> None:
         """Attach ledger-derived attrs to the enclosing round span.
@@ -582,10 +431,8 @@ class RoundContext:
     def _elements_by_tag(self) -> dict[str, int]:
         """Registered (pre-replication) element counts per tag."""
         elements: dict[str, int] = {}
-        for *_, payload, tag in self._unicast_stream:
-            elements[tag] = elements.get(tag, 0) + len(payload)
-        for *_, payload, tag in self._multicasts:
-            elements[tag] = elements.get(tag, 0) + len(payload)
+        for layout, _, payload in self._shipments:
+            elements[layout.tag] = elements.get(layout.tag, 0) + len(payload)
         return elements
 
 
@@ -711,6 +558,66 @@ class Cluster:
     # ------------------------------------------------------------------ #
     # rounds
     # ------------------------------------------------------------------ #
+
+    def lay_out(
+        self, sources, members, counts, *, offsets=None, tag: str
+    ) -> RoundLayout:
+        """The layout of a registration's runs, to ship along with
+        :meth:`RoundContext.exchange_layout` in this round or a later
+        one.
+
+        Run ``i`` travels from compute node ``compute_order[sources[i]]``
+        to ``compute_order[members[i]]`` (the runs of
+        :meth:`RoundContext.exchange_runs`), or, given CSR ``offsets``,
+        to every node of the set ``members[offsets[i]:offsets[i + 1]]``
+        (those of :meth:`RoundContext.exchange_multicast_runs`);
+        ``counts`` are the counts shipped when a shipment names none.
+        Both round calls lay out their runs here.
+        """
+        check = RoundContext
+        origins = check._as_indices(sources, "sources")
+        if offsets is None:
+            members = check._as_indices(members, "targets")
+            run_lengths = check._as_indices(counts, "counts")
+            if not len(origins) == len(members) == len(run_lengths):
+                raise ProtocolError(
+                    f"{len(run_lengths)} counts but {len(origins)} sources "
+                    f"and {len(members)} targets; exchange_runs needs "
+                    "one source, one target and one count per run"
+                )
+            what = "target indices"
+        else:
+            run_lengths = check._as_indices(counts, "counts")
+            members = check._as_indices(members, "destination members")
+            offsets = check._as_indices(offsets, "destination offsets")
+            if not len(offsets) or (
+                offsets[0] != 0
+                or offsets[-1] != len(members)
+                or (offsets[1:] < offsets[:-1]).any()
+            ):
+                raise ProtocolError(
+                    "destination offsets must rise from 0 to the "
+                    f"{len(members)} members given"
+                )
+            if not len(origins) == len(offsets) - 1 == len(run_lengths):
+                raise ProtocolError(
+                    f"{len(run_lengths)} counts but {len(origins)} sources and "
+                    f"{len(offsets) - 1} destination sets; exchange_multicast_runs "
+                    "needs one source, one destination set and one count per run"
+                )
+            what = "destination members"
+        count = len(self.compute_order)
+        check._check_index_span(origins, count, "source indices", "compute nodes")
+        check._check_index_span(members, count, what, "compute nodes")
+        check._check_signs(run_lengths)
+        return RoundLayout(
+            self.oracle.routing_index,
+            origins,
+            members,
+            offsets,
+            run_lengths.astype(np.intp, copy=False),
+            str(tag),
+        )
 
     @contextmanager
     def round(self) -> Iterator[RoundContext]:

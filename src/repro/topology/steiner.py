@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.tree import TreeTopology
-from repro.util.grouping import concat_ranges
+from repro.util.grouping import concat_ranges, concatenated
 
 
 class RoutingIndex:
@@ -112,6 +112,13 @@ class RoutingIndex:
         ).reshape(-1, 2)
         self.link_child_first = parent[ends[:, 0]] == ends[:, 1]
         self.link_child = np.where(self.link_child_first, ends[:, 0], ends[:, 1])
+        # per slot of a round's ``(2, links)`` loads (below), where its
+        # link child's subtree ends and where it begins, less one, in
+        # the inclusive prefix sums of :meth:`_push_loads`, rows laid end
+        # to end: row 0 (upward) when the slot leaves the child, else 1
+        rows = np.where(self.link_child_first, [[0], [1]], [[1], [0]]) * size
+        self._subtree_last = rows + self.tout[self.link_child] - 1
+        self._subtree_before = rows + self.tin[self.link_child] - 1
         # Directed edges as the slots of a ``(2, links)`` array — row 0:
         # ``edge[0] -> edge[1]`` of every link, row 1: the way back — the
         # layout of a round's loads from the push-up to the ledger's
@@ -175,7 +182,10 @@ class RoutingIndex:
         for the cyclic pair, are already ``lo <= hi``.
         """
         bits = self._tin_bits
-        hi = np.sort(groups << bits | self.tin[terminals])
+        words = groups << bits | self.tin[terminals]
+        if len(starts) << bits < 2**31:
+            words = words.astype(np.int32)  # sorts in half the time
+        hi = np.sort(words)
         hi &= (1 << bits) - 1
         terminals = self.preorder[hi]
         lo = np.empty_like(hi)
@@ -236,42 +246,144 @@ class RoutingIndex:
             np.bincount(holders, minlength=size) - np.bincount(meet, minlength=size)
         )
 
-    def unicast_loads(
-        self, src: np.ndarray, dst: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Per-directed-edge element loads of a batch of unicasts.
+    def unicast_paths(self, src: np.ndarray, dst: np.ndarray) -> tuple:
+        """The path half of a batch of unicasts: run ``i`` goes from node
+        index ``src[i]`` up to ``lca`` and down to ``dst[i]``.
 
-        ``src``/``dst`` are node indices (per :attr:`index_of`) and
-        ``counts`` the element count per pair; self-pairs contribute
-        nothing, exactly like an empty path.  Returns the ``int64 (2,
-        links)`` load of every slot (see :attr:`slot_edges`).
+        Returns the ``(run_blocks, terminal_blocks, lens)`` of
+        :meth:`path_loads`: per run, its count added upward at the
+        source and downward at the destination, and taken off both ways
+        at the LCA; a self-pair is an empty path both ways.  Reads no
+        count, so a protocol that ships many payloads along the same runs
+        finds its LCAs once.
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
-        size = self.num_nodes
-        # one bincount per end and one at the LCAs, whose charge both
-        # directions take off; counts are exact in float64 below 2**53
-        at_meet = np.bincount(self.lca(src, dst), counts, size)
-        up = np.bincount(src, counts, size) - at_meet
-        down = np.bincount(dst, counts, size) - at_meet
-        return self._push_loads(up.astype(np.int64), down.astype(np.int64))
+        meet = self.lca(src, dst)
+        return ((src, (1, 0)), (dst, (0, 1)), (meet, (-1, -1))), (), None
 
-    def _push_loads(self, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-        """Prefix-sum tree-difference arrays into per-slot loads.
+    def multicast_paths(
+        self,
+        src: np.ndarray,
+        terminals: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+    ) -> tuple:
+        """The path half of a batch of Steiner multicasts.
 
-        ``up[x]`` / ``down[x]`` hold path-difference charges; after
-        pushing partial sums up the levels, the value at ``x`` is the
-        load on the edge between ``x`` and its parent — upward
-        (``x -> parent``) for ``up``, downward for ``down``.  A link's
-        ``edge[0] -> edge[1]`` slot is the upward one exactly when
-        ``edge[0]`` is the child.
+        Group ``g`` goes from node index ``src[g]`` to the destination
+        indices ``terminals[starts[g]:ends[g]]``; each directed edge of
+        the Steiner tree of ``{src} | destinations`` (directed away from
+        the source) carries the group's payload once — the union of the
+        source-to-destination paths.
+
+        The vectorization rests on the edge-disjoint upward paths of
+        :meth:`_steiner_paths` (the cyclic first pair yields the
+        Steiner root ``lca(t_1, t_k)``).  Edges on the source's path to
+        the Steiner root carry the payload upward, every other Steiner
+        edge carries it downward: the downward charge is the full
+        disjoint decomposition minus that path.  Duplicate terminals
+        contribute empty paths, so destination sets need no
+        deduplication against the source.  Returns the ``(run_blocks,
+        terminal_blocks, lens)`` of :meth:`path_loads`: per group the
+        path from its source to its Steiner root, upward and taken off
+        the downward charge, then every group's terminals' downward
+        paths, group by group, ``lens[g]`` of them.
         """
-        up = self._push_up(up)[self.link_child]
-        down = self._push_up(down)[self.link_child]
-        child_first = self.link_child_first
-        return np.stack(
-            [np.where(child_first, up, down), np.where(child_first, down, up)]
+        src = np.asarray(src, dtype=np.intp)
+        terminals = np.asarray(terminals, dtype=np.intp)
+        lens = np.asarray(ends, dtype=np.intp) - starts
+        ids = np.arange(len(src), dtype=np.intp)
+        k = lens + 1  # terminals per group, the source included
+        first = np.cumsum(k) - k
+        # every source, then every destination slice: the sort inside
+        # :meth:`_steiner_paths` brings each group's terminals together
+        flat = np.concatenate([src, terminals[concat_ranges(starts, lens)]])
+        t_sorted, meet = self._steiner_paths(
+            flat, np.concatenate([ids, np.repeat(ids, lens)]), first
+        ) if len(src) else (flat, flat)
+        roots = meet[first]  # lca(t_1, t_k) = the group's Steiner root
+        return (
+            ((src, (1, -1)), (roots, (-1, 1))),
+            ((t_sorted, (0, 1)), (meet, (0, -1))),
+            k,
         )
+
+    def path_loads(self, shipments) -> np.ndarray:
+        """The count half: per-directed-edge loads of ``(paths, counts)``
+        shipments, each shipping ``counts[i]`` elements along run ``i``
+        of ``paths`` (:meth:`unicast_paths`, :meth:`multicast_paths`),
+        returned in the slot layout of :attr:`slot_edges`, ``int64 (2,
+        links)``.
+
+        ``paths`` is ``(run_blocks, terminal_blocks, lens)``, each block
+        ``(nodes, (up, down))``: a run block holds one node per run, a
+        terminal block ``lens[i]`` nodes of run ``i``, run by run.  Every
+        node adds its run's count times ``up`` to its upward
+        tree-difference row and times ``down`` to its downward one: one
+        weighted ``np.bincount`` per ``(up, down)`` pair over the blocks
+        of all the shipments, and one push.  A shipment whose empty runs
+        own most of the terminal nodes (a delta leg) gathers the nodes
+        of the others first.  The float64 sums are exact: every weight
+        is a run count, the counts of one shipment sum to its payload
+        length (checked at registration), and no bin sees more than the
+        payloads' lengths times the blocks and the terminals of a run,
+        far below 2**53.
+        """
+        by_signs: dict[tuple, list] = {}
+        for (run_blocks, terminal_blocks, lens), counts in shipments:
+            counts = np.asarray(counts)
+            if terminal_blocks:
+                live = np.flatnonzero(counts)
+                if 2 * int(lens[live].sum()) < int(lens.sum()):
+                    picked = concat_ranges((np.cumsum(lens) - lens)[live], lens[live])
+                    run_blocks = [(nodes[live], signs) for nodes, signs in run_blocks]
+                    terminal_blocks = [
+                        (nodes[picked], signs) for nodes, signs in terminal_blocks
+                    ]
+                    counts, lens = counts[live], lens[live]
+                spread = np.repeat(counts, lens)
+                for nodes, signs in terminal_blocks:
+                    by_signs.setdefault(signs, []).append((nodes, spread))
+            for nodes, signs in run_blocks:
+                by_signs.setdefault(signs, []).append((nodes, counts))
+        size = self.num_nodes
+        tally = np.zeros((2, size))
+        rows = tally[0], tally[1]
+        for signs, blocks in by_signs.items():
+            nodes, weights = map(concatenated, zip(*blocks))
+            load = np.bincount(nodes, weights, size)
+            for row, sign in zip(rows, signs):
+                if sign > 0:
+                    row += load
+                elif sign < 0:
+                    row -= load
+        return self._push_loads(tally.astype(np.int64))
+
+    def unicast_loads(
+        self, src: np.ndarray, dst: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Per-directed-edge element loads of a batch of unicasts:
+        ``counts[i]`` elements from node index ``src[i]`` to ``dst[i]``
+        (see :meth:`unicast_paths`)."""
+        return self.path_loads([(self.unicast_paths(src, dst), counts)])
+
+    def _push_loads(self, diffs: np.ndarray) -> np.ndarray:
+        """Per-slot loads from the ``int64 (2, nodes)`` tree-difference
+        arrays ``diffs``, row 0 upward and row 1 downward.
+
+        The load on the edge between ``x`` and its parent is the sum of
+        ``x``'s row over its subtree, ``preorder[tin[x]:tout[x]]``: the
+        difference of two inclusive prefix sums over the preorder, one
+        ``cumsum`` and two gathers whatever the depth (exact: the sums
+        are ``int64``).  That edge carries the upward load ``x ->
+        parent``, the downward one back; a link's ``edge[0] -> edge[1]``
+        slot is the upward one exactly when ``edge[0]`` is the child.
+        """
+        # one running sum over both rows: row 1's entries all carry row
+        # 0's total, which the difference of two of them cancels
+        prefix = diffs.take(self.preorder, axis=1).cumsum()
+        return prefix.take(self._subtree_last) - prefix.take(self._subtree_before)
 
     def multicast_loads(
         self,
@@ -281,57 +393,13 @@ class RoutingIndex:
         ends: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        """Per-directed-edge loads of a batch of Steiner multicasts.
-
-        Group ``g`` multicasts ``counts[g]`` elements from node index
-        ``src[g]`` to the destination indices
-        ``terminals[starts[g]:ends[g]]``; each directed edge of the
-        Steiner tree of ``{src} | destinations`` (directed away from
-        the source) is charged ``counts[g]`` once — the union of the
-        source-to-destination paths; returned in the slot layout of
-        :meth:`unicast_loads`.
-
-        The vectorization rests on the edge-disjoint upward paths of
-        :meth:`_steiner_paths` (the cyclic first pair yields the
-        Steiner root ``lca(t_1, t_k)``).  Those paths feed the same
-        tree-difference accumulators as :meth:`unicast_loads`; edges on
-        the source's path to the Steiner root carry the payload upward,
-        every other Steiner edge carries it downward.  Duplicate
-        terminals contribute empty paths, so destination sets need no
-        deduplication against the source.
-        """
-        src = np.asarray(src, dtype=np.intp)
-        terminals = np.asarray(terminals, dtype=np.intp)
+        """Per-directed-edge loads of a batch of Steiner multicasts:
+        group ``g`` sends ``counts[g]`` elements from ``src[g]`` to
+        ``terminals[starts[g]:ends[g]]`` (see :meth:`multicast_paths`)."""
         starts = np.asarray(starts, dtype=np.intp)
-        ends = np.asarray(ends, dtype=np.intp)
-        counts = np.asarray(counts, dtype=np.int64)
-        num_groups = len(src)
-        if num_groups == 0:
-            return np.zeros(self.link_bandwidths.shape, dtype=np.int64)
-        lens = ends - starts
-        k = lens + 1  # terminals per group, the source included
-        out_end = np.cumsum(k)
-        out_start = out_end - k
-        # every source, then every destination slice: the sort inside
-        # :meth:`_steiner_paths` brings each group's terminals together
-        ids = np.arange(num_groups, dtype=np.intp)
-        flat = np.concatenate([src, terminals[concat_ranges(starts, lens)]])
-        t_sorted, meet = self._steiner_paths(
-            flat, np.concatenate([ids, np.repeat(ids, lens)]), out_start
+        return self.path_loads(
+            [(self.multicast_paths(src, terminals, starts, ends), counts)]
         )
-        roots = meet[out_start]  # lca(t_1, t_k) = the group's Steiner root
-        per_terminal = np.repeat(counts, k)
-        up = np.zeros(self.num_nodes, dtype=np.int64)
-        down = np.zeros(self.num_nodes, dtype=np.int64)
-        # upward: the source's path to the Steiner root
-        np.add.at(up, src, counts)
-        np.subtract.at(up, roots, counts)
-        # downward: the full disjoint decomposition minus that path
-        np.add.at(down, t_sorted, per_terminal)
-        np.subtract.at(down, meet, per_terminal)
-        np.subtract.at(down, src, counts)
-        np.add.at(down, roots, counts)
-        return self._push_loads(up, down)
 
 
 class PathOracle:

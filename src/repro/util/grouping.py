@@ -272,6 +272,11 @@ def owner_bounds(sorted_owners: np.ndarray, num_owners: int) -> list[int]:
     return np.searchsorted(sorted_owners, np.arange(num_owners + 1)).tolist()
 
 
+def concatenated(parts) -> np.ndarray:
+    """``np.concatenate(parts)``, minus the copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices ``arange(starts[i], starts[i] + lengths[i])`` of every
     slice ``i``, concatenated — a CSR gather without a loop over rows."""

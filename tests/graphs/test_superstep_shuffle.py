@@ -8,12 +8,13 @@ one identity message per row.  If the table ever held a pair twice, a
 sender-side combine would have been needed, so the order check here
 fails before an answer could change.
 
-Every superstep ships the same keys from the same holders, so a run
-lays out its shuffle once (:func:`~repro.queries.aggregate.
-shuffle_layout`, one owner hash) and groups the arrivals at the owners
-once; every superstep is one :func:`~repro.queries.aggregate.
-shuffle_round` along that layout.  A superstep whose arrivals differ
-from the first's is refused rather than reduced along a stale grouping.
+Every superstep ships the same keys from the same holders, and every
+return leg the labels of the same groups to the same subscribers, so a
+run lays out its shuffle and its return leg once each
+(:meth:`~repro.sim.cluster.Cluster.lay_out`, where every layout is built)
+and ships every superstep along them.  A superstep whose arrivals
+differ from what its layout says is refused rather than reduced along a
+stale grouping or written into the wrong table rows.
 """
 
 import numpy as np
@@ -24,8 +25,8 @@ from repro.errors import ProtocolError
 from repro.graphs import components
 from repro.graphs.model import VERTEX_BITS, decode_edges
 from repro.queries.tuples import decode_tuples
+from repro.sim.cluster import Cluster
 from repro.topology.builders import two_level
-from repro.util.hashing import WeightedNodeHasher
 
 TREE = two_level([4, 3, 2], uplink_bandwidth=[0.5, 2.0, 1.0])
 FLAVOURS = ("tree", "uniform-hash")
@@ -40,22 +41,15 @@ def graph():
 
 def record_run(monkeypatch, graph, protocol):
     """Run ``protocol`` and return its report and what it did: every
-    superstep shuffle's input ``(owners, keys)`` and shipped payload, and
-    the calls of the owner hash, of the layout half and of the owners'
-    receive-side sort (the keys each sort was given)."""
-    calls = dict(shuffles=[], assigns=0, layouts=[], sorts=[])
-    layout_half = components.shuffle_layout
+    superstep shuffle's input ``(owners, keys)`` and shipped payload,
+    and the tag of every layout the run built."""
+    calls = dict(shuffles=[], layouts=[])
     round_half = components.shuffle_round
-    receive_sort = components.sorted_runs
-    assign = WeightedNodeHasher.assign_indices
+    lay_out = Cluster.lay_out
 
-    def recording_assign(hasher, values):
-        calls["assigns"] += 1
-        return assign(hasher, values)
-
-    def recording_layout(owners, keys, hasher):
-        calls["layouts"].append(np.array(keys))
-        return layout_half(owners, keys, hasher)
+    def recording_lay_out(cluster, *args, tag, **kwargs):
+        calls["layouts"].append(tag)
+        return lay_out(cluster, *args, tag=tag, **kwargs)
 
     def recording_round(cluster, layout, payload, **kwargs):
         owners, held = cluster.column("R")
@@ -69,14 +63,8 @@ def record_run(monkeypatch, graph, protocol):
         )
         return round_half(cluster, layout, payload, **kwargs)
 
-    def recording_sort(owners, keys, **kwargs):
-        calls["sorts"].append(np.sort(keys))
-        return receive_sort(owners, keys, **kwargs)
-
-    monkeypatch.setattr(WeightedNodeHasher, "assign_indices", recording_assign)
-    monkeypatch.setattr(components, "shuffle_layout", recording_layout)
+    monkeypatch.setattr(Cluster, "lay_out", recording_lay_out)
     monkeypatch.setattr(components, "shuffle_round", recording_round)
-    monkeypatch.setattr(components, "sorted_runs", recording_sort)
     report = components.run_components(TREE, graph, protocol=protocol)
     return report, calls
 
@@ -114,9 +102,6 @@ def test_tree_shuffle_input_is_the_vertex_table(monkeypatch, graph):
         assert np.array_equal(shuffle["keys"], vertices)
         # no sender combine: what the nodes hold as R is what ships
         assert shuffle["ships_what_is_held"]
-    # the owners' one combine sort, over every message shipped
-    (received,) = calls["sorts"]
-    assert np.array_equal(received, np.sort(vertices))
     # the closure is the combiner, and the step meta says so
     assert len(shuffle_steps(report)) == len(shuffles)
     assert all(s.meta["result"]["pre_aggregate"] is True for s in shuffle_steps(report))
@@ -133,23 +118,21 @@ def test_uniform_hash_ships_raw_messages(monkeypatch, graph):
         assert len(shuffle["keys"]) == messages
         assert len(np.unique(pairs(shuffle))) == len(vertices)
         assert shuffle["ships_what_is_held"]
-    (received,) = calls["sorts"]
-    assert len(received) == messages
     assert len(shuffle_steps(report)) == len(shuffles)
     assert all(s.meta["result"]["pre_aggregate"] is False for s in shuffle_steps(report))
 
 
 @pytest.mark.parametrize("protocol", FLAVOURS)
-def test_a_run_lays_out_and_groups_its_shuffle_once(monkeypatch, graph, protocol):
+def test_a_run_lays_out_its_shuffle_and_its_return_leg_once(
+    monkeypatch, graph, protocol
+):
     report, calls = record_run(monkeypatch, graph, protocol)
-    assert report.meta["num_supersteps"] >= 4
-    assert len(calls["shuffles"]) == report.meta["num_supersteps"]
-    # one owner hash, one layout over the keys every superstep ships,
-    # and one receive-side sort per run, not one per superstep
-    assert calls["assigns"] == 1
-    (laid_out,) = calls["layouts"]
-    assert all(np.array_equal(laid_out, s["keys"]) for s in calls["shuffles"])
-    assert len(calls["sorts"]) == 1
+    steps = report.meta["num_supersteps"]
+    assert steps >= 4 and len(calls["shuffles"]) == steps
+    # one layout per leg and run, not one per superstep
+    assert calls["layouts"] == ["aggregate.recv", "cc.labels.recv"]
+    keys = calls["shuffles"][0]["keys"]
+    assert all(np.array_equal(keys, s["keys"]) for s in calls["shuffles"])
 
 
 @pytest.mark.parametrize("protocol", FLAVOURS)
@@ -169,3 +152,28 @@ def test_arrivals_unlike_the_first_superstep_are_refused(monkeypatch, graph, pro
     with pytest.raises(ProtocolError, match="delivered other keys"):
         components.run_components(TREE, graph, protocol=protocol)
     assert len(rounds) == 2
+
+
+@pytest.mark.parametrize("forgery", ("permute", "drop"))
+@pytest.mark.parametrize("protocol", FLAVOURS)
+def test_a_forged_label_delivery_is_refused(monkeypatch, graph, protocol, forgery):
+    take = Cluster.take_column
+    forged = []
+
+    def forging_take(cluster, tag):
+        owners, received = take(cluster, tag)
+        if tag == "cc.labels.recv" and not forged:
+            forged.append(tag)
+            vertices, _ = decode_tuples(received, payload_bits=VERTEX_BITS)
+            if forgery == "drop":
+                return owners[1:], received[1:]
+            # swap the first label with the first one for another vertex
+            other = int(np.flatnonzero(vertices != vertices[0])[0])
+            received = received.copy()
+            received[[0, other]] = received[[other, 0]]
+        return owners, received
+
+    monkeypatch.setattr(Cluster, "take_column", forging_take)
+    with pytest.raises(ProtocolError, match="delivered other labels"):
+        components.run_components(TREE, graph, protocol=protocol)
+    assert forged

@@ -146,9 +146,10 @@ class TestRoundApi:
     """Two calls register a round, one per kind of Section-2 transfer,
     and each stream keeps one record shape."""
 
-    def test_the_registration_methods_are_exactly_two(self):
+    def test_the_registration_methods_are_the_two_calls_and_their_layout(self):
+        # both calls lay out their runs and ship them by exchange_layout
         public = {name for name in vars(RoundContext) if not name.startswith("_")}
-        assert public == {"exchange_runs", "exchange_multicast_runs"}
+        assert public == {"exchange_runs", "exchange_multicast_runs", "exchange_layout"}
         for removed in (
             "send",
             "multicast",

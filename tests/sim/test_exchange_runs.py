@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.context import use
 from repro.errors import ProtocolError
 from repro.obs.audit import auditing
-from repro.sim.cluster import Cluster, _group_by_destination
+from repro.sim.cluster import Cluster
 from repro.util.grouping import group_slices
 from repro.topology.builders import two_level
 
@@ -372,12 +372,21 @@ def unicast_parts(draw):
 @settings(max_examples=200, deadline=None)
 def test_grouping_by_run_is_grouping_the_expanded_elements(parts):
     """The definition: expand every run to one id per element, then one
-    stable sort of the elements; empty destinations install nothing."""
+    stable sort of the elements; every part's layout cuts its payload
+    into what that sort gives each destination, parts in turn, and an
+    empty destination installs nothing."""
+    cluster = Cluster(two_level([4, 3]))
     ids = np.concatenate([np.repeat(ids, counts) for ids, counts, _ in parts])
     payload = np.concatenate([payload for *_, payload in parts])
     order, uniques, starts, ends = group_slices(ids)
-    found, destinations, los, his = _group_by_destination(parts)
-    assert found.tolist() == payload[order].tolist()
-    held = his > los
-    assert destinations[held].tolist() == uniques.tolist()
-    assert (los[held].tolist(), his[held].tolist()) == (starts.tolist(), ends.tolist())
+    found: dict = {}
+    for targets, counts, values in parts:
+        layout = cluster.lay_out(np.zeros_like(targets), targets, counts, tag="x")
+        for destinations, los, his, source in layout.ship(counts, values)[0]:
+            for destination, lo, hi in zip(destinations, los, his):
+                if hi > lo:
+                    found.setdefault(int(destination), []).extend(source[lo:hi])
+    expected = payload[order]
+    assert sorted(found) == uniques.tolist()
+    for unique, lo, hi in zip(uniques.tolist(), starts, ends):
+        assert found[unique] == expected[lo:hi].tolist()

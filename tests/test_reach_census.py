@@ -68,3 +68,41 @@ def test_option_census_lists_only_parameters_never_set(
     census.main([str(script)])
     listed = capsys.readouterr().out.split("every call: ")[1].splitlines()
     assert listed == ["1", "package/script.py:1 f(left_alone)"]
+
+
+def test_a_probe_list_sets_its_environment_and_stdout(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reach_census", ROOT / "tools" / "reach_census.py"
+    )
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "probe.py").write_text(
+        "import os\n"
+        "\n"
+        "def setting(name='PROBE_SETTING'):\n"
+        "    return os.environ.get(name)\n"
+        "\n"
+        "print(setting())\n"
+    )
+    out = tmp_path / "out.txt"
+    probes = tmp_path / "probes.txt"
+    probes.write_text(f"# a comment\n\nPROBE_SETTING=on -m package.probe > {out}\n")
+    assert census.read_probes(probes) == [
+        ({"PROBE_SETTING": "on"}, ["-m", "package.probe"], str(out))
+    ]
+    monkeypatch.setattr(census, "PACKAGE", package)
+    monkeypatch.setattr(census, "SRC", tmp_path)
+    monkeypatch.setattr(sys, "argv", list(sys.argv))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "modules", dict(sys.modules))
+    monkeypatch.delenv("PROBE_SETTING", raising=False)
+    census.main(["--probes", str(probes)])
+    # the probe's stdout went to its file, under its setting, then the
+    # setting was taken back
+    assert out.read_text() == "on\n"
+    assert "PROBE_SETTING" not in os.environ
+    table = capsys.readouterr().out
+    assert "package/probe.py" in table and "1/1" in table

@@ -1,5 +1,6 @@
 """``tools/round_shapes.py`` builds its three rounds as it says and
-prints one line per shape."""
+prints one line per shape, then one for the first shipped again along
+its layout."""
 
 import importlib.util
 from pathlib import Path
@@ -36,5 +37,9 @@ def test_the_shapes_are_the_documented_rounds():
 def test_prints_one_line_per_shape(capsys):
     _tool().main(["--repeats", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["uniform", "twin", "source-major"]
+    assert [line.split()[0] for line in lines] == [
+        "uniform", "twin", "source-major", "uniform-again"
+    ]
+    # the same runs and elements, shipped along their layout
+    assert lines[3].split()[1:5] == lines[0].split()[1:5]
     assert all(line.endswith(" ms") for line in lines)

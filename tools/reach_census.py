@@ -12,13 +12,21 @@ another in this process, separated by ``:::``::
         bench/run.py --workload serve_mix --smoke --seconds 0 \\
         ::: examples/quickstart.py ::: examples/query_plan.py
 
-The paper benchmarks run through pytest's ``__main__.py``, and need
+``--probes FILE`` adds the commands of a probe list, one a line, before
+those given as arguments: optional ``NAME=value`` settings of the
+environment, then ``-m MODULE`` or a script path, its arguments, and
+optionally ``> FILE`` for its standard output; blank lines and ``#``
+comments are skipped.  ``tools/ci_probes.txt`` is the list CI reads, for
+the census and for its strict-audit commands::
+
+    python tools/reach_census.py --probes tools/ci_probes.txt \\
+        ::: examples/quickstart.py
+
+The paper benchmarks run through ``-m pytest`` and need
 ``--benchmark-disable``: pytest-benchmark calls ``sys.setprofile(None)``
 inside every ``benchmark(...)`` call, which would hide what it times::
 
-    BENCH_SMALL=1 python tools/reach_census.py \\
-        "$(python -c 'import os, pytest; print(os.path.dirname(pytest.__file__))')/__main__.py" \\
-        benchmarks -q -p no:cacheprovider --benchmark-disable
+    BENCH_SMALL=1 -m pytest benchmarks -q -p no:cacheprovider --benchmark-disable
 
 After the table comes the option census: the same hook compares, on
 every entry of a ``src/repro`` function, each parameter that has a
@@ -30,9 +38,13 @@ not counted.
 """
 
 import ast
+import contextlib
+import os
 import runpy
+import shlex
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,8 +107,50 @@ def _same(value, default) -> bool:
         return False
 
 
+def read_probes(path: str) -> list:
+    """The probe list in ``path`` as ``(settings, command, stdout)``
+    triples: the environment to set, ``[script or -m module, *args]``
+    and the file its standard output goes to (``None``: stdout)."""
+    probes = []
+    for line in Path(path).read_text().splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        stdout = None
+        if len(words) > 2 and words[-2] == ">":
+            *words, _, stdout = words
+        settings = {}
+        while "=" in words[0] and not words[0].startswith("-"):
+            name, value = words.pop(0).split("=", 1)
+            settings[name] = value
+        probes.append((settings, words, stdout))
+    return probes
+
+
+@contextlib.contextmanager
+def _probe_context(settings: dict, stdout):
+    """The probe's environment settings and standard output, then the
+    caller's again."""
+    saved = {name: os.environ.get(name) for name in settings}
+    os.environ.update(settings)
+    try:
+        with contextlib.ExitStack() as stack:
+            if stdout is not None:
+                stack.enter_context(
+                    contextlib.redirect_stdout(stack.enter_context(open(stdout, "w")))
+                )
+            yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_scripts(commands: list, options: dict) -> set:
-    """Run each ``[script, *args]`` as ``__main__``; the reached functions.
+    """Run each ``(settings, [script or -m module, *args], stdout)`` as
+    ``__main__``; the reached functions.
 
     Also the option census, in ``options`` (:func:`defaulted_parameters`)
     in place: a function's default sources become their values on its
@@ -128,32 +182,42 @@ def run_scripts(commands: list, options: dict) -> set:
                     del parameters[name]
 
     sys.path.insert(0, str(SRC))
-    for command in commands:
-        # resolved: a relative path would give the script's own code a
-        # relative co_filename, outside the prefix
-        script = str(Path(command[0]).resolve())
-        sys.argv = command
-        sys.path.insert(0, str(Path(script).parent))
-        threading.setprofile(hook)
-        sys.setprofile(hook)
-        try:
-            runpy.run_path(script, run_name="__main__")
-        except SystemExit as exit:
-            if exit.code:
-                print(f"{' '.join(command)}: exit {exit.code}", file=sys.stderr)
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
+    for settings, command, stdout in commands:
+        if command[0] == "-m":
+            sys.argv = command[1:]
+            run = partial(
+                runpy.run_module, command[1], run_name="__main__", alter_sys=True
+            )
+        else:
+            # resolved: a relative path would give the script's own code
+            # a relative co_filename, outside the prefix
+            script = str(Path(command[0]).resolve())
+            sys.argv = command
+            sys.path.insert(0, str(Path(script).parent))
+            run = partial(runpy.run_path, script, run_name="__main__")
+        with _probe_context(settings, stdout):
+            threading.setprofile(hook)
+            sys.setprofile(hook)
+            try:
+                run()
+            except SystemExit as exit:
+                if exit.code:
+                    print(f"{' '.join(command)}: exit {exit.code}", file=sys.stderr)
+            finally:
+                sys.setprofile(None)
+                threading.setprofile(None)
     return reached
 
 
 def main(argv: list) -> None:
     commands, current = [], []
+    if argv[:1] == ["--probes"] and len(argv) > 1:
+        commands, argv = read_probes(argv[1]), argv[2:]
     for arg in argv + [":::"]:
         if arg != ":::":
             current.append(arg)
         elif current:
-            commands.append(current)
+            commands.append(({}, current, None))
             current = []
     if not commands:
         sys.exit(__doc__)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Median finalize wall of three unicast round shapes.
+"""Median finalize wall of three unicast round shapes, and of the first
+shipped again along its layout.
 
 Each shape is one :meth:`~repro.sim.cluster.RoundContext.exchange_runs`
 registration on a fresh cluster; the timer covers only the exit of the
@@ -16,11 +17,18 @@ the cutting of the runs or their registration:
   node's sorted fragment cut at 63 splitters, registered fragment by
   fragment (64 × 64 runs): the layout of a sorting scatter.
 
+The fourth line, ``uniform-again``, ships the ``uniform`` payload along
+the layout of its own runs (:meth:`~repro.sim.cluster.Cluster.lay_out`,
+:meth:`~repro.sim.cluster.RoundContext.exchange_layout`), shipped once
+before: its per-run LCAs and every destination's last run are already
+found, so the timer covers what a protocol that ships many payloads
+along the same runs pays per round.
+
 Usage::
 
     PYTHONPATH=src python tools/round_shapes.py [--repeats 30] [--seed 7]
 
-One line per shape: its name, runs, elements and the median wall in
+One line per round: its name, runs, elements and the median wall in
 milliseconds.  Standard library and NumPy only.
 """
 
@@ -75,13 +83,24 @@ def source_major(rng):
 SHAPES = (("uniform", uniform), ("twin", twin), ("source-major", source_major))
 
 
-def finalize_wall(tree, runs) -> float:
-    """Seconds spent leaving one round that registered ``runs``."""
+def finalize_wall(tree, runs, layout=None) -> float:
+    """Seconds spent leaving one round that registered ``runs``, or
+    that shipped their payload along ``layout``."""
     cluster = Cluster(tree)
     with cluster.round() as ctx:
-        ctx.exchange_runs(*runs, tag="T")
+        if layout is None:
+            ctx.exchange_runs(*runs, tag="T")
+        else:
+            ctx.exchange_layout(layout, runs[3])
         start = perf_counter()
     return perf_counter() - start
+
+
+def _report(name: str, walls: list, runs) -> None:
+    print(
+        f"{name:<13} runs {len(runs[2]):>6}  elements {len(runs[3]):>7}  "
+        f"finalize {statistics.median(walls) * 1e3:.3f} ms"
+    )
 
 
 def main(argv=None) -> None:
@@ -92,11 +111,12 @@ def main(argv=None) -> None:
     for name, build in SHAPES:
         tree, runs = build(np.random.default_rng(args.seed))
         finalize_wall(tree, runs)  # warm the tree's routing index
-        walls = [finalize_wall(tree, runs) for _ in range(args.repeats)]
-        print(
-            f"{name:<13} runs {len(runs[2]):>6}  elements {len(runs[3]):>7}  "
-            f"finalize {statistics.median(walls) * 1e3:.3f} ms"
-        )
+        _report(name, [finalize_wall(tree, runs) for _ in range(args.repeats)], runs)
+    tree, runs = uniform(np.random.default_rng(args.seed))
+    layout = Cluster(tree).lay_out(*runs[:3], tag="T")
+    finalize_wall(tree, runs, layout)  # the first shipment lays it out
+    walls = [finalize_wall(tree, runs, layout) for _ in range(args.repeats)]
+    _report("uniform-again", walls, runs)
 
 
 if __name__ == "__main__":
